@@ -444,24 +444,14 @@ pub fn parse(args: &[String]) -> Result<Options, String> {
                 .into(),
         );
     }
-    if (o.overlap || o.partitioned)
-        && !matches!(
-            o.method,
-            CpuMethod::MemMap { .. } | CpuMethod::Layout | CpuMethod::Basic | CpuMethod::Shift { .. }
-        )
-    {
+    if (o.overlap || o.partitioned) && !o.method.split_phase() {
         let flag = if o.partitioned { "--partitioned" } else { "--overlap" };
         return Err(format!(
             "{flag} needs a split-capable exchange engine \
              (memmap | layout | basic | shift), not '{method_name}'"
         ));
     }
-    if (o.faults.proc_active() || o.checkpoint_every > 0)
-        && !matches!(
-            o.method,
-            CpuMethod::MemMap { .. } | CpuMethod::Layout | CpuMethod::Basic | CpuMethod::Shift { .. }
-        )
-    {
+    if (o.faults.proc_active() || o.checkpoint_every > 0) && !o.method.split_phase() {
         return Err(format!(
             "kill:/stall:/--checkpoint-every need a resilient exchange engine \
              (memmap | layout | basic | shift), not '{method_name}'"

@@ -1,7 +1,7 @@
 //! Buddy checkpointing and the epoch-based recovery harness.
 //!
-//! The timestep drivers in [`crate::experiment`] hand their loop body to
-//! [`drive`] as a single closure over [`DriveOp`]. On a fault-free,
+//! The step driver in [`crate::experiment`] (and the rebalance driver)
+//! hands its loop body to [`drive`] as a single closure over [`DriveOp`]. On a fault-free,
 //! checkpoint-free configuration the harness degenerates to the classic
 //! `for step { body; barrier }` loop. With process faults or
 //! `--checkpoint-every` armed it becomes resilient:

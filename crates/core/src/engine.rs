@@ -1,0 +1,473 @@
+//! Per-rank step engines: everything that differs between the evaluated
+//! methods — the double-buffered grid and the exchange bound to it —
+//! behind one trait, so [`crate::experiment`] times them all with the
+//! same step loop. The engines delegate to the exchangers' inherent
+//! methods; DESIGN.md maps methods to engines and schedules.
+
+use brick::{BrickInfo, BrickStorage};
+use netsim::telemetry::{Phase, Recorder};
+use netsim::{NetsimError, PartitionStats, RankCtx, DEFAULT_EAGER_BYTES};
+use sched::SendPriority;
+use stencil::{apply_bricks_gather, ArrayGrid, ArrayPlan, KernelPlan, StencilShape};
+
+use crate::baselines::ArrayExchanger;
+use crate::decomp::BrickDecomp;
+use crate::exchange::{ExchangeSession, ExchangeStats, Exchanger};
+use crate::experiment::{CpuMethod, ExperimentConfig, KernelKind};
+use crate::memmap::{ExchangeView, MemMapStorage};
+use crate::reliable::RecoveryStats;
+use crate::shift::ShiftExchanger;
+
+/// What a split-phase engine hands the dependency-graph scheduler when
+/// it is armed: per mailbox receive (in completion-index order) the
+/// ghost bricks it fills, and the destination-priority classes of a
+/// partitioned run.
+pub(crate) type SplitSetup = (Vec<Vec<u32>>, Option<SendPriority>);
+
+fn unsupported() -> ! {
+    unreachable!("the array baselines have no split-phase exchange and no snapshots")
+}
+
+/// One rank's double-buffered grid and the exchange bound to it.
+///
+/// The first six methods are the phased half every method implements.
+/// The rest — snapshots for the resilient harness and the split-phase
+/// exchange the overlap schedules need — is implemented by the brick
+/// engines only ([`CpuMethod::split_phase`] names the methods that may
+/// be scheduled onto it).
+pub(crate) trait RankEngine {
+    /// Traffic of one exchange.
+    fn stats(&self) -> ExchangeStats;
+    /// Reliable-protocol totals (zero unless a lossy run engaged it).
+    fn recovery_stats(&self) -> RecoveryStats;
+    /// Sum of the current grid's interior.
+    fn checksum(&self) -> f64;
+    /// One whole ghost-zone exchange of the current grid.
+    fn exchange(&mut self, ctx: &mut RankCtx<'_>) -> Result<(), NetsimError>;
+    /// Apply the stencil from the current grid into the next one, billed
+    /// to `calc`: over the bricks of `mask`, or every owned point when
+    /// `None`.
+    fn compute(&mut self, ctx: &mut RankCtx<'_>, mask: Option<&[bool]>);
+    /// The next grid becomes the current one.
+    fn advance(&mut self);
+
+    /// Append the current grid to `buf`.
+    fn snapshot(&self, _buf: &mut Vec<f64>) {
+        unsupported()
+    }
+    /// Overwrite the current grid with a snapshot.
+    fn restore(&mut self, _data: &[f64]) {
+        unsupported()
+    }
+    /// Recreate the exchange state a failed step may have torn (the
+    /// caller re-arms the split phase afterwards).
+    fn rebuild(&mut self, _ctx: &mut RankCtx<'_>) {
+        unsupported()
+    }
+    /// The decomposition both grids follow.
+    fn decomp(&self) -> &BrickDecomp<3> {
+        unsupported()
+    }
+    /// Prepare for `begin`/`poll`/`finish`: bind the schedule to this
+    /// rank and, when `partitioned`, open the persistent channels.
+    fn arm_split(&mut self, _ctx: &mut RankCtx<'_>, _partitioned: bool) -> SplitSetup {
+        unsupported()
+    }
+    /// Post the exchange of the current grid without waiting; indices of
+    /// receives already complete are appended to `completed`.
+    fn begin(&mut self, _ctx: &mut RankCtx<'_>, _completed: &mut Vec<usize>) -> Result<(), NetsimError> {
+        unsupported()
+    }
+    /// Drain what has arrived; returns how many receives newly completed.
+    fn poll(&mut self, _ctx: &mut RankCtx<'_>, _completed: &mut Vec<usize>) -> Result<usize, NetsimError> {
+        unsupported()
+    }
+    /// Block on the outstanding receives and close the epoch.
+    fn finish(&mut self, _ctx: &mut RankCtx<'_>) -> Result<(), NetsimError> {
+        unsupported()
+    }
+    /// Mark bricks just computed into the *next* grid ready on the next
+    /// step's partitioned channels.
+    fn pready(&mut self, _ctx: &mut RankCtx<'_>, _bricks: &[u32]) -> Result<(), NetsimError> {
+        unsupported()
+    }
+    /// Early-shipping counters since the last reset.
+    fn partition_stats(&self) -> PartitionStats {
+        unsupported()
+    }
+    /// Zero the early-shipping counters.
+    fn reset_partition_stats(&mut self) {
+        unsupported()
+    }
+}
+
+/// Brick compute kernel bound once per rank, before the step loop.
+/// `Plan` pays the adjacency/segment compilation here (untimed, like a
+/// real code's setup phase); the per-step `calc` timer then measures pure
+/// replay.
+enum Kernel {
+    Plan(KernelPlan),
+    Gather(StencilShape),
+}
+
+impl Kernel {
+    fn bind(cfg: &ExperimentConfig, info: &BrickInfo<3>) -> Kernel {
+        match cfg.kernel {
+            KernelKind::Plan => Kernel::Plan(KernelPlan::new(info, &cfg.shape, 1, 0)),
+            KernelKind::Gather => Kernel::Gather(cfg.shape.clone()),
+        }
+    }
+
+    /// One masked stencil application, billed to `calc` under a named
+    /// kernel span: the plan kernel records through
+    /// [`KernelPlan::execute_profiled`], the gather reference under a
+    /// `kernel:gather` scope. With a disabled recorder the charges are
+    /// single-branch no-ops; numerics are identical either way.
+    fn apply(
+        &self,
+        ctx: &mut RankCtx<'_>,
+        decomp: &BrickDecomp<3>,
+        cur: &BrickStorage,
+        nxt: &mut BrickStorage,
+        mask: Option<&[bool]>,
+    ) {
+        let mask = mask.unwrap_or(decomp.compute_mask());
+        ctx.time_calc_with(|rec: &mut Recorder| match self {
+            Kernel::Plan(p) => p.execute_profiled(cur, nxt, mask, rec),
+            Kernel::Gather(s) => {
+                rec.open("kernel:gather");
+                let t0 = std::time::Instant::now();
+                apply_bricks_gather(s, decomp.brick_info(), cur, nxt, mask, 0);
+                rec.charge(Phase::Compute, t0.elapsed().as_secs_f64());
+                rec.close();
+            }
+        });
+    }
+}
+
+fn init_value(x: i64, y: i64, z: i64) -> f64 {
+    (((x * 3 + y * 5 + z * 7).rem_euclid(17)) as f64) / 16.0
+}
+
+/// Fill a brick storage's interior with [`init_value`].
+fn fill_bricks(decomp: &BrickDecomp<3>, st: &mut BrickStorage) {
+    crate::fields::fill_interior(decomp, st, 0, |c| init_value(c[0] as i64, c[1] as i64, c[2] as i64));
+}
+
+/// The ghost bricks each receive range fills.
+fn ghosts_of(ranges: &[std::ops::Range<usize>], step: usize) -> Vec<Vec<u32>> {
+    ranges.iter().map(|r| ((r.start / step) as u32..(r.end / step) as u32).collect()).collect()
+}
+
+/// Heap bricks exchanged through one persistent [`ExchangeSession`]:
+/// neighbor ranks, tags, ghost ranges and loopback pairings resolved
+/// once, reused every step. Without an exchanger (No-Layout) the ghosts
+/// are made valid once and no step communicates.
+pub(crate) struct HeapBricks<'a> {
+    decomp: &'a BrickDecomp<3>,
+    exchanger: Option<&'a Exchanger>,
+    session: Option<ExchangeSession>,
+    kernel: Kernel,
+    cur: BrickStorage,
+    nxt: BrickStorage,
+}
+
+impl<'a> HeapBricks<'a> {
+    pub(crate) fn new(
+        cfg: &ExperimentConfig,
+        decomp: &'a BrickDecomp<3>,
+        exchanger: Option<&'a Exchanger>,
+        ctx: &mut RankCtx<'_>,
+    ) -> HeapBricks<'a> {
+        let kernel = Kernel::bind(cfg, decomp.brick_info());
+        let mut cur = decomp.allocate();
+        let mut nxt = decomp.allocate();
+        fill_bricks(decomp, &mut cur);
+        if exchanger.is_none() {
+            crate::fields::fill_ghosts_periodic(decomp, &mut cur, 0);
+            crate::fields::fill_ghosts_periodic(decomp, &mut nxt, 0);
+        }
+        let session = exchanger.map(|e| e.session(ctx));
+        HeapBricks { decomp, exchanger, session, kernel, cur, nxt }
+    }
+
+    /// The session, the grid it exchanges and the next grid (split-phase
+    /// calls only: a compute-only method is never scheduled onto them).
+    fn bound(&mut self) -> (&mut ExchangeSession, &mut BrickStorage, &BrickStorage) {
+        let session = self.session.as_mut().expect("a compute-only method has no exchange to split");
+        (session, &mut self.cur, &self.nxt)
+    }
+}
+
+impl RankEngine for HeapBricks<'_> {
+    fn stats(&self) -> ExchangeStats {
+        self.exchanger.map(|e| e.stats()).unwrap_or_default()
+    }
+
+    fn recovery_stats(&self) -> RecoveryStats {
+        self.session.as_ref().map(|s| s.recovery_stats()).unwrap_or_default()
+    }
+
+    fn checksum(&self) -> f64 {
+        crate::fields::interior_sum(self.decomp, &self.cur, 0)
+    }
+
+    fn exchange(&mut self, ctx: &mut RankCtx<'_>) -> Result<(), NetsimError> {
+        match self.session.as_mut() {
+            Some(session) => session.exchange(ctx, &mut self.cur),
+            None => Ok(()),
+        }
+    }
+
+    fn compute(&mut self, ctx: &mut RankCtx<'_>, mask: Option<&[bool]>) {
+        self.kernel.apply(ctx, self.decomp, &self.cur, &mut self.nxt, mask);
+    }
+
+    fn advance(&mut self) {
+        std::mem::swap(&mut self.cur, &mut self.nxt);
+    }
+
+    fn snapshot(&self, buf: &mut Vec<f64>) {
+        buf.extend_from_slice(self.cur.as_slice());
+    }
+
+    fn restore(&mut self, data: &[f64]) {
+        self.cur.as_mut_slice().copy_from_slice(data);
+    }
+
+    fn rebuild(&mut self, ctx: &mut RankCtx<'_>) {
+        self.session = self.exchanger.map(|e| e.session(ctx));
+    }
+
+    fn decomp(&self) -> &BrickDecomp<3> {
+        self.decomp
+    }
+
+    fn arm_split(&mut self, _ctx: &mut RankCtx<'_>, partitioned: bool) -> SplitSetup {
+        let (step, bricks) = (self.decomp.step(), self.decomp.bricks());
+        let (session, ..) = self.bound();
+        if partitioned {
+            session.enable_partitioned(step, bricks, DEFAULT_EAGER_BYTES);
+        }
+        (ghosts_of(session.recv_ranges(), step), session.priority().cloned())
+    }
+
+    fn begin(&mut self, ctx: &mut RankCtx<'_>, completed: &mut Vec<usize>) -> Result<(), NetsimError> {
+        let (session, cur, _) = self.bound();
+        session.begin(ctx, cur, completed)
+    }
+
+    fn poll(&mut self, ctx: &mut RankCtx<'_>, completed: &mut Vec<usize>) -> Result<usize, NetsimError> {
+        let (session, cur, _) = self.bound();
+        session.poll(ctx, cur, completed)
+    }
+
+    fn finish(&mut self, ctx: &mut RankCtx<'_>) -> Result<(), NetsimError> {
+        let (session, cur, _) = self.bound();
+        session.finish(ctx, cur)
+    }
+
+    fn pready(&mut self, ctx: &mut RankCtx<'_>, bricks: &[u32]) -> Result<(), NetsimError> {
+        let (session, _, nxt) = self.bound();
+        session.pready_bricks(ctx, bricks, nxt)
+    }
+
+    fn partition_stats(&self) -> PartitionStats {
+        self.session.as_ref().map(|s| s.partition_stats()).unwrap_or_default()
+    }
+
+    fn reset_partition_stats(&mut self) {
+        if let Some(session) = self.session.as_mut() {
+            session.reset_partition_stats();
+        }
+    }
+}
+
+/// Two mmap-backed grids, each with its own views; `cur` indexes the
+/// current buffer, the other one is next, and advancing flips the index.
+/// The current grid's views drive the step's exchange; the next grid's
+/// views alias the memory the stencil writes, so `pready` on them feeds
+/// the *next* step's partitioned channels.
+pub(crate) struct ViewPair<'a, V> {
+    decomp: &'a BrickDecomp<3>,
+    kernel: Kernel,
+    grids: [MemMapStorage; 2],
+    views: [V; 2],
+    cur: usize,
+}
+
+/// [`RankEngine`] for a [`ViewPair`] of one mmap-view exchanger.
+/// [`ExchangeView`] and [`ShiftExchanger`] spell every call the pair
+/// makes the same way, except the three passed in: which ghost bricks
+/// each split-exchange completion index fills, and `poll`/`finish`.
+macro_rules! view_pair_engine {
+    ($view:ty, recv_ghosts: $ghosts:expr, poll: $poll:expr, finish: $finish:expr) => {
+        impl<'a> ViewPair<'a, $view> {
+            pub(crate) fn new(cfg: &ExperimentConfig, decomp: &'a BrickDecomp<3>) -> Self {
+                let kernel = Kernel::bind(cfg, decomp.brick_info());
+                let mut grids = [(); 2].map(|()| MemMapStorage::allocate(decomp).expect("memfd allocation"));
+                let views = [0, 1].map(|i| <$view>::build(decomp, &grids[i]).expect("view construction"));
+                fill_bricks(decomp, &mut grids[0].storage);
+                ViewPair { decomp, kernel, grids, views, cur: 0 }
+            }
+        }
+
+        impl RankEngine for ViewPair<'_, $view> {
+            fn stats(&self) -> ExchangeStats {
+                self.views[0].stats()
+            }
+
+            fn recovery_stats(&self) -> RecoveryStats {
+                let mut r = self.views[0].recovery_stats();
+                r.merge(&self.views[1].recovery_stats());
+                r
+            }
+
+            fn checksum(&self) -> f64 {
+                crate::fields::interior_sum(self.decomp, &self.grids[self.cur].storage, 0)
+            }
+
+            fn exchange(&mut self, ctx: &mut RankCtx<'_>) -> Result<(), NetsimError> {
+                self.views[self.cur].exchange(ctx, &mut self.grids[self.cur])
+            }
+
+            fn compute(&mut self, ctx: &mut RankCtx<'_>, mask: Option<&[bool]>) {
+                let [a, b] = &mut self.grids;
+                let (cur, nxt) = if self.cur == 0 { (a, b) } else { (b, a) };
+                self.kernel.apply(ctx, self.decomp, &cur.storage, &mut nxt.storage, mask);
+            }
+
+            fn advance(&mut self) {
+                self.cur = 1 - self.cur;
+            }
+
+            fn snapshot(&self, buf: &mut Vec<f64>) {
+                buf.extend_from_slice(self.grids[self.cur].storage.as_slice());
+            }
+
+            fn restore(&mut self, data: &[f64]) {
+                self.grids[self.cur].storage.as_mut_slice().copy_from_slice(data);
+            }
+
+            fn rebuild(&mut self, _ctx: &mut RankCtx<'_>) {
+                for (view, grid) in self.views.iter_mut().zip(&self.grids) {
+                    *view = <$view>::build(self.decomp, grid).expect("view construction");
+                }
+            }
+
+            fn decomp(&self) -> &BrickDecomp<3> {
+                self.decomp
+            }
+
+            /// Both views carry the same schedule; both are bound up
+            /// front so the receive ranges exist before the first
+            /// exchange and the partitioned channels survive the flips.
+            fn arm_split(&mut self, ctx: &mut RankCtx<'_>, partitioned: bool) -> SplitSetup {
+                let (step, bricks) = (self.decomp.step(), self.decomp.bricks());
+                for (view, grid) in self.views.iter_mut().zip(&self.grids) {
+                    view.ensure_bound(ctx, grid);
+                    if partitioned {
+                        view.enable_partitioned(step, bricks, DEFAULT_EAGER_BYTES);
+                    }
+                }
+                ($ghosts(&self.views[0], step), self.views[0].priority().cloned())
+            }
+
+            fn begin(&mut self, ctx: &mut RankCtx<'_>, completed: &mut Vec<usize>) -> Result<(), NetsimError> {
+                self.views[self.cur].begin(ctx, &mut self.grids[self.cur], completed)
+            }
+
+            fn poll(&mut self, ctx: &mut RankCtx<'_>, completed: &mut Vec<usize>) -> Result<usize, NetsimError> {
+                $poll(&mut self.views[self.cur], ctx, &mut self.grids[self.cur], completed)
+            }
+
+            fn finish(&mut self, ctx: &mut RankCtx<'_>) -> Result<(), NetsimError> {
+                $finish(&mut self.views[self.cur], ctx, &mut self.grids[self.cur])
+            }
+
+            fn pready(&mut self, ctx: &mut RankCtx<'_>, bricks: &[u32]) -> Result<(), NetsimError> {
+                self.views[1 - self.cur].pready_bricks(ctx, bricks)
+            }
+
+            fn partition_stats(&self) -> PartitionStats {
+                let mut p = self.views[0].partition_stats();
+                p.merge(&self.views[1].partition_stats());
+                p
+            }
+
+            fn reset_partition_stats(&mut self) {
+                self.views.iter_mut().for_each(|v| v.reset_partition_stats());
+            }
+        }
+    };
+}
+
+view_pair_engine!(
+    ExchangeView,
+    recv_ghosts: |v: &ExchangeView, step| ghosts_of(v.mailbox_ranges(), step),
+    poll: ExchangeView::poll,
+    finish: ExchangeView::finish
+);
+// Only the final pass is posted asynchronously — its two slab receives
+// (which land in the slab views, not the grid) are the graph's gating
+// dependencies; earlier axes' ghosts are valid when begin() returns.
+view_pair_engine!(
+    ShiftExchanger,
+    recv_ghosts: |v: &ShiftExchanger, _| v.final_recv_bricks().iter().map(|b| b.to_vec()).collect(),
+    poll: |v: &mut ShiftExchanger, ctx, _, completed| v.poll(ctx, completed),
+    finish: |v: &mut ShiftExchanger, ctx, _| v.finish(ctx)
+);
+
+/// The lexicographic-array baselines: explicit pack/unpack (YASK) or a
+/// library-internal datatype walk (MPI_Types) around the same transport.
+pub(crate) struct Arrays {
+    cur: ArrayGrid,
+    nxt: ArrayGrid,
+    /// Geometry is fixed for the whole run, so the tap-offset plan is
+    /// compiled once and replayed every step.
+    plan: ArrayPlan,
+    exchanger: ArrayExchanger,
+    datatypes: bool,
+}
+
+impl Arrays {
+    pub(crate) fn new(cfg: &ExperimentConfig) -> Arrays {
+        let mut cur = ArrayGrid::new(cfg.subdomain, cfg.ghost);
+        let nxt = ArrayGrid::new(cfg.subdomain, cfg.ghost);
+        cur.fill_interior(|x, y, z| init_value(x as i64, y as i64, z as i64));
+        let plan = cur.plan(&cfg.shape);
+        let exchanger = ArrayExchanger::new(&cur);
+        Arrays { cur, nxt, plan, exchanger, datatypes: cfg.method == CpuMethod::MpiTypes }
+    }
+}
+
+impl RankEngine for Arrays {
+    fn stats(&self) -> ExchangeStats {
+        self.exchanger.stats()
+    }
+
+    fn recovery_stats(&self) -> RecoveryStats {
+        self.exchanger.recovery_stats()
+    }
+
+    fn checksum(&self) -> f64 {
+        self.cur.interior_sum()
+    }
+
+    fn exchange(&mut self, ctx: &mut RankCtx<'_>) -> Result<(), NetsimError> {
+        if self.datatypes {
+            self.exchanger.exchange_mpitypes(ctx, &mut self.cur)
+        } else {
+            self.exchanger.exchange_packed(ctx, &mut self.cur)
+        }
+    }
+
+    fn compute(&mut self, ctx: &mut RankCtx<'_>, _mask: Option<&[bool]>) {
+        let Arrays { cur, nxt, plan, .. } = self;
+        ctx.scoped("kernel:array", |ctx| ctx.time_calc(|| cur.apply_plan_into(plan, nxt)));
+    }
+
+    fn advance(&mut self) {
+        std::mem::swap(&mut self.cur, &mut self.nxt);
+    }
+}

@@ -1,9 +1,11 @@
-//! Timestep drivers for the paper's CPU experiments (K1/K2 and Figures
-//! 1, 4, 8–12, 18): run a stencil loop under one of the evaluated
+//! The timestep driver for the paper's CPU experiments (K1/K2 and
+//! Figures 1, 4, 8–12, 18): run a stencil loop under one of the evaluated
 //! implementations and report per-timestep `calc`/`pack`/`call`/`wait`
-//! times — the same taxonomy as the paper's artifact.
+//! times — the same taxonomy as the paper's artifact. Every method runs
+//! through the same loop ([`run_experiment`]); what differs between them
+//! sits behind the per-rank engine trait in `engine.rs`.
 
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use brick::BrickDims;
 use layout::SurfaceLayout;
@@ -11,20 +13,21 @@ use mapping::{
     joint_anneal, lexicographic, recursive_bisection, schedule_loads, CommGraph, DirLoad,
     JointConfig, MappingPolicy,
 };
-use netsim::telemetry::{MappingStats, OverlapStats, Phase, Recorder, Timeline};
+use netsim::telemetry::{MappingStats, OverlapStats, Timeline};
 use netsim::{
     run_cluster_on, Backend, CartTopo, FaultConfig, FaultEvent, FaultStats,
     HierarchicalNetworkModel, NetsimError, NetworkModel, RankCtx, TimerSummary, Timers,
 };
-use sched::{DepGraph, OverlapTimer};
-use stencil::{apply_bricks_gather, ArrayGrid, KernelPlan, PlanSplit, StencilShape};
+use sched::{DepGraph, OverlapTimer, SendPriority};
+use stencil::{PlanSplit, StencilShape};
 
-use crate::baselines::ArrayExchanger;
 use crate::checkpoint::{drive, DriveOp, FailureRecovery, RecoveryCfg};
 use crate::decomp::BrickDecomp;
+use crate::engine::{Arrays, HeapBricks, RankEngine, ViewPair};
 use crate::exchange::{ExchangeStats, Exchanger};
-use crate::memmap::{memmap_decomp, ExchangeView, MemMapStorage};
+use crate::memmap::{memmap_decomp, ExchangeView};
 use crate::reliable::RecoveryStats;
+use crate::shift::ShiftExchanger;
 
 /// The CPU implementations compared in the paper's evaluation.
 #[derive(Clone, Debug, PartialEq)]
@@ -73,6 +76,21 @@ impl CpuMethod {
             CpuMethod::MpiTypes => "MPI_Types",
             CpuMethod::Shift { .. } => "Shift",
         }
+    }
+
+    /// Whether the method can be scheduled onto the split-phase half of
+    /// its engine: the dependency-graph schedules
+    /// ([`ExperimentConfig::overlap`], [`ExperimentConfig::partitioned`])
+    /// and the resilient harness ([`ExperimentConfig::checkpoint_every`],
+    /// process faults) need `begin`/`poll`/`finish`, snapshots and
+    /// rebuilds, which the brick engines implement and the array
+    /// baselines do not. `Layout-OL` fixes its own schedule and
+    /// `No-Layout` exchanges nothing, so neither qualifies.
+    pub fn split_phase(&self) -> bool {
+        matches!(
+            self,
+            CpuMethod::MemMap { .. } | CpuMethod::Layout | CpuMethod::Basic | CpuMethod::Shift { .. }
+        )
     }
 }
 
@@ -138,13 +156,13 @@ pub struct ExperimentConfig {
     /// Run the timestep as a dependency graph (off by default): post the
     /// exchange, compute interior bricks while messages are on the wire,
     /// compute boundary bricks as their ghost dependencies complete, and
-    /// only then block on the remainder. Supported by the brick engines
-    /// (`Layout`, `Basic`, `MemMap`, `Shift`); other methods ignore it.
+    /// only then block on the remainder. Methods that are not
+    /// [`CpuMethod::split_phase`] ignore it.
     pub overlap: bool,
     /// Buddy-checkpoint interval in steps (0 = off). When set — or when
     /// a process-fault schedule is armed, which forces interval 1 — the
-    /// brick engines (`Layout`, `Basic`, `MemMap`, `Shift`) run through
-    /// the resilient harness in [`crate::checkpoint`]: each rank
+    /// run (of a [`CpuMethod::split_phase`] method) goes through the
+    /// resilient harness in [`crate::checkpoint`]: each rank
     /// snapshots its grid to a buddy every K steps and a crash-stop rank
     /// failure is survived by an epoch-based recovery that converges
     /// bit-identically to the fault-free run.
@@ -154,9 +172,8 @@ pub struct ExperimentConfig {
     /// each boundary brick is marked ready (`pready`) the moment it is
     /// computed, in destination-priority order, and eager-sized ready
     /// prefixes ship immediately instead of waiting for the step's
-    /// `begin`. Implies the dependency-graph drivers; supported by the
-    /// same engines as [`ExperimentConfig::overlap`] (`Layout`, `Basic`,
-    /// `MemMap`, `Shift`); other methods ignore it. Results stay
+    /// `begin`. Implies the dependency-graph schedule and is ignored by
+    /// the same methods as [`ExperimentConfig::overlap`]. Results stay
     /// bit-identical to the phased schedule.
     pub partitioned: bool,
     /// Rank execution substrate: OS thread per rank (`Thread`, the
@@ -206,49 +223,6 @@ impl ExperimentConfig {
             steps: self.steps + self.warmup,
             checkpoint_every: self.checkpoint_every,
             proc_faults: self.faults.proc_active(),
-        }
-    }
-}
-
-/// Brick compute engine bound once per rank, before the step loop.
-/// `Plan` pays the adjacency/segment compilation here (untimed, like a
-/// real code's setup phase); the per-step `calc` timer then measures pure
-/// replay.
-enum Engine {
-    Plan(KernelPlan),
-    Gather(StencilShape),
-}
-
-impl Engine {
-    fn bind(kind: KernelKind, shape: &StencilShape, info: &brick::BrickInfo<3>) -> Engine {
-        match kind {
-            KernelKind::Plan => Engine::Plan(KernelPlan::new(info, shape, 1, 0)),
-            KernelKind::Gather => Engine::Gather(shape.clone()),
-        }
-    }
-
-    /// Apply the engine under a named kernel span: the plan engine
-    /// records through [`KernelPlan::execute_profiled`], the gather
-    /// reference under a `kernel:gather` scope. With a disabled
-    /// recorder this is the plain unprofiled step (charges are
-    /// single-branch no-ops); numerics are identical either way.
-    fn apply_profiled(
-        &self,
-        info: &brick::BrickInfo<3>,
-        cur: &brick::BrickStorage,
-        nxt: &mut brick::BrickStorage,
-        mask: &[bool],
-        rec: &mut Recorder,
-    ) {
-        match self {
-            Engine::Plan(p) => p.execute_profiled(cur, nxt, mask, rec),
-            Engine::Gather(s) => {
-                rec.open("kernel:gather");
-                let t0 = std::time::Instant::now();
-                apply_bricks_gather(s, info, cur, nxt, mask, 0);
-                rec.charge(Phase::Compute, t0.elapsed().as_secs_f64());
-                rec.close();
-            }
         }
     }
 }
@@ -339,58 +313,6 @@ pub fn network_floor(net: &NetworkModel, payload_bytes: usize) -> f64 {
     net.exchange_time(26, payload_bytes)
 }
 
-/// Arm the mailbox deadlock detector when fault injection is live:
-/// a dropped frame must surface as a retryable `Timeout`, not a hang.
-fn arm_fault_timeout(ctx: &mut RankCtx<'_>) {
-    if ctx.fault_active() {
-        ctx.set_recv_timeout(Some(Duration::from_secs(5)));
-    }
-}
-
-/// Sum the fault/recovery accounting across ranks: injected damage and
-/// the protocol's responses are run-global properties, while timers and
-/// checksums stay per-rank (ranks are symmetric). Returns rank 0's
-/// payload alongside the per-rank timelines (rank order) and the merged
-/// totals.
-#[allow(clippy::type_complexity)]
-fn fold_faults<T>(
-    reports: Vec<(T, Timeline, FaultStats, Vec<FaultEvent>, RecoveryStats, FailureRecovery)>,
-) -> (T, Vec<Timeline>, FaultStats, Vec<FaultEvent>, RecoveryStats, FailureRecovery) {
-    let mut timelines = Vec::with_capacity(reports.len());
-    let mut faults = FaultStats::default();
-    let mut events = Vec::new();
-    let mut recovery = RecoveryStats::default();
-    let mut failure = FailureRecovery::default();
-    let mut first = None;
-    for (payload, tl, f, mut ev, rec, fr) in reports {
-        timelines.push(tl);
-        faults.merge(&f);
-        events.append(&mut ev);
-        recovery.merge(&rec);
-        failure.merge(&fr);
-        if first.is_none() {
-            first = Some(payload);
-        }
-    }
-    (first.expect("cluster has at least one rank"), timelines, faults, events, recovery, failure)
-}
-
-/// Timelines for the report: kept only when profiling was requested
-/// (a disabled recorder drains to empty timelines — drop them so
-/// consumers can gate on `!timelines.is_empty()`).
-fn keep_timelines(profile: bool, timelines: Vec<Timeline>) -> Vec<Timeline> {
-    if profile {
-        timelines
-    } else {
-        Vec::new()
-    }
-}
-
-/// Seed of the armed fault plan (`None` when fault injection is off).
-fn fault_seed(cfg: &ExperimentConfig) -> Option<u64> {
-    cfg.faults.is_active().then_some(cfg.faults.seed)
-}
-
 /// Panic early (with an actionable message) on resilience configurations
 /// the drivers cannot honor, instead of hanging or silently ignoring a
 /// kill schedule.
@@ -399,10 +321,7 @@ fn validate_resilience(cfg: &ExperimentConfig) {
         return;
     }
     assert!(
-        matches!(
-            cfg.method,
-            CpuMethod::Layout | CpuMethod::Basic | CpuMethod::MemMap { .. } | CpuMethod::Shift { .. }
-        ),
+        cfg.method.split_phase(),
         "process faults / checkpointing are only supported by the Layout, Basic, MemMap and \
          Shift engines (got {:?})",
         cfg.method
@@ -496,25 +415,37 @@ fn plan_mapping(cfg: &ExperimentConfig, topo: &CartTopo) -> (CartTopo, Option<Ma
 }
 
 /// Run one experiment and return rank 0's report.
+///
+/// Each method is one [`RankEngine`]; [`run_steps`] times them all with
+/// the same step loop.
 pub fn run_experiment(cfg: &ExperimentConfig) -> MethodReport {
     validate_resilience(cfg);
     let base = CartTopo::new(&cfg.ranks, true);
     let (topo, mapping) = plan_mapping(cfg, &base);
-    let dag = cfg.overlap || cfg.partitioned;
+    let bricks = BrickDims::cubic(cfg.brick);
     let mut report = match &cfg.method {
-        CpuMethod::MemMap { page_size } if dag => run_memmap_dag(cfg, &topo, *page_size),
-        CpuMethod::Layout if dag => run_brick_dag(cfg, &topo, BrickMsgs::Runs),
-        CpuMethod::Basic if dag => run_brick_dag(cfg, &topo, BrickMsgs::PerRegion),
-        CpuMethod::Shift { page_size } if dag => run_shift_dag(cfg, &topo, *page_size),
-        CpuMethod::MemMap { page_size } => run_memmap(cfg, &topo, *page_size),
-        CpuMethod::Layout => run_brick(cfg, &topo, BrickOrder::Surface3d, BrickMsgs::Runs),
-        CpuMethod::LayoutOverlap => run_brick_overlap(cfg, &topo),
-        CpuMethod::Basic => run_brick(cfg, &topo, BrickOrder::Surface3d, BrickMsgs::PerRegion),
-        CpuMethod::NoLayout => run_brick(cfg, &topo, BrickOrder::Lexicographic, BrickMsgs::ComputeOnly),
-        CpuMethod::Yask => run_array(cfg, &topo, ArrayMode::Packed, false),
-        CpuMethod::YaskOverlap => run_array(cfg, &topo, ArrayMode::Packed, true),
-        CpuMethod::MpiTypes => run_array(cfg, &topo, ArrayMode::Types, false),
-        CpuMethod::Shift { page_size } => run_shift(cfg, &topo, *page_size),
+        CpuMethod::MemMap { page_size } | CpuMethod::Shift { page_size } => {
+            let decomp =
+                memmap_decomp(cfg.subdomain, cfg.ghost, bricks, 1, layout::surface3d(), *page_size);
+            if matches!(cfg.method, CpuMethod::MemMap { .. }) {
+                run_steps(cfg, &topo, |_| ViewPair::<ExchangeView>::new(cfg, &decomp))
+            } else {
+                run_steps(cfg, &topo, |_| ViewPair::<ShiftExchanger>::new(cfg, &decomp))
+            }
+        }
+        CpuMethod::Layout | CpuMethod::LayoutOverlap | CpuMethod::Basic | CpuMethod::NoLayout => {
+            let layout = method_layout(&cfg.method);
+            let decomp = BrickDecomp::<3>::layout_mode(cfg.subdomain, cfg.ghost, bricks, 1, layout);
+            let exchanger = match cfg.method {
+                CpuMethod::NoLayout => None,
+                CpuMethod::Basic => Some(Exchanger::basic(&decomp)),
+                _ => Some(Exchanger::layout(&decomp)),
+            };
+            run_steps(cfg, &topo, |ctx| HeapBricks::new(cfg, &decomp, exchanger.as_ref(), ctx))
+        }
+        CpuMethod::Yask | CpuMethod::YaskOverlap | CpuMethod::MpiTypes => {
+            run_steps(cfg, &topo, |_| Arrays::new(cfg))
+        }
     };
     report.mapping = mapping;
     report
@@ -528,1238 +459,302 @@ fn wire_clock(ctx: &RankCtx<'_>) -> f64 {
     t.call + t.wait
 }
 
-fn run_shift(cfg: &ExperimentConfig, topo: &CartTopo, page_size: usize) -> MethodReport {
-    let decomp = memmap_decomp(
-        cfg.subdomain,
-        cfg.ghost,
-        BrickDims::cubic(cfg.brick),
-        1,
-        layout::surface3d(),
-        page_size,
-    );
-    let shape = cfg.shape.clone();
-    let (steps, warmup) = (cfg.steps, cfg.warmup);
-    let kernel = cfg.kernel;
-    let profile = cfg.profile;
-    let rcfg = cfg.recovery_cfg();
+/// How one rank orders its timesteps: derived from the method and the
+/// `overlap`/`partitioned` switches (never configured directly) and
+/// bound to the rank's engine. Built before the step loop and again after
+/// every recovery epoch; a phased run pays for no masks and no graph.
+enum StepPlan {
+    /// Exchange, then compute every owned point.
+    Phased,
+    /// Layout-OL: compute the interior bricks, exchange, compute the
+    /// surface bricks. Our transport buffers sends eagerly, so wall-clock
+    /// overlap is accounted by [`MethodReport::step_time`] (the wire
+    /// hides behind the measured interior compute).
+    InteriorFirst { interior: Vec<bool>, surface: Vec<bool> },
+    /// The overlap scheduler: begin the split exchange, compute interior
+    /// bricks while messages are on the wire, compute boundary bricks in
+    /// batches as their ghost dependencies complete, then block only on
+    /// what is still missing.
+    Dag(Box<Dag>),
+}
 
-    let reports = run_cluster_on(cfg.backend, topo, cfg.wire(), cfg.faults, |ctx| {
-        arm_fault_timeout(ctx);
-        let info = decomp.brick_info();
-        let mask = decomp.compute_mask();
-        let engine = Engine::bind(kernel, &shape, info);
-        let mut sa = MemMapStorage::allocate(&decomp).expect("memfd allocation");
-        let mut sb = MemMapStorage::allocate(&decomp).expect("memfd allocation");
-        let mut sha = crate::shift::ShiftExchanger::build(&decomp, &sa).expect("shift views");
-        let mut shb = crate::shift::ShiftExchanger::build(&decomp, &sb).expect("shift views");
-        fill_bricks(&decomp, &mut sa.storage);
-        let stats = sha.stats();
-        let mut flip = false;
-        let mut body = |ctx: &mut RankCtx<'_>, op: DriveOp<'_>| -> Result<(), NetsimError> {
-            match op {
-                DriveOp::Step(step) => {
-                    if step == warmup {
-                        ctx.reset_timers();
-                        if profile {
-                            ctx.enable_profiling();
-                        }
+struct Dag {
+    /// Also mark each boundary brick ready on the next step's persistent
+    /// channels the moment it is computed.
+    partitioned: bool,
+    /// Destination-priority classes, owned here so the engine stays
+    /// mutably borrowable while batches are ordered.
+    prio: Option<SendPriority>,
+    split: PlanSplit,
+    graph: DepGraph,
+    completed: Vec<usize>,
+    ready: Vec<u32>,
+}
+
+impl StepPlan {
+    fn bind<E: RankEngine>(cfg: &ExperimentConfig, eng: &mut E, ctx: &mut RankCtx<'_>) -> StepPlan {
+        if cfg.method == CpuMethod::LayoutOverlap {
+            let decomp = eng.decomp();
+            StepPlan::InteriorFirst { interior: decomp.interior_mask(), surface: decomp.surface_mask() }
+        } else if cfg.method.split_phase() && (cfg.overlap || cfg.partitioned) {
+            let partitioned = cfg.partitioned;
+            let (recv_ghosts, prio) = eng.arm_split(ctx, partitioned);
+            let decomp = eng.decomp();
+            let split = PlanSplit::new(&decomp.interior_mask(), decomp.compute_mask());
+            let graph = DepGraph::build(decomp.brick_info(), split.boundary(), &recv_ghosts);
+            let (completed, ready) = (Vec::new(), Vec::new());
+            StepPlan::Dag(Box::new(Dag { partitioned, prio, split, graph, completed, ready }))
+        } else {
+            StepPlan::Phased
+        }
+    }
+
+    /// One timestep, up to but excluding the buffer swap. Each brick is
+    /// computed exactly once from the current grid (fixed for the whole
+    /// step), so every schedule is bit-identical to the phased one no
+    /// matter when messages land. `pready_live` is false on the steps
+    /// whose early fragments must not be sent (see [`run_steps`]).
+    fn step<E: RankEngine>(
+        &mut self,
+        eng: &mut E,
+        ctx: &mut RankCtx<'_>,
+        timer: &mut OverlapTimer,
+        pready_live: bool,
+    ) -> Result<(), NetsimError> {
+        match self {
+            StepPlan::Phased => {
+                eng.exchange(ctx)?;
+                eng.compute(ctx, None);
+            }
+            StepPlan::InteriorFirst { interior, surface } => {
+                // Interior compute is legal before the exchange completes:
+                // it reads no ghost bricks. (Our transport completes sends
+                // eagerly, so sequencing interior compute between post and
+                // wait is also temporally faithful.)
+                timer.begin_step(wire_clock(ctx));
+                let t0 = Instant::now();
+                eng.compute(ctx, Some(interior));
+                timer.hide(t0.elapsed().as_secs_f64());
+                eng.exchange(ctx)?;
+                timer.end_step(wire_clock(ctx));
+                eng.compute(ctx, Some(surface));
+            }
+            StepPlan::Dag(dag) => {
+                let pready_live = dag.partitioned && pready_live;
+                timer.begin_step(wire_clock(ctx));
+                dag.completed.clear();
+                eng.begin(ctx, &mut dag.completed)?;
+                // Interior compute hides the in-flight exchange: it reads
+                // no ghost bricks.
+                let t0 = Instant::now();
+                eng.compute(ctx, Some(dag.split.interior()));
+                timer.hide(t0.elapsed().as_secs_f64());
+                dag.ready.clear();
+                dag.ready.extend_from_slice(dag.graph.begin_step());
+                loop {
+                    for &c in &dag.completed {
+                        dag.graph.complete(c, &mut dag.ready);
                     }
-                    let (cur, nxt, sh) = if flip {
-                        (&mut sb, &mut sa, &mut shb)
-                    } else {
-                        (&mut sa, &mut sb, &mut sha)
-                    };
-                    sh.exchange(ctx, cur)?;
-                    ctx.time_calc_with(|rec| {
-                        engine.apply_profiled(info, &cur.storage, &mut nxt.storage, mask, rec)
-                    });
-                    flip = !flip;
+                    if !dag.ready.is_empty() {
+                        dag.compute_ready(eng, ctx, Some(&mut *timer), pready_live)?;
+                    }
+                    if dag.graph.pending() == 0 {
+                        break;
+                    }
+                    dag.completed.clear();
+                    if eng.poll(ctx, &mut dag.completed)? == 0 {
+                        // Nothing on the wire yet and nothing to compute:
+                        // stop probing; the finishing wait exposes the rest.
+                        break;
+                    }
                 }
-                DriveOp::Snapshot(buf) => {
-                    let cur = if flip { &sb } else { &sa };
-                    buf.extend_from_slice(cur.storage.as_slice());
+                eng.finish(ctx)?;
+                timer.end_step(wire_clock(ctx));
+                // Boundary bricks whose dependencies only resolved at the
+                // blocking finish — the exposed part of the step. They are
+                // still marked ready so the *next* step's messages start
+                // draining before its begin().
+                if dag.graph.pending() > 0 {
+                    dag.ready.clear();
+                    dag.graph.unready(&mut dag.ready);
+                    dag.compute_ready(eng, ctx, None, pready_live)?;
                 }
-                DriveOp::Restore(data) => {
-                    let cur = if flip { &mut sb } else { &mut sa };
-                    cur.storage.as_mut_slice().copy_from_slice(data);
-                }
-                DriveOp::Rebuild => {
-                    sha = crate::shift::ShiftExchanger::build(&decomp, &sa).expect("shift views");
-                    shb = crate::shift::ShiftExchanger::build(&decomp, &sb).expect("shift views");
-                }
+            }
+        }
+        Ok(())
+    }
+}
+
+impl Dag {
+    /// Compute the ready boundary bricks (crediting `hide` with the
+    /// compute seconds) and empty the list. Partitioned mode computes
+    /// them in destination-priority groups, marking each group's bricks
+    /// ready the moment they exist so the most-exposed channel drains
+    /// first.
+    fn compute_ready<E: RankEngine>(
+        &mut self,
+        eng: &mut E,
+        ctx: &mut RankCtx<'_>,
+        mut hide: Option<&mut OverlapTimer>,
+        pready_live: bool,
+    ) -> Result<(), NetsimError> {
+        let Dag { prio, split, ready, .. } = self;
+        let mut run = |batch: &[u32]| -> Result<(), NetsimError> {
+            let t0 = Instant::now();
+            eng.compute(ctx, Some(split.stage_batch(batch)));
+            split.clear_batch();
+            if let Some(timer) = hide.as_deref_mut() {
+                timer.hide(t0.elapsed().as_secs_f64());
+            }
+            if pready_live {
+                eng.pready(ctx, batch)?;
             }
             Ok(())
         };
-        let frec = drive(ctx, &rcfg, &mut body).expect("shift drive");
-        let last = if flip { &sb } else { &sa };
-        let t = ctx.timers().per_step(steps);
-        let timeline = ctx.take_timeline();
-        let summary = ctx.reduce_timers(&t).expect("timer reduction");
-        let mut rec = sha.recovery_stats();
-        rec.merge(&shb.recovery_stats());
-        let payload = (t, checksum_bricks(&decomp, &last.storage), stats, summary);
-        (payload, timeline, ctx.fault_stats(), ctx.take_fault_events(), rec, frec)
-    });
-
-    let (payload, timelines, faults, fault_events, recovery, failure) = fold_faults(reports);
-    let (timers, checksum, mut stats, summary) = payload;
-    stats.absorb_recovery(&recovery);
-    MethodReport {
-        timers,
-        stats,
-        points: decomp.points(),
-        overlap: false,
-        checksum,
-        summary: summary.expect("rank 0 holds the reduction"),
-        calc_hidden: 0.0,
-        faults,
-        fault_events,
-        timelines: keep_timelines(profile, timelines),
-        fault_seed: fault_seed(cfg),
-        overlap_stats: None,
-        recovery: failure,
-        migration: None,
-        mapping: None,
-    }
-}
-
-/// Overlapped brick driver: post the exchange, compute interior bricks
-/// while messages fly, complete the exchange, then compute surface
-/// bricks. Our transport buffers sends eagerly, so wall-clock overlap is
-/// accounted by `MethodReport::step_time` (the wire hides behind the
-/// measured interior compute).
-fn run_brick_overlap(cfg: &ExperimentConfig, topo: &CartTopo) -> MethodReport {
-    let decomp = BrickDecomp::<3>::layout_mode(
-        cfg.subdomain,
-        cfg.ghost,
-        BrickDims::cubic(cfg.brick),
-        1,
-        layout::surface3d(),
-    );
-    let exchanger = Exchanger::layout(&decomp);
-    let mut stats = exchanger.stats();
-    let shape = cfg.shape.clone();
-    let (steps, warmup) = (cfg.steps, cfg.warmup);
-    let kernel = cfg.kernel;
-    let profile = cfg.profile;
-    let interior_mask = decomp.interior_mask();
-    let surface_mask = decomp.surface_mask();
-
-    let reports = run_cluster_on(cfg.backend, topo, cfg.wire(), cfg.faults, |ctx| {
-        arm_fault_timeout(ctx);
-        let info = decomp.brick_info();
-        let engine = Engine::bind(kernel, &shape, info);
-        let mut cur = decomp.allocate();
-        let mut nxt = decomp.allocate();
-        fill_bricks(&decomp, &mut cur);
-        let mut session = exchanger.session(ctx);
-        let mut hidden_total = 0.0;
-        for step in 0..steps + warmup {
-            if step == warmup {
-                ctx.reset_timers();
-                if profile {
-                    ctx.enable_profiling();
+        match prio {
+            Some(prio) => {
+                prio.order(ready);
+                for batch in prio.groups(ready) {
+                    run(batch)?;
                 }
-                hidden_total = 0.0;
             }
-            // Interior compute is legal before the exchange completes:
-            // it reads no ghost bricks. (Our transport completes sends
-            // eagerly, so sequencing interior compute between post and
-            // wait is also temporally faithful.)
-            let t0 = std::time::Instant::now();
-            ctx.time_calc_with(|rec| engine.apply_profiled(info, &cur, &mut nxt, &interior_mask, rec));
-            hidden_total += t0.elapsed().as_secs_f64();
-            session.exchange(ctx, &mut cur).expect("layout exchange");
-            ctx.time_calc_with(|rec| engine.apply_profiled(info, &cur, &mut nxt, &surface_mask, rec));
-            std::mem::swap(&mut cur, &mut nxt);
-            ctx.barrier();
+            None => run(ready)?,
         }
-        let t = ctx.timers().per_step(steps);
-        let timeline = ctx.take_timeline();
-        let summary = ctx.reduce_timers(&t).expect("timer reduction");
-        let payload = (t, checksum_bricks(&decomp, &cur), summary, hidden_total / steps as f64);
-        (
-            payload,
-            timeline,
-            ctx.fault_stats(),
-            ctx.take_fault_events(),
-            session.recovery_stats(),
-            FailureRecovery::default(),
-        )
-    });
-
-    let (payload, timelines, faults, fault_events, recovery, failure) = fold_faults(reports);
-    let (timers, checksum, summary, hidden) = payload;
-    stats.absorb_recovery(&recovery);
-    MethodReport {
-        timers,
-        stats,
-        points: decomp.points(),
-        overlap: true,
-        checksum,
-        summary: summary.expect("rank 0 holds the reduction"),
-        calc_hidden: hidden,
-        faults,
-        fault_events,
-        timelines: keep_timelines(profile, timelines),
-        fault_seed: fault_seed(cfg),
-        overlap_stats: None,
-        recovery: failure,
-        migration: None,
-        mapping: None,
+        ready.clear();
+        Ok(())
     }
 }
 
-/// Dependency-graph brick driver (the overlap scheduler): begin the
-/// split exchange, compute interior bricks while messages are on the
-/// wire, compute boundary bricks in batches as their ghost dependencies
-/// complete, then block only on what is still missing. Each brick is
-/// computed exactly once from the `cur` grid (fixed for the whole
-/// step), so the result is bit-identical to the phased schedule no
-/// matter when messages land.
-fn run_brick_dag(cfg: &ExperimentConfig, topo: &CartTopo, msgs: BrickMsgs) -> MethodReport {
-    let decomp = BrickDecomp::<3>::layout_mode(
-        cfg.subdomain,
-        cfg.ghost,
-        BrickDims::cubic(cfg.brick),
-        1,
-        layout::surface3d(),
-    );
-    let exchanger = match msgs {
-        BrickMsgs::Runs => Exchanger::layout(&decomp),
-        BrickMsgs::PerRegion => Exchanger::basic(&decomp),
-        BrickMsgs::ComputeOnly => unreachable!("compute-only method has nothing to overlap"),
-    };
-    let mut stats = exchanger.stats();
-    let shape = cfg.shape.clone();
+/// What one rank hands back to the report assembly.
+struct RankOutcome {
+    timers: Timers,
+    summary: Option<TimerSummary>,
+    checksum: f64,
+    stats: ExchangeStats,
+    /// Compute seconds per timed step that ran inside an overlap window
+    /// (`None` under the phased schedule, which has none).
+    hidden: Option<f64>,
+    /// Wire-hiding accounting of the dependency-graph schedule.
+    overlap_stats: Option<OverlapStats>,
+    timeline: Timeline,
+    faults: FaultStats,
+    fault_events: Vec<FaultEvent>,
+    recovery: RecoveryStats,
+    failure: FailureRecovery,
+}
+
+/// The one step driver: run `cfg.warmup + cfg.steps` timesteps of the
+/// engine `make` builds on every rank, under the schedule the
+/// configuration implies, through [`drive`] (a plain step + barrier loop
+/// unless the run is resilient), and assemble the report.
+fn run_steps<E: RankEngine>(
+    cfg: &ExperimentConfig,
+    topo: &CartTopo,
+    make: impl Fn(&mut RankCtx<'_>) -> E + Sync,
+) -> MethodReport {
     let (steps, warmup) = (cfg.steps, cfg.warmup);
-    let kernel = cfg.kernel;
-    let profile = cfg.profile;
-    let partitioned = cfg.partitioned;
-    let interior_mask = decomp.interior_mask();
-    let step_elems = decomp.step();
     let rcfg = cfg.recovery_cfg();
 
-    let reports = run_cluster_on(cfg.backend, topo, cfg.wire(), cfg.faults, |ctx| {
-        arm_fault_timeout(ctx);
-        let info = decomp.brick_info();
-        let compute = decomp.compute_mask();
-        let engine = Engine::bind(kernel, &shape, info);
-        let mut cur = decomp.allocate();
-        let mut nxt = decomp.allocate();
-        fill_bricks(&decomp, &mut cur);
-        let mut session = exchanger.session(ctx);
-        if partitioned {
-            session.enable_partitioned(step_elems, decomp.bricks(), netsim::DEFAULT_EAGER_BYTES);
+    let mut ranks = run_cluster_on(cfg.backend, topo, cfg.wire(), cfg.faults, |ctx| {
+        // Arm the mailbox deadlock detector when fault injection is live:
+        // a dropped frame must surface as a retryable `Timeout`, not a hang.
+        if ctx.fault_active() {
+            ctx.set_recv_timeout(Some(Duration::from_secs(5)));
         }
-        // Destination-priority classes, owned by the driver so the
-        // session stays mutably borrowable while batches are ordered.
-        let prio = session.priority().cloned();
-        // Completion index -> the ghost bricks that receive fills.
-        let recv_ghosts: Vec<Vec<u32>> = session
-            .recv_ranges()
-            .iter()
-            .map(|r| ((r.start / step_elems) as u32..(r.end / step_elems) as u32).collect())
-            .collect();
-        let mut split = PlanSplit::new(&interior_mask, compute);
-        let mut graph = DepGraph::build(info, split.boundary(), &recv_ghosts);
+        let mut eng = make(ctx);
+        let mut plan = StepPlan::bind(cfg, &mut eng, ctx);
         let mut timer = OverlapTimer::new();
-        let mut completed: Vec<usize> = Vec::new();
-        let mut ready: Vec<u32> = Vec::new();
         let mut body = |ctx: &mut RankCtx<'_>, op: DriveOp<'_>| -> Result<(), NetsimError> {
             match op {
                 DriveOp::Step(step) => {
                     if step == warmup {
                         ctx.reset_timers();
-                        if profile {
+                        if cfg.profile {
                             ctx.enable_profiling();
                         }
                         timer = OverlapTimer::new();
-                        session.reset_partition_stats();
-                    }
-                    // Early fragments are timestamped on the running virtual
-                    // clock, so skip `pready` on the step whose flush straddles
-                    // the warmup timer reset, and on the final step (whose
-                    // fragments would never flush).
-                    let pready_live =
-                        partitioned && step + 1 != warmup && step + 1 != steps + warmup;
-                    timer.begin_step(wire_clock(ctx));
-                    completed.clear();
-                    session.begin(ctx, &mut cur, &mut completed)?;
-                    // Interior compute hides the in-flight exchange: it reads no
-                    // ghost bricks.
-                    let t0 = std::time::Instant::now();
-                    ctx.time_calc_with(|rec| {
-                        engine.apply_profiled(info, &cur, &mut nxt, split.interior(), rec)
-                    });
-                    timer.hide(t0.elapsed().as_secs_f64());
-                    ready.clear();
-                    ready.extend_from_slice(graph.begin_step());
-                    for &c in &completed {
-                        graph.complete(c, &mut ready);
-                    }
-                    loop {
-                        if !ready.is_empty() {
-                            match &prio {
-                                // Partitioned mode: compute the batch in
-                                // destination-priority groups, marking each
-                                // group's bricks ready the moment they exist so
-                                // the most-exposed channel drains first.
-                                Some(pr) => {
-                                    pr.order(&mut ready);
-                                    for batch in pr.groups(&ready) {
-                                        let t0 = std::time::Instant::now();
-                                        let mask = split.stage_batch(batch);
-                                        ctx.time_calc_with(|rec| {
-                                            engine.apply_profiled(info, &cur, &mut nxt, mask, rec)
-                                        });
-                                        split.clear_batch();
-                                        timer.hide(t0.elapsed().as_secs_f64());
-                                        if pready_live {
-                                            session.pready_bricks(ctx, batch, &nxt)?;
-                                        }
-                                    }
-                                }
-                                None => {
-                                    let t0 = std::time::Instant::now();
-                                    let mask = split.stage_batch(&ready);
-                                    ctx.time_calc_with(|rec| {
-                                        engine.apply_profiled(info, &cur, &mut nxt, mask, rec)
-                                    });
-                                    split.clear_batch();
-                                    timer.hide(t0.elapsed().as_secs_f64());
-                                }
-                            }
-                            ready.clear();
-                        }
-                        if graph.pending() == 0 {
-                            break;
-                        }
-                        completed.clear();
-                        let newly = session.poll(ctx, &mut cur, &mut completed)?;
-                        for &c in &completed {
-                            graph.complete(c, &mut ready);
-                        }
-                        if newly == 0 && ready.is_empty() {
-                            // Nothing on the wire yet and nothing to compute:
-                            // stop probing; the finishing wait exposes the rest.
-                            break;
+                        if matches!(plan, StepPlan::Dag(_)) {
+                            eng.reset_partition_stats();
                         }
                     }
-                    session.finish(ctx, &mut cur)?;
-                    timer.end_step(wire_clock(ctx));
-                    // Boundary bricks whose dependencies only resolved at the
-                    // blocking finish — the exposed part of the step. They are
-                    // still marked ready so the *next* step's messages start
-                    // draining before its begin().
-                    if graph.pending() > 0 {
-                        ready.clear();
-                        graph.unready(&mut ready);
-                        match &prio {
-                            Some(pr) => {
-                                pr.order(&mut ready);
-                                for batch in pr.groups(&ready) {
-                                    let mask = split.stage_batch(batch);
-                                    ctx.time_calc_with(|rec| {
-                                        engine.apply_profiled(info, &cur, &mut nxt, mask, rec)
-                                    });
-                                    split.clear_batch();
-                                    if pready_live {
-                                        session.pready_bricks(ctx, batch, &nxt)?;
-                                    }
-                                }
-                            }
-                            None => {
-                                let mask = split.stage_batch(&ready);
-                                ctx.time_calc_with(|rec| {
-                                    engine.apply_profiled(info, &cur, &mut nxt, mask, rec)
-                                });
-                                split.clear_batch();
-                            }
-                        }
-                    }
-                    std::mem::swap(&mut cur, &mut nxt);
+                    // Early fragments are timestamped on the running
+                    // virtual clock, so skip `pready` on the step whose
+                    // flush straddles the warmup timer reset, and on the
+                    // final step (whose fragments would never flush).
+                    let pready_live = step + 1 != warmup && step + 1 != steps + warmup;
+                    plan.step(&mut eng, ctx, &mut timer, pready_live)?;
+                    eng.advance();
                 }
-                DriveOp::Snapshot(buf) => {
-                    buf.extend_from_slice(cur.as_slice());
-                }
-                DriveOp::Restore(data) => {
-                    cur.as_mut_slice().copy_from_slice(data);
-                }
+                DriveOp::Snapshot(buf) => eng.snapshot(buf),
+                DriveOp::Restore(data) => eng.restore(data),
                 DriveOp::Rebuild => {
-                    session = exchanger.session(ctx);
-                    if partitioned {
-                        session.enable_partitioned(
-                            step_elems,
-                            decomp.bricks(),
-                            netsim::DEFAULT_EAGER_BYTES,
-                        );
-                    }
-                    split = PlanSplit::new(&interior_mask, compute);
-                    graph = DepGraph::build(info, split.boundary(), &recv_ghosts);
+                    eng.rebuild(ctx);
+                    plan = StepPlan::bind(cfg, &mut eng, ctx);
                     timer = OverlapTimer::new();
-                    completed.clear();
-                    ready.clear();
                 }
             }
             Ok(())
         };
-        let frec = drive(ctx, &rcfg, &mut body).expect("dag drive");
-        let ps = session.partition_stats();
-        timer.record_partition(ps.early_bytes, ps.total_bytes);
-        let t = ctx.timers().per_step(steps);
+        let failure = drive(ctx, &rcfg, &mut body).expect("step loop");
+        let overlap_stats = matches!(plan, StepPlan::Dag(_)).then(|| {
+            let ps = eng.partition_stats();
+            timer.record_partition(ps.early_bytes, ps.total_bytes);
+            timer.stats()
+        });
+        let timers = ctx.timers().per_step(steps);
         let timeline = ctx.take_timeline();
-        let summary = ctx.reduce_timers(&t).expect("timer reduction");
-        let payload =
-            (t, checksum_bricks(&decomp, &cur), summary, timer.hidden_total() / steps as f64, timer.stats());
-        (payload, timeline, ctx.fault_stats(), ctx.take_fault_events(), session.recovery_stats(), frec)
-    });
-
-    let (payload, timelines, faults, fault_events, recovery, failure) = fold_faults(reports);
-    let (timers, checksum, summary, hidden, ostats) = payload;
-    stats.absorb_recovery(&recovery);
-    MethodReport {
-        timers,
-        stats,
-        points: decomp.points(),
-        overlap: true,
-        checksum,
-        summary: summary.expect("rank 0 holds the reduction"),
-        calc_hidden: hidden,
-        faults,
-        fault_events,
-        timelines: keep_timelines(profile, timelines),
-        fault_seed: fault_seed(cfg),
-        overlap_stats: Some(ostats),
-        recovery: failure,
-        migration: None,
-        mapping: None,
-    }
-}
-
-fn run_memmap_dag(cfg: &ExperimentConfig, topo: &CartTopo, page_size: usize) -> MethodReport {
-    let decomp = memmap_decomp(
-        cfg.subdomain,
-        cfg.ghost,
-        BrickDims::cubic(cfg.brick),
-        1,
-        layout::surface3d(),
-        page_size,
-    );
-    let shape = cfg.shape.clone();
-    let (steps, warmup) = (cfg.steps, cfg.warmup);
-    let kernel = cfg.kernel;
-    let profile = cfg.profile;
-    let partitioned = cfg.partitioned;
-    let interior_mask = decomp.interior_mask();
-    let step_elems = decomp.step();
-    let rcfg = cfg.recovery_cfg();
-
-    let reports = run_cluster_on(cfg.backend, topo, cfg.wire(), cfg.faults, |ctx| {
-        arm_fault_timeout(ctx);
-        let info = decomp.brick_info();
-        let compute = decomp.compute_mask();
-        let engine = Engine::bind(kernel, &shape, info);
-        let mut sa = MemMapStorage::allocate(&decomp).expect("memfd allocation");
-        let mut sb = MemMapStorage::allocate(&decomp).expect("memfd allocation");
-        let mut eva = ExchangeView::build(&decomp, &sa).expect("view construction");
-        let mut evb = ExchangeView::build(&decomp, &sb).expect("view construction");
-        fill_bricks(&decomp, &mut sa.storage);
-        let stats = eva.stats();
-        // Both views carry the same schedule; bind both up front so the
-        // mailbox ranges are available for graph construction and the
-        // partitioned channels survive the double-buffer flips.
-        eva.ensure_bound(ctx, &sa);
-        evb.ensure_bound(ctx, &sb);
-        if partitioned {
-            eva.enable_partitioned(step_elems, decomp.bricks(), netsim::DEFAULT_EAGER_BYTES);
-            evb.enable_partitioned(step_elems, decomp.bricks(), netsim::DEFAULT_EAGER_BYTES);
-        }
-        let prio = eva.priority().cloned();
-        let recv_ghosts: Vec<Vec<u32>> = eva
-            .mailbox_ranges()
-            .iter()
-            .map(|r| ((r.start / step_elems) as u32..(r.end / step_elems) as u32).collect())
-            .collect();
-        let mut split = PlanSplit::new(&interior_mask, compute);
-        let mut graph = DepGraph::build(info, split.boundary(), &recv_ghosts);
-        let mut timer = OverlapTimer::new();
-        let mut completed: Vec<usize> = Vec::new();
-        let mut ready: Vec<u32> = Vec::new();
-        let mut flip = false;
-        let mut body = |ctx: &mut RankCtx<'_>, op: DriveOp<'_>| -> Result<(), NetsimError> {
-            match op {
-                DriveOp::Step(step) => {
-                    if step == warmup {
-                        ctx.reset_timers();
-                        if profile {
-                            ctx.enable_profiling();
-                        }
-                        timer = OverlapTimer::new();
-                        eva.reset_partition_stats();
-                        evb.reset_partition_stats();
-                    }
-                    let pready_live =
-                        partitioned && step + 1 != warmup && step + 1 != steps + warmup;
-                    // `ev` drives this step's exchange out of `cur`; `evn` is the
-                    // view aliasing `nxt`, whose bricks become shippable as the
-                    // stencil writes them — `pready` on it feeds the NEXT step's
-                    // partitioned channels.
-                    let (cur, nxt, ev, evn) = if flip {
-                        (&mut sb, &mut sa, &mut evb, &mut eva)
-                    } else {
-                        (&mut sa, &mut sb, &mut eva, &mut evb)
-                    };
-                    timer.begin_step(wire_clock(ctx));
-                    completed.clear();
-                    ev.begin(ctx, cur, &mut completed)?;
-                    let t0 = std::time::Instant::now();
-                    ctx.time_calc_with(|rec| {
-                        engine.apply_profiled(
-                            info,
-                            &cur.storage,
-                            &mut nxt.storage,
-                            split.interior(),
-                            rec,
-                        )
-                    });
-                    timer.hide(t0.elapsed().as_secs_f64());
-                    ready.clear();
-                    ready.extend_from_slice(graph.begin_step());
-                    for &c in &completed {
-                        graph.complete(c, &mut ready);
-                    }
-                    loop {
-                        if !ready.is_empty() {
-                            match &prio {
-                                Some(pr) => {
-                                    pr.order(&mut ready);
-                                    for batch in pr.groups(&ready) {
-                                        let t0 = std::time::Instant::now();
-                                        let mask = split.stage_batch(batch);
-                                        ctx.time_calc_with(|rec| {
-                                            engine.apply_profiled(
-                                                info,
-                                                &cur.storage,
-                                                &mut nxt.storage,
-                                                mask,
-                                                rec,
-                                            )
-                                        });
-                                        split.clear_batch();
-                                        timer.hide(t0.elapsed().as_secs_f64());
-                                        if pready_live {
-                                            evn.pready_bricks(ctx, batch)?;
-                                        }
-                                    }
-                                }
-                                None => {
-                                    let t0 = std::time::Instant::now();
-                                    let mask = split.stage_batch(&ready);
-                                    ctx.time_calc_with(|rec| {
-                                        engine.apply_profiled(
-                                            info,
-                                            &cur.storage,
-                                            &mut nxt.storage,
-                                            mask,
-                                            rec,
-                                        )
-                                    });
-                                    split.clear_batch();
-                                    timer.hide(t0.elapsed().as_secs_f64());
-                                }
-                            }
-                            ready.clear();
-                        }
-                        if graph.pending() == 0 {
-                            break;
-                        }
-                        completed.clear();
-                        let newly = ev.poll(ctx, cur, &mut completed)?;
-                        for &c in &completed {
-                            graph.complete(c, &mut ready);
-                        }
-                        if newly == 0 && ready.is_empty() {
-                            break;
-                        }
-                    }
-                    ev.finish(ctx, cur)?;
-                    timer.end_step(wire_clock(ctx));
-                    if graph.pending() > 0 {
-                        ready.clear();
-                        graph.unready(&mut ready);
-                        match &prio {
-                            Some(pr) => {
-                                pr.order(&mut ready);
-                                for batch in pr.groups(&ready) {
-                                    let mask = split.stage_batch(batch);
-                                    ctx.time_calc_with(|rec| {
-                                        engine.apply_profiled(
-                                            info,
-                                            &cur.storage,
-                                            &mut nxt.storage,
-                                            mask,
-                                            rec,
-                                        )
-                                    });
-                                    split.clear_batch();
-                                    if pready_live {
-                                        evn.pready_bricks(ctx, batch)?;
-                                    }
-                                }
-                            }
-                            None => {
-                                let mask = split.stage_batch(&ready);
-                                ctx.time_calc_with(|rec| {
-                                    engine.apply_profiled(
-                                        info,
-                                        &cur.storage,
-                                        &mut nxt.storage,
-                                        mask,
-                                        rec,
-                                    )
-                                });
-                                split.clear_batch();
-                            }
-                        }
-                    }
-                    flip = !flip;
-                }
-                DriveOp::Snapshot(buf) => {
-                    let cur = if flip { &sb } else { &sa };
-                    buf.extend_from_slice(cur.storage.as_slice());
-                }
-                DriveOp::Restore(data) => {
-                    let cur = if flip { &mut sb } else { &mut sa };
-                    cur.storage.as_mut_slice().copy_from_slice(data);
-                }
-                DriveOp::Rebuild => {
-                    eva = ExchangeView::build(&decomp, &sa).expect("view construction");
-                    evb = ExchangeView::build(&decomp, &sb).expect("view construction");
-                    eva.ensure_bound(ctx, &sa);
-                    evb.ensure_bound(ctx, &sb);
-                    if partitioned {
-                        eva.enable_partitioned(
-                            step_elems,
-                            decomp.bricks(),
-                            netsim::DEFAULT_EAGER_BYTES,
-                        );
-                        evb.enable_partitioned(
-                            step_elems,
-                            decomp.bricks(),
-                            netsim::DEFAULT_EAGER_BYTES,
-                        );
-                    }
-                    split = PlanSplit::new(&interior_mask, compute);
-                    graph = DepGraph::build(info, split.boundary(), &recv_ghosts);
-                    timer = OverlapTimer::new();
-                    completed.clear();
-                    ready.clear();
-                }
-            }
-            Ok(())
-        };
-        let frec = drive(ctx, &rcfg, &mut body).expect("memmap dag drive");
-        let mut ps = eva.partition_stats();
-        ps.merge(&evb.partition_stats());
-        timer.record_partition(ps.early_bytes, ps.total_bytes);
-        let last = if flip { &sb } else { &sa };
-        let t = ctx.timers().per_step(steps);
-        let timeline = ctx.take_timeline();
-        let summary = ctx.reduce_timers(&t).expect("timer reduction");
-        let mut rec = eva.recovery_stats();
-        rec.merge(&evb.recovery_stats());
-        let payload = (
-            t,
-            checksum_bricks(&decomp, &last.storage),
-            stats,
+        let summary = ctx.reduce_timers(&timers).expect("timer reduction");
+        RankOutcome {
+            timers,
             summary,
-            timer.hidden_total() / steps as f64,
-            timer.stats(),
-        );
-        (payload, timeline, ctx.fault_stats(), ctx.take_fault_events(), rec, frec)
-    });
-
-    let (payload, timelines, faults, fault_events, recovery, failure) = fold_faults(reports);
-    let (timers, checksum, mut stats, summary, hidden, ostats) = payload;
-    stats.absorb_recovery(&recovery);
-    MethodReport {
-        timers,
-        stats,
-        points: decomp.points(),
-        overlap: true,
-        checksum,
-        summary: summary.expect("rank 0 holds the reduction"),
-        calc_hidden: hidden,
-        faults,
-        fault_events,
-        timelines: keep_timelines(profile, timelines),
-        fault_seed: fault_seed(cfg),
-        overlap_stats: Some(ostats),
-        recovery: failure,
-        migration: None,
-        mapping: None,
-    }
-}
-
-fn run_shift_dag(cfg: &ExperimentConfig, topo: &CartTopo, page_size: usize) -> MethodReport {
-    let decomp = memmap_decomp(
-        cfg.subdomain,
-        cfg.ghost,
-        BrickDims::cubic(cfg.brick),
-        1,
-        layout::surface3d(),
-        page_size,
-    );
-    let shape = cfg.shape.clone();
-    let (steps, warmup) = (cfg.steps, cfg.warmup);
-    let kernel = cfg.kernel;
-    let profile = cfg.profile;
-    let partitioned = cfg.partitioned;
-    let interior_mask = decomp.interior_mask();
-    let step_elems = decomp.step();
-    let rcfg = cfg.recovery_cfg();
-
-    let reports = run_cluster_on(cfg.backend, topo, cfg.wire(), cfg.faults, |ctx| {
-        arm_fault_timeout(ctx);
-        let info = decomp.brick_info();
-        let compute = decomp.compute_mask();
-        let engine = Engine::bind(kernel, &shape, info);
-        let mut sa = MemMapStorage::allocate(&decomp).expect("memfd allocation");
-        let mut sb = MemMapStorage::allocate(&decomp).expect("memfd allocation");
-        let mut sha = crate::shift::ShiftExchanger::build(&decomp, &sa).expect("shift views");
-        let mut shb = crate::shift::ShiftExchanger::build(&decomp, &sb).expect("shift views");
-        fill_bricks(&decomp, &mut sa.storage);
-        let stats = sha.stats();
-        if partitioned {
-            sha.ensure_bound(ctx, &sa);
-            shb.ensure_bound(ctx, &sb);
-            sha.enable_partitioned(step_elems, decomp.bricks(), netsim::DEFAULT_EAGER_BYTES);
-            shb.enable_partitioned(step_elems, decomp.bricks(), netsim::DEFAULT_EAGER_BYTES);
-        }
-        let prio = sha.priority().cloned();
-        // Only the final pass is posted asynchronously — its two slab
-        // receives are the graph's gating dependencies; earlier axes'
-        // ghosts are valid when begin() returns.
-        let recv_ghosts: Vec<Vec<u32>> =
-            sha.final_recv_bricks().iter().map(|b| b.to_vec()).collect();
-        let mut split = PlanSplit::new(&interior_mask, compute);
-        let mut graph = DepGraph::build(info, split.boundary(), &recv_ghosts);
-        let mut timer = OverlapTimer::new();
-        let mut completed: Vec<usize> = Vec::new();
-        let mut ready: Vec<u32> = Vec::new();
-        let mut flip = false;
-        let mut body = |ctx: &mut RankCtx<'_>, op: DriveOp<'_>| -> Result<(), NetsimError> {
-            match op {
-                DriveOp::Step(step) => {
-                    if step == warmup {
-                        ctx.reset_timers();
-                        if profile {
-                            ctx.enable_profiling();
-                        }
-                        timer = OverlapTimer::new();
-                        sha.reset_partition_stats();
-                        shb.reset_partition_stats();
-                    }
-                    let pready_live =
-                        partitioned && step + 1 != warmup && step + 1 != steps + warmup;
-                    // `sh` is bound to `cur`; `shn` aliases `nxt` and owns the
-                    // NEXT step's final-pass channels — readiness flows to it.
-                    let (cur, nxt, sh, shn) = if flip {
-                        (&mut sb, &mut sa, &mut shb, &mut sha)
-                    } else {
-                        (&mut sa, &mut sb, &mut sha, &mut shb)
-                    };
-                    timer.begin_step(wire_clock(ctx));
-                    completed.clear();
-                    sh.begin(ctx, cur, &mut completed)?;
-                    let t0 = std::time::Instant::now();
-                    ctx.time_calc_with(|rec| {
-                        engine.apply_profiled(
-                            info,
-                            &cur.storage,
-                            &mut nxt.storage,
-                            split.interior(),
-                            rec,
-                        )
-                    });
-                    timer.hide(t0.elapsed().as_secs_f64());
-                    ready.clear();
-                    ready.extend_from_slice(graph.begin_step());
-                    for &c in &completed {
-                        graph.complete(c, &mut ready);
-                    }
-                    loop {
-                        if !ready.is_empty() {
-                            match &prio {
-                                Some(pr) => {
-                                    pr.order(&mut ready);
-                                    for batch in pr.groups(&ready) {
-                                        let t0 = std::time::Instant::now();
-                                        let mask = split.stage_batch(batch);
-                                        ctx.time_calc_with(|rec| {
-                                            engine.apply_profiled(
-                                                info,
-                                                &cur.storage,
-                                                &mut nxt.storage,
-                                                mask,
-                                                rec,
-                                            )
-                                        });
-                                        split.clear_batch();
-                                        timer.hide(t0.elapsed().as_secs_f64());
-                                        if pready_live {
-                                            shn.pready_bricks(ctx, batch)?;
-                                        }
-                                    }
-                                }
-                                None => {
-                                    let t0 = std::time::Instant::now();
-                                    let mask = split.stage_batch(&ready);
-                                    ctx.time_calc_with(|rec| {
-                                        engine.apply_profiled(
-                                            info,
-                                            &cur.storage,
-                                            &mut nxt.storage,
-                                            mask,
-                                            rec,
-                                        )
-                                    });
-                                    split.clear_batch();
-                                    timer.hide(t0.elapsed().as_secs_f64());
-                                }
-                            }
-                            ready.clear();
-                        }
-                        if graph.pending() == 0 {
-                            break;
-                        }
-                        completed.clear();
-                        let newly = sh.poll(ctx, &mut completed)?;
-                        for &c in &completed {
-                            graph.complete(c, &mut ready);
-                        }
-                        if newly == 0 && ready.is_empty() {
-                            break;
-                        }
-                    }
-                    sh.finish(ctx)?;
-                    timer.end_step(wire_clock(ctx));
-                    if graph.pending() > 0 {
-                        ready.clear();
-                        graph.unready(&mut ready);
-                        match &prio {
-                            Some(pr) => {
-                                pr.order(&mut ready);
-                                for batch in pr.groups(&ready) {
-                                    let mask = split.stage_batch(batch);
-                                    ctx.time_calc_with(|rec| {
-                                        engine.apply_profiled(
-                                            info,
-                                            &cur.storage,
-                                            &mut nxt.storage,
-                                            mask,
-                                            rec,
-                                        )
-                                    });
-                                    split.clear_batch();
-                                    if pready_live {
-                                        shn.pready_bricks(ctx, batch)?;
-                                    }
-                                }
-                            }
-                            None => {
-                                let mask = split.stage_batch(&ready);
-                                ctx.time_calc_with(|rec| {
-                                    engine.apply_profiled(
-                                        info,
-                                        &cur.storage,
-                                        &mut nxt.storage,
-                                        mask,
-                                        rec,
-                                    )
-                                });
-                                split.clear_batch();
-                            }
-                        }
-                    }
-                    flip = !flip;
-                }
-                DriveOp::Snapshot(buf) => {
-                    let cur = if flip { &sb } else { &sa };
-                    buf.extend_from_slice(cur.storage.as_slice());
-                }
-                DriveOp::Restore(data) => {
-                    let cur = if flip { &mut sb } else { &mut sa };
-                    cur.storage.as_mut_slice().copy_from_slice(data);
-                }
-                DriveOp::Rebuild => {
-                    sha = crate::shift::ShiftExchanger::build(&decomp, &sa).expect("shift views");
-                    shb = crate::shift::ShiftExchanger::build(&decomp, &sb).expect("shift views");
-                    if partitioned {
-                        sha.ensure_bound(ctx, &sa);
-                        shb.ensure_bound(ctx, &sb);
-                        sha.enable_partitioned(
-                            step_elems,
-                            decomp.bricks(),
-                            netsim::DEFAULT_EAGER_BYTES,
-                        );
-                        shb.enable_partitioned(
-                            step_elems,
-                            decomp.bricks(),
-                            netsim::DEFAULT_EAGER_BYTES,
-                        );
-                    }
-                    split = PlanSplit::new(&interior_mask, compute);
-                    graph = DepGraph::build(info, split.boundary(), &recv_ghosts);
-                    timer = OverlapTimer::new();
-                    completed.clear();
-                    ready.clear();
-                }
-            }
-            Ok(())
-        };
-        let frec = drive(ctx, &rcfg, &mut body).expect("shift dag drive");
-        let mut ps = sha.partition_stats();
-        ps.merge(&shb.partition_stats());
-        timer.record_partition(ps.early_bytes, ps.total_bytes);
-        let last = if flip { &sb } else { &sa };
-        let t = ctx.timers().per_step(steps);
-        let timeline = ctx.take_timeline();
-        let summary = ctx.reduce_timers(&t).expect("timer reduction");
-        let mut rec = sha.recovery_stats();
-        rec.merge(&shb.recovery_stats());
-        let payload = (
-            t,
-            checksum_bricks(&decomp, &last.storage),
-            stats,
-            summary,
-            timer.hidden_total() / steps as f64,
-            timer.stats(),
-        );
-        (payload, timeline, ctx.fault_stats(), ctx.take_fault_events(), rec, frec)
-    });
-
-    let (payload, timelines, faults, fault_events, recovery, failure) = fold_faults(reports);
-    let (timers, checksum, mut stats, summary, hidden, ostats) = payload;
-    stats.absorb_recovery(&recovery);
-    MethodReport {
-        timers,
-        stats,
-        points: decomp.points(),
-        overlap: true,
-        checksum,
-        summary: summary.expect("rank 0 holds the reduction"),
-        calc_hidden: hidden,
-        faults,
-        fault_events,
-        timelines: keep_timelines(profile, timelines),
-        fault_seed: fault_seed(cfg),
-        overlap_stats: Some(ostats),
-        recovery: failure,
-        migration: None,
-        mapping: None,
-    }
-}
-
-#[derive(Clone, Copy, PartialEq)]
-enum BrickOrder {
-    Surface3d,
-    Lexicographic,
-}
-
-#[derive(Clone, Copy, PartialEq)]
-enum BrickMsgs {
-    Runs,
-    PerRegion,
-    ComputeOnly,
-}
-
-#[derive(Clone, Copy, PartialEq)]
-enum ArrayMode {
-    Packed,
-    Types,
-}
-
-fn init_value(x: i64, y: i64, z: i64) -> f64 {
-    (((x * 3 + y * 5 + z * 7).rem_euclid(17)) as f64) / 16.0
-}
-
-fn run_brick(cfg: &ExperimentConfig, topo: &CartTopo, order: BrickOrder, msgs: BrickMsgs) -> MethodReport {
-    let layout = match order {
-        BrickOrder::Surface3d => layout::surface3d(),
-        BrickOrder::Lexicographic => SurfaceLayout::lexicographic(3),
-    };
-    let decomp =
-        BrickDecomp::<3>::layout_mode(cfg.subdomain, cfg.ghost, BrickDims::cubic(cfg.brick), 1, layout);
-    let exchanger = match msgs {
-        BrickMsgs::Runs => Some(Exchanger::layout(&decomp)),
-        BrickMsgs::PerRegion => Some(Exchanger::basic(&decomp)),
-        BrickMsgs::ComputeOnly => None,
-    };
-    let mut stats = exchanger.as_ref().map(|e| e.stats()).unwrap_or_default();
-    let shape = cfg.shape.clone();
-    let (steps, warmup) = (cfg.steps, cfg.warmup);
-    let kernel = cfg.kernel;
-    let profile = cfg.profile;
-    let rcfg = cfg.recovery_cfg();
-
-    let reports = run_cluster_on(cfg.backend, topo, cfg.wire(), cfg.faults, |ctx| {
-        arm_fault_timeout(ctx);
-        let info = decomp.brick_info();
-        let mask = decomp.compute_mask();
-        let engine = Engine::bind(kernel, &shape, info);
-        let mut cur = decomp.allocate();
-        let mut nxt = decomp.allocate();
-        fill_bricks(&decomp, &mut cur);
-        if exchanger.is_none() {
-            // Compute-only reference: make ghosts valid once.
-            fill_ghosts_periodic(&decomp, &mut cur);
-            fill_ghosts_periodic(&decomp, &mut nxt);
-        }
-        // Persistent per-rank session: neighbor ranks, tags, ghost
-        // ranges and loopback pairings resolved once, reused every step.
-        let mut session = exchanger.as_ref().map(|e| e.session(ctx));
-        let mut body = |ctx: &mut RankCtx<'_>, op: DriveOp<'_>| -> Result<(), NetsimError> {
-            match op {
-                DriveOp::Step(step) => {
-                    if step == warmup {
-                        ctx.reset_timers();
-                        if profile {
-                            ctx.enable_profiling();
-                        }
-                    }
-                    if let Some(sess) = session.as_mut() {
-                        sess.exchange(ctx, &mut cur)?;
-                    }
-                    ctx.time_calc_with(|rec| {
-                        engine.apply_profiled(info, &cur, &mut nxt, mask, rec)
-                    });
-                    std::mem::swap(&mut cur, &mut nxt);
-                }
-                DriveOp::Snapshot(buf) => {
-                    buf.extend_from_slice(cur.as_slice());
-                }
-                DriveOp::Restore(data) => {
-                    cur.as_mut_slice().copy_from_slice(data);
-                }
-                DriveOp::Rebuild => {
-                    session = exchanger.as_ref().map(|e| e.session(ctx));
-                }
-            }
-            Ok(())
-        };
-        let frec = drive(ctx, &rcfg, &mut body).expect("brick drive");
-        let t = ctx.timers().per_step(steps);
-        let timeline = ctx.take_timeline();
-        let summary = ctx.reduce_timers(&t).expect("timer reduction");
-        let rec = session.as_ref().map(|s| s.recovery_stats()).unwrap_or_default();
-        let payload = (t, checksum_bricks(&decomp, &cur), summary);
-        (payload, timeline, ctx.fault_stats(), ctx.take_fault_events(), rec, frec)
-    });
-
-    let (payload, timelines, faults, fault_events, recovery, failure) = fold_faults(reports);
-    let (timers, checksum, summary) = payload;
-    stats.absorb_recovery(&recovery);
-    MethodReport {
-        timers,
-        stats,
-        points: decomp.points(),
-        overlap: false,
-        checksum,
-        summary: summary.expect("rank 0 holds the reduction"),
-        calc_hidden: 0.0,
-        faults,
-        fault_events,
-        timelines: keep_timelines(profile, timelines),
-        fault_seed: fault_seed(cfg),
-        overlap_stats: None,
-        recovery: failure,
-        migration: None,
-        mapping: None,
-    }
-}
-
-fn run_memmap(cfg: &ExperimentConfig, topo: &CartTopo, page_size: usize) -> MethodReport {
-    let decomp = memmap_decomp(
-        cfg.subdomain,
-        cfg.ghost,
-        BrickDims::cubic(cfg.brick),
-        1,
-        layout::surface3d(),
-        page_size,
-    );
-    let shape = cfg.shape.clone();
-    let (steps, warmup) = (cfg.steps, cfg.warmup);
-    let kernel = cfg.kernel;
-    let profile = cfg.profile;
-    let rcfg = cfg.recovery_cfg();
-
-    let reports = run_cluster_on(cfg.backend, topo, cfg.wire(), cfg.faults, |ctx| {
-        arm_fault_timeout(ctx);
-        let info = decomp.brick_info();
-        let mask = decomp.compute_mask();
-        let engine = Engine::bind(kernel, &shape, info);
-        let mut sa = MemMapStorage::allocate(&decomp).expect("memfd allocation");
-        let mut sb = MemMapStorage::allocate(&decomp).expect("memfd allocation");
-        let mut eva = ExchangeView::build(&decomp, &sa).expect("view construction");
-        let mut evb = ExchangeView::build(&decomp, &sb).expect("view construction");
-        fill_bricks(&decomp, &mut sa.storage);
-        let mut flip = false;
-        let stats = eva.stats();
-        let mut body = |ctx: &mut RankCtx<'_>, op: DriveOp<'_>| -> Result<(), NetsimError> {
-            match op {
-                DriveOp::Step(step) => {
-                    if step == warmup {
-                        ctx.reset_timers();
-                        if profile {
-                            ctx.enable_profiling();
-                        }
-                    }
-                    let (cur, nxt, ev) = if flip {
-                        (&mut sb, &mut sa, &mut evb)
-                    } else {
-                        (&mut sa, &mut sb, &mut eva)
-                    };
-                    ev.exchange(ctx, cur)?;
-                    ctx.time_calc_with(|rec| {
-                        engine.apply_profiled(info, &cur.storage, &mut nxt.storage, mask, rec)
-                    });
-                    flip = !flip;
-                }
-                DriveOp::Snapshot(buf) => {
-                    let cur = if flip { &sb } else { &sa };
-                    buf.extend_from_slice(cur.storage.as_slice());
-                }
-                DriveOp::Restore(data) => {
-                    let cur = if flip { &mut sb } else { &mut sa };
-                    cur.storage.as_mut_slice().copy_from_slice(data);
-                }
-                DriveOp::Rebuild => {
-                    eva = ExchangeView::build(&decomp, &sa).expect("view construction");
-                    evb = ExchangeView::build(&decomp, &sb).expect("view construction");
-                }
-            }
-            Ok(())
-        };
-        let frec = drive(ctx, &rcfg, &mut body).expect("memmap drive");
-        let last = if flip { &sb } else { &sa };
-        let t = ctx.timers().per_step(steps);
-        let timeline = ctx.take_timeline();
-        let summary = ctx.reduce_timers(&t).expect("timer reduction");
-        let mut rec = eva.recovery_stats();
-        rec.merge(&evb.recovery_stats());
-        let payload = (t, checksum_bricks(&decomp, &last.storage), stats, summary);
-        (payload, timeline, ctx.fault_stats(), ctx.take_fault_events(), rec, frec)
-    });
-
-    let (payload, timelines, faults, fault_events, recovery, failure) = fold_faults(reports);
-    let (timers, checksum, mut stats, summary) = payload;
-    stats.absorb_recovery(&recovery);
-    MethodReport {
-        timers,
-        stats,
-        points: decomp.points(),
-        overlap: false,
-        checksum,
-        summary: summary.expect("rank 0 holds the reduction"),
-        calc_hidden: 0.0,
-        faults,
-        fault_events,
-        timelines: keep_timelines(profile, timelines),
-        fault_seed: fault_seed(cfg),
-        overlap_stats: None,
-        recovery: failure,
-        migration: None,
-        mapping: None,
-    }
-}
-
-fn run_array(cfg: &ExperimentConfig, topo: &CartTopo, mode: ArrayMode, overlap: bool) -> MethodReport {
-    let shape = cfg.shape.clone();
-    let (steps, warmup) = (cfg.steps, cfg.warmup);
-    let subdomain = cfg.subdomain;
-    let ghost = cfg.ghost;
-    let profile = cfg.profile;
-
-    let reports = run_cluster_on(cfg.backend, topo, cfg.wire(), cfg.faults, |ctx| {
-        arm_fault_timeout(ctx);
-        let mut cur = ArrayGrid::new(subdomain, ghost);
-        let mut nxt = ArrayGrid::new(subdomain, ghost);
-        cur.fill_interior(|x, y, z| init_value(x as i64, y as i64, z as i64));
-        // Geometry is fixed for the whole run, so the tap-offset plan is
-        // compiled once and replayed every step.
-        let plan = cur.plan(&shape);
-        let mut ex = ArrayExchanger::new(&cur);
-        let stats = ex.stats();
-        for step in 0..steps + warmup {
-            if step == warmup {
-                ctx.reset_timers();
-                if profile {
-                    ctx.enable_profiling();
-                }
-            }
-            match mode {
-                ArrayMode::Packed => ex.exchange_packed(ctx, &mut cur).expect("packed exchange"),
-                ArrayMode::Types => ex.exchange_mpitypes(ctx, &mut cur).expect("types exchange"),
-            }
-            ctx.scoped("kernel:array", |ctx| {
-                ctx.time_calc(|| cur.apply_plan_into(&plan, &mut nxt))
-            });
-            std::mem::swap(&mut cur, &mut nxt);
-            ctx.barrier();
-        }
-        let t = ctx.timers().per_step(steps);
-        let timeline = ctx.take_timeline();
-        let summary = ctx.reduce_timers(&t).expect("timer reduction");
-        let payload = (t, cur.interior_sum(), stats, summary);
-        (
-            payload,
+            checksum: eng.checksum(),
+            stats: eng.stats(),
+            hidden: (!matches!(plan, StepPlan::Phased)).then(|| timer.hidden_total() / steps as f64),
+            overlap_stats,
             timeline,
-            ctx.fault_stats(),
-            ctx.take_fault_events(),
-            ex.recovery_stats(),
-            FailureRecovery::default(),
-        )
-    });
+            faults: ctx.fault_stats(),
+            fault_events: ctx.take_fault_events(),
+            recovery: eng.recovery_stats(),
+            failure,
+        }
+    })
+    .into_iter();
 
-    let (payload, timelines, faults, fault_events, recovery, failure) = fold_faults(reports);
-    let (timers, checksum, mut stats, summary) = payload;
-    stats.absorb_recovery(&recovery);
+    // Timers, checksum and overlap accounting are rank 0's (ranks are
+    // symmetric); injected damage and the protocol's responses are
+    // run-global, so the other ranks' sum into them.
+    let mut r0 = ranks.next().expect("cluster has at least one rank");
+    let mut timelines = vec![std::mem::take(&mut r0.timeline)];
+    for r in ranks {
+        timelines.push(r.timeline);
+        r0.faults.merge(&r.faults);
+        r0.fault_events.extend(r.fault_events);
+        r0.recovery.merge(&r.recovery);
+        r0.failure.merge(&r.failure);
+    }
+    r0.stats.absorb_recovery(&r0.recovery);
+    // YASK-OL runs the phased loop; its framework interleaves at tile
+    // level, so all of `calc` can hide the exchange.
+    let tiled = cfg.method == CpuMethod::YaskOverlap;
     MethodReport {
-        calc_hidden: if overlap { timers.calc } else { 0.0 },
-        timers,
-        stats,
-        points: (subdomain[0] * subdomain[1] * subdomain[2]) as u64,
-        overlap,
-        checksum,
-        summary: summary.expect("rank 0 holds the reduction"),
-        faults,
-        fault_events,
-        timelines: keep_timelines(profile, timelines),
-        fault_seed: fault_seed(cfg),
-        overlap_stats: None,
-        recovery: failure,
+        calc_hidden: r0.hidden.unwrap_or(if tiled { r0.timers.calc } else { 0.0 }),
+        timers: r0.timers,
+        stats: r0.stats,
+        points: cfg.subdomain.iter().product::<usize>() as u64,
+        overlap: tiled || r0.hidden.is_some(),
+        checksum: r0.checksum,
+        summary: r0.summary.expect("rank 0 holds the reduction"),
+        faults: r0.faults,
+        fault_events: r0.fault_events,
+        // A disabled recorder drains to empty timelines — drop them so
+        // consumers can gate on `!timelines.is_empty()`.
+        timelines: if cfg.profile { timelines } else { Vec::new() },
+        fault_seed: cfg.faults.is_active().then_some(cfg.faults.seed),
+        overlap_stats: r0.overlap_stats,
+        recovery: r0.failure,
         migration: None,
         mapping: None,
     }
-}
-
-/// Fill a brick storage's interior with [`init_value`].
-fn fill_bricks(decomp: &BrickDecomp<3>, st: &mut brick::BrickStorage) {
-    crate::fields::fill_interior(decomp, st, 0, |c| {
-        init_value(c[0] as i64, c[1] as i64, c[2] as i64)
-    });
-}
-
-/// Fill the ghost rim by wrapping the interior (compute-only methods).
-fn fill_ghosts_periodic(decomp: &BrickDecomp<3>, st: &mut brick::BrickStorage) {
-    crate::fields::fill_ghosts_periodic(decomp, st, 0);
-}
-
-/// Interior checksum of brick storage.
-fn checksum_bricks(decomp: &BrickDecomp<3>, st: &brick::BrickStorage) -> f64 {
-    crate::fields::interior_sum(decomp, st, 0)
 }
 
 #[cfg(test)]
@@ -2095,6 +1090,77 @@ mod tests {
                 "lossy partitioned diverged for {m:?}"
             );
             assert!(lossy.faults.total() > 0, "seed 42 at these rates must inject something");
+        }
+    }
+
+    /// Every field of the report that depends on the method or the
+    /// schedule, over the whole method × schedule × backend × resilience
+    /// table (2×1×1 ranks, 16³).
+    #[test]
+    fn report_fields_follow_method_and_schedule() {
+        #[derive(Clone, Copy, PartialEq, Debug)]
+        enum Sched {
+            Phased,
+            Overlap,
+            Partitioned,
+        }
+        let page_size = memview::PAGE_4K;
+        // (method, messages per exchange, runs the split-phase schedules
+        // and the resilient harness, overlapped even when phased)
+        let table = [
+            (CpuMethod::MemMap { page_size }, 26, true, false),
+            (CpuMethod::Layout, 42, true, false),
+            // 98 needs three bricks per axis; with two, 42 of the region
+            // instances are empty.
+            (CpuMethod::Basic, 56, true, false),
+            (CpuMethod::Shift { page_size }, 6, true, false),
+            (CpuMethod::NoLayout, 0, false, false),
+            (CpuMethod::Yask, 26, false, false),
+            (CpuMethod::YaskOverlap, 26, false, true),
+            (CpuMethod::LayoutOverlap, 42, false, true),
+            (CpuMethod::MpiTypes, 26, false, false),
+        ];
+        for (method, messages, split, always_overlapped) in table {
+            let scheds: &[Sched] =
+                if split { &[Sched::Phased, Sched::Overlap, Sched::Partitioned] } else { &[Sched::Phased] };
+            let intervals: &[usize] = if split { &[0, 2] } else { &[0] };
+            let mut checksum = None;
+            for &sched in scheds {
+                for &every in intervals {
+                    let mut comm_bits = None;
+                    for backend in [Backend::Thread, Backend::Event] {
+                        let mut c = cfg(method.clone());
+                        c.subdomain = [16; 3];
+                        c.ranks = vec![2, 1, 1];
+                        c.backend = backend;
+                        c.checkpoint_every = every;
+                        c.overlap = sched == Sched::Overlap;
+                        c.partitioned = sched == Sched::Partitioned;
+                        let r = run_experiment(&c);
+                        let what = format!("{method:?} {sched:?} {backend:?} checkpoint_every={every}");
+                        let dag = sched != Sched::Phased;
+                        let overlapped = dag || always_overlapped;
+                        assert_eq!(r.overlap, overlapped, "{what}: overlap");
+                        assert_eq!(r.overlap_stats.is_some(), dag, "{what}: overlap_stats");
+                        assert_eq!(r.calc_hidden > 0.0, overlapped, "{what}: calc_hidden");
+                        assert_eq!(r.points, 16 * 16 * 16, "{what}: points");
+                        assert_eq!(r.stats.messages, messages, "{what}: messages");
+                        assert_eq!(r.recovery.checkpoints > 0, every > 0, "{what}: checkpoints");
+                        assert!(r.migration.is_none() && r.mapping.is_none(), "{what}");
+                        let bits = *checksum.get_or_insert(r.checksum.to_bits());
+                        assert_eq!(r.checksum.to_bits(), bits, "{what}: checksum");
+                        if !dag {
+                            // Modeled communication time does not depend
+                            // on which substrate ran the ranks (MPI_Types
+                            // bills its measured datatype walk to `call`).
+                            let call =
+                                if method == CpuMethod::MpiTypes { 0 } else { r.timers.call.to_bits() };
+                            let comm = (call, r.timers.wait.to_bits());
+                            assert_eq!(comm, *comm_bits.get_or_insert(comm), "{what}: call/wait");
+                        }
+                    }
+                }
+            }
         }
     }
 

@@ -17,8 +17,9 @@
 //!   `MPI_Types` derived-datatype exchange the paper compares against,
 //! * [`gpu`] — CUDA-Aware / Unified-Memory data-movement policies over
 //!   the `devsim` models (Section 5),
-//! * [`experiment`] — timestep drivers shared by the tests, examples,
-//!   and the table/figure harness.
+//! * [`experiment`] — the one timestep driver (every method behind a
+//!   per-rank engine trait) shared by the tests, examples, and the
+//!   table/figure harness.
 //!
 //! ```
 //! use packfree::{BrickDecomp, Exchanger};
@@ -38,6 +39,7 @@ pub mod baselines;
 pub mod calibrated;
 pub mod checkpoint;
 pub mod decomp;
+mod engine;
 pub mod exchange;
 pub mod experiment;
 pub mod fields;

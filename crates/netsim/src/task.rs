@@ -420,6 +420,13 @@ impl Task {
 /// Suspend the currently running task with `directive`, returning
 /// control to its worker. Returns when the scheduler next resumes the
 /// task. Panics if called from outside a task.
+///
+/// Never inlined: a caller that suspends in a loop would otherwise be
+/// free to compute the address of the thread-local `WORKER_FRAME` once,
+/// and after the task migrated to another worker it would read the
+/// frame of the thread it left (seen as "suspend() called outside a
+/// rank task" in `work_stealing_multi_worker_completes`).
+#[inline(never)]
 pub fn suspend(directive: Directive) {
     let frame = WORKER_FRAME.with(|w| w.get());
     assert!(!frame.is_null(), "suspend() called outside a rank task");

@@ -1,26 +1,36 @@
 //! The disabled recorder must be free on the hot path: no heap
 //! allocations from construction through any number of charge/scope/
-//! counter calls. Verified with a counting global allocator.
+//! counter calls. Verified with a counting global allocator that counts
+//! per thread.
 
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::cell::Cell;
 
 use telemetry::{Phase, Recorder};
 
 struct Counting;
 
-static ALLOCS: AtomicU64 = AtomicU64::new(0);
+thread_local! {
+    // Per thread, so the harness's other test threads (and its own
+    // bookkeeping) cannot move a test's count. Const-initialised and
+    // without a destructor: reading it never allocates.
+    static ALLOCS: Cell<u64> = const { Cell::new(0) };
+}
+
+fn count_one() {
+    ALLOCS.with(|c| c.set(c.get() + 1));
+}
 
 unsafe impl GlobalAlloc for Counting {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::SeqCst);
+        count_one();
         System.alloc(layout)
     }
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
         System.dealloc(ptr, layout)
     }
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::SeqCst);
+        count_one();
         System.realloc(ptr, layout, new_size)
     }
 }
@@ -28,8 +38,9 @@ unsafe impl GlobalAlloc for Counting {
 #[global_allocator]
 static A: Counting = Counting;
 
+/// Allocations made by the calling thread so far.
 fn alloc_count() -> u64 {
-    ALLOCS.load(Ordering::SeqCst)
+    ALLOCS.with(Cell::get)
 }
 
 #[test]

@@ -21,7 +21,11 @@ fn chaos() -> FaultConfig {
 
 fn cfg(method: CpuMethod, faults: FaultConfig) -> ExperimentConfig {
     let mut c = ExperimentConfig::k1(method, 16);
-    c.steps = 3;
+    // Enough steps that the sparsest engine cannot dodge the schedule:
+    // Shift on 2x1x1 puts only four frames per step on the fabric (two
+    // per rank), so sixteen steps draw 64 times at 15% (a miss needs
+    // 0.85^64, about 3e-5; three steps missed at the default seed).
+    c.steps = 16;
     c.warmup = 0;
     c.ranks = vec![2, 1, 1];
     c.net = NetworkModel::instant();
