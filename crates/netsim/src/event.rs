@@ -18,7 +18,9 @@
 //!   from the back of other queues. Queue bookkeeping lives under a
 //!   single scheduler mutex — with a handful of workers and coarse
 //!   tasks (a rank runs a whole compute phase per slice) the lock is
-//!   not a bottleneck, and it makes quiescence detection exact.
+//!   not a bottleneck, and it makes quiescence detection exact: the
+//!   worker that detects quiescence queues the tasks it wakes before
+//!   it releases the lock, so one quiescence is acted on once.
 //! * **Two-phase parking**: a task *requests* parking and suspends;
 //!   its worker then *applies* the transition under the task's state
 //!   lock. A wake that races with the request (message pushed between
@@ -234,7 +236,12 @@ impl Sched {
                 // Quiescence: every live task is parked. Advance the
                 // virtual clock to the earliest armed deadline —
                 // min by (instant, task) for deterministic expiry
-                // order — or declare deadlock.
+                // order — or declare deadlock. Either way the woken
+                // tasks are queued before `core` is released: another
+                // idle worker that takes the lock next must see
+                // `queued > 0`, not a second quiescence (it would expire
+                // the next deadline — a healthy peer's — or, with none
+                // left, abort the cluster as deadlocked).
                 let earliest = core
                     .deadlines
                     .iter()
@@ -242,14 +249,13 @@ impl Sched {
                     .filter_map(|(t, d)| d.map(|when| (when, t as u32)))
                     .min();
                 if let Some((_, tid)) = earliest {
-                    core.deadlines[tid as usize] = None;
-                    drop(core);
-                    self.expire(tid);
+                    self.expire(&mut core, tid);
                 } else {
-                    drop(core);
                     self.deadlocked.store(true, Ordering::SeqCst);
                     self.abort.store(true, Ordering::SeqCst);
-                    self.wake_all_parked();
+                    for t in 0..self.tasks.len() {
+                        self.expire(&mut core, t as u32);
+                    }
                 }
                 continue;
             }
@@ -335,33 +341,33 @@ impl Sched {
         }
     }
 
-    /// Wake `tid` because its virtual deadline was selected at
-    /// quiescence. At quiescence no task is running, so nothing can
-    /// have raced the wake; the `Parked` check is belt-and-braces.
-    fn expire(&self, tid: u32) {
+    /// Wake `tid` with an expiry signal if it is parked, under the
+    /// caller's `core` lock so the wake and the queue counters change
+    /// together. This is the one place a task's meta lock is taken
+    /// inside `core`; no path holds a meta lock while taking `core`, so
+    /// the nesting cannot deadlock.
+    fn expire(&self, core: &mut Core, tid: u32) {
         let mut m = self.metas[tid as usize].lock().unwrap();
         if m.state == TState::Parked {
             m.expired = true;
             m.state = TState::Runnable;
             drop(m);
-            self.enqueue(tid);
+            self.enqueue_locked(core, tid);
         }
     }
 
     fn wake_all_parked(&self) {
+        let mut core = self.core.lock().unwrap();
         for t in 0..self.tasks.len() {
-            let mut m = self.metas[t].lock().unwrap();
-            if m.state == TState::Parked {
-                m.expired = true;
-                m.state = TState::Runnable;
-                drop(m);
-                self.enqueue(t as u32);
-            }
+            self.expire(&mut core, t as u32);
         }
     }
 
     fn enqueue(&self, tid: u32) {
-        let mut core = self.core.lock().unwrap();
+        self.enqueue_locked(&mut self.core.lock().unwrap(), tid);
+    }
+
+    fn enqueue_locked(&self, core: &mut Core, tid: u32) {
         // Leaving the parked state invalidates any armed deadline.
         core.deadlines[tid as usize] = None;
         let home = tid as usize % core.queues.len();
@@ -746,6 +752,50 @@ mod tests {
         assert_eq!(panics[0].1.downcast_ref::<&str>(), Some(&"rank 1 died"));
         assert!(sched.aborted());
         assert!(!sched.deadlock_detected());
+    }
+
+    /// One quiescence expires one deadline. Task 0 parks on a short
+    /// deadline and, when it expires, "sends" to task 1, which is parked
+    /// on a long one. The worker that expires task 0 must publish the
+    /// wake before it releases the scheduler lock; otherwise a second
+    /// idle worker sees a second quiescence in that window and expires
+    /// task 1 too, which then gives up on a message that is on its way.
+    #[test]
+    fn one_quiescence_expires_one_deadline() {
+        for _ in 0..400 {
+            let slot: Mutex<Option<u64>> = Mutex::new(None);
+            let spurious = AtomicUsize::new(0);
+            let holder: Mutex<Option<&Sched>> = Mutex::new(None);
+            let (h, s, v) = (&holder, &slot, &spurious);
+            let now = Instant::now();
+            let bodies: Vec<Box<dyn FnOnce() + Send + '_>> = vec![
+                Box::new(move || {
+                    let sched = h.lock().unwrap().unwrap();
+                    assert_eq!(sched.park(0, Some(now + Duration::from_secs(1))), Wake::Expired);
+                    *s.lock().unwrap() = Some(7);
+                    sched.notify_mailbox(1);
+                }),
+                Box::new(move || {
+                    let sched = h.lock().unwrap().unwrap();
+                    loop {
+                        sched.arm_mailbox(1);
+                        if s.lock().unwrap().take().is_some() {
+                            sched.disarm_mailbox(1);
+                            return;
+                        }
+                        if sched.park(1, Some(now + Duration::from_secs(600))) == Wake::Expired {
+                            v.fetch_add(1, Ordering::SeqCst);
+                            return;
+                        }
+                    }
+                }),
+            ];
+            let sched = unsafe { Sched::new(bodies, 4, 256 * 1024) };
+            *h.lock().unwrap() = Some(unsafe { std::mem::transmute::<&Sched, &Sched>(&sched) });
+            sched.run();
+            assert_eq!(spurious.load(Ordering::SeqCst), 0, "task 1's deadline expired with task 0 runnable");
+            assert!(!sched.deadlock_detected());
+        }
     }
 
     #[test]
