@@ -11,20 +11,26 @@
 //!   engine's element-wise walk, charged to MPI `call` time (the
 //!   application's own `pack` meter stays at zero, as in the paper's
 //!   artifact).
+//!
+//! Both flavors move their buffers with the same communication plan
+//! (`plan.rs`) every brick engine uses — sends are the 26 pack buffers,
+//! receives ranges of one arena — so the comparison the paper makes is
+//! between data layouts, not between transports.
 
 use layout::{all_regions, Dir};
-use netsim::{NetsimError, RankCtx, RecvHandle};
+use netsim::{NetsimError, RankCtx};
 use stencil::{ArrayGrid, Datatype};
 
 use crate::exchange::ExchangeStats;
-use crate::reliable::{RecoveryStats, RelRecv, RelSend, ReliableSession};
+use crate::plan::{CommPlan, IntoRanges, RecvSpec, SendSpec};
+use crate::reliable::RecoveryStats;
 
 /// Reusable halo-exchange state for an [`ArrayGrid`] subdomain.
 ///
 /// Receive buffers live in one flat arena (per-direction sorted
-/// sub-ranges) so completions scatter straight into it via
-/// `waitall_ranges`; neighbor ranks and loopback pairings are resolved
-/// once on first use — the steady-state exchange allocates nothing.
+/// sub-ranges) so completions scatter straight into it; the transport
+/// between the pack buffers and the arena is a [`CommPlan`], bound to
+/// the rank on first use — the steady-state exchange allocates nothing.
 pub struct ArrayExchanger {
     dirs: Vec<Dir>,
     send_bufs: Vec<Vec<f64>>,
@@ -33,23 +39,8 @@ pub struct ArrayExchanger {
     send_types: Vec<Datatype>,
     recv_types: Vec<Datatype>,
     stats: ExchangeStats,
-    handles: Vec<RecvHandle>,
-    bound: Option<ArrayBound>,
-    /// Self-healing protocol state, built on first use under a fault
-    /// plan; the fault-free hot path never touches it.
-    reliable: Option<ReliableSession>,
-}
-
-/// Rank-resolved transport schedule: per-send destination and loopback
-/// pairing, plus the receives that still cross the mailbox.
-struct ArrayBound {
-    rank: usize,
-    dests: Vec<usize>,
-    /// Per send: index of the local receive it satisfies directly
-    /// (`Some` iff the neighbor is this rank itself).
-    loopback: Vec<Option<usize>>,
-    mailbox_srcs: Vec<(usize, u64)>,
-    mailbox_ranges: Vec<std::ops::Range<usize>>,
+    plan: Option<CommPlan>,
+    pend: Vec<std::ops::Range<usize>>,
 }
 
 impl ArrayExchanger {
@@ -86,15 +77,14 @@ impl ArrayExchanger {
             send_types,
             recv_types,
             stats,
-            handles: Vec::new(),
-            bound: None,
-            reliable: None,
+            plan: None,
+            pend: Vec::new(),
         }
     }
 
     /// Recovery-protocol totals (zero unless a chaos run engaged it).
     pub fn recovery_stats(&self) -> RecoveryStats {
-        self.reliable.as_ref().map(|r| r.stats()).unwrap_or_default()
+        self.plan.as_ref().map(|p| p.recovery_stats()).unwrap_or_default()
     }
 
     /// Traffic statistics (26 messages, one per neighbor).
@@ -102,122 +92,34 @@ impl ArrayExchanger {
         self.stats
     }
 
-    /// Resolve neighbor ranks and pair each self-send with the local
-    /// receive it satisfies (loopback fast path).
-    fn ensure_bound(&mut self, ctx: &RankCtx<'_>) {
-        let rank = ctx.rank();
-        if self.bound.as_ref().is_some_and(|b| b.rank == rank) {
-            return;
-        }
-        // A receive from direction `d` comes from the same neighbor a
-        // send toward `d` targets (tagged with the sender's direction,
-        // `d.mirror()`).
-        let dests: Vec<usize> = self
-            .dirs
-            .iter()
-            .map(|d| ctx.topo().neighbor(rank, &d.offsets(3)).expect("periodic topology"))
-            .collect();
-        let n = self.dirs.len();
-        let mut paired = vec![false; n];
-        let mut loopback = Vec::with_capacity(n);
-        for (i, d) in self.dirs.iter().enumerate() {
-            let lb = if dests[i] == rank {
-                let tag = d.code(3) as u64;
-                let j = (0..n)
-                    .find(|&j| {
-                        !paired[j]
-                            && dests[j] == rank
-                            && self.dirs[j].mirror().code(3) as u64 == tag
-                    })
-                    .expect("periodic self-neighbor must have a matching self-receive");
-                paired[j] = true;
-                Some(j)
-            } else {
-                None
-            };
-            loopback.push(lb);
-        }
-        let mut mailbox_srcs = Vec::new();
-        let mut mailbox_ranges = Vec::new();
-        for j in 0..n {
-            if !paired[j] {
-                mailbox_srcs.push((dests[j], self.dirs[j].mirror().code(3) as u64));
-                mailbox_ranges.push(self.recv_ranges[j].clone());
-            }
-        }
-        self.bound = Some(ArrayBound { rank, dests, loopback, mailbox_srcs, mailbox_ranges });
-        self.reliable = None;
-    }
-
     /// Send every packed buffer and complete every receive into the
-    /// arena. Shared by both exchange flavors; allocation-free after the
-    /// first call. Under an armed fault plan, mailbox traffic runs the
-    /// self-healing [`ReliableSession`] protocol instead.
+    /// arena, inside the caller's scope. Shared by both exchange
+    /// flavors; allocation-free once the plan is bound.
     fn transport(&mut self, ctx: &mut RankCtx<'_>) -> Result<(), NetsimError> {
-        self.ensure_bound(ctx);
-        if ctx.fault_active() {
-            return self.transport_reliable(ctx);
-        }
-        let ArrayExchanger { dirs, send_bufs, recv_arena, recv_ranges, handles, bound, .. } = self;
-        let b = bound.as_ref().expect("bound above");
-        for (i, d) in dirs.iter().enumerate() {
-            ctx.note_payload(send_bufs[i].len() * 8);
-            let tag = d.code(3) as u64;
-            match b.loopback[i] {
-                Some(j) => {
-                    ctx.loopback_into(tag, &send_bufs[i], &mut recv_arena[recv_ranges[j].clone()])?
-                }
-                None => ctx.isend(b.dests[i], tag, &send_bufs[i])?,
-            }
-        }
-        handles.clear();
-        for &(src, tag) in &b.mailbox_srcs {
-            handles.push(ctx.irecv(src, tag)?);
-        }
-        ctx.waitall_ranges(handles, recv_arena, &b.mailbox_ranges)
-    }
-
-    /// The transport under faults: loopbacks stay on the on-node fast
-    /// path, mailbox traffic is framed, checksummed and retried.
-    fn transport_reliable(&mut self, ctx: &mut RankCtx<'_>) -> Result<(), NetsimError> {
-        if self.reliable.is_none() {
-            let b = self.bound.as_ref().expect("bound by transport");
-            let rel_sends = self
-                .dirs
-                .iter()
-                .enumerate()
-                .filter(|(i, _)| b.loopback[*i].is_none())
-                .map(|(i, d)| RelSend { dest: b.dests[i], tag: d.code(3) as u64 })
+        if self.plan.as_ref().is_none_or(|p| p.rank() != ctx.rank()) {
+            // A message toward `d` carries the sender's direction code;
+            // the one from direction `d` was sent toward `d.mirror()`.
+            let regions = || self.dirs.iter().zip(&self.recv_ranges);
+            let sends: Vec<SendSpec> = regions()
+                .map(|(d, r)| SendSpec {
+                    to: *d,
+                    tag: d.code(3) as u64,
+                    elems: r.len(),
+                    payload_bytes: r.len() * 8,
+                })
                 .collect();
-            let rel_recvs = b
-                .mailbox_srcs
-                .iter()
-                .zip(&b.mailbox_ranges)
-                .map(|(&(src, tag), r)| RelRecv { src, tag, elems: r.len() })
+            let recvs: Vec<RecvSpec> = regions()
+                .map(|(d, r)| RecvSpec { from: *d, tag: d.mirror().code(3) as u64, elems: r.len() })
                 .collect();
-            self.reliable = Some(ReliableSession::new(rel_sends, rel_recvs));
+            self.plan = Some(CommPlan::bind(None, ctx, 3, &sends, &recvs, true));
         }
-        let ArrayExchanger { dirs, send_bufs, recv_arena, recv_ranges, bound, reliable, .. } =
-            self;
-        let b = bound.as_ref().expect("bound by transport");
-        let rel = reliable.as_mut().expect("built above");
-        for i in 0..dirs.len() {
-            ctx.note_payload(send_bufs[i].len() * 8);
-            if let Some(j) = b.loopback[i] {
-                let tag = dirs[i].code(3) as u64;
-                ctx.loopback_into(tag, &send_bufs[i], &mut recv_arena[recv_ranges[j].clone()])?;
-            }
-        }
-        rel.begin();
-        let mut k = 0usize;
-        for (buf, lb) in send_bufs.iter().zip(&b.loopback) {
-            if lb.is_none() {
-                rel.stage(k, buf);
-                k += 1;
-            }
-        }
-        let ranges = &b.mailbox_ranges;
-        rel.run(ctx, |i, payload| recv_arena[ranges[i].clone()].copy_from_slice(payload))
+        let mut mem = IntoRanges {
+            sends: &self.send_bufs,
+            data: &mut self.recv_arena,
+            recvs: &self.recv_ranges,
+            pend: &mut self.pend,
+        };
+        self.plan.as_mut().expect("bound above").exchange(ctx, &mut mem)
     }
 
     /// YASK-style exchange: pack each surface region (timed as `pack`),

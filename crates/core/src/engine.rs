@@ -15,6 +15,7 @@ use crate::decomp::BrickDecomp;
 use crate::exchange::{ExchangeSession, ExchangeStats, Exchanger};
 use crate::experiment::{CpuMethod, ExperimentConfig, KernelKind};
 use crate::memmap::{ExchangeView, MemMapStorage};
+use crate::plan::{scoped, CommPlan, InPlace};
 use crate::reliable::RecoveryStats;
 use crate::shift::ShiftExchanger;
 
@@ -23,6 +24,10 @@ use crate::shift::ShiftExchanger;
 /// ghost bricks it fills, and the destination-priority classes of a
 /// partitioned run.
 pub(crate) type SplitSetup = (Vec<Vec<u32>>, Option<SendPriority>);
+
+/// A compute-only method (No-Layout) is never scheduled onto the
+/// split-phase calls.
+const NO_EXCHANGE: &str = "a compute-only method has no exchange to split";
 
 fn unsupported() -> ! {
     unreachable!("the array baselines have no split-phase exchange and no snapshots")
@@ -191,11 +196,11 @@ impl<'a> HeapBricks<'a> {
         HeapBricks { decomp, exchanger, session, kernel, cur, nxt }
     }
 
-    /// The session, the grid it exchanges and the next grid (split-phase
-    /// calls only: a compute-only method is never scheduled onto them).
-    fn bound(&mut self) -> (&mut ExchangeSession, &mut BrickStorage, &BrickStorage) {
-        let session = self.session.as_mut().expect("a compute-only method has no exchange to split");
-        (session, &mut self.cur, &self.nxt)
+    /// The plan and the grid it moves — the current one, or the `next`
+    /// one the stencil is writing (split-phase calls only).
+    fn bound(&mut self, next: bool) -> (&mut CommPlan, InPlace<'_>) {
+        let session = self.session.as_mut().expect(NO_EXCHANGE);
+        session.bound(if next { &mut self.nxt } else { &mut self.cur })
     }
 }
 
@@ -245,40 +250,40 @@ impl RankEngine for HeapBricks<'_> {
 
     fn arm_split(&mut self, _ctx: &mut RankCtx<'_>, partitioned: bool) -> SplitSetup {
         let (step, bricks) = (self.decomp.step(), self.decomp.bricks());
-        let (session, ..) = self.bound();
+        let session = self.session.as_mut().expect(NO_EXCHANGE);
         if partitioned {
             session.enable_partitioned(step, bricks, DEFAULT_EAGER_BYTES);
         }
-        (ghosts_of(session.recv_ranges(), step), session.priority().cloned())
+        (ghosts_of(session.recv_ranges(), step), session.plan().priority().cloned())
     }
 
     fn begin(&mut self, ctx: &mut RankCtx<'_>, completed: &mut Vec<usize>) -> Result<(), NetsimError> {
-        let (session, cur, _) = self.bound();
-        session.begin(ctx, cur, completed)
+        let (plan, mut mem) = self.bound(false);
+        plan.begin(ctx, &mut mem, completed)
     }
 
     fn poll(&mut self, ctx: &mut RankCtx<'_>, completed: &mut Vec<usize>) -> Result<usize, NetsimError> {
-        let (session, cur, _) = self.bound();
-        session.poll(ctx, cur, completed)
+        let (plan, mut mem) = self.bound(false);
+        plan.poll(ctx, &mut mem, completed)
     }
 
     fn finish(&mut self, ctx: &mut RankCtx<'_>) -> Result<(), NetsimError> {
-        let (session, cur, _) = self.bound();
-        session.finish(ctx, cur)
+        let (plan, mut mem) = self.bound(false);
+        plan.finish(ctx, &mut mem)
     }
 
     fn pready(&mut self, ctx: &mut RankCtx<'_>, bricks: &[u32]) -> Result<(), NetsimError> {
-        let (session, _, nxt) = self.bound();
-        session.pready_bricks(ctx, bricks, nxt)
+        let (plan, mem) = self.bound(true);
+        plan.pready(ctx, &mem, bricks)
     }
 
     fn partition_stats(&self) -> PartitionStats {
-        self.session.as_ref().map(|s| s.partition_stats()).unwrap_or_default()
+        self.session.as_ref().map(|s| s.plan().partition_stats()).unwrap_or_default()
     }
 
     fn reset_partition_stats(&mut self) {
-        if let Some(session) = self.session.as_mut() {
-            session.reset_partition_stats();
+        if self.session.is_some() {
+            self.bound(false).0.reset_partition_stats();
         }
     }
 }
@@ -296,12 +301,12 @@ pub(crate) struct ViewPair<'a, V> {
     cur: usize,
 }
 
-/// [`RankEngine`] for a [`ViewPair`] of one mmap-view exchanger.
+/// [`RankEngine`] for a [`ViewPair`] of one mmap-view exchanger:
 /// [`ExchangeView`] and [`ShiftExchanger`] spell every call the pair
-/// makes the same way, except the three passed in: which ghost bricks
-/// each split-exchange completion index fills, and `poll`/`finish`.
+/// makes the same way (neither names a trait for it, so this is a macro
+/// over the type rather than a generic impl).
 macro_rules! view_pair_engine {
-    ($view:ty, recv_ghosts: $ghosts:expr, poll: $poll:expr, finish: $finish:expr) => {
+    ($view:ty) => {
         impl<'a> ViewPair<'a, $view> {
             pub(crate) fn new(cfg: &ExperimentConfig, decomp: &'a BrickDecomp<3>) -> Self {
                 let kernel = Kernel::bind(cfg, decomp.brick_info());
@@ -370,7 +375,7 @@ macro_rules! view_pair_engine {
                         view.enable_partitioned(step, bricks, DEFAULT_EAGER_BYTES);
                     }
                 }
-                ($ghosts(&self.views[0], step), self.views[0].priority().cloned())
+                (self.views[0].recv_ghosts(step), self.views[0].plan().priority().cloned())
             }
 
             fn begin(&mut self, ctx: &mut RankCtx<'_>, completed: &mut Vec<usize>) -> Result<(), NetsimError> {
@@ -378,45 +383,42 @@ macro_rules! view_pair_engine {
             }
 
             fn poll(&mut self, ctx: &mut RankCtx<'_>, completed: &mut Vec<usize>) -> Result<usize, NetsimError> {
-                $poll(&mut self.views[self.cur], ctx, &mut self.grids[self.cur], completed)
+                let (plan, mut mem) = self.views[self.cur].bound(&mut self.grids[self.cur]);
+                plan.poll(ctx, &mut mem, completed)
             }
 
             fn finish(&mut self, ctx: &mut RankCtx<'_>) -> Result<(), NetsimError> {
-                $finish(&mut self.views[self.cur], ctx, &mut self.grids[self.cur])
+                let (plan, mut mem) = self.views[self.cur].bound(&mut self.grids[self.cur]);
+                scoped(ctx, <$view>::SPLIT_SCOPE, |ctx| plan.finish(ctx, &mut mem))
             }
 
+            /// The next grid's views alias the memory the stencil just
+            /// wrote, so they feed the *next* step's channels.
             fn pready(&mut self, ctx: &mut RankCtx<'_>, bricks: &[u32]) -> Result<(), NetsimError> {
-                self.views[1 - self.cur].pready_bricks(ctx, bricks)
+                let (plan, mem) = self.views[1 - self.cur].bound(&mut self.grids[1 - self.cur]);
+                scoped(ctx, <$view>::SPLIT_SCOPE, |ctx| plan.pready(ctx, &mem, bricks))
             }
 
             fn partition_stats(&self) -> PartitionStats {
-                let mut p = self.views[0].partition_stats();
-                p.merge(&self.views[1].partition_stats());
+                let mut p = self.views[0].plan().partition_stats();
+                p.merge(&self.views[1].plan().partition_stats());
                 p
             }
 
             fn reset_partition_stats(&mut self) {
-                self.views.iter_mut().for_each(|v| v.reset_partition_stats());
+                for (view, grid) in self.views.iter_mut().zip(&mut self.grids) {
+                    view.bound(grid).0.reset_partition_stats();
+                }
             }
         }
     };
 }
 
-view_pair_engine!(
-    ExchangeView,
-    recv_ghosts: |v: &ExchangeView, step| ghosts_of(v.mailbox_ranges(), step),
-    poll: ExchangeView::poll,
-    finish: ExchangeView::finish
-);
+view_pair_engine!(ExchangeView);
 // Only the final pass is posted asynchronously — its two slab receives
 // (which land in the slab views, not the grid) are the graph's gating
 // dependencies; earlier axes' ghosts are valid when begin() returns.
-view_pair_engine!(
-    ShiftExchanger,
-    recv_ghosts: |v: &ShiftExchanger, _| v.final_recv_bricks().iter().map(|b| b.to_vec()).collect(),
-    poll: |v: &mut ShiftExchanger, ctx, _, completed| v.poll(ctx, completed),
-    finish: |v: &mut ShiftExchanger, ctx, _| v.finish(ctx)
-);
+view_pair_engine!(ShiftExchanger);
 
 /// The lexicographic-array baselines: explicit pack/unpack (YASK) or a
 /// library-internal datatype walk (MPI_Types) around the same transport.

@@ -8,17 +8,21 @@
 //!   regions (42 messages in 3D under `surface3d`).
 //! * [`Exchanger::basic`] sends every region instance separately (98
 //!   messages in 3D) — the paper's unoptimized Basic reference.
+//!
+//! An [`Exchanger`] is the rank-independent schedule. Timestep loops
+//! bind it to a rank as an [`ExchangeSession`]: the crate's one
+//! communication plan (`plan.rs`) over the element ranges the messages
+//! occupy in the storage, which owns the whole send/receive/wait
+//! lifecycle. [`Exchanger::exchange`] is the allocating reference path
+//! the sessions are tested against; it is the only transport code here.
 
 use brick::BrickStorage;
 use layout::{all_regions, Dir};
-use netsim::{
-    NetsimError, PartitionStats, PartitionTable, PartitionedRecv, PartitionedSend, RankCtx,
-    RecvHandle,
-};
-use sched::SendPriority;
+use netsim::{NetsimError, RankCtx, RecvHandle};
 
 use crate::decomp::BrickDecomp;
-use crate::reliable::{RecoveryStats, RelRecv, RelSend, ReliableSession};
+use crate::plan::{CommPlan, InPlace, RecvSpec, SendSpec};
+use crate::reliable::RecoveryStats;
 
 /// One outgoing message: a contiguous padded brick range sent toward a
 /// neighbor.
@@ -280,700 +284,101 @@ impl Exchanger {
     }
 }
 
-/// One send resolved against a concrete rank: destination, tag,
-/// element range, and — when the destination is this rank itself — the
-/// paired ghost range start for the loopback fast path.
-#[derive(Clone, Debug)]
-struct PlannedSend {
-    dest: usize,
-    tag: u64,
-    elems: std::ops::Range<usize>,
-    payload_bytes: usize,
-    loopback_dst: Option<usize>,
-}
-
-/// Tag plane for partition-granularity reliable frames: base channel
-/// tags stay below 2^32 and the control channel uses bit 62, so
-/// `(tag, partition)` maps to a tag no phased message ever uses.
-pub(crate) fn partition_tag(tag: u64, p: usize) -> u64 {
-    tag | ((p as u64 + 1) << 32)
-}
-
-/// One send channel handed to [`PartitionedExchange::build`]: where the
-/// engine's message goes, how big it is, and which storage bricks
-/// compose its payload, in message order.
-pub(crate) struct PartSendSpec {
-    /// Index into the owning engine's send schedule.
-    pub src_idx: usize,
-    /// Destination rank.
-    pub dest: usize,
-    /// Base message tag (partition frames derive from it).
-    pub tag: u64,
-    /// Payload bytes, used to rank channels by exposure.
-    pub bytes: usize,
-    /// Storage bricks composing the message, in payload order.
-    pub bricks: Vec<usize>,
-}
-
-/// Partitioned-channel state shared by every exchange engine: the
-/// persistent [`PartitionedSend`]/[`PartitionedRecv`] channels, the
-/// storage-brick → `(channel, partition)` map driving `pready`, the
-/// destination-priority classes, and (lazily, under lossy faults) a
-/// partition-granularity [`ReliableSession`].
-pub(crate) struct PartitionedExchange {
-    /// Persistent send channels, one per non-loopback engine send.
-    pub psends: Vec<PartitionedSend>,
-    /// For `psends[k]`: index into the engine's send schedule.
-    pub psend_src: Vec<usize>,
-    /// Persistent receive channels, one per mailbox receive.
-    pub precvs: Vec<PartitionedRecv>,
-    /// Storage brick → the `(channel k, partition p)` pairs it feeds.
-    brick_parts: Vec<Vec<(u32, u32)>>,
-    /// Destination-priority classes over storage bricks (class 0 feeds
-    /// the most-exposed channel).
-    pub priority: SendPriority,
-    /// Elements per partition (one padded storage brick).
-    pub part_elems: usize,
-    /// Partition-granularity retry protocol, built on first lossy step.
-    pub rel: Option<ReliableSession>,
-    /// Flat reliable receive index → `(mailbox receive j, partition p)`.
-    pub rel_recv_map: Vec<(u32, u32)>,
-}
-
-impl PartitionedExchange {
-    /// Build channels from the engine's send/recv schedule. `recvs` is
-    /// `(src, tag, total_elems)` per mailbox receive; `total_bricks` is
-    /// the padded brick count of the storage the brick map indexes.
-    pub fn build(
-        sends: Vec<PartSendSpec>,
-        recvs: &[(usize, u64, usize)],
-        part_elems: usize,
-        total_bricks: usize,
-        eager_bytes: usize,
-    ) -> PartitionedExchange {
-        // Channel exposure rank: largest payload drains slowest, so its
-        // source bricks get the most urgent class.
-        let mut by_size: Vec<usize> = (0..sends.len()).collect();
-        by_size.sort_by_key(|&k| std::cmp::Reverse(sends[k].bytes));
-        let mut class = vec![0u32; sends.len()];
-        for (c, &k) in by_size.iter().enumerate() {
-            class[k] = c as u32;
-        }
-        let mut priority = SendPriority::new(total_bricks);
-        let mut brick_parts: Vec<Vec<(u32, u32)>> = vec![Vec::new(); total_bricks];
-        let mut psends = Vec::with_capacity(sends.len());
-        let mut psend_src = Vec::with_capacity(sends.len());
-        for (k, s) in sends.iter().enumerate() {
-            let table = PartitionTable::even(s.bricks.len() * part_elems, part_elems);
-            psends.push(PartitionedSend::new(s.dest, s.tag, table).with_eager(eager_bytes));
-            psend_src.push(s.src_idx);
-            for (p, &b) in s.bricks.iter().enumerate() {
-                brick_parts[b].push((k as u32, p as u32));
-                priority.assign(b as u32, class[k]);
-            }
-        }
-        let precvs = recvs
-            .iter()
-            .map(|&(src, tag, elems)| PartitionedRecv::new(src, tag, elems))
-            .collect();
-        PartitionedExchange {
-            psends,
-            psend_src,
-            precvs,
-            brick_parts,
-            priority,
-            part_elems,
-            rel: None,
-            rel_recv_map: Vec::new(),
-        }
-    }
-
-    /// Disjoint borrows for `pready` driving: the send channels
-    /// (mutable), their engine send indices, and the storage-brick →
-    /// `(channel, partition)` map.
-    #[allow(clippy::type_complexity)]
-    pub fn pready_parts(
-        &mut self,
-    ) -> (&mut [PartitionedSend], &[usize], &[Vec<(u32, u32)>]) {
-        (&mut self.psends, &self.psend_src, &self.brick_parts)
-    }
-
-    /// Accumulated early-shipping counters across all send channels.
-    pub fn stats(&self) -> PartitionStats {
-        let mut s = PartitionStats::default();
-        for ps in &self.psends {
-            s.merge(&ps.stats());
-        }
-        s
-    }
-
-    /// Zero the counters (drivers call this when warmup ends).
-    pub fn reset_stats(&mut self) {
-        for ps in &mut self.psends {
-            ps.reset_stats();
-        }
-    }
-
-    /// Build (once) the partition-granularity reliable session: one
-    /// retry channel per `(engine channel, partition)`, so a fault on
-    /// one fragment retransmits that partition alone.
-    pub fn ensure_reliable(&mut self) {
-        if self.rel.is_some() {
-            return;
-        }
-        let mut rsends = Vec::new();
-        for ps in &self.psends {
-            for p in 0..ps.table().parts() {
-                rsends.push(RelSend { dest: ps.dest(), tag: partition_tag(ps.tag(), p) });
-            }
-        }
-        let mut rrecvs = Vec::new();
-        let mut map = Vec::new();
-        for (j, pr) in self.precvs.iter().enumerate() {
-            let table = PartitionTable::even(pr.total_elems(), self.part_elems);
-            for p in 0..table.parts() {
-                rrecvs.push(RelRecv {
-                    src: pr.src(),
-                    tag: partition_tag(pr.tag(), p),
-                    elems: table.range(p).len(),
-                });
-                map.push((j as u32, p as u32));
-            }
-        }
-        self.rel = Some(ReliableSession::new(rsends, rrecvs));
-        self.rel_recv_map = map;
-    }
-
-    /// Disjoint borrows for running the partition-granularity retry
-    /// protocol: the session (mutable), the engine send indices, and
-    /// the flat receive map. Call [`Self::ensure_reliable`] first.
-    pub fn reliable_parts(&mut self) -> (&mut ReliableSession, &[usize], &[(u32, u32)]) {
-        (
-            self.rel.as_mut().expect("call ensure_reliable first"),
-            &self.psend_src,
-            &self.rel_recv_map,
-        )
-    }
-}
-
-/// An [`Exchanger`] schedule bound to one rank. Everything per-step is
-/// precomputed at build time (the pattern is Static, per the paper):
-/// neighbor ranks, tags, element ranges, loopback pairings, and a
-/// reusable handle scratch — `exchange` allocates nothing.
+/// An [`Exchanger`] schedule bound to one rank: a [`CommPlan`] over
+/// the element ranges its messages occupy in the layout-ordered
+/// storage. Everything per-step is precomputed at build time (the
+/// pattern is Static, per the paper) — `exchange` allocates nothing.
 pub struct ExchangeSession {
-    name: &'static str,
-    sends: Vec<PlannedSend>,
-    // Unpaired receives (those not satisfied by a loopback send), in
-    // schedule order; `recv_ranges` stays sorted and disjoint because it
-    // is a subsequence of the sorted ghost ranges.
-    recv_srcs: Vec<(usize, u64)>,
+    plan: CommPlan,
+    send_ranges: Vec<std::ops::Range<usize>>,
+    /// Every scheduled receive's ghost range; sorted and disjoint.
+    ghost_ranges: Vec<std::ops::Range<usize>>,
+    /// Those of the receives that cross the mailbox, in schedule order.
     recv_ranges: Vec<std::ops::Range<usize>>,
-    handles: Vec<RecvHandle>,
-    // Self-healing protocol state, built on first use under a fault
-    // plan; the fault-free hot path never touches it.
-    reliable: Option<ReliableSession>,
-    // Split-exchange (begin/poll/finish) state, reused across steps.
-    done: Vec<bool>,
-    pend_handles: Vec<RecvHandle>,
-    pend_ranges: Vec<std::ops::Range<usize>>,
-    // The begin() of this step ran the atomic reliable exchange, which
-    // flushes its own epochs — finish() must not close another one.
-    fault_step: bool,
-    // Persistent partitioned channels (early-bird mode); None keeps the
-    // session on the classic whole-message path.
-    partitioned: Option<PartitionedExchange>,
+    pend: Vec<std::ops::Range<usize>>,
 }
 
 impl ExchangeSession {
     fn build(ex: &Exchanger, ctx: &RankCtx<'_>, loopback: bool) -> ExchangeSession {
-        let rank = ctx.rank();
         let step = ex.step;
-        let resolved_recvs: Vec<(usize, u64, std::ops::Range<usize>)> = ex
+        let elems = |b: &std::ops::Range<usize>| b.start * step..b.end * step;
+        let send_ranges: Vec<_> = ex.sends.iter().map(|m| elems(&m.bricks)).collect();
+        let ghost_ranges: Vec<_> = ex.recvs.iter().map(|m| elems(&m.bricks)).collect();
+        let sends: Vec<SendSpec> = ex
+            .sends
+            .iter()
+            .zip(&send_ranges)
+            .map(|(m, r)| SendSpec {
+                to: m.to,
+                tag: m.tag,
+                elems: r.len(),
+                payload_bytes: m.payload_bricks * step * 8,
+            })
+            .collect();
+        let recvs: Vec<RecvSpec> = ex
             .recvs
             .iter()
-            .map(|m| {
-                let src = ctx
-                    .topo()
-                    .neighbor(rank, &m.from.offsets(ex.dims))
-                    .expect("exchange requires a periodic (or interior) neighbor");
-                (src, m.tag, m.bricks.start * step..m.bricks.end * step)
-            })
+            .zip(&ghost_ranges)
+            .map(|(m, r)| RecvSpec { from: m.from, tag: m.tag, elems: r.len() })
             .collect();
-        let mut paired = vec![false; resolved_recvs.len()];
-        let sends: Vec<PlannedSend> = ex
-            .sends
-            .iter()
-            .map(|m| {
-                let dest = ctx
-                    .topo()
-                    .neighbor(rank, &m.to.offsets(ex.dims))
-                    .expect("exchange requires a periodic (or interior) neighbor");
-                let elems = m.bricks.start * step..m.bricks.end * step;
-                let mut loopback_dst = None;
-                if loopback && dest == rank {
-                    // (source = self, tag) is unique per epoch, so the
-                    // matching local receive is unambiguous.
-                    let j = (0..resolved_recvs.len())
-                        .find(|&j| {
-                            !paired[j] && resolved_recvs[j].0 == rank && resolved_recvs[j].1 == m.tag
-                        })
-                        .expect("symmetric schedule pairs every self-send with a self-receive");
-                    paired[j] = true;
-                    let r = &resolved_recvs[j].2;
-                    assert_eq!(elems.len(), r.len(), "paired loopback ranges must match");
-                    loopback_dst = Some(r.start);
-                }
-                PlannedSend {
-                    dest,
-                    tag: m.tag,
-                    elems,
-                    payload_bytes: m.payload_bricks * step * 8,
-                    loopback_dst,
-                }
-            })
-            .collect();
-        let mut recv_srcs = Vec::new();
-        let mut recv_ranges = Vec::new();
-        for (j, (src, tag, r)) in resolved_recvs.into_iter().enumerate() {
-            if !paired[j] {
-                recv_srcs.push((src, tag));
-                recv_ranges.push(r);
-            }
-        }
-        let handles = Vec::with_capacity(recv_srcs.len());
-        let done = vec![false; recv_ranges.len()];
-        ExchangeSession {
-            name: ex.name,
-            sends,
-            recv_srcs,
-            recv_ranges,
-            handles,
-            reliable: None,
-            done,
-            pend_handles: Vec::new(),
-            pend_ranges: Vec::new(),
-            fault_step: false,
-            partitioned: None,
-        }
+        let plan = CommPlan::bind(Some(ex.name), ctx, ex.dims, &sends, &recvs, loopback);
+        let recv_ranges = plan.mailbox().iter().map(|&j| ghost_ranges[j].clone()).collect();
+        ExchangeSession { plan, send_ranges, ghost_ranges, recv_ranges, pend: Vec::new() }
     }
 
-    /// Switch this session into partitioned early-bird mode: every
-    /// non-loopback send becomes a persistent [`PartitionedSend`] whose
-    /// partitions are the padded storage bricks composing the message
-    /// (`step` elements each), every mailbox receive a persistent
-    /// [`PartitionedRecv`]. `bricks` is the padded brick count of the
-    /// storage the completion driver indexes.
-    pub fn enable_partitioned(&mut self, step: usize, bricks: usize, eager_bytes: usize) {
-        let sends = self
-            .sends
-            .iter()
-            .enumerate()
-            .filter(|(_, m)| m.loopback_dst.is_none())
-            .map(|(i, m)| PartSendSpec {
-                src_idx: i,
-                dest: m.dest,
-                tag: m.tag,
-                bytes: m.payload_bytes,
-                bricks: (m.elems.start / step..m.elems.end / step).collect(),
-            })
-            .collect();
-        let recvs: Vec<(usize, u64, usize)> = self
-            .recv_srcs
-            .iter()
-            .zip(&self.recv_ranges)
-            .map(|(&(src, tag), r)| (src, tag, r.len()))
-            .collect();
-        self.partitioned = Some(PartitionedExchange::build(
-            sends,
-            &recvs,
-            step,
-            bricks,
-            eager_bytes,
-        ));
-    }
-
-    /// Destination-priority classes over storage bricks (`None` unless
-    /// partitioned mode is on).
-    pub fn priority(&self) -> Option<&SendPriority> {
-        self.partitioned.as_ref().map(|p| &p.priority)
-    }
-
-    /// Early-shipping counters accumulated since the last reset (all
-    /// zero when partitioned mode is off).
-    pub fn partition_stats(&self) -> PartitionStats {
-        self.partitioned
-            .as_ref()
-            .map(|p| p.stats())
-            .unwrap_or_default()
-    }
-
-    /// Zero the early-shipping counters (drivers call this at the end
-    /// of warmup so reported fractions cover timed steps only).
-    pub fn reset_partition_stats(&mut self) {
-        if let Some(p) = self.partitioned.as_mut() {
-            p.reset_stats();
-        }
-    }
-
-    /// Mark freshly-computed boundary bricks ready on their partitioned
-    /// channels, shipping any eager-sized ready prefix immediately.
-    /// `next` is the destination storage of the running step (the data
-    /// the *next* exchange will send). No-op when partitioned mode is
-    /// off or the run is lossy (the retry protocol owns lossy traffic).
-    pub fn pready_bricks(
-        &mut self,
-        ctx: &mut RankCtx<'_>,
-        bricks: &[u32],
-        next: &BrickStorage,
-    ) -> Result<(), NetsimError> {
-        let Some(part) = self.partitioned.as_mut() else {
-            return Ok(());
+    /// The plan and the memory it moves: `storage` seen through this
+    /// session's send and receive ranges.
+    pub(crate) fn bound<'a>(&'a mut self, storage: &'a mut BrickStorage) -> (&'a mut CommPlan, InPlace<'a>) {
+        let mem = InPlace {
+            data: storage.as_mut_slice(),
+            sends: &self.send_ranges,
+            recvs: &self.ghost_ranges,
+            pend: &mut self.pend,
         };
-        if ctx.fault_lossy() {
-            return Ok(());
-        }
-        let name = self.name;
-        let sends = &self.sends;
-        ctx.scoped(name, |ctx| {
-            let (psends, psend_src, brick_parts) = part.pready_parts();
-            for &b in bricks {
-                let Some(list) = brick_parts.get(b as usize) else { continue };
-                for &(k, p) in list {
-                    let m = &sends[psend_src[k as usize]];
-                    psends[k as usize].pready(ctx, p as usize, &next.as_slice()[m.elems.clone()])?;
-                }
-            }
-            Ok(())
-        })
+        (&mut self.plan, mem)
+    }
+
+    /// The plan alone, for what needs no memory (statistics, priority).
+    pub(crate) fn plan(&self) -> &CommPlan {
+        &self.plan
+    }
+
+    /// Switch this session into partitioned early-bird mode; the
+    /// partitions of a message are the padded storage bricks composing
+    /// it (`step` elements each). `bricks` is the padded brick count of
+    /// the storage the completion driver indexes.
+    pub(crate) fn enable_partitioned(&mut self, step: usize, bricks: usize, eager_bytes: usize) {
+        let ranges = &self.send_ranges;
+        self.plan.enable_partitioned(step, bricks, eager_bytes, |i| {
+            (ranges[i].start / step..ranges[i].end / step).collect()
+        });
     }
 
     /// One full ghost-zone exchange with zero per-step allocation.
     /// Self-sends copy once, straight from the send sub-slice into the
     /// posted ghost range; everything else goes through the mailbox.
     /// Wire-model charges are identical to [`Exchanger::exchange`].
-    ///
-    /// When the rank's fault plan is armed, mailbox traffic switches to
-    /// the self-healing [`ReliableSession`] protocol (checksummed
-    /// frames, retry with backoff, degraded fallback), which converges
-    /// to the exact same storage bits as the fault-free path.
+    /// Under lossy faults the plan's retry protocol converges to the
+    /// exact same storage bits as the fault-free path.
     pub fn exchange(
         &mut self,
         ctx: &mut RankCtx<'_>,
         storage: &mut BrickStorage,
     ) -> Result<(), NetsimError> {
-        let name = self.name;
-        ctx.scoped(name, |ctx| self.exchange_inner(ctx, storage))
-    }
-
-    fn exchange_inner(
-        &mut self,
-        ctx: &mut RankCtx<'_>,
-        storage: &mut BrickStorage,
-    ) -> Result<(), NetsimError> {
-        if ctx.fault_lossy() {
-            return self.exchange_reliable(ctx, storage);
-        }
-        if self.partitioned.is_some() {
-            // Phased entry over partitioned channels: no bricks were
-            // marked ready, so everything ships at flush — the LogGP
-            // charges degenerate to the whole-message schedule.
-            self.done.clear();
-            self.done.resize(self.recv_ranges.len(), false);
-            let mut completed = Vec::new();
-            self.begin_partitioned(ctx, storage, &mut completed)?;
-            return self.finish_partitioned(ctx, storage);
-        }
-        for m in &self.sends {
-            ctx.note_payload(m.payload_bytes);
-            match m.loopback_dst {
-                Some(dst) => {
-                    ctx.loopback_within(m.tag, storage.as_mut_slice(), m.elems.clone(), dst)?
-                }
-                None => ctx.isend(m.dest, m.tag, &storage.as_slice()[m.elems.clone()])?,
-            }
-        }
-        self.handles.clear();
-        for &(src, tag) in &self.recv_srcs {
-            self.handles.push(ctx.irecv(src, tag)?);
-        }
-        // Charges `wait` and closes the epoch even when every receive
-        // was satisfied by loopback.
-        ctx.waitall_ranges(&self.handles, storage.as_mut_slice(), &self.recv_ranges)
+        let (plan, mut mem) = self.bound(storage);
+        plan.exchange(ctx, &mut mem)
     }
 
     /// Recovery-protocol totals (zero unless a chaos run engaged it).
     pub fn recovery_stats(&self) -> RecoveryStats {
-        let mut s = self.reliable.as_ref().map(|r| r.stats()).unwrap_or_default();
-        if let Some(r) = self.partitioned.as_ref().and_then(|p| p.rel.as_ref()) {
-            s.merge(&r.stats());
-        }
-        s
-    }
-
-    /// The exchange under an armed fault plan: loopbacks stay on the
-    /// on-node fast path (they never traverse the fabric), mailbox
-    /// traffic runs the retry protocol.
-    fn exchange_reliable(
-        &mut self,
-        ctx: &mut RankCtx<'_>,
-        storage: &mut BrickStorage,
-    ) -> Result<(), NetsimError> {
-        if self.partitioned.is_some() {
-            return self.exchange_reliable_partitioned(ctx, storage);
-        }
-        if self.reliable.is_none() {
-            let sends = self
-                .sends
-                .iter()
-                .filter(|m| m.loopback_dst.is_none())
-                .map(|m| RelSend { dest: m.dest, tag: m.tag })
-                .collect();
-            let recvs = self
-                .recv_srcs
-                .iter()
-                .zip(&self.recv_ranges)
-                .map(|(&(src, tag), r)| RelRecv { src, tag, elems: r.len() })
-                .collect();
-            self.reliable = Some(ReliableSession::new(sends, recvs));
-        }
-        for m in &self.sends {
-            ctx.note_payload(m.payload_bytes);
-            if let Some(dst) = m.loopback_dst {
-                ctx.loopback_within(m.tag, storage.as_mut_slice(), m.elems.clone(), dst)?;
-            }
-        }
-        let rel = self.reliable.as_mut().expect("built above");
-        rel.begin();
-        let mut j = 0usize;
-        for m in &self.sends {
-            if m.loopback_dst.is_none() {
-                rel.stage(j, &storage.as_slice()[m.elems.clone()]);
-                j += 1;
-            }
-        }
-        let ranges = &self.recv_ranges;
-        let slice = storage.as_mut_slice();
-        rel.run(ctx, |i, payload| slice[ranges[i].clone()].copy_from_slice(payload))
-    }
-
-    /// The lossy-fault exchange at partition granularity: each
-    /// `(channel, partition)` pair is its own retry channel, so a
-    /// dropped or damaged fragment retransmits one padded brick, never
-    /// the whole message.
-    fn exchange_reliable_partitioned(
-        &mut self,
-        ctx: &mut RankCtx<'_>,
-        storage: &mut BrickStorage,
-    ) -> Result<(), NetsimError> {
-        for m in &self.sends {
-            ctx.note_payload(m.payload_bytes);
-            if let Some(dst) = m.loopback_dst {
-                ctx.loopback_within(m.tag, storage.as_mut_slice(), m.elems.clone(), dst)?;
-            }
-        }
-        let part = self.partitioned.as_mut().expect("checked by caller");
-        part.ensure_reliable();
-        let PartitionedExchange { psends, psend_src, rel, rel_recv_map, part_elems, .. } = part;
-        let rel = rel.as_mut().expect("built above");
-        rel.begin();
-        let mut idx = 0usize;
-        for (k, &i) in psend_src.iter().enumerate() {
-            let data = &storage.as_slice()[self.sends[i].elems.clone()];
-            let table = psends[k].table();
-            for p in 0..table.parts() {
-                rel.stage(idx, &data[table.range(p)]);
-                idx += 1;
-            }
-        }
-        let ranges = &self.recv_ranges;
-        let pe = *part_elems;
-        let slice = storage.as_mut_slice();
-        rel.run(ctx, |i, payload| {
-            let (j, p) = rel_recv_map[i];
-            let lo = ranges[j as usize].start + p as usize * pe;
-            slice[lo..lo + payload.len()].copy_from_slice(payload);
-        })
-    }
-
-    /// `begin` over partitioned channels: loopbacks complete inline,
-    /// each send channel *flushes* — settling deferred-fragment LogGP
-    /// residuals first, then shipping whatever `pready` did not already
-    /// put on the wire — and each receive channel re-arms and drains
-    /// fragments that raced ahead.
-    fn begin_partitioned(
-        &mut self,
-        ctx: &mut RankCtx<'_>,
-        storage: &mut BrickStorage,
-        completed: &mut Vec<usize>,
-    ) -> Result<(), NetsimError> {
-        for m in &self.sends {
-            if let Some(dst) = m.loopback_dst {
-                ctx.note_payload(m.payload_bytes);
-                ctx.loopback_within(m.tag, storage.as_mut_slice(), m.elems.clone(), dst)?;
-            }
-        }
-        let part = self.partitioned.as_mut().expect("checked by caller");
-        let PartitionedExchange { psends, psend_src, precvs, .. } = part;
-        for (k, &i) in psend_src.iter().enumerate() {
-            let m = &self.sends[i];
-            ctx.note_payload(m.payload_bytes);
-            psends[k].flush(ctx, &storage.as_slice()[m.elems.clone()])?;
-        }
-        for (j, pr) in precvs.iter_mut().enumerate() {
-            pr.begin(ctx)?;
-            if pr.poll(ctx, &mut storage.as_mut_slice()[self.recv_ranges[j].clone()])? {
-                self.done[j] = true;
-                completed.push(j);
-            }
-        }
-        Ok(())
-    }
-
-    /// `finish` over partitioned channels: block the receives still
-    /// outstanding, then close the deferred communication epoch so
-    /// `wait` is billed exactly once per step.
-    fn finish_partitioned(
-        &mut self,
-        ctx: &mut RankCtx<'_>,
-        storage: &mut BrickStorage,
-    ) -> Result<(), NetsimError> {
-        let part = self.partitioned.as_mut().expect("checked by caller");
-        let precvs = &mut part.precvs;
-        for (j, pr) in precvs.iter_mut().enumerate() {
-            if !self.done[j] {
-                pr.finish(ctx, &mut storage.as_mut_slice()[self.recv_ranges[j].clone()])?;
-                self.done[j] = true;
-            }
-        }
-        ctx.flush_epoch();
-        Ok(())
+        self.plan.recovery_stats()
     }
 
     /// Element ranges of the unpaired (mailbox) receives, in schedule
-    /// order. Split-exchange completion indices returned by [`Self::begin`]
-    /// and [`Self::poll`] index into this slice; a dependency graph maps
-    /// them back to the ghost bricks they fill.
+    /// order. Split-exchange completion indices index into this slice;
+    /// a dependency graph maps them back to the ghost bricks they fill.
     pub fn recv_ranges(&self) -> &[std::ops::Range<usize>] {
         &self.recv_ranges
-    }
-
-    /// First half of a split exchange: post every send and receive, then
-    /// return without waiting. Loopback self-sends complete inline and
-    /// the matching ghost ranges are already filled on return; mailbox
-    /// receives complete later via [`Self::poll`] / [`Self::finish`].
-    /// Indices (into [`Self::recv_ranges`]) of receives that completed
-    /// during this call are appended to `completed`.
-    ///
-    /// Under an armed fault plan the reliable protocol is collective and
-    /// cannot be split, so `begin` runs the whole exchange and reports
-    /// every receive as complete; the overlap window simply collapses
-    /// for that step, which keeps chaos runs bit-identical.
-    pub fn begin(
-        &mut self,
-        ctx: &mut RankCtx<'_>,
-        storage: &mut BrickStorage,
-        completed: &mut Vec<usize>,
-    ) -> Result<(), NetsimError> {
-        let name = self.name;
-        self.done.clear();
-        self.done.resize(self.recv_ranges.len(), false);
-        if ctx.fault_lossy() {
-            ctx.scoped(name, |ctx| self.exchange_reliable(ctx, storage))?;
-            for i in 0..self.recv_ranges.len() {
-                self.done[i] = true;
-                completed.push(i);
-            }
-            self.fault_step = true;
-            return Ok(());
-        }
-        self.fault_step = false;
-        if self.partitioned.is_some() {
-            return ctx.scoped(name, |ctx| self.begin_partitioned(ctx, storage, completed));
-        }
-        ctx.scoped(name, |ctx| {
-            for m in &self.sends {
-                ctx.note_payload(m.payload_bytes);
-                match m.loopback_dst {
-                    Some(dst) => {
-                        ctx.loopback_within(m.tag, storage.as_mut_slice(), m.elems.clone(), dst)?
-                    }
-                    None => ctx.isend(m.dest, m.tag, &storage.as_slice()[m.elems.clone()])?,
-                }
-            }
-            self.handles.clear();
-            for &(src, tag) in &self.recv_srcs {
-                self.handles.push(ctx.irecv(src, tag)?);
-            }
-            Ok(())
-        })
-    }
-
-    /// Middle of a split exchange: drain whatever has already arrived,
-    /// copying payloads into their ghost ranges without blocking or
-    /// billing wait time. Returns how many receives newly completed;
-    /// their indices are appended to `completed`.
-    pub fn poll(
-        &mut self,
-        ctx: &mut RankCtx<'_>,
-        storage: &mut BrickStorage,
-        completed: &mut Vec<usize>,
-    ) -> Result<usize, NetsimError> {
-        if self.fault_step {
-            return Ok(0);
-        }
-        if let Some(part) = self.partitioned.as_mut() {
-            let mut newly = 0usize;
-            for (j, pr) in part.precvs.iter_mut().enumerate() {
-                if self.done[j] {
-                    continue;
-                }
-                if pr.poll(ctx, &mut storage.as_mut_slice()[self.recv_ranges[j].clone()])? {
-                    self.done[j] = true;
-                    completed.push(j);
-                    newly += 1;
-                }
-            }
-            return Ok(newly);
-        }
-        ctx.progress(
-            &self.handles,
-            storage.as_mut_slice(),
-            &self.recv_ranges,
-            &mut self.done,
-            completed,
-        )
-    }
-
-    /// Second half of a split exchange: block on the receives still
-    /// outstanding and close the communication epoch (billing `wait`
-    /// exactly as the phased [`Self::exchange`] would). Must be called
-    /// once per [`Self::begin`], even when `poll` drained everything.
-    pub fn finish(
-        &mut self,
-        ctx: &mut RankCtx<'_>,
-        storage: &mut BrickStorage,
-    ) -> Result<(), NetsimError> {
-        if self.fault_step {
-            // The reliable protocol already flushed its epochs.
-            self.fault_step = false;
-            return Ok(());
-        }
-        if self.partitioned.is_some() {
-            let name = self.name;
-            return ctx.scoped(name, |ctx| self.finish_partitioned(ctx, storage));
-        }
-        self.pend_handles.clear();
-        self.pend_ranges.clear();
-        for (i, &d) in self.done.iter().enumerate() {
-            if !d {
-                self.pend_handles.push(self.handles[i]);
-                self.pend_ranges.push(self.recv_ranges[i].clone());
-            }
-        }
-        let name = self.name;
-        ctx.scoped(name, |ctx| {
-            ctx.waitall_ranges(&self.pend_handles, storage.as_mut_slice(), &self.pend_ranges)
-        })
     }
 }
 

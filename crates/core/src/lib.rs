@@ -45,6 +45,7 @@ pub mod experiment;
 pub mod fields;
 pub mod gpu;
 pub mod memmap;
+mod plan;
 pub mod reliable;
 pub mod shift;
 

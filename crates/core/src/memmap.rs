@@ -3,19 +3,25 @@
 //! all regions bound for one neighbor appear contiguous, so exactly one
 //! message per neighbor suffices — no packing, minimal message count,
 //! at the price of padding.
+//!
+//! An [`ExchangeView`] holds the views and the 26-message schedule over
+//! them; on first use it binds the crate's communication plan
+//! (`plan.rs`) to the rank. The plan owns the send/receive/wait
+//! lifecycle; this module only says where the bytes are — each send is
+//! a view, each receive a ghost range of the storage the views alias.
 
 use std::io;
 use std::sync::Arc;
 
 use brick::BrickStorage;
-use layout::{all_regions, Dir};
+use layout::all_regions;
 use memview::{host_page_size, is_aligned, ContiguousView, MappedBacking, MemFile, Segment};
-use netsim::{NetsimError, PartitionStats, RankCtx, RecvHandle};
-use sched::SendPriority;
+use netsim::{NetsimError, RankCtx};
 
 use crate::decomp::{pad_bricks_for, BrickDecomp};
-use crate::exchange::{ExchangeStats, PartSendSpec, PartitionedExchange};
-use crate::reliable::{RecoveryStats, RelRecv, RelSend, ReliableSession};
+use crate::exchange::ExchangeStats;
+use crate::plan::{CommPlan, IntoRanges, RecvSpec, SendSpec};
+use crate::reliable::RecoveryStats;
 
 /// Brick storage whose backing is an mmap-able in-memory file (the
 /// paper's `bInfo.mmap_alloc(bSize)`).
@@ -73,21 +79,19 @@ pub fn memmap_decomp<const D: usize>(
     BrickDecomp::new(domain, ghost, bdims, fields, layout, pad)
 }
 
-struct ViewMsg {
-    to: Dir,
-    tag: u64,
+/// One neighbor's send view.
+pub(crate) struct ViewMsg {
     view: ContiguousView,
-    payload_bytes: usize,
     /// Padded storage bricks composing the view, in view order (pad
     /// bricks included — the view ships them, so partitions stay
     /// page-aligned brick-sized sub-ranges).
     bricks: Vec<usize>,
 }
 
-struct GhostRecv {
-    from: Dir,
-    tag: u64,
-    elems: std::ops::Range<usize>,
+impl AsRef<[f64]> for ViewMsg {
+    fn as_ref(&self) -> &[f64] {
+        self.view.as_f64()
+    }
 }
 
 /// Per-neighbor contiguous send views plus direct ghost receives — the
@@ -95,45 +99,27 @@ struct GhostRecv {
 /// every timestep ("views can be reused throughout the application
 /// until the communication pattern changes").
 pub struct ExchangeView {
-    sends: Vec<ViewMsg>,
-    recvs: Vec<GhostRecv>,
+    views: Vec<ViewMsg>,
+    sends: Vec<SendSpec>,
+    recvs: Vec<RecvSpec>,
+    /// Per receive: the ghost group's element range in the storage.
+    recv_ranges: Vec<std::ops::Range<usize>>,
     stats: ExchangeStats,
     dims: usize,
     /// The storage file the send views alias; exchanges verify they are
     /// driven with the same storage they were built on.
     bound_file: Arc<MemFile>,
-    /// Rank-resolved schedule, bound lazily on first exchange so the
+    /// The schedule bound to a rank, lazily on first exchange so the
     /// steady-state loop resolves no neighbors and allocates nothing.
-    bound: Option<BoundSchedule>,
-    handles: Vec<RecvHandle>,
-    /// Self-healing protocol state, built on first use under a fault
-    /// plan; the fault-free hot path never touches it.
-    reliable: Option<ReliableSession>,
-    // Split-exchange (begin/poll/finish) state, reused across steps.
-    done: Vec<bool>,
-    pend_handles: Vec<RecvHandle>,
-    pend_ranges: Vec<std::ops::Range<usize>>,
-    // The begin() of this step ran the atomic reliable exchange, which
-    // flushes its own epochs — finish() must not close another one.
-    fault_step: bool,
-    // Persistent partitioned channels (early-bird mode); None keeps the
-    // view on the classic whole-message path.
-    partitioned: Option<PartitionedExchange>,
-}
-
-/// Neighbor ranks, loopback pairings and mailbox receive ranges for one
-/// concrete rank.
-struct BoundSchedule {
-    rank: usize,
-    send_dests: Vec<usize>,
-    /// Per send: index of the local receive it satisfies directly
-    /// (`Some` iff the destination is this rank itself).
-    send_loopback: Vec<Option<usize>>,
-    mailbox_srcs: Vec<(usize, u64)>,
-    mailbox_ranges: Vec<std::ops::Range<usize>>,
+    plan: Option<CommPlan>,
+    pend: Vec<std::ops::Range<usize>>,
 }
 
 impl ExchangeView {
+    /// The scope a split exchange's later calls (`finish`, `pready`) nest
+    /// in: none beyond the plan's own `exchange:memmap`.
+    pub(crate) const SPLIT_SCOPE: Option<&'static str> = None;
+
     /// Build the views for `decomp` over `storage`'s file.
     pub fn build<const D: usize>(
         decomp: &BrickDecomp<D>,
@@ -142,8 +128,10 @@ impl ExchangeView {
         let step = decomp.step();
         let brick_bytes = step * 8;
         let host = host_page_size();
+        let mut views = Vec::new();
         let mut sends = Vec::new();
         let mut recvs = Vec::new();
+        let mut recv_ranges = Vec::new();
         let mut stats = ExchangeStats::default();
 
         for s in all_regions(D) {
@@ -183,13 +171,13 @@ impl ExchangeView {
                 .iter()
                 .filter(|t| decomp.region_bricks(t) > 0)
                 .count();
-            sends.push(ViewMsg {
+            sends.push(SendSpec {
                 to: s,
                 tag: s.code(D) as u64,
-                view,
+                elems: view.as_f64().len(),
                 payload_bytes: payload * brick_bytes,
-                bricks: view_bricks,
             });
+            views.push(ViewMsg { view, bricks: view_bricks });
 
             // Receive side: ghost group g(s) is stored contiguously
             // (pieces in sender order, padding included), so the single
@@ -201,73 +189,21 @@ impl ExchangeView {
             }
             let lo = group.pieces.first().unwrap().padded.start;
             let hi = group.pieces.last().unwrap().padded.end;
-            recvs.push(GhostRecv {
-                from: s,
-                tag: s.mirror().code(D) as u64,
-                elems: lo * step..hi * step,
-            });
+            recvs.push(RecvSpec { from: s, tag: s.mirror().code(D) as u64, elems: (hi - lo) * step });
+            recv_ranges.push(lo * step..hi * step);
         }
         assert_eq!(sends.len(), recvs.len());
         Ok(ExchangeView {
+            views,
             sends,
             recvs,
+            recv_ranges,
             stats,
             dims: D,
             bound_file: Arc::clone(storage.file()),
-            bound: None,
-            handles: Vec::new(),
-            reliable: None,
-            done: Vec::new(),
-            pend_handles: Vec::new(),
-            pend_ranges: Vec::new(),
-            fault_step: false,
-            partitioned: None,
+            plan: None,
+            pend: Vec::new(),
         })
-    }
-
-    /// Resolve neighbor ranks, pair self-sends with the local receives
-    /// they satisfy (for the loopback fast path), and collect the
-    /// remaining mailbox receives.
-    fn bind(&self, ctx: &RankCtx<'_>) -> BoundSchedule {
-        let rank = ctx.rank();
-        let resolved_srcs: Vec<usize> = self
-            .recvs
-            .iter()
-            .map(|r| {
-                ctx.topo()
-                    .neighbor(rank, &r.from.offsets(self.dims))
-                    .expect("exchange requires a periodic (or interior) neighbor")
-            })
-            .collect();
-        let mut paired = vec![false; self.recvs.len()];
-        let mut send_dests = Vec::with_capacity(self.sends.len());
-        let mut send_loopback = Vec::with_capacity(self.sends.len());
-        for m in &self.sends {
-            let dest = ctx
-                .topo()
-                .neighbor(rank, &m.to.offsets(self.dims))
-                .expect("exchange requires a periodic (or interior) neighbor");
-            let lb = if dest == rank {
-                let j = (0..self.recvs.len())
-                    .find(|&j| !paired[j] && resolved_srcs[j] == rank && self.recvs[j].tag == m.tag)
-                    .expect("symmetric schedule pairs every self-send with a self-receive");
-                paired[j] = true;
-                Some(j)
-            } else {
-                None
-            };
-            send_dests.push(dest);
-            send_loopback.push(lb);
-        }
-        let mut mailbox_srcs = Vec::new();
-        let mut mailbox_ranges = Vec::new();
-        for (j, r) in self.recvs.iter().enumerate() {
-            if !paired[j] {
-                mailbox_srcs.push((resolved_srcs[j], r.tag));
-                mailbox_ranges.push(r.elems.clone());
-            }
-        }
-        BoundSchedule { rank, send_dests, send_loopback, mailbox_srcs, mailbox_ranges }
     }
 
     /// Traffic statistics (includes padding in `wire_bytes`; the number
@@ -281,7 +217,7 @@ impl ExchangeView {
     /// `vm.max_map_count`, and minimized by layout optimization (one
     /// segment per run: 42 with `surface3d`, 98 without merging).
     pub fn mapped_segments(&self) -> usize {
-        self.sends.iter().map(|m| m.view.segments().len()).sum()
+        self.views.iter().map(|m| m.view.segments().len()).sum()
     }
 
     /// One full exchange: each neighbor gets exactly one message sent
@@ -289,472 +225,103 @@ impl ExchangeView {
     /// one message straight into storage. Zero on-node copies on the
     /// send side; self-sends (proxy mode) take the loopback fast path —
     /// one copy from the mmap view straight into the ghost range, with
-    /// identical wire-model charges. The rank-resolved schedule is bound
+    /// identical wire-model charges. The schedule is bound to the rank
     /// on the first call, so steady-state exchanges allocate nothing.
-    ///
-    /// When the rank's fault plan is armed, mailbox traffic switches to
-    /// the self-healing [`ReliableSession`] protocol (checksummed
-    /// frames, retry with backoff, degraded fallback), converging to
-    /// the exact same storage bits as the fault-free path.
+    /// Under lossy faults the plan's retry protocol stages its frames
+    /// from the views and converges to the fault-free storage bits.
     pub fn exchange(
         &mut self,
         ctx: &mut RankCtx<'_>,
         storage: &mut MemMapStorage,
     ) -> Result<(), NetsimError> {
-        ctx.scoped("exchange:memmap", |ctx| self.exchange_inner(ctx, storage))
+        self.ensure_bound(ctx, storage);
+        let (plan, mut mem) = self.bound(storage);
+        plan.exchange(ctx, &mut mem)
     }
 
-    /// Resolve the rank-bound schedule if this view has not yet been
-    /// driven on `ctx`'s rank (idempotent otherwise). [`Self::exchange`]
-    /// and [`Self::begin`] call this themselves; a dependency-graph
-    /// driver calls it up front so [`Self::mailbox_ranges`] is available
-    /// before the first exchange.
+    /// Bind the schedule to `ctx`'s rank if this view has not yet been
+    /// driven on it (idempotent otherwise; a rebind drops all protocol
+    /// state with the old plan). [`Self::exchange`] calls this itself; a
+    /// dependency-graph driver calls it up front so the mailbox receives
+    /// are known before the first exchange.
     pub fn ensure_bound(&mut self, ctx: &RankCtx<'_>, storage: &MemMapStorage) {
         assert!(
             Arc::ptr_eq(&self.bound_file, storage.file()),
             "ExchangeView driven with a different storage than it was built on \
              (send views would alias the original storage's memory)"
         );
-        if self.bound.as_ref().is_none_or(|b| b.rank != ctx.rank()) {
-            self.bound = Some(self.bind(ctx));
-            self.reliable = None;
-            self.partitioned = None;
+        if self.plan.as_ref().is_none_or(|p| p.rank() != ctx.rank()) {
+            self.plan =
+                Some(CommPlan::bind(Some("exchange:memmap"), ctx, self.dims, &self.sends, &self.recvs, true));
         }
     }
 
-    /// Switch this view into partitioned early-bird mode: every
-    /// non-loopback send view becomes a persistent partitioned channel
-    /// whose partitions are the padded storage bricks of the view
-    /// (`step` elements each, page-aligned by construction, so `pready`
-    /// still reads straight out of the mmap view — pack-free). Requires
+    /// The plan and the memory it moves: the send views and `storage`'s
+    /// ghost ranges. The view aliases surface bricks, the receive ranges
+    /// cover ghost bricks — disjoint file ranges. Requires
     /// [`Self::ensure_bound`] first.
-    pub fn enable_partitioned(&mut self, step: usize, bricks: usize, eager_bytes: usize) {
-        let b = self.bound.as_ref().expect("call ensure_bound first");
-        let sends = self
-            .sends
-            .iter()
-            .enumerate()
-            .filter(|(i, _)| b.send_loopback[*i].is_none())
-            .map(|(i, m)| PartSendSpec {
-                src_idx: i,
-                dest: b.send_dests[i],
-                tag: m.tag,
-                bytes: m.payload_bytes,
-                bricks: m.bricks.clone(),
-            })
-            .collect();
-        let recvs: Vec<(usize, u64, usize)> = b
-            .mailbox_srcs
-            .iter()
-            .zip(&b.mailbox_ranges)
-            .map(|(&(src, tag), r)| (src, tag, r.len()))
-            .collect();
-        self.partitioned = Some(PartitionedExchange::build(
-            sends,
-            &recvs,
-            step,
-            bricks,
-            eager_bytes,
-        ));
-    }
-
-    /// Destination-priority classes over storage bricks (`None` unless
-    /// partitioned mode is on).
-    pub fn priority(&self) -> Option<&SendPriority> {
-        self.partitioned.as_ref().map(|p| &p.priority)
-    }
-
-    /// Early-shipping counters accumulated since the last reset.
-    pub fn partition_stats(&self) -> PartitionStats {
-        self.partitioned
-            .as_ref()
-            .map(|p| p.stats())
-            .unwrap_or_default()
-    }
-
-    /// Zero the early-shipping counters.
-    pub fn reset_partition_stats(&mut self) {
-        if let Some(p) = self.partitioned.as_mut() {
-            p.reset_stats();
-        }
-    }
-
-    /// Mark freshly-computed boundary bricks ready on their partitioned
-    /// channels. The payload comes straight from this view's mmap
-    /// segments (which alias the storage the bricks were computed
-    /// into), so early shipping stays pack-free. Call this on the view
-    /// bound to the *destination* storage of the running step. No-op
-    /// when partitioned mode is off or the run is lossy.
-    pub fn pready_bricks(
-        &mut self,
-        ctx: &mut RankCtx<'_>,
-        bricks: &[u32],
-    ) -> Result<(), NetsimError> {
-        let Some(part) = self.partitioned.as_mut() else {
-            return Ok(());
+    pub(crate) fn bound<'a>(
+        &'a mut self,
+        storage: &'a mut MemMapStorage,
+    ) -> (&'a mut CommPlan, IntoRanges<'a, ViewMsg>) {
+        let mem = IntoRanges {
+            sends: &self.views,
+            data: storage.storage.as_mut_slice(),
+            recvs: &self.recv_ranges,
+            pend: &mut self.pend,
         };
-        if ctx.fault_lossy() {
-            return Ok(());
-        }
-        let sends = &self.sends;
-        ctx.scoped("exchange:memmap", |ctx| {
-            let (psends, psend_src, brick_parts) = part.pready_parts();
-            for &b in bricks {
-                let Some(list) = brick_parts.get(b as usize) else { continue };
-                for &(k, p) in list {
-                    let m = &sends[psend_src[k as usize]];
-                    psends[k as usize].pready(ctx, p as usize, m.view.as_f64())?;
-                }
-            }
-            Ok(())
-        })
+        (self.plan.as_mut().expect("call ensure_bound first"), mem)
     }
 
-    /// Element ranges of the mailbox (non-loopback) receives, in
-    /// schedule order. Split-exchange completion indices returned by
-    /// [`Self::begin`] and [`Self::poll`] index into this slice.
-    /// Requires [`Self::ensure_bound`] (or a prior exchange) first.
-    pub fn mailbox_ranges(&self) -> &[std::ops::Range<usize>] {
-        &self.bound.as_ref().expect("call ensure_bound first").mailbox_ranges
-    }
-
-    fn exchange_inner(
+    /// First half of a split exchange of `storage` (see
+    /// [`CommPlan::begin`]); `poll` and `finish` go to the plan through
+    /// [`Self::bound`].
+    pub(crate) fn begin(
         &mut self,
         ctx: &mut RankCtx<'_>,
         storage: &mut MemMapStorage,
+        completed: &mut Vec<usize>,
     ) -> Result<(), NetsimError> {
         self.ensure_bound(ctx, storage);
-        if ctx.fault_lossy() {
-            return self.exchange_reliable(ctx, storage);
-        }
-        if self.partitioned.is_some() {
-            // Phased entry over partitioned channels: nothing was
-            // marked ready, so everything ships at flush.
-            let n = self.bound.as_ref().expect("bound above").mailbox_ranges.len();
-            self.done.clear();
-            self.done.resize(n, false);
-            let mut completed = Vec::new();
-            self.begin_partitioned(ctx, storage, &mut completed)?;
-            return self.finish_partitioned(ctx, storage);
-        }
-        let ExchangeView { sends, recvs, bound, handles, .. } = self;
-        let b = bound.as_ref().expect("bound above");
-        for (i, m) in sends.iter().enumerate() {
-            ctx.note_payload(m.payload_bytes);
-            match b.send_loopback[i] {
-                Some(j) => {
-                    // The view aliases surface bricks, the receive range
-                    // covers ghost bricks: disjoint file ranges.
-                    let r = &recvs[j];
-                    ctx.loopback_into(
-                        m.tag,
-                        m.view.as_f64(),
-                        &mut storage.storage.as_mut_slice()[r.elems.clone()],
-                    )?;
-                }
-                None => ctx.isend(b.send_dests[i], m.tag, m.view.as_f64())?,
-            }
-        }
-        handles.clear();
-        for &(src, tag) in &b.mailbox_srcs {
-            handles.push(ctx.irecv(src, tag)?);
-        }
-        ctx.waitall_ranges(handles, storage.storage.as_mut_slice(), &b.mailbox_ranges)
+        let (plan, mut mem) = self.bound(storage);
+        plan.begin(ctx, &mut mem, completed)
+    }
+
+    /// The plan alone, for what needs no memory (statistics, priority).
+    /// Requires [`Self::ensure_bound`] first.
+    pub(crate) fn plan(&self) -> &CommPlan {
+        self.plan.as_ref().expect("call ensure_bound first")
     }
 
     /// Recovery-protocol totals (zero unless a chaos run engaged it).
     pub fn recovery_stats(&self) -> RecoveryStats {
-        let mut s = self.reliable.as_ref().map(|r| r.stats()).unwrap_or_default();
-        if let Some(r) = self.partitioned.as_ref().and_then(|p| p.rel.as_ref()) {
-            s.merge(&r.stats());
-        }
-        s
+        self.plan.as_ref().map(|p| p.recovery_stats()).unwrap_or_default()
     }
 
-    /// The exchange under an armed fault plan: loopbacks stay on the
-    /// on-node fast path (they never traverse the fabric), mailbox
-    /// traffic runs the retry protocol with frames staged from the mmap
-    /// views.
-    fn exchange_reliable(
-        &mut self,
-        ctx: &mut RankCtx<'_>,
-        storage: &mut MemMapStorage,
-    ) -> Result<(), NetsimError> {
-        if self.partitioned.is_some() {
-            return self.exchange_reliable_partitioned(ctx, storage);
-        }
-        if self.reliable.is_none() {
-            let b = self.bound.as_ref().expect("bound by exchange");
-            let rel_sends = self
-                .sends
-                .iter()
-                .enumerate()
-                .filter(|(i, _)| b.send_loopback[*i].is_none())
-                .map(|(i, m)| RelSend { dest: b.send_dests[i], tag: m.tag })
-                .collect();
-            let rel_recvs = b
-                .mailbox_srcs
-                .iter()
-                .zip(&b.mailbox_ranges)
-                .map(|(&(src, tag), r)| RelRecv { src, tag, elems: r.len() })
-                .collect();
-            self.reliable = Some(ReliableSession::new(rel_sends, rel_recvs));
-        }
-        let ExchangeView { sends, recvs, bound, reliable, .. } = self;
-        let b = bound.as_ref().expect("bound by exchange");
-        let rel = reliable.as_mut().expect("built above");
-        for (i, m) in sends.iter().enumerate() {
-            ctx.note_payload(m.payload_bytes);
-            if let Some(j) = b.send_loopback[i] {
-                let r = &recvs[j];
-                ctx.loopback_into(
-                    m.tag,
-                    m.view.as_f64(),
-                    &mut storage.storage.as_mut_slice()[r.elems.clone()],
-                )?;
-            }
-        }
-        rel.begin();
-        let mut k = 0usize;
-        for (i, m) in sends.iter().enumerate() {
-            if b.send_loopback[i].is_none() {
-                rel.stage(k, m.view.as_f64());
-                k += 1;
-            }
-        }
-        let slice = storage.storage.as_mut_slice();
-        let ranges = &b.mailbox_ranges;
-        rel.run(ctx, |i, payload| slice[ranges[i].clone()].copy_from_slice(payload))
+    /// Switch this view into partitioned early-bird mode: the partitions
+    /// of a send view are its padded storage bricks (`step` elements
+    /// each, page-aligned by construction, so `pready` still reads
+    /// straight out of the mmap view — pack-free). Requires
+    /// [`Self::ensure_bound`] first.
+    pub(crate) fn enable_partitioned(&mut self, step: usize, bricks: usize, eager_bytes: usize) {
+        let views = &self.views;
+        self.plan
+            .as_mut()
+            .expect("call ensure_bound first")
+            .enable_partitioned(step, bricks, eager_bytes, |i| views[i].bricks.clone());
     }
 
-    /// The lossy-fault exchange at partition granularity: frames are
-    /// staged per padded brick straight from the mmap views, so a
-    /// dropped fragment retransmits one brick, never the whole view.
-    fn exchange_reliable_partitioned(
-        &mut self,
-        ctx: &mut RankCtx<'_>,
-        storage: &mut MemMapStorage,
-    ) -> Result<(), NetsimError> {
-        let ExchangeView { sends, recvs, bound, partitioned, .. } = self;
-        let b = bound.as_ref().expect("bound by caller");
-        for (i, m) in sends.iter().enumerate() {
-            ctx.note_payload(m.payload_bytes);
-            if let Some(j) = b.send_loopback[i] {
-                let r = &recvs[j];
-                ctx.loopback_into(
-                    m.tag,
-                    m.view.as_f64(),
-                    &mut storage.storage.as_mut_slice()[r.elems.clone()],
-                )?;
-            }
-        }
-        let part = partitioned.as_mut().expect("checked by caller");
-        part.ensure_reliable();
-        let pe = part.part_elems;
-        let (rel, psend_src, rel_recv_map) = part.reliable_parts();
-        rel.begin();
-        let mut idx = 0usize;
-        for &i in psend_src.iter() {
-            let data = sends[i].view.as_f64();
-            let parts = data.len() / pe + usize::from(data.len() % pe != 0);
-            for p in 0..parts {
-                let hi = ((p + 1) * pe).min(data.len());
-                rel.stage(idx, &data[p * pe..hi]);
-                idx += 1;
-            }
-        }
-        let ranges = &b.mailbox_ranges;
-        let slice = storage.storage.as_mut_slice();
-        rel.run(ctx, |i, payload| {
-            let (j, p) = rel_recv_map[i];
-            let lo = ranges[j as usize].start + p as usize * pe;
-            slice[lo..lo + payload.len()].copy_from_slice(payload);
-        })
-    }
-
-    /// `begin` over partitioned channels: loopbacks complete inline,
-    /// each send view flushes (settling deferred-fragment residuals
-    /// first), each receive channel re-arms and drains early arrivals.
-    fn begin_partitioned(
-        &mut self,
-        ctx: &mut RankCtx<'_>,
-        storage: &mut MemMapStorage,
-        completed: &mut Vec<usize>,
-    ) -> Result<(), NetsimError> {
-        let ExchangeView { sends, recvs, bound, partitioned, done, .. } = self;
-        let b = bound.as_ref().expect("bound by caller");
-        for (i, m) in sends.iter().enumerate() {
-            if let Some(j) = b.send_loopback[i] {
-                ctx.note_payload(m.payload_bytes);
-                let r = &recvs[j];
-                ctx.loopback_into(
-                    m.tag,
-                    m.view.as_f64(),
-                    &mut storage.storage.as_mut_slice()[r.elems.clone()],
-                )?;
-            }
-        }
-        let part = partitioned.as_mut().expect("checked by caller");
-        let PartitionedExchange { psends, psend_src, precvs, .. } = part;
-        for (k, &i) in psend_src.iter().enumerate() {
-            ctx.note_payload(sends[i].payload_bytes);
-            psends[k].flush(ctx, sends[i].view.as_f64())?;
-        }
-        for (j, pr) in precvs.iter_mut().enumerate() {
-            pr.begin(ctx)?;
-            let dst = &mut storage.storage.as_mut_slice()[b.mailbox_ranges[j].clone()];
-            if pr.poll(ctx, dst)? {
-                done[j] = true;
-                completed.push(j);
-            }
-        }
-        Ok(())
-    }
-
-    /// `finish` over partitioned channels: block the receives still
-    /// outstanding, then close the deferred communication epoch.
-    fn finish_partitioned(
-        &mut self,
-        ctx: &mut RankCtx<'_>,
-        storage: &mut MemMapStorage,
-    ) -> Result<(), NetsimError> {
-        let ExchangeView { bound, partitioned, done, .. } = self;
-        let b = bound.as_ref().expect("bound by caller");
-        let part = partitioned.as_mut().expect("checked by caller");
-        for (j, pr) in part.precvs.iter_mut().enumerate() {
-            if !done[j] {
-                let dst = &mut storage.storage.as_mut_slice()[b.mailbox_ranges[j].clone()];
-                pr.finish(ctx, dst)?;
-                done[j] = true;
-            }
-        }
-        ctx.flush_epoch();
-        Ok(())
-    }
-
-    /// First half of a split exchange: post every send and receive, then
-    /// return without waiting. Loopback self-sends complete inline (their
-    /// ghost groups are filled on return); mailbox receives complete
-    /// later via [`Self::poll`] / [`Self::finish`]. Indices (into
-    /// [`Self::mailbox_ranges`]) of receives completed during this call
-    /// are appended to `completed`.
-    ///
-    /// Under an armed fault plan the reliable protocol is collective and
-    /// cannot be split, so `begin` runs the whole exchange and reports
-    /// every receive as complete; the overlap window collapses for that
-    /// step, keeping chaos runs bit-identical.
-    pub fn begin(
-        &mut self,
-        ctx: &mut RankCtx<'_>,
-        storage: &mut MemMapStorage,
-        completed: &mut Vec<usize>,
-    ) -> Result<(), NetsimError> {
-        self.ensure_bound(ctx, storage);
-        let n = self.bound.as_ref().expect("bound above").mailbox_ranges.len();
-        self.done.clear();
-        self.done.resize(n, false);
-        if ctx.fault_lossy() {
-            ctx.scoped("exchange:memmap", |ctx| self.exchange_reliable(ctx, storage))?;
-            for i in 0..n {
-                self.done[i] = true;
-                completed.push(i);
-            }
-            self.fault_step = true;
-            return Ok(());
-        }
-        self.fault_step = false;
-        if self.partitioned.is_some() {
-            return ctx
-                .scoped("exchange:memmap", |ctx| self.begin_partitioned(ctx, storage, completed));
-        }
-        ctx.scoped("exchange:memmap", |ctx| {
-            let ExchangeView { sends, recvs, bound, handles, .. } = self;
-            let b = bound.as_ref().expect("bound above");
-            for (i, m) in sends.iter().enumerate() {
-                ctx.note_payload(m.payload_bytes);
-                match b.send_loopback[i] {
-                    Some(j) => {
-                        let r = &recvs[j];
-                        ctx.loopback_into(
-                            m.tag,
-                            m.view.as_f64(),
-                            &mut storage.storage.as_mut_slice()[r.elems.clone()],
-                        )?;
-                    }
-                    None => ctx.isend(b.send_dests[i], m.tag, m.view.as_f64())?,
-                }
-            }
-            handles.clear();
-            for &(src, tag) in &b.mailbox_srcs {
-                handles.push(ctx.irecv(src, tag)?);
-            }
-            Ok(())
-        })
-    }
-
-    /// Middle of a split exchange: drain whatever has already arrived
-    /// straight into the ghost groups, without blocking or billing wait
-    /// time. Returns how many receives newly completed; their indices
-    /// are appended to `completed`.
-    pub fn poll(
-        &mut self,
-        ctx: &mut RankCtx<'_>,
-        storage: &mut MemMapStorage,
-        completed: &mut Vec<usize>,
-    ) -> Result<usize, NetsimError> {
-        if self.fault_step {
-            return Ok(0);
-        }
-        if let Some(part) = self.partitioned.as_mut() {
-            let b = self.bound.as_ref().expect("begin binds the schedule");
-            let mut newly = 0usize;
-            for (j, pr) in part.precvs.iter_mut().enumerate() {
-                if self.done[j] {
-                    continue;
-                }
-                let dst = &mut storage.storage.as_mut_slice()[b.mailbox_ranges[j].clone()];
-                if pr.poll(ctx, dst)? {
-                    self.done[j] = true;
-                    completed.push(j);
-                    newly += 1;
-                }
-            }
-            return Ok(newly);
-        }
-        let ExchangeView { bound, handles, done, .. } = self;
-        let b = bound.as_ref().expect("begin binds the schedule");
-        ctx.progress(handles, storage.storage.as_mut_slice(), &b.mailbox_ranges, done, completed)
-    }
-
-    /// Second half of a split exchange: block on the receives still
-    /// outstanding and close the communication epoch (billing `wait`
-    /// exactly as the phased [`Self::exchange`] would). Must be called
-    /// once per [`Self::begin`], even when `poll` drained everything.
-    pub fn finish(
-        &mut self,
-        ctx: &mut RankCtx<'_>,
-        storage: &mut MemMapStorage,
-    ) -> Result<(), NetsimError> {
-        if self.fault_step {
-            // The reliable protocol already flushed its epochs.
-            self.fault_step = false;
-            return Ok(());
-        }
-        if self.partitioned.is_some() {
-            return ctx.scoped("exchange:memmap", |ctx| self.finish_partitioned(ctx, storage));
-        }
-        self.pend_handles.clear();
-        self.pend_ranges.clear();
-        let b = self.bound.as_ref().expect("begin binds the schedule");
-        for (i, &d) in self.done.iter().enumerate() {
-            if !d {
-                self.pend_handles.push(self.handles[i]);
-                self.pend_ranges.push(b.mailbox_ranges[i].clone());
-            }
-        }
-        ctx.scoped("exchange:memmap", |ctx| {
-            ctx.waitall_ranges(&self.pend_handles, storage.storage.as_mut_slice(), &self.pend_ranges)
-        })
+    /// The ghost bricks each mailbox receive fills, in completion-index
+    /// order. Requires [`Self::ensure_bound`] first.
+    pub(crate) fn recv_ghosts(&self, step: usize) -> Vec<Vec<u32>> {
+        self.plan()
+            .mailbox()
+            .iter()
+            .map(|&j| {
+                let r = &self.recv_ranges[j];
+                ((r.start / step) as u32..(r.end / step) as u32).collect()
+            })
+            .collect()
     }
 }
 
@@ -893,7 +460,7 @@ mod tests {
         let ev = ExchangeView::build(&d, &st).unwrap();
         // Pick the first surface brick of the first send view's first
         // region and write a sentinel through storage.
-        let first_send = &ev.sends[0];
+        let (first_send, first_view) = (&ev.sends[0], &ev.views[0]);
         let region0 = d
             .plan()
             .neighbor(&first_send.to)
@@ -906,7 +473,7 @@ mod tests {
         let brick = chunk.bricks.start as u32;
         st.storage.field_mut(brick, 0)[0] = 424242.0;
         assert_eq!(
-            first_send.view.as_f64()[0],
+            first_view.view.as_f64()[0],
             424242.0,
             "view must alias storage with zero copies"
         );

@@ -1,0 +1,884 @@
+//! The communication plan: one rank-bound send/receive/wait lifecycle
+//! shared by every exchange engine.
+//!
+//! The paper's point is that *where the halo bytes live* is the only
+//! thing that differs between methods — layout-ordered bricks, mmap
+//! views, packed buffers. Everything around them is the same: resolve
+//! the neighbor ranks, pair self-sends with the local receives they
+//! satisfy, post, wait; and the variants of that — the retry protocol
+//! under lossy faults, persistent partitioned channels, the split
+//! `begin`/`poll`/`finish` form the overlap schedules drive. A
+//! [`CommPlan`] owns all of it: flat per-edge arrays and every piece of
+//! protocol state. A method supplies a [`HaloMem`] answering where send
+//! `i` and receive `j` live; the three shapes in use are [`InPlace`],
+//! [`IntoRanges`] and [`Slabs`].
+//!
+//! # Protocol modes
+//!
+//! Selected per call from what the plan can observe:
+//!
+//! * **plain** — `isend`/`irecv` per edge, bulk completion through the
+//!   adapter (`waitall_ranges` / `waitall_into`, so large epochs keep
+//!   their parallel scatter);
+//! * **lossy** — the rank's fault plan can drop or damage frames
+//!   ([`RankCtx::fault_lossy`]) and the plan has mailbox traffic: one
+//!   [`ReliableSession`] runs the whole exchange. It is collective, so a
+//!   split `begin` completes everything and `poll`/`finish` do nothing;
+//! * **partitioned** — after [`CommPlan::enable_partitioned`], mailbox
+//!   sends are persistent [`PartitionedSend`] channels fed by
+//!   [`CommPlan::pready`]; with no `pready` they bill exactly the
+//!   whole-message schedule;
+//! * **lossy + partitioned** — the retry protocol at partition
+//!   granularity, so a fault retransmits one brick.
+//!
+//! Self-sends never cross the fabric: they are one on-node copy with
+//! full wire-model charges in every mode.
+
+use std::ops::Range;
+
+use layout::Dir;
+use netsim::{
+    NetsimError, PartitionStats, PartitionTable, PartitionedRecv, PartitionedSend, RankCtx,
+    RecvHandle,
+};
+use sched::SendPriority;
+
+use crate::reliable::{RecoveryStats, RelRecv, RelSend, ReliableSession};
+
+/// Where one method keeps its halo bytes. Send `i` and receive `j`
+/// index the schedules the plan was bound with.
+pub(crate) trait HaloMem {
+    /// Payload of send `i`.
+    fn send(&self, i: usize) -> &[f64];
+    /// Destination of receive `j`.
+    fn recv(&mut self, j: usize) -> &mut [f64];
+    /// Self-send `i` straight into receive `j`: one copy, billed as the
+    /// `isend` + `irecv` pair it replaces.
+    fn loopback(&mut self, ctx: &mut RankCtx<'_>, tag: u64, i: usize, j: usize) -> Result<(), NetsimError>;
+    /// Block on `handles`, landing message `k` in receive `recvs[k]`,
+    /// then bill `wait` and close the epoch (also with nothing pending).
+    fn complete(&mut self, ctx: &mut RankCtx<'_>, handles: &[RecvHandle], recvs: &[usize]) -> Result<(), NetsimError>;
+}
+
+/// `waitall_ranges` over the ranges of `recvs`, gathered into `pend`
+/// (`recvs` ascends, so the gathered ranges stay sorted and disjoint).
+fn complete_ranges(
+    ctx: &mut RankCtx<'_>,
+    handles: &[RecvHandle],
+    data: &mut [f64],
+    ranges: &[Range<usize>],
+    recvs: &[usize],
+    pend: &mut Vec<Range<usize>>,
+) -> Result<(), NetsimError> {
+    pend.clear();
+    pend.extend(recvs.iter().map(|&j| ranges[j].clone()));
+    ctx.waitall_ranges(handles, data, pend)
+}
+
+/// Sends and receives are ranges of one slice: layout-ordered heap
+/// bricks, where a message is a run of surface bricks and lands in a
+/// run of ghost bricks.
+pub(crate) struct InPlace<'a> {
+    pub data: &'a mut [f64],
+    pub sends: &'a [Range<usize>],
+    pub recvs: &'a [Range<usize>],
+    /// Scratch for the ranges of one completion call.
+    pub pend: &'a mut Vec<Range<usize>>,
+}
+
+impl HaloMem for InPlace<'_> {
+    fn send(&self, i: usize) -> &[f64] {
+        &self.data[self.sends[i].clone()]
+    }
+
+    fn recv(&mut self, j: usize) -> &mut [f64] {
+        &mut self.data[self.recvs[j].clone()]
+    }
+
+    fn loopback(&mut self, ctx: &mut RankCtx<'_>, tag: u64, i: usize, j: usize) -> Result<(), NetsimError> {
+        ctx.loopback_within(tag, self.data, self.sends[i].clone(), self.recvs[j].start)
+    }
+
+    fn complete(&mut self, ctx: &mut RankCtx<'_>, handles: &[RecvHandle], recvs: &[usize]) -> Result<(), NetsimError> {
+        complete_ranges(ctx, handles, self.data, self.recvs, recvs, self.pend)
+    }
+}
+
+/// Sends are separate slices, receives are ranges of one slice: mmap
+/// views over the storage they land in, or pack buffers and a receive
+/// arena.
+pub(crate) struct IntoRanges<'a, S> {
+    pub sends: &'a [S],
+    pub data: &'a mut [f64],
+    pub recvs: &'a [Range<usize>],
+    /// Scratch for the ranges of one completion call.
+    pub pend: &'a mut Vec<Range<usize>>,
+}
+
+impl<S: AsRef<[f64]>> HaloMem for IntoRanges<'_, S> {
+    fn send(&self, i: usize) -> &[f64] {
+        self.sends[i].as_ref()
+    }
+
+    fn recv(&mut self, j: usize) -> &mut [f64] {
+        &mut self.data[self.recvs[j].clone()]
+    }
+
+    fn loopback(&mut self, ctx: &mut RankCtx<'_>, tag: u64, i: usize, j: usize) -> Result<(), NetsimError> {
+        ctx.loopback_into(tag, self.sends[i].as_ref(), &mut self.data[self.recvs[j].clone()])
+    }
+
+    fn complete(&mut self, ctx: &mut RankCtx<'_>, handles: &[RecvHandle], recvs: &[usize]) -> Result<(), NetsimError> {
+        complete_ranges(ctx, handles, self.data, self.recvs, recvs, self.pend)
+    }
+}
+
+/// Sends and receives are separate slices, two of each: the slab views
+/// of one Shift axis pass.
+pub(crate) struct Slabs<'a> {
+    pub sends: [&'a [f64]; 2],
+    pub recvs: [&'a mut [f64]; 2],
+}
+
+impl HaloMem for Slabs<'_> {
+    fn send(&self, i: usize) -> &[f64] {
+        self.sends[i]
+    }
+
+    fn recv(&mut self, j: usize) -> &mut [f64] {
+        self.recvs[j]
+    }
+
+    fn loopback(&mut self, ctx: &mut RankCtx<'_>, tag: u64, i: usize, j: usize) -> Result<(), NetsimError> {
+        ctx.loopback_into(tag, self.sends[i], self.recvs[j])
+    }
+
+    fn complete(&mut self, ctx: &mut RankCtx<'_>, handles: &[RecvHandle], recvs: &[usize]) -> Result<(), NetsimError> {
+        let [a, b] = &mut self.recvs;
+        match recvs {
+            [] => ctx.waitall_into(handles, &mut []),
+            [0] => ctx.waitall_into(handles, &mut [a]),
+            [1] => ctx.waitall_into(handles, &mut [b]),
+            _ => ctx.waitall_into(handles, &mut [a, b]),
+        }
+    }
+}
+
+/// One scheduled send, before it is bound to a rank.
+pub(crate) struct SendSpec {
+    /// Neighbor direction the message travels toward.
+    pub to: Dir,
+    pub tag: u64,
+    /// Elements on the wire (padding included).
+    pub elems: usize,
+    /// Payload bytes (padding excluded), for bandwidth accounting.
+    pub payload_bytes: usize,
+}
+
+/// One scheduled receive, before it is bound to a rank.
+pub(crate) struct RecvSpec {
+    /// Direction of the source neighbor.
+    pub from: Dir,
+    pub tag: u64,
+    pub elems: usize,
+}
+
+/// A send bound to a rank.
+struct SendEdge {
+    dest: usize,
+    tag: u64,
+    payload_bytes: usize,
+    /// The local receive this send satisfies directly (`Some` iff the
+    /// destination is this rank and loopback pairing is on).
+    loopback: Option<usize>,
+}
+
+/// Run `f` under the timeline scope `scope`, if there is one.
+pub(crate) fn scoped<R>(ctx: &mut RankCtx<'_>, scope: Option<&'static str>, f: impl FnOnce(&mut RankCtx<'_>) -> R) -> R {
+    match scope {
+        Some(name) => ctx.scoped(name, f),
+        None => f(ctx),
+    }
+}
+
+/// Tag plane for partition-granularity reliable frames: base channel
+/// tags stay below 2^32 and the control channel uses bit 62, so
+/// `(tag, partition)` maps to a tag no whole message ever uses.
+fn partition_tag(tag: u64, p: usize) -> u64 {
+    tag | ((p as u64 + 1) << 32)
+}
+
+/// Partitioned-channel state: the persistent channels, the storage
+/// brick → `(channel, partition)` map driving `pready`, the
+/// destination-priority classes, and (lazily, under lossy faults) a
+/// partition-granularity [`ReliableSession`].
+struct PartitionedExchange {
+    /// One channel per mailbox send, in `CommPlan::mailbox_sends` order.
+    psends: Vec<PartitionedSend>,
+    /// One channel per mailbox receive, in `CommPlan::recvs` order.
+    precvs: Vec<PartitionedRecv>,
+    /// Storage brick → the `(channel k, partition p)` pairs it feeds.
+    brick_parts: Vec<Vec<(u32, u32)>>,
+    /// Destination-priority classes over storage bricks (class 0 feeds
+    /// the most-exposed channel).
+    priority: SendPriority,
+    /// Elements per partition (one padded storage brick).
+    part_elems: usize,
+    /// Partition-granularity retry protocol, built on first lossy step.
+    rel: Option<ReliableSession>,
+    /// Flat reliable receive index → `(mailbox receive k, partition p)`.
+    rel_recv_map: Vec<(u32, u32)>,
+}
+
+impl PartitionedExchange {
+    /// Accumulated early-shipping counters across all send channels.
+    fn stats(&self) -> PartitionStats {
+        let mut s = PartitionStats::default();
+        for ps in &self.psends {
+            s.merge(&ps.stats());
+        }
+        s
+    }
+
+    /// Build (once) the partition-granularity reliable session: one
+    /// retry channel per `(channel, partition)`, so a fault on one
+    /// fragment retransmits that partition alone.
+    fn ensure_reliable(&mut self) {
+        if self.rel.is_none() {
+            let mut rsends = Vec::new();
+            for ps in &self.psends {
+                for p in 0..ps.table().parts() {
+                    rsends.push(RelSend { dest: ps.dest(), tag: partition_tag(ps.tag(), p) });
+                }
+            }
+            let mut rrecvs = Vec::new();
+            for (k, pr) in self.precvs.iter().enumerate() {
+                let table = PartitionTable::even(pr.total_elems(), self.part_elems);
+                for p in 0..table.parts() {
+                    rrecvs.push(RelRecv {
+                        src: pr.src(),
+                        tag: partition_tag(pr.tag(), p),
+                        elems: table.range(p).len(),
+                    });
+                    self.rel_recv_map.push((k as u32, p as u32));
+                }
+            }
+            self.rel = Some(ReliableSession::new(rsends, rrecvs));
+        }
+    }
+}
+
+/// An exchange schedule bound to one rank, with all of its protocol
+/// state. Everything per-step is resolved at bind time (the pattern is
+/// Static, per the paper), so no call allocates in steady state.
+pub(crate) struct CommPlan {
+    /// Timeline scope every call runs under (`None`: the caller's).
+    scope: Option<&'static str>,
+    rank: usize,
+    sends: Vec<SendEdge>,
+    /// Sends that cross the mailbox (indices into `sends`), in order.
+    mailbox_sends: Vec<usize>,
+    /// Receives that cross the mailbox, in schedule order.
+    recvs: Vec<RelRecv>,
+    /// For `recvs[k]`: its index in the bound receive schedule (what the
+    /// adapter is addressed with). Completion indices reported by
+    /// `begin`/`poll` are positions `k` in this list.
+    mailbox: Vec<usize>,
+    /// Post receives before sends (the order only shows in how `call`
+    /// is summed when peers sit on different tiers).
+    recvs_first: bool,
+    handles: Vec<RecvHandle>,
+    // Split-exchange state, reused across steps.
+    done: Vec<bool>,
+    pend_handles: Vec<RecvHandle>,
+    pend_recvs: Vec<usize>,
+    /// This step's `begin` ran the collective reliable exchange, which
+    /// flushes its own epochs — `finish` must not close another one.
+    fault_step: bool,
+    /// Whole-message retry protocol, built on first lossy step.
+    reliable: Option<ReliableSession>,
+    /// `None` keeps the plan on whole messages.
+    partitioned: Option<PartitionedExchange>,
+}
+
+impl CommPlan {
+    /// Bind a schedule to `ctx`'s rank: resolve every neighbor and, with
+    /// `loopback`, pair each self-send with the local receive it
+    /// satisfies (`loopback = false` keeps self-sends on the mailbox —
+    /// the reference transport benches and equivalence tests compare
+    /// against).
+    pub fn bind(
+        scope: Option<&'static str>,
+        ctx: &RankCtx<'_>,
+        dims: usize,
+        sends: &[SendSpec],
+        recvs: &[RecvSpec],
+        loopback: bool,
+    ) -> CommPlan {
+        let rank = ctx.rank();
+        let peer = |dir: &Dir| {
+            ctx.topo()
+                .neighbor(rank, &dir.offsets(dims))
+                .expect("exchange requires a periodic (or interior) neighbor")
+        };
+        let srcs: Vec<usize> = recvs.iter().map(|r| peer(&r.from)).collect();
+        let mut paired = vec![false; recvs.len()];
+        let sends: Vec<SendEdge> = sends
+            .iter()
+            .map(|s| {
+                let dest = peer(&s.to);
+                let pair = (loopback && dest == rank).then(|| {
+                    // (source = self, tag) is unique per epoch, so the
+                    // matching local receive is unambiguous.
+                    let j = (0..recvs.len())
+                        .find(|&j| !paired[j] && srcs[j] == rank && recvs[j].tag == s.tag)
+                        .expect("symmetric schedule pairs every self-send with a self-receive");
+                    paired[j] = true;
+                    assert_eq!(s.elems, recvs[j].elems, "paired loopback lengths must match");
+                    j
+                });
+                SendEdge { dest, tag: s.tag, payload_bytes: s.payload_bytes, loopback: pair }
+            })
+            .collect();
+        let mailbox: Vec<usize> = (0..recvs.len()).filter(|&j| !paired[j]).collect();
+        let n = mailbox.len();
+        CommPlan {
+            scope,
+            rank,
+            mailbox_sends: (0..sends.len()).filter(|&i| sends[i].loopback.is_none()).collect(),
+            sends,
+            recvs: mailbox
+                .iter()
+                .map(|&j| RelRecv { src: srcs[j], tag: recvs[j].tag, elems: recvs[j].elems })
+                .collect(),
+            mailbox,
+            recvs_first: false,
+            handles: Vec::with_capacity(n),
+            done: vec![false; n],
+            pend_handles: Vec::new(),
+            pend_recvs: Vec::new(),
+            fault_step: false,
+            reliable: None,
+            partitioned: None,
+        }
+    }
+
+    /// Post receives before sends.
+    pub fn recvs_first(mut self) -> CommPlan {
+        self.recvs_first = true;
+        self
+    }
+
+    /// The rank this plan is bound to.
+    pub fn rank(&self) -> usize {
+        self.rank
+    }
+
+    /// Indices (into the bound receive schedule) of the receives that
+    /// cross the mailbox. A completion index `k` reported by
+    /// [`Self::begin`] / [`Self::poll`] is receive `mailbox()[k]`.
+    pub fn mailbox(&self) -> &[usize] {
+        &self.mailbox
+    }
+
+    /// The one protocol selector: frames can be lost or damaged, and
+    /// this plan puts frames on the fabric. (Schedules are symmetric
+    /// across ranks, so every rank answers alike and the collective
+    /// retry protocol stays in lockstep.)
+    fn lossy(&self, ctx: &RankCtx<'_>) -> bool {
+        ctx.fault_lossy() && !self.mailbox.is_empty()
+    }
+
+    /// Switch into partitioned early-bird mode: every mailbox send
+    /// becomes a persistent [`PartitionedSend`] whose partitions are the
+    /// padded storage bricks composing the message (`part_elems` each,
+    /// `bricks_of(i)` lists them for send `i` in payload order), every
+    /// mailbox receive a persistent [`PartitionedRecv`]. `total_bricks`
+    /// is the padded brick count of the storage [`Self::pready`] indexes.
+    pub fn enable_partitioned(
+        &mut self,
+        part_elems: usize,
+        total_bricks: usize,
+        eager_bytes: usize,
+        bricks_of: impl Fn(usize) -> Vec<usize>,
+    ) {
+        // Channel exposure rank: the largest payload drains slowest, so
+        // its source bricks get the most urgent class.
+        let mut by_size: Vec<usize> = (0..self.mailbox_sends.len()).collect();
+        by_size.sort_by_key(|&k| std::cmp::Reverse(self.sends[self.mailbox_sends[k]].payload_bytes));
+        let mut class = vec![0u32; by_size.len()];
+        for (c, &k) in by_size.iter().enumerate() {
+            class[k] = c as u32;
+        }
+        let mut priority = SendPriority::new(total_bricks);
+        let mut brick_parts: Vec<Vec<(u32, u32)>> = vec![Vec::new(); total_bricks];
+        let mut psends = Vec::with_capacity(self.mailbox_sends.len());
+        for (k, &i) in self.mailbox_sends.iter().enumerate() {
+            let (s, bricks) = (&self.sends[i], bricks_of(i));
+            let table = PartitionTable::even(bricks.len() * part_elems, part_elems);
+            psends.push(PartitionedSend::new(s.dest, s.tag, table).with_eager(eager_bytes));
+            for (p, &b) in bricks.iter().enumerate() {
+                brick_parts[b].push((k as u32, p as u32));
+                priority.assign(b as u32, class[k]);
+            }
+        }
+        let precvs = self.recvs.iter().map(|r| PartitionedRecv::new(r.src, r.tag, r.elems)).collect();
+        self.partitioned = Some(PartitionedExchange {
+            psends,
+            precvs,
+            brick_parts,
+            priority,
+            part_elems,
+            rel: None,
+            rel_recv_map: Vec::new(),
+        });
+    }
+
+    /// Destination-priority classes over storage bricks (`None` unless
+    /// partitioned mode is on).
+    pub fn priority(&self) -> Option<&SendPriority> {
+        self.partitioned.as_ref().map(|p| &p.priority)
+    }
+
+    /// Early-shipping counters accumulated since the last reset (all
+    /// zero when partitioned mode is off).
+    pub fn partition_stats(&self) -> PartitionStats {
+        self.partitioned.as_ref().map(|p| p.stats()).unwrap_or_default()
+    }
+
+    /// Zero the early-shipping counters (drivers call this at the end
+    /// of warmup so reported fractions cover timed steps only).
+    pub fn reset_partition_stats(&mut self) {
+        for ps in self.partitioned.iter_mut().flat_map(|p| &mut p.psends) {
+            ps.reset_stats();
+        }
+    }
+
+    /// Recovery-protocol totals (zero unless a lossy run engaged it).
+    pub fn recovery_stats(&self) -> RecoveryStats {
+        let mut s = self.reliable.as_ref().map(|r| r.stats()).unwrap_or_default();
+        if let Some(r) = self.partitioned.as_ref().and_then(|p| p.rel.as_ref()) {
+            s.merge(&r.stats());
+        }
+        s
+    }
+
+    /// Mark freshly computed storage bricks ready on their partitioned
+    /// channels, shipping any eager-sized ready prefix at once. `mem` is
+    /// the memory the *next* exchange will send. No-op unless
+    /// partitioned mode is on, and under the lossy protocol, which owns
+    /// all traffic of a lossy run.
+    pub fn pready<M: HaloMem>(
+        &mut self,
+        ctx: &mut RankCtx<'_>,
+        mem: &M,
+        bricks: &[u32],
+    ) -> Result<(), NetsimError> {
+        if self.partitioned.is_none() || self.lossy(ctx) {
+            return Ok(());
+        }
+        let CommPlan { scope, mailbox_sends, partitioned, .. } = self;
+        let part = partitioned.as_mut().expect("checked above");
+        scoped(ctx, *scope, |ctx| {
+            for &b in bricks {
+                let Some(list) = part.brick_parts.get(b as usize) else { continue };
+                for &(k, p) in list {
+                    let data = mem.send(mailbox_sends[k as usize]);
+                    part.psends[k as usize].pready(ctx, p as usize, data)?;
+                }
+            }
+            Ok(())
+        })
+    }
+
+    /// One whole exchange: post everything, then block until every
+    /// receive has landed, and bill the epoch's `wait`.
+    pub fn exchange<M: HaloMem>(&mut self, ctx: &mut RankCtx<'_>, mem: &mut M) -> Result<(), NetsimError> {
+        scoped(ctx, self.scope, |ctx| {
+            if self.lossy(ctx) {
+                return self.run_reliable(ctx, mem);
+            }
+            if self.partitioned.is_some() {
+                // Nothing was marked ready, so everything ships at the
+                // flush: the charges are the whole-message schedule's.
+                self.done.fill(false);
+                self.begin_partitioned(ctx, mem)?;
+                return self.finish_partitioned(ctx, mem);
+            }
+            self.post(ctx, mem)?;
+            mem.complete(ctx, &self.handles, &self.mailbox)
+        })
+    }
+
+    /// First half of a split exchange: post every send and receive and
+    /// return without waiting. Self-sends complete inline; mailbox
+    /// receives complete later via [`Self::poll`] / [`Self::finish`].
+    /// Positions (in [`Self::mailbox`]) of the receives that completed
+    /// during this call are appended to `completed`.
+    ///
+    /// The lossy protocol is collective and cannot be split, so under it
+    /// `begin` runs the whole exchange and reports every receive; the
+    /// overlap window collapses for that step and results stay
+    /// bit-identical.
+    pub fn begin<M: HaloMem>(
+        &mut self,
+        ctx: &mut RankCtx<'_>,
+        mem: &mut M,
+        completed: &mut Vec<usize>,
+    ) -> Result<(), NetsimError> {
+        self.done.fill(false);
+        self.fault_step = self.lossy(ctx);
+        scoped(ctx, self.scope, |ctx| {
+            if self.fault_step {
+                self.run_reliable(ctx, mem)?;
+                self.done.fill(true);
+                Ok(())
+            } else if self.partitioned.is_some() {
+                self.begin_partitioned(ctx, mem)
+            } else {
+                self.post(ctx, mem)
+            }
+        })?;
+        completed.extend((0..self.done.len()).filter(|&k| self.done[k]));
+        Ok(())
+    }
+
+    /// Middle of a split exchange: land whatever has already arrived,
+    /// without blocking or billing wait time. Returns how many receives
+    /// newly completed; their positions are appended to `completed`.
+    pub fn poll<M: HaloMem>(
+        &mut self,
+        ctx: &mut RankCtx<'_>,
+        mem: &mut M,
+        completed: &mut Vec<usize>,
+    ) -> Result<usize, NetsimError> {
+        if self.fault_step {
+            return Ok(0);
+        }
+        let CommPlan { recvs, mailbox, handles, done, partitioned, .. } = self;
+        if let Some(part) = partitioned {
+            let mut newly = 0;
+            for (k, pr) in part.precvs.iter_mut().enumerate() {
+                if !done[k] && pr.poll(ctx, mem.recv(mailbox[k]))? {
+                    done[k] = true;
+                    completed.push(k);
+                    newly += 1;
+                }
+            }
+            return Ok(newly);
+        }
+        ctx.progress_with(
+            handles,
+            done,
+            completed,
+            |k| recvs[k].elems,
+            |k, payload| mem.recv(mailbox[k]).copy_from_slice(payload),
+        )
+    }
+
+    /// Second half of a split exchange: block on the receives still
+    /// outstanding and close the epoch, billing `wait` exactly as
+    /// [`Self::exchange`] would. Call once per [`Self::begin`], even
+    /// when `poll` drained everything.
+    pub fn finish<M: HaloMem>(&mut self, ctx: &mut RankCtx<'_>, mem: &mut M) -> Result<(), NetsimError> {
+        if std::mem::take(&mut self.fault_step) {
+            return Ok(());
+        }
+        scoped(ctx, self.scope, |ctx| {
+            if self.partitioned.is_some() {
+                return self.finish_partitioned(ctx, mem);
+            }
+            self.pend_handles.clear();
+            self.pend_recvs.clear();
+            for k in (0..self.done.len()).filter(|&k| !self.done[k]) {
+                self.pend_handles.push(self.handles[k]);
+                self.pend_recvs.push(self.mailbox[k]);
+            }
+            mem.complete(ctx, &self.pend_handles, &self.pend_recvs)
+        })
+    }
+
+    /// Bill every send's payload and run the self-sends among them.
+    fn loopbacks<M: HaloMem>(&self, ctx: &mut RankCtx<'_>, mem: &mut M) -> Result<(), NetsimError> {
+        for (i, s) in self.sends.iter().enumerate() {
+            ctx.note_payload(s.payload_bytes);
+            if let Some(j) = s.loopback {
+                mem.loopback(ctx, s.tag, i, j)?;
+            }
+        }
+        Ok(())
+    }
+
+    fn post_recvs(&mut self, ctx: &mut RankCtx<'_>) -> Result<(), NetsimError> {
+        self.handles.clear();
+        for r in &self.recvs {
+            self.handles.push(ctx.irecv(r.src, r.tag)?);
+        }
+        Ok(())
+    }
+
+    /// Plain mode: post every whole message.
+    fn post<M: HaloMem>(&mut self, ctx: &mut RankCtx<'_>, mem: &mut M) -> Result<(), NetsimError> {
+        if self.recvs_first {
+            self.post_recvs(ctx)?;
+        }
+        for (i, s) in self.sends.iter().enumerate() {
+            ctx.note_payload(s.payload_bytes);
+            match s.loopback {
+                Some(j) => mem.loopback(ctx, s.tag, i, j)?,
+                None => ctx.isend(s.dest, s.tag, mem.send(i))?,
+            }
+        }
+        if !self.recvs_first {
+            self.post_recvs(ctx)?;
+        }
+        Ok(())
+    }
+
+    /// Lossy mode: mailbox traffic runs the retry protocol (checksummed
+    /// frames, retry with backoff, degraded fallback), per message or —
+    /// over partitioned channels — per partition. It converges to the
+    /// exact bits of the fault-free exchange.
+    fn run_reliable<M: HaloMem>(&mut self, ctx: &mut RankCtx<'_>, mem: &mut M) -> Result<(), NetsimError> {
+        self.loopbacks(ctx, mem)?;
+        let CommPlan { sends, mailbox_sends, recvs, mailbox, reliable, partitioned, .. } = self;
+        if let Some(part) = partitioned {
+            part.ensure_reliable();
+            let PartitionedExchange { psends, rel, rel_recv_map, part_elems, .. } = part;
+            let rel = rel.as_mut().expect("built above");
+            rel.begin();
+            let mut idx = 0;
+            for (ps, &i) in psends.iter().zip(mailbox_sends.iter()) {
+                let data = mem.send(i);
+                for p in 0..ps.table().parts() {
+                    rel.stage(idx, &data[ps.table().range(p)]);
+                    idx += 1;
+                }
+            }
+            return rel.run(ctx, |f, payload| {
+                let (k, p) = rel_recv_map[f];
+                let lo = p as usize * *part_elems;
+                mem.recv(mailbox[k as usize])[lo..lo + payload.len()].copy_from_slice(payload);
+            });
+        }
+        let rel = reliable.get_or_insert_with(|| {
+            let rsends = mailbox_sends.iter().map(|&i| RelSend { dest: sends[i].dest, tag: sends[i].tag });
+            ReliableSession::new(rsends.collect(), recvs.clone())
+        });
+        rel.begin();
+        for (k, &i) in mailbox_sends.iter().enumerate() {
+            rel.stage(k, mem.send(i));
+        }
+        rel.run(ctx, |k, payload| mem.recv(mailbox[k]).copy_from_slice(payload))
+    }
+
+    /// `begin` over partitioned channels: each send channel *flushes* —
+    /// settling deferred-fragment LogGP residuals first, then shipping
+    /// whatever `pready` did not already put on the wire — and each
+    /// receive channel re-arms and drains fragments that raced ahead.
+    fn begin_partitioned<M: HaloMem>(&mut self, ctx: &mut RankCtx<'_>, mem: &mut M) -> Result<(), NetsimError> {
+        self.loopbacks(ctx, mem)?;
+        let part = self.partitioned.as_mut().expect("checked by caller");
+        for (ps, &i) in part.psends.iter_mut().zip(&self.mailbox_sends) {
+            ps.flush(ctx, mem.send(i))?;
+        }
+        for (k, pr) in part.precvs.iter_mut().enumerate() {
+            pr.begin(ctx)?;
+            self.done[k] = pr.poll(ctx, mem.recv(self.mailbox[k]))?;
+        }
+        Ok(())
+    }
+
+    /// `finish` over partitioned channels: block the receives still
+    /// outstanding, then close the deferred epoch so `wait` is billed
+    /// exactly once per step.
+    fn finish_partitioned<M: HaloMem>(&mut self, ctx: &mut RankCtx<'_>, mem: &mut M) -> Result<(), NetsimError> {
+        let part = self.partitioned.as_mut().expect("checked by caller");
+        for (k, pr) in part.precvs.iter_mut().enumerate() {
+            if !self.done[k] {
+                pr.finish(ctx, mem.recv(self.mailbox[k]))?;
+                self.done[k] = true;
+            }
+        }
+        ctx.flush_epoch();
+        Ok(())
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use netsim::{run_cluster_faulty, CartTopo, FaultConfig, NetworkModel, Timers};
+
+    const STEPS: usize = 6;
+    /// Elements of the three messages: two cross the mailbox (on a
+    /// periodic 2x1 grid both x neighbors are the other rank), the third
+    /// travels along y and wraps to the sender.
+    const ELEMS: [usize; 3] = [24, 16, 8];
+    const RANGES: [Range<usize>; 3] = [0..24, 24..40, 40..48];
+
+    fn schedule() -> (Vec<SendSpec>, Vec<RecvSpec>) {
+        let dir = |x: i8, y: i8| Dir::from_offsets(&[x, y]);
+        let to = [dir(1, 0), dir(-1, 0), dir(0, 1)];
+        let sends = (0..3)
+            .map(|i| SendSpec {
+                to: to[i],
+                tag: i as u64 + 1,
+                elems: ELEMS[i],
+                // The last two elements of each message are padding.
+                payload_bytes: (ELEMS[i] - 2) * 8,
+            })
+            .collect();
+        let recvs = (0..3)
+            .map(|i| RecvSpec { from: to[i].mirror(), tag: i as u64 + 1, elems: ELEMS[i] })
+            .collect();
+        (sends, recvs)
+    }
+
+    /// What `rank` stages for send `i` at `step`.
+    fn staged(rank: usize, i: usize, step: usize) -> Vec<f64> {
+        (0..ELEMS[i]).map(|e| (step * 10_000 + rank * 1000 + i * 100 + e) as f64).collect()
+    }
+
+    struct Outcome {
+        /// Per step: the completion indices `begin` and `poll` reported
+        /// (what completes inside `finish` is not reported).
+        completed: Vec<Vec<usize>>,
+        timers: Timers,
+        /// Whether any `finish` billed anything.
+        finish_billed: bool,
+        injected: u64,
+        early_bytes: u64,
+    }
+
+    /// `STEPS` exchanges of the three-message schedule on two ranks,
+    /// phased or split, checking the delivered bits every step. With
+    /// `pready`, every brick of the next step's payload is marked ready
+    /// right after the exchange.
+    fn drive(faults: FaultConfig, partitioned: bool, split: bool, pready: bool) -> Vec<Outcome> {
+        let topo = CartTopo::new(&[2, 1], true);
+        run_cluster_faulty(&topo, NetworkModel::theta_aries(), faults, |ctx| {
+            let (rank, peer) = (ctx.rank(), 1 - ctx.rank());
+            let (sends, recvs) = schedule();
+            let mut plan = CommPlan::bind(Some("exchange:test"), ctx, 2, &sends, &recvs, true);
+            assert_eq!(plan.mailbox(), [0, 1], "the y message pairs with its own receive");
+            if partitioned {
+                // Eight-element bricks: message 0 is bricks 0..3, message 1 bricks 3..5.
+                plan.enable_partitioned(8, 5, 0, |i| if i == 0 { vec![0, 1, 2] } else { vec![3, 4] });
+            }
+            let (mut data, mut pend) = (vec![0.0; 48], Vec::new());
+            let mut bufs: Vec<Vec<f64>> = (0..3).map(|i| staged(rank, i, 0)).collect();
+            let mut out = Outcome {
+                completed: Vec::new(),
+                timers: Timers::default(),
+                finish_billed: false,
+                injected: 0,
+                early_bytes: 0,
+            };
+            for step in 0..STEPS {
+                let mut mem = IntoRanges { sends: &bufs, data: &mut data, recvs: &RANGES, pend: &mut pend };
+                if split {
+                    let mut completed = Vec::new();
+                    plan.begin(ctx, &mut mem, &mut completed).unwrap();
+                    // Even steps poll everything home; odd steps leave
+                    // what is still in flight to `finish`.
+                    while step % 2 == 0 && completed.len() < 2 {
+                        plan.poll(ctx, &mut mem, &mut completed).unwrap();
+                    }
+                    let before = ctx.timers();
+                    plan.finish(ctx, &mut mem).unwrap();
+                    out.finish_billed |= ctx.timers() != before;
+                    out.completed.push(completed);
+                } else {
+                    plan.exchange(ctx, &mut mem).unwrap();
+                }
+                assert_eq!(data[RANGES[0].clone()], staged(peer, 0, step)[..], "step {step}");
+                assert_eq!(data[RANGES[1].clone()], staged(peer, 1, step)[..], "step {step}");
+                assert_eq!(data[RANGES[2].clone()], staged(rank, 2, step)[..], "step {step}");
+                for (i, buf) in bufs.iter_mut().enumerate() {
+                    *buf = staged(rank, i, step + 1);
+                }
+                if pready && step + 1 < STEPS {
+                    let mem = IntoRanges { sends: &bufs, data: &mut data, recvs: &RANGES, pend: &mut pend };
+                    plan.pready(ctx, &mem, &[4, 3, 0, 1, 2]).unwrap();
+                }
+            }
+            out.timers = ctx.timers();
+            out.injected = ctx.fault_stats().total();
+            out.early_bytes = plan.partition_stats().early_bytes;
+            out
+        })
+    }
+
+    fn lossy() -> FaultConfig {
+        FaultConfig { seed: 11, drop: 0.25, corrupt: 0.15, dup: 0.15, ..FaultConfig::off() }
+    }
+
+    /// All four protocol modes, phased and split: the bits delivered are
+    /// the bits staged (checked inside `drive`), and a split exchange
+    /// reports exactly the mailbox receives, once each.
+    #[test]
+    fn every_mode_delivers_the_staged_bits() {
+        for faults in [FaultConfig::off(), lossy()] {
+            for partitioned in [false, true] {
+                let phased = drive(faults, partitioned, false, false);
+                let split = drive(faults, partitioned, true, false);
+                for (p, s) in phased.iter().zip(&split) {
+                    for (step, completed) in s.completed.iter().enumerate() {
+                        let mut sorted = completed.clone();
+                        sorted.sort_unstable();
+                        sorted.dedup();
+                        assert_eq!(sorted.len(), completed.len(), "a receive completed twice");
+                        if step % 2 == 0 || faults.lossy() {
+                            assert_eq!(sorted, [0, 1], "lossy={} partitioned={partitioned}", faults.lossy());
+                        } else {
+                            assert!(sorted.iter().all(|&k| k < 2));
+                        }
+                    }
+                    if faults.lossy() {
+                        // The collective protocol flushed its own epochs
+                        // inside `begin`; `finish` closes no second one.
+                        assert!(!s.finish_billed);
+                    } else {
+                        assert!(s.finish_billed, "finish closes the epoch begin left open");
+                        assert_eq!(
+                            (p.timers.msgs, p.timers.wire_bytes, p.timers.payload_bytes),
+                            (s.timers.msgs, s.timers.wire_bytes, s.timers.payload_bytes),
+                        );
+                        assert_eq!(p.timers.msgs, 3 * STEPS as u64);
+                        assert_eq!(p.timers.payload_bytes, (48 - 6) * 8 * STEPS as u64);
+                    }
+                }
+                if faults.lossy() {
+                    let injected: u64 = phased.iter().chain(&split).map(|o| o.injected).sum();
+                    assert!(injected > 0, "seed 11 at these rates must inject something");
+                }
+            }
+        }
+    }
+
+    /// Persistent channels nobody marked ready ship everything at the
+    /// flush: every modeled charge equals the whole-message schedule's.
+    #[test]
+    fn idle_partitioned_channels_bill_the_whole_message_schedule() {
+        let plain = drive(FaultConfig::off(), false, false, false);
+        let idle = drive(FaultConfig::off(), true, false, false);
+        for (p, i) in plain.iter().zip(&idle) {
+            assert_eq!(p.timers, i.timers);
+            assert_eq!(i.early_bytes, 0);
+        }
+    }
+
+    /// Bricks marked ready leave before the next `begin`, in whatever
+    /// order they were marked, and still land where they belong.
+    #[test]
+    fn pready_ships_early_and_delivers() {
+        for split in [false, true] {
+            for o in drive(FaultConfig::off(), true, split, true) {
+                // Both mailbox messages of every step but the first.
+                assert_eq!(o.early_bytes, ((24 + 16) * 8 * (STEPS - 1)) as u64);
+                assert_eq!(o.timers.wire_bytes, (48 * 8 * STEPS) as u64);
+            }
+        }
+    }
+}

@@ -9,46 +9,61 @@
 //! sends and receives through [`ContiguousView`]s, because the slabs
 //! (which include previously-received ghost bricks) are scattered
 //! across the layout-ordered storage.
+//!
+//! Each axis pass is one two-message communication plan (`plan.rs`) over
+//! its four slab views, bound to the rank on first use. The phased
+//! exchange runs the `D` plans in order; the split exchange runs all but
+//! the last to completion and leaves the last one posted.
 
 use std::io;
 use std::ops::Range;
 
 use layout::Dir;
 use memview::{host_page_size, is_aligned, ContiguousView, Segment};
-use netsim::{NetsimError, PartitionStats, RankCtx, RecvHandle};
-use sched::SendPriority;
+use netsim::{NetsimError, RankCtx};
 
 use crate::decomp::BrickDecomp;
-use crate::exchange::{ExchangeStats, PartSendSpec, PartitionedExchange};
+use crate::exchange::ExchangeStats;
 use crate::memmap::MemMapStorage;
-use crate::reliable::{RecoveryStats, RelRecv, RelSend, ReliableSession};
+use crate::plan::{CommPlan, RecvSpec, SendSpec, Slabs};
+use crate::reliable::RecoveryStats;
 
-struct ShiftMsg {
-    /// Direction of travel (a single-axis Dir).
-    dir: Dir,
-    tag: u64,
-    view: ContiguousView,
-    bytes: usize,
-}
-
+/// One axis pass: the two slab views it sends (`[positive, negative]`
+/// direction of travel) and the two it receives into, with the
+/// two-message schedule over them.
 struct ShiftPass {
-    sends: Vec<ShiftMsg>,
-    recvs: Vec<ShiftMsg>,
+    send_views: Vec<ContiguousView>,
+    recv_views: Vec<ContiguousView>,
+    sends: Vec<SendSpec>,
+    recvs: Vec<RecvSpec>,
 }
 
-/// A `D`-pass shift exchange bound to one [`MemMapStorage`].
+impl ShiftPass {
+    /// Send and receive slabs are disjoint file ranges (owned band vs.
+    /// ghost band along this axis).
+    fn mem(&mut self) -> Slabs<'_> {
+        let ([s0, s1], [r0, r1]) = (&self.send_views[..], &mut self.recv_views[..]) else {
+            unreachable!("a pass has two slabs each way")
+        };
+        Slabs { sends: [s0.as_f64(), s1.as_f64()], recvs: [r0.as_f64_mut(), r1.as_f64_mut()] }
+    }
+}
+
+/// A `D`-pass shift exchange bound to one [`MemMapStorage`]: one
+/// two-message [`CommPlan`] per axis, run in order. Passes are
+/// serialized data dependencies (corner data is forwarded axis by
+/// axis), so only the last one can be split or ship early.
 pub struct ShiftExchanger {
     passes: Vec<ShiftPass>,
     stats: ExchangeStats,
     dims: usize,
     /// The storage file the views alias (checked on every exchange).
     bound_file: std::sync::Arc<memview::MemFile>,
-    /// Rank-resolved neighbors, bound lazily on first exchange so the
-    /// steady-state loop allocates nothing.
-    bound: Option<ShiftBound>,
-    /// Per-pass self-healing protocol state, built on first use under a
-    /// fault plan; local (loopback) passes never need one.
-    reliable: Vec<Option<ReliableSession>>,
+    /// One plan per pass, bound lazily on first exchange so the
+    /// steady-state loop allocates nothing (empty until then). A pass
+    /// along a single-rank axis is a plan whose two sends are
+    /// loopback-paired.
+    plans: Vec<CommPlan>,
     /// Physical brick indices of the final pass's two receive slabs
     /// (completion order `[positive, negative]`) — the ghost bricks a
     /// dependency-graph driver gates boundary compute on.
@@ -56,29 +71,15 @@ pub struct ShiftExchanger {
     /// Physical brick indices of the final pass's two send slabs, in
     /// view order — the partition map for early-bird mode.
     final_send_bricks: [Vec<u32>; 2],
-    // Split-exchange state for the final axis pass.
-    fin_pending: [Option<RecvHandle>; 2],
-    // Per-direction completion flags for the partitioned final pass.
-    fin_done: [bool; 2],
-    // The begin() of this step completed the final pass atomically (the
-    // reliable protocol flushes its own epochs) — finish() must not
-    // close another one.
-    fault_step: bool,
-    // Persistent partitioned channels for the final pass (early-bird
-    // mode); None keeps the exchanger on the classic path. Earlier
-    // passes are serialized data dependencies and cannot ship early.
-    partitioned: Option<PartitionedExchange>,
-}
-
-/// Per-pass `[positive, negative]` destination and source ranks for one
-/// concrete rank.
-struct ShiftBound {
-    rank: usize,
-    dests: Vec<[usize; 2]>,
-    srcs: Vec<[usize; 2]>,
 }
 
 impl ShiftExchanger {
+    /// The scope a split exchange's later calls (`finish`, `pready`) nest
+    /// in, so the final pass's `shift:pass-*` spans stay inside
+    /// `exchange:shift` as they are in [`Self::exchange`] and
+    /// [`Self::begin`].
+    pub(crate) const SPLIT_SCOPE: Option<&'static str> = Some(SCOPE);
+
     /// Build the per-axis slab views. Requires page-aligned bricks
     /// (e.g. a [`crate::memmap::memmap_decomp`] decomposition, or 8³
     /// f64 bricks whose 4 KiB exactly tile host pages).
@@ -116,8 +117,12 @@ impl ShiftExchanger {
                 }
             };
 
-            let mut sends = Vec::with_capacity(2);
-            let mut recvs = Vec::with_capacity(2);
+            let mut pass = ShiftPass {
+                send_views: Vec::with_capacity(2),
+                recv_views: Vec::with_capacity(2),
+                sends: Vec::with_capacity(2),
+                recvs: Vec::with_capacity(2),
+            };
             for positive in [true, false] {
                 let send_band = if positive {
                     gb[axis] + mb[axis] - gb[axis]..gb[axis] + mb[axis]
@@ -137,150 +142,32 @@ impl ShiftExchanger {
                 let send_bricks = slab_bricks(decomp, axis, send_band, &cross);
                 let recv_bricks = slab_bricks(decomp, axis, recv_band, &cross);
                 assert_eq!(send_bricks.len(), recv_bricks.len());
-                if axis + 1 == D {
-                    final_recv_bricks[if positive { 0 } else { 1 }] = recv_bricks.clone();
-                    final_send_bricks[if positive { 0 } else { 1 }] = send_bricks.clone();
-                }
+                let (elems, bytes) = (send_bricks.len() * step, send_bricks.len() * brick_bytes);
 
-                let sview = build_view(storage, &send_bricks, brick_bytes)?;
-                let rview = build_view(storage, &recv_bricks, brick_bytes)?;
+                pass.send_views.push(build_view(storage, &send_bricks, brick_bytes)?);
+                pass.recv_views.push(build_view(storage, &recv_bricks, brick_bytes)?);
+                pass.sends.push(SendSpec { to: dir, tag, elems, payload_bytes: bytes });
+                pass.recvs.push(RecvSpec { from: dir.mirror(), tag, elems });
                 stats.messages += 1;
-                stats.payload_bytes += send_bricks.len() * brick_bytes;
-                stats.wire_bytes += send_bricks.len() * brick_bytes;
+                stats.payload_bytes += bytes;
+                stats.wire_bytes += bytes;
                 stats.region_instances += 1;
-                sends.push(ShiftMsg {
-                    dir,
-                    tag,
-                    view: sview,
-                    bytes: send_bricks.len() * brick_bytes,
-                });
-                recvs.push(ShiftMsg {
-                    dir: dir.mirror(),
-                    tag,
-                    view: rview,
-                    bytes: recv_bricks.len() * brick_bytes,
-                });
+                if axis + 1 == D {
+                    final_recv_bricks[if positive { 0 } else { 1 }] = recv_bricks;
+                    final_send_bricks[if positive { 0 } else { 1 }] = send_bricks;
+                }
             }
-            passes.push(ShiftPass { sends, recvs });
+            passes.push(pass);
         }
 
-        let reliable = (0..passes.len()).map(|_| None).collect();
         Ok(ShiftExchanger {
             passes,
             stats,
             dims: D,
             bound_file: std::sync::Arc::clone(storage.file()),
-            bound: None,
-            reliable,
+            plans: Vec::new(),
             final_recv_bricks,
             final_send_bricks,
-            fin_pending: [None, None],
-            fin_done: [false, false],
-            fault_step: false,
-            partitioned: None,
-        })
-    }
-
-    /// Recovery-protocol totals across all passes (zero unless a chaos
-    /// run engaged the protocol).
-    pub fn recovery_stats(&self) -> RecoveryStats {
-        let mut total = RecoveryStats::default();
-        for rel in self.reliable.iter().flatten() {
-            total.merge(&rel.stats());
-        }
-        if let Some(r) = self.partitioned.as_ref().and_then(|p| p.rel.as_ref()) {
-            total.merge(&r.stats());
-        }
-        total
-    }
-
-    /// Switch the *final* axis pass into partitioned early-bird mode:
-    /// its two slab views become persistent partitioned channels whose
-    /// partitions are padded storage bricks (`step` elements). Earlier
-    /// passes stay serialized — their payloads depend on received
-    /// ghosts, so no brick of theirs is ready before the step's
-    /// exchange anyway. Requires [`Self::ensure_bound`] first; a local
-    /// (single-rank-axis) final pass has nothing to partition and
-    /// leaves the exchanger on the classic path.
-    pub fn enable_partitioned(&mut self, step: usize, bricks: usize, eager_bytes: usize) {
-        let b = self.bound.as_ref().expect("call ensure_bound first");
-        let last = self.passes.len() - 1;
-        if b.dests[last][0] == b.rank {
-            return;
-        }
-        let pass = &self.passes[last];
-        let sends = (0..2)
-            .map(|i| PartSendSpec {
-                src_idx: i,
-                dest: b.dests[last][i],
-                tag: pass.sends[i].tag,
-                bytes: pass.sends[i].bytes,
-                bricks: self.final_send_bricks[i].iter().map(|&x| x as usize).collect(),
-            })
-            .collect();
-        let recvs: Vec<(usize, u64, usize)> = (0..2)
-            .map(|i| (b.srcs[last][i], pass.recvs[i].tag, pass.recvs[i].view.as_f64().len()))
-            .collect();
-        self.partitioned = Some(PartitionedExchange::build(
-            sends,
-            &recvs,
-            step,
-            bricks,
-            eager_bytes,
-        ));
-    }
-
-    /// Destination-priority classes over storage bricks (`None` unless
-    /// partitioned mode is on).
-    pub fn priority(&self) -> Option<&SendPriority> {
-        self.partitioned.as_ref().map(|p| &p.priority)
-    }
-
-    /// Early-shipping counters accumulated since the last reset.
-    pub fn partition_stats(&self) -> PartitionStats {
-        self.partitioned
-            .as_ref()
-            .map(|p| p.stats())
-            .unwrap_or_default()
-    }
-
-    /// Zero the early-shipping counters.
-    pub fn reset_partition_stats(&mut self) {
-        if let Some(p) = self.partitioned.as_mut() {
-            p.reset_stats();
-        }
-    }
-
-    /// Mark freshly-computed boundary bricks ready on the final pass's
-    /// partitioned channels. The payload comes straight from the slab
-    /// views (aliasing the storage the bricks were computed into) —
-    /// pack-free. Bricks received by earlier passes interleave the
-    /// slabs and are never marked ready, so they bound the shippable
-    /// prefix; they flush with the remainder at the next `begin`.
-    /// No-op when partitioned mode is off or the run is lossy.
-    pub fn pready_bricks(
-        &mut self,
-        ctx: &mut RankCtx<'_>,
-        bricks: &[u32],
-    ) -> Result<(), NetsimError> {
-        let Some(part) = self.partitioned.as_mut() else {
-            return Ok(());
-        };
-        if ctx.fault_lossy() {
-            return Ok(());
-        }
-        let last = self.passes.len() - 1;
-        let sends = &self.passes[last].sends;
-        ctx.scoped("exchange:shift", |ctx| {
-            let (psends, psend_src, brick_parts) = part.pready_parts();
-            for &b in bricks {
-                let Some(list) = brick_parts.get(b as usize) else { continue };
-                for &(k, p) in list {
-                    let data = sends[psend_src[k as usize]].view.as_f64();
-                    psends[k as usize].pready(ctx, p as usize, data)?;
-                }
-            }
-            Ok(())
         })
     }
 
@@ -290,122 +177,96 @@ impl ShiftExchanger {
         self.stats
     }
 
-    /// One full exchange: `D` serialized passes of two messages each.
-    /// Neighbor ranks are resolved once on the first call; passes whose
-    /// neighbor is this rank itself (proxy mode) copy view-to-view via
-    /// the loopback fast path. Steady state allocates nothing.
-    ///
-    /// When the rank's fault plan is armed, each remote pass runs the
-    /// self-healing [`ReliableSession`] protocol instead of the bare
-    /// mailbox transport; passes stay serialized, so forwarded corner
-    /// data is recovered before the next axis depends on it.
-    pub fn exchange(
-        &mut self,
-        ctx: &mut RankCtx<'_>,
-        storage: &mut MemMapStorage,
-    ) -> Result<(), NetsimError> {
-        ctx.scoped("exchange:shift", |ctx| self.exchange_inner(ctx, storage))
-    }
-
-    /// Resolve the rank-bound neighbor table if this exchanger has not
-    /// yet been driven on `ctx`'s rank (idempotent otherwise).
-    /// [`Self::exchange`] and [`Self::begin`] call this themselves.
+    /// Bind one plan per pass to `ctx`'s rank if this exchanger has not
+    /// yet been driven on it (idempotent otherwise; a rebind drops all
+    /// protocol state with the old plans). [`Self::exchange`] and
+    /// [`Self::begin`] call this themselves.
     pub fn ensure_bound(&mut self, ctx: &RankCtx<'_>, storage: &MemMapStorage) {
         assert!(
             std::sync::Arc::ptr_eq(&self.bound_file, storage.file()),
             "ShiftExchanger driven with a different storage than it was built on \
              (its views alias the original storage's memory)"
         );
-        if self.bound.as_ref().is_none_or(|b| b.rank != ctx.rank()) {
-            let rank = ctx.rank();
-            let resolve = |dir: &Dir| {
-                ctx.topo()
-                    .neighbor(rank, &dir.offsets(self.dims))
-                    .expect("periodic topology required")
-            };
-            let mut dests = Vec::with_capacity(self.passes.len());
-            let mut srcs = Vec::with_capacity(self.passes.len());
-            for pass in &self.passes {
-                dests.push([resolve(&pass.sends[0].dir), resolve(&pass.sends[1].dir)]);
-                srcs.push([resolve(&pass.recvs[0].dir), resolve(&pass.recvs[1].dir)]);
-            }
-            self.bound = Some(ShiftBound { rank, dests, srcs });
-            self.reliable.iter_mut().for_each(|r| *r = None);
-            self.partitioned = None;
+        if self.plans.first().is_none_or(|p| p.rank() != ctx.rank()) {
+            self.plans = self
+                .passes
+                .iter()
+                .enumerate()
+                .map(|(p, pass)| {
+                    let name = PASS_NAMES[p.min(PASS_NAMES.len() - 1)];
+                    CommPlan::bind(Some(name), ctx, self.dims, &pass.sends, &pass.recvs, true).recvs_first()
+                })
+                .collect();
         }
     }
 
-    fn exchange_inner(
+    /// One full exchange: `D` serialized passes of two messages each.
+    /// A pass whose neighbor is this rank itself (proxy mode) copies
+    /// view-to-view via the loopback fast path. Steady state allocates
+    /// nothing. Under lossy faults each remote pass runs its plan's
+    /// retry protocol; passes stay serialized, so forwarded corner data
+    /// is recovered before the next axis depends on it.
+    pub fn exchange(
         &mut self,
         ctx: &mut RankCtx<'_>,
         storage: &mut MemMapStorage,
     ) -> Result<(), NetsimError> {
         self.ensure_bound(ctx, storage);
-        let ShiftExchanger { passes, bound, reliable, .. } = self;
-        let b = bound.as_ref().expect("bound above");
-        for (p, pass) in passes.iter_mut().enumerate() {
-            ctx.scoped(PASS_NAMES[p.min(PASS_NAMES.len() - 1)], |ctx| {
-            let (dests, srcs) = (&b.dests[p], &b.srcs[p]);
-            // A pass is either entirely local (ranks along this axis = 1,
-            // both directions wrap to self) or entirely remote.
-            let local = dests[0] == b.rank;
-            debug_assert_eq!(local, dests[1] == b.rank);
-            if local {
-                let ShiftPass { sends, recvs } = pass;
-                for i in 0..2 {
-                    ctx.note_payload(sends[i].bytes);
-                    // Send and receive slabs are disjoint file ranges
-                    // (owned band vs. ghost band along this axis).
-                    ctx.loopback_into(
-                        sends[i].tag,
-                        sends[i].view.as_f64(),
-                        recvs[i].view.as_f64_mut(),
-                    )?;
-                }
-                // Close the epoch: charges the pass's `wait` term.
-                ctx.waitall_into(&[], &mut [])?;
-            } else if ctx.fault_lossy() {
-                let rel = reliable[p].get_or_insert_with(|| {
-                    ReliableSession::new(
-                        (0..2)
-                            .map(|i| RelSend { dest: dests[i], tag: pass.sends[i].tag })
-                            .collect(),
-                        (0..2)
-                            .map(|i| RelRecv {
-                                src: srcs[i],
-                                tag: pass.recvs[i].tag,
-                                elems: pass.recvs[i].view.as_f64().len(),
-                            })
-                            .collect(),
-                    )
-                });
-                for send in &pass.sends {
-                    ctx.note_payload(send.bytes);
-                }
-                rel.begin();
-                rel.stage(0, pass.sends[0].view.as_f64());
-                rel.stage(1, pass.sends[1].view.as_f64());
-                let recvs = &mut pass.recvs;
-                rel.run(ctx, |i, payload| {
-                    recvs[i].view.as_f64_mut().copy_from_slice(payload)
-                })?;
-            } else {
-                let h0 = ctx.irecv(srcs[0], pass.recvs[0].tag)?;
-                let h1 = ctx.irecv(srcs[1], pass.recvs[1].tag)?;
-                for (send, &dest) in pass.sends.iter().zip(&dests[..2]) {
-                    ctx.note_payload(send.bytes);
-                    ctx.isend(dest, send.tag, send.view.as_f64())?;
-                }
-                let (ra, rb) = pass.recvs.split_at_mut(1);
-                ctx.waitall_into(
-                    &[h0, h1],
-                    &mut [ra[0].view.as_f64_mut(), rb[0].view.as_f64_mut()],
-                )?;
-            }
-            Ok(())
-            })?;
+        let n = self.passes.len();
+        ctx.scoped(SCOPE, |ctx| self.run_passes(ctx, n))
+    }
+
+    /// Run passes `0..n` to completion, in order.
+    fn run_passes(&mut self, ctx: &mut RankCtx<'_>, n: usize) -> Result<(), NetsimError> {
+        for (plan, pass) in self.plans.iter_mut().zip(&mut self.passes).take(n) {
+            plan.exchange(ctx, &mut pass.mem())?;
         }
         Ok(())
+    }
+
+    /// The final pass — the one a split exchange posts without waiting —
+    /// as its plan and slab memory. The slab views alias `storage`, which
+    /// stays mutably borrowed while they are written through. Requires
+    /// [`Self::ensure_bound`].
+    pub(crate) fn bound<'a>(&'a mut self, _storage: &'a mut MemMapStorage) -> (&'a mut CommPlan, Slabs<'a>) {
+        let plan = self.plans.last_mut().expect("call ensure_bound first");
+        (plan, self.passes.last_mut().expect("at least one axis").mem())
+    }
+
+    /// The final pass's plan alone. Requires [`Self::ensure_bound`].
+    pub(crate) fn plan(&self) -> &CommPlan {
+        self.plans.last().expect("call ensure_bound first")
+    }
+
+    /// Recovery-protocol totals across all passes (zero unless a chaos
+    /// run engaged the protocol).
+    pub fn recovery_stats(&self) -> RecoveryStats {
+        let mut total = RecoveryStats::default();
+        for plan in &self.plans {
+            total.merge(&plan.recovery_stats());
+        }
+        total
+    }
+
+    /// Switch the *final* axis pass into partitioned early-bird mode:
+    /// its two slab views become persistent partitioned channels whose
+    /// partitions are padded storage bricks (`step` elements). Earlier
+    /// passes stay serialized — their payloads depend on received
+    /// ghosts, so no brick of theirs is ready before the step's
+    /// exchange anyway. Bricks received by earlier passes interleave
+    /// the final slabs and are never marked ready, so they bound the
+    /// shippable prefix. Requires [`Self::ensure_bound`] first; a local
+    /// (single-rank-axis) final pass has nothing to partition and
+    /// leaves the exchanger on the classic path.
+    pub(crate) fn enable_partitioned(&mut self, step: usize, bricks: usize, eager_bytes: usize) {
+        let plan = self.plans.last_mut().expect("call ensure_bound first");
+        if plan.mailbox().is_empty() {
+            return;
+        }
+        let slabs = &self.final_send_bricks;
+        plan.enable_partitioned(step, bricks, eager_bytes, |i| {
+            slabs[i].iter().map(|&b| b as usize).collect()
+        });
     }
 
     /// Physical brick indices of the final pass's two receive slabs, in
@@ -413,265 +274,40 @@ impl ShiftExchanger {
     /// negative). A dependency-graph driver gates boundary compute on
     /// these; ghosts received by the earlier (serialized) passes are
     /// already valid when [`Self::begin`] returns.
-    pub fn final_recv_bricks(&self) -> [&[u32]; 2] {
-        [&self.final_recv_bricks[0], &self.final_recv_bricks[1]]
+    pub(crate) fn recv_ghosts(&self, _step: usize) -> Vec<Vec<u32>> {
+        self.final_recv_bricks.to_vec()
     }
 
     /// First half of a split exchange. Passes `0..D-1` are serialized
-    /// data dependencies (corner data is forwarded axis by axis), so
-    /// they run to completion exactly as in [`Self::exchange`]; only the
-    /// final pass is posted without waiting. Indices (into
-    /// [`Self::final_recv_bricks`]) of final-pass receives that
-    /// completed during this call are appended to `completed`.
-    ///
-    /// A local (single-rank-axis) final pass completes via loopback
-    /// inline; an armed fault plan runs the collective reliable protocol
-    /// to completion. Either way the overlap window collapses and both
-    /// indices are reported complete, keeping results bit-identical.
-    pub fn begin(
+    /// data dependencies, so they run to completion exactly as in
+    /// [`Self::exchange`]; only the final pass is posted without
+    /// waiting. Indices (into [`Self::recv_ghosts`]) of final-pass
+    /// receives that completed during this call are appended to
+    /// `completed` — both of them when the final pass is local: its
+    /// ghosts are filled by loopback, though the epoch stays open for
+    /// `finish` to close, so `wait` is billed as in the phased exchange.
+    pub(crate) fn begin(
         &mut self,
         ctx: &mut RankCtx<'_>,
         storage: &mut MemMapStorage,
         completed: &mut Vec<usize>,
     ) -> Result<(), NetsimError> {
         self.ensure_bound(ctx, storage);
-        self.fault_step = false;
-        self.fin_pending = [None, None];
-        self.fin_done = [false, false];
-        let ShiftExchanger {
-            passes, bound, reliable, fin_pending, fin_done, fault_step, partitioned, ..
-        } = self;
-        let b = bound.as_ref().expect("bound above");
-        let last = passes.len() - 1;
-        ctx.scoped("exchange:shift", |ctx| {
-            for (p, pass) in passes.iter_mut().enumerate() {
-                ctx.scoped(PASS_NAMES[p.min(PASS_NAMES.len() - 1)], |ctx| {
-                    let (dests, srcs) = (&b.dests[p], &b.srcs[p]);
-                    let local = dests[0] == b.rank;
-                    debug_assert_eq!(local, dests[1] == b.rank);
-                    if local {
-                        let ShiftPass { sends, recvs } = pass;
-                        for i in 0..2 {
-                            ctx.note_payload(sends[i].bytes);
-                            ctx.loopback_into(
-                                sends[i].tag,
-                                sends[i].view.as_f64(),
-                                recvs[i].view.as_f64_mut(),
-                            )?;
-                        }
-                        if p < last {
-                            ctx.waitall_into(&[], &mut [])?;
-                        } else {
-                            // Ghosts are filled, but the epoch stays
-                            // open; finish() closes it so the `wait`
-                            // charge matches the phased exchange.
-                            completed.push(0);
-                            completed.push(1);
-                        }
-                    } else if ctx.fault_lossy() {
-                        if p == last && partitioned.is_some() {
-                            // Partition-granularity recovery for the
-                            // final pass: one retry channel per padded
-                            // brick, so a fault costs one fragment.
-                            let part = partitioned.as_mut().expect("checked");
-                            part.ensure_reliable();
-                            let pe = part.part_elems;
-                            let (rel, psend_src, rel_recv_map) = part.reliable_parts();
-                            for send in &pass.sends {
-                                ctx.note_payload(send.bytes);
-                            }
-                            rel.begin();
-                            let mut idx = 0usize;
-                            for &i in psend_src.iter() {
-                                let data = pass.sends[i].view.as_f64();
-                                let parts = data.len().div_ceil(pe);
-                                for q in 0..parts {
-                                    let hi = ((q + 1) * pe).min(data.len());
-                                    rel.stage(idx, &data[q * pe..hi]);
-                                    idx += 1;
-                                }
-                            }
-                            let recvs = &mut pass.recvs;
-                            rel.run(ctx, |i, payload| {
-                                let (j, q) = rel_recv_map[i];
-                                let lo = q as usize * pe;
-                                recvs[j as usize].view.as_f64_mut()[lo..lo + payload.len()]
-                                    .copy_from_slice(payload);
-                            })?;
-                            completed.push(0);
-                            completed.push(1);
-                            *fault_step = true;
-                            return Ok(());
-                        }
-                        let rel = reliable[p].get_or_insert_with(|| {
-                            ReliableSession::new(
-                                (0..2)
-                                    .map(|i| RelSend { dest: dests[i], tag: pass.sends[i].tag })
-                                    .collect(),
-                                (0..2)
-                                    .map(|i| RelRecv {
-                                        src: srcs[i],
-                                        tag: pass.recvs[i].tag,
-                                        elems: pass.recvs[i].view.as_f64().len(),
-                                    })
-                                    .collect(),
-                            )
-                        });
-                        for send in &pass.sends {
-                            ctx.note_payload(send.bytes);
-                        }
-                        rel.begin();
-                        rel.stage(0, pass.sends[0].view.as_f64());
-                        rel.stage(1, pass.sends[1].view.as_f64());
-                        let recvs = &mut pass.recvs;
-                        rel.run(ctx, |i, payload| {
-                            recvs[i].view.as_f64_mut().copy_from_slice(payload)
-                        })?;
-                        if p == last {
-                            completed.push(0);
-                            completed.push(1);
-                            *fault_step = true;
-                        }
-                    } else if p == last && partitioned.is_some() {
-                        // Partitioned final pass: flush each slab
-                        // channel (settling early-fragment residuals
-                        // first), then re-arm the receive channels and
-                        // drain fragments that raced ahead.
-                        let part = partitioned.as_mut().expect("checked");
-                        let PartitionedExchange { psends, psend_src, precvs, .. } = part;
-                        for (k, &i) in psend_src.iter().enumerate() {
-                            ctx.note_payload(pass.sends[i].bytes);
-                            psends[k].flush(ctx, pass.sends[i].view.as_f64())?;
-                        }
-                        for (j, pr) in precvs.iter_mut().enumerate() {
-                            pr.begin(ctx)?;
-                            if pr.poll(ctx, pass.recvs[j].view.as_f64_mut())? {
-                                fin_done[j] = true;
-                                completed.push(j);
-                            }
-                        }
-                    } else if p < last {
-                        let h0 = ctx.irecv(srcs[0], pass.recvs[0].tag)?;
-                        let h1 = ctx.irecv(srcs[1], pass.recvs[1].tag)?;
-                        for (send, &dest) in pass.sends.iter().zip(&dests[..2]) {
-                            ctx.note_payload(send.bytes);
-                            ctx.isend(dest, send.tag, send.view.as_f64())?;
-                        }
-                        let (ra, rb) = pass.recvs.split_at_mut(1);
-                        ctx.waitall_into(
-                            &[h0, h1],
-                            &mut [ra[0].view.as_f64_mut(), rb[0].view.as_f64_mut()],
-                        )?;
-                    } else {
-                        fin_pending[0] = Some(ctx.irecv(srcs[0], pass.recvs[0].tag)?);
-                        fin_pending[1] = Some(ctx.irecv(srcs[1], pass.recvs[1].tag)?);
-                        for (send, &dest) in pass.sends.iter().zip(&dests[..2]) {
-                            ctx.note_payload(send.bytes);
-                            ctx.isend(dest, send.tag, send.view.as_f64())?;
-                        }
-                    }
-                    Ok(())
-                })?;
+        let last = self.passes.len() - 1;
+        ctx.scoped(SCOPE, |ctx| {
+            self.run_passes(ctx, last)?;
+            let (plan, mut mem) = self.bound(storage);
+            plan.begin(ctx, &mut mem, completed)?;
+            if plan.mailbox().is_empty() {
+                completed.extend([0, 1]);
             }
             Ok(())
         })
     }
-
-    /// Middle of a split exchange: drain final-pass messages that have
-    /// already arrived straight into their ghost slab views, without
-    /// blocking or billing wait time. Returns how many receives newly
-    /// completed; their indices are appended to `completed`.
-    pub fn poll(
-        &mut self,
-        ctx: &mut RankCtx<'_>,
-        completed: &mut Vec<usize>,
-    ) -> Result<usize, NetsimError> {
-        if self.fault_step {
-            return Ok(0);
-        }
-        let last = self.passes.len() - 1;
-        if let Some(part) = self.partitioned.as_mut() {
-            let recvs = &mut self.passes[last].recvs;
-            let mut newly = 0usize;
-            for (j, pr) in part.precvs.iter_mut().enumerate() {
-                if self.fin_done[j] {
-                    continue;
-                }
-                if pr.poll(ctx, recvs[j].view.as_f64_mut())? {
-                    self.fin_done[j] = true;
-                    completed.push(j);
-                    newly += 1;
-                }
-            }
-            return Ok(newly);
-        }
-        let srcs = self.bound.as_ref().expect("begin binds the schedule").srcs[last];
-        let mut newly = 0usize;
-        for (i, &src) in srcs.iter().enumerate() {
-            let Some(h) = self.fin_pending[i] else { continue };
-            let Some(msg) = ctx.try_wait(h) else { continue };
-            let tag = self.passes[last].recvs[i].tag;
-            let dst = self.passes[last].recvs[i].view.as_f64_mut();
-            if msg.data().len() != dst.len() {
-                let err = NetsimError::SizeMismatch {
-                    rank: ctx.rank(),
-                    source: src,
-                    tag,
-                    expected: dst.len(),
-                    got: msg.data().len(),
-                };
-                ctx.recycle(msg);
-                return Err(err);
-            }
-            dst.copy_from_slice(msg.data());
-            ctx.recycle(msg);
-            self.fin_pending[i] = None;
-            completed.push(i);
-            newly += 1;
-        }
-        Ok(newly)
-    }
-
-    /// Second half of a split exchange: block on the final-pass receives
-    /// still outstanding and close the communication epoch (billing
-    /// `wait` exactly as the phased [`Self::exchange`] would). Must be
-    /// called once per [`Self::begin`], even when `poll` drained
-    /// everything.
-    pub fn finish(&mut self, ctx: &mut RankCtx<'_>) -> Result<(), NetsimError> {
-        if self.fault_step {
-            // The reliable protocol already flushed its epochs.
-            self.fault_step = false;
-            return Ok(());
-        }
-        let last = self.passes.len() - 1;
-        let ShiftExchanger { passes, fin_pending, fin_done, partitioned, .. } = self;
-        ctx.scoped("exchange:shift", |ctx| {
-            ctx.scoped(PASS_NAMES[last.min(PASS_NAMES.len() - 1)], |ctx| {
-                if let Some(part) = partitioned.as_mut() {
-                    let recvs = &mut passes[last].recvs;
-                    for (j, pr) in part.precvs.iter_mut().enumerate() {
-                        if !fin_done[j] {
-                            pr.finish(ctx, recvs[j].view.as_f64_mut())?;
-                            fin_done[j] = true;
-                        }
-                    }
-                    ctx.flush_epoch();
-                    return Ok(());
-                }
-                let (ra, rb) = passes[last].recvs.split_at_mut(1);
-                let mut handles: Vec<RecvHandle> = Vec::with_capacity(2);
-                let mut bufs: Vec<&mut [f64]> = Vec::with_capacity(2);
-                for (i, slab) in [&mut ra[0], &mut rb[0]].into_iter().enumerate() {
-                    if let Some(h) = fin_pending[i].take() {
-                        handles.push(h);
-                        bufs.push(slab.view.as_f64_mut());
-                    }
-                }
-                ctx.waitall_into(&handles, &mut bufs)
-            })
-        })
-    }
 }
+
+/// Timeline scope of a whole exchange; the passes nest inside it.
+const SCOPE: &str = "exchange:shift";
 
 /// Timeline scope names for the serialized axis passes.
 const PASS_NAMES: [&str; 4] = ["shift:pass-x", "shift:pass-y", "shift:pass-z", "shift:pass-w"];

@@ -1191,28 +1191,27 @@ impl<'a> RankCtx<'a> {
 
     /// Drive a batch of posted receives forward without blocking:
     /// for every handle not yet marked in `done`, pop its message if
-    /// present, verify its length against `ranges[i]`, scatter it into
-    /// `storage[ranges[i]]`, recycle the buffer, flag `done[i]`, and
-    /// push `i` onto `completed`. Returns how many receives newly
-    /// completed this call.
+    /// present, verify its length against `expect_len(i)`, hand the
+    /// payload to `deliver(i, payload)`, recycle the buffer, flag
+    /// `done[i]`, and push `i` onto `completed`. Returns how many
+    /// receives newly completed this call.
     ///
     /// Partial-completion semantics: buffers are consumed exactly once
     /// (a completed index is skipped on later calls), nothing is billed
     /// and the send epoch stays open — close it via the finishing
-    /// `waitall_ranges` over the still-pending subset (or
+    /// `waitall_*` over the still-pending subset (or
     /// [`RankCtx::flush_epoch`] once everything completed), so the
     /// LogGP `wait` lump and the deadline machinery keep their phased
     /// semantics. A wrong-length message reports
     /// [`NetsimError::SizeMismatch`] after recycling it.
-    pub fn progress(
+    pub fn progress_with(
         &mut self,
         handles: &[RecvHandle],
-        storage: &mut [f64],
-        ranges: &[Range<usize>],
         done: &mut [bool],
         completed: &mut Vec<usize>,
+        expect_len: impl Fn(usize) -> usize,
+        mut deliver: impl FnMut(usize, &[f64]),
     ) -> Result<usize, NetsimError> {
-        assert_eq!(handles.len(), ranges.len());
         assert_eq!(handles.len(), done.len());
         self.proc_tick();
         // Failure detection on the overlap path: a poll loop spinning
@@ -1230,12 +1229,12 @@ impl<'a> RankCtx<'a> {
             let Some(msg) = self.mailboxes[self.rank].try_pop((h.source, h.tag)) else {
                 continue;
             };
-            if msg.data.len() != ranges[i].len() {
+            if msg.data.len() != expect_len(i) {
                 let err = NetsimError::SizeMismatch {
                     rank: self.rank,
                     source: h.source,
                     tag: h.tag,
-                    expected: ranges[i].len(),
+                    expected: expect_len(i),
                     got: msg.data.len(),
                 };
                 if let Some(owner) = msg.owner {
@@ -1249,7 +1248,7 @@ impl<'a> RankCtx<'a> {
                 tag: h.tag,
                 bytes: msg.data.len() * 8,
             });
-            storage[ranges[i].clone()].copy_from_slice(&msg.data);
+            deliver(i, &msg.data);
             if let Some(owner) = msg.owner {
                 self.pools[owner].put(msg.data);
             }
@@ -1261,6 +1260,26 @@ impl<'a> RankCtx<'a> {
             self.poll_miss();
         }
         Ok(newly)
+    }
+
+    /// [`RankCtx::progress_with`] for receives that land in sub-ranges
+    /// of one backing slice (`ranges` parallel to `handles`).
+    pub fn progress(
+        &mut self,
+        handles: &[RecvHandle],
+        storage: &mut [f64],
+        ranges: &[Range<usize>],
+        done: &mut [bool],
+        completed: &mut Vec<usize>,
+    ) -> Result<usize, NetsimError> {
+        assert_eq!(handles.len(), ranges.len());
+        self.progress_with(
+            handles,
+            done,
+            completed,
+            |i| ranges[i].len(),
+            |i, payload| storage[ranges[i].clone()].copy_from_slice(payload),
+        )
     }
 
     /// Evict every queued message for `(source, tag)` — stale

@@ -46,24 +46,39 @@ fn all_methods() -> Vec<CpuMethod> {
 }
 
 /// The acceptance invariant: 10% drop + 5% corruption at a fixed seed
-/// leaves every method's physics bit-identical to the fault-free run.
+/// leaves every method's physics bit-identical to the fault-free run —
+/// on two ranks under the environment's backend, and on 2x2x2 ranks
+/// multiplexed by the event scheduler, where retry deadlines are virtual
+/// and fire at quiescence.
 #[test]
 fn chaos_runs_are_bit_identical_to_fault_free() {
     for method in all_methods() {
-        let clean = run_experiment(&cfg(method.clone(), FaultConfig::off()));
-        let lossy = run_experiment(&cfg(method.clone(), chaos()));
-        assert!(
-            lossy.faults.total() > 0,
-            "{}: chaos schedule injected nothing",
-            method.name()
-        );
-        assert_eq!(
-            lossy.checksum.to_bits(),
-            clean.checksum.to_bits(),
-            "{} diverged under drop 10% / corrupt 5% (seed {})",
-            method.name(),
-            seed()
-        );
+        for event_8 in [false, true] {
+            let leg = |faults| {
+                let mut c = cfg(method.clone(), faults);
+                if event_8 {
+                    c.ranks = vec![2, 2, 2];
+                    c.backend = Backend::Event;
+                }
+                c
+            };
+            let clean = run_experiment(&leg(FaultConfig::off()));
+            let lossy_cfg = leg(chaos());
+            let lossy = run_experiment(&lossy_cfg);
+            assert!(
+                lossy.faults.total() > 0,
+                "{}: chaos schedule injected nothing",
+                method.name()
+            );
+            assert_eq!(
+                lossy.checksum.to_bits(),
+                clean.checksum.to_bits(),
+                "{} on {:?} ranks diverged under drop 10% / corrupt 5% (seed {})",
+                method.name(),
+                lossy_cfg.ranks,
+                seed()
+            );
+        }
     }
 }
 
@@ -95,14 +110,22 @@ fn fault_free_runs_report_zero_recovery() {
     assert_eq!(r.stats.degraded_exchanges, 0);
 }
 
-/// Per-rank jitter slows the wire model but never changes delivery:
-/// physics stays bit-identical with stragglers in the cluster.
+/// Per-rank jitter and delay slow the wire model but never change
+/// delivery: no method switches to the retry protocol for them, so
+/// physics and traffic stay those of the fault-free run with stragglers
+/// in the cluster.
 #[test]
 fn jitter_and_delay_do_not_change_physics() {
     let faults =
         FaultConfig { seed: seed(), delay: 0.3, jitter: 0.5, ..FaultConfig::default() };
-    let clean = run_experiment(&cfg(CpuMethod::MemMap { page_size: memview::PAGE_4K }, FaultConfig::off()));
-    let slow = run_experiment(&cfg(CpuMethod::MemMap { page_size: memview::PAGE_4K }, faults));
-    assert_eq!(slow.checksum.to_bits(), clean.checksum.to_bits());
-    assert!(slow.faults.delays > 0, "seed {} charged no delays", seed());
+    for method in all_methods() {
+        let clean = run_experiment(&cfg(method.clone(), FaultConfig::off()));
+        let slow = run_experiment(&cfg(method.clone(), faults));
+        let name = method.name();
+        assert_eq!(slow.checksum.to_bits(), clean.checksum.to_bits(), "{name}");
+        assert_eq!(slow.timers.msgs, clean.timers.msgs, "{name}: messages per step");
+        assert_eq!(slow.timers.wire_bytes, clean.timers.wire_bytes, "{name}: wire bytes per step");
+        assert_eq!(slow.stats.retries, 0, "{name}: nothing can be lost, nothing is retried");
+        assert!(slow.faults.delays > 0, "{name}: seed {} charged no delays", seed());
+    }
 }
