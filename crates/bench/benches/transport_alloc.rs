@@ -1,9 +1,8 @@
 //! Transport-layer microbenchmarks for the persistent zero-copy paths:
 //!
-//! * `transport_isend` — point-to-point send/recv epochs with the
-//!   per-channel buffer pool on vs. off (fresh `Vec` per message, the
-//!   pre-pool behavior). The pooled path should win once buffers are
-//!   warm because the steady state performs zero heap allocation.
+//! * `transport_isend` — point-to-point send/recv epochs through the
+//!   per-channel buffer pool; once buffers are warm the steady state
+//!   performs zero heap allocation.
 //! * `transport_exchange` — a full single-rank (proxy-mode) halo
 //!   exchange through the loopback fast path vs. the mailbox path vs.
 //!   the legacy allocating `Exchanger::exchange`. Loopback does one
@@ -23,7 +22,7 @@ use packfree::exchange::Exchanger;
 /// the pool reach steady state (it converges within 2 epochs).
 const EPOCHS: usize = 64;
 
-fn bench_isend_pooling(c: &mut Criterion) {
+fn bench_isend(c: &mut Criterion) {
     let mut group = c.benchmark_group("transport_isend");
     group.sample_size(10);
     let topo = CartTopo::new(&[2, 1, 1], true);
@@ -31,29 +30,21 @@ fn bench_isend_pooling(c: &mut Criterion) {
     for msg_elems in [1024usize, 65536] {
         // Both ranks send+receive one message per epoch.
         group.throughput(Throughput::Bytes((msg_elems * 8 * 2 * EPOCHS) as u64));
-        for pooled in [true, false] {
-            let name = if pooled { "pooled" } else { "fresh" };
-            group.bench_with_input(
-                BenchmarkId::new(name, msg_elems * 8),
-                &msg_elems,
-                |b, &m| {
-                    b.iter(|| {
-                        run_cluster(&topo, net, |ctx| {
-                            ctx.set_pooling(pooled);
-                            let data = vec![1.0f64; m];
-                            let mut recv = vec![0.0f64; m];
-                            let peer = 1 - ctx.rank();
-                            for _ in 0..EPOCHS {
-                                let h = ctx.irecv(peer, 7).unwrap();
-                                ctx.isend(peer, 7, &data).unwrap();
-                                ctx.waitall_into(&[h], &mut [recv.as_mut_slice()]).unwrap();
-                            }
-                            ctx.transport_allocs()
-                        })
-                    })
-                },
-            );
-        }
+        group.bench_with_input(BenchmarkId::new("pooled", msg_elems * 8), &msg_elems, |b, &m| {
+            b.iter(|| {
+                run_cluster(&topo, net, |ctx| {
+                    let data = vec![1.0f64; m];
+                    let mut recv = vec![0.0f64; m];
+                    let peer = 1 - ctx.rank();
+                    for _ in 0..EPOCHS {
+                        let h = ctx.irecv(peer, 7).unwrap();
+                        ctx.isend(peer, 7, &data).unwrap();
+                        ctx.waitall_into(&[h], &mut [recv.as_mut_slice()]).unwrap();
+                    }
+                    ctx.transport_allocs()
+                })
+            })
+        });
     }
     group.finish();
 }
@@ -96,5 +87,5 @@ fn bench_exchange_path(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(benches, bench_isend_pooling, bench_exchange_path);
+criterion_group!(benches, bench_isend, bench_exchange_path);
 criterion_main!(benches);

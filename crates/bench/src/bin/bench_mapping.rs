@@ -1,7 +1,7 @@
 //! Machine-readable topology-aware mapping benchmark: off-node byte
-//! volume and modeled bottleneck exchange time of the `bisect` and
-//! `joint` process-to-node mappings versus the naive lexicographic
-//! placement, swept over node sizes (8 / 16 / 32 ranks per node) on an
+//! volume and modeled bottleneck exchange time of the `bisect`
+//! process-to-node mapping versus the naive lexicographic placement,
+//! swept over node sizes (8 / 16 / 32 ranks per node) on an
 //! 8x8x8 periodic rank grid under the dragonfly two-tier model.
 //!
 //! The whole bench is model-side: the communication graph is exact
@@ -9,34 +9,29 @@
 //! modeled time is pure arithmetic, so every number is deterministic —
 //! the guarded ratios move only when mapper or model code changes.
 //!
-//! Args: `bench_mapping [--smoke] [n] [iters]` — per-rank subdomain
-//! (default 32), joint-annealing iterations (default 600). The rank
-//! grid is pinned at 8x8x8 (512 ranks): on a periodic grid smaller
-//! powers of two tie the lexicographic row grouping (full-axis slabs
-//! collect wrap credit), while at 8^3 a 2x2x2 node box strictly beats
-//! an 8x1x1 row.
+//! Args: `bench_mapping [--smoke] [n]` — per-rank subdomain (default
+//! 32). The rank grid is pinned at 8x8x8 (512 ranks): on a periodic
+//! grid smaller powers of two tie the lexicographic row grouping
+//! (full-axis slabs collect wrap credit), while at 8^3 a 2x2x2 node
+//! box strictly beats an 8x1x1 row.
 //!
 //! `--smoke` is the CI mode: node size 8 only, assert the bisection
-//! mapping cuts off-node bytes by at least the floor and that joint
-//! never loses to bisect or lex. No JSON is written.
+//! mapping cuts off-node bytes by at least the floor. No JSON is
+//! written.
 //!
 //! The guarded ratios (`scripts/bench_diff.py`): off-node-byte and
-//! modeled-time improvements of bisect and joint over lexicographic at
-//! the 8-ranks-per-node point (the dragonfly preset every other bench
+//! modeled-time improvements of bisect over lexicographic at the
+//! 8-ranks-per-node point (the dragonfly preset every other bench
 //! scenario uses); the larger node sizes stay in the JSON as
 //! trajectory data.
 
 use layout::surface3d;
-use mapping::{joint_anneal, lexicographic, recursive_bisection, schedule_loads};
-use mapping::{CommGraph, JointConfig};
+use mapping::{lexicographic, recursive_bisection, schedule_loads, CommGraph};
 use netsim::hier::HierarchicalNetworkModel;
 use netsim::CartTopo;
 
 /// Rank grid extent per axis (8^3 = 512 ranks).
 const GRID: usize = 8;
-
-/// Joint-annealing seed, matching the experiment driver.
-const SEED: u64 = 2021;
 
 /// Smoke floor: bisection must cut off-node bytes by >= 25% vs lex
 /// (observed: 1.33x on the 8^3 grid at 8 ranks/node, deterministic).
@@ -52,40 +47,20 @@ struct Row {
     speedup_vs_lex: f64,
 }
 
-/// All three policies evaluated on one node size.
-fn sweep_node_size(topo: &CartTopo, n: usize, iters: usize, rpn: usize) -> Vec<Row> {
+/// Both policies evaluated on one node size.
+fn sweep_node_size(topo: &CartTopo, n: usize, rpn: usize) -> Vec<Row> {
     let hier = HierarchicalNetworkModel::dragonfly(rpn);
     let loads = schedule_loads(&surface3d(), &[n; 3], 8, 8);
     let g = CommGraph::from_dir_loads(topo, &loads);
 
     let lex = lexicographic(topo.size());
     let bisect = recursive_bisection(topo, &hier.node);
-    let jc = JointConfig {
-        extents: [n; 3],
-        ghost: 8,
-        elem_bytes: 8,
-        hier,
-        iters,
-        seed: SEED,
-    };
-    let joint = joint_anneal(topo, &jc, &surface3d(), &bisect);
-    // The joint result pairs its permutation with its own region
-    // order; score that pair's graph so the reported time is the one
-    // the annealer actually optimized.
-    let joint_loads = schedule_loads(&joint.layout, &[n; 3], 8, 8);
-    let joint_g = CommGraph::from_dir_loads(topo, &joint_loads);
-
     let lex_split = g.split(&lex, &hier.node);
     let lex_time = g.modeled_time(&lex, &hier);
     let mut rows = Vec::new();
     for (policy, split, time) in [
         ("lex", lex_split, lex_time),
         ("bisect", g.split(&bisect, &hier.node), g.modeled_time(&bisect, &hier)),
-        (
-            "joint",
-            joint_g.split(&joint.perm, &hier.node),
-            joint_g.modeled_time(&joint.perm, &hier),
-        ),
     ] {
         rows.push(Row {
             rpn,
@@ -101,22 +76,14 @@ fn sweep_node_size(topo: &CartTopo, n: usize, iters: usize, rpn: usize) -> Vec<R
 }
 
 fn check_invariants(rows: &[Row]) {
-    for w in rows.chunks(3) {
-        let (lex, bisect, joint) = (&w[0], &w[1], &w[2]);
+    for w in rows.chunks(2) {
+        let (lex, bisect) = (&w[0], &w[1]);
         assert!(
             bisect.off_bytes < lex.off_bytes,
             "rpn {}: bisect off-node bytes {} must beat lex {}",
             bisect.rpn,
             bisect.off_bytes,
             lex.off_bytes
-        );
-        assert!(
-            joint.modeled_time <= bisect.modeled_time.min(lex.modeled_time),
-            "rpn {}: joint {} must not lose to bisect {} or lex {}",
-            joint.rpn,
-            joint.modeled_time,
-            bisect.modeled_time,
-            lex.modeled_time
         );
     }
 }
@@ -126,15 +93,11 @@ fn main() {
     let smoke_mode = args.iter().any(|a| a == "--smoke");
     let pos: Vec<&String> = args.iter().filter(|a| !a.starts_with("--")).collect();
     let n: usize = pos.first().and_then(|v| v.parse().ok()).unwrap_or(32);
-    let iters: usize = pos
-        .get(1)
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(if smoke_mode { 150 } else { 600 });
 
     let topo = CartTopo::new(&[GRID; 3], true);
 
     if smoke_mode {
-        let rows = sweep_node_size(&topo, n, iters, 8);
+        let rows = sweep_node_size(&topo, n, 8);
         check_invariants(&rows);
         let reduction = rows[1].off_vs_lex;
         println!(
@@ -146,17 +109,17 @@ fn main() {
             reduction >= SMOKE_FLOOR,
             "smoke: off-node reduction {reduction:.2}x under the {SMOKE_FLOOR:.2}x floor"
         );
-        println!("   ok: joint <= min(bisect, lex), reduction over the floor");
+        println!("   ok: reduction over the floor");
         return;
     }
 
     println!(
         "== Topology-aware mapping vs lexicographic, {GRID}^3 ranks, {n}^3/rank, \
-         dragonfly, joint x{iters} ==\n"
+         dragonfly ==\n"
     );
     let mut rows: Vec<Row> = Vec::new();
     for rpn in [8usize, 16, 32] {
-        rows.extend(sweep_node_size(&topo, n, iters, rpn));
+        rows.extend(sweep_node_size(&topo, n, rpn));
     }
     check_invariants(&rows);
 
@@ -173,13 +136,8 @@ fn main() {
             .find(|r| r.rpn == rpn && r.policy == policy)
             .expect("swept point")
     };
-    let mut json = bench::bench_json_header(
-        "mapping",
-        SEED,
-        &["lex", "bisect", "joint"],
-        [GRID; 3],
-        iters,
-    );
+    // Seedless and stepless: the whole bench is model arithmetic.
+    let mut json = bench::bench_json_header("mapping", 0, &["lex", "bisect"], [GRID; 3], 0);
     json.push_str(&format!("  \"subdomain\": {n},\n"));
     json.push_str("  \"sweep\": [\n");
     for (i, r) in rows.iter().enumerate() {
@@ -203,16 +161,8 @@ fn main() {
         at(8, "bisect").off_vs_lex
     ));
     json.push_str(&format!(
-        "  \"speedup_offnode_bytes_joint_vs_lex\": {:.3},\n",
-        at(8, "joint").off_vs_lex
-    ));
-    json.push_str(&format!(
-        "  \"speedup_modeled_bisect_vs_lex\": {:.3},\n",
+        "  \"speedup_modeled_bisect_vs_lex\": {:.3}\n",
         at(8, "bisect").speedup_vs_lex
-    ));
-    json.push_str(&format!(
-        "  \"speedup_modeled_joint_vs_lex\": {:.3}\n",
-        at(8, "joint").speedup_vs_lex
     ));
     json.push_str("}\n");
     std::fs::write("BENCH_mapping.json", &json).expect("write BENCH_mapping.json");

@@ -8,10 +8,7 @@
 //!   with the loopback fast path (one copy per message, zero steady-state
 //!   allocation);
 //! * `pooled_mailbox` — the same session forced through the mailbox
-//!   (pooled buffers, two copies per message);
-//! * `fresh_mailbox` — the legacy allocating `Exchanger::exchange` with
-//!   buffer pooling disabled: the pre-pool seed behavior (fresh `Vec`
-//!   per message, per-step schedule allocation).
+//!   (pooled buffers, two copies per message).
 //!
 //! The network is instant so the numbers isolate real on-node cost;
 //! modeled LogGP charges are identical across paths by construction.
@@ -27,7 +24,6 @@ use packfree::exchange::Exchanger;
 enum Path {
     PooledLoopback,
     PooledMailbox,
-    FreshMailbox,
 }
 
 struct Row {
@@ -42,27 +38,17 @@ fn time_path(ex: &Exchanger, d: &BrickDecomp<3>, steps: usize, path: Path) -> Ro
     let net = NetworkModel::instant();
     let warmup = 4usize;
     let secs = run_cluster(&topo, net, |ctx| {
-        if matches!(path, Path::FreshMailbox) {
-            ctx.set_pooling(false);
-        }
         let mut st = d.allocate();
         let mut sess = match path {
-            Path::PooledLoopback => Some(ex.session(ctx)),
-            Path::PooledMailbox => Some(ex.session_mailbox(ctx)),
-            Path::FreshMailbox => None,
+            Path::PooledLoopback => ex.session(ctx),
+            Path::PooledMailbox => ex.session_mailbox(ctx),
         };
         for _ in 0..warmup {
-            match sess.as_mut() {
-                Some(s) => s.exchange(ctx, &mut st).unwrap(),
-                None => ex.exchange(ctx, &mut st).unwrap(),
-            }
+            sess.exchange(ctx, &mut st).unwrap();
         }
         let t0 = Instant::now();
         for _ in 0..steps {
-            match sess.as_mut() {
-                Some(s) => s.exchange(ctx, &mut st).unwrap(),
-                None => ex.exchange(ctx, &mut st).unwrap(),
-            }
+            sess.exchange(ctx, &mut st).unwrap();
         }
         t0.elapsed().as_secs_f64()
     })[0];
@@ -70,7 +56,6 @@ fn time_path(ex: &Exchanger, d: &BrickDecomp<3>, steps: usize, path: Path) -> Ro
     let name = match path {
         Path::PooledLoopback => "pooled_loopback",
         Path::PooledMailbox => "pooled_mailbox",
-        Path::FreshMailbox => "fresh_mailbox",
     };
     Row {
         name,
@@ -87,7 +72,7 @@ fn main() {
     let ex = Exchanger::layout(&d);
 
     println!("== Transport throughput, {n}^3 proxy rank, {steps} steps ==\n");
-    let rows: Vec<Row> = [Path::PooledLoopback, Path::PooledMailbox, Path::FreshMailbox]
+    let rows: Vec<Row> = [Path::PooledLoopback, Path::PooledMailbox]
         .iter()
         .map(|&p| {
             let r = time_path(&ex, &d, steps, p);
@@ -102,13 +87,13 @@ fn main() {
         })
         .collect();
 
-    let speedup = rows[0].bytes_per_s / rows[2].bytes_per_s;
-    println!("\n  pooled_loopback vs fresh_mailbox: {speedup:.2}x");
+    let speedup = rows[0].bytes_per_s / rows[1].bytes_per_s;
+    println!("\n  pooled_loopback vs pooled_mailbox: {speedup:.2}x");
 
     let mut json = bench::bench_json_header(
         "transport",
         0,
-        &["pooled_loopback", "pooled_mailbox", "fresh_mailbox"],
+        &["pooled_loopback", "pooled_mailbox"],
         [n, n, n],
         steps,
     );
@@ -125,7 +110,7 @@ fn main() {
     }
     json.push_str("  ],\n");
     json.push_str(&format!(
-        "  \"speedup_pooled_loopback_vs_fresh_mailbox\": {speedup:.3}\n"
+        "  \"speedup_pooled_loopback_vs_pooled_mailbox\": {speedup:.3}\n"
     ));
     json.push_str("}\n");
     std::fs::write("BENCH_transport.json", &json).expect("write BENCH_transport.json");

@@ -1,7 +1,7 @@
-//! Shared experiment runners for the figure/table binaries.
+//! The measured-cell store behind the figure registry, plus the sweep
+//! helpers the figures share.
 
 use brick::BrickDims;
-use netsim::NetworkModel;
 use packfree::decomp::BrickDecomp;
 use packfree::exchange::{ExchangeStats, Exchanger};
 use packfree::experiment::{run_experiment, CpuMethod, ExperimentConfig, MethodReport};
@@ -9,19 +9,36 @@ use packfree::gpu::{estimate_gpu_step, GpuMethod, GpuPlatform, GpuWorkload};
 use packfree::memmap::{memmap_decomp, ExchangeView, MemMapStorage};
 use stencil::StencilShape;
 
-use crate::steps;
+/// What one `reproduce` run sweeps over.
+pub struct Sweep {
+    /// Subdomain edges of the K1/V1-style figures: 512→16 in the
+    /// paper, 128→16 by default here.
+    pub(crate) sizes: Vec<usize>,
+    /// Domain edge strong-scaled by the K2 figures (1024 in the paper).
+    pub(crate) k2_domain: usize,
+    /// Domain edge strong-scaled by the V2 figures (2048 in the paper).
+    pub(crate) v2_domain: usize,
+    /// Timed steps per measured run.
+    pub(crate) steps: usize,
+}
 
-/// Run one K1-style configuration (single-rank proxy for the paper's
-/// 8-node periodic cube; every rank is identical by construction).
-pub fn k1_report(method: CpuMethod, n: usize, shape: StencilShape) -> MethodReport {
-    let mut cfg = ExperimentConfig::k1(method, n);
-    cfg.shape = shape;
-    cfg.steps = steps();
-    cfg.warmup = 1;
-    run_experiment(&cfg)
+impl Sweep {
+    /// Laptop-sized by default; `BRICK_FULL=1` selects the paper's
+    /// full-size subdomains and domains (see EXPERIMENTS.md) and
+    /// `BRICK_STEPS=n` the timed steps per configuration (default 4).
+    pub fn from_env() -> Sweep {
+        let full = std::env::var("BRICK_FULL").map(|v| v == "1").unwrap_or(false);
+        let steps = std::env::var("BRICK_STEPS").ok().and_then(|v| v.parse().ok()).unwrap_or(4);
+        if full {
+            Sweep { sizes: vec![512, 256, 128, 64, 32, 16], k2_domain: 1024, v2_domain: 2048, steps }
+        } else {
+            Sweep { sizes: vec![128, 64, 32, 16], k2_domain: 256, v2_domain: 512, steps }
+        }
+    }
 }
 
 /// Exchange statistics for a subdomain under the three schedule shapes.
+#[derive(Clone, Copy)]
 pub struct GpuStats {
     /// Layout schedule (42 messages, no padding).
     pub layout: ExchangeStats,
@@ -31,39 +48,100 @@ pub struct GpuStats {
     pub types: ExchangeStats,
 }
 
-/// Build the real exchange schedules for an `n`³ subdomain and report
-/// their traffic statistics (these drive the GPU estimates).
-pub fn gpu_stats(n: usize) -> GpuStats {
-    let d = BrickDecomp::<3>::layout_mode([n; 3], 8, BrickDims::cubic(8), 1, layout::surface3d());
-    let layout = Exchanger::layout(&d).stats();
-    let dm = memmap_decomp([n; 3], 8, BrickDims::cubic(8), 1, layout::surface3d(), memview::PAGE_64K);
-    let st = MemMapStorage::allocate(&dm).expect("memfd");
-    let memmap = ExchangeView::build(&dm, &st).expect("views").stats();
-    let grid = stencil::ArrayGrid::new([n; 3], 8);
-    let types = ExchangeStats {
-        messages: 26,
-        payload_bytes: grid.exchange_bytes(),
-        wire_bytes: grid.exchange_bytes(),
-        region_instances: 26,
-        ..ExchangeStats::default()
-    };
-    GpuStats { layout, memmap, types }
+/// What identifies a measured run: method, subdomain, stencil.
+type CellKey = (CpuMethod, [usize; 3], StencilShape);
+
+/// Every measured run and built schedule of one `reproduce` process,
+/// memoised: a cell runs once however many tables show it, so the
+/// tables that show it agree (Figures 8, 9 and 10 are three views of
+/// the same K1 runs).
+pub struct Cells {
+    /// The sweep the figures iterate.
+    pub(crate) sweep: Sweep,
+    reports: Vec<(CellKey, MethodReport)>,
+    gpu: Vec<(usize, GpuStats)>,
+    /// Measured runs asked for so far.
+    pub(crate) requested: usize,
+    /// Measured runs actually executed (the rest were memo hits).
+    pub(crate) executed: usize,
 }
 
-/// Per-timestep GPU estimate for one method on an `n`³ subdomain.
-pub fn gpu_report(method: GpuMethod, n: usize, shape: &StencilShape, p: &GpuPlatform) -> netsim::Timers {
-    let s = gpu_stats(n);
-    let stats = match method {
-        GpuMethod::LayoutCA | GpuMethod::LayoutUM => s.layout,
-        GpuMethod::MemMapUM => s.memmap,
-        GpuMethod::MpiTypesUM => s.types,
-    };
-    let w = GpuWorkload {
-        points: (n * n * n) as u64,
-        flops_per_point: shape.flops_per_point(),
-        stats,
-    };
-    estimate_gpu_step(method, &w, p)
+impl Cells {
+    /// An empty store over `sweep`.
+    pub fn new(sweep: Sweep) -> Cells {
+        Cells { sweep, reports: Vec::new(), gpu: Vec::new(), requested: 0, executed: 0 }
+    }
+
+    /// One single-rank proxy run (the paper's 8-node periodic cube;
+    /// every rank is identical by construction) of `method` on a
+    /// `sub` subdomain.
+    pub fn report(&mut self, method: CpuMethod, sub: [usize; 3], shape: StencilShape) -> MethodReport {
+        self.requested += 1;
+        let key: CellKey = (method, sub, shape);
+        if let Some((_, r)) = self.reports.iter().find(|(k, _)| *k == key) {
+            return r.clone();
+        }
+        self.executed += 1;
+        let (method, sub, shape) = key.clone();
+        let mut cfg = ExperimentConfig::k1(method, 0);
+        cfg.subdomain = sub;
+        cfg.shape = shape;
+        cfg.steps = self.sweep.steps;
+        let r = run_experiment(&cfg);
+        self.reports.push((key, r.clone()));
+        r
+    }
+
+    /// The K1 cell: 7-point stencil on an `n`³ subdomain.
+    pub fn k1(&mut self, method: CpuMethod, n: usize) -> MethodReport {
+        self.report(method, [n; 3], StencilShape::star7_default())
+    }
+
+    /// Build the real exchange schedules for an `n`³ subdomain and
+    /// report their traffic statistics (these drive the GPU estimates).
+    pub fn gpu_stats(&mut self, n: usize) -> GpuStats {
+        if let Some((_, s)) = self.gpu.iter().find(|(k, _)| *k == n) {
+            return *s;
+        }
+        let d = BrickDecomp::<3>::layout_mode([n; 3], 8, BrickDims::cubic(8), 1, layout::surface3d());
+        let layout = Exchanger::layout(&d).stats();
+        let dm = memmap_decomp([n; 3], 8, BrickDims::cubic(8), 1, layout::surface3d(), memview::PAGE_64K);
+        let st = MemMapStorage::allocate(&dm).expect("memfd");
+        let memmap = ExchangeView::build(&dm, &st).expect("views").stats();
+        let grid = stencil::ArrayGrid::new([n; 3], 8);
+        let types = ExchangeStats {
+            messages: 26,
+            payload_bytes: grid.exchange_bytes(),
+            wire_bytes: grid.exchange_bytes(),
+            region_instances: 26,
+            ..ExchangeStats::default()
+        };
+        let s = GpuStats { layout, memmap, types };
+        self.gpu.push((n, s));
+        s
+    }
+
+    /// Per-timestep GPU estimate for one method on an `n`³ subdomain.
+    pub fn gpu_report(
+        &mut self,
+        method: GpuMethod,
+        n: usize,
+        shape: &StencilShape,
+        p: &GpuPlatform,
+    ) -> netsim::Timers {
+        let s = self.gpu_stats(n);
+        let stats = match method {
+            GpuMethod::LayoutCA | GpuMethod::LayoutUM => s.layout,
+            GpuMethod::MemMapUM => s.memmap,
+            GpuMethod::MpiTypesUM => s.types,
+        };
+        let w = GpuWorkload {
+            points: (n * n * n) as u64,
+            flops_per_point: shape.flops_per_point(),
+            stats,
+        };
+        estimate_gpu_step(method, &w, p)
+    }
 }
 
 /// Per-rank subdomain for strong scaling a `domain`³ cube over `ranks`
@@ -92,11 +170,6 @@ pub fn node_sweep() -> Vec<usize> {
 /// ((1/nodes)^(2/3)).
 pub fn ideal_scaling(anchor: f64, anchor_nodes: usize, nodes: usize, exponent: f64) -> f64 {
     anchor * (anchor_nodes as f64 / nodes as f64).powf(exponent)
-}
-
-/// The K1 wire model.
-pub fn theta() -> NetworkModel {
-    NetworkModel::theta_aries()
 }
 
 #[cfg(test)]
@@ -130,7 +203,7 @@ mod tests {
 
     #[test]
     fn gpu_stats_consistency() {
-        let s = gpu_stats(32);
+        let s = Cells::new(Sweep::from_env()).gpu_stats(32);
         assert_eq!(s.layout.messages, 42);
         assert_eq!(s.memmap.messages, 26);
         assert_eq!(s.types.messages, 26);

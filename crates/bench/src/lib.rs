@@ -1,41 +1,16 @@
-//! Shared helpers for the table/figure harness binaries.
-//!
-//! Each binary under `src/bin/` regenerates one table or figure of the
-//! paper (see DESIGN.md's per-experiment index). Sweeps default to
-//! laptop-sized subdomains; set `BRICK_FULL=1` for the paper's full
-//! 512³/256³ sizes and `BRICK_STEPS=n` for more timed steps.
+//! The paper-reproduction harness: the figure registry behind the
+//! `reproduce` binary (every table and figure of the paper's
+//! evaluation plus the extension experiments; see DESIGN.md's
+//! per-experiment index) and the shared header of the `bench_*`
+//! binaries' `BENCH_*.json` artifacts.
 
 #![warn(missing_docs)]
 
+pub mod figures;
 pub mod harness;
 pub mod table;
 
 pub use table::Table;
-
-/// Read the `BRICK_FULL` environment switch: when set, sweeps include
-/// the paper's full-size subdomains (512³, 256³); otherwise the sweep
-/// is laptop-sized (see EXPERIMENTS.md).
-pub fn full_scale() -> bool {
-    std::env::var("BRICK_FULL").map(|v| v == "1").unwrap_or(false)
-}
-
-/// Subdomain sweep for the K1/V1-style experiments: 512→16 in the
-/// paper, 128→16 by default here.
-pub fn subdomain_sweep() -> Vec<usize> {
-    if full_scale() {
-        vec![512, 256, 128, 64, 32, 16]
-    } else {
-        vec![128, 64, 32, 16]
-    }
-}
-
-/// Timed steps per configuration (more when `BRICK_STEPS` is set).
-pub fn steps() -> usize {
-    std::env::var("BRICK_STEPS")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(4)
-}
 
 /// Schema version stamped into every `BENCH_*.json` artifact; bump
 /// whenever the emitted shape changes incompatibly so downstream

@@ -1,4 +1,4 @@
-//! Minimal fixed-width table printer for the harness binaries (keeps
+//! Minimal fixed-width table renderer for the figure registry (keeps
 //! the output diffable against EXPERIMENTS.md).
 
 /// A simple right-aligned text table.
@@ -45,11 +45,6 @@ impl Table {
             out.push('\n');
         }
         out
-    }
-
-    /// Print to stdout.
-    pub fn print(&self) {
-        print!("{}", self.render());
     }
 }
 

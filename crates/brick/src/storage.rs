@@ -117,13 +117,6 @@ impl BrickStorage {
         &self.backing.as_slice()[b as usize * s..(b as usize + 1) * s]
     }
 
-    /// One brick (all fields), mutable.
-    #[inline]
-    pub fn brick_mut(&mut self, b: u32) -> &mut [f64] {
-        let s = self.step();
-        &mut self.backing.as_mut_slice()[b as usize * s..(b as usize + 1) * s]
-    }
-
     /// One field of one brick.
     #[inline]
     pub fn field(&self, b: u32, f: usize) -> &[f64] {

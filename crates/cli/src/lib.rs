@@ -223,13 +223,10 @@ OPTIONS:
                         Aries, fat-tree: EDR InfiniBand); the report
                         gains a mapping block with the on-/off-node
                         traffic split
-      --mapping <name>  lex | bisect | joint — process-to-node mapping
-                        policy under -t (default: lex, MPI's rank-order
+      --mapping <name>  lex | bisect — process-to-node mapping policy
+                        under -t (default: lex, MPI's rank-order
                         placement): bisect groups nearby subdomains
-                        onto nodes by geometric recursive bisection;
-                        joint anneals the (layout x mapping) product
-                        space under the two-tier model and is never
-                        worse than bisect or lex alone
+                        onto nodes by geometric recursive bisection
   -k, --kernel <name>   plan | gather — brick compute engine: precompiled
                         kernel plan vs per-step halo gather (default: plan)
   -p, --page <bytes>    MemMap page size: 4096 | 16384 | 65536
@@ -361,7 +358,7 @@ pub fn parse(args: &[String]) -> Result<Options, String> {
             "--mapping" => {
                 let name = take("--mapping")?;
                 o.mapping = MappingPolicy::parse(&name)
-                    .ok_or_else(|| format!("unknown mapping '{name}' (lex | bisect | joint)"))?;
+                    .ok_or_else(|| format!("unknown mapping '{name}' (lex | bisect)"))?;
             }
             "-k" | "--kernel" => {
                 o.kernel = match take("--kernel")?.as_str() {
@@ -1264,9 +1261,13 @@ mod tests {
         let h = cfg.topology.expect("hierarchical model selected");
         assert_eq!(h.name, "dragonfly");
         assert_eq!(h.node.ranks_per_node(), 8);
-        let o = p(&["--topology", "fat-tree:16", "--mapping", "joint"]).unwrap();
+        let o = p(&["--topology", "fat-tree:16", "--mapping", "lex"]).unwrap();
         assert_eq!(o.topology, Some(Topology::FatTree(16)));
-        assert_eq!(o.mapping, MappingPolicy::Joint);
+        assert_eq!(o.mapping, MappingPolicy::Lex);
+        // `joint` is no policy: rejected like any unknown name, with a
+        // message that lists the policies there are.
+        let err = p(&["-t", "fat-tree:16", "--mapping", "joint"]).unwrap_err();
+        assert!(err.ends_with("(lex | bisect)"), "{err}");
         assert!(config(&p(&[]).unwrap()).topology.is_none(), "flat default");
         // Bad specs, mapping without a topology, rebalance conflicts.
         assert!(p(&["-t", "torus:4"]).is_err());

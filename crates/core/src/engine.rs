@@ -6,7 +6,7 @@
 
 use brick::{BrickInfo, BrickStorage};
 use netsim::telemetry::{Phase, Recorder};
-use netsim::{NetsimError, PartitionStats, RankCtx, DEFAULT_EAGER_BYTES};
+use netsim::{NetsimError, PartitionStats, RankCtx};
 use sched::SendPriority;
 use stencil::{apply_bricks_gather, ArrayGrid, ArrayPlan, KernelPlan, StencilShape};
 
@@ -252,7 +252,7 @@ impl RankEngine for HeapBricks<'_> {
         let (step, bricks) = (self.decomp.step(), self.decomp.bricks());
         let session = self.session.as_mut().expect(NO_EXCHANGE);
         if partitioned {
-            session.enable_partitioned(step, bricks, DEFAULT_EAGER_BYTES);
+            session.enable_partitioned(step, bricks);
         }
         (ghosts_of(session.recv_ranges(), step), session.plan().priority().cloned())
     }
@@ -372,7 +372,7 @@ macro_rules! view_pair_engine {
                 for (view, grid) in self.views.iter_mut().zip(&self.grids) {
                     view.ensure_bound(ctx, grid);
                     if partitioned {
-                        view.enable_partitioned(step, bricks, DEFAULT_EAGER_BYTES);
+                        view.enable_partitioned(step, bricks);
                     }
                 }
                 (self.views[0].recv_ghosts(step), self.views[0].plan().priority().cloned())

@@ -347,9 +347,9 @@ impl ExchangeSession {
     /// partitions of a message are the padded storage bricks composing
     /// it (`step` elements each). `bricks` is the padded brick count of
     /// the storage the completion driver indexes.
-    pub(crate) fn enable_partitioned(&mut self, step: usize, bricks: usize, eager_bytes: usize) {
+    pub(crate) fn enable_partitioned(&mut self, step: usize, bricks: usize) {
         let ranges = &self.send_ranges;
-        self.plan.enable_partitioned(step, bricks, eager_bytes, |i| {
+        self.plan.enable_partitioned(step, bricks, |i| {
             (ranges[i].start / step..ranges[i].end / step).collect()
         });
     }

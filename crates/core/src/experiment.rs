@@ -10,8 +10,7 @@ use std::time::{Duration, Instant};
 use brick::BrickDims;
 use layout::SurfaceLayout;
 use mapping::{
-    joint_anneal, lexicographic, recursive_bisection, schedule_loads, CommGraph, DirLoad,
-    JointConfig, MappingPolicy,
+    lexicographic, recursive_bisection, schedule_loads, CommGraph, DirLoad, MappingPolicy,
 };
 use netsim::telemetry::{MappingStats, OverlapStats, Timeline};
 use netsim::{
@@ -371,30 +370,6 @@ fn plan_mapping(cfg: &ExperimentConfig, topo: &CartTopo) -> (CartTopo, Option<Ma
     let perm = match cfg.mapping {
         MappingPolicy::Lex => lex.clone(),
         MappingPolicy::Bisect => recursive_bisection(topo, &hier.node),
-        MappingPolicy::Joint => {
-            let seed = recursive_bisection(topo, &hier.node);
-            let jc = JointConfig {
-                extents: cfg.subdomain,
-                ghost: cfg.ghost,
-                elem_bytes: 8,
-                hier,
-                iters: 400,
-                seed: 2021,
-            };
-            let annealed = joint_anneal(topo, &jc, &method_layout(&cfg.method), &seed).perm;
-            // The engine's region order is pinned by the method, so the
-            // annealed permutation (optimized jointly with a possibly
-            // different order) only ships if it still wins under the
-            // pinned order — joint is then never worse than bisect or
-            // lex alone here.
-            [annealed, seed, lex.clone()]
-                .into_iter()
-                .min_by(|a, b| {
-                    g.modeled_time(a, &hier)
-                        .total_cmp(&g.modeled_time(b, &hier))
-                })
-                .expect("three candidates")
-        }
     };
     let split = g.split(&perm, &hier.node);
     let lex_split = g.split(&lex, &hier.node);
@@ -885,7 +860,7 @@ mod tests {
         base.subdomain = [16; 3];
         base.ranks = vec![2, 2, 2];
         let flat = run_experiment(&base);
-        for policy in [MappingPolicy::Lex, MappingPolicy::Bisect, MappingPolicy::Joint] {
+        for policy in [MappingPolicy::Lex, MappingPolicy::Bisect] {
             let mut c = base.clone();
             c.topology = Some(HierarchicalNetworkModel::dragonfly(4));
             c.mapping = policy;
@@ -912,25 +887,6 @@ mod tests {
                 m.lex_modeled_time
             );
         }
-    }
-
-    /// The joint policy is never worse than bisect or lex alone under
-    /// the same graph and model (the acceptance criterion the bench
-    /// pins), and bisect strictly beats lex once nodes can hold a
-    /// nontrivial box.
-    #[test]
-    fn joint_mapping_never_loses_to_either_alone() {
-        let mut c = cfg(CpuMethod::Layout);
-        c.subdomain = [16; 3];
-        c.ranks = vec![4, 2, 2];
-        c.topology = Some(HierarchicalNetworkModel::fat_tree(4));
-        c.mapping = MappingPolicy::Joint;
-        let joint = run_experiment(&c).mapping.expect("stats");
-        c.mapping = MappingPolicy::Bisect;
-        let bisect = run_experiment(&c).mapping.expect("stats");
-        assert!(joint.modeled_time <= bisect.modeled_time);
-        assert!(joint.modeled_time <= joint.lex_modeled_time);
-        assert!(joint.off_bytes <= joint.lex_off_bytes);
     }
 
     #[test]

@@ -303,12 +303,12 @@ impl ExchangeView {
     /// each, page-aligned by construction, so `pready` still reads
     /// straight out of the mmap view — pack-free). Requires
     /// [`Self::ensure_bound`] first.
-    pub(crate) fn enable_partitioned(&mut self, step: usize, bricks: usize, eager_bytes: usize) {
+    pub(crate) fn enable_partitioned(&mut self, step: usize, bricks: usize) {
         let views = &self.views;
         self.plan
             .as_mut()
             .expect("call ensure_bound first")
-            .enable_partitioned(step, bricks, eager_bytes, |i| views[i].bricks.clone());
+            .enable_partitioned(step, bricks, |i| views[i].bricks.clone());
     }
 
     /// The ghost bricks each mailbox receive fills, in completion-index

@@ -399,7 +399,6 @@ impl CommPlan {
         &mut self,
         part_elems: usize,
         total_bricks: usize,
-        eager_bytes: usize,
         bricks_of: impl Fn(usize) -> Vec<usize>,
     ) {
         // Channel exposure rank: the largest payload drains slowest, so
@@ -416,7 +415,7 @@ impl CommPlan {
         for (k, &i) in self.mailbox_sends.iter().enumerate() {
             let (s, bricks) = (&self.sends[i], bricks_of(i));
             let table = PartitionTable::even(bricks.len() * part_elems, part_elems);
-            psends.push(PartitionedSend::new(s.dest, s.tag, table).with_eager(eager_bytes));
+            psends.push(PartitionedSend::new(s.dest, s.tag, table));
             for (p, &b) in bricks.iter().enumerate() {
                 brick_parts[b].push((k as u32, p as u32));
                 priority.assign(b as u32, class[k]);
@@ -714,8 +713,12 @@ mod tests {
     /// Elements of the three messages: two cross the mailbox (on a
     /// periodic 2x1 grid both x neighbors are the other rank), the third
     /// travels along y and wraps to the sender.
-    const ELEMS: [usize; 3] = [24, 16, 8];
-    const RANGES: [Range<usize>; 3] = [0..24, 24..40, 40..48];
+    const ELEMS: [usize; 3] = [3 * BRICK, 2 * BRICK, BRICK];
+    const RANGES: [Range<usize>; 3] = [0..3 * BRICK, 3 * BRICK..5 * BRICK, 5 * BRICK..TOTAL];
+    /// Elements per brick (= partition): one brick is exactly the eager
+    /// threshold, so every ready prefix ships at once.
+    const BRICK: usize = netsim::DEFAULT_EAGER_BYTES / 8;
+    const TOTAL: usize = 6 * BRICK;
 
     fn schedule() -> (Vec<SendSpec>, Vec<RecvSpec>) {
         let dir = |x: i8, y: i8| Dir::from_offsets(&[x, y]);
@@ -737,7 +740,7 @@ mod tests {
 
     /// What `rank` stages for send `i` at `step`.
     fn staged(rank: usize, i: usize, step: usize) -> Vec<f64> {
-        (0..ELEMS[i]).map(|e| (step * 10_000 + rank * 1000 + i * 100 + e) as f64).collect()
+        (0..ELEMS[i]).map(|e| (((step * 2 + rank) * 3 + i) * TOTAL + e) as f64).collect()
     }
 
     struct Outcome {
@@ -763,10 +766,10 @@ mod tests {
             let mut plan = CommPlan::bind(Some("exchange:test"), ctx, 2, &sends, &recvs, true);
             assert_eq!(plan.mailbox(), [0, 1], "the y message pairs with its own receive");
             if partitioned {
-                // Eight-element bricks: message 0 is bricks 0..3, message 1 bricks 3..5.
-                plan.enable_partitioned(8, 5, 0, |i| if i == 0 { vec![0, 1, 2] } else { vec![3, 4] });
+                // Message 0 is bricks 0..3, message 1 bricks 3..5.
+                plan.enable_partitioned(BRICK, 5, |i| if i == 0 { vec![0, 1, 2] } else { vec![3, 4] });
             }
-            let (mut data, mut pend) = (vec![0.0; 48], Vec::new());
+            let (mut data, mut pend) = (vec![0.0; TOTAL], Vec::new());
             let mut bufs: Vec<Vec<f64>> = (0..3).map(|i| staged(rank, i, 0)).collect();
             let mut out = Outcome {
                 completed: Vec::new(),
@@ -846,7 +849,7 @@ mod tests {
                             (s.timers.msgs, s.timers.wire_bytes, s.timers.payload_bytes),
                         );
                         assert_eq!(p.timers.msgs, 3 * STEPS as u64);
-                        assert_eq!(p.timers.payload_bytes, (48 - 6) * 8 * STEPS as u64);
+                        assert_eq!(p.timers.payload_bytes, ((TOTAL - 6) * 8 * STEPS) as u64);
                     }
                 }
                 if faults.lossy() {
@@ -876,8 +879,8 @@ mod tests {
         for split in [false, true] {
             for o in drive(FaultConfig::off(), true, split, true) {
                 // Both mailbox messages of every step but the first.
-                assert_eq!(o.early_bytes, ((24 + 16) * 8 * (STEPS - 1)) as u64);
-                assert_eq!(o.timers.wire_bytes, (48 * 8 * STEPS) as u64);
+                assert_eq!(o.early_bytes, (5 * BRICK * 8 * (STEPS - 1)) as u64);
+                assert_eq!(o.timers.wire_bytes, (TOTAL * 8 * STEPS) as u64);
             }
         }
     }

@@ -258,13 +258,13 @@ impl ShiftExchanger {
     /// shippable prefix. Requires [`Self::ensure_bound`] first; a local
     /// (single-rank-axis) final pass has nothing to partition and
     /// leaves the exchanger on the classic path.
-    pub(crate) fn enable_partitioned(&mut self, step: usize, bricks: usize, eager_bytes: usize) {
+    pub(crate) fn enable_partitioned(&mut self, step: usize, bricks: usize) {
         let plan = self.plans.last_mut().expect("call ensure_bound first");
         if plan.mailbox().is_empty() {
             return;
         }
         let slabs = &self.final_send_bricks;
-        plan.enable_partitioned(step, bricks, eager_bytes, |i| {
+        plan.enable_partitioned(step, bricks, |i| {
             slabs[i].iter().map(|&b| b as usize).collect()
         });
     }

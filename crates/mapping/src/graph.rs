@@ -9,6 +9,7 @@
 //! are *directed sends* on **cartesian** ranks; a mapping permutation
 //! is evaluated against the graph, never baked into it.
 
+use layout::{all_regions, SurfaceLayout};
 use netsim::hier::{HierarchicalNetworkModel, NodeShape};
 use netsim::CartTopo;
 
@@ -21,6 +22,37 @@ pub struct DirLoad {
     pub msgs: u64,
     /// Payload bytes sent to that neighbor per exchange.
     pub bytes: u64,
+}
+
+/// Exchange-schedule loads induced by `layout` on a subdomain of
+/// `extents` elements per axis with `ghost`-deep ghost zones: one
+/// [`DirLoad`] per neighbor direction, messages = contiguous runs,
+/// bytes = sent region volumes.
+pub fn schedule_loads(
+    layout: &SurfaceLayout,
+    extents: &[usize],
+    ghost: usize,
+    elem_bytes: u64,
+) -> Vec<DirLoad> {
+    let d = layout.dims();
+    assert_eq!(extents.len(), d, "one extent per layout dimension");
+    all_regions(d)
+        .into_iter()
+        .map(|s| {
+            let msgs = layout.runs_for_neighbor(&s).len() as u64;
+            let bytes: u64 = layout
+                .send_set(&s)
+                .into_iter()
+                .map(|t| {
+                    (0..d)
+                        .map(|a| if t.axis(a) != 0 { ghost as u64 } else { extents[a] as u64 })
+                        .product::<u64>()
+                        * elem_bytes
+                })
+                .sum();
+            DirLoad { trits: s.offsets(d), msgs, bytes }
+        })
+        .collect()
 }
 
 /// Directed communication-volume graph over cartesian ranks.
@@ -157,6 +189,22 @@ mod tests {
             }
         }
         loads
+    }
+
+    #[test]
+    fn schedule_loads_match_layout_counts() {
+        let l = layout::surface3d();
+        let loads = schedule_loads(&l, &[16; 3], 1, 8);
+        assert_eq!(loads.len(), 26);
+        let msgs: u64 = loads.iter().map(|l| l.msgs).sum();
+        assert_eq!(msgs, l.message_count());
+        // Total bytes = every region counted once per neighbor it goes
+        // to; a face region (one signed axis) has volume 16*16*1.
+        let face = loads
+            .iter()
+            .find(|l| l.trits.iter().filter(|&&t| t != 0).count() == 1)
+            .unwrap();
+        assert!(face.bytes >= 16 * 16 * 8, "face load includes its 256-elem region");
     }
 
     #[test]

@@ -8,16 +8,12 @@
 //! [`netsim::HierarchicalNetworkModel`]:
 //!
 //! - [`CommGraph`] / [`DirLoad`]: the per-rank communication-volume graph
-//!   extracted from decomp adjacency plus the bound exchange schedule,
-//!   and its [`TrafficSplit`] / modeled-time evaluation under a mapping,
+//!   extracted from decomp adjacency plus the bound exchange schedule
+//!   ([`schedule_loads`]), and its [`TrafficSplit`] / modeled-time
+//!   evaluation under a mapping,
 //! - [`lexicographic`]: the identity baseline,
 //! - [`recursive_bisection`]: geometric grouping into node-sized boxes
-//!   (the strategy of arXiv 2005.09521),
-//! - [`optimal_reordering`]: grid2grid-style greedy node filling over the
-//!   measured graph (no grid assumption),
-//! - [`joint_anneal`]: co-optimization of (region layout × rank mapping)
-//!   under the two-tier model, seeded so it never loses to either
-//!   optimization alone.
+//!   (the strategy of arXiv 2005.09521).
 //!
 //! Every mapper returns `perm[cartesian rank] = physical rank`; hand the
 //! result to [`netsim::CartTopo::with_permutation`] and every exchange
@@ -45,9 +41,7 @@
 #![warn(missing_docs)]
 
 pub mod graph;
-pub mod joint;
 pub mod map;
 
-pub use graph::{CommGraph, DirLoad, TrafficSplit};
-pub use joint::{joint_anneal, schedule_loads, JointConfig, JointResult};
-pub use map::{lexicographic, optimal_reordering, recursive_bisection, MappingPolicy};
+pub use graph::{schedule_loads, CommGraph, DirLoad, TrafficSplit};
+pub use map::{lexicographic, recursive_bisection, MappingPolicy};

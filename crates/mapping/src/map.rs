@@ -1,7 +1,5 @@
-//! Rank-permutation mappers: the lexicographic baseline, geometric
-//! recursive bisection (arXiv 2005.09521's grouping strategy), and a
-//! grid2grid-style greedy `optimal_reordering` over the measured
-//! communication graph.
+//! Rank-permutation mappers: the lexicographic baseline and geometric
+//! recursive bisection (arXiv 2005.09521's grouping strategy).
 //!
 //! All mappers return `perm[cartesian rank] = physical rank`; physical
 //! ranks `[k·r, (k+1)·r)` share node `k` (see
@@ -10,8 +8,6 @@
 
 use netsim::hier::NodeShape;
 use netsim::CartTopo;
-
-use crate::graph::CommGraph;
 
 /// Which mapper a run uses.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -22,8 +18,6 @@ pub enum MappingPolicy {
     Lex,
     /// Geometric recursive bisection into node-sized boxes.
     Bisect,
-    /// Joint (layout × mapping) annealing under the hierarchical model.
-    Joint,
 }
 
 impl MappingPolicy {
@@ -32,7 +26,6 @@ impl MappingPolicy {
         match self {
             MappingPolicy::Lex => "lex",
             MappingPolicy::Bisect => "bisect",
-            MappingPolicy::Joint => "joint",
         }
     }
 
@@ -41,7 +34,6 @@ impl MappingPolicy {
         match s {
             "lex" => Some(MappingPolicy::Lex),
             "bisect" => Some(MappingPolicy::Bisect),
-            "joint" => Some(MappingPolicy::Joint),
             _ => None,
         }
     }
@@ -102,52 +94,10 @@ fn bisect(mut cells: Vec<(Vec<usize>, usize)>, rpn: usize, perm: &mut [usize], n
     bisect(rest, rpn, perm, next);
 }
 
-/// grid2grid-style greedy reordering over the measured communication
-/// graph: fill one node at a time, seeding with the heaviest unassigned
-/// sender and repeatedly pulling in the unassigned rank with the most
-/// traffic to the group built so far. Works on any graph (no grid
-/// assumption), so it also covers irregular decompositions.
-pub fn optimal_reordering(g: &CommGraph, node: &NodeShape) -> Vec<usize> {
-    let n = g.ranks();
-    let rpn = node.ranks_per_node();
-    let mut assigned = vec![false; n];
-    let mut perm = vec![0usize; n];
-    let mut next = 0usize;
-    while next < n {
-        // Seed: heaviest-total-volume unassigned rank (ties: lowest id).
-        let seed = (0..n)
-            .filter(|&r| !assigned[r])
-            .max_by_key(|&r| (g.send_volume(r), usize::MAX - r))
-            .expect("unassigned rank must exist while next < n");
-        let mut group = vec![seed];
-        assigned[seed] = true;
-        while group.len() < rpn && next + group.len() < n {
-            let best = (0..n)
-                .filter(|&r| !assigned[r])
-                .max_by_key(|&r| {
-                    let vol: u64 = group.iter().map(|&m| g.volume_between(r, m)).sum();
-                    (vol, usize::MAX - r)
-                });
-            match best {
-                Some(r) => {
-                    assigned[r] = true;
-                    group.push(r);
-                }
-                None => break,
-            }
-        }
-        for r in group {
-            perm[r] = next;
-            next += 1;
-        }
-    }
-    perm
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::graph::DirLoad;
+    use crate::graph::{CommGraph, DirLoad};
 
     fn star_loads(d: usize) -> Vec<DirLoad> {
         let mut loads = Vec::new();
@@ -174,7 +124,7 @@ mod tests {
 
     #[test]
     fn policies_parse_and_label() {
-        for p in [MappingPolicy::Lex, MappingPolicy::Bisect, MappingPolicy::Joint] {
+        for p in [MappingPolicy::Lex, MappingPolicy::Bisect] {
             assert_eq!(MappingPolicy::parse(p.label()), Some(p));
         }
         assert_eq!(MappingPolicy::parse("magic"), None);
@@ -210,22 +160,5 @@ mod tests {
         let node = NodeShape::new(4);
         let perm = recursive_bisection(&topo, &node);
         assert!(is_bijection(&perm));
-    }
-
-    #[test]
-    fn greedy_reordering_groups_heavy_neighbors() {
-        let topo = CartTopo::new(&[4, 4], true);
-        let node = NodeShape::new(4);
-        let g = CommGraph::from_dir_loads(&topo, &star_loads(2));
-        let perm = optimal_reordering(&g, &node);
-        assert!(is_bijection(&perm));
-        let s_lex = g.split(&lexicographic(16), &node);
-        let s_greedy = g.split(&perm, &node);
-        assert!(
-            s_greedy.off_bytes <= s_lex.off_bytes,
-            "greedy {} must not lose to lex {}",
-            s_greedy.off_bytes,
-            s_lex.off_bytes
-        );
     }
 }

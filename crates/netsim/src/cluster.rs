@@ -389,7 +389,6 @@ pub struct RankCtx<'a> {
     epoch_bytes_on: usize,
     // Completed-but-uncopied messages, reused across epochs.
     recv_scratch: Vec<Msg>,
-    pooling: bool,
     transport_allocs: u64,
     fault: Option<FaultPlan>,
     fault_bypass: bool,
@@ -426,18 +425,10 @@ impl<'a> RankCtx<'a> {
         self.topo
     }
 
-    /// The wire model in use (already includes this rank's fault-plan
-    /// slowdown factor, if any). Under a hierarchical topology this is
-    /// the inter-node *fabric* tier; see [`RankCtx::network_to`] for
-    /// the tier a specific peer is charged on.
-    pub fn network(&self) -> NetworkModel {
-        self.net
-    }
-
     /// The wire model charged for messages between this rank and
-    /// `peer`: the shared-memory tier when both live on the same node
-    /// of a hierarchical topology, the fabric tier otherwise. On a flat
-    /// topology this is always [`RankCtx::network`].
+    /// `peer` (already includes this rank's fault-plan slowdown factor,
+    /// if any): the shared-memory tier when both live on the same node
+    /// of a hierarchical topology, the fabric tier otherwise.
     pub fn network_to(&self, peer: usize) -> NetworkModel {
         self.net_to(peer)
     }
@@ -512,15 +503,6 @@ impl<'a> RankCtx<'a> {
         r
     }
 
-    /// Run and *really time* an on-node staging copy that is neither
-    /// pack nor unpack (view maintenance, buffer shuffles). Shares the
-    /// `pack` timer; attributed as `copy` in timelines.
-    pub fn time_copy<R>(&mut self, f: impl FnOnce() -> R) -> R {
-        let (r, t) = timed(f);
-        self.bill(Phase::Copy, t);
-        r
-    }
-
     /// Run and *really time* work that happens inside the MPI library
     /// (e.g. a derived-datatype pack walk), charged to `call`.
     pub fn time_call<R>(&mut self, f: impl FnOnce() -> R) -> R {
@@ -529,21 +511,11 @@ impl<'a> RankCtx<'a> {
         r
     }
 
-    /// Charge additional modeled seconds to `call`.
-    pub fn charge_call(&mut self, secs: f64) {
-        self.bill(Phase::Wire, secs);
-    }
-
     /// Turn on span/counter recording for this rank. Exchange engines
     /// then wrap their work in [`RankCtx::scoped`] and every charged
     /// second lands as a leaf span on the rank's virtual timeline.
     pub fn enable_profiling(&mut self) {
         self.recorder.enable(self.rank);
-    }
-
-    /// Whether span recording is on.
-    pub fn profiling_enabled(&self) -> bool {
-        self.recorder.is_enabled()
     }
 
     /// Open a named scope for the duration of `f`: charges billed
@@ -566,13 +538,6 @@ impl<'a> RankCtx<'a> {
     /// own wire traffic would otherwise pollute the spans.
     pub fn take_timeline(&mut self) -> Timeline {
         self.recorder.take_timeline()
-    }
-
-    /// Enable or disable send-buffer pooling. On by default; the
-    /// transport benches turn it off to measure the fresh-alloc
-    /// baseline.
-    pub fn set_pooling(&mut self, on: bool) {
-        self.pooling = on;
     }
 
     /// Number of message buffers the transport had to grow or allocate
@@ -898,17 +863,12 @@ impl<'a> RankCtx<'a> {
         if decision.drop {
             return Ok(());
         }
-        let mut msg = if self.pooling {
-            let mut buf = self.pools[self.rank].take();
-            if buf.capacity() < data.len() {
-                self.transport_allocs += 1;
-            }
-            buf.extend_from_slice(data);
-            Msg { owner: Some(self.rank), data: buf }
-        } else {
+        let mut buf = self.pools[self.rank].take();
+        if buf.capacity() < data.len() {
             self.transport_allocs += 1;
-            Msg { owner: None, data: data.to_vec() }
-        };
+        }
+        buf.extend_from_slice(data);
+        let mut msg = Msg { owner: Some(self.rank), data: buf };
         if let Some((word, mask)) = decision.corrupt {
             let bits = msg.data[word].to_bits() ^ mask;
             msg.data[word] = f64::from_bits(bits);
@@ -1472,11 +1432,6 @@ impl<'a> RankCtx<'a> {
         self.bill(Phase::Compute, secs);
     }
 
-    /// Charge additional modeled seconds to `pack`.
-    pub fn charge_pack(&mut self, secs: f64) {
-        self.bill(Phase::Pack, secs);
-    }
-
     /// Charge modeled compute seconds *attributed to a brick*: the time
     /// lands on `calc` exactly like [`RankCtx::charge_calc`], and — when
     /// profiling is on — is additionally credited to `brick` on the
@@ -1684,7 +1639,6 @@ fn rank_ctx<'a>(
         epoch_msgs_on: 0,
         epoch_bytes_on: 0,
         recv_scratch: Vec::new(),
-        pooling: true,
         transport_allocs: 0,
         fault,
         fault_bypass: false,
@@ -1746,21 +1700,6 @@ where
     F: Fn(&mut RankCtx<'_>) -> R + Sync,
 {
     run_cluster_on(Backend::from_env(), topo, net, faults, body)
-}
-
-/// [`run_cluster_faulty`] with the structured-error contract of
-/// [`try_run_cluster`].
-pub fn try_run_cluster_faulty<R, F>(
-    topo: &CartTopo,
-    net: impl Into<HierarchicalNetworkModel>,
-    faults: FaultConfig,
-    body: F,
-) -> Result<Vec<R>, NetsimError>
-where
-    R: Send,
-    F: Fn(&mut RankCtx<'_>) -> R + Sync,
-{
-    try_run_cluster_on(Backend::from_env(), topo, net, faults, body)
 }
 
 /// Run a cluster on an explicitly chosen [`Backend`]. Panics with the
@@ -2354,22 +2293,6 @@ mod tests {
     }
 
     #[test]
-    fn pooling_off_allocates_every_send() {
-        let topo = CartTopo::new(&[1], true);
-        run_cluster(&topo, NetworkModel::instant(), |ctx| {
-            ctx.set_pooling(false);
-            let data = vec![1.0; 64];
-            let mut buf = vec![0.0; 64];
-            for _ in 0..10 {
-                let h = ctx.irecv(0, 2).unwrap();
-                ctx.isend(0, 2, &data).unwrap();
-                ctx.waitall_into(&[h], &mut [&mut buf[..]]).unwrap();
-            }
-            assert_eq!(ctx.transport_allocs(), 10);
-        });
-    }
-
-    #[test]
     fn loopback_within_matches_mailbox_timers_and_data() {
         let topo = CartTopo::new(&[1], true);
         let net = NetworkModel::theta_aries();
@@ -2587,7 +2510,6 @@ mod tests {
                 let mut buf = [0.0; 16];
                 ctx.waitall_into(&[h], &mut [&mut buf[..]]).unwrap();
             });
-            assert!(!ctx.profiling_enabled());
             ctx.take_timeline()
         });
         assert!(out[0].spans.is_empty());
@@ -2619,7 +2541,8 @@ mod tests {
         let topo = CartTopo::new(&[2], true);
         let net = NetworkModel::theta_aries();
         let cfg = FaultConfig { seed: 21, jitter: 0.5, ..FaultConfig::off() };
-        let out = run_cluster_faulty(&topo, net, cfg, |ctx| ctx.network().latency);
+        let out =
+            run_cluster_faulty(&topo, net, cfg, |ctx| ctx.network_to(1 - ctx.rank()).latency);
         for (rank, &lat) in out.iter().enumerate() {
             let expect = net.slowed(FaultPlan::new(cfg, rank).slowdown()).latency;
             assert_eq!(lat, expect);

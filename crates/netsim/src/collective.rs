@@ -105,13 +105,6 @@ pub struct TimerSummary {
     pub wait: (f64, f64, f64),
 }
 
-impl TimerSummary {
-    /// Format one category the way the artifact prints it.
-    pub fn fmt_category(name: &str, (min, avg, max): (f64, f64, f64)) -> String {
-        format!("{name} [{min:.6}, {avg:.6}, {max:.6}] s")
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -162,11 +155,5 @@ mod tests {
             ctx.allreduce_max(ctx.rank() as f64).unwrap()
         });
         assert!(out.iter().all(|&v| v == 3.0));
-    }
-
-    #[test]
-    fn summary_format() {
-        let line = TimerSummary::fmt_category("calc", (0.1, 0.2, 0.3));
-        assert!(line.starts_with("calc [0.1"));
     }
 }

@@ -57,8 +57,8 @@ pub mod trace;
 pub mod task;
 
 pub use cluster::{
-    run_cluster, run_cluster_faulty, run_cluster_on, try_run_cluster, try_run_cluster_faulty,
-    try_run_cluster_on, Backend, RankCtx, RecvHandle, RecvdMsg, POOL_CAP,
+    run_cluster, run_cluster_faulty, run_cluster_on, try_run_cluster, try_run_cluster_on,
+    Backend, RankCtx, RecvHandle, RecvdMsg, POOL_CAP,
 };
 pub use collective::TimerSummary;
 pub use error::NetsimError;

@@ -82,20 +82,6 @@ impl PartitionTable {
         PartitionTable { bounds }
     }
 
-    /// Build from explicit per-partition sizes (all non-zero).
-    pub fn from_sizes(sizes: &[usize]) -> PartitionTable {
-        assert!(!sizes.is_empty(), "cannot partition an empty message");
-        let mut bounds = Vec::with_capacity(sizes.len() + 1);
-        let mut at = 0;
-        bounds.push(0);
-        for &s in sizes {
-            assert!(s > 0, "zero-size partition");
-            at += s;
-            bounds.push(at);
-        }
-        PartitionTable { bounds }
-    }
-
     /// Number of partitions.
     pub fn parts(&self) -> usize {
         self.bounds.len() - 1
@@ -214,11 +200,6 @@ impl PartitionedSend {
     /// The bound partition table.
     pub fn table(&self) -> &PartitionTable {
         &self.table
-    }
-
-    /// Whether partition `p` is marked ready for the in-flight message.
-    pub fn is_ready(&self, p: usize) -> bool {
-        self.ready[p]
     }
 
     /// Mark partition `p` of the upcoming message ready and ship the
@@ -467,10 +448,6 @@ mod tests {
         assert_eq!(t.range(0), 0..4);
         assert_eq!(t.range(2), 8..10);
         assert_eq!(t.total_elems(), 10);
-        let s = PartitionTable::from_sizes(&[2, 5, 3]);
-        assert_eq!(s.parts(), 3);
-        assert_eq!(s.range(1), 2..7);
-        assert_eq!(s.total_elems(), 10);
     }
 
     #[test]

@@ -442,11 +442,6 @@ pub fn suspend(directive: Directive) {
     }
 }
 
-/// Whether the calling code is running inside a rank task.
-pub fn on_task() -> bool {
-    WORKER_FRAME.with(|w| !w.get().is_null())
-}
-
 extern "C" fn task_entry(task: *mut Task) -> ! {
     unsafe {
         let body = (*task.cast_const()).body.get().as_mut().unwrap().take().unwrap();

@@ -181,11 +181,6 @@ impl CartTopo {
         &self.dims
     }
 
-    /// Number of axes.
-    pub fn ndims(&self) -> usize {
-        self.dims.len()
-    }
-
     /// Total ranks.
     pub fn size(&self) -> usize {
         self.dims.iter().product()

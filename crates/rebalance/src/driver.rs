@@ -23,7 +23,7 @@ use std::time::Duration;
 use netsim::telemetry::{BrickCosts, MigrationStats, OverlapStats, Timeline};
 use netsim::{
     run_cluster_on, Backend, CartTopo, FaultConfig, FaultEvent, FaultStats, NetsimError,
-    NetworkModel, RankCtx, RecvHandle, RecvdMsg, TimerSummary, Timers,
+    NetworkModel, RankCtx, RecvHandle, TimerSummary, Timers,
 };
 use packfree::checkpoint::{drive, DriveOp, FailureRecovery, RecoveryCfg};
 use packfree::experiment::MethodReport;
@@ -277,21 +277,6 @@ fn absorb_discovery(mig: &mut MigrationStats, st: &netsim::NbxStats) {
     mig.nbx_barrier_msgs += st.barrier_msgs;
 }
 
-/// Spin-wait a posted receive to completion, surfacing a peer's death
-/// as an error instead of hanging (the resilient driver's hook).
-fn wait_spin(ctx: &mut RankCtx<'_>, h: RecvHandle) -> Result<RecvdMsg, NetsimError> {
-    loop {
-        if let Some(msg) = ctx.try_wait(h) {
-            return Ok(msg);
-        }
-        if !ctx.recovering() {
-            if let Some(e) = ctx.rank_failure() {
-                return Err(e);
-            }
-        }
-    }
-}
-
 /// One migration epoch: fence → load exchange → diffusion proposal →
 /// manifests → NBX rediscovery → graph rebuild.
 fn migration_epoch(
@@ -309,7 +294,7 @@ fn migration_epoch(
         let joins: Vec<RecvHandle> =
             (1..n).map(|src| ctx.irecv(src, FENCE_JOIN)).collect::<Result<_, _>>()?;
         for h in joins {
-            let msg = wait_spin(ctx, h)?;
+            let msg = ctx.recv_blocking(h)?;
             ctx.recycle(msg);
         }
         for dst in 1..n {
@@ -318,7 +303,7 @@ fn migration_epoch(
     } else {
         ctx.isend(0, FENCE_JOIN, &[me as f64])?;
         let h = ctx.irecv(0, FENCE_REL)?;
-        let msg = wait_spin(ctx, h)?;
+        let msg = ctx.recv_blocking(h)?;
         ctx.recycle(msg);
     }
 
@@ -333,7 +318,7 @@ fn migration_epoch(
     let mut nb_loads = Vec::with_capacity(nbrs.len());
     for &p in &nbrs {
         let h = ctx.irecv(p, LOAD_TAG)?;
-        let msg = wait_spin(ctx, h)?;
+        let msg = ctx.recv_blocking(h)?;
         nb_loads.push((p as u32, msg.data()[0]));
         ctx.recycle(msg);
     }
@@ -381,7 +366,7 @@ fn migration_epoch(
     }
     for &p in &nbrs {
         let h = ctx.irecv(p, MANIFEST_TAG)?;
-        let msg = wait_spin(ctx, h)?;
+        let msg = ctx.recv_blocking(h)?;
         let data = msg.data();
         let k = data[0].to_bits() as usize;
         let mut at = 1usize;
@@ -478,7 +463,7 @@ fn step_once(
             .map(|(p, _)| ctx.irecv(*p, HALO_TAG))
             .collect::<Result<_, _>>()?;
         for (slot, h) in handles.into_iter().enumerate() {
-            let msg = wait_spin(ctx, h)?;
+            let msg = ctx.recv_blocking(h)?;
             scatter_ghosts(state, slot, msg.data(), grid.cells);
             ctx.recycle(msg);
         }

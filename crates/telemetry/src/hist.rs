@@ -60,11 +60,6 @@ impl Histogram {
             self.sum / self.count as f64
         }
     }
-
-    /// Upper edge of the i-th bucket, for export labels.
-    pub fn bucket_edge(i: usize) -> f64 {
-        (1u64 << i.min(63)) as f64
-    }
 }
 
 #[cfg(test)]

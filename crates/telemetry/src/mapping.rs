@@ -18,7 +18,7 @@ pub struct MappingStats {
     /// Ranks sharing a node (1 = flat, every message crosses the
     /// fabric).
     pub ranks_per_node: usize,
-    /// Mapping policy label (`"lex"`, `"bisect"`, `"joint"`).
+    /// Mapping policy label (`"lex"`, `"bisect"`).
     pub policy: &'static str,
     /// Per-exchange payload bytes whose endpoints share a node.
     pub on_bytes: u64,

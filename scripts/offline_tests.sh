@@ -3,10 +3,11 @@
 #
 # `cargo test` at the root needs proptest and criterion, which cannot be
 # fetched offline. This script copies the committed tree to a scratch
-# directory, drops those two dev-dependencies (parking `tests/proptest_*.rs`
-# and excluding `crates/bench` and `benchmark`), points `[patch.crates-io]`
-# at the stand-ins under `benchmark/standins/` (rayon is sequential there),
-# and runs everything else. Nothing in the checkout is modified.
+# directory, drops those two dev-dependencies (parking `tests/proptest_*.rs`,
+# stripping `crates/bench`'s Criterion `[[bench]]` targets and excluding
+# `benchmark`), points `[patch.crates-io]` at the stand-ins under
+# `benchmark/standins/` (rayon is sequential there), and runs everything
+# else. Nothing in the checkout is modified.
 #
 # usage: scripts/offline_tests.sh [--dir DIR] [`cargo test` arguments]
 #   With no arguments the whole workspace is tested (`--workspace
@@ -42,7 +43,12 @@ for f in tests/proptest_*.rs; do
 done
 
 sed -i -E '/^(proptest|criterion)(\.workspace)? *=/d' Cargo.toml crates/*/Cargo.toml
-sed -i 's|^members = \["crates/\*"\]|members = ["crates/*"]\nexclude = ["crates/bench", "benchmark"]|' Cargo.toml
+# The Criterion benches cannot build without criterion: drop their
+# three-line `[[bench]]` tables and sources so the crate's lib and bins
+# stay in (and `--all-targets` does not rediscover them).
+sed -i '/^\[\[bench\]\]$/,+2d' crates/bench/Cargo.toml
+rm -r crates/bench/benches
+sed -i 's|^members = \["crates/\*"\]|members = ["crates/*"]\nexclude = ["benchmark"]|' Cargo.toml
 cat >>Cargo.toml <<'EOF'
 
 [patch.crates-io]

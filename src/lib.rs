@@ -43,10 +43,7 @@ pub use stencil;
 pub mod prelude {
     pub use brick::{BrickDims, BrickGrid, BrickInfo, BrickStorage, BrickView, BrickViewMut};
     pub use layout::{all_regions, surface2d, surface3d, Dir, MessagePlan, SurfaceLayout};
-    pub use mapping::{
-        joint_anneal, optimal_reordering, recursive_bisection, CommGraph, JointConfig,
-        MappingPolicy,
-    };
+    pub use mapping::{recursive_bisection, CommGraph, MappingPolicy};
     pub use memview::{ContiguousView, MemFile, Segment};
     pub use netsim::hier::{HierarchicalNetworkModel, NodeShape};
     pub use netsim::{

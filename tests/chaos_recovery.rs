@@ -136,9 +136,12 @@ fn kill_mid_migration_epoch_restores_post_migration_ownership() {
     let clean_m = clean.migration.expect("migration stats");
     assert!(clean_m.epochs >= 1 && clean_m.bricks_moved > 0, "no epoch to crash into");
 
-    // Step 2 opens the first migration epoch; ops 1/4/8 land in the
-    // fence join, the load/manifest trade, and the NBX discovery.
-    for (victim, op) in [(1usize, 1u64), (2, 4), (3, 8)] {
+    // Step 2 opens the first migration epoch. Every wait in it parks in
+    // `recv_blocking` (one op), so a non-root rank's op sequence is
+    // fixed: fence 0..3 (join send, release irecv + wait), load trade
+    // 3..9, allreduce 9..12, manifests 12..18, NBX discovery from 18.
+    // Ops 1/4/18 land in the fence, the load trade and the discovery.
+    for (victim, op) in [(1usize, 1u64), (2, 4), (3, 18)] {
         let mut chaos = base.clone();
         chaos.faults = FaultConfig {
             kill: Some(ProcFault { rank: victim, step: 2, op, stall_secs: 0.0 }),

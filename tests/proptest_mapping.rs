@@ -142,7 +142,7 @@ proptest! {
             2 => CpuMethod::MemMap { page_size: 4096 },
             _ => CpuMethod::Shift { page_size: 4096 },
         };
-        let policy = if bisect { MappingPolicy::Bisect } else { MappingPolicy::Joint };
+        let policy = if bisect { MappingPolicy::Bisect } else { MappingPolicy::Lex };
         let backend = if event { Backend::Event } else { Backend::Thread };
         prop_assert!(remap_matches_identity(
             method, ranks, rpn, policy, FaultConfig::off(), false, false, backend
