@@ -7,10 +7,13 @@
 //! `--checkpoint-every` armed it becomes resilient:
 //!
 //! 1. **Checkpoint.** Every K steps (and always before step 0) each rank
-//!    snapshots its current grid ([`DriveOp::Snapshot`]), appends a
-//!    `[step, checksum]` trailer (the same FNV frame checksum the
-//!    reliable protocol uses), and exchanges the frame with its buddy
-//!    `(rank + 1) % n` around the ring. Slots are double-buffered, so a
+//!    snapshots its current grid ([`DriveOp::Snapshot`]) straight into a
+//!    checkpoint slot, seals it with a `[step, checksum]` trailer (the
+//!    same [`netsim::frame_checksum`] the reliable protocol uses), and
+//!    sends the slot to its buddy `(rank + 1) % n` around the ring. The
+//!    buddy verifies the frame and keeps the message buffer itself as
+//!    its guard slot ([`netsim::RankCtx::adopt`]), so a frame is copied
+//!    once and hashed once per hop. Slots are double-buffered, so a
 //!    failure can never leave a rank holding only a torn frame.
 //! 2. **Detect.** Kills fire only inside the armed step window (see
 //!    [`netsim::RankCtx::set_fault_step`]); the victim revokes the
@@ -38,7 +41,7 @@
 //! preserved, because after a failure any such frame is stale by
 //! construction.
 
-use netsim::{frame_checksum, FaultKind, NetsimError, RankCtx, CTRL_TAG_BIT};
+use netsim::{frame_checksum, FaultKind, NetsimError, RankCtx, RecvdMsg, CTRL_TAG_BIT};
 
 /// Per-step control namespace: fence tokens and checkpoint frames.
 /// Purged (with the data plane) during recovery — a surviving token
@@ -169,8 +172,11 @@ impl FailureRecovery {
 }
 
 /// Double-buffered checkpoint slots: this rank's own snapshots and the
-/// buddy frames it guards for `(rank - 1) % n`. `step` entries are -1
-/// until the slot holds a complete, checksum-verified frame.
+/// buddy frames it guards for `(rank - 1) % n`. Every slot holds a whole
+/// sealed frame, `payload ++ [step, checksum]`, with the checksum bound
+/// to `(CKPT, step)`: a frame is sealed once and then travels verbatim —
+/// to the buddy, and in a recovery epoch on to the respawned rank.
+/// `step` entries are -1 until the slot holds a complete frame.
 struct CkptStore {
     own: [Vec<f64>; 2],
     own_step: [i64; 2],
@@ -178,8 +184,6 @@ struct CkptStore {
     foreign_step: [i64; 2],
     /// Which buffer the next checkpoint writes.
     cursor: usize,
-    /// Reusable wire frame (`payload ++ [step, checksum]`).
-    frame: Vec<f64>,
 }
 
 impl CkptStore {
@@ -190,7 +194,6 @@ impl CkptStore {
             foreign: [Vec::new(), Vec::new()],
             foreign_step: [-1; 2],
             cursor: 0,
-            frame: Vec::new(),
         }
     }
 
@@ -198,22 +201,46 @@ impl CkptStore {
         self.own_step[0].max(self.own_step[1])
     }
 
-    fn own_slot(&self, step: i64) -> Option<&[f64]> {
-        self.own_step.iter().position(|&s| s == step).map(|i| self.own[i].as_slice())
+    /// The sealed frame of this rank's own (`own`) or guarded snapshot
+    /// of `step`.
+    fn frame(&self, own: bool, step: i64) -> Option<&[f64]> {
+        let (steps, slots) =
+            if own { (&self.own_step, &self.own) } else { (&self.foreign_step, &self.foreign) };
+        steps.iter().position(|&s| s == step).map(|i| slots[i].as_slice())
+    }
+
+    /// Verify an arrived buddy frame and keep its buffer as guard slot
+    /// `slot`. The swap cannot tear: the slot holds the old frame until
+    /// the new one has passed its checksum.
+    fn guard(&mut self, ctx: &mut RankCtx<'_>, slot: usize, m: RecvdMsg) {
+        let (step, _) = open_frame(m.data());
+        ctx.adopt(m, &mut self.foreign[slot]);
+        self.foreign_step[slot] = step;
     }
 }
 
-/// Split a buddy frame into `(step, payload)`, verifying the trailer
+/// Words in a frame's `[step, checksum]` trailer.
+const TRAILER: usize = 2;
+
+/// Seal a snapshot into a frame by appending its trailer.
+fn seal_frame(buf: &mut Vec<f64>, step: i64) {
+    let sum = frame_checksum(buf, CKPT, step as u64);
+    buf.reserve_exact(TRAILER);
+    buf.push(f64::from_bits(step as u64));
+    buf.push(f64::from_bits(sum));
+}
+
+/// Split a sealed frame into `(step, payload)`, verifying the trailer
 /// checksum. Control frames are fault-exempt, so a mismatch is an
 /// invariant violation, not an injected fault.
-fn open_frame(frame: &[f64], tag: u64) -> (i64, &[f64]) {
-    assert!(frame.len() >= 2, "checkpoint frame too short");
-    let (payload, trailer) = frame.split_at(frame.len() - 2);
+fn open_frame(frame: &[f64]) -> (i64, &[f64]) {
+    assert!(frame.len() >= TRAILER, "checkpoint frame too short");
+    let (payload, trailer) = frame.split_at(frame.len() - TRAILER);
     let step = trailer[0].to_bits() as i64;
     let sum = trailer[1].to_bits();
     assert_eq!(
         sum,
-        frame_checksum(payload, tag, step as u64),
+        frame_checksum(payload, CKPT, step as u64),
         "buddy checkpoint frame failed its checksum"
     );
     (step, payload)
@@ -270,25 +297,25 @@ where
     let slot = st.cursor;
     st.cursor ^= 1;
     st.own_step[slot] = -1;
+    // Room for payload and trailer up front (the last frame's length is
+    // the hint), so sealing never regrows a grid-sized buffer.
+    let hint = st.own[0].len().max(st.own[1].len());
     let buf = &mut st.own[slot];
     buf.clear();
+    buf.reserve_exact(hint);
     body(ctx, DriveOp::Snapshot(buf))?;
-    st.own_step[slot] = step as i64;
     rec.checkpoints += 1;
-    rec.checkpoint_bytes += (st.own[slot].len() * 8) as u64;
+    rec.checkpoint_bytes += (buf.len() * 8) as u64;
+    seal_frame(buf, step as i64);
+    st.own_step[slot] = step as i64;
     ctx.note_count("checkpoints", 1);
     if n > 1 {
         let buddy = (me + 1) % n;
         let prev = (me + n - 1) % n;
-        let sum = frame_checksum(&st.own[slot], CKPT, step as u64);
-        st.frame.clear();
-        st.frame.extend_from_slice(&st.own[slot]);
-        st.frame.push(f64::from_bits(step as u64));
-        st.frame.push(f64::from_bits(sum));
-        ctx.isend(buddy, CKPT, &st.frame)?;
+        ctx.isend(buddy, CKPT, &st.own[slot])?;
         let h = ctx.irecv(prev, CKPT)?;
-        let m = match ctx.recv_blocking(h) {
-            Ok(m) => m,
+        match ctx.recv_blocking(h) {
+            Ok(m) => st.guard(ctx, slot, m),
             Err(e @ NetsimError::RankFailed { .. }) => {
                 // A peer died while we were blocked on the buddy frame.
                 // Kills fire only inside an armed step body, never inside
@@ -296,25 +323,14 @@ where
                 // and (delivery being eager) the frame is already queued —
                 // complete the recv non-blocking, then let the caller
                 // enter recovery with the slot intact.
-                st.foreign_step[slot] = -1;
                 if let Some(m) = ctx.try_wait(h) {
-                    let (fstep, payload) = open_frame(m.data(), CKPT);
-                    st.foreign[slot].clear();
-                    st.foreign[slot].extend_from_slice(payload);
-                    st.foreign_step[slot] = fstep;
-                    ctx.recycle(m);
+                    st.guard(ctx, slot, m);
                 }
                 ctx.flush_epoch();
                 return Err(e);
             }
             Err(e) => return Err(e),
-        };
-        let (fstep, payload) = open_frame(m.data(), CKPT);
-        st.foreign_step[slot] = -1;
-        st.foreign[slot].clear();
-        st.foreign[slot].extend_from_slice(payload);
-        st.foreign_step[slot] = fstep;
-        ctx.recycle(m);
+        }
         ctx.flush_epoch();
     }
     Ok(())
@@ -355,30 +371,19 @@ fn agree(ctx: &mut RankCtx<'_>, latest: i64) -> Result<i64, NetsimError> {
     }
 }
 
-/// Send one stored slot as a framed transfer to the respawned rank.
+/// Relay one stored frame, as sealed, to the respawned rank.
 fn send_slot(
     ctx: &mut RankCtx<'_>,
-    st: &mut CkptStore,
+    st: &CkptStore,
     data_step: i64,
     own: bool,
     dest: usize,
     tag: u64,
 ) -> Result<(), NetsimError> {
-    // Field-level borrows: the slot arrays and the scratch frame are
-    // disjoint, so index the slots directly instead of going through the
-    // `&self` accessors (which would pin the whole store immutably).
-    let (slot_steps, slots) =
-        if own { (&st.own_step, &st.own) } else { (&st.foreign_step, &st.foreign) };
-    let idx = slot_steps.iter().position(|&s| s == data_step).unwrap_or_else(|| {
+    let frame = st.frame(own, data_step).unwrap_or_else(|| {
         panic!("no {} checkpoint for recovery step {data_step}", if own { "own" } else { "buddy" })
     });
-    let slot = slots[idx].as_slice();
-    let sum = frame_checksum(slot, tag, data_step as u64);
-    st.frame.clear();
-    st.frame.extend_from_slice(slot);
-    st.frame.push(f64::from_bits(data_step as u64));
-    st.frame.push(f64::from_bits(sum));
-    ctx.isend(dest, tag, &st.frame)
+    ctx.isend(dest, tag, frame)
 }
 
 /// One recovery epoch. Returns the step execution resumes at.
@@ -409,28 +414,23 @@ where
     let buddy = (failed + 1) % n;
     let anti = (failed + n - 1) % n;
     if me == failed {
-        // Adopt the lost grid from the buddy's guarded frame.
+        // Adopt the lost grid from the buddy's guarded frame; the frame
+        // itself becomes this incarnation's snapshot of that step.
         let h = ctx.irecv(buddy, RESTORE)?;
         let m = ctx.recv_blocking(h)?;
-        let (fstep, payload) = open_frame(m.data(), RESTORE);
+        let (fstep, payload) = open_frame(m.data());
         assert_eq!(fstep, s_rec, "buddy restored the wrong checkpoint");
         body(ctx, DriveOp::Restore(payload))?;
-        st.own[0].clear();
-        st.own[0].extend_from_slice(payload);
+        rec.restore_bytes += (payload.len() * 8) as u64;
+        ctx.adopt(m, &mut st.own[0]);
         st.own_step[0] = s_rec;
         st.cursor = 1;
-        rec.restore_bytes += (payload.len() * 8) as u64;
-        ctx.recycle(m);
         // Re-seed the redundancy this incarnation lost: it guards the
         // anti-buddy's snapshots.
         let h = ctx.irecv(anti, REBUDDY)?;
         let m = ctx.recv_blocking(h)?;
-        let (fstep, payload) = open_frame(m.data(), REBUDDY);
-        st.foreign[0].clear();
-        st.foreign[0].extend_from_slice(payload);
-        st.foreign_step[0] = fstep;
-        rec.restore_bytes += (payload.len() * 8) as u64;
-        ctx.recycle(m);
+        st.guard(ctx, 0, m);
+        rec.restore_bytes += ((st.foreign[0].len() - TRAILER) * 8) as u64;
     } else {
         if me == buddy {
             send_slot(ctx, st, s_rec, false, failed, RESTORE)?;
@@ -439,11 +439,8 @@ where
             send_slot(ctx, st, s_rec, true, failed, REBUDDY)?;
         }
         // Survivors roll back to their local snapshot of the same step.
-        let snap = st
-            .own_slot(s_rec)
-            .expect("survivor missing the agreed checkpoint")
-            .to_vec();
-        body(ctx, DriveOp::Restore(&snap))?;
+        let frame = st.frame(true, s_rec).expect("survivor missing the agreed checkpoint");
+        body(ctx, DriveOp::Restore(&frame[..frame.len() - TRAILER]))?;
     }
     ctx.flush_epoch();
     body(ctx, DriveOp::Rebuild)?;
@@ -613,6 +610,113 @@ mod tests {
                         clean, killed,
                         "kill {victim}@{at} diverged on {backend:?}"
                     );
+                }
+            }
+        }
+    }
+
+    /// A grid-sized state whose every word must survive snapshot, buddy
+    /// transfer and restore: word `i` of rank `r` evolves from its own
+    /// seed, driven by the left neighbor's word 0.
+    const GRID: usize = 4096;
+
+    fn grid_body<'s>(
+        ctx: &RankCtx<'_>,
+        state: &'s mut [f64],
+        allocs_at_snapshot: &'s mut Vec<u64>,
+    ) -> impl FnMut(&mut RankCtx<'_>, DriveOp<'_>) -> Result<(), NetsimError> + 's {
+        let n = ctx.size();
+        let (right, left) = ((ctx.rank() + 1) % n, (ctx.rank() + n - 1) % n);
+        move |ctx, op| {
+            match op {
+                DriveOp::Step(step) => {
+                    ctx.isend(right, 0x51E9, &state[..1])?;
+                    let h = ctx.irecv(left, 0x51E9)?;
+                    let m = ctx.recv_blocking(h)?;
+                    let v = m.data()[0];
+                    ctx.recycle(m);
+                    ctx.flush_epoch();
+                    for (i, s) in state.iter_mut().enumerate() {
+                        *s = *s * 0.5 + v * 0.5 + (step + i) as f64;
+                    }
+                }
+                DriveOp::Snapshot(buf) => {
+                    allocs_at_snapshot.push(ctx.transport_allocs());
+                    buf.extend_from_slice(state);
+                }
+                DriveOp::Restore(data) => state.copy_from_slice(data),
+                DriveOp::Rebuild => {}
+            }
+            Ok(())
+        }
+    }
+
+    /// Per rank: final grid, recovery accounting, `transport_allocs` at
+    /// each snapshot, and at the end.
+    type GridOut = (Vec<f64>, FailureRecovery, Vec<u64>, u64);
+
+    fn grid_run(backend: Backend, faults: FaultConfig) -> Vec<GridOut> {
+        let topo = CartTopo::new(&[4], true);
+        let proc_faults = faults.proc_active();
+        run_cluster_on(backend, &topo, NetworkModel::instant(), faults, move |ctx| {
+            let mut state: Vec<f64> = (0..GRID).map(|i| (ctx.rank() * GRID + i) as f64).collect();
+            let mut allocs_at_snapshot = Vec::new();
+            let cfg = RecoveryCfg { steps: 12, checkpoint_every: 2, proc_faults };
+            let rec = {
+                let mut body = grid_body(ctx, &mut state, &mut allocs_at_snapshot);
+                drive(ctx, &cfg, &mut body).expect("drive")
+            };
+            (state, rec, allocs_at_snapshot, ctx.transport_allocs())
+        })
+    }
+
+    /// Frames circulate: a rank's two guard slots and its buddy's pool
+    /// hold three frame buffers between them, so the fourth checkpoint
+    /// onwards (and every step and fence in between) allocates nothing.
+    #[test]
+    fn clean_checkpoints_stop_allocating_after_the_third() {
+        for backend in [Backend::Thread, Backend::Event] {
+            for (_, rec, allocs_at_snapshot, allocs) in grid_run(backend, FaultConfig::off()) {
+                assert_eq!(rec.checkpoints, 6);
+                // Payload only: the frame trailer is not checkpoint data.
+                assert_eq!(rec.checkpoint_bytes, 6 * GRID as u64 * 8);
+                assert_eq!(allocs_at_snapshot.len(), 6);
+                assert_eq!(
+                    allocs, allocs_at_snapshot[3],
+                    "transport allocated after the third checkpoint on {backend:?}: {allocs_at_snapshot:?}"
+                );
+            }
+        }
+    }
+
+    /// A kill on the first operation of a checkpoint step: the victim
+    /// leaves its buddy exchange and dies at once, while slower
+    /// survivors are still blocked on their own buddy frame and leave
+    /// `take_checkpoint` through its `RankFailed` arm.
+    #[test]
+    fn kill_during_the_buddy_exchange_converges() {
+        for backend in [Backend::Thread, Backend::Event] {
+            let clean: Vec<Vec<f64>> =
+                grid_run(backend, FaultConfig::off()).into_iter().map(|r| r.0).collect();
+            for victim in 0..4 {
+                for at in [0, 2, 6] {
+                    let faults = FaultConfig {
+                        kill: Some(ProcFault { rank: victim, step: at, op: 0, stall_secs: 0.0 }),
+                        ..FaultConfig::off()
+                    };
+                    let killed = grid_run(backend, faults);
+                    for (rank, (state, rec, ..)) in killed.iter().enumerate() {
+                        assert!(
+                            *state == clean[rank],
+                            "kill {victim}@{at}: rank {rank} diverged on {backend:?}"
+                        );
+                        assert_eq!(rec.recovery_epochs, 1);
+                        if rank == victim {
+                            // Its own grid from the buddy, its guard
+                            // slot from the anti-buddy: payloads only.
+                            assert_eq!(rec.restore_bytes, 2 * GRID as u64 * 8);
+                        }
+                    }
                 }
             }
         }

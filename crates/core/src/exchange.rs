@@ -686,10 +686,9 @@ mod tests {
     /// Steady state: after the first step the session performs no
     /// transport allocations at all in proxy mode (everything loops
     /// back), and the pooled mailbox variant stops allocating once its
-    /// pool is warm. `BufferPool::take` is a size-blind LIFO, so warm
-    /// means every pooled buffer has grown to the largest of the 42
-    /// frames: the regrowth tails off (42, 18, 11, ... per step, with
-    /// quiet steps in between) and ends after 23 steps here, not 2.
+    /// pool is warm. The pool is size-classed, so every message finds a
+    /// buffer of its own class from the second exchange on: warm-up is
+    /// two exchanges and at most one allocation per message (42).
     #[test]
     fn session_is_allocation_free_in_steady_state() {
         let d = decomp(32);
@@ -702,10 +701,11 @@ mod tests {
             assert_eq!(ctx.transport_allocs(), 0, "loopback must not touch the allocator");
 
             let mut mailbox = ex.session_mailbox(ctx);
-            for _ in 0..32 {
+            for _ in 0..2 {
                 mailbox.exchange(ctx, &mut st).unwrap();
             }
             let warm = ctx.transport_allocs();
+            assert!(warm <= 42, "warm-up allocated {warm} buffers for 42 messages");
             for _ in 0..10 {
                 mailbox.exchange(ctx, &mut st).unwrap();
             }

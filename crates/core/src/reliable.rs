@@ -8,10 +8,12 @@
 //! Every data message becomes a *frame*: `payload ++ [seq, checksum]`,
 //! with the two trailer words carrying raw `u64` bits through
 //! [`f64::from_bits`] (bitwise copies through the transport preserve
-//! them exactly). The checksum is [`netsim::frame_checksum`] — FNV-1a
-//! over the payload bytes, bound to the message tag and sequence
-//! number, so a corrupted payload, a stale retransmission, and a frame
-//! that slid to the wrong channel are all detected by the same check.
+//! them exactly). The checksum is [`netsim::frame_checksum`] — a
+//! four-lane multiply-rotate hash over the payload words, bound to the
+//! payload length, the message tag and the sequence number, so a
+//! corrupted payload, a stale retransmission, and a frame that slid to
+//! the wrong channel are all detected by the same check. Single-word
+//! damage (all a `Corrupt` fault does) is caught with certainty.
 //!
 //! # Round structure
 //!

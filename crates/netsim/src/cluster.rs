@@ -22,7 +22,12 @@
 //! message buffers come from a per-rank [`BufferPool`] and are returned
 //! to the sender's pool once the receiver has copied them out, so a
 //! timestep loop stops exercising the allocator after warmup (see
-//! [`RankCtx::transport_allocs`]). Self-sends can bypass the mailbox
+//! [`RankCtx::transport_allocs`]). The pool is binned by size class:
+//! a send draws a buffer of its own class, so warm-up costs at most one
+//! allocation per message in flight and bulk frames never inflate the
+//! buffers small messages reuse. A receiver that wants to keep a whole
+//! message takes the buffer over instead of copying out of it
+//! ([`RankCtx::adopt`]). Self-sends can bypass the mailbox
 //! entirely via the loopback fast path ([`RankCtx::loopback_within`] /
 //! [`RankCtx::loopback_into`]), which performs the single NIC-DMA
 //! stand-in copy while charging the LogGP wire model exactly as the
@@ -82,32 +87,90 @@ struct Msg {
     data: Vec<f64>,
 }
 
-/// Recycled send buffers for one rank. `isend` takes from here and the
-/// *receiver's* `waitall` puts back, so steady-state transport does no
-/// heap allocation.
+/// Smallest pooled buffer, in words; shorter requests share this class.
+const MIN_CLASS_WORDS: usize = 8;
+
+/// The size class a buffer of `cap` words can serve: the largest class
+/// no bigger than `cap`. Classes are geometric with four per octave
+/// (8, 10, 12, 14, 16, 20, ... words), so rounding a request up to its
+/// class wastes less than a quarter of it. `None` = below the smallest.
+fn class_floor(cap: usize) -> Option<usize> {
+    if cap < MIN_CLASS_WORDS {
+        return None;
+    }
+    let shift = cap.ilog2() as usize - 2;
+    Some((shift - 1) * 4 + (cap >> shift) - 4)
+}
+
+/// The class a request for `len` words draws from: the smallest class
+/// holding at least `len`.
+fn class_ceil(len: usize) -> usize {
+    class_floor(len.max(1) - 1).map_or(0, |c| c + 1)
+}
+
+/// Words in a buffer of `class`.
+fn class_words(class: usize) -> usize {
+    (4 + class % 4) << (class / 4 + 1)
+}
+
+/// The free buffers of one size class.
+struct Bin {
+    class: usize,
+    free: Vec<Vec<f64>>,
+}
+
+/// Recycled send buffers for one rank, binned by size class. `isend`
+/// takes from here and the *receiver's* `waitall` puts back, so
+/// steady-state transport does no heap allocation — and because a
+/// request only ever draws from its own class, a 4 MB checkpoint frame
+/// and a 200-byte corner message never trade buffers.
 struct BufferPool {
-    free: Mutex<Vec<Vec<f64>>>,
+    /// One entry per class ever returned here; a rank's traffic uses a
+    /// handful of sizes, so this stays short and is searched linearly.
+    bins: Mutex<Vec<Bin>>,
 }
 
 impl BufferPool {
     fn new() -> BufferPool {
-        BufferPool { free: Mutex::new(Vec::new()) }
+        BufferPool { bins: Mutex::new(Vec::new()) }
     }
 
-    fn take(&self) -> Vec<f64> {
-        self.free.lock().pop().unwrap_or_default()
+    /// An empty buffer with room for `len` words; the flag says whether
+    /// it had to be allocated (class-sized, so `put` files it where the
+    /// next `take(len)` looks).
+    fn take(&self, len: usize) -> (Vec<f64>, bool) {
+        let class = class_ceil(len);
+        let mut bins = self.bins.lock();
+        match bins.iter_mut().find(|b| b.class == class).and_then(|b| b.free.pop()) {
+            Some(buf) => (buf, false),
+            None => (Vec::with_capacity(class_words(class)), true),
+        }
     }
 
     fn put(&self, mut buf: Vec<f64>) {
+        let Some(class) = class_floor(buf.capacity()) else { return };
         buf.clear();
-        let mut g = self.free.lock();
-        if g.len() < POOL_CAP {
-            g.push(buf);
+        let mut bins = self.bins.lock();
+        if bins.iter().map(|b| b.free.len()).sum::<usize>() == POOL_CAP {
+            // Full: shed from the fullest class rather than refuse, so
+            // sizes that stopped being requested cannot pin the pool
+            // and make every send of a new size allocate.
+            let fullest = bins.iter_mut().max_by_key(|b| b.free.len());
+            fullest.expect("a full pool has a bin").free.pop();
+        }
+        match bins.iter_mut().find(|b| b.class == class) {
+            Some(b) => b.free.push(buf),
+            None => bins.push(Bin { class, free: vec![buf] }),
         }
     }
 
     fn len(&self) -> usize {
-        self.free.lock().len()
+        self.bins.lock().iter().map(|b| b.free.len()).sum()
+    }
+
+    /// Bytes of capacity parked in the pool.
+    fn bytes(&self) -> usize {
+        self.bins.lock().iter().flat_map(|b| &b.free).map(|v| v.capacity() * 8).sum()
     }
 }
 
@@ -554,6 +617,12 @@ impl<'a> RankCtx<'a> {
         self.pools[self.rank].len()
     }
 
+    /// Bytes of buffer capacity parked in this rank's send pool. Size
+    /// classes keep it within a quarter of what the traffic asked for.
+    pub fn pool_bytes(&self) -> usize {
+        self.pools[self.rank].bytes()
+    }
+
     /// Whether a fault plan is armed (and not bypassed) on this rank.
     pub fn fault_active(&self) -> bool {
         self.fault.is_some() && !self.fault_bypass
@@ -863,10 +932,8 @@ impl<'a> RankCtx<'a> {
         if decision.drop {
             return Ok(());
         }
-        let mut buf = self.pools[self.rank].take();
-        if buf.capacity() < data.len() {
-            self.transport_allocs += 1;
-        }
+        let (mut buf, fresh) = self.pools[self.rank].take(data.len());
+        self.transport_allocs += fresh as u64;
         buf.extend_from_slice(data);
         let mut msg = Msg { owner: Some(self.rank), data: buf };
         if let Some((word, mask)) = decision.corrupt {
@@ -1120,6 +1187,16 @@ impl<'a> RankCtx<'a> {
         if let Some(owner) = msg.owner {
             self.pools[owner].put(msg.data);
         }
+    }
+
+    /// Keep a completed message instead of copying out of it: `slot`
+    /// takes over the message's buffer, and the buffer `slot` held goes
+    /// back to the sender's pool in its place. A slot that adopts the
+    /// same channel's frames over and over thus circulates a fixed set
+    /// of buffers with the sender.
+    pub fn adopt(&mut self, mut msg: RecvdMsg, slot: &mut Vec<f64>) {
+        std::mem::swap(&mut msg.data, slot);
+        self.recycle(msg);
     }
 
     /// Non-blocking completion probe for one posted receive: pop the
@@ -2290,6 +2367,92 @@ mod tests {
             }
             assert_eq!(ctx.transport_allocs(), warm, "steady state must not allocate");
         });
+    }
+
+    #[test]
+    fn size_classes_round_up_by_less_than_a_quarter() {
+        let mut last = 0;
+        for len in (0..5000).chain([1 << 19, (1 << 19) + 2, usize::MAX >> 8]) {
+            let class = class_ceil(len);
+            let words = class_words(class);
+            assert!(words >= len && words >= MIN_CLASS_WORDS, "len {len} -> {words}");
+            assert!(len < MIN_CLASS_WORDS || words * 4 <= len * 5, "len {len} -> {words}");
+            // A class-sized buffer is filed back under the class it was drawn from.
+            assert_eq!(class_floor(words), Some(class), "len {len}");
+            assert!(class >= last, "classes are monotone in len");
+            last = class;
+        }
+        assert_eq!(class_floor(MIN_CLASS_WORDS - 1), None);
+    }
+
+    /// One grid-sized frame alternating with a halo's worth of small
+    /// messages, the buddy-checkpoint traffic shape: every request keeps
+    /// drawing from its own class, so the first epoch's allocations are
+    /// the only ones and the pool parks what one epoch asked for.
+    #[test]
+    fn bulk_frame_and_halo_messages_do_not_trade_buffers() {
+        const FRAME: usize = 512 << 10;
+        const HALO: usize = 1 << 10;
+        const HALO_MSGS: usize = 26;
+        let topo = CartTopo::new(&[1], true);
+        run_cluster(&topo, NetworkModel::instant(), |ctx| {
+            let frame = vec![2.0; FRAME];
+            let halo = vec![1.0; HALO];
+            let mut sink = vec![0.0; HALO];
+            for _ in 0..10 {
+                let h = ctx.irecv(0, 7).unwrap();
+                ctx.isend(0, 7, &frame).unwrap();
+                let m = ctx.recv_blocking(h).unwrap();
+                assert_eq!(m.data().len(), FRAME);
+                ctx.recycle(m);
+                let handles: Vec<_> = (0..HALO_MSGS).map(|_| ctx.irecv(0, 9).unwrap()).collect();
+                for _ in 0..HALO_MSGS {
+                    ctx.isend(0, 9, &halo).unwrap();
+                }
+                for h in handles {
+                    ctx.waitall_into(&[h], &mut [&mut sink[..]]).unwrap();
+                }
+            }
+            let allocs = ctx.transport_allocs();
+            assert!(allocs <= 1 + HALO_MSGS as u64, "{allocs} allocations");
+            assert_eq!(ctx.pool_len(), 1 + HALO_MSGS);
+            let asked = (FRAME + HALO_MSGS * HALO) * 8;
+            let pooled = ctx.pool_bytes();
+            assert!(pooled * 4 <= asked * 5, "{pooled} bytes pooled for {asked} requested");
+        });
+    }
+
+    #[test]
+    fn adopt_swaps_buffers_with_the_senders_pool() {
+        let topo = CartTopo::new(&[1], true);
+        run_cluster(&topo, NetworkModel::instant(), |ctx| {
+            let mut slot: Vec<f64> = Vec::new();
+            for epoch in 0..6 {
+                let data = vec![epoch as f64; 300];
+                let h = ctx.irecv(0, 3).unwrap();
+                ctx.isend(0, 3, &data).unwrap();
+                let m = ctx.recv_blocking(h).unwrap();
+                ctx.adopt(m, &mut slot);
+                assert_eq!(slot, data, "the slot now holds the message");
+            }
+            // The slot keeps one buffer and trades it for the arriving
+            // one each time: two buffers circulate in all.
+            assert_eq!(ctx.transport_allocs(), 2);
+            assert_eq!(ctx.pool_len(), 1);
+        });
+    }
+
+    #[test]
+    fn full_pool_sheds_its_fullest_class_for_a_new_size() {
+        let pool = BufferPool::new();
+        for _ in 0..POOL_CAP {
+            pool.put(Vec::with_capacity(64));
+        }
+        pool.put(Vec::with_capacity(1024));
+        assert_eq!(pool.len(), POOL_CAP);
+        assert!(!pool.take(1024).1, "the new size must be served from the pool");
+        pool.put(Vec::new());
+        assert_eq!(pool.len(), POOL_CAP - 1, "a buffer without capacity is not pooled");
     }
 
     #[test]

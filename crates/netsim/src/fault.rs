@@ -400,19 +400,38 @@ impl FaultPlan {
     }
 }
 
-/// FNV-1a over the payload bytes, then bound to `(tag, seq)` — the
-/// per-message checksum the reliable exchange appends to its frames.
+/// The per-message checksum the reliable exchange and the buddy
+/// checkpoints append to their frames: a multiply-rotate hash over the
+/// payload's 64-bit words, bound to `(tag, seq)`.
+///
+/// Word `i` goes to lane `i % 4`; the lanes are independent, so the
+/// dependent xor-multiply-rotate chain is paid once per four words and
+/// a grid-sized frame hashes at memory bandwidth. Every lane step is a
+/// bijection of the lane state and of the word, and so is every fold
+/// step, so damage confined to one word (what a `Corrupt` fault does)
+/// always changes the sum. The length is folded in: a frame cannot
+/// gain or lose trailing zero words unnoticed.
 pub fn frame_checksum(payload: &[f64], tag: u64, seq: u64) -> u64 {
-    const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-    const FNV_PRIME: u64 = 0x1000_0000_01b3;
-    let mut h = FNV_OFFSET;
-    for w in payload {
-        for b in w.to_bits().to_le_bytes() {
-            h ^= b as u64;
-            h = h.wrapping_mul(FNV_PRIME);
+    // Odd multipliers (splitmix64 / wyhash constants): odd = invertible mod 2^64.
+    const MUL: [u64; 4] = [
+        0x9E37_79B9_7F4A_7C15,
+        0xBF58_476D_1CE4_E5B9,
+        0x94D0_49BB_1331_11EB,
+        0xA076_1D64_78BD_642F,
+    ];
+    let mut lanes = MUL;
+    for quad in payload.chunks(4) {
+        for ((h, w), mul) in lanes.iter_mut().zip(quad).zip(MUL) {
+            // The rotation carries a word's high bits, which a multiply
+            // only moves upward, down into the next step's multiply.
+            *h = (*h ^ w.to_bits()).wrapping_mul(mul).rotate_left(29);
         }
     }
-    h ^ splitmix64(tag) ^ splitmix64(seq.wrapping_add(0x5EED))
+    let mut sum = payload.len() as u64;
+    for (i, h) in lanes.iter().enumerate() {
+        sum = (sum ^ h.rotate_left(16 * i as u32)).wrapping_mul(MUL[0]);
+    }
+    splitmix64(sum) ^ splitmix64(tag) ^ splitmix64(seq.wrapping_add(0x5EED))
 }
 
 /// splitmix64 — the standard 64-bit finalizer chain (public domain
@@ -574,15 +593,54 @@ mod tests {
         }
     }
 
+    /// Lengths that end in every lane and in every remainder shape;
+    /// 4099 also covers a long run of full quads.
+    const CHECKSUM_LENS: [usize; 8] = [0, 1, 3, 4, 5, 8, 9, 4099];
+
+    fn checksum_payload(len: usize) -> Vec<f64> {
+        (0..len).map(|i| i as f64 * 0.5 - 3.0).collect()
+    }
+
     #[test]
-    fn checksum_detects_single_word_flip() {
-        let payload: Vec<f64> = (0..32).map(|i| i as f64 * 0.5).collect();
-        let h = frame_checksum(&payload, 9, 0);
-        let mut bad = payload.clone();
-        bad[7] = f64::from_bits(bad[7].to_bits() ^ 0x1);
-        assert_ne!(h, frame_checksum(&bad, 9, 0));
-        assert_ne!(h, frame_checksum(&payload, 10, 0), "tag-bound");
-        assert_ne!(h, frame_checksum(&payload, 9, 1), "seq-bound");
-        assert_eq!(h, frame_checksum(&payload, 9, 0));
+    fn checksum_detects_a_flip_in_every_word() {
+        for len in CHECKSUM_LENS {
+            let payload = checksum_payload(len);
+            let h = frame_checksum(&payload, 9, 0);
+            assert_eq!(h, frame_checksum(&payload, 9, 0), "deterministic");
+            for i in 0..len {
+                // Low, high (sign) and a middle bit: a multiply alone
+                // would only carry the high ones upward.
+                for bit in [0, 31, 63] {
+                    let mut bad = payload.clone();
+                    bad[i] = f64::from_bits(bad[i].to_bits() ^ (1 << bit));
+                    assert_ne!(h, frame_checksum(&bad, 9, 0), "len {len}, word {i}, bit {bit}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn checksum_binds_length_tag_and_seq() {
+        for len in CHECKSUM_LENS {
+            let mut payload = checksum_payload(len);
+            let h = frame_checksum(&payload, 9, 0);
+            assert_ne!(h, frame_checksum(&payload, 10, 0), "tag-bound, len {len}");
+            assert_ne!(h, frame_checksum(&payload, 9, 1), "seq-bound, len {len}");
+            payload.push(0.0);
+            assert_ne!(h, frame_checksum(&payload, 9, 0), "trailing-zero-bound, len {len}");
+        }
+    }
+
+    /// Two sign flips four words apart meet in the same lane; without
+    /// the per-step rotation their differences would cancel.
+    #[test]
+    fn checksum_sees_same_lane_sign_flips() {
+        let payload = checksum_payload(64);
+        let negated: Vec<f64> = payload.iter().map(|v| -v).collect();
+        assert_ne!(frame_checksum(&payload, 9, 0), frame_checksum(&negated, 9, 0));
+        let mut two = payload.clone();
+        two[8] = -two[8];
+        two[12] = -two[12];
+        assert_ne!(frame_checksum(&payload, 9, 0), frame_checksum(&two, 9, 0));
     }
 }

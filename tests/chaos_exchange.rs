@@ -78,6 +78,17 @@ fn chaos_runs_are_bit_identical_to_fault_free() {
                 lossy_cfg.ranks,
                 seed()
             );
+            // Dropped frames are never also corrupted, and every frame
+            // that arrives is one its receiver still needs, so each
+            // injected corruption meets the frame checksum exactly once.
+            assert_eq!(
+                lossy.stats.corrupt_detected,
+                lossy.faults.corrupts,
+                "{} on {:?} ranks: a corrupted frame slipped past the checksum (seed {})",
+                method.name(),
+                lossy_cfg.ranks,
+                seed()
+            );
         }
     }
 }

@@ -176,8 +176,9 @@ fn pooled_reuse_no_stale_data() {
         }
         (warm_allocs, ctx.transport_allocs())
     });
-    // The size cycle repeats every 5 epochs; after the warm-up every
-    // pooled buffer is already at max size, so no further allocation.
+    // The size cycle repeats every 5 epochs; after the warm-up each of
+    // the five size classes holds the buffers its epoch needs, so no
+    // further allocation.
     for (rank, &(warm_allocs, final_allocs)) in allocs.iter().enumerate() {
         assert_eq!(
             warm_allocs, final_allocs,
