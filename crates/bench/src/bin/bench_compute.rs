@@ -5,11 +5,17 @@
 //! Engines, per stencil proxy (star7 and cube125):
 //! * `planned` — precompiled [`stencil::KernelPlan`] bound once
 //!   (adjacency and row segments resolved at bind time), replayed every
-//!   step;
+//!   step; timed at every ISA level this CPU runs. The guarded
+//!   `speedup_planned_vs_gather_*` ratios use the `baseline` level, the
+//!   only one every CI runner has;
 //! * `gather` — per-step halo gather into a padded scratch brick, then a
 //!   dense sweep (the pre-plan reference path);
 //! * `serial` — the single-threaded element-at-a-time reference both
-//!   parallel engines are bit-identical to.
+//!   parallel engines are bit-identical to;
+//! * `array` — the lexicographic-array kernel ([`stencil::ArrayGrid`])
+//!   at the same subdomain and the same ISA levels, the denominator of
+//!   Fig 10's brick/array comparison (only its star7 path is widened,
+//!   so its cube125 rows agree across levels up to noise).
 //!
 //! Usage: `bench_compute [N] [STEPS]` (default 32³ per rank, 40 steps).
 
@@ -18,21 +24,68 @@ use std::time::Instant;
 use brick::{BrickDims, BrickStorage};
 use packfree::decomp::BrickDecomp;
 use packfree::fields;
-use stencil::{apply_bricks_gather, apply_bricks_serial, gstencil_per_sec, KernelPlan, StencilShape};
+use stencil::{
+    apply_bricks_gather, apply_bricks_serial, gstencil_per_sec, ArrayGrid, Isa, KernelPlan,
+    StencilShape,
+};
 
 struct Row {
     shape: &'static str,
     engine: &'static str,
+    /// The level the engine's code runs at (only `planned` is dispatched).
+    isa: Isa,
     seconds: f64,
     gstencil: f64,
 }
 
-/// Time `steps` flip-flop applications of one engine; ghosts are made
-/// valid once (periodic wrap) so every step reads real neighbor data.
+/// `warmup` untimed then `steps` timed calls of `step`; seconds of the
+/// timed part.
+fn time_steps(steps: usize, mut step: impl FnMut()) -> f64 {
+    for _ in 0..(steps / 8).max(2) {
+        step();
+    }
+    let t0 = Instant::now();
+    for _ in 0..steps {
+        step();
+    }
+    t0.elapsed().as_secs_f64()
+}
+
+/// Time `steps` flip-flop applications of the array kernel at `isa`.
+fn time_array(
+    n: usize,
+    shape: &StencilShape,
+    isa: Isa,
+    shape_name: &'static str,
+    steps: usize,
+) -> Row {
+    let mut cur = ArrayGrid::new([n; 3], shape.radius());
+    let mut nxt = cur.clone();
+    cur.fill_interior(|x, y, z| (((x * 3 + y * 5 + z * 7) % 17) as f64) / 16.0);
+    cur.fill_ghost_periodic_self();
+    let plan = cur.plan_with_isa(shape, isa);
+    let seconds = time_steps(steps, || {
+        cur.apply_plan_into(&plan, &mut nxt);
+        std::mem::swap(&mut cur, &mut nxt);
+    });
+    assert!(cur.interior_sum().is_finite());
+    Row {
+        shape: shape_name,
+        engine: "array",
+        isa,
+        seconds,
+        gstencil: gstencil_per_sec((n * n * n * steps) as u64, seconds),
+    }
+}
+
+/// Time `steps` flip-flop applications of one brick engine; ghosts are
+/// made valid once (periodic wrap) so every step reads real neighbor
+/// data.
 fn time_engine(
     d: &BrickDecomp<3>,
     shape: &StencilShape,
     engine: &'static str,
+    isa: Isa,
     shape_name: &'static str,
     steps: usize,
 ) -> Row {
@@ -46,7 +99,7 @@ fn time_engine(
     fields::fill_ghosts_periodic(d, &mut cur, 0);
     fields::fill_ghosts_periodic(d, &mut nxt, 0);
 
-    let plan = (engine == "planned").then(|| KernelPlan::new(info, shape, 1, 0));
+    let plan = (engine == "planned").then(|| KernelPlan::with_isa(info, shape, 1, 0, isa));
     let apply = |cur: &BrickStorage, nxt: &mut BrickStorage| match engine {
         "planned" => plan.as_ref().unwrap().execute(cur, nxt, mask),
         "gather" => apply_bricks_gather(shape, info, cur, nxt, mask, 0),
@@ -54,21 +107,15 @@ fn time_engine(
         other => unreachable!("unknown engine {other}"),
     };
 
-    let warmup = (steps / 8).max(2);
-    for _ in 0..warmup {
+    let seconds = time_steps(steps, || {
         apply(&cur, &mut nxt);
         std::mem::swap(&mut cur, &mut nxt);
-    }
-    let t0 = Instant::now();
-    for _ in 0..steps {
-        apply(&cur, &mut nxt);
-        std::mem::swap(&mut cur, &mut nxt);
-    }
-    let seconds = t0.elapsed().as_secs_f64();
+    });
     assert!(fields::interior_sum(d, &cur, 0).is_finite());
     Row {
         shape: shape_name,
         engine,
+        isa,
         seconds,
         gstencil: gstencil_per_sec(d.points() * steps as u64, seconds),
     }
@@ -86,41 +133,56 @@ fn main() {
     ];
     let mut rows: Vec<Row> = Vec::new();
     let mut speedups: Vec<(&'static str, f64)> = Vec::new();
+    let engines: Vec<(&'static str, Isa)> = Isa::available()
+        .map(|isa| ("planned", isa))
+        .chain([("gather", Isa::Baseline), ("serial", Isa::Baseline)])
+        .chain(Isa::available().map(|isa| ("array", isa)))
+        .collect();
     for (name, shape) in &shapes {
-        let mut per_engine = [0.0f64; 2];
-        for (i, engine) in ["planned", "gather", "serial"].into_iter().enumerate() {
+        let first = rows.len();
+        for &(engine, isa) in &engines {
             // The serial reference gets fewer steps; it exists for scale,
             // not for the headline ratio.
             let s = if engine == "serial" { steps.div_ceil(4) } else { steps };
-            let r = time_engine(&d, shape, engine, name, s);
+            let r = match engine {
+                "array" => time_array(n, shape, isa, name, s),
+                _ => time_engine(&d, shape, engine, isa, name, s),
+            };
             println!(
-                "  {:<8} {:<8} {:>8.3} GStencil/s  ({:.4} s)",
-                r.shape, r.engine, r.gstencil, r.seconds
+                "  {:<8} {:<8} {:<9} {:>8.3} GStencil/s  ({:.4} s)",
+                r.shape,
+                r.engine,
+                r.isa.name(),
+                r.gstencil,
+                r.seconds
             );
-            if i < 2 {
-                per_engine[i] = r.gstencil;
-            }
             rows.push(r);
         }
-        speedups.push((name, per_engine[0] / per_engine[1]));
+        let gstencil = |engine: &str| {
+            let r = rows[first..].iter().find(|r| r.engine == engine && r.isa == Isa::Baseline);
+            r.expect("every engine has a baseline row").gstencil
+        };
+        speedups.push((name, gstencil("planned") / gstencil("gather")));
     }
     for (name, s) in &speedups {
-        println!("\n  {name}: planned vs gather {s:.2}x");
+        println!("\n  {name}: planned vs gather {s:.2}x (both at baseline)");
     }
 
     let mut json = bench::bench_json_header(
         "compute",
         0,
-        &["planned", "gather", "serial"],
+        &["planned", "gather", "serial", "array"],
         [n, n, n],
         steps,
     );
+    json.push_str(&format!("  \"isa\": \"{}\",\n", Isa::detect().name()));
     json.push_str("  \"engines\": [\n");
     for (i, r) in rows.iter().enumerate() {
         json.push_str(&format!(
-            "    {{\"shape\": \"{}\", \"engine\": \"{}\", \"seconds\": {:.6}, \"gstencil_per_s\": {:.4}}}{}\n",
+            "    {{\"shape\": \"{}\", \"engine\": \"{}\", \"isa\": \"{}\", \"seconds\": {:.6}, \"gstencil_per_s\": {:.4}}}{}\n",
             r.shape,
             r.engine,
+            r.isa.name(),
             r.seconds,
             r.gstencil,
             if i + 1 < rows.len() { "," } else { "" }

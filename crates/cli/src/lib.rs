@@ -647,8 +647,9 @@ fn render_profile(o: &Options, r: &MethodReport) -> String {
     };
     let mut out = String::new();
     out.push_str(&format!(
-        "profile: phase seconds over {} timed steps (rank 0)\n",
-        o.iters
+        "profile: phase seconds over {} timed steps (rank 0), planned kernels at isa {}\n",
+        o.iters,
+        stencil::Isa::detect().name()
     ));
     out.push_str(&format!(
         "{:<18} {:>9} {:>9} {:>9} {:>9} {:>9} {:>9} {:>9}\n",
@@ -900,6 +901,9 @@ pub fn render_json(o: &Options, r: &MethodReport) -> String {
         o.ranks[0], o.ranks[1], o.ranks[2]
     ));
     out.push_str(&format!("  \"iters\": {},\n", o.iters));
+    // The level every kernel plan of this process binds, so two runs on
+    // different machines are diffable.
+    out.push_str(&format!("  \"isa\": \"{}\",\n", stencil::Isa::detect().name()));
     // Bit-exact interior checksum: two runs are equivalent iff these
     // hex strings match, with no float-printing round-trip in between.
     out.push_str(&format!(
@@ -1132,6 +1136,8 @@ mod tests {
         assert!(out.contains("\"method\": \"Layout\""));
         assert!(out.contains("\"pack\": [0.000000000, 0.000000000, 0.000000000]"));
         assert!(out.contains("\"gstencil_per_rank\""));
+        let isa = format!("\"isa\": \"{}\"", stencil::Isa::detect().name());
+        assert_eq!(out.matches(&isa).count(), 1, "bound ISA level printed once");
     }
 
     #[test]
@@ -1180,6 +1186,7 @@ mod tests {
         .unwrap();
         let out = run(&o);
         assert!(out.contains("profile: phase seconds"));
+        assert!(out.contains(&format!("at isa {}\n", stencil::Isa::detect().name())));
         assert!(out.contains("exchange:memmap"));
         assert!(out.contains("critical path: rank"));
     }

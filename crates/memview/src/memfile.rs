@@ -5,18 +5,37 @@
 use std::io;
 use std::os::fd::RawFd;
 use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::Arc;
 
 use crate::pages::{host_page_size, is_aligned, round_up};
 
-/// Global count of live mappings created by this crate. The kernel caps a
+/// Process-wide sum of the per-file counts below. The kernel caps a
 /// process at `vm.max_map_count` mappings (default 65530, as the paper
 /// notes), so consumers can watch this to stay within budget.
-pub(crate) static LIVE_MAPPINGS: AtomicUsize = AtomicUsize::new(0);
+static LIVE_MAPPINGS: AtomicUsize = AtomicUsize::new(0);
 
-/// Number of currently live [`Mapping`]s/[`MappedSegment`]s in this
-/// process.
+/// Number of currently live [`Mapping`]s and view segments in this
+/// process, over all files.
 pub fn live_mapping_count() -> usize {
     LIVE_MAPPINGS.load(Ordering::Relaxed)
+}
+
+/// Live-mapping count of one [`MemFile`], shared with everything that
+/// maps it (a mapping may outlive its file). Statistics only, hence
+/// `Relaxed`.
+#[derive(Clone, Default)]
+pub(crate) struct MapCount(Arc<AtomicUsize>);
+
+impl MapCount {
+    pub(crate) fn add(&self, n: usize) {
+        self.0.fetch_add(n, Ordering::Relaxed);
+        LIVE_MAPPINGS.fetch_add(n, Ordering::Relaxed);
+    }
+
+    pub(crate) fn sub(&self, n: usize) {
+        self.0.fetch_sub(n, Ordering::Relaxed);
+        LIVE_MAPPINGS.fetch_sub(n, Ordering::Relaxed);
+    }
 }
 
 /// An anonymous in-memory file created with `memfd_create`, the physical
@@ -24,6 +43,7 @@ pub fn live_mapping_count() -> usize {
 pub struct MemFile {
     fd: RawFd,
     len: usize,
+    pub(crate) live: MapCount,
 }
 
 // SAFETY: the fd is an owned kernel handle; concurrent mmap/read of the
@@ -48,7 +68,7 @@ impl MemFile {
             unsafe { libc::close(fd) };
             return Err(e);
         }
-        Ok(MemFile { fd, len })
+        Ok(MemFile { fd, len, live: MapCount::default() })
     }
 
     /// File length in bytes (page multiple).
@@ -64,6 +84,12 @@ impl MemFile {
     /// The raw descriptor (for mapping).
     pub fn raw_fd(&self) -> RawFd {
         self.fd
+    }
+
+    /// Number of currently live [`Mapping`]s and view segments of this
+    /// file.
+    pub fn live_mappings(&self) -> usize {
+        self.live.0.load(Ordering::Relaxed)
     }
 
     /// Map the whole file read-write shared. This is the "compute"
@@ -91,6 +117,7 @@ impl Drop for MemFile {
 pub struct Mapping {
     ptr: *mut u8,
     len: usize,
+    live: MapCount,
 }
 
 // SAFETY: the mapping is plain shared memory of `f64`s/`u8`s; races are
@@ -118,8 +145,8 @@ impl Mapping {
         if ptr == libc::MAP_FAILED {
             return Err(io::Error::last_os_error());
         }
-        LIVE_MAPPINGS.fetch_add(1, Ordering::Relaxed);
-        Ok(Mapping { ptr: ptr.cast(), len })
+        file.live.add(1);
+        Ok(Mapping { ptr: ptr.cast(), len, live: file.live.clone() })
     }
 
     /// Length in bytes.
@@ -169,7 +196,7 @@ impl Drop for Mapping {
     fn drop(&mut self) {
         // SAFETY: ptr/len came from a successful mmap.
         unsafe { libc::munmap(self.ptr.cast(), self.len) };
-        LIVE_MAPPINGS.fetch_sub(1, Ordering::Relaxed);
+        self.live.sub(1);
     }
 }
 
@@ -210,14 +237,20 @@ mod tests {
         }
     }
 
+    /// Counted per file: sibling tests mapping their own files cannot
+    /// disturb it, unlike the process-wide sum.
     #[test]
     fn mapping_counter() {
-        let before = live_mapping_count();
         let f = MemFile::create("cnt", 4096).unwrap();
+        assert_eq!(f.live_mappings(), 0);
         let m = f.map_all().unwrap();
-        assert_eq!(live_mapping_count(), before + 1);
+        let m2 = f.map_all().unwrap();
+        assert_eq!(f.live_mappings(), 2);
+        assert!(live_mapping_count() >= 2);
         drop(m);
-        assert_eq!(live_mapping_count(), before);
+        assert_eq!(f.live_mappings(), 1);
+        drop(m2);
+        assert_eq!(f.live_mappings(), 0);
     }
 
     #[test]

@@ -4,7 +4,6 @@
 //! `MPI_Send(PtrLeft, ...)` moves them all with zero copies.
 
 use std::io;
-use std::sync::atomic::Ordering;
 use std::sync::Arc;
 
 use crate::memfile::MemFile;
@@ -28,7 +27,7 @@ pub struct ContiguousView {
     len: usize,
     segments: Vec<Segment>,
     // Keeps the backing file (and thus its pages) alive.
-    _file: Arc<MemFile>,
+    file: Arc<MemFile>,
 }
 
 // SAFETY: shared-memory mapping; synchronization is the caller's borrow
@@ -93,12 +92,12 @@ impl ContiguousView {
             off += s.len;
         }
 
-        crate::memfile::LIVE_MAPPINGS.fetch_add(segments.len(), Ordering::Relaxed);
+        file.live.add(segments.len());
         Ok(ContiguousView {
             base: base.cast(),
             len: total,
             segments: segments.to_vec(),
-            _file: Arc::clone(file),
+            file: Arc::clone(file),
         })
     }
 
@@ -149,7 +148,7 @@ impl Drop for ContiguousView {
     fn drop(&mut self) {
         // SAFETY: base/len cover exactly our reservation.
         unsafe { libc::munmap(self.base.cast(), self.len) };
-        crate::memfile::LIVE_MAPPINGS.fetch_sub(self.segments.len(), Ordering::Relaxed);
+        self.file.live.sub(self.segments.len());
     }
 }
 
@@ -189,6 +188,10 @@ mod tests {
         assert_eq!(d[0], 2.0);
         assert_eq!(d[ps / 8], 0.0);
         assert_eq!(d[2 * ps / 8], 3.0);
+        // Each segment counts as one mapping of its file.
+        assert_eq!(f.live_mappings(), 3);
+        drop(v);
+        assert_eq!(f.live_mappings(), 0);
     }
 
     #[test]

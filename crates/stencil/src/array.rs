@@ -5,6 +5,7 @@
 use layout::Dir;
 use rayon::prelude::*;
 
+use crate::isa::{per_isa, BoundIsa, Isa};
 use crate::shape::StencilShape;
 
 /// Face pack/unpack goes parallel above this element count (256 KiB of
@@ -95,13 +96,21 @@ impl ArrayGrid {
     /// in the extended array (and the star7 fast-path selection) are
     /// resolved once, so steady-state stepping via
     /// [`ArrayGrid::apply_plan_into`] replays them without per-step
-    /// planning.
+    /// planning. The plan is bound to the highest ISA level this CPU
+    /// runs, like [`crate::KernelPlan::new`].
     pub fn plan(&self, shape: &StencilShape) -> ArrayPlan {
+        self.plan_with_isa(shape, Isa::detect())
+    }
+
+    /// [`ArrayGrid::plan`] pinned to `isa`, for tests and benchmarks
+    /// that compare levels. Panics if `isa` is above [`Isa::detect`].
+    pub fn plan_with_isa(&self, shape: &StencilShape, isa: Isa) -> ArrayPlan {
         assert!(shape.radius() <= self.ghost, "ghost rim too narrow for stencil");
         let (ex, ey) = (self.ext[0], self.ext[1]);
         ArrayPlan {
             ext: self.ext,
             ghost: self.ghost,
+            isa: isa.bind(),
             star7: crate::shape::star7_coeffs(shape),
             deltas: shape
                 .taps()
@@ -132,56 +141,34 @@ impl ArrayGrid {
         assert_eq!(self.ghost, out.ghost);
         assert_eq!(plan.ext, self.ext, "plan compiled for a different geometry");
         assert_eq!(plan.ghost, self.ghost, "plan compiled for a different ghost width");
+        match &plan.star7 {
+            Some(c) => star7_planes(plan.isa, self, c, &mut out.data),
+            None => self.apply_deltas(&plan.deltas, &mut out.data),
+        }
+    }
+
+    /// The generic hoisted-delta kernel for shapes without a
+    /// specialized path (not widened: its per-point tap reduction is
+    /// scalar at every ISA level).
+    fn apply_deltas(&self, deltas: &[(isize, f64)], out: &mut [f64]) {
         let (ex, ey) = (self.ext[0], self.ext[1]);
-        let g = self.ghost;
-        let n = self.n;
+        let (g, n) = (self.ghost, self.n);
         let input = &self.data;
-
-        // Specialized branch-free 7-point path (a tuned framework's
-        // kernel quality); generic hoisted-delta loop otherwise.
-        let star7 = plan.star7;
-
-        out.data
-            .par_chunks_mut(ex * ey)
+        out.par_chunks_mut(ex * ey)
             .enumerate()
             .filter(|(zext, _)| *zext >= g && *zext < g + n[2])
             .for_each(|(zext, plane)| {
-                if let Some([c0, cxm, cxp, cym, cyp, czm, czp]) = star7 {
-                    let pl = ex * ey;
-                    for y in 0..n[1] {
-                        let row = zext * pl + (y + g) * ex + g;
-                        let rc = &input[row..row + n[0] + 1];
-                        let rm = &input[row - 1..row + n[0]];
-                        let rym = &input[row - ex..row - ex + n[0]];
-                        let ryp = &input[row + ex..row + ex + n[0]];
-                        let rzm = &input[row - pl..row - pl + n[0]];
-                        let rzp = &input[row + pl..row + pl + n[0]];
-                        let orow = (y + g) * ex + g;
-                        let (o, _) = plane[orow..].split_at_mut(n[0]);
-                        for x in 0..n[0] {
-                            o[x] = c0 * rc[x]
-                                + cxm * rm[x]
-                                + cxp * rc[x + 1]
-                                + cym * rym[x]
-                                + cyp * ryp[x]
-                                + czm * rzm[x]
-                                + czp * rzp[x];
+                for y in 0..n[1] {
+                    let row = (y + g) * ex + g;
+                    let zbase = zext * ex * ey + row;
+                    let (o, _) = plane[row..].split_at_mut(n[0]);
+                    for (x, ov) in o.iter_mut().enumerate() {
+                        let base = (zbase + x) as isize;
+                        let mut acc = 0.0;
+                        for &(d, c) in deltas {
+                            acc += c * input[(base + d) as usize];
                         }
-                    }
-                } else {
-                    let deltas = &plan.deltas;
-                    for y in 0..n[1] {
-                        let row = (y + g) * ex + g;
-                        let zbase = zext * ex * ey + row;
-                        let (o, _) = plane[row..].split_at_mut(n[0]);
-                        for (x, ov) in o.iter_mut().enumerate() {
-                            let base = (zbase + x) as isize;
-                            let mut acc = 0.0;
-                            for &(d, c) in deltas {
-                                acc += c * input[(base + d) as usize];
-                            }
-                            *ov = acc;
-                        }
+                        *ov = acc;
                     }
                 }
             });
@@ -362,14 +349,64 @@ impl ArrayGrid {
 }
 
 /// A stencil compiled against one [`ArrayGrid`] geometry (see
-/// [`ArrayGrid::plan`]): the flat extended-array tap offsets and the
-/// star7 fast-path selection, hoisted once per experiment.
+/// [`ArrayGrid::plan`]): the flat extended-array tap offsets, the
+/// star7 fast-path selection and the ISA level, hoisted once per
+/// experiment.
 #[derive(Clone, Debug)]
 pub struct ArrayPlan {
     ext: [usize; 3],
     ghost: usize,
+    isa: BoundIsa,
     star7: Option<[f64; 7]>,
     deltas: Vec<(isize, f64)>,
+}
+
+impl ArrayPlan {
+    /// The ISA level this plan's kernel runs at.
+    pub fn isa(&self) -> Isa {
+        self.isa.level()
+    }
+}
+
+per_isa! {
+    /// The 7-point star on the interior z-planes of `grid`, one plane
+    /// per task, written into the extended array `out`: a branch-free
+    /// row loop (a tuned framework's kernel quality) in the brick
+    /// kernel's tap order, which the compiler widens to the level's
+    /// registers.
+    fn star7_planes(grid: &ArrayGrid, c: &[f64; 7], out: &mut [f64]) {
+        let (ex, g, n) = (grid.ext[0], grid.ghost, grid.n);
+        let pl = ex * grid.ext[1];
+        let input = &grid.data[..];
+        let [c0, cxm, cxp, cym, cyp, czm, czp] = *c;
+
+        out.par_chunks_mut(pl)
+            .enumerate()
+            .filter(|(zext, _)| *zext >= g && *zext < g + n[2])
+            .for_each(|(zext, plane)| {
+                for y in 0..n[1] {
+                    let orow = (y + g) * ex + g;
+                    let row = zext * pl + orow;
+                    let rc = &input[row..row + n[0]];
+                    let rxm = &input[row - 1..row - 1 + n[0]];
+                    let rxp = &input[row + 1..row + 1 + n[0]];
+                    let rym = &input[row - ex..row - ex + n[0]];
+                    let ryp = &input[row + ex..row + ex + n[0]];
+                    let rzm = &input[row - pl..row - pl + n[0]];
+                    let rzp = &input[row + pl..row + pl + n[0]];
+                    let o = &mut plane[orow..orow + n[0]];
+                    for x in 0..n[0] {
+                        o[x] = c0 * rc[x]
+                            + cxm * rxm[x]
+                            + cxp * rxp[x]
+                            + cym * rym[x]
+                            + cyp * ryp[x]
+                            + czm * rzm[x]
+                            + czp * rzp[x];
+                    }
+                }
+            });
+    }
 }
 
 #[cfg(test)]
@@ -494,6 +531,36 @@ mod tests {
             // Second replay of the same plan (steady-state stepping).
             a.apply_plan_into(&plan, &mut out2);
             assert_eq!(out1.as_slice(), out2.as_slice());
+        }
+    }
+
+    /// The array kernel at every ISA level this CPU runs equals its
+    /// `Baseline` level bit for bit (row lengths that are and are not a
+    /// multiple of any register width), and `plan` binds the detected
+    /// level.
+    #[test]
+    fn every_isa_level_bit_identical_to_baseline() {
+        for shape in [StencilShape::star7_default(), StencilShape::cube125_default()] {
+            let g = shape.radius();
+            for n in [[16, 5, 3], [13, 4, 2]] {
+                let mut a = ArrayGrid::new(n, g);
+                a.fill_interior(|x, y, z| ((x * 31 + y * 17 + z * 7) % 13) as f64 / 3.0 - 1.7);
+                a.fill_ghost_periodic_self();
+                assert_eq!(a.plan(&shape).isa(), Isa::detect());
+                let mut want = ArrayGrid::new(n, g);
+                a.apply_plan_into(&a.plan_with_isa(&shape, Isa::Baseline), &mut want);
+                for isa in Isa::available() {
+                    let mut got = ArrayGrid::new(n, g);
+                    a.apply_plan_into(&a.plan_with_isa(&shape, isa), &mut got);
+                    let same = got.as_slice().iter().zip(want.as_slice());
+                    assert!(
+                        same.clone().all(|(a, b)| a.to_bits() == b.to_bits()),
+                        "{} taps, {n:?}, {}",
+                        shape.points(),
+                        isa.name()
+                    );
+                }
+            }
         }
     }
 

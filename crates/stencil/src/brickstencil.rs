@@ -2,13 +2,17 @@
 //!
 //! Mirrors the paper's Figure 6 computation: iterate a list of brick
 //! indices; within each brick run dense loops; accesses that step past a
-//! brick face resolve through the adjacency list. Interior elements (all
-//! taps in-brick) take a direct-offset fast path — the moral equivalent
-//! of the brick library's generated vector code.
+//! brick face resolve through the adjacency list. The canonical 7-point
+//! star takes a row-accumulate path (`star7_lanes`) in which one brick
+//! row is one vector register — the moral equivalent of the brick
+//! library's generated vector code. It is written once and compiled per
+//! ISA level by [`crate::isa`]'s dispatch macro; no level enables `fma`,
+//! so every level (and every register width) produces the same bits.
 
 use brick::{BrickInfo, BrickStorage, BrickView};
 use rayon::prelude::*;
 
+use crate::isa::per_isa;
 use crate::shape::StencilShape;
 
 /// Apply `shape` to `field` of every brick selected by `compute[b]`,
@@ -53,8 +57,9 @@ pub fn apply_bricks_serial(
 
 /// Parallel optimized application: bricks are distributed over threads
 /// and the shape dispatches to the fastest available kernel — the
-/// hoisted-row star7 path, the grouped-row symmetric cube125 path, or
-/// the generic halo-gather fallback. One-shot convenience wrapper; for
+/// row-accumulate star7 path (at the detected ISA level), the
+/// grouped-row symmetric cube125 path, or the generic halo-gather
+/// fallback. One-shot convenience wrapper; for
 /// bind-once/execute-many steady-state stepping compile a
 /// [`crate::KernelPlan`] instead.
 pub fn apply_bricks(
@@ -76,7 +81,8 @@ pub fn apply_bricks(
     );
     // Specialized fast path for the canonical 7-point star.
     if let Some(c) = crate::shape::star7_coeffs(shape) {
-        return apply_star7_bricks(&c, info, input, output, compute, field);
+        let isa = crate::Isa::detect().bind();
+        return star7_bricks(isa, &c, info, input, output, compute, field);
     }
     // Specialized fast path for the 10-coefficient symmetric 5³ cube.
     if let Some(c) = crate::shape::cube125_coeffs(shape) {
@@ -330,202 +336,139 @@ fn apply_cube125_bricks(
         });
 }
 
-/// Generated-style 7-point brick kernel: face-neighbor rows are hoisted
-/// per (z, y) row and the inner x loop is branch-free over `1..bx-1`.
-/// Also the star7 execution path of [`crate::KernelPlan`].
-pub(crate) fn apply_star7_bricks(
-    c: &[f64; 7],
-    info: &BrickInfo<3>,
-    input: &BrickStorage,
-    output: &mut BrickStorage,
-    compute: &[bool],
-    field: usize,
-) {
-    let bd = info.brick_dims();
-    let [bx, by, bz] = bd.extents();
-    assert!(bx >= 2 && by >= 2 && bz >= 2, "star7 kernel needs bricks of extent >= 2");
-    if [bx, by, bz] == [8, 8, 8] {
-        // The library's default blocking gets the generated-code path.
-        return apply_star7_bricks8(c, info, input, output, compute, field);
-    }
-    let step = output.step();
-    let elems = output.elements_per_brick();
-    let field_base = field * elems;
-    let in_data = input.as_slice();
-    let plane = bx * by;
-    let [c0, cxm, cxp, cym, cyp, czm, czp] = *c;
+/// Adjacency codes of the six face neighbors in tap order (−x, +x, −y,
+/// +y, −z, +z; trit encoding +1 -> 1, −1 -> 2, axis 0 least significant).
+const FACES: [usize; 6] = [2, 1, 6, 3, 18, 9];
 
-    // Adjacency codes of the six face neighbors (trit encoding: +1 -> 1,
-    // -1 -> 2; axis 0 least significant).
-    const XM: usize = 2;
-    const XP: usize = 1;
-    const YM: usize = 6;
-    const YP: usize = 3;
-    const ZM: usize = 18;
-    const ZP: usize = 9;
+per_isa! {
+    /// 7-point brick kernel, and the star7 execution path of
+    /// [`crate::KernelPlan`]: bricks are distributed over threads and
+    /// each runs [`star7_brick`], with a whole brick row per register
+    /// for the cubic 4³/8³/16³ bricks and one lane at a time otherwise.
+    pub(crate) fn star7_bricks(
+        c: &[f64; 7],
+        info: &BrickInfo<3>,
+        input: &BrickStorage,
+        output: &mut BrickStorage,
+        compute: &[bool],
+        field: usize,
+    ) {
+        let dims = info.brick_dims().extents();
+        assert!(dims.iter().all(|&e| e >= 2), "star7 kernel needs bricks of extent >= 2");
+        let step = output.step();
+        let elems = output.elements_per_brick();
+        let field_base = field * elems;
+        let in_data = input.as_slice();
 
-    output
-        .as_mut_slice()
-        .par_chunks_mut(step)
-        .with_min_len(16)
-        .enumerate()
-        .filter(|(b, _)| compute[*b])
-        .for_each(|(b, chunk)| {
-            let b = b as u32;
-            let out = &mut chunk[field_base..field_base + elems];
-            let adj = info.adjacency_row(b);
-            let base = |nb: u32| nb as usize * step + field_base;
-            let cur = &in_data[base(b)..base(b) + elems];
-            let nxm = &in_data[base(adj[XM])..base(adj[XM]) + elems];
-            let nxp = &in_data[base(adj[XP])..base(adj[XP]) + elems];
-            let nym = &in_data[base(adj[YM])..base(adj[YM]) + elems];
-            let nyp = &in_data[base(adj[YP])..base(adj[YP]) + elems];
-            let nzm = &in_data[base(adj[ZM])..base(adj[ZM]) + elems];
-            let nzp = &in_data[base(adj[ZP])..base(adj[ZP]) + elems];
-
-            for z in 0..bz {
-                for y in 0..by {
-                    let row = (z * by + y) * bx;
-                    let rc = &cur[row..row + bx];
-                    let rym: &[f64] = if y > 0 {
-                        &cur[row - bx..row]
-                    } else {
-                        let r = (z * by + (by - 1)) * bx;
-                        &nym[r..r + bx]
-                    };
-                    let ryp: &[f64] = if y + 1 < by {
-                        &cur[row + bx..row + 2 * bx]
-                    } else {
-                        let r = z * by * bx;
-                        &nyp[r..r + bx]
-                    };
-                    let rzm: &[f64] = if z > 0 {
-                        &cur[row - plane..row - plane + bx]
-                    } else {
-                        let r = ((bz - 1) * by + y) * bx;
-                        &nzm[r..r + bx]
-                    };
-                    let rzp: &[f64] = if z + 1 < bz {
-                        &cur[row + plane..row + plane + bx]
-                    } else {
-                        let r = y * bx;
-                        &nzp[r..r + bx]
-                    };
-                    // Branch-free interior of the row.
-                    for x in 1..bx - 1 {
-                        out[row + x] = c0 * rc[x]
-                            + cxm * rc[x - 1]
-                            + cxp * rc[x + 1]
-                            + cym * rym[x]
-                            + cyp * ryp[x]
-                            + czm * rzm[x]
-                            + czp * rzp[x];
-                    }
-                    // x = 0 reaches into the -x neighbor's last column.
-                    out[row] = c0 * rc[0]
-                        + cxm * nxm[row + bx - 1]
-                        + cxp * rc[1]
-                        + cym * rym[0]
-                        + cyp * ryp[0]
-                        + czm * rzm[0]
-                        + czp * rzp[0];
-                    // x = bx-1 reaches into the +x neighbor's first column.
-                    out[row + bx - 1] = c0 * rc[bx - 1]
-                        + cxm * rc[bx - 2]
-                        + cxp * nxp[row]
-                        + cym * rym[bx - 1]
-                        + cyp * ryp[bx - 1]
-                        + czm * rzm[bx - 1]
-                        + czp * rzp[bx - 1];
+        output
+            .as_mut_slice()
+            .par_chunks_mut(step)
+            .with_min_len(16)
+            .enumerate()
+            .filter(|(b, _)| compute[*b])
+            .for_each(|(b, chunk)| {
+                let out = &mut chunk[field_base..field_base + elems];
+                let adj = info.adjacency_row(b as u32);
+                let slab = |nb: u32| &in_data[nb as usize * step + field_base..][..elems];
+                let cur = slab(b as u32);
+                let faces = FACES.map(|code| slab(adj[code]));
+                match dims {
+                    [4, 4, 4] => star7_brick::<4>(c, [4; 3], out, cur, faces),
+                    [8, 8, 8] => star7_brick::<8>(c, [8; 3], out, cur, faces),
+                    [16, 16, 16] => star7_brick::<16>(c, [16; 3], out, cur, faces),
+                    _ => star7_brick::<1>(c, dims, out, cur, faces),
                 }
-            }
-        });
+            });
+    }
 }
 
-/// 8³-specialized 7-point kernel: every row is a fixed `[f64; 8]`, so
-/// the compiler sees constant trip counts and no bounds checks — the
-/// equivalent of the brick library's generated vector code for its
-/// default brick size.
-fn apply_star7_bricks8(
-    c: &[f64; 7],
-    info: &BrickInfo<3>,
-    input: &BrickStorage,
-    output: &mut BrickStorage,
-    compute: &[bool],
-    field: usize,
-) {
-    const B: usize = 8;
-    const E: usize = B * B * B;
-    let step = output.step();
-    let field_base = field * E;
-    let in_data = input.as_slice();
-    let [c0, cxm, cxp, cym, cyp, czm, czp] = *c;
-    const XM: usize = 2;
-    const XP: usize = 1;
-    const YM: usize = 6;
-    const YP: usize = 3;
-    const ZM: usize = 18;
-    const ZP: usize = 9;
+/// `W` consecutive elements of `slab` starting at `at`, as a fixed row.
+#[inline(always)]
+fn lanes<const W: usize>(slab: &[f64], at: usize) -> &[f64; W] {
+    slab[at..at + W].try_into().expect("a slice of W elements")
+}
 
-    fn row8(s: &[f64], at: usize) -> &[f64; 8] {
-        s[at..at + 8].try_into().unwrap()
+/// The 7-point star over `W` lanes in row-accumulate form: `acc =
+/// c[0]·rows[0]`, then one `acc += c[k]·rows[k]` pass per tap — per
+/// lane the serial reference's op sequence, so the result is
+/// bit-identical at every width. Written as per-tap loops on purpose: a
+/// single expression over a fixed-width row is fully unrolled into
+/// scalar ops instead of being widened.
+#[inline(always)]
+fn star7_lanes<const W: usize>(c: &[f64; 7], rows: [&[f64; W]; 7]) -> [f64; W] {
+    let mut acc = [0.0f64; W];
+    for (a, &v) in acc.iter_mut().zip(rows[0]) {
+        *a = c[0] * v;
     }
+    for (row, &k) in rows[1..].iter().zip(&c[1..]) {
+        for (a, &v) in acc.iter_mut().zip(*row) {
+            *a += k * v;
+        }
+    }
+    acc
+}
 
-    output
-        .as_mut_slice()
-        .par_chunks_mut(step)
-        .with_min_len(16)
-        .enumerate()
-        .filter(|(b, _)| compute[*b])
-        .for_each(|(b, chunk)| {
-            let b = b as u32;
-            let out = &mut chunk[field_base..field_base + E];
-            let adj = info.adjacency_row(b);
-            let base = |nb: u32| nb as usize * step + field_base;
-            let cur = &in_data[base(b)..base(b) + E];
-            let nxm = &in_data[base(adj[XM])..base(adj[XM]) + E];
-            let nxp = &in_data[base(adj[XP])..base(adj[XP]) + E];
-            let nym = &in_data[base(adj[YM])..base(adj[YM]) + E];
-            let nyp = &in_data[base(adj[YP])..base(adj[YP]) + E];
-            let nzm = &in_data[base(adj[ZM])..base(adj[ZM]) + E];
-            let nzp = &in_data[base(adj[ZP])..base(adj[ZP]) + E];
-
-            for z in 0..B {
-                for y in 0..B {
-                    let row = (z * B + y) * B;
-                    let rc = row8(cur, row);
-                    let rym = if y > 0 { row8(cur, row - B) } else { row8(nym, (z * B + B - 1) * B) };
-                    let ryp = if y + 1 < B { row8(cur, row + B) } else { row8(nyp, z * B * B) };
-                    let rzm = if z > 0 { row8(cur, row - B * B) } else { row8(nzm, ((B - 1) * B + y) * B) };
-                    let rzp = if z + 1 < B { row8(cur, row + B * B) } else { row8(nzp, y * B) };
-                    let o: &mut [f64; B] = (&mut out[row..row + B]).try_into().unwrap();
-                    for x in 1..B - 1 {
-                        o[x] = c0 * rc[x]
-                            + cxm * rc[x - 1]
-                            + cxp * rc[x + 1]
-                            + cym * rym[x]
-                            + cyp * ryp[x]
-                            + czm * rzm[x]
-                            + czp * rzp[x];
-                    }
-                    // x edges reach one element into the ±x neighbors.
-                    o[0] = c0 * rc[0]
-                        + cxm * nxm[row + B - 1]
-                        + cxp * rc[1]
-                        + cym * rym[0]
-                        + cyp * ryp[0]
-                        + czm * rzm[0]
-                        + czp * rzp[0];
-                    o[B - 1] = c0 * rc[B - 1]
-                        + cxm * rc[B - 2]
-                        + cxp * nxp[row]
-                        + cym * rym[B - 1]
-                        + cyp * ryp[B - 1]
-                        + czm * rzm[B - 1]
-                        + czp * rzp[B - 1];
+/// One brick of the 7-point star. A brick row is `bx / W` segments of
+/// `W` lanes — one segment, one register, for the monomorphized cubic
+/// bricks; `W = 1` is the fallback for any other shape — and every
+/// [`star7_lanes`] operand is a whole segment: the ±y/±z ones are
+/// segments of this brick or of a face neighbor, and the two x-shifted
+/// ones are the segment's window moved one element, with the ±x
+/// neighbor's column element put in lane 0 of a row's first segment /
+/// lane `W − 1` of its last, so no scalar edge code remains.
+#[inline(always)]
+fn star7_brick<const W: usize>(
+    c: &[f64; 7],
+    [bx, by, bz]: [usize; 3],
+    out: &mut [f64],
+    cur: &[f64],
+    faces: [&[f64]; 6],
+) {
+    let plane = bx * by;
+    let elems = plane * bz;
+    // Slab lengths checked once here, planes once per z, rows once per
+    // y: with constant extents the per-segment checks below fold away.
+    let (out, cur) = (&mut out[..elems], &cur[..elems]);
+    let [nxm, nxp, nym, nyp, nzm, nzp] = faces.map(|s| &s[..elems]);
+    // The x-shifted windows of the slab's first and last segment would
+    // leave it; these stand in (their edge lane is replaced anyway).
+    let head: [f64; W] = std::array::from_fn(|i| cur[i.saturating_sub(1)]);
+    let tail: [f64; W] = std::array::from_fn(|i| cur[(elems - W + i + 1).min(elems - 1)]);
+    for z in 0..bz {
+        let base = z * plane;
+        let pc = &cur[base..base + plane];
+        let po = &mut out[base..base + plane];
+        let pzm = if z > 0 { &cur[base - plane..base] } else { &nzm[elems - plane..] };
+        let pzp = if z + 1 < bz { &cur[base + plane..base + 2 * plane] } else { &nzp[..plane] };
+        let (pym, pyp) = (&nym[base..base + plane], &nyp[base..base + plane]);
+        let (pxm, pxp) = (&nxm[base..base + plane], &nxp[base..base + plane]);
+        for y in 0..by {
+            let r = y * bx;
+            let rym = if y > 0 { &pc[r - bx..r] } else { &pym[plane - bx..] };
+            let ryp = if y + 1 < by { &pc[r + bx..r + 2 * bx] } else { &pyp[..bx] };
+            for x0 in (0..bx).step_by(W) {
+                let (i, at) = (r + x0, base + r + x0);
+                let mut xm: [f64; W] = *if at > 0 { lanes(cur, at - 1) } else { &head };
+                if x0 == 0 {
+                    xm[0] = pxm[r + bx - 1];
                 }
+                let mut xp: [f64; W] = *if at + W < elems { lanes(cur, at + 1) } else { &tail };
+                if x0 + W == bx {
+                    xp[W - 1] = pxp[r];
+                }
+                let rows = [
+                    lanes(pc, i),
+                    &xm,
+                    &xp,
+                    lanes(rym, x0),
+                    lanes(ryp, x0),
+                    lanes(pzm, i),
+                    lanes(pzp, i),
+                ];
+                po[i..i + W].copy_from_slice(&star7_lanes(c, rows));
             }
-        });
+        }
+    }
 }
 
 /// GStencil/s throughput metric used throughout the paper's figures.

@@ -13,6 +13,12 @@
 //!   segments once per `(BrickInfo, StencilShape, field)` binding and
 //!   replay them every timestep (bit-identical to the serial
 //!   reference);
+//! * [`Isa`], the instruction-set level a plan's kernel runs at: the
+//!   planned kernels (star7 on bricks and arrays, the dense block
+//!   kernel) are written once and compiled per level (baseline / AVX2 /
+//!   AVX-512), and a plan binds the detected level when it is built.
+//!   `fma` is never enabled, so multiply and add stay separate and
+//!   every level produces the same bits;
 //! * [`Datatype`], an MPI derived-datatype engine whose element-wise
 //!   pack walk faithfully reproduces the `MPI_Types` baseline.
 //!
@@ -30,10 +36,12 @@
 //! ```
 
 #![warn(missing_docs)]
+#![deny(unsafe_op_in_unsafe_fn, clippy::undocumented_unsafe_blocks)]
 
 pub mod arena;
 pub mod array;
 pub mod brickstencil;
+pub mod isa;
 pub mod mpitypes;
 pub mod plan;
 pub mod shape;
@@ -41,6 +49,7 @@ pub mod varcoef;
 
 pub use array::{ArrayGrid, ArrayPlan};
 pub use brickstencil::{apply_bricks, apply_bricks_gather, apply_bricks_serial, gstencil_per_sec};
+pub use isa::Isa;
 pub use mpitypes::Datatype;
 pub use plan::{KernelPlan, PlanSplit, VarCoefPlan};
 pub use shape::{cube125_coeffs, star7_coeffs, StencilShape};

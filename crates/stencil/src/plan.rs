@@ -27,12 +27,20 @@
 //! down. The canonical 7-point star instead dispatches to the
 //! specialized star7 kernel (itself bit-identical to the reference).
 //!
+//! Both executors are compiled once per ISA level ([`crate::isa`]) and
+//! the plan stores the level it runs at: the detected one
+//! ([`KernelPlan::new`]) or a lower one a test or benchmark pins
+//! ([`KernelPlan::with_isa`]). Levels differ in register width only —
+//! `fma` is never enabled — so the bits are the same at every level.
+//!
 //! [`VarCoefPlan`] applies the same bind-once treatment to the
 //! variable-coefficient 7-point kernel of [`crate::varcoef`].
 
 use brick::{BrickInfo, BrickStorage, NO_BRICK};
 use rayon::prelude::*;
 
+use crate::brickstencil::star7_bricks;
+use crate::isa::{per_isa, BoundIsa, Isa};
 use crate::shape::{star7_coeffs, StencilShape};
 
 /// Neighbor-base sentinel for a missing neighbor brick. Executing a
@@ -148,21 +156,24 @@ struct CopySeg {
 
 /// Execution strategy selected at plan time.
 enum Exec {
-    /// Canonical 7-point star: the specialized hoisted-row kernel.
+    /// Canonical 7-point star: the specialized row-accumulate kernel.
     Star7 { c: [f64; 7], info: BrickInfo<3> },
     /// Any other shape: gather a `(bx+2r)·(by+2r)·(bz+2r)` halo block
     /// through the precompiled copy list, then run the dense
     /// taps-innermost kernel (bit-identical accumulation order).
-    Block {
-        wx: usize,
-        wy: usize,
-        block_len: usize,
-        copies: Vec<CopySeg>,
-        /// `(flat offset into the padded block, coefficient)` per tap,
-        /// in shape tap order.
-        taps: Vec<(u32, f64)>,
-        nbase: Vec<usize>,
-    },
+    Block(BlockExec),
+}
+
+/// The compiled halo-block gather and tap list of [`Exec::Block`].
+struct BlockExec {
+    wx: usize,
+    wy: usize,
+    block_len: usize,
+    copies: Vec<CopySeg>,
+    /// `(flat offset into the padded block, coefficient)` per tap, in
+    /// shape tap order.
+    taps: Vec<(u32, f64)>,
+    nbase: Vec<usize>,
 }
 
 /// A stencil kernel compiled for one `(BrickInfo, StencilShape, field)`
@@ -179,18 +190,33 @@ pub struct KernelPlan {
     field: usize,
     field_base: usize,
     bricks: usize,
+    isa: BoundIsa,
     exec: Exec,
 }
 
 impl KernelPlan {
     /// Compile a plan for applying `shape` to field `field` of storages
-    /// with `fields` interleaved fields laid out by `info`.
+    /// with `fields` interleaved fields laid out by `info`, bound to
+    /// the highest ISA level this CPU runs.
     pub fn new(
         info: &BrickInfo<3>,
         shape: &StencilShape,
         fields: usize,
         field: usize,
     ) -> KernelPlan {
+        KernelPlan::with_isa(info, shape, fields, field, Isa::detect())
+    }
+
+    /// [`KernelPlan::new`] pinned to `isa`, for tests and benchmarks
+    /// that compare levels. Panics if `isa` is above [`Isa::detect`].
+    pub fn with_isa(
+        info: &BrickInfo<3>,
+        shape: &StencilShape,
+        fields: usize,
+        field: usize,
+        isa: Isa,
+    ) -> KernelPlan {
+        let isa = isa.bind();
         assert!(field < fields, "field index out of range");
         let bd = info.brick_dims();
         let [bx, by, bz] = bd.extents();
@@ -217,14 +243,14 @@ impl KernelPlan {
                     (off as u32, c)
                 })
                 .collect();
-            Exec::Block {
+            Exec::Block(BlockExec {
                 wx,
                 wy,
                 block_len: wx * wy * wz,
                 copies: build_copies(bx, by, bz, r),
                 taps,
                 nbase: build_nbase(info, step, field_base),
-            }
+            })
         };
         KernelPlan {
             bx,
@@ -236,6 +262,7 @@ impl KernelPlan {
             field,
             field_base,
             bricks: info.bricks(),
+            isa,
             exec,
         }
     }
@@ -243,6 +270,11 @@ impl KernelPlan {
     /// The field index this plan was compiled for.
     pub fn field(&self) -> usize {
         self.field
+    }
+
+    /// The ISA level this plan's kernel runs at.
+    pub fn isa(&self) -> Isa {
+        self.isa.level()
     }
 
     /// Split this plan's compute set into interior/boundary sub-plans
@@ -267,11 +299,9 @@ impl KernelPlan {
         assert_eq!(output.bricks(), self.bricks, "brick count mismatch");
         match &self.exec {
             Exec::Star7 { c, info } => {
-                crate::brickstencil::apply_star7_bricks(c, info, input, output, compute, self.field);
+                star7_bricks(self.isa, c, info, input, output, compute, self.field);
             }
-            Exec::Block { wx, wy, block_len, copies, taps, nbase } => {
-                self.execute_block(*wx, *wy, *block_len, copies, taps, nbase, input, output, compute);
-            }
+            Exec::Block(blk) => block_bricks(self.isa, self, blk, input, output, compute),
         }
     }
 
@@ -297,38 +327,35 @@ impl KernelPlan {
         );
         rec.close();
     }
+}
 
+per_isa! {
     /// Block executor: gather the padded halo block through the copy
     /// list into the thread-local arena, then run the dense kernel.
     /// Bricks are distributed over threads.
-    #[allow(clippy::too_many_arguments)]
-    fn execute_block(
-        &self,
-        wx: usize,
-        wy: usize,
-        block_len: usize,
-        copies: &[CopySeg],
-        taps: &[(u32, f64)],
-        nbase: &[usize],
+    fn block_bricks(
+        plan: &KernelPlan,
+        blk: &BlockExec,
         input: &BrickStorage,
         output: &mut BrickStorage,
         compute: &[bool],
     ) {
-        let (bx, by, bz) = (self.bx, self.by, self.bz);
-        let (elems, step, field_base) = (self.elems, self.step, self.field_base);
+        let (bx, by, bz) = (plan.bx, plan.by, plan.bz);
+        let (elems, field_base) = (plan.elems, plan.field_base);
+        let (wx, wy, taps) = (blk.wx, blk.wy, &blk.taps[..]);
         let in_data = input.as_slice();
 
         output
             .as_mut_slice()
-            .par_chunks_mut(step)
+            .par_chunks_mut(plan.step)
             .with_min_len(16)
             .enumerate()
             .filter(|(b, _)| compute[*b])
             .for_each(|(b, chunk)| {
-                let bases = &nbase[b * 27..b * 27 + 27];
+                let bases = &blk.nbase[b * 27..b * 27 + 27];
                 let out = &mut chunk[field_base..field_base + elems];
-                crate::arena::with_scratch(block_len, |block| {
-                    for cs in copies {
+                crate::arena::with_scratch(blk.block_len, |block| {
+                    for cs in &blk.copies {
                         let len = cs.len as usize;
                         let dst = &mut block[cs.dst as usize..cs.dst as usize + len];
                         let sb = bases[cs.code as usize];
@@ -356,6 +383,7 @@ impl KernelPlan {
 /// Dense taps-innermost kernel for the monomorphized brick widths: the
 /// row accumulator is a `[f64; BX]` the compiler keeps in registers, so
 /// each tap costs one broadcast-multiply-accumulate over the row.
+#[inline(always)]
 fn block_rows<const BX: usize>(
     out: &mut [f64],
     block: &[f64],
@@ -383,6 +411,7 @@ fn block_rows<const BX: usize>(
 /// Fallback for uncommon brick widths: accumulate straight into the
 /// output row (same op order, the accumulator just lives in L1).
 #[allow(clippy::too_many_arguments)]
+#[inline(always)]
 fn block_rows_dyn(
     out: &mut [f64],
     block: &[f64],
@@ -685,6 +714,88 @@ mod tests {
             apply_bricks_serial(&shape, &info, &input, &mut out_ser, &compute, 0);
             assert_eq!(out_plan.as_slice(), out_ser.as_slice());
         }
+    }
+
+    /// Every ISA level this CPU runs (so `Baseline` is exercised even
+    /// on an AVX-512 host) × brick shape (the three monomorphized cubes,
+    /// an uncommon width, a non-cubic brick) × {full mask, sparse mask,
+    /// field 1 of 2}: the planned engine equals the serial reference
+    /// bit for bit for the three proxies, and leaves masked-out bricks
+    /// and the unbound field untouched.
+    #[test]
+    fn every_isa_level_bit_identical_to_serial() {
+        const UNTOUCHED: f64 = -3.5;
+        let bits = |s: &[f64]| s.iter().map(|v| v.to_bits()).collect::<Vec<u64>>();
+        let shapes = [
+            StencilShape::star7_default(),
+            StencilShape::star13_default(),
+            StencilShape::cube125_default(),
+        ];
+        for dims in [[4; 3], [6; 3], [8; 3], [16; 3], [8, 4, 2]] {
+            let gdim = if dims[0] == 16 { 2 } else { 3 };
+            let grid = BrickGrid::<3>::lexicographic([gdim; 3], true);
+            let info = BrickInfo::from_grid(BrickDims::new(dims), &grid);
+            let full = vec![true; info.bricks()];
+            let sparse: Vec<bool> = (0..info.bricks()).map(|b| b % 3 != 1).collect();
+            for (fields, field, mask) in [(1, 0, &full), (1, 0, &sparse), (2, 1, &full)] {
+                let mut input = info.allocate(fields);
+                // No exact zeros: a sum of signed zeros is the one place
+                // where `0.0 + c0·v` and `c0·v` differ in bits.
+                for (i, v) in input.as_mut_slice().iter_mut().enumerate() {
+                    *v = ((i * 2654435761) % 1013) as f64 / 7.0 - 60.3;
+                }
+                for shape in &shapes {
+                    let mut want = info.allocate(fields);
+                    want.fill(UNTOUCHED);
+                    apply_bricks_serial(shape, &info, &input, &mut want, mask, field);
+                    for isa in Isa::available() {
+                        let plan = KernelPlan::with_isa(&info, shape, fields, field, isa);
+                        assert_eq!(plan.isa(), isa);
+                        let mut got = info.allocate(fields);
+                        got.fill(UNTOUCHED);
+                        plan.execute(&input, &mut got, mask);
+                        assert_eq!(
+                            bits(got.as_slice()),
+                            bits(want.as_slice()),
+                            "{} taps, brick {dims:?}, field {field} of {fields}, {}",
+                            shape.points(),
+                            isa.name()
+                        );
+                        for b in (0..info.bricks()).filter(|&b| !mask[b]) {
+                            assert!(got.field(b as u32, field).iter().all(|&v| v == UNTOUCHED));
+                        }
+                        if fields == 2 {
+                            assert!(got.field(0, 0).iter().all(|&v| v == UNTOUCHED));
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    /// No silent fallback: a plan binds exactly the detected level, and
+    /// a level above it is refused when the plan is built.
+    #[test]
+    fn plan_binds_detected_isa() {
+        let (info, _, _) = setup(2, 4);
+        let plan = KernelPlan::new(&info, &StencilShape::star7_default(), 1, 0);
+        assert_eq!(plan.isa(), Isa::detect());
+    }
+
+    #[test]
+    fn isa_above_detected_is_refused() {
+        let top = Isa::detect();
+        let Some(&above) = Isa::ALL.iter().find(|&&l| l > top) else {
+            return; // already at the top level: nothing to refuse
+        };
+        let (info, _, _) = setup(2, 4);
+        let err = std::panic::catch_unwind(|| {
+            KernelPlan::with_isa(&info, &StencilShape::star7_default(), 1, 0, above)
+        })
+        .err()
+        .expect("a level above the detected one must panic");
+        let msg = err.downcast_ref::<String>().expect("assert message");
+        assert!(msg.contains(above.name()) && msg.contains(top.name()), "{msg}");
     }
 
     /// Sparse compute masks leave skipped bricks untouched and agree

@@ -5,11 +5,14 @@ baseline.
 Only the hardware-robust *ratio* metrics (top-level "speedup*" keys)
 are guarded -- absolute seconds and bytes/s shift with the runner, but
 the paper's claims are ratios (pooled vs fresh transport, planned vs
-gather compute), which must not silently regress. The guardrail is a
-relative band, default +/-20% (override: BENCH_DIFF_TOL env or third
-argument). Schema version and run metadata (bench, grid, steps) must
-match exactly: comparing ratios measured at different sizes would be
-meaningless, and the shared header exists so this check can refuse.
+gather compute), which must not silently regress. The guardrail is
+one-sided, default 20% (override: BENCH_DIFF_TOL env or third
+argument): a ratio that drops by more than the tolerance fails; one
+that rises by more passes with a "STALE baseline, re-record" note, so
+that a speed-up never turns the guard red. Schema version and run
+metadata (bench, grid, steps) must match exactly: comparing ratios
+measured at different sizes would be meaningless, and the shared
+header exists so this check can refuse.
 
 Usage: bench_diff.py BASELINE CURRENT [TOL]
 """
@@ -42,17 +45,17 @@ def main():
         if not isinstance(got, (int, float)):
             failures.append(f"{key}: missing from current run")
             continue
-        rel = abs(got - want) / abs(want)
-        verdict = "ok" if rel <= tol else "FAIL"
+        rel = (got - want) / abs(want)
+        verdict = "FAIL" if rel < -tol else "STALE baseline, re-record" if rel > tol else "ok"
         print(f"{verdict:4} {key}: baseline {want:.3f} current {got:.3f} ({rel:+.1%})")
-        if rel > tol:
-            failures.append(f"{key}: {got:.3f} is {rel:.1%} from baseline {want:.3f} (tol {tol:.0%})")
+        if rel < -tol:
+            failures.append(f"{key}: {got:.3f} is {-rel:.1%} below baseline {want:.3f} (tol {tol:.0%})")
 
     if failures:
         for fmsg in failures:
             print(f"FAIL {fmsg}", file=sys.stderr)
         sys.exit(1)
-    print(f"ok: {cur.get('bench')} ratios within {tol:.0%} of baseline")
+    print(f"ok: no {cur.get('bench')} ratio more than {tol:.0%} below baseline")
 
 
 if __name__ == "__main__":
