@@ -13,14 +13,20 @@
 //! assert bit-identity against the fault-free run plus a completed
 //! recovery epoch. No JSON is written.
 //!
-//! The guarded ratios (`scripts/bench_diff.py`): `speedup_plain_vs_k4`
-//! — the clean-path overhead of checkpointing every 4 steps (modeled
+//! The guarded ratios (`scripts/bench_diff.py`): `speedup_plain_vs_k2`
+//! and `speedup_plain_vs_k4` — the clean-path overhead of checkpointing
+//! every 2 (the ROADMAP target's interval) and every 4 steps (modeled
 //! time, plain over checkpointed, so values just under 1.0) — and
 //! `speedup_recover_k4_vs_k1` — surviving a kill with sparse
 //! checkpoints (K=4: cheap steady state, longer replay) versus
 //! checkpointing every step (K=1: expensive steady state, minimal
-//! replay). Both are modeled-clock ratios, so they are deterministic
+//! replay). All are modeled-clock ratios, so they are deterministic
 //! on any runner. The per-K trajectories stay in the JSON unguarded.
+//!
+//! Every checkpointed row is also held to the snapshot-byte identity: a
+//! snapshot is the owned prefix of the grid (no ghost rim), so
+//! `checkpoint_bytes` is `checkpoints` such prefixes and a recovery
+//! streams exactly two of them to the respawned rank.
 
 use netsim::{FaultConfig, ProcFault};
 use packfree::experiment::{run_experiment, CpuMethod, ExperimentConfig, MethodReport};
@@ -84,14 +90,28 @@ struct CleanRow {
     overhead_vs_plain: f64,
 }
 
-fn assert_recovered(label: &str, clean: &MethodReport, faulty: &MethodReport) {
+/// The snapshot-byte identity: every snapshot is one owned prefix.
+fn assert_owned_snapshots(label: &str, cfg: &ExperimentConfig, r: &MethodReport) -> u64 {
+    let owned_bytes = cfg.decomp().owned_elems() as u64 * 8;
+    assert!(r.recovery.checkpoints > 0, "{label}: no checkpoint taken");
+    assert_eq!(
+        r.recovery.checkpoint_bytes,
+        r.recovery.checkpoints * owned_bytes,
+        "{label}: a snapshot is not the owned prefix"
+    );
+    owned_bytes
+}
+
+fn assert_recovered(label: &str, cfg: &ExperimentConfig, clean: &MethodReport, faulty: &MethodReport) {
     assert_eq!(
         faulty.checksum.to_bits(),
         clean.checksum.to_bits(),
         "{label}: killed run diverged from the fault-free grid"
     );
     assert!(faulty.recovery.recovery_epochs >= 1, "{label}: no recovery epoch ran");
-    assert!(faulty.recovery.restore_bytes > 0, "{label}: victim was never restored");
+    let owned_bytes = assert_owned_snapshots(label, cfg, faulty);
+    // The victim's grid from its buddy, its guard slot from its anti-buddy.
+    assert_eq!(faulty.recovery.restore_bytes, 2 * owned_bytes, "{label}: restore traffic");
 }
 
 fn smoke(steps: usize) {
@@ -101,7 +121,7 @@ fn smoke(steps: usize) {
     fc.faults = kill(3, (fc.steps / 2) as u64);
     fc.checkpoint_every = 2;
     let faulty = run_experiment(&fc);
-    assert_recovered("smoke 2x2x2", &clean, &faulty);
+    assert_recovered("smoke 2x2x2", &fc, &clean, &faulty);
     let rv = &faulty.recovery;
     println!(
         "== recovery smoke: 2x2x2 layout, killed rank {} at step {} ==",
@@ -158,6 +178,7 @@ fn main() {
             plain.checksum.to_bits(),
             "K={k}: checkpointing changed the physics"
         );
+        assert_owned_snapshots(&format!("clean K={k}"), &cfg, &r);
         let row = CleanRow {
             k,
             step_s,
@@ -188,7 +209,7 @@ fn main() {
         cfg.checkpoint_every = k;
         cfg.faults = kill(1, kill_step);
         let (step_s, comm_s, r) = timed(&cfg);
-        assert_recovered(&format!("K={k}"), &plain, &r);
+        assert_recovered(&format!("K={k}"), &cfg, &plain, &r);
         let rv = &r.recovery;
         let row = KillRow {
             k,
@@ -213,14 +234,16 @@ fn main() {
         kill_rows.push(row);
     }
 
+    let clean_k2 = clean_rows.iter().find(|r| r.k == 2).expect("K=2 clean point");
     let clean_k4 = clean_rows.iter().find(|r| r.k == 4).expect("K=4 clean point");
     let kill_k1 = kill_rows.iter().find(|r| r.k == 1).expect("K=1 kill point");
     let kill_k4 = kill_rows.iter().find(|r| r.k == 4).expect("K=4 kill point");
+    let speedup_plain_vs_k2 = plain_comm / clean_k2.comm_s;
     let speedup_plain_vs_k4 = plain_comm / clean_k4.comm_s;
     let speedup_recover_k4_vs_k1 = kill_k1.comm_s / kill_k4.comm_s;
     println!(
-        "\n  clean-path overhead at K=4: {:.3}x (plain over checkpointed)",
-        speedup_plain_vs_k4
+        "\n  clean-path overhead at K=2 / K=4: {:.3}x / {:.3}x (plain over checkpointed)",
+        speedup_plain_vs_k2, speedup_plain_vs_k4
     );
     println!(
         "  recovery at K=4 vs K=1: {:.3}x (sparse checkpoints over per-step)",
@@ -267,6 +290,7 @@ fn main() {
         ));
     }
     json.push_str("  ],\n");
+    json.push_str(&format!("  \"speedup_plain_vs_k2\": {:.3},\n", speedup_plain_vs_k2));
     json.push_str(&format!("  \"speedup_plain_vs_k4\": {:.3},\n", speedup_plain_vs_k4));
     json.push_str(&format!(
         "  \"speedup_recover_k4_vs_k1\": {:.3}\n",

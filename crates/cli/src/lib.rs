@@ -245,7 +245,7 @@ OPTIONS:
                         stall to the rank's wait timer
   -c, --checkpoint-every <K>
                         buddy-checkpoint interval in steps: every K
-                        steps each rank snapshots its grid to rank+1's
+                        steps each rank snapshots what it owns to rank+1's
                         memory (0 = off; a kill:/stall: schedule forces
                         K=1 when unset; memmap/layout/basic/shift only)
   -M, --migrate <M>     (-m rebalance only) run a migration epoch every M

@@ -7,10 +7,11 @@
 //! `--checkpoint-every` armed it becomes resilient:
 //!
 //! 1. **Checkpoint.** Every K steps (and always before step 0) each rank
-//!    snapshots its current grid ([`DriveOp::Snapshot`]) straight into a
-//!    checkpoint slot, seals it with a `[step, checksum]` trailer (the
-//!    same [`netsim::frame_checksum`] the reliable protocol uses), and
-//!    sends the slot to its buddy `(rank + 1) % n` around the ring. The
+//!    snapshots the state it owns ([`DriveOp::Snapshot`] — see "What a
+//!    snapshot holds" below) straight into a checkpoint slot, seals it
+//!    with a `[step, checksum]` trailer (the same
+//!    [`netsim::frame_checksum`] the reliable protocol uses), and sends
+//!    the slot to its buddy `(rank + 1) % n` around the ring. The
 //!    buddy verifies the frame and keeps the message buffer itself as
 //!    its guard slot ([`netsim::RankCtx::adopt`]), so a frame is copied
 //!    once and hashed once per hop. Slots are double-buffered, so a
@@ -34,6 +35,36 @@
 //! 4. **Replay.** Execution resumes at the recovery step. The step body
 //!    is deterministic in the grid contents, so the replayed run is
 //!    bit-identical to the fault-free schedule.
+//!
+//! # What a snapshot holds
+//!
+//! A snapshot is **the state a rank owns** at a step boundary, nothing
+//! more: for the static engines the [`crate::BrickDecomp::owned_elems`]
+//! prefix of the current grid (interior and surface bricks, which the
+//! decomposition stores ahead of every ghost group), for the rebalance
+//! driver the interiors of the bricks it owns with its ownership view,
+//! balancer state and live plan. The ghost rim — almost half the padded
+//! storage at 64³ with an 8-wide ghost, over two thirds at 32³ — is a
+//! copy of state other ranks own and is dead at a step boundary,
+//! because every schedule refills a ghost brick before it reads one:
+//!
+//! * *phased* — a step is `exchange → compute`, and the exchange fills
+//!   every ghost group;
+//! * *overlap* and *partitioned* — `begin`, then interior bricks (which
+//!   read no ghost), then each boundary brick only once the receives
+//!   filling the ghosts it reads have completed, `finish` before the
+//!   rest; early `pready` fragments of the aborted step are purged with
+//!   the data plane and re-sent from the restored grid;
+//! * *Shift* — three axis passes, each shipping slabs that include the
+//!   ghosts the earlier passes just filled, so after the last pass every
+//!   ghost brick derives from owned state of this step.
+//!
+//! Every cost of a checkpoint is per byte (snapshot copy, seal hash,
+//! pooled send copy, verify hash, four slots per rank, `B/β` on the
+//! modeled wire, the restore frames), so what is not owned is not
+//! carried. Test and debug builds poison what `Restore` leaves untouched
+//! (ghost rim, next grid) with NaN, so a schedule that did read stale
+//! state fails every kill test's checksum.
 //!
 //! Recovery control traffic flows on its own reserved tag namespace
 //! (fault-exempt, preserved by the post-fence purge); step fences and
@@ -70,11 +101,15 @@ const REL_B: u64 = RECO_NS | 7;
 pub enum DriveOp<'a> {
     /// Execute timestep `step` (0-based, warmup included).
     Step(usize),
-    /// Append the current grid (the storage the *next* step reads) to
-    /// the buffer. Must capture everything `Restore` needs to reproduce
-    /// the step-boundary state bit-exactly.
+    /// Append the state this rank owns at the step boundary to the
+    /// buffer: everything the next step reads that no exchange will
+    /// deliver. Ghost copies of other ranks' state stay out — the step
+    /// refills them before reading them (module docs, "What a snapshot
+    /// holds").
     Snapshot(&'a mut Vec<f64>),
-    /// Overwrite the current grid with a snapshot taken by `Snapshot`.
+    /// Roll the owned state back to a snapshot taken by `Snapshot`.
+    /// Together with `Rebuild` this must reproduce the step-boundary
+    /// state bit-exactly as far as the next step can observe it.
     Restore(&'a [f64]),
     /// Recreate every persistent artifact whose state the aborted step
     /// may have torn: exchange sessions (and their reliable sequence
@@ -538,6 +573,7 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::engine::RankEngine;
     use netsim::{
         run_cluster_on, Backend, CartTopo, FaultConfig, NetworkModel, ProcFault,
     };
@@ -719,6 +755,66 @@ mod tests {
                     }
                 }
             }
+        }
+    }
+
+    /// One engine through a checkpoint and a rollback: the sealed frame
+    /// is the owned prefix plus the trailer, and a step replayed from it
+    /// lands on the bits of the first execution — although `restore`
+    /// (poisoning in a test build) left the ghost rim and the next grid
+    /// as NaN.
+    fn frame_roundtrip<E: RankEngine>(eng: &mut E, ctx: &mut RankCtx<'_>, what: &str) {
+        let mut step = |eng: &mut E| {
+            eng.exchange(ctx).expect("exchange");
+            eng.compute(ctx, None);
+            eng.advance();
+            eng.checksum().to_bits()
+        };
+        step(eng);
+        let at_snapshot = eng.checksum().to_bits();
+        let mut frame = Vec::new();
+        eng.snapshot(&mut frame);
+        seal_frame(&mut frame, 1);
+        assert_eq!(frame.len(), eng.decomp().owned_elems() + TRAILER, "{what}: frame words");
+        let after = step(eng);
+        let (at, payload) = open_frame(&frame);
+        assert_eq!(at, 1);
+        eng.restore(payload);
+        assert_eq!(eng.checksum().to_bits(), at_snapshot, "{what}: restored grid");
+        assert_eq!(step(eng), after, "{what}: replayed step");
+        assert!(f64::from_bits(after).is_finite(), "{what}: poison reached the interior");
+    }
+
+    #[test]
+    fn a_frame_is_the_owned_prefix_plus_trailer_for_every_engine() {
+        use crate::engine::{HeapBricks, ViewPair};
+        use crate::experiment::{CpuMethod, ExperimentConfig};
+        use crate::{ExchangeView, Exchanger, ShiftExchanger};
+        let topo = CartTopo::new(&[1, 1, 1], true);
+        for method in [
+            CpuMethod::Layout,
+            CpuMethod::Basic,
+            CpuMethod::MemMap { page_size: memview::PAGE_4K },
+            // Four bricks to a page: the prefix carries chunk filler.
+            CpuMethod::MemMap { page_size: 4 * memview::PAGE_4K },
+            CpuMethod::Shift { page_size: memview::PAGE_4K },
+        ] {
+            let cfg = ExperimentConfig::k1(method.clone(), 16);
+            let decomp = cfg.decomp();
+            let what = format!("{method:?}");
+            run_cluster_on(Backend::Thread, &topo, NetworkModel::instant(), FaultConfig::off(), |ctx| match &method {
+                CpuMethod::MemMap { .. } => {
+                    frame_roundtrip(&mut ViewPair::<ExchangeView>::new(&cfg, &decomp), ctx, &what)
+                }
+                CpuMethod::Shift { .. } => {
+                    frame_roundtrip(&mut ViewPair::<ShiftExchanger>::new(&cfg, &decomp), ctx, &what)
+                }
+                _ => {
+                    let exchanger =
+                        if method == CpuMethod::Basic { Exchanger::basic(&decomp) } else { Exchanger::layout(&decomp) };
+                    frame_roundtrip(&mut HeapBricks::new(&cfg, &decomp, Some(&exchanger), ctx), ctx, &what)
+                }
+            });
         }
     }
 

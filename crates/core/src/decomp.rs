@@ -445,6 +445,21 @@ impl<const D: usize> BrickDecomp<D> {
     pub fn step(&self) -> usize {
         self.bdims.elements() * self.fields
     }
+
+    /// Length in elements of the storage prefix holding everything this
+    /// rank owns. Chunks are placed interior first, then the surface
+    /// regions, then the ghost groups, so the owned bricks (with their
+    /// alignment filler) end where the last surface chunk's padded range
+    /// does and everything from there on is ghost rim — the state a
+    /// checkpoint need not carry ([`crate::checkpoint`]).
+    pub fn owned_elems(&self) -> usize {
+        let end = self.surface.last().map_or(self.interior.padded.end, |c| c.padded.end);
+        debug_assert!(
+            self.ghosts.iter().flat_map(|g| &g.pieces).all(|p| p.padded.start >= end),
+            "a ghost piece is stored below the owned prefix"
+        );
+        end * self.step()
+    }
 }
 
 /// Mutable brick→rank ownership map — the dynamic counterpart of the
@@ -781,6 +796,51 @@ mod tests {
         let d = decomp32();
         let computed = d.compute_mask().iter().filter(|&&m| m).count();
         assert_eq!(computed, 64); // 4^3 owned bricks
+    }
+
+    /// What the owned-prefix snapshot rests on: everything computed lies
+    /// below [`BrickDecomp::owned_elems`], every ghost piece (payload and
+    /// filler) at or above it, and the prefix is exactly the interior and
+    /// surface chunks with their filler.
+    fn assert_owned_prefix<const D: usize>(d: &BrickDecomp<D>, what: &str) {
+        let owned = d.owned_elems() / d.step();
+        assert_eq!(d.owned_elems() % d.step(), 0, "{what}: prefix ends inside a brick");
+        for (b, &computed) in d.compute_mask().iter().enumerate() {
+            assert!(!computed || b < owned, "{what}: computed brick {b} outside the prefix of {owned}");
+        }
+        for p in d.ghost_groups().iter().flat_map(|g| &g.pieces) {
+            assert!(p.padded.start >= owned, "{what}: ghost piece {:?} inside the prefix", p.padded);
+            assert!(p.bricks.start >= p.padded.start && p.padded.end <= d.bricks());
+        }
+        let chunks = std::iter::once(d.interior()).chain(d.surface_chunks());
+        assert_eq!(owned, chunks.map(Chunk::padded_len).sum::<usize>(), "{what}: prefix length");
+    }
+
+    #[test]
+    fn owned_bricks_form_a_storage_prefix() {
+        use crate::memmap::memmap_decomp;
+        use layout::surface2d;
+        for fields in [1, 2] {
+            let d2 = BrickDecomp::<2>::layout_mode([32; 2], 8, BrickDims::cubic(8), fields, surface2d());
+            assert_owned_prefix(&d2, &format!("2-D, {fields} fields"));
+            let lex4 = SurfaceLayout::lexicographic(4);
+            let d4 = BrickDecomp::<4>::layout_mode([16; 4], 8, BrickDims::cubic(4), fields, lex4);
+            assert_owned_prefix(&d4, &format!("4-D, {fields} fields"));
+            for n in [16, 32, 64] {
+                let d3 = BrickDecomp::<3>::layout_mode([n; 3], 8, BrickDims::cubic(8), fields, surface3d());
+                assert_owned_prefix(&d3, &format!("3-D {n}^3, {fields} fields"));
+                assert_eq!(d3.owned_elems(), n * n * n * fields, "an unpadded prefix is the owned cells");
+                for page in [4096, 16384] {
+                    let mm = memmap_decomp([n; 3], 8, BrickDims::cubic(8), fields, surface3d(), page);
+                    assert_owned_prefix(&mm, &format!("memmap {n}^3, {fields} fields, page {page}"));
+                    assert!(mm.owned_elems() >= d3.owned_elems());
+                }
+            }
+            // Chunk padding coarser than any page of the sweep above.
+            let padded = BrickDecomp::<3>::new([32; 3], 8, BrickDims::cubic(8), fields, surface3d(), 16);
+            assert_owned_prefix(&padded, &format!("pad 16, {fields} fields"));
+            assert!(padded.owned_elems() > 32 * 32 * 32 * fields, "filler is part of the prefix");
+        }
     }
 
     #[test]

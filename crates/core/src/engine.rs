@@ -56,11 +56,13 @@ pub(crate) trait RankEngine {
     /// The next grid becomes the current one.
     fn advance(&mut self);
 
-    /// Append the current grid to `buf`.
+    /// Append what this rank owns of the current grid — the
+    /// [`BrickDecomp::owned_elems`] prefix of its storage — to `buf`.
     fn snapshot(&self, _buf: &mut Vec<f64>) {
         unsupported()
     }
-    /// Overwrite the current grid with a snapshot.
+    /// Roll the current grid's owned prefix back to a snapshot. The ghost
+    /// rim and the next grid are left for the replayed step to refill.
     fn restore(&mut self, _data: &[f64]) {
         unsupported()
     }
@@ -159,6 +161,26 @@ fn fill_bricks(decomp: &BrickDecomp<3>, st: &mut BrickStorage) {
     crate::fields::fill_interior(decomp, st, 0, |c| init_value(c[0] as i64, c[1] as i64, c[2] as i64));
 }
 
+/// Append what the rank owns of `cur` — the storage prefix ahead of the
+/// ghost rim — to `buf`.
+fn snapshot_owned(decomp: &BrickDecomp<3>, cur: &BrickStorage, buf: &mut Vec<f64>) {
+    buf.extend_from_slice(&cur.as_slice()[..decomp.owned_elems()]);
+}
+
+/// Roll `cur` back to `data`, a snapshot of its owned prefix. Every
+/// schedule refills a ghost brick before reading it and writes every
+/// owned brick of `nxt` before the swap, so neither is restored; test
+/// and debug builds poison both, turning a schedule that does read stale
+/// state into a NaN checksum instead of a silent dependency.
+fn restore_owned(decomp: &BrickDecomp<3>, cur: &mut BrickStorage, nxt: &mut BrickStorage, data: &[f64]) {
+    let (owned, ghosts) = cur.as_mut_slice().split_at_mut(decomp.owned_elems());
+    owned.copy_from_slice(data);
+    if cfg!(any(test, debug_assertions)) {
+        ghosts.fill(f64::NAN);
+        nxt.as_mut_slice().fill(f64::NAN);
+    }
+}
+
 /// The ghost bricks each receive range fills.
 fn ghosts_of(ranges: &[std::ops::Range<usize>], step: usize) -> Vec<Vec<u32>> {
     ranges.iter().map(|r| ((r.start / step) as u32..(r.end / step) as u32).collect()).collect()
@@ -233,11 +255,11 @@ impl RankEngine for HeapBricks<'_> {
     }
 
     fn snapshot(&self, buf: &mut Vec<f64>) {
-        buf.extend_from_slice(self.cur.as_slice());
+        snapshot_owned(self.decomp, &self.cur, buf);
     }
 
     fn restore(&mut self, data: &[f64]) {
-        self.cur.as_mut_slice().copy_from_slice(data);
+        restore_owned(self.decomp, &mut self.cur, &mut self.nxt, data);
     }
 
     fn rebuild(&mut self, ctx: &mut RankCtx<'_>) {
@@ -301,6 +323,16 @@ pub(crate) struct ViewPair<'a, V> {
     cur: usize,
 }
 
+/// The current and the next storage of a [`ViewPair`]'s grids.
+fn cur_nxt(grids: &mut [MemMapStorage; 2], cur: usize) -> (&mut BrickStorage, &mut BrickStorage) {
+    let [a, b] = grids;
+    if cur == 0 {
+        (&mut a.storage, &mut b.storage)
+    } else {
+        (&mut b.storage, &mut a.storage)
+    }
+}
+
 /// [`RankEngine`] for a [`ViewPair`] of one mmap-view exchanger:
 /// [`ExchangeView`] and [`ShiftExchanger`] spell every call the pair
 /// makes the same way (neither names a trait for it, so this is a macro
@@ -337,9 +369,8 @@ macro_rules! view_pair_engine {
             }
 
             fn compute(&mut self, ctx: &mut RankCtx<'_>, mask: Option<&[bool]>) {
-                let [a, b] = &mut self.grids;
-                let (cur, nxt) = if self.cur == 0 { (a, b) } else { (b, a) };
-                self.kernel.apply(ctx, self.decomp, &cur.storage, &mut nxt.storage, mask);
+                let (cur, nxt) = cur_nxt(&mut self.grids, self.cur);
+                self.kernel.apply(ctx, self.decomp, cur, nxt, mask);
             }
 
             fn advance(&mut self) {
@@ -347,11 +378,12 @@ macro_rules! view_pair_engine {
             }
 
             fn snapshot(&self, buf: &mut Vec<f64>) {
-                buf.extend_from_slice(self.grids[self.cur].storage.as_slice());
+                snapshot_owned(self.decomp, &self.grids[self.cur].storage, buf);
             }
 
             fn restore(&mut self, data: &[f64]) {
-                self.grids[self.cur].storage.as_mut_slice().copy_from_slice(data);
+                let (cur, nxt) = cur_nxt(&mut self.grids, self.cur);
+                restore_owned(self.decomp, cur, nxt, data);
             }
 
             fn rebuild(&mut self, _ctx: &mut RankCtx<'_>) {

@@ -161,10 +161,10 @@ pub struct ExperimentConfig {
     /// Buddy-checkpoint interval in steps (0 = off). When set — or when
     /// a process-fault schedule is armed, which forces interval 1 — the
     /// run (of a [`CpuMethod::split_phase`] method) goes through the
-    /// resilient harness in [`crate::checkpoint`]: each rank
-    /// snapshots its grid to a buddy every K steps and a crash-stop rank
-    /// failure is survived by an epoch-based recovery that converges
-    /// bit-identically to the fault-free run.
+    /// resilient harness in [`crate::checkpoint`]: each rank snapshots
+    /// the bricks it owns to a buddy every K steps and a crash-stop
+    /// rank failure is survived by an epoch-based recovery that
+    /// converges bit-identically to the fault-free run.
     pub checkpoint_every: usize,
     /// Partitioned early-bird exchange (off by default): drive the
     /// dependency-graph schedule over persistent partitioned channels —
@@ -214,6 +214,20 @@ impl ExperimentConfig {
     /// to the pre-hierarchy code path).
     pub fn wire(&self) -> HierarchicalNetworkModel {
         self.topology.unwrap_or_else(|| self.net.into())
+    }
+
+    /// The decomposition the method's bricks are laid out by: chunks
+    /// padded to the page size for the mmap-view methods, unpadded heap
+    /// storage for the rest. Its [`BrickDecomp::owned_elems`] is the
+    /// length of one checkpoint snapshot.
+    pub fn decomp(&self) -> BrickDecomp<3> {
+        let bricks = BrickDims::cubic(self.brick);
+        match &self.method {
+            CpuMethod::MemMap { page_size } | CpuMethod::Shift { page_size } => {
+                memmap_decomp(self.subdomain, self.ghost, bricks, 1, layout::surface3d(), *page_size)
+            }
+            method => BrickDecomp::layout_mode(self.subdomain, self.ghost, bricks, 1, method_layout(method)),
+        }
     }
 
     /// The resilience knobs [`crate::checkpoint::drive`] runs under.
@@ -397,20 +411,17 @@ pub fn run_experiment(cfg: &ExperimentConfig) -> MethodReport {
     validate_resilience(cfg);
     let base = CartTopo::new(&cfg.ranks, true);
     let (topo, mapping) = plan_mapping(cfg, &base);
-    let bricks = BrickDims::cubic(cfg.brick);
     let mut report = match &cfg.method {
-        CpuMethod::MemMap { page_size } | CpuMethod::Shift { page_size } => {
-            let decomp =
-                memmap_decomp(cfg.subdomain, cfg.ghost, bricks, 1, layout::surface3d(), *page_size);
-            if matches!(cfg.method, CpuMethod::MemMap { .. }) {
-                run_steps(cfg, &topo, |_| ViewPair::<ExchangeView>::new(cfg, &decomp))
-            } else {
-                run_steps(cfg, &topo, |_| ViewPair::<ShiftExchanger>::new(cfg, &decomp))
-            }
+        CpuMethod::MemMap { .. } => {
+            let decomp = cfg.decomp();
+            run_steps(cfg, &topo, |_| ViewPair::<ExchangeView>::new(cfg, &decomp))
+        }
+        CpuMethod::Shift { .. } => {
+            let decomp = cfg.decomp();
+            run_steps(cfg, &topo, |_| ViewPair::<ShiftExchanger>::new(cfg, &decomp))
         }
         CpuMethod::Layout | CpuMethod::LayoutOverlap | CpuMethod::Basic | CpuMethod::NoLayout => {
-            let layout = method_layout(&cfg.method);
-            let decomp = BrickDecomp::<3>::layout_mode(cfg.subdomain, cfg.ghost, bricks, 1, layout);
+            let decomp = cfg.decomp();
             let exchanger = match cfg.method {
                 CpuMethod::NoLayout => None,
                 CpuMethod::Basic => Some(Exchanger::basic(&decomp)),
@@ -1113,6 +1124,58 @@ mod tests {
                                 if method == CpuMethod::MpiTypes { 0 } else { r.timers.call.to_bits() };
                             let comm = (call, r.timers.wait.to_bits());
                             assert_eq!(comm, *comm_bits.get_or_insert(comm), "{what}: call/wait");
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    /// A checkpoint carries what the rank owns and nothing else, and that
+    /// is enough: on every resilient engine × schedule × backend, a
+    /// `kill:1@2` run reproduces the fault-free bits although `restore`
+    /// (in this test build) poisons the ghost rim and the next grid, and
+    /// the byte counters are whole multiples of one owned prefix.
+    #[test]
+    fn killed_runs_recover_from_owned_state_alone() {
+        let page_size = memview::PAGE_4K;
+        let kill = FaultConfig {
+            kill: Some(netsim::ProcFault { rank: 1, step: 2, op: 0, stall_secs: 0.0 }),
+            ..FaultConfig::off()
+        };
+        for method in [
+            CpuMethod::Layout,
+            CpuMethod::Basic,
+            CpuMethod::MemMap { page_size },
+            CpuMethod::Shift { page_size },
+        ] {
+            for ranks in [vec![2, 1, 1], vec![2, 2, 2]] {
+                let mut base = cfg(method.clone());
+                base.subdomain = [16; 3];
+                base.ranks = ranks;
+                let clean = run_experiment(&base).checksum.to_bits();
+                let owned_bytes = base.decomp().owned_elems() as u64 * 8;
+                for (overlap, partitioned) in [(false, false), (true, false), (false, true)] {
+                    for backend in [Backend::Thread, Backend::Event] {
+                        for every in [1, 2] {
+                            let mut c = base.clone();
+                            (c.overlap, c.partitioned, c.backend) = (overlap, partitioned, backend);
+                            c.checkpoint_every = every;
+                            c.faults = kill;
+                            let r = run_experiment(&c);
+                            let what = format!(
+                                "{method:?} {:?} overlap={overlap} partitioned={partitioned} \
+                                 {backend:?} checkpoint_every={every}",
+                                c.ranks
+                            );
+                            assert_eq!(r.checksum.to_bits(), clean, "{what}: checksum");
+                            let rv = &r.recovery;
+                            assert_eq!((rv.recovery_epochs, rv.failed_rank, rv.failed_step), (1, 1, 2), "{what}");
+                            assert!(rv.checkpoints > 0, "{what}: no checkpoint taken");
+                            assert_eq!(rv.checkpoint_bytes, rv.checkpoints * owned_bytes, "{what}: snapshot bytes");
+                            // The victim's grid from its buddy, its guard
+                            // slot from its anti-buddy.
+                            assert_eq!(rv.restore_bytes, 2 * owned_bytes, "{what}: restore bytes");
                         }
                     }
                 }

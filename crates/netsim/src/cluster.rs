@@ -13,8 +13,10 @@
 //! [`RankCtx`] API, with modeled time billed identically — results are
 //! bit-identical across backends by construction.
 //!
-//! Data really moves between rank memories (one copy, standing in for
-//! NIC DMA and therefore not charged to any on-node timer); completion
+//! Data really moves between rank memories: two copies on the mailbox
+//! path (into a pooled buffer in `isend`, out of it when the receive
+//! completes), one on the loopback fast path. They stand in for NIC DMA
+//! and are therefore not charged to any on-node timer; completion
 //! *times* come from the [`NetworkModel`]. Message matching follows MPI
 //! semantics: `(source, tag)` with non-overtaking order per pair.
 //!
@@ -122,7 +124,7 @@ struct Bin {
 /// Recycled send buffers for one rank, binned by size class. `isend`
 /// takes from here and the *receiver's* `waitall` puts back, so
 /// steady-state transport does no heap allocation — and because a
-/// request only ever draws from its own class, a 4 MB checkpoint frame
+/// request only ever draws from its own class, a 2 MB checkpoint frame
 /// and a 200-byte corner message never trade buffers.
 struct BufferPool {
     /// One entry per class ever returned here; a rank's traffic uses a
@@ -177,9 +179,13 @@ impl BufferPool {
 #[derive(Default)]
 struct MailboxInner {
     queues: HashMap<Key, VecDeque<Msg>>,
+    /// Whether the owning rank is blocked in [`Mailbox::pop_deadline`]
+    /// (only the owner pops, so one flag covers every waiter). A push
+    /// signals the condvar only then: a notify is a `futex` system call
+    /// even when nobody waits, and nobody ever does on the event backend.
+    waiting: bool,
 }
 
-/// One rank's incoming-message store.
 /// A cancellable cluster barrier for the thread backend: like
 /// `std::sync::Barrier`, but a panicking rank can [`abort`] it so the
 /// surviving ranks return (with `false`) instead of blocking forever on
@@ -268,6 +274,7 @@ impl ProcState {
 /// any other panic payload keeps the existing abort-the-cluster path.
 struct KillSentinel;
 
+/// One rank's incoming-message store.
 struct Mailbox {
     inner: Mutex<MailboxInner>,
     signal: Condvar,
@@ -281,7 +288,9 @@ impl Mailbox {
     fn push(&self, key: Key, msg: Msg) {
         let mut g = self.inner.lock();
         g.queues.entry(key).or_default().push_back(msg);
-        self.signal.notify_all();
+        if g.waiting {
+            self.signal.notify_all();
+        }
     }
 
     /// Pop the next message for `key`, blocking until `deadline` (or
@@ -306,14 +315,18 @@ impl Mailbox {
             if stopped() {
                 return None;
             }
-            match deadline {
-                None => self.signal.wait(&mut g),
-                Some(d) => {
-                    if self.signal.wait_until(&mut g, d).timed_out() {
-                        // Final re-check: a push may have raced expiry.
-                        return g.queues.get_mut(&key).and_then(|q| q.pop_front());
-                    }
+            g.waiting = true;
+            let expired = match deadline {
+                None => {
+                    self.signal.wait(&mut g);
+                    false
                 }
+                Some(d) => self.signal.wait_until(&mut g, d).timed_out(),
+            };
+            g.waiting = false;
+            if expired {
+                // Final re-check: a push may have raced expiry.
+                return g.queues.get_mut(&key).and_then(|q| q.pop_front());
             }
         }
     }
@@ -2047,6 +2060,67 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// The mailbox lock, taken once `waiter` is blocked in `pop_deadline`:
+    /// `waiting` is raised under the lock the wait releases, so seeing it
+    /// means the waiter sleeps until signalled or expired.
+    fn lock_when_blocked<'a>(
+        mb: &'a Mailbox,
+        waiter: &std::thread::ScopedJoinHandle<'_, Option<Msg>>,
+    ) -> parking_lot::MutexGuard<'a, MailboxInner> {
+        loop {
+            let g = mb.inner.lock();
+            if g.waiting {
+                return g;
+            }
+            assert!(!waiter.is_finished(), "the waiter returned without blocking");
+        }
+    }
+
+    /// `waiting` is up exactly while the owner is blocked: every way out
+    /// of `pop_deadline` lowers it again (a flag left up costs a system
+    /// call per push, one left down loses a wake-up), and a push that
+    /// sees it up signals.
+    #[test]
+    fn mailbox_waiting_flag_is_lowered_on_every_return_path() {
+        let key: Key = (0, 7);
+        let msg = |v: f64| Msg { owner: None, data: vec![v] };
+        let soon = || Some(Instant::now() + Duration::from_millis(20));
+        let (mb, stop) = (Mailbox::new(), AtomicBool::new(false));
+        let lowered = |got: Option<Msg>| {
+            assert!(!mb.inner.lock().waiting);
+            got.map(|m| m.data[0])
+        };
+
+        // Without blocking: a hit, a stop.
+        mb.push(key, msg(1.0));
+        assert_eq!(lowered(mb.pop_deadline(key, None, &|| false)), Some(1.0));
+        assert_eq!(lowered(mb.pop_deadline(key, None, &|| true)), None);
+        // Timeout with nothing queued.
+        assert_eq!(lowered(mb.pop_deadline(key, soon(), &|| false)), None);
+
+        std::thread::scope(|s| {
+            // A hit after blocking: the push finds the flag up and signals.
+            let waiter = s.spawn(|| mb.pop_deadline(key, None, &|| false));
+            drop(lock_when_blocked(&mb, &waiter));
+            mb.push(key, msg(2.0));
+            assert_eq!(lowered(waiter.join().expect("waiter")), Some(2.0));
+
+            // A stop after blocking: `interrupt` signals unconditionally.
+            let waiter = s.spawn(|| mb.pop_deadline(key, None, &|| stop.load(Ordering::SeqCst)));
+            drop(lock_when_blocked(&mb, &waiter));
+            stop.store(true, Ordering::SeqCst);
+            mb.interrupt();
+            assert_eq!(lowered(waiter.join().expect("waiter")), None);
+
+            // A push racing the expiry: the message is queued while the
+            // waiter sleeps but no signal reaches it, so only the re-check
+            // after the timeout finds it.
+            let waiter = s.spawn(|| mb.pop_deadline(key, soon(), &|| false));
+            lock_when_blocked(&mb, &waiter).queues.entry(key).or_default().push_back(msg(3.0));
+            assert_eq!(lowered(waiter.join().expect("waiter")), Some(3.0));
+        });
+    }
 
     #[test]
     fn ring_exchange_delivers() {

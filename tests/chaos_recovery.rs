@@ -43,7 +43,10 @@ fn resilient_methods() -> Vec<CpuMethod> {
 fn killed_runs_converge_bit_identically() {
     for backend in [Backend::Thread, Backend::Event] {
         for method in resilient_methods() {
-            let clean = run_experiment(&cfg(method.clone(), FaultConfig::off(), 0, backend));
+            let clean_cfg = cfg(method.clone(), FaultConfig::off(), 0, backend);
+            let clean = run_experiment(&clean_cfg);
+            // A snapshot is the owned prefix of the grid, ghost rim excluded.
+            let owned_bytes = clean_cfg.decomp().owned_elems() as u64 * 8;
             for (victim, step) in [(1usize, 0u64), (0, 2)] {
                 let faulty =
                     run_experiment(&cfg(method.clone(), kill(victim, step, 0), 1, backend));
@@ -57,8 +60,11 @@ fn killed_runs_converge_bit_identically() {
                 assert!(rv.recovery_epochs >= 1, "{}: no recovery ran", method.name());
                 assert_eq!(rv.failed_rank, victim as i64);
                 assert_eq!(rv.failed_step, step as i64);
-                assert!(rv.restore_bytes > 0, "victim was never restored");
-                assert!(rv.checkpoints > 0 && rv.checkpoint_bytes > 0);
+                // The victim's grid from its buddy plus the guard slot the
+                // anti-buddy re-seeds.
+                assert_eq!(rv.restore_bytes, 2 * owned_bytes, "{}: restore traffic", method.name());
+                assert!(rv.checkpoints > 0, "{}: no checkpoint taken", method.name());
+                assert_eq!(rv.checkpoint_bytes, rv.checkpoints * owned_bytes);
             }
         }
     }
