@@ -803,9 +803,17 @@ impl<'a> RankCtx<'a> {
 
     /// Process-fault injection point, called once per data-plane
     /// transport operation (send posts, receive posts, waits, overlap
-    /// polls). Ops are counted per armed timestep so a `kill:R@S+OP`
-    /// schedule lands at a reproducible point *inside* the step body —
-    /// including mid-overlap-window and mid-pready.
+    /// polls — including `try_wait`/`progress_with`/`idle_tick` polls
+    /// that find nothing). Ops are counted per armed timestep, so a
+    /// `kill:R@S+OP` schedule lands *inside* the step body, including
+    /// mid-overlap-window and mid-pready. The point is reproducible
+    /// only while `OP` is within the operations the step posts
+    /// unconditionally (its sends and receives; the blocking fence and
+    /// load-trade calls of a migration epoch). Past those, under the
+    /// overlap and partitioned schedules, the count depends on how often
+    /// the rank polled before its halos landed — host timing — and a
+    /// step that ends after fewer than `OP` ticks leaves the kill
+    /// unfired.
     fn proc_tick(&mut self) {
         if self.cur_step == u64::MAX {
             return;

@@ -125,21 +125,26 @@ fn neighbor_routing_3d() {
 /// Pooled buffers recycled across many epochs with *varying* message
 /// sizes must never leak stale data: every payload carries a sentinel
 /// pattern unique to (sender, epoch) and every received element is
-/// checked. After a warm-up, the pool must also stop allocating.
+/// checked. The pool must also recycle: a rank never holds more than one
+/// buffer per (send of an epoch, size class), where a pool that never
+/// reused one would allocate on each of its 120 sends. (How many of
+/// those 15 it needs depends on the interleaving — a peer that copies
+/// out and returns the first buffer before this rank's third send saves
+/// one — so "allocations stop after the first size cycles" is not an
+/// invariant.)
 #[test]
 fn pooled_reuse_no_stale_data() {
     let topo = CartTopo::new(&[3], true);
     let epochs = 40usize;
-    let warm = 10usize;
-    let allocs = run_cluster(&topo, NetworkModel::instant(), |ctx| {
+    let size_classes = 5usize;
+    run_cluster(&topo, NetworkModel::instant(), |ctx| {
         let me = ctx.rank();
         let n = ctx.size();
-        let mut warm_allocs = 0;
         for epoch in 0..epochs {
             // Sizes vary per epoch so recycled buffers shrink and grow;
             // a reused buffer that keeps stale tail data would surface
             // as a wrong sentinel.
-            let len = 8 << (epoch % 5);
+            let len = 8 << (epoch % size_classes);
             let mut handles = Vec::new();
             for peer in 0..n {
                 handles.push(ctx.irecv(peer, (epoch * 10 + me) as u64).unwrap());
@@ -170,21 +175,13 @@ fn pooled_reuse_no_stale_data() {
             // Keep epochs aligned so returned buffers are back in their
             // owners' pools before the next epoch's sends draw on them.
             ctx.barrier();
-            if epoch + 1 == warm {
-                warm_allocs = ctx.transport_allocs();
-            }
+            assert!(
+                ctx.transport_allocs() <= (n * size_classes) as u64,
+                "rank {me} allocated {} buffers by epoch {epoch}: the pool is not recycling",
+                ctx.transport_allocs()
+            );
         }
-        (warm_allocs, ctx.transport_allocs())
     });
-    // The size cycle repeats every 5 epochs; after the warm-up each of
-    // the five size classes holds the buffers its epoch needs, so no
-    // further allocation.
-    for (rank, &(warm_allocs, final_allocs)) in allocs.iter().enumerate() {
-        assert_eq!(
-            warm_allocs, final_allocs,
-            "rank {rank} still allocating after pool warm-up"
-        );
-    }
 }
 
 /// Duplicate faults leave orphan frames parked in the mailbox; evicting

@@ -1,20 +1,27 @@
 //! Property-based tests on the event-driven cluster backend: for every
 //! exchange engine, stencil shape, rank split, and chaos seed, running
 //! the experiment on the event multiplexer must produce bit-identical
-//! physics AND bit-identical modeled timers to the thread-per-rank
-//! reference. The two substrates implement blocking completely
+//! physics AND (on clean plans) bit-identical modeled timers to the
+//! thread-per-rank reference. The two substrates implement blocking completely
 //! differently (condvar sleeps vs coroutine parking on a virtual
 //! clock), so any drift is a scheduler bug, never an acceptable
 //! tolerance. The matrix mirrors `proptest_overlap.rs`.
 
-use bricklib::prelude::*;
-use proptest::prelude::*;
+mod common;
 
-/// Run one configuration on both backends and compare the full
-/// observable fingerprint: interior checksum bits, the modeled
-/// `call`/`wait` timer bits, and traffic counters. (The really-measured
-/// `calc`/`pack` fields are wall-clock and excluded by design.)
-fn backends_match(
+use bricklib::prelude::*;
+use common::*;
+
+/// Run one configuration on both backends and compare the observable
+/// fingerprint: interior checksum bits and traffic counters always; on
+/// clean plans also the modeled `call`/`wait` timer bits. (The
+/// really-measured `calc`/`pack` fields are wall-clock and excluded by
+/// design.) Lossy plans leave the timers, injected-fault total and retry
+/// count out: the thread backend's receive deadlines are wall-clock and
+/// fire early under host contention, so how many rounds a drop costs is
+/// host timing, not protocol (2 of 117 contended pairs differed, e.g.
+/// retries 30 vs 14, never in the three fields kept — ROADMAP item 3).
+fn assert_backends_match(
     method: CpuMethod,
     shape: StencilShape,
     width: usize,
@@ -22,29 +29,23 @@ fn backends_match(
     ranks: Vec<usize>,
     faults: FaultConfig,
     overlap: bool,
-) -> bool {
+) {
     if !Backend::event_supported() {
-        return true; // nothing to compare on this platform
+        return; // nothing to compare on this platform
     }
+    let timing_is_pinned = !faults.lossy();
+    // K1 defaults (Aries fabric, planned kernel, one warm-up step)
+    // except for what the property draws.
     let mut cfg = ExperimentConfig {
-        method,
-        subdomain: [n; 3],
         ghost: width,
         brick: width,
         shape,
         steps: 2,
-        warmup: 1,
         ranks,
-        net: NetworkModel::theta_aries(),
-        topology: None,
-        mapping: Default::default(),
-        kernel: KernelKind::Plan,
         faults,
-        profile: false,
-        checkpoint_every: 0,
         overlap,
-        partitioned: false,
         backend: Backend::Thread,
+        ..ExperimentConfig::k1(method, n)
     };
     // MpiTypes charges its really-measured element walk into `call`
     // (mirroring MPI library-internal time — see baselines.rs), so for
@@ -55,121 +56,94 @@ fn backends_match(
     cfg.backend = Backend::Event;
     let e = run_experiment(&cfg);
     let fp = |r: &MethodReport| {
-        (
-            r.checksum.to_bits(),
+        let timing = (
             if call_is_modeled { r.timers.call.to_bits() } else { 0 },
             r.timers.wait.to_bits(),
-            r.stats.messages,
-            r.stats.payload_bytes,
             r.faults.total(),
             r.stats.retries,
+        );
+        (
+            r.checksum.to_bits(),
+            r.stats.messages,
+            r.stats.payload_bytes,
+            timing_is_pinned.then_some(timing),
         )
     };
-    fp(&t) == fp(&e)
+    assert_eq!(fp(&t), fp(&e), "thread vs event fingerprint");
 }
 
-fn arb_shape() -> impl Strategy<Value = StencilShape> {
-    prop_oneof![
-        Just(StencilShape::star7_default()),
-        Just(StencilShape::cube125_default()),
-    ]
+fn shapes() -> [StencilShape; 2] {
+    [StencilShape::star7_default(), StencilShape::cube125_default()]
 }
 
-fn arb_ranks() -> impl Strategy<Value = Vec<usize>> {
-    prop_oneof![
-        Just(vec![1, 1, 1]),
-        Just(vec![2, 1, 1]),
-        Just(vec![1, 2, 1]),
-        Just(vec![1, 1, 2]),
-        Just(vec![2, 2, 1]),
-    ]
-}
+const RANKS: [[usize; 3]; 5] = [[1, 1, 1], [2, 1, 1], [1, 2, 1], [1, 1, 2], [2, 2, 1]];
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(8))]
-
-    /// The brick engines (any width) agree across backends.
-    #[test]
-    fn brick_engines_backend_bit_identical(
-        shape in arb_shape(),
-        width in prop_oneof![Just(4usize), Just(8usize)],
-        ranks in arb_ranks(),
-        per_region in any::<bool>(),
-    ) {
-        let method = if per_region { CpuMethod::Basic } else { CpuMethod::Layout };
+/// The brick engines (any width) agree across backends.
+#[test]
+fn brick_engines_backend_bit_identical() {
+    cases("brick_engines_backend_bit_identical", 8, |rng| {
+        let shape = pick(rng, &shapes());
+        let width = pick(rng, &[4usize, 8]);
+        let ranks = pick(rng, &RANKS).to_vec();
+        let method = pick(rng, &[CpuMethod::Basic, CpuMethod::Layout]);
         let n = 2 * width.max(8);
-        prop_assert!(backends_match(
-            method, shape, width, n, ranks, FaultConfig::off(), false
-        ));
-    }
+        assert_backends_match(method, shape, width, n, ranks, FaultConfig::off(), false);
+    });
+}
 
-    /// The paged engines (memmap/shift) and the packed array baselines
-    /// agree across backends.
-    #[test]
-    fn other_engines_backend_bit_identical(
-        shape in arb_shape(),
-        ranks in arb_ranks(),
-        engine in 0u8..4,
-    ) {
-        let method = match engine {
-            0 => CpuMethod::MemMap { page_size: 4096 },
-            1 => CpuMethod::Shift { page_size: 4096 },
-            2 => CpuMethod::Yask,
-            _ => CpuMethod::MpiTypes,
-        };
-        prop_assert!(backends_match(
-            method, shape, 8, 16, ranks, FaultConfig::off(), false
-        ));
-    }
+/// The paged engines (memmap/shift) and the packed array baselines
+/// agree across backends.
+#[test]
+fn other_engines_backend_bit_identical() {
+    cases("other_engines_backend_bit_identical", 8, |rng| {
+        let shape = pick(rng, &shapes());
+        let ranks = pick(rng, &RANKS).to_vec();
+        let method = pick(
+            rng,
+            &[
+                CpuMethod::MemMap { page_size: 4096 },
+                CpuMethod::Shift { page_size: 4096 },
+                CpuMethod::Yask,
+                CpuMethod::MpiTypes,
+            ],
+        );
+        assert_backends_match(method, shape, 8, 16, ranks, FaultConfig::off(), false);
+    });
+}
 
-    /// Seeded chaos exercises the timeout/retry machinery through the
-    /// two completely different blocking implementations (2-second real
-    /// condvar waits vs virtual-clock expiry at quiescence); the
-    /// reliable protocol must converge to the same bits on both.
-    #[test]
-    fn chaos_backend_bit_identical(
-        seed in 1u64..64,
-        shift in any::<bool>(),
-    ) {
-        let method = if shift {
-            CpuMethod::Shift { page_size: 4096 }
-        } else {
-            CpuMethod::Layout
-        };
-        let faults = FaultConfig::parse(&format!("{seed},0.05,0.02,0.05")).unwrap();
-        prop_assert!(backends_match(
-            method,
-            StencilShape::star7_default(),
-            8,
-            16,
-            vec![2, 1, 1],
-            faults,
-            false,
-        ));
-    }
+fn chaos(seed: u64) -> FaultConfig {
+    FaultConfig::parse(&format!("{seed},0.05,0.02,0.05")).unwrap()
+}
 
-    /// The dependency-graph overlap scheduler polls and parks in a
-    /// tighter loop than the phased drivers; it too must agree across
-    /// backends, with and without chaos.
-    #[test]
-    fn overlap_backend_bit_identical(
-        seed in 0u64..32,
-        per_region in any::<bool>(),
-    ) {
-        let method = if per_region { CpuMethod::Basic } else { CpuMethod::Layout };
-        let faults = if seed == 0 {
-            FaultConfig::off()
-        } else {
-            FaultConfig::parse(&format!("{seed},0.05,0.02,0.05")).unwrap()
-        };
-        prop_assert!(backends_match(
-            method,
-            StencilShape::star7_default(),
-            8,
-            16,
-            vec![2, 1, 1],
-            faults,
-            true,
-        ));
-    }
+/// Seeded chaos exercises the timeout/retry machinery through the
+/// two completely different blocking implementations (2-second real
+/// condvar waits vs virtual-clock expiry at quiescence); the
+/// reliable protocol must converge to the same bits on both.
+#[test]
+fn chaos_backend_bit_identical() {
+    cases("chaos_backend_bit_identical", 8, |rng| {
+        let seed = rng.gen_range(1u64..64);
+        let method = pick(rng, &[CpuMethod::Shift { page_size: 4096 }, CpuMethod::Layout]);
+        let star = StencilShape::star7_default();
+        assert_backends_match(method, star, 8, 16, vec![2, 1, 1], chaos(seed), false);
+    });
+}
+
+/// The dependency-graph overlap scheduler polls and parks in a
+/// tighter loop than the phased drivers; it too must agree across
+/// backends, with and without chaos.
+#[test]
+fn overlap_backend_bit_identical() {
+    let check = |method, faults| {
+        let star = StencilShape::star7_default();
+        assert_backends_match(method, star, 8, 16, vec![2, 1, 1], faults, true)
+    };
+    // The clean plan, where the timers are compared too, always runs:
+    // one chaos seed in 32 could leave a fixed suite without it.
+    check(CpuMethod::Layout, FaultConfig::off());
+    cases("overlap_backend_bit_identical", 8, |rng| {
+        let method = pick(rng, &[CpuMethod::Basic, CpuMethod::Layout]);
+        let seed = rng.gen_range(0u64..32);
+        check(method, if seed == 0 { FaultConfig::off() } else { chaos(seed) });
+    });
 }

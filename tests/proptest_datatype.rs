@@ -2,42 +2,35 @@
 //! types pack exactly `size()` elements, roundtrip through
 //! pack/unpack, and subarrays agree with direct slicing.
 
-use proptest::prelude::*;
+mod common;
+
+use common::*;
 use stencil::Datatype;
 
-fn arb_subarray() -> impl Strategy<Value = ([usize; 3], [usize; 3], [usize; 3])> {
-    (2usize..8, 2usize..8, 2usize..8).prop_flat_map(|(fx, fy, fz)| {
-        let full = [fx, fy, fz];
-        (
-            Just(full),
-            (0..fx, 0..fy, 0..fz),
-        )
-            .prop_flat_map(move |(full, (sx, sy, sz))| {
-                (
-                    Just(full),
-                    Just([sx, sy, sz]),
-                    (1..=fx - sx, 1..=fy - sy, 1..=fz - sz),
-                )
-                    .prop_map(|(full, start, (ex, ey, ez))| (full, start, [ex, ey, ez]))
-            })
-    })
+/// `(full, start, sub)`: a non-empty box inside a 2..8-cubed array.
+fn arb_subarray(rng: &mut StdRng) -> ([usize; 3], [usize; 3], [usize; 3]) {
+    let full = [0; 3].map(|_| rng.gen_range(2usize..8));
+    let start = full.map(|f| rng.gen_range(0..f));
+    let sub = [0, 1, 2].map(|a| rng.gen_range(1..full[a] - start[a] + 1));
+    (full, start, sub)
 }
 
-fn arb_nested() -> impl Strategy<Value = Datatype> {
-    let leaf = (1usize..16).prop_map(|count| Datatype::Contiguous { count });
-    leaf.prop_recursive(3, 24, 4, |inner| {
-        prop_oneof![
-            (1usize..5, 1usize..5, 0usize..8).prop_map(|(count, blocklen, extra)| {
-                Datatype::Vector { count, blocklen, stride: blocklen + extra }
-            }),
-            (inner, 1usize..4, 0usize..16).prop_map(|(inner, count, extra)| {
-                // Stride must cover the inner type's footprint; use its
-                // element count plus slack as a safe bound.
-                let footprint = max_offset(&inner) + 1;
-                Datatype::Hvector { count, stride: footprint + extra, inner: Box::new(inner) }
-            }),
-        ]
-    })
+/// A random type nested at most `depth` levels of `Hvector` deep.
+fn arb_nested(rng: &mut StdRng, depth: u32) -> Datatype {
+    match if depth == 0 { 0 } else { rng.gen_range(0..3u32) } {
+        0 => Datatype::Contiguous { count: rng.gen_range(1usize..16) },
+        1 => {
+            let (count, blocklen) = (rng.gen_range(1usize..5), rng.gen_range(1usize..5));
+            Datatype::Vector { count, blocklen, stride: blocklen + rng.gen_range(0usize..8) }
+        }
+        _ => {
+            let inner = arb_nested(rng, depth - 1);
+            // Stride must cover the inner type's footprint; use its
+            // element count plus slack as a safe bound.
+            let stride = max_offset(&inner) + 1 + rng.gen_range(0usize..16);
+            Datatype::Hvector { count: rng.gen_range(1usize..4), stride, inner: Box::new(inner) }
+        }
+    }
 }
 
 /// Largest element offset a type visits from base 0.
@@ -47,53 +40,55 @@ fn max_offset(d: &Datatype) -> usize {
     m
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(48))]
-
-    #[test]
-    fn subarray_pack_matches_direct_slicing((full, start, sub) in arb_subarray()) {
+#[test]
+fn subarray_pack_matches_direct_slicing() {
+    cases("subarray_pack_matches_direct_slicing", 48, |rng| {
+        let (full, start, sub) = arb_subarray(rng);
         let d = Datatype::subarray3(full, start, sub);
         let data: Vec<f64> = (0..full.iter().product::<usize>()).map(|i| i as f64).collect();
         let packed = d.pack(&data);
-        prop_assert_eq!(packed.len(), sub.iter().product::<usize>());
-        prop_assert_eq!(packed.len(), d.size());
+        assert_eq!(packed.len(), sub.iter().product::<usize>());
+        assert_eq!(packed.len(), d.size());
         let mut i = 0;
         for z in 0..sub[2] {
             for y in 0..sub[1] {
                 for x in 0..sub[0] {
                     let off = ((start[2] + z) * full[1] + (start[1] + y)) * full[0] + start[0] + x;
-                    prop_assert_eq!(packed[i], data[off]);
+                    assert_eq!(packed[i], data[off]);
                     i += 1;
                 }
             }
         }
-    }
+    });
+}
 
-    #[test]
-    fn nested_types_roundtrip(d in arb_nested(), seed in 0u64..100) {
+#[test]
+fn nested_types_roundtrip() {
+    cases("nested_types_roundtrip", 48, |rng| {
+        let d = arb_nested(rng, 3);
+        let seed = rng.gen_range(0u64..100);
         let span = max_offset(&d) + 1;
         let src: Vec<f64> = (0..span).map(|i| ((i as u64 * 37 + seed) % 101) as f64).collect();
         let packed = d.pack(&src);
-        prop_assert_eq!(packed.len(), d.size());
+        assert_eq!(packed.len(), d.size());
         let mut dst = vec![-1.0f64; span];
         d.unpack(&mut dst, &packed);
         // Every visited element equals the source; untouched stay -1.
         let mut visited = vec![false; span];
         d.for_each_offset(0, &mut |o| visited[o] = true);
         for (i, &v) in dst.iter().enumerate() {
-            if visited[i] {
-                prop_assert_eq!(v, src[i]);
-            } else {
-                prop_assert_eq!(v, -1.0);
-            }
+            assert_eq!(v, if visited[i] { src[i] } else { -1.0 });
         }
-    }
+    });
+}
 
-    /// `size()` always equals the number of offset visits.
-    #[test]
-    fn size_equals_visits(d in arb_nested()) {
+/// `size()` always equals the number of offset visits.
+#[test]
+fn size_equals_visits() {
+    cases("size_equals_visits", 48, |rng| {
+        let d = arb_nested(rng, 3);
         let mut n = 0usize;
         d.for_each_offset(0, &mut |_| n += 1);
-        prop_assert_eq!(n, d.size());
-    }
+        assert_eq!(n, d.size());
+    });
 }

@@ -3,11 +3,15 @@
 //! subdomain geometry, and any padding unit — correctness never depends
 //! on the layout being the optimal one.
 
-use bricklib::prelude::*;
-use proptest::prelude::*;
+mod common;
 
-fn arb_layout3() -> impl Strategy<Value = SurfaceLayout> {
-    Just(all_regions(3)).prop_shuffle().prop_map(|order| SurfaceLayout::new(3, order))
+use bricklib::prelude::*;
+use common::*;
+
+fn arb_layout3(rng: &mut StdRng) -> SurfaceLayout {
+    let mut order = all_regions(3);
+    order.shuffle(rng);
+    SurfaceLayout::new(3, order)
 }
 
 /// Verify a self-periodic exchange fills the whole ghost rim for the
@@ -56,84 +60,61 @@ fn exchange_is_correct(decomp: &BrickDecomp<3>, per_region: bool) -> bool {
     errors[0] == 0
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(12))]
-
-    /// ANY layout permutation yields a correct exchange (both run-merged
-    /// and per-region schedules).
-    #[test]
-    fn any_layout_exchanges_correctly(l in arb_layout3(), per_region in any::<bool>()) {
+/// ANY layout permutation yields a correct exchange (both run-merged
+/// and per-region schedules).
+#[test]
+fn any_layout_exchanges_correctly() {
+    cases("any_layout_exchanges_correctly", 12, |rng| {
+        let l = arb_layout3(rng);
         let d = BrickDecomp::<3>::layout_mode([24; 3], 8, BrickDims::cubic(8), 1, l);
-        prop_assert!(exchange_is_correct(&d, per_region));
-    }
+        assert!(exchange_is_correct(&d, rng.gen_bool(0.5)));
+    });
+}
 
-    /// Any legal cuboid subdomain geometry exchanges correctly.
-    #[test]
-    fn any_geometry_exchanges_correctly(
-        nx in 2usize..5,
-        ny in 2usize..5,
-        nz in 2usize..5,
-    ) {
-        let d = BrickDecomp::<3>::layout_mode(
-            [nx * 8, ny * 8, nz * 8],
-            8,
-            BrickDims::cubic(8),
-            1,
-            surface3d(),
-        );
-        prop_assert!(exchange_is_correct(&d, false));
+/// Any legal cuboid subdomain geometry exchanges correctly: all 27
+/// extents of 2..5 bricks per axis.
+#[test]
+fn any_geometry_exchanges_correctly() {
+    for code in 0..27usize {
+        let n = [1, 3, 9].map(|p| 8 * (2 + code / p % 3));
+        let d = BrickDecomp::<3>::layout_mode(n, 8, BrickDims::cubic(8), 1, surface3d());
+        assert!(exchange_is_correct(&d, false), "subdomain {n:?}");
     }
+}
 
-    /// Any padding unit keeps the exchange correct (filler bricks are
-    /// transported but never read).
-    #[test]
-    fn any_padding_exchanges_correctly(pad_log in 0usize..5) {
-        let d = BrickDecomp::<3>::new(
-            [24; 3],
-            8,
-            BrickDims::cubic(8),
-            1,
-            surface3d(),
-            1 << pad_log,
-        );
-        prop_assert!(exchange_is_correct(&d, false));
+/// Any padding unit keeps the exchange correct (filler bricks are
+/// transported but never read).
+#[test]
+fn any_padding_exchanges_correctly() {
+    for pad_log in 0..5 {
+        let d =
+            BrickDecomp::<3>::new([24; 3], 8, BrickDims::cubic(8), 1, surface3d(), 1 << pad_log);
+        assert!(exchange_is_correct(&d, false), "padding unit {}", 1 << pad_log);
     }
+}
 
-    /// Non-cubic bricks are legal too: extents drawn from {4, 8} per
-    /// axis, ghost 8 (a multiple of both), domain 24³.
-    #[test]
-    fn non_cubic_bricks(bx in 0u8..2, by in 0u8..2, bz in 0u8..2) {
-        let pick = |b: u8| if b == 0 { 4usize } else { 8 };
-        let b = [pick(bx), pick(by), pick(bz)];
-        let d = BrickDecomp::<3>::layout_mode(
-            [24; 3],
-            8,
-            BrickDims::new(b),
-            1,
-            surface3d(),
-        );
-        prop_assert!(exchange_is_correct(&d, false));
+/// Non-cubic bricks are legal too: extents drawn from {4, 8} per
+/// axis, ghost 8 (a multiple of both), domain 24³.
+#[test]
+fn non_cubic_bricks() {
+    for code in 0..8usize {
+        let b = [0, 1, 2].map(|a| if code >> a & 1 == 0 { 4usize } else { 8 });
+        let d = BrickDecomp::<3>::layout_mode([24; 3], 8, BrickDims::new(b), 1, surface3d());
+        assert!(exchange_is_correct(&d, false), "brick {b:?}");
     }
+}
 
-    /// Proxy-mode transport equivalence: for random layouts and
-    /// geometries, the loopback fast path, the pooled mailbox path, and
-    /// the legacy allocating path produce bit-identical storage (every
-    /// ghost byte) and identical modeled charges (call/wait timers,
-    /// message and wire-byte counters).
-    #[test]
-    fn loopback_matches_mailbox(
-        l in arb_layout3(),
-        nx in 2usize..4,
-        ny in 2usize..4,
-        nz in 2usize..4,
-    ) {
-        let d = BrickDecomp::<3>::layout_mode(
-            [nx * 8, ny * 8, nz * 8],
-            8,
-            BrickDims::cubic(8),
-            1,
-            l,
-        );
+/// Proxy-mode transport equivalence: for random layouts and
+/// geometries, the loopback fast path, the pooled mailbox path, and
+/// the legacy allocating path produce bit-identical storage (every
+/// ghost byte) and identical modeled charges (call/wait timers,
+/// message and wire-byte counters).
+#[test]
+fn loopback_matches_mailbox() {
+    cases("loopback_matches_mailbox", 12, |rng| {
+        let l = arb_layout3(rng);
+        let n = [0; 3].map(|_| 8 * rng.gen_range(2usize..4));
+        let d = BrickDecomp::<3>::layout_mode(n, 8, BrickDims::cubic(8), 1, l);
         let ex = Exchanger::layout(&d);
         let topo = CartTopo::new(&[1, 1, 1], true);
         let net = NetworkModel::theta_aries();
@@ -168,23 +149,26 @@ proptest! {
         let (a, ta) = run(0);
         let (b, tb) = run(1);
         let (c, tc) = run(2);
-        prop_assert!(a == b, "loopback path produced different ghost bytes");
-        prop_assert!(b == c, "mailbox session produced different ghost bytes");
-        prop_assert_eq!(&ta, &tb);
-        prop_assert_eq!(&tb, &tc);
-    }
+        assert!(a == b, "loopback path produced different ghost bytes");
+        assert!(b == c, "mailbox session produced different ghost bytes");
+        assert_eq!(&ta, &tb);
+        assert_eq!(&tb, &tc);
+    });
+}
 
-    /// Exchange stats invariants: payload is layout-independent; the
-    /// message count matches the layout's analysis.
-    #[test]
-    fn stats_invariants(l in arb_layout3()) {
+/// Exchange stats invariants: payload is layout-independent; the
+/// message count matches the layout's analysis.
+#[test]
+fn stats_invariants() {
+    let d_ref = BrickDecomp::<3>::layout_mode([32; 3], 8, BrickDims::cubic(8), 1, surface3d());
+    let ex_ref = Exchanger::layout(&d_ref);
+    cases("stats_invariants", 12, |rng| {
+        let l = arb_layout3(rng);
         let msgs_expected = l.message_count();
         let d = BrickDecomp::<3>::layout_mode([32; 3], 8, BrickDims::cubic(8), 1, l);
         let ex = Exchanger::layout(&d);
-        prop_assert_eq!(ex.stats().messages as u64, msgs_expected);
-        let d_ref = BrickDecomp::<3>::layout_mode([32; 3], 8, BrickDims::cubic(8), 1, surface3d());
-        let ex_ref = Exchanger::layout(&d_ref);
-        prop_assert_eq!(ex.stats().payload_bytes, ex_ref.stats().payload_bytes);
-        prop_assert_eq!(ex.stats().region_instances, ex_ref.stats().region_instances);
-    }
+        assert_eq!(ex.stats().messages as u64, msgs_expected);
+        assert_eq!(ex.stats().payload_bytes, ex_ref.stats().payload_bytes);
+        assert_eq!(ex.stats().region_instances, ex_ref.stats().region_instances);
+    });
 }

@@ -6,8 +6,10 @@
 //! Replaying a seed reproduces the same fields, which is what makes a
 //! failing chaos case shrinkable and debuggable.
 
+mod common;
+
 use bricklib::prelude::*;
-use proptest::prelude::*;
+use common::*;
 
 fn cfg(method: CpuMethod, faults: FaultConfig) -> ExperimentConfig {
     let mut c = ExperimentConfig::k1(method, 16);
@@ -28,57 +30,64 @@ fn methods() -> [CpuMethod; 4] {
     ]
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(8))]
-
-    /// Any (seed, probabilities) schedule within the chaos envelope
-    /// leaves the physics bit-identical to the fault-free run, for every
-    /// exchange implementation.
-    #[test]
-    fn any_fault_schedule_converges_bit_identically(
-        seed in any::<u64>(),
-        drop in 0.0..0.20f64,
-        corrupt in 0.0..0.10f64,
-        dup in 0.0..0.10f64,
-        pick in 0usize..4,
-    ) {
-        let method = methods()[pick].clone();
-        let faults = FaultConfig { seed, drop, corrupt, dup, ..FaultConfig::default() };
+/// Any (seed, probabilities) schedule within the chaos envelope
+/// leaves the physics bit-identical to the fault-free run, for every
+/// exchange implementation.
+#[test]
+fn any_fault_schedule_converges_bit_identically() {
+    cases("any_fault_schedule_converges_bit_identically", 8, |rng| {
+        let faults = FaultConfig {
+            seed: rng.next_u64(),
+            drop: f64_in(rng, 0.0, 0.20),
+            corrupt: f64_in(rng, 0.0, 0.10),
+            dup: f64_in(rng, 0.0, 0.10),
+            ..FaultConfig::default()
+        };
+        let method = pick(rng, &methods());
         let clean = run_experiment(&cfg(method.clone(), FaultConfig::off()));
         let lossy = run_experiment(&cfg(method.clone(), faults));
-        prop_assert_eq!(
+        assert_eq!(
             lossy.checksum.to_bits(),
             clean.checksum.to_bits(),
             "{} diverged under faults {:?}",
             method.name(),
             faults
         );
-    }
+    });
+}
 
-    /// Replaying the same seed reproduces the same fields. (The round
-    /// count can vary with scheduler timing, so the deterministic
-    /// invariant is the physics, not the retry accounting.)
-    #[test]
-    fn same_seed_replays_to_identical_grids(seed in any::<u64>()) {
+/// Replaying the same seed reproduces the same fields. (The round
+/// count can vary with scheduler timing, so the deterministic
+/// invariant is the physics, not the retry accounting.)
+#[test]
+fn same_seed_replays_to_identical_grids() {
+    cases("same_seed_replays_to_identical_grids", 8, |rng| {
+        let seed = rng.next_u64();
         let faults =
             FaultConfig { seed, drop: 0.15, corrupt: 0.08, dup: 0.08, ..FaultConfig::default() };
         let a = run_experiment(&cfg(CpuMethod::Layout, faults));
         let b = run_experiment(&cfg(CpuMethod::Layout, faults));
-        prop_assert_eq!(a.checksum.to_bits(), b.checksum.to_bits());
-    }
+        assert_eq!(a.checksum.to_bits(), b.checksum.to_bits());
+    });
+}
 
-    /// Duplication alone can never change delivered data: stale copies
-    /// are discarded by sequence number, and the discard is counted.
-    #[test]
-    fn duplication_is_discarded_not_delivered(seed in any::<u64>(), dup in 0.3..0.8f64) {
-        let faults = FaultConfig { seed, dup, ..FaultConfig::default() };
-        let clean = run_experiment(&cfg(CpuMethod::Layout, FaultConfig::off()));
+/// Duplication alone can never change delivered data: stale copies
+/// are discarded by sequence number, and the discard is counted.
+#[test]
+fn duplication_is_discarded_not_delivered() {
+    let clean = run_experiment(&cfg(CpuMethod::Layout, FaultConfig::off()));
+    cases("duplication_is_discarded_not_delivered", 8, |rng| {
+        let faults = FaultConfig {
+            seed: rng.next_u64(),
+            dup: f64_in(rng, 0.3, 0.8),
+            ..FaultConfig::default()
+        };
         let noisy = run_experiment(&cfg(CpuMethod::Layout, faults));
-        prop_assert_eq!(noisy.checksum.to_bits(), clean.checksum.to_bits());
-        prop_assert!(
+        assert_eq!(noisy.checksum.to_bits(), clean.checksum.to_bits());
+        assert!(
             noisy.faults.dups == 0 || noisy.stats.duplicates_discarded > 0,
             "injected {} dups but discarded none",
             noisy.faults.dups
         );
-    }
+    });
 }

@@ -1,17 +1,17 @@
 //! Property-based tests on mmap views and brick/array equivalence.
 
+mod common;
+
 use bricklib::prelude::*;
+use common::*;
 use memview::{host_page_size, padded_offsets, ContiguousView, PaddingStats};
-use proptest::prelude::*;
 use std::sync::Arc;
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(16))]
-
-    /// A view over any page-aligned segment list shows exactly the file
-    /// content at those offsets, in order — including repeats.
-    #[test]
-    fn view_matches_segments(segs in proptest::collection::vec((0usize..8, 1usize..3), 1..6)) {
+/// A view over any page-aligned segment list shows exactly the file
+/// content at those offsets, in order — including repeats.
+#[test]
+fn view_matches_segments() {
+    cases("view_matches_segments", 16, |rng| {
         let ps = host_page_size();
         let file = Arc::new(MemFile::create("prop-view", 10 * ps).unwrap());
         {
@@ -20,9 +20,11 @@ proptest! {
                 m.as_f64_mut()[page * ps / 8..(page + 1) * ps / 8].fill(page as f64);
             }
         }
-        let segments: Vec<Segment> = segs
-            .iter()
-            .map(|&(page, len)| Segment { file_offset: page * ps, len: len.min(10 - page).max(1) * ps })
+        let segments: Vec<Segment> = (0..rng.gen_range(1usize..6))
+            .map(|_| {
+                let (page, len) = (rng.gen_range(0usize..8), rng.gen_range(1usize..3));
+                Segment { file_offset: page * ps, len: len.min(10 - page).max(1) * ps }
+            })
             .collect();
         let view = ContiguousView::build(&file, &segments).unwrap();
         let data = view.as_f64();
@@ -31,62 +33,65 @@ proptest! {
             let first_page = s.file_offset / ps;
             for p in 0..s.len / ps {
                 let v = data[cursor + p * ps / 8];
-                prop_assert_eq!(v, (first_page + p) as f64);
+                assert_eq!(v, (first_page + p) as f64);
             }
             cursor += s.len / 8;
         }
-    }
+    });
+}
 
-    /// Writing any element through the base mapping is visible through
-    /// any view containing its page.
-    #[test]
-    fn aliasing_everywhere(page in 0usize..6, elem in 0usize..64, value in -1e9f64..1e9) {
+/// Writing any element through the base mapping is visible through
+/// any view containing its page.
+#[test]
+fn aliasing_everywhere() {
+    cases("aliasing_everywhere", 16, |rng| {
+        let (page, elem) = (rng.gen_range(0usize..6), rng.gen_range(0usize..64));
+        let value = f64_in(rng, -1e9, 1e9);
         let ps = host_page_size();
         let file = Arc::new(MemFile::create("prop-alias", 6 * ps).unwrap());
         let mut base = file.map_all().unwrap();
         let view = ContiguousView::build(
             &file,
-            &[
-                Segment { file_offset: page * ps, len: ps },
-                Segment { file_offset: 0, len: ps },
-            ],
+            &[Segment { file_offset: page * ps, len: ps }, Segment { file_offset: 0, len: ps }],
         )
         .unwrap();
         base.as_f64_mut()[page * ps / 8 + elem] = value;
-        prop_assert_eq!(view.as_f64()[elem], value);
-    }
+        assert_eq!(view.as_f64()[elem], value);
+    });
+}
 
-    /// Padding accounting: padded offsets are aligned, monotone, and
-    /// the stats' overhead matches the raw byte arithmetic.
-    #[test]
-    fn padding_accounting(lens in proptest::collection::vec(1usize..100_000, 1..20),
-                          page_log in 12u32..17) {
-        let page = 1usize << page_log;
+/// Padding accounting: padded offsets are aligned, monotone, and
+/// the stats' overhead matches the raw byte arithmetic.
+#[test]
+fn padding_accounting() {
+    cases("padding_accounting", 16, |rng| {
+        let lens: Vec<usize> =
+            (0..rng.gen_range(1usize..20)).map(|_| rng.gen_range(1usize..100_000)).collect();
+        let page = 1usize << rng.gen_range(12u32..17);
         let (offsets, total) = padded_offsets(&lens, page);
         let mut stats = PaddingStats::default();
         for (i, &len) in lens.iter().enumerate() {
-            prop_assert_eq!(offsets[i] % page, 0);
+            assert_eq!(offsets[i] % page, 0);
             if i > 0 {
-                prop_assert!(offsets[i] >= offsets[i - 1] + lens[i - 1]);
+                assert!(offsets[i] >= offsets[i - 1] + lens[i - 1]);
             }
             stats.add_region(len, page);
         }
-        prop_assert_eq!(stats.padded_bytes, total);
+        assert_eq!(stats.padded_bytes, total);
         let payload: usize = lens.iter().sum();
-        prop_assert_eq!(stats.payload_bytes, payload);
-        prop_assert!(stats.overhead_percent() >= 0.0);
-        prop_assert!(stats.padded_bytes >= payload);
-        prop_assert!(stats.padded_bytes < payload + lens.len() * page);
-    }
+        assert_eq!(stats.payload_bytes, payload);
+        assert!(stats.overhead_percent() >= 0.0);
+        assert!(stats.padded_bytes >= payload);
+        assert!(stats.padded_bytes < payload + lens.len() * page);
+    });
+}
 
-    /// Brick accessor equals array semantics for random geometry and
-    /// random probe offsets (the logical order is storage-independent).
-    #[test]
-    fn brick_view_matches_array(
-        gx in 2usize..4,
-        bx in 2usize..5,
-        probes in proptest::collection::vec((0usize..64, -1isize..2, -1isize..2, -1isize..2), 20),
-    ) {
+/// Brick accessor equals array semantics for random geometry and
+/// random probe offsets (the logical order is storage-independent).
+#[test]
+fn brick_view_matches_array() {
+    cases("brick_view_matches_array", 16, |rng| {
+        let (gx, bx) = (rng.gen_range(2usize..4), rng.gen_range(2usize..5));
         let n = gx * bx;
         let grid = BrickGrid::<3>::lexicographic([gx; 3], true);
         let info = BrickInfo::from_grid(BrickDims::cubic(bx), &grid);
@@ -102,22 +107,20 @@ proptest! {
             }
         }
         let view = BrickView::new(&info, &st, 0);
-        for (seed, dx, dy, dz) in probes {
+        for _ in 0..20 {
+            let seed = rng.gen_range(0usize..64);
+            let [dx, dy, dz] = [0; 3].map(|_| int_in(rng, -1, 1) as isize);
             let x = seed % n;
             let y = (seed / 2) % n;
             let z = (seed / 3) % n;
             let b = grid.brick_at([x / bx, y / bx, z / bx]);
-            let local = [
-                (x % bx) as isize + dx,
-                (y % bx) as isize + dy,
-                (z % bx) as isize + dz,
-            ];
+            let local = [(x % bx) as isize + dx, (y % bx) as isize + dy, (z % bx) as isize + dz];
             let want = val(
                 (x as isize + dx).rem_euclid(n as isize) as usize,
                 (y as isize + dy).rem_euclid(n as isize) as usize,
                 (z as isize + dz).rem_euclid(n as isize) as usize,
             );
-            prop_assert_eq!(view.get(b, local), want);
+            assert_eq!(view.get(b, local), want);
         }
-    }
+    });
 }

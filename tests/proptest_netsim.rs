@@ -2,8 +2,10 @@
 //! schedules must deliver every message exactly once, in order per
 //! (source, tag) pair, with deterministic wire-time accounting.
 
+mod common;
+
+use common::*;
 use netsim::{run_cluster, CartTopo, NetworkModel};
-use proptest::prelude::*;
 
 /// One message of a generated schedule, described symmetrically: every
 /// rank sends `payload(round, src, dst)` to `dst` and expects the
@@ -16,31 +18,26 @@ struct Round {
     len: usize,
 }
 
-fn arb_schedule(max_ranks: usize) -> impl Strategy<Value = (usize, Vec<Round>)> {
-    (2..=max_ranks, proptest::collection::vec((0usize..4, 1usize..64), 1..12)).prop_map(
-        |(ranks, rounds)| {
-            let rounds = rounds
-                .into_iter()
-                .map(|(dst_off, len)| Round { dst_off, len })
-                .collect();
-            (ranks, rounds)
-        },
-    )
+/// A ring of 2..=`max_ranks` ranks and 1..12 rounds.
+fn arb_schedule(rng: &mut StdRng, max_ranks: usize) -> (usize, Vec<Round>) {
+    let ranks = rng.gen_range(2..max_ranks + 1);
+    let rounds = (0..rng.gen_range(1usize..12))
+        .map(|_| Round { dst_off: rng.gen_range(0usize..4), len: rng.gen_range(1usize..64) })
+        .collect();
+    (ranks, rounds)
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(24))]
-
-    /// Every generated schedule delivers exactly the expected payloads.
-    #[test]
-    fn schedules_deliver_exactly((ranks, rounds) in arb_schedule(5)) {
+/// Every generated schedule delivers exactly the expected payloads.
+#[test]
+fn schedules_deliver_exactly() {
+    cases("schedules_deliver_exactly", 24, |rng| {
+        let (ranks, rounds) = arb_schedule(rng, 5);
         let topo = CartTopo::new(&[ranks], true);
-        let rounds2 = rounds.clone();
         let ok = run_cluster(&topo, NetworkModel::instant(), move |ctx| {
             let me = ctx.rank();
             let n = ctx.size();
             let mut all_ok = true;
-            for (tag, r) in rounds2.iter().enumerate() {
+            for (tag, r) in rounds.iter().enumerate() {
                 let dst = (me + r.dst_off) % n;
                 let src = (me + n - r.dst_off % n) % n;
                 let payload = vec![(me * 1000 + tag) as f64; r.len];
@@ -53,14 +50,17 @@ proptest! {
             }
             all_ok
         });
-        prop_assert!(ok.iter().all(|&b| b));
-    }
+        assert!(ok.iter().all(|&b| b));
+    });
+}
 
-    /// Wire accounting is schedule-determined: total wire bytes equal
-    /// the sum of message sizes, and modeled times are identical across
-    /// repeated runs.
-    #[test]
-    fn accounting_is_deterministic((ranks, rounds) in arb_schedule(4)) {
+/// Wire accounting is schedule-determined: total wire bytes equal
+/// the sum of message sizes, and modeled times are identical across
+/// repeated runs.
+#[test]
+fn accounting_is_deterministic() {
+    cases("accounting_is_deterministic", 24, |rng| {
+        let (ranks, rounds) = arb_schedule(rng, 4);
         let net = NetworkModel::theta_aries();
         let run = || {
             let topo = CartTopo::new(&[ranks], true);
@@ -82,10 +82,10 @@ proptest! {
         };
         let a = run();
         let b = run();
-        prop_assert_eq!(a.call, b.call);
-        prop_assert_eq!(a.wait, b.wait);
-        prop_assert_eq!(a.msgs, rounds.len() as u64);
+        assert_eq!(a.call, b.call);
+        assert_eq!(a.wait, b.wait);
+        assert_eq!(a.msgs, rounds.len() as u64);
         let bytes: u64 = rounds.iter().map(|r| (r.len * 8) as u64).sum();
-        prop_assert_eq!(a.wire_bytes, bytes);
-    }
+        assert_eq!(a.wire_bytes, bytes);
+    });
 }

@@ -7,8 +7,10 @@
 //! injection armed, where the overlap window collapses (the reliable
 //! protocol is collective) but the physics must not change.
 
+mod common;
+
 use bricklib::prelude::*;
-use proptest::prelude::*;
+use common::*;
 
 /// Run one (engine, shape, geometry, ranks, faults) configuration both
 /// phased and overlapped and compare checksum bits.
@@ -20,25 +22,16 @@ fn overlap_matches_phased(
     ranks: Vec<usize>,
     faults: FaultConfig,
 ) -> bool {
+    // K1 defaults (Aries fabric, planned kernel, one warm-up step,
+    // backend from the environment) except for what the property draws.
     let mut cfg = ExperimentConfig {
-        method,
-        subdomain: [n; 3],
         ghost: width,
         brick: width,
         shape,
         steps: 2,
-        warmup: 1,
         ranks,
-        net: NetworkModel::theta_aries(),
-        topology: None,
-        mapping: Default::default(),
-        kernel: KernelKind::Plan,
         faults,
-        profile: false,
-        checkpoint_every: 0,
-        overlap: false,
-        partitioned: false,
-        backend: Backend::from_env(),
+        ..ExperimentConfig::k1(method, n)
     };
     let phased = run_experiment(&cfg);
     cfg.overlap = true;
@@ -46,89 +39,53 @@ fn overlap_matches_phased(
     over.checksum.to_bits() == phased.checksum.to_bits()
 }
 
-fn arb_shape() -> impl Strategy<Value = StencilShape> {
-    prop_oneof![
-        Just(StencilShape::star7_default()),
-        Just(StencilShape::cube125_default()),
-    ]
+fn shapes() -> [StencilShape; 2] {
+    [StencilShape::star7_default(), StencilShape::cube125_default()]
 }
 
-fn arb_ranks() -> impl Strategy<Value = Vec<usize>> {
-    prop_oneof![
-        Just(vec![1, 1, 1]),
-        Just(vec![2, 1, 1]),
-        Just(vec![1, 2, 1]),
-        Just(vec![1, 1, 2]),
-        Just(vec![2, 2, 1]),
-    ]
-}
+const RANKS: [[usize; 3]; 5] = [[1, 1, 1], [2, 1, 1], [1, 2, 1], [1, 1, 2], [2, 2, 1]];
 
-/// Brick widths for the page-free engines. The subdomain is sized so
+/// Layout and Basic work at any brick width. The subdomain is sized so
 /// every width yields at least two bricks per axis (interior plus
 /// boundary), keeping both sides of the dependency graph populated.
-fn arb_width() -> impl Strategy<Value = usize> {
-    prop_oneof![Just(4usize), Just(8usize), Just(16usize)]
+#[test]
+fn brick_engines_overlap_bit_identical() {
+    cases("brick_engines_overlap_bit_identical", 8, |rng| {
+        let shape = pick(rng, &shapes());
+        let width = pick(rng, &[4usize, 8, 16]);
+        let ranks = pick(rng, &RANKS).to_vec();
+        let method = pick(rng, &[CpuMethod::Basic, CpuMethod::Layout]);
+        let n = 2 * width.max(8);
+        assert!(overlap_matches_phased(method, shape, width, n, ranks, FaultConfig::off()));
+    });
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(8))]
+/// MemMap and Shift need page-aligned bricks: 8^3 f64 bricks are
+/// exactly one 4 KiB page, 16^3 are eight.
+#[test]
+fn paged_engines_overlap_bit_identical() {
+    cases("paged_engines_overlap_bit_identical", 8, |rng| {
+        let shape = pick(rng, &shapes());
+        let width = pick(rng, &[8usize, 16]);
+        let ranks = pick(rng, &RANKS).to_vec();
+        let method = pick(
+            rng,
+            &[CpuMethod::Shift { page_size: 4096 }, CpuMethod::MemMap { page_size: 4096 }],
+        );
+        assert!(overlap_matches_phased(method, shape, width, 2 * width, ranks, FaultConfig::off()));
+    });
+}
 
-    /// Layout and Basic work at any brick width.
-    #[test]
-    fn brick_engines_overlap_bit_identical(
-        shape in arb_shape(),
-        width in arb_width(),
-        ranks in arb_ranks(),
-        per_region in any::<bool>(),
-    ) {
-        let method = if per_region { CpuMethod::Basic } else { CpuMethod::Layout };
-        let n = 2 * width.max(8);
-        prop_assert!(overlap_matches_phased(
-            method, shape, width, n, ranks, FaultConfig::off()
-        ));
-    }
-
-    /// MemMap and Shift need page-aligned bricks: 8^3 f64 bricks are
-    /// exactly one 4 KiB page, 16^3 are eight.
-    #[test]
-    fn paged_engines_overlap_bit_identical(
-        shape in arb_shape(),
-        width in prop_oneof![Just(8usize), Just(16usize)],
-        ranks in arb_ranks(),
-        shift in any::<bool>(),
-    ) {
-        let method = if shift {
-            CpuMethod::Shift { page_size: 4096 }
-        } else {
-            CpuMethod::MemMap { page_size: 4096 }
-        };
-        let n = 2 * width;
-        prop_assert!(overlap_matches_phased(
-            method, shape, width, n, ranks, FaultConfig::off()
-        ));
-    }
-
-    /// Under seeded chaos the overlapped run still converges to the
-    /// same bits: begin() routes the collective reliable protocol and
-    /// the scheduler degrades to the phased order.
-    #[test]
-    fn chaos_overlap_bit_identical(
-        seed in 1u64..64,
-        shift in any::<bool>(),
-    ) {
-        let method = if shift {
-            CpuMethod::Shift { page_size: 4096 }
-        } else {
-            CpuMethod::Layout
-        };
+/// Under seeded chaos the overlapped run still converges to the
+/// same bits: begin() routes the collective reliable protocol and
+/// the scheduler degrades to the phased order.
+#[test]
+fn chaos_overlap_bit_identical() {
+    cases("chaos_overlap_bit_identical", 8, |rng| {
+        let seed = rng.gen_range(1u64..64);
+        let method = pick(rng, &[CpuMethod::Shift { page_size: 4096 }, CpuMethod::Layout]);
         let faults = FaultConfig::parse(&format!("{seed},0.05,0.02,0.05")).unwrap();
-        prop_assert!(overlap_matches_phased(
-            method,
-            StencilShape::star7_default(),
-            8,
-            16,
-            vec![2, 1, 1],
-            faults,
-        ));
-    }
+        let star = StencilShape::star7_default();
+        assert!(overlap_matches_phased(method, star, 8, 16, vec![2, 1, 1], faults));
+    });
 }

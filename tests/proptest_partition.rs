@@ -10,8 +10,10 @@
 //! granularity, and a jitter property keeps the early-shipping windows
 //! open while per-rank wire speeds diverge.
 
+mod common;
+
 use bricklib::prelude::*;
-use proptest::prelude::*;
+use common::*;
 
 /// Run one (engine, shape, geometry, ranks, faults, backend)
 /// configuration both phased and partitioned and compare checksum
@@ -25,25 +27,17 @@ fn partitioned_matches_phased(
     faults: FaultConfig,
     backend: Backend,
 ) -> bool {
+    // K1 defaults (Aries fabric, planned kernel, one warm-up step)
+    // except for what the property draws.
     let mut cfg = ExperimentConfig {
-        method,
-        subdomain: [n; 3],
         ghost: width,
         brick: width,
         shape,
         steps: 3,
-        warmup: 1,
         ranks,
-        net: NetworkModel::theta_aries(),
-        topology: None,
-        mapping: Default::default(),
-        kernel: KernelKind::Plan,
         faults,
-        profile: false,
-        checkpoint_every: 0,
-        overlap: false,
-        partitioned: false,
         backend,
+        ..ExperimentConfig::k1(method, n)
     };
     let phased = run_experiment(&cfg);
     cfg.partitioned = true;
@@ -51,117 +45,80 @@ fn partitioned_matches_phased(
     part.checksum.to_bits() == phased.checksum.to_bits()
 }
 
-fn arb_shape() -> impl Strategy<Value = StencilShape> {
-    prop_oneof![
-        Just(StencilShape::star7_default()),
-        Just(StencilShape::cube125_default()),
-    ]
+fn shapes() -> [StencilShape; 2] {
+    [StencilShape::star7_default(), StencilShape::cube125_default()]
 }
 
-fn arb_ranks() -> impl Strategy<Value = Vec<usize>> {
-    prop_oneof![
-        Just(vec![1, 1, 1]),
-        Just(vec![2, 1, 1]),
-        Just(vec![1, 1, 2]),
-        Just(vec![2, 2, 1]),
-        Just(vec![2, 1, 2]),
-    ]
+const RANKS: [[usize; 3]; 5] = [[1, 1, 1], [2, 1, 1], [1, 1, 2], [2, 2, 1], [2, 1, 2]];
+
+/// Either execution substrate; `None` where the drawn one is the event
+/// backend and this platform has none.
+fn arb_backend(rng: &mut StdRng) -> Option<Backend> {
+    let backend = pick(rng, &[Backend::Thread, Backend::Event]);
+    (backend == Backend::Thread || Backend::event_supported()).then_some(backend)
 }
 
-fn arb_backend() -> impl Strategy<Value = Backend> {
-    prop_oneof![Just(Backend::Thread), Just(Backend::Event)]
-}
-
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(8))]
-
-    /// Layout and Basic work at any brick width, on both execution
-    /// substrates.
-    #[test]
-    fn brick_engines_partitioned_bit_identical(
-        shape in arb_shape(),
-        width in prop_oneof![Just(4usize), Just(8usize)],
-        ranks in arb_ranks(),
-        backend in arb_backend(),
-        per_region in any::<bool>(),
-    ) {
-        if backend == Backend::Event && !Backend::event_supported() {
-            return Ok(());
-        }
-        let method = if per_region { CpuMethod::Basic } else { CpuMethod::Layout };
+/// Layout and Basic work at any brick width, on both execution
+/// substrates.
+#[test]
+fn brick_engines_partitioned_bit_identical() {
+    cases("brick_engines_partitioned_bit_identical", 8, |rng| {
+        let shape = pick(rng, &shapes());
+        let width = pick(rng, &[4usize, 8]);
+        let ranks = pick(rng, &RANKS).to_vec();
+        let Some(backend) = arb_backend(rng) else {
+            return;
+        };
+        let method = pick(rng, &[CpuMethod::Basic, CpuMethod::Layout]);
         let n = 2 * width.max(8);
-        prop_assert!(partitioned_matches_phased(
-            method, shape, width, n, ranks, FaultConfig::off(), backend
-        ));
-    }
-
-    /// MemMap and Shift keep their pack-free property in partitioned
-    /// mode: partitions alias page-backed storage bricks directly.
-    #[test]
-    fn paged_engines_partitioned_bit_identical(
-        shape in arb_shape(),
-        ranks in arb_ranks(),
-        backend in arb_backend(),
-        shift in any::<bool>(),
-    ) {
-        if backend == Backend::Event && !Backend::event_supported() {
-            return Ok(());
-        }
-        let method = if shift {
-            CpuMethod::Shift { page_size: 4096 }
-        } else {
-            CpuMethod::MemMap { page_size: 4096 }
-        };
-        prop_assert!(partitioned_matches_phased(
-            method, shape, 8, 16, ranks, FaultConfig::off(), backend
-        ));
-    }
-
-    /// Under seeded lossy chaos the channels fall back to the reliable
-    /// protocol at partition granularity; the physics must not move.
-    #[test]
-    fn chaos_partitioned_bit_identical(
-        seed in 1u64..64,
-        shift in any::<bool>(),
-    ) {
-        let method = if shift {
-            CpuMethod::Shift { page_size: 4096 }
-        } else {
-            CpuMethod::Layout
-        };
-        let faults = FaultConfig::parse(&format!("{seed},0.05,0.02,0.05")).unwrap();
-        prop_assert!(partitioned_matches_phased(
+        assert!(partitioned_matches_phased(
             method,
-            StencilShape::star7_default(),
+            shape,
+            width,
+            n,
+            ranks,
+            FaultConfig::off(),
+            backend
+        ));
+    });
+}
+
+/// MemMap and Shift keep their pack-free property in partitioned
+/// mode: partitions alias page-backed storage bricks directly.
+#[test]
+fn paged_engines_partitioned_bit_identical() {
+    cases("paged_engines_partitioned_bit_identical", 8, |rng| {
+        let shape = pick(rng, &shapes());
+        let ranks = pick(rng, &RANKS).to_vec();
+        let Some(backend) = arb_backend(rng) else {
+            return;
+        };
+        let method = pick(
+            rng,
+            &[CpuMethod::Shift { page_size: 4096 }, CpuMethod::MemMap { page_size: 4096 }],
+        );
+        assert!(partitioned_matches_phased(
+            method,
+            shape,
             8,
             16,
-            vec![1, 1, 2],
-            faults,
-        Backend::Thread,
+            ranks,
+            FaultConfig::off(),
+            backend
         ));
-    }
+    });
+}
 
-    /// A crash-stop kill landing between `pready` calls — on top of
-    /// seeded drop/corrupt chaos — is survived by the buddy-checkpoint
-    /// recovery epoch: partitioned channels are rebuilt from scratch and
-    /// the partitioned run still matches the phased run bit for bit.
-    #[test]
-    fn killed_partitioned_bit_identical(
-        seed in 1u64..32,
-        victim in 0usize..2,
-        step in 0u64..3,
-        op in prop_oneof![Just(0u64), Just(3u64), Just(9u64)],
-        lossy in any::<bool>(),
-    ) {
-        let spec = if lossy {
-            format!("{seed},0.03,0.02,kill:{victim}@{step}+{op}")
-        } else {
-            format!("kill:{victim}@{step}+{op}")
-        };
-        let mut faults = FaultConfig::parse(&spec).unwrap();
-        faults.seed = seed;
-        prop_assert!(partitioned_matches_phased(
-            CpuMethod::Layout,
+/// Under seeded lossy chaos the channels fall back to the reliable
+/// protocol at partition granularity; the physics must not move.
+#[test]
+fn chaos_partitioned_bit_identical() {
+    cases("chaos_partitioned_bit_identical", 8, |rng| {
+        let seed = rng.gen_range(1u64..64);
+        let method = pick(rng, &[CpuMethod::Shift { page_size: 4096 }, CpuMethod::Layout]);
+        let faults = FaultConfig::parse(&format!("{seed},0.05,0.02,0.05")).unwrap();
+        assert!(partitioned_matches_phased(
+            method,
             StencilShape::star7_default(),
             8,
             16,
@@ -169,24 +126,53 @@ proptest! {
             faults,
             Backend::Thread,
         ));
-    }
+    });
+}
 
-    /// Data-safe jitter stretches per-rank wire speeds without closing
-    /// the early-shipping windows: partitioned stays exact while slow
-    /// ranks lag.
-    #[test]
-    fn jittered_partitioned_bit_identical(
-        seed in 1u64..64,
-        memmap in any::<bool>(),
-    ) {
-        let method = if memmap {
-            CpuMethod::MemMap { page_size: 4096 }
+/// A crash-stop kill landing between `pready` calls — on top of
+/// seeded drop/corrupt chaos — is survived by the buddy-checkpoint
+/// recovery epoch: partitioned channels are rebuilt from scratch and
+/// the partitioned run still matches the phased run bit for bit.
+#[test]
+fn killed_partitioned_bit_identical() {
+    cases("killed_partitioned_bit_identical", 8, |rng| {
+        let seed = rng.gen_range(1u64..32);
+        let victim = rng.gen_range(0usize..2);
+        let step = rng.gen_range(0u64..3);
+        let op = pick(rng, &[0u64, 3, 9]);
+        let spec = if rng.gen_bool(0.5) {
+            format!("{seed},0.03,0.02,kill:{victim}@{step}+{op}")
         } else {
-            CpuMethod::Layout
+            format!("kill:{victim}@{step}+{op}")
         };
+        let mut faults = FaultConfig::parse(&spec).unwrap();
+        faults.seed = seed;
+        assert!(
+            partitioned_matches_phased(
+                CpuMethod::Layout,
+                StencilShape::star7_default(),
+                8,
+                16,
+                vec![1, 1, 2],
+                faults,
+                Backend::Thread,
+            ),
+            "{spec}"
+        );
+    });
+}
+
+/// Data-safe jitter stretches per-rank wire speeds without closing
+/// the early-shipping windows: partitioned stays exact while slow
+/// ranks lag.
+#[test]
+fn jittered_partitioned_bit_identical() {
+    cases("jittered_partitioned_bit_identical", 8, |rng| {
+        let seed = rng.gen_range(1u64..64);
+        let method = pick(rng, &[CpuMethod::MemMap { page_size: 4096 }, CpuMethod::Layout]);
         let faults = FaultConfig { seed, jitter: 0.4, ..FaultConfig::off() };
-        prop_assert!(!faults.lossy(), "jitter must stay data-safe");
-        prop_assert!(partitioned_matches_phased(
+        assert!(!faults.lossy(), "jitter must stay data-safe");
+        assert!(partitioned_matches_phased(
             method,
             StencilShape::star7_default(),
             8,
@@ -195,5 +181,5 @@ proptest! {
             faults,
             Backend::Thread,
         ));
-    }
+    });
 }

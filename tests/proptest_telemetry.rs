@@ -1,13 +1,13 @@
-//! Property tests for the telemetry subsystem: under *any* method, rank
-//! grid, fabric, and step count, a profiled run must produce one
-//! timeline per rank whose spans are well-nested and monotone on that
-//! rank's virtual clock, and whose phase-time sum reproduces the
-//! engine's own timer total within float rounding. The single billing
-//! point in the rank context makes the breakdown an accounting
-//! identity, not an estimate — these tests pin that down.
+//! Property tests for the telemetry subsystem: under every method, rank
+//! grid, fabric, and step count (the whole 9 × 2 × 2 × 3 product is
+//! enumerated), a profiled run must produce one timeline per rank whose
+//! spans are well-nested and monotone on that rank's virtual clock, and
+//! whose phase-time sum reproduces the engine's own timer total within
+//! float rounding. The single billing point in the rank context makes
+//! the breakdown an accounting identity, not an estimate — these tests
+//! pin that down.
 
 use bricklib::prelude::*;
-use proptest::prelude::*;
 
 fn methods() -> [CpuMethod; 9] {
     [
@@ -33,51 +33,55 @@ fn cfg(method: CpuMethod, ranks: [usize; 3], steps: usize, net: NetworkModel) ->
     c
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(10))]
-
-    /// Every profiled run yields one valid timeline per rank (intervals
-    /// finite and ordered, children inside parents, siblings disjoint,
-    /// starts monotone in virtual time), and rank 0's phase-time sum
-    /// equals the reported per-step timers times the timed step count.
-    #[test]
-    fn profiled_timelines_are_well_nested_and_account_exactly(
-        pick in 0usize..9,
-        steps in 1usize..4,
-        two_ranks in any::<bool>(),
-        slow_net in any::<bool>(),
-    ) {
-        let method = methods()[pick].clone();
-        let ranks = if two_ranks { [2, 1, 1] } else { [1, 1, 1] };
-        let net = if slow_net { NetworkModel::theta_aries() } else { NetworkModel::instant() };
-        let r = run_experiment(&cfg(method.clone(), ranks, steps, net));
-
-        prop_assert_eq!(r.timelines.len(), ranks.iter().product::<usize>());
-        for (rank, t) in r.timelines.iter().enumerate() {
-            prop_assert_eq!(t.rank, rank);
-            let v = t.validate();
-            prop_assert!(v.is_ok(), "{} rank {rank}: {:?}", method.name(), v);
+/// Every profiled run yields one valid timeline per rank (intervals
+/// finite and ordered, children inside parents, siblings disjoint,
+/// starts monotone in virtual time), and rank 0's phase-time sum
+/// equals the reported per-step timers times the timed step count.
+#[test]
+fn profiled_timelines_are_well_nested_and_account_exactly() {
+    for method in methods() {
+        for steps in 1..4 {
+            for ranks in [[1, 1, 1], [2, 1, 1]] {
+                for net in [NetworkModel::instant(), NetworkModel::theta_aries()] {
+                    check_profiled_run(method.clone(), steps, ranks, net);
+                }
+            }
         }
+    }
+}
 
-        // `timers` is rank 0's per-step average; the timeline covers all
-        // timed steps, so the identity is sum == timers.total() * steps.
-        let expect = r.timers.total() * steps as f64;
-        let got = r.timelines[0].phase_breakdown().total();
-        prop_assert!(
-            (got - expect).abs() <= 1e-9 * expect.max(1.0),
-            "{}: phase sum {got} != timer total {expect}",
-            method.name()
-        );
+fn check_profiled_run(method: CpuMethod, steps: usize, ranks: [usize; 3], net: NetworkModel) {
+    let r = run_experiment(&cfg(method.clone(), ranks, steps, net));
+    let what = format!("{} x {steps} on {ranks:?}", method.name());
+
+    assert_eq!(r.timelines.len(), ranks.iter().product::<usize>(), "{what}");
+    for (rank, t) in r.timelines.iter().enumerate() {
+        assert_eq!(t.rank, rank);
+        let v = t.validate();
+        assert!(v.is_ok(), "{what} rank {rank}: {v:?}");
     }
 
-    /// With profiling off (the default), no timelines are retained — the
-    /// disabled path records nothing, for any method.
-    #[test]
-    fn unprofiled_runs_carry_no_timelines(pick in 0usize..9, steps in 1usize..3) {
-        let mut c = cfg(methods()[pick].clone(), [1, 1, 1], steps, NetworkModel::instant());
-        c.profile = false;
-        let r = run_experiment(&c);
-        prop_assert!(r.timelines.is_empty());
-        prop_assert!(r.fault_seed.is_none());
+    // `timers` is rank 0's per-step average; the timeline covers all
+    // timed steps, so the identity is sum == timers.total() * steps.
+    let expect = r.timers.total() * steps as f64;
+    let got = r.timelines[0].phase_breakdown().total();
+    assert!(
+        (got - expect).abs() <= 1e-9 * expect.max(1.0),
+        "{what}: phase sum {got} != timer total {expect}"
+    );
+}
+
+/// With profiling off (the default), no timelines are retained — the
+/// disabled path records nothing, for any method.
+#[test]
+fn unprofiled_runs_carry_no_timelines() {
+    for method in methods() {
+        for steps in 1..3 {
+            let mut c = cfg(method.clone(), [1, 1, 1], steps, NetworkModel::instant());
+            c.profile = false;
+            let r = run_experiment(&c);
+            assert!(r.timelines.is_empty(), "{} x {steps}", method.name());
+            assert!(r.fault_seed.is_none());
+        }
     }
 }
