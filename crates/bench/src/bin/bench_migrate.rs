@@ -21,7 +21,7 @@
 //! the ratio is deterministic on any runner; the acceptance floor is
 //! 1.3x and the bench itself enforces it.
 
-use rebalance::{run_rebalance, GridCfg, RebalanceCfg};
+use packfree::rebalance::{run_rebalance, GridCfg, RebalanceCfg};
 
 /// Seed recorded in the JSON header (the workload fill and the kill-free
 /// migration schedule are deterministic; no randomness is drawn).

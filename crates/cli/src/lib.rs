@@ -9,7 +9,7 @@ use mapping::MappingPolicy;
 use netsim::hier::HierarchicalNetworkModel;
 use netsim::telemetry::{chrome_trace, critical_path, OverlapStats, PhaseBreakdown, BRICK_COST_HIST};
 use packfree::experiment::{run_experiment, CpuMethod, ExperimentConfig, KernelKind, MethodReport};
-use rebalance::{run_rebalance, GridCfg, RebalanceCfg};
+use packfree::rebalance::{run_rebalance, GridCfg, RebalanceCfg};
 use stencil::StencilShape;
 
 /// Parsed command line.
@@ -417,29 +417,20 @@ pub fn parse(args: &[String]) -> Result<Options, String> {
         ));
     }
     if o.rebalance && (o.topology.is_some() || o.mapping != MappingPolicy::Lex) {
-        return Err(
-            "-m rebalance owns its brick->rank map; -t/--mapping apply to the \
-             static engines only"
-                .into(),
-        );
+        return Err(rebalance_rejects(
+            "-t/--mapping",
+            "it owns its brick->rank map, which no rank placement is planned from yet",
+        ));
     }
     if (o.migrate > 0 || o.imbalance) && !o.rebalance {
         let flag = if o.migrate > 0 { "--migrate" } else { "--imbalance" };
         return Err(format!("{flag} needs -m rebalance (dynamic brick ownership)"));
     }
     if o.rebalance && o.partitioned {
-        return Err(
-            "-m rebalance drives whole-brick halo frames; --partitioned \
-             early-bird channels are not supported"
-                .into(),
-        );
-    }
-    if o.rebalance && o.faults.lossy() {
-        return Err(
-            "-m rebalance halos carry no retry protocol — lossy fault specs \
-             (drop/corrupt/dup) are not supported; use delay/jitter/kill/stall"
-                .into(),
-        );
+        return Err(rebalance_rejects(
+            "--partitioned",
+            "its staged whole-brick frames have nothing to ship early",
+        ));
     }
     if (o.overlap || o.partitioned) && !o.method.split_phase() {
         let flag = if o.partitioned { "--partitioned" } else { "--overlap" };
@@ -464,6 +455,11 @@ pub fn parse(args: &[String]) -> Result<Options, String> {
         return Err("--iters must be positive".into());
     }
     Ok(o)
+}
+
+/// The one message shape of the combinations `-m rebalance` still refuses.
+fn rebalance_rejects(flag: &str, why: &str) -> String {
+    format!("-m rebalance does not take {flag}: {why}")
 }
 
 /// The flat fabric model `-n/--net` selects, shared by the static
@@ -1482,12 +1478,16 @@ mod tests {
         assert!(o.imbalance);
         assert!(!p(&["-m", "rebalance"]).unwrap().imbalance);
         // --migrate/--imbalance are rebalance-only; rebalance rejects
-        // lossy fault specs and the partitioned channel path.
+        // the partitioned channel path and rank mapping, one line each.
         assert!(p(&["--migrate", "2"]).is_err());
         assert!(p(&["--imbalance"]).is_err());
         assert!(p(&["-m", "memmap", "-M", "2"]).is_err());
-        assert!(p(&["-m", "rebalance", "-e"]).is_err());
-        assert!(p(&["-m", "rebalance", "-f", "7,0.1"]).is_err());
+        for (flags, reason) in [(&["-e"][..], "ship early"), (&["-t", "dragonfly:4"], "brick->rank map")] {
+            let err = p(&[&["-m", "rebalance"], flags].concat()).unwrap_err();
+            assert!(err.starts_with("-m rebalance does not take") && err.contains(reason), "{err}");
+            assert!(!err.contains('\n'));
+        }
+        assert!(p(&["-m", "rebalance", "-f", "7,0.1"]).is_ok(), "lossy fabrics run the retry protocol");
         assert!(p(&["-m", "rebalance", "-o"]).is_ok(), "overlap engine is supported");
         assert!(p(&["-m", "rebalance", "-M", "x"]).is_err());
         assert!(USAGE.contains("--migrate") && USAGE.contains("--imbalance"));

@@ -7,8 +7,8 @@
 use brick::{BrickInfo, BrickStorage};
 use netsim::telemetry::{Phase, Recorder};
 use netsim::{NetsimError, PartitionStats, RankCtx};
-use sched::SendPriority;
-use stencil::{apply_bricks_gather, ArrayGrid, ArrayPlan, KernelPlan, StencilShape};
+use sched::{DepGraph, SendPriority};
+use stencil::{apply_bricks_gather, ArrayGrid, ArrayPlan, KernelPlan, PlanSplit, StencilShape};
 
 use crate::baselines::ArrayExchanger;
 use crate::decomp::BrickDecomp;
@@ -38,8 +38,9 @@ fn unsupported() -> ! {
 /// The first six methods are the phased half every method implements.
 /// The rest — snapshots for the resilient harness and the split-phase
 /// exchange the overlap schedules need — is implemented by the brick
-/// engines only ([`CpuMethod::split_phase`] names the methods that may
-/// be scheduled onto it).
+/// engines ([`CpuMethod::split_phase`] names the methods that may be
+/// scheduled onto it) and by the migrating engine of
+/// [`crate::rebalance`].
 pub(crate) trait RankEngine {
     /// Traffic of one exchange.
     fn stats(&self) -> ExchangeStats;
@@ -75,6 +76,21 @@ pub(crate) trait RankEngine {
     fn decomp(&self) -> &BrickDecomp<3> {
         unsupported()
     }
+    /// Act before timestep `step`. `Ok(true)` means the exchange changed
+    /// shape (ownership migrated) and the step plan must be bound again.
+    fn before_step(&mut self, _ctx: &mut RankCtx<'_>, _step: usize) -> Result<bool, NetsimError> {
+        Ok(false)
+    }
+    /// What the dependency-graph schedule runs on: the interior/boundary
+    /// split of the compute set, and the graph gating each boundary brick
+    /// on the receives (`recv_ghosts`, from [`RankEngine::arm_split`])
+    /// that fill the ghosts it reads.
+    fn split_graph(&self, recv_ghosts: &[Vec<u32>]) -> (PlanSplit, DepGraph) {
+        let decomp = self.decomp();
+        let split = PlanSplit::new(&decomp.interior_mask(), decomp.compute_mask());
+        let graph = DepGraph::build(decomp.brick_info(), split.boundary(), recv_ghosts);
+        (split, graph)
+    }
     /// Prepare for `begin`/`poll`/`finish`: bind the schedule to this
     /// rank and, when `partitioned`, open the persistent channels.
     fn arm_split(&mut self, _ctx: &mut RankCtx<'_>, _partitioned: bool) -> SplitSetup {
@@ -98,14 +114,13 @@ pub(crate) trait RankEngine {
     fn pready(&mut self, _ctx: &mut RankCtx<'_>, _bricks: &[u32]) -> Result<(), NetsimError> {
         unsupported()
     }
-    /// Early-shipping counters since the last reset.
+    /// Early-shipping counters since the last reset (none without
+    /// partitioned channels).
     fn partition_stats(&self) -> PartitionStats {
-        unsupported()
+        PartitionStats::default()
     }
     /// Zero the early-shipping counters.
-    fn reset_partition_stats(&mut self) {
-        unsupported()
-    }
+    fn reset_partition_stats(&mut self) {}
 }
 
 /// Brick compute kernel bound once per rank, before the step loop.
@@ -182,7 +197,7 @@ fn restore_owned(decomp: &BrickDecomp<3>, cur: &mut BrickStorage, nxt: &mut Bric
 }
 
 /// The ghost bricks each receive range fills.
-fn ghosts_of(ranges: &[std::ops::Range<usize>], step: usize) -> Vec<Vec<u32>> {
+pub(crate) fn ghosts_of(ranges: &[std::ops::Range<usize>], step: usize) -> Vec<Vec<u32>> {
     ranges.iter().map(|r| ((r.start / step) as u32..(r.end / step) as u32).collect()).collect()
 }
 

@@ -19,7 +19,9 @@
 //!   the `devsim` models (Section 5),
 //! * [`experiment`] — the one timestep driver (every method behind a
 //!   per-rank engine trait) shared by the tests, examples, and the
-//!   table/figure harness.
+//!   table/figure harness,
+//! * [`rebalance`] — dynamic brick ownership: a diffusion balancer, NBX
+//!   edge discovery and the migrating engine, under that same driver.
 //!
 //! ```
 //! use packfree::{BrickDecomp, Exchanger};
@@ -35,19 +37,27 @@
 
 #![warn(missing_docs)]
 
+mod balance;
 pub mod baselines;
 pub mod calibrated;
 pub mod checkpoint;
 pub mod decomp;
+mod driver;
 mod engine;
 pub mod exchange;
 pub mod experiment;
 pub mod fields;
 pub mod gpu;
 pub mod memmap;
+mod migrating;
 mod plan;
+pub mod rebalance;
 pub mod reliable;
 pub mod shift;
+mod workload;
+
+#[cfg(test)]
+mod alloc_count;
 
 pub use checkpoint::{DriveOp, FailureRecovery, RecoveryCfg};
 pub use decomp::{pad_bricks_for, BrickDecomp, Chunk, GhostGroup, Ownership};

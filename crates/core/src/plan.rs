@@ -11,7 +11,10 @@
 //! [`CommPlan`] owns all of it: flat per-edge arrays and every piece of
 //! protocol state. A method supplies a [`HaloMem`] answering where send
 //! `i` and receive `j` live; the three shapes in use are [`InPlace`],
-//! [`IntoRanges`] and [`Slabs`].
+//! [`IntoRanges`] and [`Slabs`]. There are two constructors:
+//! [`CommPlan::bind`] for a static direction schedule every rank shares,
+//! [`CommPlan::from_edges`] for rank-level edges — what [`discover_plan`]
+//! finds when ownership moves.
 //!
 //! # Protocol modes
 //!
@@ -21,7 +24,8 @@
 //!   adapter (`waitall_ranges` / `waitall_into`, so large epochs keep
 //!   their parallel scatter);
 //! * **lossy** — the rank's fault plan can drop or damage frames
-//!   ([`RankCtx::fault_lossy`]) and the plan has mailbox traffic: one
+//!   ([`RankCtx::fault_lossy`]) and the plan (edge-bound: any plan of the
+//!   cluster) has mailbox traffic: one
 //!   [`ReliableSession`] runs the whole exchange. It is collective, so a
 //!   split `begin` completes everything and `poll`/`finish` do nothing;
 //! * **partitioned** — after [`CommPlan::enable_partitioned`], mailbox
@@ -44,6 +48,10 @@ use netsim::{
 use sched::SendPriority;
 
 use crate::reliable::{RecoveryStats, RelRecv, RelSend, ReliableSession};
+
+mod discover;
+pub use discover::{discover_plan, ExchangePlan};
+pub(crate) use discover::REB_NS;
 
 /// Where one method keeps its halo bytes. Send `i` and receive `j`
 /// index the schedules the plan was bound with.
@@ -183,8 +191,19 @@ pub(crate) struct RecvSpec {
     pub elems: usize,
 }
 
+/// One send of a rank-level schedule: [`SendSpec`] with its direction
+/// resolved to a destination rank.
+pub(crate) struct SendEdge {
+    pub dest: usize,
+    pub tag: u64,
+    /// Elements on the wire (padding included).
+    pub elems: usize,
+    /// Payload bytes (padding excluded), for bandwidth accounting.
+    pub payload_bytes: usize,
+}
+
 /// A send bound to a rank.
-struct SendEdge {
+struct BoundSend {
     dest: usize,
     tag: u64,
     payload_bytes: usize,
@@ -275,7 +294,10 @@ pub(crate) struct CommPlan {
     /// Timeline scope every call runs under (`None`: the caller's).
     scope: Option<&'static str>,
     rank: usize,
-    sends: Vec<SendEdge>,
+    /// Every rank bound the same schedule ([`CommPlan::bind`]), so what
+    /// this plan observes of it, every rank observes alike.
+    symmetric: bool,
+    sends: Vec<BoundSend>,
     /// Sends that cross the mailbox (indices into `sends`), in order.
     mailbox_sends: Vec<usize>,
     /// Receives that cross the mailbox, in schedule order.
@@ -302,11 +324,9 @@ pub(crate) struct CommPlan {
 }
 
 impl CommPlan {
-    /// Bind a schedule to `ctx`'s rank: resolve every neighbor and, with
-    /// `loopback`, pair each self-send with the local receive it
-    /// satisfies (`loopback = false` keeps self-sends on the mailbox —
-    /// the reference transport benches and equivalence tests compare
-    /// against).
+    /// Bind a direction schedule to `ctx`'s rank: resolve every neighbor
+    /// to a rank, then [`CommPlan::from_edges`]. Every rank binds the
+    /// same schedule, so the plan is marked symmetric.
     pub fn bind(
         scope: Option<&'static str>,
         ctx: &RankCtx<'_>,
@@ -321,23 +341,42 @@ impl CommPlan {
                 .neighbor(rank, &dir.offsets(dims))
                 .expect("exchange requires a periodic (or interior) neighbor")
         };
-        let srcs: Vec<usize> = recvs.iter().map(|r| peer(&r.from)).collect();
-        let mut paired = vec![false; recvs.len()];
         let sends: Vec<SendEdge> = sends
             .iter()
+            .map(|s| SendEdge { dest: peer(&s.to), tag: s.tag, elems: s.elems, payload_bytes: s.payload_bytes })
+            .collect();
+        let recvs: Vec<RelRecv> =
+            recvs.iter().map(|r| RelRecv { src: peer(&r.from), tag: r.tag, elems: r.elems }).collect();
+        CommPlan { symmetric: true, ..CommPlan::from_edges(scope, rank, &sends, &recvs, loopback) }
+    }
+
+    /// Bind rank-level edges on `rank`: with `loopback`, pair each
+    /// self-send with the local receive it satisfies (`loopback = false`
+    /// keeps self-sends on the mailbox — the reference transport benches
+    /// and equivalence tests compare against). The edges may differ from
+    /// rank to rank, down to none at all on some.
+    pub fn from_edges(
+        scope: Option<&'static str>,
+        rank: usize,
+        sends: &[SendEdge],
+        recvs: &[RelRecv],
+        loopback: bool,
+    ) -> CommPlan {
+        let mut paired = vec![false; recvs.len()];
+        let sends: Vec<BoundSend> = sends
+            .iter()
             .map(|s| {
-                let dest = peer(&s.to);
-                let pair = (loopback && dest == rank).then(|| {
+                let pair = (loopback && s.dest == rank).then(|| {
                     // (source = self, tag) is unique per epoch, so the
                     // matching local receive is unambiguous.
                     let j = (0..recvs.len())
-                        .find(|&j| !paired[j] && srcs[j] == rank && recvs[j].tag == s.tag)
+                        .find(|&j| !paired[j] && recvs[j].src == rank && recvs[j].tag == s.tag)
                         .expect("symmetric schedule pairs every self-send with a self-receive");
                     paired[j] = true;
                     assert_eq!(s.elems, recvs[j].elems, "paired loopback lengths must match");
                     j
                 });
-                SendEdge { dest, tag: s.tag, payload_bytes: s.payload_bytes, loopback: pair }
+                BoundSend { dest: s.dest, tag: s.tag, payload_bytes: s.payload_bytes, loopback: pair }
             })
             .collect();
         let mailbox: Vec<usize> = (0..recvs.len()).filter(|&j| !paired[j]).collect();
@@ -345,12 +384,10 @@ impl CommPlan {
         CommPlan {
             scope,
             rank,
+            symmetric: false,
             mailbox_sends: (0..sends.len()).filter(|&i| sends[i].loopback.is_none()).collect(),
             sends,
-            recvs: mailbox
-                .iter()
-                .map(|&j| RelRecv { src: srcs[j], tag: recvs[j].tag, elems: recvs[j].elems })
-                .collect(),
+            recvs: mailbox.iter().map(|&j| recvs[j]).collect(),
             mailbox,
             recvs_first: false,
             handles: Vec::with_capacity(n),
@@ -382,11 +419,13 @@ impl CommPlan {
     }
 
     /// The one protocol selector: frames can be lost or damaged, and
-    /// this plan puts frames on the fabric. (Schedules are symmetric
-    /// across ranks, so every rank answers alike and the collective
-    /// retry protocol stays in lockstep.)
+    /// this plan puts frames on the fabric. The retry protocol is
+    /// collective, so every rank must answer alike: a symmetric schedule
+    /// has mailbox traffic on all ranks or on none; an edge-bound plan
+    /// can be empty here and not elsewhere, so it asks the cluster
+    /// instead (a session with no edges still joins every round).
     fn lossy(&self, ctx: &RankCtx<'_>) -> bool {
-        ctx.fault_lossy() && !self.mailbox.is_empty()
+        ctx.fault_lossy() && if self.symmetric { !self.mailbox.is_empty() } else { ctx.size() > 1 }
     }
 
     /// Switch into partitioned early-bird mode: every mailbox send
@@ -707,7 +746,9 @@ impl CommPlan {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use netsim::{run_cluster_faulty, CartTopo, FaultConfig, NetworkModel, Timers};
+    use crate::decomp::Ownership;
+    use crate::workload::GridCfg;
+    use netsim::{run_cluster_faulty, run_cluster_on, Backend, CartTopo, FaultConfig, NetworkModel, Timers};
 
     const STEPS: usize = 6;
     /// Elements of the three messages: two cross the mailbox (on a
@@ -883,5 +924,179 @@ mod tests {
                 assert_eq!(o.timers.wire_bytes, (TOTAL * 8 * STEPS) as u64);
             }
         }
+    }
+
+    /// Edges that differ from rank to rank — rank 1 has none at all —
+    /// bound with `from_edges`, phased and split, on a clean and on a
+    /// lossy fabric: every receive delivers its sender's staged bits, and
+    /// under the retry protocol the edgeless rank still joins every
+    /// collective round instead of leaving its peers waiting.
+    #[test]
+    fn from_edges_delivers_asymmetric_plans() {
+        // Rank 0 ships 3 elements to rank 2 and 2 to rank 3; rank 2
+        // answers rank 0 with 1; rank 1 idles.
+        const EDGES: [(usize, usize, usize); 3] = [(0, 2, 3), (0, 3, 2), (2, 0, 1)];
+        let staged = |src: usize, dst: usize, step: usize| -> Vec<f64> {
+            let len = EDGES.iter().find(|e| (e.0, e.1) == (src, dst)).unwrap().2;
+            (0..len).map(|e| ((step * 4 + src) * 4 + dst) as f64 + e as f64 / 8.0).collect()
+        };
+        let topo = CartTopo::new(&[4], true);
+        let mut retries = 0;
+        for faults in [FaultConfig::off(), lossy()] {
+            for split in [false, true] {
+                let out = run_cluster_faulty(&topo, NetworkModel::theta_aries(), faults, |ctx| {
+                    let me = ctx.rank();
+                    let outgoing: Vec<_> = EDGES.iter().filter(|e| e.0 == me).collect();
+                    let incoming: Vec<_> = EDGES.iter().filter(|e| e.1 == me).collect();
+                    let sends: Vec<SendEdge> = outgoing
+                        .iter()
+                        .map(|e| SendEdge { dest: e.1, tag: 9, elems: e.2, payload_bytes: e.2 * 8 })
+                        .collect();
+                    let recvs: Vec<RelRecv> =
+                        incoming.iter().map(|e| RelRecv { src: e.0, tag: 9, elems: e.2 }).collect();
+                    let mut plan = CommPlan::from_edges(None, me, &sends, &recvs, true);
+                    assert_eq!(plan.mailbox().len(), recvs.len());
+                    let (mut ranges, mut end) = (Vec::new(), 0);
+                    for r in &recvs {
+                        ranges.push(end..end + r.elems);
+                        end += r.elems;
+                    }
+                    let (mut data, mut pend) = (vec![0.0; end], Vec::new());
+                    for step in 0..STEPS {
+                        let bufs: Vec<Vec<f64>> = outgoing.iter().map(|e| staged(me, e.1, step)).collect();
+                        let mut mem = IntoRanges { sends: &bufs, data: &mut data, recvs: &ranges, pend: &mut pend };
+                        if split {
+                            let mut completed = Vec::new();
+                            plan.begin(ctx, &mut mem, &mut completed).unwrap();
+                            plan.finish(ctx, &mut mem).unwrap();
+                        } else {
+                            plan.exchange(ctx, &mut mem).unwrap();
+                        }
+                        for (e, r) in incoming.iter().zip(&ranges) {
+                            assert_eq!(data[r.clone()], staged(e.0, me, step)[..], "rank {me} step {step}");
+                        }
+                    }
+                    (plan.recovery_stats().retries, ctx.timers().msgs)
+                });
+                if !faults.lossy() {
+                    let msgs: Vec<u64> = out.iter().map(|o| o.1).collect();
+                    assert_eq!(msgs, [2 * STEPS as u64, 0, STEPS as u64, 0], "split={split}");
+                }
+                retries += out.iter().map(|o| o.0).sum::<u64>();
+            }
+        }
+        assert!(retries > 0, "seed 11 at these rates must force a retransmission");
+    }
+
+    fn on_both_backends(f: impl Fn(Backend)) {
+        f(Backend::Thread);
+        f(Backend::Event);
+    }
+
+    #[test]
+    fn block_ownership_discovers_symmetric_plans() {
+        on_both_backends(|backend| {
+            let grid = GridCfg::uniform([4, 1, 1], 8);
+            let topo = CartTopo::new(&[2], true);
+            let out = run_cluster_on(
+                backend,
+                &topo,
+                NetworkModel::instant(),
+                FaultConfig::off(),
+                |ctx| {
+                    let mut view = Ownership::block(grid.nbricks(), ctx.size());
+                    let owned = view.owned_by(ctx.rank() as u32);
+                    discover_plan(ctx, &mut view, &owned, &grid).unwrap()
+                },
+            );
+            // Ranks own {0,1} and {2,3}; the ±x ghosts cross the cut at
+            // both ends of the periodic ring.
+            let (p0, _) = &out[0];
+            let (p1, _) = &out[1];
+            assert_eq!(p0.recv, vec![(1, vec![2, 3])], "backend {backend:?}");
+            assert_eq!(p0.send, vec![(1, vec![0, 1])]);
+            assert_eq!(p1.recv, vec![(0, vec![0, 1])]);
+            assert_eq!(p1.send, vec![(0, vec![2, 3])]);
+        });
+    }
+
+    #[test]
+    fn stale_views_are_resolved_by_forwarding() {
+        on_both_backends(|backend| {
+            let grid = GridCfg::uniform([3, 1, 1], 4);
+            let topo = CartTopo::new(&[3], true);
+            let out = run_cluster_on(
+                backend,
+                &topo,
+                NetworkModel::instant(),
+                FaultConfig::off(),
+                |ctx| {
+                    // History: brick 1 migrated 1 → 2, but only the two
+                    // parties know; rank 0's view is stale.
+                    let me = ctx.rank();
+                    let mut view = Ownership::block(3, 3);
+                    if me != 0 {
+                        view.set_owner(1, 2);
+                    }
+                    let owned: Vec<u32> = match me {
+                        0 => vec![0],
+                        1 => vec![],
+                        _ => vec![1, 2],
+                    };
+                    let (plan, stats) =
+                        discover_plan(ctx, &mut view, &owned, &grid).unwrap();
+                    (plan, stats, view.owner_of(1))
+                },
+            );
+            let (p0, _, v0) = &out[0];
+            assert_eq!(*v0, 2, "rank 0 learned the true owner, backend {backend:?}");
+            assert_eq!(p0.recv, vec![(2, vec![1, 2])]);
+            assert_eq!(p0.send, vec![(2, vec![0])]);
+            let (p1, _, _) = &out[1];
+            assert!(p1.send.is_empty() && p1.recv.is_empty(), "empty rank idles");
+            let (p2, _, _) = &out[2];
+            assert_eq!(p2.send, vec![(0, vec![1, 2])]);
+            assert_eq!(p2.recv, vec![(0, vec![0])]);
+        });
+    }
+
+    #[test]
+    fn discovery_traffic_stays_sparse() {
+        // 12 ranks on a 12-brick ring: every rank talks to 2 partners;
+        // an alltoall would post 12 × 11 = 132 messages.
+        let n = 12usize;
+        let grid = GridCfg::uniform([n, 1, 1], 2);
+        let topo = CartTopo::new(&[n], true);
+        let out = run_cluster_on(
+            Backend::Thread,
+            &topo,
+            NetworkModel::instant(),
+            FaultConfig::off(),
+            |ctx| {
+                let mut view = Ownership::block(grid.nbricks(), ctx.size());
+                let owned = view.owned_by(ctx.rank() as u32);
+                let (_, stats) = discover_plan(ctx, &mut view, &owned, &grid).unwrap();
+                stats
+            },
+        );
+        let data: u64 = out.iter().map(|s| s.data_msgs).sum();
+        assert!(data > 0);
+        assert!(
+            data < (n * (n - 1)) as u64,
+            "{data} discovery messages — alltoall territory"
+        );
+    }
+
+    #[test]
+    fn plans_roundtrip_through_snapshots() {
+        let plan = ExchangePlan {
+            send: vec![(1, vec![4, 9]), (3, vec![2])],
+            recv: vec![(0, vec![7])],
+        };
+        let mut buf = Vec::new();
+        plan.encode(&mut buf);
+        let (back, used) = ExchangePlan::decode(&buf);
+        assert_eq!(used, buf.len());
+        assert_eq!(back, plan);
     }
 }

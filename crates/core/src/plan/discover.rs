@@ -1,4 +1,6 @@
-//! Sparse exchange-plan discovery over NBX consensus.
+//! Sparse exchange-edge discovery over NBX consensus: the rank-level
+//! send/receive lists a [`CommPlan`](super::CommPlan) is bound from when
+//! the neighbor set is not a static direction schedule.
 //!
 //! After a migration epoch every rank knows which bricks *it* holds and
 //! where *it* sent bricks, but nothing about moves elsewhere — its
@@ -23,21 +25,23 @@
 use std::collections::{BTreeMap, BTreeSet};
 
 use netsim::{Ibarrier, NbxStats, NetsimError, RankCtx, CTRL_TAG_BIT};
-use packfree::Ownership;
 
+use crate::decomp::Ownership;
 use crate::workload::GridCfg;
 
 /// Control-plane tag namespace of the rebalance subsystem (fences,
 /// loads, manifests, discovery); low bits select the channel.
-pub const REB_NS: u64 = CTRL_TAG_BIT | 0x9EBA_0000;
+pub(crate) const REB_NS: u64 = CTRL_TAG_BIT | 0x9EBA_0000;
 /// Ownership request / forward frames: `[requester, k, ids…]`.
 const REQ_TAG: u64 = REB_NS | 4;
 /// Ownership reply frames: `[k, (id, owner)…]`.
 const REP_TAG: u64 = REB_NS | 5;
 
-/// The sparse halo-exchange plan one discovery round produces: per
+/// The sparse halo-exchange edges one discovery round produces: per
 /// partner, which global bricks this rank ships and which it receives,
-/// both id-sorted so the per-step halo frames are deterministic.
+/// both id-sorted so the per-step halo frames are deterministic. The
+/// migrating engine binds its [`CommPlan`](super::CommPlan) from them
+/// and carries them in its snapshots.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct ExchangePlan {
     /// `(partner, owned bricks the partner subscribed to)`.
@@ -210,8 +214,7 @@ fn serve(
             // rank pops its own mailbox, so try_wait cannot miss.
             let h = ctx.irecv(src, tag)?;
             let Some(msg) = ctx.try_wait(h) else { continue };
-            let data = msg.data().to_vec();
-            ctx.recycle(msg);
+            let data = msg.data();
             if tag == REQ_TAG {
                 let requester = data[0].to_bits() as usize;
                 let k = data[1].to_bits() as usize;
@@ -257,124 +260,7 @@ fn serve(
                     *outstanding = outstanding.saturating_sub(1);
                 }
             }
+            ctx.recycle(msg);
         }
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use netsim::{run_cluster_on, Backend, CartTopo, FaultConfig, NetworkModel};
-
-    fn on_both_backends(f: impl Fn(Backend)) {
-        f(Backend::Thread);
-        f(Backend::Event);
-    }
-
-    #[test]
-    fn block_ownership_discovers_symmetric_plans() {
-        on_both_backends(|backend| {
-            let grid = GridCfg::uniform([4, 1, 1], 8);
-            let topo = CartTopo::new(&[2], true);
-            let out = run_cluster_on(
-                backend,
-                &topo,
-                NetworkModel::instant(),
-                FaultConfig::off(),
-                |ctx| {
-                    let mut view = Ownership::block(grid.nbricks(), ctx.size());
-                    let owned = view.owned_by(ctx.rank() as u32);
-                    discover_plan(ctx, &mut view, &owned, &grid).unwrap()
-                },
-            );
-            // Ranks own {0,1} and {2,3}; the ±x ghosts cross the cut at
-            // both ends of the periodic ring.
-            let (p0, _) = &out[0];
-            let (p1, _) = &out[1];
-            assert_eq!(p0.recv, vec![(1, vec![2, 3])], "backend {backend:?}");
-            assert_eq!(p0.send, vec![(1, vec![0, 1])]);
-            assert_eq!(p1.recv, vec![(0, vec![0, 1])]);
-            assert_eq!(p1.send, vec![(0, vec![2, 3])]);
-        });
-    }
-
-    #[test]
-    fn stale_views_are_resolved_by_forwarding() {
-        on_both_backends(|backend| {
-            let grid = GridCfg::uniform([3, 1, 1], 4);
-            let topo = CartTopo::new(&[3], true);
-            let out = run_cluster_on(
-                backend,
-                &topo,
-                NetworkModel::instant(),
-                FaultConfig::off(),
-                |ctx| {
-                    // History: brick 1 migrated 1 → 2, but only the two
-                    // parties know; rank 0's view is stale.
-                    let me = ctx.rank();
-                    let mut view = Ownership::block(3, 3);
-                    if me != 0 {
-                        view.set_owner(1, 2);
-                    }
-                    let owned: Vec<u32> = match me {
-                        0 => vec![0],
-                        1 => vec![],
-                        _ => vec![1, 2],
-                    };
-                    let (plan, stats) =
-                        discover_plan(ctx, &mut view, &owned, &grid).unwrap();
-                    (plan, stats, view.owner_of(1))
-                },
-            );
-            let (p0, _, v0) = &out[0];
-            assert_eq!(*v0, 2, "rank 0 learned the true owner, backend {backend:?}");
-            assert_eq!(p0.recv, vec![(2, vec![1, 2])]);
-            assert_eq!(p0.send, vec![(2, vec![0])]);
-            let (p1, _, _) = &out[1];
-            assert!(p1.send.is_empty() && p1.recv.is_empty(), "empty rank idles");
-            let (p2, _, _) = &out[2];
-            assert_eq!(p2.send, vec![(0, vec![1, 2])]);
-            assert_eq!(p2.recv, vec![(0, vec![0])]);
-        });
-    }
-
-    #[test]
-    fn discovery_traffic_stays_sparse() {
-        // 12 ranks on a 12-brick ring: every rank talks to 2 partners;
-        // an alltoall would post 12 × 11 = 132 messages.
-        let n = 12usize;
-        let grid = GridCfg::uniform([n, 1, 1], 2);
-        let topo = CartTopo::new(&[n], true);
-        let out = run_cluster_on(
-            Backend::Thread,
-            &topo,
-            NetworkModel::instant(),
-            FaultConfig::off(),
-            |ctx| {
-                let mut view = Ownership::block(grid.nbricks(), ctx.size());
-                let owned = view.owned_by(ctx.rank() as u32);
-                let (_, stats) = discover_plan(ctx, &mut view, &owned, &grid).unwrap();
-                stats
-            },
-        );
-        let data: u64 = out.iter().map(|s| s.data_msgs).sum();
-        assert!(data > 0);
-        assert!(
-            data < (n * (n - 1)) as u64,
-            "{data} discovery messages — alltoall territory"
-        );
-    }
-
-    #[test]
-    fn plans_roundtrip_through_snapshots() {
-        let plan = ExchangePlan {
-            send: vec![(1, vec![4, 9]), (3, vec![2])],
-            recv: vec![(0, vec![7])],
-        };
-        let mut buf = Vec::new();
-        plan.encode(&mut buf);
-        let (back, used) = ExchangePlan::decode(&buf);
-        assert_eq!(used, buf.len());
-        assert_eq!(back, plan);
     }
 }

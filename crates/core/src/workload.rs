@@ -107,11 +107,6 @@ pub fn init_cell(b: u32, j: usize) -> f64 {
     (x >> 11) as f64 / (1u64 << 53) as f64
 }
 
-/// Materialize brick `b`'s initial cells.
-pub fn init_brick(cfg: &GridCfg, b: u32) -> Vec<f64> {
-    (0..cfg.cells).map(|j| init_cell(b, j)).collect()
-}
-
 /// One relaxation step of brick `b`:
 /// `out[j] = 0.5·cur[j] + (1/12)·Σ_f faces[f][j]`, faces folded in the
 /// fixed `[-x, +x, -y, +y, -z, +z]` order. Pure and order-fixed — the
@@ -176,9 +171,9 @@ mod tests {
     fn relax_is_pure_and_order_fixed() {
         let g = GridCfg::uniform([3, 3, 3], 5);
         let b = g.id([1, 1, 1]);
-        let cur = init_brick(&g, b);
-        let nbs: Vec<Vec<f64>> =
-            (0..6).map(|f| init_brick(&g, g.neighbor(b, f))).collect();
+        let init_brick = |b: u32| -> Vec<f64> { (0..g.cells).map(|j| init_cell(b, j)).collect() };
+        let cur = init_brick(b);
+        let nbs: Vec<Vec<f64>> = (0..6).map(|f| init_brick(g.neighbor(b, f))).collect();
         let faces: [&[f64]; 6] = std::array::from_fn(|f| nbs[f].as_slice());
         let mut out1 = vec![0.0; g.cells];
         let mut out2 = vec![0.0; g.cells];

@@ -699,6 +699,12 @@ impl<'a> RankCtx<'a> {
         self.cur_step = u64::MAX;
     }
 
+    /// Data-plane operations counted so far in the armed step — the `OP`
+    /// coordinate of a `kill:R@S+OP` schedule (frozen while disarmed).
+    pub fn step_ops(&self) -> u64 {
+        self.step_ops
+    }
+
     /// How many times this rank's body has been (re)started: 0 for the
     /// original process, ≥ 1 for a respawn after a crash-stop fault.
     /// A resilient driver seeing a nonzero incarnation skips straight

@@ -81,7 +81,9 @@ impl PlanSplit {
             .map(|(b, _)| b as u32)
             .collect();
         let stage = vec![false; compute.len()];
-        PlanSplit { interior, boundary, stage, staged: Vec::new() }
+        // Room for a batch of every boundary brick: staging never allocates.
+        let staged = Vec::with_capacity(boundary.len());
+        PlanSplit { interior, boundary, stage, staged }
     }
 
     /// The interior sub-plan's compute mask.

@@ -26,7 +26,7 @@
 //! | [`devsim`] | V100 roofline / NVLink / Unified-Memory models |
 //! | [`stencil`] | kernels, array baseline, MPI datatype engine |
 //! | [`packfree`] | the paper's contribution: `BrickDecomp` + exchanges |
-//! | [`rebalance`] | dynamic brick ownership via diffusion balancing |
+//! | [`rebalance`] | `packfree::rebalance`: dynamic brick ownership via diffusion balancing |
 //! | [`mapping`] | topology-aware process-to-node mapping |
 
 pub use brick;
@@ -36,7 +36,7 @@ pub use mapping;
 pub use memview;
 pub use netsim;
 pub use packfree;
-pub use rebalance;
+pub use packfree::rebalance;
 pub use stencil;
 
 /// The most commonly used items in one import.
@@ -57,6 +57,6 @@ pub mod prelude {
     pub use packfree::gpu::{estimate_gpu_step, GpuMethod, GpuPlatform, GpuWorkload};
     pub use packfree::memmap::{memmap_decomp, ExchangeView, MemMapStorage};
     pub use packfree::{BrickDecomp, ExchangeStats, Exchanger};
-    pub use rebalance::{run_rebalance, GridCfg, RebalanceCfg};
+    pub use packfree::rebalance::{run_rebalance, GridCfg, RebalanceCfg};
     pub use stencil::{apply_bricks, ArrayGrid, Datatype, KernelPlan, StencilShape};
 }

@@ -115,6 +115,51 @@ fn killed_migrated_runs_recover_the_same_trajectory() {
     });
 }
 
+/// A lossy fabric is one more thing migration must be transparent to:
+/// the halos run the same retry protocol as every static engine's, so
+/// dropped, damaged and duplicated frames cost retransmissions, never
+/// physics or ownership — whatever the migration period, schedule or
+/// backend, and although ranks whose edge lists differ (down to none)
+/// share one collective protocol.
+#[test]
+fn lossy_migrated_runs_match_the_clean_trajectory() {
+    let retries = std::cell::Cell::new(0);
+    // The fault-free trajectories, per (migrate, overlap).
+    let clean = [0usize, 2, 3]
+        .map(|migrate| [false, true].map(|overlap| fingerprint(&run_rebalance(&cfg(migrate, overlap, Backend::Thread)))));
+    let check = |migrate: usize, overlap: bool, backend: Backend, faults: FaultConfig| {
+        let mut lossy = cfg([0, 2, 3][migrate], overlap, backend);
+        lossy.faults = faults;
+        let r = run_rebalance(&lossy);
+        assert_eq!(fingerprint(&r), clean[migrate][overlap as usize], "{faults:?}");
+        assert!(r.faults.total() > 0, "{faults:?} injected nothing");
+        retries.set(retries.get() + r.stats.retries);
+    };
+    // One explicit row per fault kind, then sampled mixtures.
+    for (i, f) in [
+        FaultConfig { seed: 7, drop: 0.1, ..FaultConfig::off() },
+        FaultConfig { seed: 7, corrupt: 0.1, ..FaultConfig::off() },
+        FaultConfig { seed: 7, dup: 0.1, ..FaultConfig::off() },
+    ]
+    .into_iter()
+    .enumerate()
+    {
+        check(1, i % 2 == 1, Backend::Thread, f);
+    }
+    cases("lossy_migrated_runs_match_the_clean_trajectory", 8, |rng| {
+        let faults = FaultConfig {
+            seed: rng.gen_range(1u64..1 << 20),
+            drop: f64_in(rng, 0.0, 0.15),
+            corrupt: f64_in(rng, 0.0, 0.1),
+            dup: f64_in(rng, 0.02, 0.1),
+            ..FaultConfig::off()
+        };
+        let backend = if Backend::event_supported() && rng.gen_bool(0.5) { Backend::Event } else { Backend::Thread };
+        check(rng.gen_range(0usize..3), rng.gen_bool(0.5), backend, faults);
+    });
+    assert!(retries.get() > 0, "no lossy row ever retransmitted");
+}
+
 /// The event multiplexer and the thread-per-rank reference schedule
 /// discovery and migration completely differently in real time; the
 /// virtual-clock protocol must still land the identical trajectory —
