@@ -115,7 +115,7 @@ impl ArrayExchanger {
         }
         let mut mem = IntoRanges {
             sends: &self.send_bufs,
-            data: &mut self.recv_arena,
+            data: self.recv_arena.as_mut_slice().into(),
             recvs: &self.recv_ranges,
             pend: &mut self.pend,
         };

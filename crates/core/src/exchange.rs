@@ -228,8 +228,10 @@ impl Exchanger {
     }
 
     /// Like [`Exchanger::session`] but self-sends still travel through
-    /// the mailbox (two copies). Exists so benches and equivalence tests
-    /// can compare the fast path against the reference transport.
+    /// the mailbox — always on its eager path (two copies through a pooled
+    /// buffer): a self-send is never written into a lent window. Exists so
+    /// benches and equivalence tests can compare the fast path against the
+    /// reference transport.
     pub fn session_mailbox(&self, ctx: &RankCtx<'_>) -> ExchangeSession {
         ExchangeSession::build(self, ctx, false)
     }
@@ -330,7 +332,7 @@ impl ExchangeSession {
     /// session's send and receive ranges.
     pub(crate) fn bound<'a>(&'a mut self, storage: &'a mut BrickStorage) -> (&'a mut CommPlan, InPlace<'a>) {
         let mem = InPlace {
-            data: storage.as_mut_slice(),
+            data: storage.as_mut_slice().into(),
             sends: &self.send_ranges,
             recvs: &self.ghost_ranges,
             pend: &mut self.pend,

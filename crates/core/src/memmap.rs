@@ -266,7 +266,7 @@ impl ExchangeView {
     ) -> (&'a mut CommPlan, IntoRanges<'a, ViewMsg>) {
         let mem = IntoRanges {
             sends: &self.views,
-            data: storage.storage.as_mut_slice(),
+            data: storage.storage.as_mut_slice().into(),
             recvs: &self.recv_ranges,
             pend: &mut self.pend,
         };

@@ -192,7 +192,7 @@ impl<'a> Migrating<'a> {
                 }
             }
         }
-        (plan, IntoRanges { sends: staged, data: arena, recvs: ranges, pend })
+        (plan, IntoRanges { sends: staged, data: arena.as_mut_slice().into(), recvs: ranges, pend })
     }
 
     /// One migration epoch: fence → load exchange → diffusion proposal →

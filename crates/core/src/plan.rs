@@ -21,19 +21,24 @@
 //! Selected per call from what the plan can observe:
 //!
 //! * **plain** — `isend`/`irecv` per edge, bulk completion through the
-//!   adapter (`waitall_ranges` / `waitall_into`, so large epochs keep
-//!   their parallel scatter);
+//!   adapter. A whole [`CommPlan::exchange`] *pre-posts*: it lends the
+//!   destination runs of its mailbox receives before its first send
+//!   ([`RankCtx::lend`]), so a peer's message lands in the ghost run
+//!   itself instead of a pooled buffer; a split exchange lends only
+//!   inside `finish`, for what is still outstanding — between `begin`
+//!   and `finish` the engine computes on that storage;
 //! * **lossy** — the rank's fault plan can drop or damage frames
 //!   ([`RankCtx::fault_lossy`]) and the plan (edge-bound: any plan of the
 //!   cluster) has mailbox traffic: one
 //!   [`ReliableSession`] runs the whole exchange. It is collective, so a
-//!   split `begin` completes everything and `poll`/`finish` do nothing;
+//!   split `begin` completes everything and `poll`/`finish` do nothing.
+//!   Frames are inspected before they land, so nothing is lent;
 //! * **partitioned** — after [`CommPlan::enable_partitioned`], mailbox
 //!   sends are persistent [`PartitionedSend`] channels fed by
 //!   [`CommPlan::pready`]; with no `pready` they bill exactly the
-//!   whole-message schedule;
+//!   whole-message schedule. Fragments are reassembled, so nothing is lent;
 //! * **lossy + partitioned** — the retry protocol at partition
-//!   granularity, so a fault retransmits one brick.
+//!   granularity, so a fault retransmits one brick; nothing is lent.
 //!
 //! Self-sends never cross the fabric: they are one on-node copy with
 //! full wire-model charges in every mode.
@@ -42,7 +47,7 @@ use std::ops::Range;
 
 use layout::Dir;
 use netsim::{
-    NetsimError, PartitionStats, PartitionTable, PartitionedRecv, PartitionedSend, RankCtx,
+    Lend, NetsimError, PartitionStats, PartitionTable, PartitionedRecv, PartitionedSend, RankCtx,
     RecvHandle,
 };
 use sched::SendPriority;
@@ -54,8 +59,10 @@ pub use discover::{discover_plan, ExchangePlan};
 pub(crate) use discover::REB_NS;
 
 /// Where one method keeps its halo bytes. Send `i` and receive `j`
-/// index the schedules the plan was bound with.
-pub(crate) trait HaloMem {
+/// index the schedules the plan was bound with. `'c` is the lifetime of
+/// the cluster the memory can be lent to: it outlives every borrow the
+/// memory holds, so a lend ends before the mailbox it is registered in.
+pub(crate) trait HaloMem<'c> {
     /// Payload of send `i`.
     fn send(&self, i: usize) -> &[f64];
     /// Destination of receive `j`.
@@ -63,52 +70,131 @@ pub(crate) trait HaloMem {
     /// Self-send `i` straight into receive `j`: one copy, billed as the
     /// `isend` + `irecv` pair it replaces.
     fn loopback(&mut self, ctx: &mut RankCtx<'_>, tag: u64, i: usize, j: usize) -> Result<(), NetsimError>;
+    /// Pre-post: lend the destinations of receives `recvs` (`from[k]` is
+    /// the channel of `recvs[k]`) until the next [`HaloMem::complete`],
+    /// which must be for the same receives. Memory that can only lend
+    /// once it blocks does nothing here.
+    fn lend(&mut self, _ctx: &RankCtx<'c>, _from: &[RelRecv], _recvs: &[usize]) {}
     /// Block on `handles`, landing message `k` in receive `recvs[k]`,
     /// then bill `wait` and close the epoch (also with nothing pending).
     fn complete(&mut self, ctx: &mut RankCtx<'_>, handles: &[RecvHandle], recvs: &[usize]) -> Result<(), NetsimError>;
 }
 
-/// `waitall_ranges` over the ranges of `recvs`, gathered into `pend`
-/// (`recvs` ascends, so the gathered ranges stay sorted and disjoint).
-fn complete_ranges(
-    ctx: &mut RankCtx<'_>,
-    handles: &[RecvHandle],
-    data: &mut [f64],
-    ranges: &[Range<usize>],
-    recvs: &[usize],
-    pend: &mut Vec<Range<usize>>,
-) -> Result<(), NetsimError> {
-    pend.clear();
-    pend.extend(recvs.iter().map(|&j| ranges[j].clone()));
-    ctx.waitall_ranges(handles, data, pend)
+/// The slice receives land in: with the method, or — between
+/// [`HaloMem::lend`] and [`HaloMem::complete`] — with the transport,
+/// whose guard then hands out everything but the lent runs.
+pub(crate) enum Store<'a> {
+    Here(&'a mut [f64]),
+    Lent(Lend<'a>),
+}
+
+impl<'a> From<&'a mut [f64]> for Store<'a> {
+    fn from(data: &'a mut [f64]) -> Store<'a> {
+        Store::Here(data)
+    }
+}
+
+impl<'a> Store<'a> {
+    fn get(&self, r: Range<usize>) -> &[f64] {
+        match self {
+            Store::Here(data) => &data[r],
+            Store::Lent(lend) => lend.outside(r),
+        }
+    }
+
+    fn get_mut(&mut self, r: Range<usize>) -> &mut [f64] {
+        match self {
+            Store::Here(data) => &mut data[r],
+            Store::Lent(lend) => lend.outside_mut(r),
+        }
+    }
+
+    /// The ranges of `recvs`, gathered into `pend` (`recvs` ascends, so
+    /// they stay sorted and disjoint).
+    fn gather<'p>(ranges: &[Range<usize>], recvs: &[usize], pend: &'p mut Vec<Range<usize>>) -> &'p [Range<usize>] {
+        pend.clear();
+        pend.extend(recvs.iter().map(|&j| ranges[j].clone()));
+        pend
+    }
+
+    /// Lend the ranges of `recvs`.
+    fn lend<'c: 'a>(
+        &mut self,
+        ctx: &RankCtx<'c>,
+        from: &[RelRecv],
+        ranges: &[Range<usize>],
+        recvs: &[usize],
+        pend: &mut Vec<Range<usize>>,
+    ) {
+        let Store::Here(data) = std::mem::replace(self, Store::Here(&mut [])) else {
+            panic!("the slice is already lent");
+        };
+        let lent = Store::gather(ranges, recvs, pend);
+        *self = Store::Lent(ctx.lend(from.iter().map(|r| (r.src, r.tag)), data, lent));
+    }
+
+    /// Complete the open lend and take the slice back, or — nothing lent —
+    /// `waitall_ranges` over the ranges of `recvs`.
+    fn complete(
+        &mut self,
+        ctx: &mut RankCtx<'_>,
+        handles: &[RecvHandle],
+        ranges: &[Range<usize>],
+        recvs: &[usize],
+        pend: &mut Vec<Range<usize>>,
+    ) -> Result<(), NetsimError> {
+        match std::mem::replace(self, Store::Here(&mut [])) {
+            Store::Here(data) => {
+                let done = ctx.waitall_ranges(handles, data, Store::gather(ranges, recvs, pend));
+                *self = Store::Here(data);
+                done
+            }
+            Store::Lent(mut lend) => {
+                let done = lend.complete(ctx, handles);
+                *self = Store::Here(lend.release());
+                done
+            }
+        }
+    }
 }
 
 /// Sends and receives are ranges of one slice: layout-ordered heap
 /// bricks, where a message is a run of surface bricks and lands in a
 /// run of ghost bricks.
 pub(crate) struct InPlace<'a> {
-    pub data: &'a mut [f64],
+    pub data: Store<'a>,
     pub sends: &'a [Range<usize>],
     pub recvs: &'a [Range<usize>],
     /// Scratch for the ranges of one completion call.
     pub pend: &'a mut Vec<Range<usize>>,
 }
 
-impl HaloMem for InPlace<'_> {
+impl<'c: 'a, 'a> HaloMem<'c> for InPlace<'a> {
     fn send(&self, i: usize) -> &[f64] {
-        &self.data[self.sends[i].clone()]
+        self.data.get(self.sends[i].clone())
     }
 
     fn recv(&mut self, j: usize) -> &mut [f64] {
-        &mut self.data[self.recvs[j].clone()]
+        self.data.get_mut(self.recvs[j].clone())
     }
 
     fn loopback(&mut self, ctx: &mut RankCtx<'_>, tag: u64, i: usize, j: usize) -> Result<(), NetsimError> {
-        ctx.loopback_within(tag, self.data, self.sends[i].clone(), self.recvs[j].start)
+        let (src, dst) = (self.sends[i].clone(), self.recvs[j].clone());
+        match &mut self.data {
+            Store::Here(data) => ctx.loopback_within(tag, data, src, dst.start),
+            Store::Lent(lend) => {
+                let (src, dst) = lend.outside_pair(src, dst);
+                ctx.loopback_into(tag, src, dst)
+            }
+        }
+    }
+
+    fn lend(&mut self, ctx: &RankCtx<'c>, from: &[RelRecv], recvs: &[usize]) {
+        self.data.lend(ctx, from, self.recvs, recvs, self.pend);
     }
 
     fn complete(&mut self, ctx: &mut RankCtx<'_>, handles: &[RecvHandle], recvs: &[usize]) -> Result<(), NetsimError> {
-        complete_ranges(ctx, handles, self.data, self.recvs, recvs, self.pend)
+        self.data.complete(ctx, handles, self.recvs, recvs, self.pend)
     }
 }
 
@@ -117,38 +203,43 @@ impl HaloMem for InPlace<'_> {
 /// arena.
 pub(crate) struct IntoRanges<'a, S> {
     pub sends: &'a [S],
-    pub data: &'a mut [f64],
+    pub data: Store<'a>,
     pub recvs: &'a [Range<usize>],
     /// Scratch for the ranges of one completion call.
     pub pend: &'a mut Vec<Range<usize>>,
 }
 
-impl<S: AsRef<[f64]>> HaloMem for IntoRanges<'_, S> {
+impl<'c: 'a, 'a, S: AsRef<[f64]>> HaloMem<'c> for IntoRanges<'a, S> {
     fn send(&self, i: usize) -> &[f64] {
         self.sends[i].as_ref()
     }
 
     fn recv(&mut self, j: usize) -> &mut [f64] {
-        &mut self.data[self.recvs[j].clone()]
+        self.data.get_mut(self.recvs[j].clone())
     }
 
     fn loopback(&mut self, ctx: &mut RankCtx<'_>, tag: u64, i: usize, j: usize) -> Result<(), NetsimError> {
-        ctx.loopback_into(tag, self.sends[i].as_ref(), &mut self.data[self.recvs[j].clone()])
+        ctx.loopback_into(tag, self.sends[i].as_ref(), self.data.get_mut(self.recvs[j].clone()))
+    }
+
+    fn lend(&mut self, ctx: &RankCtx<'c>, from: &[RelRecv], recvs: &[usize]) {
+        self.data.lend(ctx, from, self.recvs, recvs, self.pend);
     }
 
     fn complete(&mut self, ctx: &mut RankCtx<'_>, handles: &[RecvHandle], recvs: &[usize]) -> Result<(), NetsimError> {
-        complete_ranges(ctx, handles, self.data, self.recvs, recvs, self.pend)
+        self.data.complete(ctx, handles, self.recvs, recvs, self.pend)
     }
 }
 
 /// Sends and receives are separate slices, two of each: the slab views
-/// of one Shift axis pass.
+/// of one Shift axis pass. Nothing is pre-posted; the views are lent
+/// while `complete` blocks.
 pub(crate) struct Slabs<'a> {
     pub sends: [&'a [f64]; 2],
     pub recvs: [&'a mut [f64]; 2],
 }
 
-impl HaloMem for Slabs<'_> {
+impl<'c> HaloMem<'c> for Slabs<'_> {
     fn send(&self, i: usize) -> &[f64] {
         self.sends[i]
     }
@@ -213,7 +304,7 @@ struct BoundSend {
 }
 
 /// Run `f` under the timeline scope `scope`, if there is one.
-pub(crate) fn scoped<R>(ctx: &mut RankCtx<'_>, scope: Option<&'static str>, f: impl FnOnce(&mut RankCtx<'_>) -> R) -> R {
+pub(crate) fn scoped<'c, R>(ctx: &mut RankCtx<'c>, scope: Option<&'static str>, f: impl FnOnce(&mut RankCtx<'c>) -> R) -> R {
     match scope {
         Some(name) => ctx.scoped(name, f),
         None => f(ctx),
@@ -506,7 +597,7 @@ impl CommPlan {
     /// the memory the *next* exchange will send. No-op unless
     /// partitioned mode is on, and under the lossy protocol, which owns
     /// all traffic of a lossy run.
-    pub fn pready<M: HaloMem>(
+    pub fn pready<'c, M: HaloMem<'c>>(
         &mut self,
         ctx: &mut RankCtx<'_>,
         mem: &M,
@@ -531,7 +622,7 @@ impl CommPlan {
 
     /// One whole exchange: post everything, then block until every
     /// receive has landed, and bill the epoch's `wait`.
-    pub fn exchange<M: HaloMem>(&mut self, ctx: &mut RankCtx<'_>, mem: &mut M) -> Result<(), NetsimError> {
+    pub fn exchange<'c, M: HaloMem<'c>>(&mut self, ctx: &mut RankCtx<'c>, mem: &mut M) -> Result<(), NetsimError> {
         scoped(ctx, self.scope, |ctx| {
             if self.lossy(ctx) {
                 return self.run_reliable(ctx, mem);
@@ -542,6 +633,11 @@ impl CommPlan {
                 self.done.fill(false);
                 self.begin_partitioned(ctx, mem)?;
                 return self.finish_partitioned(ctx, mem);
+            }
+            // Pre-post: peers that send from here on write the ghost
+            // runs themselves. Post order and billing are unchanged.
+            if !self.mailbox.is_empty() {
+                mem.lend(ctx, &self.recvs, &self.mailbox);
             }
             self.post(ctx, mem)?;
             mem.complete(ctx, &self.handles, &self.mailbox)
@@ -558,7 +654,7 @@ impl CommPlan {
     /// `begin` runs the whole exchange and reports every receive; the
     /// overlap window collapses for that step and results stay
     /// bit-identical.
-    pub fn begin<M: HaloMem>(
+    pub fn begin<'c, M: HaloMem<'c>>(
         &mut self,
         ctx: &mut RankCtx<'_>,
         mem: &mut M,
@@ -584,7 +680,7 @@ impl CommPlan {
     /// Middle of a split exchange: land whatever has already arrived,
     /// without blocking or billing wait time. Returns how many receives
     /// newly completed; their positions are appended to `completed`.
-    pub fn poll<M: HaloMem>(
+    pub fn poll<'c, M: HaloMem<'c>>(
         &mut self,
         ctx: &mut RankCtx<'_>,
         mem: &mut M,
@@ -618,7 +714,7 @@ impl CommPlan {
     /// outstanding and close the epoch, billing `wait` exactly as
     /// [`Self::exchange`] would. Call once per [`Self::begin`], even
     /// when `poll` drained everything.
-    pub fn finish<M: HaloMem>(&mut self, ctx: &mut RankCtx<'_>, mem: &mut M) -> Result<(), NetsimError> {
+    pub fn finish<'c, M: HaloMem<'c>>(&mut self, ctx: &mut RankCtx<'_>, mem: &mut M) -> Result<(), NetsimError> {
         if std::mem::take(&mut self.fault_step) {
             return Ok(());
         }
@@ -637,7 +733,7 @@ impl CommPlan {
     }
 
     /// Bill every send's payload and run the self-sends among them.
-    fn loopbacks<M: HaloMem>(&self, ctx: &mut RankCtx<'_>, mem: &mut M) -> Result<(), NetsimError> {
+    fn loopbacks<'c, M: HaloMem<'c>>(&self, ctx: &mut RankCtx<'_>, mem: &mut M) -> Result<(), NetsimError> {
         for (i, s) in self.sends.iter().enumerate() {
             ctx.note_payload(s.payload_bytes);
             if let Some(j) = s.loopback {
@@ -656,7 +752,7 @@ impl CommPlan {
     }
 
     /// Plain mode: post every whole message.
-    fn post<M: HaloMem>(&mut self, ctx: &mut RankCtx<'_>, mem: &mut M) -> Result<(), NetsimError> {
+    fn post<'c, M: HaloMem<'c>>(&mut self, ctx: &mut RankCtx<'_>, mem: &mut M) -> Result<(), NetsimError> {
         if self.recvs_first {
             self.post_recvs(ctx)?;
         }
@@ -677,7 +773,7 @@ impl CommPlan {
     /// frames, retry with backoff, degraded fallback), per message or —
     /// over partitioned channels — per partition. It converges to the
     /// exact bits of the fault-free exchange.
-    fn run_reliable<M: HaloMem>(&mut self, ctx: &mut RankCtx<'_>, mem: &mut M) -> Result<(), NetsimError> {
+    fn run_reliable<'c, M: HaloMem<'c>>(&mut self, ctx: &mut RankCtx<'_>, mem: &mut M) -> Result<(), NetsimError> {
         self.loopbacks(ctx, mem)?;
         let CommPlan { sends, mailbox_sends, recvs, mailbox, reliable, partitioned, .. } = self;
         if let Some(part) = partitioned {
@@ -714,7 +810,7 @@ impl CommPlan {
     /// settling deferred-fragment LogGP residuals first, then shipping
     /// whatever `pready` did not already put on the wire — and each
     /// receive channel re-arms and drains fragments that raced ahead.
-    fn begin_partitioned<M: HaloMem>(&mut self, ctx: &mut RankCtx<'_>, mem: &mut M) -> Result<(), NetsimError> {
+    fn begin_partitioned<'c, M: HaloMem<'c>>(&mut self, ctx: &mut RankCtx<'_>, mem: &mut M) -> Result<(), NetsimError> {
         self.loopbacks(ctx, mem)?;
         let part = self.partitioned.as_mut().expect("checked by caller");
         for (ps, &i) in part.psends.iter_mut().zip(&self.mailbox_sends) {
@@ -730,7 +826,7 @@ impl CommPlan {
     /// `finish` over partitioned channels: block the receives still
     /// outstanding, then close the deferred epoch so `wait` is billed
     /// exactly once per step.
-    fn finish_partitioned<M: HaloMem>(&mut self, ctx: &mut RankCtx<'_>, mem: &mut M) -> Result<(), NetsimError> {
+    fn finish_partitioned<'c, M: HaloMem<'c>>(&mut self, ctx: &mut RankCtx<'_>, mem: &mut M) -> Result<(), NetsimError> {
         let part = self.partitioned.as_mut().expect("checked by caller");
         for (k, pr) in part.precvs.iter_mut().enumerate() {
             if !self.done[k] {
@@ -820,7 +916,7 @@ mod tests {
                 early_bytes: 0,
             };
             for step in 0..STEPS {
-                let mut mem = IntoRanges { sends: &bufs, data: &mut data, recvs: &RANGES, pend: &mut pend };
+                let mut mem = IntoRanges { sends: &bufs, data: data.as_mut_slice().into(), recvs: &RANGES, pend: &mut pend };
                 if split {
                     let mut completed = Vec::new();
                     plan.begin(ctx, &mut mem, &mut completed).unwrap();
@@ -836,6 +932,7 @@ mod tests {
                 } else {
                     plan.exchange(ctx, &mut mem).unwrap();
                 }
+                drop(mem);
                 assert_eq!(data[RANGES[0].clone()], staged(peer, 0, step)[..], "step {step}");
                 assert_eq!(data[RANGES[1].clone()], staged(peer, 1, step)[..], "step {step}");
                 assert_eq!(data[RANGES[2].clone()], staged(rank, 2, step)[..], "step {step}");
@@ -843,7 +940,7 @@ mod tests {
                     *buf = staged(rank, i, step + 1);
                 }
                 if pready && step + 1 < STEPS {
-                    let mem = IntoRanges { sends: &bufs, data: &mut data, recvs: &RANGES, pend: &mut pend };
+                    let mem = IntoRanges { sends: &bufs, data: data.as_mut_slice().into(), recvs: &RANGES, pend: &mut pend };
                     plan.pready(ctx, &mem, &[4, 3, 0, 1, 2]).unwrap();
                 }
             }
@@ -964,7 +1061,7 @@ mod tests {
                     let (mut data, mut pend) = (vec![0.0; end], Vec::new());
                     for step in 0..STEPS {
                         let bufs: Vec<Vec<f64>> = outgoing.iter().map(|e| staged(me, e.1, step)).collect();
-                        let mut mem = IntoRanges { sends: &bufs, data: &mut data, recvs: &ranges, pend: &mut pend };
+                        let mut mem = IntoRanges { sends: &bufs, data: data.as_mut_slice().into(), recvs: &ranges, pend: &mut pend };
                         if split {
                             let mut completed = Vec::new();
                             plan.begin(ctx, &mut mem, &mut completed).unwrap();
@@ -972,6 +1069,7 @@ mod tests {
                         } else {
                             plan.exchange(ctx, &mut mem).unwrap();
                         }
+                        drop(mem);
                         for (e, r) in incoming.iter().zip(&ranges) {
                             assert_eq!(data[r.clone()], staged(e.0, me, step)[..], "rank {me} step {step}");
                         }

@@ -13,15 +13,30 @@
 //! [`RankCtx`] API, with modeled time billed identically — results are
 //! bit-identical across backends by construction.
 //!
-//! Data really moves between rank memories: two copies on the mailbox
-//! path (into a pooled buffer in `isend`, out of it when the receive
-//! completes), one on the loopback fast path. They stand in for NIC DMA
+//! Data really moves between rank memories, and a mailbox message takes
+//! one of two paths, decided per message from the state the sender finds:
+//!
+//! * **direct** — the receiver has lent the destination of its posted
+//!   receive ([`crate::window`]: every `waitall_*` lends while it blocks,
+//!   [`RankCtx::lend`] lends ahead of the sends), the channel's queue
+//!   exists and is empty, no fault touches the message and the lengths
+//!   agree: `isend` copies source → destination once, under the
+//!   receiver's mailbox lock, and no buffer is involved;
+//! * **eager** — everything else (the receiver is still computing, a
+//!   channel's first message, anything queued behind another message,
+//!   self-sends, messages a fault plan touches, receives completed with
+//!   `recv_blocking` / `recv_deadline` / `try_wait` / `progress`): two
+//!   copies, into a pooled buffer in `isend` and out of it when the
+//!   receive completes.
+//!
+//! The loopback fast path is one copy. All of them stand in for NIC DMA
 //! and are therefore not charged to any on-node timer; completion
-//! *times* come from the [`NetworkModel`]. Message matching follows MPI
-//! semantics: `(source, tag)` with non-overtaking order per pair.
+//! *times* come from the [`NetworkModel`], which bills the message, not
+//! the copies. Message matching follows MPI semantics: `(source, tag)`
+//! with non-overtaking order per pair.
 //!
 //! The transport is persistent and allocation-free in steady state:
-//! message buffers come from a per-rank [`BufferPool`] and are returned
+//! eager message buffers come from a per-rank [`BufferPool`] and are returned
 //! to the sender's pool once the receiver has copied them out, so a
 //! timestep loop stops exercising the allocator after warmup (see
 //! [`RankCtx::transport_allocs`]). The pool is binned by size class:
@@ -70,17 +85,14 @@ use crate::model::NetworkModel;
 use crate::timers::{timed, Timers};
 use crate::topo::CartTopo;
 use crate::trace::{MsgEvent, Trace};
+use crate::window::{Lend, Windows};
 
-type Key = (usize, u64); // (source rank, tag)
+pub(crate) type Key = (usize, u64); // (source rank, tag)
 
 /// Max buffers retained per rank pool; beyond this, returned buffers
 /// are dropped (bounds memory for bursty all-to-all patterns — and for
 /// duplicate storms under fault injection).
 pub const POOL_CAP: usize = 256;
-
-/// Receive-side copies switch to rayon once an epoch moves at least
-/// this many bytes; below it fork/join overhead beats the memcpy win.
-const PAR_COPY_MIN_BYTES: usize = 1 << 18;
 
 /// An in-flight message: its payload plus the rank whose pool the
 /// buffer should return to after delivery (None = not pooled).
@@ -177,13 +189,23 @@ impl BufferPool {
 }
 
 #[derive(Default)]
-struct MailboxInner {
+pub(crate) struct MailboxInner {
     queues: HashMap<Key, VecDeque<Msg>>,
-    /// Whether the owning rank is blocked in [`Mailbox::pop_deadline`]
-    /// (only the owner pops, so one flag covers every waiter). A push
+    /// Whether the owning rank is blocked in [`Mailbox::wait_deadline`]
+    /// (only the owner waits, so one flag covers every waiter). A push
     /// signals the condvar only then: a notify is a `futex` system call
     /// even when nobody waits, and nobody ever does on the event backend.
     waiting: bool,
+    /// Destinations the owner has lent to its senders (see
+    /// [`crate::window`]); empty whenever no lend is open.
+    pub(crate) windows: Windows,
+}
+
+impl MailboxInner {
+    /// The oldest queued message of `key`, if any.
+    fn pop(&mut self, key: Key) -> Option<Msg> {
+        self.queues.get_mut(&key)?.pop_front()
+    }
 }
 
 /// A cancellable cluster barrier for the thread backend: like
@@ -275,7 +297,7 @@ impl ProcState {
 struct KillSentinel;
 
 /// One rank's incoming-message store.
-struct Mailbox {
+pub(crate) struct Mailbox {
     inner: Mutex<MailboxInner>,
     signal: Condvar,
 }
@@ -283,6 +305,10 @@ struct Mailbox {
 impl Mailbox {
     fn new() -> Mailbox {
         Mailbox { inner: Mutex::new(MailboxInner::default()), signal: Condvar::new() }
+    }
+
+    pub(crate) fn lock(&self) -> parking_lot::MutexGuard<'_, MailboxInner> {
+        self.inner.lock()
     }
 
     fn push(&self, key: Key, msg: Msg) {
@@ -293,24 +319,39 @@ impl Mailbox {
         }
     }
 
-    /// Pop the next message for `key`, blocking until `deadline` (or
-    /// forever when `None`). `None` return = deadline expired, or
-    /// `stopped` reports the wait is pointless — the cluster is
-    /// aborting (a peer rank panicked) or revoked (a peer rank
-    /// crash-stopped) — all meaning "stop waiting, the message is not
-    /// coming".
-    fn pop_deadline(
+    /// The direct path: copy `data` into the window the owner lent for
+    /// `key` and wake the owner exactly as [`Mailbox::push`] does.
+    /// `false` = nothing was written and the message must go eager: no
+    /// open window of that length, or the channel's queue is missing (its
+    /// first message reserves the fallback buffer) or not empty (a direct
+    /// write would overtake what is queued).
+    fn deliver(&self, key: Key, data: &[f64]) -> bool {
+        let mut g = self.inner.lock();
+        let inner = &mut *g;
+        let direct = inner.queues.get(&key).is_some_and(|q| q.is_empty())
+            && inner.windows.deliver(key, data);
+        if direct && inner.waiting {
+            self.signal.notify_all();
+        }
+        direct
+    }
+
+    /// Run `probe` on the locked mailbox until it yields, blocking
+    /// between attempts until `deadline` (or forever when `None`).
+    /// `None` return = deadline expired, or `stopped` reports the wait
+    /// is pointless — the cluster is aborting (a peer rank panicked) or
+    /// revoked (a peer rank crash-stopped) — all meaning "stop waiting,
+    /// the message is not coming".
+    fn wait_deadline<T>(
         &self,
-        key: Key,
         deadline: Option<Instant>,
         stopped: &dyn Fn() -> bool,
-    ) -> Option<Msg> {
+        probe: &mut dyn FnMut(&mut MailboxInner) -> Option<T>,
+    ) -> Option<T> {
         let mut g = self.inner.lock();
         loop {
-            if let Some(q) = g.queues.get_mut(&key) {
-                if let Some(v) = q.pop_front() {
-                    return Some(v);
-                }
+            if let Some(v) = probe(&mut g) {
+                return Some(v);
             }
             if stopped() {
                 return None;
@@ -326,7 +367,7 @@ impl Mailbox {
             g.waiting = false;
             if expired {
                 // Final re-check: a push may have raced expiry.
-                return g.queues.get_mut(&key).and_then(|q| q.pop_front());
+                return probe(&mut g);
             }
         }
     }
@@ -339,7 +380,7 @@ impl Mailbox {
 
     /// Pop without blocking.
     fn try_pop(&self, key: Key) -> Option<Msg> {
-        self.inner.lock().queues.get_mut(&key).and_then(|q| q.pop_front())
+        self.inner.lock().pop(key)
     }
 
     /// Remove every queued message for `key` (stale duplicates /
@@ -398,9 +439,9 @@ impl Mailbox {
 }
 
 /// A posted nonblocking receive; completed by
-/// [`RankCtx::waitall_into`], [`RankCtx::waitall_ranges`], or — on the
-/// non-blocking overlap path — [`RankCtx::try_wait`] /
-/// [`RankCtx::progress`].
+/// [`RankCtx::waitall_into`], [`RankCtx::waitall_ranges`],
+/// [`Lend::complete`], or — on the non-blocking overlap path —
+/// [`RankCtx::try_wait`] / [`RankCtx::progress`].
 #[derive(Clone, Copy, Debug)]
 #[must_use = "a posted receive must be completed (waitall_*, try_wait, or progress) \
               or the message leaks in the mailbox"]
@@ -463,9 +504,8 @@ pub struct RankCtx<'a> {
     // On-node portion of the current epoch (hierarchical runs only).
     epoch_msgs_on: usize,
     epoch_bytes_on: usize,
-    // Completed-but-uncopied messages, reused across epochs.
-    recv_scratch: Vec<Msg>,
     transport_allocs: u64,
+    direct_sends: u64,
     fault: Option<FaultPlan>,
     fault_bypass: bool,
     recv_timeout: Option<Duration>,
@@ -507,6 +547,12 @@ impl<'a> RankCtx<'a> {
     /// of a hierarchical topology, the fabric tier otherwise.
     pub fn network_to(&self, peer: usize) -> NetworkModel {
         self.net_to(peer)
+    }
+
+    /// This rank's own mailbox (borrowed from the run, not from `self`).
+    fn mailbox(&self) -> &'a Mailbox {
+        let mailboxes: &'a [Mailbox] = self.mailboxes;
+        &mailboxes[self.rank]
     }
 
     #[inline]
@@ -621,6 +667,13 @@ impl<'a> RankCtx<'a> {
     /// zero-allocation property, asserted by the stress tests.
     pub fn transport_allocs(&self) -> u64 {
         self.transport_allocs
+    }
+
+    /// Messages this rank sent on the direct path so far: copied once,
+    /// into a destination the receiver had lent, with no buffer taken
+    /// from the pool (`msgs_direct` on a profiled timeline).
+    pub fn direct_sends(&self) -> u64 {
+        self.direct_sends
     }
 
     /// Buffers currently parked in this rank's send pool (bounded by
@@ -901,8 +954,9 @@ impl<'a> RankCtx<'a> {
     }
 
     /// Post a nonblocking send of `data` to rank `dest` with `tag`.
-    /// Charges `o` seconds of `call` time; the copy into the message
-    /// stands in for NIC DMA and is not charged to any on-node timer.
+    /// Charges `o` seconds of `call` time; the copy — into the window the
+    /// receiver lent, else into a pooled message — stands in for NIC DMA
+    /// and is not charged to any on-node timer.
     ///
     /// When a fault plan is armed the message may be deterministically
     /// dropped, duplicated, corrupted or delayed; every injected fault
@@ -957,6 +1011,19 @@ impl<'a> RankCtx<'a> {
             self.apply_send_faults(dest, tag, bytes, &decision);
         }
         if decision.drop {
+            return Ok(());
+        }
+        // Direct only past the billing, the dead-rank vanish and the
+        // fault decision above, and only for a message no fault touches:
+        // every modeled charge and every injected fault is the eager
+        // path's. Self-sends stay eager — the reference transport.
+        if !decision.any()
+            && dest != self.rank
+            && self.mailboxes[dest].deliver((self.rank, tag), data)
+        {
+            self.direct_sends += 1;
+            self.recorder.count("msgs_direct", 1);
+            self.notify_peer(dest);
             return Ok(());
         }
         let (mut buf, fresh) = self.pools[self.rank].take(data.len());
@@ -1075,16 +1142,21 @@ impl<'a> RankCtx<'a> {
         self.mailboxes[self.rank].unmatched_keys()
     }
 
-    /// Backend-routed blocking pop from this rank's mailbox. `None` =
-    /// the deadline expired (or the cluster aborted) before a match.
+    /// Backend-routed blocking wait on this rank's mailbox: run `probe`
+    /// on the locked mailbox until it yields. `None` = the deadline
+    /// expired (or the cluster aborted) first.
     ///
     /// Thread backend: condvar wait with a real wall-clock deadline.
-    /// Event backend: arm a mailbox wake, re-poll (the push may already
-    /// have landed — delivery is eager), then park. The deadline is
+    /// Event backend: arm a mailbox wake, re-probe (the message may already
+    /// have landed — delivery is immediate), then park. The deadline is
     /// *virtual*: it fires only at scheduler quiescence, i.e. exactly
     /// when the awaited message provably cannot arrive any more, so a
     /// lossy chaos run times out instantly instead of sleeping.
-    fn blocking_pop(&self, key: Key, deadline: Option<Instant>) -> Option<Msg> {
+    fn blocking_probe<T>(
+        &self,
+        deadline: Option<Instant>,
+        mut probe: impl FnMut(&mut MailboxInner) -> Option<T>,
+    ) -> Option<T> {
         let mb = &self.mailboxes[self.rank];
         // Outside recovery mode a revoked communicator stops every
         // blocking wait — that is the failure detector: the caller maps
@@ -1099,28 +1171,33 @@ impl<'a> RankCtx<'a> {
                 || (!recovering && proc.revoked.load(Ordering::SeqCst))
         };
         match self.runtime {
-            Runtime::Thread { .. } => mb.pop_deadline(key, deadline, &stopped),
+            Runtime::Thread { .. } => mb.wait_deadline(deadline, &stopped, &mut probe),
             #[cfg(all(target_os = "linux", target_arch = "x86_64"))]
             Runtime::Event { sched } => loop {
-                if let Some(m) = mb.try_pop(key) {
-                    return Some(m);
+                if let Some(v) = probe(&mut mb.lock()) {
+                    return Some(v);
                 }
                 if stopped() {
                     return None;
                 }
                 sched.arm_mailbox(self.rank);
-                // Close the arm/push race: the push may have landed
+                // Close the arm/push race: the message may have landed
                 // between the miss above and the arm.
-                if let Some(m) = mb.try_pop(key) {
+                if let Some(v) = probe(&mut mb.lock()) {
                     sched.disarm_mailbox(self.rank);
-                    return Some(m);
+                    return Some(v);
                 }
                 if sched.park(self.rank as u32, deadline) == crate::event::Wake::Expired {
                     sched.disarm_mailbox(self.rank);
-                    return mb.try_pop(key);
+                    return probe(&mut mb.lock());
                 }
             },
         }
+    }
+
+    /// [`RankCtx::blocking_probe`] for the next message of `key`.
+    fn blocking_pop(&self, key: Key, deadline: Option<Instant>) -> Option<Msg> {
+        self.blocking_probe(deadline, |inner| inner.pop(key))
     }
 
     /// One unproductive tick of a hand-rolled spin loop: advance the
@@ -1189,16 +1266,7 @@ impl<'a> RankCtx<'a> {
         self.proc_tick();
         let deadline = self.recv_timeout.map(|t| Instant::now() + t);
         let Some(msg) = self.blocking_pop((h.source, h.tag), deadline) else {
-            if !self.recovery_mode {
-                if let Some(e) = self.rank_failure() {
-                    return Err(e);
-                }
-            }
-            return Err(NetsimError::Timeout {
-                rank: self.rank,
-                pending: vec![(h.source, h.tag)],
-                mailbox: self.mailbox_keys(),
-            });
+            return Err(self.wait_failed(vec![(h.source, h.tag)]));
         };
         self.trace.record(MsgEvent {
             send: false,
@@ -1361,55 +1429,108 @@ impl<'a> RankCtx<'a> {
         n
     }
 
-    /// Block until every posted receive has a matching message, moving
-    /// them into `recv_scratch` in handle order and recording trace
-    /// events. Honors the armed receive deadline and reports
-    /// [`NetsimError::Timeout`] / [`NetsimError::SizeMismatch`].
-    fn complete_recvs(
+    /// Lend the destinations of receives this rank is about to post, ahead
+    /// of its sends: `ranges` of `storage` (in bounds, ascending and
+    /// disjoint, or this panics), one per `(source, tag)` of `from`, in the
+    /// order the receives will be posted. Until the returned guard is
+    /// dropped, a peer's matching send can land in place (see
+    /// [`crate::window`]); post the sends and receives as usual — sending
+    /// from `storage` through [`Lend::outside`] — and wait with
+    /// [`Lend::complete`]. Bills nothing and is not a process-fault op.
+    ///
+    /// On the event backend the lend ends with one cooperative yield:
+    /// ranks run in turn there, so a posted window only helps the peers
+    /// that run after it ("post receives early"). Threads run
+    /// concurrently and do not yield.
+    pub fn lend<'l>(
+        &self,
+        from: impl ExactSizeIterator<Item = (usize, u64)>,
+        storage: &'l mut [f64],
+        ranges: &[Range<usize>],
+    ) -> Lend<'l>
+    where
+        'a: 'l,
+    {
+        let lend = Lend::ranges(self.mailbox(), from, storage, ranges);
+        self.poll_miss();
+        lend
+    }
+
+    /// Block until every receive of `lend` has its message, in handle
+    /// order, recording trace events; then charge `wait` and close the
+    /// epoch (on errors too, so wire accounting stays consistent). A
+    /// receive completes when its window was written directly, or else
+    /// from the channel's queue — claimed, copied in and the window
+    /// closed in one lock acquisition. Honors the armed receive deadline
+    /// and reports [`NetsimError::Timeout`] / [`NetsimError::SizeMismatch`].
+    pub(crate) fn complete_lent(
         &mut self,
+        lend: &mut Lend<'_>,
         handles: &[RecvHandle],
-        expect_len: impl Fn(usize) -> usize,
     ) -> Result<(), NetsimError> {
-        self.recv_scratch.clear();
+        assert_eq!(
+            handles.len(),
+            lend.windows(),
+            "one posted receive per lent window"
+        );
+        assert!(
+            lend.lent_to(self.mailbox()),
+            "a lend completes on the rank that opened it"
+        );
         self.proc_tick();
         let deadline = self.recv_timeout.map(|t| Instant::now() + t);
+        let mut result = Ok(());
         for (i, h) in handles.iter().enumerate() {
-            let Some(msg) = self.blocking_pop((h.source, h.tag), deadline) else {
-                self.recycle_scratch();
-                if !self.recovery_mode {
-                    if let Some(e) = self.rank_failure() {
-                        return Err(e);
-                    }
+            let key = (h.source, h.tag);
+            let claimed = self.blocking_probe(deadline, |inner| {
+                if let Some(len) = inner.windows.filled(i, key) {
+                    return Some((len, None));
                 }
-                let pending = handles[i..]
-                    .iter()
-                    .take(MAX_DIAG_KEYS)
-                    .map(|h| (h.source, h.tag))
-                    .collect();
-                let mailbox = self.mailboxes[self.rank].unmatched_keys();
-                return Err(NetsimError::Timeout { rank: self.rank, pending, mailbox });
+                let msg = inner.pop(key)?;
+                Some((inner.windows.fill(i, &msg.data), Some(msg)))
+            });
+            let Some((expected, eager)) = claimed else {
+                let open = self.mailbox().lock().windows.open_keys().take(MAX_DIAG_KEYS).collect();
+                result = Err(self.wait_failed(open));
+                break;
             };
-            if msg.data.len() != expect_len(i) {
-                let err = NetsimError::SizeMismatch {
+            let got = eager.as_ref().map_or(expected, |msg| msg.data.len());
+            if let Some(msg) = eager {
+                if let Some(owner) = msg.owner {
+                    self.pools[owner].put(msg.data);
+                }
+            }
+            if got != expected {
+                result = Err(NetsimError::SizeMismatch {
                     rank: self.rank,
                     source: h.source,
                     tag: h.tag,
-                    expected: expect_len(i),
-                    got: msg.data.len(),
-                };
-                self.recv_scratch.push(msg);
-                self.recycle_scratch();
-                return Err(err);
+                    expected,
+                    got,
+                });
+                break;
             }
             self.trace.record(MsgEvent {
                 send: false,
                 peer: h.source,
                 tag: h.tag,
-                bytes: msg.data.len() * 8,
+                bytes: got * 8,
             });
-            self.recv_scratch.push(msg);
         }
-        Ok(())
+        self.close_epoch();
+        result
+    }
+
+    /// Why a blocking receive gave up: the pending failure if the
+    /// communicator was revoked, else a [`NetsimError::Timeout`] naming
+    /// the `pending` receives and what sits unmatched in the mailbox.
+    fn wait_failed(&mut self, pending: Vec<(usize, u64)>) -> NetsimError {
+        if !self.recovery_mode {
+            if let Some(e) = self.rank_failure() {
+                return e;
+            }
+        }
+        NetsimError::Timeout { rank: self.rank, pending, mailbox: self.mailbox_keys() }
     }
 
     /// Charge the LogGP `wait` term for this epoch's posted sends and
@@ -1438,20 +1559,11 @@ impl<'a> RankCtx<'a> {
         self.close_epoch();
     }
 
-    /// Return completed message buffers to their owners' pools.
-    fn recycle_scratch(&mut self) {
-        let pools = self.pools;
-        for msg in self.recv_scratch.drain(..) {
-            if let Some(owner) = msg.owner {
-                pools[owner].put(msg.data);
-            }
-        }
-    }
-
-    /// Complete all posted receives, copying each message into its
+    /// Complete all posted receives, each message landing in its
     /// destination buffer (buffers parallel to `handles`; lengths must
     /// match exactly). Charges the LogGP `wait` term for this epoch's
-    /// posted sends, then closes the epoch.
+    /// posted sends, then closes the epoch. The buffers are lent for the
+    /// duration of the wait, so a message sent meanwhile lands in place.
     ///
     /// With a receive deadline armed (see
     /// [`RankCtx::set_recv_timeout`]), an unmatched receive returns
@@ -1463,32 +1575,17 @@ impl<'a> RankCtx<'a> {
         handles: &[RecvHandle],
         bufs: &mut [&mut [f64]],
     ) -> Result<(), NetsimError> {
-        assert_eq!(handles.len(), bufs.len());
-        if let Err(e) = self.complete_recvs(handles, |i| bufs[i].len()) {
-            self.close_epoch();
-            return Err(e);
-        }
-        let total: usize = self.recv_scratch.iter().map(|m| m.data.len() * 8).sum();
-        if total >= PAR_COPY_MIN_BYTES {
-            use rayon::prelude::*;
-            bufs.par_iter_mut()
-                .zip(self.recv_scratch.par_iter())
-                .for_each(|(buf, msg)| buf.copy_from_slice(&msg.data));
-        } else {
-            for (buf, msg) in bufs.iter_mut().zip(self.recv_scratch.iter()) {
-                buf.copy_from_slice(&msg.data);
-            }
-        }
-        self.recycle_scratch();
-        self.close_epoch();
-        Ok(())
+        let from = handles.iter().map(|h| (h.source, h.tag));
+        let mut lend = Lend::bufs(self.mailbox(), from, bufs);
+        self.complete_lent(&mut lend, handles)
     }
 
     /// Complete all posted receives directly into sub-ranges of one
-    /// backing slice (`ranges` parallel to `handles`, sorted and
-    /// disjoint), then charge `wait` and close the epoch. This is the
-    /// persistent-exchange completion path: no per-call allocation, and
-    /// the disjoint ghost copies run in parallel for large epochs.
+    /// backing slice (`ranges` parallel to `handles`; in bounds,
+    /// ascending and disjoint, or this panics), then charge `wait` and
+    /// close the epoch. No per-call allocation; the ranges are lent for
+    /// the duration of the wait, so a message sent meanwhile lands in
+    /// place.
     ///
     /// Calling with empty `handles` still closes the epoch — a rank
     /// whose sends were all loopbacks uses this to charge `wait`.
@@ -1499,22 +1596,9 @@ impl<'a> RankCtx<'a> {
         storage: &mut [f64],
         ranges: &[Range<usize>],
     ) -> Result<(), NetsimError> {
-        assert_eq!(handles.len(), ranges.len());
-        if let Err(e) = self.complete_recvs(handles, |i| ranges[i].len()) {
-            self.close_epoch();
-            return Err(e);
-        }
-        let total: usize = ranges.iter().map(|r| r.len() * 8).sum();
-        if total >= PAR_COPY_MIN_BYTES {
-            scatter_parallel(storage, 0, ranges, &self.recv_scratch);
-        } else {
-            for (r, msg) in ranges.iter().zip(self.recv_scratch.iter()) {
-                storage[r.clone()].copy_from_slice(&msg.data);
-            }
-        }
-        self.recycle_scratch();
-        self.close_epoch();
-        Ok(())
+        let from = handles.iter().map(|h| (h.source, h.tag));
+        let mut lend = Lend::ranges(self.mailbox(), from, storage, ranges);
+        self.complete_lent(&mut lend, handles)
     }
 
     /// Record payload bytes (the non-padding fraction of the wire bytes)
@@ -1595,31 +1679,6 @@ impl<'a> RankCtx<'a> {
     pub fn take_fault_events(&mut self) -> Vec<FaultEvent> {
         self.trace.take_faults()
     }
-}
-
-/// Copy `msgs[i]` into `storage[ranges[i]]` for sorted, disjoint
-/// ranges, fork/joining on the range list so the disjoint ghost copies
-/// run in parallel without any allocation. `base` is the element index
-/// of `storage[0]` in the original slice.
-fn scatter_parallel(storage: &mut [f64], base: usize, ranges: &[Range<usize>], msgs: &[Msg]) {
-    debug_assert_eq!(ranges.len(), msgs.len());
-    if ranges.len() <= 1 {
-        if let (Some(r), Some(msg)) = (ranges.first(), msgs.first()) {
-            storage[r.start - base..r.end - base].copy_from_slice(&msg.data);
-        }
-        return;
-    }
-    let mid = ranges.len() / 2;
-    let split = ranges[mid].start;
-    assert!(
-        split >= ranges[mid - 1].end && split >= base,
-        "ranges must be sorted and disjoint"
-    );
-    let (lo, hi) = storage.split_at_mut(split - base);
-    rayon::join(
-        || scatter_parallel(lo, base, &ranges[..mid], &msgs[..mid]),
-        || scatter_parallel(hi, split, &ranges[mid..], &msgs[mid..]),
-    );
 }
 
 /// Which cluster substrate to run ranks on. See the module docs; the
@@ -1742,8 +1801,8 @@ fn rank_ctx<'a>(
         hier,
         epoch_msgs_on: 0,
         epoch_bytes_on: 0,
-        recv_scratch: Vec::new(),
         transport_allocs: 0,
+        direct_sends: 0,
         fault,
         fault_bypass: false,
         recv_timeout: None,
@@ -1862,6 +1921,17 @@ where
     }
 }
 
+/// Bring a crash-stopped `rank` back to life for its next incarnation.
+/// The unwind has dropped everything the dead incarnation held, its
+/// [`Lend`]s included, so nothing of its freed memory is still lent.
+fn respawn(proc: &ProcState, mailbox: &Mailbox, rank: usize) {
+    assert!(
+        mailbox.lock().windows.is_empty(),
+        "rank {rank} died with receive windows still lent"
+    );
+    proc.dead[rank].store(false, Ordering::SeqCst);
+}
+
 /// Thread-per-rank runner. A panicking rank is caught at the rank
 /// boundary; the abort flag plus mailbox/barrier interrupts unwind the
 /// surviving ranks (their pending receives report `Timeout`), and the
@@ -1920,7 +1990,7 @@ where
                             // recovery epoch restores the lost state
                             // from the buddy checkpoint.
                             incarnation += 1;
-                            proc.dead[rank].store(false, Ordering::SeqCst);
+                            respawn(proc, &mailboxes[rank], rank);
                         }
                         Err(p) => {
                             panics.lock().push((rank, payload_string(p)));
@@ -2027,7 +2097,7 @@ where
                                 // Crash-stop fault: respawn in place
                                 // (see the thread runner).
                                 incarnation += 1;
-                                proc.dead[rank].store(false, Ordering::SeqCst);
+                                respawn(proc, &mailboxes[rank], rank);
                             }
                             // Real panics keep the existing path: the
                             // task harness catches them and the run
@@ -2074,6 +2144,18 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    impl Mailbox {
+        /// [`Mailbox::wait_deadline`] for the next message of `key`.
+        fn pop_deadline(
+            &self,
+            key: Key,
+            deadline: Option<Instant>,
+            stopped: &dyn Fn() -> bool,
+        ) -> Option<Msg> {
+            self.wait_deadline(deadline, stopped, &mut |inner| inner.pop(key))
+        }
+    }
 
     /// The mailbox lock, taken once `waiter` is blocked in `pop_deadline`:
     /// `waiting` is raised under the lock the wait releases, so seeing it
@@ -2134,6 +2216,235 @@ mod tests {
             lock_when_blocked(&mb, &waiter).queues.entry(key).or_default().push_back(msg(3.0));
             assert_eq!(lowered(waiter.join().expect("waiter")), Some(3.0));
         });
+    }
+
+    /// Two ranks on threads (a sender can then watch the owner block).
+    fn two_threads<R: Send>(
+        faults: FaultConfig,
+        body: impl Fn(&mut RankCtx<'_>) -> R + Sync,
+    ) -> Vec<R> {
+        run_cluster_on(
+            Backend::Thread,
+            &CartTopo::new(&[2], true),
+            NetworkModel::instant(),
+            faults,
+            body,
+        )
+    }
+
+    /// Spin until `rank` is blocked in a mailbox wait (see `lock_when_blocked`).
+    fn until_blocked(ctx: &RankCtx<'_>, rank: usize) {
+        while !ctx.mailboxes[rank].lock().waiting {
+            std::thread::yield_now();
+        }
+    }
+
+    /// Rank 0 warms channel `(0, 7)` with one eager message, waits until
+    /// rank 1 blocks on the receive of a second and sends it: `second(ctx)`
+    /// on rank 0, the second `waitall_into(len)` result on rank 1.
+    fn second_send_to_a_blocked_owner(
+        faults: FaultConfig,
+        len: usize,
+        second: impl Fn(&mut RankCtx<'_>) + Sync,
+    ) -> (Vec<f64>, Result<(), NetsimError>) {
+        let mut out = two_threads(faults, |ctx| {
+            let mut buf = vec![0.0; len];
+            if ctx.rank() == 0 {
+                ctx.isend(1, 7, &[1.0; 64]).unwrap();
+                ctx.barrier();
+                until_blocked(ctx, 1);
+                second(ctx);
+                return (buf, Ok(()));
+            }
+            let h = ctx.irecv(0, 7).unwrap();
+            ctx.waitall_into(&[h], &mut [&mut [0.0; 64][..]]).unwrap();
+            ctx.barrier();
+            let h = ctx.irecv(0, 7).unwrap();
+            let done = ctx.waitall_into(&[h], &mut [&mut buf[..]]);
+            assert!(
+                ctx.mailbox().lock().windows.is_empty(),
+                "the lend ends with the wait"
+            );
+            (buf, done)
+        });
+        out.pop().expect("rank 1")
+    }
+
+    /// (i) A warmed channel, an owner blocked on its receive: the send is
+    /// copied once, into the owner's buffer, and touches no pool.
+    #[test]
+    fn send_to_a_blocked_owner_lands_in_place() {
+        let payload: Vec<f64> = (0..64).map(|i| i as f64).collect();
+        let (buf, done) = second_send_to_a_blocked_owner(FaultConfig::off(), 64, |ctx| {
+            let before = (ctx.transport_allocs(), ctx.pool_len(), ctx.pool_bytes());
+            assert_eq!(
+                before.0, 1,
+                "the channel's first message took the fallback buffer"
+            );
+            ctx.isend(1, 7, &payload).unwrap();
+            assert_eq!(ctx.direct_sends(), 1);
+            assert_eq!(
+                (ctx.transport_allocs(), ctx.pool_len(), ctx.pool_bytes()),
+                before
+            );
+        });
+        done.unwrap();
+        assert_eq!(buf, payload);
+    }
+
+    /// (iv) A send of the wrong length is not written: it queues, and the
+    /// receive reports the mismatch exactly as the pooled path does.
+    #[test]
+    fn wrong_length_send_goes_eager_and_reports_the_mismatch() {
+        let (buf, done) = second_send_to_a_blocked_owner(FaultConfig::off(), 3, |ctx| {
+            ctx.isend(1, 7, &[5.0, 6.0]).unwrap();
+            assert_eq!(ctx.direct_sends(), 0);
+        });
+        assert_eq!(
+            done,
+            Err(NetsimError::SizeMismatch {
+                rank: 1,
+                source: 0,
+                tag: 7,
+                expected: 3,
+                got: 2
+            })
+        );
+        assert_eq!(buf, [0.0; 3], "nothing was written");
+    }
+
+    /// (v) A message the fault plan touches — here only delays — stays
+    /// eager, so its billing and its fault record are the pooled path's.
+    #[test]
+    fn delayed_send_goes_eager_with_the_same_billing() {
+        let cfg = FaultConfig {
+            seed: 3,
+            delay: 1.0,
+            ..FaultConfig::off()
+        };
+        let (buf, done) = second_send_to_a_blocked_owner(cfg, 2, |ctx| {
+            let wait = ctx.timers().wait;
+            ctx.isend(1, 7, &[5.0, 6.0]).unwrap();
+            assert_eq!(ctx.direct_sends(), 0);
+            assert_eq!(ctx.fault_stats().delays, 2, "the warm-up and this one");
+            assert!(ctx.timers().wait > wait, "the delay penalty is billed");
+            assert_eq!(
+                ctx.take_fault_events()
+                    .iter()
+                    .filter(|e| e.kind == FaultKind::Delay)
+                    .count(),
+                2
+            );
+        });
+        done.unwrap();
+        assert_eq!(buf, [5.0, 6.0]);
+    }
+
+    /// (ii) A receive that completes from the queue closes its window
+    /// with the pop: the channel's *next* message, sent during the same
+    /// wait, queues instead of overwriting what the owner has not read.
+    #[test]
+    fn a_window_closed_from_the_queue_is_not_written_by_the_next_message() {
+        let out = two_threads(FaultConfig::off(), |ctx| {
+            if ctx.rank() == 0 {
+                ctx.isend(1, 7, &[1.0; 4]).unwrap(); // warms channel 7
+                ctx.isend(1, 8, &[1.0; 4]).unwrap(); // warms channel 8
+                ctx.barrier();
+                ctx.isend(1, 7, &[2.0; 4]).unwrap(); // queued before the lend
+                ctx.barrier();
+                until_blocked(ctx, 1); // on channel 8, having popped channel 7
+                ctx.isend(1, 7, &[3.0; 4]).unwrap(); // the next epoch's message
+                assert_eq!(ctx.direct_sends(), 0, "the window of channel 7 is closed");
+                ctx.isend(1, 8, &[4.0; 4]).unwrap();
+                assert_eq!(ctx.direct_sends(), 1, "the window of channel 8 was open");
+                return ([0.0; 4], [0.0; 4], Vec::new());
+            }
+            let (mut a, mut b) = ([0.0; 4], [0.0; 4]);
+            let hs = [ctx.irecv(0, 7).unwrap(), ctx.irecv(0, 8).unwrap()];
+            ctx.waitall_into(&hs, &mut [&mut a[..], &mut b[..]])
+                .unwrap();
+            ctx.barrier();
+            ctx.barrier();
+            let hs = [ctx.irecv(0, 7).unwrap(), ctx.irecv(0, 8).unwrap()];
+            ctx.waitall_into(&hs, &mut [&mut a[..], &mut b[..]])
+                .unwrap();
+            (a, b, ctx.mailbox_keys())
+        });
+        let (a, b, queued) = &out[1];
+        assert_eq!((a, b), (&[2.0; 4], &[4.0; 4]), "this epoch's messages");
+        assert_eq!(
+            queued,
+            &[(0, 7, 1)],
+            "the next epoch's message waits its turn"
+        );
+    }
+
+    /// (iii) Every way out of a lent wait ends the lend: a timeout, a
+    /// size mismatch (asserted in `second_send_to_a_blocked_owner`) and
+    /// the crash-stop unwind of a rank killed with its ghosts pre-posted.
+    #[test]
+    fn unwinding_out_of_a_lent_wait_clears_the_windows() {
+        let topo = CartTopo::new(&[1], true);
+        run_cluster(&topo, NetworkModel::instant(), |ctx| {
+            ctx.set_recv_timeout(Some(Duration::from_millis(5)));
+            let h = ctx.irecv(0, 7).unwrap();
+            let err = ctx
+                .waitall_into(&[h], &mut [&mut [0.0; 2][..]])
+                .unwrap_err();
+            assert!(matches!(err, NetsimError::Timeout { pending, .. } if pending == [(0, 7)]));
+            assert!(ctx.mailbox().lock().windows.is_empty());
+        });
+
+        let kill = FaultConfig::parse("kill:1@0+1").unwrap();
+        let incarnations = two_threads(kill, |ctx| {
+            if ctx.rank() == 1 && ctx.incarnation() == 0 {
+                ctx.set_fault_step(0);
+                let mut storage = vec![0.0; 8];
+                let ghost = 4..8;
+                let lend = ctx.lend(
+                    [(0, 7)].into_iter(),
+                    &mut storage,
+                    std::slice::from_ref(&ghost),
+                );
+                assert!(!ctx.mailbox().lock().windows.is_empty());
+                ctx.isend(0, 9, lend.outside(0..4)).unwrap(); // op 0
+                let _ = ctx.irecv(0, 7); // op 1: dies with the lend open
+                unreachable!("the kill fires at the second op");
+            }
+            // `respawn` has already asserted it; look again from inside.
+            assert!(ctx.mailbox().lock().windows.is_empty());
+            ctx.incarnation()
+        });
+        assert_eq!(incarnations, [0, 1]);
+    }
+
+    /// (vi) Lent ranges are checked every time, at any size.
+    #[test]
+    fn overlapping_descending_or_out_of_bounds_ranges_panic_at_lend_time() {
+        let mb = Mailbox::new();
+        for ranges in [[0..4, 3..6], [4..6, 0..2], [0..2, 6..9]] {
+            let mut storage = [0.0; 8];
+            let lend = catch_unwind(AssertUnwindSafe(|| {
+                Lend::ranges(&mb, [(0, 1), (0, 2)].into_iter(), &mut storage, &ranges);
+            }));
+            assert!(lend.is_err(), "{ranges:?} must be refused");
+            assert!(mb.lock().windows.is_empty());
+        }
+        let mut storage = [0.0; 8];
+        let mut lend = Lend::ranges(
+            &mb,
+            [(0, 1), (0, 2)].into_iter(),
+            &mut storage,
+            &[2..4, 6..8],
+        );
+        assert_eq!(lend.outside(0..2).len(), 2);
+        assert_eq!(lend.outside_mut(4..6).len(), 2);
+        for r in [1..3, 6..7, 7..9] {
+            assert!(catch_unwind(AssertUnwindSafe(|| lend.outside(r).len())).is_err());
+        }
+        assert!(catch_unwind(AssertUnwindSafe(|| lend.outside_pair(0..2, 1..2).0.len())).is_err());
+        assert_eq!(lend.release().len(), 8);
+        assert!(mb.lock().windows.is_empty());
     }
 
     #[test]

@@ -53,6 +53,7 @@ pub mod partition;
 pub mod timers;
 pub mod topo;
 pub mod trace;
+pub mod window;
 #[cfg(all(target_os = "linux", target_arch = "x86_64"))]
 pub mod task;
 
@@ -71,6 +72,7 @@ pub use partition::{
     PartitionStats, PartitionTable, PartitionedRecv, PartitionedSend, DEFAULT_EAGER_BYTES,
 };
 pub use trace::{MsgEvent, Trace};
+pub use window::Lend;
 pub use hier::{HierarchicalNetworkModel, NodeShape};
 pub use model::NetworkModel;
 pub use timers::{timed, Timers};

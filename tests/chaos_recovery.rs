@@ -101,6 +101,42 @@ fn kill_mid_overlap_and_mid_pready_recovers() {
     }
 }
 
+/// A phased step pre-posts its ghost runs: from its first send to the end
+/// of its wait a rank's ghosts are lent to its neighbour, who writes them
+/// in place. Two kills aimed at that window — the victim dies *inside its
+/// lent wait* (every send and receive posted, the wait op itself), and
+/// the victim dies *halfway through its send loop* into the neighbour's
+/// lent ghosts, which then hold half a step. Both replay to the clean
+/// bits. That nothing is written through a dead rank's windows after
+/// its unwind is asserted by the runner at every respawn (a lend that
+/// outlived its rank panics the run).
+#[test]
+fn kill_inside_a_lent_wait_and_inside_a_send_loop_recovers() {
+    let clean_cfg = cfg(CpuMethod::Layout, FaultConfig::off(), 0, Backend::Thread);
+    // Mailbox sends per step on 2x1x1: everything with an x component.
+    let sends = Exchanger::layout(&clean_cfg.decomp()).sends().to_vec();
+    let mailbox = sends.iter().filter(|m| m.to.offsets(3)[0] != 0).count() as u64;
+    assert!(mailbox >= 2, "the schedule crosses ranks");
+    for backend in [Backend::Thread, Backend::Event] {
+        let clean = run_experiment(&cfg(CpuMethod::Layout, FaultConfig::off(), 0, backend));
+        // Ops of a phased step: the sends, the receives, then the wait.
+        for (victim, op, what) in [(1, 2 * mailbox, "lent wait"), (0, mailbox / 2, "send loop")] {
+            let faulty = run_experiment(&cfg(CpuMethod::Layout, kill(victim, 2, op), 1, backend));
+            assert_eq!(
+                faulty.checksum.to_bits(),
+                clean.checksum.to_bits(),
+                "diverged after a kill inside the {what} on {backend:?}"
+            );
+            let rv = &faulty.recovery;
+            assert_eq!(
+                (rv.recovery_epochs, rv.failed_rank, rv.failed_step),
+                (1, victim as i64, 2),
+                "{what}"
+            );
+        }
+    }
+}
+
 /// Fail-slow is not fail-stop: a stalled rank bills wait time, records
 /// its fault event, and must not trip the failure detector.
 #[test]

@@ -1,8 +1,12 @@
 //! Stress and semantics tests for the thread-rank MPI substrate: heavy
-//! tag interleaving, all-to-all storms, lockstep multi-epoch runs, and
-//! deterministic wire-time accounting.
+//! tag interleaving, all-to-all storms, lockstep multi-epoch runs,
+//! deterministic wire-time accounting, and a stamp hammer on the
+//! single-copy path.
 
-use netsim::{run_cluster, run_cluster_faulty, CartTopo, FaultConfig, NetworkModel, POOL_CAP};
+use netsim::{
+    run_cluster, run_cluster_faulty, run_cluster_on, Backend, CartTopo, FaultConfig, NetworkModel,
+    POOL_CAP,
+};
 
 /// All-to-all with per-pair tags, several epochs: no message may be
 /// lost, duplicated, or misrouted.
@@ -228,4 +232,67 @@ fn lockstep_epochs() {
             ctx.barrier();
         }
     });
+}
+
+/// Stamp hammer for lent receive windows: 8 thread ranks exchange with
+/// four ring peers for 10 000 rounds, ghosts pre-posted, with a seeded
+/// busy-wait between the lend and the sends so that peers find windows
+/// open, closed, a round behind and a round ahead. Every word carries
+/// `(round, source, index)` and the receiver checks them all: a message
+/// delivered into the wrong epoch's window, into the wrong window or
+/// half-written fails by name.
+#[test]
+fn stamped_halos_survive_lent_rounds_under_skew() {
+    const ROUNDS: usize = 10_000;
+    const LEN: usize = 48;
+    let stamp = |round: usize, src: usize, idx: usize| ((round * 8 + src) * 64 + idx) as f64;
+    let topo = CartTopo::new(&[8], true);
+    let direct = run_cluster_on(
+        Backend::Thread,
+        &topo,
+        NetworkModel::instant(),
+        FaultConfig::off(),
+        |ctx| {
+            let (me, n) = (ctx.rank(), ctx.size());
+            let peers = [1, 2, n - 2, n - 1].map(|d| (me + d) % n);
+            // One owned run, then one ghost run per peer.
+            let mut storage = vec![0.0; 5 * LEN];
+            let ghosts: Vec<_> = (1..=4).map(|k| k * LEN..(k + 1) * LEN).collect();
+            let mut skew = 0x9E37_79B9_7F4A_7C15u64 ^ me as u64;
+            for round in 0..ROUNDS {
+                for (idx, w) in storage[..LEN].iter_mut().enumerate() {
+                    *w = stamp(round, me, idx);
+                }
+                let mut lend = ctx.lend(peers.iter().map(|&p| (p, 7)), &mut storage, &ghosts);
+                skew = skew
+                    .wrapping_mul(6364136223846793005)
+                    .wrapping_add(1442695040888963407);
+                for _ in 0..(skew >> 53) {
+                    std::hint::spin_loop();
+                }
+                for &p in &peers {
+                    ctx.isend(p, 7, lend.outside(0..LEN)).unwrap();
+                }
+                let handles = peers.map(|p| ctx.irecv(p, 7).unwrap());
+                lend.complete(ctx, &handles).unwrap();
+                drop(lend);
+                for (ghost, &src) in ghosts.iter().zip(&peers) {
+                    for (idx, w) in storage[ghost.clone()].iter().enumerate() {
+                        assert_eq!(
+                            *w,
+                            stamp(round, src, idx),
+                            "round {round}: rank {me}, ghost of {src}, word {idx}"
+                        );
+                    }
+                }
+            }
+            ctx.direct_sends()
+        },
+    );
+    let total = (8 * 4 * ROUNDS) as u64;
+    let direct: u64 = direct.iter().sum();
+    assert!(
+        direct > 0 && direct <= total - 8 * 4,
+        "{direct} of {total} messages were direct"
+    );
 }
