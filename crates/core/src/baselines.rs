@@ -92,6 +92,11 @@ impl ArrayExchanger {
         self.stats
     }
 
+    /// The plan one exchange runs (none before the first binds it).
+    pub(crate) fn plans(&self) -> impl Iterator<Item = &CommPlan> {
+        self.plan.iter()
+    }
+
     /// Send every packed buffer and complete every receive into the
     /// arena, inside the caller's scope. Shared by both exchange
     /// flavors; allocation-free once the plan is bound.

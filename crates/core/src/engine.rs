@@ -233,6 +233,11 @@ impl<'a> HeapBricks<'a> {
         HeapBricks { decomp, exchanger, session, kernel, cur, nxt }
     }
 
+    /// What one exchange of this rank sends: [`CommPlan::edges`].
+    pub(crate) fn edges(&self) -> Vec<(usize, u64)> {
+        self.session.iter().flat_map(|s| s.plan().edges()).collect()
+    }
+
     /// The plan and the grid it moves — the current one, or the `next`
     /// one the stencil is writing (split-phase calls only).
     fn bound(&mut self, next: bool) -> (&mut CommPlan, InPlace<'_>) {
@@ -362,6 +367,12 @@ macro_rules! view_pair_engine {
                 fill_bricks(decomp, &mut grids[0].storage);
                 ViewPair { decomp, kernel, grids, views, cur: 0 }
             }
+
+            /// What one exchange of this rank sends: [`CommPlan::edges`]
+            /// (both views carry the same schedule).
+            pub(crate) fn edges(&self) -> Vec<(usize, u64)> {
+                self.views[0].plans().flat_map(CommPlan::edges).collect()
+            }
         }
 
         impl RankEngine for ViewPair<'_, $view> {
@@ -487,6 +498,11 @@ impl Arrays {
         let plan = cur.plan(&cfg.shape);
         let exchanger = ArrayExchanger::new(&cur);
         Arrays { cur, nxt, plan, exchanger, datatypes: cfg.method == CpuMethod::MpiTypes }
+    }
+
+    /// What one exchange of this rank sends: [`CommPlan::edges`].
+    pub(crate) fn edges(&self) -> Vec<(usize, u64)> {
+        self.exchanger.plans().flat_map(CommPlan::edges).collect()
     }
 }
 

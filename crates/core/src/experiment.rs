@@ -10,9 +10,7 @@ use std::time::Duration;
 
 use brick::BrickDims;
 use layout::SurfaceLayout;
-use mapping::{
-    lexicographic, recursive_bisection, schedule_loads, CommGraph, DirLoad, MappingPolicy,
-};
+use mapping::{lexicographic, recursive_bisection, CommGraph, MappingPolicy};
 use netsim::telemetry::{MappingStats, OverlapStats, Timeline};
 use netsim::{
     run_cluster_on, Backend, CartTopo, FaultConfig, FaultEvent, FaultStats,
@@ -400,9 +398,7 @@ fn validate_resilience(cfg: &ExperimentConfig) {
     }
 }
 
-/// The surface layout a method's exchange schedule is bound to — the
-/// source of the per-neighbor (runs, bytes) table the mapping planner
-/// replicates over the rank grid.
+/// The surface layout a method's bricks are laid out by.
 fn method_layout(method: &CpuMethod) -> SurfaceLayout {
     match method {
         CpuMethod::NoLayout => SurfaceLayout::lexicographic(3),
@@ -410,36 +406,39 @@ fn method_layout(method: &CpuMethod) -> SurfaceLayout {
     }
 }
 
-/// Per-neighbor exchange loads of the configured method (merged-run
-/// message counts; every engine ships the same region bytes).
-fn method_loads(cfg: &ExperimentConfig) -> Vec<DirLoad> {
-    schedule_loads(&method_layout(&cfg.method), &cfg.subdomain, cfg.ghost, 8)
-}
-
-/// Choose and apply the rank mapping: extract the communication-volume
-/// graph on the unpermuted grid, pick a permutation per the configured
-/// policy, evaluate it (and the lexicographic baseline) under the
-/// hierarchical model, and return the remapped topology plus the
-/// traffic accounting. Flat runs pass through untouched.
-fn plan_mapping(cfg: &ExperimentConfig, topo: &CartTopo) -> (CartTopo, Option<MappingStats>) {
+/// Choose the rank mapping of a hierarchical run: the permutation
+/// (`perm[cartesian rank] = physical rank`) the configured policy picks
+/// on the unpermuted grid. Flat runs have none.
+fn plan_mapping(cfg: &ExperimentConfig, topo: &CartTopo) -> Option<Vec<usize>> {
     let Some(hier) = cfg.topology else {
         assert!(
             cfg.mapping == MappingPolicy::Lex,
             "--mapping {} needs a hierarchical topology (pass -t dragonfly:R or fat-tree:R)",
             cfg.mapping.label()
         );
-        return (topo.clone(), None);
+        return None;
     };
-    let loads = method_loads(cfg);
-    let g = CommGraph::from_dir_loads(topo, &loads);
-    let lex = lexicographic(topo.size());
-    let perm = match cfg.mapping {
-        MappingPolicy::Lex => lex.clone(),
+    Some(match cfg.mapping {
+        MappingPolicy::Lex => lexicographic(topo.size()),
         MappingPolicy::Bisect => recursive_bisection(topo, &hier.node),
-    };
-    let split = g.split(&perm, &hier.node);
-    let lex_split = g.split(&lex, &hier.node);
-    let stats = MappingStats {
+    })
+}
+
+/// The traffic accounting of a mapped run: the communication-volume
+/// graph of what its ranks bound (`sent[rank]`: every message of the
+/// rank's exchange plans, as [`crate::plan::CommPlan::edges`] lists
+/// them), evaluated under the mapping `perm` the run used and under the
+/// lexicographic baseline.
+fn mapping_stats(
+    cfg: &ExperimentConfig,
+    hier: &HierarchicalNetworkModel,
+    perm: &[usize],
+    sent: &[Vec<(usize, u64)>],
+) -> MappingStats {
+    let g = CommGraph::from_sends(perm, sent);
+    let lex = lexicographic(perm.len());
+    let split = g.split(perm, &hier.node);
+    MappingStats {
         topology: hier.name,
         ranks_per_node: hier.node.ranks_per_node(),
         policy: cfg.mapping.label(),
@@ -447,12 +446,10 @@ fn plan_mapping(cfg: &ExperimentConfig, topo: &CartTopo) -> (CartTopo, Option<Ma
         off_bytes: split.off_bytes,
         on_msgs: split.on_msgs,
         off_msgs: split.off_msgs,
-        lex_off_bytes: lex_split.off_bytes,
-        modeled_time: g.modeled_time(&perm, &hier),
-        lex_modeled_time: g.modeled_time(&lex, &hier),
-    };
-    let topo = topo.with_permutation(&perm).expect("mappers return bijections");
-    (topo, Some(stats))
+        lex_off_bytes: g.split(&lex, &hier.node).off_bytes,
+        modeled_time: g.modeled_time(perm, hier),
+        lex_modeled_time: g.modeled_time(&lex, hier),
+    }
 }
 
 /// Run one experiment and return rank 0's report.
@@ -461,17 +458,21 @@ fn plan_mapping(cfg: &ExperimentConfig, topo: &CartTopo) -> (CartTopo, Option<Ma
 /// the same step loop.
 pub fn run_experiment(cfg: &ExperimentConfig) -> MethodReport {
     validate_resilience(cfg);
-    let base = CartTopo::new(&cfg.ranks, true);
-    let (topo, mapping) = plan_mapping(cfg, &base);
+    let mut topo = CartTopo::new(&cfg.ranks, true);
+    let perm = plan_mapping(cfg, &topo);
+    if let Some(perm) = &perm {
+        topo = topo.with_permutation(perm).expect("mappers return bijections");
+    }
     let run = cfg.run_params();
-    let (mut report, _) = match &cfg.method {
+    // Every rank hands back what it bound, for the mapping block.
+    let (mut report, sent) = match &cfg.method {
         CpuMethod::MemMap { .. } => {
             let decomp = cfg.decomp();
-            run_steps(&run, &topo, |_| ViewPair::<ExchangeView>::new(cfg, &decomp), drop)
+            run_steps(&run, &topo, |_| ViewPair::<ExchangeView>::new(cfg, &decomp), |e| e.edges())
         }
         CpuMethod::Shift { .. } => {
             let decomp = cfg.decomp();
-            run_steps(&run, &topo, |_| ViewPair::<ShiftExchanger>::new(cfg, &decomp), drop)
+            run_steps(&run, &topo, |_| ViewPair::<ShiftExchanger>::new(cfg, &decomp), |e| e.edges())
         }
         CpuMethod::Layout | CpuMethod::LayoutOverlap | CpuMethod::Basic | CpuMethod::NoLayout => {
             let decomp = cfg.decomp();
@@ -480,13 +481,13 @@ pub fn run_experiment(cfg: &ExperimentConfig) -> MethodReport {
                 CpuMethod::Basic => Some(Exchanger::basic(&decomp)),
                 _ => Some(Exchanger::layout(&decomp)),
             };
-            run_steps(&run, &topo, |ctx| HeapBricks::new(cfg, &decomp, exchanger.as_ref(), ctx), drop)
+            run_steps(&run, &topo, |ctx| HeapBricks::new(cfg, &decomp, exchanger.as_ref(), ctx), |e| e.edges())
         }
         CpuMethod::Yask | CpuMethod::YaskOverlap | CpuMethod::MpiTypes => {
-            run_steps(&run, &topo, |_| Arrays::new(cfg), drop)
+            run_steps(&run, &topo, |_| Arrays::new(cfg), |e| e.edges())
         }
     };
-    report.mapping = mapping;
+    report.mapping = cfg.topology.zip(perm).map(|(hier, perm)| mapping_stats(cfg, &hier, &perm, &sent));
     report
 }
 
@@ -972,6 +973,41 @@ mod tests {
                 m.lex_modeled_time
             );
         }
+    }
+
+    /// The mapping block describes what the method bound, not the Layout
+    /// schedule: on 2x2x2 no rank is its own neighbour, so every edge of
+    /// every rank's plans is a mailbox edge, and the block's totals are
+    /// the ranks' message count and payload bytes.
+    #[test]
+    fn mapping_block_counts_the_messages_the_method_bound() {
+        let page_size = memview::PAGE_4K;
+        let methods = [
+            CpuMethod::MemMap { page_size },
+            CpuMethod::Layout,
+            CpuMethod::Basic,
+            CpuMethod::NoLayout,
+            CpuMethod::Yask,
+            CpuMethod::YaskOverlap,
+            CpuMethod::LayoutOverlap,
+            CpuMethod::MpiTypes,
+            CpuMethod::Shift { page_size },
+        ];
+        let mut per_rank_msgs = Vec::new();
+        for method in methods {
+            let name = method.name();
+            let mut c = cfg(method);
+            c.subdomain = [16; 3];
+            c.ranks = vec![2, 2, 2];
+            c.topology = Some(HierarchicalNetworkModel::dragonfly(4));
+            let r = run_experiment(&c);
+            let m = r.mapping.expect("hierarchical run records mapping stats");
+            assert_eq!(m.on_msgs + m.off_msgs, 8 * r.stats.messages as u64, "{name}: messages");
+            assert_eq!(m.on_bytes + m.off_bytes, 8 * r.stats.payload_bytes as u64, "{name}: bytes");
+            per_rank_msgs.push(r.stats.messages);
+        }
+        // (Basic: 56 of its 98 region instances are non-empty at 16^3.)
+        assert_eq!(per_rank_msgs, [26, 42, 56, 0, 26, 26, 42, 26, 6]);
     }
 
     #[test]

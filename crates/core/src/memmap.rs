@@ -293,6 +293,11 @@ impl ExchangeView {
         self.plan.as_ref().expect("call ensure_bound first")
     }
 
+    /// Every plan one exchange runs (none before the first binds it).
+    pub(crate) fn plans(&self) -> impl Iterator<Item = &CommPlan> {
+        self.plan.iter()
+    }
+
     /// Recovery-protocol totals (zero unless a chaos run engaged it).
     pub fn recovery_stats(&self) -> RecoveryStats {
         self.plan.as_ref().map(|p| p.recovery_stats()).unwrap_or_default()

@@ -502,6 +502,13 @@ impl CommPlan {
         self.rank
     }
 
+    /// `(destination rank, payload bytes)` of every message one exchange
+    /// of this plan sends, self-sends included: the rank's row of the
+    /// communication graph, as bound.
+    pub fn edges(&self) -> impl Iterator<Item = (usize, u64)> + '_ {
+        self.sends.iter().map(|s| (s.dest, s.payload_bytes as u64))
+    }
+
     /// Indices (into the bound receive schedule) of the receives that
     /// cross the mailbox. A completion index `k` reported by
     /// [`Self::begin`] / [`Self::poll`] is receive `mailbox()[k]`.

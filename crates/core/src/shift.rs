@@ -238,6 +238,11 @@ impl ShiftExchanger {
         self.plans.last().expect("call ensure_bound first")
     }
 
+    /// Every plan one exchange runs: one per pass.
+    pub(crate) fn plans(&self) -> impl Iterator<Item = &CommPlan> {
+        self.plans.iter()
+    }
+
     /// Recovery-protocol totals across all passes (zero unless a chaos
     /// run engaged the protocol).
     pub fn recovery_stats(&self) -> RecoveryStats {

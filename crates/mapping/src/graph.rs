@@ -1,13 +1,18 @@
 //! Per-rank communication-volume graph and its evaluation under a
 //! node grouping.
 //!
-//! The graph is extracted from decomp adjacency plus the bound exchange
-//! schedule: every rank sends the same per-direction message runs (the
-//! torus is translation-invariant), so the whole graph is determined by
-//! one rank's [`DirLoad`] table — `(direction, messages, bytes)` per
-//! neighbor offset — replicated through the Cartesian topology. Edges
-//! are *directed sends* on **cartesian** ranks; a mapping permutation
-//! is evaluated against the graph, never baked into it.
+//! The graph of a run is a view of what its ranks bound: every message
+//! of every rank's exchange plans, as `(destination, payload bytes)`
+//! ([`CommGraph::from_sends`]) — whatever the method and however many
+//! messages it cuts its halo into. A model-side sweep that runs nothing builds the same
+//! graph from decomp adjacency plus a layout's schedule instead: every
+//! rank sends the same per-direction message runs (the torus is
+//! translation-invariant), so the whole graph is determined by one
+//! rank's [`DirLoad`] table — `(direction, messages, bytes)` per
+//! neighbor offset — replicated through the Cartesian topology
+//! ([`CommGraph::from_dir_loads`]). Edges are *directed sends* on
+//! **cartesian** ranks; a mapping permutation is evaluated against the
+//! graph, never baked into it.
 
 use layout::{all_regions, SurfaceLayout};
 use netsim::hier::{HierarchicalNetworkModel, NodeShape};
@@ -112,12 +117,31 @@ impl CommGraph {
         CommGraph { ranks, adj }
     }
 
+    /// The graph a run bound: `sent[p]` lists the `(destination, payload
+    /// bytes)` of every message physical rank `p` sends per exchange,
+    /// destinations physical too, under the mapping `perm[cartesian rank]
+    /// = physical rank` the run used. Self-sends contribute nothing, as
+    /// in [`CommGraph::from_dir_loads`].
+    pub fn from_sends(perm: &[usize], sent: &[Vec<(usize, u64)>]) -> CommGraph {
+        assert_eq!(perm.len(), sent.len(), "one send list per rank");
+        let mut cart_of = vec![0usize; perm.len()];
+        for (cart, &phys) in perm.iter().enumerate() {
+            cart_of[phys] = cart;
+        }
+        let row = |&phys: &usize| {
+            let peers = sent[phys].iter().filter(|&&(dest, _)| dest != phys);
+            peers.map(|&(dest, bytes)| (cart_of[dest], bytes, 1)).collect()
+        };
+        CommGraph { ranks: perm.len(), adj: perm.iter().map(row).collect() }
+    }
+
     /// Number of ranks (graph vertices).
     pub fn ranks(&self) -> usize {
         self.ranks
     }
 
     /// Total directed traffic volume between `a` and `b` (both ways).
+    #[cfg(test)]
     pub fn volume_between(&self, a: usize, b: usize) -> u64 {
         let one = |u: usize, v: usize| {
             self.adj[u].iter().filter(|&&(p, _, _)| p == v).map(|&(_, b, _)| b).sum::<u64>()
@@ -126,6 +150,7 @@ impl CommGraph {
     }
 
     /// Per-rank total send volume in bytes.
+    #[cfg(test)]
     pub fn send_volume(&self, rank: usize) -> u64 {
         self.adj[rank].iter().map(|&(_, b, _)| b).sum()
     }
@@ -223,6 +248,36 @@ mod tests {
         let topo = CartTopo::new(&[1, 1, 1], true);
         let g = CommGraph::from_dir_loads(&topo, &star_loads());
         assert_eq!(g.send_volume(0), 0, "pure loopback traffic is mapping-blind");
+    }
+
+    /// A graph built from what ranks bound, under a permutation, is the
+    /// graph of the same traffic on cartesian ranks.
+    #[test]
+    fn bound_sends_under_a_permutation_give_the_cartesian_graph() {
+        let topo = CartTopo::new(&[4], true);
+        let loads = vec![
+            DirLoad { trits: vec![1], msgs: 1, bytes: 10 },
+            DirLoad { trits: vec![-1], msgs: 1, bytes: 30 },
+        ];
+        let want = CommGraph::from_dir_loads(&topo, &loads);
+        // perm[cart] = phys; each physical rank sends what its cartesian
+        // position sends, to the physical ranks of the neighbours, plus a
+        // self-send the graph must ignore.
+        let perm = [2usize, 0, 3, 1];
+        let mut sent = vec![Vec::new(); 4];
+        for cart in 0..4 {
+            let phys = perm[cart];
+            sent[phys] = vec![(perm[(cart + 1) % 4], 10), (perm[(cart + 3) % 4], 30), (phys, 7)];
+        }
+        let got = CommGraph::from_sends(&perm, &sent);
+        for a in 0..4 {
+            assert_eq!(got.send_volume(a), 40);
+            for b in 0..4 {
+                assert_eq!(got.volume_between(a, b), want.volume_between(a, b), "{a} <-> {b}");
+            }
+        }
+        let node = NodeShape::new(2);
+        assert_eq!(got.split(&perm, &node), want.split(&perm, &node));
     }
 
     #[test]

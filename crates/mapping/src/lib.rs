@@ -8,9 +8,10 @@
 //! [`netsim::HierarchicalNetworkModel`]:
 //!
 //! - [`CommGraph`] / [`DirLoad`]: the per-rank communication-volume graph
-//!   extracted from decomp adjacency plus the bound exchange schedule
-//!   ([`schedule_loads`]), and its [`TrafficSplit`] / modeled-time
-//!   evaluation under a mapping,
+//!   — of what a run's ranks bound ([`CommGraph::from_sends`]), or, for a
+//!   model-side sweep, extracted from decomp adjacency plus a layout's
+//!   schedule ([`schedule_loads`]) — and its [`TrafficSplit`] /
+//!   modeled-time evaluation under a mapping,
 //! - [`lexicographic`]: the identity baseline,
 //! - [`recursive_bisection`]: geometric grouping into node-sized boxes
 //!   (the strategy of arXiv 2005.09521).

@@ -1,17 +1,19 @@
-//! Virtual cluster with MPI-style nonblocking point-to-point, runnable
-//! on two interchangeable backends (see [`Backend`]):
+//! The transport of the virtual cluster: MPI-style nonblocking
+//! point-to-point on [`RankCtx`], the per-rank context both backends
+//! (see [`Backend`], `runtime.rs`) hand to the same rank-body code.
 //!
-//! * **Thread** — one OS thread per rank, blocking on condvars. The
-//!   reference implementation: simple, preemptive, and limited to
-//!   roughly a thousand ranks by kernel scheduling overhead.
-//! * **Event** — ranks are resumable tasks multiplexed onto a small
-//!   worker pool by [`crate::event`]; a rank that would block parks and
-//!   is re-queued when its message, barrier release, or (virtual)
-//!   timer fires. Scales to 10k+ ranks on one machine.
+//! `impl RankCtx` is spread over the files its facets fall into: this one
+//! keeps the sends, the receive completions and the loopbacks;
+//! `clock.rs` the billing, the send epoch and the recorded timers and
+//! traces; `procfault.rs` the crash-stop machinery and the recovery-epoch
+//! calls; `mailbox.rs` the message store underneath and the pooled buffers.
 //!
-//! Both backends run the *same* rank-body code against the same
-//! [`RankCtx`] API, with modeled time billed identically — results are
-//! bit-identical across backends by construction.
+//! **Who blocks where.** Sends never block. A rank blocks in two places:
+//! [`RankCtx::barrier`], and — under `recv_blocking`, `recv_deadline`,
+//! `waitall_*` and [`Lend::complete`], through the one private
+//! `blocking_probe` — the wait loop of `mailbox.rs` on its *own* mailbox,
+//! where the sleep/wake protocol is stated and argued. The polling
+//! completions (`try_wait`, `progress_with`, `idle_tick`) yield instead.
 //!
 //! Data really moves between rank memories, and a mailbox message takes
 //! one of two paths, decided per message from the state the sender finds:
@@ -25,7 +27,7 @@
 //! * **eager** — everything else (the receiver is still computing, a
 //!   channel's first message, anything queued behind another message,
 //!   self-sends, messages a fault plan touches, receives completed with
-//!   `recv_blocking` / `recv_deadline` / `try_wait` / `progress`): two
+//!   `recv_blocking` / `recv_deadline` / `try_wait` / `progress_with`): two
 //!   copies, into a pooled buffer in `isend` and out of it when the
 //!   receive completes.
 //!
@@ -36,7 +38,7 @@
 //! with non-overtaking order per pair.
 //!
 //! The transport is persistent and allocation-free in steady state:
-//! eager message buffers come from a per-rank [`BufferPool`] and are returned
+//! eager message buffers come from a per-rank pool and are returned
 //! to the sender's pool once the receiver has copied them out, so a
 //! timestep loop stops exercising the allocator after warmup (see
 //! [`RankCtx::transport_allocs`]). The pool is binned by size class:
@@ -58,396 +60,46 @@
 //! arms a deadline and `waitall_*` reports a structured
 //! [`NetsimError::Timeout`] — including a dump of the unmatched mailbox
 //! keys, the deadlock detector's view — instead of blocking.
-//!
-//! A rank body that panics no longer aborts the whole process through
-//! a poisoned join: the panic is caught at the rank boundary, the rest
-//! of the cluster is woken and unwound, and the run reports a
-//! structured [`NetsimError::RankPanicked`] (via [`try_run_cluster`];
-//! the panicking convenience wrappers re-panic with that message).
 
-use std::collections::HashMap;
-use std::collections::VecDeque;
 use std::ops::Range;
-use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::time::{Duration, Instant};
 
-use parking_lot::{Condvar, Mutex};
-use telemetry::{Phase, Recorder, Timeline};
+use telemetry::{Phase, Recorder};
 
 use crate::error::{NetsimError, MAX_DIAG_KEYS};
-use crate::fault::{
-    FaultConfig, FaultDecision, FaultEvent, FaultKind, FaultPlan, FaultStats, ProcFault,
-    CTRL_TAG_BIT,
-};
-use crate::hier::{HierarchicalNetworkModel, NodeShape};
+use crate::fault::{FaultDecision, FaultEvent, FaultKind, FaultPlan, FaultStats, ProcFault, CTRL_TAG_BIT};
+use crate::hier::NodeShape;
+use crate::mailbox::{Asleep, BufferPool, Key, Mailbox, MailboxInner, Msg};
 use crate::model::NetworkModel;
-use crate::timers::{timed, Timers};
+use crate::procfault::ProcState;
+use crate::runtime::{Cluster, Runtime};
+use crate::timers::Timers;
 use crate::topo::CartTopo;
-use crate::trace::{MsgEvent, Trace};
-use crate::window::{Lend, Windows};
+use crate::trace::Trace;
+use crate::window::Lend;
 
-pub(crate) type Key = (usize, u64); // (source rank, tag)
-
-/// Max buffers retained per rank pool; beyond this, returned buffers
-/// are dropped (bounds memory for bursty all-to-all patterns — and for
-/// duplicate storms under fault injection).
-pub const POOL_CAP: usize = 256;
-
-/// An in-flight message: its payload plus the rank whose pool the
-/// buffer should return to after delivery (None = not pooled).
-struct Msg {
-    owner: Option<usize>,
-    data: Vec<f64>,
-}
-
-/// Smallest pooled buffer, in words; shorter requests share this class.
-const MIN_CLASS_WORDS: usize = 8;
-
-/// The size class a buffer of `cap` words can serve: the largest class
-/// no bigger than `cap`. Classes are geometric with four per octave
-/// (8, 10, 12, 14, 16, 20, ... words), so rounding a request up to its
-/// class wastes less than a quarter of it. `None` = below the smallest.
-fn class_floor(cap: usize) -> Option<usize> {
-    if cap < MIN_CLASS_WORDS {
-        return None;
-    }
-    let shift = cap.ilog2() as usize - 2;
-    Some((shift - 1) * 4 + (cap >> shift) - 4)
-}
-
-/// The class a request for `len` words draws from: the smallest class
-/// holding at least `len`.
-fn class_ceil(len: usize) -> usize {
-    class_floor(len.max(1) - 1).map_or(0, |c| c + 1)
-}
-
-/// Words in a buffer of `class`.
-fn class_words(class: usize) -> usize {
-    (4 + class % 4) << (class / 4 + 1)
-}
-
-/// The free buffers of one size class.
-struct Bin {
-    class: usize,
-    free: Vec<Vec<f64>>,
-}
-
-/// Recycled send buffers for one rank, binned by size class. `isend`
-/// takes from here and the *receiver's* `waitall` puts back, so
-/// steady-state transport does no heap allocation — and because a
-/// request only ever draws from its own class, a 2 MB checkpoint frame
-/// and a 200-byte corner message never trade buffers.
-struct BufferPool {
-    /// One entry per class ever returned here; a rank's traffic uses a
-    /// handful of sizes, so this stays short and is searched linearly.
-    bins: Mutex<Vec<Bin>>,
-}
-
-impl BufferPool {
-    fn new() -> BufferPool {
-        BufferPool { bins: Mutex::new(Vec::new()) }
-    }
-
-    /// An empty buffer with room for `len` words; the flag says whether
-    /// it had to be allocated (class-sized, so `put` files it where the
-    /// next `take(len)` looks).
-    fn take(&self, len: usize) -> (Vec<f64>, bool) {
-        let class = class_ceil(len);
-        let mut bins = self.bins.lock();
-        match bins.iter_mut().find(|b| b.class == class).and_then(|b| b.free.pop()) {
-            Some(buf) => (buf, false),
-            None => (Vec::with_capacity(class_words(class)), true),
-        }
-    }
-
-    fn put(&self, mut buf: Vec<f64>) {
-        let Some(class) = class_floor(buf.capacity()) else { return };
-        buf.clear();
-        let mut bins = self.bins.lock();
-        if bins.iter().map(|b| b.free.len()).sum::<usize>() == POOL_CAP {
-            // Full: shed from the fullest class rather than refuse, so
-            // sizes that stopped being requested cannot pin the pool
-            // and make every send of a new size allocate.
-            let fullest = bins.iter_mut().max_by_key(|b| b.free.len());
-            fullest.expect("a full pool has a bin").free.pop();
-        }
-        match bins.iter_mut().find(|b| b.class == class) {
-            Some(b) => b.free.push(buf),
-            None => bins.push(Bin { class, free: vec![buf] }),
-        }
-    }
-
-    fn len(&self) -> usize {
-        self.bins.lock().iter().map(|b| b.free.len()).sum()
-    }
-
-    /// Bytes of capacity parked in the pool.
-    fn bytes(&self) -> usize {
-        self.bins.lock().iter().flat_map(|b| &b.free).map(|v| v.capacity() * 8).sum()
-    }
-}
-
-#[derive(Default)]
-pub(crate) struct MailboxInner {
-    queues: HashMap<Key, VecDeque<Msg>>,
-    /// Whether the owning rank is blocked in [`Mailbox::wait_deadline`]
-    /// (only the owner waits, so one flag covers every waiter). A push
-    /// signals the condvar only then: a notify is a `futex` system call
-    /// even when nobody waits, and nobody ever does on the event backend.
-    waiting: bool,
-    /// Destinations the owner has lent to its senders (see
-    /// [`crate::window`]); empty whenever no lend is open.
-    pub(crate) windows: Windows,
-}
-
-impl MailboxInner {
-    /// The oldest queued message of `key`, if any.
-    fn pop(&mut self, key: Key) -> Option<Msg> {
-        self.queues.get_mut(&key)?.pop_front()
-    }
-}
-
-/// A cancellable cluster barrier for the thread backend: like
-/// `std::sync::Barrier`, but a panicking rank can [`abort`] it so the
-/// surviving ranks return (with `false`) instead of blocking forever on
-/// a rendezvous that can never complete.
-///
-/// [`abort`]: AbortableBarrier::abort
-struct AbortableBarrier {
-    /// (arrived count, generation).
-    state: Mutex<(usize, u64)>,
-    cv: Condvar,
-    size: usize,
-    aborted: AtomicBool,
-}
-
-impl AbortableBarrier {
-    fn new(size: usize) -> AbortableBarrier {
-        AbortableBarrier { state: Mutex::new((0, 0)), cv: Condvar::new(), size, aborted: AtomicBool::new(false) }
-    }
-
-    /// Wait for all ranks; `false` means the barrier was aborted.
-    fn wait(&self) -> bool {
-        let mut g = self.state.lock();
-        if self.aborted.load(Ordering::SeqCst) {
-            return false;
-        }
-        g.0 += 1;
-        if g.0 == self.size {
-            g.0 = 0;
-            g.1 += 1;
-            self.cv.notify_all();
-            return true;
-        }
-        let gen = g.1;
-        while g.1 == gen {
-            self.cv.wait(&mut g);
-            if self.aborted.load(Ordering::SeqCst) {
-                return false;
-            }
-        }
-        true
-    }
-
-    fn abort(&self) {
-        let _g = self.state.lock();
-        self.aborted.store(true, Ordering::SeqCst);
-        self.cv.notify_all();
-    }
-}
-
-/// Shared process-liveness state for one cluster run: which ranks are
-/// currently dead, whether the communicator is revoked (ULFM-style: a
-/// crash-stop was observed and every blocking operation must unwind
-/// with [`NetsimError::RankFailed`] instead of waiting on traffic that
-/// cannot arrive), and the failure the survivors must agree on.
-struct ProcState {
-    /// Per-rank crash flag. A dead rank's incoming sends vanish (the
-    /// NIC is gone); cleared when the runner respawns the rank.
-    dead: Vec<AtomicBool>,
-    /// Set by [`RankCtx::die`], cleared by rank 0 at the end of the
-    /// recovery epoch (before releasing the recovery fence, so no
-    /// survivor can observe a stale revocation afterwards).
-    revoked: AtomicBool,
-    /// The failed rank (`usize::MAX` = none).
-    failed_rank: AtomicUsize,
-    /// The timestep the victim was executing when it died.
-    failed_step: AtomicU64,
-    /// Wall-clock kill instant, for detection-latency telemetry.
-    killed_at: Mutex<Option<Instant>>,
-}
-
-impl ProcState {
-    fn new(size: usize) -> ProcState {
-        ProcState {
-            dead: (0..size).map(|_| AtomicBool::new(false)).collect(),
-            revoked: AtomicBool::new(false),
-            failed_rank: AtomicUsize::new(usize::MAX),
-            failed_step: AtomicU64::new(0),
-            killed_at: Mutex::new(None),
-        }
-    }
-}
-
-/// Panic payload thrown by [`RankCtx::die`] to unwind a crash-stopped
-/// rank out of arbitrarily deep protocol code. The runners' respawn
-/// loops catch it and re-enter the rank body with a fresh incarnation;
-/// any other panic payload keeps the existing abort-the-cluster path.
-struct KillSentinel;
-
-/// One rank's incoming-message store.
-pub(crate) struct Mailbox {
-    inner: Mutex<MailboxInner>,
-    signal: Condvar,
-}
-
-impl Mailbox {
-    fn new() -> Mailbox {
-        Mailbox { inner: Mutex::new(MailboxInner::default()), signal: Condvar::new() }
-    }
-
-    pub(crate) fn lock(&self) -> parking_lot::MutexGuard<'_, MailboxInner> {
-        self.inner.lock()
-    }
-
-    fn push(&self, key: Key, msg: Msg) {
-        let mut g = self.inner.lock();
-        g.queues.entry(key).or_default().push_back(msg);
-        if g.waiting {
-            self.signal.notify_all();
-        }
-    }
-
-    /// The direct path: copy `data` into the window the owner lent for
-    /// `key` and wake the owner exactly as [`Mailbox::push`] does.
-    /// `false` = nothing was written and the message must go eager: no
-    /// open window of that length, or the channel's queue is missing (its
-    /// first message reserves the fallback buffer) or not empty (a direct
-    /// write would overtake what is queued).
-    fn deliver(&self, key: Key, data: &[f64]) -> bool {
-        let mut g = self.inner.lock();
-        let inner = &mut *g;
-        let direct = inner.queues.get(&key).is_some_and(|q| q.is_empty())
-            && inner.windows.deliver(key, data);
-        if direct && inner.waiting {
-            self.signal.notify_all();
-        }
-        direct
-    }
-
-    /// Run `probe` on the locked mailbox until it yields, blocking
-    /// between attempts until `deadline` (or forever when `None`).
-    /// `None` return = deadline expired, or `stopped` reports the wait
-    /// is pointless — the cluster is aborting (a peer rank panicked) or
-    /// revoked (a peer rank crash-stopped) — all meaning "stop waiting,
-    /// the message is not coming".
-    fn wait_deadline<T>(
-        &self,
-        deadline: Option<Instant>,
-        stopped: &dyn Fn() -> bool,
-        probe: &mut dyn FnMut(&mut MailboxInner) -> Option<T>,
-    ) -> Option<T> {
-        let mut g = self.inner.lock();
-        loop {
-            if let Some(v) = probe(&mut g) {
-                return Some(v);
-            }
-            if stopped() {
-                return None;
-            }
-            g.waiting = true;
-            let expired = match deadline {
-                None => {
-                    self.signal.wait(&mut g);
-                    false
-                }
-                Some(d) => self.signal.wait_until(&mut g, d).timed_out(),
-            };
-            g.waiting = false;
-            if expired {
-                // Final re-check: a push may have raced expiry.
-                return probe(&mut g);
-            }
-        }
-    }
-
-    /// Wake any thread-backend waiter so it observes the abort flag.
-    fn interrupt(&self) {
-        let _g = self.inner.lock();
-        self.signal.notify_all();
-    }
-
-    /// Pop without blocking.
-    fn try_pop(&self, key: Key) -> Option<Msg> {
-        self.inner.lock().pop(key)
-    }
-
-    /// Remove every queued message for `key` (stale duplicates /
-    /// late retries); also drops the now-empty queue entry so the key
-    /// map cannot grow without bound across retried exchanges.
-    fn drain(&self, key: Key) -> Vec<Msg> {
-        let mut g = self.inner.lock();
-        match g.queues.remove(&key) {
-            Some(q) => q.into_iter().collect(),
-            None => Vec::new(),
-        }
-    }
-
-    /// Remove every queued message whose key fails `keep` — the
-    /// recovery epoch's mailbox flush, which must evict all stale
-    /// data-plane traffic from before a rank failure while preserving
-    /// in-flight recovery-protocol frames.
-    fn drain_except(&self, keep: &dyn Fn(usize, u64) -> bool) -> Vec<Msg> {
-        let mut g = self.inner.lock();
-        let mut out = Vec::new();
-        g.queues.retain(|&(src, tag), q| {
-            if keep(src, tag) {
-                true
-            } else {
-                out.extend(q.drain(..));
-                false
-            }
-        });
-        out
-    }
-
-    /// Diagnostic dump: `(source, tag, queued)` for the non-empty
-    /// queues with the smallest keys, sorted, capped at
-    /// [`MAX_DIAG_KEYS`] by bounded insertion so the error path stays
-    /// allocation-bounded at high rank counts — and allocation-free
-    /// when the mailbox is empty, which the steady-state timeout guard
-    /// (`tests/event_alloc.rs`) counts on.
-    fn unmatched_keys(&self) -> Vec<(usize, u64, usize)> {
-        let g = self.inner.lock();
-        let mut keys: Vec<(usize, u64, usize)> = Vec::new();
-        for (&(src, tag), q) in g.queues.iter().filter(|(_, q)| !q.is_empty()) {
-            if keys.capacity() == 0 {
-                keys.reserve_exact(MAX_DIAG_KEYS);
-            }
-            let k = (src, tag, q.len());
-            let pos = keys.binary_search(&k).unwrap_or_else(|p| p);
-            if pos < MAX_DIAG_KEYS {
-                if keys.len() == MAX_DIAG_KEYS {
-                    keys.pop();
-                }
-                keys.insert(pos, k);
-            }
-        }
-        keys
-    }
-}
+pub use crate::mailbox::POOL_CAP;
+pub use crate::runtime::{
+    run_cluster, run_cluster_faulty, run_cluster_on, try_run_cluster_on, Backend,
+};
 
 /// A posted nonblocking receive; completed by
 /// [`RankCtx::waitall_into`], [`RankCtx::waitall_ranges`],
 /// [`Lend::complete`], or — on the non-blocking overlap path —
-/// [`RankCtx::try_wait`] / [`RankCtx::progress`].
+/// [`RankCtx::try_wait`] / [`RankCtx::progress_with`].
 #[derive(Clone, Copy, Debug)]
-#[must_use = "a posted receive must be completed (waitall_*, try_wait, or progress) \
+#[must_use = "a posted receive must be completed (waitall_*, try_wait, or progress_with) \
               or the message leaks in the mailbox"]
 pub struct RecvHandle {
     source: usize,
     tag: u64,
+}
+
+impl RecvHandle {
+    fn key(&self) -> Key {
+        (self.source, self.tag)
+    }
 }
 
 /// A message popped off the mailbox by [`RankCtx::recv_deadline`] —
@@ -455,55 +107,39 @@ pub struct RecvHandle {
 /// need to inspect frames (checksums, sequence numbers) before
 /// deciding where the payload lands. Return it to the transport with
 /// [`RankCtx::recycle`] so pooled buffers keep circulating.
-pub struct RecvdMsg {
-    owner: Option<usize>,
-    data: Vec<f64>,
-}
+pub struct RecvdMsg(Msg);
 
 impl RecvdMsg {
     /// The received frame.
     pub fn data(&self) -> &[f64] {
-        &self.data
+        &self.0.data
     }
-}
-
-/// Which execution substrate a rank runs on. Blocking operations
-/// (mailbox waits, barriers) route through here; everything else —
-/// matching, billing, fault injection — is backend-independent code,
-/// which is what makes the two backends bit-identical by construction.
-enum Runtime<'a> {
-    /// One OS thread per rank; blocking = condvar waits.
-    Thread { barrier: &'a AbortableBarrier },
-    /// Resumable task multiplexed by the event scheduler; blocking =
-    /// park/wake. Task id == rank.
-    #[cfg(all(target_os = "linux", target_arch = "x86_64"))]
-    Event { sched: &'a crate::event::Sched },
 }
 
 /// Per-rank execution context handed to the rank body.
 pub struct RankCtx<'a> {
-    rank: usize,
+    pub(crate) rank: usize,
     topo: &'a CartTopo,
-    net: NetworkModel,
-    mailboxes: &'a [Mailbox],
-    pools: &'a [BufferPool],
-    runtime: Runtime<'a>,
+    pub(crate) net: NetworkModel,
+    pub(crate) mailboxes: &'a [Mailbox],
+    pub(crate) pools: &'a [BufferPool],
+    pub(crate) runtime: Runtime<'a>,
     abort: &'a AtomicBool,
-    timers: Timers,
-    trace: Trace,
-    recorder: Recorder,
+    pub(crate) timers: Timers,
+    pub(crate) trace: Trace,
+    pub(crate) recorder: Recorder,
     // Sends posted since the last waitall (the current epoch). In a
     // hierarchical run these count only the off-node (fabric) portion.
-    epoch_msgs: usize,
-    epoch_bytes: usize,
+    pub(crate) epoch_msgs: usize,
+    pub(crate) epoch_bytes: usize,
     // Two-tier fabric state: `Some((intra, node))` only when the run's
     // topology is genuinely hierarchical; `net` is then the inter-node
     // tier (with this rank's jitter applied to both). Flat runs keep
     // this `None` and bill through the unchanged flat path.
-    hier: Option<(NetworkModel, NodeShape)>,
+    pub(crate) hier: Option<(NetworkModel, NodeShape)>,
     // On-node portion of the current epoch (hierarchical runs only).
-    epoch_msgs_on: usize,
-    epoch_bytes_on: usize,
+    pub(crate) epoch_msgs_on: usize,
+    pub(crate) epoch_bytes_on: usize,
     transport_allocs: u64,
     direct_sends: u64,
     fault: Option<FaultPlan>,
@@ -514,18 +150,74 @@ pub struct RankCtx<'a> {
     // `cur_step` is the timestep window armed by the resilient driver
     // (`u64::MAX` = disarmed: harness/recovery traffic cannot be
     // killed) and `step_ops` counts data-plane ops within it.
-    proc: &'a ProcState,
-    kill: Option<ProcFault>,
-    stall: Option<ProcFault>,
-    cur_step: u64,
-    step_ops: u64,
-    stall_fired: bool,
-    recovery_mode: bool,
-    incarnation: usize,
-    detect_latency: Option<f64>,
+    pub(crate) proc: &'a ProcState,
+    pub(crate) kill: Option<ProcFault>,
+    pub(crate) stall: Option<ProcFault>,
+    pub(crate) cur_step: u64,
+    pub(crate) step_ops: u64,
+    pub(crate) stall_fired: bool,
+    pub(crate) recovery_mode: bool,
+    pub(crate) incarnation: usize,
+    pub(crate) detect_latency: Option<f64>,
 }
 
 impl<'a> RankCtx<'a> {
+    /// The context of `rank`'s `incarnation`-th life in `cluster`; shared
+    /// verbatim by both backends so modeled billing cannot diverge
+    /// between them.
+    pub(crate) fn new(
+        cluster: &'a Cluster<'a>,
+        runtime: Runtime<'a>,
+        rank: usize,
+        incarnation: usize,
+    ) -> RankCtx<'a> {
+        let faults = cluster.faults;
+        let fault = faults.is_active().then(|| FaultPlan::new(faults, rank));
+        let net = match &fault {
+            Some(plan) => cluster.net.slowed(plan.slowdown()),
+            None => cluster.net,
+        };
+        // Flat topologies (including every `NetworkModel` converted via
+        // `From`) carry no hier state, so their billing code path — and
+        // its float arithmetic — is exactly the pre-hierarchy one.
+        let hier = (!net.is_flat()).then_some((net.intra, net.node));
+        // Process faults fire only in a rank's first incarnation: a
+        // respawned rank must not be re-killed, and a replayed step must
+        // not re-stall.
+        let first = incarnation == 0;
+        RankCtx {
+            rank,
+            topo: cluster.topo,
+            net: net.inter,
+            mailboxes: &cluster.mailboxes,
+            pools: &cluster.pools,
+            runtime,
+            abort: &cluster.abort,
+            timers: Timers::default(),
+            trace: Trace::default(),
+            recorder: Recorder::disabled(),
+            epoch_msgs: 0,
+            epoch_bytes: 0,
+            hier,
+            epoch_msgs_on: 0,
+            epoch_bytes_on: 0,
+            transport_allocs: 0,
+            direct_sends: 0,
+            fault,
+            fault_bypass: false,
+            recv_timeout: None,
+            proc: &cluster.proc,
+            kill: faults.kill.filter(|k| first && k.rank == rank),
+            stall: faults.stall.filter(|s| first && s.rank == rank),
+            cur_step: u64::MAX,
+            step_ops: 0,
+            stall_fired: false,
+            recovery_mode: false,
+            incarnation,
+            detect_latency: None,
+        }
+    }
+
     /// This rank's id.
     pub fn rank(&self) -> usize {
         self.rank
@@ -541,125 +233,10 @@ impl<'a> RankCtx<'a> {
         self.topo
     }
 
-    /// The wire model charged for messages between this rank and
-    /// `peer` (already includes this rank's fault-plan slowdown factor,
-    /// if any): the shared-memory tier when both live on the same node
-    /// of a hierarchical topology, the fabric tier otherwise.
-    pub fn network_to(&self, peer: usize) -> NetworkModel {
-        self.net_to(peer)
-    }
-
     /// This rank's own mailbox (borrowed from the run, not from `self`).
-    fn mailbox(&self) -> &'a Mailbox {
+    pub(crate) fn mailbox(&self) -> &'a Mailbox {
         let mailboxes: &'a [Mailbox] = self.mailboxes;
         &mailboxes[self.rank]
-    }
-
-    #[inline]
-    fn net_to(&self, peer: usize) -> NetworkModel {
-        match &self.hier {
-            Some((intra, node)) if node.same_node(self.rank, peer) => *intra,
-            _ => self.net,
-        }
-    }
-
-    /// Whether `peer` shares this rank's node (true only in a
-    /// hierarchical run; the flat degenerate case has one rank per
-    /// node, so nothing — not even a self-send — counts as on-node).
-    #[inline]
-    fn on_node(&self, peer: usize) -> bool {
-        matches!(&self.hier, Some((_, node)) if node.same_node(self.rank, peer))
-    }
-
-    /// Single billing point: every second this rank is charged flows
-    /// through here, advancing both the matching [`Timers`] field and —
-    /// when profiling is on — the recorder's virtual clock. Routing all
-    /// charges through one spot is what makes the telemetry invariant
-    /// (per-phase span sums == timer totals) hold by construction.
-    fn bill(&mut self, phase: Phase, secs: f64) {
-        match phase {
-            Phase::Compute => self.timers.calc += secs,
-            Phase::Pack | Phase::Unpack | Phase::Copy => self.timers.pack += secs,
-            Phase::Wire => self.timers.call += secs,
-            Phase::Wait => self.timers.wait += secs,
-        }
-        self.recorder.charge(phase, secs);
-    }
-
-    /// Run and *really time* a computation phase.
-    pub fn time_calc<R>(&mut self, f: impl FnOnce() -> R) -> R {
-        let (r, t) = timed(f);
-        self.bill(Phase::Compute, t);
-        r
-    }
-
-    /// Like [`RankCtx::time_calc`], but hands the closure the span
-    /// recorder so an instrumented kernel can attribute slices of the
-    /// measured interval itself (per-plan-stage spans). Whatever the
-    /// closure does not account for is billed as plain compute, so the
-    /// total charged always equals the really-measured wall time.
-    pub fn time_calc_with<R>(&mut self, f: impl FnOnce(&mut Recorder) -> R) -> R {
-        let mut rec = std::mem::take(&mut self.recorder);
-        let before = rec.now();
-        let (r, t) = timed(|| f(&mut rec));
-        let inner = rec.now() - before;
-        self.recorder = rec;
-        self.timers.calc += t;
-        self.recorder.charge(Phase::Compute, (t - inner).max(0.0));
-        r
-    }
-
-    /// Run and *really time* a packing phase.
-    pub fn time_pack<R>(&mut self, f: impl FnOnce() -> R) -> R {
-        let (r, t) = timed(f);
-        self.bill(Phase::Pack, t);
-        r
-    }
-
-    /// Run and *really time* an unpacking phase. Accumulates into the
-    /// same `pack` timer as [`RankCtx::time_pack`] (the paper reports
-    /// one packing number) but is attributed separately in timelines.
-    pub fn time_unpack<R>(&mut self, f: impl FnOnce() -> R) -> R {
-        let (r, t) = timed(f);
-        self.bill(Phase::Unpack, t);
-        r
-    }
-
-    /// Run and *really time* work that happens inside the MPI library
-    /// (e.g. a derived-datatype pack walk), charged to `call`.
-    pub fn time_call<R>(&mut self, f: impl FnOnce() -> R) -> R {
-        let (r, t) = timed(f);
-        self.bill(Phase::Wire, t);
-        r
-    }
-
-    /// Turn on span/counter recording for this rank. Exchange engines
-    /// then wrap their work in [`RankCtx::scoped`] and every charged
-    /// second lands as a leaf span on the rank's virtual timeline.
-    pub fn enable_profiling(&mut self) {
-        self.recorder.enable(self.rank);
-    }
-
-    /// Open a named scope for the duration of `f`: charges billed
-    /// inside nest under it on the timeline. Free when profiling is
-    /// off. Closure-based so spans are well-nested by construction.
-    pub fn scoped<R>(&mut self, name: &'static str, f: impl FnOnce(&mut Self) -> R) -> R {
-        self.recorder.open(name);
-        let r = f(self);
-        self.recorder.close();
-        r
-    }
-
-    /// Bump a named profiling counter (no-op when profiling is off).
-    pub fn note_count(&mut self, name: &'static str, delta: u64) {
-        self.recorder.count(name, delta);
-    }
-
-    /// Drain this rank's recorded timeline (empty when profiling was
-    /// never enabled). Call before timer-reducing collectives, whose
-    /// own wire traffic would otherwise pollute the spans.
-    pub fn take_timeline(&mut self) -> Timeline {
-        self.recorder.take_timeline()
     }
 
     /// Number of message buffers the transport had to grow or allocate
@@ -702,14 +279,6 @@ impl<'a> RankCtx<'a> {
         self.fault_active() && self.fault.as_ref().is_some_and(|p| p.config().lossy())
     }
 
-    /// This rank's virtual clock: the sum of every second billed so far
-    /// (compute, pack, call and wait). Monotone between timer resets.
-    /// The partitioned-channel layer timestamps shipped fragments with
-    /// it so fragment bandwidth can drain behind later billed work.
-    pub fn virtual_time(&self) -> f64 {
-        self.timers.total()
-    }
-
     /// Injection totals for this rank so far.
     pub fn fault_stats(&self) -> FaultStats {
         self.fault.as_ref().map(|p| p.stats()).unwrap_or_default()
@@ -733,224 +302,6 @@ impl<'a> RankCtx<'a> {
     /// The armed receive deadline, if any.
     pub fn recv_timeout(&self) -> Option<Duration> {
         self.recv_timeout
-    }
-
-    /// Arm the process-fault window for timestep `step`: a `kill:` /
-    /// `stall:` schedule targeting this step can now fire, at the
-    /// scheduled data-plane operation count. Resilient drivers call
-    /// this right before each step body and
-    /// [`RankCtx::clear_fault_step`] right after, so checkpointing and
-    /// recovery traffic can never be killed — which is what keeps every
-    /// rank's checkpoint set identical.
-    pub fn set_fault_step(&mut self, step: u64) {
-        self.cur_step = step;
-        self.step_ops = 0;
-    }
-
-    /// Disarm the process-fault window (see [`RankCtx::set_fault_step`]).
-    pub fn clear_fault_step(&mut self) {
-        self.cur_step = u64::MAX;
-    }
-
-    /// Data-plane operations counted so far in the armed step — the `OP`
-    /// coordinate of a `kill:R@S+OP` schedule (frozen while disarmed).
-    pub fn step_ops(&self) -> u64 {
-        self.step_ops
-    }
-
-    /// How many times this rank's body has been (re)started: 0 for the
-    /// original process, ≥ 1 for a respawn after a crash-stop fault.
-    /// A resilient driver seeing a nonzero incarnation skips straight
-    /// to the recovery epoch to adopt its buddy's checkpoint.
-    pub fn incarnation(&self) -> usize {
-        self.incarnation
-    }
-
-    /// Whether the communicator is revoked: a crash-stop fault was
-    /// observed somewhere and blocking operations outside recovery
-    /// mode unwind with [`NetsimError::RankFailed`].
-    pub fn revoked(&self) -> bool {
-        self.proc.revoked.load(Ordering::SeqCst)
-    }
-
-    /// The pending failure the survivors must recover from, as
-    /// `(failed rank, failed step)` — `None` once recovery completed.
-    pub fn failed_info(&self) -> Option<(usize, u64)> {
-        let r = self.proc.failed_rank.load(Ordering::SeqCst);
-        (r != usize::MAX).then(|| (r, self.proc.failed_step.load(Ordering::SeqCst)))
-    }
-
-    /// This rank's view of the pending failure as a structured error,
-    /// recording the detection latency (wall-clock seconds from kill to
-    /// first observation, telemetry only) the first time it fires.
-    pub fn rank_failure(&mut self) -> Option<NetsimError> {
-        let (rank, step) = self.failed_info()?;
-        if self.detect_latency.is_none() {
-            let at: Option<Instant> = *self.proc.killed_at.lock();
-            self.detect_latency = Some(at.map_or(0.0, |t| t.elapsed().as_secs_f64()));
-        }
-        Some(NetsimError::RankFailed { rank, detected_by: self.rank, step })
-    }
-
-    /// Detection latency recorded by [`RankCtx::rank_failure`], if this
-    /// rank ever observed a failure.
-    pub fn detect_latency(&self) -> Option<f64> {
-        self.detect_latency
-    }
-
-    /// Enter recovery mode: blocking operations wait normally again
-    /// (the recovery protocol's own traffic must flow on a revoked
-    /// communicator) until [`RankCtx::end_recovery`].
-    pub fn begin_recovery(&mut self) {
-        self.recovery_mode = true;
-    }
-
-    /// Leave recovery mode (see [`RankCtx::begin_recovery`]).
-    pub fn end_recovery(&mut self) {
-        self.recovery_mode = false;
-    }
-
-    /// Whether this rank is inside a recovery epoch.
-    pub fn recovering(&self) -> bool {
-        self.recovery_mode
-    }
-
-    /// Acknowledge the failure cluster-wide: clear the failed-rank
-    /// record and un-revoke the communicator. Called by rank 0 at the
-    /// end of the recovery epoch, *before* releasing the recovery
-    /// fence, so no rank can leave recovery and still observe the
-    /// stale revocation.
-    pub fn clear_failure(&self) {
-        self.proc.failed_rank.store(usize::MAX, Ordering::SeqCst);
-        self.proc.failed_step.store(0, Ordering::SeqCst);
-        *self.proc.killed_at.lock() = None;
-        self.proc.revoked.store(false, Ordering::SeqCst);
-    }
-
-    /// Flush this rank's mailbox of everything whose `(source, tag)`
-    /// fails `keep`, recycling the buffers; returns how many messages
-    /// were evicted. The recovery epoch calls this after the join
-    /// fence — when every pre-failure send has landed (delivery is
-    /// eager) — so stale data-plane frames from the aborted step can
-    /// never be matched by the replay, while in-flight recovery frames
-    /// survive.
-    pub fn drain_all_except(&mut self, keep: impl Fn(usize, u64) -> bool) -> usize {
-        let evicted = self.mailboxes[self.rank].drain_except(&keep);
-        let n = evicted.len();
-        for msg in evicted {
-            if let Some(owner) = msg.owner {
-                self.pools[owner].put(msg.data);
-            }
-        }
-        n
-    }
-
-    /// Record a process-fault trace event. The victim's own trace dies
-    /// with its first incarnation, so the resilient driver re-records
-    /// the kill on the respawned context; stalls are recorded in place
-    /// by [`RankCtx::proc_tick`].
-    pub fn record_proc_fault_event(&mut self, kind: FaultKind, step: u64, op: u64) {
-        self.trace.record_fault(FaultEvent {
-            kind,
-            src: self.rank,
-            dest: self.rank,
-            tag: step,
-            attempt: op,
-            bytes: 0,
-        });
-    }
-
-    /// Process-fault injection point, called once per data-plane
-    /// transport operation (send posts, receive posts, waits, overlap
-    /// polls — including `try_wait`/`progress_with`/`idle_tick` polls
-    /// that find nothing). Ops are counted per armed timestep, so a
-    /// `kill:R@S+OP` schedule lands *inside* the step body, including
-    /// mid-overlap-window and mid-pready. The point is reproducible
-    /// only while `OP` is within the operations the step posts
-    /// unconditionally (its sends and receives; the blocking fence and
-    /// load-trade calls of a migration epoch). Past those, under the
-    /// overlap and partitioned schedules, the count depends on how often
-    /// the rank polled before its halos landed — host timing — and a
-    /// step that ends after fewer than `OP` ticks leaves the kill
-    /// unfired.
-    fn proc_tick(&mut self) {
-        if self.cur_step == u64::MAX {
-            return;
-        }
-        if let Some(k) = self.kill {
-            if k.step == self.cur_step && self.step_ops >= k.op {
-                self.die(k.step);
-            }
-        }
-        if let Some(st) = self.stall {
-            if st.step == self.cur_step && self.step_ops >= st.op && !self.stall_fired {
-                self.stall_fired = true;
-                self.bill(Phase::Wait, st.stall_secs);
-                self.recorder.count("fault_stalls", 1);
-                self.record_proc_fault_event(FaultKind::Stall, st.step, st.op);
-            }
-        }
-        self.step_ops += 1;
-    }
-
-    /// Crash-stop this rank: publish the failure, make in-flight
-    /// traffic to it vanish, wake every blocked peer so the failure
-    /// detector can run, and unwind via a [`KillSentinel`] panic that
-    /// the runner's respawn loop catches.
-    fn die(&mut self, step: u64) -> ! {
-        self.proc.dead[self.rank].store(true, Ordering::SeqCst);
-        self.proc.failed_rank.store(self.rank, Ordering::SeqCst);
-        self.proc.failed_step.store(step, Ordering::SeqCst);
-        *self.proc.killed_at.lock() = Some(Instant::now());
-        self.proc.revoked.store(true, Ordering::SeqCst);
-        // The victim's queued data-plane messages vanish with it;
-        // recycle their buffers so the owners' pools keep circulating.
-        // Control-plane traffic (fault-exempt by construction) is
-        // preserved: a survivor that detects the failure first may
-        // already have posted recovery-protocol frames to this mailbox,
-        // and eating them would deadlock the join fence. Stale control
-        // frames are purged by the recovery epoch's own drain instead.
-        let stale = self.mailboxes[self.rank].drain_except(&|_, tag| tag & CTRL_TAG_BIT != 0);
-        for msg in stale {
-            if let Some(owner) = msg.owner {
-                self.pools[owner].put(msg.data);
-            }
-        }
-        match self.runtime {
-            Runtime::Thread { .. } => {
-                for mb in self.mailboxes {
-                    mb.interrupt();
-                }
-            }
-            #[cfg(all(target_os = "linux", target_arch = "x86_64"))]
-            Runtime::Event { sched } => sched.wake_all(),
-        }
-        // `resume_unwind` rather than `panic_any`: the unwind is the
-        // modeled crash, not a program bug, so the process-global panic
-        // hook (message + backtrace on stderr) must not fire for it.
-        std::panic::resume_unwind(Box::new(KillSentinel));
-    }
-
-    /// Charge the send-side wire model for one message of `bytes`
-    /// payload: `o` seconds of `call`, message/byte counters, epoch
-    /// accounting (skipped for deferred sends, whose `wait` the caller
-    /// settles itself), and the trace event.
-    fn charge_send(&mut self, peer: usize, tag: u64, bytes: usize, epoch: bool) {
-        self.bill(Phase::Wire, self.net_to(peer).call_time(1));
-        self.timers.msgs += 1;
-        self.timers.wire_bytes += bytes as u64;
-        if epoch {
-            if self.on_node(peer) {
-                self.epoch_msgs_on += 1;
-                self.epoch_bytes_on += bytes;
-            } else {
-                self.epoch_msgs += 1;
-                self.epoch_bytes += bytes;
-            }
-        }
-        self.recorder.count("msgs_sent", 1);
-        self.recorder.observe("send_bytes", bytes as f64);
-        self.trace.record(MsgEvent { send: true, peer, tag, bytes });
     }
 
     /// Post a nonblocking send of `data` to rank `dest` with `tag`.
@@ -1013,18 +364,18 @@ impl<'a> RankCtx<'a> {
         if decision.drop {
             return Ok(());
         }
+        let key = (self.rank, tag);
         // Direct only past the billing, the dead-rank vanish and the
         // fault decision above, and only for a message no fault touches:
         // every modeled charge and every injected fault is the eager
         // path's. Self-sends stay eager — the reference transport.
-        if !decision.any()
-            && dest != self.rank
-            && self.mailboxes[dest].deliver((self.rank, tag), data)
-        {
-            self.direct_sends += 1;
-            self.recorder.count("msgs_direct", 1);
-            self.notify_peer(dest);
-            return Ok(());
+        if !decision.any() && dest != self.rank {
+            if let Ok(asleep) = self.mailboxes[dest].deliver(key, data) {
+                self.direct_sends += 1;
+                self.recorder.count("msgs_direct", 1);
+                self.wake(dest, asleep);
+                return Ok(());
+            }
         }
         let (mut buf, fresh) = self.pools[self.rank].take(data.len());
         self.transport_allocs += fresh as u64;
@@ -1038,11 +389,22 @@ impl<'a> RankCtx<'a> {
             // The duplicate is a plain allocation outside the pool: a
             // fault path must not perturb the steady-state pool census.
             self.transport_allocs += 1;
-            self.mailboxes[dest].push((self.rank, tag), Msg { owner: None, data: msg.data.clone() });
+            let dup = Msg { owner: None, data: msg.data.clone() };
+            let asleep = self.mailboxes[dest].push(key, dup);
+            self.wake(dest, asleep);
         }
-        self.mailboxes[dest].push((self.rank, tag), msg);
-        self.notify_peer(dest);
+        let asleep = self.mailboxes[dest].push(key, msg);
+        self.wake(dest, asleep);
         Ok(())
+    }
+
+    /// Wake `dest` if this rank's send just found it asleep on its
+    /// mailbox (`asleep`: what [`Mailbox::push`] / [`Mailbox::deliver`]
+    /// reported) — at most one wake per sleep, none otherwise.
+    fn wake(&self, dest: usize, asleep: Option<Asleep<'_>>) {
+        if let Some(g) = asleep {
+            self.runtime.wake(dest, &self.mailboxes[dest], g);
+        }
     }
 
     /// Record fault events and charge the delay penalty.
@@ -1088,12 +450,8 @@ impl<'a> RankCtx<'a> {
                 dst_len: data.len().saturating_sub(dst),
             });
         }
-        let bytes = src.len() * std::mem::size_of::<f64>();
-        self.charge_send(self.rank, tag, bytes, true);
-        // The matching receive post, as `irecv` would charge it.
-        self.bill(Phase::Wire, self.net_to(self.rank).call_time(1));
-        data.copy_within(src, dst);
-        self.trace.record(MsgEvent { send: false, peer: self.rank, tag, bytes });
+        data.copy_within(src.clone(), dst);
+        self.charge_loopback(tag, src.len());
         Ok(())
     }
 
@@ -1114,11 +472,8 @@ impl<'a> RankCtx<'a> {
                 dst_len: dst.len(),
             });
         }
-        let bytes = std::mem::size_of_val(src);
-        self.charge_send(self.rank, tag, bytes, true);
-        self.bill(Phase::Wire, self.net_to(self.rank).call_time(1));
         dst.copy_from_slice(src);
-        self.trace.record(MsgEvent { send: false, peer: self.rank, tag, bytes });
+        self.charge_loopback(tag, src.len());
         Ok(())
     }
 
@@ -1129,7 +484,7 @@ impl<'a> RankCtx<'a> {
             return Err(NetsimError::InvalidRank { rank: source, size: self.topo.size() });
         }
         self.proc_tick();
-        self.bill(Phase::Wire, self.net_to(source).call_time(1));
+        self.charge_recv_post(source);
         Ok(RecvHandle { source, tag })
     }
 
@@ -1139,60 +494,28 @@ impl<'a> RankCtx<'a> {
     /// run reports what arrived-but-unwanted, the deadlock detector's
     /// first question.
     pub fn mailbox_keys(&self) -> Vec<(usize, u64, usize)> {
-        self.mailboxes[self.rank].unmatched_keys()
+        self.mailbox().unmatched_keys()
     }
 
-    /// Backend-routed blocking wait on this rank's mailbox: run `probe`
-    /// on the locked mailbox until it yields. `None` = the deadline
+    /// Blocking wait on this rank's mailbox: run `probe` on the locked
+    /// mailbox until it yields, sleeping in between as
+    /// [`Mailbox::wait`] does on either backend. `None` = the deadline
     /// expired (or the cluster aborted) first.
-    ///
-    /// Thread backend: condvar wait with a real wall-clock deadline.
-    /// Event backend: arm a mailbox wake, re-probe (the message may already
-    /// have landed — delivery is immediate), then park. The deadline is
-    /// *virtual*: it fires only at scheduler quiescence, i.e. exactly
-    /// when the awaited message provably cannot arrive any more, so a
-    /// lossy chaos run times out instantly instead of sleeping.
     fn blocking_probe<T>(
         &self,
         deadline: Option<Instant>,
-        mut probe: impl FnMut(&mut MailboxInner) -> Option<T>,
+        probe: impl FnMut(&mut MailboxInner) -> Option<T>,
     ) -> Option<T> {
-        let mb = &self.mailboxes[self.rank];
         // Outside recovery mode a revoked communicator stops every
         // blocking wait — that is the failure detector: the caller maps
         // the miss to `RankFailed` via `rank_failure()`. Recovery-mode
         // waits ignore revocation (the recovery protocol's own frames
         // must flow on the revoked communicator).
-        let abort = self.abort;
-        let proc = self.proc;
-        let recovering = self.recovery_mode;
-        let stopped = move || {
-            abort.load(Ordering::SeqCst)
-                || (!recovering && proc.revoked.load(Ordering::SeqCst))
+        let stopped = || {
+            self.abort.load(Ordering::SeqCst)
+                || (!self.recovery_mode && self.proc.revoked.load(Ordering::SeqCst))
         };
-        match self.runtime {
-            Runtime::Thread { .. } => mb.wait_deadline(deadline, &stopped, &mut probe),
-            #[cfg(all(target_os = "linux", target_arch = "x86_64"))]
-            Runtime::Event { sched } => loop {
-                if let Some(v) = probe(&mut mb.lock()) {
-                    return Some(v);
-                }
-                if stopped() {
-                    return None;
-                }
-                sched.arm_mailbox(self.rank);
-                // Close the arm/push race: the message may have landed
-                // between the miss above and the arm.
-                if let Some(v) = probe(&mut mb.lock()) {
-                    sched.disarm_mailbox(self.rank);
-                    return Some(v);
-                }
-                if sched.park(self.rank as u32, deadline) == crate::event::Wake::Expired {
-                    sched.disarm_mailbox(self.rank);
-                    return probe(&mut mb.lock());
-                }
-            },
-        }
+        self.mailbox().wait(self.runtime, self.rank, deadline, stopped, probe)
     }
 
     /// [`RankCtx::blocking_probe`] for the next message of `key`.
@@ -1209,35 +532,15 @@ impl<'a> RankCtx<'a> {
     /// empty poll or they starve the producers they wait on.
     pub fn idle_tick(&mut self) {
         self.proc_tick();
-        self.poll_miss();
+        self.runtime.yield_now();
     }
 
-    /// Give other ranks CPU time after an unproductive poll. The event
-    /// backend is cooperative: a spin-polling rank (overlap `try_wait`
-    /// / `progress` loops) must yield on a miss or it starves the very
-    /// producers it is waiting on. The thread backend relies on kernel
-    /// preemption and does nothing.
-    fn poll_miss(&self) {
-        match self.runtime {
-            Runtime::Thread { .. } => {}
-            #[cfg(all(target_os = "linux", target_arch = "x86_64"))]
-            Runtime::Event { sched } => sched.yield_now(),
-        }
-    }
-
-    /// Wake `dest` if it is parked waiting on its mailbox (event
-    /// backend; pushes under the thread backend signal the mailbox
-    /// condvar directly).
-    fn notify_peer(&self, dest: usize) {
-        match self.runtime {
-            Runtime::Thread { .. } => {}
-            #[cfg(all(target_os = "linux", target_arch = "x86_64"))]
-            Runtime::Event { sched } => {
-                if dest != self.rank {
-                    sched.notify_mailbox(dest);
-                }
-            }
-        }
+    /// What the three single-receive completions share once the mailbox
+    /// has answered: a claimed message is traced and handed out raw.
+    fn claimed(&mut self, h: RecvHandle, msg: Option<Msg>) -> Option<RecvdMsg> {
+        let msg = msg?;
+        self.record_recv(h.source, h.tag, msg.data.len());
+        Some(RecvdMsg(msg))
     }
 
     /// Complete one posted receive, blocking until `deadline` (`None`
@@ -1247,14 +550,8 @@ impl<'a> RankCtx<'a> {
     /// sequence trailers; recycle it with [`RankCtx::recycle`].
     pub fn recv_deadline(&mut self, h: RecvHandle, deadline: Instant) -> Option<RecvdMsg> {
         self.proc_tick();
-        let msg = self.blocking_pop((h.source, h.tag), Some(deadline))?;
-        self.trace.record(MsgEvent {
-            send: false,
-            peer: h.source,
-            tag: h.tag,
-            bytes: msg.data.len() * 8,
-        });
-        Some(RecvdMsg { owner: msg.owner, data: msg.data })
+        let msg = self.blocking_pop(h.key(), Some(deadline));
+        self.claimed(h, msg)
     }
 
     /// Complete one posted receive, blocking until it arrives (or until
@@ -1265,23 +562,16 @@ impl<'a> RankCtx<'a> {
     pub fn recv_blocking(&mut self, h: RecvHandle) -> Result<RecvdMsg, NetsimError> {
         self.proc_tick();
         let deadline = self.recv_timeout.map(|t| Instant::now() + t);
-        let Some(msg) = self.blocking_pop((h.source, h.tag), deadline) else {
-            return Err(self.wait_failed(vec![(h.source, h.tag)]));
-        };
-        self.trace.record(MsgEvent {
-            send: false,
-            peer: h.source,
-            tag: h.tag,
-            bytes: msg.data.len() * 8,
-        });
-        Ok(RecvdMsg { owner: msg.owner, data: msg.data })
+        let msg = self.blocking_pop(h.key(), deadline);
+        match self.claimed(h, msg) {
+            Some(msg) => Ok(msg),
+            None => Err(self.wait_failed(vec![h.key()])),
+        }
     }
 
     /// Return a completed message's buffer to its owner's pool.
     pub fn recycle(&mut self, msg: RecvdMsg) {
-        if let Some(owner) = msg.owner {
-            self.pools[owner].put(msg.data);
-        }
+        msg.0.recycle(self.pools);
     }
 
     /// Keep a completed message instead of copying out of it: `slot`
@@ -1290,7 +580,7 @@ impl<'a> RankCtx<'a> {
     /// same channel's frames over and over thus circulates a fixed set
     /// of buffers with the sender.
     pub fn adopt(&mut self, mut msg: RecvdMsg, slot: &mut Vec<f64>) {
-        std::mem::swap(&mut msg.data, slot);
+        std::mem::swap(&mut msg.0.data, slot);
         self.recycle(msg);
     }
 
@@ -1308,17 +598,12 @@ impl<'a> RankCtx<'a> {
     /// *next* message on that channel (non-overtaking order).
     pub fn try_wait(&mut self, h: RecvHandle) -> Option<RecvdMsg> {
         self.proc_tick();
-        let Some(msg) = self.mailboxes[self.rank].try_pop((h.source, h.tag)) else {
-            self.poll_miss();
-            return None;
-        };
-        self.trace.record(MsgEvent {
-            send: false,
-            peer: h.source,
-            tag: h.tag,
-            bytes: msg.data.len() * 8,
-        });
-        Some(RecvdMsg { owner: msg.owner, data: msg.data })
+        let msg = self.mailbox().try_pop(h.key());
+        let claimed = self.claimed(h, msg);
+        if claimed.is_none() {
+            self.runtime.yield_now();
+        }
+        claimed
     }
 
     /// Drive a batch of posted receives forward without blocking:
@@ -1347,7 +632,7 @@ impl<'a> RankCtx<'a> {
         assert_eq!(handles.len(), done.len());
         self.proc_tick();
         // Failure detection on the overlap path: a poll loop spinning
-        // on `progress` would otherwise never observe the revocation.
+        // on `progress_with` would otherwise never observe the revocation.
         if !self.recovery_mode && self.revoked() {
             if let Some(e) = self.rank_failure() {
                 return Err(e);
@@ -1358,60 +643,29 @@ impl<'a> RankCtx<'a> {
             if done[i] {
                 continue;
             }
-            let Some(msg) = self.mailboxes[self.rank].try_pop((h.source, h.tag)) else {
+            let Some(msg) = self.mailbox().try_pop(h.key()) else {
                 continue;
             };
-            if msg.data.len() != expect_len(i) {
-                let err = NetsimError::SizeMismatch {
-                    rank: self.rank,
-                    source: h.source,
-                    tag: h.tag,
-                    expected: expect_len(i),
-                    got: msg.data.len(),
-                };
-                if let Some(owner) = msg.owner {
-                    self.pools[owner].put(msg.data);
-                }
-                return Err(err);
+            let (expected, got) = (expect_len(i), msg.data.len());
+            if got != expected {
+                msg.recycle(self.pools);
+                return Err(self.size_mismatch(h, expected, got));
             }
-            self.trace.record(MsgEvent {
-                send: false,
-                peer: h.source,
-                tag: h.tag,
-                bytes: msg.data.len() * 8,
-            });
+            self.record_recv(h.source, h.tag, got);
             deliver(i, &msg.data);
-            if let Some(owner) = msg.owner {
-                self.pools[owner].put(msg.data);
-            }
+            msg.recycle(self.pools);
             done[i] = true;
             completed.push(i);
             newly += 1;
         }
         if newly == 0 {
-            self.poll_miss();
+            self.runtime.yield_now();
         }
         Ok(newly)
     }
 
-    /// [`RankCtx::progress_with`] for receives that land in sub-ranges
-    /// of one backing slice (`ranges` parallel to `handles`).
-    pub fn progress(
-        &mut self,
-        handles: &[RecvHandle],
-        storage: &mut [f64],
-        ranges: &[Range<usize>],
-        done: &mut [bool],
-        completed: &mut Vec<usize>,
-    ) -> Result<usize, NetsimError> {
-        assert_eq!(handles.len(), ranges.len());
-        self.progress_with(
-            handles,
-            done,
-            completed,
-            |i| ranges[i].len(),
-            |i, payload| storage[ranges[i].clone()].copy_from_slice(payload),
-        )
+    fn size_mismatch(&self, h: &RecvHandle, expected: usize, got: usize) -> NetsimError {
+        NetsimError::SizeMismatch { rank: self.rank, source: h.source, tag: h.tag, expected, got }
     }
 
     /// Evict every queued message for `(source, tag)` — stale
@@ -1419,13 +673,9 @@ impl<'a> RankCtx<'a> {
     /// recycling their buffers. Returns how many were evicted. Without
     /// this, duplicate storms grow the mailbox without bound.
     pub fn drain_mailbox(&mut self, source: usize, tag: u64) -> usize {
-        let stale = self.mailboxes[self.rank].drain((source, tag));
+        let stale = self.mailbox().drain((source, tag));
         let n = stale.len();
-        for msg in stale {
-            if let Some(owner) = msg.owner {
-                self.pools[owner].put(msg.data);
-            }
-        }
+        stale.into_iter().for_each(|msg| msg.recycle(self.pools));
         n
     }
 
@@ -1452,7 +702,7 @@ impl<'a> RankCtx<'a> {
         'a: 'l,
     {
         let lend = Lend::ranges(self.mailbox(), from, storage, ranges);
-        self.poll_miss();
+        self.runtime.yield_now();
         lend
     }
 
@@ -1481,7 +731,7 @@ impl<'a> RankCtx<'a> {
         let deadline = self.recv_timeout.map(|t| Instant::now() + t);
         let mut result = Ok(());
         for (i, h) in handles.iter().enumerate() {
-            let key = (h.source, h.tag);
+            let key = h.key();
             let claimed = self.blocking_probe(deadline, |inner| {
                 if let Some(len) = inner.windows.filled(i, key) {
                     return Some((len, None));
@@ -1496,28 +746,15 @@ impl<'a> RankCtx<'a> {
             };
             let got = eager.as_ref().map_or(expected, |msg| msg.data.len());
             if let Some(msg) = eager {
-                if let Some(owner) = msg.owner {
-                    self.pools[owner].put(msg.data);
-                }
+                msg.recycle(self.pools);
             }
             if got != expected {
-                result = Err(NetsimError::SizeMismatch {
-                    rank: self.rank,
-                    source: h.source,
-                    tag: h.tag,
-                    expected,
-                    got,
-                });
+                result = Err(self.size_mismatch(h, expected, got));
                 break;
             }
-            self.trace.record(MsgEvent {
-                send: false,
-                peer: h.source,
-                tag: h.tag,
-                bytes: got * 8,
-            });
+            self.record_recv(h.source, h.tag, got);
         }
-        self.close_epoch();
+        self.flush_epoch();
         result
     }
 
@@ -1531,32 +768,6 @@ impl<'a> RankCtx<'a> {
             }
         }
         NetsimError::Timeout { rank: self.rank, pending, mailbox: self.mailbox_keys() }
-    }
-
-    /// Charge the LogGP `wait` term for this epoch's posted sends and
-    /// close the epoch. A hierarchical run waits on both tiers: the
-    /// fabric drains the off-node portion while shared memory drains
-    /// the on-node portion; the two proceed serially on the posting
-    /// core, so the terms add. A flat run performs the identical
-    /// single-term arithmetic as always (the intra term is absent, not
-    /// zero-valued — flat billing stays bit-identical).
-    fn close_epoch(&mut self) {
-        let mut wait = self.net.wait_time(self.epoch_msgs, self.epoch_bytes);
-        if let Some((intra, _)) = self.hier {
-            wait += intra.wait_time(self.epoch_msgs_on, self.epoch_bytes_on);
-            self.epoch_msgs_on = 0;
-            self.epoch_bytes_on = 0;
-        }
-        self.bill(Phase::Wait, wait);
-        self.epoch_msgs = 0;
-        self.epoch_bytes = 0;
-    }
-
-    /// Public epoch close for protocol layers that complete receives
-    /// via [`RankCtx::recv_deadline`] instead of `waitall_*`: charges
-    /// the LogGP `wait` term for the sends posted since the last close.
-    pub fn flush_epoch(&mut self) {
-        self.close_epoch();
     }
 
     /// Complete all posted receives, each message landing in its
@@ -1575,7 +786,7 @@ impl<'a> RankCtx<'a> {
         handles: &[RecvHandle],
         bufs: &mut [&mut [f64]],
     ) -> Result<(), NetsimError> {
-        let from = handles.iter().map(|h| (h.source, h.tag));
+        let from = handles.iter().map(RecvHandle::key);
         let mut lend = Lend::bufs(self.mailbox(), from, bufs);
         self.complete_lent(&mut lend, handles)
     }
@@ -1596,38 +807,9 @@ impl<'a> RankCtx<'a> {
         storage: &mut [f64],
         ranges: &[Range<usize>],
     ) -> Result<(), NetsimError> {
-        let from = handles.iter().map(|h| (h.source, h.tag));
+        let from = handles.iter().map(RecvHandle::key);
         let mut lend = Lend::ranges(self.mailbox(), from, storage, ranges);
         self.complete_lent(&mut lend, handles)
-    }
-
-    /// Record payload bytes (the non-padding fraction of the wire bytes)
-    /// for bandwidth accounting.
-    pub fn note_payload(&mut self, bytes: usize) {
-        self.timers.payload_bytes += bytes as u64;
-    }
-
-    /// Charge additional modeled seconds to `wait` (used by the GPU
-    /// paths to account for staging or page migration on the wire side).
-    pub fn charge_wait(&mut self, secs: f64) {
-        self.bill(Phase::Wait, secs);
-    }
-
-    /// Charge additional *modeled* seconds to `calc` (used by the GPU
-    /// roofline, whose kernels run on the host but are billed as device
-    /// time).
-    pub fn charge_calc(&mut self, secs: f64) {
-        self.bill(Phase::Compute, secs);
-    }
-
-    /// Charge modeled compute seconds *attributed to a brick*: the time
-    /// lands on `calc` exactly like [`RankCtx::charge_calc`], and — when
-    /// profiling is on — is additionally credited to `brick` on the
-    /// recorder, feeding the per-brick cost signal a load balancer
-    /// harvests.
-    pub fn charge_calc_brick(&mut self, brick: u32, secs: f64) {
-        self.bill(Phase::Compute, secs);
-        self.recorder.charge_brick(brick, secs);
     }
 
     /// Synchronize all ranks. Returns silently even if the cluster is
@@ -1641,581 +823,87 @@ impl<'a> RankCtx<'a> {
         if self.proc.revoked.load(Ordering::SeqCst) {
             return;
         }
-        match self.runtime {
-            Runtime::Thread { barrier } => {
-                barrier.wait();
-            }
-            #[cfg(all(target_os = "linux", target_arch = "x86_64"))]
-            Runtime::Event { sched } => {
-                sched.barrier_wait(self.rank as u32);
-            }
-        }
+        self.runtime.barrier(self.rank);
     }
-
-    /// Snapshot of the accumulated timers.
-    pub fn timers(&self) -> Timers {
-        self.timers
-    }
-
-    /// Zero the timers (e.g. after warmup steps). Also rewinds the
-    /// profiling recorder so timelines cover exactly the timed steps.
-    pub fn reset_timers(&mut self) {
-        self.timers.reset();
-        self.recorder.reset();
-    }
-
-    /// Start recording a message trace (see [`crate::trace`]).
-    pub fn enable_trace(&mut self) {
-        self.trace.enable();
-    }
-
-    /// Drain the recorded message events.
-    pub fn take_trace(&mut self) -> Vec<MsgEvent> {
-        self.trace.take()
-    }
-
-    /// Drain the recorded fault-injection events (always recorded when
-    /// a fault plan is armed, independent of the message trace).
-    pub fn take_fault_events(&mut self) -> Vec<FaultEvent> {
-        self.trace.take_faults()
-    }
-}
-
-/// Which cluster substrate to run ranks on. See the module docs; the
-/// two backends are observationally equivalent (bit-identical results
-/// and modeled timers), they differ only in how far they scale and how
-/// blocking is implemented.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub enum Backend {
-    /// One OS thread per rank (the reference backend).
-    #[default]
-    Thread,
-    /// Event-driven rank multiplexing on a worker pool
-    /// ([`crate::event`]). Falls back to `Thread` (with a warning) on
-    /// platforms without the task substrate (non-x86-64 / non-Linux).
-    Event,
-}
-
-impl Backend {
-    /// Parse `"thread"` / `"event"` (case-insensitive).
-    pub fn parse(s: &str) -> Option<Backend> {
-        match s.to_ascii_lowercase().as_str() {
-            "thread" | "threads" => Some(Backend::Thread),
-            "event" | "events" => Some(Backend::Event),
-            _ => None,
-        }
-    }
-
-    /// Backend selected by the `NETSIM_BACKEND` environment variable,
-    /// defaulting to [`Backend::Thread`]. This is what the convenience
-    /// runners ([`run_cluster`], [`run_cluster_faulty`]) use, so an
-    /// entire existing test suite can be re-run on the event backend by
-    /// exporting `NETSIM_BACKEND=event`.
-    pub fn from_env() -> Backend {
-        match std::env::var("NETSIM_BACKEND") {
-            Ok(v) => Backend::parse(&v).unwrap_or_default(),
-            Err(_) => Backend::Thread,
-        }
-    }
-
-    /// Whether the event backend's task substrate is compiled in on
-    /// this platform.
-    pub fn event_supported() -> bool {
-        cfg!(all(target_os = "linux", target_arch = "x86_64"))
-    }
-
-    /// Stable lowercase name (used in bench JSON and CLI output).
-    pub fn label(self) -> &'static str {
-        match self {
-            Backend::Thread => "thread",
-            Backend::Event => "event",
-        }
-    }
-}
-
-impl std::fmt::Display for Backend {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str(self.label())
-    }
-}
-
-impl std::str::FromStr for Backend {
-    type Err = String;
-    fn from_str(s: &str) -> Result<Backend, String> {
-        Backend::parse(s).ok_or_else(|| format!("unknown backend {s:?} (want thread|event)"))
-    }
-}
-
-/// Render a caught panic payload for [`NetsimError::RankPanicked`].
-fn payload_string(p: Box<dyn std::any::Any + Send>) -> String {
-    match p.downcast::<String>() {
-        Ok(s) => *s,
-        Err(p) => match p.downcast::<&'static str>() {
-            Ok(s) => (*s).to_string(),
-            Err(_) => "<opaque panic payload>".to_string(),
-        },
-    }
-}
-
-/// Build the per-rank context; shared verbatim by both backends so
-/// modeled billing cannot diverge between them.
-#[allow(clippy::too_many_arguments)]
-fn rank_ctx<'a>(
-    rank: usize,
-    topo: &'a CartTopo,
-    net: HierarchicalNetworkModel,
-    faults: FaultConfig,
-    mailboxes: &'a [Mailbox],
-    pools: &'a [BufferPool],
-    runtime: Runtime<'a>,
-    abort: &'a AtomicBool,
-    proc: &'a ProcState,
-    incarnation: usize,
-) -> RankCtx<'a> {
-    let fault = faults.is_active().then(|| FaultPlan::new(faults, rank));
-    let net = match &fault {
-        Some(plan) => net.slowed(plan.slowdown()),
-        None => net,
-    };
-    // Flat topologies (including every `NetworkModel` converted via
-    // `From`) carry no hier state, so their billing code path — and
-    // its float arithmetic — is exactly the pre-hierarchy one.
-    let hier = (!net.is_flat()).then_some((net.intra, net.node));
-    // Process faults fire only in a rank's first incarnation: a
-    // respawned rank must not be re-killed, and a replayed step must
-    // not re-stall.
-    let first = incarnation == 0;
-    RankCtx {
-        rank,
-        topo,
-        net: net.inter,
-        mailboxes,
-        pools,
-        runtime,
-        abort,
-        timers: Timers::default(),
-        trace: Trace::default(),
-        recorder: Recorder::disabled(),
-        epoch_msgs: 0,
-        epoch_bytes: 0,
-        hier,
-        epoch_msgs_on: 0,
-        epoch_bytes_on: 0,
-        transport_allocs: 0,
-        direct_sends: 0,
-        fault,
-        fault_bypass: false,
-        recv_timeout: None,
-        proc,
-        kill: faults.kill.filter(|k| first && k.rank == rank),
-        stall: faults.stall.filter(|s| first && s.rank == rank),
-        cur_step: u64::MAX,
-        step_ops: 0,
-        stall_fired: false,
-        recovery_mode: false,
-        incarnation,
-        detect_latency: None,
-    }
-}
-
-/// Run `body` once per rank of `topo` on the backend selected by
-/// `NETSIM_BACKEND` (default: thread-per-rank) and collect the per-rank
-/// results in rank order. Panics with the [`NetsimError::RankPanicked`]
-/// report if a rank body panics; use [`try_run_cluster`] to get it as
-/// a value.
-pub fn run_cluster<R, F>(
-    topo: &CartTopo,
-    net: impl Into<HierarchicalNetworkModel>,
-    body: F,
-) -> Vec<R>
-where
-    R: Send,
-    F: Fn(&mut RankCtx<'_>) -> R + Sync,
-{
-    run_cluster_faulty(topo, net, FaultConfig::off(), body)
-}
-
-/// Like [`run_cluster`], but returns the structured error instead of
-/// panicking when a rank body panics.
-pub fn try_run_cluster<R, F>(
-    topo: &CartTopo,
-    net: impl Into<HierarchicalNetworkModel>,
-    body: F,
-) -> Result<Vec<R>, NetsimError>
-where
-    R: Send,
-    F: Fn(&mut RankCtx<'_>) -> R + Sync,
-{
-    try_run_cluster_on(Backend::from_env(), topo, net, FaultConfig::off(), body)
-}
-
-/// Like [`run_cluster`], but with a seeded [`FaultConfig`] armed: every
-/// rank derives a deterministic [`FaultPlan`] and its wire model is
-/// scaled by the plan's per-rank slowdown factor.
-pub fn run_cluster_faulty<R, F>(
-    topo: &CartTopo,
-    net: impl Into<HierarchicalNetworkModel>,
-    faults: FaultConfig,
-    body: F,
-) -> Vec<R>
-where
-    R: Send,
-    F: Fn(&mut RankCtx<'_>) -> R + Sync,
-{
-    run_cluster_on(Backend::from_env(), topo, net, faults, body)
-}
-
-/// Run a cluster on an explicitly chosen [`Backend`]. Panics with the
-/// structured report if a rank body panics.
-pub fn run_cluster_on<R, F>(
-    backend: Backend,
-    topo: &CartTopo,
-    net: impl Into<HierarchicalNetworkModel>,
-    faults: FaultConfig,
-    body: F,
-) -> Vec<R>
-where
-    R: Send,
-    F: Fn(&mut RankCtx<'_>) -> R + Sync,
-{
-    match try_run_cluster_on(backend, topo, net, faults, body) {
-        Ok(r) => r,
-        Err(e) => panic!("{e}"),
-    }
-}
-
-/// Run a cluster on an explicitly chosen [`Backend`], reporting a rank
-/// panic as [`NetsimError::RankPanicked`] (first panic observed = root
-/// cause; the remaining ranks are woken and unwound, not abandoned).
-pub fn try_run_cluster_on<R, F>(
-    backend: Backend,
-    topo: &CartTopo,
-    net: impl Into<HierarchicalNetworkModel>,
-    faults: FaultConfig,
-    body: F,
-) -> Result<Vec<R>, NetsimError>
-where
-    R: Send,
-    F: Fn(&mut RankCtx<'_>) -> R + Sync,
-{
-    let net = net.into();
-    match backend {
-        Backend::Thread => run_thread_cluster(topo, net, faults, &body),
-        Backend::Event => {
-            #[cfg(all(target_os = "linux", target_arch = "x86_64"))]
-            {
-                run_event_cluster(topo, net, faults, &body)
-            }
-            #[cfg(not(all(target_os = "linux", target_arch = "x86_64")))]
-            {
-                static WARNED: AtomicBool = AtomicBool::new(false);
-                if !WARNED.swap(true, Ordering::SeqCst) {
-                    eprintln!(
-                        "netsim: event backend not supported on this platform; \
-                         falling back to thread backend"
-                    );
-                }
-                run_thread_cluster(topo, net, faults, &body)
-            }
-        }
-    }
-}
-
-/// Bring a crash-stopped `rank` back to life for its next incarnation.
-/// The unwind has dropped everything the dead incarnation held, its
-/// [`Lend`]s included, so nothing of its freed memory is still lent.
-fn respawn(proc: &ProcState, mailbox: &Mailbox, rank: usize) {
-    assert!(
-        mailbox.lock().windows.is_empty(),
-        "rank {rank} died with receive windows still lent"
-    );
-    proc.dead[rank].store(false, Ordering::SeqCst);
-}
-
-/// Thread-per-rank runner. A panicking rank is caught at the rank
-/// boundary; the abort flag plus mailbox/barrier interrupts unwind the
-/// surviving ranks (their pending receives report `Timeout`), and the
-/// first panic becomes the run's [`NetsimError::RankPanicked`].
-fn run_thread_cluster<R, F>(
-    topo: &CartTopo,
-    net: HierarchicalNetworkModel,
-    faults: FaultConfig,
-    body: &F,
-) -> Result<Vec<R>, NetsimError>
-where
-    R: Send,
-    F: Fn(&mut RankCtx<'_>) -> R + Sync,
-{
-    let size = topo.size();
-    let mailboxes: Vec<Mailbox> = (0..size).map(|_| Mailbox::new()).collect();
-    let pools: Vec<BufferPool> = (0..size).map(|_| BufferPool::new()).collect();
-    let barrier = AbortableBarrier::new(size);
-    let abort = AtomicBool::new(false);
-    let proc = ProcState::new(size);
-    let panics: Mutex<Vec<(usize, String)>> = Mutex::new(Vec::new());
-    let mut results: Vec<Option<R>> = (0..size).map(|_| None).collect();
-
-    std::thread::scope(|s| {
-        let mut joins = Vec::with_capacity(size);
-        for (rank, slot) in results.iter_mut().enumerate() {
-            let mailboxes = &mailboxes;
-            let pools = &pools;
-            let barrier = &barrier;
-            let abort = &abort;
-            let proc = &proc;
-            let panics = &panics;
-            joins.push(s.spawn(move || {
-                let mut incarnation = 0usize;
-                loop {
-                    let mut ctx = rank_ctx(
-                        rank,
-                        topo,
-                        net,
-                        faults,
-                        mailboxes,
-                        pools,
-                        Runtime::Thread { barrier },
-                        abort,
-                        proc,
-                        incarnation,
-                    );
-                    match catch_unwind(AssertUnwindSafe(|| body(&mut ctx))) {
-                        Ok(r) => {
-                            *slot = Some(r);
-                            break;
-                        }
-                        Err(p) if p.is::<KillSentinel>() => {
-                            // Crash-stop fault: respawn in place with a
-                            // fresh incarnation. The resilient driver's
-                            // recovery epoch restores the lost state
-                            // from the buddy checkpoint.
-                            incarnation += 1;
-                            respawn(proc, &mailboxes[rank], rank);
-                        }
-                        Err(p) => {
-                            panics.lock().push((rank, payload_string(p)));
-                            abort.store(true, Ordering::SeqCst);
-                            barrier.abort();
-                            for mb in mailboxes {
-                                mb.interrupt();
-                            }
-                            break;
-                        }
-                    }
-                }
-            }));
-        }
-        for j in joins {
-            // Rank panics are caught inside the closure; a join error
-            // here would mean the harness itself failed.
-            j.join().expect("rank worker thread lost");
-        }
-    });
-
-    if let Some((rank, payload)) = panics.into_inner().into_iter().next() {
-        return Err(NetsimError::RankPanicked { rank, payload });
-    }
-    let mut out = Vec::with_capacity(size);
-    for (rank, slot) in results.into_iter().enumerate() {
-        match slot {
-            Some(r) => out.push(r),
-            // No panic was recorded, yet this rank never produced a
-            // result: report it structurally instead of unwrapping.
-            None => {
-                return Err(NetsimError::RankPanicked {
-                    rank,
-                    payload: "rank body never completed (cluster aborted)".into(),
-                })
-            }
-        }
-    }
-    Ok(out)
-}
-
-/// Event-driven runner: one resumable task per rank on a work-stealing
-/// worker pool; see [`crate::event`] for the scheduling rules.
-#[cfg(all(target_os = "linux", target_arch = "x86_64"))]
-fn run_event_cluster<R, F>(
-    topo: &CartTopo,
-    net: HierarchicalNetworkModel,
-    faults: FaultConfig,
-    body: &F,
-) -> Result<Vec<R>, NetsimError>
-where
-    R: Send,
-    F: Fn(&mut RankCtx<'_>) -> R + Sync,
-{
-    use crate::event::{default_stack_bytes, default_workers, Sched};
-
-    let size = topo.size();
-    let mailboxes: Vec<Mailbox> = (0..size).map(|_| Mailbox::new()).collect();
-    let pools: Vec<BufferPool> = (0..size).map(|_| BufferPool::new()).collect();
-    let abort = AtomicBool::new(false);
-    let proc = ProcState::new(size);
-    let results: Vec<Mutex<Option<R>>> = (0..size).map(|_| Mutex::new(None)).collect();
-
-    // Rank bodies need `&Sched` (for parking), but the scheduler is
-    // built *from* the bodies. Tasks only ever run inside `sched.run()`,
-    // so they can read the pointer through this cell, which is filled
-    // right after construction and before `run`.
-    let sched_cell = AtomicUsize::new(0);
-
-    {
-        let bodies: Vec<Box<dyn FnOnce() + Send + '_>> = (0..size)
-            .map(|rank| {
-                let mailboxes = &mailboxes;
-                let pools = &pools;
-                let abort = &abort;
-                let proc = &proc;
-                let results = &results;
-                let sched_cell = &sched_cell;
-                Box::new(move || {
-                    // SAFETY: filled with a pointer to the live Sched
-                    // before run(); the Sched outlives all its tasks.
-                    let sched: &Sched =
-                        unsafe { &*(sched_cell.load(Ordering::SeqCst) as *const Sched) };
-                    let mut incarnation = 0usize;
-                    loop {
-                        let mut ctx = rank_ctx(
-                            rank,
-                            topo,
-                            net,
-                            faults,
-                            mailboxes,
-                            pools,
-                            Runtime::Event { sched },
-                            abort,
-                            proc,
-                            incarnation,
-                        );
-                        match catch_unwind(AssertUnwindSafe(|| body(&mut ctx))) {
-                            Ok(r) => {
-                                *results[rank].lock() = Some(r);
-                                break;
-                            }
-                            Err(p) if p.is::<KillSentinel>() => {
-                                // Crash-stop fault: respawn in place
-                                // (see the thread runner).
-                                incarnation += 1;
-                                respawn(proc, &mailboxes[rank], rank);
-                            }
-                            // Real panics keep the existing path: the
-                            // task harness catches them and the run
-                            // reports RankPanicked.
-                            Err(p) => std::panic::resume_unwind(p),
-                        }
-                    }
-                }) as Box<dyn FnOnce() + Send + '_>
-            })
-            .collect();
-
-        // SAFETY: `run()` below drives every task to completion (or
-        // abandonment after abort) before this scope ends, so the
-        // borrows captured by the bodies stay valid for as long as any
-        // task can run.
-        let sched = unsafe { Sched::new(bodies, default_workers().min(size.max(1)), default_stack_bytes(size)) };
-        sched_cell.store(&sched as *const Sched as usize, Ordering::SeqCst);
-        sched.run();
-
-        let mut panics = sched.take_panics();
-        if !panics.is_empty() {
-            let (rank, payload) = panics.remove(0);
-            return Err(NetsimError::RankPanicked { rank, payload: payload_string(payload) });
-        }
-    }
-
-    let mut out = Vec::with_capacity(size);
-    for (rank, slot) in results.into_iter().enumerate() {
-        match slot.into_inner() {
-            Some(r) => out.push(r),
-            // A task abandoned by a scheduler abort without a recorded
-            // panic: report it structurally instead of unwrapping.
-            None => {
-                return Err(NetsimError::RankPanicked {
-                    rank,
-                    payload: "rank body never completed (cluster aborted)".into(),
-                })
-            }
-        }
-    }
-    Ok(out)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::fault::FaultConfig;
+    use crate::hier::HierarchicalNetworkModel;
+    use crate::run_cluster;
+    use std::panic::{catch_unwind, AssertUnwindSafe};
 
-    impl Mailbox {
-        /// [`Mailbox::wait_deadline`] for the next message of `key`.
-        fn pop_deadline(
-            &self,
-            key: Key,
-            deadline: Option<Instant>,
-            stopped: &dyn Fn() -> bool,
-        ) -> Option<Msg> {
-            self.wait_deadline(deadline, stopped, &mut |inner| inner.pop(key))
-        }
-    }
-
-    /// The mailbox lock, taken once `waiter` is blocked in `pop_deadline`:
-    /// `waiting` is raised under the lock the wait releases, so seeing it
-    /// means the waiter sleeps until signalled or expired.
-    fn lock_when_blocked<'a>(
-        mb: &'a Mailbox,
-        waiter: &std::thread::ScopedJoinHandle<'_, Option<Msg>>,
-    ) -> parking_lot::MutexGuard<'a, MailboxInner> {
-        loop {
-            let g = mb.inner.lock();
-            if g.waiting {
-                return g;
-            }
-            assert!(!waiter.is_finished(), "the waiter returned without blocking");
-        }
-    }
-
-    /// `waiting` is up exactly while the owner is blocked: every way out
-    /// of `pop_deadline` lowers it again (a flag left up costs a system
-    /// call per push, one left down loses a wake-up), and a push that
-    /// sees it up signals.
+    /// `waiting` is up exactly while the owner sleeps on its mailbox: every
+    /// way out of a blocking receive lowers it again (a flag left up costs
+    /// a wake per push, one left down loses a wake-up), and the push that
+    /// ends a sleep takes it — on both backends, over success with and
+    /// without sleeping, timeout, abort and revocation.
     #[test]
     fn mailbox_waiting_flag_is_lowered_on_every_return_path() {
-        let key: Key = (0, 7);
-        let msg = |v: f64| Msg { owner: None, data: vec![v] };
-        let soon = || Some(Instant::now() + Duration::from_millis(20));
-        let (mb, stop) = (Mailbox::new(), AtomicBool::new(false));
-        let lowered = |got: Option<Msg>| {
-            assert!(!mb.inner.lock().waiting);
-            got.map(|m| m.data[0])
-        };
+        let lowered = |ctx: &RankCtx<'_>| assert!(!ctx.mailbox().lock().waiting);
+        let topo = CartTopo::new(&[2], true);
+        let net = NetworkModel::instant();
+        let soon = || Instant::now() + Duration::from_millis(20);
+        for backend in [Backend::Thread, Backend::Event] {
+            run_cluster_on(backend, &topo, net, FaultConfig::off(), |ctx| {
+                if ctx.rank() == 0 {
+                    ctx.isend(1, 7, &[1.0]).unwrap();
+                    ctx.barrier();
+                    ctx.barrier();
+                    until_blocked(ctx, 1);
+                    ctx.isend(1, 7, &[2.0]).unwrap();
+                    assert!(!ctx.mailboxes[1].lock().waiting, "the push took the flag");
+                    return;
+                }
+                ctx.barrier();
+                // A hit without sleeping, then a timeout with nothing queued
+                // (on the event backend the deadline fires at quiescence:
+                // rank 0 is parked on the barrier).
+                let h = ctx.irecv(0, 7).unwrap();
+                assert_eq!(ctx.recv_blocking(h).unwrap().data(), [1.0]);
+                lowered(ctx);
+                assert!(ctx.recv_deadline(h, soon()).is_none());
+                lowered(ctx);
+                ctx.barrier();
+                // A hit after sleeping.
+                assert_eq!(ctx.recv_blocking(h).unwrap().data(), [2.0]);
+                lowered(ctx);
+            });
 
-        // Without blocking: a hit, a stop.
-        mb.push(key, msg(1.0));
-        assert_eq!(lowered(mb.pop_deadline(key, None, &|| false)), Some(1.0));
-        assert_eq!(lowered(mb.pop_deadline(key, None, &|| true)), None);
-        // Timeout with nothing queued.
-        assert_eq!(lowered(mb.pop_deadline(key, soon(), &|| false)), None);
+            // Abort: rank 0 panics while rank 1 sleeps.
+            let checked = AtomicBool::new(false);
+            let run = try_run_cluster_on(backend, &topo, net, FaultConfig::off(), |ctx| {
+                if ctx.rank() == 0 {
+                    until_blocked(ctx, 1);
+                    std::panic::resume_unwind(Box::new("rank 0 gave up"));
+                }
+                let h = ctx.irecv(0, 7).unwrap();
+                assert!(matches!(ctx.recv_blocking(h), Err(NetsimError::Timeout { .. })));
+                lowered(ctx);
+                checked.store(true, Ordering::SeqCst);
+            });
+            assert!(matches!(run, Err(NetsimError::RankPanicked { rank: 0, .. })));
+            assert!(checked.load(Ordering::SeqCst), "{backend}: rank 1 never returned");
 
-        std::thread::scope(|s| {
-            // A hit after blocking: the push finds the flag up and signals.
-            let waiter = s.spawn(|| mb.pop_deadline(key, None, &|| false));
-            drop(lock_when_blocked(&mb, &waiter));
-            mb.push(key, msg(2.0));
-            assert_eq!(lowered(waiter.join().expect("waiter")), Some(2.0));
-
-            // A stop after blocking: `interrupt` signals unconditionally.
-            let waiter = s.spawn(|| mb.pop_deadline(key, None, &|| stop.load(Ordering::SeqCst)));
-            drop(lock_when_blocked(&mb, &waiter));
-            stop.store(true, Ordering::SeqCst);
-            mb.interrupt();
-            assert_eq!(lowered(waiter.join().expect("waiter")), None);
-
-            // A push racing the expiry: the message is queued while the
-            // waiter sleeps but no signal reaches it, so only the re-check
-            // after the timeout finds it.
-            let waiter = s.spawn(|| mb.pop_deadline(key, soon(), &|| false));
-            lock_when_blocked(&mb, &waiter).queues.entry(key).or_default().push_back(msg(3.0));
-            assert_eq!(lowered(waiter.join().expect("waiter")), Some(3.0));
-        });
+            // Revocation: rank 0 crash-stops while rank 1 sleeps.
+            let kill = FaultConfig::parse("kill:0@0").unwrap();
+            run_cluster_on(backend, &topo, net, kill, |ctx| {
+                if ctx.rank() == 0 {
+                    if ctx.incarnation() == 0 {
+                        until_blocked(ctx, 1);
+                        ctx.set_fault_step(0);
+                        let _ = ctx.irecv(1, 7);
+                        unreachable!("the kill fires at the first op");
+                    }
+                    return;
+                }
+                let h = ctx.irecv(0, 7).unwrap();
+                assert!(matches!(ctx.recv_blocking(h), Err(NetsimError::RankFailed { rank: 0, .. })));
+                lowered(ctx);
+            });
+        }
     }
 
     /// Two ranks on threads (a sender can then watch the owner block).
@@ -2232,9 +920,12 @@ mod tests {
         )
     }
 
-    /// Spin until `rank` is blocked in a mailbox wait (see `lock_when_blocked`).
+    /// Spin until `rank` sleeps on its mailbox: `waiting` is raised under
+    /// the lock the sleep releases, so seeing it means the owner sleeps
+    /// until woken or expired.
     fn until_blocked(ctx: &RankCtx<'_>, rank: usize) {
         while !ctx.mailboxes[rank].lock().waiting {
+            ctx.runtime.yield_now();
             std::thread::yield_now();
         }
     }
@@ -2421,7 +1112,7 @@ mod tests {
     /// (vi) Lent ranges are checked every time, at any size.
     #[test]
     fn overlapping_descending_or_out_of_bounds_ranges_panic_at_lend_time() {
-        let mb = Mailbox::new();
+        let mb = Mailbox::default();
         for ranges in [[0..4, 3..6], [4..6, 0..2], [0..2, 6..9]] {
             let mut storage = [0.0; 8];
             let lend = catch_unwind(AssertUnwindSafe(|| {
@@ -2534,19 +1225,6 @@ mod tests {
     }
 
     #[test]
-    fn barrier_synchronizes() {
-        use std::sync::atomic::{AtomicUsize, Ordering};
-        let topo = CartTopo::new(&[4], true);
-        let counter = AtomicUsize::new(0);
-        run_cluster(&topo, NetworkModel::instant(), |ctx| {
-            counter.fetch_add(1, Ordering::SeqCst);
-            ctx.barrier();
-            // After the barrier every rank must observe all increments.
-            assert_eq!(counter.load(Ordering::SeqCst), 4);
-        });
-    }
-
-    #[test]
     fn mismatched_recv_length_is_structured_error() {
         let topo = CartTopo::new(&[1], true);
         let out = run_cluster(&topo, NetworkModel::instant(), |ctx| {
@@ -2608,6 +1286,24 @@ mod tests {
         });
     }
 
+    /// `progress_with` for receives that land in `ranges` of `storage`.
+    fn progress_ranges(
+        ctx: &mut RankCtx<'_>,
+        handles: &[RecvHandle],
+        storage: &mut [f64],
+        ranges: &[Range<usize>],
+        done: &mut [bool],
+        completed: &mut Vec<usize>,
+    ) -> Result<usize, NetsimError> {
+        ctx.progress_with(
+            handles,
+            done,
+            completed,
+            |i| ranges[i].len(),
+            |i, payload| storage[ranges[i].clone()].copy_from_slice(payload),
+        )
+    }
+
     #[test]
     fn progress_partially_completes_and_consumes_buffers_once() {
         let topo = CartTopo::new(&[2], true);
@@ -2630,20 +1326,20 @@ mod tests {
                 ctx.barrier();
                 // Poll until the first message lands (send is async).
                 while completed.is_empty() {
-                    ctx.progress(&handles, &mut storage, &ranges, &mut done, &mut completed)
+                    progress_ranges(ctx, &handles, &mut storage, &ranges, &mut done, &mut completed)
                         .unwrap();
                 }
                 assert_eq!(completed, vec![0]);
                 assert_eq!(&storage[..2], &[1.0, 2.0]);
                 assert!(done[0] && !done[1]);
                 // A repeated poll must not re-deliver the completed index.
-                let n = ctx
-                    .progress(&handles, &mut storage, &ranges, &mut done, &mut completed)
-                    .unwrap();
+                let n =
+                    progress_ranges(ctx, &handles, &mut storage, &ranges, &mut done, &mut completed)
+                        .unwrap();
                 assert_eq!(n, 0);
                 ctx.barrier();
                 while done.iter().any(|d| !d) {
-                    ctx.progress(&handles, &mut storage, &ranges, &mut done, &mut completed)
+                    progress_ranges(ctx, &handles, &mut storage, &ranges, &mut done, &mut completed)
                         .unwrap();
                 }
                 assert_eq!(completed, vec![0, 1]);
@@ -2665,7 +1361,7 @@ mod tests {
             let mut storage = vec![0.0; 2];
             let mut done = [false, false];
             let mut completed = Vec::new();
-            ctx.progress(&handles, &mut storage, &ranges, &mut done, &mut completed).unwrap();
+            progress_ranges(ctx, &handles, &mut storage, &ranges, &mut done, &mut completed).unwrap();
             assert_eq!(completed, vec![0]);
             // The finishing blocking wait over the stuck remainder must
             // still honor the armed deadline.
@@ -2695,7 +1391,7 @@ mod tests {
             let mut done = [false, false];
             let mut completed = Vec::new();
             let wait_before = ctx.timers().wait;
-            ctx.progress(&handles, &mut storage, &ranges, &mut done, &mut completed).unwrap();
+            progress_ranges(ctx, &handles, &mut storage, &ranges, &mut done, &mut completed).unwrap();
             assert_eq!(completed, vec![0, 1], "self-sends complete on the first poll");
             assert_eq!(ctx.timers().wait, wait_before, "polling must not bill wait");
             // All receives already done: the empty finishing waitall
@@ -2716,7 +1412,8 @@ mod tests {
             let mut done = [false];
             let mut completed = Vec::new();
             let range = 0..2;
-            let r = ctx.progress(
+            let r = progress_ranges(
+                ctx,
                 &handles,
                 &mut storage,
                 std::slice::from_ref(&range),
@@ -2766,22 +1463,6 @@ mod tests {
             }
             assert_eq!(ctx.transport_allocs(), warm, "steady state must not allocate");
         });
-    }
-
-    #[test]
-    fn size_classes_round_up_by_less_than_a_quarter() {
-        let mut last = 0;
-        for len in (0..5000).chain([1 << 19, (1 << 19) + 2, usize::MAX >> 8]) {
-            let class = class_ceil(len);
-            let words = class_words(class);
-            assert!(words >= len && words >= MIN_CLASS_WORDS, "len {len} -> {words}");
-            assert!(len < MIN_CLASS_WORDS || words * 4 <= len * 5, "len {len} -> {words}");
-            // A class-sized buffer is filed back under the class it was drawn from.
-            assert_eq!(class_floor(words), Some(class), "len {len}");
-            assert!(class >= last, "classes are monotone in len");
-            last = class;
-        }
-        assert_eq!(class_floor(MIN_CLASS_WORDS - 1), None);
     }
 
     /// One grid-sized frame alternating with a halo's worth of small
@@ -2839,19 +1520,6 @@ mod tests {
             assert_eq!(ctx.transport_allocs(), 2);
             assert_eq!(ctx.pool_len(), 1);
         });
-    }
-
-    #[test]
-    fn full_pool_sheds_its_fullest_class_for_a_new_size() {
-        let pool = BufferPool::new();
-        for _ in 0..POOL_CAP {
-            pool.put(Vec::with_capacity(64));
-        }
-        pool.put(Vec::with_capacity(1024));
-        assert_eq!(pool.len(), POOL_CAP);
-        assert!(!pool.take(1024).1, "the new size must be served from the pool");
-        pool.put(Vec::new());
-        assert_eq!(pool.len(), POOL_CAP - 1, "a buffer without capacity is not pooled");
     }
 
     #[test]

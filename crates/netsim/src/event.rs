@@ -1,7 +1,7 @@
 //! Event-driven rank scheduler: multiplexes thousands of simulated
 //! ranks (stackful [`crate::task::Task`]s) onto a small worker pool.
 //!
-//! This is the engine behind [`crate::cluster::Backend::Event`]. The
+//! This is the engine behind [`crate::Backend::Event`]. The
 //! thread backend burns one OS thread (and two kernel context switches
 //! per blocking hand-off) per rank, which tops out around a thousand
 //! ranks on one machine. Here a rank that would block — on a mailbox
@@ -23,11 +23,15 @@
 //!   it releases the lock, so one quiescence is acted on once.
 //! * **Two-phase parking**: a task *requests* parking and suspends;
 //!   its worker then *applies* the transition under the task's state
-//!   lock. A wake that races with the request (message pushed between
-//!   the task's last mailbox poll and the state flip) sets
-//!   `wake_pending`, which the apply step converts into an immediate
-//!   re-queue. Wakes are never lost; spurious wakes are absorbed by
-//!   the callers' re-check loops.
+//!   lock. A wake that races with the request (a sender took the
+//!   mailbox's `waiting` flag between the task's unlock and the state
+//!   flip — see [`crate::mailbox`]) finds the task still `Running` and
+//!   sets `wake_pending`, which the apply step converts into an
+//!   immediate re-queue. Wakes are never lost; spurious wakes are
+//!   absorbed by the callers' re-check loops. The scheduler keeps no
+//!   per-mailbox state: who is asleep on a mailbox is the mailbox's to
+//!   know, so a message wakes its owner through [`Sched::make_runnable`]
+//!   and nothing else.
 //! * **Virtual deadlines**: recv timeouts do not block wall-clock
 //!   time. A deadline is recorded when the task parks, and fires only
 //!   at *quiescence* — no task runnable or running — because with
@@ -51,11 +55,12 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Condvar, Mutex};
 use std::time::Instant;
 
+use crate::runtime::env_setting;
 use crate::task::{suspend, Directive, StackSlab, Task};
 
 /// Why [`Sched::park`] returned.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum Wake {
+pub(crate) enum Wake {
     /// The event the task parked for fired (mailbox push, barrier
     /// release); re-check the condition.
     Notified,
@@ -113,16 +118,12 @@ struct BarrierState {
 
 /// The scheduler: tasks, their state machines, run queues, the
 /// cluster-wide barrier and the panic/abort plumbing.
-pub struct Sched {
+pub(crate) struct Sched {
     tasks: Vec<Task>,
     /// Backs every task stack; must outlive `tasks` (dropped after —
     /// struct fields drop in declaration order).
     _slab: StackSlab,
     metas: Vec<Mutex<TaskMeta>>,
-    /// Per-rank "poke me on mailbox push" flags. Set only while the
-    /// rank is inside a mailbox wait loop, so a message push never
-    /// wakes a rank parked on an unrelated event (e.g. the barrier).
-    want_wake: Vec<AtomicBool>,
     core: Mutex<Core>,
     work: Condvar,
     barrier: Mutex<BarrierState>,
@@ -142,7 +143,7 @@ impl Sched {
     /// [`Sched::run`] to completion before that state is dropped (and
     /// must not drop an un-run `Sched` whose bodies borrow locals
     /// while resuming tasks elsewhere — in practice: build, run, drop).
-    pub unsafe fn new(
+    pub(crate) unsafe fn new(
         bodies: Vec<Box<dyn FnOnce() + Send + '_>>,
         workers: usize,
         stack_bytes: usize,
@@ -153,8 +154,12 @@ impl Sched {
         // syscalls and two kernel VMAs each, which both dominates spawn
         // time and hits vm.max_map_count near 32k ranks.
         let slab = StackSlab::new(n, stack_bytes);
-        let tasks: Vec<Task> =
-            bodies.into_iter().enumerate().map(|(i, b)| Task::new_in(&slab, i, b)).collect();
+        // SAFETY: the caller's contract is `Task::new_in`'s (run to
+        // completion before what the bodies borrow is dropped); the slab
+        // moves into the `Sched` beside the tasks and is dropped after them
+        // (`_slab` is declared after `tasks`), and each index is used once.
+        let spawn = |(i, b)| unsafe { Task::new_in(&slab, i, b) };
+        let tasks: Vec<Task> = bodies.into_iter().enumerate().map(spawn).collect();
         let metas = (0..n)
             .map(|_| {
                 Mutex::new(TaskMeta {
@@ -174,7 +179,6 @@ impl Sched {
             tasks,
             _slab: slab,
             metas,
-            want_wake: (0..n).map(|_| AtomicBool::new(false)).collect(),
             core: Mutex::new(Core {
                 queues,
                 queued: n,
@@ -192,20 +196,10 @@ impl Sched {
         }
     }
 
-    /// Number of tasks.
-    pub fn len(&self) -> usize {
-        self.tasks.len()
-    }
-
-    /// Whether the scheduler has no tasks.
-    pub fn is_empty(&self) -> bool {
-        self.tasks.is_empty()
-    }
-
     /// Drive all tasks to completion. The calling thread becomes
     /// worker 0; `workers - 1` helper threads are spawned for the
     /// duration of the run.
-    pub fn run(&self) {
+    pub(crate) fn run(&self) {
         if self.nworkers == 1 {
             self.worker_loop(0);
         } else {
@@ -304,14 +298,7 @@ impl Sched {
                     m.state = TState::Runnable;
                     m.wake_pending = false;
                 }
-                let mut core = self.core.lock().unwrap();
-                let home = t % core.queues.len();
-                core.queues[home].push_back(tid);
-                core.queued += 1;
-                core.running -= 1;
-                if core.sleepers > 0 {
-                    self.work.notify_one();
-                }
+                self.requeue(tid);
             }
             Directive::Park => {
                 let mut m = self.metas[t].lock().unwrap();
@@ -322,14 +309,7 @@ impl Sched {
                     m.wake_pending = false;
                     m.state = TState::Runnable;
                     drop(m);
-                    let mut core = self.core.lock().unwrap();
-                    let home = t % core.queues.len();
-                    core.queues[home].push_back(tid);
-                    core.queued += 1;
-                    core.running -= 1;
-                    if core.sleepers > 0 {
-                        self.work.notify_one();
-                    }
+                    self.requeue(tid);
                 } else {
                     m.state = TState::Parked;
                     drop(m);
@@ -367,6 +347,13 @@ impl Sched {
         self.enqueue_locked(&mut self.core.lock().unwrap(), tid);
     }
 
+    /// Queue `tid`, which its worker just stopped running.
+    fn requeue(&self, tid: u32) {
+        let mut core = self.core.lock().unwrap();
+        core.running -= 1;
+        self.enqueue_locked(&mut core, tid);
+    }
+
     fn enqueue_locked(&self, core: &mut Core, tid: u32) {
         // Leaving the parked state invalidates any armed deadline.
         core.deadlines[tid as usize] = None;
@@ -384,7 +371,7 @@ impl Sched {
     /// their deadlines. Unlike the abort path this leaves the scheduler
     /// healthy: woken tasks see a plain [`Wake::Notified`], re-check,
     /// and may park again.
-    pub fn wake_all(&self) {
+    pub(crate) fn wake_all(&self) {
         for t in 0..self.tasks.len() {
             self.make_runnable(t as u32);
         }
@@ -394,7 +381,7 @@ impl Sched {
     /// against every phase of the park protocol: a still-running task
     /// gets `wake_pending`, a parked one is re-queued, a queued or
     /// finished one is left alone.
-    pub fn make_runnable(&self, tid: u32) {
+    pub(crate) fn make_runnable(&self, tid: u32) {
         let mut m = self.metas[tid as usize].lock().unwrap();
         match m.state {
             TState::Parked => {
@@ -407,31 +394,11 @@ impl Sched {
         }
     }
 
-    /// Called by a producer after pushing into `rank`'s mailbox: wake
-    /// the rank if it declared interest via [`Sched::arm_mailbox`].
-    pub fn notify_mailbox(&self, rank: usize) {
-        if self.want_wake[rank].swap(false, Ordering::SeqCst) {
-            self.make_runnable(rank as u32);
-        }
-    }
-
-    /// Declare that `rank` is about to poll its mailbox and wants a
-    /// wake on the next push. Callers must re-poll after arming (the
-    /// push may already have happened).
-    pub fn arm_mailbox(&self, rank: usize) {
-        self.want_wake[rank].store(true, Ordering::SeqCst);
-    }
-
-    /// Withdraw a previously armed mailbox wake (the poll succeeded).
-    pub fn disarm_mailbox(&self, rank: usize) {
-        self.want_wake[rank].store(false, Ordering::SeqCst);
-    }
-
     /// Park the calling task (which must be `tid`) until a wake or
     /// until `deadline` fires at quiescence. Returns immediately with
     /// [`Wake::Expired`] if the cluster is aborting, or with
     /// [`Wake::Notified`] if a wake already raced in.
-    pub fn park(&self, tid: u32, deadline: Option<Instant>) -> Wake {
+    pub(crate) fn park(&self, tid: u32, deadline: Option<Instant>) -> Wake {
         {
             let mut m = self.metas[tid as usize].lock().unwrap();
             if self.abort.load(Ordering::SeqCst) {
@@ -455,15 +422,15 @@ impl Sched {
     }
 
     /// Cooperatively yield the calling task to the back of its run
-    /// queue. Spin-polling paths (`try_wait`, `progress`) call this on
+    /// queue. Spin-polling paths (`try_wait`, `progress_with`) call this on
     /// a miss so producers get CPU time even on a single worker.
-    pub fn yield_now(&self) {
+    pub(crate) fn yield_now(&self) {
         suspend(Directive::Yield);
     }
 
     /// Cluster-wide barrier for the calling task `tid`. Returns `false`
     /// if the cluster aborted instead of releasing the barrier.
-    pub fn barrier_wait(&self, tid: u32) -> bool {
+    pub(crate) fn barrier_wait(&self, tid: u32) -> bool {
         let my_gen;
         {
             let mut b = self.barrier.lock().unwrap();
@@ -500,48 +467,48 @@ impl Sched {
     }
 
     /// Whether the cluster is aborting (rank panic or deadlock).
-    pub fn aborted(&self) -> bool {
+    #[cfg(test)]
+    pub(crate) fn aborted(&self) -> bool {
         self.abort.load(Ordering::SeqCst)
     }
 
     /// Whether abort was triggered by deadlock detection.
-    pub fn deadlock_detected(&self) -> bool {
+    #[cfg(test)]
+    pub(crate) fn deadlock_detected(&self) -> bool {
         self.deadlocked.load(Ordering::SeqCst)
     }
 
     /// Drain captured rank panics, in the order they were observed
     /// (the first is the root cause; later ones are usually secondary
     /// failures of ranks woken by the abort).
-    pub fn take_panics(&self) -> Vec<(usize, Box<dyn std::any::Any + Send + 'static>)> {
+    pub(crate) fn take_panics(&self) -> Vec<(usize, Box<dyn std::any::Any + Send + 'static>)> {
         std::mem::take(&mut *self.panics.lock().unwrap())
     }
 }
 
-/// Number of workers to use: `NETSIM_WORKERS` if set, else the
-/// machine's parallelism capped at 8 (coarse tasks stop scaling past
-/// that, and fewer workers keep scheduling overhead predictable).
-pub fn default_workers() -> usize {
-    if let Ok(v) = std::env::var("NETSIM_WORKERS") {
-        if let Ok(n) = v.trim().parse::<usize>() {
-            return n.max(1);
-        }
+/// Number of workers to use: `NETSIM_WORKERS` if set (a value that is
+/// not a number is rejected, not ignored), else the machine's
+/// parallelism capped at 8 (coarse tasks stop scaling past that, and
+/// fewer workers keep scheduling overhead predictable).
+pub(crate) fn default_workers() -> usize {
+    match env_setting::<usize>("NETSIM_WORKERS") {
+        Some(n) => n.max(1),
+        None => std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1).min(8),
     }
-    std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1).min(8)
 }
 
 /// Per-task stack size for an `n`-rank cluster: `NETSIM_STACK_BYTES`
-/// if set, else [`crate::task::DEFAULT_STACK_BYTES`], shrunk to
+/// if set (in bytes; anything but a number is rejected, not ignored),
+/// else [`crate::task::DEFAULT_STACK_BYTES`], shrunk to
 /// 128 KiB past ~16k ranks. The reservation is virtual either way, but
 /// at huge rank counts the *address-space spread* itself costs: 64k
 /// one-MiB stacks sprawl over 64 GiB of sparse VA, and the page-table
 /// and TLB footprint of walking them dominates the simulation. Rank
 /// bodies at those scales are communication skeletons with shallow
 /// frames; anything deeper can restore big stacks via the env knob.
-pub fn default_stack_bytes(n: usize) -> usize {
-    if let Ok(v) = std::env::var("NETSIM_STACK_BYTES") {
-        if let Ok(b) = v.trim().parse::<usize>() {
-            return b.max(16 * 1024);
-        }
+pub(crate) fn default_stack_bytes(n: usize) -> usize {
+    if let Some(b) = env_setting::<usize>("NETSIM_STACK_BYTES") {
+        return b.max(16 * 1024);
     }
     if n > 16 * 1024 {
         128 * 1024
@@ -556,9 +523,48 @@ mod tests {
     use std::sync::atomic::AtomicUsize;
     use std::time::Duration;
 
-    fn run_bodies(bodies: Vec<Box<dyn FnOnce() + Send + '_>>, workers: usize) -> Sched {
+    /// Where a test's task bodies find the scheduler that runs them.
+    type Holder<'s> = Mutex<Option<&'s Sched>>;
+
+    /// A mailbox in miniature: a value and, under the same lock, the
+    /// consumer's "found nothing, about to park" flag.
+    type Slot = Mutex<(Option<u64>, bool)>;
+
+    /// Consumer side: lower the flag and take the value, or raise the flag
+    /// in the critical section that missed.
+    fn take_or_raise(slot: &Slot) -> Option<u64> {
+        let mut s = slot.lock().unwrap();
+        s.1 = s.0.is_none();
+        s.0.take()
+    }
+
+    /// Producer side: store `v` and take the flag; `true` = wake the consumer.
+    fn put(slot: &Slot, v: u64) -> bool {
+        let mut s = slot.lock().unwrap();
+        s.0 = Some(v);
+        std::mem::take(&mut s.1)
+    }
+
+    /// Build a scheduler over `bodies`, publish it in `holder` (task
+    /// bodies need `&Sched`, which does not exist when they are built),
+    /// run it to completion and hand it back for inspection.
+    fn run_bodies<'s>(
+        holder: &Holder<'s>,
+        bodies: Vec<Box<dyn FnOnce() + Send + '_>>,
+        workers: usize,
+    ) -> Sched {
+        // SAFETY: `run()` below drives every task to completion before
+        // this function returns, and the callers keep whatever the bodies
+        // borrow alive past this call.
         let sched = unsafe { Sched::new(bodies, workers, 256 * 1024) };
+        // SAFETY: only the lifetime is transmuted. The reference is read
+        // by task bodies alone, which run only inside `sched.run()` below
+        // — while `sched` is alive and has not moved — and it is
+        // withdrawn again before `sched` moves out of this frame.
+        let published = unsafe { std::mem::transmute::<&Sched, &'s Sched>(&sched) };
+        *holder.lock().unwrap() = Some(published);
         sched.run();
+        *holder.lock().unwrap() = None;
         sched
     }
 
@@ -575,38 +581,28 @@ mod tests {
                     }) as Box<dyn FnOnce() + Send + '_>
                 })
                 .collect();
-            run_bodies(bodies, 1);
+            run_bodies(&Holder::default(), bodies, 1);
         });
         assert_eq!(count.load(Ordering::SeqCst), n);
     }
 
     #[test]
     fn mailbox_handshake_wakes_consumer() {
-        // Producer pushes into a shared slot and pokes; consumer parks
-        // until the value arrives. Exercises arm/notify and the
-        // wake_pending race path.
-        let slot: Mutex<Option<u64>> = Mutex::new(None);
+        // Producer stores into a shared slot and wakes the consumer if
+        // it finds it asleep; consumer parks until the value arrives.
+        // Exercises the flag-under-the-lock protocol of `crate::mailbox`
+        // and the wake_pending race path.
+        let slot = Slot::default();
         let got = AtomicUsize::new(0);
-        let sched_holder: Mutex<Option<&Sched>> = Mutex::new(None);
-        // Tasks need &Sched before Sched exists; thread the reference
-        // through a once-set holder primed by the first task to run.
-        // Simpler for the test: build bodies that read it lazily.
-        let holder = &sched_holder;
-        let slot_ref = &slot;
-        let got_ref = &got;
+        let holder = Holder::default();
+        let (h, s, g) = (&holder, &slot, &got);
         let bodies: Vec<Box<dyn FnOnce() + Send + '_>> = vec![
             // rank 0: consumer
             Box::new(move || {
-                let sched = holder.lock().unwrap().unwrap();
+                let sched = h.lock().unwrap().unwrap();
                 loop {
-                    if let Some(v) = slot_ref.lock().unwrap().take() {
-                        got_ref.store(v as usize, Ordering::SeqCst);
-                        return;
-                    }
-                    sched.arm_mailbox(0);
-                    if let Some(v) = slot_ref.lock().unwrap().take() {
-                        sched.disarm_mailbox(0);
-                        got_ref.store(v as usize, Ordering::SeqCst);
+                    if let Some(v) = take_or_raise(s) {
+                        g.store(v as usize, Ordering::SeqCst);
                         return;
                     }
                     sched.park(0, None);
@@ -615,18 +611,17 @@ mod tests {
             // rank 1: producer, yields a few times first so the
             // consumer definitely parks.
             Box::new(move || {
-                let sched = holder.lock().unwrap().unwrap();
+                let sched = h.lock().unwrap().unwrap();
                 for _ in 0..3 {
                     sched.yield_now();
                 }
-                *slot_ref.lock().unwrap() = Some(42);
-                sched.notify_mailbox(0);
+                assert!(put(s, 42), "the consumer raised its flag before parking");
+                sched.make_runnable(0);
             }),
         ];
-        let sched = unsafe { Sched::new(bodies, 1, 256 * 1024) };
-        *sched_holder.lock().unwrap() = Some(unsafe { std::mem::transmute::<&Sched, &Sched>(&sched) });
-        sched.run();
+        let sched = run_bodies(h, bodies, 1);
         assert_eq!(got.load(Ordering::SeqCst), 42);
+        assert!(!slot.lock().unwrap().1, "the flag is down once the consumer has its value");
         assert!(!sched.aborted());
     }
 
@@ -635,7 +630,7 @@ mod tests {
         let n = 16;
         let before = AtomicUsize::new(0);
         let violations = AtomicUsize::new(0);
-        let holder: Mutex<Option<&Sched>> = Mutex::new(None);
+        let holder = Holder::default();
         let (h, b, v) = (&holder, &before, &violations);
         let bodies: Vec<Box<dyn FnOnce() + Send + '_>> = (0..n)
             .map(|i| {
@@ -649,9 +644,7 @@ mod tests {
                 }) as Box<dyn FnOnce() + Send + '_>
             })
             .collect();
-        let sched = unsafe { Sched::new(bodies, 1, 256 * 1024) };
-        *h.lock().unwrap() = Some(unsafe { std::mem::transmute::<&Sched, &Sched>(&sched) });
-        sched.run();
+        run_bodies(h, bodies, 1);
         assert_eq!(violations.load(Ordering::SeqCst), 0);
     }
 
@@ -660,7 +653,7 @@ mod tests {
         // A 10-minute deadline must fire immediately once nothing else
         // can run: the clock is virtual.
         let expired = AtomicUsize::new(0);
-        let holder: Mutex<Option<&Sched>> = Mutex::new(None);
+        let holder = Holder::default();
         let (h, e) = (&holder, &expired);
         let bodies: Vec<Box<dyn FnOnce() + Send + '_>> = vec![Box::new(move || {
             let sched = h.lock().unwrap().unwrap();
@@ -669,10 +662,8 @@ mod tests {
                 e.fetch_add(1, Ordering::SeqCst);
             }
         })];
-        let sched = unsafe { Sched::new(bodies, 1, 256 * 1024) };
-        *h.lock().unwrap() = Some(unsafe { std::mem::transmute::<&Sched, &Sched>(&sched) });
         let t0 = Instant::now();
-        sched.run();
+        let sched = run_bodies(h, bodies, 1);
         assert!(t0.elapsed() < Duration::from_secs(5), "deadline must be virtual");
         assert_eq!(expired.load(Ordering::SeqCst), 1);
         assert!(!sched.deadlock_detected());
@@ -681,7 +672,7 @@ mod tests {
     #[test]
     fn deadlines_expire_in_timestamp_order() {
         let order: Mutex<Vec<usize>> = Mutex::new(Vec::new());
-        let holder: Mutex<Option<&Sched>> = Mutex::new(None);
+        let holder = Holder::default();
         let (h, o) = (&holder, &order);
         let base = Instant::now() + Duration::from_secs(100);
         let bodies: Vec<Box<dyn FnOnce() + Send + '_>> = (0..4)
@@ -696,9 +687,7 @@ mod tests {
                 }) as Box<dyn FnOnce() + Send + '_>
             })
             .collect();
-        let sched = unsafe { Sched::new(bodies, 1, 256 * 1024) };
-        *h.lock().unwrap() = Some(unsafe { std::mem::transmute::<&Sched, &Sched>(&sched) });
-        sched.run();
+        run_bodies(h, bodies, 1);
         assert_eq!(*order.lock().unwrap(), vec![3, 2, 1, 0]);
     }
 
@@ -707,7 +696,7 @@ mod tests {
         // Two ranks park forever with no deadline: the scheduler must
         // detect the deadlock, abort, and wake both with Expired.
         let expired = AtomicUsize::new(0);
-        let holder: Mutex<Option<&Sched>> = Mutex::new(None);
+        let holder = Holder::default();
         let (h, e) = (&holder, &expired);
         let bodies: Vec<Box<dyn FnOnce() + Send + '_>> = (0..2)
             .map(|i| {
@@ -719,9 +708,7 @@ mod tests {
                 }) as Box<dyn FnOnce() + Send + '_>
             })
             .collect();
-        let sched = unsafe { Sched::new(bodies, 1, 256 * 1024) };
-        *h.lock().unwrap() = Some(unsafe { std::mem::transmute::<&Sched, &Sched>(&sched) });
-        sched.run();
+        let sched = run_bodies(h, bodies, 1);
         assert!(sched.deadlock_detected());
         assert!(sched.aborted());
         assert_eq!(expired.load(Ordering::SeqCst), 2);
@@ -729,7 +716,7 @@ mod tests {
 
     #[test]
     fn panic_aborts_cluster_and_is_captured_first() {
-        let holder: Mutex<Option<&Sched>> = Mutex::new(None);
+        let holder = Holder::default();
         let h = &holder;
         let bodies: Vec<Box<dyn FnOnce() + Send + '_>> = vec![
             Box::new(move || {
@@ -743,9 +730,7 @@ mod tests {
                 panic!("rank 1 died");
             }),
         ];
-        let sched = unsafe { Sched::new(bodies, 1, 256 * 1024) };
-        *h.lock().unwrap() = Some(unsafe { std::mem::transmute::<&Sched, &Sched>(&sched) });
-        sched.run();
+        let sched = run_bodies(h, bodies, 1);
         let panics = sched.take_panics();
         assert_eq!(panics.len(), 1);
         assert_eq!(panics[0].0, 1);
@@ -763,26 +748,22 @@ mod tests {
     #[test]
     fn one_quiescence_expires_one_deadline() {
         for _ in 0..400 {
-            let slot: Mutex<Option<u64>> = Mutex::new(None);
+            let slot = Slot::default();
             let spurious = AtomicUsize::new(0);
-            let holder: Mutex<Option<&Sched>> = Mutex::new(None);
+            let holder = Holder::default();
             let (h, s, v) = (&holder, &slot, &spurious);
             let now = Instant::now();
             let bodies: Vec<Box<dyn FnOnce() + Send + '_>> = vec![
                 Box::new(move || {
                     let sched = h.lock().unwrap().unwrap();
                     assert_eq!(sched.park(0, Some(now + Duration::from_secs(1))), Wake::Expired);
-                    *s.lock().unwrap() = Some(7);
-                    sched.notify_mailbox(1);
+                    if put(s, 7) {
+                        sched.make_runnable(1);
+                    }
                 }),
                 Box::new(move || {
                     let sched = h.lock().unwrap().unwrap();
-                    loop {
-                        sched.arm_mailbox(1);
-                        if s.lock().unwrap().take().is_some() {
-                            sched.disarm_mailbox(1);
-                            return;
-                        }
+                    while take_or_raise(s).is_none() {
                         if sched.park(1, Some(now + Duration::from_secs(600))) == Wake::Expired {
                             v.fetch_add(1, Ordering::SeqCst);
                             return;
@@ -790,9 +771,7 @@ mod tests {
                     }
                 }),
             ];
-            let sched = unsafe { Sched::new(bodies, 4, 256 * 1024) };
-            *h.lock().unwrap() = Some(unsafe { std::mem::transmute::<&Sched, &Sched>(&sched) });
-            sched.run();
+            let sched = run_bodies(h, bodies, 4);
             assert_eq!(spurious.load(Ordering::SeqCst), 0, "task 1's deadline expired with task 0 runnable");
             assert!(!sched.deadlock_detected());
         }
@@ -802,7 +781,7 @@ mod tests {
     fn work_stealing_multi_worker_completes() {
         let n = 64;
         let count = AtomicUsize::new(0);
-        let holder: Mutex<Option<&Sched>> = Mutex::new(None);
+        let holder = Holder::default();
         let (h, c) = (&holder, &count);
         let bodies: Vec<Box<dyn FnOnce() + Send + '_>> = (0..n)
             .map(|_| {
@@ -815,9 +794,7 @@ mod tests {
                 }) as Box<dyn FnOnce() + Send + '_>
             })
             .collect();
-        let sched = unsafe { Sched::new(bodies, 4, 256 * 1024) };
-        *h.lock().unwrap() = Some(unsafe { std::mem::transmute::<&Sched, &Sched>(&sched) });
-        sched.run();
+        run_bodies(h, bodies, 4);
         assert_eq!(count.load(Ordering::SeqCst), n);
     }
 }

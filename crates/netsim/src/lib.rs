@@ -37,29 +37,34 @@
 //! ```
 
 #![warn(missing_docs)]
+#![deny(unsafe_op_in_unsafe_fn, clippy::undocumented_unsafe_blocks)]
 
 pub use telemetry;
 
+mod clock;
 pub mod cluster;
 pub mod collective;
 pub mod error;
 #[cfg(all(target_os = "linux", target_arch = "x86_64"))]
-pub mod event;
+mod event;
 pub mod fault;
 pub mod hier;
+mod mailbox;
 pub mod model;
 pub mod nbx;
 pub mod partition;
+mod procfault;
+mod runtime;
+#[cfg(all(target_os = "linux", target_arch = "x86_64"))]
+mod task;
 pub mod timers;
 pub mod topo;
 pub mod trace;
 pub mod window;
-#[cfg(all(target_os = "linux", target_arch = "x86_64"))]
-pub mod task;
 
 pub use cluster::{
-    run_cluster, run_cluster_faulty, run_cluster_on, try_run_cluster, try_run_cluster_on,
-    Backend, RankCtx, RecvHandle, RecvdMsg, POOL_CAP,
+    run_cluster, run_cluster_faulty, run_cluster_on, try_run_cluster_on, Backend, RankCtx,
+    RecvHandle, RecvdMsg, POOL_CAP,
 };
 pub use collective::TimerSummary;
 pub use error::NetsimError;

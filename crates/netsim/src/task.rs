@@ -1,8 +1,9 @@
 //! Stackful rank tasks: the coroutine substrate of the event-driven
 //! backend (see [`crate::event`]).
 //!
-//! Each simulated rank owns a private call stack (mmap'd, with a
-//! `PROT_NONE` guard page below it) and a saved register context. A
+//! Each simulated rank owns a private call stack (its slot of the
+//! cluster's [`StackSlab`], with a `PROT_NONE` guard page below it while
+//! the VMA budget allows) and a saved register context. A
 //! worker enters the rank with [`Task::resume`]; the rank leaves by
 //! suspending with a [`Directive`] telling the scheduler why it
 //! stopped (cooperative yield, parked on an event, or finished).
@@ -17,7 +18,7 @@
 //! scheduler, which reports it as a structured
 //! [`crate::NetsimError::RankPanicked`].
 //!
-//! Only compiled on `x86_64-linux`; [`crate::cluster::Backend::Event`]
+//! Only compiled on `x86_64-linux`; [`crate::Backend::Event`]
 //! falls back to the thread backend elsewhere.
 
 use std::cell::Cell;
@@ -28,7 +29,7 @@ use std::sync::atomic::{AtomicU8, Ordering};
 /// committed lazily (`MAP_NORESERVE` + demand paging), so 10k ranks
 /// reserve ~10 GiB of address space but only touch the few pages each
 /// rank body really uses.
-pub const DEFAULT_STACK_BYTES: usize = 1 << 20;
+pub(crate) const DEFAULT_STACK_BYTES: usize = 1 << 20;
 
 const PAGE: usize = 4096;
 
@@ -151,7 +152,7 @@ extern "C" {
 
 /// Why a resumed task gave the CPU back.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum Directive {
+pub(crate) enum Directive {
     /// Cooperative yield (spin-polling paths): requeue at the back.
     Yield,
     /// Parked on an event (mailbox arrival, barrier, timer); the
@@ -164,56 +165,6 @@ pub enum Directive {
 const D_YIELD: u8 = 0;
 const D_PARK: u8 = 1;
 const D_FINISHED: u8 = 2;
-
-/// A coroutine stack: either its own guard-paged mapping (standalone
-/// tasks) or a region borrowed from a [`StackSlab`] (clusters).
-struct Stack {
-    base: *mut u8,
-    len: usize,
-    /// Whether `base..base+len` is a mapping this stack must munmap on
-    /// drop; slab regions are freed by the slab.
-    owned: bool,
-}
-
-impl Stack {
-    fn new(usable: usize) -> Stack {
-        let usable = usable.max(2 * PAGE).next_multiple_of(PAGE);
-        let len = usable + PAGE; // one guard page below
-        unsafe {
-            let base = sys::mmap(
-                std::ptr::null_mut(),
-                len,
-                sys::PROT_NONE,
-                sys::MAP_PRIVATE | sys::MAP_ANONYMOUS | sys::MAP_NORESERVE,
-                -1,
-                0,
-            );
-            assert!(base != sys::MAP_FAILED, "task stack mmap failed");
-            let rc = sys::mprotect(
-                (base as usize + PAGE) as *mut _,
-                usable,
-                sys::PROT_READ | sys::PROT_WRITE,
-            );
-            assert_eq!(rc, 0, "task stack mprotect failed");
-            Stack { base: base as *mut u8, len, owned: true }
-        }
-    }
-
-    /// Highest usable address; page- and therefore 16-aligned.
-    fn top(&self) -> u64 {
-        self.base as u64 + self.len as u64
-    }
-}
-
-impl Drop for Stack {
-    fn drop(&mut self) {
-        if self.owned {
-            unsafe {
-                sys::munmap(self.base.cast(), self.len);
-            }
-        }
-    }
-}
 
 /// Per-stack guard pages cost two kernel VMAs per task (the `PROT_NONE`
 /// hole splits the mapping), and `vm.max_map_count` defaults to ~65530:
@@ -232,7 +183,7 @@ const GUARDED_MAX_TASKS: usize = 16384;
 /// lowest stack beyond that. In guard-free mode an overflowing rank
 /// clobbers its neighbor's stack instead of faulting — the tradeoff for
 /// simulating rank counts the per-stack design cannot reach at all.
-pub struct StackSlab {
+pub(crate) struct StackSlab {
     base: *mut u8,
     len: usize,
     usable: usize,
@@ -240,20 +191,32 @@ pub struct StackSlab {
     n: usize,
 }
 
-// SAFETY: the slab is a passive address range; all mutation happens
-// through the Tasks borrowing disjoint regions of it.
+// SAFETY: the slab is a passive address range: `base` is never
+// dereferenced through the slab, only handed out as the tops of disjoint
+// per-task stacks (`top_of`), and the remaining fields are plain
+// integers — so the thread that drops it need not be the one that
+// mapped it.
 unsafe impl Send for StackSlab {}
+// SAFETY: `&StackSlab` offers only `top_of`, which reads the immutable
+// fields; all mutation of the mapped bytes happens through the tasks
+// running on their own disjoint regions.
 unsafe impl Sync for StackSlab {}
 
 impl StackSlab {
     /// Reserve stacks for `n` tasks of `usable` bytes each.
-    pub fn new(n: usize, usable: usize) -> StackSlab {
+    pub(crate) fn new(n: usize, usable: usize) -> StackSlab {
         let usable = usable.max(2 * PAGE).next_multiple_of(PAGE);
         let guarded = n <= GUARDED_MAX_TASKS;
         // Guarded: [guard][stack 0][guard][stack 1]…; guard-free: one
         // guard page below stack 0, stacks adjacent above it.
         let (stride, len) =
             if guarded { (PAGE + usable, n * (PAGE + usable)) } else { (usable, PAGE + n * usable) };
+        // SAFETY: an anonymous private mapping at a kernel-chosen address
+        // aliases no existing memory. Every `mprotect`/`madvise` range lies
+        // inside it: guarded, stack `i` is `usable` bytes starting at
+        // `i * stride + PAGE` with `stride = PAGE + usable`, ending at
+        // `(i + 1) * stride <= len`; guard-free, the one range is
+        // `n * usable` bytes starting at `PAGE`, ending at `len`.
         unsafe {
             let base = sys::mmap(
                 std::ptr::null_mut(),
@@ -292,19 +255,25 @@ impl StackSlab {
         }
     }
 
-    /// The `i`-th stack region (borrowed; freed with the slab).
-    fn region(&self, i: usize) -> Stack {
+    /// The highest usable address of the `i`-th stack (it grows down
+    /// from there); page- and therefore 16-aligned.
+    fn top_of(&self, i: usize) -> u64 {
         assert!(i < self.n, "slab holds {} stacks, asked for {i}", self.n);
         // Both layouts put stack `i` one page past `i * stride`: the
         // guarded layout skips that stack's own guard page, the
         // guard-free layout skips the single leading guard.
         let lo = PAGE + i * self.stride;
-        Stack { base: (self.base as usize + lo) as *mut u8, len: self.usable, owned: false }
+        (self.base as usize + lo + self.usable) as u64
     }
 }
 
 impl Drop for StackSlab {
     fn drop(&mut self) {
+        // SAFETY: `base..base + len` is the mapping `StackSlab::new`
+        // created, unmapped here and nowhere else. `Task::new_in` obliges
+        // its caller to keep the slab alive longer than every task on it
+        // (`Sched` declares its tasks before its slab), so no stack in
+        // this range is in use.
         unsafe {
             sys::munmap(self.base.cast(), self.len);
         }
@@ -327,25 +296,28 @@ struct WorkerFrame {
 /// across workers; the context and body are only ever touched by the
 /// worker that currently owns the task (scheduler queues enforce
 /// exclusive ownership), and the directive hand-off is atomic.
-pub struct Task {
+pub(crate) struct Task {
     ctx: std::cell::UnsafeCell<Context>,
-    /// Keeps the stack mapping alive for the task's lifetime.
-    _stack: Stack,
     directive: AtomicU8,
     body: std::cell::UnsafeCell<Option<Box<dyn FnOnce() + Send + 'static>>>,
     panic: std::cell::UnsafeCell<Option<Box<dyn std::any::Any + Send + 'static>>>,
 }
 
-// SAFETY: see the struct docs — mutable state is owned by exactly one
-// worker at a time (a task is on one run queue or one worker, never
-// both), and cross-thread transfer happens through the scheduler's
-// locks, which order the accesses.
+// SAFETY: see the struct docs — `ctx`, `body` and `panic` (the
+// `UnsafeCell`s) are touched only by the worker that currently owns the
+// task (a task is on one run queue or one worker, never both), and
+// cross-thread transfer happens through the scheduler's locks, which
+// order the accesses; `directive` is atomic.
 unsafe impl Sync for Task {}
+// SAFETY: the body is `Send`, so is a caught panic payload; the saved
+// context and the stack are thread-agnostic (`resume` re-reads the
+// worker frame per entry), so a task may be created, resumed and dropped
+// on different threads.
 unsafe impl Send for Task {}
 
 impl Task {
-    /// Create a task that will run `body` on its own `stack_bytes`
-    /// stack at first resume.
+    /// Create a task that will run `body` on the `index`-th stack of
+    /// `slab` at first resume.
     ///
     /// # Safety
     ///
@@ -353,36 +325,25 @@ impl Task {
     /// state: the caller must guarantee the task is driven to
     /// completion (or never resumed) before that state goes away —
     /// exactly the guarantee [`crate::event`]'s scoped runner provides.
-    pub unsafe fn new(stack_bytes: usize, body: Box<dyn FnOnce() + Send + '_>) -> Task {
-        Task::with_stack(Stack::new(stack_bytes), body)
-    }
-
-    /// Like [`Task::new`], but running on the `index`-th stack of
-    /// `slab` instead of a private mapping.
-    ///
-    /// # Safety
-    ///
-    /// Everything [`Task::new`] requires, plus: `slab` must outlive the
-    /// task, and no other task may use the same slab index.
-    pub unsafe fn new_in(
+    /// `slab` must outlive the task, and no other task may use the same
+    /// slab index.
+    pub(crate) unsafe fn new_in(
         slab: &StackSlab,
         index: usize,
         body: Box<dyn FnOnce() + Send + '_>,
     ) -> Task {
-        Task::with_stack(slab.region(index), body)
-    }
-
-    unsafe fn with_stack(stack: Stack, body: Box<dyn FnOnce() + Send + '_>) -> Task {
-        let body: Box<dyn FnOnce() + Send + 'static> = std::mem::transmute(body);
+        // SAFETY: only the lifetime bound of the trait object changes, not
+        // its layout; the caller guarantees the body is not run after what
+        // it borrows is gone.
+        let body: Box<dyn FnOnce() + Send + 'static> = unsafe { std::mem::transmute(body) };
         let mut ctx = Context::zeroed();
-        ctx.rsp = stack.top();
+        ctx.rsp = slab.top_of(index);
         ctx.rip = netsim_task_start as unsafe extern "C" fn() as usize as u64;
         ctx.r13 = task_entry as extern "C" fn(*mut Task) -> ! as usize as u64;
         // r12 (the task pointer) is filled in at first resume, once the
         // task has a stable address.
         Task {
             ctx: std::cell::UnsafeCell::new(ctx),
-            _stack: stack,
             directive: AtomicU8::new(D_YIELD),
             body: std::cell::UnsafeCell::new(Some(body)),
             panic: std::cell::UnsafeCell::new(None),
@@ -391,9 +352,17 @@ impl Task {
 
     /// Enter the task until it suspends; returns why it stopped. Must
     /// only be called by the worker that currently owns the task.
-    pub fn resume(&self) -> Directive {
+    pub(crate) fn resume(&self) -> Directive {
         let mut frame =
             WorkerFrame { worker_ctx: Context::zeroed(), task: self as *const Task as *mut Task };
+        // SAFETY: the calling worker owns the task (this function's
+        // contract), so nothing else reads or writes `ctx`. `ctx` holds
+        // either the first-entry context `new_in` built (a mapped,
+        // 16-aligned stack top and the trampoline) or what the task's last
+        // `suspend` saved, both valid to switch to. `frame` outlives the
+        // switch: the task returns here through `frame.worker_ctx` before
+        // this block ends, and the thread-local is restored before `frame`
+        // is dropped.
         unsafe {
             let ctx = self.ctx.get();
             if (*ctx).r12 == 0 {
@@ -412,7 +381,11 @@ impl Task {
 
     /// Take the panic payload captured when the body unwound, if any.
     /// Meaningful once `resume` has returned [`Directive::Finished`].
-    pub fn take_panic(&self) -> Option<Box<dyn std::any::Any + Send + 'static>> {
+    pub(crate) fn take_panic(&self) -> Option<Box<dyn std::any::Any + Send + 'static>> {
+        // SAFETY: `panic` is written by the task itself, in `task_entry`,
+        // before its final suspend; the caller is the worker that saw that
+        // suspend (`Directive::Finished`), so the write happened-before
+        // and nobody else touches the cell.
         unsafe { (*self.panic.get()).take() }
     }
 }
@@ -427,9 +400,14 @@ impl Task {
 /// frame of the thread it left (seen as "suspend() called outside a
 /// rank task" in `work_stealing_multi_worker_completes`).
 #[inline(never)]
-pub fn suspend(directive: Directive) {
+pub(crate) fn suspend(directive: Directive) {
     let frame = WORKER_FRAME.with(|w| w.get());
     assert!(!frame.is_null(), "suspend() called outside a rank task");
+    // SAFETY: a non-null `WORKER_FRAME` is the frame of the `resume` call
+    // this task is running under (set around every switch into a task,
+    // cleared after), so `frame` and the task it names are alive, and the
+    // running task is the only one touching its own `ctx`. Switching to
+    // `worker_ctx` returns into that `resume`, which saved it.
     unsafe {
         let task = (*frame).task;
         let d = match directive {
@@ -443,6 +421,11 @@ pub fn suspend(directive: Directive) {
 }
 
 extern "C" fn task_entry(task: *mut Task) -> ! {
+    // SAFETY: `task` is the pointer `resume` stored in r12 on first entry
+    // — `&self` of a task that stays put and alive while it can be
+    // resumed. `body` and `panic` belong to the running task (see the
+    // `Sync` contract), and this is the only code that touches them
+    // before the final suspend.
     unsafe {
         let body = (*task.cast_const()).body.get().as_mut().unwrap().take().unwrap();
         // Unwinding must never cross the context-switch boundary: catch
@@ -461,6 +444,28 @@ mod tests {
     use std::sync::atomic::{AtomicUsize, Ordering};
     use std::sync::Arc;
 
+    /// A task on the only stack of its own slab.
+    struct Standalone {
+        task: Task,
+        _slab: StackSlab,
+    }
+
+    impl std::ops::Deref for Standalone {
+        type Target = Task;
+        fn deref(&self) -> &Task {
+            &self.task
+        }
+    }
+
+    fn standalone(body: impl FnOnce() + Send + 'static) -> Standalone {
+        let slab = StackSlab::new(1, DEFAULT_STACK_BYTES);
+        // SAFETY: a `'static` body has no borrow to outlive; the slab is
+        // kept beside the task and dropped after it (field order); index 0
+        // is used once.
+        let task = unsafe { Task::new_in(&slab, 0, Box::new(body)) };
+        Standalone { task, _slab: slab }
+    }
+
     fn drive(task: &Task) -> (usize, Option<Box<dyn std::any::Any + Send>>) {
         let mut resumes = 0;
         loop {
@@ -475,11 +480,9 @@ mod tests {
     fn runs_to_completion() {
         let hits = Arc::new(AtomicUsize::new(0));
         let h = hits.clone();
-        let task = unsafe {
-            Task::new(DEFAULT_STACK_BYTES, Box::new(move || {
-                h.fetch_add(1, Ordering::SeqCst);
-            }))
-        };
+        let task = standalone(move || {
+            h.fetch_add(1, Ordering::SeqCst);
+        });
         let (resumes, panic) = drive(&task);
         assert_eq!(resumes, 1);
         assert!(panic.is_none());
@@ -490,14 +493,12 @@ mod tests {
     fn yields_interleave_with_worker() {
         let steps = Arc::new(AtomicUsize::new(0));
         let s = steps.clone();
-        let task = unsafe {
-            Task::new(DEFAULT_STACK_BYTES, Box::new(move || {
-                for _ in 0..5 {
-                    s.fetch_add(1, Ordering::SeqCst);
-                    suspend(Directive::Yield);
-                }
-            }))
-        };
+        let task = standalone(move || {
+            for _ in 0..5 {
+                s.fetch_add(1, Ordering::SeqCst);
+                suspend(Directive::Yield);
+            }
+        });
         for expect in 1..=5 {
             assert_eq!(task.resume(), Directive::Yield);
             assert_eq!(steps.load(Ordering::SeqCst), expect);
@@ -507,11 +508,9 @@ mod tests {
 
     #[test]
     fn panic_is_captured_not_propagated() {
-        let task = unsafe {
-            Task::new(DEFAULT_STACK_BYTES, Box::new(|| {
-                panic!("rank exploded: {}", 42);
-            }))
-        };
+        let task = standalone(|| {
+            panic!("rank exploded: {}", 42);
+        });
         let (_, panic) = drive(&task);
         let payload = panic.expect("panic captured");
         // The compiler may const-fold the format into a &'static str.
@@ -527,17 +526,15 @@ mod tests {
     fn locals_survive_suspension_and_fp_state_holds() {
         let out = Arc::new(AtomicUsize::new(0));
         let o = out.clone();
-        let task = unsafe {
-            Task::new(DEFAULT_STACK_BYTES, Box::new(move || {
-                let mut acc = 1.0f64;
-                let locals: Vec<u64> = (0..64).collect();
-                for &l in locals.iter().take(10) {
-                    acc = acc.mul_add(1.5, l as f64);
-                    suspend(Directive::Yield);
-                }
-                o.store(acc as usize, Ordering::SeqCst);
-            }))
-        };
+        let task = standalone(move || {
+            let mut acc = 1.0f64;
+            let locals: Vec<u64> = (0..64).collect();
+            for &l in locals.iter().take(10) {
+                acc = acc.mul_add(1.5, l as f64);
+                suspend(Directive::Yield);
+            }
+            o.store(acc as usize, Ordering::SeqCst);
+        });
         drive(&task);
         let mut acc = 1.0f64;
         for i in 0..10 {
@@ -552,16 +549,19 @@ mod tests {
         // memory: creating and running them all must just work.
         let n = 10_000;
         let counter = Arc::new(AtomicUsize::new(0));
+        let slab = StackSlab::new(n, DEFAULT_STACK_BYTES);
         let tasks: Vec<Task> = (0..n)
-            .map(|_| {
+            .map(|i| {
                 let c = counter.clone();
-                unsafe {
-                    Task::new(DEFAULT_STACK_BYTES, Box::new(move || {
-                        c.fetch_add(1, Ordering::SeqCst);
-                        suspend(Directive::Yield);
-                        c.fetch_add(1, Ordering::SeqCst);
-                    }))
-                }
+                let body = move || {
+                    c.fetch_add(1, Ordering::SeqCst);
+                    suspend(Directive::Yield);
+                    c.fetch_add(1, Ordering::SeqCst);
+                };
+                // SAFETY: the body borrows nothing; `slab` is declared
+                // before `tasks` and so dropped after them; each index is
+                // used once.
+                unsafe { Task::new_in(&slab, i, Box::new(body)) }
             })
             .collect();
         for t in &tasks {
@@ -578,13 +578,11 @@ mod tests {
     fn tasks_migrate_between_worker_threads() {
         // Suspend on one OS thread, resume on another: the context is
         // thread-agnostic and the worker frame is re-read per resume.
-        let task = Arc::new(unsafe {
-            Task::new(DEFAULT_STACK_BYTES, Box::new(|| {
-                let a = 7u64;
-                suspend(Directive::Park);
-                assert_eq!(a, 7);
-            }))
-        });
+        let task = Arc::new(standalone(|| {
+            let a = 7u64;
+            suspend(Directive::Park);
+            assert_eq!(a, 7);
+        }));
         assert_eq!(task.resume(), Directive::Park);
         let t2 = task.clone();
         std::thread::spawn(move || {

@@ -60,7 +60,8 @@ use std::marker::PhantomData;
 use std::ops::Range;
 use std::ptr::NonNull;
 
-use crate::cluster::{Key, Mailbox, RankCtx, RecvHandle};
+use crate::cluster::{RankCtx, RecvHandle};
+use crate::mailbox::{Key, Mailbox};
 use crate::error::NetsimError;
 
 /// One lent destination run.

@@ -1,11 +1,11 @@
 //! Stress and semantics tests for the thread-rank MPI substrate: heavy
 //! tag interleaving, all-to-all storms, lockstep multi-epoch runs,
-//! deterministic wire-time accounting, and a stamp hammer on the
-//! single-copy path.
+//! deterministic wire-time accounting, a stamp hammer on the
+//! single-copy path and a lost-wake hammer on the sleep/wake protocol.
 
 use netsim::{
-    run_cluster, run_cluster_faulty, run_cluster_on, Backend, CartTopo, FaultConfig, NetworkModel,
-    POOL_CAP,
+    run_cluster, run_cluster_faulty, run_cluster_on, try_run_cluster_on, Backend, CartTopo,
+    FaultConfig, NetsimError, NetworkModel, RankCtx, RecvHandle, POOL_CAP,
 };
 
 /// All-to-all with per-pair tags, several epochs: no message may be
@@ -295,4 +295,80 @@ fn stamped_halos_survive_lent_rounds_under_skew() {
         direct > 0 && direct <= total - 8 * 4,
         "{direct} of {total} messages were direct"
     );
+}
+
+/// One blocking receive of a one-word message, by `recv_blocking` on even
+/// rounds and by `waitall_into` on odd ones: the two ways into the
+/// mailbox's wait loop.
+fn recv_word(ctx: &mut RankCtx<'_>, h: RecvHandle, round: usize) -> Result<f64, NetsimError> {
+    if round.is_multiple_of(2) {
+        let msg = ctx.recv_blocking(h)?;
+        let word = msg.data()[0];
+        ctx.recycle(msg);
+        ctx.flush_epoch();
+        Ok(word)
+    } else {
+        let mut word = [0.0];
+        ctx.waitall_into(&[h], &mut [&mut word[..]])?;
+        Ok(word[0])
+    }
+}
+
+/// Lost-wake hammer for the sleep/wake protocol (event backend, two
+/// workers): every receive below sleeps unless its message already
+/// landed, and every send must wake a sleeper exactly when there is one.
+/// Two ranks ping-pong 200,000 one-word messages — the tightest
+/// raise/take race there is — and a 64-rank ring passes 2,000 rounds with
+/// a seeded busy-skew before each wait, so wakes land before, inside and
+/// after the window between a rank's unlock and its park. A lost wake
+/// leaves its rank parked for good; the scheduler then sees quiescence
+/// with nothing armed, declares the deadlock and the receive reports
+/// `Timeout`: the test fails by name instead of hanging.
+#[test]
+fn no_wake_is_lost_between_a_missed_probe_and_the_park() {
+    if !Backend::event_supported() {
+        return;
+    }
+    std::env::set_var("NETSIM_WORKERS", "2");
+    let run = |ranks: usize, body: &(dyn Fn(&mut RankCtx<'_>) -> Result<(), NetsimError> + Sync)| {
+        let topo = CartTopo::new(&[ranks], true);
+        let net = NetworkModel::instant();
+        let done = try_run_cluster_on(Backend::Event, &topo, net, FaultConfig::off(), body);
+        for (rank, r) in done.expect("no rank panics").into_iter().enumerate() {
+            r.unwrap_or_else(|e| panic!("rank {rank} of {ranks} lost a wake: {e}"));
+        }
+    };
+
+    const PINGS: usize = 100_000;
+    run(2, &|ctx| {
+        let peer = 1 - ctx.rank();
+        for round in 0..PINGS {
+            let h = ctx.irecv(peer, 7)?;
+            if ctx.rank() == 0 {
+                ctx.isend(peer, 7, &[round as f64])?;
+                assert_eq!(recv_word(ctx, h, round)?, round as f64);
+            } else {
+                assert_eq!(recv_word(ctx, h, round)?, round as f64);
+                ctx.isend(peer, 7, &[round as f64])?;
+            }
+        }
+        Ok(())
+    });
+
+    const ROUNDS: usize = 2_000;
+    run(64, &|ctx| {
+        let (me, n) = (ctx.rank(), ctx.size());
+        let from = (me + n - 1) % n;
+        let mut skew = 0x9E37_79B9_7F4A_7C15u64 ^ me as u64;
+        for round in 0..ROUNDS {
+            let h = ctx.irecv(from, 9)?;
+            ctx.isend((me + 1) % n, 9, &[(round * n + me) as f64])?;
+            skew = skew.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+            for _ in 0..(skew >> 54) {
+                std::hint::spin_loop();
+            }
+            assert_eq!(recv_word(ctx, h, round)?, (round * n + from) as f64);
+        }
+        Ok(())
+    });
 }
