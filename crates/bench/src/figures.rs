@@ -504,7 +504,6 @@ fn ext_knl_calibrated(c: &mut Cells, out: &mut dyn Write) -> io::Result<()> {
             payload_bytes: s.layout.payload_bytes,
             wire_bytes: s.layout.payload_bytes,
             region_instances: s.layout.region_instances,
-            ..ExchangeStats::default()
         };
         let types = estimate_cpu_step(&CpuMethod::MpiTypes, &s.types, pts, &knl, &net);
         let yask = estimate_cpu_step(&CpuMethod::Yask, &s.types, pts, &knl, &net);

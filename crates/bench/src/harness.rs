@@ -114,7 +114,6 @@ impl Cells {
             payload_bytes: grid.exchange_bytes(),
             wire_bytes: grid.exchange_bytes(),
             region_instances: 26,
-            ..ExchangeStats::default()
         };
         let s = GpuStats { layout, memmap, types };
         self.gpu.push((n, s));

@@ -7,7 +7,7 @@
 
 use mapping::MappingPolicy;
 use netsim::hier::HierarchicalNetworkModel;
-use netsim::telemetry::{chrome_trace, critical_path, OverlapStats, PhaseBreakdown, BRICK_COST_HIST};
+use netsim::telemetry::{chrome_trace, critical_path, PhaseBreakdown, BRICK_COST_HIST};
 use packfree::experiment::{run_experiment, CpuMethod, ExperimentConfig, KernelKind, MethodReport};
 use packfree::rebalance::{run_rebalance, GridCfg, RebalanceCfg};
 use stencil::StencilShape;
@@ -298,7 +298,7 @@ OUTPUT: the artifact's five metrics — calc/pack/call/wait as
 /// Parse arguments (excluding argv[0]).
 pub fn parse(args: &[String]) -> Result<Options, String> {
     let mut o = Options::default();
-    let mut page = memview::PAGE_4K;
+    let mut page = None;
     let mut method_name = String::from("memmap");
     let mut it = args.iter().peekable();
     while let Some(arg) = it.next() {
@@ -385,19 +385,21 @@ pub fn parse(args: &[String]) -> Result<Options, String> {
                     .ok_or_else(|| format!("unknown backend '{name}' (thread | event)"))?;
             }
             "-p" | "--page" => {
-                page = take("--page")?.parse().map_err(|e| format!("--page: {e}"))?;
-                if !matches!(page, 4096 | 16384 | 65536) {
+                let bytes = take("--page")?.parse().map_err(|e| format!("--page: {e}"))?;
+                if !matches!(bytes, 4096 | 16384 | 65536) {
                     return Err("--page must be 4096, 16384, or 65536".into());
                 }
+                page = Some(bytes);
             }
             other => return Err(format!("unknown option '{other}' (try --help)")),
         }
     }
+    let page_size = page.unwrap_or(memview::PAGE_4K);
     o.method = match method_name.as_str() {
-        "memmap" => CpuMethod::MemMap { page_size: page },
+        "memmap" => CpuMethod::MemMap { page_size },
         "layout" => CpuMethod::Layout,
         "basic" => CpuMethod::Basic,
-        "shift" => CpuMethod::Shift { page_size: page },
+        "shift" => CpuMethod::Shift { page_size },
         "yask" => CpuMethod::Yask,
         "yask-ol" => CpuMethod::YaskOverlap,
         "mpi-types" => CpuMethod::MpiTypes,
@@ -430,6 +432,11 @@ pub fn parse(args: &[String]) -> Result<Options, String> {
         return Err(rebalance_rejects(
             "--partitioned",
             "its staged whole-brick frames have nothing to ship early",
+        ));
+    }
+    if page.is_some() && !matches!(method_name.as_str(), "memmap" | "shift") {
+        return Err(format!(
+            "--page needs an mmap-view exchange engine (memmap | shift), not '{method_name}'"
         ));
     }
     if (o.overlap || o.partitioned) && !o.method.split_phase() {
@@ -597,27 +604,128 @@ pub fn trace_json(o: &Options, r: &MethodReport) -> String {
     chrome_trace(&r.timelines, &meta)
 }
 
-/// The overlap-accounting JSON object shared by `render_json` and the
-/// critical-path section; partitioned runs carry the early-shipping
-/// counters too.
-fn overlap_json(ov: &OverlapStats) -> String {
-    let mut s = format!(
-        "{{\"hidden_wire\": {:.9}, \"total_wire\": {:.9}, \"efficiency\": {:.6}",
-        ov.hidden_wire,
-        ov.total_wire,
-        ov.efficiency()
-    );
-    if ov.partitioned() {
-        s.push_str(&format!(
-            ", \"early_bytes\": {}, \"partition_bytes\": {}, \
-             \"early_shipped_fraction\": {:.6}",
-            ov.early_bytes,
-            ov.partition_bytes,
-            ov.early_shipped_fraction()
-        ));
+/// A report field's value. Its kind fixes how it prints, in the text
+/// line and in `--json` alike.
+#[derive(Clone, Copy)]
+enum Value {
+    /// A count or a byte total.
+    Count(u64),
+    /// A signed count (`-1` = none).
+    Signed(i64),
+    /// Seconds, to the nanosecond.
+    Seconds(f64),
+    /// A ratio or a fraction.
+    Ratio(f64),
+    /// A name (a JSON string).
+    Name(&'static str),
+    /// A 64-bit digest in zero-padded hex (a JSON string).
+    Digest(u64),
+}
+
+impl Value {
+    /// The value as printed; `quote` makes names and digests JSON strings.
+    fn render(self, quote: bool) -> String {
+        let q = if quote { "\"" } else { "" };
+        match self {
+            Value::Count(v) => v.to_string(),
+            Value::Signed(v) => v.to_string(),
+            Value::Seconds(v) => format!("{v:.9}"),
+            Value::Ratio(v) => format!("{v:.6}"),
+            Value::Name(s) => format!("{q}{s}{q}"),
+            Value::Digest(d) => format!("{q}{d:#018x}{q}"),
+        }
     }
-    s.push('}');
-    s
+}
+
+/// One report block: its key and its `(key, value)` fields, in order.
+type Block = (&'static str, Vec<(&'static str, Value)>);
+
+/// Every report block the run produced, each behind its gate: the one
+/// list [`render`] prints a line of and [`render_json`] an object of.
+fn blocks(r: &MethodReport) -> Vec<Block> {
+    use Value::{Count, Digest, Name, Ratio, Seconds, Signed};
+    let mut out = Vec::new();
+    if let Some(ov) = r.overlap_stats {
+        let mut fields = vec![
+            ("hidden_wire", Seconds(ov.hidden_wire)),
+            ("total_wire", Seconds(ov.total_wire)),
+            ("efficiency", Ratio(ov.efficiency())),
+        ];
+        // Partitioned runs carry the early-shipping counters too.
+        if ov.partitioned() {
+            fields.extend([
+                ("early_bytes", Count(ov.early_bytes)),
+                ("partition_bytes", Count(ov.partition_bytes)),
+                ("early_shipped_fraction", Ratio(ov.early_shipped_fraction())),
+            ]);
+        }
+        out.push(("overlap", fields));
+    }
+    // Only hierarchical-topology runs carry the mapping split.
+    if let Some(m) = &r.mapping {
+        out.push(("mapping", vec![
+            ("topology", Name(m.topology)),
+            ("ranks_per_node", Count(m.ranks_per_node as u64)),
+            ("policy", Name(m.policy)),
+            ("on_bytes", Count(m.on_bytes)),
+            ("off_bytes", Count(m.off_bytes)),
+            ("on_msgs", Count(m.on_msgs)),
+            ("off_msgs", Count(m.off_msgs)),
+            ("on_node_fraction", Ratio(m.on_node_fraction())),
+            ("lex_off_bytes", Count(m.lex_off_bytes)),
+            ("off_bytes_vs_lex", Ratio(m.off_bytes_vs_lex())),
+            ("modeled_time", Seconds(m.modeled_time)),
+            ("lex_modeled_time", Seconds(m.lex_modeled_time)),
+            ("modeled_speedup", Ratio(m.modeled_speedup())),
+        ]));
+    }
+    // Gate on the run's own armed state, not the (possibly unrelated)
+    // options: a fault-free report never prints a fault block.
+    if r.fault_seed.is_some() {
+        let f = &r.faults;
+        out.push(("faults", vec![
+            ("drops", Count(f.drops)),
+            ("corrupts", Count(f.corrupts)),
+            ("dups", Count(f.dups)),
+            ("delays", Count(f.delays)),
+        ]));
+        out.push(("recovery", vec![
+            ("retries", Count(f.retries)),
+            ("duplicates_discarded", Count(f.duplicates_discarded)),
+            ("corrupt_detected", Count(f.corrupt_detected)),
+            ("degraded_exchanges", Count(f.degraded_exchanges)),
+        ]));
+    }
+    // Gate on the harness's own accounting: only resilient runs (an
+    // armed checkpoint interval or a survived process fault) print it.
+    if r.recovery.armed() {
+        let rv = &r.recovery;
+        out.push(("resilience", vec![
+            ("checkpoints", Count(rv.checkpoints)),
+            ("checkpoint_bytes", Count(rv.checkpoint_bytes)),
+            ("recovery_epochs", Count(rv.recovery_epochs)),
+            ("replayed_steps", Count(rv.replayed_steps)),
+            ("restore_bytes", Count(rv.restore_bytes)),
+            ("detect_latency_s", Seconds(rv.detect_latency_s)),
+            ("failed_rank", Signed(rv.failed_rank)),
+            ("failed_step", Signed(rv.failed_step)),
+        ]));
+    }
+    // Only the rebalance driver populates migration accounting.
+    if let Some(m) = &r.migration {
+        out.push(("migration", vec![
+            ("epochs", Count(m.epochs)),
+            ("bricks_moved", Count(m.bricks_moved)),
+            ("bytes_moved", Count(m.bytes_moved)),
+            ("nbx_rounds", Count(m.nbx_rounds)),
+            ("nbx_data_msgs", Count(m.nbx_data_msgs)),
+            ("nbx_barrier_msgs", Count(m.nbx_barrier_msgs)),
+            ("imbalance_initial", Ratio(m.imbalance_initial)),
+            ("imbalance_final", Ratio(m.imbalance_final)),
+            ("ownership_digest", Digest(m.ownership_digest)),
+        ]));
+    }
+    out
 }
 
 /// One formatted breakdown row shared by the table renderer.
@@ -673,8 +781,7 @@ fn render_profile(o: &Options, r: &MethodReport) -> String {
             ));
         }
     }
-    if let Some(mut cp) = critical_path(&r.timelines) {
-        cp.overlap = r.overlap_stats;
+    if let Some(cp) = critical_path(&r.timelines) {
         out.push_str(&format!(
             "critical path: rank {} | total {:.6} s | imbalance {:.1}%\n",
             cp.rank,
@@ -690,22 +797,6 @@ fn render_profile(o: &Options, r: &MethodReport) -> String {
                 s.dominant.name(),
                 s.dominant_frac * 100.0
             ));
-        }
-        if let Some(ov) = cp.overlap {
-            out.push_str(&format!(
-                "  overlap: hidden {:.6} of {:.6} wire s ({:.1}% efficiency)\n",
-                ov.hidden_wire,
-                ov.total_wire,
-                ov.efficiency() * 100.0
-            ));
-            if ov.partitioned() {
-                out.push_str(&format!(
-                    "  partitioned: {} of {} halo bytes shipped early ({:.1}%)\n",
-                    ov.early_bytes,
-                    ov.partition_bytes,
-                    ov.early_shipped_fraction() * 100.0
-                ));
-            }
         }
     }
     out
@@ -729,91 +820,14 @@ pub fn render(o: &Options, r: &MethodReport) -> String {
     out.push_str(&fmt("call", r.summary.call));
     out.push_str(&fmt("wait", r.summary.wait));
     out.push_str(&format!("perf {:.4} GStencil/s per rank\n", r.gstencil()));
-    if let Some(ov) = r.overlap_stats {
-        out.push_str(&format!(
-            "overlap: hidden {:.6} of {:.6} wire s ({:.1}% efficiency)\n",
-            ov.hidden_wire,
-            ov.total_wire,
-            ov.efficiency() * 100.0
-        ));
-        if ov.partitioned() {
-            out.push_str(&format!(
-                "partitioned: {} of {} halo bytes shipped early ({:.1}%)\n",
-                ov.early_bytes,
-                ov.partition_bytes,
-                ov.early_shipped_fraction() * 100.0
-            ));
-        }
+    if let Some(seed) = r.fault_seed {
+        out.push_str(&format!("fault_seed {seed}\n"));
     }
-    // Only hierarchical-topology runs carry the mapping split.
-    if let Some(m) = &r.mapping {
-        out.push_str(&format!(
-            "mapping: {} on {} ({} ranks/node) | on-node {:.1}% of bytes | \
-             off-node {} B vs lex {} B ({:.2}x) | modeled speedup {:.2}x\n",
-            m.policy,
-            m.topology,
-            m.ranks_per_node,
-            m.on_node_fraction() * 100.0,
-            m.off_bytes,
-            m.lex_off_bytes,
-            m.off_bytes_vs_lex(),
-            m.modeled_speedup()
-        ));
+    for (name, fields) in blocks(r) {
+        let pairs: Vec<String> = fields.iter().map(|(k, v)| format!("{k} {}", v.render(false))).collect();
+        out.push_str(&format!("{name}: {}\n", pairs.join(", ")));
     }
     out.push_str(&render_profile(o, r));
-    // Gate on the run's own armed state, not the (possibly unrelated)
-    // options: a fault-free report never prints a fault block.
-    if let Some(seed) = r.fault_seed {
-        out.push_str(&format!(
-            "faults seed {} | injected: drop {} corrupt {} dup {} delay {}\n",
-            seed, r.faults.drops, r.faults.corrupts, r.faults.dups, r.faults.delays
-        ));
-        out.push_str(&format!(
-            "recovery: retries {} dup-discarded {} corrupt-detected {} degraded {}\n",
-            r.stats.retries,
-            r.stats.duplicates_discarded,
-            r.stats.corrupt_detected,
-            r.stats.degraded_exchanges
-        ));
-    }
-    // Gate on the harness's own accounting: only resilient runs (an
-    // armed checkpoint interval or a survived process fault) print it.
-    if r.recovery.armed() {
-        let rv = &r.recovery;
-        out.push_str(&format!(
-            "checkpoints: {} snapshots, {} bytes to buddy ranks\n",
-            rv.checkpoints, rv.checkpoint_bytes
-        ));
-        if rv.recovery_epochs > 0 {
-            out.push_str(&format!(
-                "rank failure: rank {} died at step {} | {} recovery epoch(s) | \
-                 replayed {} step(s) | restored {} bytes | detected in {:.6} s\n",
-                rv.failed_rank,
-                rv.failed_step,
-                rv.recovery_epochs,
-                rv.replayed_steps,
-                rv.restore_bytes,
-                rv.detect_latency_s
-            ));
-        }
-    }
-    // Only the rebalance driver populates migration accounting.
-    if let Some(m) = &r.migration {
-        if m.epochs > 0 {
-            out.push_str(&format!(
-                "migration: {} epoch(s) | {} brick(s) moved | {} bytes | \
-                 imbalance {:.2} -> {:.2}\n",
-                m.epochs, m.bricks_moved, m.bytes_moved, m.imbalance_initial, m.imbalance_final
-            ));
-        } else {
-            out.push_str("migration: static ownership (no epochs ran)\n");
-        }
-        out.push_str(&format!(
-            "nbx discovery: {} round(s) | {} data msg(s) | {} barrier msg(s) | \
-             ownership {:#018x}\n",
-            m.nbx_rounds, m.nbx_data_msgs, m.nbx_barrier_msgs, m.ownership_digest
-        ));
-    }
     out
 }
 
@@ -847,12 +861,7 @@ fn profile_json(r: &MethodReport) -> Option<String> {
         out.push_str(&format!("    \"top_bricks\": [{}],\n", top.join(", ")));
     }
     match critical_path(&r.timelines) {
-        Some(mut cp) => {
-            cp.overlap = r.overlap_stats;
-            let ov = match cp.overlap {
-                Some(ov) => overlap_json(&ov),
-                None => "null".into(),
-            };
+        Some(cp) => {
             let segs: Vec<String> = cp
                 .segments
                 .iter()
@@ -870,11 +879,10 @@ fn profile_json(r: &MethodReport) -> Option<String> {
                 .collect();
             out.push_str(&format!(
                 "    \"critical_path\": {{\"rank\": {}, \"total\": {:.9}, \
-                 \"imbalance\": {:.6}, \"overlap\": {}, \"segments\": [{}]}}\n",
+                 \"imbalance\": {:.6}, \"segments\": [{}]}}\n",
                 cp.rank,
                 cp.total,
                 cp.imbalance,
-                ov,
                 segs.join(", ")
             ));
         }
@@ -910,85 +918,18 @@ pub fn render_json(o: &Options, r: &MethodReport) -> String {
     out.push_str(&metric("pack", r.summary.pack));
     out.push_str(&metric("call", r.summary.call));
     out.push_str(&metric("wait", r.summary.wait));
-    if let Some(ov) = r.overlap_stats {
-        out.push_str(&format!("  \"overlap\": {},\n", overlap_json(&ov)));
-    }
-    if let Some(m) = &r.mapping {
-        out.push_str(&format!(
-            "  \"mapping\": {{\"topology\": \"{}\", \"ranks_per_node\": {}, \
-             \"policy\": \"{}\", \"on_bytes\": {}, \"off_bytes\": {}, \
-             \"on_msgs\": {}, \"off_msgs\": {}, \"on_node_fraction\": {:.6}, \
-             \"off_bytes_vs_lex\": {:.6}, \"modeled_time\": {:.9}, \
-             \"lex_modeled_time\": {:.9}, \"modeled_speedup\": {:.6}}},\n",
-            m.topology,
-            m.ranks_per_node,
-            m.policy,
-            m.on_bytes,
-            m.off_bytes,
-            m.on_msgs,
-            m.off_msgs,
-            m.on_node_fraction(),
-            m.off_bytes_vs_lex(),
-            m.modeled_time,
-            m.lex_modeled_time,
-            m.modeled_speedup()
-        ));
+    for (name, fields) in blocks(r) {
+        let members: Vec<String> = fields.iter().map(|(k, v)| format!("\"{k}\": {}", v.render(true))).collect();
+        out.push_str(&format!("  \"{name}\": {{{}}},\n", members.join(", ")));
     }
     if let Some(pf) = profile_json(r) {
         out.push_str(&pf);
     }
-    // Gate on the run's own armed state, not the (possibly unrelated)
-    // options: a fault-free report never emits fault/recovery keys.
     if let Some(seed) = r.fault_seed {
         out.push_str(&format!("  \"fault_seed\": {seed},\n"));
         out.push_str(&format!(
-            "  \"faults\": {{\"drops\": {}, \"corrupts\": {}, \"dups\": {}, \"delays\": {}}},\n",
-            r.faults.drops, r.faults.corrupts, r.faults.dups, r.faults.delays
-        ));
-        out.push_str(&format!(
-            "  \"recovery\": {{\"retries\": {}, \"duplicates_discarded\": {}, \
-             \"corrupt_detected\": {}, \"degraded_exchanges\": {}}},\n",
-            r.stats.retries,
-            r.stats.duplicates_discarded,
-            r.stats.corrupt_detected,
-            r.stats.degraded_exchanges
-        ));
-        out.push_str(&format!(
             "  \"fault_events\": {},\n",
             fault_events_json(&r.fault_events)
-        ));
-    }
-    if r.recovery.armed() {
-        let rv = &r.recovery;
-        out.push_str(&format!(
-            "  \"resilience\": {{\"checkpoints\": {}, \"checkpoint_bytes\": {}, \
-             \"recovery_epochs\": {}, \"replayed_steps\": {}, \"restore_bytes\": {}, \
-             \"detect_latency_s\": {:.9}, \"failed_rank\": {}, \"failed_step\": {}}},\n",
-            rv.checkpoints,
-            rv.checkpoint_bytes,
-            rv.recovery_epochs,
-            rv.replayed_steps,
-            rv.restore_bytes,
-            rv.detect_latency_s,
-            rv.failed_rank,
-            rv.failed_step
-        ));
-    }
-    if let Some(m) = &r.migration {
-        out.push_str(&format!(
-            "  \"migration\": {{\"epochs\": {}, \"bricks_moved\": {}, \
-             \"bytes_moved\": {}, \"nbx_rounds\": {}, \"nbx_data_msgs\": {}, \
-             \"nbx_barrier_msgs\": {}, \"imbalance_initial\": {:.6}, \
-             \"imbalance_final\": {:.6}, \"ownership_digest\": \"{:#018x}\"}},\n",
-            m.epochs,
-            m.bricks_moved,
-            m.bytes_moved,
-            m.nbx_rounds,
-            m.nbx_data_msgs,
-            m.nbx_barrier_msgs,
-            m.imbalance_initial,
-            m.imbalance_final,
-            m.ownership_digest
         ));
     }
     out.push_str(&format!("  \"gstencil_per_rank\": {:.6}\n", r.gstencil()));
@@ -1052,6 +993,18 @@ mod tests {
         assert_eq!(o.method, CpuMethod::Shift { page_size: 16384 });
     }
 
+    /// `-p` sizes the mmap views only memmap and shift build; any other
+    /// method refuses it instead of running without it.
+    #[test]
+    fn page_is_rejected_outside_memmap_and_shift() {
+        for method in ["layout", "basic", "yask", "yask-ol", "mpi-types", "rebalance"] {
+            let err = p(&["-m", method, "-p", "16384"]).unwrap_err();
+            assert_eq!(err, format!("--page needs an mmap-view exchange engine (memmap | shift), not '{method}'"));
+        }
+        assert!(p(&["-m", "layout"]).is_ok(), "the default page is no explicit -p");
+        assert!(p(&["-m", "shift", "-p", "16384"]).is_ok());
+    }
+
     #[test]
     fn kernel_flag() {
         assert_eq!(p(&[]).unwrap().kernel, KernelKind::Plan);
@@ -1105,8 +1058,9 @@ mod tests {
         assert!(out.contains("\"recovery_epochs\": 1"));
         assert!(out.contains("\"failed_rank\": 1"));
         let text = render(&o, &run_experiment(&config(&o)));
-        assert!(text.contains("rank failure: rank 1 died at step 1"));
-        assert!(text.contains("checkpoints:"));
+        assert!(text.contains("recovery_epochs 1,"));
+        assert!(text.contains("failed_rank 1, failed_step 1\n"));
+        assert!(text.contains("resilience: checkpoints "));
     }
 
     #[test]
@@ -1214,8 +1168,8 @@ mod tests {
         let stats = over.overlap_stats.expect("overlap run records stats");
         assert!(stats.total_wire > 0.0, "modeled fabric must bill wire time");
         let text = render(&o, &over);
-        assert!(text.contains("overlap: hidden"));
-        assert!(text.contains("% efficiency"));
+        assert!(text.contains("overlap: hidden_wire "));
+        assert!(text.contains(", efficiency "));
         let js = render_json(&o, &over);
         assert!(js.contains("\"overlap\": {\"hidden_wire\""));
         assert!(js.contains("\"efficiency\""));
@@ -1306,7 +1260,7 @@ mod tests {
         assert!(m.off_bytes <= m.lex_off_bytes, "bisect must not lose to lex");
         assert!(m.on_bytes > 0, "4 ranks/node must put some traffic on-node");
         let text = render(&o, &mapped);
-        assert!(text.contains("mapping: bisect on dragonfly (4 ranks/node)"));
+        assert!(text.contains("mapping: topology dragonfly, ranks_per_node 4, policy bisect,"));
         let js = render_json(&o, &mapped);
         assert!(
             js.contains(&format!("\"checksum_bits\": \"{:#018x}\"", flat.checksum.to_bits())),
@@ -1338,8 +1292,8 @@ mod tests {
         assert!(stats.partitioned(), "partition counters must be armed");
         assert!(stats.early_shipped_fraction() > 0.0, "nothing shipped early");
         let text = render(&o, &part);
-        assert!(text.contains("partitioned:"));
-        assert!(text.contains("shipped early"));
+        assert!(text.contains(", early_bytes "));
+        assert!(text.contains(", early_shipped_fraction "));
         let js = render_json(&o, &part);
         assert!(js.contains("\"early_shipped_fraction\""));
         assert!(js.contains("\"early_bytes\""));
@@ -1400,7 +1354,7 @@ mod tests {
             assert!(!js.contains(key), "fault-free JSON leaked {key}");
         }
         let text = render(&o, &clean);
-        assert!(!text.contains("faults seed") && !text.contains("recovery:"));
+        assert!(!text.contains("fault_seed") && !text.contains("faults:") && !text.contains("recovery:"));
     }
 
     #[test]
@@ -1437,8 +1391,9 @@ mod tests {
         assert!(out.contains("\"fault_events\""));
         o.json = false;
         let text = render(&o, &chaos);
-        assert!(text.contains("faults seed 7"));
-        assert!(text.contains("recovery:"));
+        assert!(text.contains("fault_seed 7\n"));
+        assert!(text.contains("faults: drops "));
+        assert!(text.contains("recovery: retries "));
     }
 
     #[test]
@@ -1538,14 +1493,14 @@ mod tests {
         assert_eq!(migrated.checksum.to_bits(), stat.checksum.to_bits());
         let text = render(&base, &migrated);
         assert!(text.contains("# rebalance |"));
-        assert!(text.contains("migration:") && text.contains("imbalance"));
-        assert!(text.contains("nbx discovery:") && text.contains("ownership 0x"));
+        assert!(text.contains(&format!("migration: epochs {},", m.epochs)) && text.contains(", imbalance_final "));
+        assert!(text.contains(", nbx_rounds ") && text.contains(", ownership_digest 0x"));
         let js = render_json(&base, &migrated);
         assert!(js.contains("\"method\": \"rebalance\""));
         assert!(js.contains("\"migration\": {\"epochs\""));
         assert!(js.contains("\"ownership_digest\": \"0x"));
         let static_text = render(&base, &stat);
-        assert!(static_text.contains("migration: static ownership"));
+        assert!(static_text.contains("migration: epochs 0,"));
         // The classic engines never emit the migration block.
         let mm = p(&["-m", "layout", "-d", "16", "-I", "2", "-w", "0", "-n", "instant"]).unwrap();
         let r = run_experiment(&config(&mm));
@@ -1581,5 +1536,118 @@ mod tests {
         let out = run(&o);
         assert!(out.contains("perf"));
         assert!(out.contains("pack [0.000000, 0.000000, 0.000000]"));
+    }
+
+    /// A report with every block present — partitioned overlap, mapping,
+    /// faults and recovery, resilience, migration — built by hand.
+    fn report_with_every_block() -> MethodReport {
+        use netsim::telemetry::{MappingStats, MigrationStats, OverlapStats};
+        let spread = (1.0e-4, 2.0e-4, 3.0e-4);
+        MethodReport {
+            timers: netsim::Timers::default(),
+            stats: packfree::ExchangeStats::default(),
+            points: 4096,
+            overlap: true,
+            checksum: 1.5,
+            summary: netsim::TimerSummary { calc: spread, pack: spread, call: spread, wait: spread },
+            calc_hidden: 1.0e-4,
+            faults: netsim::FaultStats {
+                drops: 5,
+                corrupts: 4,
+                dups: 3,
+                delays: 2,
+                retries: 7,
+                duplicates_discarded: 6,
+                corrupt_detected: 4,
+                degraded_exchanges: 1,
+            },
+            fault_events: Vec::new(),
+            timelines: Vec::new(),
+            fault_seed: Some(7),
+            overlap_stats: Some(OverlapStats {
+                hidden_wire: 1.25e-4,
+                total_wire: 2.5e-4,
+                early_bytes: 300,
+                partition_bytes: 1200,
+            }),
+            recovery: packfree::FailureRecovery {
+                checkpoints: 6,
+                checkpoint_bytes: 4096,
+                restore_bytes: 2048,
+                replayed_steps: 1,
+                recovery_epochs: 1,
+                detect_latency_s: 3.5e-5,
+                failed_rank: 1,
+                failed_step: 2,
+            },
+            migration: Some(MigrationStats {
+                epochs: 2,
+                bricks_moved: 9,
+                bytes_moved: 36_864,
+                nbx_rounds: 3,
+                nbx_data_msgs: 40,
+                nbx_barrier_msgs: 24,
+                imbalance_initial: 2.5,
+                imbalance_final: 1.125,
+                ownership_digest: 0x0123_4567_89ab_cdef,
+            }),
+            mapping: Some(MappingStats {
+                topology: "dragonfly",
+                ranks_per_node: 4,
+                policy: "bisect",
+                on_bytes: 1000,
+                off_bytes: 3000,
+                on_msgs: 10,
+                off_msgs: 30,
+                lex_off_bytes: 3500,
+                modeled_time: 2.0e-5,
+                lex_modeled_time: 2.5e-5,
+            }),
+        }
+    }
+
+    /// Each block's name and each of its keys is spelled once in the
+    /// program, in the block list: no second printer can hand-write it.
+    #[test]
+    fn every_report_key_is_written_once() {
+        let src = include_str!("lib.rs");
+        let program = &src[..src.find("#[cfg(test)]").expect("the tests follow the program")];
+        for (name, fields) in blocks(&report_with_every_block()) {
+            for key in std::iter::once(name).chain(fields.iter().map(|f| f.0)) {
+                let literal = format!("\"{key}\"");
+                let n = program.matches(&literal).count();
+                assert_eq!(n, 1, "{literal} is written {n} times");
+            }
+        }
+    }
+
+    /// Per block, the text line's `key value` pairs are the JSON object's
+    /// members, numbers compared as printed.
+    #[test]
+    fn text_and_json_carry_the_same_fields() {
+        let (o, r) = (Options::default(), report_with_every_block());
+        let (text, json) = (render(&o, &r), render_json(&o, &r));
+        let names: Vec<&str> = blocks(&r).iter().map(|b| b.0).collect();
+        assert_eq!(names, ["overlap", "mapping", "faults", "recovery", "resilience", "migration"]);
+        for name in names {
+            let line = text
+                .lines()
+                .find_map(|l| l.strip_prefix(&format!("{name}: ")))
+                .unwrap_or_else(|| panic!("no text line for {name}"));
+            let from_text: Vec<(&str, &str)> = line.split(", ").map(|kv| kv.split_once(' ').unwrap()).collect();
+            let object = json
+                .lines()
+                .find_map(|l| l.strip_prefix(&format!("  \"{name}\": {{"))?.strip_suffix("},"))
+                .unwrap_or_else(|| panic!("no JSON object for {name}"));
+            let from_json: Vec<(&str, &str)> = object
+                .split(", ")
+                .map(|kv| {
+                    let (k, v) = kv.split_once(": ").unwrap();
+                    (k.trim_matches('"'), v.trim_matches('"'))
+                })
+                .collect();
+            assert_eq!(from_text, from_json, "block {name}");
+        }
+        assert!(text.contains("fault_seed 7\n") && json.contains("  \"fault_seed\": 7,\n"));
     }
 }

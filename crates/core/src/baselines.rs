@@ -23,7 +23,6 @@ use stencil::{ArrayGrid, Datatype};
 
 use crate::exchange::ExchangeStats;
 use crate::plan::{CommPlan, IntoRanges, RecvSpec, SendSpec};
-use crate::reliable::RecoveryStats;
 
 /// Reusable halo-exchange state for an [`ArrayGrid`] subdomain.
 ///
@@ -80,11 +79,6 @@ impl ArrayExchanger {
             plan: None,
             pend: Vec::new(),
         }
-    }
-
-    /// Recovery-protocol totals (zero unless a chaos run engaged it).
-    pub fn recovery_stats(&self) -> RecoveryStats {
-        self.plan.as_ref().map(|p| p.recovery_stats()).unwrap_or_default()
     }
 
     /// Traffic statistics (26 messages, one per neighbor).

@@ -83,7 +83,6 @@ mod tests {
             payload_bytes: grid.exchange_bytes(),
             wire_bytes: grid.exchange_bytes(),
             region_instances: 26,
-            ..ExchangeStats::default()
         };
         (layout, array)
     }

@@ -110,7 +110,6 @@ pub fn run_rebalance(cfg: &RebalanceCfg) -> MethodReport {
         payload_bytes: t.payload_bytes as usize,
         wire_bytes: t.wire_bytes as usize,
         region_instances: t.msgs as usize,
-        ..report.stats
     };
     // Final ownership must tile the grid exactly once — the invariant a
     // lost or duplicated migration frame would break.

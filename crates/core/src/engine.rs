@@ -16,7 +16,6 @@ use crate::exchange::{ExchangeSession, ExchangeStats, Exchanger};
 use crate::experiment::{CpuMethod, ExperimentConfig, KernelKind};
 use crate::memmap::{ExchangeView, MemMapStorage};
 use crate::plan::{scoped, CommPlan, InPlace};
-use crate::reliable::RecoveryStats;
 use crate::shift::ShiftExchanger;
 
 /// What a split-phase engine hands the dependency-graph scheduler when
@@ -44,8 +43,6 @@ fn unsupported() -> ! {
 pub(crate) trait RankEngine {
     /// Traffic of one exchange.
     fn stats(&self) -> ExchangeStats;
-    /// Reliable-protocol totals (zero unless a lossy run engaged it).
-    fn recovery_stats(&self) -> RecoveryStats;
     /// Sum of the current grid's interior.
     fn checksum(&self) -> f64;
     /// One whole ghost-zone exchange of the current grid.
@@ -251,10 +248,6 @@ impl RankEngine for HeapBricks<'_> {
         self.exchanger.map(|e| e.stats()).unwrap_or_default()
     }
 
-    fn recovery_stats(&self) -> RecoveryStats {
-        self.session.as_ref().map(|s| s.recovery_stats()).unwrap_or_default()
-    }
-
     fn checksum(&self) -> f64 {
         crate::fields::interior_sum(self.decomp, &self.cur, 0)
     }
@@ -378,12 +371,6 @@ macro_rules! view_pair_engine {
         impl RankEngine for ViewPair<'_, $view> {
             fn stats(&self) -> ExchangeStats {
                 self.views[0].stats()
-            }
-
-            fn recovery_stats(&self) -> RecoveryStats {
-                let mut r = self.views[0].recovery_stats();
-                r.merge(&self.views[1].recovery_stats());
-                r
             }
 
             fn checksum(&self) -> f64 {
@@ -511,10 +498,6 @@ impl RankEngine for Arrays {
         self.exchanger.stats()
     }
 
-    fn recovery_stats(&self) -> RecoveryStats {
-        self.exchanger.recovery_stats()
-    }
-
     fn checksum(&self) -> f64 {
         self.cur.interior_sum()
     }
@@ -534,5 +517,87 @@ impl RankEngine for Arrays {
 
     fn advance(&mut self) {
         std::mem::swap(&mut self.cur, &mut self.nxt);
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use netsim::{run_cluster_faulty, CartTopo, FaultConfig, FaultStats, NetworkModel};
+
+    use super::*;
+    use crate::driver::RebalanceCfg;
+    use crate::migrating::Migrating;
+    use crate::workload::GridCfg;
+
+    /// Three exchanges, a rebuild, three more, on two ranks whose fabric
+    /// drops a fifth of the frames: each rank's fault counters at the
+    /// rebuild and at the end.
+    fn across_a_rebuild<E: RankEngine>(make: impl Fn(&mut RankCtx<'_>) -> E + Sync) -> Vec<(FaultStats, FaultStats)> {
+        let faults = FaultConfig { seed: 3, drop: 0.2, ..FaultConfig::off() };
+        run_cluster_faulty(&CartTopo::new(&[2, 1, 1], true), NetworkModel::instant(), faults, |ctx| {
+            let mut eng = make(ctx);
+            let exchange = |eng: &mut E, ctx: &mut RankCtx<'_>| {
+                for _ in 0..3 {
+                    eng.exchange(ctx).unwrap();
+                }
+            };
+            exchange(&mut eng, ctx);
+            let at_rebuild = ctx.fault_stats();
+            eng.rebuild(ctx);
+            exchange(&mut eng, ctx);
+            (at_rebuild, ctx.fault_stats())
+        })
+    }
+
+    /// Over the whole run, the rebuild included, every resend answers a
+    /// dropped frame or repeats one that was only late (whose spare copy
+    /// is discarded on arrival), and a drop-only run never degrades:
+    /// across the ranks, `retries == drops + duplicates_discarded`, which
+    /// is `retries == drops` when no frame was late. The identity holds
+    /// whatever the host timing; only counters lost at the rebuild break it.
+    fn assert_counted_across_the_rebuild(what: &str, ranks: &[(FaultStats, FaultStats)]) {
+        let (mut before, mut total) = (FaultStats::default(), FaultStats::default());
+        for (at_rebuild, end) in ranks {
+            before.merge(at_rebuild);
+            total.merge(end);
+        }
+        assert!(before.retries > 0, "{what}: seed 3 resends before the rebuild ({before:?})");
+        assert_eq!(total.retries, total.drops + total.duplicates_discarded, "{what}: {total:?}");
+        assert_eq!(total.degraded_exchanges, 0, "{what}: {total:?}");
+    }
+
+    #[test]
+    fn heap_bricks_count_retries_across_a_rebuild() {
+        for method in [CpuMethod::Layout, CpuMethod::Basic] {
+            let cfg = ExperimentConfig::k1(method.clone(), 16);
+            let decomp = cfg.decomp();
+            let exchanger =
+                if method == CpuMethod::Basic { Exchanger::basic(&decomp) } else { Exchanger::layout(&decomp) };
+            let ranks = across_a_rebuild(|ctx| HeapBricks::new(&cfg, &decomp, Some(&exchanger), ctx));
+            assert_counted_across_the_rebuild(method.name(), &ranks);
+        }
+    }
+
+    #[test]
+    fn memmap_views_count_retries_across_a_rebuild() {
+        let cfg = ExperimentConfig::k1(CpuMethod::MemMap { page_size: memview::PAGE_4K }, 16);
+        let decomp = cfg.decomp();
+        let ranks = across_a_rebuild(|_| ViewPair::<ExchangeView>::new(&cfg, &decomp));
+        assert_counted_across_the_rebuild("MemMap", &ranks);
+    }
+
+    #[test]
+    fn shift_views_count_retries_across_a_rebuild() {
+        let cfg = ExperimentConfig::k1(CpuMethod::Shift { page_size: memview::PAGE_4K }, 16);
+        let decomp = cfg.decomp();
+        let ranks = across_a_rebuild(|_| ViewPair::<ShiftExchanger>::new(&cfg, &decomp));
+        assert_counted_across_the_rebuild("Shift", &ranks);
+    }
+
+    #[test]
+    fn migrating_engine_counts_retries_across_a_rebuild() {
+        let cfg = RebalanceCfg::new(GridCfg::uniform([4, 2, 2], 16), vec![2, 1, 1]);
+        let ranks = across_a_rebuild(|ctx| Migrating::new(&cfg, ctx));
+        assert_counted_across_the_rebuild("Migrating", &ranks);
     }
 }

@@ -22,7 +22,6 @@ use netsim::{NetsimError, RankCtx, RecvHandle};
 
 use crate::decomp::BrickDecomp;
 use crate::plan::{CommPlan, InPlace, RecvSpec, SendSpec};
-use crate::reliable::RecoveryStats;
 
 /// One outgoing message: a contiguous padded brick range sent toward a
 /// neighbor.
@@ -60,15 +59,6 @@ pub struct ExchangeStats {
     pub wire_bytes: usize,
     /// Non-empty region instances sent (Basic's message count).
     pub region_instances: usize,
-    /// Frames re-sent by the reliable protocol (0 when fault-free).
-    pub retries: u64,
-    /// Stale or duplicated frames discarded on receive.
-    pub duplicates_discarded: u64,
-    /// Frames rejected by checksum or length validation.
-    pub corrupt_detected: u64,
-    /// Exchanges that fell back to fault-bypassed resends after the
-    /// retry budget was exhausted (graceful degradation).
-    pub degraded_exchanges: u64,
 }
 
 impl ExchangeStats {
@@ -78,14 +68,6 @@ impl ExchangeStats {
             return 0.0;
         }
         (self.wire_bytes as f64 / self.payload_bytes as f64 - 1.0) * 100.0
-    }
-
-    /// Fold the reliable protocol's recovery counters into the report.
-    pub fn absorb_recovery(&mut self, r: &RecoveryStats) {
-        self.retries += r.retries;
-        self.duplicates_discarded += r.duplicates_discarded;
-        self.corrupt_detected += r.corrupt_detected;
-        self.degraded_exchanges += r.degraded_exchanges;
     }
 }
 
@@ -369,11 +351,6 @@ impl ExchangeSession {
     ) -> Result<(), NetsimError> {
         let (plan, mut mem) = self.bound(storage);
         plan.exchange(ctx, &mut mem)
-    }
-
-    /// Recovery-protocol totals (zero unless a chaos run engaged it).
-    pub fn recovery_stats(&self) -> RecoveryStats {
-        self.plan.recovery_stats()
     }
 
     /// Element ranges of the unpaired (mailbox) receives, in schedule
@@ -744,14 +721,14 @@ mod tests {
                     sess.exchange(ctx, &mut st).unwrap();
                 }
                 let damage = ctx.fault_stats().total();
-                (st.as_slice().to_vec(), damage, sess.recovery_stats())
+                (st.as_slice().to_vec(), damage)
             })
         };
         let cfg = FaultConfig { seed: 42, drop: 0.10, corrupt: 0.05, dup: 0.10, ..FaultConfig::off() };
         let lossy = run(cfg);
         let clean = run(FaultConfig::off());
         let mut injected = 0u64;
-        for ((grid, damage, _), (want, _, _)) in lossy.iter().zip(&clean) {
+        for ((grid, damage), (want, _)) in lossy.iter().zip(&clean) {
             assert_eq!(grid, want, "chaos run must converge to the fault-free grid");
             injected += damage;
         }

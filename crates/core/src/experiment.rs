@@ -24,7 +24,6 @@ use crate::decomp::BrickDecomp;
 use crate::engine::{Arrays, HeapBricks, RankEngine, ViewPair};
 use crate::exchange::{ExchangeStats, Exchanger};
 use crate::memmap::{memmap_decomp, ExchangeView};
-use crate::reliable::RecoveryStats;
 use crate::shift::ShiftExchanger;
 
 /// The CPU implementations compared in the paper's evaluation.
@@ -310,8 +309,8 @@ pub struct MethodReport {
     /// (interior-brick compute for the overlapped brick methods; all of
     /// `calc` for YASK-OL, whose framework interleaves at tile level).
     pub calc_hidden: f64,
-    /// Injected-fault totals summed across all ranks (zero when
-    /// [`ExperimentConfig::faults`] is off).
+    /// Injected faults and the retry protocol's responses, summed across
+    /// all ranks (zero when [`ExperimentConfig::faults`] is off).
     pub faults: FaultStats,
     /// The full injected-fault trace, concatenated in rank order (for
     /// the chaos-run JSON artifact).
@@ -679,7 +678,6 @@ struct RankOutcome {
     timeline: Timeline,
     faults: FaultStats,
     fault_events: Vec<FaultEvent>,
-    recovery: RecoveryStats,
     failure: FailureRecovery,
 }
 
@@ -774,7 +772,6 @@ pub(crate) fn run_steps<E: RankEngine, T: Send>(
             timeline,
             faults: ctx.fault_stats(),
             fault_events: ctx.take_fault_events(),
-            recovery: eng.recovery_stats(),
             failure,
         };
         (outcome, harvest(eng))
@@ -791,10 +788,8 @@ pub(crate) fn run_steps<E: RankEngine, T: Send>(
         timelines.push(r.timeline);
         r0.faults.merge(&r.faults);
         r0.fault_events.extend(r.fault_events);
-        r0.recovery.merge(&r.recovery);
         r0.failure.merge(&r.failure);
     }
-    r0.stats.absorb_recovery(&r0.recovery);
     let tiled = run.schedule == Schedule::Tiled;
     let report = MethodReport {
         calc_hidden: r0.hidden.unwrap_or(if tiled { r0.timers.calc } else { 0.0 }),

@@ -21,7 +21,6 @@ use netsim::{NetsimError, RankCtx};
 use crate::decomp::{pad_bricks_for, BrickDecomp};
 use crate::exchange::ExchangeStats;
 use crate::plan::{CommPlan, IntoRanges, RecvSpec, SendSpec};
-use crate::reliable::RecoveryStats;
 
 /// Brick storage whose backing is an mmap-able in-memory file (the
 /// paper's `bInfo.mmap_alloc(bSize)`).
@@ -296,11 +295,6 @@ impl ExchangeView {
     /// Every plan one exchange runs (none before the first binds it).
     pub(crate) fn plans(&self) -> impl Iterator<Item = &CommPlan> {
         self.plan.iter()
-    }
-
-    /// Recovery-protocol totals (zero unless a chaos run engaged it).
-    pub fn recovery_stats(&self) -> RecoveryStats {
-        self.plan.as_ref().map(|p| p.recovery_stats()).unwrap_or_default()
     }
 
     /// Switch this view into partitioned early-bird mode: the partitions

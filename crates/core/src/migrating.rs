@@ -33,7 +33,7 @@ use crate::engine::{ghosts_of, RankEngine, SplitSetup};
 use crate::exchange::ExchangeStats;
 use crate::experiment::fail;
 use crate::plan::{discover_plan, CommPlan, ExchangePlan, IntoRanges, SendEdge, REB_NS};
-use crate::reliable::{RecoveryStats, RelRecv};
+use crate::reliable::RelRecv;
 use crate::workload::{brick_sum, init_cell, relax, GridCfg};
 
 /// Rank-0 fence tokens opening a migration epoch.
@@ -63,8 +63,6 @@ pub(crate) struct Migrating<'a> {
     /// encoding of the exchange), and everything bound from it.
     edges: ExchangePlan,
     bound: Bound,
-    /// Retry-protocol totals of the plans earlier epochs retired.
-    retired: RecoveryStats,
 }
 
 /// The exchange state of one ownership epoch, derived from the owned ids
@@ -170,13 +168,11 @@ impl<'a> Migrating<'a> {
             bound: Bound::new(ctx.rank(), grid, &ids, &edges),
             ids,
             edges,
-            retired: RecoveryStats::default(),
         }
     }
 
     /// Bind the exchange again after the owned ids or the edges changed.
     fn rebind(&mut self, ctx: &RankCtx<'_>) {
-        self.retired.merge(&self.bound.plan.recovery_stats());
         self.bound = Bound::new(ctx.rank(), &self.cfg.grid, &self.ids, &self.edges);
     }
 
@@ -315,12 +311,6 @@ impl RankEngine for Migrating<'_> {
     /// traffic the clock measured.
     fn stats(&self) -> ExchangeStats {
         ExchangeStats::default()
-    }
-
-    fn recovery_stats(&self) -> RecoveryStats {
-        let mut r = self.retired;
-        r.merge(&self.bound.plan.recovery_stats());
-        r
     }
 
     /// This rank's terms only; [`crate::rebalance::run_rebalance`] folds

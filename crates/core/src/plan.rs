@@ -52,7 +52,7 @@ use netsim::{
 };
 use sched::SendPriority;
 
-use crate::reliable::{RecoveryStats, RelRecv, RelSend, ReliableSession};
+use crate::reliable::{RelRecv, RelSend, ReliableSession};
 
 mod discover;
 pub use discover::{discover_plan, ExchangePlan};
@@ -590,15 +590,6 @@ impl CommPlan {
         }
     }
 
-    /// Recovery-protocol totals (zero unless a lossy run engaged it).
-    pub fn recovery_stats(&self) -> RecoveryStats {
-        let mut s = self.reliable.as_ref().map(|r| r.stats()).unwrap_or_default();
-        if let Some(r) = self.partitioned.as_ref().and_then(|p| p.rel.as_ref()) {
-            s.merge(&r.stats());
-        }
-        s
-    }
-
     /// Mark freshly computed storage bricks ready on their partitioned
     /// channels, shipping any eager-sized ready prefix at once. `mem` is
     /// the memory the *next* exchange will send. No-op unless
@@ -1081,7 +1072,7 @@ mod tests {
                             assert_eq!(data[r.clone()], staged(e.0, me, step)[..], "rank {me} step {step}");
                         }
                     }
-                    (plan.recovery_stats().retries, ctx.timers().msgs)
+                    (ctx.fault_stats().retries, ctx.timers().msgs)
                 });
                 if !faults.lossy() {
                     let msgs: Vec<u64> = out.iter().map(|o| o.1).collect();

@@ -39,7 +39,7 @@
 //! injection entirely ([`netsim::RankCtx::set_fault_bypass`]) — the
 //! model of falling back from the lossy fast path to a reliable slow
 //! path. The exchange then converges even under 100% drop; the
-//! [`RecoveryStats::degraded_exchanges`] counter reports that the
+//! [`FaultStats::degraded_exchanges`] counter reports that the
 //! budget was spent. A hard cap a few rounds later turns a
 //! non-converging exchange (a protocol bug, by construction) into
 //! [`NetsimError::RetriesExhausted`] instead of an infinite loop.
@@ -54,10 +54,18 @@
 //! Stale duplicates left in the mailbox after convergence are evicted
 //! before returning ([`netsim::RankCtx::drain_mailbox`]), so a
 //! duplicate storm cannot grow the mailbox across timesteps.
+//!
+//! # Counters
+//!
+//! Every response — a retry, a discarded duplicate, a rejected frame, a
+//! degraded exchange — is counted on the rank
+//! ([`netsim::RankCtx::note_recovery`]), beside the faults it answers,
+//! not in the session: a session is rebuilt with its plan, the rank's
+//! counters are not.
 
 use std::time::{Duration, Instant};
 
-use netsim::{frame_checksum, NetsimError, RankCtx, CTRL_TAG_BIT};
+use netsim::{frame_checksum, FaultStats, NetsimError, RankCtx, CTRL_TAG_BIT};
 
 /// Control-plane tag for missing-frame requests (fault-exempt).
 pub const CTRL_EXCHANGE_TAG: u64 = CTRL_TAG_BIT | 0x00FE_ED01;
@@ -85,34 +93,6 @@ pub struct ReliableConfig {
 impl Default for ReliableConfig {
     fn default() -> ReliableConfig {
         ReliableConfig { budget: 12, round_timeout: Duration::from_millis(8) }
-    }
-}
-
-/// Running totals of the recovery work one session has performed.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct RecoveryStats {
-    /// Frames retransmitted after the first attempt.
-    pub retries: u64,
-    /// Frames discarded as duplicates (redelivery, stale seq, or
-    /// mailbox leftovers evicted after convergence).
-    pub duplicates_discarded: u64,
-    /// Frames rejected by the checksum (payload or trailer damage).
-    pub corrupt_detected: u64,
-    /// Exchanges that spent their whole retry budget and fell back to
-    /// the fault-bypassed degraded path.
-    pub degraded_exchanges: u64,
-    /// Recovery rounds run beyond the initial send.
-    pub rounds: u64,
-}
-
-impl RecoveryStats {
-    /// Accumulate another session's totals.
-    pub fn merge(&mut self, o: &RecoveryStats) {
-        self.retries += o.retries;
-        self.duplicates_discarded += o.duplicates_discarded;
-        self.corrupt_detected += o.corrupt_detected;
-        self.degraded_exchanges += o.degraded_exchanges;
-        self.rounds += o.rounds;
     }
 }
 
@@ -158,7 +138,6 @@ pub struct ReliableSession {
     ctl_sources: Vec<usize>,
     ctl_dests: Vec<usize>,
     ctl_buf: Vec<f64>,
-    stats: RecoveryStats,
 }
 
 impl ReliableSession {
@@ -193,13 +172,7 @@ impl ReliableSession {
             ctl_sources,
             ctl_dests,
             ctl_buf: Vec::new(),
-            stats: RecoveryStats::default(),
         }
-    }
-
-    /// Recovery totals accumulated so far.
-    pub fn stats(&self) -> RecoveryStats {
-        self.stats
     }
 
     /// Start one exchange: bumps the sequence number and clears the
@@ -239,11 +212,8 @@ impl ReliableSession {
         ctx.set_recv_timeout(saved);
         // Evict stale duplicates so retry storms cannot grow the
         // mailbox across timesteps.
-        let mut evicted = 0usize;
-        for r in &self.recvs {
-            evicted += ctx.drain_mailbox(r.src, r.tag);
-        }
-        self.stats.duplicates_discarded += evicted as u64;
+        let evicted: usize = self.recvs.iter().map(|r| ctx.drain_mailbox(r.src, r.tag)).sum();
+        ctx.note_recovery(FaultStats { duplicates_discarded: evicted as u64, ..FaultStats::default() });
         result
     }
 
@@ -281,7 +251,7 @@ impl ReliableSession {
                     match ctx.recv_deadline(h, deadline) {
                         None => break,
                         Some(msg) => {
-                            self.accept(i, msg.data(), deliver);
+                            self.accept(ctx, i, msg.data(), deliver);
                             ctx.recycle(msg);
                         }
                     }
@@ -344,7 +314,6 @@ impl ReliableSession {
                 return Ok(());
             }
             round += 1;
-            self.stats.rounds += 1;
             if round > hard_cap {
                 let pending = self
                     .recvs
@@ -362,12 +331,12 @@ impl ReliableSession {
             let bypass = round >= self.cfg.budget;
             if bypass && !degraded {
                 degraded = true;
-                self.stats.degraded_exchanges += 1;
+                ctx.note_recovery(FaultStats { degraded_exchanges: 1, ..FaultStats::default() });
             }
             let prev = ctx.set_fault_bypass(bypass);
             for j in 0..self.sends.len() {
                 if self.resend[j] {
-                    self.stats.retries += 1;
+                    ctx.note_recovery(FaultStats { retries: 1, ..FaultStats::default() });
                     self.send_frame(ctx, j)?;
                 }
             }
@@ -381,10 +350,17 @@ impl ReliableSession {
 
     /// Validate one frame against channel `i`; deliver if it is the
     /// current exchange's intact first copy, otherwise count and drop.
-    fn accept(&mut self, i: usize, frame: &[f64], deliver: &mut impl FnMut(usize, &[f64])) {
+    fn accept(
+        &mut self,
+        ctx: &mut RankCtx<'_>,
+        i: usize,
+        frame: &[f64],
+        deliver: &mut impl FnMut(usize, &[f64]),
+    ) {
+        let corrupt = FaultStats { corrupt_detected: 1, ..FaultStats::default() };
         let r = self.recvs[i];
         if frame.len() != r.elems + 2 {
-            self.stats.corrupt_detected += 1;
+            ctx.note_recovery(corrupt);
             return;
         }
         let (payload, trailer) = frame.split_at(r.elems);
@@ -393,11 +369,11 @@ impl ReliableSession {
         // Checksum first: it is bound to the frame's own seq, so trailer
         // damage lands here rather than masquerading as a stale frame.
         if sum != frame_checksum(payload, r.tag, seq) {
-            self.stats.corrupt_detected += 1;
+            ctx.note_recovery(corrupt);
             return;
         }
         if seq != self.seq || self.done[i] {
-            self.stats.duplicates_discarded += 1;
+            ctx.note_recovery(FaultStats { duplicates_discarded: 1, ..FaultStats::default() });
             return;
         }
         deliver(i, payload);
@@ -464,7 +440,7 @@ mod tests {
             rel.begin();
             rel.stage(0, &[ctx.rank() as f64; 4]);
             rel.run(ctx, |_i, p| got.copy_from_slice(p)).unwrap();
-            (got, rel.stats())
+            (got, ctx.fault_stats())
         });
         let (got0, stats0) = &out[0];
         assert_eq!(got0, &[1.0; 4]);
@@ -491,7 +467,7 @@ mod tests {
                 rel.run(ctx, |_i, p| got.copy_from_slice(p)).unwrap();
                 assert_eq!(got, [step as f64; 8]);
             }
-            rel.stats()
+            ctx.fault_stats()
         });
         assert!(out[0].retries + out[0].duplicates_discarded > 0, "seed 9 injects at 50%");
     }
@@ -513,7 +489,7 @@ mod tests {
             rel.begin();
             rel.stage(0, &mine);
             rel.run(ctx, |_i, p| got.copy_from_slice(p)).unwrap();
-            (got == want, rel.stats())
+            (got == want, ctx.fault_stats())
         });
         for (ok, stats) in &out {
             assert!(ok, "payload must arrive intact despite 100% corruption");

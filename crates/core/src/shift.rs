@@ -26,7 +26,6 @@ use crate::decomp::BrickDecomp;
 use crate::exchange::ExchangeStats;
 use crate::memmap::MemMapStorage;
 use crate::plan::{CommPlan, RecvSpec, SendSpec, Slabs};
-use crate::reliable::RecoveryStats;
 
 /// One axis pass: the two slab views it sends (`[positive, negative]`
 /// direction of travel) and the two it receives into, with the
@@ -241,16 +240,6 @@ impl ShiftExchanger {
     /// Every plan one exchange runs: one per pass.
     pub(crate) fn plans(&self) -> impl Iterator<Item = &CommPlan> {
         self.plans.iter()
-    }
-
-    /// Recovery-protocol totals across all passes (zero unless a chaos
-    /// run engaged the protocol).
-    pub fn recovery_stats(&self) -> RecoveryStats {
-        let mut total = RecoveryStats::default();
-        for plan in &self.plans {
-            total.merge(&plan.recovery_stats());
-        }
-        total
     }
 
     /// Switch the *final* axis pass into partitioned early-bird mode:

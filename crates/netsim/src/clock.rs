@@ -17,7 +17,7 @@ impl RankCtx<'_> {
     /// if any): the shared-memory tier when both live on the same node
     /// of a hierarchical topology, the fabric tier otherwise.
     #[inline]
-    pub fn network_to(&self, peer: usize) -> NetworkModel {
+    pub(crate) fn network_to(&self, peer: usize) -> NetworkModel {
         match &self.hier {
             Some((intra, node)) if node.same_node(self.rank, peer) => *intra,
             _ => self.net,
@@ -127,7 +127,7 @@ impl RankCtx<'_> {
     /// (compute, pack, call and wait). Monotone between timer resets.
     /// The partitioned-channel layer timestamps shipped fragments with
     /// it so fragment bandwidth can drain behind later billed work.
-    pub fn virtual_time(&self) -> f64 {
+    pub(crate) fn virtual_time(&self) -> f64 {
         self.timers.total()
     }
 
@@ -201,21 +201,21 @@ impl RankCtx<'_> {
         self.timers.payload_bytes += bytes as u64;
     }
 
-    /// Charge additional modeled seconds to `wait` (used by the GPU
-    /// paths to account for staging or page migration on the wire side).
-    pub fn charge_wait(&mut self, secs: f64) {
+    /// Charge additional modeled seconds to `wait` (the drain a
+    /// partitioned channel settles at its flush).
+    pub(crate) fn charge_wait(&mut self, secs: f64) {
         self.bill(Phase::Wait, secs);
     }
 
-    /// Charge additional *modeled* seconds to `calc` (used by the GPU
-    /// roofline, whose kernels run on the host but are billed as device
-    /// time).
-    pub fn charge_calc(&mut self, secs: f64) {
+    /// Charge additional *modeled* seconds to `calc` (tests that need
+    /// billed compute between two calls).
+    #[cfg(test)]
+    pub(crate) fn charge_calc(&mut self, secs: f64) {
         self.bill(Phase::Compute, secs);
     }
 
     /// Charge modeled compute seconds *attributed to a brick*: the time
-    /// lands on `calc` exactly like [`RankCtx::charge_calc`], and — when
+    /// lands on `calc` like any modeled compute charge, and — when
     /// profiling is on — is additionally credited to `brick` on the
     /// recorder, feeding the per-brick cost signal a load balancer
     /// harvests.

@@ -262,7 +262,8 @@ impl<'a> RankCtx<'a> {
 
     /// Bytes of buffer capacity parked in this rank's send pool. Size
     /// classes keep it within a quarter of what the traffic asked for.
-    pub fn pool_bytes(&self) -> usize {
+    #[cfg(test)]
+    pub(crate) fn pool_bytes(&self) -> usize {
         self.pools[self.rank].bytes()
     }
 
@@ -279,9 +280,20 @@ impl<'a> RankCtx<'a> {
         self.fault_active() && self.fault.as_ref().is_some_and(|p| p.config().lossy())
     }
 
-    /// Injection totals for this rank so far.
+    /// This incarnation's injected faults, and the retry protocol's
+    /// responses to them, so far.
     pub fn fault_stats(&self) -> FaultStats {
         self.fault.as_ref().map(|p| p.stats()).unwrap_or_default()
+    }
+
+    /// Add a retry protocol's responses — the `retries`,
+    /// `duplicates_discarded`, `corrupt_detected` and `degraded_exchanges`
+    /// of `counts` — to [`RankCtx::fault_stats`]. No-op without a fault
+    /// plan, which the protocol never runs without.
+    pub fn note_recovery(&mut self, counts: FaultStats) {
+        if let Some(plan) = self.fault.as_mut() {
+            plan.stats.merge(&counts);
+        }
     }
 
     /// Temporarily exempt sends from fault injection (the degraded
@@ -323,7 +335,7 @@ impl<'a> RankCtx<'a> {
     /// [`crate::partition::PartitionedSend`], which drains fragment
     /// bandwidth behind subsequently billed compute and bills only the
     /// residual). Fault plans apply exactly as for [`RankCtx::isend`].
-    pub fn isend_deferred(
+    pub(crate) fn isend_deferred(
         &mut self,
         dest: usize,
         tag: u64,

@@ -19,7 +19,7 @@ impl<'a> RankCtx<'a> {
     /// Gather one f64 from every rank to rank 0 (returns `Some(values)`
     /// on rank 0, `None` elsewhere). Collectives use a reserved tag
     /// space and must be called by all ranks.
-    pub fn gather_to_root(&mut self, value: f64) -> Result<Option<Vec<f64>>, NetsimError> {
+    pub(crate) fn gather_to_root(&mut self, value: f64) -> Result<Option<Vec<f64>>, NetsimError> {
         let size = self.size();
         if self.rank() == 0 {
             let mut out = vec![0.0; size];

@@ -245,7 +245,11 @@ pub struct FaultEvent {
 }
 
 /// Per-rank running totals of injected faults (always maintained,
-/// independent of whether the event trace is enabled).
+/// independent of whether the event trace is enabled) and of the retry
+/// protocol's responses to them ([`crate::RankCtx::note_recovery`]). They
+/// live on the rank, not in the exchange plans, so a plan rebuilt after a
+/// recovery epoch does not take them with it; a respawned rank starts its
+/// own.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct FaultStats {
     /// Messages dropped.
@@ -256,10 +260,20 @@ pub struct FaultStats {
     pub dups: u64,
     /// Messages delayed.
     pub delays: u64,
+    /// Frames re-sent by the retry protocol after the first attempt.
+    pub retries: u64,
+    /// Frames discarded as duplicates (redelivery, stale sequence number,
+    /// or mailbox leftovers evicted after convergence).
+    pub duplicates_discarded: u64,
+    /// Frames rejected by the checksum or length check.
+    pub corrupt_detected: u64,
+    /// Exchanges that spent their whole retry budget and fell back to
+    /// fault-bypassed resends (graceful degradation).
+    pub degraded_exchanges: u64,
 }
 
 impl FaultStats {
-    /// Total injected faults.
+    /// Total injected faults (the protocol's responses are not faults).
     pub fn total(&self) -> u64 {
         self.drops + self.corrupts + self.dups + self.delays
     }
@@ -270,6 +284,10 @@ impl FaultStats {
         self.corrupts += o.corrupts;
         self.dups += o.dups;
         self.delays += o.delays;
+        self.retries += o.retries;
+        self.duplicates_discarded += o.duplicates_discarded;
+        self.corrupt_detected += o.corrupt_detected;
+        self.degraded_exchanges += o.degraded_exchanges;
     }
 }
 
@@ -307,7 +325,8 @@ pub struct FaultPlan {
     cfg: FaultConfig,
     rank: usize,
     attempt: u64,
-    stats: FaultStats,
+    /// Injection totals, and the responses the rank notes beside them.
+    pub(crate) stats: FaultStats,
     slowdown: f64,
 }
 
@@ -341,7 +360,7 @@ impl FaultPlan {
         self.slowdown
     }
 
-    /// Injection totals so far.
+    /// Injection totals so far (and the responses noted beside them).
     pub fn stats(&self) -> FaultStats {
         self.stats
     }

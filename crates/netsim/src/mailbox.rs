@@ -141,6 +141,7 @@ impl BufferPool {
     }
 
     /// Bytes of capacity parked in the pool.
+    #[cfg(test)]
     pub(crate) fn bytes(&self) -> usize {
         self.bins.lock().iter().flat_map(|b| &b.free).map(|v| v.capacity() * 8).sum()
     }

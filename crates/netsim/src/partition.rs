@@ -12,7 +12,7 @@
 //!
 //! # Wire-model accounting
 //!
-//! Early fragments go out via [`RankCtx::isend_deferred`]: each one is
+//! Early fragments go out via `RankCtx::isend_deferred`: each one is
 //! charged the per-message overhead `o` (the real cost of fragmenting —
 //! more fragments, more injection overhead) but stays out of the send
 //! epoch; its serialization `g + B/β` is **deferred**. The channel

@@ -105,7 +105,7 @@ impl RankCtx<'_> {
     /// Whether the communicator is revoked: a crash-stop fault was
     /// observed somewhere and blocking operations outside recovery
     /// mode unwind with [`NetsimError::RankFailed`].
-    pub fn revoked(&self) -> bool {
+    pub(crate) fn revoked(&self) -> bool {
         self.proc.revoked.load(Ordering::SeqCst)
     }
 

@@ -56,7 +56,7 @@ impl Trace {
 
     /// Record an injected fault (always kept, independent of
     /// [`Trace::enable`]: the fault log is the chaos run's artifact).
-    pub fn record_fault(&mut self, e: FaultEvent) {
+    pub(crate) fn record_fault(&mut self, e: FaultEvent) {
         self.faults.push(e);
     }
 
@@ -66,7 +66,7 @@ impl Trace {
     }
 
     /// Drain the recorded fault events.
-    pub fn take_faults(&mut self) -> Vec<FaultEvent> {
+    pub(crate) fn take_faults(&mut self) -> Vec<FaultEvent> {
         std::mem::take(&mut self.faults)
     }
 

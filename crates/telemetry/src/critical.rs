@@ -94,11 +94,6 @@ pub struct CriticalPath {
     /// How far the fastest rank finished ahead of the straggler, as a
     /// fraction of the makespan (0 = perfectly balanced).
     pub imbalance: f64,
-    /// Overlap accounting when the run used an overlap scheduler
-    /// (`None` for phased runs). Set by the driver that owns the
-    /// scheduler; [`critical_path`] itself cannot reconstruct it from
-    /// well-nested spans.
-    pub overlap: Option<OverlapStats>,
 }
 
 /// Analyze rank timelines and return the straggler chain, or `None`
@@ -163,7 +158,6 @@ pub fn critical_path(timelines: &[Timeline]) -> Option<CriticalPath> {
         breakdown: straggler.phase_breakdown(),
         segments,
         imbalance,
-        overlap: None,
     })
 }
 
@@ -224,11 +218,5 @@ mod tests {
         a.merge(&OverlapStats { early_bytes: 200, partition_bytes: 1000, ..Default::default() });
         assert!(a.partitioned());
         assert!((a.early_shipped_fraction() - 0.4).abs() < 1e-12);
-    }
-
-    #[test]
-    fn critical_path_defaults_to_no_overlap() {
-        let tl = vec![rank_timeline(0, 1.0)];
-        assert!(critical_path(&tl).unwrap().overlap.is_none());
     }
 }

@@ -32,7 +32,6 @@ fn main() {
         payload_bytes: grid.exchange_bytes(),
         wire_bytes: grid.exchange_bytes(),
         region_instances: 26,
-        ..ExchangeStats::default()
     };
 
     println!("{n}^3 subdomain: Layout {} msgs / {:.1} MiB; MemMap {} msgs / {:.1} MiB (+{:.0}% padding)\n",

@@ -82,7 +82,7 @@ fn chaos_runs_are_bit_identical_to_fault_free() {
             // that arrives is one its receiver still needs, so each
             // injected corruption meets the frame checksum exactly once.
             assert_eq!(
-                lossy.stats.corrupt_detected,
+                lossy.faults.corrupt_detected,
                 lossy.faults.corrupts,
                 "{} on {:?} ranks: a corrupted frame slipped past the checksum (seed {})",
                 method.name(),
@@ -100,9 +100,9 @@ fn chaos_runs_are_bit_identical_to_fault_free() {
 fn recovery_work_is_accounted() {
     let r = run_experiment(&cfg(CpuMethod::Layout, chaos()));
     assert!(r.faults.drops > 0, "seed {} injected no drops", seed());
-    assert!(r.stats.retries > 0, "drops were injected but nothing was retried");
+    assert!(r.faults.retries > 0, "drops were injected but nothing was retried");
     assert!(
-        r.faults.corrupts == 0 || r.stats.corrupt_detected > 0,
+        r.faults.corrupts == 0 || r.faults.corrupt_detected > 0,
         "corrupted frames slipped past the checksum"
     );
     assert_eq!(r.fault_events.len() as u64, r.faults.total());
@@ -115,10 +115,10 @@ fn fault_free_runs_report_zero_recovery() {
     let r = run_experiment(&cfg(CpuMethod::Layout, FaultConfig::off()));
     assert_eq!(r.faults.total(), 0);
     assert!(r.fault_events.is_empty());
-    assert_eq!(r.stats.retries, 0);
-    assert_eq!(r.stats.duplicates_discarded, 0);
-    assert_eq!(r.stats.corrupt_detected, 0);
-    assert_eq!(r.stats.degraded_exchanges, 0);
+    assert_eq!(r.faults.retries, 0);
+    assert_eq!(r.faults.duplicates_discarded, 0);
+    assert_eq!(r.faults.corrupt_detected, 0);
+    assert_eq!(r.faults.degraded_exchanges, 0);
 }
 
 /// Per-rank jitter and delay slow the wire model but never change
@@ -136,7 +136,7 @@ fn jitter_and_delay_do_not_change_physics() {
         assert_eq!(slow.checksum.to_bits(), clean.checksum.to_bits(), "{name}");
         assert_eq!(slow.timers.msgs, clean.timers.msgs, "{name}: messages per step");
         assert_eq!(slow.timers.wire_bytes, clean.timers.wire_bytes, "{name}: wire bytes per step");
-        assert_eq!(slow.stats.retries, 0, "{name}: nothing can be lost, nothing is retried");
+        assert_eq!(slow.faults.retries, 0, "{name}: nothing can be lost, nothing is retried");
         assert!(slow.faults.delays > 0, "{name}: seed {} charged no delays", seed());
     }
 }

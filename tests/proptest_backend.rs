@@ -60,7 +60,7 @@ fn assert_backends_match(
             if call_is_modeled { r.timers.call.to_bits() } else { 0 },
             r.timers.wait.to_bits(),
             r.faults.total(),
-            r.stats.retries,
+            r.faults.retries,
         );
         (
             r.checksum.to_bits(),

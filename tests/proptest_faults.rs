@@ -85,7 +85,7 @@ fn duplication_is_discarded_not_delivered() {
         let noisy = run_experiment(&cfg(CpuMethod::Layout, faults));
         assert_eq!(noisy.checksum.to_bits(), clean.checksum.to_bits());
         assert!(
-            noisy.faults.dups == 0 || noisy.stats.duplicates_discarded > 0,
+            noisy.faults.dups == 0 || noisy.faults.duplicates_discarded > 0,
             "injected {} dups but discarded none",
             noisy.faults.dups
         );

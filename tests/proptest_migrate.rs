@@ -133,7 +133,7 @@ fn lossy_migrated_runs_match_the_clean_trajectory() {
         let r = run_rebalance(&lossy);
         assert_eq!(fingerprint(&r), clean[migrate][overlap as usize], "{faults:?}");
         assert!(r.faults.total() > 0, "{faults:?} injected nothing");
-        retries.set(retries.get() + r.stats.retries);
+        retries.set(retries.get() + r.faults.retries);
     };
     // One explicit row per fault kind, then sampled mixtures.
     for (i, f) in [
