@@ -8,7 +8,9 @@
 use mapping::MappingPolicy;
 use netsim::hier::HierarchicalNetworkModel;
 use netsim::telemetry::{chrome_trace, critical_path, PhaseBreakdown, BRICK_COST_HIST};
-use packfree::experiment::{run_experiment, CpuMethod, ExperimentConfig, KernelKind, MethodReport};
+use packfree::experiment::{
+    run_experiment, unreachable_proc_fault, CpuMethod, ExperimentConfig, KernelKind, MethodReport,
+};
 use packfree::rebalance::{run_rebalance, GridCfg, RebalanceCfg};
 use stencil::StencilShape;
 
@@ -454,6 +456,9 @@ pub fn parse(args: &[String]) -> Result<Options, String> {
     }
     if o.faults.kill.is_some() && o.ranks.iter().product::<usize>() < 2 {
         return Err("kill: needs at least 2 ranks (the victim restores from its buddy)".into());
+    }
+    if let Some(e) = unreachable_proc_fault(&o.faults, o.ranks.iter().product(), o.warmup + o.iters) {
+        return Err(e);
     }
     if o.size % 8 != 0 || o.size < 16 {
         return Err("--size must be a multiple of 8, at least 16".into());
@@ -1044,6 +1049,24 @@ mod tests {
         assert!(p(&["-c", "x"]).is_err());
         assert!(USAGE.contains("--checkpoint-every"));
         assert!(USAGE.contains("kill:RANK@STEP"));
+    }
+
+    /// A kill or stall naming a rank or a step the run never reaches is
+    /// refused instead of paying for checkpoints of a fault that never
+    /// fires; the last step is reachable, and a kill there fires.
+    #[test]
+    fn unreachable_process_faults_are_rejected() {
+        let args = |spec| {
+            let base = ["-m", "layout", "-r", "2x1x1", "-d", "16", "-I", "2", "-w", "1", "-n"];
+            p(&[&base[..], &["instant", "-f", spec]].concat())
+        };
+        for spec in ["kill:5@1", "kill:1@3", "stall:3@0:0.001"] {
+            let err = args(spec).unwrap_err();
+            assert!(err.contains("can never fire"), "{spec}: {err}");
+        }
+        let o = args("kill:1@2").unwrap();
+        let r = run_experiment(&config(&o));
+        assert_eq!((r.recovery.failed_rank, r.recovery.failed_step), (1, 2));
     }
 
     #[test]

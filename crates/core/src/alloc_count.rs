@@ -4,6 +4,8 @@
 //! on threads that rank code has marked, so the harness's threads and
 //! the clusters of tests running in parallel stay out of the count.
 
+#![deny(unsafe_op_in_unsafe_fn, clippy::undocumented_unsafe_blocks)]
+
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -24,17 +26,27 @@ fn count_one() {
     }
 }
 
+// SAFETY: every method forwards to `System` with the caller's arguments
+// unchanged, so `System`'s guarantees are this allocator's; counting
+// neither allocates (the thread-local is const-initialised and has no
+// destructor) nor unwinds.
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, l: Layout) -> *mut u8 {
         count_one();
-        System.alloc(l)
+        // SAFETY: the caller upholds `GlobalAlloc::alloc`'s contract for
+        // `l`, which is `System.alloc`'s.
+        unsafe { System.alloc(l) }
     }
     unsafe fn dealloc(&self, p: *mut u8, l: Layout) {
-        System.dealloc(p, l)
+        // SAFETY: `p` came from this allocator with layout `l`, that is
+        // from `System`, which is what `System.dealloc` requires.
+        unsafe { System.dealloc(p, l) }
     }
     unsafe fn realloc(&self, p: *mut u8, l: Layout, new_size: usize) -> *mut u8 {
         count_one();
-        System.realloc(p, l, new_size)
+        // SAFETY: `p`/`l` came from `System` as above, and the caller
+        // upholds `realloc`'s contract for `new_size`.
+        unsafe { System.realloc(p, l, new_size) }
     }
 }
 

@@ -14,7 +14,7 @@ use netsim::{Backend, CartTopo, FaultConfig, NetworkModel};
 
 use crate::decomp::Ownership;
 use crate::exchange::ExchangeStats;
-use crate::experiment::{run_steps, MethodReport, RunParams, Schedule};
+use crate::experiment::{run_steps, unreachable_proc_fault, MethodReport, RunParams, Schedule};
 use crate::migrating::Migrating;
 use crate::workload::{fold_checksum, GridCfg};
 
@@ -95,6 +95,9 @@ pub fn run_rebalance(cfg: &RebalanceCfg) -> MethodReport {
     let n: usize = cfg.ranks.iter().product();
     assert!(n > 0, "empty rank grid");
     assert!(!cfg.faults.proc_active() || n >= 2, "process faults need a buddy: at least 2 ranks");
+    if let Some(e) = unreachable_proc_fault(&cfg.faults, n, cfg.warmup + cfg.steps) {
+        panic!("{e}");
+    }
     assert!(cfg.grid.nbricks() > 0 && cfg.grid.cells > 0, "empty grid");
     assert!(cfg.steps > 0, "need at least one timed step");
 

@@ -6,8 +6,6 @@
 //! rebalanced run in [`crate::rebalance`] drives too); what differs
 //! between them sits behind the per-rank engine trait in `engine.rs`.
 
-use std::time::Duration;
-
 use brick::BrickDims;
 use layout::SurfaceLayout;
 use mapping::{lexicographic, recursive_bisection, CommGraph, MappingPolicy};
@@ -388,13 +386,34 @@ fn validate_resilience(cfg: &ExperimentConfig) {
          Shift engines (got {:?})",
         cfg.method
     );
+    let n: usize = cfg.ranks.iter().product();
     if cfg.faults.kill.is_some() {
-        let n: usize = cfg.ranks.iter().product();
         assert!(
             n >= 2,
             "kill faults need at least 2 ranks: the victim's checkpoint lives on its buddy"
         );
     }
+    if let Some(e) = unreachable_proc_fault(&cfg.faults, n, cfg.warmup + cfg.steps) {
+        panic!("{e}");
+    }
+}
+
+/// Why a scheduled kill or stall can never fire on a run of `ranks`
+/// ranks and `steps` timesteps (warmup included): it names a rank
+/// outside the cluster or a step past the last. `None` when every
+/// scheduled process fault is reachable. Accepting one that is not would
+/// run, and bill, the checkpoints of a fault that never happens.
+pub fn unreachable_proc_fault(faults: &FaultConfig, ranks: usize, steps: usize) -> Option<String> {
+    [("kill", faults.kill), ("stall", faults.stall)].into_iter().find_map(|(name, f)| {
+        let f = f?;
+        (f.rank >= ranks || f.step >= steps as u64).then(|| {
+            format!(
+                "{name}:{}@{} can never fire: the run has {ranks} rank(s) and steps 0..{steps} \
+                 (warmup included)",
+                f.rank, f.step
+            )
+        })
+    })
 }
 
 /// The surface layout a method's bricks are laid out by.
@@ -706,11 +725,6 @@ pub(crate) fn run_steps<E: RankEngine, T: Send>(
     };
 
     let ranks = run_cluster_on(run.backend, topo, run.wire, run.faults, |ctx| {
-        // Arm the mailbox deadlock detector when fault injection is live:
-        // a dropped frame must surface as a retryable `Timeout`, not a hang.
-        if ctx.fault_active() {
-            ctx.set_recv_timeout(Some(Duration::from_secs(5)));
-        }
         let mut eng = make(ctx);
         let mut plan = StepPlan::bind(run.schedule, &mut eng, ctx);
         let mut timer = OverlapTimer::new();

@@ -63,5 +63,5 @@ pub use checkpoint::{DriveOp, FailureRecovery, RecoveryCfg};
 pub use decomp::{pad_bricks_for, BrickDecomp, Chunk, GhostGroup, Ownership};
 pub use exchange::{split_disjoint_mut, ExchangeStats, Exchanger, RecvMsg, SendMsg};
 pub use memmap::{ExchangeView, MemMapStorage};
-pub use reliable::{RelRecv, RelSend, ReliableConfig, ReliableSession};
+pub use reliable::{RelRecv, RelSend, ReliableSession};
 pub use shift::ShiftExchanger;

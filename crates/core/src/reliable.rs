@@ -1,7 +1,7 @@
-//! Self-healing exchange protocol: retry with backoff, sequence
-//! numbers, checksums, and graceful degradation — the recovery layer
+//! Self-healing exchange protocol: sequence numbers, checksums,
+//! missing-frame requests and graceful degradation — the recovery layer
 //! every exchange engine drops into when the fabric is armed with a
-//! [`netsim::FaultConfig`].
+//! lossy [`netsim::FaultConfig`].
 //!
 //! # Frame format
 //!
@@ -19,29 +19,38 @@
 //!
 //! One [`ReliableSession::run`] performs one exchange:
 //!
-//! 1. send every frame;
-//! 2. **data phase** — complete receives against a shared round
-//!    deadline (exponential backoff: the deadline doubles each round),
-//!    validating each frame and discarding duplicates and damage;
+//! 1. send every frame, then join the **fence**: an all-reduce every
+//!    rank joins after posting its frames. Delivery is eager — a frame
+//!    is in its receiver's mailbox before its sender's `isend` returns —
+//!    so once the fence completes, every frame posted before it is
+//!    either queued or was dropped (the consensus argument NBX makes
+//!    its final drain exhaustive with; see `netsim::nbx`);
+//! 2. **data phase** — drain each pending channel's queue without
+//!    blocking, validating each frame and discarding duplicates and
+//!    damage. Nothing is waited for, so no clock decides what is lost;
 //! 3. **control phase** — tell each source which tags are still
 //!    missing (control tags carry [`netsim::CTRL_TAG_BIT`], so the
 //!    control plane is never fault-injected — the transport-level
 //!    ack/credit channel real NICs keep out of band);
-//! 4. **termination** — an all-reduce of the global missing count (a
-//!    fault-exempt collective); everyone exits together when it hits
-//!    zero, which keeps every rank in lockstep and makes the protocol
-//!    deadlock-free by construction;
-//! 5. otherwise resend exactly the requested frames and go to 2.
+//! 4. resend exactly the requested frames;
+//! 5. **termination** — an all-reduce of the global missing count (a
+//!    fault-exempt collective), which is also the fence for the resends
+//!    just posted. Everyone exits together when it hits zero, which
+//!    keeps every rank in lockstep and makes the protocol deadlock-free
+//!    by construction; otherwise go to 2.
+//!
+//! The fence costs one control-plane all-reduce per exchange. It stands
+//! in for the loss timeout a real fabric would wait out.
 //!
 //! # Graceful degradation
 //!
-//! Once the round count reaches the retry budget, resends bypass fault
+//! From the twelfth resend wave (`BUDGET`) on, resends bypass fault
 //! injection entirely ([`netsim::RankCtx::set_fault_bypass`]) — the
 //! model of falling back from the lossy fast path to a reliable slow
 //! path. The exchange then converges even under 100% drop; the
-//! [`FaultStats::degraded_exchanges`] counter reports that the
-//! budget was spent. A hard cap a few rounds later turns a
-//! non-converging exchange (a protocol bug, by construction) into
+//! [`FaultStats::degraded_exchanges`] counter reports that the budget
+//! was spent. A hard cap a few waves later turns a non-converging
+//! exchange (a protocol bug, by construction) into
 //! [`NetsimError::RetriesExhausted`] instead of an infinite loop.
 //!
 //! # Invariant
@@ -49,7 +58,9 @@
 //! Delivered payloads are bitwise copies of staged payloads, so under
 //! *any* injected fault schedule a retrying exchange converges to the
 //! exact grid state of the fault-free exchange — while the wire timers
-//! honestly account every retransmission and control message.
+//! honestly account every retransmission and control message. Which
+//! frames are resent is a function of the fault schedule alone, so a
+//! lossy run replays bit for bit on either backend.
 //!
 //! Stale duplicates left in the mailbox after convergence are evicted
 //! before returning ([`netsim::RankCtx::drain_mailbox`]), so a
@@ -63,38 +74,19 @@
 //! not in the session: a session is rebuilt with its plan, the rank's
 //! counters are not.
 
-use std::time::{Duration, Instant};
-
 use netsim::{frame_checksum, FaultStats, NetsimError, RankCtx, CTRL_TAG_BIT};
 
 /// Control-plane tag for missing-frame requests (fault-exempt).
 pub const CTRL_EXCHANGE_TAG: u64 = CTRL_TAG_BIT | 0x00FE_ED01;
 
-/// Deadline for control-plane receives. Control messages are reliable
-/// and every rank sends them in bounded time, so expiry here means a
-/// peer died — a real error, not a retry case.
-const CONTROL_DEADLINE: Duration = Duration::from_secs(5);
+/// Resend waves on the lossy path: wave `BUDGET` and every later one
+/// bypass fault injection (guaranteed delivery).
+const BUDGET: u32 = 12;
 
-/// Extra rounds past the budget before a non-converging exchange is
-/// declared broken. The budget round already resends with fault
+/// Extra waves past the budget before a non-converging exchange is
+/// declared broken. The budget wave already resends with fault
 /// injection bypassed, so these only trigger on protocol bugs.
 const HARD_CAP_SLACK: u32 = 8;
-
-/// Tuning knobs for the recovery protocol.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct ReliableConfig {
-    /// Rounds of faulty-path retries before degrading to the bypassed
-    /// (guaranteed-delivery) path.
-    pub budget: u32,
-    /// Base data-phase deadline; doubles each round up to 16x.
-    pub round_timeout: Duration,
-}
-
-impl Default for ReliableConfig {
-    fn default() -> ReliableConfig {
-        ReliableConfig { budget: 12, round_timeout: Duration::from_millis(8) }
-    }
-}
 
 /// One mailbox send channel: destination rank and tag.
 #[derive(Clone, Copy, Debug)]
@@ -125,7 +117,6 @@ pub struct RelRecv {
 /// every exchange schedule in this crate satisfies that by
 /// construction (tags encode direction and run).
 pub struct ReliableSession {
-    cfg: ReliableConfig,
     sends: Vec<RelSend>,
     recvs: Vec<RelRecv>,
     /// Monotone exchange sequence number (shared by all frames of one
@@ -143,15 +134,6 @@ pub struct ReliableSession {
 impl ReliableSession {
     /// Build a session over fixed channel lists.
     pub fn new(sends: Vec<RelSend>, recvs: Vec<RelRecv>) -> ReliableSession {
-        ReliableSession::with_config(sends, recvs, ReliableConfig::default())
-    }
-
-    /// Build with explicit tuning knobs.
-    pub fn with_config(
-        sends: Vec<RelSend>,
-        recvs: Vec<RelRecv>,
-        cfg: ReliableConfig,
-    ) -> ReliableSession {
         let mut ctl_sources: Vec<usize> = recvs.iter().map(|r| r.src).collect();
         ctl_sources.sort_unstable();
         ctl_sources.dedup();
@@ -162,7 +144,6 @@ impl ReliableSession {
         let resend = vec![false; sends.len()];
         let done = vec![false; recvs.len()];
         ReliableSession {
-            cfg,
             sends,
             recvs,
             seq: 0,
@@ -204,12 +185,7 @@ impl ReliableSession {
         ctx: &mut RankCtx<'_>,
         mut deliver: impl FnMut(usize, &[f64]),
     ) -> Result<(), NetsimError> {
-        // A generous deadline guards the control plane and the
-        // termination collective against peer death.
-        let saved = ctx.recv_timeout();
-        ctx.set_recv_timeout(Some(CONTROL_DEADLINE));
         let result = self.run_rounds(ctx, &mut deliver);
-        ctx.set_recv_timeout(saved);
         // Evict stale duplicates so retry storms cannot grow the
         // mailbox across timesteps.
         let evicted: usize = self.recvs.iter().map(|r| ctx.drain_mailbox(r.src, r.tag)).sum();
@@ -222,39 +198,36 @@ impl ReliableSession {
         ctx: &mut RankCtx<'_>,
         deliver: &mut impl FnMut(usize, &[f64]),
     ) -> Result<(), NetsimError> {
-        let hard_cap = self.cfg.budget + HARD_CAP_SLACK;
+        let hard_cap = BUDGET + HARD_CAP_SLACK;
         for j in 0..self.sends.len() {
             self.send_frame(ctx, j)?;
         }
-        let mut degraded = false;
-        let mut round: u32 = 0;
+        ctx.flush_epoch();
+        // The fence: every frame posted above is queued or was dropped
+        // once every rank has joined.
+        ctx.allreduce_max(0.0)?;
+        let mut wave: u32 = 0;
         loop {
             // A revoked communicator cannot converge: the dead peer will
             // never answer the control phase or the termination
-            // collective. Surface the failure instead of burning retry
-            // rounds until the timeout fires (recovery-epoch traffic is
-            // exempt — the session never runs inside one, but be safe).
+            // collective. Surface the failure before posting anything
+            // (recovery-epoch traffic is exempt — the session never runs
+            // inside one, but be safe).
             if !ctx.recovering() {
                 if let Some(e) = ctx.rank_failure() {
                     ctx.flush_epoch();
                     return Err(e);
                 }
             }
-            // --- Data phase: shared deadline, keep popping per key so a
-            // clean duplicate can satisfy a channel whose first copy was
-            // damaged. ---
-            let wait = self.cfg.round_timeout * (1u32 << round.min(4));
-            let deadline = Instant::now() + wait;
+            // --- Data phase: drain what the last fence guarantees is
+            // there, per key, so a clean duplicate can satisfy a channel
+            // whose first copy was damaged. ---
             for i in 0..self.recvs.len() {
                 while !self.done[i] {
                     let h = ctx.irecv(self.recvs[i].src, self.recvs[i].tag)?;
-                    match ctx.recv_deadline(h, deadline) {
-                        None => break,
-                        Some(msg) => {
-                            self.accept(ctx, i, msg.data(), deliver);
-                            ctx.recycle(msg);
-                        }
-                    }
+                    let Some(msg) = ctx.try_wait(h) else { break };
+                    self.accept(ctx, i, msg.data(), deliver);
+                    ctx.recycle(msg);
                 }
             }
             ctx.flush_epoch();
@@ -272,32 +245,15 @@ impl ReliableSession {
                 ctx.isend(src, CTRL_EXCHANGE_TAG, &self.ctl_buf)?;
             }
             self.resend.iter_mut().for_each(|b| *b = false);
-            let mut want_resend = false;
             for di in 0..self.ctl_dests.len() {
                 let dest = self.ctl_dests[di];
                 let h = ctx.irecv(dest, CTRL_EXCHANGE_TAG)?;
-                let ctl_deadline = Instant::now() + CONTROL_DEADLINE;
-                let Some(msg) = ctx.recv_deadline(h, ctl_deadline) else {
-                    ctx.flush_epoch();
-                    // A silent control peer usually means it died: report
-                    // the crash (recoverable) over the opaque timeout.
-                    if !ctx.recovering() {
-                        if let Some(e) = ctx.rank_failure() {
-                            return Err(e);
-                        }
-                    }
-                    return Err(NetsimError::Timeout {
-                        rank: ctx.rank(),
-                        pending: vec![(dest, CTRL_EXCHANGE_TAG)],
-                        mailbox: ctx.mailbox_keys(),
-                    });
-                };
+                let msg = ctx.recv_blocking(h)?;
                 for w in msg.data() {
                     let tag = w.to_bits();
                     for (j, s) in self.sends.iter().enumerate() {
                         if s.dest == dest && s.tag == tag {
                             self.resend[j] = true;
-                            want_resend = true;
                         }
                     }
                 }
@@ -305,16 +261,34 @@ impl ReliableSession {
             }
             ctx.flush_epoch();
 
-            // --- Global termination: everyone advances (or exits) the
-            // round loop together, so the per-round collectives and
-            // control messages always pair up. ---
-            let missing =
-                self.done.iter().filter(|d| !**d).count() + usize::from(want_resend);
+            // --- Resend phase: exactly the requested frames; from the
+            // budget wave on, on the fault-bypassed path, so convergence
+            // is guaranteed. ---
+            wave += 1;
+            if wave <= hard_cap {
+                let prev = ctx.set_fault_bypass(wave >= BUDGET);
+                for j in 0..self.sends.len() {
+                    if self.resend[j] {
+                        ctx.note_recovery(FaultStats { retries: 1, ..FaultStats::default() });
+                        self.send_frame(ctx, j)?;
+                    }
+                }
+                ctx.set_fault_bypass(prev);
+            }
+
+            // --- Global termination, and the fence for the resends:
+            // everyone advances (or exits) the loop together, so the
+            // per-wave collectives and control messages always pair up.
+            // A request implies a missing frame somewhere, so a zero
+            // vote means this wave resent nothing. ---
+            let missing = self.done.iter().filter(|d| !**d).count();
             if ctx.allreduce_max(missing as f64)? == 0.0 {
                 return Ok(());
             }
-            round += 1;
-            if round > hard_cap {
+            if wave == BUDGET {
+                ctx.note_recovery(FaultStats { degraded_exchanges: 1, ..FaultStats::default() });
+            }
+            if wave > hard_cap {
                 let pending = self
                     .recvs
                     .iter()
@@ -322,25 +296,8 @@ impl ReliableSession {
                     .filter(|(_, d)| !**d)
                     .map(|(r, _)| (r.src, r.tag))
                     .collect();
-                return Err(NetsimError::RetriesExhausted { rank: ctx.rank(), rounds: round, pending });
+                return Err(NetsimError::RetriesExhausted { rank: ctx.rank(), rounds: wave, pending });
             }
-
-            // --- Resend phase: exactly the requested frames; once the
-            // budget is spent, degrade to the fault-bypassed path so
-            // convergence is guaranteed. ---
-            let bypass = round >= self.cfg.budget;
-            if bypass && !degraded {
-                degraded = true;
-                ctx.note_recovery(FaultStats { degraded_exchanges: 1, ..FaultStats::default() });
-            }
-            let prev = ctx.set_fault_bypass(bypass);
-            for j in 0..self.sends.len() {
-                if self.resend[j] {
-                    ctx.note_recovery(FaultStats { retries: 1, ..FaultStats::default() });
-                    self.send_frame(ctx, j)?;
-                }
-            }
-            ctx.set_fault_bypass(prev);
         }
     }
 
@@ -392,10 +349,9 @@ mod tests {
             let rank = ctx.rank();
             let right = ctx.topo().neighbor(rank, &[1]).unwrap();
             let left = ctx.topo().neighbor(rank, &[-1]).unwrap();
-            let mut rel = ReliableSession::with_config(
+            let mut rel = ReliableSession::new(
                 vec![RelSend { dest: right, tag: 0x10 }],
                 vec![RelRecv { src: left, tag: 0x10, elems: 16 }],
-                ReliableConfig { budget: 4, round_timeout: Duration::from_millis(2) },
             );
             let mut out = vec![0.0; 16];
             for step in 0..steps {
@@ -431,10 +387,9 @@ mod tests {
         let topo = CartTopo::new(&[2], true);
         let out = run_cluster_faulty(&topo, NetworkModel::instant(), cfg, |ctx| {
             let peer = 1 - ctx.rank();
-            let mut rel = ReliableSession::with_config(
+            let mut rel = ReliableSession::new(
                 vec![RelSend { dest: peer, tag: 1 }],
                 vec![RelRecv { src: peer, tag: 1, elems: 4 }],
-                ReliableConfig { budget: 2, round_timeout: Duration::from_millis(1) },
             );
             let mut got = vec![0.0; 4];
             rel.begin();
@@ -445,7 +400,7 @@ mod tests {
         let (got0, stats0) = &out[0];
         assert_eq!(got0, &[1.0; 4]);
         assert_eq!(stats0.degraded_exchanges, 1, "budget must be reported spent");
-        assert!(stats0.retries >= 1);
+        assert_eq!(stats0.retries, u64::from(BUDGET), "one resend per wave, the last one bypassed");
     }
 
     #[test]
@@ -455,10 +410,9 @@ mod tests {
         let cfg = FaultConfig { seed: 9, drop: 0.5, dup: 0.5, ..FaultConfig::off() };
         let topo = CartTopo::new(&[1], true);
         let out = run_cluster_faulty(&topo, NetworkModel::instant(), cfg, |ctx| {
-            let mut rel = ReliableSession::with_config(
+            let mut rel = ReliableSession::new(
                 vec![RelSend { dest: 0, tag: 3 }],
                 vec![RelRecv { src: 0, tag: 3, elems: 8 }],
-                ReliableConfig { budget: 3, round_timeout: Duration::from_millis(1) },
             );
             let mut got = vec![0.0; 8];
             for step in 0..6 {
@@ -478,10 +432,9 @@ mod tests {
         let topo = CartTopo::new(&[2], true);
         let out = run_cluster_faulty(&topo, NetworkModel::instant(), cfg, |ctx| {
             let peer = 1 - ctx.rank();
-            let mut rel = ReliableSession::with_config(
+            let mut rel = ReliableSession::new(
                 vec![RelSend { dest: peer, tag: 2 }],
                 vec![RelRecv { src: peer, tag: 2, elems: 32 }],
-                ReliableConfig { budget: 2, round_timeout: Duration::from_millis(1) },
             );
             let want: Vec<f64> = (0..32).map(|i| (peer * 64 + i) as f64).collect();
             let mine: Vec<f64> = (0..32).map(|i| (ctx.rank() * 64 + i) as f64).collect();

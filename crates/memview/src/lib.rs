@@ -24,6 +24,7 @@
 //! ```
 
 #![warn(missing_docs)]
+#![deny(unsafe_op_in_unsafe_fn, clippy::undocumented_unsafe_blocks)]
 
 pub mod backing;
 pub mod memfile;

@@ -46,11 +46,6 @@ pub struct MemFile {
     pub(crate) live: MapCount,
 }
 
-// SAFETY: the fd is an owned kernel handle; concurrent mmap/read of the
-// same memfd from multiple threads is safe.
-unsafe impl Send for MemFile {}
-unsafe impl Sync for MemFile {}
-
 impl MemFile {
     /// Create a file of `len` bytes (rounded up to the host page size).
     pub fn create(name: &str, len: usize) -> io::Result<MemFile> {
@@ -120,9 +115,17 @@ pub struct Mapping {
     live: MapCount,
 }
 
-// SAFETY: the mapping is plain shared memory of `f64`s/`u8`s; races are
-// prevented by the owning structures' borrow discipline.
+// SAFETY: `ptr`/`len` are the only handle to their mapping (unmapped on
+// drop), and a mapping is process-wide, not tied to the thread that made
+// it, so moving the handle moves sole ownership; `live` is an atomic
+// counter behind an `Arc`, `Send` by itself.
 unsafe impl Send for Mapping {}
+// SAFETY: through `&Mapping` the mapped pages are only read (`as_bytes`,
+// `as_f64`; `as_ptr` hands out a raw pointer, which only the caller can
+// dereference); writes need `&mut self`. Aliasing *between* mappings of
+// the same file range is the owning structures' borrow discipline, as for
+// any pair of slices over shared memory. `len` is immutable and `live`
+// atomic.
 unsafe impl Sync for Mapping {}
 
 impl Mapping {

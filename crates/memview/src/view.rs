@@ -30,9 +30,15 @@ pub struct ContiguousView {
     file: Arc<MemFile>,
 }
 
-// SAFETY: shared-memory mapping; synchronization is the caller's borrow
-// discipline, as with any &[f64]/&mut [f64].
+// SAFETY: `base`/`len` are the only handle to the view's reservation
+// (unmapped on drop), and a mapping is process-wide, so moving the view
+// moves sole ownership of it; `segments` is plain data and `file` an
+// `Arc<MemFile>`, both `Send` by themselves.
 unsafe impl Send for ContiguousView {}
+// SAFETY: through `&ContiguousView` the pages are only read (`as_bytes`,
+// `as_f64`); writes need `&mut self`. Aliasing between views of the same
+// file is the caller's borrow discipline, as with any `&[f64]`/`&mut [f64]`.
+// The other fields are immutable after `build` and `Sync` by themselves.
 unsafe impl Sync for ContiguousView {}
 
 impl ContiguousView {

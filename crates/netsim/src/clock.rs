@@ -181,8 +181,8 @@ impl RankCtx<'_> {
     /// zero-valued — flat billing stays bit-identical).
     ///
     /// Public so that protocol layers which complete receives via
-    /// [`RankCtx::recv_deadline`] instead of `waitall_*` can settle the
-    /// sends posted since the last close.
+    /// [`RankCtx::recv_blocking`] or [`RankCtx::try_wait`] instead of
+    /// `waitall_*` can settle the sends posted since the last close.
     pub fn flush_epoch(&mut self) {
         let mut wait = self.net.wait_time(self.epoch_msgs, self.epoch_bytes);
         if let Some((intra, _)) = self.hier {

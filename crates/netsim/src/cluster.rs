@@ -9,9 +9,9 @@
 //! calls; `mailbox.rs` the message store underneath and the pooled buffers.
 //!
 //! **Who blocks where.** Sends never block. A rank blocks in two places:
-//! [`RankCtx::barrier`], and — under `recv_blocking`, `recv_deadline`,
-//! `waitall_*` and [`Lend::complete`], through the one private
-//! `blocking_probe` — the wait loop of `mailbox.rs` on its *own* mailbox,
+//! [`RankCtx::barrier`], and — under `recv_blocking`, `waitall_*` and
+//! [`Lend::complete`], through the one private `blocking_probe` — the
+//! wait loop of `mailbox.rs` on its *own* mailbox,
 //! where the sleep/wake protocol is stated and argued. The polling
 //! completions (`try_wait`, `progress_with`, `idle_tick`) yield instead.
 //!
@@ -27,7 +27,7 @@
 //! * **eager** — everything else (the receiver is still computing, a
 //!   channel's first message, anything queued behind another message,
 //!   self-sends, messages a fault plan touches, receives completed with
-//!   `recv_blocking` / `recv_deadline` / `try_wait` / `progress_with`): two
+//!   `recv_blocking` / `try_wait` / `progress_with`): two
 //!   copies, into a pooled buffer in `isend` and out of it when the
 //!   receive completes.
 //!
@@ -55,15 +55,17 @@
 //! The fabric can misbehave on purpose: [`run_cluster_faulty`] arms a
 //! seeded [`FaultPlan`] per rank, and `isend` then consults it to drop,
 //! duplicate, corrupt or delay messages deterministically (see
-//! [`crate::fault`]). To keep a lossy fabric from hanging ranks
-//! forever, receives are deadline-aware: [`RankCtx::set_recv_timeout`]
-//! arms a deadline and `waitall_*` reports a structured
-//! [`NetsimError::Timeout`] — including a dump of the unmatched mailbox
-//! keys, the deadlock detector's view — instead of blocking.
+//! [`crate::fault`]). No receive here waits on a clock: a protocol that
+//! must learn what a lossy fabric lost drains its mailbox after a
+//! collective every rank joins (delivery is eager, so by then every
+//! frame posted before it is queued or was dropped). A receive that can
+//! never complete reports a structured [`NetsimError::Timeout`] —
+//! including a dump of the unmatched mailbox keys — when the event
+//! scheduler detects the deadlock, or when the thread backend's hang
+//! guard gives up on it.
 
 use std::ops::Range;
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::time::{Duration, Instant};
 
 use telemetry::{Phase, Recorder};
 
@@ -102,9 +104,9 @@ impl RecvHandle {
     }
 }
 
-/// A message popped off the mailbox by [`RankCtx::recv_deadline`] —
-/// the low-level completion used by reliable-exchange protocols that
-/// need to inspect frames (checksums, sequence numbers) before
+/// A message popped off the mailbox by [`RankCtx::recv_blocking`] or
+/// [`RankCtx::try_wait`] — the low-level completion used by protocols
+/// that need to inspect frames (checksums, sequence numbers) before
 /// deciding where the payload lands. Return it to the transport with
 /// [`RankCtx::recycle`] so pooled buffers keep circulating.
 pub struct RecvdMsg(Msg);
@@ -144,7 +146,6 @@ pub struct RankCtx<'a> {
     direct_sends: u64,
     fault: Option<FaultPlan>,
     fault_bypass: bool,
-    recv_timeout: Option<Duration>,
     // Process-fault machinery (see `ProcState`). `kill`/`stall` are
     // this rank's armed process faults (first incarnation only);
     // `cur_step` is the timestep window armed by the resilient driver
@@ -205,7 +206,6 @@ impl<'a> RankCtx<'a> {
             direct_sends: 0,
             fault,
             fault_bypass: false,
-            recv_timeout: None,
             proc: &cluster.proc,
             kill: faults.kill.filter(|k| first && k.rank == rank),
             stall: faults.stall.filter(|s| first && s.rank == rank),
@@ -302,18 +302,6 @@ impl<'a> RankCtx<'a> {
     /// can restore it.
     pub fn set_fault_bypass(&mut self, on: bool) -> bool {
         std::mem::replace(&mut self.fault_bypass, on)
-    }
-
-    /// Arm (or disarm) a deadline for `waitall_*` and
-    /// [`RankCtx::recv_deadline`] completions. `None` (the default)
-    /// blocks forever, preserving the fault-free semantics.
-    pub fn set_recv_timeout(&mut self, timeout: Option<Duration>) {
-        self.recv_timeout = timeout;
-    }
-
-    /// The armed receive deadline, if any.
-    pub fn recv_timeout(&self) -> Option<Duration> {
-        self.recv_timeout
     }
 
     /// Post a nonblocking send of `data` to rank `dest` with `tag`.
@@ -511,13 +499,10 @@ impl<'a> RankCtx<'a> {
 
     /// Blocking wait on this rank's mailbox: run `probe` on the locked
     /// mailbox until it yields, sleeping in between as
-    /// [`Mailbox::wait`] does on either backend. `None` = the deadline
-    /// expired (or the cluster aborted) first.
-    fn blocking_probe<T>(
-        &self,
-        deadline: Option<Instant>,
-        probe: impl FnMut(&mut MailboxInner) -> Option<T>,
-    ) -> Option<T> {
+    /// [`Mailbox::wait`] does on either backend. `None` = the wait can
+    /// never complete (revoked, aborted, deadlocked or past the hang
+    /// guard).
+    fn blocking_probe<T>(&self, probe: impl FnMut(&mut MailboxInner) -> Option<T>) -> Option<T> {
         // Outside recovery mode a revoked communicator stops every
         // blocking wait — that is the failure detector: the caller maps
         // the miss to `RankFailed` via `rank_failure()`. Recovery-mode
@@ -527,12 +512,7 @@ impl<'a> RankCtx<'a> {
             self.abort.load(Ordering::SeqCst)
                 || (!self.recovery_mode && self.proc.revoked.load(Ordering::SeqCst))
         };
-        self.mailbox().wait(self.runtime, self.rank, deadline, stopped, probe)
-    }
-
-    /// [`RankCtx::blocking_probe`] for the next message of `key`.
-    fn blocking_pop(&self, key: Key, deadline: Option<Instant>) -> Option<Msg> {
-        self.blocking_probe(deadline, |inner| inner.pop(key))
+        self.mailbox().wait(self.runtime, self.rank, stopped, probe)
     }
 
     /// One unproductive tick of a hand-rolled spin loop: advance the
@@ -547,7 +527,7 @@ impl<'a> RankCtx<'a> {
         self.runtime.yield_now();
     }
 
-    /// What the three single-receive completions share once the mailbox
+    /// What the two single-receive completions share once the mailbox
     /// has answered: a claimed message is traced and handed out raw.
     fn claimed(&mut self, h: RecvHandle, msg: Option<Msg>) -> Option<RecvdMsg> {
         let msg = msg?;
@@ -555,26 +535,16 @@ impl<'a> RankCtx<'a> {
         Some(RecvdMsg(msg))
     }
 
-    /// Complete one posted receive, blocking until `deadline` (`None`
-    /// = the message never arrived in time — *not* an error here: retry
-    /// protocols treat a miss as "still pending" and re-request). The
-    /// frame is handed back raw so callers can verify checksums and
-    /// sequence trailers; recycle it with [`RankCtx::recycle`].
-    pub fn recv_deadline(&mut self, h: RecvHandle, deadline: Instant) -> Option<RecvdMsg> {
-        self.proc_tick();
-        let msg = self.blocking_pop(h.key(), Some(deadline));
-        self.claimed(h, msg)
-    }
-
-    /// Complete one posted receive, blocking until it arrives (or until
-    /// the armed receive deadline — see [`RankCtx::set_recv_timeout`] —
-    /// expires, which is a [`NetsimError::Timeout`]). Bills nothing and
-    /// leaves the send epoch open; the frame is handed back raw, so
+    /// Complete one posted receive, blocking until it arrives — or
+    /// until it provably never will: a revoked communicator reports
+    /// [`NetsimError::RankFailed`], a deadlock [`NetsimError::Timeout`].
+    /// Bills nothing and leaves the send epoch open; the frame is handed
+    /// back raw so callers can verify checksums and sequence trailers —
     /// recycle it with [`RankCtx::recycle`].
     pub fn recv_blocking(&mut self, h: RecvHandle) -> Result<RecvdMsg, NetsimError> {
         self.proc_tick();
-        let deadline = self.recv_timeout.map(|t| Instant::now() + t);
-        let msg = self.blocking_pop(h.key(), deadline);
+        let key = h.key();
+        let msg = self.blocking_probe(|inner| inner.pop(key));
         match self.claimed(h, msg) {
             Some(msg) => Ok(msg),
             None => Err(self.wait_failed(vec![h.key()])),
@@ -630,9 +600,8 @@ impl<'a> RankCtx<'a> {
     /// and the send epoch stays open — close it via the finishing
     /// `waitall_*` over the still-pending subset (or
     /// [`RankCtx::flush_epoch`] once everything completed), so the
-    /// LogGP `wait` lump and the deadline machinery keep their phased
-    /// semantics. A wrong-length message reports
-    /// [`NetsimError::SizeMismatch`] after recycling it.
+    /// LogGP `wait` lump keeps its phased semantics. A wrong-length
+    /// message reports [`NetsimError::SizeMismatch`] after recycling it.
     pub fn progress_with(
         &mut self,
         handles: &[RecvHandle],
@@ -723,8 +692,9 @@ impl<'a> RankCtx<'a> {
     /// epoch (on errors too, so wire accounting stays consistent). A
     /// receive completes when its window was written directly, or else
     /// from the channel's queue — claimed, copied in and the window
-    /// closed in one lock acquisition. Honors the armed receive deadline
-    /// and reports [`NetsimError::Timeout`] / [`NetsimError::SizeMismatch`].
+    /// closed in one lock acquisition. Reports [`NetsimError::Timeout`]
+    /// (or the failure of a revoked communicator) and
+    /// [`NetsimError::SizeMismatch`].
     pub(crate) fn complete_lent(
         &mut self,
         lend: &mut Lend<'_>,
@@ -740,11 +710,10 @@ impl<'a> RankCtx<'a> {
             "a lend completes on the rank that opened it"
         );
         self.proc_tick();
-        let deadline = self.recv_timeout.map(|t| Instant::now() + t);
         let mut result = Ok(());
         for (i, h) in handles.iter().enumerate() {
             let key = h.key();
-            let claimed = self.blocking_probe(deadline, |inner| {
+            let claimed = self.blocking_probe(|inner| {
                 if let Some(len) = inner.windows.filled(i, key) {
                     return Some((len, None));
                 }
@@ -788,11 +757,11 @@ impl<'a> RankCtx<'a> {
     /// posted sends, then closes the epoch. The buffers are lent for the
     /// duration of the wait, so a message sent meanwhile lands in place.
     ///
-    /// With a receive deadline armed (see
-    /// [`RankCtx::set_recv_timeout`]), an unmatched receive returns
-    /// [`NetsimError::Timeout`] instead of blocking forever; a
-    /// wrong-length message returns [`NetsimError::SizeMismatch`]. The
-    /// epoch is closed either way so wire accounting stays consistent.
+    /// A receive that can never complete returns [`NetsimError::Timeout`]
+    /// (or the failure of a revoked communicator) instead of blocking
+    /// forever; a wrong-length message returns
+    /// [`NetsimError::SizeMismatch`]. The epoch is closed either way so
+    /// wire accounting stays consistent.
     pub fn waitall_into(
         &mut self,
         handles: &[RecvHandle],
@@ -812,7 +781,7 @@ impl<'a> RankCtx<'a> {
     ///
     /// Calling with empty `handles` still closes the epoch — a rank
     /// whose sends were all loopbacks uses this to charge `wait`.
-    /// Deadline and error semantics match [`RankCtx::waitall_into`].
+    /// Error semantics match [`RankCtx::waitall_into`].
     pub fn waitall_ranges(
         &mut self,
         handles: &[RecvHandle],
@@ -851,13 +820,12 @@ mod tests {
     /// way out of a blocking receive lowers it again (a flag left up costs
     /// a wake per push, one left down loses a wake-up), and the push that
     /// ends a sleep takes it — on both backends, over success with and
-    /// without sleeping, timeout, abort and revocation.
+    /// without sleeping, abort and revocation.
     #[test]
     fn mailbox_waiting_flag_is_lowered_on_every_return_path() {
         let lowered = |ctx: &RankCtx<'_>| assert!(!ctx.mailbox().lock().waiting);
         let topo = CartTopo::new(&[2], true);
         let net = NetworkModel::instant();
-        let soon = || Instant::now() + Duration::from_millis(20);
         for backend in [Backend::Thread, Backend::Event] {
             run_cluster_on(backend, &topo, net, FaultConfig::off(), |ctx| {
                 if ctx.rank() == 0 {
@@ -870,13 +838,9 @@ mod tests {
                     return;
                 }
                 ctx.barrier();
-                // A hit without sleeping, then a timeout with nothing queued
-                // (on the event backend the deadline fires at quiescence:
-                // rank 0 is parked on the barrier).
+                // A hit without sleeping.
                 let h = ctx.irecv(0, 7).unwrap();
                 assert_eq!(ctx.recv_blocking(h).unwrap().data(), [1.0]);
-                lowered(ctx);
-                assert!(ctx.recv_deadline(h, soon()).is_none());
                 lowered(ctx);
                 ctx.barrier();
                 // A hit after sleeping.
@@ -930,6 +894,16 @@ mod tests {
             faults,
             body,
         )
+    }
+
+    /// A cluster on the event backend, whose deadlock detector turns a
+    /// receive that can never complete into a prompt `Timeout`.
+    fn on_event<R: Send>(
+        topo: &CartTopo,
+        faults: FaultConfig,
+        body: impl Fn(&mut RankCtx<'_>) -> R + Sync,
+    ) -> Vec<R> {
+        run_cluster_on(Backend::Event, topo, NetworkModel::instant(), faults, body)
     }
 
     /// Spin until `rank` sleeps on its mailbox: `waiting` is raised under
@@ -1082,14 +1056,14 @@ mod tests {
         );
     }
 
-    /// (iii) Every way out of a lent wait ends the lend: a timeout, a
-    /// size mismatch (asserted in `second_send_to_a_blocked_owner`) and
-    /// the crash-stop unwind of a rank killed with its ghosts pre-posted.
+    /// (iii) Every way out of a lent wait ends the lend: a timeout (the
+    /// event scheduler's deadlock detector), a size mismatch (asserted in
+    /// `second_send_to_a_blocked_owner`) and the crash-stop unwind of a
+    /// rank killed with its ghosts pre-posted.
     #[test]
     fn unwinding_out_of_a_lent_wait_clears_the_windows() {
         let topo = CartTopo::new(&[1], true);
-        run_cluster(&topo, NetworkModel::instant(), |ctx| {
-            ctx.set_recv_timeout(Some(Duration::from_millis(5)));
+        on_event(&topo, FaultConfig::off(), |ctx| {
             let h = ctx.irecv(0, 7).unwrap();
             let err = ctx
                 .waitall_into(&[h], &mut [&mut [0.0; 2][..]])
@@ -1263,14 +1237,15 @@ mod tests {
         });
     }
 
+    /// A receive nobody will satisfy is a deadlock, which the event
+    /// scheduler detects: the `Timeout` names it and dumps the mailbox.
     #[test]
     fn timeout_reports_pending_and_mailbox_dump() {
         let topo = CartTopo::new(&[1], true);
-        let out = run_cluster(&topo, NetworkModel::instant(), |ctx| {
+        let out = on_event(&topo, FaultConfig::off(), |ctx| {
             // A message nobody will ask for, to exercise the dump...
             ctx.isend(0, 99, &[1.0]).unwrap();
             // ...and a receive nobody will satisfy.
-            ctx.set_recv_timeout(Some(Duration::from_millis(10)));
             let h = ctx.irecv(0, 7).unwrap();
             let mut buf = [0.0; 1];
             ctx.waitall_into(&[h], &mut [&mut buf[..]])
@@ -1365,7 +1340,7 @@ mod tests {
     #[test]
     fn deadline_still_fires_after_partial_progress() {
         let topo = CartTopo::new(&[1], true);
-        let out = run_cluster(&topo, NetworkModel::instant(), |ctx| {
+        let out = on_event(&topo, FaultConfig::off(), |ctx| {
             // One satisfied channel, one genuinely stuck channel.
             let handles = [ctx.irecv(0, 20).unwrap(), ctx.irecv(0, 21).unwrap()];
             ctx.isend(0, 20, &[7.0]).unwrap();
@@ -1376,8 +1351,7 @@ mod tests {
             progress_ranges(ctx, &handles, &mut storage, &ranges, &mut done, &mut completed).unwrap();
             assert_eq!(completed, vec![0]);
             // The finishing blocking wait over the stuck remainder must
-            // still honor the armed deadline.
-            ctx.set_recv_timeout(Some(Duration::from_millis(10)));
+            // still report it as one that can never complete.
             ctx.waitall_ranges(&handles[1..], &mut storage, &ranges[1..])
         });
         let Err(NetsimError::Timeout { rank, pending, .. }) = &out[0] else {
@@ -1606,8 +1580,7 @@ mod tests {
     fn dropped_message_times_out_with_empty_mailbox() {
         let topo = CartTopo::new(&[1], true);
         let cfg = FaultConfig { seed: 1, drop: 1.0, ..FaultConfig::off() };
-        let out = run_cluster_faulty(&topo, NetworkModel::instant(), cfg, |ctx| {
-            ctx.set_recv_timeout(Some(Duration::from_millis(10)));
+        let out = on_event(&topo, cfg, |ctx| {
             let h = ctx.irecv(0, 4).unwrap();
             ctx.isend(0, 4, &[1.0, 2.0]).unwrap();
             let mut buf = [0.0; 2];
@@ -1688,23 +1661,6 @@ mod tests {
             ctx.isend(0, 3, &[1.0; 8]).unwrap();
             assert_eq!(ctx.transport_allocs(), before);
             ctx.drain_mailbox(0, 3);
-        });
-    }
-
-    #[test]
-    fn recv_deadline_returns_frames_and_misses() {
-        let topo = CartTopo::new(&[1], true);
-        run_cluster(&topo, NetworkModel::instant(), |ctx| {
-            ctx.isend(0, 5, &[4.0, 5.0]).unwrap();
-            let h = ctx.irecv(0, 5).unwrap();
-            let deadline = Instant::now() + Duration::from_millis(50);
-            let msg = ctx.recv_deadline(h, deadline).expect("queued message");
-            assert_eq!(msg.data(), &[4.0, 5.0]);
-            ctx.recycle(msg);
-            let h2 = ctx.irecv(0, 5).unwrap();
-            let deadline = Instant::now() + Duration::from_millis(5);
-            assert!(ctx.recv_deadline(h2, deadline).is_none(), "no message queued");
-            ctx.flush_epoch();
         });
     }
 

@@ -22,7 +22,9 @@ pub const MAX_DIAG_KEYS: usize = 16;
 /// Errors surfaced by the netsim public API.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum NetsimError {
-    /// A `waitall_*` deadline expired with receives still pending.
+    /// A rank blocked with receives that can never complete: the event
+    /// scheduler found the cluster deadlocked (or aborting), or the
+    /// thread backend's hang guard ran out.
     ///
     /// `pending` lists the `(source, tag)` pairs that never matched;
     /// `mailbox` is a diagnostic dump of the `(source, tag, queued)`
@@ -33,7 +35,7 @@ pub enum NetsimError {
         rank: usize,
         /// Posted receives that never matched, as `(source, tag)`.
         pending: Vec<(usize, u64)>,
-        /// Unmatched mailbox keys at expiry: `(source, tag, queued)`.
+        /// Unmatched mailbox keys when the wait gave up: `(source, tag, queued)`.
         mailbox: Vec<(usize, u64, usize)>,
     },
     /// A delivered message's length did not match the posted receive.
@@ -110,7 +112,7 @@ impl fmt::Display for NetsimError {
             NetsimError::Timeout { rank, pending, mailbox } => {
                 write!(
                     f,
-                    "rank {rank}: receive deadline expired with {} pending receive(s): ",
+                    "rank {rank}: blocked with {} receive(s) that can never complete: ",
                     pending.len()
                 )?;
                 for (i, (src, tag)) in pending.iter().enumerate() {

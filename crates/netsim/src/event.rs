@@ -7,9 +7,9 @@
 //! ranks on one machine. Here a rank that would block — on a mailbox
 //! recv, a `waitall`, a barrier — *parks*: it saves its registers and
 //! returns the worker to the run queue, and is re-queued when the event
-//! that unblocks it fires (a message push, the last barrier arrival, a
-//! timer expiry). Ranks never spin in kernel space, so the simulable
-//! rank count is bounded by memory, not by scheduler thrash.
+//! that unblocks it fires (a message push, the last barrier arrival).
+//! Ranks never spin in kernel space, so the simulable rank count is
+//! bounded by memory, not by scheduler thrash.
 //!
 //! ## Structure
 //!
@@ -32,19 +32,14 @@
 //!   per-mailbox state: who is asleep on a mailbox is the mailbox's to
 //!   know, so a message wakes its owner through [`Sched::make_runnable`]
 //!   and nothing else.
-//! * **Virtual deadlines**: recv timeouts do not block wall-clock
-//!   time. A deadline is recorded when the task parks, and fires only
-//!   at *quiescence* — no task runnable or running — because with
-//!   eager message delivery that is exactly the moment the awaited
-//!   message provably can never arrive. Chaos runs that spend seconds
-//!   in real timeouts on the thread backend finish instantly here,
-//!   with identical outcomes.
-//! * **Deadlock recovery**: quiescence with parked tasks but no armed
-//!   deadline means the simulated program is deadlocked. Instead of
-//!   hanging like thread-per-rank would, the scheduler aborts the
-//!   cluster: every parked task is woken with an expiry signal, recv
-//!   paths surface structured [`crate::NetsimError::Timeout`] reports,
-//!   and the run terminates.
+//! * **Quiescence is a deadlock**: no task runnable or running while
+//!   some are parked means, with eager message delivery, that nothing a
+//!   parked task waits for can ever arrive — no protocol step waits on a
+//!   clock, so there is nothing else to wait for. Instead of hanging
+//!   like thread-per-rank would, the scheduler aborts the cluster:
+//!   every parked task is woken with an expiry signal, recv paths
+//!   surface structured [`crate::NetsimError::Timeout`] reports, and the
+//!   run terminates.
 //!
 //! Panics in a rank body are caught at the task boundary and collected;
 //! the first one aborts the cluster and becomes a
@@ -53,7 +48,6 @@
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Condvar, Mutex};
-use std::time::Instant;
 
 use crate::runtime::env_setting;
 use crate::task::{suspend, Directive, StackSlab, Task};
@@ -64,8 +58,8 @@ pub(crate) enum Wake {
     /// The event the task parked for fired (mailbox push, barrier
     /// release); re-check the condition.
     Notified,
-    /// The park deadline expired (at quiescence) or the cluster is
-    /// aborting; give up on the awaited event.
+    /// The cluster is aborting (a rank panicked, or the scheduler found
+    /// it deadlocked); give up on the awaited event.
     Expired,
 }
 
@@ -82,12 +76,8 @@ struct TaskMeta {
     /// A wake arrived while the task was still `Running` (pre-park
     /// race); convert the next park request into a re-queue.
     wake_pending: bool,
-    /// The task is being woken by deadline expiry / abort, not by its
-    /// awaited event.
+    /// The task is being woken by the abort, not by its awaited event.
     expired: bool,
-    /// Deadline requested by the in-flight park, consumed by the
-    /// worker when it applies the transition.
-    pending_deadline: Option<Instant>,
 }
 
 struct Core {
@@ -100,14 +90,6 @@ struct Core {
     live: usize,
     /// Workers blocked on the condvar.
     sleepers: usize,
-    /// Armed virtual deadline per task (`None` = parked without one, or
-    /// not parked). A fixed slot per task instead of a heap: the slot
-    /// is cleared whenever its task leaves the parked state, so there
-    /// are no stale entries to drain, the steady-state park/wake hot
-    /// path never allocates, and memory stays O(ranks) over any run
-    /// length. Expiry scans for the minimum — O(ranks), but only at
-    /// quiescence, when by definition there is nothing else to do.
-    deadlines: Vec<Option<Instant>>,
 }
 
 struct BarrierState {
@@ -166,7 +148,6 @@ impl Sched {
                     state: TState::Runnable,
                     wake_pending: false,
                     expired: false,
-                    pending_deadline: None,
                 })
             })
             .collect();
@@ -185,7 +166,6 @@ impl Sched {
                 running: 0,
                 live: n,
                 sleepers: 0,
-                deadlines: vec![None; n],
             }),
             work: Condvar::new(),
             barrier: Mutex::new(BarrierState { count: 0, gen: 0, waiting: Vec::with_capacity(n) }),
@@ -227,29 +207,15 @@ impl Sched {
                 return;
             }
             if core.running == 0 {
-                // Quiescence: every live task is parked. Advance the
-                // virtual clock to the earliest armed deadline —
-                // min by (instant, task) for deterministic expiry
-                // order — or declare deadlock. Either way the woken
-                // tasks are queued before `core` is released: another
-                // idle worker that takes the lock next must see
-                // `queued > 0`, not a second quiescence (it would expire
-                // the next deadline — a healthy peer's — or, with none
-                // left, abort the cluster as deadlocked).
-                let earliest = core
-                    .deadlines
-                    .iter()
-                    .enumerate()
-                    .filter_map(|(t, d)| d.map(|when| (when, t as u32)))
-                    .min();
-                if let Some((_, tid)) = earliest {
-                    self.expire(&mut core, tid);
-                } else {
-                    self.deadlocked.store(true, Ordering::SeqCst);
-                    self.abort.store(true, Ordering::SeqCst);
-                    for t in 0..self.tasks.len() {
-                        self.expire(&mut core, t as u32);
-                    }
+                // Quiescence: every live task is parked, on something
+                // that can never happen. Declare deadlock and expire
+                // them all, queued before `core` is released so the
+                // next idle worker sees `queued > 0`, not the same
+                // quiescence again.
+                self.deadlocked.store(true, Ordering::SeqCst);
+                self.abort.store(true, Ordering::SeqCst);
+                for t in 0..self.tasks.len() {
+                    self.expire(&mut core, t as u32);
                 }
                 continue;
             }
@@ -302,7 +268,6 @@ impl Sched {
             }
             Directive::Park => {
                 let mut m = self.metas[t].lock().unwrap();
-                let dl = m.pending_deadline.take();
                 if m.wake_pending {
                     // The event fired between the task's request and
                     // now: re-queue instead of parking.
@@ -313,9 +278,7 @@ impl Sched {
                 } else {
                     m.state = TState::Parked;
                     drop(m);
-                    let mut core = self.core.lock().unwrap();
-                    core.running -= 1;
-                    core.deadlines[t] = dl;
+                    self.core.lock().unwrap().running -= 1;
                 }
             }
         }
@@ -355,8 +318,6 @@ impl Sched {
     }
 
     fn enqueue_locked(&self, core: &mut Core, tid: u32) {
-        // Leaving the parked state invalidates any armed deadline.
-        core.deadlines[tid as usize] = None;
         let home = tid as usize % core.queues.len();
         core.queues[home].push_back(tid);
         core.queued += 1;
@@ -367,8 +328,8 @@ impl Sched {
 
     /// Wake every task so each can re-examine shared state — the
     /// revocation broadcast a dying rank issues so survivors blocked in
-    /// receives or fences observe the failure instead of parking until
-    /// their deadlines. Unlike the abort path this leaves the scheduler
+    /// receives or fences observe the failure instead of parking
+    /// forever. Unlike the abort path this leaves the scheduler
     /// healthy: woken tasks see a plain [`Wake::Notified`], re-check,
     /// and may park again.
     pub(crate) fn wake_all(&self) {
@@ -394,11 +355,11 @@ impl Sched {
         }
     }
 
-    /// Park the calling task (which must be `tid`) until a wake or
-    /// until `deadline` fires at quiescence. Returns immediately with
+    /// Park the calling task (which must be `tid`) until a wake, or
+    /// until the cluster aborts. Returns immediately with
     /// [`Wake::Expired`] if the cluster is aborting, or with
     /// [`Wake::Notified`] if a wake already raced in.
-    pub(crate) fn park(&self, tid: u32, deadline: Option<Instant>) -> Wake {
+    pub(crate) fn park(&self, tid: u32) -> Wake {
         {
             let mut m = self.metas[tid as usize].lock().unwrap();
             if self.abort.load(Ordering::SeqCst) {
@@ -409,7 +370,6 @@ impl Sched {
                 m.wake_pending = false;
                 return Wake::Notified;
             }
-            m.pending_deadline = deadline;
         }
         suspend(Directive::Park);
         let mut m = self.metas[tid as usize].lock().unwrap();
@@ -462,7 +422,7 @@ impl Sched {
             if self.barrier.lock().unwrap().gen != my_gen {
                 return true;
             }
-            self.park(tid, None);
+            self.park(tid);
         }
     }
 
@@ -521,7 +481,6 @@ pub(crate) fn default_stack_bytes(n: usize) -> usize {
 mod tests {
     use super::*;
     use std::sync::atomic::AtomicUsize;
-    use std::time::Duration;
 
     /// Where a test's task bodies find the scheduler that runs them.
     type Holder<'s> = Mutex<Option<&'s Sched>>;
@@ -605,7 +564,7 @@ mod tests {
                         g.store(v as usize, Ordering::SeqCst);
                         return;
                     }
-                    sched.park(0, None);
+                    sched.park(0);
                 }
             }),
             // rank 1: producer, yields a few times first so the
@@ -649,51 +608,8 @@ mod tests {
     }
 
     #[test]
-    fn deadline_fires_at_quiescence_without_real_waiting() {
-        // A 10-minute deadline must fire immediately once nothing else
-        // can run: the clock is virtual.
-        let expired = AtomicUsize::new(0);
-        let holder = Holder::default();
-        let (h, e) = (&holder, &expired);
-        let bodies: Vec<Box<dyn FnOnce() + Send + '_>> = vec![Box::new(move || {
-            let sched = h.lock().unwrap().unwrap();
-            let far = Instant::now() + Duration::from_secs(600);
-            if sched.park(0, Some(far)) == Wake::Expired {
-                e.fetch_add(1, Ordering::SeqCst);
-            }
-        })];
-        let t0 = Instant::now();
-        let sched = run_bodies(h, bodies, 1);
-        assert!(t0.elapsed() < Duration::from_secs(5), "deadline must be virtual");
-        assert_eq!(expired.load(Ordering::SeqCst), 1);
-        assert!(!sched.deadlock_detected());
-    }
-
-    #[test]
-    fn deadlines_expire_in_timestamp_order() {
-        let order: Mutex<Vec<usize>> = Mutex::new(Vec::new());
-        let holder = Holder::default();
-        let (h, o) = (&holder, &order);
-        let base = Instant::now() + Duration::from_secs(100);
-        let bodies: Vec<Box<dyn FnOnce() + Send + '_>> = (0..4)
-            .map(|i| {
-                Box::new(move || {
-                    let sched = h.lock().unwrap().unwrap();
-                    // rank i parks with deadline base + (3 - i): expiry
-                    // order must be 3, 2, 1, 0.
-                    let dl = base + Duration::from_secs((3 - i) as u64);
-                    assert_eq!(sched.park(i as u32, Some(dl)), Wake::Expired);
-                    o.lock().unwrap().push(i);
-                }) as Box<dyn FnOnce() + Send + '_>
-            })
-            .collect();
-        run_bodies(h, bodies, 1);
-        assert_eq!(*order.lock().unwrap(), vec![3, 2, 1, 0]);
-    }
-
-    #[test]
     fn true_deadlock_is_detected_and_recovered() {
-        // Two ranks park forever with no deadline: the scheduler must
+        // Two ranks park with nobody left to wake them: the scheduler must
         // detect the deadlock, abort, and wake both with Expired.
         let expired = AtomicUsize::new(0);
         let holder = Holder::default();
@@ -702,7 +618,7 @@ mod tests {
             .map(|i| {
                 Box::new(move || {
                     let sched = h.lock().unwrap().unwrap();
-                    if sched.park(i as u32, None) == Wake::Expired {
+                    if sched.park(i as u32) == Wake::Expired {
                         e.fetch_add(1, Ordering::SeqCst);
                     }
                 }) as Box<dyn FnOnce() + Send + '_>
@@ -722,7 +638,7 @@ mod tests {
             Box::new(move || {
                 let sched = h.lock().unwrap().unwrap();
                 // Parked forever; must be released by the abort.
-                let _ = sched.park(0, None);
+                let _ = sched.park(0);
             }),
             Box::new(move || {
                 let sched = h.lock().unwrap().unwrap();
@@ -737,44 +653,6 @@ mod tests {
         assert_eq!(panics[0].1.downcast_ref::<&str>(), Some(&"rank 1 died"));
         assert!(sched.aborted());
         assert!(!sched.deadlock_detected());
-    }
-
-    /// One quiescence expires one deadline. Task 0 parks on a short
-    /// deadline and, when it expires, "sends" to task 1, which is parked
-    /// on a long one. The worker that expires task 0 must publish the
-    /// wake before it releases the scheduler lock; otherwise a second
-    /// idle worker sees a second quiescence in that window and expires
-    /// task 1 too, which then gives up on a message that is on its way.
-    #[test]
-    fn one_quiescence_expires_one_deadline() {
-        for _ in 0..400 {
-            let slot = Slot::default();
-            let spurious = AtomicUsize::new(0);
-            let holder = Holder::default();
-            let (h, s, v) = (&holder, &slot, &spurious);
-            let now = Instant::now();
-            let bodies: Vec<Box<dyn FnOnce() + Send + '_>> = vec![
-                Box::new(move || {
-                    let sched = h.lock().unwrap().unwrap();
-                    assert_eq!(sched.park(0, Some(now + Duration::from_secs(1))), Wake::Expired);
-                    if put(s, 7) {
-                        sched.make_runnable(1);
-                    }
-                }),
-                Box::new(move || {
-                    let sched = h.lock().unwrap().unwrap();
-                    while take_or_raise(s).is_none() {
-                        if sched.park(1, Some(now + Duration::from_secs(600))) == Wake::Expired {
-                            v.fetch_add(1, Ordering::SeqCst);
-                            return;
-                        }
-                    }
-                }),
-            ];
-            let sched = run_bodies(h, bodies, 4);
-            assert_eq!(spurious.load(Ordering::SeqCst), 0, "task 1's deadline expired with task 0 runnable");
-            assert!(!sched.deadlock_detected());
-        }
     }
 
     #[test]

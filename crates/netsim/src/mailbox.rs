@@ -5,8 +5,8 @@
 //!
 //! Only a mailbox's *owner* ever sleeps on it, and only inside
 //! [`Mailbox::wait`]: the loop under every blocking receive
-//! (`recv_blocking`, `recv_deadline`, `waitall_*`, [`crate::Lend::complete`])
-//! on both backends. How to sleep is the backend's business
+//! (`recv_blocking`, `waitall_*`, [`crate::Lend::complete`]) on both
+//! backends. How to sleep is the backend's business
 //! (`runtime.rs`: `sleep`); when to sleep and who wakes whom is decided here,
 //! by one flag inside the mailbox mutex:
 //!
@@ -31,7 +31,6 @@
 //!   lock, and nothing takes a mailbox lock while holding a scheduler one.
 
 use std::collections::{HashMap, VecDeque};
-use std::time::Instant;
 
 use parking_lot::{Condvar, Mutex, MutexGuard};
 
@@ -213,12 +212,13 @@ impl Mailbox {
     }
 
     /// Run `probe` on the locked mailbox until it yields, sleeping
-    /// between attempts until `deadline` (or forever when `None`): the
-    /// one blocking loop of the crate, for `owner`, the rank this mailbox
-    /// belongs to. `None` return = the deadline expired, or `stopped`
-    /// reports the wait is pointless — the cluster is aborting (a peer
-    /// rank panicked) or revoked (a peer rank crash-stopped) — all
-    /// meaning "stop waiting, the message is not coming".
+    /// between attempts: the one blocking loop of the crate, for `owner`,
+    /// the rank this mailbox belongs to. `None` return = the sleep
+    /// expired (the event scheduler found the cluster deadlocked or
+    /// aborting, or the thread backend's hang guard ran out), or
+    /// `stopped` reports the wait is pointless — the cluster is aborting
+    /// (a peer rank panicked) or revoked (a peer rank crash-stopped) —
+    /// all meaning "stop waiting, the message is not coming".
     ///
     /// The mailbox lock is taken once per sleep: the probe that misses,
     /// the stop check and the raise share one critical section, and the
@@ -227,7 +227,6 @@ impl Mailbox {
         &self,
         runtime: Runtime<'_>,
         owner: usize,
-        deadline: Option<Instant>,
         stopped: impl Fn() -> bool,
         mut probe: impl FnMut(&mut MailboxInner) -> Option<T>,
     ) -> Option<T> {
@@ -242,7 +241,7 @@ impl Mailbox {
             }
             g.waiting = true;
             let expired;
-            (g, expired) = runtime.sleep(owner, self, g, deadline);
+            (g, expired) = runtime.sleep(owner, self, g);
             if expired {
                 g.waiting = false;
                 // Final re-check: a push may have raced expiry.
@@ -296,8 +295,7 @@ impl Mailbox {
     /// queues with the smallest keys, sorted, capped at
     /// [`MAX_DIAG_KEYS`] by bounded insertion so the error path stays
     /// allocation-bounded at high rank counts — and allocation-free
-    /// when the mailbox is empty, which the steady-state timeout guard
-    /// (`tests/event_alloc.rs`) counts on.
+    /// when the mailbox is empty.
     pub(crate) fn unmatched_keys(&self) -> Vec<(usize, u64, usize)> {
         let g = self.inner.lock();
         let mut keys: Vec<(usize, u64, usize)> = Vec::new();

@@ -359,7 +359,7 @@ impl PartitionedRecv {
     }
 
     /// Block until the message completes, scattering the remaining
-    /// fragments into `dst`. Honors the rank's armed receive deadline.
+    /// fragments into `dst`. Errors as [`RankCtx::recv_blocking`] does.
     pub fn finish(&mut self, ctx: &mut RankCtx<'_>, dst: &mut [f64]) -> Result<(), NetsimError> {
         debug_assert_eq!(dst.len(), self.total_elems);
         let Some(h) = self.handle else { return Ok(()) };

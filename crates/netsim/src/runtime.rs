@@ -7,8 +7,8 @@
 //!   roughly a thousand ranks by kernel scheduling overhead.
 //! * **Event** — ranks are resumable tasks multiplexed onto a small
 //!   worker pool by `event::Sched`; a rank that would block parks and is
-//!   re-queued when its message, barrier release, or (virtual) timer
-//!   fires. Scales to 10k+ ranks on one machine.
+//!   re-queued when its message or barrier release arrives. Scales to
+//!   10k+ ranks on one machine.
 //!
 //! Both run the *same* rank-body code against the same [`RankCtx`], with
 //! modeled time billed identically — results are bit-identical across
@@ -30,7 +30,7 @@
 use std::any::Any;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 use parking_lot::{Condvar, Mutex, MutexGuard};
 
@@ -131,6 +131,14 @@ where
     parse_setting(name, value.as_deref()).unwrap_or_else(|e| panic!("{e}"))
 }
 
+/// How long a thread-backend rank sleeps on its mailbox before it gives
+/// the wait up as hung. A guard, not a protocol input: no protocol step
+/// waits on a clock, no legitimate wait comes near it, and its expiry
+/// only fails the run (the receive reports `Timeout`) — it never steers
+/// one. The event backend needs none: it detects a deadlock exactly, at
+/// quiescence.
+const HANG_GUARD: Duration = Duration::from_secs(60);
+
 /// A cancellable cluster barrier for the thread backend: like
 /// `std::sync::Barrier`, but a panicking rank can [`abort`] it so the
 /// surviving ranks return (with `false`) instead of blocking forever on
@@ -196,38 +204,30 @@ pub(crate) enum Runtime<'a> {
 
 impl Runtime<'_> {
     /// Sleep as the owner `rank` of `mailbox`, whose lock `g` it holds
-    /// with `waiting` raised, until woken or until `deadline`; hands the
-    /// lock back with whether the deadline expired. The lock is released
-    /// only once the sleep can no longer miss a wake (see
-    /// [`crate::mailbox`]).
+    /// with `waiting` raised, until woken; hands the lock back with
+    /// whether the sleep expired instead — the wait can never complete.
+    /// The lock is released only once the sleep can no longer miss a wake
+    /// (see [`crate::mailbox`]).
     ///
-    /// Thread backend: a condvar wait with a real wall-clock deadline.
-    /// Event backend: drop the lock and park. There the deadline is
-    /// *virtual*: it fires only at scheduler quiescence, i.e. exactly
-    /// when the awaited message provably cannot arrive any more, so a
-    /// lossy chaos run times out instantly instead of sleeping.
+    /// Thread backend: a condvar wait, bounded by [`HANG_GUARD`].
+    /// Event backend: drop the lock and park; the park expires only when
+    /// the cluster aborts — a panic, or a deadlock the scheduler found at
+    /// quiescence, when the awaited message provably cannot arrive.
     pub(crate) fn sleep<'m>(
         self,
         rank: usize,
         mailbox: &'m Mailbox,
         mut g: MutexGuard<'m, MailboxInner>,
-        deadline: Option<Instant>,
     ) -> (MutexGuard<'m, MailboxInner>, bool) {
         match self {
             Runtime::Thread { .. } => {
-                let expired = match deadline {
-                    None => {
-                        mailbox.signal.wait(&mut g);
-                        false
-                    }
-                    Some(d) => mailbox.signal.wait_until(&mut g, d).timed_out(),
-                };
+                let expired = mailbox.signal.wait_until(&mut g, Instant::now() + HANG_GUARD).timed_out();
                 (g, expired)
             }
             #[cfg(all(target_os = "linux", target_arch = "x86_64"))]
             Runtime::Event { sched } => {
                 drop(g);
-                let expired = sched.park(rank as u32, deadline) == crate::event::Wake::Expired;
+                let expired = sched.park(rank as u32) == crate::event::Wake::Expired;
                 (mailbox.lock(), expired)
             }
         }

@@ -2,15 +2,13 @@
 //!
 //! The scaling claim rests on the scheduler doing O(1) amortized work —
 //! and zero heap traffic — per park/wake/re-queue once warm: run
-//! queues, deadline slots and barrier wait-lists are preallocated at
-//! `Sched::new`, and the transport's message buffers come from the
-//! per-rank pool. This test pins that down with a counting global
-//! allocator, the same technique as the PR-4 telemetry guard: after a
-//! warmup step, N further exchange steps (with barriers) must perform
-//! exactly zero heap allocations on the threads that run ranks, and N
-//! virtual-clock timeout expiries at most one each (the returned
-//! `Timeout` error's diagnostic Vec — never the scheduler). Only
-//! rank-running threads count: the harness's own threads allocate
+//! queues and barrier wait-lists are preallocated at `Sched::new`, and
+//! the transport's message buffers come from the per-rank pool. This
+//! test pins that down with a counting global allocator, the same
+//! technique as the telemetry guard: after a warmup step, N further
+//! exchange steps (with barriers) must perform exactly zero heap
+//! allocations on the threads that run ranks. Only rank-running threads
+//! count: the harness's own threads allocate
 //! whenever they please (libtest files a spawned test in its map after
 //! the test thread has started).
 
@@ -18,10 +16,9 @@
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::time::Duration;
+use std::sync::atomic::{AtomicU64, Ordering};
 
-use netsim::{run_cluster_on, Backend, CartTopo, FaultConfig, NetsimError, NetworkModel};
+use netsim::{run_cluster_on, Backend, CartTopo, FaultConfig, NetworkModel};
 
 struct CountingAlloc;
 
@@ -60,8 +57,11 @@ static GLOBAL: CountingAlloc = CountingAlloc;
 /// the mailbox arm/notify path and the cluster barrier every step, and
 /// none of it may allocate once warm. All ranks are inside the same
 /// barrier-aligned window, so one counter over the rank-running threads
-/// is meaningful.
-fn steady_state_exchange_step_is_allocation_free() {
+/// is meaningful — and it is this binary's only test: the counter spans
+/// every rank-running thread of the process, so a second test's cluster
+/// running in parallel would count into this one's window.
+#[test]
+fn event_backend_hot_path_is_allocation_free() {
     let n = 8;
     let topo = CartTopo::new(&[n], true);
     let flat = run_cluster_on(
@@ -105,67 +105,4 @@ fn steady_state_exchange_step_is_allocation_free() {
             "rank {rank}: steady-state exchange allocated {leaked} times in 20 steps"
         );
     }
-}
-
-/// Virtual-clock expiry path: a rank repeatedly times out on a message
-/// nobody sends. Each cycle parks with a deadline, hits quiescence,
-/// expires, and re-queues — the deadline slot machinery must not touch
-/// the heap either. (The heap-based design this replaced grew one
-/// entry per armed timeout for the life of the run.)
-fn steady_state_timeout_expiry_is_allocation_free() {
-    let topo = CartTopo::new(&[2], true);
-    static WARM: AtomicBool = AtomicBool::new(false);
-    static LEAKED: AtomicU64 = AtomicU64::new(0);
-    WARM.store(false, Ordering::SeqCst);
-    run_cluster_on(
-        Backend::Event,
-        &topo,
-        NetworkModel::instant(),
-        FaultConfig::off(),
-        |ctx| {
-            ctx.set_recv_timeout(Some(Duration::from_secs(30)));
-            if ctx.rank() == 1 {
-                return; // sends nothing; rank 0's receives all expire
-            }
-            let mut buf = [0.0f64];
-            let mut expire_once = || {
-                on_rank_thread();
-                let h = ctx.irecv(1, 7).unwrap();
-                match ctx.waitall_into(&[h], &mut [&mut buf[..]]) {
-                    Err(NetsimError::Timeout { .. }) => {}
-                    other => panic!("expected timeout, got {other:?}"),
-                }
-                ctx.drain_mailbox(1, 7);
-            };
-            for _ in 0..3 {
-                expire_once();
-            }
-            WARM.store(true, Ordering::SeqCst);
-            let before = ALLOCS.load(Ordering::Relaxed);
-            for _ in 0..10 {
-                expire_once();
-            }
-            LEAKED.store(ALLOCS.load(Ordering::Relaxed) - before, Ordering::SeqCst);
-        },
-    );
-    assert!(WARM.load(Ordering::SeqCst), "warmup must have run");
-    let leaked = LEAKED.load(Ordering::SeqCst);
-    // Each timed-out waitall returns `NetsimError::Timeout` whose
-    // `pending` diagnostic Vec is one unavoidable error-path allocation
-    // (identical on the thread backend). The scheduler's own
-    // park → quiescence → expire → re-queue cycle must contribute zero.
-    assert!(
-        leaked <= 10,
-        "timeout expiry allocated {leaked} times in 10 cycles \
-         (budget: 1 Timeout error per cycle, 0 from the scheduler)"
-    );
-}
-
-/// One `#[test]` for both checks: the counter spans every rank-running
-/// thread of the process, so a second test's cluster running in parallel
-/// under the default harness would count into the first one's window.
-#[test]
-fn event_backend_hot_path_is_allocation_free() {
-    steady_state_exchange_step_is_allocation_free();
-    steady_state_timeout_expiry_is_allocation_free();
 }

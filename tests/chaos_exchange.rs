@@ -48,8 +48,7 @@ fn all_methods() -> Vec<CpuMethod> {
 /// The acceptance invariant: 10% drop + 5% corruption at a fixed seed
 /// leaves every method's physics bit-identical to the fault-free run —
 /// on two ranks under the environment's backend, and on 2x2x2 ranks
-/// multiplexed by the event scheduler, where retry deadlines are virtual
-/// and fire at quiescence.
+/// multiplexed by the event scheduler.
 #[test]
 fn chaos_runs_are_bit_identical_to_fault_free() {
     for method in all_methods() {
@@ -106,6 +105,52 @@ fn recovery_work_is_accounted() {
         "corrupted frames slipped past the checksum"
     );
     assert_eq!(r.fault_events.len() as u64, r.faults.total());
+}
+
+/// Every injected fault is answered exactly once, summed over ranks:
+/// each dropped or corrupted frame is resent once, and each damaged or
+/// duplicated copy that arrives is rejected or discarded once. Eight
+/// seeds at the top of the chaos envelope, four static engines and the
+/// migrating one, on both backends. A receive given up on before its
+/// frame arrived would cost a retry no fault asked for.
+#[test]
+fn every_injected_fault_is_answered_exactly_once() {
+    let methods = [
+        CpuMethod::Layout,
+        CpuMethod::Basic,
+        CpuMethod::MemMap { page_size: memview::PAGE_4K },
+        CpuMethod::Shift { page_size: memview::PAGE_4K },
+    ];
+    for backend in [Backend::Thread, Backend::Event] {
+        for seed in 1..=8 {
+            let faults = FaultConfig { seed, drop: 0.20, corrupt: 0.10, dup: 0.10, ..FaultConfig::default() };
+            let mut runs: Vec<(String, FaultStats)> = methods
+                .iter()
+                .map(|method| {
+                    let mut c = cfg(method.clone(), faults);
+                    c.steps = 4;
+                    c.backend = backend;
+                    (method.name().to_string(), run_experiment(&c).faults)
+                })
+                .collect();
+            let mut reb = RebalanceCfg::new(GridCfg { dims: [4, 2, 2], cells: 8, skew: 6.0 }, vec![2, 2, 1]);
+            reb.migrate_every = 2;
+            reb.net = NetworkModel::instant();
+            reb.backend = backend;
+            reb.faults = faults;
+            runs.push(("rebalance".into(), run_rebalance(&reb).faults));
+            for (name, f) in runs {
+                let at = format!("{name} on {backend}, seed {seed}: {f:?}");
+                assert!(f.drops + f.corrupts + f.dups > 0, "{at}: nothing injected");
+                assert_eq!(f.retries, f.drops + f.corrupts, "{at}: retries");
+                assert_eq!(
+                    f.corrupt_detected + f.duplicates_discarded,
+                    f.corrupts + f.dups,
+                    "{at}: rejected and discarded copies"
+                );
+            }
+        }
+    }
 }
 
 /// Fault-free runs must not pay for the chaos layer: no recovery

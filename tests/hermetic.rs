@@ -13,21 +13,31 @@ fn lockfile_names_no_registry_package() {
     assert!(fetched.is_empty(), "Cargo.lock names packages that need a registry: {fetched:?}");
 }
 
-/// Every `.rs` file of `crates/netsim/src`, as `(file name, text)`.
-fn netsim_sources() -> Vec<(String, String)> {
-    let dir = concat!(env!("CARGO_MANIFEST_DIR"), "/crates/netsim/src");
-    let mut files: Vec<(String, String)> = std::fs::read_dir(dir)
-        .expect("crates/netsim/src exists")
-        .map(|e| e.expect("readable directory entry").path())
-        .filter(|p| p.extension().is_some_and(|x| x == "rs"))
-        .map(|p| {
-            let text = std::fs::read_to_string(&p).expect("readable source file");
-            (p.file_name().expect("a file").to_string_lossy().into_owned(), text)
-        })
-        .collect();
+/// Every `.rs` file under `crates/<krate>/src`, as `(path below src,
+/// text)`, sorted.
+fn sources(krate: &str) -> Vec<(String, String)> {
+    fn walk(dir: &std::path::Path, prefix: &str, out: &mut Vec<(String, String)>) {
+        for entry in std::fs::read_dir(dir).expect("source directory exists") {
+            let path = entry.expect("readable directory entry").path();
+            let name = format!("{prefix}{}", path.file_name().expect("a file").to_string_lossy());
+            if path.is_dir() {
+                walk(&path, &format!("{name}/"), out);
+            } else if path.extension().is_some_and(|x| x == "rs") {
+                out.push((name, std::fs::read_to_string(&path).expect("readable source file")));
+            }
+        }
+    }
+    let dir = format!("{}/crates/{krate}/src", env!("CARGO_MANIFEST_DIR"));
+    let mut files = Vec::new();
+    walk(std::path::Path::new(&dir), "", &mut files);
     files.sort();
-    assert!(files.iter().any(|(name, _)| name == "runtime.rs"), "{dir} has no runtime.rs");
+    assert!(!files.is_empty(), "{dir} has no sources");
     files
+}
+
+/// A source file's lines before its first column-0 `#[cfg(test)]`.
+fn non_test(text: &str) -> &str {
+    text.split("\n#[cfg(test)]").next().unwrap_or_default()
 }
 
 /// `netsim` knows it has two backends in one file: a third way to block
@@ -35,7 +45,9 @@ fn netsim_sources() -> Vec<(String, String)> {
 /// `match` in the transport.
 #[test]
 fn only_runtime_rs_names_a_backend_variant() {
-    for (name, text) in netsim_sources() {
+    let files = sources("netsim");
+    assert!(files.iter().any(|(name, _)| name == "runtime.rs"), "netsim has no runtime.rs");
+    for (name, text) in files {
         let named = text.contains("Runtime::Thread") || text.contains("Runtime::Event");
         assert!(name == "runtime.rs" || !named, "{name} matches on the backend; that belongs in runtime.rs");
     }
@@ -45,9 +57,37 @@ fn only_runtime_rs_names_a_backend_variant() {
 /// (`cluster.rs` was 2,143 before it was split along its facets).
 #[test]
 fn no_netsim_source_file_exceeds_900_lines() {
-    for (name, text) in netsim_sources() {
-        let code = text.split("\n#[cfg(test)]").next().unwrap_or_default();
-        let lines = code.lines().count();
+    for (name, text) in sources("netsim") {
+        let lines = non_test(&text).lines().count();
         assert!(lines <= 900, "{name} has {lines} non-test lines; split it along a seam instead");
+    }
+}
+
+/// The host clock is not a protocol input: outside their tests, the
+/// transport and the drivers name `Instant` or `Duration` only where they
+/// measure (timers, detection latency, measured kernels) or guard (the
+/// thread backend's hang guard, which can fail a run but never steer it).
+#[test]
+fn only_measuring_and_guarding_files_name_the_clock() {
+    const ALLOWED: [&str; 5] = [
+        "netsim/timers.rs",
+        "netsim/procfault.rs",
+        "netsim/runtime.rs",
+        "core/engine.rs",
+        "core/gpu.rs",
+    ];
+    for krate in ["netsim", "core"] {
+        for (name, text) in sources(krate) {
+            let path = format!("{krate}/{name}");
+            let clock = non_test(&text)
+                .split(|c: char| !(c.is_alphanumeric() || c == '_'))
+                .find(|w| matches!(*w, "Instant" | "Duration"));
+            if let Some(word) = clock {
+                assert!(
+                    ALLOWED.contains(&path.as_str()),
+                    "crates/{krate}/src/{name} names `{word}`: a protocol step must not wait on the host clock"
+                );
+            }
+        }
     }
 }

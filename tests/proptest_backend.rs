@@ -1,11 +1,11 @@
 //! Property-based tests on the event-driven cluster backend: for every
 //! exchange engine, stencil shape, rank split, and chaos seed, running
 //! the experiment on the event multiplexer must produce bit-identical
-//! physics AND (on clean plans) bit-identical modeled timers to the
-//! thread-per-rank reference. The two substrates implement blocking completely
-//! differently (condvar sleeps vs coroutine parking on a virtual
-//! clock), so any drift is a scheduler bug, never an acceptable
-//! tolerance. The matrix mirrors `proptest_overlap.rs`.
+//! physics, modeled timers and fault accounting to the thread-per-rank
+//! reference. The two substrates implement blocking completely
+//! differently (condvar sleeps vs coroutine parking), and no protocol
+//! step waits on a clock, so any drift is a scheduler bug, never an
+//! acceptable tolerance. The matrix mirrors `proptest_overlap.rs`.
 
 mod common;
 
@@ -13,14 +13,10 @@ use bricklib::prelude::*;
 use common::*;
 
 /// Run one configuration on both backends and compare the observable
-/// fingerprint: interior checksum bits and traffic counters always; on
-/// clean plans also the modeled `call`/`wait` timer bits. (The
-/// really-measured `calc`/`pack` fields are wall-clock and excluded by
-/// design.) Lossy plans leave the timers, injected-fault total and retry
-/// count out: the thread backend's receive deadlines are wall-clock and
-/// fire early under host contention, so how many rounds a drop costs is
-/// host timing, not protocol (2 of 117 contended pairs differed, e.g.
-/// retries 30 vs 14, never in the three fields kept — ROADMAP item 3).
+/// fingerprint: interior checksum bits, traffic counters, the modeled
+/// `call`/`wait` timer bits and every injected-fault and retry-protocol
+/// counter, on clean and lossy plans alike. (The really-measured
+/// `calc`/`pack` fields are wall-clock and excluded by design.)
 fn assert_backends_match(
     method: CpuMethod,
     shape: StencilShape,
@@ -33,7 +29,6 @@ fn assert_backends_match(
     if !Backend::event_supported() {
         return; // nothing to compare on this platform
     }
-    let timing_is_pinned = !faults.lossy();
     // K1 defaults (Aries fabric, planned kernel, one warm-up step)
     // except for what the property draws.
     let mut cfg = ExperimentConfig {
@@ -59,15 +54,10 @@ fn assert_backends_match(
         let timing = (
             if call_is_modeled { r.timers.call.to_bits() } else { 0 },
             r.timers.wait.to_bits(),
-            r.faults.total(),
-            r.faults.retries,
+            r.timers.msgs,
+            r.timers.wire_bytes,
         );
-        (
-            r.checksum.to_bits(),
-            r.stats.messages,
-            r.stats.payload_bytes,
-            timing_is_pinned.then_some(timing),
-        )
+        (r.checksum.to_bits(), r.stats.messages, r.stats.payload_bytes, timing, r.faults)
     };
     assert_eq!(fp(&t), fp(&e), "thread vs event fingerprint");
 }
@@ -115,10 +105,9 @@ fn chaos(seed: u64) -> FaultConfig {
     FaultConfig::parse(&format!("{seed},0.05,0.02,0.05")).unwrap()
 }
 
-/// Seeded chaos exercises the timeout/retry machinery through the
-/// two completely different blocking implementations (2-second real
-/// condvar waits vs virtual-clock expiry at quiescence); the
-/// reliable protocol must converge to the same bits on both.
+/// Seeded chaos exercises the retry protocol through the two completely
+/// different blocking implementations; it must converge to the same
+/// bits, the same modeled cost and the same retries on both.
 #[test]
 fn chaos_backend_bit_identical() {
     cases("chaos_backend_bit_identical", 8, |rng| {
@@ -138,8 +127,8 @@ fn overlap_backend_bit_identical() {
         let star = StencilShape::star7_default();
         assert_backends_match(method, star, 8, 16, vec![2, 1, 1], faults, true)
     };
-    // The clean plan, where the timers are compared too, always runs:
-    // one chaos seed in 32 could leave a fixed suite without it.
+    // The clean plan always runs: one chaos seed in 32 could leave a
+    // fixed suite without it.
     check(CpuMethod::Layout, FaultConfig::off());
     cases("overlap_backend_bit_identical", 8, |rng| {
         let method = pick(rng, &[CpuMethod::Basic, CpuMethod::Layout]);

@@ -56,9 +56,9 @@ fn any_fault_schedule_converges_bit_identically() {
     });
 }
 
-/// Replaying the same seed reproduces the same fields. (The round
-/// count can vary with scheduler timing, so the deterministic
-/// invariant is the physics, not the retry accounting.)
+/// Replaying the same seed reproduces the same fields, the same fault
+/// and retry accounting and the same modeled cost: no protocol step
+/// waits on a clock, so the retries are a function of the seed alone.
 #[test]
 fn same_seed_replays_to_identical_grids() {
     cases("same_seed_replays_to_identical_grids", 8, |rng| {
@@ -68,6 +68,9 @@ fn same_seed_replays_to_identical_grids() {
         let a = run_experiment(&cfg(CpuMethod::Layout, faults));
         let b = run_experiment(&cfg(CpuMethod::Layout, faults));
         assert_eq!(a.checksum.to_bits(), b.checksum.to_bits());
+        assert_eq!(a.faults, b.faults, "seed {seed:#x}");
+        let modeled = |r: &MethodReport| (r.timers.call.to_bits(), r.timers.wait.to_bits());
+        assert_eq!(modeled(&a), modeled(&b), "seed {seed:#x}");
     });
 }
 
