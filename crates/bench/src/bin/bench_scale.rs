@@ -16,7 +16,13 @@
 //!
 //! `--smoke` is the CI mode: assert thread-vs-event bit-identity on a
 //! 64-rank grid, then run the 4096-rank event point and assert it fits
-//! the budget. No JSON is written.
+//! the budget — and, on a guard-free rung (`BRICK_SCALE_SMOKE_GRID`
+//! past 16,384 ranks), that it stays under [`MAX_BYTES_PER_RANK`]
+//! resident. No JSON is written.
+//!
+//! Every point records the process's resident set while its cluster is
+//! alive (`rss_mib`, sampled by rank 0 after the last barrier) and that
+//! divided by the ranks (`bytes_per_rank`).
 //!
 //! `BENCH_scale.json` carries the full ladder, both backends' max
 //! ranks, and two ratios: `speedup_event_vs_thread` (rank-step
@@ -45,6 +51,15 @@ const LADDER: [[usize; 3]; 12] = [
     [64, 32, 32],
     [64, 64, 32],
 ];
+
+/// Resident ceiling per rank asserted by `--smoke` on a guard-free rung:
+/// stacks, mailboxes and buffers of a 6-neighbour halo rank fit in about
+/// 13 KiB, and a slab made resident by huge pages costs ~137 KiB.
+const MAX_BYTES_PER_RANK: f64 = 32.0 * 1024.0;
+
+/// Ranks past which the event backend's stack slab drops its per-stack
+/// guard pages (netsim's `GUARDED_MAX_TASKS` + 1).
+const GUARD_FREE_RANKS: usize = 16_385;
 
 /// Face payload in f64 words (512 B — the paper's small-message regime,
 /// where per-message software overhead dominates the wire model).
@@ -102,6 +117,14 @@ struct Point {
     samples_s: Vec<f64>,
     rank_steps_per_s: f64,
     within_budget: bool,
+    /// Resident set while the cluster was alive (largest over attempts).
+    rss_mib: f64,
+}
+
+impl Point {
+    fn bytes_per_rank(&self) -> f64 {
+        self.rss_mib * 1024.0 * 1024.0 / self.ranks as f64
+    }
 }
 
 /// Run one ladder point; `None` means the substrate itself failed
@@ -117,16 +140,21 @@ fn run_point(backend: Backend, dims: [usize; 3], steps: usize, budget: f64) -> O
     let topo = CartTopo::new(&dims, true);
     let ranks = topo.size();
     let mut samples_s = Vec::with_capacity(2);
+    let mut rss_mib = 0.0f64;
     for _attempt in 0..2 {
         let t0 = Instant::now();
         let out = catch_unwind(AssertUnwindSafe(|| {
             run_cluster_on(backend, &topo, NetworkModel::theta_aries(), FaultConfig::off(), |ctx| {
-                halo_body(ctx, &topo, steps)
+                halo_body(ctx, &topo, steps);
+                // Past the last barrier every rank's stack and buffers
+                // are still alive.
+                if ctx.rank() == 0 { status_mib("VmRSS:") } else { 0.0 }
             })
         }))
         .ok()?;
         assert_eq!(out.len(), ranks);
         samples_s.push(t0.elapsed().as_secs_f64());
+        rss_mib = rss_mib.max(out[0]);
         if samples_s.iter().copied().fold(f64::INFINITY, f64::min) <= budget {
             break;
         }
@@ -139,6 +167,7 @@ fn run_point(backend: Backend, dims: [usize; 3], steps: usize, budget: f64) -> O
         samples_s,
         rank_steps_per_s: (ranks * steps) as f64 / wall_s,
         within_budget: wall_s <= budget,
+        rss_mib,
     })
 }
 
@@ -161,13 +190,13 @@ fn assert_bit_identity(dims: [usize; 3], steps: usize) {
     }
 }
 
-/// Peak resident set of this process in MiB (`VmHWM` from procfs);
-/// 0.0 where procfs is unavailable.
-fn peak_rss_mib() -> f64 {
+/// A memory `field` of this process in MiB (`VmRSS:`, `VmHWM:` from
+/// procfs); 0.0 where procfs is unavailable.
+fn status_mib(field: &str) -> f64 {
     std::fs::read_to_string("/proc/self/status")
         .ok()
         .and_then(|s| {
-            s.lines().find(|l| l.starts_with("VmHWM:")).and_then(|l| {
+            s.lines().find(|l| l.starts_with(field)).and_then(|l| {
                 l.split_whitespace().nth(1).and_then(|kb| kb.parse::<f64>().ok())
             })
         })
@@ -212,13 +241,25 @@ fn main() {
         let p = run_point(Backend::Event, dims, steps, budget)
             .expect("event backend failed to spawn the smoke grid");
         println!(
-            "== scale smoke: event {} ranks in {:.2}s (budget {budget}s), {:.0} rank-steps/s ==",
-            p.ranks, p.wall_s, p.rank_steps_per_s
+            "== scale smoke: event {} ranks in {:.2}s (budget {budget}s), {:.0} rank-steps/s, \
+             {:.0} MiB resident ({:.1} KiB/rank) ==",
+            p.ranks,
+            p.wall_s,
+            p.rank_steps_per_s,
+            p.rss_mib,
+            p.bytes_per_rank() / 1024.0
         );
         assert!(
             p.within_budget,
             "{}-rank event point took {:.2}s, budget {budget}s",
             p.ranks, p.wall_s
+        );
+        assert!(
+            p.ranks < GUARD_FREE_RANKS || p.bytes_per_rank() <= MAX_BYTES_PER_RANK,
+            "{}-rank event point holds {:.1} KiB resident per rank, ceiling {} KiB",
+            p.ranks,
+            p.bytes_per_rank() / 1024.0,
+            MAX_BYTES_PER_RANK / 1024.0
         );
         return;
     }
@@ -230,10 +271,12 @@ fn main() {
             match run_point(backend, dims, steps, budget) {
                 Some(p) => {
                     println!(
-                        "  {:>6} ranks  {:>8.3}s  {:>10.0} rank-steps/s{}",
+                        "  {:>6} ranks  {:>8.3}s  {:>10.0} rank-steps/s  {:>7.0} MiB  {:>6.1} KiB/rank{}",
                         p.ranks,
                         p.wall_s,
                         p.rank_steps_per_s,
+                        p.rss_mib,
+                        p.bytes_per_rank() / 1024.0,
                         if p.within_budget { "" } else { "  (over budget)" }
                     );
                     let stop = !p.within_budget;
@@ -272,7 +315,7 @@ fn main() {
         (Some(t), Some(e)) => e / t,
         _ => 0.0,
     };
-    let rss = peak_rss_mib();
+    let rss = status_mib("VmHWM:");
 
     println!("  max simulable ranks: thread {max_thread}, event {max_event} ({gain:.1}x)");
     println!("  1024-rank throughput: event {speedup_1024:.2}x thread");
@@ -286,13 +329,16 @@ fn main() {
         let samples: Vec<String> = p.samples_s.iter().map(|s| format!("{s:.4}")).collect();
         json.push_str(&format!(
             "    {{\"backend\": \"{}\", \"ranks\": {}, \"wall_s\": {:.4}, \
-             \"samples_s\": [{}], \"rank_steps_per_s\": {:.1}, \"within_budget\": {}}}{}\n",
+             \"samples_s\": [{}], \"rank_steps_per_s\": {:.1}, \"within_budget\": {}, \
+             \"rss_mib\": {:.1}, \"bytes_per_rank\": {:.0}}}{}\n",
             p.backend,
             p.ranks,
             p.wall_s,
             samples.join(", "),
             p.rank_steps_per_s,
             p.within_budget,
+            p.rss_mib,
+            p.bytes_per_rank(),
             if i + 1 < points.len() { "," } else { "" }
         ));
     }

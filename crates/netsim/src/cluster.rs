@@ -20,13 +20,14 @@
 //!
 //! * **direct** — the receiver has lent the destination of its posted
 //!   receive ([`crate::window`]: every `waitall_*` lends while it blocks,
-//!   [`RankCtx::lend`] lends ahead of the sends), the channel's queue
-//!   exists and is empty, no fault touches the message and the lengths
-//!   agree: `isend` copies source → destination once, under the
-//!   receiver's mailbox lock, and no buffer is involved;
-//! * **eager** — everything else (the receiver is still computing, a
-//!   channel's first message, anything queued behind another message,
-//!   self-sends, messages a fault plan touches, receives completed with
+//!   [`RankCtx::lend`] lends ahead of the sends), nothing of the channel
+//!   is queued, no fault touches the message and the lengths agree:
+//!   `isend` copies source → destination once, under the receiver's
+//!   mailbox lock, and no buffer is involved — the channel's first
+//!   message included;
+//! * **eager** — everything else (the receiver is still computing,
+//!   anything queued behind another message, self-sends, messages a
+//!   fault plan touches, receives completed with
 //!   `recv_blocking` / `try_wait` / `progress_with`): two
 //!   copies, into a pooled buffer in `isend` and out of it when the
 //!   receive completes.
@@ -37,14 +38,16 @@
 //! the copies. Message matching follows MPI semantics: `(source, tag)`
 //! with non-overtaking order per pair.
 //!
-//! The transport is persistent and allocation-free in steady state:
-//! eager message buffers come from a per-rank pool and are returned
-//! to the sender's pool once the receiver has copied them out, so a
-//! timestep loop stops exercising the allocator after warmup (see
-//! [`RankCtx::transport_allocs`]). The pool is binned by size class:
-//! a send draws a buffer of its own class, so warm-up costs at most one
-//! allocation per message in flight and bulk frames never inflate the
-//! buffers small messages reuse. A receiver that wants to keep a whole
+//! The transport is persistent: eager message buffers come from a
+//! per-rank pool and go back to the sender's pool once the receiver has
+//! copied them out. A channel takes a pooled buffer only when one of its
+//! messages goes eager, never more than one per message in flight, so
+//! allocations are bounded by the channels, not the steps; where every
+//! message's path is fixed (one event worker, an all-eager or all-direct
+//! pattern) allocation is exactly zero after warm-up
+//! ([`RankCtx::transport_allocs`]). The pool is binned by size class: a
+//! send draws a buffer of its own class, so bulk frames never inflate
+//! the buffers small messages reuse. A receiver that wants to keep a whole
 //! message takes the buffer over instead of copying out of it
 //! ([`RankCtx::adopt`]). Self-sends can bypass the mailbox
 //! entirely via the loopback fast path ([`RankCtx::loopback_within`] /
@@ -240,8 +243,8 @@ impl<'a> RankCtx<'a> {
     }
 
     /// Number of message buffers the transport had to grow or allocate
-    /// so far. Stops increasing once the pool is warm — the steady-state
-    /// zero-allocation property, asserted by the stress tests.
+    /// so far — bounded by the channels, not the steps (the census in
+    /// the module docs), and asserted by the stress tests.
     pub fn transport_allocs(&self) -> u64 {
         self.transport_allocs
     }
@@ -916,9 +919,10 @@ mod tests {
         }
     }
 
-    /// Rank 0 warms channel `(0, 7)` with one eager message, waits until
-    /// rank 1 blocks on the receive of a second and sends it: `second(ctx)`
-    /// on rank 0, the second `waitall_into(len)` result on rank 1.
+    /// Rank 0 warms channel `(0, 7)` with one eager message (sent before
+    /// the barrier rank 1 posts its receive behind), waits until rank 1
+    /// blocks on the receive of a second and sends it: `second(ctx)` on
+    /// rank 0, the second `waitall_into(len)` result on rank 1.
     fn second_send_to_a_blocked_owner(
         faults: FaultConfig,
         len: usize,
@@ -933,9 +937,9 @@ mod tests {
                 second(ctx);
                 return (buf, Ok(()));
             }
+            ctx.barrier();
             let h = ctx.irecv(0, 7).unwrap();
             ctx.waitall_into(&[h], &mut [&mut [0.0; 64][..]]).unwrap();
-            ctx.barrier();
             let h = ctx.irecv(0, 7).unwrap();
             let done = ctx.waitall_into(&[h], &mut [&mut buf[..]]);
             assert!(
@@ -954,10 +958,10 @@ mod tests {
         let payload: Vec<f64> = (0..64).map(|i| i as f64).collect();
         let (buf, done) = second_send_to_a_blocked_owner(FaultConfig::off(), 64, |ctx| {
             let before = (ctx.transport_allocs(), ctx.pool_len(), ctx.pool_bytes());
-            assert_eq!(
-                before.0, 1,
-                "the channel's first message took the fallback buffer"
-            );
+            // The warm-up preceded rank 1's receive, so it went eager;
+            // its buffer is back in the pool and the send below touches
+            // none of it.
+            assert_eq!(before.0, 1, "the warm-up message went eager");
             ctx.isend(1, 7, &payload).unwrap();
             assert_eq!(ctx.direct_sends(), 1);
             assert_eq!(
@@ -1037,10 +1041,10 @@ mod tests {
                 return ([0.0; 4], [0.0; 4], Vec::new());
             }
             let (mut a, mut b) = ([0.0; 4], [0.0; 4]);
+            ctx.barrier(); // the warm-ups are queued: they went eager
             let hs = [ctx.irecv(0, 7).unwrap(), ctx.irecv(0, 8).unwrap()];
             ctx.waitall_into(&hs, &mut [&mut a[..], &mut b[..]])
                 .unwrap();
-            ctx.barrier();
             ctx.barrier();
             let hs = [ctx.irecv(0, 7).unwrap(), ctx.irecv(0, 8).unwrap()];
             ctx.waitall_into(&hs, &mut [&mut a[..], &mut b[..]])
@@ -1690,7 +1694,11 @@ mod tests {
             assert!((b.wait - t.wait).abs() < 1e-12);
             assert!((b.compute - t.calc).abs() < 1e-12);
             assert!((b.total() - t.total()).abs() < 1e-12);
-            assert_eq!(tl.counters, vec![("msgs_sent", 1)]);
+            // Threads: whether the send found the peer's window open is
+            // the host's interleaving.
+            let count = |name| tl.counters.iter().filter(|c| c.0 == name).map(|c| c.1).sum::<u64>();
+            assert_eq!(count("msgs_sent"), 1);
+            assert!(count("msgs_direct") <= 1);
             // Both top-level scopes made it into the forest.
             let roots: Vec<_> =
                 tl.spans.iter().filter(|s| s.depth == 0).map(|s| s.name).collect();

@@ -196,14 +196,13 @@ impl Mailbox {
 
     /// The direct path: copy `data` into the window the owner lent for
     /// `key`. `Err` = nothing was written and the message must go eager:
-    /// no open window of that length, or the channel's queue is missing
-    /// (its first message reserves the fallback buffer) or not empty (a
-    /// direct write would overtake what is queued). `Ok` is
+    /// no open window of that length, or something of the channel is
+    /// queued (a direct write would overtake it). `Ok` is
     /// [`Mailbox::push`]'s answer: the owner to wake, if it was asleep.
     pub(crate) fn deliver(&self, key: Key, data: &[f64]) -> Result<Option<Asleep<'_>>, ()> {
         let mut g = self.inner.lock();
         let inner = &mut *g;
-        let direct = inner.queues.get(&key).is_some_and(|q| q.is_empty())
+        let direct = inner.queues.get(&key).is_none_or(VecDeque::is_empty)
             && inner.windows.deliver(key, data);
         if !direct {
             return Err(());

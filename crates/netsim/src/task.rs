@@ -45,7 +45,7 @@ mod sys {
     pub const MAP_ANONYMOUS: i32 = 0x20;
     pub const MAP_NORESERVE: i32 = 0x4000;
     pub const MAP_FAILED: *mut c_void = !0usize as *mut c_void;
-    pub const MADV_HUGEPAGE: i32 = 14;
+    pub const MADV_NOHUGEPAGE: i32 = 15;
     extern "C" {
         pub fn mmap(
             addr: *mut c_void,
@@ -244,12 +244,10 @@ impl StackSlab {
                     0,
                     "stack slab mprotect failed"
                 );
-                // The guard-free slab is one contiguous RW range that
-                // every task first-touches: huge pages cut the fault
-                // count and the page-table/TLB footprint by 512x at
-                // 100k-rank scale. Best effort — a kernel without THP
-                // just ignores the hint.
-                sys::madvise(lo as *mut _, n * usable, sys::MADV_HUGEPAGE);
+                // Every task touches its stack and a 2 MiB huge page
+                // spans 16 stacks of 128 KiB, so THP would make the whole
+                // reservation resident: keep it off the slab. Best effort.
+                sys::madvise(lo as *mut _, n * usable, sys::MADV_NOHUGEPAGE);
             }
             StackSlab { base: base as *mut u8, len: len.max(PAGE), usable, stride, n }
         }

@@ -48,11 +48,10 @@
 //!   Receives sharing a key fill in posted order: a sender writes the
 //!   first open window of its key.
 //!
-//! A channel's first message is eager by design (the direct path requires
-//! that the channel's queue exists, which the first eager push creates):
-//! it reserves the fallback buffer at warm-up, so which sends allocate —
-//! the pool census the allocation guards assert — does not depend on how
-//! the host interleaved the ranks.
+//! A channel's first message is no exception: a channel nothing was ever
+//! queued on has nothing to overtake, so a pre-posted receive takes it in
+//! place, and only traffic that actually goes eager takes a pooled buffer
+//! (the census is in [`crate::cluster`]).
 
 #![deny(unsafe_op_in_unsafe_fn, clippy::undocumented_unsafe_blocks)]
 

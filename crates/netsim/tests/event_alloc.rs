@@ -18,7 +18,7 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 use std::sync::atomic::{AtomicU64, Ordering};
 
-use netsim::{run_cluster_on, Backend, CartTopo, FaultConfig, NetworkModel};
+use netsim::{run_cluster_on, Backend, CartTopo, FaultConfig, NetworkModel, RankCtx};
 
 struct CountingAlloc;
 
@@ -53,18 +53,15 @@ unsafe impl GlobalAlloc for CountingAlloc {
 #[global_allocator]
 static GLOBAL: CountingAlloc = CountingAlloc;
 
-/// Ring exchange with a barrier per step: parks and wakes flow through
-/// the mailbox arm/notify path and the cluster barrier every step, and
-/// none of it may allocate once warm. All ranks are inside the same
-/// barrier-aligned window, so one counter over the rank-running threads
-/// is meaningful — and it is this binary's only test: the counter spans
-/// every rank-running thread of the process, so a second test's cluster
-/// running in parallel would count into this one's window.
-#[test]
-fn event_backend_hot_path_is_allocation_free() {
-    let n = 8;
-    let topo = CartTopo::new(&[n], true);
-    let flat = run_cluster_on(
+/// One step of a ring exchange: `(ctx, left, right, storage)`, where
+/// `storage` is the rank's payload run followed by its ghost run.
+type Step = fn(&mut RankCtx<'_>, usize, usize, &mut [f64; 8]);
+
+/// Allocations per rank over 20 steps of `step`, after 3 warm-up steps,
+/// on an 8-rank ring on the event backend's default workers.
+fn steady_state_allocs(step: Step) -> Vec<u64> {
+    let topo = CartTopo::new(&[8], true);
+    run_cluster_on(
         Backend::Event,
         &topo,
         NetworkModel::instant(),
@@ -72,37 +69,69 @@ fn event_backend_hot_path_is_allocation_free() {
         |ctx| {
             let size = ctx.size();
             let rank = ctx.rank();
-            let right = (rank + 1) % size;
-            let left = (rank + size - 1) % size;
-            let mut buf = [0.0f64; 4];
-            let payload = [rank as f64; 4];
-            // Fixed tag, as the exchange engines use (one tag per
-            // neighbor direction): the mailbox key and its queue exist
-            // after the first step and are reused forever after.
-            let mut step = || {
+            let (left, right) = ((rank + size - 1) % size, (rank + 1) % size);
+            let mut storage = [rank as f64; 8];
+            let mut run = |ctx: &mut RankCtx<'_>| {
                 on_rank_thread();
-                let h = ctx.irecv(left, 7).unwrap();
-                ctx.isend(right, 7, &payload).unwrap();
-                ctx.waitall_into(&[h], &mut [&mut buf[..]]).unwrap();
-                ctx.barrier();
+                step(ctx, left, right, &mut storage);
             };
             // Warm: first sends populate the buffer pools and mailbox
             // slots, the barrier wait-list grows to capacity.
             for _ in 0..3 {
-                step();
+                run(ctx);
             }
             let before = ALLOCS.load(Ordering::Relaxed);
             for _ in 0..20 {
-                step();
+                run(ctx);
             }
-            let after = ALLOCS.load(Ordering::Relaxed);
-            after - before
+            ALLOCS.load(Ordering::Relaxed) - before
         },
-    );
-    for (rank, leaked) in flat.iter().enumerate() {
-        assert_eq!(
-            *leaked, 0,
-            "rank {rank}: steady-state exchange allocated {leaked} times in 20 steps"
-        );
+    )
+}
+
+/// Fixed tag, as the exchange engines use (one tag per neighbour
+/// direction): each rank's one channel is the same every step.
+const TAG: u64 = 7;
+
+/// All eager: every message is queued before anyone waits (and lends),
+/// so every one takes a pooled buffer and returns it.
+fn eager_step(ctx: &mut RankCtx<'_>, left: usize, right: usize, storage: &mut [f64; 8]) {
+    let h = ctx.irecv(left, TAG).unwrap();
+    ctx.isend(right, TAG, &storage[..4]).unwrap();
+    ctx.barrier();
+    let (_, ghost) = storage.split_at_mut(4);
+    ctx.waitall_into(&[h], &mut [ghost]).unwrap();
+    ctx.barrier();
+}
+
+/// All direct: every receiver has lent its ghost run before any send,
+/// and nothing is ever queued, so every send lands in place.
+fn direct_step(ctx: &mut RankCtx<'_>, left: usize, right: usize, storage: &mut [f64; 8]) {
+    let h = ctx.irecv(left, TAG).unwrap();
+    let ghost = 4..8;
+    let mut lend = ctx.lend([(left, TAG)].into_iter(), storage, std::slice::from_ref(&ghost));
+    ctx.barrier();
+    ctx.isend(right, TAG, lend.outside(0..4)).unwrap();
+    lend.complete(ctx, &[h]).unwrap();
+    ctx.barrier();
+}
+
+/// Rings whose every message takes a path the host cannot change: parks
+/// and wakes flow through the mailbox sleep/wake path and the cluster
+/// barrier every step, and none of it may allocate once warm. All ranks
+/// are inside the same barrier-aligned window, so one counter over the
+/// rank-running threads is meaningful — and it is this binary's only
+/// test: the counter spans every rank-running thread of the process, so
+/// a second test's cluster running in parallel would count into this
+/// one's window.
+#[test]
+fn event_backend_hot_path_is_allocation_free() {
+    for (name, step) in [("all-eager", eager_step as Step), ("all-direct", direct_step)] {
+        for (rank, leaked) in steady_state_allocs(step).iter().enumerate() {
+            assert_eq!(
+                *leaked, 0,
+                "{name} ring, rank {rank}: steady-state exchange allocated {leaked} times in 20 steps"
+            );
+        }
     }
 }

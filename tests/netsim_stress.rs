@@ -291,10 +291,75 @@ fn stamped_halos_survive_lent_rounds_under_skew() {
     );
     let total = (8 * 4 * ROUNDS) as u64;
     let direct: u64 = direct.iter().sum();
-    assert!(
-        direct > 0 && direct <= total - 8 * 4,
-        "{direct} of {total} messages were direct"
-    );
+    assert!(direct > 0 && direct <= total, "{direct} of {total} messages were direct");
+}
+
+/// The pool census on mixed paths: a periodic 2×2×2 exchange with one
+/// tagged message per neighbour direction (26 channels per rank), posted
+/// `irecv` → `isend` → `waitall_into`, so a send goes direct or eager
+/// depending on whether its receiver is already waiting — which the host
+/// decides. A barrier per step keeps one message per channel in flight,
+/// so however the paths mix, no rank allocates more buffers than it has
+/// channels, and every word lands intact and identical on both backends.
+#[test]
+fn mixed_paths_allocate_at_most_one_buffer_per_channel() {
+    const STEPS: usize = 50;
+    const LEN: usize = 16;
+    const CHANNELS: usize = 26;
+    let stamp = |step: usize, src: usize, dir: usize, idx: usize| {
+        (((step * 8 + src) * CHANNELS + dir) * LEN + idx) as f64
+    };
+    let dirs: Vec<[i8; 3]> = (0..27i8)
+        .map(|k| [k / 9 - 1, k / 3 % 3 - 1, k % 3 - 1])
+        .filter(|d| *d != [0, 0, 0])
+        .collect();
+    let topo = CartTopo::new(&[2, 2, 2], true);
+    std::env::set_var("NETSIM_WORKERS", "2");
+    let run = |backend| {
+        run_cluster_on(backend, &topo, NetworkModel::instant(), FaultConfig::off(), |ctx| {
+            let me = ctx.rank();
+            let from: Vec<usize> =
+                dirs.iter().map(|d| topo.neighbor(me, &d.map(|t| -t)).unwrap()).collect();
+            let mut ghosts = vec![0.0; CHANNELS * LEN];
+            let mut face = [0.0; LEN];
+            for step in 0..STEPS {
+                let handles: Vec<_> =
+                    from.iter().enumerate().map(|(dir, &src)| ctx.irecv(src, dir as u64).unwrap()).collect();
+                for (dir, d) in dirs.iter().enumerate() {
+                    for (idx, w) in face.iter_mut().enumerate() {
+                        *w = stamp(step, me, dir, idx);
+                    }
+                    ctx.isend(topo.neighbor(me, d).unwrap(), dir as u64, &face).unwrap();
+                }
+                let mut slices: Vec<&mut [f64]> = ghosts.chunks_mut(LEN).collect();
+                ctx.waitall_into(&handles, &mut slices).unwrap();
+                for (dir, ghost) in ghosts.chunks(LEN).enumerate() {
+                    for (idx, w) in ghost.iter().enumerate() {
+                        assert_eq!(
+                            *w,
+                            stamp(step, from[dir], dir, idx),
+                            "step {step}: rank {me}, direction {dir}, word {idx}"
+                        );
+                    }
+                }
+                ctx.barrier();
+            }
+            (ghosts, ctx.transport_allocs())
+        })
+    };
+    let backends: &[Backend] =
+        if Backend::event_supported() { &[Backend::Thread, Backend::Event] } else { &[Backend::Thread] };
+    let runs: Vec<_> = backends.iter().map(|&b| run(b)).collect();
+    for (backend, ranks) in backends.iter().zip(&runs) {
+        for (rank, (ghosts, allocs)) in ranks.iter().enumerate() {
+            assert!(
+                *allocs <= CHANNELS as u64,
+                "{backend}: rank {rank} allocated {allocs} buffers for {CHANNELS} channels"
+            );
+            let bits = |g: &[f64]| g.iter().map(|w| w.to_bits()).collect::<Vec<_>>();
+            assert_eq!(bits(ghosts), bits(&runs[0][rank].0), "{backend}: rank {rank}");
+        }
+    }
 }
 
 /// One blocking receive of a one-word message, by `recv_blocking` on even
