@@ -1,6 +1,6 @@
-//! Machine-readable scaling benchmark for the rank multiplexer: how
-//! many simulated ranks fit in a fixed per-point wall budget on one
-//! machine, thread-per-rank reference vs event-driven backend.
+//! Machine-readable scaling benchmark for the rank scheduler: how many
+//! simulated ranks fit in a fixed per-point wall budget on one machine,
+//! rank threads vs coroutines under the same scheduler.
 //!
 //! Each point runs a periodic 3-D halo exchange (6 neighbors, 64-f64
 //! faces, tagged per direction, barrier per step) — the communication

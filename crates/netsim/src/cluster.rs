@@ -1,6 +1,6 @@
 //! The transport of the virtual cluster: MPI-style nonblocking
-//! point-to-point on [`RankCtx`], the per-rank context both backends
-//! (see [`Backend`], `runtime.rs`) hand to the same rank-body code.
+//! point-to-point on [`RankCtx`], the per-rank context the runner
+//! (`runtime.rs`) hands to the rank body on either [`Backend`].
 //!
 //! `impl RankCtx` is spread over the files its facets fall into: this one
 //! keeps the sends, the receive completions and the loopbacks;
@@ -13,7 +13,8 @@
 //! [`Lend::complete`], through the one private `blocking_probe` — the
 //! wait loop of `mailbox.rs` on its *own* mailbox,
 //! where the sleep/wake protocol is stated and argued. The polling
-//! completions (`try_wait`, `progress_with`, `idle_tick`) yield instead.
+//! completions (`try_wait`, `progress_with`, `idle_tick`) yield to the
+//! scheduler instead.
 //!
 //! Data really moves between rank memories, and a mailbox message takes
 //! one of two paths, decided per message from the state the sender finds:
@@ -63,22 +64,22 @@
 //! collective every rank joins (delivery is eager, so by then every
 //! frame posted before it is queued or was dropped). A receive that can
 //! never complete reports a structured [`NetsimError::Timeout`] —
-//! including a dump of the unmatched mailbox keys — when the event
-//! scheduler detects the deadlock, or when the thread backend's hang
-//! guard gives up on it.
+//! including a dump of the unmatched mailbox keys — as soon as the
+//! scheduler detects the deadlock, on either backend.
 
 use std::ops::Range;
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::atomic::Ordering;
 
 use telemetry::{Phase, Recorder};
 
 use crate::error::{NetsimError, MAX_DIAG_KEYS};
+use crate::event::Sched;
 use crate::fault::{FaultDecision, FaultEvent, FaultKind, FaultPlan, FaultStats, ProcFault, CTRL_TAG_BIT};
 use crate::hier::NodeShape;
 use crate::mailbox::{Asleep, BufferPool, Key, Mailbox, MailboxInner, Msg};
 use crate::model::NetworkModel;
 use crate::procfault::ProcState;
-use crate::runtime::{Cluster, Runtime};
+use crate::runtime::Cluster;
 use crate::timers::Timers;
 use crate::topo::CartTopo;
 use crate::trace::Trace;
@@ -128,8 +129,9 @@ pub struct RankCtx<'a> {
     pub(crate) net: NetworkModel,
     pub(crate) mailboxes: &'a [Mailbox],
     pub(crate) pools: &'a [BufferPool],
-    pub(crate) runtime: Runtime<'a>,
-    abort: &'a AtomicBool,
+    /// The scheduler this rank runs under: where it parks, yields and
+    /// meets the barrier, and how it wakes a peer.
+    pub(crate) sched: &'a Sched,
     pub(crate) timers: Timers,
     pub(crate) trace: Trace,
     pub(crate) recorder: Recorder,
@@ -166,12 +168,12 @@ pub struct RankCtx<'a> {
 }
 
 impl<'a> RankCtx<'a> {
-    /// The context of `rank`'s `incarnation`-th life in `cluster`; shared
-    /// verbatim by both backends so modeled billing cannot diverge
-    /// between them.
+    /// The context of `rank`'s `incarnation`-th life in `cluster`, run
+    /// by `sched`; shared verbatim by both backends so modeled billing
+    /// cannot diverge between them.
     pub(crate) fn new(
         cluster: &'a Cluster<'a>,
-        runtime: Runtime<'a>,
+        sched: &'a Sched,
         rank: usize,
         incarnation: usize,
     ) -> RankCtx<'a> {
@@ -195,8 +197,7 @@ impl<'a> RankCtx<'a> {
             net: net.inter,
             mailboxes: &cluster.mailboxes,
             pools: &cluster.pools,
-            runtime,
-            abort: &cluster.abort,
+            sched,
             timers: Timers::default(),
             trace: Trace::default(),
             recorder: Recorder::disabled(),
@@ -406,7 +407,9 @@ impl<'a> RankCtx<'a> {
     /// reported) — at most one wake per sleep, none otherwise.
     fn wake(&self, dest: usize, asleep: Option<Asleep<'_>>) {
         if let Some(g) = asleep {
-            self.runtime.wake(dest, &self.mailboxes[dest], g);
+            // The scheduler's locks are never taken under a mailbox lock.
+            drop(g);
+            self.sched.make_runnable(dest as u32);
         }
     }
 
@@ -501,33 +504,29 @@ impl<'a> RankCtx<'a> {
     }
 
     /// Blocking wait on this rank's mailbox: run `probe` on the locked
-    /// mailbox until it yields, sleeping in between as
-    /// [`Mailbox::wait`] does on either backend. `None` = the wait can
-    /// never complete (revoked, aborted, deadlocked or past the hang
-    /// guard).
+    /// mailbox until it yields, parking in between as [`Mailbox::wait`]
+    /// does. `None` = the wait can never complete (revoked, aborted or
+    /// deadlocked).
     fn blocking_probe<T>(&self, probe: impl FnMut(&mut MailboxInner) -> Option<T>) -> Option<T> {
         // Outside recovery mode a revoked communicator stops every
         // blocking wait — that is the failure detector: the caller maps
         // the miss to `RankFailed` via `rank_failure()`. Recovery-mode
         // waits ignore revocation (the recovery protocol's own frames
         // must flow on the revoked communicator).
-        let stopped = || {
-            self.abort.load(Ordering::SeqCst)
-                || (!self.recovery_mode && self.proc.revoked.load(Ordering::SeqCst))
-        };
-        self.mailbox().wait(self.runtime, self.rank, stopped, probe)
+        let stopped = || !self.recovery_mode && self.proc.revoked.load(Ordering::SeqCst);
+        self.mailbox().wait(self.sched, self.rank, stopped, probe)
     }
 
     /// One unproductive tick of a hand-rolled spin loop: advance the
     /// process-fault schedule (so a kill/stall scheduled at this point
-    /// fires even while the rank only waits) and yield to peers on the
-    /// cooperative event backend. Bills nothing. Protocols that poll
-    /// [`RankCtx::mailbox_keys`] directly (rather than spinning on
-    /// `try_wait`, which ticks internally) must call this on every
-    /// empty poll or they starve the producers they wait on.
+    /// fires even while the rank only waits) and yield to peers: ranks
+    /// are scheduled cooperatively on either backend. Bills nothing.
+    /// Protocols that poll [`RankCtx::mailbox_keys`] directly (rather
+    /// than spinning on `try_wait`, which ticks internally) must call this
+    /// on every empty poll or they starve the producers they wait on.
     pub fn idle_tick(&mut self) {
         self.proc_tick();
-        self.runtime.yield_now();
+        self.sched.yield_now();
     }
 
     /// What the two single-receive completions share once the mailbox
@@ -586,7 +585,7 @@ impl<'a> RankCtx<'a> {
         let msg = self.mailbox().try_pop(h.key());
         let claimed = self.claimed(h, msg);
         if claimed.is_none() {
-            self.runtime.yield_now();
+            self.sched.yield_now();
         }
         claimed
     }
@@ -643,7 +642,7 @@ impl<'a> RankCtx<'a> {
             newly += 1;
         }
         if newly == 0 {
-            self.runtime.yield_now();
+            self.sched.yield_now();
         }
         Ok(newly)
     }
@@ -672,10 +671,9 @@ impl<'a> RankCtx<'a> {
     /// from `storage` through [`Lend::outside`] — and wait with
     /// [`Lend::complete`]. Bills nothing and is not a process-fault op.
     ///
-    /// On the event backend the lend ends with one cooperative yield:
-    /// ranks run in turn there, so a posted window only helps the peers
-    /// that run after it ("post receives early"). Threads run
-    /// concurrently and do not yield.
+    /// The lend ends with one cooperative yield: ranks share the workers
+    /// in turn, so a posted window only helps the peers that run after it
+    /// ("post receives early").
     pub fn lend<'l>(
         &self,
         from: impl ExactSizeIterator<Item = (usize, u64)>,
@@ -686,7 +684,7 @@ impl<'a> RankCtx<'a> {
         'a: 'l,
     {
         let lend = Lend::ranges(self.mailbox(), from, storage, ranges);
-        self.runtime.yield_now();
+        self.sched.yield_now();
         lend
     }
 
@@ -797,8 +795,8 @@ impl<'a> RankCtx<'a> {
     }
 
     /// Synchronize all ranks. Returns silently even if the cluster is
-    /// aborting (a peer panicked): the surviving ranks are being
-    /// unwound via timeout errors, not blocked forever.
+    /// aborting (a peer panicked, or a deadlock): the surviving ranks are
+    /// being unwound via timeout errors, not blocked forever.
     pub fn barrier(&self) {
         // A revoked communicator cannot complete a rendezvous (the
         // failed rank is dead or mid-respawn): return silently, like
@@ -807,7 +805,7 @@ impl<'a> RankCtx<'a> {
         if self.proc.revoked.load(Ordering::SeqCst) {
             return;
         }
-        self.runtime.barrier(self.rank);
+        self.sched.barrier_wait(self.rank as u32);
     }
 }
 
@@ -818,6 +816,7 @@ mod tests {
     use crate::hier::HierarchicalNetworkModel;
     use crate::run_cluster;
     use std::panic::{catch_unwind, AssertUnwindSafe};
+    use std::sync::atomic::AtomicBool;
 
     /// `waiting` is up exactly while the owner sleeps on its mailbox: every
     /// way out of a blocking receive lowers it again (a flag left up costs
@@ -899,23 +898,12 @@ mod tests {
         )
     }
 
-    /// A cluster on the event backend, whose deadlock detector turns a
-    /// receive that can never complete into a prompt `Timeout`.
-    fn on_event<R: Send>(
-        topo: &CartTopo,
-        faults: FaultConfig,
-        body: impl Fn(&mut RankCtx<'_>) -> R + Sync,
-    ) -> Vec<R> {
-        run_cluster_on(Backend::Event, topo, NetworkModel::instant(), faults, body)
-    }
-
     /// Spin until `rank` sleeps on its mailbox: `waiting` is raised under
     /// the lock the sleep releases, so seeing it means the owner sleeps
     /// until woken or expired.
     fn until_blocked(ctx: &RankCtx<'_>, rank: usize) {
         while !ctx.mailboxes[rank].lock().waiting {
-            ctx.runtime.yield_now();
-            std::thread::yield_now();
+            ctx.sched.yield_now();
         }
     }
 
@@ -1061,20 +1049,22 @@ mod tests {
     }
 
     /// (iii) Every way out of a lent wait ends the lend: a timeout (the
-    /// event scheduler's deadlock detector), a size mismatch (asserted in
+    /// scheduler's deadlock detector), a size mismatch (asserted in
     /// `second_send_to_a_blocked_owner`) and the crash-stop unwind of a
     /// rank killed with its ghosts pre-posted.
     #[test]
     fn unwinding_out_of_a_lent_wait_clears_the_windows() {
         let topo = CartTopo::new(&[1], true);
-        on_event(&topo, FaultConfig::off(), |ctx| {
-            let h = ctx.irecv(0, 7).unwrap();
-            let err = ctx
-                .waitall_into(&[h], &mut [&mut [0.0; 2][..]])
-                .unwrap_err();
-            assert!(matches!(err, NetsimError::Timeout { pending, .. } if pending == [(0, 7)]));
-            assert!(ctx.mailbox().lock().windows.is_empty());
-        });
+        for backend in [Backend::Thread, Backend::Event] {
+            run_cluster_on(backend, &topo, NetworkModel::instant(), FaultConfig::off(), |ctx| {
+                let h = ctx.irecv(0, 7).unwrap();
+                let err = ctx
+                    .waitall_into(&[h], &mut [&mut [0.0; 2][..]])
+                    .unwrap_err();
+                assert!(matches!(err, NetsimError::Timeout { pending, .. } if pending == [(0, 7)]));
+                assert!(ctx.mailbox().lock().windows.is_empty());
+            });
+        }
 
         let kill = FaultConfig::parse("kill:1@0+1").unwrap();
         let incarnations = two_threads(kill, |ctx| {
@@ -1241,25 +1231,28 @@ mod tests {
         });
     }
 
-    /// A receive nobody will satisfy is a deadlock, which the event
-    /// scheduler detects: the `Timeout` names it and dumps the mailbox.
+    /// A receive nobody will satisfy is a deadlock, which the scheduler
+    /// detects on either backend: the `Timeout` names it and dumps the
+    /// mailbox.
     #[test]
     fn timeout_reports_pending_and_mailbox_dump() {
-        let topo = CartTopo::new(&[1], true);
-        let out = on_event(&topo, FaultConfig::off(), |ctx| {
-            // A message nobody will ask for, to exercise the dump...
-            ctx.isend(0, 99, &[1.0]).unwrap();
-            // ...and a receive nobody will satisfy.
-            let h = ctx.irecv(0, 7).unwrap();
-            let mut buf = [0.0; 1];
-            ctx.waitall_into(&[h], &mut [&mut buf[..]])
-        });
-        let Err(NetsimError::Timeout { rank, pending, mailbox }) = &out[0] else {
-            panic!("expected timeout, got {:?}", out[0]);
-        };
-        assert_eq!(*rank, 0);
-        assert_eq!(pending, &[(0, 7)]);
-        assert_eq!(mailbox, &[(0, 99, 1)]);
+        for backend in [Backend::Thread, Backend::Event] {
+            let topo = CartTopo::new(&[1], true);
+            let out = run_cluster_on(backend, &topo, NetworkModel::instant(), FaultConfig::off(), |ctx| {
+                // A message nobody will ask for, to exercise the dump...
+                ctx.isend(0, 99, &[1.0]).unwrap();
+                // ...and a receive nobody will satisfy.
+                let h = ctx.irecv(0, 7).unwrap();
+                let mut buf = [0.0; 1];
+                ctx.waitall_into(&[h], &mut [&mut buf[..]])
+            });
+            let Err(NetsimError::Timeout { rank, pending, mailbox }) = &out[0] else {
+                panic!("expected timeout, got {:?}", out[0]);
+            };
+            assert_eq!(*rank, 0);
+            assert_eq!(pending, &[(0, 7)]);
+            assert_eq!(mailbox, &[(0, 99, 1)]);
+        }
     }
 
     #[test]
@@ -1343,26 +1336,28 @@ mod tests {
 
     #[test]
     fn deadline_still_fires_after_partial_progress() {
-        let topo = CartTopo::new(&[1], true);
-        let out = on_event(&topo, FaultConfig::off(), |ctx| {
-            // One satisfied channel, one genuinely stuck channel.
-            let handles = [ctx.irecv(0, 20).unwrap(), ctx.irecv(0, 21).unwrap()];
-            ctx.isend(0, 20, &[7.0]).unwrap();
-            let ranges = [0..1, 1..2];
-            let mut storage = vec![0.0; 2];
-            let mut done = [false, false];
-            let mut completed = Vec::new();
-            progress_ranges(ctx, &handles, &mut storage, &ranges, &mut done, &mut completed).unwrap();
-            assert_eq!(completed, vec![0]);
-            // The finishing blocking wait over the stuck remainder must
-            // still report it as one that can never complete.
-            ctx.waitall_ranges(&handles[1..], &mut storage, &ranges[1..])
-        });
-        let Err(NetsimError::Timeout { rank, pending, .. }) = &out[0] else {
-            panic!("expected timeout, got {:?}", out[0]);
-        };
-        assert_eq!(*rank, 0);
-        assert_eq!(pending, &[(0, 21)]);
+        for backend in [Backend::Thread, Backend::Event] {
+            let topo = CartTopo::new(&[1], true);
+            let out = run_cluster_on(backend, &topo, NetworkModel::instant(), FaultConfig::off(), |ctx| {
+                // One satisfied channel, one genuinely stuck channel.
+                let handles = [ctx.irecv(0, 20).unwrap(), ctx.irecv(0, 21).unwrap()];
+                ctx.isend(0, 20, &[7.0]).unwrap();
+                let ranges = [0..1, 1..2];
+                let mut storage = vec![0.0; 2];
+                let mut done = [false, false];
+                let mut completed = Vec::new();
+                progress_ranges(ctx, &handles, &mut storage, &ranges, &mut done, &mut completed).unwrap();
+                assert_eq!(completed, vec![0]);
+                // The finishing blocking wait over the stuck remainder must
+                // still report it as one that can never complete.
+                ctx.waitall_ranges(&handles[1..], &mut storage, &ranges[1..])
+            });
+            let Err(NetsimError::Timeout { rank, pending, .. }) = &out[0] else {
+                panic!("expected timeout, got {:?}", out[0]);
+            };
+            assert_eq!(*rank, 0);
+            assert_eq!(pending, &[(0, 21)]);
+        }
     }
 
     #[test]
@@ -1582,21 +1577,23 @@ mod tests {
 
     #[test]
     fn dropped_message_times_out_with_empty_mailbox() {
-        let topo = CartTopo::new(&[1], true);
-        let cfg = FaultConfig { seed: 1, drop: 1.0, ..FaultConfig::off() };
-        let out = on_event(&topo, cfg, |ctx| {
-            let h = ctx.irecv(0, 4).unwrap();
-            ctx.isend(0, 4, &[1.0, 2.0]).unwrap();
-            let mut buf = [0.0; 2];
-            let err = ctx.waitall_into(&[h], &mut [&mut buf[..]]).unwrap_err();
-            let stats = ctx.fault_stats();
-            (err, stats, ctx.take_fault_events())
-        });
-        let (err, stats, events) = &out[0];
-        assert!(matches!(err, NetsimError::Timeout { pending, .. } if pending == &[(0, 4)]));
-        assert_eq!(stats.drops, 1);
-        assert_eq!(events.len(), 1);
-        assert_eq!(events[0].kind, FaultKind::Drop);
+        for backend in [Backend::Thread, Backend::Event] {
+            let topo = CartTopo::new(&[1], true);
+            let cfg = FaultConfig { seed: 1, drop: 1.0, ..FaultConfig::off() };
+            let out = run_cluster_on(backend, &topo, NetworkModel::instant(), cfg, |ctx| {
+                let h = ctx.irecv(0, 4).unwrap();
+                ctx.isend(0, 4, &[1.0, 2.0]).unwrap();
+                let mut buf = [0.0; 2];
+                let err = ctx.waitall_into(&[h], &mut [&mut buf[..]]).unwrap_err();
+                let stats = ctx.fault_stats();
+                (err, stats, ctx.take_fault_events())
+            });
+            let (err, stats, events) = &out[0];
+            assert!(matches!(err, NetsimError::Timeout { pending, .. } if pending == &[(0, 4)]));
+            assert_eq!(stats.drops, 1);
+            assert_eq!(events.len(), 1);
+            assert_eq!(events[0].kind, FaultKind::Drop);
+        }
     }
 
     #[test]

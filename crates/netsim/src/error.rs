@@ -22,9 +22,9 @@ pub const MAX_DIAG_KEYS: usize = 16;
 /// Errors surfaced by the netsim public API.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum NetsimError {
-    /// A rank blocked with receives that can never complete: the event
-    /// scheduler found the cluster deadlocked (or aborting), or the
-    /// thread backend's hang guard ran out.
+    /// A rank blocked with receives that can never complete: the
+    /// scheduler found the cluster deadlocked (or aborting), on either
+    /// backend.
     ///
     /// `pending` lists the `(source, tag)` pairs that never matched;
     /// `mailbox` is a diagnostic dump of the `(source, tag, queued)`

@@ -1,15 +1,12 @@
-//! Event-driven rank scheduler: multiplexes thousands of simulated
-//! ranks (stackful [`crate::task::Task`]s) onto a small worker pool.
+//! The rank scheduler: multiplexes the simulated ranks of a run — any
+//! number, on either [`crate::Backend`] — onto a small worker pool.
 //!
-//! This is the engine behind [`crate::Backend::Event`]. The
-//! thread backend burns one OS thread (and two kernel context switches
-//! per blocking hand-off) per rank, which tops out around a thousand
-//! ranks on one machine. Here a rank that would block — on a mailbox
-//! recv, a `waitall`, a barrier — *parks*: it saves its registers and
-//! returns the worker to the run queue, and is re-queued when the event
-//! that unblocks it fires (a message push, the last barrier arrival).
-//! Ranks never spin in kernel space, so the simulable rank count is
-//! bounded by memory, not by scheduler thrash.
+//! A rank that would block — on a mailbox recv, a `waitall`, a barrier —
+//! *parks*: it suspends ([`crate::task`]: a coroutine switch, or a rank
+//! thread handing its run token back) and returns the worker to the run
+//! queue, and is re-queued when the event that unblocks it fires (a
+//! message push, the last barrier arrival). The backend only chooses how
+//! a suspended rank's stack is kept; everything below exists once.
 //!
 //! ## Structure
 //!
@@ -35,22 +32,23 @@
 //! * **Quiescence is a deadlock**: no task runnable or running while
 //!   some are parked means, with eager message delivery, that nothing a
 //!   parked task waits for can ever arrive — no protocol step waits on a
-//!   clock, so there is nothing else to wait for. Instead of hanging
-//!   like thread-per-rank would, the scheduler aborts the cluster:
-//!   every parked task is woken with an expiry signal, recv paths
-//!   surface structured [`crate::NetsimError::Timeout`] reports, and the
-//!   run terminates.
+//!   clock, so there is nothing else to wait for. Instead of hanging,
+//!   the scheduler aborts the cluster: every parked task is woken with
+//!   an expiry signal, recv paths surface structured
+//!   [`crate::NetsimError::Timeout`] reports, and the run terminates.
 //!
 //! Panics in a rank body are caught at the task boundary and collected;
 //! the first one aborts the cluster and becomes a
-//! [`crate::NetsimError::RankPanicked`].
+//! [`crate::NetsimError::RankPanicked`]. A rank that spin-polls
+//! (`try_wait`, an NBX barrier) never parks, so the abort reaches it at
+//! its next cooperative yield, which unwinds it.
 
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Condvar, Mutex};
 
 use crate::runtime::env_setting;
-use crate::task::{suspend, Directive, StackSlab, Task};
+use crate::task::{suspend, Directive, Payload, Tasks};
 
 /// Why [`Sched::park`] returned.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -101,23 +99,29 @@ struct BarrierState {
 /// The scheduler: tasks, their state machines, run queues, the
 /// cluster-wide barrier and the panic/abort plumbing.
 pub(crate) struct Sched {
-    tasks: Vec<Task>,
-    /// Backs every task stack; must outlive `tasks` (dropped after —
-    /// struct fields drop in declaration order).
-    _slab: StackSlab,
+    tasks: Tasks,
     metas: Vec<Mutex<TaskMeta>>,
     core: Mutex<Core>,
     work: Condvar,
     barrier: Mutex<BarrierState>,
-    panics: Mutex<Vec<(usize, Box<dyn std::any::Any + Send + 'static>)>>,
+    panics: Mutex<Vec<(usize, Payload)>>,
+    /// The cluster is aborting: a deadlock, or a rank panicked.
     abort: AtomicBool,
-    deadlocked: AtomicBool,
+    /// A rank panicked: a spin-polling rank's next yield unwinds it.
+    panicked: AtomicBool,
     nworkers: usize,
 }
 
+/// What a rank unwinds with when its yield finds the cluster aborted by a
+/// peer's panic; the scheduler discards it (the peer's panic is the
+/// report).
+struct Aborted;
+
 impl Sched {
     /// Build a scheduler over `bodies` (one task per rank, task id ==
-    /// index) with `workers` workers and `stack_bytes` per task stack.
+    /// index) with `workers` workers and `stack_bytes` per task stack, on
+    /// coroutines if `coroutines` (and the platform has them), else on
+    /// rank threads.
     ///
     /// # Safety
     ///
@@ -129,19 +133,12 @@ impl Sched {
         bodies: Vec<Box<dyn FnOnce() + Send + '_>>,
         workers: usize,
         stack_bytes: usize,
+        coroutines: bool,
     ) -> Sched {
         let n = bodies.len();
         let workers = workers.max(1);
-        // One slab mmap for every stack: per-task mappings cost two
-        // syscalls and two kernel VMAs each, which both dominates spawn
-        // time and hits vm.max_map_count near 32k ranks.
-        let slab = StackSlab::new(n, stack_bytes);
-        // SAFETY: the caller's contract is `Task::new_in`'s (run to
-        // completion before what the bodies borrow is dropped); the slab
-        // moves into the `Sched` beside the tasks and is dropped after them
-        // (`_slab` is declared after `tasks`), and each index is used once.
-        let spawn = |(i, b)| unsafe { Task::new_in(&slab, i, b) };
-        let tasks: Vec<Task> = bodies.into_iter().enumerate().map(spawn).collect();
+        // SAFETY: the caller's contract is `Tasks::new`'s.
+        let tasks = unsafe { Tasks::new(bodies, stack_bytes, coroutines) };
         let metas = (0..n)
             .map(|_| {
                 Mutex::new(TaskMeta {
@@ -158,7 +155,6 @@ impl Sched {
         }
         Sched {
             tasks,
-            _slab: slab,
             metas,
             core: Mutex::new(Core {
                 queues,
@@ -171,25 +167,28 @@ impl Sched {
             barrier: Mutex::new(BarrierState { count: 0, gen: 0, waiting: Vec::with_capacity(n) }),
             panics: Mutex::new(Vec::new()),
             abort: AtomicBool::new(false),
-            deadlocked: AtomicBool::new(false),
+            panicked: AtomicBool::new(false),
             nworkers: workers,
         }
     }
 
     /// Drive all tasks to completion. The calling thread becomes
-    /// worker 0; `workers - 1` helper threads are spawned for the
-    /// duration of the run.
+    /// worker 0; `workers - 1` helper threads, and on the thread
+    /// substrate every rank thread, are spawned for the duration of the
+    /// run.
     pub(crate) fn run(&self) {
-        if self.nworkers == 1 {
-            self.worker_loop(0);
-        } else {
-            std::thread::scope(|s| {
-                for w in 1..self.nworkers {
-                    s.spawn(move || self.worker_loop(w));
+        std::thread::scope(|s| {
+            self.tasks.start(s);
+            for w in 1..self.nworkers {
+                // A worker the OS refuses only slows the run down: every
+                // worker steals from every queue.
+                let spawned = std::thread::Builder::new().spawn_scoped(s, move || self.worker_loop(w));
+                if spawned.is_err() {
+                    break;
                 }
-                self.worker_loop(0);
-            });
-        }
+            }
+            self.worker_loop(0);
+        });
     }
 
     fn worker_loop(&self, w: usize) {
@@ -212,7 +211,6 @@ impl Sched {
                 // them all, queued before `core` is released so the
                 // next idle worker sees `queued > 0`, not the same
                 // quiescence again.
-                self.deadlocked.store(true, Ordering::SeqCst);
                 self.abort.store(true, Ordering::SeqCst);
                 for t in 0..self.tasks.len() {
                     self.expire(&mut core, t as u32);
@@ -243,13 +241,15 @@ impl Sched {
         let t = tid as usize;
         match self.tasks[t].resume() {
             Directive::Finished => {
-                if let Some(payload) = self.tasks[t].take_panic() {
-                    self.panics.lock().unwrap().push((t, payload));
-                    self.abort.store(true, Ordering::SeqCst);
-                    self.metas[t].lock().unwrap().state = TState::Finished;
-                    self.wake_all_parked();
-                } else {
-                    self.metas[t].lock().unwrap().state = TState::Finished;
+                match self.tasks[t].take_panic() {
+                    Some(payload) if !payload.is::<Aborted>() => {
+                        self.panics.lock().unwrap().push((t, payload));
+                        self.panicked.store(true, Ordering::SeqCst);
+                        self.abort.store(true, Ordering::SeqCst);
+                        self.metas[t].lock().unwrap().state = TState::Finished;
+                        self.wake_all_parked();
+                    }
+                    _ => self.metas[t].lock().unwrap().state = TState::Finished,
                 }
                 let mut core = self.core.lock().unwrap();
                 core.running -= 1;
@@ -384,7 +384,14 @@ impl Sched {
     /// Cooperatively yield the calling task to the back of its run
     /// queue. Spin-polling paths (`try_wait`, `progress_with`) call this on
     /// a miss so producers get CPU time even on a single worker.
+    ///
+    /// Once a peer has panicked the poll can never succeed — its producer
+    /// may be the rank that died — so the yield unwinds the caller instead;
+    /// the scheduler discards that unwind and reports the peer's panic.
     pub(crate) fn yield_now(&self) {
+        if self.panicked.load(Ordering::SeqCst) {
+            std::panic::resume_unwind(Box::new(Aborted));
+        }
         suspend(Directive::Yield);
     }
 
@@ -435,13 +442,13 @@ impl Sched {
     /// Whether abort was triggered by deadlock detection.
     #[cfg(test)]
     pub(crate) fn deadlock_detected(&self) -> bool {
-        self.deadlocked.load(Ordering::SeqCst)
+        self.aborted() && !self.panicked.load(Ordering::SeqCst)
     }
 
     /// Drain captured rank panics, in the order they were observed
     /// (the first is the root cause; later ones are usually secondary
     /// failures of ranks woken by the abort).
-    pub(crate) fn take_panics(&self) -> Vec<(usize, Box<dyn std::any::Any + Send + 'static>)> {
+    pub(crate) fn take_panics(&self) -> Vec<(usize, Payload)> {
         std::mem::take(&mut *self.panics.lock().unwrap())
     }
 }
@@ -504,18 +511,24 @@ mod tests {
         std::mem::take(&mut s.1)
     }
 
-    /// Build a scheduler over `bodies`, publish it in `holder` (task
-    /// bodies need `&Sched`, which does not exist when they are built),
-    /// run it to completion and hand it back for inspection.
+    /// Whether to run on coroutines: both substrates where both exist.
+    const SUBSTRATES: &[bool] =
+        if cfg!(all(target_os = "linux", target_arch = "x86_64")) { &[true, false] } else { &[false] };
+
+    /// Build a scheduler over `bodies` on one substrate, publish it in
+    /// `holder` (task bodies need `&Sched`, which does not exist when
+    /// they are built), run it to completion and hand it back for
+    /// inspection.
     fn run_bodies<'s>(
         holder: &Holder<'s>,
         bodies: Vec<Box<dyn FnOnce() + Send + '_>>,
         workers: usize,
+        coroutines: bool,
     ) -> Sched {
         // SAFETY: `run()` below drives every task to completion before
         // this function returns, and the callers keep whatever the bodies
         // borrow alive past this call.
-        let sched = unsafe { Sched::new(bodies, workers, 256 * 1024) };
+        let sched = unsafe { Sched::new(bodies, workers, 256 * 1024, coroutines) };
         // SAFETY: only the lifetime is transmuted. The reference is read
         // by task bodies alone, which run only inside `sched.run()` below
         // — while `sched` is alive and has not moved — and it is
@@ -529,150 +542,162 @@ mod tests {
 
     #[test]
     fn tasks_all_complete() {
-        let n = 100;
-        let count = AtomicUsize::new(0);
-        std::thread::scope(|_| {
-            let bodies: Vec<Box<dyn FnOnce() + Send + '_>> = (0..n)
-                .map(|_| {
-                    let c = &count;
-                    Box::new(move || {
-                        c.fetch_add(1, Ordering::SeqCst);
-                    }) as Box<dyn FnOnce() + Send + '_>
-                })
-                .collect();
-            run_bodies(&Holder::default(), bodies, 1);
-        });
-        assert_eq!(count.load(Ordering::SeqCst), n);
+        for &coroutines in SUBSTRATES {
+            let n = 100;
+            let count = AtomicUsize::new(0);
+            std::thread::scope(|_| {
+                let bodies: Vec<Box<dyn FnOnce() + Send + '_>> = (0..n)
+                    .map(|_| {
+                        let c = &count;
+                        Box::new(move || {
+                            c.fetch_add(1, Ordering::SeqCst);
+                        }) as Box<dyn FnOnce() + Send + '_>
+                    })
+                    .collect();
+                run_bodies(&Holder::default(), bodies, 1, coroutines);
+            });
+            assert_eq!(count.load(Ordering::SeqCst), n);
+        }
     }
 
     #[test]
     fn mailbox_handshake_wakes_consumer() {
-        // Producer stores into a shared slot and wakes the consumer if
-        // it finds it asleep; consumer parks until the value arrives.
-        // Exercises the flag-under-the-lock protocol of `crate::mailbox`
-        // and the wake_pending race path.
-        let slot = Slot::default();
-        let got = AtomicUsize::new(0);
-        let holder = Holder::default();
-        let (h, s, g) = (&holder, &slot, &got);
-        let bodies: Vec<Box<dyn FnOnce() + Send + '_>> = vec![
-            // rank 0: consumer
-            Box::new(move || {
-                let sched = h.lock().unwrap().unwrap();
-                loop {
-                    if let Some(v) = take_or_raise(s) {
-                        g.store(v as usize, Ordering::SeqCst);
-                        return;
+        for &coroutines in SUBSTRATES {
+            // Producer stores into a shared slot and wakes the consumer if
+            // it finds it asleep; consumer parks until the value arrives.
+            // Exercises the flag-under-the-lock protocol of `crate::mailbox`
+            // and the wake_pending race path.
+            let slot = Slot::default();
+            let got = AtomicUsize::new(0);
+            let holder = Holder::default();
+            let (h, s, g) = (&holder, &slot, &got);
+            let bodies: Vec<Box<dyn FnOnce() + Send + '_>> = vec![
+                // rank 0: consumer
+                Box::new(move || {
+                    let sched = h.lock().unwrap().unwrap();
+                    loop {
+                        if let Some(v) = take_or_raise(s) {
+                            g.store(v as usize, Ordering::SeqCst);
+                            return;
+                        }
+                        sched.park(0);
                     }
-                    sched.park(0);
-                }
-            }),
-            // rank 1: producer, yields a few times first so the
-            // consumer definitely parks.
-            Box::new(move || {
-                let sched = h.lock().unwrap().unwrap();
-                for _ in 0..3 {
-                    sched.yield_now();
-                }
-                assert!(put(s, 42), "the consumer raised its flag before parking");
-                sched.make_runnable(0);
-            }),
-        ];
-        let sched = run_bodies(h, bodies, 1);
-        assert_eq!(got.load(Ordering::SeqCst), 42);
-        assert!(!slot.lock().unwrap().1, "the flag is down once the consumer has its value");
-        assert!(!sched.aborted());
+                }),
+                // rank 1: producer, yields a few times first so the
+                // consumer definitely parks.
+                Box::new(move || {
+                    let sched = h.lock().unwrap().unwrap();
+                    for _ in 0..3 {
+                        sched.yield_now();
+                    }
+                    assert!(put(s, 42), "the consumer raised its flag before parking");
+                    sched.make_runnable(0);
+                }),
+            ];
+            let sched = run_bodies(h, bodies, 1, coroutines);
+            assert_eq!(got.load(Ordering::SeqCst), 42);
+            assert!(!slot.lock().unwrap().1, "the flag is down once the consumer has its value");
+            assert!(!sched.aborted());
+        }
     }
 
     #[test]
     fn barrier_releases_all_ranks_together() {
-        let n = 16;
-        let before = AtomicUsize::new(0);
-        let violations = AtomicUsize::new(0);
-        let holder = Holder::default();
-        let (h, b, v) = (&holder, &before, &violations);
-        let bodies: Vec<Box<dyn FnOnce() + Send + '_>> = (0..n)
-            .map(|i| {
-                Box::new(move || {
-                    let sched = h.lock().unwrap().unwrap();
-                    b.fetch_add(1, Ordering::SeqCst);
-                    assert!(sched.barrier_wait(i as u32));
-                    if b.load(Ordering::SeqCst) != n {
-                        v.fetch_add(1, Ordering::SeqCst);
-                    }
-                }) as Box<dyn FnOnce() + Send + '_>
-            })
-            .collect();
-        run_bodies(h, bodies, 1);
-        assert_eq!(violations.load(Ordering::SeqCst), 0);
+        for &coroutines in SUBSTRATES {
+            let n = 16;
+            let before = AtomicUsize::new(0);
+            let violations = AtomicUsize::new(0);
+            let holder = Holder::default();
+            let (h, b, v) = (&holder, &before, &violations);
+            let bodies: Vec<Box<dyn FnOnce() + Send + '_>> = (0..n)
+                .map(|i| {
+                    Box::new(move || {
+                        let sched = h.lock().unwrap().unwrap();
+                        b.fetch_add(1, Ordering::SeqCst);
+                        assert!(sched.barrier_wait(i as u32));
+                        if b.load(Ordering::SeqCst) != n {
+                            v.fetch_add(1, Ordering::SeqCst);
+                        }
+                    }) as Box<dyn FnOnce() + Send + '_>
+                })
+                .collect();
+            run_bodies(h, bodies, 1, coroutines);
+            assert_eq!(violations.load(Ordering::SeqCst), 0);
+        }
     }
 
     #[test]
     fn true_deadlock_is_detected_and_recovered() {
-        // Two ranks park with nobody left to wake them: the scheduler must
-        // detect the deadlock, abort, and wake both with Expired.
-        let expired = AtomicUsize::new(0);
-        let holder = Holder::default();
-        let (h, e) = (&holder, &expired);
-        let bodies: Vec<Box<dyn FnOnce() + Send + '_>> = (0..2)
-            .map(|i| {
-                Box::new(move || {
-                    let sched = h.lock().unwrap().unwrap();
-                    if sched.park(i as u32) == Wake::Expired {
-                        e.fetch_add(1, Ordering::SeqCst);
-                    }
-                }) as Box<dyn FnOnce() + Send + '_>
-            })
-            .collect();
-        let sched = run_bodies(h, bodies, 1);
-        assert!(sched.deadlock_detected());
-        assert!(sched.aborted());
-        assert_eq!(expired.load(Ordering::SeqCst), 2);
+        for &coroutines in SUBSTRATES {
+            // Two ranks park with nobody left to wake them: the scheduler must
+            // detect the deadlock, abort, and wake both with Expired.
+            let expired = AtomicUsize::new(0);
+            let holder = Holder::default();
+            let (h, e) = (&holder, &expired);
+            let bodies: Vec<Box<dyn FnOnce() + Send + '_>> = (0..2)
+                .map(|i| {
+                    Box::new(move || {
+                        let sched = h.lock().unwrap().unwrap();
+                        if sched.park(i as u32) == Wake::Expired {
+                            e.fetch_add(1, Ordering::SeqCst);
+                        }
+                    }) as Box<dyn FnOnce() + Send + '_>
+                })
+                .collect();
+            let sched = run_bodies(h, bodies, 1, coroutines);
+            assert!(sched.deadlock_detected());
+            assert!(sched.aborted());
+            assert_eq!(expired.load(Ordering::SeqCst), 2);
+        }
     }
 
     #[test]
     fn panic_aborts_cluster_and_is_captured_first() {
-        let holder = Holder::default();
-        let h = &holder;
-        let bodies: Vec<Box<dyn FnOnce() + Send + '_>> = vec![
-            Box::new(move || {
-                let sched = h.lock().unwrap().unwrap();
-                // Parked forever; must be released by the abort.
-                let _ = sched.park(0);
-            }),
-            Box::new(move || {
-                let sched = h.lock().unwrap().unwrap();
-                sched.yield_now();
-                panic!("rank 1 died");
-            }),
-        ];
-        let sched = run_bodies(h, bodies, 1);
-        let panics = sched.take_panics();
-        assert_eq!(panics.len(), 1);
-        assert_eq!(panics[0].0, 1);
-        assert_eq!(panics[0].1.downcast_ref::<&str>(), Some(&"rank 1 died"));
-        assert!(sched.aborted());
-        assert!(!sched.deadlock_detected());
+        for &coroutines in SUBSTRATES {
+            let holder = Holder::default();
+            let h = &holder;
+            let bodies: Vec<Box<dyn FnOnce() + Send + '_>> = vec![
+                Box::new(move || {
+                    let sched = h.lock().unwrap().unwrap();
+                    // Parked forever; must be released by the abort.
+                    let _ = sched.park(0);
+                }),
+                Box::new(move || {
+                    let sched = h.lock().unwrap().unwrap();
+                    sched.yield_now();
+                    panic!("rank 1 died");
+                }),
+            ];
+            let sched = run_bodies(h, bodies, 1, coroutines);
+            let panics = sched.take_panics();
+            assert_eq!(panics.len(), 1);
+            assert_eq!(panics[0].0, 1);
+            assert_eq!(panics[0].1.downcast_ref::<&str>(), Some(&"rank 1 died"));
+            assert!(sched.aborted());
+            assert!(!sched.deadlock_detected());
+        }
     }
 
     #[test]
     fn work_stealing_multi_worker_completes() {
-        let n = 64;
-        let count = AtomicUsize::new(0);
-        let holder = Holder::default();
-        let (h, c) = (&holder, &count);
-        let bodies: Vec<Box<dyn FnOnce() + Send + '_>> = (0..n)
-            .map(|_| {
-                Box::new(move || {
-                    let sched = h.lock().unwrap().unwrap();
-                    for _ in 0..4 {
-                        sched.yield_now();
-                    }
-                    c.fetch_add(1, Ordering::SeqCst);
-                }) as Box<dyn FnOnce() + Send + '_>
-            })
-            .collect();
-        run_bodies(h, bodies, 4);
-        assert_eq!(count.load(Ordering::SeqCst), n);
+        for &coroutines in SUBSTRATES {
+            let n = 64;
+            let count = AtomicUsize::new(0);
+            let holder = Holder::default();
+            let (h, c) = (&holder, &count);
+            let bodies: Vec<Box<dyn FnOnce() + Send + '_>> = (0..n)
+                .map(|_| {
+                    Box::new(move || {
+                        let sched = h.lock().unwrap().unwrap();
+                        for _ in 0..4 {
+                            sched.yield_now();
+                        }
+                        c.fetch_add(1, Ordering::SeqCst);
+                    }) as Box<dyn FnOnce() + Send + '_>
+                })
+                .collect();
+            run_bodies(h, bodies, 4, coroutines);
+            assert_eq!(count.load(Ordering::SeqCst), n);
+        }
     }
 }

@@ -1,8 +1,9 @@
-//! # netsim — a thread-rank MPI substrate with a modeled fabric
+//! # netsim — a simulated MPI cluster with a modeled fabric
 //!
 //! Replaces MPI + the Aries/InfiniBand network for this reproduction.
-//! Ranks are OS threads; point-to-point messages really move data between
-//! rank memories with MPI matching semantics (`(source, tag)`,
+//! Ranks are tasks under one scheduler, each on a rank thread or a
+//! coroutine ([`Backend`]); point-to-point messages really move data
+//! between rank memories with MPI matching semantics (`(source, tag)`,
 //! non-overtaking). Time is hybrid:
 //!
 //! * on-node phases (compute, packing) are **really executed and
@@ -45,7 +46,6 @@ mod clock;
 pub mod cluster;
 pub mod collective;
 pub mod error;
-#[cfg(all(target_os = "linux", target_arch = "x86_64"))]
 mod event;
 pub mod fault;
 pub mod hier;
@@ -55,7 +55,6 @@ pub mod nbx;
 pub mod partition;
 mod procfault;
 mod runtime;
-#[cfg(all(target_os = "linux", target_arch = "x86_64"))]
 mod task;
 pub mod timers;
 pub mod topo;

@@ -5,37 +5,36 @@
 //!
 //! Only a mailbox's *owner* ever sleeps on it, and only inside
 //! [`Mailbox::wait`]: the loop under every blocking receive
-//! (`recv_blocking`, `waitall_*`, [`crate::Lend::complete`]) on both
-//! backends. How to sleep is the backend's business
-//! (`runtime.rs`: `sleep`); when to sleep and who wakes whom is decided here,
+//! (`recv_blocking`, `waitall_*`, [`crate::Lend::complete`]), on either
+//! backend. The owner sleeps by parking in the scheduler
+//! ([`Sched::park`]); when to sleep and who wakes whom is decided here,
 //! by one flag inside the mailbox mutex:
 //!
 //! > The owner raises [`MailboxInner::waiting`] in the critical section of
-//! > the probe that missed, and sleeps. Whoever makes the probe succeed
+//! > the probe that missed, and parks. Whoever makes the probe succeed
 //! > ([`Mailbox::push`], [`Mailbox::deliver`]) takes the flag under that
-//! > same lock and wakes the owner once (`runtime.rs`: `wake`).
+//! > same lock and wakes the owner once ([`Sched::make_runnable`]).
 //!
-//! * **No lost wake.** Raise-then-sleep and take-then-wake are ordered by
+//! * **No lost wake.** Raise-then-park and take-then-wake are ordered by
 //!   the mailbox mutex: a sender's critical section either precedes the
 //!   owner's probe, which then finds the message, or follows the raise,
 //!   and then takes the flag and wakes.
-//!   A wake that lands between the owner's unlock and its sleep is kept:
-//!   a condvar releases the lock and waits in one step, and the event
-//!   scheduler finds the task still `Running` and latches `wake_pending`,
-//!   which the park consumes.
+//!   A wake that lands between the owner's unlock and its park is kept:
+//!   the scheduler finds the task still `Running` and latches
+//!   `wake_pending`, which the park consumes.
 //! * **No stray wake.** Nothing but this loop raises the flag — the barrier
 //!   never does — and every way out of the loop lowers it, so a push
 //!   cannot wake a rank parked on anything but its mailbox.
 //! * **Lock order.** Mailbox, then (released) task meta, then scheduler
-//!   core: nothing on the event backend wakes while holding a mailbox
-//!   lock, and nothing takes a mailbox lock while holding a scheduler one.
+//!   core: nothing wakes while holding a mailbox lock, and nothing takes
+//!   a mailbox lock while holding a scheduler one.
 
 use std::collections::{HashMap, VecDeque};
 
-use parking_lot::{Condvar, Mutex, MutexGuard};
+use parking_lot::{Mutex, MutexGuard};
 
 use crate::error::MAX_DIAG_KEYS;
-use crate::runtime::Runtime;
+use crate::event::{Sched, Wake};
 use crate::window::Windows;
 
 pub(crate) type Key = (usize, u64); // (source rank, tag)
@@ -149,12 +148,11 @@ impl BufferPool {
 #[derive(Default)]
 pub(crate) struct MailboxInner {
     pub(crate) queues: HashMap<Key, VecDeque<Msg>>,
-    /// "The owner found nothing and is about to sleep here", on both
-    /// backends (only the owner waits, so one flag covers every waiter).
-    /// Raised and lowered by [`Mailbox::wait`] alone; taken by the push
-    /// or delivery that must wake the owner — see the module docs. Waking
-    /// costs a system call or a scheduler lock, so nobody wakes a rank
-    /// that is not asleep.
+    /// "The owner found nothing and is about to sleep here" (only the
+    /// owner waits, so one flag covers every waiter). Raised and lowered
+    /// by [`Mailbox::wait`] alone; taken by the push or delivery that must
+    /// wake the owner — see the module docs. Waking costs scheduler locks,
+    /// so nobody wakes a rank that is not asleep.
     pub(crate) waiting: bool,
     /// Destinations the owner has lent to its senders (see
     /// [`crate::window`]); empty whenever no lend is open.
@@ -169,15 +167,14 @@ impl MailboxInner {
 }
 
 /// The locked mailbox of a rank that must be woken: what
-/// [`Mailbox::push`] and [`Mailbox::deliver`] hand to the runtime's `wake`.
+/// [`Mailbox::push`] and [`Mailbox::deliver`] hand to the sender, which
+/// releases it and then wakes the owner.
 pub(crate) type Asleep<'m> = MutexGuard<'m, MailboxInner>;
 
 /// One rank's incoming-message store.
 #[derive(Default)]
 pub(crate) struct Mailbox {
     inner: Mutex<MailboxInner>,
-    /// What a thread-backend owner sleeps on (the runtime's `sleep`).
-    pub(crate) signal: Condvar,
 }
 
 impl Mailbox {
@@ -186,7 +183,7 @@ impl Mailbox {
     }
 
     /// Queue `msg`. `Some` = the owner was asleep and its flag is taken:
-    /// the caller wakes it, exactly once, with the runtime's `wake`.
+    /// the caller wakes it, exactly once, once it has released the lock.
     #[must_use = "a taken `waiting` flag is a wake the sender owes the owner"]
     pub(crate) fn push(&self, key: Key, msg: Msg) -> Option<Asleep<'_>> {
         let mut g = self.inner.lock();
@@ -210,21 +207,21 @@ impl Mailbox {
         Ok(std::mem::take(&mut g.waiting).then_some(g))
     }
 
-    /// Run `probe` on the locked mailbox until it yields, sleeping
-    /// between attempts: the one blocking loop of the crate, for `owner`,
-    /// the rank this mailbox belongs to. `None` return = the sleep
-    /// expired (the event scheduler found the cluster deadlocked or
-    /// aborting, or the thread backend's hang guard ran out), or
-    /// `stopped` reports the wait is pointless — the cluster is aborting
-    /// (a peer rank panicked) or revoked (a peer rank crash-stopped) —
-    /// all meaning "stop waiting, the message is not coming".
+    /// Run `probe` on the locked mailbox until it yields, parking in
+    /// `sched` between attempts: the one blocking loop of the crate, for
+    /// `owner`, the rank this mailbox belongs to. `None` return = the
+    /// park expired (the scheduler found the cluster deadlocked or
+    /// aborting), or `stopped` reports the wait is pointless — the
+    /// communicator is revoked (a peer rank crash-stopped) — all meaning
+    /// "stop waiting, the message is not coming".
     ///
-    /// The mailbox lock is taken once per sleep: the probe that misses,
-    /// the stop check and the raise share one critical section, and the
-    /// lock the sleep hands back is the next turn's.
+    /// The mailbox lock is taken once per park: the probe that misses,
+    /// the stop check and the raise share one critical section, released
+    /// just before the park, and the lock taken after it is the next
+    /// turn's.
     pub(crate) fn wait<T>(
         &self,
-        runtime: Runtime<'_>,
+        sched: &Sched,
         owner: usize,
         stopped: impl Fn() -> bool,
         mut probe: impl FnMut(&mut MailboxInner) -> Option<T>,
@@ -239,21 +236,15 @@ impl Mailbox {
                 return None;
             }
             g.waiting = true;
-            let expired;
-            (g, expired) = runtime.sleep(owner, self, g);
+            drop(g);
+            let expired = sched.park(owner as u32) == Wake::Expired;
+            g = self.inner.lock();
             if expired {
                 g.waiting = false;
                 // Final re-check: a push may have raced expiry.
                 return probe(&mut g);
             }
         }
-    }
-
-    /// Wake a thread-backend owner whatever it waits for, so it observes
-    /// a stop condition.
-    pub(crate) fn interrupt(&self) {
-        let _g = self.inner.lock();
-        self.signal.notify_all();
     }
 
     /// Pop without blocking.
@@ -333,6 +324,20 @@ mod tests {
             last = class;
         }
         assert_eq!(class_floor(MIN_CLASS_WORDS - 1), None);
+    }
+
+    /// The send that finds the owner asleep takes its flag, under the
+    /// lock it hands back: one wake per sleep, and none when nobody sleeps.
+    #[test]
+    fn a_push_to_a_sleeping_owner_takes_its_flag() {
+        let mb = Mailbox::default();
+        let msg = || Msg { owner: None, data: vec![1.0] };
+        assert!(mb.push((0, 1), msg()).is_none(), "nobody asleep, nobody to wake");
+        mb.lock().waiting = true;
+        let asleep = mb.push((0, 1), msg());
+        assert!(asleep.as_ref().is_some_and(|g| !g.waiting), "the push took the flag");
+        drop(asleep);
+        assert!(mb.push((0, 1), msg()).is_none(), "one wake per sleep");
     }
 
     #[test]

@@ -244,7 +244,7 @@ impl RankCtx<'_> {
         // frames are purged by the recovery epoch's own drain instead.
         let stale = self.mailbox().drain_except(&|_, tag| tag & CTRL_TAG_BIT != 0);
         stale.into_iter().for_each(|msg| msg.recycle(self.pools));
-        self.runtime.wake_all(self.mailboxes);
+        self.sched.wake_all();
         // `resume_unwind` rather than `panic_any`: the unwind is the
         // modeled crash, not a program bug, so the process-global panic
         // hook (message + backtrace on stderr) must not fire for it.

@@ -1,59 +1,60 @@
-//! The two execution substrates a cluster runs on ([`Backend`]), and
-//! everything that differs between them — the only file of the crate that
-//! knows there are two.
+//! The runner: how the ranks of a cluster are started, respawned and
+//! collected, and the one place that maps a [`Backend`] to the substrate
+//! a rank's stack is suspended on.
 //!
-//! * **Thread** — one OS thread per rank, blocking on condvars. The
-//!   reference implementation: simple, preemptive, and limited to
-//!   roughly a thousand ranks by kernel scheduling overhead.
-//! * **Event** — ranks are resumable tasks multiplexed onto a small
-//!   worker pool by `event::Sched`; a rank that would block parks and is
-//!   re-queued when its message or barrier release arrives. Scales to
-//!   10k+ ranks on one machine.
+//! Every run, on either backend, is scheduled by `event::Sched`: ranks
+//! are tasks multiplexed onto a small worker pool, a rank that would
+//! block parks and is re-queued when its message or barrier release
+//! arrives, quiescence is a deadlock the scheduler reports at once, and a
+//! panic aborts the cluster in one place. A [`Backend`] only chooses how
+//! a suspended rank's stack is kept (`task.rs`):
 //!
-//! Both run the *same* rank-body code against the same [`RankCtx`], with
-//! modeled time billed identically — results are bit-identical across
-//! backends by construction. A rank sees its substrate as a [`Runtime`]:
-//! how to sleep on its mailbox and how to wake a peer that does (the two
-//! halves of the protocol in [`crate::mailbox`]), how to wake everybody,
-//! the barrier, and the cooperative yield. The runners below differ only
-//! in how ranks are spawned and how a real panic is reported; the shared
-//! state of a run ([`Cluster`]), the incarnation loop that respawns a
+//! * **Thread** — an OS thread per rank, which runs only while a worker
+//!   has resumed it. Works on every platform; limited to a few thousand
+//!   ranks by the kernel's thread count.
+//! * **Event** — an asm-switched coroutine on a slab stack (x86-64
+//!   Linux). Scales to 100k+ ranks on one machine.
+//!
+//! Both run the *same* rank-body code against the same [`RankCtx`] under
+//! the same scheduler, with modeled time billed identically — results
+//! are bit-identical across backends by construction. The shared state
+//! of a run ([`Cluster`]), the incarnation loop that respawns a
 //! crash-stopped rank and the result collection exist once.
 //!
-//! A rank body that panics does not abort the whole process through a
-//! poisoned join: the panic is caught at the rank boundary, the rest of
-//! the cluster is woken and unwound (pending receives report `Timeout`),
-//! and the run reports a structured [`NetsimError::RankPanicked`] (via
-//! [`try_run_cluster_on`]; the panicking convenience wrappers re-panic
-//! with that message).
+//! A rank body that panics does not abort the whole process: the panic
+//! is caught at the rank boundary, the rest of the cluster is woken and
+//! unwound (pending receives report `Timeout`, spin-polls unwind at their
+//! next yield), and the run reports a structured
+//! [`NetsimError::RankPanicked`] (via [`try_run_cluster_on`]; the
+//! panicking convenience wrappers re-panic with that message).
 
 use std::any::Any;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::time::{Duration, Instant};
+use std::sync::atomic::{AtomicUsize, Ordering};
 
-use parking_lot::{Condvar, Mutex, MutexGuard};
+use parking_lot::Mutex;
 
 use crate::cluster::RankCtx;
 use crate::error::NetsimError;
+use crate::event::{default_stack_bytes, default_workers, Sched};
 use crate::fault::FaultConfig;
 use crate::hier::HierarchicalNetworkModel;
-use crate::mailbox::{Asleep, BufferPool, Mailbox, MailboxInner};
+use crate::mailbox::{BufferPool, Mailbox};
 use crate::procfault::{KillSentinel, ProcState};
 use crate::topo::CartTopo;
 
-/// Which cluster substrate to run ranks on. See the module docs; the
-/// two backends are observationally equivalent (bit-identical results
-/// and modeled timers), they differ only in how far they scale and how
-/// blocking is implemented.
+/// How the stack of a suspended rank is kept. See the module docs; the
+/// two backends run under one scheduler and are observationally
+/// equivalent (bit-identical results and modeled timers), they differ
+/// only in how far they scale and where they run.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub enum Backend {
-    /// One OS thread per rank (the reference backend).
+    /// One OS thread per rank, running only while resumed.
     #[default]
     Thread,
-    /// Event-driven rank multiplexing on a worker pool. Falls back to
-    /// `Thread` (with a warning) on platforms without the task substrate
-    /// (non-x86-64 / non-Linux).
+    /// One coroutine per rank. Runs on rank threads instead on
+    /// platforms without the coroutine substrate (non-x86-64 /
+    /// non-Linux).
     Event,
 }
 
@@ -78,7 +79,7 @@ impl Backend {
         env_setting("NETSIM_BACKEND").unwrap_or_default()
     }
 
-    /// Whether the event backend's task substrate is compiled in on
+    /// Whether the event backend's coroutine substrate is compiled in on
     /// this platform.
     pub fn event_supported() -> bool {
         cfg!(all(target_os = "linux", target_arch = "x86_64"))
@@ -131,163 +132,6 @@ where
     parse_setting(name, value.as_deref()).unwrap_or_else(|e| panic!("{e}"))
 }
 
-/// How long a thread-backend rank sleeps on its mailbox before it gives
-/// the wait up as hung. A guard, not a protocol input: no protocol step
-/// waits on a clock, no legitimate wait comes near it, and its expiry
-/// only fails the run (the receive reports `Timeout`) — it never steers
-/// one. The event backend needs none: it detects a deadlock exactly, at
-/// quiescence.
-const HANG_GUARD: Duration = Duration::from_secs(60);
-
-/// A cancellable cluster barrier for the thread backend: like
-/// `std::sync::Barrier`, but a panicking rank can [`abort`] it so the
-/// surviving ranks return (with `false`) instead of blocking forever on
-/// a rendezvous that can never complete.
-///
-/// [`abort`]: AbortableBarrier::abort
-pub(crate) struct AbortableBarrier {
-    /// (arrived count, generation).
-    state: Mutex<(usize, u64)>,
-    cv: Condvar,
-    size: usize,
-    aborted: AtomicBool,
-}
-
-impl AbortableBarrier {
-    fn new(size: usize) -> AbortableBarrier {
-        AbortableBarrier { state: Mutex::new((0, 0)), cv: Condvar::new(), size, aborted: AtomicBool::new(false) }
-    }
-
-    /// Wait for all ranks; `false` means the barrier was aborted.
-    fn wait(&self) -> bool {
-        let mut g = self.state.lock();
-        if self.aborted.load(Ordering::SeqCst) {
-            return false;
-        }
-        g.0 += 1;
-        if g.0 == self.size {
-            g.0 = 0;
-            g.1 += 1;
-            self.cv.notify_all();
-            return true;
-        }
-        let gen = g.1;
-        while g.1 == gen {
-            self.cv.wait(&mut g);
-            if self.aborted.load(Ordering::SeqCst) {
-                return false;
-            }
-        }
-        true
-    }
-
-    fn abort(&self) {
-        let _g = self.state.lock();
-        self.aborted.store(true, Ordering::SeqCst);
-        self.cv.notify_all();
-    }
-}
-
-/// The execution substrate a rank runs on. Blocking operations (mailbox
-/// waits, barriers) route through here; everything else — matching,
-/// billing, fault injection — is backend-independent code, which is what
-/// makes the two backends bit-identical by construction.
-#[derive(Clone, Copy)]
-pub(crate) enum Runtime<'a> {
-    /// One OS thread per rank; blocking = condvar waits.
-    Thread { barrier: &'a AbortableBarrier },
-    /// Resumable task multiplexed by the event scheduler; blocking =
-    /// park/wake. Task id == rank.
-    #[cfg(all(target_os = "linux", target_arch = "x86_64"))]
-    Event { sched: &'a crate::event::Sched },
-}
-
-impl Runtime<'_> {
-    /// Sleep as the owner `rank` of `mailbox`, whose lock `g` it holds
-    /// with `waiting` raised, until woken; hands the lock back with
-    /// whether the sleep expired instead — the wait can never complete.
-    /// The lock is released only once the sleep can no longer miss a wake
-    /// (see [`crate::mailbox`]).
-    ///
-    /// Thread backend: a condvar wait, bounded by [`HANG_GUARD`].
-    /// Event backend: drop the lock and park; the park expires only when
-    /// the cluster aborts — a panic, or a deadlock the scheduler found at
-    /// quiescence, when the awaited message provably cannot arrive.
-    pub(crate) fn sleep<'m>(
-        self,
-        rank: usize,
-        mailbox: &'m Mailbox,
-        mut g: MutexGuard<'m, MailboxInner>,
-    ) -> (MutexGuard<'m, MailboxInner>, bool) {
-        match self {
-            Runtime::Thread { .. } => {
-                let expired = mailbox.signal.wait_until(&mut g, Instant::now() + HANG_GUARD).timed_out();
-                (g, expired)
-            }
-            #[cfg(all(target_os = "linux", target_arch = "x86_64"))]
-            Runtime::Event { sched } => {
-                drop(g);
-                let expired = sched.park(rank as u32) == crate::event::Wake::Expired;
-                (mailbox.lock(), expired)
-            }
-        }
-    }
-
-    /// Wake `dest`, which sleeps on `mailbox`: `asleep` is that mailbox's
-    /// lock, held by the sender that just took the `waiting` flag. Threads
-    /// signal under the lock; the event backend releases it first — the
-    /// scheduler's locks are never taken under a mailbox lock.
-    pub(crate) fn wake(self, dest: usize, mailbox: &Mailbox, asleep: Asleep<'_>) {
-        match self {
-            Runtime::Thread { .. } => {
-                mailbox.signal.notify_all();
-                drop(asleep);
-            }
-            #[cfg(all(target_os = "linux", target_arch = "x86_64"))]
-            Runtime::Event { sched } => {
-                drop(asleep);
-                sched.make_runnable(dest as u32);
-            }
-        }
-    }
-
-    /// Wake every rank, whatever it sleeps on, so each re-examines the
-    /// shared state: the revocation broadcast of a dying rank, and the
-    /// abort broadcast of the thread runner.
-    pub(crate) fn wake_all(self, mailboxes: &[Mailbox]) {
-        match self {
-            Runtime::Thread { .. } => mailboxes.iter().for_each(Mailbox::interrupt),
-            #[cfg(all(target_os = "linux", target_arch = "x86_64"))]
-            Runtime::Event { sched } => sched.wake_all(),
-        }
-    }
-
-    /// Synchronize all ranks; returns early if the cluster aborts.
-    pub(crate) fn barrier(self, rank: usize) {
-        match self {
-            Runtime::Thread { barrier } => {
-                barrier.wait();
-            }
-            #[cfg(all(target_os = "linux", target_arch = "x86_64"))]
-            Runtime::Event { sched } => {
-                sched.barrier_wait(rank as u32);
-            }
-        }
-    }
-
-    /// Give other ranks CPU time. The event backend is cooperative: a
-    /// spin-polling rank must yield on a miss or it starves the very
-    /// producers it is waiting on. The thread backend relies on kernel
-    /// preemption and does nothing.
-    pub(crate) fn yield_now(self) {
-        match self {
-            Runtime::Thread { .. } => {}
-            #[cfg(all(target_os = "linux", target_arch = "x86_64"))]
-            Runtime::Event { sched } => sched.yield_now(),
-        }
-    }
-}
-
 /// What the ranks of one run share, whichever backend spawns them.
 pub(crate) struct Cluster<'a> {
     pub(crate) topo: &'a CartTopo,
@@ -295,8 +139,6 @@ pub(crate) struct Cluster<'a> {
     pub(crate) faults: FaultConfig,
     pub(crate) mailboxes: Vec<Mailbox>,
     pub(crate) pools: Vec<BufferPool>,
-    /// A rank body panicked: every blocking wait gives up.
-    pub(crate) abort: AtomicBool,
     pub(crate) proc: ProcState,
 }
 
@@ -309,14 +151,13 @@ impl<'a> Cluster<'a> {
             faults,
             mailboxes: (0..size).map(|_| Mailbox::default()).collect(),
             pools: (0..size).map(|_| BufferPool::default()).collect(),
-            abort: AtomicBool::new(false),
             proc: ProcState::new(size),
         }
     }
 }
 
 /// Run `body` once per rank of `topo` on the backend selected by
-/// `NETSIM_BACKEND` (default: thread-per-rank) and collect the per-rank
+/// `NETSIM_BACKEND` (default: rank threads) and collect the per-rank
 /// results in rank order. Panics with the [`NetsimError::RankPanicked`]
 /// report if a rank body panics; use [`try_run_cluster_on`] to get it as
 /// a value.
@@ -383,23 +224,9 @@ where
 {
     let cluster = Cluster::new(topo, net.into(), faults);
     let results: Vec<Mutex<Option<R>>> = (0..topo.size()).map(|_| Mutex::new(None)).collect();
-    let panicked = match backend {
-        #[cfg(all(target_os = "linux", target_arch = "x86_64"))]
-        Backend::Event => {
-            let workers = crate::event::default_workers().min(topo.size().max(1));
-            spawn_tasks(&cluster, workers, &body, &results)
-        }
-        _ => {
-            static WARNED: AtomicBool = AtomicBool::new(false);
-            if backend == Backend::Event && !WARNED.swap(true, Ordering::SeqCst) {
-                eprintln!(
-                    "netsim: event backend not supported on this platform; \
-                     falling back to thread backend"
-                );
-            }
-            spawn_threads(&cluster, &body, &results)
-        }
-    };
+    let workers = default_workers().min(topo.size().max(1));
+    let coroutines = backend == Backend::Event && Backend::event_supported();
+    let panicked = spawn_tasks(&cluster, workers, coroutines, &body, &results);
     if let Some((rank, payload)) = panicked {
         return Err(NetsimError::RankPanicked { rank, payload });
     }
@@ -431,10 +258,10 @@ fn payload_string(p: Box<dyn Any + Send>) -> String {
 /// number — each time a crash-stop fault unwinds it (the resilient
 /// driver's recovery epoch restores the lost state from the buddy
 /// checkpoint). `Err` is the payload of a real panic, which is the
-/// backend's to report.
+/// scheduler's to report.
 fn run_rank<'a, R, F>(
     cluster: &'a Cluster<'a>,
-    runtime: Runtime<'a>,
+    sched: &'a Sched,
     rank: usize,
     body: &F,
 ) -> Result<R, Box<dyn Any + Send>>
@@ -443,7 +270,7 @@ where
 {
     let mut incarnation = 0usize;
     loop {
-        let mut ctx = RankCtx::new(cluster, runtime, rank, incarnation);
+        let mut ctx = RankCtx::new(cluster, sched, rank, incarnation);
         match catch_unwind(AssertUnwindSafe(|| body(&mut ctx))) {
             Ok(r) => return Ok(r),
             Err(p) if p.is::<KillSentinel>() => {
@@ -455,54 +282,15 @@ where
     }
 }
 
-/// Thread-per-rank runner; returns the first rank panic. A panicking
-/// rank is caught at the rank boundary; the abort flag plus the
-/// mailbox/barrier interrupts unwind the surviving ranks (their pending
-/// receives report `Timeout`).
-fn spawn_threads<R, F>(
-    cluster: &Cluster<'_>,
-    body: &F,
-    results: &[Mutex<Option<R>>],
-) -> Option<(usize, String)>
-where
-    R: Send,
-    F: Fn(&mut RankCtx<'_>) -> R + Sync,
-{
-    let barrier = &AbortableBarrier::new(results.len());
-    let runtime = Runtime::Thread { barrier };
-    let panics: Mutex<Vec<(usize, String)>> = Mutex::new(Vec::new());
-    std::thread::scope(|s| {
-        let panics = &panics;
-        let joins: Vec<_> = (0..results.len())
-            .map(|rank| {
-                s.spawn(move || match run_rank(cluster, runtime, rank, body) {
-                    Ok(r) => *results[rank].lock() = Some(r),
-                    Err(p) => {
-                        panics.lock().push((rank, payload_string(p)));
-                        cluster.abort.store(true, Ordering::SeqCst);
-                        barrier.abort();
-                        runtime.wake_all(&cluster.mailboxes);
-                    }
-                })
-            })
-            .collect();
-        for j in joins {
-            // Rank panics are caught inside the closure; a join error
-            // here would mean the harness itself failed.
-            j.join().expect("rank worker thread lost");
-        }
-    });
-    panics.into_inner().into_iter().next()
-}
-
-/// Event-driven runner: one resumable task per rank on a work-stealing
-/// pool of `workers`; see `event.rs` for the scheduling rules. Returns
-/// the first rank panic: the task harness catches it, aborts the
-/// scheduler and expires every parked rank.
-#[cfg(all(target_os = "linux", target_arch = "x86_64"))]
+/// The runner: one task per rank — a coroutine if `coroutines`, else a
+/// rank thread — on a work-stealing pool of `workers`; see `event.rs`
+/// for the scheduling rules. Returns the first rank panic: the task
+/// catches it, the scheduler aborts the cluster and expires every parked
+/// rank.
 fn spawn_tasks<R, F>(
     cluster: &Cluster<'_>,
     workers: usize,
+    coroutines: bool,
     body: &F,
     results: &[Mutex<Option<R>>],
 ) -> Option<(usize, String)>
@@ -510,9 +298,6 @@ where
     R: Send,
     F: Fn(&mut RankCtx<'_>) -> R + Sync,
 {
-    use crate::event::{default_stack_bytes, Sched};
-    use std::sync::atomic::AtomicUsize;
-
     // Rank bodies need `&Sched` (for parking), but the scheduler is
     // built *from* the bodies. Tasks only ever run inside `sched.run()`,
     // so they can read the pointer through this cell, which is filled
@@ -526,7 +311,7 @@ where
                 // before run(); the Sched outlives all its tasks.
                 let sched: &Sched =
                     unsafe { &*(sched_cell.load(Ordering::SeqCst) as *const Sched) };
-                match run_rank(cluster, Runtime::Event { sched }, rank, body) {
+                match run_rank(cluster, sched, rank, body) {
                     Ok(r) => *results[rank].lock() = Some(r),
                     Err(p) => std::panic::resume_unwind(p),
                 }
@@ -534,11 +319,11 @@ where
         })
         .collect();
 
-    // SAFETY: `run()` below drives every task to completion (or
-    // abandonment after abort) before this function returns, so the
-    // borrows captured by the bodies stay valid for as long as any
-    // task can run.
-    let sched = unsafe { Sched::new(bodies, workers, default_stack_bytes(results.len())) };
+    let stack_bytes = default_stack_bytes(results.len());
+    // SAFETY: `run()` below drives every task to completion before this
+    // function returns, so the borrows captured by the bodies stay valid
+    // for as long as any task can run.
+    let sched = unsafe { Sched::new(bodies, workers, stack_bytes, coroutines) };
     sched_cell.store(&sched as *const Sched as usize, Ordering::SeqCst);
     sched.run();
     sched.take_panics().into_iter().next().map(|(rank, p)| (rank, payload_string(p)))
@@ -549,7 +334,7 @@ mod tests {
     use super::*;
     use crate::mailbox::Msg;
     use crate::model::NetworkModel;
-    use std::sync::atomic::AtomicUsize;
+    use std::sync::atomic::AtomicBool;
 
     #[test]
     fn barrier_synchronizes() {
@@ -567,40 +352,42 @@ mod tests {
     /// there queues without waking it: `push` reports nobody to wake, and
     /// the rank stays parked until the barrier itself releases it.
     #[test]
-    #[cfg(all(target_os = "linux", target_arch = "x86_64"))]
     fn a_push_to_a_rank_parked_on_the_barrier_wakes_nobody() {
         let topo = CartTopo::new(&[2], true);
-        let cluster = Cluster::new(&topo, NetworkModel::instant().into(), FaultConfig::off());
-        let results: Vec<Mutex<Option<()>>> = (0..2).map(|_| Mutex::new(None)).collect();
-        let (arrived, released) = (AtomicBool::new(false), AtomicBool::new(false));
-        // One worker: ranks run in turn, so once rank 0 has seen `arrived`
-        // and been resumed again, rank 1 is parked inside the barrier.
-        let panicked = spawn_tasks(
-            &cluster,
-            1,
-            &|ctx: &mut RankCtx<'_>| {
-                if ctx.rank() == 1 {
-                    arrived.store(true, Ordering::SeqCst);
+        for coroutines in [true, false] {
+            let cluster = Cluster::new(&topo, NetworkModel::instant().into(), FaultConfig::off());
+            let results: Vec<Mutex<Option<()>>> = (0..2).map(|_| Mutex::new(None)).collect();
+            let (arrived, released) = (AtomicBool::new(false), AtomicBool::new(false));
+            // One worker: ranks run in turn, so once rank 0 has seen `arrived`
+            // and been resumed again, rank 1 is parked inside the barrier.
+            let panicked = spawn_tasks(
+                &cluster,
+                1,
+                coroutines,
+                &|ctx: &mut RankCtx<'_>| {
+                    if ctx.rank() == 1 {
+                        arrived.store(true, Ordering::SeqCst);
+                        ctx.barrier();
+                        released.store(true, Ordering::SeqCst);
+                        return;
+                    }
+                    while !arrived.load(Ordering::SeqCst) {
+                        ctx.idle_tick();
+                    }
+                    ctx.idle_tick();
+                    let msg = Msg { owner: None, data: vec![1.0] };
+                    assert!(ctx.mailboxes[1].push((0, 7), msg).is_none(), "nobody sleeps on mailbox 1");
+                    for _ in 0..4 {
+                        ctx.idle_tick();
+                        assert!(!released.load(Ordering::SeqCst), "the push woke rank 1 out of the barrier");
+                    }
                     ctx.barrier();
-                    released.store(true, Ordering::SeqCst);
-                    return;
-                }
-                while !arrived.load(Ordering::SeqCst) {
-                    ctx.idle_tick();
-                }
-                ctx.idle_tick();
-                let msg = Msg { owner: None, data: vec![1.0] };
-                assert!(ctx.mailboxes[1].push((0, 7), msg).is_none(), "nobody sleeps on mailbox 1");
-                for _ in 0..4 {
-                    ctx.idle_tick();
-                    assert!(!released.load(Ordering::SeqCst), "the push woke rank 1 out of the barrier");
-                }
-                ctx.barrier();
-            },
-            &results,
-        );
-        assert!(panicked.is_none(), "{panicked:?}");
-        assert!(released.load(Ordering::SeqCst));
+                },
+                &results,
+            );
+            assert!(panicked.is_none(), "{panicked:?}");
+            assert!(released.load(Ordering::SeqCst));
+        }
     }
 
     #[test]

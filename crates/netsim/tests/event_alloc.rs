@@ -1,9 +1,11 @@
-//! Zero-allocation guard for the event backend's steady-state hot path.
+//! Zero-allocation guard for the scheduler's steady-state hot path, on
+//! both substrates.
 //!
 //! The scaling claim rests on the scheduler doing O(1) amortized work —
 //! and zero heap traffic — per park/wake/re-queue once warm: run
-//! queues and barrier wait-lists are preallocated at `Sched::new`, and
-//! the transport's message buffers come from the per-rank pool. This
+//! queues and barrier wait-lists are preallocated at `Sched::new`, a
+//! switch (coroutine or rank-thread token hand-off) allocates nothing,
+//! and the transport's message buffers come from the per-rank pool. This
 //! test pins that down with a counting global allocator, the same
 //! technique as the telemetry guard: after a warmup step, N further
 //! exchange steps (with barriers) must perform exactly zero heap
@@ -11,8 +13,6 @@
 //! count: the harness's own threads allocate
 //! whenever they please (libtest files a spawned test in its map after
 //! the test thread has started).
-
-#![cfg(all(target_os = "linux", target_arch = "x86_64"))]
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -32,8 +32,8 @@ thread_local! {
     static RUNS_RANKS: Cell<bool> = const { Cell::new(false) };
 }
 
-/// Called by a rank at the top of every step: ranks are coroutines and
-/// may resume on any worker, so each step marks the thread it is on.
+/// Called by a rank at the top of every step: a coroutine rank may
+/// resume on any worker, so each step marks the thread it is on.
 fn on_rank_thread() {
     RUNS_RANKS.with(|f| f.set(true));
 }
@@ -58,11 +58,11 @@ static GLOBAL: CountingAlloc = CountingAlloc;
 type Step = fn(&mut RankCtx<'_>, usize, usize, &mut [f64; 8]);
 
 /// Allocations per rank over 20 steps of `step`, after 3 warm-up steps,
-/// on an 8-rank ring on the event backend's default workers.
-fn steady_state_allocs(step: Step) -> Vec<u64> {
+/// on an 8-rank ring on `backend` and the default workers.
+fn steady_state_allocs(backend: Backend, step: Step) -> Vec<u64> {
     let topo = CartTopo::new(&[8], true);
     run_cluster_on(
-        Backend::Event,
+        backend,
         &topo,
         NetworkModel::instant(),
         FaultConfig::off(),
@@ -126,12 +126,14 @@ fn direct_step(ctx: &mut RankCtx<'_>, left: usize, right: usize, storage: &mut [
 /// one's window.
 #[test]
 fn event_backend_hot_path_is_allocation_free() {
-    for (name, step) in [("all-eager", eager_step as Step), ("all-direct", direct_step)] {
-        for (rank, leaked) in steady_state_allocs(step).iter().enumerate() {
-            assert_eq!(
-                *leaked, 0,
-                "{name} ring, rank {rank}: steady-state exchange allocated {leaked} times in 20 steps"
-            );
+    for backend in [Backend::Event, Backend::Thread] {
+        for (name, step) in [("all-eager", eager_step as Step), ("all-direct", direct_step)] {
+            for (rank, leaked) in steady_state_allocs(backend, step).iter().enumerate() {
+                assert_eq!(
+                    *leaked, 0,
+                    "{backend}: {name} ring, rank {rank}: steady-state exchange allocated {leaked} times in 20 steps"
+                );
+            }
         }
     }
 }

@@ -1,7 +1,8 @@
-//! Thread-vs-event backend contract tests: the two substrates must be
-//! observationally identical (results AND modeled timers, to the bit),
-//! and the event backend must deliver its scaling/robustness upgrades
-//! (thousands of ranks, deadlock recovery, structured panic reporting).
+//! Thread-vs-event backend contract tests: the two substrates run under
+//! one scheduler and must be observationally identical (results AND
+//! modeled timers, to the bit); both must recover from deadlock and
+//! report a panic structurally, and the event backend must deliver its
+//! scaling upgrade (thousands of ranks).
 
 use std::time::{Duration, Instant};
 
@@ -102,17 +103,13 @@ fn backends_bit_identical_under_chaos() {
 
 #[test]
 fn event_backend_detects_deadlock_instead_of_hanging() {
-    // Rank 1 waits for a message nobody sends. The thread backend would
-    // block until its hang guard gives up; the event scheduler sees
-    // quiescence, declares deadlock, and wakes the rank with a
-    // structured timeout at once.
+    // Rank 1 waits for a message nobody sends. Both backends run under
+    // the one scheduler, which sees quiescence, declares deadlock, and
+    // wakes the rank with a structured timeout at once.
     let topo = CartTopo::new(&[2], true);
-    let out = run_cluster_on(
-        Backend::Event,
-        &topo,
-        NetworkModel::instant(),
-        FaultConfig::off(),
-        |ctx| {
+    for backend in [Backend::Thread, Backend::Event] {
+        let t0 = Instant::now();
+        let out = run_cluster_on(backend, &topo, NetworkModel::instant(), FaultConfig::off(), |ctx| {
             if ctx.rank() == 1 {
                 let h = ctx.irecv(0, 99).unwrap();
                 let mut buf = [0.0];
@@ -123,9 +120,44 @@ fn event_backend_detects_deadlock_instead_of_hanging() {
             } else {
                 true // rank 0 sends nothing and exits
             }
-        },
-    );
-    assert_eq!(out, vec![true, true]);
+        });
+        assert_eq!(out, vec![true, true], "{backend}");
+        assert!(t0.elapsed() < Duration::from_secs(10), "{backend}: the deadlock took {:?}", t0.elapsed());
+    }
+}
+
+/// A rank that spin-polls for a message from a peer that panicked never
+/// parks, so no expiry reaches it: its next cooperative yield unwinds it
+/// instead, and the run reports the peer's panic — on both backends. The
+/// run is driven from a helper thread, so a spin that never ends fails
+/// this test by name instead of hanging the suite.
+#[test]
+fn a_spin_poll_returns_when_a_peer_panics() {
+    for backend in [Backend::Thread, Backend::Event] {
+        let (tx, rx) = std::sync::mpsc::channel();
+        std::thread::spawn(move || {
+            let topo = CartTopo::new(&[2], true);
+            let run = try_run_cluster_on(backend, &topo, NetworkModel::instant(), FaultConfig::off(), |ctx| {
+                if ctx.rank() == 1 {
+                    panic!("rank 1 gave up at once");
+                }
+                let h = ctx.irecv(1, 5).unwrap();
+                loop {
+                    if let Some(msg) = ctx.try_wait(h) {
+                        ctx.recycle(msg);
+                    }
+                }
+            });
+            let _ = tx.send(run.map(|_| ()));
+        });
+        match rx.recv_timeout(Duration::from_secs(30)) {
+            Ok(Err(NetsimError::RankPanicked { rank, payload })) => {
+                assert_eq!(rank, 1, "{backend}: wrong rank blamed ({payload})");
+            }
+            Ok(other) => panic!("{backend}: expected RankPanicked {{ rank: 1 }}, got {other:?}"),
+            Err(_) => panic!("{backend}: a rank spinning on try_wait never saw its peer's panic in 30 s"),
+        }
+    }
 }
 
 #[test]

@@ -40,16 +40,43 @@ fn non_test(text: &str) -> &str {
     text.split("\n#[cfg(test)]").next().unwrap_or_default()
 }
 
-/// `netsim` knows it has two backends in one file: a third way to block
-/// arrives as one more arm of `runtime.rs`'s matches, not as a new
-/// `match` in the transport.
+/// `netsim` knows it has two backends in one line: outside `runtime.rs`,
+/// which maps a `Backend` to a substrate, no file names a backend
+/// variant, and outside `task.rs`, which implements both substrates, no
+/// file names a substrate variant — a third way to keep a rank's stack
+/// arrives as one more variant there, not as a new `match` in the
+/// transport or the scheduler.
 #[test]
 fn only_runtime_rs_names_a_backend_variant() {
     let files = sources("netsim");
-    assert!(files.iter().any(|(name, _)| name == "runtime.rs"), "netsim has no runtime.rs");
-    for (name, text) in files {
-        let named = text.contains("Runtime::Thread") || text.contains("Runtime::Event");
-        assert!(name == "runtime.rs" || !named, "{name} matches on the backend; that belongs in runtime.rs");
+    for (file, variants) in [
+        ("runtime.rs", ["Backend::Thread", "Backend::Event"]),
+        ("task.rs", ["Stack::Thread", "Stack::Coroutine"]),
+    ] {
+        assert!(files.iter().any(|(name, _)| name == file), "netsim has no {file}");
+        for (name, text) in &files {
+            let named = variants.iter().find(|v| non_test(text).contains(*v));
+            assert!(
+                name == file || named.is_none(),
+                "{name} names {}; that belongs in {file}",
+                named.unwrap_or(&""),
+            );
+        }
+    }
+}
+
+/// Every rank blocks in the one scheduler: outside their tests, only
+/// `event.rs` (idle workers) and `task.rs` (the rank-thread hand-off)
+/// wait on a `Condvar` — no second way to sleep, and no second sleeper
+/// the scheduler's deadlock detector cannot see.
+#[test]
+fn only_the_scheduler_and_the_thread_handoff_wait_on_a_condvar() {
+    for (name, text) in sources("netsim") {
+        let waits = non_test(&text).split(|c: char| !(c.is_alphanumeric() || c == '_')).any(|w| w == "Condvar");
+        assert!(
+            !waits || matches!(name.as_str(), "event.rs" | "task.rs"),
+            "crates/netsim/src/{name} names `Condvar`: a rank blocks by parking in `event::Sched`"
+        );
     }
 }
 
@@ -65,17 +92,11 @@ fn no_netsim_source_file_exceeds_900_lines() {
 
 /// The host clock is not a protocol input: outside their tests, the
 /// transport and the drivers name `Instant` or `Duration` only where they
-/// measure (timers, detection latency, measured kernels) or guard (the
-/// thread backend's hang guard, which can fail a run but never steer it).
+/// measure (timers, detection latency, measured kernels). Nothing guards
+/// a wait with a clock either: the scheduler detects a deadlock exactly.
 #[test]
 fn only_measuring_and_guarding_files_name_the_clock() {
-    const ALLOWED: [&str; 5] = [
-        "netsim/timers.rs",
-        "netsim/procfault.rs",
-        "netsim/runtime.rs",
-        "core/engine.rs",
-        "core/gpu.rs",
-    ];
+    const ALLOWED: [&str; 4] = ["netsim/timers.rs", "netsim/procfault.rs", "core/engine.rs", "core/gpu.rs"];
     for krate in ["netsim", "core"] {
         for (name, text) in sources(krate) {
             let path = format!("{krate}/{name}");

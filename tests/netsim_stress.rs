@@ -379,8 +379,8 @@ fn recv_word(ctx: &mut RankCtx<'_>, h: RecvHandle, round: usize) -> Result<f64, 
     }
 }
 
-/// Lost-wake hammer for the sleep/wake protocol (event backend, two
-/// workers): every receive below sleeps unless its message already
+/// Lost-wake hammer for the sleep/wake protocol (two workers, on both
+/// substrates): every receive below sleeps unless its message already
 /// landed, and every send must wake a sleeper exactly when there is one.
 /// Two ranks ping-pong 200,000 one-word messages — the tightest
 /// raise/take race there is — and a 64-rank ring passes 2,000 rounds with
@@ -391,16 +391,19 @@ fn recv_word(ctx: &mut RankCtx<'_>, h: RecvHandle, round: usize) -> Result<f64, 
 /// `Timeout`: the test fails by name instead of hanging.
 #[test]
 fn no_wake_is_lost_between_a_missed_probe_and_the_park() {
-    if !Backend::event_supported() {
-        return;
-    }
     std::env::set_var("NETSIM_WORKERS", "2");
+    for backend in [Backend::Event, Backend::Thread] {
+        hammer_wakes(backend);
+    }
+}
+
+fn hammer_wakes(backend: Backend) {
     let run = |ranks: usize, body: &(dyn Fn(&mut RankCtx<'_>) -> Result<(), NetsimError> + Sync)| {
         let topo = CartTopo::new(&[ranks], true);
         let net = NetworkModel::instant();
-        let done = try_run_cluster_on(Backend::Event, &topo, net, FaultConfig::off(), body);
+        let done = try_run_cluster_on(backend, &topo, net, FaultConfig::off(), body);
         for (rank, r) in done.expect("no rank panics").into_iter().enumerate() {
-            r.unwrap_or_else(|e| panic!("rank {rank} of {ranks} lost a wake: {e}"));
+            r.unwrap_or_else(|e| panic!("{backend}: rank {rank} of {ranks} lost a wake: {e}"));
         }
     };
 

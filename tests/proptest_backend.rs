@@ -1,11 +1,12 @@
-//! Property-based tests on the event-driven cluster backend: for every
-//! exchange engine, stencil shape, rank split, and chaos seed, running
-//! the experiment on the event multiplexer must produce bit-identical
-//! physics, modeled timers and fault accounting to the thread-per-rank
-//! reference. The two substrates implement blocking completely
-//! differently (condvar sleeps vs coroutine parking), and no protocol
-//! step waits on a clock, so any drift is a scheduler bug, never an
-//! acceptable tolerance. The matrix mirrors `proptest_overlap.rs`.
+//! Property-based tests on the two cluster backends: for every exchange
+//! engine, stencil shape, rank split, and chaos seed, running the
+//! experiment on coroutines must produce bit-identical physics, modeled
+//! timers and fault accounting to running it on rank threads. Both are
+//! two stacks under one scheduler, which runs them in different orders
+//! (a coroutine switch is far cheaper than a thread hand-off), and no
+//! protocol step waits on a clock, so any drift is a scheduler or
+//! substrate bug, never an acceptable tolerance. The matrix mirrors
+//! `proptest_overlap.rs`.
 
 mod common;
 

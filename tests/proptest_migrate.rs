@@ -160,8 +160,8 @@ fn lossy_migrated_runs_match_the_clean_trajectory() {
     assert!(retries.get() > 0, "no lossy row ever retransmitted");
 }
 
-/// The event multiplexer and the thread-per-rank reference schedule
-/// discovery and migration completely differently in real time; the
+/// Coroutines and rank threads interleave discovery and migration
+/// differently in real time under the one scheduler; the
 /// virtual-clock protocol must still land the identical trajectory —
 /// including the NBX round count, which recovery replays must not
 /// inflate differently per backend.
