@@ -13,25 +13,29 @@
 //!    [`netsim::frame_checksum`] the reliable protocol uses), and sends
 //!    the slot to its buddy `(rank + 1) % n` around the ring. The
 //!    buddy verifies the frame and keeps the message buffer itself as
-//!    its guard slot ([`netsim::RankCtx::adopt`]), so a frame is copied
-//!    once and hashed once per hop. Slots are double-buffered, so a
-//!    failure can never leave a rank holding only a torn frame.
-//! 2. **Detect.** Kills fire only inside the armed step window (see
-//!    [`netsim::RankCtx::set_fault_step`]); the victim revokes the
-//!    communicator on its way down, and every survivor's next blocking
-//!    operation — at the latest the per-step fence — unwinds with
-//!    [`NetsimError::RankFailed`] instead of hanging.
-//! 3. **Recover** (ULFM-style, see [`recover_epoch`]): a join fence
-//!    gathers every rank (including the respawned victim) on the revoked
-//!    communicator; stale data-plane frames are purged (delivery is
-//!    eager, so by fence time every pre-failure send has landed); an
+//!    its guard slot ([`netsim::RankCtx::adopt`]; every other received
+//!    frame goes back to its sender's pool when dropped), so a frame is
+//!    copied once and hashed once per hop. Slots are double-buffered, so
+//!    a failure can never leave a rank holding only a torn frame.
+//! 2. **Detect.** Kills fire only inside the armed step window
+//!    ([`netsim::RankCtx::fault_step`] wraps each step body); the victim
+//!    revokes the communicator on its way down, and every survivor's
+//!    next wait or poll — at the latest the per-step
+//!    [`netsim::RankCtx::fence`] — reports [`NetsimError::RankFailed`]
+//!    instead of hanging.
+//! 3. **Recover** (ULFM-style, see [`recover_epoch`]): `netsim` owns the
+//!    bracket ([`netsim::RankCtx::recover`]: a join fence that gathers
+//!    every rank, the respawned victim included, on the revoked
+//!    communicator; the purge of stale data-plane frames — delivery is
+//!    eager, so by fence time every pre-failure send has landed; a
+//!    release fence that un-revokes the communicator before anyone
+//!    resumes). This module supplies the protocol in between: an
 //!    NBX-style agreement round settles the common recovery step; the
 //!    buddy streams the victim's snapshot back, the anti-buddy
 //!    `(f - 1) % n` re-seeds the redundancy the victim lost; every rank
 //!    rolls its grid back ([`DriveOp::Restore`]) and rebuilds its
 //!    persistent artifacts — exchange sessions, partitioned channel
-//!    tables, dependency graph ([`DriveOp::Rebuild`]); and a final fence
-//!    un-revokes the communicator before anyone resumes.
+//!    tables, dependency graph ([`DriveOp::Rebuild`]).
 //! 4. **Replay.** Execution resumes at the recovery step. The step body
 //!    is deterministic in the grid contents, so the replayed run is
 //!    bit-identical to the fault-free schedule.
@@ -66,13 +70,13 @@
 //! (ghost rim, next grid) with NaN, so a schedule that did read stale
 //! state fails every kill test's checksum.
 //!
-//! Recovery control traffic flows on its own reserved tag namespace
-//! (fault-exempt, preserved by the post-fence purge); step fences and
+//! Recovery control traffic flows on [`netsim::RECO_NS`] (fault-exempt,
+//! preserved by the post-fence purge); step fences and
 //! checkpoint frames use a second reserved namespace that is *not*
 //! preserved, because after a failure any such frame is stale by
 //! construction.
 
-use netsim::{frame_checksum, FaultKind, NetsimError, RankCtx, RecvdMsg, CTRL_TAG_BIT};
+use netsim::{frame_checksum, Failure, NetsimError, RankCtx, RecvdMsg, CTRL_TAG_BIT, RECO_NS};
 
 /// Per-step control namespace: fence tokens and checkpoint frames.
 /// Purged (with the data plane) during recovery — a surviving token
@@ -81,17 +85,12 @@ const STEP_JOIN: u64 = CTRL_TAG_BIT | 0x7EC0_0000;
 const STEP_REL: u64 = CTRL_TAG_BIT | 0x7EC0_0001;
 const CKPT: u64 = CTRL_TAG_BIT | 0x7EC0_0002;
 
-/// Recovery-epoch namespace: everything sent between the join fence and
-/// the release fence. The mailbox purge keeps `RECO_NS | 0..=7`.
-const RECO_NS: u64 = CTRL_TAG_BIT | 0x7EC1_0000;
-const JOIN_A: u64 = RECO_NS;
-const REL_A: u64 = RECO_NS | 1;
+/// The recovery protocol's tags: inside the namespace the recovery
+/// epoch's purge keeps, beside the bracket's own fences.
 const AGREE: u64 = RECO_NS | 2;
 const PLAN: u64 = RECO_NS | 3;
 const RESTORE: u64 = RECO_NS | 4;
 const REBUDDY: u64 = RECO_NS | 5;
-const JOIN_B: u64 = RECO_NS | 6;
-const REL_B: u64 = RECO_NS | 7;
 
 /// One operation the harness asks of the driver's loop closure.
 ///
@@ -247,7 +246,7 @@ impl CkptStore {
     /// Verify an arrived buddy frame and keep its buffer as guard slot
     /// `slot`. The swap cannot tear: the slot holds the old frame until
     /// the new one has passed its checksum.
-    fn guard(&mut self, ctx: &mut RankCtx<'_>, slot: usize, m: RecvdMsg) {
+    fn guard(&mut self, ctx: &mut RankCtx<'_>, slot: usize, m: RecvdMsg<'_>) {
         let (step, _) = open_frame(m.data());
         ctx.adopt(m, &mut self.foreign[slot]);
         self.foreign_step[slot] = step;
@@ -279,44 +278,6 @@ fn open_frame(frame: &[f64]) -> (i64, &[f64]) {
         "buddy checkpoint frame failed its checksum"
     );
     (step, payload)
-}
-
-/// Rank-0-rooted message fence: everyone checks in, rank 0 releases.
-/// When `clear` is set, rank 0 acknowledges the failure cluster-wide
-/// *before* releasing, so no rank can leave the fence and still observe
-/// the stale revocation.
-fn fence(ctx: &mut RankCtx<'_>, join: u64, rel: u64, clear: bool) -> Result<(), NetsimError> {
-    fence_open(ctx, join, rel, clear)?;
-    if ctx.size() > 1 {
-        ctx.flush_epoch();
-    }
-    Ok(())
-}
-
-/// [`fence`] without the closing flush: the tokens stay in the caller's
-/// send epoch and are billed with whatever it posts next (the migration
-/// epoch's load trade).
-pub(crate) fn fence_open(ctx: &mut RankCtx<'_>, join: u64, rel: u64, clear: bool) -> Result<(), NetsimError> {
-    let n = ctx.size();
-    if ctx.rank() == 0 {
-        for src in 1..n {
-            let h = ctx.irecv(src, join)?;
-            let m = ctx.recv_blocking(h)?;
-            ctx.recycle(m);
-        }
-        if clear {
-            ctx.clear_failure();
-        }
-        for dst in 1..n {
-            ctx.isend(dst, rel, &[1.0])?;
-        }
-    } else {
-        ctx.isend(0, join, &[1.0])?;
-        let h = ctx.irecv(0, rel)?;
-        let m = ctx.recv_blocking(h)?;
-        ctx.recycle(m);
-    }
-    Ok(())
 }
 
 /// Take one checkpoint labeled `step` (the state a replay of `step`
@@ -362,7 +323,7 @@ where
                 // and (delivery being eager) the frame is already queued —
                 // complete the recv non-blocking, then let the caller
                 // enter recovery with the slot intact.
-                if let Some(m) = ctx.try_wait(h) {
+                if let Ok(Some(m)) = ctx.try_wait(h) {
                     st.guard(ctx, slot, m);
                 }
                 ctx.flush_epoch();
@@ -386,12 +347,10 @@ fn agree(ctx: &mut RankCtx<'_>, latest: i64) -> Result<i64, NetsimError> {
         let mut s_rec = if latest >= 0 { latest } else { i64::MAX };
         for src in 1..n {
             let h = ctx.irecv(src, AGREE)?;
-            let m = ctx.recv_blocking(h)?;
-            let v = m.data()[0].to_bits() as i64;
+            let v = ctx.recv_blocking(h)?.data()[0].to_bits() as i64;
             if v >= 0 {
                 s_rec = s_rec.min(v);
             }
-            ctx.recycle(m);
         }
         assert!(s_rec != i64::MAX, "recovery with no surviving checkpoint");
         for dst in 1..n {
@@ -402,9 +361,7 @@ fn agree(ctx: &mut RankCtx<'_>, latest: i64) -> Result<i64, NetsimError> {
     } else {
         ctx.isend(0, AGREE, &[f64::from_bits(latest as u64)])?;
         let h = ctx.irecv(0, PLAN)?;
-        let m = ctx.recv_blocking(h)?;
-        let v = m.data()[0].to_bits() as i64;
-        ctx.recycle(m);
+        let v = ctx.recv_blocking(h)?.data()[0].to_bits() as i64;
         ctx.flush_epoch();
         Ok(v)
     }
@@ -425,7 +382,9 @@ fn send_slot(
     ctx.isend(dest, tag, frame)
 }
 
-/// One recovery epoch. Returns the step execution resumes at.
+/// One recovery epoch: this module's protocol inside `netsim`'s bracket
+/// ([`RankCtx::recover`]), then the accounting. Returns the step
+/// execution resumes at.
 fn recover_epoch<'a, F>(
     ctx: &mut RankCtx<'a>,
     body: &mut F,
@@ -435,20 +394,33 @@ fn recover_epoch<'a, F>(
 where
     F: FnMut(&mut RankCtx<'a>, DriveOp<'_>) -> Result<(), NetsimError>,
 {
+    let (s_rec, failure) = ctx.recover(|ctx, failure| restore(ctx, body, st, rec, failure))?;
+    rec.recovery_epochs += 1;
+    rec.replayed_steps = rec.replayed_steps.max((failure.step as i64 - s_rec).max(0) as u64);
+    rec.failed_rank = failure.rank as i64;
+    rec.failed_step = failure.step as i64;
+    rec.detect_latency_s = rec.detect_latency_s.max(failure.detect_latency);
+    ctx.note_count("recovery_epochs", 1);
+    Ok(s_rec as usize)
+}
+
+/// The recovery protocol: agree on the common checkpoint step, stream
+/// the victim's snapshot back and re-seed its guard slot, roll every
+/// rank back and rebuild its persistent artifacts. Returns the agreed
+/// step.
+fn restore<'a, F>(
+    ctx: &mut RankCtx<'a>,
+    body: &mut F,
+    st: &mut CkptStore,
+    rec: &mut FailureRecovery,
+    failure: &Failure,
+) -> Result<i64, NetsimError>
+where
+    F: FnMut(&mut RankCtx<'a>, DriveOp<'_>) -> Result<(), NetsimError>,
+{
     let n = ctx.size();
     let me = ctx.rank();
-    let (failed, failed_step) =
-        ctx.failed_info().expect("recovery epoch entered without a pending failure");
-    ctx.begin_recovery();
-    // Close the aborted step's accounting epoch before fencing.
-    ctx.flush_epoch();
-    fence(ctx, JOIN_A, REL_A, false)?;
-    // Every pre-failure send has landed (delivery is eager and the whole
-    // cluster has joined), so anything outside the recovery namespace is
-    // stale: data frames of the aborted step, fence tokens from a fence
-    // the victim never joined, orphaned collective contributions.
-    let purged = ctx.drain_all_except(|_, tag| tag & !0xF == RECO_NS);
-    ctx.note_count("recovery_purged_msgs", purged as u64);
+    let failed = failure.rank;
     let s_rec = agree(ctx, st.latest_step())?;
     let buddy = (failed + 1) % n;
     let anti = (failed + n - 1) % n;
@@ -483,17 +455,7 @@ where
     }
     ctx.flush_epoch();
     body(ctx, DriveOp::Rebuild)?;
-    fence(ctx, JOIN_B, REL_B, true)?;
-    ctx.end_recovery();
-    rec.recovery_epochs += 1;
-    rec.replayed_steps = rec.replayed_steps.max((failed_step as i64 - s_rec).max(0) as u64);
-    rec.failed_rank = failed as i64;
-    rec.failed_step = failed_step as i64;
-    if let Some(d) = ctx.detect_latency() {
-        rec.detect_latency_s = rec.detect_latency_s.max(d);
-    }
-    ctx.note_count("recovery_epochs", 1);
-    Ok(s_rec as usize)
+    Ok(s_rec)
 }
 
 /// Drive `cfg.steps` timesteps of `body`, transparently surviving a
@@ -521,11 +483,7 @@ where
     let mut rec = FailureRecovery::default();
     let mut step = 0usize;
     if ctx.incarnation() > 0 {
-        // Respawned victim: its first-incarnation trace died with it, so
-        // re-record the kill, then join the recovery epoch directly.
-        if let Some((_, fs)) = ctx.failed_info() {
-            ctx.record_proc_fault_event(FaultKind::Kill, fs, 0);
-        }
+        // Respawned victim: join the recovery epoch directly.
         step = ctx.scoped("recovery", |ctx| recover_epoch(ctx, body, &mut st, &mut rec))?;
     } else {
         // The base checkpoint: a kill inside step 0 replays from scratch.
@@ -542,12 +500,13 @@ where
         }
     }
     while step < cfg.steps {
-        ctx.set_fault_step(step as u64);
-        let r = body(ctx, DriveOp::Step(step));
-        ctx.clear_fault_step();
+        let r = ctx.fault_step(step as u64, |ctx| body(ctx, DriveOp::Step(step)));
         // The fence catches survivors whose own step completed cleanly
         // while a peer died: nobody passes it until every rank joined.
-        let r = r.and_then(|()| fence(ctx, STEP_JOIN, STEP_REL, false));
+        let r = r.and_then(|()| ctx.fence(STEP_JOIN, STEP_REL));
+        if r.is_ok() && ctx.size() > 1 {
+            ctx.flush_epoch();
+        }
         match r {
             Ok(()) => {
                 step += 1;
@@ -601,9 +560,7 @@ mod tests {
                     DriveOp::Step(step) => {
                         ctx.isend(right, 0x51E9, &state)?;
                         let h = ctx.irecv(left, 0x51E9)?;
-                        let m = ctx.recv_blocking(h)?;
-                        let v = m.data()[0];
-                        ctx.recycle(m);
+                        let v = ctx.recv_blocking(h)?.data()[0];
                         ctx.flush_epoch();
                         state[0] = state[0] * 0.5 + v * 0.5 + step as f64;
                     }
@@ -681,9 +638,7 @@ mod tests {
                     }
                     ctx.isend(right, 0x51E9, &state[..1])?;
                     let h = ctx.irecv(left, 0x51E9)?;
-                    let m = ctx.recv_blocking(h)?;
-                    let v = m.data()[0];
-                    ctx.recycle(m);
+                    let v = ctx.recv_blocking(h)?.data()[0];
                     ctx.flush_epoch();
                     for (i, s) in state.iter_mut().enumerate() {
                         *s = *s * 0.5 + v * 0.5 + (step + i) as f64;

@@ -26,7 +26,6 @@ use sched::DepGraph;
 use stencil::PlanSplit;
 
 use crate::balance::propose_moves;
-use crate::checkpoint::fence_open;
 use crate::decomp::Ownership;
 use crate::driver::RebalanceCfg;
 use crate::engine::{ghosts_of, RankEngine, SplitSetup};
@@ -200,7 +199,7 @@ impl<'a> Migrating<'a> {
 
         // Fence through rank 0 so no rank starts trading while a peer is
         // still inside the previous step's exchange.
-        fence_open(ctx, FENCE[0], FENCE[1], false)?;
+        ctx.fence(FENCE[0], FENCE[1])?;
 
         // Window loads with the diffusion ring (right first, then left).
         let (right, left) = ((me + 1) % n, (me + n - 1) % n);
@@ -212,9 +211,7 @@ impl<'a> Migrating<'a> {
         let mut nb_loads = Vec::with_capacity(nbrs.len());
         for &p in nbrs {
             let h = ctx.irecv(p, LOAD_TAG)?;
-            let msg = ctx.recv_blocking(h)?;
-            nb_loads.push((p as u32, msg.data()[0]));
-            ctx.recycle(msg);
+            nb_loads.push((p as u32, ctx.recv_blocking(h)?.data()[0]));
         }
 
         // Imbalance metric: the cost model is closed-form, so the mean rank
@@ -260,7 +257,6 @@ impl<'a> Migrating<'a> {
                 arrived.push((b, brick[1..].to_vec()));
                 self.view.set_owner(b, me as u32);
             }
-            ctx.recycle(msg);
         }
         ctx.flush_epoch();
 

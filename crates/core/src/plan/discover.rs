@@ -137,15 +137,11 @@ pub fn discover_plan(
         serve(ctx, &fwd, &owned_set, view, &mut send, &mut recv, &mut outstanding, &mut stats)?;
         match bar.as_mut() {
             None if outstanding == 0 => bar = Some(Ibarrier::start(ctx)?),
-            None => {
-                ctx.idle_tick();
-                check_failure(ctx)?;
-            }
+            None => ctx.idle_tick()?,
             Some(b) => {
                 if b.advance(ctx)? {
                     break;
                 }
-                check_failure(ctx)?;
             }
         }
     }
@@ -176,15 +172,6 @@ fn req_frame(requester: usize, ids: &[u32]) -> Vec<f64> {
     frame
 }
 
-fn check_failure(ctx: &mut RankCtx<'_>) -> Result<(), NetsimError> {
-    if !ctx.recovering() {
-        if let Some(e) = ctx.rank_failure() {
-            return Err(e);
-        }
-    }
-    Ok(())
-}
-
 /// Pop and process every deposited discovery frame: serve or forward
 /// requests, consume replies.
 #[allow(clippy::too_many_arguments)]
@@ -213,7 +200,7 @@ fn serve(
             // The mailbox just showed a deposited frame and only this
             // rank pops its own mailbox, so try_wait cannot miss.
             let h = ctx.irecv(src, tag)?;
-            let Some(msg) = ctx.try_wait(h) else { continue };
+            let Some(msg) = ctx.try_wait(h)? else { continue };
             let data = msg.data();
             if tag == REQ_TAG {
                 let requester = data[0].to_bits() as usize;
@@ -260,7 +247,6 @@ fn serve(
                     *outstanding = outstanding.saturating_sub(1);
                 }
             }
-            ctx.recycle(msg);
         }
     }
 }

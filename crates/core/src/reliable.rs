@@ -66,6 +66,12 @@
 //! before returning ([`netsim::RankCtx::drain_mailbox`]), so a
 //! duplicate storm cannot grow the mailbox across timesteps.
 //!
+//! A crashed peer needs no check of the session's own: every poll and
+//! wait the rounds make — the data phase's `try_wait`, the control phase's
+//! receives, the all-reduces — reports a revoked communicator as
+//! [`NetsimError::RankFailed`], and the caller's recovery epoch takes
+//! over.
+//!
 //! # Counters
 //!
 //! Every response — a retry, a discarded duplicate, a rejected frame, a
@@ -208,26 +214,14 @@ impl ReliableSession {
         ctx.allreduce_max(0.0)?;
         let mut wave: u32 = 0;
         loop {
-            // A revoked communicator cannot converge: the dead peer will
-            // never answer the control phase or the termination
-            // collective. Surface the failure before posting anything
-            // (recovery-epoch traffic is exempt — the session never runs
-            // inside one, but be safe).
-            if !ctx.recovering() {
-                if let Some(e) = ctx.rank_failure() {
-                    ctx.flush_epoch();
-                    return Err(e);
-                }
-            }
             // --- Data phase: drain what the last fence guarantees is
             // there, per key, so a clean duplicate can satisfy a channel
             // whose first copy was damaged. ---
             for i in 0..self.recvs.len() {
                 while !self.done[i] {
                     let h = ctx.irecv(self.recvs[i].src, self.recvs[i].tag)?;
-                    let Some(msg) = ctx.try_wait(h) else { break };
+                    let Some(msg) = ctx.try_wait(h)? else { break };
                     self.accept(ctx, i, msg.data(), deliver);
-                    ctx.recycle(msg);
                 }
             }
             ctx.flush_epoch();
@@ -257,7 +251,6 @@ impl ReliableSession {
                         }
                     }
                 }
-                ctx.recycle(msg);
             }
             ctx.flush_epoch();
 

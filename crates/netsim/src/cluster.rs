@@ -5,8 +5,9 @@
 //! `impl RankCtx` is spread over the files its facets fall into: this one
 //! keeps the sends, the receive completions and the loopbacks;
 //! `clock.rs` the billing, the send epoch and the recorded timers and
-//! traces; `procfault.rs` the crash-stop machinery and the recovery-epoch
-//! calls; `mailbox.rs` the message store underneath and the pooled buffers.
+//! traces; `procfault.rs` the crash-stop machinery, the failure detector
+//! and the recovery bracket; `collective.rs` the fence and the reductions;
+//! `mailbox.rs` the message store underneath and the pooled buffers.
 //!
 //! **Who blocks where.** Sends never block. A rank blocks in two places:
 //! [`RankCtx::barrier`], and — under `recv_blocking`, `waitall_*` and
@@ -14,7 +15,9 @@
 //! wait loop of `mailbox.rs` on its *own* mailbox,
 //! where the sleep/wake protocol is stated and argued. The polling
 //! completions (`try_wait`, `progress_with`, `idle_tick`) yield to the
-//! scheduler instead.
+//! scheduler instead. Every wait and every poll reports a revoked
+//! communicator as [`NetsimError::RankFailed`], through the one
+//! failure detector in `procfault.rs`: a spin loop cannot miss a crash.
 //!
 //! Data really moves between rank memories, and a mailbox message takes
 //! one of two paths, decided per message from the state the sender finds:
@@ -111,14 +114,25 @@ impl RecvHandle {
 /// A message popped off the mailbox by [`RankCtx::recv_blocking`] or
 /// [`RankCtx::try_wait`] — the low-level completion used by protocols
 /// that need to inspect frames (checksums, sequence numbers) before
-/// deciding where the payload lands. Return it to the transport with
-/// [`RankCtx::recycle`] so pooled buffers keep circulating.
-pub struct RecvdMsg(Msg);
+/// deciding where the payload lands. Dropping it returns its buffer to
+/// the sender's pool, so pooled buffers keep circulating on every path
+/// (an early return, a kill's unwind); [`RankCtx::adopt`] keeps the
+/// buffer instead.
+pub struct RecvdMsg<'a> {
+    msg: Msg,
+    pools: &'a [BufferPool],
+}
 
-impl RecvdMsg {
+impl RecvdMsg<'_> {
     /// The received frame.
     pub fn data(&self) -> &[f64] {
-        &self.0.data
+        &self.msg.data
+    }
+}
+
+impl Drop for RecvdMsg<'_> {
+    fn drop(&mut self) {
+        std::mem::take(&mut self.msg).recycle(self.pools);
     }
 }
 
@@ -191,7 +205,7 @@ impl<'a> RankCtx<'a> {
         // respawned rank must not be re-killed, and a replayed step must
         // not re-stall.
         let first = incarnation == 0;
-        RankCtx {
+        let mut ctx = RankCtx {
             rank,
             topo: cluster.topo,
             net: net.inter,
@@ -219,7 +233,11 @@ impl<'a> RankCtx<'a> {
             recovery_mode: false,
             incarnation,
             detect_latency: None,
+        };
+        if !first {
+            ctx.record_respawn();
         }
+        ctx
     }
 
     /// This rank's id.
@@ -509,11 +527,8 @@ impl<'a> RankCtx<'a> {
     /// deadlocked).
     fn blocking_probe<T>(&self, probe: impl FnMut(&mut MailboxInner) -> Option<T>) -> Option<T> {
         // Outside recovery mode a revoked communicator stops every
-        // blocking wait — that is the failure detector: the caller maps
-        // the miss to `RankFailed` via `rank_failure()`. Recovery-mode
-        // waits ignore revocation (the recovery protocol's own frames
-        // must flow on the revoked communicator).
-        let stopped = || !self.recovery_mode && self.proc.revoked.load(Ordering::SeqCst);
+        // blocking wait; the caller's `wait_failed` reports why.
+        let stopped = || !self.recovery_mode && self.revoked();
         self.mailbox().wait(self.sched, self.rank, stopped, probe)
     }
 
@@ -524,26 +539,27 @@ impl<'a> RankCtx<'a> {
     /// Protocols that poll [`RankCtx::mailbox_keys`] directly (rather
     /// than spinning on `try_wait`, which ticks internally) must call this
     /// on every empty poll or they starve the producers they wait on.
-    pub fn idle_tick(&mut self) {
+    /// Reports a revoked communicator as every poll does.
+    pub fn idle_tick(&mut self) -> Result<(), NetsimError> {
         self.proc_tick();
         self.sched.yield_now();
+        self.revoked_failure()
     }
 
     /// What the two single-receive completions share once the mailbox
     /// has answered: a claimed message is traced and handed out raw.
-    fn claimed(&mut self, h: RecvHandle, msg: Option<Msg>) -> Option<RecvdMsg> {
+    fn claimed(&mut self, h: RecvHandle, msg: Option<Msg>) -> Option<RecvdMsg<'a>> {
         let msg = msg?;
         self.record_recv(h.source, h.tag, msg.data.len());
-        Some(RecvdMsg(msg))
+        Some(RecvdMsg { msg, pools: self.pools })
     }
 
     /// Complete one posted receive, blocking until it arrives — or
     /// until it provably never will: a revoked communicator reports
     /// [`NetsimError::RankFailed`], a deadlock [`NetsimError::Timeout`].
     /// Bills nothing and leaves the send epoch open; the frame is handed
-    /// back raw so callers can verify checksums and sequence trailers —
-    /// recycle it with [`RankCtx::recycle`].
-    pub fn recv_blocking(&mut self, h: RecvHandle) -> Result<RecvdMsg, NetsimError> {
+    /// back raw so callers can verify checksums and sequence trailers.
+    pub fn recv_blocking(&mut self, h: RecvHandle) -> Result<RecvdMsg<'a>, NetsimError> {
         self.proc_tick();
         let key = h.key();
         let msg = self.blocking_probe(|inner| inner.pop(key));
@@ -553,19 +569,13 @@ impl<'a> RankCtx<'a> {
         }
     }
 
-    /// Return a completed message's buffer to its owner's pool.
-    pub fn recycle(&mut self, msg: RecvdMsg) {
-        msg.0.recycle(self.pools);
-    }
-
     /// Keep a completed message instead of copying out of it: `slot`
     /// takes over the message's buffer, and the buffer `slot` held goes
-    /// back to the sender's pool in its place. A slot that adopts the
-    /// same channel's frames over and over thus circulates a fixed set
-    /// of buffers with the sender.
-    pub fn adopt(&mut self, mut msg: RecvdMsg, slot: &mut Vec<f64>) {
-        std::mem::swap(&mut msg.0.data, slot);
-        self.recycle(msg);
+    /// back to the sender's pool in its place (the message is dropped
+    /// holding it). A slot that adopts the same channel's frames over and
+    /// over thus circulates a fixed set of buffers with the sender.
+    pub fn adopt(&mut self, mut msg: RecvdMsg<'_>, slot: &mut Vec<f64>) {
+        std::mem::swap(&mut msg.msg.data, slot);
     }
 
     /// Non-blocking completion probe for one posted receive: pop the
@@ -580,14 +590,19 @@ impl<'a> RankCtx<'a> {
     /// Each message is returned exactly once: a `Some` consumes the
     /// mailbox entry, so probing the same handle again waits for the
     /// *next* message on that channel (non-overtaking order).
-    pub fn try_wait(&mut self, h: RecvHandle) -> Option<RecvdMsg> {
+    ///
+    /// A queued message is handed out even on a revoked communicator;
+    /// a miss there reports [`NetsimError::RankFailed`], so a loop that
+    /// spins on this cannot outlive a crashed peer.
+    pub fn try_wait(&mut self, h: RecvHandle) -> Result<Option<RecvdMsg<'a>>, NetsimError> {
         self.proc_tick();
         let msg = self.mailbox().try_pop(h.key());
         let claimed = self.claimed(h, msg);
         if claimed.is_none() {
             self.sched.yield_now();
+            self.revoked_failure()?;
         }
-        claimed
+        Ok(claimed)
     }
 
     /// Drive a batch of posted receives forward without blocking:
@@ -603,7 +618,9 @@ impl<'a> RankCtx<'a> {
     /// `waitall_*` over the still-pending subset (or
     /// [`RankCtx::flush_epoch`] once everything completed), so the
     /// LogGP `wait` lump keeps its phased semantics. A wrong-length
-    /// message reports [`NetsimError::SizeMismatch`] after recycling it.
+    /// message reports [`NetsimError::SizeMismatch`] after recycling it;
+    /// a revoked communicator reports [`NetsimError::RankFailed`] before
+    /// anything is popped.
     pub fn progress_with(
         &mut self,
         handles: &[RecvHandle],
@@ -614,13 +631,7 @@ impl<'a> RankCtx<'a> {
     ) -> Result<usize, NetsimError> {
         assert_eq!(handles.len(), done.len());
         self.proc_tick();
-        // Failure detection on the overlap path: a poll loop spinning
-        // on `progress_with` would otherwise never observe the revocation.
-        if !self.recovery_mode && self.revoked() {
-            if let Some(e) = self.rank_failure() {
-                return Err(e);
-            }
-        }
+        self.revoked_failure()?;
         let mut newly = 0usize;
         for (i, h) in handles.iter().enumerate() {
             if done[i] {
@@ -744,12 +755,10 @@ impl<'a> RankCtx<'a> {
     /// communicator was revoked, else a [`NetsimError::Timeout`] naming
     /// the `pending` receives and what sits unmatched in the mailbox.
     fn wait_failed(&mut self, pending: Vec<(usize, u64)>) -> NetsimError {
-        if !self.recovery_mode {
-            if let Some(e) = self.rank_failure() {
-                return e;
-            }
+        match self.revoked_failure() {
+            Err(e) => e,
+            Ok(()) => NetsimError::Timeout { rank: self.rank, pending, mailbox: self.mailbox_keys() },
         }
-        NetsimError::Timeout { rank: self.rank, pending, mailbox: self.mailbox_keys() }
     }
 
     /// Complete all posted receives, each message landing in its
@@ -800,9 +809,9 @@ impl<'a> RankCtx<'a> {
     pub fn barrier(&self) {
         // A revoked communicator cannot complete a rendezvous (the
         // failed rank is dead or mid-respawn): return silently, like
-        // the abort path. Resilient drivers synchronize through their
-        // own revocation-aware fence instead.
-        if self.proc.revoked.load(Ordering::SeqCst) {
+        // the abort path. Resilient drivers synchronize through
+        // `RankCtx::fence`, whose waits report the failure instead.
+        if self.revoked() {
             return;
         }
         self.sched.barrier_wait(self.rank as u32);
@@ -871,9 +880,10 @@ mod tests {
                 if ctx.rank() == 0 {
                     if ctx.incarnation() == 0 {
                         until_blocked(ctx, 1);
-                        ctx.set_fault_step(0);
-                        let _ = ctx.irecv(1, 7);
-                        unreachable!("the kill fires at the first op");
+                        ctx.fault_step(0, |ctx| {
+                            let _ = ctx.irecv(1, 7);
+                            unreachable!("the kill fires at the first op");
+                        });
                     }
                     return;
                 }
@@ -1069,18 +1079,19 @@ mod tests {
         let kill = FaultConfig::parse("kill:1@0+1").unwrap();
         let incarnations = two_threads(kill, |ctx| {
             if ctx.rank() == 1 && ctx.incarnation() == 0 {
-                ctx.set_fault_step(0);
-                let mut storage = vec![0.0; 8];
-                let ghost = 4..8;
-                let lend = ctx.lend(
-                    [(0, 7)].into_iter(),
-                    &mut storage,
-                    std::slice::from_ref(&ghost),
-                );
-                assert!(!ctx.mailbox().lock().windows.is_empty());
-                ctx.isend(0, 9, lend.outside(0..4)).unwrap(); // op 0
-                let _ = ctx.irecv(0, 7); // op 1: dies with the lend open
-                unreachable!("the kill fires at the second op");
+                ctx.fault_step(0, |ctx| {
+                    let mut storage = vec![0.0; 8];
+                    let ghost = 4..8;
+                    let lend = ctx.lend(
+                        [(0, 7)].into_iter(),
+                        &mut storage,
+                        std::slice::from_ref(&ghost),
+                    );
+                    assert!(!ctx.mailbox().lock().windows.is_empty());
+                    ctx.isend(0, 9, lend.outside(0..4)).unwrap(); // op 0
+                    let _ = ctx.irecv(0, 7); // op 1: dies with the lend open
+                    unreachable!("the kill fires at the second op");
+                })
             }
             // `respawn` has already asserted it; look again from inside.
             assert!(ctx.mailbox().lock().windows.is_empty());
@@ -1255,17 +1266,64 @@ mod tests {
         }
     }
 
+    /// A received frame goes back to its sender's pool when it is
+    /// dropped — unread, or held by a rank killed mid-step, whose unwind
+    /// drops it — so the sender's next send of that size allocates
+    /// nothing. The respawned victim's context carries the kill event.
+    #[test]
+    fn a_dropped_frame_returns_its_buffer_to_the_senders_pool() {
+        const WORDS: usize = 4096;
+        let topo = CartTopo::new(&[2], true);
+        // Rank 1's step-0 ops: irecv (0), recv_blocking (1), irecv (2).
+        let kill = FaultConfig::parse("kill:1@0+2").unwrap();
+        for backend in [Backend::Thread, Backend::Event] {
+            run_cluster_on(backend, &topo, NetworkModel::instant(), kill, |ctx| {
+                let frame = [1.0; WORDS];
+                if ctx.rank() == 0 {
+                    ctx.isend(1, 7, &frame).unwrap();
+                    ctx.barrier();
+                    let allocs = ctx.transport_allocs();
+                    ctx.isend(1, 8, &frame).unwrap();
+                    assert_eq!(ctx.transport_allocs(), allocs, "{backend}: the frame dropped unread came back");
+                    let h = ctx.irecv(1, 9).unwrap();
+                    assert!(matches!(ctx.recv_blocking(h), Err(NetsimError::RankFailed { rank: 1, .. })));
+                    let ((), failure) = ctx.recover(|_, _| Ok(())).unwrap();
+                    assert_eq!((failure.rank, failure.step), (1, 0));
+                    let allocs = ctx.transport_allocs();
+                    ctx.isend(1, 10, &frame).unwrap();
+                    assert_eq!(ctx.transport_allocs(), allocs, "{backend}: the frame the victim held came back");
+                    return;
+                }
+                if ctx.incarnation() > 0 {
+                    let kills = ctx.take_fault_events();
+                    assert!(matches!(kills[..], [FaultEvent { kind: FaultKind::Kill, src: 1, tag: 0, .. }]));
+                    ctx.recover(|_, _| Ok(())).unwrap();
+                    return;
+                }
+                let h = ctx.irecv(0, 7).unwrap();
+                drop(ctx.recv_blocking(h).unwrap());
+                ctx.barrier();
+                ctx.fault_step(0, |ctx| {
+                    let h = ctx.irecv(0, 8).unwrap();
+                    let _held = ctx.recv_blocking(h).unwrap();
+                    let _ = ctx.irecv(0, 11);
+                    unreachable!("the kill fires at the third op");
+                })
+            });
+        }
+    }
+
     #[test]
     fn try_wait_returns_each_message_exactly_once() {
         let topo = CartTopo::new(&[1], true);
         run_cluster(&topo, NetworkModel::instant(), |ctx| {
             let h = ctx.irecv(0, 4).unwrap();
-            assert!(ctx.try_wait(h).is_none(), "nothing sent yet");
+            assert!(ctx.try_wait(h).unwrap().is_none(), "nothing sent yet");
             ctx.isend(0, 4, &[2.5, 3.5]).unwrap();
-            let msg = ctx.try_wait(h).expect("self-send completes immediately");
+            let msg = ctx.try_wait(h).unwrap().expect("self-send completes immediately");
             assert_eq!(msg.data(), &[2.5, 3.5]);
-            ctx.recycle(msg);
-            assert!(ctx.try_wait(h).is_none(), "message must be consumed exactly once");
+            drop(msg);
+            assert!(ctx.try_wait(h).unwrap().is_none(), "message must be consumed exactly once");
             ctx.flush_epoch();
         });
     }
@@ -1469,7 +1527,7 @@ mod tests {
                 ctx.isend(0, 7, &frame).unwrap();
                 let m = ctx.recv_blocking(h).unwrap();
                 assert_eq!(m.data().len(), FRAME);
-                ctx.recycle(m);
+                drop(m);
                 let handles: Vec<_> = (0..HALO_MSGS).map(|_| ctx.irecv(0, 9).unwrap()).collect();
                 for _ in 0..HALO_MSGS {
                     ctx.isend(0, 9, &halo).unwrap();

@@ -1,6 +1,8 @@
 //! Minimal collectives over the point-to-point layer: the artifact's
 //! per-timestep metrics are reported as `[minimum, average, maximum]`
-//! across ranks, which requires a reduction at the end of a run.
+//! across ranks, which requires a reduction at the end of a run; and the
+//! rank-0 fence the resilient drivers synchronize with, which — unlike
+//! [`RankCtx::barrier`] — reports a crashed peer instead of returning.
 //!
 //! Collectives are control-plane traffic: their tags carry
 //! [`CTRL_TAG_BIT`], so fault injection never drops or corrupts them.
@@ -41,6 +43,40 @@ impl<'a> RankCtx<'a> {
             self.isend(0, COLL_TAG, &[value])?;
             Ok(None)
         }
+    }
+
+    /// Fence rooted at rank 0: every other rank checks in with a token
+    /// tagged `join`, and rank 0, once it holds them all, releases each
+    /// with a token tagged `rel`. Collective; the waits report a revoked
+    /// communicator as [`NetsimError::RankFailed`]. Leaves the send epoch
+    /// open: the tokens are billed with whatever the caller posts next,
+    /// or at its [`RankCtx::flush_epoch`].
+    pub fn fence(&mut self, join: u64, rel: u64) -> Result<(), NetsimError> {
+        self.rooted_fence(join, rel, false)
+    }
+
+    /// [`RankCtx::fence`]; with `acknowledge`, rank 0 acknowledges the
+    /// pending failure between the check-ins and the release (the
+    /// recovery epoch's release fence).
+    pub(crate) fn rooted_fence(&mut self, join: u64, rel: u64, acknowledge: bool) -> Result<(), NetsimError> {
+        let n = self.size();
+        if self.rank() == 0 {
+            for src in 1..n {
+                let h = self.irecv(src, join)?;
+                self.recv_blocking(h)?;
+            }
+            if acknowledge {
+                self.acknowledge_failure();
+            }
+            for dst in 1..n {
+                self.isend(dst, rel, &[1.0])?;
+            }
+        } else {
+            self.isend(0, join, &[1.0])?;
+            let h = self.irecv(0, rel)?;
+            self.recv_blocking(h)?;
+        }
+        Ok(())
     }
 
     /// All-reduce maximum of one f64 (root gathers, then broadcasts).

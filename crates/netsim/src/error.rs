@@ -80,11 +80,12 @@ pub enum NetsimError {
         pending: Vec<(usize, u64)>,
     },
     /// A rank suffered a crash-stop process fault. The failure detector
-    /// surfaces this on every survivor whose blocking receive, wait, or
-    /// fence observed the revocation — instead of hanging on messages
-    /// the dead rank will never send. Resilient drivers (see the core
-    /// checkpoint harness) catch it and run a recovery epoch; everyone
-    /// else propagates it as a structured run failure.
+    /// surfaces this on every survivor whose blocking receive, wait,
+    /// fence or poll observed the revocation — instead of hanging on
+    /// messages the dead rank will never send. Resilient drivers (see
+    /// the core checkpoint harness) catch it and run a recovery epoch
+    /// ([`crate::RankCtx::recover`]); everyone else propagates it as a
+    /// structured run failure.
     RankFailed {
         /// The rank that died.
         rank: usize,

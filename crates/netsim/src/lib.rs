@@ -72,6 +72,7 @@ pub use fault::{
     CTRL_TAG_BIT,
 };
 pub use nbx::{Ibarrier, NbxStats};
+pub use procfault::{Failure, RECO_NS};
 pub use partition::{
     PartitionStats, PartitionTable, PartitionedRecv, PartitionedSend, DEFAULT_EAGER_BYTES,
 };

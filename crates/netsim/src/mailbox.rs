@@ -46,6 +46,7 @@ pub const POOL_CAP: usize = 256;
 
 /// An in-flight message: its payload plus the rank whose pool the
 /// buffer should return to after delivery (None = not pooled).
+#[derive(Default)]
 pub(crate) struct Msg {
     pub(crate) owner: Option<usize>,
     pub(crate) data: Vec<f64>,

@@ -1,5 +1,5 @@
-//! Nonblocking-barrier consensus (`ibarrier`) and the NBX sparse
-//! dynamic data exchange built on it.
+//! Nonblocking-barrier consensus (`ibarrier`), the termination test of
+//! an NBX sparse dynamic data exchange.
 //!
 //! The problem: after a migration epoch, every rank knows who it must
 //! *send* to (its new ghost suppliers are derivable locally) but not who
@@ -14,15 +14,16 @@
 //! global quiescence: no message can still be in flight, so draining
 //! the mailbox one last time is exhaustive.
 //!
-//! [`Ibarrier`] is the consensus primitive — a dissemination barrier
-//! (`ceil(log2 n)` rounds) whose progress is polled, never blocked on —
-//! and [`RankCtx::nbx_exchange`] is the complete exchange for the
-//! "sends known, receives unknown" case. Protocols that must delay
-//! barrier entry on a *counted-replies* condition (the rebalance
-//! subsystem's forwarded ownership discovery) drive [`Ibarrier`]
-//! directly.
+//! [`Ibarrier`] is that consensus primitive — a dissemination barrier
+//! (`ceil(log2 n)` rounds) whose progress is polled, never blocked on.
+//! The caller owns the exchange around it: it posts its sends, serves
+//! its mailbox between polls, and decides when to enter — the rebalance
+//! subsystem's ownership discovery (`packfree`'s `discover_plan`) enters
+//! only once its counted replies are in. A poll on a revoked
+//! communicator reports [`NetsimError::RankFailed`] like every other
+//! poll, so a rank spinning here cannot outlive a crashed peer.
 //!
-//! All traffic here is control-plane ([`CTRL_TAG_BIT`]): partner
+//! Barrier tokens are control-plane traffic ([`CTRL_TAG_BIT`]): partner
 //! discovery must survive chaos configurations that drop or corrupt
 //! data frames, exactly like the recovery fences it cooperates with.
 
@@ -33,10 +34,6 @@ use crate::fault::CTRL_TAG_BIT;
 /// Reserved tag namespace for barrier tokens; the dissemination round
 /// index lands in the low bits.
 const NBX_BARRIER_NS: u64 = CTRL_TAG_BIT | 0x9BA0_0000;
-
-/// A batch of NBX frames, each tagged with the peer rank it came from
-/// (or goes to).
-pub type NbxFrames = Vec<(usize, Vec<f64>)>;
 
 /// Message counters for one NBX exchange — the no-alltoall witness.
 /// Summed across ranks, `data_msgs` stays proportional to the real
@@ -108,97 +105,21 @@ impl Ibarrier {
     /// Poll the barrier one step forward without blocking. Returns
     /// `true` once complete. A `false` return means some rank has not
     /// yet entered (or its token is still in flight) — go serve the
-    /// protocol and poll again.
+    /// protocol and poll again. A revoked communicator reports
+    /// [`NetsimError::RankFailed`] (through [`RankCtx::try_wait`]).
     pub fn advance(&mut self, ctx: &mut RankCtx<'_>) -> Result<bool, NetsimError> {
         while !self.done() {
             let Some(h) = self.pending else {
                 unreachable!("incomplete ibarrier with no posted receive");
             };
-            let Some(msg) = ctx.try_wait(h) else {
+            if ctx.try_wait(h)?.is_none() {
                 return Ok(false);
-            };
-            ctx.recycle(msg);
+            }
             self.round += 1;
             self.pending = None;
             self.post_round(ctx)?;
         }
         Ok(true)
-    }
-}
-
-impl<'a> RankCtx<'a> {
-    /// NBX sparse dynamic data exchange: deliver `sends` (this rank's
-    /// locally-known destinations) and return every message addressed
-    /// to this rank under `tag`, *without any rank ever learning the
-    /// global communication matrix*. Returns the received frames sorted
-    /// by source rank, plus the message counters.
-    ///
-    /// `tag` must carry [`CTRL_TAG_BIT`] — discovery is control-plane
-    /// traffic and must be exempt from fault injection, or a dropped
-    /// request would stall the consensus forever. Must be called by all
-    /// ranks (it embeds a barrier); closes the current send epoch. If a
-    /// peer dies mid-exchange (outside recovery mode) the stall is
-    /// surfaced as [`NetsimError::RankFailed`] so a resilient driver
-    /// can run its recovery epoch instead of spinning.
-    pub fn nbx_exchange(
-        &mut self,
-        tag: u64,
-        sends: &[(usize, Vec<f64>)],
-    ) -> Result<(NbxFrames, NbxStats), NetsimError> {
-        assert!(
-            tag & CTRL_TAG_BIT != 0,
-            "nbx_exchange requires a control-plane tag (CTRL_TAG_BIT)"
-        );
-        let mut stats = NbxStats::default();
-        for (dest, frame) in sends {
-            self.isend(*dest, tag, frame)?;
-            stats.data_msgs += 1;
-        }
-        let mut got: NbxFrames = Vec::new();
-        let mut bar = Ibarrier::start(self)?;
-        loop {
-            self.serve_tag(tag, &mut got);
-            if bar.advance(self)? {
-                break;
-            }
-            if !self.recovering() {
-                if let Some(e) = self.rank_failure() {
-                    return Err(e);
-                }
-            }
-        }
-        // Barrier completion proves every rank posted its sends before
-        // entering, and eager delivery means posted ⇒ deposited: this
-        // final sweep is exhaustive.
-        self.serve_tag(tag, &mut got);
-        self.flush_epoch();
-        stats.barrier_msgs = bar.msgs();
-        got.sort_by_key(|(src, _)| *src);
-        Ok((got, stats))
-    }
-
-    /// Pop every already-deposited message matching `tag` into `out`.
-    fn serve_tag(&mut self, tag: u64, out: &mut NbxFrames) {
-        loop {
-            let pending: Vec<usize> = self
-                .mailbox_keys()
-                .into_iter()
-                .filter(|&(_, t, count)| t == tag && count > 0)
-                .map(|(src, _, _)| src)
-                .collect();
-            if pending.is_empty() {
-                return;
-            }
-            for src in pending {
-                // The mailbox just showed a deposited message and only
-                // this rank pops its own mailbox, so this cannot block.
-                let Ok(h) = self.irecv(src, tag) else { continue };
-                if let Some(msg) = self.try_wait(h) {
-                    out.push((src, msg.data().to_vec()));
-                    self.recycle(msg);
-                }
-            }
-        }
     }
 }
 
@@ -209,8 +130,6 @@ mod tests {
     use crate::fault::FaultConfig;
     use crate::model::NetworkModel;
     use crate::topo::CartTopo;
-
-    const TAG: u64 = CTRL_TAG_BIT | 0x7E57_0000;
 
     fn on_both_backends(f: impl Fn(Backend)) {
         f(Backend::Thread);
@@ -261,128 +180,5 @@ mod tests {
             },
         );
         assert_eq!(out, vec![true]);
-    }
-
-    #[test]
-    fn nbx_delivers_sparse_sends_on_both_backends() {
-        on_both_backends(|backend| {
-            let n = 8;
-            let topo = CartTopo::new(&[n], true);
-            let out = run_cluster_on(
-                backend,
-                &topo,
-                NetworkModel::instant(),
-                FaultConfig::off(),
-                |ctx| {
-                    let me = ctx.rank();
-                    // Sparse pattern: each rank sends to +1 and +3.
-                    let sends = vec![
-                        ((me + 1) % n, vec![me as f64, 1.0]),
-                        ((me + 3) % n, vec![me as f64, 3.0]),
-                    ];
-                    ctx.nbx_exchange(TAG, &sends).unwrap()
-                },
-            );
-            for (me, (got, stats)) in out.iter().enumerate() {
-                let from1 = (me + n - 1) % n;
-                let from3 = (me + n - 3) % n;
-                let mut want = vec![
-                    (from1, vec![from1 as f64, 1.0]),
-                    (from3, vec![from3 as f64, 3.0]),
-                ];
-                want.sort_by_key(|(s, _)| *s);
-                assert_eq!(got, &want, "rank {me} backend {backend:?}");
-                assert_eq!(stats.data_msgs, 2);
-                assert_eq!(stats.barrier_msgs, 3, "ceil(log2 8) rounds");
-            }
-        });
-    }
-
-    #[test]
-    fn nbx_sends_no_alltoall() {
-        // The acceptance witness: total discovery traffic for a sparse
-        // pattern stays far below the ranks×(ranks-1) an alltoall
-        // would post.
-        let n = 8;
-        let topo = CartTopo::new(&[n], true);
-        let out = run_cluster_on(
-            Backend::Thread,
-            &topo,
-            NetworkModel::instant(),
-            FaultConfig::off(),
-            |ctx| {
-                let me = ctx.rank();
-                let sends = vec![((me + 1) % n, vec![42.0])];
-                let (_, stats) = ctx.nbx_exchange(TAG, &sends).unwrap();
-                stats
-            },
-        );
-        let data: u64 = out.iter().map(|s| s.data_msgs).sum();
-        assert!(data > 0);
-        assert!(
-            data < (n * (n - 1)) as u64,
-            "NBX posted {data} data messages — alltoall territory"
-        );
-    }
-
-    #[test]
-    fn nbx_handles_idle_ranks_and_multi_messages() {
-        // Rank 0 sends nothing; rank 1 sends two frames to rank 0 on
-        // the same tag (non-overtaking order must hold); others idle.
-        let topo = CartTopo::new(&[4], true);
-        let out = run_cluster_on(
-            Backend::Thread,
-            &topo,
-            NetworkModel::instant(),
-            FaultConfig::off(),
-            |ctx| {
-                let sends = if ctx.rank() == 1 {
-                    vec![(0usize, vec![10.0]), (0usize, vec![20.0])]
-                } else {
-                    vec![]
-                };
-                ctx.nbx_exchange(TAG, &sends).unwrap().0
-            },
-        );
-        assert_eq!(out[0], vec![(1, vec![10.0]), (1, vec![20.0])]);
-        assert!(out[1].is_empty() && out[2].is_empty() && out[3].is_empty());
-    }
-
-    #[test]
-    fn nbx_survives_full_data_plane_loss() {
-        // Discovery is control-plane: even drop=1.0 chaos cannot touch
-        // it — a migration epoch must be able to rewire the exchange
-        // under the same fault plan that is mauling the halos.
-        let topo = CartTopo::new(&[4], true);
-        let cfg = FaultConfig { seed: 5, drop: 1.0, ..FaultConfig::off() };
-        let out = run_cluster_on(
-            Backend::Thread,
-            &topo,
-            NetworkModel::instant(),
-            cfg,
-            |ctx| {
-                let me = ctx.rank();
-                let sends = vec![((me + 1) % 4, vec![me as f64])];
-                ctx.nbx_exchange(TAG, &sends).unwrap().0
-            },
-        );
-        for (me, got) in out.iter().enumerate() {
-            assert_eq!(got, &vec![((me + 3) % 4, vec![((me + 3) % 4) as f64])]);
-        }
-    }
-
-    #[test]
-    #[should_panic(expected = "control-plane tag")]
-    fn nbx_rejects_data_plane_tags() {
-        let topo = CartTopo::new(&[2], true);
-        run_cluster_on(
-            Backend::Thread,
-            &topo,
-            NetworkModel::instant(),
-            FaultConfig::off(),
-            |ctx| {
-                let _ = ctx.nbx_exchange(7, &[]);
-            },
-        );
     }
 }

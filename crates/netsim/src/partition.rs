@@ -344,12 +344,14 @@ impl PartitionedRecv {
 
     /// Drain any fragments that already arrived into `dst` (the bound
     /// destination range, `total_elems` long) without blocking.
-    /// Returns whether the message is complete.
+    /// Returns whether the message is complete; a poll that finds
+    /// nothing on a revoked communicator reports
+    /// [`NetsimError::RankFailed`].
     pub fn poll(&mut self, ctx: &mut RankCtx<'_>, dst: &mut [f64]) -> Result<bool, NetsimError> {
         debug_assert_eq!(dst.len(), self.total_elems);
         let Some(h) = self.handle else { return Ok(true) };
         while self.filled < self.total_elems {
-            let Some(msg) = ctx.try_wait(h) else { break };
+            let Some(msg) = ctx.try_wait(h)? else { break };
             self.scatter(ctx, msg, dst)?;
         }
         if self.filled == self.total_elems {
@@ -373,25 +375,22 @@ impl PartitionedRecv {
 
     fn scatter(
         &mut self,
-        ctx: &mut RankCtx<'_>,
-        msg: crate::RecvdMsg,
+        ctx: &RankCtx<'_>,
+        msg: crate::RecvdMsg<'_>,
         dst: &mut [f64],
     ) -> Result<(), NetsimError> {
         let got = msg.data().len();
         if self.filled + got > self.total_elems {
-            let err = NetsimError::SizeMismatch {
+            return Err(NetsimError::SizeMismatch {
                 rank: ctx.rank(),
                 source: self.src,
                 tag: self.tag,
                 expected: self.total_elems - self.filled,
                 got,
-            };
-            ctx.recycle(msg);
-            return Err(err);
+            });
         }
         dst[self.filled..self.filled + got].copy_from_slice(msg.data());
         self.filled += got;
-        ctx.recycle(msg);
         Ok(())
     }
 }

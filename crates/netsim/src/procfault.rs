@@ -1,12 +1,22 @@
 //! Process faults: crash-stop (`kill:`) and fail-slow (`stall:`)
 //! schedules, the cluster-wide liveness state survivors detect a crash
-//! through ([`ProcState`]), and the recovery-epoch half of [`RankCtx`].
+//! through ([`ProcState`]), and the recovery bracket of [`RankCtx`].
 //!
 //! A killed rank unwinds out of arbitrarily deep protocol code with a
 //! [`KillSentinel`] panic; the runner (`runtime.rs`) catches it and
 //! re-enters the rank body with the next incarnation number. Survivors
-//! see the communicator *revoked*: every blocking wait outside recovery
-//! mode gives up and reports [`NetsimError::RankFailed`].
+//! see the communicator *revoked*: every blocking wait and every poll
+//! outside recovery mode gives up and reports
+//! [`NetsimError::RankFailed`], decided in one place
+//! (`RankCtx::revoked_failure`).
+//!
+//! [`RankCtx::recover`] is the whole recovery bracket: it enters recovery
+//! mode, closes the aborted step's epoch, joins a fence every rank (the
+//! respawned victim included) checks into, purges everything outside
+//! [`RECO_NS`], runs the caller's recovery protocol, and leaves through a
+//! release fence whose root acknowledges the failure before it releases.
+//! What the protocol does in between — agree on a step, restore, re-seed
+//! — is the caller's.
 
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::time::Instant;
@@ -70,22 +80,44 @@ impl ProcState {
 /// any other panic payload keeps the abort-the-cluster path.
 pub(crate) struct KillSentinel;
 
+/// The recovery-epoch tag namespace: everything sent between
+/// [`RankCtx::recover`]'s join and release fences, the only traffic its
+/// purge keeps (`RECO_NS | 0..=15`). The bracket's own fences use
+/// `RECO_NS | {0, 1, 6, 7}`; a recovery protocol tags its frames
+/// `RECO_NS | 2..=5`.
+pub const RECO_NS: u64 = CTRL_TAG_BIT | 0x7EC1_0000;
+const JOIN_A: u64 = RECO_NS;
+const REL_A: u64 = RECO_NS | 1;
+const JOIN_B: u64 = RECO_NS | 6;
+const REL_B: u64 = RECO_NS | 7;
+
+/// The crash-stop failure a recovery epoch recovered from, as
+/// [`RankCtx::recover`] reports it.
+#[derive(Clone, Copy, Debug, PartialEq)]
+pub struct Failure {
+    /// The rank that crash-stopped.
+    pub rank: usize,
+    /// The timestep it was executing.
+    pub step: u64,
+    /// Wall-clock seconds from the kill to this rank's first observation
+    /// of it (0 on the respawned victim, which never observes it);
+    /// telemetry only.
+    pub detect_latency: f64,
+}
+
 impl RankCtx<'_> {
-    /// Arm the process-fault window for timestep `step`: a `kill:` /
-    /// `stall:` schedule targeting this step can now fire, at the
-    /// scheduled data-plane operation count. Resilient drivers call
-    /// this right before each step body and
-    /// [`RankCtx::clear_fault_step`] right after, so checkpointing and
-    /// recovery traffic can never be killed — which is what keeps every
-    /// rank's checkpoint set identical.
-    pub fn set_fault_step(&mut self, step: u64) {
+    /// Run `body` with the process-fault window armed for timestep
+    /// `step`: a `kill:` / `stall:` schedule targeting this step can fire
+    /// inside it, at the scheduled data-plane operation count, and
+    /// nowhere else. The window is disarmed again on every return, so
+    /// checkpointing and recovery traffic can never be killed — which is
+    /// what keeps every rank's checkpoint set identical.
+    pub fn fault_step<T>(&mut self, step: u64, body: impl FnOnce(&mut Self) -> T) -> T {
         self.cur_step = step;
         self.step_ops = 0;
-    }
-
-    /// Disarm the process-fault window (see [`RankCtx::set_fault_step`]).
-    pub fn clear_fault_step(&mut self) {
+        let out = body(self);
         self.cur_step = u64::MAX;
+        out
     }
 
     /// Data-plane operations counted so far in the armed step — the `OP`
@@ -97,7 +129,7 @@ impl RankCtx<'_> {
     /// How many times this rank's body has been (re)started: 0 for the
     /// original process, ≥ 1 for a respawn after a crash-stop fault.
     /// A resilient driver seeing a nonzero incarnation skips straight
-    /// to the recovery epoch to adopt its buddy's checkpoint.
+    /// to [`RankCtx::recover`] to adopt its buddy's checkpoint.
     pub fn incarnation(&self) -> usize {
         self.incarnation
     }
@@ -109,9 +141,9 @@ impl RankCtx<'_> {
         self.proc.revoked.load(Ordering::SeqCst)
     }
 
-    /// The pending failure the survivors must recover from, as
-    /// `(failed rank, failed step)` — `None` once recovery completed.
-    pub fn failed_info(&self) -> Option<(usize, u64)> {
+    /// The pending failure as `(failed rank, failed step)` — `None` once
+    /// a recovery epoch acknowledged it.
+    fn failed_info(&self) -> Option<(usize, u64)> {
         let r = self.proc.failed_rank.load(Ordering::SeqCst);
         (r != usize::MAX).then(|| (r, self.proc.failed_step.load(Ordering::SeqCst)))
     }
@@ -119,7 +151,7 @@ impl RankCtx<'_> {
     /// This rank's view of the pending failure as a structured error,
     /// recording the detection latency (wall-clock seconds from kill to
     /// first observation, telemetry only) the first time it fires.
-    pub fn rank_failure(&mut self) -> Option<NetsimError> {
+    pub(crate) fn rank_failure(&mut self) -> Option<NetsimError> {
         let (rank, step) = self.failed_info()?;
         if self.detect_latency.is_none() {
             let at: Option<Instant> = *self.proc.killed_at.lock();
@@ -128,60 +160,90 @@ impl RankCtx<'_> {
         Some(NetsimError::RankFailed { rank, detected_by: self.rank, step })
     }
 
-    /// Detection latency recorded by [`RankCtx::rank_failure`], if this
-    /// rank ever observed a failure.
-    pub fn detect_latency(&self) -> Option<f64> {
-        self.detect_latency
+    /// The failure detector, for every wait and poll of the transport: on
+    /// a revoked communicator outside recovery mode, the pending failure.
+    /// Recovery-mode traffic ignores revocation — the recovery protocol's
+    /// own frames must flow on the revoked communicator.
+    pub(crate) fn revoked_failure(&mut self) -> Result<(), NetsimError> {
+        if self.recovery_mode || !self.revoked() {
+            return Ok(());
+        }
+        self.rank_failure().map_or(Ok(()), Err)
     }
 
-    /// Enter recovery mode: blocking operations wait normally again
-    /// (the recovery protocol's own traffic must flow on a revoked
-    /// communicator) until [`RankCtx::end_recovery`].
-    pub fn begin_recovery(&mut self) {
+    /// Run one recovery epoch around `body`, the caller's recovery
+    /// protocol, and return what it returned with the failure it
+    /// recovered from. Collective: every rank calls it once per failure
+    /// — survivors after a [`NetsimError::RankFailed`], the respawned
+    /// victim first thing in its new incarnation.
+    ///
+    /// The bracket, in order: enter recovery mode (blocking operations
+    /// wait normally on the revoked communicator); close the aborted
+    /// step's send epoch; join fence; purge every queued message outside
+    /// [`RECO_NS`] — delivery is eager and the whole cluster has joined,
+    /// so that is stale data of the aborted step, fence tokens from a
+    /// fence the victim never joined and orphaned collective
+    /// contributions (counted as `recovery_purged_msgs`); `body`, which
+    /// tags its traffic `RECO_NS | 2..=5`; release fence, whose root
+    /// acknowledges the failure cluster-wide before it releases, so no
+    /// rank leaves and still observes the revocation; leave recovery
+    /// mode (on error paths too).
+    pub fn recover<T>(
+        &mut self,
+        body: impl FnOnce(&mut Self, &Failure) -> Result<T, NetsimError>,
+    ) -> Result<(T, Failure), NetsimError> {
+        let (rank, step) = self.failed_info().expect("recovery epoch entered without a pending failure");
+        let failure = Failure { rank, step, detect_latency: self.detect_latency.unwrap_or(0.0) };
         self.recovery_mode = true;
-    }
-
-    /// Leave recovery mode (see [`RankCtx::begin_recovery`]).
-    pub fn end_recovery(&mut self) {
+        let out = self.recovery_bracket(&failure, body);
         self.recovery_mode = false;
+        out.map(|t| (t, failure))
     }
 
-    /// Whether this rank is inside a recovery epoch.
-    pub fn recovering(&self) -> bool {
-        self.recovery_mode
+    fn recovery_bracket<T>(
+        &mut self,
+        failure: &Failure,
+        body: impl FnOnce(&mut Self, &Failure) -> Result<T, NetsimError>,
+    ) -> Result<T, NetsimError> {
+        self.flush_epoch();
+        self.closed_fence(JOIN_A, REL_A, false)?;
+        let purged = self.purge(|_, tag| tag & !0xF == RECO_NS);
+        self.note_count("recovery_purged_msgs", purged as u64);
+        let out = body(self, failure)?;
+        self.closed_fence(JOIN_B, REL_B, true)?;
+        Ok(out)
     }
 
-    /// Acknowledge the failure cluster-wide: clear the failed-rank
-    /// record and un-revoke the communicator. Called by rank 0 at the
-    /// end of the recovery epoch, *before* releasing the recovery
-    /// fence, so no rank can leave recovery and still observe the
-    /// stale revocation.
-    pub fn clear_failure(&self) {
+    /// A recovery fence: [`RankCtx::fence`], then the tokens' epoch closed.
+    fn closed_fence(&mut self, join: u64, rel: u64, acknowledge: bool) -> Result<(), NetsimError> {
+        self.rooted_fence(join, rel, acknowledge)?;
+        if self.size() > 1 {
+            self.flush_epoch();
+        }
+        Ok(())
+    }
+
+    /// Acknowledge the failure cluster-wide: clear the failed-rank record
+    /// and un-revoke the communicator (rank 0, inside the release fence).
+    pub(crate) fn acknowledge_failure(&self) {
         self.proc.failed_rank.store(usize::MAX, Ordering::SeqCst);
         self.proc.failed_step.store(0, Ordering::SeqCst);
         *self.proc.killed_at.lock() = None;
         self.proc.revoked.store(false, Ordering::SeqCst);
     }
 
-    /// Flush this rank's mailbox of everything whose `(source, tag)`
-    /// fails `keep`, recycling the buffers; returns how many messages
-    /// were evicted. The recovery epoch calls this after the join
-    /// fence — when every pre-failure send has landed (delivery is
-    /// eager) — so stale data-plane frames from the aborted step can
-    /// never be matched by the replay, while in-flight recovery frames
-    /// survive.
-    pub fn drain_all_except(&mut self, keep: impl Fn(usize, u64) -> bool) -> usize {
+    /// Evict every queued message of this rank's mailbox whose
+    /// `(source, tag)` fails `keep`, recycling the buffers; returns how
+    /// many were evicted.
+    fn purge(&self, keep: impl Fn(usize, u64) -> bool) -> usize {
         let evicted = self.mailbox().drain_except(&keep);
         let n = evicted.len();
         evicted.into_iter().for_each(|msg| msg.recycle(self.pools));
         n
     }
 
-    /// Record a process-fault trace event. The victim's own trace dies
-    /// with its first incarnation, so the resilient driver re-records
-    /// the kill on the respawned context; stalls are recorded in place
-    /// by [`RankCtx::proc_tick`].
-    pub fn record_proc_fault_event(&mut self, kind: FaultKind, step: u64, op: u64) {
+    /// Record a process-fault trace event on this rank.
+    fn record_proc_fault(&mut self, kind: FaultKind, step: u64, op: u64) {
         self.trace.record_fault(FaultEvent {
             kind,
             src: self.rank,
@@ -190,6 +252,14 @@ impl RankCtx<'_> {
             attempt: op,
             bytes: 0,
         });
+    }
+
+    /// A respawned victim's first-incarnation trace died with it: record
+    /// the kill on the new context (called once, by `RankCtx::new`).
+    pub(crate) fn record_respawn(&mut self) {
+        if let Some((_, step)) = self.failed_info() {
+            self.record_proc_fault(FaultKind::Kill, step, 0);
+        }
     }
 
     /// Process-fault injection point, called once per data-plane
@@ -219,7 +289,7 @@ impl RankCtx<'_> {
                 self.stall_fired = true;
                 self.bill(Phase::Wait, st.stall_secs);
                 self.recorder.count("fault_stalls", 1);
-                self.record_proc_fault_event(FaultKind::Stall, st.step, st.op);
+                self.record_proc_fault(FaultKind::Stall, st.step, st.op);
             }
         }
         self.step_ops += 1;
@@ -242,8 +312,7 @@ impl RankCtx<'_> {
         // already have posted recovery-protocol frames to this mailbox,
         // and eating them would deadlock the join fence. Stale control
         // frames are purged by the recovery epoch's own drain instead.
-        let stale = self.mailbox().drain_except(&|_, tag| tag & CTRL_TAG_BIT != 0);
-        stale.into_iter().for_each(|msg| msg.recycle(self.pools));
+        self.purge(|_, tag| tag & CTRL_TAG_BIT != 0);
         self.sched.wake_all();
         // `resume_unwind` rather than `panic_any`: the unwind is the
         // modeled crash, not a program bug, so the process-global panic

@@ -372,13 +372,13 @@ mod tests {
                         return;
                     }
                     while !arrived.load(Ordering::SeqCst) {
-                        ctx.idle_tick();
+                        ctx.idle_tick().unwrap();
                     }
-                    ctx.idle_tick();
+                    ctx.idle_tick().unwrap();
                     let msg = Msg { owner: None, data: vec![1.0] };
                     assert!(ctx.mailboxes[1].push((0, 7), msg).is_none(), "nobody sleeps on mailbox 1");
                     for _ in 0..4 {
-                        ctx.idle_tick();
+                        ctx.idle_tick().unwrap();
                         assert!(!released.load(Ordering::SeqCst), "the push woke rank 1 out of the barrier");
                     }
                     ctx.barrier();

@@ -7,7 +7,8 @@
 use std::time::{Duration, Instant};
 
 use netsim::{
-    run_cluster_on, try_run_cluster_on, Backend, FaultConfig, NetsimError, NetworkModel, Timers,
+    run_cluster_on, try_run_cluster_on, Backend, FaultConfig, Ibarrier, NetsimError, NetworkModel,
+    RankCtx, Timers,
 };
 use netsim::CartTopo;
 
@@ -86,9 +87,8 @@ fn backends_bit_identical_under_chaos() {
             ctx.barrier();
             let h = ctx.irecv(left, step).unwrap();
             let mut copies = Vec::new();
-            while let Some(msg) = ctx.try_wait(h) {
+            while let Some(msg) = ctx.try_wait(h).unwrap() {
                 copies.push(msg.data().iter().map(|v| v.to_bits()).collect::<Vec<_>>());
-                ctx.recycle(msg);
             }
             arrived.push(copies);
         }
@@ -143,9 +143,7 @@ fn a_spin_poll_returns_when_a_peer_panics() {
                 }
                 let h = ctx.irecv(1, 5).unwrap();
                 loop {
-                    if let Some(msg) = ctx.try_wait(h) {
-                        ctx.recycle(msg);
-                    }
+                    let _ = ctx.try_wait(h);
                 }
             });
             let _ = tx.send(run.map(|_| ()));
@@ -156,6 +154,54 @@ fn a_spin_poll_returns_when_a_peer_panics() {
             }
             Ok(other) => panic!("{backend}: expected RankPanicked {{ rank: 1 }}, got {other:?}"),
             Err(_) => panic!("{backend}: a rank spinning on try_wait never saw its peer's panic in 30 s"),
+        }
+    }
+}
+
+/// Rank 0 spin-polls while rank 1 crash-stops at its first send: every
+/// poll of a revoked communicator reports the failure, so the spin ends
+/// with `RankFailed { rank: 1 }` — an NBX barrier (`Ibarrier::advance`)
+/// and a bare `try_wait` loop alike, on both backends. The run is driven
+/// from a helper thread, so a spin that never ends fails this test by
+/// name instead of hanging the suite.
+#[test]
+fn a_spin_poll_reports_a_crashed_peer() {
+    type Spin = fn(&mut RankCtx<'_>) -> Result<(), NetsimError>;
+    let ibarrier: Spin = |ctx| {
+        let mut bar = Ibarrier::start(ctx)?;
+        while !bar.advance(ctx)? {}
+        Ok(())
+    };
+    let try_wait: Spin = |ctx| {
+        let h = ctx.irecv(1, 5)?;
+        while ctx.try_wait(h)?.is_none() {}
+        Ok(())
+    };
+    for (name, spin) in [("Ibarrier::advance", ibarrier), ("try_wait", try_wait)] {
+        for backend in [Backend::Thread, Backend::Event] {
+            let (tx, rx) = std::sync::mpsc::channel();
+            std::thread::spawn(move || {
+                let topo = CartTopo::new(&[2], true);
+                let kill = FaultConfig::parse("kill:1@0+0").unwrap();
+                let run = try_run_cluster_on(backend, &topo, NetworkModel::instant(), kill, |ctx| {
+                    if ctx.rank() == 0 {
+                        return spin(ctx);
+                    }
+                    if ctx.incarnation() == 0 {
+                        ctx.fault_step(0, |ctx| {
+                            let _ = ctx.isend(0, 5, &[1.0]);
+                            unreachable!("the kill fires at the first send");
+                        });
+                    }
+                    Ok(())
+                });
+                let _ = tx.send(run.map(|mut out| out.swap_remove(0)));
+            });
+            match rx.recv_timeout(Duration::from_secs(30)) {
+                Ok(Ok(Err(NetsimError::RankFailed { rank: 1, .. }))) => {}
+                Ok(other) => panic!("{name} on {backend}: expected RankFailed {{ rank: 1 }}, got {other:?}"),
+                Err(_) => panic!("{name} on {backend}: a rank spinning on a revoked communicator never saw the crash in 30 s"),
+            }
         }
     }
 }

@@ -112,3 +112,32 @@ fn only_measuring_and_guarding_files_name_the_clock() {
         }
     }
 }
+
+/// `RankCtx` is the transport's whole surface, so its public methods are
+/// counted: outside their tests, the `impl … RankCtx` blocks of
+/// `crates/netsim/src` declare at most 50 `pub fn`s. A protocol that needs
+/// netsim's bookkeeping asks for one call that owns it (the recovery
+/// bracket, the fence, the armed fault step), not for the steps.
+#[test]
+fn rank_ctx_has_at_most_50_public_methods() {
+    let mut counted = Vec::new();
+    for (name, text) in sources("netsim") {
+        let mut inside = false;
+        let mut methods = 0;
+        for line in non_test(&text).lines() {
+            if line.starts_with("impl") && line.contains("RankCtx") {
+                inside = true;
+            } else if line.starts_with('}') {
+                inside = false;
+            } else if inside && line.starts_with("    pub fn ") {
+                methods += 1;
+            }
+        }
+        if methods > 0 {
+            counted.push((name, methods));
+        }
+    }
+    let total: usize = counted.iter().map(|(_, n)| n).sum();
+    assert!(total > 0, "found no `impl RankCtx` block");
+    assert!(total <= 50, "RankCtx has {total} public methods (at most 50): {counted:?}");
+}

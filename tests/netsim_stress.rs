@@ -367,9 +367,7 @@ fn mixed_paths_allocate_at_most_one_buffer_per_channel() {
 /// mailbox's wait loop.
 fn recv_word(ctx: &mut RankCtx<'_>, h: RecvHandle, round: usize) -> Result<f64, NetsimError> {
     if round.is_multiple_of(2) {
-        let msg = ctx.recv_blocking(h)?;
-        let word = msg.data()[0];
-        ctx.recycle(msg);
+        let word = ctx.recv_blocking(h)?.data()[0];
         ctx.flush_epoch();
         Ok(word)
     } else {

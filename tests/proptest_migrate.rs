@@ -17,11 +17,18 @@ use netsim::ProcFault;
 /// The shared skewed workload: 16 bricks over 4 ranks with 6x compute
 /// on the hotspot slab, enough pressure that every migration period
 /// actually trades bricks.
+const GRID: GridCfg = GridCfg { dims: [4, 2, 2], cells: 8, skew: 6.0 };
+
+/// Two bricks over the same 4 ranks: ranks 1 and 3 own nothing at setup,
+/// so they enter discovery's barrier without a request of their own.
+const IDLE_RANKS: GridCfg = GridCfg { dims: [2, 1, 1], cells: 8, skew: 6.0 };
+
 fn cfg(migrate: usize, overlap: bool, backend: Backend) -> RebalanceCfg {
-    let mut c = RebalanceCfg::new(
-        GridCfg { dims: [4, 2, 2], cells: 8, skew: 6.0 },
-        vec![2, 2, 1],
-    );
+    cfg_on(GRID, migrate, overlap, backend)
+}
+
+fn cfg_on(grid: GridCfg, migrate: usize, overlap: bool, backend: Backend) -> RebalanceCfg {
+    let mut c = RebalanceCfg::new(grid, vec![2, 2, 1]);
     c.steps = 6;
     c.warmup = 2;
     c.migrate_every = migrate;
@@ -52,9 +59,9 @@ fn fingerprint(r: &MethodReport) -> (u64, u64, u64, u64) {
 /// ownership (the run really was dynamic).
 #[test]
 fn migrated_runs_match_static_bits() {
-    let check = |migrate, overlap, jitter_seed: u64| {
-        let mut stat = cfg(0, overlap, Backend::Thread);
-        let mut mig = cfg(migrate, overlap, Backend::Thread);
+    let check_on = |grid, migrate, overlap, jitter_seed: u64| {
+        let mut stat = cfg_on(grid, 0, overlap, Backend::Thread);
+        let mut mig = cfg_on(grid, migrate, overlap, Backend::Thread);
         // Data-safe wire chaos (delay/jitter) must perturb timing only.
         if jitter_seed > 0 {
             let f =
@@ -74,9 +81,12 @@ fn migrated_runs_match_static_bits() {
             );
         }
     };
+    let check = |migrate, overlap, jitter_seed| check_on(GRID, migrate, overlap, jitter_seed);
     // The clean fabric always runs: one jitter seed in 16 could leave a
     // fixed suite without it.
     check(2, true, 0);
+    check_on(IDLE_RANKS, 1, false, 0);
+    check_on(IDLE_RANKS, 2, true, 0);
     cases("migrated_runs_match_static_bits", 8, |rng| {
         check(rng.gen_range(1usize..4), rng.gen_bool(0.5), rng.gen_range(0u64..16));
     });
@@ -92,12 +102,30 @@ fn migrated_runs_match_static_bits() {
 /// depends on how often it polls before its halos land; a step that
 /// opens an epoch first runs the blocking, counted fence (ops 0..3) and
 /// load trade (3..9), so op 9 — the allreduce — is reached too.
+///
+/// A kill on a lossy fabric is one more input, on both backends: the
+/// recovery epoch and the retry protocol share the mailboxes, and the
+/// crash must surface through the protocol's own polls.
 #[test]
 fn killed_migrated_runs_recover_the_same_trajectory() {
     const MIGRATE_EVERY: u64 = 2;
     // The fault-free trajectory, phased and overlapped.
     let clean = [false, true]
         .map(|overlap| run_rebalance(&cfg(MIGRATE_EVERY as usize, overlap, Backend::Thread)));
+    for backend in [Backend::Thread, Backend::Event] {
+        for faults in [
+            FaultConfig { seed: 42, drop: 0.05, corrupt: 0.02, ..kill(3, 3, 0) },
+            FaultConfig { seed: 7, drop: 0.2, corrupt: 0.1, ..kill(1, 4, 9) },
+        ] {
+            let mut chaos = cfg(MIGRATE_EVERY as usize, false, backend);
+            chaos.faults = faults;
+            chaos.checkpoint_every = 1;
+            let c = run_rebalance(&chaos);
+            assert_eq!(fingerprint(&clean[0]), fingerprint(&c), "{faults:?} on {backend}");
+            assert_eq!(c.recovery.recovery_epochs, 1, "{faults:?} on {backend}");
+            assert!(c.faults.total() > 0, "{faults:?} injected nothing on {backend}");
+        }
+    }
     cases("killed_migrated_runs_recover_the_same_trajectory", 8, |rng| {
         let victim = rng.gen_range(0usize..4);
         let step = rng.gen_range(1u64..6);
@@ -140,6 +168,10 @@ fn lossy_migrated_runs_match_the_clean_trajectory() {
         FaultConfig { seed: 7, drop: 0.1, ..FaultConfig::off() },
         FaultConfig { seed: 7, corrupt: 0.1, ..FaultConfig::off() },
         FaultConfig { seed: 7, dup: 0.1, ..FaultConfig::off() },
+        // Every data frame lost until the retry protocol's budget wave:
+        // discovery, fences and the protocol's own control frames are
+        // control plane and must get through untouched.
+        FaultConfig { seed: 7, drop: 1.0, ..FaultConfig::off() },
     ]
     .into_iter()
     .enumerate()
