@@ -211,7 +211,8 @@ OPTIONS:
   -I, --iters <N>       timed iterations (default: 8)
   -w, --warmup <N>      warmup iterations (default: 1)
   -r, --ranks <XxYxZ>   rank grid, e.g. 2x2x2 (default: 1x1x1 self-periodic)
-  -s, --stencil <name>  star7 | star13 | cube125 (default: star7)
+  -s, --stencil <name>  star7 | star13 | cube125 (default: star7; not for
+                        rebalance)
   -n, --net <name>      aries | edr | aries-jitter | instant (default:
                         aries); aries-jitter is Aries plus a seeded
                         per-rank wire slowdown in [1, 1.35] — data-safe
@@ -230,7 +231,8 @@ OPTIONS:
                         placement): bisect groups nearby subdomains
                         onto nodes by geometric recursive bisection
   -k, --kernel <name>   plan | gather — brick compute engine: precompiled
-                        kernel plan vs per-step halo gather (default: plan)
+                        kernel plan vs per-step halo gather (default: plan;
+                        memmap/layout/basic/shift only)
   -p, --page <bytes>    MemMap page size: 4096 | 16384 | 65536
                         (default: 4096; memmap/shift only)
   -f, --faults <spec>   seeded chaos injection: seed[,drop[,corrupt[,dup
@@ -301,6 +303,9 @@ OUTPUT: the artifact's five metrics — calc/pack/call/wait as
 pub fn parse(args: &[String]) -> Result<Options, String> {
     let mut o = Options::default();
     let mut page = None;
+    // Whether -k / -s were given: methods that run no brick kernel or no
+    // stencil refuse them instead of running without them.
+    let (mut kernel, mut stencil) = (false, false);
     let mut method_name = String::from("memmap");
     let mut it = args.iter().peekable();
     while let Some(arg) = it.next() {
@@ -338,6 +343,7 @@ pub fn parse(args: &[String]) -> Result<Options, String> {
                 }
             }
             "-s" | "--stencil" => {
+                stencil = true;
                 o.stencil = match take("--stencil")?.as_str() {
                     "star7" => Stencil::Star7,
                     "star13" => Stencil::Star13,
@@ -363,6 +369,7 @@ pub fn parse(args: &[String]) -> Result<Options, String> {
                     .ok_or_else(|| format!("unknown mapping '{name}' (lex | bisect)"))?;
             }
             "-k" | "--kernel" => {
+                kernel = true;
                 o.kernel = match take("--kernel")?.as_str() {
                     "plan" => KernelKind::Plan,
                     "gather" => KernelKind::Gather,
@@ -434,6 +441,17 @@ pub fn parse(args: &[String]) -> Result<Options, String> {
         return Err(rebalance_rejects(
             "--partitioned",
             "its staged whole-brick frames have nothing to ship early",
+        ));
+    }
+    if o.rebalance && (kernel || stencil) {
+        return Err(rebalance_rejects(
+            if kernel { "--kernel" } else { "--stencil" },
+            "its proxy relaxation runs no brick kernel and no stencil",
+        ));
+    }
+    if kernel && matches!(method_name.as_str(), "yask" | "yask-ol" | "mpi-types") {
+        return Err(format!(
+            "--kernel needs a brick compute engine (memmap | layout | basic | shift), not '{method_name}'"
         ));
     }
     if page.is_some() && !matches!(method_name.as_str(), "memmap" | "shift") {
@@ -1017,6 +1035,44 @@ mod tests {
         assert_eq!(p(&["--kernel", "plan"]).unwrap().kernel, KernelKind::Plan);
         assert!(p(&["-k", "jit"]).is_err());
         assert!(USAGE.contains("--kernel"));
+    }
+
+    /// The array engines run no brick kernel: `-k` is refused on them
+    /// instead of being ignored.
+    #[test]
+    fn kernel_is_rejected_on_yask() {
+        let err = p(&["-m", "yask", "-k", "gather"]).unwrap_err();
+        assert_eq!(err, "--kernel needs a brick compute engine (memmap | layout | basic | shift), not 'yask'");
+        assert!(p(&["-m", "yask"]).is_ok());
+        assert!(p(&["-m", "yask", "-s", "cube125"]).is_ok(), "the array engines run the stencil");
+    }
+
+    #[test]
+    fn kernel_is_rejected_on_yask_ol() {
+        let err = p(&["-m", "yask-ol", "--kernel", "plan"]).unwrap_err();
+        assert!(err.starts_with("--kernel needs a brick compute engine") && err.ends_with("'yask-ol'"), "{err}");
+        assert!(p(&["-m", "yask-ol"]).is_ok());
+    }
+
+    #[test]
+    fn kernel_is_rejected_on_mpi_types() {
+        let err = p(&["-m", "mpi-types", "-k", "gather"]).unwrap_err();
+        assert!(err.starts_with("--kernel needs a brick compute engine") && err.ends_with("'mpi-types'"), "{err}");
+        assert!(p(&["-m", "mpi-types"]).is_ok());
+        assert!(p(&["-m", "layout", "-k", "gather"]).is_ok());
+    }
+
+    #[test]
+    fn kernel_is_rejected_on_rebalance() {
+        let err = p(&["-m", "rebalance", "-k", "gather"]).unwrap_err();
+        assert_eq!(err, "-m rebalance does not take --kernel: its proxy relaxation runs no brick kernel and no stencil");
+    }
+
+    #[test]
+    fn stencil_is_rejected_on_rebalance() {
+        let err = p(&["-m", "rebalance", "-s", "cube125"]).unwrap_err();
+        assert_eq!(err, "-m rebalance does not take --stencil: its proxy relaxation runs no brick kernel and no stencil");
+        assert!(p(&["-m", "rebalance", "-d", "64", "-r", "2x1x1", "-n", "instant"]).is_ok());
     }
 
     #[test]

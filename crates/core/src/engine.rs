@@ -6,7 +6,7 @@
 
 use brick::{BrickInfo, BrickStorage};
 use netsim::telemetry::{Phase, Recorder};
-use netsim::{NetsimError, PartitionStats, RankCtx};
+use netsim::{NetsimError, RankCtx};
 use sched::{DepGraph, SendPriority};
 use stencil::{apply_bricks_gather, ArrayGrid, ArrayPlan, KernelPlan, PlanSplit, StencilShape};
 
@@ -111,13 +111,6 @@ pub(crate) trait RankEngine {
     fn pready(&mut self, _ctx: &mut RankCtx<'_>, _bricks: &[u32]) -> Result<(), NetsimError> {
         unsupported()
     }
-    /// Early-shipping counters since the last reset (none without
-    /// partitioned channels).
-    fn partition_stats(&self) -> PartitionStats {
-        PartitionStats::default()
-    }
-    /// Zero the early-shipping counters.
-    fn reset_partition_stats(&mut self) {}
 }
 
 /// Brick compute kernel bound once per rank, before the step loop.
@@ -311,16 +304,6 @@ impl RankEngine for HeapBricks<'_> {
         let (plan, mem) = self.bound(true);
         plan.pready(ctx, &mem, bricks)
     }
-
-    fn partition_stats(&self) -> PartitionStats {
-        self.session.as_ref().map(|s| s.plan().partition_stats()).unwrap_or_default()
-    }
-
-    fn reset_partition_stats(&mut self) {
-        if self.session.is_some() {
-            self.bound(false).0.reset_partition_stats();
-        }
-    }
 }
 
 /// Two mmap-backed grids, each with its own views; `cur` indexes the
@@ -442,18 +425,6 @@ macro_rules! view_pair_engine {
             fn pready(&mut self, ctx: &mut RankCtx<'_>, bricks: &[u32]) -> Result<(), NetsimError> {
                 let (plan, mem) = self.views[1 - self.cur].bound(&mut self.grids[1 - self.cur]);
                 scoped(ctx, <$view>::SPLIT_SCOPE, |ctx| plan.pready(ctx, &mem, bricks))
-            }
-
-            fn partition_stats(&self) -> PartitionStats {
-                let mut p = self.views[0].plan().partition_stats();
-                p.merge(&self.views[1].plan().partition_stats());
-                p
-            }
-
-            fn reset_partition_stats(&mut self) {
-                for (view, grid) in self.views.iter_mut().zip(&mut self.grids) {
-                    view.bound(grid).0.reset_partition_stats();
-                }
             }
         }
     };

@@ -509,12 +509,13 @@ pub fn run_experiment(cfg: &ExperimentConfig) -> MethodReport {
     report
 }
 
-/// The wire clock: accumulated modeled communication seconds (`call` +
-/// `wait`) — the deltas the overlap scheduler measures its hiding
-/// window against.
-fn wire_clock(ctx: &RankCtx<'_>) -> f64 {
+/// The rank's cumulative counters the overlap scheduler measures each
+/// window by: modeled communication seconds (`call` + `wait`), which the
+/// window's hidden compute is credited against, and the early and total
+/// bytes its partitioned channels flushed.
+fn window_counters(ctx: &RankCtx<'_>) -> sched::Counters {
     let t = ctx.timers();
-    t.call + t.wait
+    (t.call + t.wait, t.early_bytes, t.partition_bytes)
 }
 
 /// A [`Schedule`] bound to one rank's engine. Built before the step loop,
@@ -589,17 +590,17 @@ impl StepPlan {
                 // it reads no ghost bricks. (Our transport completes sends
                 // eagerly, so sequencing interior compute between post and
                 // wait is also temporally faithful.)
-                timer.begin_step(wire_clock(ctx));
+                timer.begin_step(window_counters(ctx));
                 let calc0 = ctx.timers().calc;
                 eng.compute(ctx, Some(interior));
                 timer.hide(ctx.timers().calc - calc0);
                 eng.exchange(ctx)?;
-                timer.end_step(wire_clock(ctx));
+                timer.end_step(window_counters(ctx));
                 eng.compute(ctx, Some(surface));
             }
             StepPlan::Dag(dag) => {
                 let pready_live = dag.partitioned && pready_live;
-                timer.begin_step(wire_clock(ctx));
+                timer.begin_step(window_counters(ctx));
                 dag.completed.clear();
                 eng.begin(ctx, &mut dag.completed)?;
                 // Interior compute hides the in-flight exchange: it reads
@@ -627,7 +628,7 @@ impl StepPlan {
                     }
                 }
                 eng.finish(ctx)?;
-                timer.end_step(wire_clock(ctx));
+                timer.end_step(window_counters(ctx));
                 // Boundary bricks whose dependencies only resolved at the
                 // blocking finish — the exposed part of the step. They are
                 // still marked ready so the *next* step's messages start
@@ -739,9 +740,6 @@ pub(crate) fn run_steps<E: RankEngine, T: Send>(
                             ctx.enable_profiling();
                         }
                         timer = OverlapTimer::new();
-                        if matches!(plan, StepPlan::Dag(_)) {
-                            eng.reset_partition_stats();
-                        }
                     }
                     if eng.before_step(ctx, step)? {
                         plan = StepPlan::bind(run.schedule, &mut eng, ctx);
@@ -768,11 +766,7 @@ pub(crate) fn run_steps<E: RankEngine, T: Send>(
             Ok(failure) => failure,
             Err(e) => fail(ctx, format_args!("step {at}"), e),
         };
-        let overlap_stats = matches!(plan, StepPlan::Dag(_)).then(|| {
-            let ps = eng.partition_stats();
-            timer.record_partition(ps.early_bytes, ps.total_bytes);
-            timer.stats()
-        });
+        let overlap_stats = matches!(plan, StepPlan::Dag(_)).then(|| timer.stats());
         let timers = ctx.timers().per_step(steps);
         let timeline = ctx.take_timeline();
         let summary = ctx.reduce_timers(&timers).unwrap_or_else(|e| fail(ctx, "the timer reduction", e));
@@ -1160,9 +1154,9 @@ mod tests {
         assert!(!s.partitioned(), "loopback-only run must not count partitions");
     }
 
-    /// Faults collapse partitioned streaming back to the reliable
-    /// protocol at partition granularity; the grid still converges
-    /// bit-identically to a clean phased run.
+    /// Lossy faults close the partitioned channels: nothing ships early
+    /// and the retry protocol runs on whole messages; the grid still
+    /// converges bit-identically to a clean phased run.
     #[test]
     fn partitioned_chaos_run_converges() {
         for m in [

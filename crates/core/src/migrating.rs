@@ -21,7 +21,7 @@
 use std::ops::Range;
 
 use netsim::telemetry::{BrickCosts, MigrationStats};
-use netsim::{NbxStats, NetsimError, RankCtx};
+use netsim::{NetsimError, RankCtx};
 use sched::DepGraph;
 use stencil::PlanSplit;
 
@@ -148,9 +148,8 @@ impl<'a> Migrating<'a> {
         let mut mig = MigrationStats::default();
         let (ids, edges) = if ctx.incarnation() == 0 {
             let ids = view.owned_by(ctx.rank() as u32);
-            let (edges, st) = discover_plan(ctx, &mut view, &ids, grid)
+            let edges = discover_plan(ctx, &mut view, &ids, grid, &mut mig)
                 .unwrap_or_else(|e| fail(ctx, "setup discovery, before any fault could be armed", e));
-            absorb_discovery(&mut mig, &st);
             (ids, edges)
         } else {
             Default::default()
@@ -277,10 +276,8 @@ impl<'a> Migrating<'a> {
         // polls are as many as host timing makes them.)
         ctx.note_count("migration_epoch_posted_ops", ctx.step_ops() - ops0);
         self.view.advance_epoch();
-        let (edges, st) = discover_plan(ctx, &mut self.view, &self.ids, &grid)?;
-        self.edges = edges;
+        self.edges = discover_plan(ctx, &mut self.view, &self.ids, &grid, &mut self.mig)?;
         self.mig.epochs += 1;
-        absorb_discovery(&mut self.mig, &st);
         self.costs.harvest();
         self.window_steps = 0;
         self.rebind(ctx);
@@ -294,12 +291,6 @@ impl<'a> Migrating<'a> {
         let sums = self.cur.chunks_exact(self.cfg.grid.cells).map(brick_sum);
         (self.ids.iter().copied().zip(sums).collect(), self.mig)
     }
-}
-
-fn absorb_discovery(mig: &mut MigrationStats, st: &NbxStats) {
-    mig.nbx_rounds += 1;
-    mig.nbx_data_msgs += st.data_msgs;
-    mig.nbx_barrier_msgs += st.barrier_msgs;
 }
 
 impl RankEngine for Migrating<'_> {

@@ -36,9 +36,11 @@
 //! * **partitioned** — after [`CommPlan::enable_partitioned`], mailbox
 //!   sends are persistent [`PartitionedSend`] channels fed by
 //!   [`CommPlan::pready`]; with no `pready` they bill exactly the
-//!   whole-message schedule. Fragments are reassembled, so nothing is lent;
-//! * **lossy + partitioned** — the retry protocol at partition
-//!   granularity, so a fault retransmits one brick; nothing is lent.
+//!   whole-message schedule. Each flush counts the message's early and
+//!   total bytes on the rank's timers. Fragments are reassembled, so
+//!   nothing is lent. Lossy wins over partitioned: a lossy run ships
+//!   nothing early and retries whole messages, so it bills exactly what
+//!   the same run without partitioned channels bills.
 //!
 //! Self-sends never cross the fabric: they are one on-node copy with
 //! full wire-model charges in every mode.
@@ -46,10 +48,7 @@
 use std::ops::Range;
 
 use layout::Dir;
-use netsim::{
-    Lend, NetsimError, PartitionStats, PartitionTable, PartitionedRecv, PartitionedSend, RankCtx,
-    RecvHandle,
-};
+use netsim::{Lend, NetsimError, PartitionedRecv, PartitionedSend, RankCtx, RecvHandle};
 use sched::SendPriority;
 
 use crate::reliable::{RelRecv, RelSend, ReliableSession};
@@ -311,17 +310,9 @@ pub(crate) fn scoped<'c, R>(ctx: &mut RankCtx<'c>, scope: Option<&'static str>, 
     }
 }
 
-/// Tag plane for partition-granularity reliable frames: base channel
-/// tags stay below 2^32 and the control channel uses bit 62, so
-/// `(tag, partition)` maps to a tag no whole message ever uses.
-fn partition_tag(tag: u64, p: usize) -> u64 {
-    tag | ((p as u64 + 1) << 32)
-}
-
 /// Partitioned-channel state: the persistent channels, the storage
-/// brick → `(channel, partition)` map driving `pready`, the
-/// destination-priority classes, and (lazily, under lossy faults) a
-/// partition-granularity [`ReliableSession`].
+/// brick → `(channel, partition)` map driving `pready`, and the
+/// destination-priority classes.
 struct PartitionedExchange {
     /// One channel per mailbox send, in `CommPlan::mailbox_sends` order.
     psends: Vec<PartitionedSend>,
@@ -332,50 +323,6 @@ struct PartitionedExchange {
     /// Destination-priority classes over storage bricks (class 0 feeds
     /// the most-exposed channel).
     priority: SendPriority,
-    /// Elements per partition (one padded storage brick).
-    part_elems: usize,
-    /// Partition-granularity retry protocol, built on first lossy step.
-    rel: Option<ReliableSession>,
-    /// Flat reliable receive index → `(mailbox receive k, partition p)`.
-    rel_recv_map: Vec<(u32, u32)>,
-}
-
-impl PartitionedExchange {
-    /// Accumulated early-shipping counters across all send channels.
-    fn stats(&self) -> PartitionStats {
-        let mut s = PartitionStats::default();
-        for ps in &self.psends {
-            s.merge(&ps.stats());
-        }
-        s
-    }
-
-    /// Build (once) the partition-granularity reliable session: one
-    /// retry channel per `(channel, partition)`, so a fault on one
-    /// fragment retransmits that partition alone.
-    fn ensure_reliable(&mut self) {
-        if self.rel.is_none() {
-            let mut rsends = Vec::new();
-            for ps in &self.psends {
-                for p in 0..ps.table().parts() {
-                    rsends.push(RelSend { dest: ps.dest(), tag: partition_tag(ps.tag(), p) });
-                }
-            }
-            let mut rrecvs = Vec::new();
-            for (k, pr) in self.precvs.iter().enumerate() {
-                let table = PartitionTable::even(pr.total_elems(), self.part_elems);
-                for p in 0..table.parts() {
-                    rrecvs.push(RelRecv {
-                        src: pr.src(),
-                        tag: partition_tag(pr.tag(), p),
-                        elems: table.range(p).len(),
-                    });
-                    self.rel_recv_map.push((k as u32, p as u32));
-                }
-            }
-            self.rel = Some(ReliableSession::new(rsends, rrecvs));
-        }
-    }
 }
 
 /// An exchange schedule bound to one rank, with all of its protocol
@@ -551,43 +498,20 @@ impl CommPlan {
         let mut psends = Vec::with_capacity(self.mailbox_sends.len());
         for (k, &i) in self.mailbox_sends.iter().enumerate() {
             let (s, bricks) = (&self.sends[i], bricks_of(i));
-            let table = PartitionTable::even(bricks.len() * part_elems, part_elems);
-            psends.push(PartitionedSend::new(s.dest, s.tag, table));
+            psends.push(PartitionedSend::new(s.dest, s.tag, bricks.len() * part_elems, part_elems));
             for (p, &b) in bricks.iter().enumerate() {
                 brick_parts[b].push((k as u32, p as u32));
                 priority.assign(b as u32, class[k]);
             }
         }
         let precvs = self.recvs.iter().map(|r| PartitionedRecv::new(r.src, r.tag, r.elems)).collect();
-        self.partitioned = Some(PartitionedExchange {
-            psends,
-            precvs,
-            brick_parts,
-            priority,
-            part_elems,
-            rel: None,
-            rel_recv_map: Vec::new(),
-        });
+        self.partitioned = Some(PartitionedExchange { psends, precvs, brick_parts, priority });
     }
 
     /// Destination-priority classes over storage bricks (`None` unless
     /// partitioned mode is on).
     pub fn priority(&self) -> Option<&SendPriority> {
         self.partitioned.as_ref().map(|p| &p.priority)
-    }
-
-    /// Early-shipping counters accumulated since the last reset (all
-    /// zero when partitioned mode is off).
-    pub fn partition_stats(&self) -> PartitionStats {
-        self.partitioned.as_ref().map(|p| p.stats()).unwrap_or_default()
-    }
-
-    /// Zero the early-shipping counters (drivers call this at the end
-    /// of warmup so reported fractions cover timed steps only).
-    pub fn reset_partition_stats(&mut self) {
-        for ps in self.partitioned.iter_mut().flat_map(|p| &mut p.psends) {
-            ps.reset_stats();
-        }
     }
 
     /// Mark freshly computed storage bricks ready on their partitioned
@@ -768,31 +692,12 @@ impl CommPlan {
     }
 
     /// Lossy mode: mailbox traffic runs the retry protocol (checksummed
-    /// frames, retry with backoff, degraded fallback), per message or —
-    /// over partitioned channels — per partition. It converges to the
-    /// exact bits of the fault-free exchange.
+    /// frames, retry with backoff, degraded fallback) on whole messages,
+    /// partitioned channels or not. It converges to the exact bits of
+    /// the fault-free exchange.
     fn run_reliable<'c, M: HaloMem<'c>>(&mut self, ctx: &mut RankCtx<'_>, mem: &mut M) -> Result<(), NetsimError> {
         self.loopbacks(ctx, mem)?;
-        let CommPlan { sends, mailbox_sends, recvs, mailbox, reliable, partitioned, .. } = self;
-        if let Some(part) = partitioned {
-            part.ensure_reliable();
-            let PartitionedExchange { psends, rel, rel_recv_map, part_elems, .. } = part;
-            let rel = rel.as_mut().expect("built above");
-            rel.begin();
-            let mut idx = 0;
-            for (ps, &i) in psends.iter().zip(mailbox_sends.iter()) {
-                let data = mem.send(i);
-                for p in 0..ps.table().parts() {
-                    rel.stage(idx, &data[ps.table().range(p)]);
-                    idx += 1;
-                }
-            }
-            return rel.run(ctx, |f, payload| {
-                let (k, p) = rel_recv_map[f];
-                let lo = p as usize * *part_elems;
-                mem.recv(mailbox[k as usize])[lo..lo + payload.len()].copy_from_slice(payload);
-            });
-        }
+        let CommPlan { sends, mailbox_sends, recvs, mailbox, reliable, .. } = self;
         let rel = reliable.get_or_insert_with(|| {
             let rsends = mailbox_sends.iter().map(|&i| RelSend { dest: sends[i].dest, tag: sends[i].tag });
             ReliableSession::new(rsends.collect(), recvs.clone())
@@ -842,6 +747,7 @@ mod tests {
     use super::*;
     use crate::decomp::Ownership;
     use crate::workload::GridCfg;
+    use netsim::telemetry::MigrationStats;
     use netsim::{run_cluster_faulty, run_cluster_on, Backend, CartTopo, FaultConfig, NetworkModel, Timers};
 
     const STEPS: usize = 6;
@@ -944,7 +850,7 @@ mod tests {
             }
             out.timers = ctx.timers();
             out.injected = ctx.fault_stats().total();
-            out.early_bytes = plan.partition_stats().early_bytes;
+            out.early_bytes = out.timers.early_bytes;
             out
         })
     }
@@ -997,14 +903,16 @@ mod tests {
     }
 
     /// Persistent channels nobody marked ready ship everything at the
-    /// flush: every modeled charge equals the whole-message schedule's.
+    /// flush: every modeled charge equals the whole-message schedule's,
+    /// and the flushes count their bytes as partitioned, none early.
     #[test]
     fn idle_partitioned_channels_bill_the_whole_message_schedule() {
         let plain = drive(FaultConfig::off(), false, false, false);
         let idle = drive(FaultConfig::off(), true, false, false);
         for (p, i) in plain.iter().zip(&idle) {
-            assert_eq!(p.timers, i.timers);
+            assert_eq!(p.timers, Timers { early_bytes: 0, partition_bytes: 0, ..i.timers });
             assert_eq!(i.early_bytes, 0);
+            assert!(i.timers.partition_bytes > 0);
         }
     }
 
@@ -1102,13 +1010,12 @@ mod tests {
                 |ctx| {
                     let mut view = Ownership::block(grid.nbricks(), ctx.size());
                     let owned = view.owned_by(ctx.rank() as u32);
-                    discover_plan(ctx, &mut view, &owned, &grid).unwrap()
+                    discover_plan(ctx, &mut view, &owned, &grid, &mut MigrationStats::default()).unwrap()
                 },
             );
             // Ranks own {0,1} and {2,3}; the ±x ghosts cross the cut at
             // both ends of the periodic ring.
-            let (p0, _) = &out[0];
-            let (p1, _) = &out[1];
+            let (p0, p1) = (&out[0], &out[1]);
             assert_eq!(p0.recv, vec![(1, vec![2, 3])], "backend {backend:?}");
             assert_eq!(p0.send, vec![(1, vec![0, 1])]);
             assert_eq!(p1.recv, vec![(0, vec![0, 1])]);
@@ -1139,18 +1046,17 @@ mod tests {
                         1 => vec![],
                         _ => vec![1, 2],
                     };
-                    let (plan, stats) =
-                        discover_plan(ctx, &mut view, &owned, &grid).unwrap();
-                    (plan, stats, view.owner_of(1))
+                    let plan = discover_plan(ctx, &mut view, &owned, &grid, &mut MigrationStats::default()).unwrap();
+                    (plan, view.owner_of(1))
                 },
             );
-            let (p0, _, v0) = &out[0];
+            let (p0, v0) = &out[0];
             assert_eq!(*v0, 2, "rank 0 learned the true owner, backend {backend:?}");
             assert_eq!(p0.recv, vec![(2, vec![1, 2])]);
             assert_eq!(p0.send, vec![(2, vec![0])]);
-            let (p1, _, _) = &out[1];
+            let (p1, _) = &out[1];
             assert!(p1.send.is_empty() && p1.recv.is_empty(), "empty rank idles");
-            let (p2, _, _) = &out[2];
+            let (p2, _) = &out[2];
             assert_eq!(p2.send, vec![(0, vec![1, 2])]);
             assert_eq!(p2.recv, vec![(0, vec![0])]);
         });
@@ -1171,11 +1077,12 @@ mod tests {
             |ctx| {
                 let mut view = Ownership::block(grid.nbricks(), ctx.size());
                 let owned = view.owned_by(ctx.rank() as u32);
-                let (_, stats) = discover_plan(ctx, &mut view, &owned, &grid).unwrap();
-                stats
+                let mut mig = MigrationStats::default();
+                discover_plan(ctx, &mut view, &owned, &grid, &mut mig).unwrap();
+                mig
             },
         );
-        let data: u64 = out.iter().map(|s| s.data_msgs).sum();
+        let data: u64 = out.iter().map(|s| s.nbx_data_msgs).sum();
         assert!(data > 0);
         assert!(
             data < (n * (n - 1)) as u64,

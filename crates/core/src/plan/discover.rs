@@ -24,7 +24,8 @@
 
 use std::collections::{BTreeMap, BTreeSet};
 
-use netsim::{Ibarrier, NbxStats, NetsimError, RankCtx, CTRL_TAG_BIT};
+use netsim::telemetry::MigrationStats;
+use netsim::{Ibarrier, NetsimError, RankCtx, CTRL_TAG_BIT};
 
 use crate::decomp::Ownership;
 use crate::workload::GridCfg;
@@ -92,14 +93,15 @@ impl ExchangePlan {
 /// `owned` is this rank's authoritative brick set; `view` its
 /// (possibly stale) global brick→rank map, updated in place as replies
 /// reveal true owners. Collective: every rank must call it at the same
-/// point. Returns the plan plus the discovery message counters (the
-/// no-alltoall witness).
+/// point. The round and this rank's discovery messages (the no-alltoall
+/// witness) are counted into `mig`'s `nbx_*` fields.
 pub fn discover_plan(
     ctx: &mut RankCtx<'_>,
     view: &mut Ownership,
     owned: &[u32],
     grid: &GridCfg,
-) -> Result<(ExchangePlan, NbxStats), NetsimError> {
+    mig: &mut MigrationStats,
+) -> Result<ExchangePlan, NetsimError> {
     let me = ctx.rank();
     let owned_set: BTreeSet<u32> = owned.iter().copied().collect();
     let mut needed: BTreeSet<u32> = BTreeSet::new();
@@ -114,7 +116,7 @@ pub fn discover_plan(
 
     // Freeze the forwarding view for this round (see module docs).
     let fwd = view.clone();
-    let mut stats = NbxStats::default();
+    mig.nbx_rounds += 1;
     let mut requests: BTreeMap<usize, Vec<u32>> = BTreeMap::new();
     for &g in &needed {
         let target = fwd.owner_of(g) as usize;
@@ -126,7 +128,7 @@ pub fn discover_plan(
     }
     for (dest, ids) in &requests {
         ctx.isend(*dest, REQ_TAG, &req_frame(me, ids))?;
-        stats.data_msgs += 1;
+        mig.nbx_data_msgs += 1;
     }
 
     let mut outstanding = needed.len();
@@ -134,7 +136,7 @@ pub fn discover_plan(
     let mut recv: BTreeMap<usize, Vec<u32>> = BTreeMap::new();
     let mut bar: Option<Ibarrier> = None;
     loop {
-        serve(ctx, &fwd, &owned_set, view, &mut send, &mut recv, &mut outstanding, &mut stats)?;
+        serve(ctx, &fwd, &owned_set, view, &mut send, &mut recv, &mut outstanding, mig)?;
         match bar.as_mut() {
             None if outstanding == 0 => bar = Some(Ibarrier::start(ctx)?),
             None => ctx.idle_tick()?,
@@ -148,9 +150,9 @@ pub fn discover_plan(
     // Quiescent: every request chain ended in a reply its requester
     // consumed before entering the barrier, so this drain only mops up
     // frames already served logically (in practice: nothing).
-    serve(ctx, &fwd, &owned_set, view, &mut send, &mut recv, &mut outstanding, &mut stats)?;
+    serve(ctx, &fwd, &owned_set, view, &mut send, &mut recv, &mut outstanding, mig)?;
     ctx.flush_epoch();
-    stats.barrier_msgs += bar.map(|b| b.msgs()).unwrap_or(0);
+    mig.nbx_barrier_msgs += bar.map(|b| b.msgs()).unwrap_or(0);
 
     let tidy = |m: BTreeMap<usize, Vec<u32>>| {
         m.into_iter()
@@ -161,7 +163,7 @@ pub fn discover_plan(
             })
             .collect()
     };
-    Ok((ExchangePlan { send: tidy(send), recv: tidy(recv) }, stats))
+    Ok(ExchangePlan { send: tidy(send), recv: tidy(recv) })
 }
 
 fn req_frame(requester: usize, ids: &[u32]) -> Vec<f64> {
@@ -183,7 +185,7 @@ fn serve(
     send: &mut BTreeMap<usize, Vec<u32>>,
     recv: &mut BTreeMap<usize, Vec<u32>>,
     outstanding: &mut usize,
-    stats: &mut NbxStats,
+    mig: &mut MigrationStats,
 ) -> Result<(), NetsimError> {
     let me = ctx.rank();
     loop {
@@ -229,12 +231,12 @@ fn serve(
                         rep.push(f64::from_bits(me as u64));
                     }
                     ctx.isend(requester, REP_TAG, &rep)?;
-                    stats.data_msgs += 1;
+                    mig.nbx_data_msgs += 1;
                     send.entry(requester).or_default().extend(mine);
                 }
                 for (next, ids) in &onward {
                     ctx.isend(*next, REQ_TAG, &req_frame(requester, ids))?;
-                    stats.data_msgs += 1;
+                    mig.nbx_data_msgs += 1;
                 }
             } else {
                 let k = data[0].to_bits() as usize;

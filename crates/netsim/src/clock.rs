@@ -201,6 +201,13 @@ impl RankCtx<'_> {
         self.timers.payload_bytes += bytes as u64;
     }
 
+    /// Count one partitioned message at its flush: `early` of its
+    /// `bytes` left before the flush, on `pready`.
+    pub(crate) fn note_partitioned(&mut self, early: usize, bytes: usize) {
+        self.timers.early_bytes += early as u64;
+        self.timers.partition_bytes += bytes as u64;
+    }
+
     /// Charge additional modeled seconds to `wait` (the drain a
     /// partitioned channel settles at its flush).
     pub(crate) fn charge_wait(&mut self, secs: f64) {

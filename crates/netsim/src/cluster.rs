@@ -289,17 +289,13 @@ impl<'a> RankCtx<'a> {
         self.pools[self.rank].bytes()
     }
 
-    /// Whether a fault plan is armed (and not bypassed) on this rank.
-    pub fn fault_active(&self) -> bool {
-        self.fault.is_some() && !self.fault_bypass
-    }
-
-    /// Whether the armed fault plan can actually lose or damage data
-    /// (drop/corrupt/dup). Delay- or jitter-only plans stretch modeled
-    /// time but deliver every payload intact, so engines keep their
-    /// fast overlap/partitioned paths open under them.
+    /// Whether a fault plan is armed (and not bypassed) on this rank and
+    /// can actually lose or damage data (drop/corrupt/dup). Delay- or
+    /// jitter-only plans stretch modeled time but deliver every payload
+    /// intact, so engines keep their fast overlap/partitioned paths open
+    /// under them.
     pub fn fault_lossy(&self) -> bool {
-        self.fault_active() && self.fault.as_ref().is_some_and(|p| p.config().lossy())
+        !self.fault_bypass && self.fault.as_ref().is_some_and(|p| p.config().lossy())
     }
 
     /// This incarnation's injected faults, and the retry protocol's

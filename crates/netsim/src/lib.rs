@@ -71,11 +71,9 @@ pub use fault::{
     frame_checksum, FaultConfig, FaultEvent, FaultKind, FaultPlan, FaultStats, ProcFault,
     CTRL_TAG_BIT,
 };
-pub use nbx::{Ibarrier, NbxStats};
+pub use nbx::Ibarrier;
 pub use procfault::{Failure, RECO_NS};
-pub use partition::{
-    PartitionStats, PartitionTable, PartitionedRecv, PartitionedSend, DEFAULT_EAGER_BYTES,
-};
+pub use partition::{PartitionedRecv, PartitionedSend, DEFAULT_EAGER_BYTES};
 pub use trace::{MsgEvent, Trace};
 pub use window::Lend;
 pub use hier::{HierarchicalNetworkModel, NodeShape};

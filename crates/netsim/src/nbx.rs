@@ -35,18 +35,6 @@ use crate::fault::CTRL_TAG_BIT;
 /// index lands in the low bits.
 const NBX_BARRIER_NS: u64 = CTRL_TAG_BIT | 0x9BA0_0000;
 
-/// Message counters for one NBX exchange — the no-alltoall witness.
-/// Summed across ranks, `data_msgs` stays proportional to the real
-/// partner degree while an alltoall would cost `ranks × (ranks - 1)`.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct NbxStats {
-    /// Point-to-point payload messages this rank sent.
-    pub data_msgs: u64,
-    /// Dissemination-barrier tokens this rank sent
-    /// (`ceil(log2 ranks)`).
-    pub barrier_msgs: u64,
-}
-
 /// A nonblocking dissemination barrier: `start` enters it, repeated
 /// [`Ibarrier::advance`] calls poll it forward, and completion proves
 /// every rank has entered. Between polls the caller keeps serving its

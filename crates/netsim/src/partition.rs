@@ -3,9 +3,10 @@
 //! Models MPI-4 partitioned communication (`MPI_Psend_init` /
 //! `MPI_Pready`) on top of the pooled transport, following *Persistent
 //! and Partitioned MPI for Stencil Communication*: a
-//! [`PartitionedSend`] is bound **once** to a `(dest, tag,
-//! partition-table)` triple, compute workers mark individual partitions
-//! ready as their bricks finish, and the channel ships accumulated
+//! [`PartitionedSend`] is bound **once** to a `(dest, tag)` pair and a
+//! message cut into equal partitions (the last may be ragged), compute
+//! workers mark individual partitions ready as their bricks finish,
+//! and the channel ships accumulated
 //! ready *prefixes* early — before the message's nominal injection
 //! point at the next exchange — so the fragment's serialization drains
 //! behind compute that is still being billed.
@@ -25,6 +26,14 @@
 //! channel that never sees a `pready` degenerates to exactly the
 //! phased send.
 //!
+//! The flush also counts the message on the rank's
+//! [`Timers`](crate::Timers): `partition_bytes` gets its payload and
+//! `early_bytes` the part `pready` already shipped. Counting at the
+//! flush puts a message's early bytes in the step that sends the rest,
+//! whenever its bricks were marked ready. There is no retry protocol at
+//! partition granularity: a lossy run never ships early and retries
+//! whole messages (the caller's choice; see `packfree`'s `CommPlan`).
+//!
 //! This is the piece of the paper's win that whole-message overlap
 //! (PR 5) structurally cannot reach: a whole message is injected at the
 //! start of exchange *t+1* and can only hide behind window *t+1*'s
@@ -43,8 +52,6 @@
 //! of message *t+1*, and the receiver stops at exactly the bound
 //! element count.
 
-use std::ops::Range;
-
 use crate::cluster::RankCtx;
 use crate::error::NetsimError;
 use crate::RecvHandle;
@@ -56,96 +63,20 @@ use crate::RecvHandle;
 /// enough that fragmentation overhead stays a minor tax.
 pub const DEFAULT_EAGER_BYTES: usize = 8 * 1024;
 
-/// Immutable partition layout of one message: `parts` contiguous
-/// element sub-ranges covering `[0, total_elems)`.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct PartitionTable {
-    /// Cumulative element bounds; `bounds[p]..bounds[p+1]` is partition
-    /// `p`. Always starts at 0 and ends at the total element count.
-    bounds: Vec<usize>,
-}
-
-impl PartitionTable {
-    /// Evenly partition `total_elems` into chunks of `part_elems`
-    /// (ragged last chunk). `part_elems == 0` or `>= total_elems`
-    /// yields a single partition.
-    pub fn even(total_elems: usize, part_elems: usize) -> PartitionTable {
-        assert!(total_elems > 0, "cannot partition an empty message");
-        let step = if part_elems == 0 { total_elems } else { part_elems };
-        let mut bounds = Vec::with_capacity(total_elems / step + 2);
-        let mut at = 0;
-        while at < total_elems {
-            bounds.push(at);
-            at += step;
-        }
-        bounds.push(total_elems);
-        PartitionTable { bounds }
-    }
-
-    /// Number of partitions.
-    pub fn parts(&self) -> usize {
-        self.bounds.len() - 1
-    }
-
-    /// Total elements across all partitions.
-    pub fn total_elems(&self) -> usize {
-        // `bounds` always holds parts+1 entries (the constructor seeds
-        // index 0), so `last()` cannot fail even for an empty table.
-        *self.bounds.last().unwrap()
-    }
-
-    /// Element range of partition `p` within the message.
-    pub fn range(&self, p: usize) -> Range<usize> {
-        self.bounds[p]..self.bounds[p + 1]
-    }
-}
-
-/// Byte counters for one or more partitioned channels.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct PartitionStats {
-    /// Payload bytes shipped early via `pready` (before the owning
-    /// message's flush).
-    pub early_bytes: u64,
-    /// Total payload bytes flushed through partitioned channels.
-    pub total_bytes: u64,
-    /// Fragments put on the wire (early + flush remainders).
-    pub fragments: u64,
-    /// `pready` calls observed.
-    pub preadys: u64,
-}
-
-impl PartitionStats {
-    /// Element-wise sum.
-    pub fn merge(&mut self, o: &PartitionStats) {
-        self.early_bytes += o.early_bytes;
-        self.total_bytes += o.total_bytes;
-        self.fragments += o.fragments;
-        self.preadys += o.preadys;
-    }
-
-    /// Fraction of partitioned payload that left early (0 when nothing
-    /// was flushed yet).
-    pub fn early_fraction(&self) -> f64 {
-        if self.total_bytes == 0 {
-            0.0
-        } else {
-            self.early_bytes as f64 / self.total_bytes as f64
-        }
-    }
-}
-
 /// Send half of a persistent partitioned channel.
 ///
-/// Bound once to `(dest, tag, table)`; per exchange the owner calls
-/// [`PartitionedSend::pready`] zero or more times as partitions
-/// complete, then [`PartitionedSend::flush`] at the next exchange's
-/// injection point to post the remainder and settle the deferred
-/// bandwidth of the early fragments.
+/// Bound once to `(dest, tag)` and a message of `total_elems` elements
+/// cut into partitions of `part_elems` (the last one may be shorter);
+/// per exchange the owner calls [`PartitionedSend::pready`] zero or more
+/// times as partitions complete, then [`PartitionedSend::flush`] at the
+/// next exchange's injection point to post the remainder and settle the
+/// deferred bandwidth of the early fragments.
 #[derive(Debug)]
 pub struct PartitionedSend {
     dest: usize,
     tag: u64,
-    table: PartitionTable,
+    total_elems: usize,
+    part_elems: usize,
     eager_bytes: usize,
     ready: Vec<bool>,
     /// First partition not yet marked ready (prefix frontier).
@@ -157,25 +88,27 @@ pub struct PartitionedSend {
     /// Early fragments awaiting settlement: `(ship virtual time,
     /// drain seconds g + B/β)`.
     inflight: Vec<(f64, f64)>,
-    stats: PartitionStats,
 }
 
 impl PartitionedSend {
-    /// Bind a channel to `(dest, tag, table)` with the default eager
-    /// threshold.
-    pub fn new(dest: usize, tag: u64, table: PartitionTable) -> PartitionedSend {
-        let parts = table.parts();
+    /// Bind a channel to `(dest, tag)` for messages of `total_elems`
+    /// elements in partitions of `part_elems` (ragged last partition;
+    /// `part_elems == 0` or `>= total_elems` is a single partition),
+    /// with the default eager threshold.
+    pub fn new(dest: usize, tag: u64, total_elems: usize, part_elems: usize) -> PartitionedSend {
+        assert!(total_elems > 0, "cannot partition an empty message");
+        let part_elems = if part_elems == 0 { total_elems } else { part_elems };
         PartitionedSend {
             dest,
             tag,
-            table,
+            total_elems,
+            part_elems,
             eager_bytes: DEFAULT_EAGER_BYTES,
-            ready: vec![false; parts],
+            ready: vec![false; total_elems.div_ceil(part_elems)],
             frontier: 0,
             shipped: 0,
             early_elems: 0,
             inflight: Vec::new(),
-            stats: PartitionStats::default(),
         }
     }
 
@@ -185,21 +118,6 @@ impl PartitionedSend {
     pub fn with_eager(mut self, bytes: usize) -> PartitionedSend {
         self.eager_bytes = bytes;
         self
-    }
-
-    /// Destination rank.
-    pub fn dest(&self) -> usize {
-        self.dest
-    }
-
-    /// Channel tag.
-    pub fn tag(&self) -> u64 {
-        self.tag
-    }
-
-    /// The bound partition table.
-    pub fn table(&self) -> &PartitionTable {
-        &self.table
     }
 
     /// Mark partition `p` of the upcoming message ready and ship the
@@ -213,16 +131,15 @@ impl PartitionedSend {
         p: usize,
         data: &[f64],
     ) -> Result<(), NetsimError> {
-        debug_assert_eq!(data.len(), self.table.total_elems());
-        self.stats.preadys += 1;
+        debug_assert_eq!(data.len(), self.total_elems);
         if self.ready[p] {
             return Ok(());
         }
         self.ready[p] = true;
-        while self.frontier < self.table.parts() && self.ready[self.frontier] {
+        while self.frontier < self.ready.len() && self.ready[self.frontier] {
             self.frontier += 1;
         }
-        let prefix = self.table.bounds[self.frontier];
+        let prefix = (self.frontier * self.part_elems).min(self.total_elems);
         if (prefix - self.shipped) * std::mem::size_of::<f64>() >= self.eager_bytes.max(1) {
             self.ship(ctx, data, prefix, true)?;
         }
@@ -251,7 +168,6 @@ impl PartitionedSend {
         } else {
             ctx.isend(self.dest, self.tag, frag)?;
         }
-        self.stats.fragments += 1;
         self.shipped = upto;
         Ok(())
     }
@@ -259,12 +175,13 @@ impl PartitionedSend {
     /// Post the message remainder through the ordinary epoch path,
     /// settle the deferred bandwidth of this message's early fragments
     /// (billing only the drain residual not covered by intervening
-    /// billed work), and re-arm the channel for the next message.
-    /// `data` must be the same logical payload earlier `pready` calls
-    /// sliced.
+    /// billed work), count the message's early and total payload bytes
+    /// on the rank's [`Timers`](crate::Timers), and re-arm the channel
+    /// for the next message. `data` must be the same logical payload
+    /// earlier `pready` calls sliced.
     pub fn flush(&mut self, ctx: &mut RankCtx<'_>, data: &[f64]) -> Result<(), NetsimError> {
-        debug_assert_eq!(data.len(), self.table.total_elems());
-        let total = self.table.total_elems();
+        debug_assert_eq!(data.len(), self.total_elems);
+        let total = self.total_elems;
         // Settle first: the drain window closes at the next message's
         // injection point, before the remainder's own posting cost.
         let now = ctx.virtual_time();
@@ -279,23 +196,13 @@ impl PartitionedSend {
         if self.shipped < total {
             self.ship(ctx, data, total, false)?;
         }
-        self.stats.early_bytes += (self.early_elems * std::mem::size_of::<f64>()) as u64;
-        self.stats.total_bytes += (total * std::mem::size_of::<f64>()) as u64;
+        let word = std::mem::size_of::<f64>();
+        ctx.note_partitioned(self.early_elems * word, total * word);
         self.ready.fill(false);
         self.frontier = 0;
         self.shipped = 0;
         self.early_elems = 0;
         Ok(())
-    }
-
-    /// Accumulated channel statistics.
-    pub fn stats(&self) -> PartitionStats {
-        self.stats
-    }
-
-    /// Zero the statistics (e.g. after warmup steps).
-    pub fn reset_stats(&mut self) {
-        self.stats = PartitionStats::default();
     }
 }
 
@@ -316,21 +223,6 @@ impl PartitionedRecv {
     pub fn new(src: usize, tag: u64, total_elems: usize) -> PartitionedRecv {
         assert!(total_elems > 0, "cannot bind an empty receive channel");
         PartitionedRecv { src, tag, total_elems, handle: None, filled: 0 }
-    }
-
-    /// Source rank.
-    pub fn src(&self) -> usize {
-        self.src
-    }
-
-    /// Channel tag.
-    pub fn tag(&self) -> u64 {
-        self.tag
-    }
-
-    /// Elements expected per message.
-    pub fn total_elems(&self) -> usize {
-        self.total_elems
     }
 
     /// Arm the channel for one message: posts the single persistent
@@ -401,7 +293,7 @@ mod tests {
     use crate::cluster::{run_cluster, run_cluster_on, Backend};
     use crate::model::NetworkModel;
     use crate::topo::CartTopo;
-    use crate::FaultConfig;
+    use crate::{FaultConfig, Timers};
 
     const TAG: u64 = 0x77;
 
@@ -409,44 +301,41 @@ mod tests {
         (0..n).map(|i| (rank * 1000 + i) as f64).collect()
     }
 
-    /// One exchange over a bound channel pair: rank 0 -> rank 1, with
-    /// the given pready order before the flush.
+    /// One exchange over a bound channel pair: rank 0 -> rank 1, a
+    /// message of `n` elements in partitions of `part`, with the given
+    /// pready order before the flush. Rank 0 also returns its timers,
+    /// whose only traffic is the channel's.
     fn ring_exchange(
         net: NetworkModel,
         eager: usize,
+        (n, part): (usize, usize),
         pready_order: &[usize],
-    ) -> Vec<(Vec<f64>, PartitionStats, f64)> {
+    ) -> Vec<(Vec<f64>, Timers)> {
         let order = pready_order.to_vec();
         let topo = CartTopo::new(&[2], false);
         run_cluster(&topo, net, move |ctx| {
-            let n = 16;
             if ctx.rank() == 0 {
-                let table = PartitionTable::even(n, 4);
-                let mut tx = PartitionedSend::new(1, TAG, table).with_eager(eager);
+                let mut tx = PartitionedSend::new(1, TAG, n, part).with_eager(eager);
                 let data = payload(0, n);
                 for &p in &order {
                     tx.pready(ctx, p, &data).unwrap();
                 }
                 tx.flush(ctx, &data).unwrap();
                 ctx.flush_epoch();
-                (Vec::new(), tx.stats(), ctx.timers().wait)
+                (Vec::new(), ctx.timers())
             } else {
                 let mut rx = PartitionedRecv::new(0, TAG, n);
                 let mut dst = vec![0.0; n];
                 rx.begin(ctx).unwrap();
                 rx.finish(ctx, &mut dst).unwrap();
-                (dst, PartitionStats::default(), 0.0)
+                (dst, Timers::default())
             }
         })
     }
 
-    #[test]
-    fn table_even_is_ragged_and_covering() {
-        let t = PartitionTable::even(10, 4);
-        assert_eq!(t.parts(), 3);
-        assert_eq!(t.range(0), 0..4);
-        assert_eq!(t.range(2), 8..10);
-        assert_eq!(t.total_elems(), 10);
+    /// Early share of the partitioned payload the rank flushed.
+    fn early_fraction(t: &Timers) -> f64 {
+        t.early_bytes as f64 / t.partition_bytes as f64
     }
 
     #[test]
@@ -454,40 +343,57 @@ mod tests {
         // pready order 1, 0, 3: partition 1 alone is not a prefix; 0
         // completes the [0,1] prefix (8 elems = 64 B >= eager 1); 3 is
         // blocked behind 2, which never readies early.
-        let out = ring_exchange(NetworkModel::instant(), 1, &[1, 0, 3]);
-        let (dst, _, _) = &out[1];
+        let out = ring_exchange(NetworkModel::instant(), 1, (16, 4), &[1, 0, 3]);
+        let (dst, _) = &out[1];
         assert_eq!(dst, &payload(0, 16));
-        let (_, stats, _) = &out[0];
-        assert_eq!(stats.early_bytes, 8 * 8);
-        assert_eq!(stats.total_bytes, 16 * 8);
-        assert_eq!(stats.fragments, 2); // early [0..8), flush [8..16)
-        assert_eq!(stats.preadys, 3);
+        let (_, t) = &out[0];
+        assert_eq!(t.early_bytes, 8 * 8);
+        assert_eq!(t.partition_bytes, 16 * 8);
+        assert_eq!(t.msgs, 2); // early [0..8), flush [8..16)
+    }
+
+    #[test]
+    fn table_even_is_ragged_and_covering() {
+        // 10 elements in partitions of 4 are [0..4), [4..8), [8..10).
+        let tx = PartitionedSend::new(1, TAG, 10, 4);
+        assert_eq!(tx.ready.len(), 3);
+        // Partition 2 waits behind the prefix; 0 ships [0..4); 1
+        // advances the frontier past the end, so the prefix stops at
+        // the message's last element and covers all of it.
+        let out = ring_exchange(NetworkModel::instant(), 1, (10, 4), &[2, 0, 1]);
+        let (dst, _) = &out[1];
+        assert_eq!(dst, &payload(0, 10));
+        let (_, t) = &out[0];
+        assert_eq!(t.early_bytes, 10 * 8);
+        assert_eq!(t.partition_bytes, 10 * 8);
+        assert_eq!(t.wire_bytes, 10 * 8);
+        assert_eq!(t.msgs, 2); // early [0..4), early [4..10)
     }
 
     #[test]
     fn eager_threshold_holds_small_prefixes_back() {
         // Threshold above the whole message: nothing ships early, the
         // flush sends one whole-message fragment — the phased shape.
-        let out = ring_exchange(NetworkModel::instant(), 1 << 20, &[0, 1, 2, 3]);
-        let (dst, _, _) = &out[1];
+        let out = ring_exchange(NetworkModel::instant(), 1 << 20, (16, 4), &[0, 1, 2, 3]);
+        let (dst, _) = &out[1];
         assert_eq!(dst, &payload(0, 16));
-        let (_, stats, _) = &out[0];
-        assert_eq!(stats.early_bytes, 0);
-        assert_eq!(stats.fragments, 1);
-        assert!((stats.early_fraction() - 0.0).abs() < 1e-12);
+        let (_, t) = &out[0];
+        assert_eq!(t.early_bytes, 0);
+        assert_eq!(t.msgs, 1);
+        assert!((early_fraction(t) - 0.0).abs() < 1e-12);
     }
 
     #[test]
     fn out_of_order_pready_is_idempotent_and_completes() {
-        let out = ring_exchange(NetworkModel::instant(), 1, &[3, 3, 2, 1, 0, 0]);
-        let (dst, _, _) = &out[1];
+        let out = ring_exchange(NetworkModel::instant(), 1, (16, 4), &[3, 3, 2, 1, 0, 0]);
+        let (dst, _) = &out[1];
         assert_eq!(dst, &payload(0, 16));
-        let (_, stats, _) = &out[0];
+        let (_, t) = &out[0];
         // Frontier jumps 0 -> 4 on the last effective pready: one
         // early fragment of the whole message, nothing at flush.
-        assert_eq!(stats.early_bytes, 16 * 8);
-        assert_eq!(stats.fragments, 1);
-        assert!((stats.early_fraction() - 1.0).abs() < 1e-12);
+        assert_eq!(t.early_bytes, 16 * 8);
+        assert_eq!(t.msgs, 1);
+        assert!((early_fraction(t) - 1.0).abs() < 1e-12);
     }
 
     #[test]
@@ -502,8 +408,7 @@ mod tests {
             let out = run_cluster(&topo, net, move |ctx| {
                 let n = 1024;
                 if ctx.rank() == 0 {
-                    let table = PartitionTable::even(n, n / 2);
-                    let mut tx = PartitionedSend::new(1, TAG, table).with_eager(1);
+                    let mut tx = PartitionedSend::new(1, TAG, n, n / 2).with_eager(1);
                     let data = payload(0, n);
                     tx.pready(ctx, 0, &data).unwrap();
                     ctx.charge_calc(calc_secs);
@@ -569,8 +474,7 @@ mod tests {
         let out = run_cluster(&topo, NetworkModel::instant(), |ctx| {
             let n = 12;
             if ctx.rank() == 0 {
-                let table = PartitionTable::even(n, 3);
-                let mut tx = PartitionedSend::new(1, TAG, table).with_eager(1);
+                let mut tx = PartitionedSend::new(1, TAG, n, 3).with_eager(1);
                 let a = payload(7, n);
                 let b = payload(9, n);
                 tx.flush(ctx, &a).unwrap(); // message 1: no preadys
@@ -605,8 +509,7 @@ mod tests {
             run_cluster_on(backend, &topo, NetworkModel::theta_aries(), FaultConfig::off(), |ctx| {
                 let n = 64;
                 if ctx.rank() == 0 {
-                    let table = PartitionTable::even(n, 8);
-                    let mut tx = PartitionedSend::new(1, TAG, table).with_eager(1);
+                    let mut tx = PartitionedSend::new(1, TAG, n, 8).with_eager(1);
                     let data = payload(3, n);
                     for p in [2, 0, 1, 7, 3] {
                         tx.pready(ctx, p, &data).unwrap();

@@ -600,7 +600,10 @@ mod coroutine {
             // task returns here through `frame.worker_ctx` before this block
             // ends, and the thread-local is restored before `frame` is dropped.
             unsafe {
-                if (*ctx).r12 == 0 {
+                // Only a fresh context resumes at the trampoline, which
+                // takes the task from r12; a suspended task's r12 is its
+                // own, zero or not, and comes back untouched.
+                if (*ctx).rip == netsim_task_start as unsafe extern "C" fn() as usize as u64 {
                     (*ctx).r12 = task as *const Task as u64;
                 }
                 let prev = WORKER_FRAME.with(|w| w.replace(&mut frame));
@@ -686,6 +689,48 @@ mod tests {
                 assert!(panic.is_none());
             });
             assert_eq!(hits.load(Ordering::SeqCst), 1);
+        }
+    }
+
+    // Holds zero in the callee-saved r12 across a suspension and returns
+    // what r12 holds after the resume.
+    #[cfg(all(target_os = "linux", target_arch = "x86_64"))]
+    core::arch::global_asm!(
+        ".text",
+        ".balign 16",
+        ".globl netsim_test_r12_across_suspend",
+        ".hidden netsim_test_r12_across_suspend",
+        "netsim_test_r12_across_suspend:",
+        "push r12",
+        "xor r12d, r12d",
+        "call {yield_once}",
+        "mov rax, r12",
+        "pop r12",
+        "ret",
+        yield_once = sym yield_once,
+    );
+
+    #[cfg(all(target_os = "linux", target_arch = "x86_64"))]
+    extern "C" fn yield_once() {
+        suspend(Directive::Yield);
+    }
+
+    #[test]
+    #[cfg(all(target_os = "linux", target_arch = "x86_64"))]
+    fn a_zero_in_a_callee_saved_register_survives_a_suspension() {
+        extern "C" {
+            fn netsim_test_r12_across_suspend() -> u64;
+        }
+        for &coroutines in SUBSTRATES {
+            let r12 = std::sync::atomic::AtomicU64::new(u64::MAX);
+            // SAFETY: the asm helper follows the C ABI: it saves and
+            // restores r12, keeps the stack aligned for its call, and
+            // returns a plain integer.
+            let body = || r12.store(unsafe { netsim_test_r12_across_suspend() }, Ordering::SeqCst);
+            with_tasks(coroutines, vec![Box::new(body)], |tasks| {
+                assert_eq!(drive(&tasks[0]).0, 2, "one suspension, then the finish");
+            });
+            assert_eq!(r12.load(Ordering::SeqCst), 0, "coroutines={coroutines}");
         }
     }
 

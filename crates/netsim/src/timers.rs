@@ -25,6 +25,11 @@ pub struct Timers {
     pub wire_bytes: u64,
     /// Payload bytes (excluding padding), set by callers that know it.
     pub payload_bytes: u64,
+    /// Of the bytes flushed through partitioned channels, those shipped
+    /// early by `pready` (before the owning message's flush).
+    pub early_bytes: u64,
+    /// Payload bytes flushed through partitioned channels.
+    pub partition_bytes: u64,
 }
 
 impl Timers {
@@ -48,6 +53,8 @@ impl Timers {
         self.msgs += o.msgs;
         self.wire_bytes += o.wire_bytes;
         self.payload_bytes += o.payload_bytes;
+        self.early_bytes += o.early_bytes;
+        self.partition_bytes += o.partition_bytes;
     }
 
     /// Scale all times and counters by `1/n` (per-timestep averaging).
@@ -61,6 +68,8 @@ impl Timers {
             msgs: self.msgs / n as u64,
             wire_bytes: self.wire_bytes / n as u64,
             payload_bytes: self.payload_bytes / n as u64,
+            early_bytes: self.early_bytes / n as u64,
+            partition_bytes: self.partition_bytes / n as u64,
         }
     }
 
@@ -84,16 +93,30 @@ mod tests {
 
     #[test]
     fn merge_and_per_step() {
-        let mut a = Timers { calc: 1.0, pack: 2.0, call: 0.5, wait: 0.5, msgs: 10, wire_bytes: 100, payload_bytes: 80 };
+        let mut a = Timers {
+            calc: 1.0,
+            pack: 2.0,
+            call: 0.5,
+            wait: 0.5,
+            msgs: 10,
+            wire_bytes: 100,
+            payload_bytes: 80,
+            early_bytes: 48,
+            partition_bytes: 64,
+        };
         let b = a;
         a.merge(&b);
         assert_eq!(a.calc, 2.0);
         assert_eq!(a.msgs, 20);
+        assert_eq!((a.early_bytes, a.partition_bytes), (96, 128));
         let p = a.per_step(2);
         assert_eq!(p.calc, 1.0);
         assert_eq!(p.msgs, 10);
+        assert_eq!((p.early_bytes, p.partition_bytes), (48, 64));
         assert_eq!(p.comm(), 2.0 + 0.5 + 0.5);
         assert_eq!(p.total(), 4.0);
+        a.reset();
+        assert_eq!(a, Timers::default());
     }
 
     #[test]

@@ -22,7 +22,9 @@
 //! `radius ≤ brick extents`, so a brick's stencil reads only its 27
 //! adjacency-row neighbors). [`OverlapTimer`] folds the really-measured
 //! hidden compute seconds against the modeled wire seconds into the
-//! [`telemetry::OverlapStats`] overlap-efficiency metric.
+//! [`telemetry::OverlapStats`] overlap-efficiency metric, beside the
+//! early and total bytes the rank's partitioned channels flushed in the
+//! same windows.
 //!
 //! Every brick is computed exactly once, from an input grid that is
 //! fixed for the whole step (receives scatter into ghost bricks before
@@ -218,14 +220,20 @@ impl DepGraph {
 /// `begin()` and `finish()` are folded against the modeled wire
 /// seconds (`call + wait`) the same window charged. The hidden credit
 /// is capped at the wire time — compute beyond the wire window hides
-/// nothing extra.
+/// nothing extra. The window's partitioned-channel bytes (early and
+/// total, counted by the rank at each flush) fold in beside it.
 #[derive(Debug, Default)]
 pub struct OverlapTimer {
     stats: OverlapStats,
     hidden_total: f64,
     step_hidden: f64,
-    wire_mark: f64,
+    mark: Counters,
 }
+
+/// A rank's cumulative counters, as `(wire seconds, early bytes,
+/// partitioned bytes)`: its modeled `call + wait`, and the payload its
+/// partitioned channels flushed, of which shipped early.
+pub type Counters = (f64, u64, u64);
 
 impl OverlapTimer {
     /// Fresh timer (all zeros).
@@ -233,10 +241,9 @@ impl OverlapTimer {
         OverlapTimer::default()
     }
 
-    /// Open a step's overlap window. `wire_now` is the rank's current
-    /// cumulative modeled wire seconds (`timers.call + timers.wait`).
-    pub fn begin_step(&mut self, wire_now: f64) {
-        self.wire_mark = wire_now;
+    /// Open a step's overlap window at the rank's cumulative `now`.
+    pub fn begin_step(&mut self, now: Counters) {
+        self.mark = now;
         self.step_hidden = 0.0;
     }
 
@@ -246,13 +253,17 @@ impl OverlapTimer {
         self.step_hidden += secs;
     }
 
-    /// Close the step's window at cumulative wire time `wire_now`:
-    /// folds `min(hidden, wire)` into the hidden total and the window's
-    /// wire seconds into the wire total.
-    pub fn end_step(&mut self, wire_now: f64) {
-        let wire = (wire_now - self.wire_mark).max(0.0);
+    /// Close the step's window at the rank's cumulative `now`: folds
+    /// `min(hidden, wire)` into the hidden total, the window's wire
+    /// seconds into the wire total and its partitioned bytes into the
+    /// byte counts.
+    pub fn end_step(&mut self, now: Counters) {
+        let (wire_now, early, bytes) = now;
+        let wire = (wire_now - self.mark.0).max(0.0);
         self.stats.hidden_wire += self.step_hidden.min(wire);
         self.stats.total_wire += wire;
+        self.stats.early_bytes += early - self.mark.1;
+        self.stats.partition_bytes += bytes - self.mark.2;
         self.hidden_total += self.step_hidden;
         self.step_hidden = 0.0;
     }
@@ -262,15 +273,6 @@ impl OverlapTimer {
     /// capped at the wire time).
     pub fn hidden_total(&self) -> f64 {
         self.hidden_total
-    }
-
-    /// Fold partitioned-channel byte totals (early-shipped vs total
-    /// payload routed through partitioned sends) into the stats. The
-    /// drivers call this once per run with the engine's accumulated
-    /// channel counters.
-    pub fn record_partition(&mut self, early_bytes: u64, total_bytes: u64) {
-        self.stats.early_bytes += early_bytes;
-        self.stats.partition_bytes += total_bytes;
     }
 
     /// The folded overlap statistics.
@@ -476,13 +478,13 @@ mod tests {
     fn overlap_timer_caps_hidden_at_wire_per_step() {
         let mut t = OverlapTimer::new();
         // Step 1: 2s hidden against 1s of wire — only 1s counts.
-        t.begin_step(10.0);
+        t.begin_step((10.0, 0, 0));
         t.hide(2.0);
-        t.end_step(11.0);
+        t.end_step((11.0, 0, 0));
         // Step 2: 0.25s hidden against 1s of wire.
-        t.begin_step(11.0);
+        t.begin_step((11.0, 0, 0));
         t.hide(0.25);
-        t.end_step(12.0);
+        t.end_step((12.0, 0, 0));
         let s = t.stats();
         assert!((s.hidden_wire - 1.25).abs() < 1e-12);
         assert!((s.total_wire - 2.0).abs() < 1e-12);
@@ -493,8 +495,12 @@ mod tests {
     #[test]
     fn overlap_timer_folds_partition_bytes() {
         let mut t = OverlapTimer::new();
-        t.record_partition(300, 400);
-        t.record_partition(100, 400);
+        // Two windows flush 400 B each, 300 and then 100 of them early;
+        // what the rank counted between the windows stays out.
+        t.begin_step((0.0, 1000, 2000));
+        t.end_step((0.0, 1300, 2400));
+        t.begin_step((0.0, 1500, 3000));
+        t.end_step((0.0, 1600, 3400));
         let s = t.stats();
         assert_eq!(s.early_bytes, 300 + 100);
         assert_eq!(s.partition_bytes, 800);

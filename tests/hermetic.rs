@@ -115,11 +115,11 @@ fn only_measuring_and_guarding_files_name_the_clock() {
 
 /// `RankCtx` is the transport's whole surface, so its public methods are
 /// counted: outside their tests, the `impl … RankCtx` blocks of
-/// `crates/netsim/src` declare at most 50 `pub fn`s. A protocol that needs
+/// `crates/netsim/src` declare at most 49 `pub fn`s. A protocol that needs
 /// netsim's bookkeeping asks for one call that owns it (the recovery
 /// bracket, the fence, the armed fault step), not for the steps.
 #[test]
-fn rank_ctx_has_at_most_50_public_methods() {
+fn rank_ctx_has_at_most_49_public_methods() {
     let mut counted = Vec::new();
     for (name, text) in sources("netsim") {
         let mut inside = false;
@@ -139,5 +139,5 @@ fn rank_ctx_has_at_most_50_public_methods() {
     }
     let total: usize = counted.iter().map(|(_, n)| n).sum();
     assert!(total > 0, "found no `impl RankCtx` block");
-    assert!(total <= 50, "RankCtx has {total} public methods (at most 50): {counted:?}");
+    assert!(total <= 49, "RankCtx has {total} public methods (at most 49): {counted:?}");
 }

@@ -5,10 +5,11 @@
 //! computed is a pure reordering of wire traffic — the receiver
 //! assembles the exact mailbox bytes the phased exchange would have
 //! delivered, so any drift is a channel bug, never a tolerance. A
-//! chaos property repeats the check with lossy faults armed, where the
-//! channels fall back to the reliable protocol at partition
-//! granularity, and a jitter property keeps the early-shipping windows
-//! open while per-rank wire speeds diverge.
+//! chaos property repeats the check with lossy faults armed, where
+//! nothing ships early and the retry protocol runs on whole messages —
+//! a lossy partitioned run bills exactly what a lossy overlapped run
+//! bills — and a jitter property keeps the early-shipping windows open
+//! while per-rank wire speeds diverge.
 
 mod common;
 
@@ -109,8 +110,8 @@ fn paged_engines_partitioned_bit_identical() {
     });
 }
 
-/// Under seeded lossy chaos the channels fall back to the reliable
-/// protocol at partition granularity; the physics must not move.
+/// Under seeded lossy chaos nothing ships early and the retry protocol
+/// runs on whole messages; the physics must not move.
 #[test]
 fn chaos_partitioned_bit_identical() {
     cases("chaos_partitioned_bit_identical", 8, |rng| {
@@ -127,6 +128,51 @@ fn chaos_partitioned_bit_identical() {
             Backend::Thread,
         ));
     });
+}
+
+/// A lossy fabric closes the partitioned channels: nothing ships early
+/// and the one retry protocol runs on whole messages, so a partitioned
+/// run bills what the overlapped run of the same seed bills — the same
+/// modeled `call`/`wait` bits, messages, wire bytes, injected faults and
+/// protocol responses — on every split-capable engine and both backends.
+#[test]
+fn lossy_partitioned_bills_what_lossy_overlap_bills() {
+    let methods = [
+        CpuMethod::Layout,
+        CpuMethod::Basic,
+        CpuMethod::MemMap { page_size: 4096 },
+        CpuMethod::Shift { page_size: 4096 },
+    ];
+    for method in methods {
+        for seed in [7u64, 42] {
+            for backend in [Backend::Thread, Backend::Event] {
+                if backend == Backend::Event && !Backend::event_supported() {
+                    continue;
+                }
+                let faults = FaultConfig::parse(&format!("{seed},0.05,0.02,0.05")).unwrap();
+                let mut cfg = ExperimentConfig {
+                    steps: 3,
+                    ranks: vec![1, 1, 2],
+                    faults,
+                    backend,
+                    overlap: true,
+                    ..ExperimentConfig::k1(method.clone(), 16)
+                };
+                let overlap = run_experiment(&cfg);
+                cfg.overlap = false;
+                cfg.partitioned = true;
+                let part = run_experiment(&cfg);
+                let what = format!("{} seed {seed} {backend:?}", method.name());
+                let (o, p) = (&overlap.timers, &part.timers);
+                assert_eq!((p.call.to_bits(), p.wait.to_bits()), (o.call.to_bits(), o.wait.to_bits()), "{what}");
+                assert_eq!((p.msgs, p.wire_bytes), (o.msgs, o.wire_bytes), "{what}");
+                assert_eq!(part.faults, overlap.faults, "{what}");
+                assert_eq!(part.recovery, overlap.recovery, "{what}");
+                assert!(part.faults.total() > 0, "{what}: seed {seed} must inject something");
+                assert_eq!(part.checksum.to_bits(), overlap.checksum.to_bits(), "{what}");
+            }
+        }
+    }
 }
 
 /// A crash-stop kill landing between `pready` calls — on top of
