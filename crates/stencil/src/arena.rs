@@ -2,11 +2,11 @@
 //!
 //! The gather fallback in [`crate::apply_bricks_gather`] and the
 //! grouped-row cube125 kernel need a small dense scratch per worker.
-//! Allocating it with `for_each_init(|| vec![...])` re-runs the
-//! allocation on every rayon *split*, not once per thread, so steady
-//! state kernels kept hitting the allocator. The arena here is a
-//! grow-only thread-local buffer: the first kernel invocation on a
-//! thread sizes it, every later one reuses it for free.
+//! Allocating it per dealt run would hit the allocator on every kernel
+//! call. The arena here is a grow-only thread-local buffer: the first
+//! kernel invocation on a thread sizes it, every later one reuses it
+//! for free — on the caller and on the kernel pool's helpers alike,
+//! which persist for exactly that reason.
 
 use std::cell::RefCell;
 

@@ -3,14 +3,10 @@
 //! exchange via explicit pack/unpack of the 26 surface regions.
 
 use layout::Dir;
-use rayon::prelude::*;
 
 use crate::isa::{per_isa, BoundIsa, Isa};
+use crate::pool;
 use crate::shape::StencilShape;
-
-/// Face pack/unpack goes parallel above this element count (256 KiB of
-/// f64); below it fork/join overhead beats the memcpy win.
-const PAR_FACE_MIN_ELEMS: usize = 1 << 15;
 
 /// A 3D domain stored as one lexicographic array with a `ghost`-wide rim.
 #[derive(Clone, Debug)]
@@ -129,8 +125,9 @@ impl ArrayGrid {
 
     /// Apply `shape` to every interior point of `self`, writing into
     /// `out` (same geometry). Ghosts must be valid to `shape.radius()`.
-    /// Parallelized over z-planes. One-shot convenience wrapper around
-    /// [`ArrayGrid::plan`] + [`ArrayGrid::apply_plan_into`].
+    /// The interior z-planes are dealt over the kernel pool's threads.
+    /// One-shot convenience wrapper around [`ArrayGrid::plan`] +
+    /// [`ArrayGrid::apply_plan_into`].
     pub fn apply_into(&self, shape: &StencilShape, out: &mut ArrayGrid) {
         self.apply_plan_into(&self.plan(shape), out);
     }
@@ -142,36 +139,47 @@ impl ArrayGrid {
         assert_eq!(plan.ext, self.ext, "plan compiled for a different geometry");
         assert_eq!(plan.ghost, self.ghost, "plan compiled for a different ghost width");
         match &plan.star7 {
-            Some(c) => star7_planes(plan.isa, self, c, &mut out.data),
-            None => self.apply_deltas(&plan.deltas, &mut out.data),
+            Some(c) => {
+                let isa = plan.isa;
+                self.for_interior_planes(&mut out.data, |z0, run| star7_run(isa, self, c, z0, run))
+            }
+            None => self.for_interior_planes(&mut out.data, |z0, run| self.deltas_run(&plan.deltas, z0, run)),
         }
     }
 
-    /// The generic hoisted-delta kernel for shapes without a
+    /// Deal the interior z-planes of the extended array `out` over
+    /// [`crate::pool`]: `f(z, run)` gets runs of whole planes, the first
+    /// at extended z-index `z`.
+    fn for_interior_planes(&self, out: &mut [f64], f: impl Fn(usize, &mut [f64]) + Sync) {
+        let (pl, g) = (self.ext[0] * self.ext[1], self.ghost);
+        let interior = &mut out[g * pl..(g + self.n[2]) * pl];
+        let work = interior.len();
+        pool::for_runs(interior, pl, work, |first, run| f(g + first, run));
+    }
+
+    /// One run of the generic hoisted-delta kernel for shapes without a
     /// specialized path (not widened: its per-point tap reduction is
-    /// scalar at every ISA level).
-    fn apply_deltas(&self, deltas: &[(isize, f64)], out: &mut [f64]) {
+    /// scalar at every ISA level): whole extended z-planes, the first at
+    /// extended z-index `z0`.
+    fn deltas_run(&self, deltas: &[(isize, f64)], z0: usize, run: &mut [f64]) {
         let (ex, ey) = (self.ext[0], self.ext[1]);
         let (g, n) = (self.ghost, self.n);
         let input = &self.data;
-        out.par_chunks_mut(ex * ey)
-            .enumerate()
-            .filter(|(zext, _)| *zext >= g && *zext < g + n[2])
-            .for_each(|(zext, plane)| {
-                for y in 0..n[1] {
-                    let row = (y + g) * ex + g;
-                    let zbase = zext * ex * ey + row;
-                    let (o, _) = plane[row..].split_at_mut(n[0]);
-                    for (x, ov) in o.iter_mut().enumerate() {
-                        let base = (zbase + x) as isize;
-                        let mut acc = 0.0;
-                        for &(d, c) in deltas {
-                            acc += c * input[(base + d) as usize];
-                        }
-                        *ov = acc;
+        for (zext, plane) in (z0..).zip(run.chunks_exact_mut(ex * ey)) {
+            for y in 0..n[1] {
+                let row = (y + g) * ex + g;
+                let zbase = zext * ex * ey + row;
+                let (o, _) = plane[row..].split_at_mut(n[0]);
+                for (x, ov) in o.iter_mut().enumerate() {
+                    let base = (zbase + x) as isize;
+                    let mut acc = 0.0;
+                    for &(d, c) in deltas {
+                        acc += c * input[(base + d) as usize];
                     }
+                    *ov = acc;
                 }
-            });
+            }
+        }
     }
 
     /// Ghost-cell-expansion variant of [`ArrayGrid::apply_into`]: also
@@ -243,9 +251,9 @@ impl ArrayGrid {
 
     /// Pack surface region `r(dir)` into `buf` (row-wise memcpy along
     /// the unit-stride axis — the *optimized* packing a tuned stencil
-    /// framework performs). Large faces pack their z-planes in
-    /// parallel; `buf` is sized once and reused without reallocation on
-    /// subsequent calls with the same region.
+    /// framework performs). Large faces deal their z-planes over the
+    /// kernel pool's threads; `buf` is sized once and reused without
+    /// reallocation on subsequent calls with the same region.
     pub fn pack_surface(&self, dir: &Dir, buf: &mut Vec<f64>) {
         let [rx, ry, rz] = self.surface_range(dir);
         let row_len = (rx.end - rx.start) as usize;
@@ -264,17 +272,15 @@ impl ArrayGrid {
                 out[yi * row_len..(yi + 1) * row_len].copy_from_slice(&self.data[o..o + row_len]);
             }
         };
-        if elems >= PAR_FACE_MIN_ELEMS {
-            buf.par_chunks_mut(plane).enumerate().for_each(|(zi, out)| pack_plane(zi, out));
-        } else {
-            for (zi, out) in buf.chunks_mut(plane).enumerate() {
+        pool::for_runs(buf, plane, elems, |first, run| {
+            for (zi, out) in (first..).zip(run.chunks_mut(plane)) {
                 pack_plane(zi, out);
             }
-        }
+        });
     }
 
     /// Unpack a received buffer into ghost region `g(dir)` (row-wise;
-    /// large faces unpack their z-planes in parallel).
+    /// large faces deal their z-planes over the kernel pool's threads).
     pub fn unpack_ghost(&mut self, dir: &Dir, buf: &[f64]) {
         let [rx, ry, rz] = self.ghost_range(dir);
         let row_len = (rx.end - rx.start) as usize;
@@ -294,20 +300,12 @@ impl ArrayGrid {
                 dplane[o..o + row_len].copy_from_slice(&src[yi * row_len..(yi + 1) * row_len]);
             }
         };
-        if buf.len() >= PAR_FACE_MIN_ELEMS {
-            self.data
-                .par_chunks_mut(ex * ey)
-                .skip(z0)
-                .take(nz)
-                .zip(buf.par_chunks(plane))
-                .for_each(|(dplane, src)| unpack_plane(dplane, src));
-        } else {
-            for (dplane, src) in
-                self.data.chunks_mut(ex * ey).skip(z0).take(nz).zip(buf.chunks(plane))
-            {
+        let planes = &mut self.data[z0 * ex * ey..(z0 + nz) * ex * ey];
+        pool::for_runs(planes, ex * ey, buf.len(), |first, run| {
+            for (dplane, src) in run.chunks_mut(ex * ey).zip(buf[first * plane..].chunks(plane)) {
                 unpack_plane(dplane, src);
             }
-        }
+        });
     }
 
     /// The raw extended array (ghost rim included), lexicographic with
@@ -369,43 +367,40 @@ impl ArrayPlan {
 }
 
 per_isa! {
-    /// The 7-point star on the interior z-planes of `grid`, one plane
-    /// per task, written into the extended array `out`: a branch-free
-    /// row loop (a tuned framework's kernel quality) in the brick
-    /// kernel's tap order, which the compiler widens to the level's
-    /// registers.
-    fn star7_planes(grid: &ArrayGrid, c: &[f64; 7], out: &mut [f64]) {
+    /// One run of the 7-point star on `grid`'s interior z-planes: whole
+    /// extended planes of `out`, the first at extended z-index `z0`,
+    /// through a branch-free row loop (a tuned framework's kernel
+    /// quality) in the brick kernel's tap order, which the compiler
+    /// widens to the level's registers.
+    fn star7_run(grid: &ArrayGrid, c: &[f64; 7], z0: usize, run: &mut [f64]) {
         let (ex, g, n) = (grid.ext[0], grid.ghost, grid.n);
         let pl = ex * grid.ext[1];
         let input = &grid.data[..];
         let [c0, cxm, cxp, cym, cyp, czm, czp] = *c;
 
-        out.par_chunks_mut(pl)
-            .enumerate()
-            .filter(|(zext, _)| *zext >= g && *zext < g + n[2])
-            .for_each(|(zext, plane)| {
-                for y in 0..n[1] {
-                    let orow = (y + g) * ex + g;
-                    let row = zext * pl + orow;
-                    let rc = &input[row..row + n[0]];
-                    let rxm = &input[row - 1..row - 1 + n[0]];
-                    let rxp = &input[row + 1..row + 1 + n[0]];
-                    let rym = &input[row - ex..row - ex + n[0]];
-                    let ryp = &input[row + ex..row + ex + n[0]];
-                    let rzm = &input[row - pl..row - pl + n[0]];
-                    let rzp = &input[row + pl..row + pl + n[0]];
-                    let o = &mut plane[orow..orow + n[0]];
-                    for x in 0..n[0] {
-                        o[x] = c0 * rc[x]
-                            + cxm * rxm[x]
-                            + cxp * rxp[x]
-                            + cym * rym[x]
-                            + cyp * ryp[x]
-                            + czm * rzm[x]
-                            + czp * rzp[x];
-                    }
+        for (zext, plane) in (z0..).zip(run.chunks_exact_mut(pl)) {
+            for y in 0..n[1] {
+                let orow = (y + g) * ex + g;
+                let row = zext * pl + orow;
+                let rc = &input[row..row + n[0]];
+                let rxm = &input[row - 1..row - 1 + n[0]];
+                let rxp = &input[row + 1..row + 1 + n[0]];
+                let rym = &input[row - ex..row - ex + n[0]];
+                let ryp = &input[row + ex..row + ex + n[0]];
+                let rzm = &input[row - pl..row - pl + n[0]];
+                let rzp = &input[row + pl..row + pl + n[0]];
+                let o = &mut plane[orow..orow + n[0]];
+                for x in 0..n[0] {
+                    o[x] = c0 * rc[x]
+                        + cxm * rxm[x]
+                        + cxp * rxp[x]
+                        + cym * rym[x]
+                        + cyp * ryp[x]
+                        + czm * rzm[x]
+                        + czp * rzp[x];
                 }
-            });
+            }
+        }
     }
 }
 

@@ -10,10 +10,29 @@
 //! so every level (and every register width) produces the same bits.
 
 use brick::{BrickInfo, BrickStorage, BrickView};
-use rayon::prelude::*;
 
-use crate::isa::per_isa;
+use crate::isa::{per_isa, BoundIsa};
+use crate::pool;
 use crate::shape::StencilShape;
+
+/// How many bricks `compute` selects: a kernel call's work is this
+/// times the elements per brick.
+pub(crate) fn selected(compute: &[bool]) -> usize {
+    compute.iter().filter(|&&c| c).count()
+}
+
+/// The bricks of one dealt run that `compute` selects, as `(brick id,
+/// brick slab)`: `run` holds whole `step`-long slabs, the first of brick
+/// `first`.
+#[inline(always)]
+pub(crate) fn run_bricks<'a>(
+    run: &'a mut [f64],
+    step: usize,
+    first: usize,
+    compute: &'a [bool],
+) -> impl Iterator<Item = (usize, &'a mut [f64])> {
+    (first..).zip(run.chunks_exact_mut(step)).filter(|(b, _)| compute[*b])
+}
 
 /// Apply `shape` to `field` of every brick selected by `compute[b]`,
 /// reading `input` and writing `output` (same geometry). Sequential
@@ -55,9 +74,9 @@ pub fn apply_bricks_serial(
     }
 }
 
-/// Parallel optimized application: bricks are distributed over threads
-/// and the shape dispatches to the fastest available kernel — the
-/// row-accumulate star7 path (at the detected ISA level), the
+/// Parallel optimized application: bricks are dealt over the kernel
+/// pool's threads and the shape dispatches to the fastest available
+/// kernel — the row-accumulate star7 path (at the detected ISA level), the
 /// grouped-row symmetric cube125 path, or the generic halo-gather
 /// fallback. One-shot convenience wrapper; for
 /// bind-once/execute-many steady-state stepping compile a
@@ -82,7 +101,7 @@ pub fn apply_bricks(
     // Specialized fast path for the canonical 7-point star.
     if let Some(c) = crate::shape::star7_coeffs(shape) {
         let isa = crate::Isa::detect().bind();
-        return star7_bricks(isa, &c, info, input, output, compute, field);
+        return star7_bricks(isa, &c, info, input, output, compute, field, selected(compute));
     }
     // Specialized fast path for the 10-coefficient symmetric 5³ cube.
     if let Some(c) = crate::shape::cube125_coeffs(shape) {
@@ -155,13 +174,8 @@ pub fn apply_bricks_gather(
         })
         .collect();
 
-    output
-        .as_mut_slice()
-        .par_chunks_mut(step)
-        .with_min_len(16)
-        .enumerate()
-        .filter(|(b, _)| compute[*b])
-        .for_each(|(b, chunk)| {
+    pool::for_runs(output.as_mut_slice(), step, selected(compute) * elems, |first, run| {
+        for (b, chunk) in run_bricks(run, step, first, compute) {
             // Thread-local grow-only scratch: sized on the thread's
             // first brick, reused allocation-free afterwards (the
             // gather below overwrites every element it reads).
@@ -227,7 +241,8 @@ pub fn apply_bricks_gather(
                     }
                 }
             });
-        });
+        }
+    });
 }
 
 /// Grouped-row 125-point kernel exploiting the paper's 10-coefficient
@@ -279,13 +294,8 @@ fn apply_cube125_bricks(
         }
     };
 
-    output
-        .as_mut_slice()
-        .par_chunks_mut(step)
-        .with_min_len(16)
-        .enumerate()
-        .filter(|(b, _)| compute[*b])
-        .for_each(|(b, chunk)| {
+    pool::for_runs(output.as_mut_slice(), step, selected(compute) * elems, |first, run| {
+        for (b, chunk) in run_bricks(run, step, first, compute) {
             let out = &mut chunk[field_base..field_base + elems];
             let adj = info.adjacency_row(b as u32);
             let bases: [usize; 27] = std::array::from_fn(|code| {
@@ -333,52 +343,69 @@ fn apply_cube125_bricks(
                     }
                 }
             });
-        });
+        }
+    });
 }
 
 /// Adjacency codes of the six face neighbors in tap order (−x, +x, −y,
 /// +y, −z, +z; trit encoding +1 -> 1, −1 -> 2, axis 0 least significant).
 const FACES: [usize; 6] = [2, 1, 6, 3, 18, 9];
 
+/// 7-point brick kernel, and the star7 execution path of
+/// [`crate::KernelPlan`]: the `selected` bricks `compute` marks are
+/// dealt over [`crate::pool`] in runs, and each run goes through
+/// [`star7_run`] at `isa`.
+#[allow(clippy::too_many_arguments)]
+pub(crate) fn star7_bricks(
+    isa: BoundIsa,
+    c: &[f64; 7],
+    info: &BrickInfo<3>,
+    input: &BrickStorage,
+    output: &mut BrickStorage,
+    compute: &[bool],
+    field: usize,
+    selected: usize,
+) {
+    let dims = info.brick_dims().extents();
+    assert!(dims.iter().all(|&e| e >= 2), "star7 kernel needs bricks of extent >= 2");
+    let (step, elems) = (output.step(), output.elements_per_brick());
+    let in_data = input.as_slice();
+    pool::for_runs(output.as_mut_slice(), step, selected * elems, |first, run| {
+        star7_run(isa, c, info, in_data, compute, step, field * elems, first, run)
+    });
+}
+
 per_isa! {
-    /// 7-point brick kernel, and the star7 execution path of
-    /// [`crate::KernelPlan`]: bricks are distributed over threads and
-    /// each runs [`star7_brick`], with a whole brick row per register
-    /// for the cubic 4³/8³/16³ bricks and one lane at a time otherwise.
-    pub(crate) fn star7_bricks(
+    /// One run of [`star7_bricks`]: each selected brick of `run` (whose
+    /// first brick is `first`) runs [`star7_brick`], with a whole brick
+    /// row per register for the cubic 4³/8³/16³ bricks and one lane at a
+    /// time otherwise.
+    #[allow(clippy::too_many_arguments)]
+    fn star7_run(
         c: &[f64; 7],
         info: &BrickInfo<3>,
-        input: &BrickStorage,
-        output: &mut BrickStorage,
+        in_data: &[f64],
         compute: &[bool],
-        field: usize,
+        step: usize,
+        field_base: usize,
+        first: usize,
+        run: &mut [f64],
     ) {
         let dims = info.brick_dims().extents();
-        assert!(dims.iter().all(|&e| e >= 2), "star7 kernel needs bricks of extent >= 2");
-        let step = output.step();
-        let elems = output.elements_per_brick();
-        let field_base = field * elems;
-        let in_data = input.as_slice();
-
-        output
-            .as_mut_slice()
-            .par_chunks_mut(step)
-            .with_min_len(16)
-            .enumerate()
-            .filter(|(b, _)| compute[*b])
-            .for_each(|(b, chunk)| {
-                let out = &mut chunk[field_base..field_base + elems];
-                let adj = info.adjacency_row(b as u32);
-                let slab = |nb: u32| &in_data[nb as usize * step + field_base..][..elems];
-                let cur = slab(b as u32);
-                let faces = FACES.map(|code| slab(adj[code]));
-                match dims {
-                    [4, 4, 4] => star7_brick::<4>(c, [4; 3], out, cur, faces),
-                    [8, 8, 8] => star7_brick::<8>(c, [8; 3], out, cur, faces),
-                    [16, 16, 16] => star7_brick::<16>(c, [16; 3], out, cur, faces),
-                    _ => star7_brick::<1>(c, dims, out, cur, faces),
-                }
-            });
+        let elems = info.brick_dims().elements();
+        for (b, chunk) in run_bricks(run, step, first, compute) {
+            let out = &mut chunk[field_base..field_base + elems];
+            let adj = info.adjacency_row(b as u32);
+            let slab = |nb: u32| &in_data[nb as usize * step + field_base..][..elems];
+            let cur = slab(b as u32);
+            let faces = FACES.map(|code| slab(adj[code]));
+            match dims {
+                [4, 4, 4] => star7_brick::<4>(c, [4; 3], out, cur, faces),
+                [8, 8, 8] => star7_brick::<8>(c, [8; 3], out, cur, faces),
+                [16, 16, 16] => star7_brick::<16>(c, [16; 3], out, cur, faces),
+                _ => star7_brick::<1>(c, dims, out, cur, faces),
+            }
+        }
     }
 }
 

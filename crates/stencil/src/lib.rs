@@ -19,6 +19,12 @@
 //!   AVX-512), and a plan binds the detected level when it is built.
 //!   `fma` is never enabled, so multiply and add stay separate and
 //!   every level produces the same bits;
+//! * one worker pool (`pool`, private) that every data-parallel loop
+//!   above runs through: a large kernel call, or a large face
+//!   pack/unpack, deals runs of bricks or z-planes to its caller plus
+//!   `available_parallelism() − 1` persistent helper threads — the
+//!   paper's OpenMP threads per rank — with each item computed by one
+//!   thread in the same op order, so the bits never depend on the split;
 //! * [`Datatype`], an MPI derived-datatype engine whose element-wise
 //!   pack walk faithfully reproduces the `MPI_Types` baseline.
 //!
@@ -44,6 +50,7 @@ pub mod brickstencil;
 pub mod isa;
 pub mod mpitypes;
 pub mod plan;
+mod pool;
 pub mod shape;
 pub mod varcoef;
 

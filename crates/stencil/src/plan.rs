@@ -37,10 +37,10 @@
 //! variable-coefficient 7-point kernel of [`crate::varcoef`].
 
 use brick::{BrickInfo, BrickStorage, NO_BRICK};
-use rayon::prelude::*;
 
-use crate::brickstencil::star7_bricks;
+use crate::brickstencil::{run_bricks, selected, star7_bricks};
 use crate::isa::{per_isa, BoundIsa, Isa};
+use crate::pool;
 use crate::shape::{star7_coeffs, StencilShape};
 
 /// Neighbor-base sentinel for a missing neighbor brick. Executing a
@@ -291,20 +291,10 @@ impl KernelPlan {
 
     /// Apply the planned stencil to every brick selected by
     /// `compute[b]`, reading `input` and writing `output` (both must
-    /// match the geometry the plan was compiled for).
+    /// match the geometry the plan was compiled for). The selected
+    /// bricks are dealt over the kernel pool's threads.
     pub fn execute(&self, input: &BrickStorage, output: &mut BrickStorage, compute: &[bool]) {
-        assert_eq!(compute.len(), self.bricks, "compute mask length mismatch");
-        assert_eq!(input.fields(), self.fields, "input field count mismatch");
-        assert_eq!(output.fields(), self.fields, "output field count mismatch");
-        assert_eq!(input.elements_per_brick(), self.elems, "brick geometry mismatch");
-        assert_eq!(input.bricks(), self.bricks, "brick count mismatch");
-        assert_eq!(output.bricks(), self.bricks, "brick count mismatch");
-        match &self.exec {
-            Exec::Star7 { c, info } => {
-                star7_bricks(self.isa, c, info, input, output, compute, self.field);
-            }
-            Exec::Block(blk) => block_bricks(self.isa, self, blk, input, output, compute),
-        }
+        self.run(input, output, compute, selected(compute));
     }
 
     /// [`KernelPlan::execute`] wrapped in a telemetry scope: the wall
@@ -320,65 +310,79 @@ impl KernelPlan {
         rec: &mut telemetry::Recorder,
     ) {
         rec.open("kernel:plan");
+        let bricks = selected(compute);
         let t0 = std::time::Instant::now();
-        self.execute(input, output, compute);
+        self.run(input, output, compute, bricks);
         rec.charge(telemetry::Phase::Compute, t0.elapsed().as_secs_f64());
-        rec.count(
-            "bricks_computed",
-            compute.iter().filter(|&&c| c).count() as u64,
-        );
+        rec.count("bricks_computed", bricks as u64);
         rec.close();
+    }
+
+    /// `execute` over a mask that selects `selected` bricks.
+    fn run(&self, input: &BrickStorage, output: &mut BrickStorage, compute: &[bool], selected: usize) {
+        assert_eq!(compute.len(), self.bricks, "compute mask length mismatch");
+        assert_eq!(input.fields(), self.fields, "input field count mismatch");
+        assert_eq!(output.fields(), self.fields, "output field count mismatch");
+        assert_eq!(input.elements_per_brick(), self.elems, "brick geometry mismatch");
+        assert_eq!(input.bricks(), self.bricks, "brick count mismatch");
+        assert_eq!(output.bricks(), self.bricks, "brick count mismatch");
+        match &self.exec {
+            Exec::Star7 { c, info } => {
+                star7_bricks(self.isa, c, info, input, output, compute, self.field, selected);
+            }
+            Exec::Block(blk) => {
+                let in_data = input.as_slice();
+                pool::for_runs(output.as_mut_slice(), self.step, selected * self.elems, |first, run| {
+                    block_run(self.isa, self, blk, in_data, compute, first, run)
+                });
+            }
+        }
     }
 }
 
 per_isa! {
-    /// Block executor: gather the padded halo block through the copy
-    /// list into the thread-local arena, then run the dense kernel.
-    /// Bricks are distributed over threads.
-    fn block_bricks(
+    /// One dealt run of the block executor: for each selected brick of
+    /// `run` (whose first brick is `first`), gather the padded halo
+    /// block through the copy list into the thread-local arena, then run
+    /// the dense kernel.
+    fn block_run(
         plan: &KernelPlan,
         blk: &BlockExec,
-        input: &BrickStorage,
-        output: &mut BrickStorage,
+        in_data: &[f64],
         compute: &[bool],
+        first: usize,
+        run: &mut [f64],
     ) {
         let (bx, by, bz) = (plan.bx, plan.by, plan.bz);
         let (elems, field_base) = (plan.elems, plan.field_base);
         let (wx, wy, taps) = (blk.wx, blk.wy, &blk.taps[..]);
-        let in_data = input.as_slice();
 
-        output
-            .as_mut_slice()
-            .par_chunks_mut(plan.step)
-            .with_min_len(16)
-            .enumerate()
-            .filter(|(b, _)| compute[*b])
-            .for_each(|(b, chunk)| {
-                let bases = &blk.nbase[b * 27..b * 27 + 27];
-                let out = &mut chunk[field_base..field_base + elems];
-                crate::arena::with_scratch(blk.block_len, |block| {
-                    for cs in &blk.copies {
-                        let len = cs.len as usize;
-                        let dst = &mut block[cs.dst as usize..cs.dst as usize + len];
-                        let sb = bases[cs.code as usize];
-                        if sb == MISSING {
-                            // Poison instead of panicking: a shape whose
-                            // taps never read this corner of the block
-                            // stays correct (the serial reference would
-                            // only panic on an actual read).
-                            dst.fill(f64::NAN);
-                        } else {
-                            dst.copy_from_slice(&in_data[sb + cs.src as usize..][..len]);
-                        }
+        for (b, chunk) in run_bricks(run, plan.step, first, compute) {
+            let bases = &blk.nbase[b * 27..b * 27 + 27];
+            let out = &mut chunk[field_base..field_base + elems];
+            crate::arena::with_scratch(blk.block_len, |block| {
+                for cs in &blk.copies {
+                    let len = cs.len as usize;
+                    let dst = &mut block[cs.dst as usize..cs.dst as usize + len];
+                    let sb = bases[cs.code as usize];
+                    if sb == MISSING {
+                        // Poison instead of panicking: a shape whose
+                        // taps never read this corner of the block
+                        // stays correct (the serial reference would
+                        // only panic on an actual read).
+                        dst.fill(f64::NAN);
+                    } else {
+                        dst.copy_from_slice(&in_data[sb + cs.src as usize..][..len]);
                     }
-                    match bx {
-                        4 => block_rows::<4>(out, block, taps, by, bz, wx, wy),
-                        8 => block_rows::<8>(out, block, taps, by, bz, wx, wy),
-                        16 => block_rows::<16>(out, block, taps, by, bz, wx, wy),
-                        _ => block_rows_dyn(out, block, taps, bx, by, bz, wx, wy),
-                    }
-                });
+                }
+                match bx {
+                    4 => block_rows::<4>(out, block, taps, by, bz, wx, wy),
+                    8 => block_rows::<8>(out, block, taps, by, bz, wx, wy),
+                    16 => block_rows::<16>(out, block, taps, by, bz, wx, wy),
+                    _ => block_rows_dyn(out, block, taps, bx, by, bz, wx, wy),
+                }
             });
+        }
     }
 }
 
@@ -594,6 +598,31 @@ impl VarCoefPlan {
     /// Apply the planned variable-coefficient stencil to every brick
     /// selected by `compute[b]`, writing field 0 of `output`.
     pub fn execute(&self, input: &BrickStorage, output: &mut BrickStorage, compute: &[bool]) {
+        self.run(input, output, compute, selected(compute));
+    }
+
+    /// [`VarCoefPlan::execute`] wrapped in a telemetry scope (see
+    /// [`KernelPlan::execute_profiled`]): measured wall time charged as
+    /// Compute under a `kernel:varcoef` span.
+    pub fn execute_profiled(
+        &self,
+        input: &BrickStorage,
+        output: &mut BrickStorage,
+        compute: &[bool],
+        rec: &mut telemetry::Recorder,
+    ) {
+        rec.open("kernel:varcoef");
+        let bricks = selected(compute);
+        let t0 = std::time::Instant::now();
+        self.run(input, output, compute, bricks);
+        rec.charge(telemetry::Phase::Compute, t0.elapsed().as_secs_f64());
+        rec.count("bricks_computed", bricks as u64);
+        rec.close();
+    }
+
+    /// `execute` over a mask that selects `selected` bricks, dealt over
+    /// [`crate::pool`]'s threads.
+    fn run(&self, input: &BrickStorage, output: &mut BrickStorage, compute: &[bool], selected: usize) {
         assert_eq!(compute.len(), self.bricks, "compute mask length mismatch");
         assert_eq!(input.fields(), self.fields, "input field count mismatch");
         assert_eq!(input.elements_per_brick(), self.elems, "brick geometry mismatch");
@@ -605,13 +634,8 @@ impl VarCoefPlan {
         let in_data = input.as_slice();
         let (segs, nbase) = (&self.segs, &self.nbase);
 
-        output
-            .as_mut_slice()
-            .par_chunks_mut(out_step)
-            .with_min_len(16)
-            .enumerate()
-            .filter(|(b, _)| compute[*b])
-            .for_each(|(b, chunk)| {
+        pool::for_runs(output.as_mut_slice(), out_step, selected * elems, |first, run| {
+            for (b, chunk) in run_bricks(run, out_step, first, compute) {
                 let bases = &nbase[b * 27..b * 27 + 27];
                 let coef_base = b * in_step + elems; // field 1 starts here
                 let out = &mut chunk[..elems];
@@ -655,28 +679,8 @@ impl VarCoefPlan {
                         }
                     }
                 }
-            });
-    }
-
-    /// [`VarCoefPlan::execute`] wrapped in a telemetry scope (see
-    /// [`KernelPlan::execute_profiled`]): measured wall time charged as
-    /// Compute under a `kernel:varcoef` span.
-    pub fn execute_profiled(
-        &self,
-        input: &BrickStorage,
-        output: &mut BrickStorage,
-        compute: &[bool],
-        rec: &mut telemetry::Recorder,
-    ) {
-        rec.open("kernel:varcoef");
-        let t0 = std::time::Instant::now();
-        self.execute(input, output, compute);
-        rec.charge(telemetry::Phase::Compute, t0.elapsed().as_secs_f64());
-        rec.count(
-            "bricks_computed",
-            compute.iter().filter(|&&c| c).count() as u64,
-        );
-        rec.close();
+            }
+        });
     }
 }
 

@@ -141,3 +141,32 @@ fn rank_ctx_has_at_most_49_public_methods() {
     assert!(total > 0, "found no `impl RankCtx` block");
     assert!(total <= 49, "RankCtx has {total} public methods (at most 49): {counted:?}");
 }
+
+/// `stencil` has one parallel-loop implementation, `pool.rs`: outside
+/// their tests, no file of `crates/stencil/src` names `rayon`, only
+/// `pool.rs`'s code spawns a thread or asks how many CPUs there are, and
+/// `pool.rs` holds exactly one `unsafe` block (the lifetime erasure of
+/// the dealt job), under a `SAFETY` comment that states its contract.
+#[test]
+fn stencil_loops_run_on_the_one_pool() {
+    let files = sources("stencil");
+    assert!(files.iter().any(|(name, _)| name == "pool.rs"), "stencil has no pool.rs");
+    for (name, text) in &files {
+        let code = non_test(text);
+        assert!(!code.contains("rayon"), "crates/stencil/src/{name} names rayon; loops run on `pool::for_runs`");
+        let mut lines = code.lines().filter(|l| !l.trim_start().starts_with("//"));
+        if let Some(line) = lines.find(|l| {
+            ["thread::spawn", "Builder::", ".spawn(", "available_parallelism"].iter().any(|w| l.contains(w))
+        }) {
+            assert_eq!(name, "pool.rs", "crates/stencil/src/{name} spawns or counts threads: `{}`", line.trim());
+        }
+    }
+    let pool = non_test(&files.iter().find(|(name, _)| name == "pool.rs").expect("pool.rs").1);
+    let lines: Vec<&str> = pool.lines().collect();
+    let blocks: Vec<usize> = (0..lines.len())
+        .filter(|&i| lines[i].split(|c: char| !(c.is_alphanumeric() || c == '_')).any(|w| w == "unsafe"))
+        .collect();
+    assert_eq!(blocks.len(), 1, "pool.rs has {} lines naming `unsafe`, not one", blocks.len());
+    let mut comment = lines[..blocks[0]].iter().rev().take_while(|l| l.trim_start().starts_with("//"));
+    assert!(comment.any(|l| l.contains("SAFETY:")), "pool.rs's `unsafe` block has no `// SAFETY:` comment above it");
+}
