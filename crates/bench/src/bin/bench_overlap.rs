@@ -1,5 +1,5 @@
-//! Machine-readable overlap benchmark: runs every split-capable
-//! exchange engine through the dependency-graph scheduler and through
+//! Machine-readable overlap benchmark: runs every exchange engine —
+//! the brick engines and the array baselines — through the dependency-graph scheduler and through
 //! the phased schedule at the same configuration, checks the grids are
 //! bit-identical, and writes `BENCH_overlap.json` so the hidden-wire
 //! trajectory is comparable across PRs.
@@ -84,13 +84,15 @@ fn main() {
         (CpuMethod::Basic, "basic"),
         (CpuMethod::MemMap { page_size: 4096 }, "memmap"),
         (CpuMethod::Shift { page_size: 4096 }, "shift"),
+        (CpuMethod::Yask, "yask"),
+        (CpuMethod::MpiTypes, "mpi-types"),
     ];
     let rows: Vec<Row> = engines
         .iter()
         .map(|(m, name)| {
             let r = pair(m.clone(), name, n, steps, &ranks);
             println!(
-                "  {:<8} phased {:>9.3} ms  overlapped {:>9.3} ms  hidden {:.3}/{:.3} wire ms \
+                "  {:<9} phased {:>9.3} ms  overlapped {:>9.3} ms  hidden {:.3}/{:.3} wire ms \
                  ({:>5.1}% | {:.2}x)",
                 r.name,
                 r.phased_s * 1e3,
@@ -114,7 +116,7 @@ fn main() {
     let mut json = bench::bench_json_header(
         "overlap",
         0,
-        &["layout", "basic", "memmap", "shift"],
+        &["layout", "basic", "memmap", "shift", "yask", "mpi-types"],
         [n, n, n],
         steps,
     );

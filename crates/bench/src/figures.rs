@@ -192,10 +192,11 @@ fn fig04_layout_vs_basic(c: &mut Cells, out: &mut dyn Write) -> io::Result<()> {
 /// Figure 8 — (K1) 7-point stencil throughput vs subdomain size.
 fn fig08_k1_throughput(c: &mut Cells, out: &mut dyn Write) -> io::Result<()> {
     writeln!(out, "== Figure 8: (K1) 7-point throughput (GStencil/s per rank) ==\n")?;
-    let methods =
-        [MEMMAP, CpuMethod::Layout, CpuMethod::Yask, CpuMethod::YaskOverlap, CpuMethod::MpiTypes];
     let t = per_size(c, &["Subdomain", "MemMap", "Layout", "YASK", "YASK-OL", "MPI_Types"], |c, n| {
-        methods.iter().map(|m| gs(c.k1(m.clone(), n).gstencil())).collect()
+        let (memmap, layout, yask) = (c.k1(MEMMAP, n), c.k1(CpuMethod::Layout, n), c.k1(CpuMethod::Yask, n));
+        let yask_ol = c.report(CpuMethod::Yask, [n; 3], StencilShape::star7_default(), true);
+        let types = c.k1(CpuMethod::MpiTypes, n);
+        [memmap, layout, yask, yask_ol, types].iter().map(|r| gs(r.gstencil())).collect()
     });
     write!(out, "{t}")?;
     writeln!(out, "\npaper: Layout ~ MemMap >> YASK(-OL) >> MPI_Types; gap widens as subdomains shrink")
@@ -252,7 +253,7 @@ fn fig11_k2_strong_scaling(c: &mut Cells, out: &mut dyn Write) -> io::Result<()>
     let mut anchor = None;
     for nodes in node_sweep() {
         let sub = strong_scaling_subdomain(domain, nodes);
-        let mut agg = |m: CpuMethod, shape: StencilShape| c.report(m, sub, shape).gstencil() * nodes as f64;
+        let mut agg = |m: CpuMethod, shape: StencilShape| c.report(m, sub, shape, false).gstencil() * nodes as f64;
         let m7 = agg(MEMMAP, StencilShape::star7_default());
         let y7 = agg(CpuMethod::Yask, StencilShape::star7_default());
         let m125 = agg(MEMMAP, StencilShape::cube125_default());
@@ -282,8 +283,8 @@ fn fig12_k2_decomposition(c: &mut Cells, out: &mut dyn Write) -> io::Result<()> 
     let mut t = Table::new(&["Nodes", "YASK comm", "YASK comp", "MemMap comm", "MemMap comp"]);
     for nodes in node_sweep() {
         let sub = strong_scaling_subdomain(domain, nodes);
-        let yask = c.report(CpuMethod::Yask, sub, StencilShape::star7_default());
-        let memmap = c.report(MEMMAP, sub, StencilShape::star7_default());
+        let yask = c.report(CpuMethod::Yask, sub, StencilShape::star7_default(), false);
+        let memmap = c.report(MEMMAP, sub, StencilShape::star7_default(), false);
         t.row(vec![
             nodes.to_string(),
             ms(yask.comm_time()),
@@ -700,10 +701,10 @@ fn ext_overlap(c: &mut Cells, out: &mut dyn Write) -> io::Result<()> {
     let headers =
         ["Subdomain", "YASK", "YASK-OL", "Layout", "Layout-OL", "hidden ms", "exposed comm ms"];
     let t = per_size(c, &headers, |c, n| {
-        let layout_ol = c.k1(CpuMethod::LayoutOverlap, n);
+        let layout_ol = c.report(CpuMethod::Layout, [n; 3], StencilShape::star7_default(), true);
         vec![
             ms(c.k1(CpuMethod::Yask, n).step_time()),
-            ms(c.k1(CpuMethod::YaskOverlap, n).step_time()),
+            ms(c.report(CpuMethod::Yask, [n; 3], StencilShape::star7_default(), true).step_time()),
             ms(c.k1(CpuMethod::Layout, n).step_time()),
             ms(layout_ol.step_time()),
             ms(layout_ol.calc_hidden),

@@ -49,7 +49,7 @@ pub struct GpuStats {
 }
 
 /// What identifies a measured run: method, subdomain, stencil.
-type CellKey = (CpuMethod, [usize; 3], StencilShape);
+type CellKey = (CpuMethod, [usize; 3], StencilShape, bool);
 
 /// Every measured run and built schedule of one `reproduce` process,
 /// memoised: a cell runs once however many tables show it, so the
@@ -74,18 +74,19 @@ impl Cells {
 
     /// One single-rank proxy run (the paper's 8-node periodic cube;
     /// every rank is identical by construction) of `method` on a
-    /// `sub` subdomain.
-    pub fn report(&mut self, method: CpuMethod, sub: [usize; 3], shape: StencilShape) -> MethodReport {
+    /// `sub` subdomain, overlapped by the dependency-graph schedule or not.
+    pub fn report(&mut self, method: CpuMethod, sub: [usize; 3], shape: StencilShape, overlap: bool) -> MethodReport {
         self.requested += 1;
-        let key: CellKey = (method, sub, shape);
+        let key: CellKey = (method, sub, shape, overlap);
         if let Some((_, r)) = self.reports.iter().find(|(k, _)| *k == key) {
             return r.clone();
         }
         self.executed += 1;
-        let (method, sub, shape) = key.clone();
+        let (method, sub, shape, overlap) = key.clone();
         let mut cfg = ExperimentConfig::k1(method, 0);
         cfg.subdomain = sub;
         cfg.shape = shape;
+        cfg.overlap = overlap;
         cfg.steps = self.sweep.steps;
         let r = run_experiment(&cfg);
         self.reports.push((key, r.clone()));
@@ -94,7 +95,7 @@ impl Cells {
 
     /// The K1 cell: 7-point stencil on an `n`³ subdomain.
     pub fn k1(&mut self, method: CpuMethod, n: usize) -> MethodReport {
-        self.report(method, [n; 3], StencilShape::star7_default())
+        self.report(method, [n; 3], StencilShape::star7_default(), false)
     }
 
     /// Build the real exchange schedules for an `n`³ subdomain and

@@ -49,12 +49,11 @@ pub struct Options {
     /// Record per-rank phase timelines and report the breakdown.
     pub profile: bool,
     /// Drive the timestep through the dependency-graph overlap
-    /// scheduler (brick engines only).
+    /// scheduler.
     pub overlap: bool,
     /// Partitioned early-bird exchange: boundary bricks ship on
     /// persistent partitioned channels the moment they are computed
-    /// (implies the dependency-graph schedule; split-capable engines
-    /// only).
+    /// (implies the dependency-graph schedule; brick engines only).
     pub partitioned: bool,
     /// Rank execution substrate: one OS thread per rank (`thread`) or
     /// the event-driven multiplexer (`event`). Defaults to the
@@ -199,8 +198,8 @@ brick-bench — pack-free ghost-zone exchange benchmark (PPoPP'21 reproduction)
 USAGE: brick-bench [OPTIONS]
 
 OPTIONS:
-  -m, --method <name>   memmap | layout | basic | shift | yask | yask-ol |
-                        mpi-types | rebalance   (default: memmap);
+  -m, --method <name>   memmap | layout | basic | shift | yask | mpi-types |
+                        rebalance   (default: memmap);
                         rebalance runs the dynamic-ownership proxy: a
                         periodic brick grid (2 bricks per rank per axis,
                         --size cells per brick) whose brick->rank map
@@ -243,15 +242,14 @@ OPTIONS:
                         the list: kill:RANK@STEP[+OP] crash-stops the
                         rank mid-step (survived via buddy checkpoints
                         and an epoch-based recovery, bit-identical to
-                        the fault-free run; needs >= 2 ranks and a
-                        memmap/layout/basic/shift method), and
+                        the fault-free run; needs >= 2 ranks), and
                         stall:RANK@STEP[+OP]:SECS bills a fail-slow
                         stall to the rank's wait timer
   -c, --checkpoint-every <K>
                         buddy-checkpoint interval in steps: every K
                         steps each rank snapshots what it owns to rank+1's
                         memory (0 = off; a kill:/stall: schedule forces
-                        K=1 when unset; memmap/layout/basic/shift only)
+                        K=1 when unset)
   -M, --migrate <M>     (-m rebalance only) run a migration epoch every M
                         steps: fence, exchange window loads with the
                         diffusion ring, ship surplus bricks to
@@ -274,8 +272,8 @@ OPTIONS:
                         bricks compute while halo messages are on the
                         wire, boundary bricks as their ghosts arrive;
                         bit-identical to the phased schedule and reports
-                        the fraction of wire time hidden
-                        (memmap/layout/basic/shift only)
+                        the fraction of wire time hidden (yask and
+                        mpi-types compute their 8^3 tiles the same way)
   -e, --partitioned     partitioned early-bird exchange: each boundary
                         brick ships on a persistent partitioned channel
                         the moment it is computed, in destination-
@@ -283,8 +281,8 @@ OPTIONS:
                         remainder. Implies the dependency-graph
                         schedule, stays bit-identical to --overlap and
                         the phased run, and reports the fraction of
-                        halo bytes shipped early
-                        (memmap/layout/basic/shift only)
+                        halo bytes shipped early (not yask/mpi-types:
+                        they send packed buffers, not bricks)
   -j, --json            emit one JSON object instead of the text format
   -P, --profile         record per-rank phase timelines over the timed
                         steps and report a pack/unpack/copy/wire/wait/
@@ -410,7 +408,6 @@ pub fn parse(args: &[String]) -> Result<Options, String> {
         "basic" => CpuMethod::Basic,
         "shift" => CpuMethod::Shift { page_size },
         "yask" => CpuMethod::Yask,
-        "yask-ol" => CpuMethod::YaskOverlap,
         "mpi-types" => CpuMethod::MpiTypes,
         // The rebalance driver runs its own proxy workload; the static
         // engine selection is irrelevant and stays at the default.
@@ -443,13 +440,16 @@ pub fn parse(args: &[String]) -> Result<Options, String> {
             "its staged whole-brick frames have nothing to ship early",
         ));
     }
+    if let Some(why) = o.partitioned.then(|| o.method.partitioned_refusal()).flatten() {
+        return Err(format!("--partitioned does not run on '{method_name}': {why}"));
+    }
     if o.rebalance && (kernel || stencil) {
         return Err(rebalance_rejects(
             if kernel { "--kernel" } else { "--stencil" },
             "its proxy relaxation runs no brick kernel and no stencil",
         ));
     }
-    if kernel && matches!(method_name.as_str(), "yask" | "yask-ol" | "mpi-types") {
+    if kernel && matches!(method_name.as_str(), "yask" | "mpi-types") {
         return Err(format!(
             "--kernel needs a brick compute engine (memmap | layout | basic | shift), not '{method_name}'"
         ));
@@ -457,19 +457,6 @@ pub fn parse(args: &[String]) -> Result<Options, String> {
     if page.is_some() && !matches!(method_name.as_str(), "memmap" | "shift") {
         return Err(format!(
             "--page needs an mmap-view exchange engine (memmap | shift), not '{method_name}'"
-        ));
-    }
-    if (o.overlap || o.partitioned) && !o.method.split_phase() {
-        let flag = if o.partitioned { "--partitioned" } else { "--overlap" };
-        return Err(format!(
-            "{flag} needs a split-capable exchange engine \
-             (memmap | layout | basic | shift), not '{method_name}'"
-        ));
-    }
-    if (o.faults.proc_active() || o.checkpoint_every > 0) && !o.method.split_phase() {
-        return Err(format!(
-            "kill:/stall:/--checkpoint-every need a resilient exchange engine \
-             (memmap | layout | basic | shift), not '{method_name}'"
         ));
     }
     if o.faults.kill.is_some() && o.ranks.iter().product::<usize>() < 2 {
@@ -1020,7 +1007,7 @@ mod tests {
     /// method refuses it instead of running without it.
     #[test]
     fn page_is_rejected_outside_memmap_and_shift() {
-        for method in ["layout", "basic", "yask", "yask-ol", "mpi-types", "rebalance"] {
+        for method in ["layout", "basic", "yask", "mpi-types", "rebalance"] {
             let err = p(&["-m", method, "-p", "16384"]).unwrap_err();
             assert_eq!(err, format!("--page needs an mmap-view exchange engine (memmap | shift), not '{method}'"));
         }
@@ -1047,11 +1034,14 @@ mod tests {
         assert!(p(&["-m", "yask", "-s", "cube125"]).is_ok(), "the array engines run the stencil");
     }
 
+    /// YASK-OL is `-m yask -o`: it runs no brick kernel either, and the
+    /// old method name is gone.
     #[test]
     fn kernel_is_rejected_on_yask_ol() {
-        let err = p(&["-m", "yask-ol", "--kernel", "plan"]).unwrap_err();
-        assert!(err.starts_with("--kernel needs a brick compute engine") && err.ends_with("'yask-ol'"), "{err}");
-        assert!(p(&["-m", "yask-ol"]).is_ok());
+        let err = p(&["-m", "yask", "-o", "--kernel", "plan"]).unwrap_err();
+        assert!(err.starts_with("--kernel needs a brick compute engine") && err.ends_with("'yask'"), "{err}");
+        assert!(p(&["-m", "yask", "-o"]).is_ok());
+        assert_eq!(p(&["-m", "yask-ol"]).unwrap_err(), "unknown method 'yask-ol'");
     }
 
     #[test]
@@ -1097,11 +1087,11 @@ mod tests {
         assert_eq!(o.checkpoint_every, 2);
         assert_eq!(o.faults.kill.map(|k| (k.rank, k.step)), Some((1, 3)));
         assert_eq!(config(&o).checkpoint_every, 2);
-        // kill: needs a buddy rank, and resilience needs a split-capable
-        // engine.
+        // kill: needs a buddy rank; every engine is resilient.
         assert!(p(&["-f", "kill:0@1"]).is_err());
-        assert!(p(&["-m", "yask", "-c", "2"]).is_err());
-        assert!(p(&["-m", "mpi-types", "-f", "kill:1@0", "-r", "2x1x1"]).is_err());
+        assert!(p(&["-m", "yask", "-c", "2"]).is_ok());
+        assert!(p(&["-m", "mpi-types", "-c", "2"]).is_ok());
+        assert!(p(&["-m", "mpi-types", "-f", "kill:1@0", "-r", "2x1x1"]).is_ok());
         assert!(p(&["-c", "x"]).is_err());
         assert!(USAGE.contains("--checkpoint-every"));
         assert!(USAGE.contains("kill:RANK@STEP"));
@@ -1225,9 +1215,9 @@ mod tests {
         assert!(p(&["-o"]).unwrap().overlap);
         assert!(p(&["--overlap"]).unwrap().overlap);
         assert!(!p(&[]).unwrap().overlap);
-        assert!(p(&["-m", "yask", "-o"]).is_err());
-        assert!(p(&["-m", "yask-ol", "-o"]).is_err());
-        assert!(p(&["-m", "mpi-types", "--overlap"]).is_err());
+        assert!(p(&["-m", "yask", "-o"]).is_ok());
+        assert_eq!(p(&["-m", "yask-ol", "-o"]).unwrap_err(), "unknown method 'yask-ol'");
+        assert!(p(&["-m", "mpi-types", "--overlap"]).is_ok());
         assert!(p(&["-m", "shift", "-o"]).is_ok());
         assert!(USAGE.contains("--overlap"));
     }
@@ -1261,7 +1251,8 @@ mod tests {
         assert!(p(&["-e"]).unwrap().partitioned);
         assert!(p(&["--partitioned"]).unwrap().partitioned);
         assert!(!p(&[]).unwrap().partitioned);
-        assert!(p(&["-m", "yask", "-e"]).is_err());
+        let err = p(&["-m", "yask", "-e"]).unwrap_err();
+        assert!(err.starts_with("--partitioned does not run on 'yask': ") && err.contains("packed buffers"), "{err}");
         assert!(p(&["-m", "mpi-types", "--partitioned"]).is_err());
         assert!(p(&["-m", "shift", "-e"]).is_ok());
         assert!(USAGE.contains("--partitioned"));
@@ -1626,7 +1617,6 @@ mod tests {
             timers: netsim::Timers::default(),
             stats: packfree::ExchangeStats::default(),
             points: 4096,
-            overlap: true,
             checksum: 1.5,
             summary: netsim::TimerSummary { calc: spread, pack: spread, call: spread, wait: spread },
             calc_hidden: 1.0e-4,

@@ -61,7 +61,12 @@ pub(crate) fn on_rank_thread() {
 }
 
 /// Allocations made so far on marked threads. One counted cluster at a
-/// time: the count is shared.
+/// time: the count is shared, so a counting test holds [`counting_alone`].
 pub(crate) fn rank_thread_allocs() -> u64 {
     ALLOCS.load(Ordering::Relaxed)
+}
+
+pub(crate) fn counting_alone() -> std::sync::MutexGuard<'static, ()> {
+    static COUNTING: std::sync::Mutex<()> = std::sync::Mutex::new(());
+    COUNTING.lock().unwrap_or_else(std::sync::PoisonError::into_inner)
 }

@@ -1,21 +1,22 @@
 //! The baselines the paper evaluates against.
 //!
-//! * **YASK-like** ([`ArrayExchanger::exchange_packed`]): a tuned
-//!   lexicographic-array stencil framework; its halo exchange must
-//!   *pack* each of the 26 strided surface regions into a contiguous
-//!   buffer (row-wise memcpy — the optimized form of packing) and unpack
-//!   on arrival. The pack/unpack time is real, measured on this host.
-//! * **MPI_Types** ([`ArrayExchanger::exchange_mpitypes`]): the
-//!   application posts derived datatypes and the MPI library does the
-//!   gather/scatter internally — reproduced with the `stencil::Datatype`
-//!   engine's element-wise walk, charged to MPI `call` time (the
-//!   application's own `pack` meter stays at zero, as in the paper's
-//!   artifact).
+//! * **YASK-like** ([`Flavor::Packed`]): a tuned lexicographic-array
+//!   stencil framework; its halo exchange must *pack* each of the 26
+//!   strided surface regions into a contiguous buffer (row-wise memcpy —
+//!   the optimized form of packing) and unpack on arrival. The
+//!   pack/unpack time is real, measured on this host.
+//! * **MPI_Types** ([`Flavor::Datatypes`]): the application posts derived
+//!   datatypes and the MPI library does the gather/scatter internally —
+//!   reproduced with the `stencil::Datatype` engine's element-wise walk,
+//!   charged to MPI `call` time (the application's own `pack` meter stays
+//!   at zero, as in the paper's artifact).
 //!
 //! Both flavors move their buffers with the same communication plan
 //! (`plan.rs`) every brick engine uses — sends are the 26 pack buffers,
 //! receives ranges of one arena — so the comparison the paper makes is
-//! between data layouts, not between transports.
+//! between data layouts, not between transports. Whole or split
+//! (`begin`/`poll`/`finish`), an exchange gathers, runs the plan and
+//! scatters each receive as it lands.
 
 use layout::{all_regions, Dir};
 use netsim::{NetsimError, RankCtx};
@@ -24,13 +25,25 @@ use stencil::{ArrayGrid, Datatype};
 use crate::exchange::ExchangeStats;
 use crate::plan::{CommPlan, IntoRanges, RecvSpec, SendSpec};
 
+/// How an array exchange gathers its sends and scatters its receives.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Flavor {
+    /// YASK: row-wise application pack/unpack, timed as `pack`/`unpack`.
+    Packed,
+    /// MPI_Types: the library's element-wise datatype walk, as `call`.
+    Datatypes,
+}
+
 /// Reusable halo-exchange state for an [`ArrayGrid`] subdomain.
 ///
 /// Receive buffers live in one flat arena (per-direction sorted
-/// sub-ranges) so completions scatter straight into it; the transport
+/// sub-ranges) so completions land straight in it; the transport
 /// between the pack buffers and the arena is a [`CommPlan`], bound to
 /// the rank on first use — the steady-state exchange allocates nothing.
 pub struct ArrayExchanger {
+    flavor: Flavor,
+    /// The timeline scope every call runs under.
+    scope: &'static str,
     dirs: Vec<Dir>,
     send_bufs: Vec<Vec<f64>>,
     recv_arena: Vec<f64>,
@@ -40,12 +53,14 @@ pub struct ArrayExchanger {
     stats: ExchangeStats,
     plan: Option<CommPlan>,
     pend: Vec<std::ops::Range<usize>>,
+    /// Bit `j`: receive `j` of this exchange is in the ghost rim.
+    scattered: u32,
 }
 
 impl ArrayExchanger {
     /// Build for a grid geometry (buffers and datatypes are reused every
     /// step; the communication pattern is Static).
-    pub fn new(grid: &ArrayGrid) -> ArrayExchanger {
+    pub fn new(grid: &ArrayGrid, flavor: Flavor) -> ArrayExchanger {
         let dirs = all_regions(3);
         let g = grid.ghost();
         let n = grid.interior();
@@ -69,6 +84,8 @@ impl ArrayExchanger {
             stats.region_instances += 1;
         }
         ArrayExchanger {
+            flavor,
+            scope: if flavor == Flavor::Packed { "exchange:yask" } else { "exchange:mpitypes" },
             dirs,
             send_bufs,
             recv_arena: vec![0.0; arena_len],
@@ -78,6 +95,7 @@ impl ArrayExchanger {
             stats,
             plan: None,
             pend: Vec::new(),
+            scattered: 0,
         }
     }
 
@@ -91,99 +109,144 @@ impl ArrayExchanger {
         self.plan.iter()
     }
 
-    /// Send every packed buffer and complete every receive into the
-    /// arena, inside the caller's scope. Shared by both exchange
-    /// flavors; allocation-free once the plan is bound.
-    fn transport(&mut self, ctx: &mut RankCtx<'_>) -> Result<(), NetsimError> {
+    /// Drop the plan a failed step may have torn; the next use rebinds.
+    pub(crate) fn rebuild(&mut self) {
+        self.plan = None;
+    }
+
+    /// The neighbor each mailbox receive comes from, in the completion
+    /// order `begin`/`poll` report (binding the plan if needed).
+    pub(crate) fn mailbox_dirs(&mut self, ctx: &RankCtx<'_>) -> Vec<Dir> {
+        self.bind(ctx);
+        self.plans().flat_map(CommPlan::mailbox).map(|&j| self.dirs[j]).collect()
+    }
+
+    /// The plan, bound to `ctx`'s rank first unless it already is.
+    fn bind(&mut self, ctx: &RankCtx<'_>) -> &CommPlan {
         if self.plan.as_ref().is_none_or(|p| p.rank() != ctx.rank()) {
             // A message toward `d` carries the sender's direction code;
             // the one from direction `d` was sent toward `d.mirror()`.
             let regions = || self.dirs.iter().zip(&self.recv_ranges);
             let sends: Vec<SendSpec> = regions()
-                .map(|(d, r)| SendSpec {
-                    to: *d,
-                    tag: d.code(3) as u64,
-                    elems: r.len(),
-                    payload_bytes: r.len() * 8,
-                })
+                .map(|(d, r)| SendSpec { to: *d, tag: d.code(3) as u64, elems: r.len(), payload_bytes: r.len() * 8 })
                 .collect();
-            let recvs: Vec<RecvSpec> = regions()
-                .map(|(d, r)| RecvSpec { from: *d, tag: d.mirror().code(3) as u64, elems: r.len() })
-                .collect();
+            let recvs: Vec<RecvSpec> =
+                regions().map(|(d, r)| RecvSpec { from: *d, tag: d.mirror().code(3) as u64, elems: r.len() }).collect();
             self.plan = Some(CommPlan::bind(None, ctx, 3, &sends, &recvs, true));
         }
-        let mut mem = IntoRanges {
+        self.plan.as_ref().expect("bound above")
+    }
+
+    /// One whole exchange: gather every send, run the plan (its mailbox
+    /// receives pre-posted, so peers' messages land in the arena
+    /// directly), scatter every receive.
+    pub fn exchange(&mut self, ctx: &mut RankCtx<'_>, grid: &mut ArrayGrid) -> Result<(), NetsimError> {
+        ctx.scoped(self.scope, |ctx| {
+            self.gather(ctx, grid);
+            let (plan, mut mem) = self.transport(ctx);
+            plan.exchange(ctx, &mut mem)?;
+            drop(mem);
+            self.scattered = 0;
+            self.scatter(ctx, grid, !0);
+            Ok(())
+        })
+    }
+
+    /// First half of a split exchange: gather every send, post the plan
+    /// and scatter what completed inline (the self-sends, and every
+    /// receive under the lossy protocol). Positions of the mailbox
+    /// receives that completed are appended to `completed`.
+    pub(crate) fn begin(
+        &mut self,
+        ctx: &mut RankCtx<'_>,
+        grid: &mut ArrayGrid,
+        completed: &mut Vec<usize>,
+    ) -> Result<(), NetsimError> {
+        ctx.scoped(self.scope, |ctx| {
+            self.gather(ctx, grid);
+            let from = completed.len();
+            let (plan, mut mem) = self.transport(ctx);
+            plan.begin(ctx, &mut mem, completed)?;
+            drop(mem);
+            let waiting = self.bind(ctx).mailbox().iter().enumerate().filter(|(k, _)| !completed[from..].contains(k));
+            let landed = waiting.fold(!0, |m, (_, &j)| m & !(1 << j));
+            self.scattered = 0;
+            self.scatter(ctx, grid, landed);
+            Ok(())
+        })
+    }
+
+    /// Middle of a split exchange: land what has arrived and scatter it
+    /// before the caller sees it complete; returns how many receives
+    /// newly completed.
+    pub(crate) fn poll(
+        &mut self,
+        ctx: &mut RankCtx<'_>,
+        grid: &mut ArrayGrid,
+        completed: &mut Vec<usize>,
+    ) -> Result<usize, NetsimError> {
+        ctx.scoped(self.scope, |ctx| {
+            let from = completed.len();
+            let (plan, mut mem) = self.transport(ctx);
+            let newly = plan.poll(ctx, &mut mem, completed)?;
+            drop(mem);
+            let mailbox = self.bind(ctx).mailbox();
+            let landed = completed[from..].iter().fold(0, |m, &k| m | 1 << mailbox[k]);
+            self.scatter(ctx, grid, landed);
+            Ok(newly)
+        })
+    }
+
+    /// Second half of a split exchange: block on what is outstanding,
+    /// close the epoch and scatter the rest.
+    pub(crate) fn finish(&mut self, ctx: &mut RankCtx<'_>, grid: &mut ArrayGrid) -> Result<(), NetsimError> {
+        ctx.scoped(self.scope, |ctx| {
+            let (plan, mut mem) = self.transport(ctx);
+            plan.finish(ctx, &mut mem)?;
+            drop(mem);
+            self.scatter(ctx, grid, !0);
+            Ok(())
+        })
+    }
+
+    /// The bound plan and the memory it moves: the pack buffers and the
+    /// receive arena.
+    fn transport(&mut self, ctx: &RankCtx<'_>) -> (&mut CommPlan, IntoRanges<'_, Vec<f64>>) {
+        self.bind(ctx);
+        let mem = IntoRanges {
             sends: &self.send_bufs,
             data: self.recv_arena.as_mut_slice().into(),
             recvs: &self.recv_ranges,
             pend: &mut self.pend,
         };
-        self.plan.as_mut().expect("bound above").exchange(ctx, &mut mem)
+        (self.plan.as_mut().expect("bound above"), mem)
     }
 
-    /// YASK-style exchange: pack each surface region (timed as `pack`),
-    /// send one message per neighbor, receive, unpack into the ghost rim
-    /// (timed as `pack`).
-    pub fn exchange_packed(
-        &mut self,
-        ctx: &mut RankCtx<'_>,
-        grid: &mut ArrayGrid,
-    ) -> Result<(), NetsimError> {
-        ctx.scoped("exchange:yask", |ctx| {
-            // Pack all 26 regions — this is the on-node data movement
-            // the paper eliminates.
-            let dirs = &self.dirs;
-            let bufs = &mut self.send_bufs;
-            ctx.time_pack(|| {
-                for (d, buf) in dirs.iter().zip(bufs.iter_mut()) {
-                    grid.pack_surface(d, buf);
-                }
-            });
-            self.transport(ctx)?;
-            // Unpack into ghosts — more on-node data movement.
-            let dirs = &self.dirs;
-            let arena = &self.recv_arena;
-            let ranges = &self.recv_ranges;
-            ctx.time_unpack(|| {
-                for (i, d) in dirs.iter().enumerate() {
-                    grid.unpack_ghost(d, &arena[ranges[i].clone()]);
-                }
-            });
-            Ok(())
-        })
+    /// Fill every send buffer from the grid's surface regions — the
+    /// on-node data movement the paper eliminates.
+    fn gather(&mut self, ctx: &mut RankCtx<'_>, grid: &ArrayGrid) {
+        let (dirs, types) = (&self.dirs, &self.send_types);
+        let bufs = self.send_bufs.iter_mut().enumerate();
+        match self.flavor {
+            Flavor::Packed => ctx.time_pack(|| bufs.for_each(|(i, buf)| grid.pack_surface(&dirs[i], buf))),
+            Flavor::Datatypes => ctx.time_call(|| bufs.for_each(|(i, buf)| types[i].pack_into(grid.as_slice(), buf))),
+        }
     }
 
-    /// MPI_Types exchange: no application-level packing; the datatype
-    /// engine walks the strided regions element by element inside the
-    /// library (charged to `call`).
-    pub fn exchange_mpitypes(
-        &mut self,
-        ctx: &mut RankCtx<'_>,
-        grid: &mut ArrayGrid,
-    ) -> Result<(), NetsimError> {
-        ctx.scoped("exchange:mpitypes", |ctx| {
-            // "MPI-internal" gather through the datatype map.
-            let send_types = &self.send_types;
-            let bufs = &mut self.send_bufs;
-            let data = grid_data(grid);
-            ctx.time_call(|| {
-                for (t, buf) in send_types.iter().zip(bufs.iter_mut()) {
-                    t.pack_into(data, buf);
-                }
-            });
-            self.transport(ctx)?;
-            // "MPI-internal" scatter into the ghost rim.
-            let recv_types = &self.recv_types;
-            let arena = &self.recv_arena;
-            let ranges = &self.recv_ranges;
-            let data = grid_data_mut(grid);
-            ctx.time_call(|| {
-                for (t, r) in recv_types.iter().zip(ranges.iter()) {
-                    t.unpack(data, &arena[r.clone()]);
-                }
-            });
-            Ok(())
-        })
+    /// Copy the receives of bitmask `landed` that are not in the ghost
+    /// rim yet into their ghost regions — more on-node data movement.
+    fn scatter(&mut self, ctx: &mut RankCtx<'_>, grid: &mut ArrayGrid, landed: u32) {
+        let todo = landed & !self.scattered;
+        if todo == 0 {
+            return;
+        }
+        self.scattered |= todo;
+        let (dirs, types, arena, ranges) = (&self.dirs, &self.recv_types, &self.recv_arena, &self.recv_ranges);
+        let bufs = (0..dirs.len()).filter(|j| todo >> j & 1 == 1).map(|j| (j, &arena[ranges[j].clone()]));
+        match self.flavor {
+            Flavor::Packed => ctx.time_unpack(|| bufs.for_each(|(j, buf)| grid.unpack_ghost(&dirs[j], buf))),
+            Flavor::Datatypes => ctx.time_call(|| bufs.for_each(|(j, buf)| types[j].unpack(grid.as_mut_slice(), buf))),
+        }
     }
 }
 
@@ -195,14 +258,6 @@ fn region_type(grid: &ArrayGrid, dir: &Dir, ghost: bool, full: [usize; 3]) -> Da
     let start = std::array::from_fn(|a| (ranges[a].start + g) as usize);
     let sub = std::array::from_fn(|a| (ranges[a].end - ranges[a].start) as usize);
     Datatype::subarray3(full, start, sub)
-}
-
-fn grid_data(grid: &ArrayGrid) -> &[f64] {
-    grid.as_slice()
-}
-
-fn grid_data_mut(grid: &mut ArrayGrid) -> &mut [f64] {
-    grid.as_mut_slice()
 }
 
 #[cfg(test)]
@@ -242,8 +297,8 @@ mod tests {
             let mut grid = ArrayGrid::new([24; 3], 8);
             let f = |x: i64, y: i64, z: i64| (x + 31 * y + 997 * z) as f64;
             grid.fill_interior(|x, y, z| f(x as i64, y as i64, z as i64));
-            let mut ex = ArrayExchanger::new(&grid);
-            ex.exchange_packed(ctx, &mut grid).unwrap();
+            let mut ex = ArrayExchanger::new(&grid, Flavor::Packed);
+            ex.exchange(ctx, &mut grid).unwrap();
             check_ghosts(&grid, f, 24)
         });
         assert_eq!(errors[0], 0);
@@ -256,8 +311,8 @@ mod tests {
             let mut grid = ArrayGrid::new([24; 3], 8);
             let f = |x: i64, y: i64, z: i64| (x + 31 * y + 997 * z) as f64;
             grid.fill_interior(|x, y, z| f(x as i64, y as i64, z as i64));
-            let mut ex = ArrayExchanger::new(&grid);
-            ex.exchange_mpitypes(ctx, &mut grid).unwrap();
+            let mut ex = ArrayExchanger::new(&grid, Flavor::Datatypes);
+            ex.exchange(ctx, &mut grid).unwrap();
             check_ghosts(&grid, f, 24)
         });
         assert_eq!(errors[0], 0);
@@ -274,10 +329,10 @@ mod tests {
             };
             let mut a = mk();
             let mut b = mk();
-            let mut ea = ArrayExchanger::new(&a);
-            let mut eb = ArrayExchanger::new(&b);
-            ea.exchange_packed(ctx, &mut a).unwrap();
-            eb.exchange_mpitypes(ctx, &mut b).unwrap();
+            let mut ea = ArrayExchanger::new(&a, Flavor::Packed);
+            let mut eb = ArrayExchanger::new(&b, Flavor::Datatypes);
+            ea.exchange(ctx, &mut a).unwrap();
+            eb.exchange(ctx, &mut b).unwrap();
             assert_eq!(a.as_slice(), b.as_slice());
         });
         let _ = sums;
@@ -289,27 +344,28 @@ mod tests {
         let t = run_cluster(&topo, NetworkModel::instant(), |ctx| {
             let mut grid = ArrayGrid::new([32; 3], 8);
             grid.fill_interior(|x, _, _| x as f64);
-            let mut ex = ArrayExchanger::new(&grid);
+            let (mut packed, mut walked) =
+                (ArrayExchanger::new(&grid, Flavor::Packed), ArrayExchanger::new(&grid, Flavor::Datatypes));
             // Warm both paths (first-touch buffer allocation), then take
             // the *minimum* over several rounds — robust against
             // scheduler noise on loaded hosts.
-            ex.exchange_packed(ctx, &mut grid).unwrap();
-            ex.exchange_mpitypes(ctx, &mut grid).unwrap();
+            packed.exchange(ctx, &mut grid).unwrap();
+            walked.exchange(ctx, &mut grid).unwrap();
             let mut best_pack = f64::INFINITY;
             let mut best_walk = f64::INFINITY;
             for _ in 0..7 {
                 ctx.reset_timers();
-                ex.exchange_packed(ctx, &mut grid).unwrap();
+                packed.exchange(ctx, &mut grid).unwrap();
                 best_pack = best_pack.min(ctx.timers().pack);
                 ctx.reset_timers();
-                ex.exchange_mpitypes(ctx, &mut grid).unwrap();
+                walked.exchange(ctx, &mut grid).unwrap();
                 best_walk = best_walk.min(ctx.timers().call);
             }
             ctx.reset_timers();
-            ex.exchange_packed(ctx, &mut grid).unwrap();
+            packed.exchange(ctx, &mut grid).unwrap();
             let packed = ctx.timers();
             ctx.reset_timers();
-            ex.exchange_mpitypes(ctx, &mut grid).unwrap();
+            walked.exchange(ctx, &mut grid).unwrap();
             let types = ctx.timers();
             (packed, types, best_pack, best_walk)
         });
@@ -334,9 +390,9 @@ mod tests {
                 let mut grid = ArrayGrid::new([16; 3], 8);
                 let rank = ctx.rank() as i64;
                 grid.fill_interior(|x, y, z| (rank * 16 + x as i64 + 31 * y as i64 + 997 * z as i64) as f64);
-                let mut ex = ArrayExchanger::new(&grid);
+                let mut ex = ArrayExchanger::new(&grid, Flavor::Packed);
                 for _ in 0..2 {
-                    ex.exchange_packed(ctx, &mut grid).unwrap();
+                    ex.exchange(ctx, &mut grid).unwrap();
                 }
                 grid.as_slice().to_vec()
             })
@@ -349,7 +405,7 @@ mod tests {
     #[test]
     fn stats_match_geometry() {
         let grid = ArrayGrid::new([32; 3], 8);
-        let ex = ArrayExchanger::new(&grid);
+        let ex = ArrayExchanger::new(&grid, Flavor::Packed);
         assert_eq!(ex.stats().messages, 26);
         assert_eq!(ex.stats().payload_bytes, grid.exchange_bytes());
         assert_eq!(ex.stats().padding_overhead_percent(), 0.0);

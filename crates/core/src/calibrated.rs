@@ -40,7 +40,7 @@ pub fn estimate_cpu_step(
     t.wait = net.wait_time(stats.messages, stats.wire_bytes);
 
     match method {
-        CpuMethod::Yask | CpuMethod::YaskOverlap => {
+        CpuMethod::Yask => {
             // Pack on send and unpack on receive, 26 strided regions
             // each way.
             t.pack = 2.0 * node.pack_time(stats.messages, stats.payload_bytes);
@@ -51,11 +51,7 @@ pub fn estimate_cpu_step(
             let elems = stats.payload_bytes / 8;
             t.call += 2.0 * node.datatype_walk_time(elems);
         }
-        CpuMethod::Layout
-        | CpuMethod::LayoutOverlap
-        | CpuMethod::Basic
-        | CpuMethod::MemMap { .. }
-        | CpuMethod::Shift { .. } => {
+        CpuMethod::Layout | CpuMethod::Basic | CpuMethod::MemMap { .. } | CpuMethod::Shift { .. } => {
             // Pack-free: zero on-node data movement.
         }
         CpuMethod::NoLayout => {

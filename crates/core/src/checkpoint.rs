@@ -737,7 +737,7 @@ mod tests {
     /// lands on the bits of the first execution — although `restore`
     /// (poisoning in a test build) left the ghost rim and the next grid
     /// as NaN.
-    fn frame_roundtrip<E: RankEngine>(eng: &mut E, ctx: &mut RankCtx<'_>, what: &str) {
+    fn frame_roundtrip<E: RankEngine>(eng: &mut E, ctx: &mut RankCtx<'_>, owned_elems: usize, what: &str) {
         let mut step = |eng: &mut E| {
             eng.exchange(ctx).expect("exchange");
             eng.compute(ctx, None);
@@ -749,7 +749,7 @@ mod tests {
         let mut frame = Vec::new();
         eng.snapshot(&mut frame);
         seal_frame(&mut frame, 1);
-        assert_eq!(frame.len(), eng.decomp().owned_elems() + TRAILER, "{what}: frame words");
+        assert_eq!(frame.len(), owned_elems + TRAILER, "{what}: frame words");
         let after = step(eng);
         let (at, payload) = open_frame(&frame);
         assert_eq!(at, 1);
@@ -761,7 +761,7 @@ mod tests {
 
     #[test]
     fn a_frame_is_the_owned_prefix_plus_trailer_for_every_engine() {
-        use crate::engine::{HeapBricks, ViewPair};
+        use crate::engine::{Arrays, HeapBricks, ViewPair};
         use crate::experiment::{CpuMethod, ExperimentConfig};
         use crate::{ExchangeView, Exchanger, ShiftExchanger};
         let topo = CartTopo::new(&[1, 1, 1], true);
@@ -772,21 +772,26 @@ mod tests {
             // Four bricks to a page: the prefix carries chunk filler.
             CpuMethod::MemMap { page_size: 4 * memview::PAGE_4K },
             CpuMethod::Shift { page_size: memview::PAGE_4K },
+            CpuMethod::Yask,
+            CpuMethod::MpiTypes,
         ] {
             let cfg = ExperimentConfig::k1(method.clone(), 16);
             let decomp = cfg.decomp();
-            let what = format!("{method:?}");
+            let (owned, what) = (decomp.owned_elems(), format!("{method:?}"));
             run_cluster_on(Backend::Thread, &topo, NetworkModel::instant(), FaultConfig::off(), |ctx| match &method {
                 CpuMethod::MemMap { .. } => {
-                    frame_roundtrip(&mut ViewPair::<ExchangeView>::new(&cfg, &decomp), ctx, &what)
+                    frame_roundtrip(&mut ViewPair::<ExchangeView>::new(&cfg, &decomp), ctx, owned, &what)
                 }
                 CpuMethod::Shift { .. } => {
-                    frame_roundtrip(&mut ViewPair::<ShiftExchanger>::new(&cfg, &decomp), ctx, &what)
+                    frame_roundtrip(&mut ViewPair::<ShiftExchanger>::new(&cfg, &decomp), ctx, owned, &what)
+                }
+                CpuMethod::Yask | CpuMethod::MpiTypes => {
+                    frame_roundtrip(&mut Arrays::new(&cfg, &decomp), ctx, owned, &what)
                 }
                 _ => {
                     let exchanger =
                         if method == CpuMethod::Basic { Exchanger::basic(&decomp) } else { Exchanger::layout(&decomp) };
-                    frame_roundtrip(&mut HeapBricks::new(&cfg, &decomp, Some(&exchanger), ctx), ctx, &what)
+                    frame_roundtrip(&mut HeapBricks::new(&cfg, &decomp, Some(&exchanger), ctx), ctx, owned, &what)
                 }
             });
         }

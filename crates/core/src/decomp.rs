@@ -345,18 +345,6 @@ impl<const D: usize> BrickDecomp<D> {
         m
     }
 
-    /// Mask selecting only surface bricks — the work that must wait for
-    /// the exchange to complete (it reads ghost bricks).
-    pub fn surface_mask(&self) -> Vec<bool> {
-        let mut m = vec![false; self.nbricks];
-        for c in &self.surface {
-            for b in c.bricks.clone() {
-                m[b] = true;
-            }
-        }
-        m
-    }
-
     /// Interior chunk.
     pub fn interior(&self) -> &Chunk {
         &self.interior

@@ -10,7 +10,7 @@ use netsim::{NetsimError, RankCtx};
 use sched::{DepGraph, SendPriority};
 use stencil::{apply_bricks_gather, ArrayGrid, ArrayPlan, KernelPlan, PlanSplit, StencilShape};
 
-use crate::baselines::ArrayExchanger;
+use crate::baselines::{ArrayExchanger, Flavor};
 use crate::decomp::BrickDecomp;
 use crate::exchange::{ExchangeSession, ExchangeStats, Exchanger};
 use crate::experiment::{CpuMethod, ExperimentConfig, KernelKind};
@@ -24,22 +24,12 @@ use crate::shift::ShiftExchanger;
 /// partitioned run.
 pub(crate) type SplitSetup = (Vec<Vec<u32>>, Option<SendPriority>);
 
-/// A compute-only method (No-Layout) is never scheduled onto the
-/// split-phase calls.
-const NO_EXCHANGE: &str = "a compute-only method has no exchange to split";
-
-fn unsupported() -> ! {
-    unreachable!("the array baselines have no split-phase exchange and no snapshots")
-}
-
-/// One rank's double-buffered grid and the exchange bound to it.
-///
-/// The first six methods are the phased half every method implements.
-/// The rest — snapshots for the resilient harness and the split-phase
-/// exchange the overlap schedules need — is implemented by the brick
-/// engines ([`CpuMethod::split_phase`] names the methods that may be
-/// scheduled onto it) and by the migrating engine of
-/// [`crate::rebalance`].
+/// One rank's double-buffered grid and the exchange bound to it. Every
+/// engine implements every schedule the step driver runs: phased
+/// (`exchange`, then `compute` of everything), the dependency graph
+/// (`arm_split`, `split_graph`, `begin`/`poll`/`finish` around masked
+/// `compute`s, `pready` when partitioned) and the resilient harness
+/// (`snapshot`, `restore`, `rebuild`).
 pub(crate) trait RankEngine {
     /// Traffic of one exchange.
     fn stats(&self) -> ExchangeStats;
@@ -53,26 +43,15 @@ pub(crate) trait RankEngine {
     fn compute(&mut self, ctx: &mut RankCtx<'_>, mask: Option<&[bool]>);
     /// The next grid becomes the current one.
     fn advance(&mut self);
-
-    /// Append what this rank owns of the current grid — the
-    /// [`BrickDecomp::owned_elems`] prefix of its storage — to `buf`.
-    fn snapshot(&self, _buf: &mut Vec<f64>) {
-        unsupported()
-    }
-    /// Roll the current grid's owned prefix back to a snapshot. The ghost
+    /// Append what this rank owns of the current grid (for the static
+    /// engines, [`BrickDecomp::owned_elems`] words) to `buf`.
+    fn snapshot(&self, buf: &mut Vec<f64>);
+    /// Roll the current grid's owned state back to a snapshot. The ghost
     /// rim and the next grid are left for the replayed step to refill.
-    fn restore(&mut self, _data: &[f64]) {
-        unsupported()
-    }
+    fn restore(&mut self, data: &[f64]);
     /// Recreate the exchange state a failed step may have torn (the
     /// caller re-arms the split phase afterwards).
-    fn rebuild(&mut self, _ctx: &mut RankCtx<'_>) {
-        unsupported()
-    }
-    /// The decomposition both grids follow.
-    fn decomp(&self) -> &BrickDecomp<3> {
-        unsupported()
-    }
+    fn rebuild(&mut self, ctx: &mut RankCtx<'_>);
     /// Act before timestep `step`. `Ok(true)` means the exchange changed
     /// shape (ownership migrated) and the step plan must be bound again.
     fn before_step(&mut self, _ctx: &mut RankCtx<'_>, _step: usize) -> Result<bool, NetsimError> {
@@ -82,35 +61,32 @@ pub(crate) trait RankEngine {
     /// split of the compute set, and the graph gating each boundary brick
     /// on the receives (`recv_ghosts`, from [`RankEngine::arm_split`])
     /// that fill the ghosts it reads.
-    fn split_graph(&self, recv_ghosts: &[Vec<u32>]) -> (PlanSplit, DepGraph) {
-        let decomp = self.decomp();
-        let split = PlanSplit::new(&decomp.interior_mask(), decomp.compute_mask());
-        let graph = DepGraph::build(decomp.brick_info(), split.boundary(), recv_ghosts);
-        (split, graph)
-    }
+    fn split_graph(&self, recv_ghosts: &[Vec<u32>]) -> (PlanSplit, DepGraph);
     /// Prepare for `begin`/`poll`/`finish`: bind the schedule to this
     /// rank and, when `partitioned`, open the persistent channels.
-    fn arm_split(&mut self, _ctx: &mut RankCtx<'_>, _partitioned: bool) -> SplitSetup {
-        unsupported()
-    }
+    fn arm_split(&mut self, ctx: &mut RankCtx<'_>, partitioned: bool) -> SplitSetup;
     /// Post the exchange of the current grid without waiting; indices of
     /// receives already complete are appended to `completed`.
-    fn begin(&mut self, _ctx: &mut RankCtx<'_>, _completed: &mut Vec<usize>) -> Result<(), NetsimError> {
-        unsupported()
-    }
+    fn begin(&mut self, ctx: &mut RankCtx<'_>, completed: &mut Vec<usize>) -> Result<(), NetsimError>;
     /// Drain what has arrived; returns how many receives newly completed.
-    fn poll(&mut self, _ctx: &mut RankCtx<'_>, _completed: &mut Vec<usize>) -> Result<usize, NetsimError> {
-        unsupported()
-    }
+    fn poll(&mut self, ctx: &mut RankCtx<'_>, completed: &mut Vec<usize>) -> Result<usize, NetsimError>;
     /// Block on the outstanding receives and close the epoch.
-    fn finish(&mut self, _ctx: &mut RankCtx<'_>) -> Result<(), NetsimError> {
-        unsupported()
-    }
+    fn finish(&mut self, ctx: &mut RankCtx<'_>) -> Result<(), NetsimError>;
     /// Mark bricks just computed into the *next* grid ready on the next
-    /// step's partitioned channels.
+    /// step's partitioned channels. A no-op by default: the array and
+    /// migrating engines send packed buffers or staged frames, not
+    /// storage bricks, so they open no channels (and refuse `partitioned`).
     fn pready(&mut self, _ctx: &mut RankCtx<'_>, _bricks: &[u32]) -> Result<(), NetsimError> {
-        unsupported()
+        Ok(())
     }
+}
+
+/// [`RankEngine::split_graph`] of an engine that computes a decomposition's
+/// bricks: each boundary brick waits on the receives filling its neighbours.
+fn decomp_split(decomp: &BrickDecomp<3>, recv_ghosts: &[Vec<u32>]) -> (PlanSplit, DepGraph) {
+    let split = PlanSplit::new(&decomp.interior_mask(), decomp.compute_mask());
+    let graph = DepGraph::build(decomp.brick_info(), split.boundary(), recv_ghosts);
+    (split, graph)
 }
 
 /// Brick compute kernel bound once per rank, before the step loop.
@@ -229,10 +205,10 @@ impl<'a> HeapBricks<'a> {
     }
 
     /// The plan and the grid it moves — the current one, or the `next`
-    /// one the stencil is writing (split-phase calls only).
-    fn bound(&mut self, next: bool) -> (&mut CommPlan, InPlace<'_>) {
-        let session = self.session.as_mut().expect(NO_EXCHANGE);
-        session.bound(if next { &mut self.nxt } else { &mut self.cur })
+    /// one the stencil is writing; `None` without an exchanger.
+    fn bound(&mut self, next: bool) -> Option<(&mut CommPlan, InPlace<'_>)> {
+        let grid = if next { &mut self.nxt } else { &mut self.cur };
+        self.session.as_mut().map(|session| session.bound(grid))
     }
 }
 
@@ -272,13 +248,15 @@ impl RankEngine for HeapBricks<'_> {
         self.session = self.exchanger.map(|e| e.session(ctx));
     }
 
-    fn decomp(&self) -> &BrickDecomp<3> {
-        self.decomp
+    fn split_graph(&self, recv_ghosts: &[Vec<u32>]) -> (PlanSplit, DepGraph) {
+        decomp_split(self.decomp, recv_ghosts)
     }
 
+    /// Without an exchanger (No-Layout) the split is empty: no receive,
+    /// so every boundary brick is ready at `begin`.
     fn arm_split(&mut self, _ctx: &mut RankCtx<'_>, partitioned: bool) -> SplitSetup {
         let (step, bricks) = (self.decomp.step(), self.decomp.bricks());
-        let session = self.session.as_mut().expect(NO_EXCHANGE);
+        let Some(session) = self.session.as_mut() else { return (Vec::new(), None) };
         if partitioned {
             session.enable_partitioned(step, bricks);
         }
@@ -286,23 +264,19 @@ impl RankEngine for HeapBricks<'_> {
     }
 
     fn begin(&mut self, ctx: &mut RankCtx<'_>, completed: &mut Vec<usize>) -> Result<(), NetsimError> {
-        let (plan, mut mem) = self.bound(false);
-        plan.begin(ctx, &mut mem, completed)
+        self.bound(false).map_or(Ok(()), |(plan, mut mem)| plan.begin(ctx, &mut mem, completed))
     }
 
     fn poll(&mut self, ctx: &mut RankCtx<'_>, completed: &mut Vec<usize>) -> Result<usize, NetsimError> {
-        let (plan, mut mem) = self.bound(false);
-        plan.poll(ctx, &mut mem, completed)
+        self.bound(false).map_or(Ok(0), |(plan, mut mem)| plan.poll(ctx, &mut mem, completed))
     }
 
     fn finish(&mut self, ctx: &mut RankCtx<'_>) -> Result<(), NetsimError> {
-        let (plan, mut mem) = self.bound(false);
-        plan.finish(ctx, &mut mem)
+        self.bound(false).map_or(Ok(()), |(plan, mut mem)| plan.finish(ctx, &mut mem))
     }
 
     fn pready(&mut self, ctx: &mut RankCtx<'_>, bricks: &[u32]) -> Result<(), NetsimError> {
-        let (plan, mem) = self.bound(true);
-        plan.pready(ctx, &mem, bricks)
+        self.bound(true).map_or(Ok(()), |(plan, mem)| plan.pready(ctx, &mem, bricks))
     }
 }
 
@@ -388,8 +362,8 @@ macro_rules! view_pair_engine {
                 }
             }
 
-            fn decomp(&self) -> &BrickDecomp<3> {
-                self.decomp
+            fn split_graph(&self, recv_ghosts: &[Vec<u32>]) -> (PlanSplit, DepGraph) {
+                decomp_split(self.decomp, recv_ghosts)
             }
 
             /// Both views carry the same schedule; both are bound up
@@ -438,24 +412,28 @@ view_pair_engine!(ShiftExchanger);
 
 /// The lexicographic-array baselines: explicit pack/unpack (YASK) or a
 /// library-internal datatype walk (MPI_Types) around the same transport.
-pub(crate) struct Arrays {
+/// The method's brick decomposition is the arrays' map of 8³ tiles, so
+/// the overlap schedule's masks, graph and ghost groups are the brick
+/// engines' own.
+pub(crate) struct Arrays<'a> {
+    decomp: &'a BrickDecomp<3>,
     cur: ArrayGrid,
     nxt: ArrayGrid,
     /// Geometry is fixed for the whole run, so the tap-offset plan is
     /// compiled once and replayed every step.
     plan: ArrayPlan,
     exchanger: ArrayExchanger,
-    datatypes: bool,
 }
 
-impl Arrays {
-    pub(crate) fn new(cfg: &ExperimentConfig) -> Arrays {
+impl<'a> Arrays<'a> {
+    pub(crate) fn new(cfg: &ExperimentConfig, decomp: &'a BrickDecomp<3>) -> Arrays<'a> {
         let mut cur = ArrayGrid::new(cfg.subdomain, cfg.ghost);
         let nxt = ArrayGrid::new(cfg.subdomain, cfg.ghost);
         cur.fill_interior(|x, y, z| init_value(x as i64, y as i64, z as i64));
         let plan = cur.plan(&cfg.shape);
-        let exchanger = ArrayExchanger::new(&cur);
-        Arrays { cur, nxt, plan, exchanger, datatypes: cfg.method == CpuMethod::MpiTypes }
+        let flavor = if cfg.method == CpuMethod::MpiTypes { Flavor::Datatypes } else { Flavor::Packed };
+        let exchanger = ArrayExchanger::new(&cur, flavor);
+        Arrays { decomp, cur, nxt, plan, exchanger }
     }
 
     /// What one exchange of this rank sends: [`CommPlan::edges`].
@@ -464,7 +442,7 @@ impl Arrays {
     }
 }
 
-impl RankEngine for Arrays {
+impl RankEngine for Arrays<'_> {
     fn stats(&self) -> ExchangeStats {
         self.exchanger.stats()
     }
@@ -474,20 +452,64 @@ impl RankEngine for Arrays {
     }
 
     fn exchange(&mut self, ctx: &mut RankCtx<'_>) -> Result<(), NetsimError> {
-        if self.datatypes {
-            self.exchanger.exchange_mpitypes(ctx, &mut self.cur)
-        } else {
-            self.exchanger.exchange_packed(ctx, &mut self.cur)
-        }
+        self.exchanger.exchange(ctx, &mut self.cur)
     }
 
-    fn compute(&mut self, ctx: &mut RankCtx<'_>, _mask: Option<&[bool]>) {
+    fn compute(&mut self, ctx: &mut RankCtx<'_>, mask: Option<&[bool]>) {
+        let decomp = self.decomp;
         let Arrays { cur, nxt, plan, .. } = self;
-        ctx.scoped("kernel:array", |ctx| ctx.time_calc(|| cur.apply_plan_into(plan, nxt)));
+        let ([mx, my, _], g) = (decomp.owned_bricks(), decomp.ghost_bricks());
+        // Tile `t` of the array is the owned brick at the same place.
+        let tiles = mask.map(|m| move |t: usize| {
+            m[decomp.brick_at([t % mx + g[0], t / mx % my + g[1], t / (mx * my) + g[2]]) as usize]
+        });
+        let edge = decomp.brick_dims().extent(0);
+        ctx.scoped("kernel:array", |ctx| ctx.time_calc(|| cur.apply_tiles_into(plan, nxt, edge, tiles)));
     }
 
     fn advance(&mut self) {
         std::mem::swap(&mut self.cur, &mut self.nxt);
+    }
+
+    fn snapshot(&self, buf: &mut Vec<f64>) {
+        self.cur.interior_rows().for_each(|r| buf.extend_from_slice(&self.cur.as_slice()[r]));
+    }
+
+    /// Poisons the ghost rim and the next grid like [`restore_owned`].
+    fn restore(&mut self, data: &[f64]) {
+        if cfg!(any(test, debug_assertions)) {
+            self.cur.as_mut_slice().fill(f64::NAN);
+            self.nxt.as_mut_slice().fill(f64::NAN);
+        }
+        let rows = self.cur.interior_rows().zip(data.chunks_exact(self.cur.interior()[0]));
+        rows.for_each(|(r, src)| self.cur.as_mut_slice()[r].copy_from_slice(src));
+    }
+
+    fn rebuild(&mut self, _ctx: &mut RankCtx<'_>) {
+        self.exchanger.rebuild();
+    }
+
+    fn split_graph(&self, recv_ghosts: &[Vec<u32>]) -> (PlanSplit, DepGraph) {
+        decomp_split(self.decomp, recv_ghosts)
+    }
+
+    /// Receive `k` fills the ghost tiles of the group facing its sender.
+    fn arm_split(&mut self, ctx: &mut RankCtx<'_>, _partitioned: bool) -> SplitSetup {
+        let group = |d| self.decomp.ghost_group(d).pieces.iter().flat_map(|p| p.bricks.clone());
+        let dirs = self.exchanger.mailbox_dirs(ctx);
+        (dirs.iter().map(|d| group(d).map(|b| b as u32).collect()).collect(), None)
+    }
+
+    fn begin(&mut self, ctx: &mut RankCtx<'_>, completed: &mut Vec<usize>) -> Result<(), NetsimError> {
+        self.exchanger.begin(ctx, &mut self.cur, completed)
+    }
+
+    fn poll(&mut self, ctx: &mut RankCtx<'_>, completed: &mut Vec<usize>) -> Result<usize, NetsimError> {
+        self.exchanger.poll(ctx, &mut self.cur, completed)
+    }
+
+    fn finish(&mut self, ctx: &mut RankCtx<'_>) -> Result<(), NetsimError> {
+        self.exchanger.finish(ctx, &mut self.cur)
     }
 }
 
@@ -563,6 +585,65 @@ mod tests {
         let decomp = cfg.decomp();
         let ranks = across_a_rebuild(|_| ViewPair::<ShiftExchanger>::new(&cfg, &decomp));
         assert_counted_across_the_rebuild("Shift", &ranks);
+    }
+
+    #[test]
+    fn array_engines_count_retries_across_a_rebuild() {
+        for method in [CpuMethod::Yask, CpuMethod::MpiTypes] {
+            let cfg = ExperimentConfig::k1(method.clone(), 16);
+            let decomp = cfg.decomp();
+            let ranks = across_a_rebuild(|_| Arrays::new(&cfg, &decomp));
+            assert_counted_across_the_rebuild(method.name(), &ranks);
+        }
+    }
+
+    /// After warm-up, a step of either array engine allocates nothing on
+    /// the threads that run ranks — phased or overlapped, on either
+    /// backend, over mailbox and loopback receives alike.
+    #[test]
+    fn array_steps_allocate_nothing_after_warm_up() {
+        use crate::alloc_count::{counting_alone, on_rank_thread, rank_thread_allocs};
+        use crate::experiment::{Schedule, StepPlan};
+        const WARM: usize = 2;
+        let _alone = counting_alone();
+        let topo = CartTopo::new(&[2, 2, 1], true);
+        for method in [CpuMethod::Yask, CpuMethod::MpiTypes] {
+            let cfg = ExperimentConfig::k1(method.clone(), 16);
+            let decomp = cfg.decomp();
+            for backend in [netsim::Backend::Thread, netsim::Backend::Event] {
+                for schedule in [Schedule::Phased, Schedule::Dag { partitioned: false }] {
+                    let net = NetworkModel::instant();
+                    let allocs = netsim::run_cluster_on(backend, &topo, net, FaultConfig::off(), |ctx| {
+                        let mut eng = Arrays::new(&cfg, &decomp);
+                        let mut plan = StepPlan::bind(schedule, &mut eng, ctx);
+                        let mut timer = sched::OverlapTimer::new();
+                        // Warm the transport with every frame of the
+                        // cluster posted before any is received: each
+                        // rank's pool then holds as many buffers as it
+                        // can ever have in flight.
+                        eng.begin(ctx, &mut Vec::new()).unwrap();
+                        ctx.barrier();
+                        eng.finish(ctx).unwrap();
+                        eng.compute(ctx, None);
+                        eng.advance();
+                        ctx.barrier();
+                        let mut before = 0;
+                        for step in 0..WARM + 6 {
+                            if step == WARM {
+                                before = rank_thread_allocs();
+                            }
+                            on_rank_thread();
+                            plan.step(&mut eng, ctx, &mut timer, false).unwrap();
+                            eng.advance();
+                            ctx.barrier();
+                        }
+                        rank_thread_allocs() - before
+                    });
+                    let what = format!("{method:?} {schedule:?} {backend:?}");
+                    assert!(allocs.iter().all(|&a| a == 0), "{what}: allocations per rank {allocs:?}");
+                }
+            }
+        }
     }
 
     #[test]

@@ -41,12 +41,6 @@ pub enum CpuMethod {
     NoLayout,
     /// Tuned lexicographic-array framework with explicit pack/unpack.
     Yask,
-    /// Same, with communication overlapped against computation.
-    YaskOverlap,
-    /// Pack-free Layout exchange overlapped with interior computation
-    /// (extension: the paper's prior-work strategy composed with the
-    /// paper's contribution).
-    LayoutOverlap,
     /// Derived-datatype exchange (library-internal element walk).
     MpiTypes,
     /// Dimension-by-dimension shift exchange through mmap views
@@ -66,26 +60,15 @@ impl CpuMethod {
             CpuMethod::Basic => "Basic",
             CpuMethod::NoLayout => "No-Layout",
             CpuMethod::Yask => "YASK",
-            CpuMethod::YaskOverlap => "YASK-OL",
-            CpuMethod::LayoutOverlap => "Layout-OL",
             CpuMethod::MpiTypes => "MPI_Types",
             CpuMethod::Shift { .. } => "Shift",
         }
     }
 
-    /// Whether the method can be scheduled onto the split-phase half of
-    /// its engine: the dependency-graph schedules
-    /// ([`ExperimentConfig::overlap`], [`ExperimentConfig::partitioned`])
-    /// and the resilient harness ([`ExperimentConfig::checkpoint_every`],
-    /// process faults) need `begin`/`poll`/`finish`, snapshots and
-    /// rebuilds, which the brick engines implement and the array
-    /// baselines do not. `Layout-OL` fixes its own schedule and
-    /// `No-Layout` exchanges nothing, so neither qualifies.
-    pub fn split_phase(&self) -> bool {
-        matches!(
-            self,
-            CpuMethod::MemMap { .. } | CpuMethod::Layout | CpuMethod::Basic | CpuMethod::Shift { .. }
-        )
+    /// Why the method cannot run [`ExperimentConfig::partitioned`], if it cannot.
+    pub fn partitioned_refusal(&self) -> Option<&'static str> {
+        matches!(self, CpuMethod::Yask | CpuMethod::MpiTypes)
+            .then_some("the array baselines send packed buffers, not storage bricks, so there is nothing to mark ready")
     }
 }
 
@@ -151,24 +134,23 @@ pub struct ExperimentConfig {
     /// Run the timestep as a dependency graph (off by default): post the
     /// exchange, compute interior bricks while messages are on the wire,
     /// compute boundary bricks as their ghost dependencies complete, and
-    /// only then block on the remainder. Methods that are not
-    /// [`CpuMethod::split_phase`] ignore it.
+    /// only then block on the remainder. The array baselines compute
+    /// their 8³ tiles the same way (YASK-OL is YASK with this set).
     pub overlap: bool,
     /// Buddy-checkpoint interval in steps (0 = off). When set — or when
     /// a process-fault schedule is armed, which forces interval 1 — the
-    /// run (of a [`CpuMethod::split_phase`] method) goes through the
-    /// resilient harness in [`crate::checkpoint`]: each rank snapshots
-    /// the bricks it owns to a buddy every K steps and a crash-stop
-    /// rank failure is survived by an epoch-based recovery that
-    /// converges bit-identically to the fault-free run.
+    /// run goes through the resilient harness in [`crate::checkpoint`]:
+    /// each rank snapshots what it owns to a buddy every K steps, and a
+    /// crash-stop rank failure is survived by an epoch-based recovery
+    /// that converges bit-identically to the fault-free run.
     pub checkpoint_every: usize,
     /// Partitioned early-bird exchange (off by default): drive the
     /// dependency-graph schedule over persistent partitioned channels —
     /// each boundary brick is marked ready (`pready`) the moment it is
     /// computed, in destination-priority order, and eager-sized ready
     /// prefixes ship immediately instead of waiting for the step's
-    /// `begin`. Implies the dependency-graph schedule and is ignored by
-    /// the same methods as [`ExperimentConfig::overlap`]. Results stay
+    /// `begin`. Implies the dependency-graph schedule; refused for the
+    /// methods [`CpuMethod::partitioned_refusal`] names. Results stay
     /// bit-identical to the phased schedule.
     pub partitioned: bool,
     /// Rank execution substrate: OS thread per rank (`Thread`, the
@@ -212,31 +194,30 @@ impl ExperimentConfig {
         self.topology.unwrap_or_else(|| self.net.into())
     }
 
-    /// The decomposition the method's bricks are laid out by: chunks
-    /// padded to the page size for the mmap-view methods, unpadded heap
-    /// storage for the rest. Its [`BrickDecomp::owned_elems`] is the
-    /// length of one checkpoint snapshot.
+    /// The decomposition the method's bricks are laid out by: chunks padded
+    /// to the page size for the mmap-view methods, unpadded heap storage (or
+    /// the array baselines' map of 8³ tiles) for the rest. Its
+    /// [`BrickDecomp::owned_elems`] is the length of one checkpoint snapshot.
     pub fn decomp(&self) -> BrickDecomp<3> {
         let bricks = BrickDims::cubic(self.brick);
         match &self.method {
             CpuMethod::MemMap { page_size } | CpuMethod::Shift { page_size } => {
                 memmap_decomp(self.subdomain, self.ghost, bricks, 1, layout::surface3d(), *page_size)
             }
-            method => BrickDecomp::layout_mode(self.subdomain, self.ghost, bricks, 1, method_layout(method)),
+            CpuMethod::NoLayout => {
+                BrickDecomp::layout_mode(self.subdomain, self.ghost, bricks, 1, SurfaceLayout::lexicographic(3))
+            }
+            _ => BrickDecomp::layout_mode(self.subdomain, self.ghost, bricks, 1, layout::surface3d()),
         }
     }
 
     /// What [`run_steps`] runs this configuration under; the schedule
-    /// follows from the method and the `overlap`/`partitioned` switches
-    /// (methods that are not [`CpuMethod::split_phase`] ignore both).
+    /// follows from the `overlap`/`partitioned` switches.
     fn run_params(&self) -> RunParams {
-        let schedule = match self.method {
-            CpuMethod::LayoutOverlap => Schedule::InteriorFirst,
-            CpuMethod::YaskOverlap => Schedule::Tiled,
-            _ if self.method.split_phase() && (self.overlap || self.partitioned) => {
-                Schedule::Dag { partitioned: self.partitioned }
-            }
-            _ => Schedule::Phased,
+        let schedule = if self.overlap || self.partitioned {
+            Schedule::Dag { partitioned: self.partitioned }
+        } else {
+            Schedule::Phased
         };
         RunParams {
             steps: self.steps,
@@ -257,11 +238,6 @@ impl ExperimentConfig {
 pub(crate) enum Schedule {
     /// Exchange, then compute every owned point.
     Phased,
-    /// YASK-OL: the phased loop, reported as overlapped — its framework
-    /// interleaves at tile level, so all of `calc` can hide the exchange.
-    Tiled,
-    /// Layout-OL: interior bricks, exchange, surface bricks.
-    InteriorFirst,
     /// The dependency-graph overlap scheduler, optionally over
     /// partitioned early-bird channels.
     Dag { partitioned: bool },
@@ -296,16 +272,13 @@ pub struct MethodReport {
     pub stats: ExchangeStats,
     /// Owned points per rank per step.
     pub points: u64,
-    /// Whether communication is overlapped with computation.
-    pub overlap: bool,
     /// Sum of the final interior values (cross-method validation).
     pub checksum: f64,
     /// Per-category `(min, avg, max)` across ranks — the artifact's
     /// reporting format (per timed step).
     pub summary: TimerSummary,
-    /// The fraction of `calc` that can hide an in-flight exchange
-    /// (interior-brick compute for the overlapped brick methods; all of
-    /// `calc` for YASK-OL, whose framework interleaves at tile level).
+    /// Compute seconds per step that ran while the exchange was in
+    /// flight (0 under the phased schedule, which overlaps nothing).
     pub calc_hidden: f64,
     /// Injected faults and the retry protocol's responses, summed across
     /// all ranks (zero when [`ExperimentConfig::faults`] is off).
@@ -323,8 +296,7 @@ pub struct MethodReport {
     pub fault_seed: Option<u64>,
     /// Wire-hiding accounting of a dependency-graph run (rank 0):
     /// `Some` iff the run was driven with [`ExperimentConfig::overlap`]
-    /// through a scheduler that measures it, `None` for phased runs and
-    /// the coarse `*-OL` overlap methods.
+    /// or [`ExperimentConfig::partitioned`], `None` for phased runs.
     pub overlap_stats: Option<OverlapStats>,
     /// Checkpoint/recovery accounting merged across ranks (all zeros —
     /// `!recovery.armed()` — unless the run was resilient; see
@@ -345,7 +317,7 @@ impl MethodReport {
     /// behind computation (packing cannot be hidden — it produces the
     /// send buffers and consumes the received ones).
     pub fn step_time(&self) -> f64 {
-        if self.overlap {
+        if self.overlap_stats.is_some() {
             let exposed = self.timers.calc - self.calc_hidden;
             self.timers.pack
                 + self.calc_hidden.max(self.timers.call + self.timers.wait)
@@ -373,25 +345,21 @@ pub fn network_floor(net: &NetworkModel, payload_bytes: usize) -> f64 {
     net.exchange_time(26, payload_bytes)
 }
 
-/// Panic early (with an actionable message) on resilience configurations
-/// the drivers cannot honor, instead of hanging or silently ignoring a
-/// kill schedule.
-fn validate_resilience(cfg: &ExperimentConfig) {
-    if !(cfg.faults.proc_active() || cfg.checkpoint_every > 0) {
-        return;
+/// Panic early (with an actionable message) on configurations the
+/// drivers cannot honor, instead of hanging or silently ignoring part of
+/// them.
+fn validate(cfg: &ExperimentConfig) {
+    if let Some(why) = cfg.partitioned.then(|| cfg.method.partitioned_refusal()).flatten() {
+        panic!("{} cannot run partitioned: {why}", cfg.method.name());
     }
-    assert!(
-        cfg.method.split_phase(),
-        "process faults / checkpointing are only supported by the Layout, Basic, MemMap and \
-         Shift engines (got {:?})",
-        cfg.method
-    );
     let n: usize = cfg.ranks.iter().product();
     if cfg.faults.kill.is_some() {
         assert!(
             n >= 2,
             "kill faults need at least 2 ranks: the victim's checkpoint lives on its buddy"
         );
+        let why = "No-Layout fills its ghost rim once, so a restored rank could not refill it";
+        assert!(cfg.method != CpuMethod::NoLayout, "kill faults need an exchanging method: {why}");
     }
     if let Some(e) = unreachable_proc_fault(&cfg.faults, n, cfg.warmup + cfg.steps) {
         panic!("{e}");
@@ -414,14 +382,6 @@ pub fn unreachable_proc_fault(faults: &FaultConfig, ranks: usize, steps: usize) 
             )
         })
     })
-}
-
-/// The surface layout a method's bricks are laid out by.
-fn method_layout(method: &CpuMethod) -> SurfaceLayout {
-    match method {
-        CpuMethod::NoLayout => SurfaceLayout::lexicographic(3),
-        _ => layout::surface3d(),
-    }
 }
 
 /// Choose the rank mapping of a hierarchical run: the permutation
@@ -475,25 +435,19 @@ fn mapping_stats(
 /// Each method is one [`RankEngine`]; [`run_steps`] times them all with
 /// the same step loop.
 pub fn run_experiment(cfg: &ExperimentConfig) -> MethodReport {
-    validate_resilience(cfg);
+    validate(cfg);
     let mut topo = CartTopo::new(&cfg.ranks, true);
     let perm = plan_mapping(cfg, &topo);
     if let Some(perm) = &perm {
         topo = topo.with_permutation(perm).expect("mappers return bijections");
     }
     let run = cfg.run_params();
+    let decomp = cfg.decomp();
     // Every rank hands back what it bound, for the mapping block.
     let (mut report, sent) = match &cfg.method {
-        CpuMethod::MemMap { .. } => {
-            let decomp = cfg.decomp();
-            run_steps(&run, &topo, |_| ViewPair::<ExchangeView>::new(cfg, &decomp), |e| e.edges())
-        }
-        CpuMethod::Shift { .. } => {
-            let decomp = cfg.decomp();
-            run_steps(&run, &topo, |_| ViewPair::<ShiftExchanger>::new(cfg, &decomp), |e| e.edges())
-        }
-        CpuMethod::Layout | CpuMethod::LayoutOverlap | CpuMethod::Basic | CpuMethod::NoLayout => {
-            let decomp = cfg.decomp();
+        CpuMethod::MemMap { .. } => run_steps(&run, &topo, |_| ViewPair::<ExchangeView>::new(cfg, &decomp), |e| e.edges()),
+        CpuMethod::Shift { .. } => run_steps(&run, &topo, |_| ViewPair::<ShiftExchanger>::new(cfg, &decomp), |e| e.edges()),
+        CpuMethod::Layout | CpuMethod::Basic | CpuMethod::NoLayout => {
             let exchanger = match cfg.method {
                 CpuMethod::NoLayout => None,
                 CpuMethod::Basic => Some(Exchanger::basic(&decomp)),
@@ -501,9 +455,7 @@ pub fn run_experiment(cfg: &ExperimentConfig) -> MethodReport {
             };
             run_steps(&run, &topo, |ctx| HeapBricks::new(cfg, &decomp, exchanger.as_ref(), ctx), |e| e.edges())
         }
-        CpuMethod::Yask | CpuMethod::YaskOverlap | CpuMethod::MpiTypes => {
-            run_steps(&run, &topo, |_| Arrays::new(cfg), |e| e.edges())
-        }
+        CpuMethod::Yask | CpuMethod::MpiTypes => run_steps(&run, &topo, |_| Arrays::new(cfg, &decomp), |e| e.edges()),
     };
     report.mapping = cfg.topology.zip(perm).map(|(hier, perm)| mapping_stats(cfg, &hier, &perm, &sent));
     report
@@ -524,11 +476,6 @@ fn window_counters(ctx: &RankCtx<'_>) -> sched::Counters {
 pub(crate) enum StepPlan {
     /// Exchange, then compute every owned point.
     Phased,
-    /// Layout-OL: compute the interior bricks, exchange, compute the
-    /// surface bricks. Our transport buffers sends eagerly, so wall-clock
-    /// overlap is accounted by [`MethodReport::step_time`] (the wire
-    /// hides behind the measured interior compute).
-    InteriorFirst { interior: Vec<bool>, surface: Vec<bool> },
     /// The overlap scheduler: begin the split exchange, compute interior
     /// bricks while messages are on the wire, compute boundary bricks in
     /// batches as their ghost dependencies complete, then block only on
@@ -552,11 +499,7 @@ pub(crate) struct Dag {
 impl StepPlan {
     pub(crate) fn bind<E: RankEngine>(schedule: Schedule, eng: &mut E, ctx: &mut RankCtx<'_>) -> StepPlan {
         match schedule {
-            Schedule::Phased | Schedule::Tiled => StepPlan::Phased,
-            Schedule::InteriorFirst => {
-                let decomp = eng.decomp();
-                StepPlan::InteriorFirst { interior: decomp.interior_mask(), surface: decomp.surface_mask() }
-            }
+            Schedule::Phased => StepPlan::Phased,
             Schedule::Dag { partitioned } => {
                 let (recv_ghosts, prio) = eng.arm_split(ctx, partitioned);
                 let (split, graph) = eng.split_graph(&recv_ghosts);
@@ -584,19 +527,6 @@ impl StepPlan {
             StepPlan::Phased => {
                 eng.exchange(ctx)?;
                 eng.compute(ctx, None);
-            }
-            StepPlan::InteriorFirst { interior, surface } => {
-                // Interior compute is legal before the exchange completes:
-                // it reads no ghost bricks. (Our transport completes sends
-                // eagerly, so sequencing interior compute between post and
-                // wait is also temporally faithful.)
-                timer.begin_step(window_counters(ctx));
-                let calc0 = ctx.timers().calc;
-                eng.compute(ctx, Some(interior));
-                timer.hide(ctx.timers().calc - calc0);
-                eng.exchange(ctx)?;
-                timer.end_step(window_counters(ctx));
-                eng.compute(ctx, Some(surface));
             }
             StepPlan::Dag(dag) => {
                 let pready_live = dag.partitioned && pready_live;
@@ -690,9 +620,8 @@ struct RankOutcome {
     summary: Option<TimerSummary>,
     checksum: f64,
     stats: ExchangeStats,
-    /// Compute seconds per timed step that ran inside an overlap window
-    /// (`None` under the phased schedule, which has none).
-    hidden: Option<f64>,
+    /// Compute seconds per timed step that ran inside an overlap window.
+    hidden: f64,
     /// Wire-hiding accounting of the dependency-graph schedule.
     overlap_stats: Option<OverlapStats>,
     timeline: Timeline,
@@ -775,7 +704,7 @@ pub(crate) fn run_steps<E: RankEngine, T: Send>(
             summary,
             checksum: eng.checksum(),
             stats: eng.stats(),
-            hidden: (!matches!(plan, StepPlan::Phased)).then(|| timer.hidden_total() / steps as f64),
+            hidden: timer.hidden_total() / steps as f64,
             overlap_stats,
             timeline,
             faults: ctx.fault_stats(),
@@ -798,13 +727,11 @@ pub(crate) fn run_steps<E: RankEngine, T: Send>(
         r0.fault_events.extend(r.fault_events);
         r0.failure.merge(&r.failure);
     }
-    let tiled = run.schedule == Schedule::Tiled;
     let report = MethodReport {
-        calc_hidden: r0.hidden.unwrap_or(if tiled { r0.timers.calc } else { 0.0 }),
+        calc_hidden: r0.hidden,
         timers: r0.timers,
         stats: r0.stats,
         points: run.points,
-        overlap: tiled || r0.hidden.is_some(),
         checksum: r0.checksum,
         summary: r0.summary.expect("rank 0 holds the reduction"),
         faults: r0.faults,
@@ -832,21 +759,27 @@ mod tests {
         c
     }
 
+    /// [`cfg`] under the dependency-graph overlap schedule (the paper's
+    /// `*-OL` runs).
+    fn overlapped(method: CpuMethod) -> ExperimentConfig {
+        ExperimentConfig { overlap: true, ..cfg(method) }
+    }
+
     /// All exchanging methods must produce *identical physics*: after
     /// the same number of steps on the same initial data, the interior
     /// checksum agrees across implementations.
     #[test]
     fn methods_agree_numerically() {
         let reports: Vec<MethodReport> = [
-            CpuMethod::Layout,
-            CpuMethod::LayoutOverlap,
-            CpuMethod::Basic,
-            CpuMethod::MemMap { page_size: memview::PAGE_4K },
-            CpuMethod::Yask,
-            CpuMethod::MpiTypes,
+            cfg(CpuMethod::Layout),
+            overlapped(CpuMethod::Layout),
+            cfg(CpuMethod::Basic),
+            cfg(CpuMethod::MemMap { page_size: memview::PAGE_4K }),
+            cfg(CpuMethod::Yask),
+            cfg(CpuMethod::MpiTypes),
         ]
-        .into_iter()
-        .map(|m| run_experiment(&cfg(m)))
+        .iter()
+        .map(run_experiment)
         .collect();
         let reference = reports[0].checksum;
         assert!(reference.is_finite() && reference != 0.0);
@@ -861,15 +794,13 @@ mod tests {
     /// ulp.
     #[test]
     fn plan_and_gather_engines_bit_identical() {
-        for method in [
-            CpuMethod::Layout,
-            CpuMethod::LayoutOverlap,
-            CpuMethod::MemMap { page_size: memview::PAGE_4K },
+        for base in [
+            cfg(CpuMethod::Layout),
+            overlapped(CpuMethod::Layout),
+            cfg(CpuMethod::MemMap { page_size: memview::PAGE_4K }),
         ] {
-            let mut plan = cfg(method.clone());
-            plan.kernel = KernelKind::Plan;
-            let mut gather = cfg(method);
-            gather.kernel = KernelKind::Gather;
+            let plan = ExperimentConfig { kernel: KernelKind::Plan, ..base.clone() };
+            let gather = ExperimentConfig { kernel: KernelKind::Gather, ..base };
             let (p, g) = (run_experiment(&plan), run_experiment(&gather));
             assert_eq!(
                 p.checksum.to_bits(),
@@ -985,21 +916,20 @@ mod tests {
     #[test]
     fn mapping_block_counts_the_messages_the_method_bound() {
         let page_size = memview::PAGE_4K;
-        let methods = [
-            CpuMethod::MemMap { page_size },
-            CpuMethod::Layout,
-            CpuMethod::Basic,
-            CpuMethod::NoLayout,
-            CpuMethod::Yask,
-            CpuMethod::YaskOverlap,
-            CpuMethod::LayoutOverlap,
-            CpuMethod::MpiTypes,
-            CpuMethod::Shift { page_size },
+        let configs = [
+            cfg(CpuMethod::MemMap { page_size }),
+            cfg(CpuMethod::Layout),
+            cfg(CpuMethod::Basic),
+            cfg(CpuMethod::NoLayout),
+            cfg(CpuMethod::Yask),
+            overlapped(CpuMethod::Yask),
+            overlapped(CpuMethod::Layout),
+            cfg(CpuMethod::MpiTypes),
+            cfg(CpuMethod::Shift { page_size }),
         ];
         let mut per_rank_msgs = Vec::new();
-        for method in methods {
-            let name = method.name();
-            let mut c = cfg(method);
+        for mut c in configs {
+            let name = c.method.name();
             c.subdomain = [16; 3];
             c.ranks = vec![2, 2, 2];
             c.topology = Some(HierarchicalNetworkModel::dragonfly(4));
@@ -1034,7 +964,7 @@ mod tests {
         assert!(wire > 0.0);
         (plain.timers.pack, plain.timers.calc) = (0.0, 0.0);
         let mut r = plain.clone();
-        r.overlap = true;
+        r.overlap_stats = Some(OverlapStats::default());
         // Nothing to hide behind: the wire stays exposed, overlapped or not.
         assert_eq!(plain.step_time(), wire);
         assert_eq!(r.step_time(), wire);
@@ -1058,17 +988,16 @@ mod tests {
             CpuMethod::Basic,
             CpuMethod::MemMap { page_size: memview::PAGE_4K },
             CpuMethod::Shift { page_size: memview::PAGE_4K },
+            CpuMethod::Yask,
+            CpuMethod::MpiTypes,
         ] {
             let phased = run_experiment(&cfg(m.clone()));
-            let mut oc = cfg(m.clone());
-            oc.overlap = true;
-            let ov = run_experiment(&oc);
+            let ov = run_experiment(&overlapped(m.clone()));
             assert_eq!(
                 ov.checksum.to_bits(),
                 phased.checksum.to_bits(),
                 "overlap diverged for {m:?}"
             );
-            assert!(ov.overlap);
             let s = ov.overlap_stats.expect("dag run reports overlap stats");
             assert!(s.total_wire > 0.0, "{m:?} charged no wire time");
             assert!((0.0..=1.0).contains(&s.efficiency()));
@@ -1190,7 +1119,8 @@ mod tests {
 
     /// Every field of the report that depends on the method or the
     /// schedule, over the whole method × schedule × backend × resilience
-    /// table (2×1×1 ranks, 16³).
+    /// table (2×1×1 ranks, 16³): every method runs every schedule it
+    /// accepts, with and without checkpoints, on the same bits.
     #[test]
     fn report_fields_follow_method_and_schedule() {
         #[derive(Clone, Copy, PartialEq, Debug)]
@@ -1200,28 +1130,25 @@ mod tests {
             Partitioned,
         }
         let page_size = memview::PAGE_4K;
-        // (method, messages per exchange, runs the split-phase schedules
-        // and the resilient harness, overlapped even when phased)
+        // (method, messages per exchange)
         let table = [
-            (CpuMethod::MemMap { page_size }, 26, true, false),
-            (CpuMethod::Layout, 42, true, false),
+            (CpuMethod::MemMap { page_size }, 26),
+            (CpuMethod::Layout, 42),
             // 98 needs three bricks per axis; with two, 42 of the region
             // instances are empty.
-            (CpuMethod::Basic, 56, true, false),
-            (CpuMethod::Shift { page_size }, 6, true, false),
-            (CpuMethod::NoLayout, 0, false, false),
-            (CpuMethod::Yask, 26, false, false),
-            (CpuMethod::YaskOverlap, 26, false, true),
-            (CpuMethod::LayoutOverlap, 42, false, true),
-            (CpuMethod::MpiTypes, 26, false, false),
+            (CpuMethod::Basic, 56),
+            (CpuMethod::Shift { page_size }, 6),
+            (CpuMethod::NoLayout, 0),
+            (CpuMethod::Yask, 26),
+            (CpuMethod::MpiTypes, 26),
         ];
-        for (method, messages, split, always_overlapped) in table {
-            let scheds: &[Sched] =
-                if split { &[Sched::Phased, Sched::Overlap, Sched::Partitioned] } else { &[Sched::Phased] };
-            let intervals: &[usize] = if split { &[0, 2] } else { &[0] };
+        for (method, messages) in table {
             let mut checksum = None;
-            for &sched in scheds {
-                for &every in intervals {
+            for sched in [Sched::Phased, Sched::Overlap, Sched::Partitioned] {
+                if sched == Sched::Partitioned && method.partitioned_refusal().is_some() {
+                    continue;
+                }
+                for every in [0, 2] {
                     let mut comm_bits = None;
                     for backend in [Backend::Thread, Backend::Event] {
                         let mut c = cfg(method.clone());
@@ -1234,10 +1161,8 @@ mod tests {
                         let r = run_experiment(&c);
                         let what = format!("{method:?} {sched:?} {backend:?} checkpoint_every={every}");
                         let dag = sched != Sched::Phased;
-                        let overlapped = dag || always_overlapped;
-                        assert_eq!(r.overlap, overlapped, "{what}: overlap");
                         assert_eq!(r.overlap_stats.is_some(), dag, "{what}: overlap_stats");
-                        assert_eq!(r.calc_hidden > 0.0, overlapped, "{what}: calc_hidden");
+                        assert_eq!(r.calc_hidden > 0.0, dag, "{what}: calc_hidden");
                         assert_eq!(r.points, 16 * 16 * 16, "{what}: points");
                         assert_eq!(r.stats.messages, messages, "{what}: messages");
                         assert_eq!(r.recovery.checkpoints > 0, every > 0, "{what}: checkpoints");
@@ -1259,6 +1184,14 @@ mod tests {
         }
     }
 
+    /// Partitioned channels carry storage bricks; the array baselines
+    /// have none, so a partitioned run of theirs is refused up front.
+    #[test]
+    #[should_panic(expected = "YASK cannot run partitioned: the array baselines send packed buffers")]
+    fn partitioned_arrays_are_refused() {
+        run_experiment(&ExperimentConfig { partitioned: true, ..cfg(CpuMethod::Yask) });
+    }
+
     /// A checkpoint carries what the rank owns and nothing else, and that
     /// is enough: on every resilient engine × schedule × backend, a
     /// `kill:1@2` run reproduces the fault-free bits although `restore`
@@ -1276,6 +1209,8 @@ mod tests {
             CpuMethod::Basic,
             CpuMethod::MemMap { page_size },
             CpuMethod::Shift { page_size },
+            CpuMethod::Yask,
+            CpuMethod::MpiTypes,
         ] {
             for ranks in [vec![2, 1, 1], vec![2, 2, 2]] {
                 let mut base = cfg(method.clone());
@@ -1284,6 +1219,9 @@ mod tests {
                 let clean = run_experiment(&base).checksum.to_bits();
                 let owned_bytes = base.decomp().owned_elems() as u64 * 8;
                 for (overlap, partitioned) in [(false, false), (true, false), (false, true)] {
+                    if partitioned && method.partitioned_refusal().is_some() {
+                        continue;
+                    }
                     for backend in [Backend::Thread, Backend::Event] {
                         for every in [1, 2] {
                             let mut c = base.clone();

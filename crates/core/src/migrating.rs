@@ -444,8 +444,9 @@ mod tests {
     /// whichever rank runs ahead later.)
     #[test]
     fn plain_steps_between_epochs_allocate_nothing() {
-        use crate::alloc_count::{on_rank_thread, rank_thread_allocs};
+        use crate::alloc_count::{counting_alone, on_rank_thread, rank_thread_allocs};
         use crate::experiment::StepPlan;
+        let _alone = counting_alone();
         const EPOCH: usize = 3;
         const PLAIN: usize = 12;
         let mut cfg = RebalanceCfg::new(GridCfg { dims: [4, 2, 4], cells: 16, skew: 6.0 }, vec![2, 2, 1]);

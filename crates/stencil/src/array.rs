@@ -2,6 +2,8 @@
 //! ("YASK-like"): computation over a contiguous i-j-k array, halo
 //! exchange via explicit pack/unpack of the 26 surface regions.
 
+use std::ops::Range;
+
 use layout::Dir;
 
 use crate::isa::{per_isa, BoundIsa, Isa};
@@ -134,44 +136,73 @@ impl ArrayGrid {
 
     /// Apply a precompiled [`ArrayPlan`] (see [`ArrayGrid::plan`]).
     pub fn apply_plan_into(&self, plan: &ArrayPlan, out: &mut ArrayGrid) {
+        self.apply_tiles_into(plan, out, 1, None::<fn(usize) -> bool>);
+    }
+
+    /// Apply `plan` to the `edge`³ tiles of the interior that `selected`
+    /// accepts (numbered x fastest), or to all of it when `None`, dealing
+    /// slabs of `edge` z-planes over [`crate::pool`]. A point's arithmetic
+    /// does not depend on the selection, so a selection and then its
+    /// complement write exactly the whole-interior result.
+    pub fn apply_tiles_into(
+        &self,
+        plan: &ArrayPlan,
+        out: &mut ArrayGrid,
+        edge: usize,
+        selected: Option<impl Fn(usize) -> bool + Sync>,
+    ) {
         assert_eq!(self.n, out.n);
         assert_eq!(self.ghost, out.ghost);
         assert_eq!(plan.ext, self.ext, "plan compiled for a different geometry");
         assert_eq!(plan.ghost, self.ghost, "plan compiled for a different ghost width");
-        match &plan.star7 {
-            Some(c) => {
-                let isa = plan.isa;
-                self.for_interior_planes(&mut out.data, |z0, run| star7_run(isa, self, c, z0, run))
+        assert!(self.n.iter().all(|&d| d % edge == 0), "interior {:?} is not a whole number of {edge}-tiles", self.n);
+        let (n, g, pl) = (self.n, self.ghost, self.ext[0] * self.ext[1]);
+        // Extended z-planes of `slab` from index `z0`, interior columns `x` of rows `y`.
+        let apply_box = |z0, slab: &mut [f64], x: Range<usize>, y: Range<usize>| match &plan.star7 {
+            Some(c) => star7_run(plan.isa, self, c, z0, slab, x, y),
+            None => self.deltas_run(&plan.deltas, z0, slab, x, y),
+        };
+        let layer = (n[0] / edge) * (n[1] / edge);
+        let interior = &mut out.data[g * pl..(g + n[2]) * pl];
+        let work = selected.as_ref().map_or(interior.len(), |f| {
+            (0..layer * n[2] / edge).filter(|&t| f(t)).count() * edge.pow(3)
+        });
+        pool::for_runs(interior, edge * pl, work, |first, run| {
+            for (tz, slab) in (first..).zip(run.chunks_exact_mut(edge * pl)) {
+                let z0 = g + tz * edge;
+                let Some(f) = &selected else {
+                    apply_box(z0, slab, 0..n[0], 0..n[1]);
+                    continue;
+                };
+                // A run of selected tiles along x is one box: rows stay long.
+                let (nx, selected) = (n[0] / edge, |t| f(tz * layer + t));
+                for y in 0..n[1] / edge {
+                    let mut x = 0;
+                    while x < nx {
+                        let end = (x..nx).find(|&e| !selected(y * nx + e)).unwrap_or(nx);
+                        if end > x {
+                            apply_box(z0, slab, x * edge..end * edge, y * edge..(y + 1) * edge);
+                        }
+                        x = end + 1;
+                    }
+                }
             }
-            None => self.for_interior_planes(&mut out.data, |z0, run| self.deltas_run(&plan.deltas, z0, run)),
-        }
+        });
     }
 
-    /// Deal the interior z-planes of the extended array `out` over
-    /// [`crate::pool`]: `f(z, run)` gets runs of whole planes, the first
-    /// at extended z-index `z`.
-    fn for_interior_planes(&self, out: &mut [f64], f: impl Fn(usize, &mut [f64]) + Sync) {
-        let (pl, g) = (self.ext[0] * self.ext[1], self.ghost);
-        let interior = &mut out[g * pl..(g + self.n[2]) * pl];
-        let work = interior.len();
-        pool::for_runs(interior, pl, work, |first, run| f(g + first, run));
-    }
-
-    /// One run of the generic hoisted-delta kernel for shapes without a
-    /// specialized path (not widened: its per-point tap reduction is
-    /// scalar at every ISA level): whole extended z-planes, the first at
-    /// extended z-index `z0`.
-    fn deltas_run(&self, deltas: &[(isize, f64)], z0: usize, run: &mut [f64]) {
+    /// One box (see [`ArrayGrid::apply_tiles_into`]) of the generic
+    /// hoisted-delta kernel for shapes without a specialized path (not
+    /// widened: its per-point tap reduction is scalar at every ISA level).
+    fn deltas_run(&self, deltas: &[(isize, f64)], z0: usize, planes: &mut [f64], x: Range<usize>, y: Range<usize>) {
         let (ex, ey) = (self.ext[0], self.ext[1]);
-        let (g, n) = (self.ghost, self.n);
+        let g = self.ghost;
         let input = &self.data;
-        for (zext, plane) in (z0..).zip(run.chunks_exact_mut(ex * ey)) {
-            for y in 0..n[1] {
-                let row = (y + g) * ex + g;
+        for (zext, plane) in (z0..).zip(planes.chunks_exact_mut(ex * ey)) {
+            for y in y.clone() {
+                let row = (y + g) * ex + g + x.start;
                 let zbase = zext * ex * ey + row;
-                let (o, _) = plane[row..].split_at_mut(n[0]);
-                for (x, ov) in o.iter_mut().enumerate() {
-                    let base = (zbase + x) as isize;
+                for (i, ov) in plane[row..row + x.len()].iter_mut().enumerate() {
+                    let base = (zbase + i) as isize;
                     let mut acc = 0.0;
                     for &(d, c) in deltas {
                         acc += c * input[(base + d) as usize];
@@ -328,13 +359,16 @@ impl ArrayGrid {
     /// Sum over the interior (cheap integration check).
     pub fn interior_sum(&self) -> f64 {
         let mut s = 0.0;
-        for z in 0..self.n[2] as isize {
-            for y in 0..self.n[1] as isize {
-                let o = self.offset(0, y, z);
-                s += self.data[o..o + self.n[0]].iter().sum::<f64>();
-            }
+        for r in self.interior_rows() {
+            s += self.data[r].iter().sum::<f64>();
         }
         s
+    }
+
+    /// Raw-array ranges of the interior's x-rows, y then z ascending.
+    pub fn interior_rows(&self) -> impl Iterator<Item = Range<usize>> {
+        let (n, g, [ex, ey, _]) = (self.n, self.ghost, self.ext);
+        (0..n[2]).flat_map(move |z| (0..n[1]).map(move |y| ((z + g) * ey + y + g) * ex + g)).map(move |o| o..o + n[0])
     }
 
     /// Total surface bytes exchanged per full 26-neighbor halo exchange.
@@ -367,30 +401,29 @@ impl ArrayPlan {
 }
 
 per_isa! {
-    /// One run of the 7-point star on `grid`'s interior z-planes: whole
-    /// extended planes of `out`, the first at extended z-index `z0`,
-    /// through a branch-free row loop (a tuned framework's kernel
-    /// quality) in the brick kernel's tap order, which the compiler
-    /// widens to the level's registers.
-    fn star7_run(grid: &ArrayGrid, c: &[f64; 7], z0: usize, run: &mut [f64]) {
-        let (ex, g, n) = (grid.ext[0], grid.ghost, grid.n);
-        let pl = ex * grid.ext[1];
+    /// One box of the 7-point star on `grid`'s interior (see
+    /// [`ArrayGrid::apply_tiles_into`]) through a branch-free row loop (a tuned
+    /// framework's kernel quality) in the brick kernel's tap order,
+    /// which the compiler widens to the level's registers.
+    fn star7_run(grid: &ArrayGrid, c: &[f64; 7], z0: usize, planes: &mut [f64], x: Range<usize>, y: Range<usize>) {
+        let (ex, g) = (grid.ext[0], grid.ghost);
+        let (pl, len) = (ex * grid.ext[1], x.len());
         let input = &grid.data[..];
         let [c0, cxm, cxp, cym, cyp, czm, czp] = *c;
 
-        for (zext, plane) in (z0..).zip(run.chunks_exact_mut(pl)) {
-            for y in 0..n[1] {
-                let orow = (y + g) * ex + g;
+        for (zext, plane) in (z0..).zip(planes.chunks_exact_mut(pl)) {
+            for y in y.clone() {
+                let orow = (y + g) * ex + g + x.start;
                 let row = zext * pl + orow;
-                let rc = &input[row..row + n[0]];
-                let rxm = &input[row - 1..row - 1 + n[0]];
-                let rxp = &input[row + 1..row + 1 + n[0]];
-                let rym = &input[row - ex..row - ex + n[0]];
-                let ryp = &input[row + ex..row + ex + n[0]];
-                let rzm = &input[row - pl..row - pl + n[0]];
-                let rzp = &input[row + pl..row + pl + n[0]];
-                let o = &mut plane[orow..orow + n[0]];
-                for x in 0..n[0] {
+                let rc = &input[row..row + len];
+                let rxm = &input[row - 1..row - 1 + len];
+                let rxp = &input[row + 1..row + 1 + len];
+                let rym = &input[row - ex..row - ex + len];
+                let ryp = &input[row + ex..row + ex + len];
+                let rzm = &input[row - pl..row - pl + len];
+                let rzp = &input[row + pl..row + pl + len];
+                let o = &mut plane[orow..orow + len];
+                for x in 0..len {
                     o[x] = c0 * rc[x]
                         + cxm * rxm[x]
                         + cxp * rxp[x]

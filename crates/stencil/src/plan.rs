@@ -279,16 +279,6 @@ impl KernelPlan {
         self.isa.level()
     }
 
-    /// Split this plan's compute set into interior/boundary sub-plans
-    /// for overlap scheduling (masks must cover this plan's bricks).
-    /// The plan's radius assertion (`r ≤` every brick extent) is what
-    /// makes a boundary brick's dependencies exactly its 27-adjacency
-    /// neighbor bricks, so completing those receives makes it safe.
-    pub fn split(&self, interior_mask: &[bool], compute: &[bool]) -> PlanSplit {
-        assert_eq!(interior_mask.len(), self.bricks, "mask length mismatch");
-        PlanSplit::new(interior_mask, compute)
-    }
-
     /// Apply the planned stencil to every brick selected by
     /// `compute[b]`, reading `input` and writing `output` (both must
     /// match the geometry the plan was compiled for). The selected
@@ -588,13 +578,6 @@ impl VarCoefPlan {
         }
     }
 
-    /// Split this plan's compute set into interior/boundary sub-plans
-    /// for overlap scheduling (see [`KernelPlan::split`]).
-    pub fn split(&self, interior_mask: &[bool], compute: &[bool]) -> PlanSplit {
-        assert_eq!(interior_mask.len(), self.bricks, "mask length mismatch");
-        PlanSplit::new(interior_mask, compute)
-    }
-
     /// Apply the planned variable-coefficient stencil to every brick
     /// selected by `compute[b]`, writing field 0 of `output`.
     pub fn execute(&self, input: &BrickStorage, output: &mut BrickStorage, compute: &[bool]) {
@@ -877,7 +860,7 @@ mod tests {
         let plan = KernelPlan::new(&info, &shape, 1, 0);
         plan.execute(&input, &mut out_full, &compute);
 
-        let mut split = plan.split(&interior, &compute);
+        let mut split = PlanSplit::new(&interior, &compute);
         plan.execute(&input, &mut out_split, split.interior());
         let boundary: Vec<u32> = split.boundary().to_vec();
         assert_eq!(boundary.len() + split.interior_count(), info.bricks());

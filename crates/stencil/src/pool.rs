@@ -562,4 +562,35 @@ mod tests {
             assert!(into_split.as_slice().iter().any(|&v| v != 0.0));
         }
     }
+
+    /// A tile-masked array apply over a mask and then over its
+    /// complement writes the whole-grid apply bit for bit, split over
+    /// the pool and on one thread, for the star7 fast path and the
+    /// generic hoisted-delta path (star13).
+    #[test]
+    fn array_tiles_and_their_complement_equal_the_whole_grid() {
+        let _g = dealing();
+        let (n, edge) = (64, 8);
+        let tiles = (n / edge) * (n / edge) * (n / edge);
+        let mask: Vec<bool> = (0..tiles).map(|t| (t * 7 + t / 5) % 3 == 0).collect();
+        let (selected, complement) = (|t: usize| mask[t], |t: usize| !mask[t]);
+        for (shape, g) in [(StencilShape::star7_default(), 1), (StencilShape::star13_default(), 2)] {
+            let mut a = ArrayGrid::new([n; 3], g);
+            a.fill_interior(|x, y, z| ((x * 31 + y * 17 + z * 7) % 13) as f64 / 3.0 - 1.7);
+            a.fill_ghost_periodic_self();
+            let plan = a.plan(&shape);
+            let mut whole = ArrayGrid::new([n; 3], g);
+            a.apply_plan_into(&plan, &mut whole);
+            for split in [true, false] {
+                let run = |f: &mut dyn FnMut()| if split { splitting(f) } else { inline(f) };
+                let mut tiled = ArrayGrid::new([n; 3], g);
+                run(&mut || a.apply_tiles_into(&plan, &mut tiled, edge, Some(selected)));
+                run(&mut || a.apply_tiles_into(&plan, &mut tiled, edge, Some(complement)));
+                assert_eq!(bits(tiled.as_slice()), bits(whole.as_slice()), "{} taps", shape.points());
+                let mut boxed = ArrayGrid::new([n; 3], g);
+                run(&mut || a.apply_tiles_into(&plan, &mut boxed, edge, None::<fn(usize) -> bool>));
+                assert_eq!(bits(boxed.as_slice()), bits(whole.as_slice()), "{} taps, no mask", shape.points());
+            }
+        }
+    }
 }

@@ -33,15 +33,16 @@ fn cfg(method: CpuMethod, faults: FaultConfig) -> ExperimentConfig {
     c
 }
 
-fn all_methods() -> Vec<CpuMethod> {
+/// Every method, and Layout-OL: `(method, overlap)`.
+fn all_methods() -> Vec<(CpuMethod, bool)> {
     vec![
-        CpuMethod::Layout,
-        CpuMethod::LayoutOverlap,
-        CpuMethod::Basic,
-        CpuMethod::MemMap { page_size: memview::PAGE_4K },
-        CpuMethod::Shift { page_size: memview::PAGE_4K },
-        CpuMethod::Yask,
-        CpuMethod::MpiTypes,
+        (CpuMethod::Layout, false),
+        (CpuMethod::Layout, true),
+        (CpuMethod::Basic, false),
+        (CpuMethod::MemMap { page_size: memview::PAGE_4K }, false),
+        (CpuMethod::Shift { page_size: memview::PAGE_4K }, false),
+        (CpuMethod::Yask, false),
+        (CpuMethod::MpiTypes, false),
     ]
 }
 
@@ -51,10 +52,10 @@ fn all_methods() -> Vec<CpuMethod> {
 /// multiplexed by the event scheduler.
 #[test]
 fn chaos_runs_are_bit_identical_to_fault_free() {
-    for method in all_methods() {
+    for (method, overlap) in all_methods() {
         for event_8 in [false, true] {
             let leg = |faults| {
-                let mut c = cfg(method.clone(), faults);
+                let mut c = ExperimentConfig { overlap, ..cfg(method.clone(), faults) };
                 if event_8 {
                     c.ranks = vec![2, 2, 2];
                     c.backend = Backend::Event;
@@ -174,9 +175,9 @@ fn fault_free_runs_report_zero_recovery() {
 fn jitter_and_delay_do_not_change_physics() {
     let faults =
         FaultConfig { seed: seed(), delay: 0.3, jitter: 0.5, ..FaultConfig::default() };
-    for method in all_methods() {
-        let clean = run_experiment(&cfg(method.clone(), FaultConfig::off()));
-        let slow = run_experiment(&cfg(method.clone(), faults));
+    for (method, overlap) in all_methods() {
+        let clean = run_experiment(&ExperimentConfig { overlap, ..cfg(method.clone(), FaultConfig::off()) });
+        let slow = run_experiment(&ExperimentConfig { overlap, ..cfg(method.clone(), faults) });
         let name = method.name();
         assert_eq!(slow.checksum.to_bits(), clean.checksum.to_bits(), "{name}");
         assert_eq!(slow.timers.msgs, clean.timers.msgs, "{name}: messages per step");

@@ -33,6 +33,8 @@ fn resilient_methods() -> Vec<CpuMethod> {
         CpuMethod::Basic,
         CpuMethod::MemMap { page_size: memview::PAGE_4K },
         CpuMethod::Shift { page_size: memview::PAGE_4K },
+        CpuMethod::Yask,
+        CpuMethod::MpiTypes,
     ]
 }
 
@@ -76,9 +78,15 @@ fn killed_runs_converge_bit_identically() {
 #[test]
 fn kill_mid_overlap_and_mid_pready_recovers() {
     for (overlap, partitioned) in [(true, false), (true, true)] {
-        for method in
-            [CpuMethod::Layout, CpuMethod::MemMap { page_size: memview::PAGE_4K }]
-        {
+        for method in [
+            CpuMethod::Layout,
+            CpuMethod::MemMap { page_size: memview::PAGE_4K },
+            CpuMethod::Yask,
+            CpuMethod::MpiTypes,
+        ] {
+            if partitioned && method.partitioned_refusal().is_some() {
+                continue;
+            }
             let mut clean = cfg(method.clone(), FaultConfig::off(), 0, Backend::Thread);
             clean.overlap = overlap;
             clean.partitioned = partitioned;

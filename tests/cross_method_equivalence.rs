@@ -27,16 +27,17 @@ fn cfg(method: CpuMethod, n: usize, shape: StencilShape, ranks: Vec<usize>) -> E
     }
 }
 
-fn all_methods() -> Vec<CpuMethod> {
+/// Every exchanging method, and Layout-OL: `(method, overlap)`.
+fn all_methods() -> Vec<(CpuMethod, bool)> {
     vec![
-        CpuMethod::Yask,
-        CpuMethod::MpiTypes,
-        CpuMethod::Layout,
-        CpuMethod::Basic,
-        CpuMethod::MemMap { page_size: memview::PAGE_4K },
-        CpuMethod::MemMap { page_size: memview::PAGE_64K },
-        CpuMethod::Shift { page_size: memview::PAGE_4K },
-        CpuMethod::LayoutOverlap,
+        (CpuMethod::Yask, false),
+        (CpuMethod::MpiTypes, false),
+        (CpuMethod::Layout, false),
+        (CpuMethod::Basic, false),
+        (CpuMethod::MemMap { page_size: memview::PAGE_4K }, false),
+        (CpuMethod::MemMap { page_size: memview::PAGE_64K }, false),
+        (CpuMethod::Shift { page_size: memview::PAGE_4K }, false),
+        (CpuMethod::Layout, true),
     ]
 }
 
@@ -44,7 +45,9 @@ fn all_methods() -> Vec<CpuMethod> {
 fn agree_7pt_single_rank() {
     let reports: Vec<MethodReport> = all_methods()
         .into_iter()
-        .map(|m| run_experiment(&cfg(m, 32, StencilShape::star7_default(), vec![1, 1, 1])))
+        .map(|(m, overlap)| {
+            run_experiment(&ExperimentConfig { overlap, ..cfg(m, 32, StencilShape::star7_default(), vec![1, 1, 1]) })
+        })
         .collect();
     let r0 = reports[0].checksum;
     assert!(r0.is_finite() && r0 != 0.0);
@@ -57,7 +60,9 @@ fn agree_7pt_single_rank() {
 fn agree_125pt_single_rank() {
     let reports: Vec<MethodReport> = all_methods()
         .into_iter()
-        .map(|m| run_experiment(&cfg(m, 32, StencilShape::cube125_default(), vec![1, 1, 1])))
+        .map(|(m, overlap)| {
+            run_experiment(&ExperimentConfig { overlap, ..cfg(m, 32, StencilShape::cube125_default(), vec![1, 1, 1]) })
+        })
         .collect();
     let r0 = reports[0].checksum;
     for r in &reports[1..] {
@@ -71,7 +76,9 @@ fn agree_multirank() {
     // third.
     let reports: Vec<MethodReport> = all_methods()
         .into_iter()
-        .map(|m| run_experiment(&cfg(m, 24, StencilShape::star7_default(), vec![2, 2, 1])))
+        .map(|(m, overlap)| {
+            run_experiment(&ExperimentConfig { overlap, ..cfg(m, 24, StencilShape::star7_default(), vec![2, 2, 1]) })
+        })
         .collect();
     let r0 = reports[0].checksum;
     for r in &reports[1..] {
@@ -85,7 +92,9 @@ fn agree_minimal_subdomain() {
     // merging logic must stay consistent on both sides.
     let reports: Vec<MethodReport> = all_methods()
         .into_iter()
-        .map(|m| run_experiment(&cfg(m, 16, StencilShape::star7_default(), vec![1, 1, 1])))
+        .map(|(m, overlap)| {
+            run_experiment(&ExperimentConfig { overlap, ..cfg(m, 16, StencilShape::star7_default(), vec![1, 1, 1]) })
+        })
         .collect();
     let r0 = reports[0].checksum;
     for r in &reports[1..] {
@@ -190,12 +199,10 @@ fn plan_engine_bit_identical_to_gather() {
 #[test]
 fn overlap_never_slower_than_blocking() {
     let plain = run_experiment(&cfg(CpuMethod::Yask, 32, StencilShape::star7_default(), vec![1, 1, 1]));
-    let ol = run_experiment(&cfg(
-        CpuMethod::YaskOverlap,
-        32,
-        StencilShape::star7_default(),
-        vec![1, 1, 1],
-    ));
+    let ol = run_experiment(&ExperimentConfig {
+        overlap: true,
+        ..cfg(CpuMethod::Yask, 32, StencilShape::star7_default(), vec![1, 1, 1])
+    });
     // Overlap model: pack + max(wire, calc) <= pack + wire + calc.
     assert!(ol.step_time() <= ol.timers.total() + 1e-12);
     assert!(plain.checksum.is_finite());

@@ -170,3 +170,27 @@ fn stencil_loops_run_on_the_one_pool() {
     let mut comment = lines[..blocks[0]].iter().rev().take_while(|l| l.trim_start().starts_with("//"));
     assert!(comment.any(|l| l.contains("SAFETY:")), "pool.rs's `unsafe` block has no `// SAFETY:` comment above it");
 }
+
+/// Every engine runs every schedule: outside its tests `engine.rs` names
+/// no `unreachable!` and no `unsupported` fallback, so no trait default
+/// can panic on a method the driver schedules, and `experiment.rs`'s
+/// `Schedule` has exactly two variants, phased and the dependency graph.
+#[test]
+fn every_engine_runs_the_two_schedules() {
+    let core = sources("core");
+    let file = |want: &str| non_test(&core.iter().find(|(name, _)| name == want).expect("core source").1).to_string();
+    let engine = file("engine.rs");
+    for word in ["unreachable!", "unsupported"] {
+        assert!(!engine.contains(word), "crates/core/src/engine.rs names `{word}`");
+    }
+    let experiment = file("experiment.rs");
+    let body = experiment.split("enum Schedule {").nth(1).expect("experiment.rs defines `enum Schedule`");
+    let body = &body[..body.find("\n}").expect("the enum closes")];
+    let variants: Vec<&str> = body
+        .lines()
+        .map(str::trim)
+        .filter(|l| !l.is_empty() && !l.starts_with("//"))
+        .filter_map(|l| l.split(|c: char| !c.is_alphanumeric()).next().filter(|w| !w.is_empty()))
+        .collect();
+    assert_eq!(variants, ["Phased", "Dag"], "Schedule has {variants:?}");
+}

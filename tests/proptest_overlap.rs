@@ -76,6 +76,41 @@ fn paged_engines_overlap_bit_identical() {
     });
 }
 
+/// The array baselines compute their 8³ tiles on the same dependency
+/// graph: YASK and MPI_Types, both shapes, a one- and a two-axis rank
+/// split, both backends, clean and under seeded chaos — overlapped bits
+/// equal phased bits, and the overlapped run measures its window.
+#[test]
+fn array_engines_overlap_bit_identical() {
+    let lossy = FaultConfig::parse("42,0.05,0.02,0.05").unwrap();
+    for method in [CpuMethod::Yask, CpuMethod::MpiTypes] {
+        for shape in shapes() {
+            for ranks in [[2, 1, 1], [1, 2, 2]] {
+                for backend in [Backend::Thread, Backend::Event] {
+                    for faults in [FaultConfig::off(), lossy] {
+                        // 24^3: three tiles per axis, so one is interior.
+                        let mut cfg = ExperimentConfig {
+                            shape: shape.clone(),
+                            steps: 2,
+                            ranks: ranks.to_vec(),
+                            faults,
+                            backend,
+                            ..ExperimentConfig::k1(method.clone(), 24)
+                        };
+                        let phased = run_experiment(&cfg);
+                        cfg.overlap = true;
+                        let over = run_experiment(&cfg);
+                        let what = format!("{} {} taps {ranks:?} {backend:?} {faults:?}", method.name(), shape.points());
+                        assert_eq!(over.checksum.to_bits(), phased.checksum.to_bits(), "{what}");
+                        let s = over.overlap_stats.expect("an overlapped run measures its window");
+                        assert!(s.total_wire > 0.0 && over.calc_hidden > 0.0, "{what}: {s:?}");
+                    }
+                }
+            }
+        }
+    }
+}
+
 /// Under seeded chaos the overlapped run still converges to the
 /// same bits: begin() routes the collective reliable protocol and
 /// the scheduler degrades to the phased order.

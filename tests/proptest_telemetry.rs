@@ -9,22 +9,24 @@
 
 use bricklib::prelude::*;
 
-fn methods() -> [CpuMethod; 9] {
+/// Every method, and YASK-OL and Layout-OL: `(method, overlap)`.
+fn methods() -> [(CpuMethod, bool); 9] {
     [
-        CpuMethod::Layout,
-        CpuMethod::Basic,
-        CpuMethod::NoLayout,
-        CpuMethod::MemMap { page_size: memview::PAGE_4K },
-        CpuMethod::Shift { page_size: memview::PAGE_4K },
-        CpuMethod::Yask,
-        CpuMethod::YaskOverlap,
-        CpuMethod::LayoutOverlap,
-        CpuMethod::MpiTypes,
+        (CpuMethod::Layout, false),
+        (CpuMethod::Basic, false),
+        (CpuMethod::NoLayout, false),
+        (CpuMethod::MemMap { page_size: memview::PAGE_4K }, false),
+        (CpuMethod::Shift { page_size: memview::PAGE_4K }, false),
+        (CpuMethod::Yask, false),
+        (CpuMethod::Yask, true),
+        (CpuMethod::Layout, true),
+        (CpuMethod::MpiTypes, false),
     ]
 }
 
-fn cfg(method: CpuMethod, ranks: [usize; 3], steps: usize, net: NetworkModel) -> ExperimentConfig {
+fn cfg((method, overlap): (CpuMethod, bool), ranks: [usize; 3], steps: usize, net: NetworkModel) -> ExperimentConfig {
     let mut c = ExperimentConfig::k1(method, 16);
+    c.overlap = overlap;
     c.steps = steps;
     c.warmup = 1; // exercise the reset-then-enable boundary
     c.ranks = ranks.to_vec();
@@ -50,9 +52,9 @@ fn profiled_timelines_are_well_nested_and_account_exactly() {
     }
 }
 
-fn check_profiled_run(method: CpuMethod, steps: usize, ranks: [usize; 3], net: NetworkModel) {
-    let r = run_experiment(&cfg(method.clone(), ranks, steps, net));
-    let what = format!("{} x {steps} on {ranks:?}", method.name());
+fn check_profiled_run(method: (CpuMethod, bool), steps: usize, ranks: [usize; 3], net: NetworkModel) {
+    let what = format!("{} (overlap {}) x {steps} on {ranks:?}", method.0.name(), method.1);
+    let r = run_experiment(&cfg(method, ranks, steps, net));
 
     assert_eq!(r.timelines.len(), ranks.iter().product::<usize>(), "{what}");
     for (rank, t) in r.timelines.iter().enumerate() {
@@ -80,7 +82,7 @@ fn unprofiled_runs_carry_no_timelines() {
             let mut c = cfg(method.clone(), [1, 1, 1], steps, NetworkModel::instant());
             c.profile = false;
             let r = run_experiment(&c);
-            assert!(r.timelines.is_empty(), "{} x {steps}", method.name());
+            assert!(r.timelines.is_empty(), "{} x {steps}", method.0.name());
             assert!(r.fault_seed.is_none());
         }
     }
