@@ -80,6 +80,13 @@ pub struct BrickDecomp<const D: usize> {
     info: BrickInfo<D>,
     /// Extended-grid lex coordinate → brick index.
     grid_to_brick: Vec<u32>,
+    /// Brick index → extended-grid lex coordinate (`NO_BRICK` for filler).
+    brick_to_grid: Vec<u32>,
+    /// Per axis, per extended element coordinate (shifted by the ghost
+    /// width): its brick's term of the extended-grid lex index, and its
+    /// element's term of the in-brick offset ([`BoxOffsets`]).
+    axis_cell: [Vec<usize>; D],
+    axis_elem: [Vec<usize>; D],
     interior: Chunk,
     surface: Vec<Chunk>,
     ghosts: Vec<GhostGroup>,
@@ -210,6 +217,21 @@ impl<const D: usize> BrickDecomp<D> {
         }
 
         let nbricks = next;
+        let mut brick_to_grid = vec![NO_BRICK; nbricks];
+        for (lex, &b) in grid_to_brick.iter().enumerate() {
+            brick_to_grid[b as usize] = lex as u32;
+        }
+        let (mut cell_stride, mut elem_stride) = (1, 1);
+        let mut axis_cell: [Vec<usize>; D] = std::array::from_fn(|_| Vec::new());
+        let mut axis_elem: [Vec<usize>; D] = std::array::from_fn(|_| Vec::new());
+        for a in 0..D {
+            let bd = bdims.extent(a);
+            let extended = 0..domain[a] + 2 * ghost;
+            axis_cell[a] = extended.clone().map(|p| p / bd * cell_stride).collect();
+            axis_elem[a] = extended.map(|p| p % bd * elem_stride).collect();
+            cell_stride *= ext[a];
+            elem_stride *= bd;
+        }
 
         // --- Adjacency over the extended grid (non-periodic: the rim IS
         // the halo; wrap happens between ranks). ------------------------
@@ -261,6 +283,9 @@ impl<const D: usize> BrickDecomp<D> {
             nbricks,
             info,
             grid_to_brick,
+            brick_to_grid,
+            axis_cell,
+            axis_elem,
             interior,
             surface,
             ghosts,
@@ -421,6 +446,46 @@ impl<const D: usize> BrickDecomp<D> {
             + self.bdims.flatten(lc)
     }
 
+    /// The owned bricks in storage order — the interior chunk, then the
+    /// surface chunks in layout order, alignment filler skipped — each
+    /// with the owned-frame coordinate of its first element. A walk
+    /// that does not depend on order visits the owned storage front to
+    /// back through this, one brick at a time.
+    pub fn owned_brick_bases(&self) -> impl Iterator<Item = (usize, [usize; D])> + '_ {
+        std::iter::once(&self.interior).chain(&self.surface).flat_map(|c| c.bricks.clone()).map(
+            move |b| {
+                let cell = unlex::<D>(self.brick_to_grid[b] as usize, &self.ext);
+                (b, std::array::from_fn(|a| (cell[a] - self.gb[a]) * self.bdims.extent(a)))
+            },
+        )
+    }
+
+    /// Storage offsets of `field` over the coordinate box `lo..hi`
+    /// (owned frame, inside the extended domain), read from per-axis
+    /// tables built with the decomposition, so a walk allocates nothing:
+    /// [`BoxOffsets::for_each`] walks the box in the canonical order and
+    /// [`BoxOffsets::offset`] answers single points, neither dividing per
+    /// point.
+    pub fn box_offsets(&self, lo: [isize; D], hi: [isize; D], field: usize) -> BoxOffsets<'_, D> {
+        assert!(field < self.fields, "field {field} of {}", self.fields);
+        let g = self.ghost as isize;
+        for a in 0..D {
+            assert!(
+                -g <= lo[a] && lo[a] <= hi[a] && hi[a] <= (self.domain[a] + self.ghost) as isize,
+                "box outside extended domain on axis {a}"
+            );
+        }
+        let span = |a: usize| (lo[a] + g) as usize..(hi[a] + g) as usize;
+        BoxOffsets {
+            grid_to_brick: &self.grid_to_brick,
+            step: self.step(),
+            field_base: field * self.bdims.elements(),
+            lo,
+            cell: std::array::from_fn(|a| &self.axis_cell[a][span(a)]),
+            elem: std::array::from_fn(|a| &self.axis_elem[a][span(a)]),
+        }
+    }
+
     /// Brick count of region `r(T)` (or of a mirrored ghost piece —
     /// symmetric).
     pub fn region_bricks(&self, t: &Dir) -> usize {
@@ -447,6 +512,70 @@ impl<const D: usize> BrickDecomp<D> {
             "a ghost piece is stored below the owned prefix"
         );
         end * self.step()
+    }
+}
+
+/// Storage offsets over one coordinate box of a [`BrickDecomp`]
+/// ([`BrickDecomp::box_offsets`]). Each axis has, per box coordinate,
+/// its brick's term of the extended-grid index and its element's term of
+/// the in-brick offset, so a point's offset is two sums and one brick
+/// lookup — what [`BrickDecomp::element_offset`] computes with a divide
+/// and a modulo per axis.
+pub struct BoxOffsets<'a, const D: usize> {
+    grid_to_brick: &'a [u32],
+    step: usize,
+    field_base: usize,
+    lo: [isize; D],
+    cell: [&'a [usize]; D],
+    elem: [&'a [usize]; D],
+}
+
+impl<const D: usize> BoxOffsets<'_, D> {
+    /// Storage offset of `coord`, which must lie in the box.
+    #[inline]
+    pub fn offset(&self, coord: [isize; D]) -> usize {
+        let (cell, elem) = self.terms(&coord);
+        self.grid_to_brick[cell] as usize * self.step + elem
+    }
+
+    /// Visit every coordinate of the box with its storage offset, in the
+    /// canonical order: axis 0 outermost, the last axis innermost.
+    pub fn for_each(&self, mut f: impl FnMut([isize; D], usize)) {
+        if self.cell.iter().any(|c| c.is_empty()) {
+            return;
+        }
+        let last = D - 1;
+        let hi: [isize; D] = std::array::from_fn(|a| self.lo[a] + self.cell[a].len() as isize);
+        let mut coord = self.lo;
+        'rows: loop {
+            let (cell, elem) = self.terms(&coord[..last]);
+            for ((&c, &e), z) in self.cell[last].iter().zip(self.elem[last]).zip(self.lo[last]..) {
+                coord[last] = z;
+                f(coord, self.grid_to_brick[cell + c] as usize * self.step + elem + e);
+            }
+            // Advance the outer axes, the innermost of them first.
+            for a in (0..last).rev() {
+                coord[a] += 1;
+                if coord[a] < hi[a] {
+                    continue 'rows;
+                }
+                coord[a] = self.lo[a];
+            }
+            return;
+        }
+    }
+
+    /// The grid-index and element-offset terms of the leading axes of a
+    /// coordinate (as many axes as `coord` has).
+    #[inline]
+    fn terms(&self, coord: &[isize]) -> (usize, usize) {
+        let (mut cell, mut elem) = (0, self.field_base);
+        for (((&c, &lo), cells), elems) in coord.iter().zip(&self.lo).zip(&self.cell).zip(&self.elem) {
+            let i = (c - lo) as usize;
+            cell += cells[i];
+            elem += elems[i];
+        }
+        (cell, elem)
     }
 }
 

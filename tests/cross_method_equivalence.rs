@@ -41,64 +41,81 @@ fn all_methods() -> Vec<(CpuMethod, bool)> {
     ]
 }
 
-#[test]
-fn agree_7pt_single_rank() {
-    let reports: Vec<MethodReport> = all_methods()
+/// Run every method of [`all_methods`] on `base` and check they agree.
+/// The brick engines all take their checksum with
+/// `fields::interior_sum`, one sequential sum in one canonical order, so
+/// they must agree bit for bit. YASK and MPI_Types sum their arrays row
+/// by row — another order — so they meet the bricks only to rounding.
+fn assert_agree(base: ExperimentConfig) {
+    let reports: Vec<(CpuMethod, MethodReport)> = all_methods()
         .into_iter()
-        .map(|(m, overlap)| {
-            run_experiment(&ExperimentConfig { overlap, ..cfg(m, 32, StencilShape::star7_default(), vec![1, 1, 1]) })
-        })
+        .map(|(m, overlap)| (m.clone(), run_experiment(&ExperimentConfig { method: m, overlap, ..base.clone() })))
         .collect();
-    let r0 = reports[0].checksum;
+    let is_array = |m: &CpuMethod| matches!(m, CpuMethod::Yask | CpuMethod::MpiTypes);
+    let (m0, brick) = reports.iter().find(|(m, _)| !is_array(m)).expect("a brick method");
+    let r0 = brick.checksum;
     assert!(r0.is_finite() && r0 != 0.0);
-    for r in &reports[1..] {
-        assert!(((r.checksum - r0) / r0).abs() < 1e-12, "{} vs {r0}", r.checksum);
+    for (m, r) in &reports {
+        if is_array(m) {
+            assert!(((r.checksum - r0) / r0).abs() < 1e-12, "{} {} vs {r0}", m.name(), r.checksum);
+        } else {
+            assert_eq!(r.checksum.to_bits(), r0.to_bits(), "{} vs {}", m.name(), m0.name());
+        }
     }
 }
 
 #[test]
+fn agree_7pt_single_rank() {
+    assert_agree(cfg(CpuMethod::Layout, 32, StencilShape::star7_default(), vec![1, 1, 1]));
+}
+
+#[test]
 fn agree_125pt_single_rank() {
-    let reports: Vec<MethodReport> = all_methods()
-        .into_iter()
-        .map(|(m, overlap)| {
-            run_experiment(&ExperimentConfig { overlap, ..cfg(m, 32, StencilShape::cube125_default(), vec![1, 1, 1]) })
-        })
-        .collect();
-    let r0 = reports[0].checksum;
-    for r in &reports[1..] {
-        assert!(((r.checksum - r0) / r0).abs() < 1e-12);
-    }
+    assert_agree(cfg(CpuMethod::Layout, 32, StencilShape::cube125_default(), vec![1, 1, 1]));
 }
 
 #[test]
 fn agree_multirank() {
     // 2x2x1 ranks — diagonal neighbors across two axes, wrap on the
     // third.
-    let reports: Vec<MethodReport> = all_methods()
-        .into_iter()
-        .map(|(m, overlap)| {
-            run_experiment(&ExperimentConfig { overlap, ..cfg(m, 24, StencilShape::star7_default(), vec![2, 2, 1]) })
-        })
-        .collect();
-    let r0 = reports[0].checksum;
-    for r in &reports[1..] {
-        assert!(((r.checksum - r0) / r0).abs() < 1e-12);
-    }
+    assert_agree(cfg(CpuMethod::Layout, 24, StencilShape::star7_default(), vec![2, 2, 1]));
 }
 
 #[test]
 fn agree_minimal_subdomain() {
     // 16^3 with ghost 8: only corner regions are non-empty; the run
     // merging logic must stay consistent on both sides.
-    let reports: Vec<MethodReport> = all_methods()
-        .into_iter()
-        .map(|(m, overlap)| {
-            run_experiment(&ExperimentConfig { overlap, ..cfg(m, 16, StencilShape::star7_default(), vec![1, 1, 1]) })
-        })
-        .collect();
-    let r0 = reports[0].checksum;
-    for r in &reports[1..] {
-        assert!(((r.checksum - r0) / r0).abs() < 1e-12);
+    assert_agree(cfg(CpuMethod::Layout, 16, StencilShape::star7_default(), vec![1, 1, 1]));
+}
+
+/// Every exchanging brick engine, both MemMap page sizes included, reads
+/// the same checksum bits on one rank and on two. No-Layout wraps its
+/// ghost rim once and never exchanges, so its physics leaves the others'
+/// after the first step: it is held to Layout's bits on one step.
+#[test]
+fn brick_engines_agree_bit_for_bit() {
+    let methods = [
+        CpuMethod::MemMap { page_size: memview::PAGE_4K },
+        CpuMethod::MemMap { page_size: memview::PAGE_16K },
+        CpuMethod::Layout,
+        CpuMethod::Basic,
+        CpuMethod::Shift { page_size: memview::PAGE_4K },
+    ];
+    let bits = |base: &ExperimentConfig, m: &CpuMethod| {
+        run_experiment(&ExperimentConfig { method: m.clone(), ..base.clone() }).checksum.to_bits()
+    };
+    for ranks in [vec![1, 1, 1], vec![2, 1, 1]] {
+        let base = cfg(CpuMethod::Layout, 32, StencilShape::star7_default(), ranks.clone());
+        let want = bits(&base, &methods[0]);
+        for m in &methods[1..] {
+            assert_eq!(bits(&base, m), want, "{} vs {} on {ranks:?}", m.name(), methods[0].name());
+        }
+        let one_step = ExperimentConfig { steps: 1, warmup: 0, ..base };
+        assert_eq!(
+            bits(&one_step, &CpuMethod::NoLayout),
+            bits(&one_step, &CpuMethod::Layout),
+            "No-Layout vs Layout on one step, {ranks:?}"
+        );
     }
 }
 
