@@ -37,8 +37,6 @@ pub struct Options {
     /// Rank-mapping policy (`--mapping`; needs a hierarchical
     /// topology for anything beyond the lexicographic baseline).
     pub mapping: MappingPolicy,
-    /// Brick compute engine (precompiled plan vs per-step gather).
-    pub kernel: KernelKind,
     /// Seeded fault injection (chaos mode); off by default.
     pub faults: netsim::FaultConfig,
     /// Buddy-checkpoint interval in steps (0 = off; a kill:/stall:
@@ -174,7 +172,6 @@ impl Default for Options {
             net: Net::Aries,
             topology: None,
             mapping: Default::default(),
-            kernel: KernelKind::Plan,
             faults: netsim::FaultConfig::off(),
             checkpoint_every: 0,
             json: false,
@@ -229,9 +226,6 @@ OPTIONS:
                         under -t (default: lex, MPI's rank-order
                         placement): bisect groups nearby subdomains
                         onto nodes by geometric recursive bisection
-  -k, --kernel <name>   plan | gather — brick compute engine: precompiled
-                        kernel plan vs per-step halo gather (default: plan;
-                        memmap/layout/basic/shift only)
   -p, --page <bytes>    MemMap page size: 4096 | 16384 | 65536
                         (default: 4096; memmap/shift only)
   -f, --faults <spec>   seeded chaos injection: seed[,drop[,corrupt[,dup
@@ -301,9 +295,9 @@ OUTPUT: the artifact's five metrics — calc/pack/call/wait as
 pub fn parse(args: &[String]) -> Result<Options, String> {
     let mut o = Options::default();
     let mut page = None;
-    // Whether -k / -s were given: methods that run no brick kernel or no
-    // stencil refuse them instead of running without them.
-    let (mut kernel, mut stencil) = (false, false);
+    // Whether -s was given: a method that runs no stencil refuses it
+    // instead of running without it.
+    let mut stencil = false;
     let mut method_name = String::from("memmap");
     let mut it = args.iter().peekable();
     while let Some(arg) = it.next() {
@@ -365,14 +359,6 @@ pub fn parse(args: &[String]) -> Result<Options, String> {
                 let name = take("--mapping")?;
                 o.mapping = MappingPolicy::parse(&name)
                     .ok_or_else(|| format!("unknown mapping '{name}' (lex | bisect)"))?;
-            }
-            "-k" | "--kernel" => {
-                kernel = true;
-                o.kernel = match take("--kernel")?.as_str() {
-                    "plan" => KernelKind::Plan,
-                    "gather" => KernelKind::Gather,
-                    other => return Err(format!("unknown kernel '{other}'")),
-                };
             }
             "-f" | "--faults" => {
                 o.faults = netsim::FaultConfig::parse(&take("--faults")?)?;
@@ -443,16 +429,8 @@ pub fn parse(args: &[String]) -> Result<Options, String> {
     if let Some(why) = o.partitioned.then(|| o.method.partitioned_refusal()).flatten() {
         return Err(format!("--partitioned does not run on '{method_name}': {why}"));
     }
-    if o.rebalance && (kernel || stencil) {
-        return Err(rebalance_rejects(
-            if kernel { "--kernel" } else { "--stencil" },
-            "its proxy relaxation runs no brick kernel and no stencil",
-        ));
-    }
-    if kernel && matches!(method_name.as_str(), "yask" | "mpi-types") {
-        return Err(format!(
-            "--kernel needs a brick compute engine (memmap | layout | basic | shift), not '{method_name}'"
-        ));
+    if o.rebalance && stencil {
+        return Err(rebalance_rejects("--stencil", "its proxy relaxation runs no brick kernel and no stencil"));
     }
     if page.is_some() && !matches!(method_name.as_str(), "memmap" | "shift") {
         return Err(format!(
@@ -520,7 +498,7 @@ pub fn config(o: &Options) -> ExperimentConfig {
         net: wire_model(o.net),
         topology: o.topology.map(Topology::model),
         mapping: o.mapping,
-        kernel: o.kernel,
+        kernel: KernelKind::Plan,
         faults: preset_faults(o),
         profile: o.profile,
         checkpoint_every: o.checkpoint_every,
@@ -1015,47 +993,47 @@ mod tests {
         assert!(p(&["-m", "shift", "-p", "16384"]).is_ok());
     }
 
+    /// Every brick engine steps through one kernel plan, so there is no
+    /// kernel to choose: `-k`/`--kernel` is an unknown option, with any
+    /// value, and the configuration names the plan.
     #[test]
     fn kernel_flag() {
-        assert_eq!(p(&[]).unwrap().kernel, KernelKind::Plan);
-        assert_eq!(p(&["-k", "gather"]).unwrap().kernel, KernelKind::Gather);
-        assert_eq!(p(&["--kernel", "plan"]).unwrap().kernel, KernelKind::Plan);
-        assert!(p(&["-k", "jit"]).is_err());
-        assert!(USAGE.contains("--kernel"));
+        for args in [["-k", "gather"], ["-k", "plan"], ["--kernel", "plan"], ["--kernel", "gather"]] {
+            assert_eq!(p(&args).unwrap_err(), format!("unknown option '{}' (try --help)", args[0]));
+        }
+        assert_eq!(config(&p(&[]).unwrap()).kernel, KernelKind::Plan);
+        assert!(!USAGE.contains("--kernel"));
     }
 
-    /// The array engines run no brick kernel: `-k` is refused on them
-    /// instead of being ignored.
+    /// The array engines run no brick kernel and the brick engines one:
+    /// `-k` is refused as an unknown option either way.
     #[test]
     fn kernel_is_rejected_on_yask() {
-        let err = p(&["-m", "yask", "-k", "gather"]).unwrap_err();
-        assert_eq!(err, "--kernel needs a brick compute engine (memmap | layout | basic | shift), not 'yask'");
+        assert_eq!(p(&["-m", "yask", "-k", "gather"]).unwrap_err(), "unknown option '-k' (try --help)");
         assert!(p(&["-m", "yask"]).is_ok());
         assert!(p(&["-m", "yask", "-s", "cube125"]).is_ok(), "the array engines run the stencil");
     }
 
-    /// YASK-OL is `-m yask -o`: it runs no brick kernel either, and the
+    /// YASK-OL is `-m yask -o`: `--kernel` is unknown there too, and the
     /// old method name is gone.
     #[test]
     fn kernel_is_rejected_on_yask_ol() {
-        let err = p(&["-m", "yask", "-o", "--kernel", "plan"]).unwrap_err();
-        assert!(err.starts_with("--kernel needs a brick compute engine") && err.ends_with("'yask'"), "{err}");
+        assert_eq!(p(&["-m", "yask", "-o", "--kernel", "plan"]).unwrap_err(), "unknown option '--kernel' (try --help)");
         assert!(p(&["-m", "yask", "-o"]).is_ok());
         assert_eq!(p(&["-m", "yask-ol"]).unwrap_err(), "unknown method 'yask-ol'");
     }
 
     #[test]
     fn kernel_is_rejected_on_mpi_types() {
-        let err = p(&["-m", "mpi-types", "-k", "gather"]).unwrap_err();
-        assert!(err.starts_with("--kernel needs a brick compute engine") && err.ends_with("'mpi-types'"), "{err}");
+        assert_eq!(p(&["-m", "mpi-types", "-k", "gather"]).unwrap_err(), "unknown option '-k' (try --help)");
         assert!(p(&["-m", "mpi-types"]).is_ok());
-        assert!(p(&["-m", "layout", "-k", "gather"]).is_ok());
+        assert_eq!(p(&["-m", "layout", "-k", "gather"]).unwrap_err(), "unknown option '-k' (try --help)");
     }
 
     #[test]
     fn kernel_is_rejected_on_rebalance() {
-        let err = p(&["-m", "rebalance", "-k", "gather"]).unwrap_err();
-        assert_eq!(err, "-m rebalance does not take --kernel: its proxy relaxation runs no brick kernel and no stencil");
+        assert_eq!(p(&["-m", "rebalance", "-k", "gather"]).unwrap_err(), "unknown option '-k' (try --help)");
+        assert!(p(&["-m", "rebalance"]).is_ok());
     }
 
     #[test]

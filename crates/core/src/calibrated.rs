@@ -51,13 +51,12 @@ pub fn estimate_cpu_step(
             let elems = stats.payload_bytes / 8;
             t.call += 2.0 * node.datatype_walk_time(elems);
         }
-        CpuMethod::Layout | CpuMethod::Basic | CpuMethod::MemMap { .. } | CpuMethod::Shift { .. } => {
+        CpuMethod::Layout
+        | CpuMethod::Basic
+        | CpuMethod::NoLayout
+        | CpuMethod::MemMap { .. }
+        | CpuMethod::Shift { .. } => {
             // Pack-free: zero on-node data movement.
-        }
-        CpuMethod::NoLayout => {
-            // Compute-only reference.
-            t.call = 0.0;
-            t.wait = 0.0;
         }
     }
     t

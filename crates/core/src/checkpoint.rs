@@ -791,7 +791,7 @@ mod tests {
                 _ => {
                     let exchanger =
                         if method == CpuMethod::Basic { Exchanger::basic(&decomp) } else { Exchanger::layout(&decomp) };
-                    frame_roundtrip(&mut HeapBricks::new(&cfg, &decomp, Some(&exchanger), ctx), ctx, owned, &what)
+                    frame_roundtrip(&mut HeapBricks::new(&cfg, &decomp, &exchanger, ctx), ctx, owned, &what)
                 }
             });
         }

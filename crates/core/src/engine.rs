@@ -4,16 +4,15 @@
 //! same step loop. The engines delegate to the exchangers' inherent
 //! methods; DESIGN.md maps methods to engines and schedules.
 
-use brick::{BrickInfo, BrickStorage};
-use netsim::telemetry::{Phase, Recorder};
+use brick::BrickStorage;
 use netsim::{NetsimError, RankCtx};
 use sched::{DepGraph, SendPriority};
-use stencil::{apply_bricks_gather, ArrayGrid, ArrayPlan, KernelPlan, PlanSplit, StencilShape};
+use stencil::{ArrayGrid, ArrayPlan, KernelPlan, PlanSplit};
 
 use crate::baselines::{ArrayExchanger, Flavor};
 use crate::decomp::BrickDecomp;
 use crate::exchange::{ExchangeSession, ExchangeStats, Exchanger};
-use crate::experiment::{CpuMethod, ExperimentConfig, KernelKind};
+use crate::experiment::{CpuMethod, ExperimentConfig};
 use crate::memmap::{ExchangeView, MemMapStorage};
 use crate::plan::{scoped, CommPlan, InPlace};
 use crate::shift::ShiftExchanger;
@@ -89,48 +88,20 @@ fn decomp_split(decomp: &BrickDecomp<3>, recv_ghosts: &[Vec<u32>]) -> (PlanSplit
     (split, graph)
 }
 
-/// Brick compute kernel bound once per rank, before the step loop.
-/// `Plan` pays the adjacency/segment compilation here (untimed, like a
-/// real code's setup phase); the per-step `calc` timer then measures pure
-/// replay.
-enum Kernel {
-    Plan(KernelPlan),
-    Gather(StencilShape),
-}
-
-impl Kernel {
-    fn bind(cfg: &ExperimentConfig, info: &BrickInfo<3>) -> Kernel {
-        match cfg.kernel {
-            KernelKind::Plan => Kernel::Plan(KernelPlan::new(info, &cfg.shape, 1, 0)),
-            KernelKind::Gather => Kernel::Gather(cfg.shape.clone()),
-        }
-    }
-
-    /// One masked stencil application, billed to `calc` under a named
-    /// kernel span: the plan kernel records through
-    /// [`KernelPlan::execute_profiled`], the gather reference under a
-    /// `kernel:gather` scope. With a disabled recorder the charges are
-    /// single-branch no-ops; numerics are identical either way.
-    fn apply(
-        &self,
-        ctx: &mut RankCtx<'_>,
-        decomp: &BrickDecomp<3>,
-        cur: &BrickStorage,
-        nxt: &mut BrickStorage,
-        mask: Option<&[bool]>,
-    ) {
-        let mask = mask.unwrap_or(decomp.compute_mask());
-        ctx.time_calc_with(|rec: &mut Recorder| match self {
-            Kernel::Plan(p) => p.execute_profiled(cur, nxt, mask, rec),
-            Kernel::Gather(s) => {
-                rec.open("kernel:gather");
-                let t0 = std::time::Instant::now();
-                apply_bricks_gather(s, decomp.brick_info(), cur, nxt, mask, 0);
-                rec.charge(Phase::Compute, t0.elapsed().as_secs_f64());
-                rec.close();
-            }
-        });
-    }
+/// One masked stencil application of a rank's [`KernelPlan`] (compiled
+/// once before the step loop, untimed, like a real code's setup phase),
+/// billed to `calc` through [`KernelPlan::execute_profiled`]: over the
+/// bricks of `mask`, or every owned brick when `None`.
+fn apply(
+    ctx: &mut RankCtx<'_>,
+    plan: &KernelPlan,
+    decomp: &BrickDecomp<3>,
+    cur: &BrickStorage,
+    nxt: &mut BrickStorage,
+    mask: Option<&[bool]>,
+) {
+    let mask = mask.unwrap_or(decomp.compute_mask());
+    ctx.time_calc_with(|rec| plan.execute_profiled(cur, nxt, mask, rec));
 }
 
 fn init_value(x: i64, y: i64, z: i64) -> f64 {
@@ -169,13 +140,12 @@ pub(crate) fn ghosts_of(ranges: &[std::ops::Range<usize>], step: usize) -> Vec<V
 
 /// Heap bricks exchanged through one persistent [`ExchangeSession`]:
 /// neighbor ranks, tags, ghost ranges and loopback pairings resolved
-/// once, reused every step. Without an exchanger (No-Layout) the ghosts
-/// are made valid once and no step communicates.
+/// once, reused every step.
 pub(crate) struct HeapBricks<'a> {
     decomp: &'a BrickDecomp<3>,
-    exchanger: Option<&'a Exchanger>,
-    session: Option<ExchangeSession>,
-    kernel: Kernel,
+    exchanger: &'a Exchanger,
+    session: ExchangeSession,
+    kernel: KernelPlan,
     cur: BrickStorage,
     nxt: BrickStorage,
 }
@@ -184,37 +154,32 @@ impl<'a> HeapBricks<'a> {
     pub(crate) fn new(
         cfg: &ExperimentConfig,
         decomp: &'a BrickDecomp<3>,
-        exchanger: Option<&'a Exchanger>,
+        exchanger: &'a Exchanger,
         ctx: &mut RankCtx<'_>,
     ) -> HeapBricks<'a> {
-        let kernel = Kernel::bind(cfg, decomp.brick_info());
+        let kernel = KernelPlan::new(decomp.brick_info(), &cfg.shape, 1, 0);
         let mut cur = decomp.allocate();
-        let mut nxt = decomp.allocate();
+        let nxt = decomp.allocate();
         fill_bricks(decomp, &mut cur);
-        if exchanger.is_none() {
-            crate::fields::fill_ghosts_periodic(decomp, &mut cur, 0);
-            crate::fields::fill_ghosts_periodic(decomp, &mut nxt, 0);
-        }
-        let session = exchanger.map(|e| e.session(ctx));
+        let session = exchanger.session(ctx);
         HeapBricks { decomp, exchanger, session, kernel, cur, nxt }
     }
 
     /// What one exchange of this rank sends: [`CommPlan::edges`].
     pub(crate) fn edges(&self) -> Vec<(usize, u64)> {
-        self.session.iter().flat_map(|s| s.plan().edges()).collect()
+        self.session.plan().edges().collect()
     }
 
     /// The plan and the grid it moves — the current one, or the `next`
-    /// one the stencil is writing; `None` without an exchanger.
-    fn bound(&mut self, next: bool) -> Option<(&mut CommPlan, InPlace<'_>)> {
-        let grid = if next { &mut self.nxt } else { &mut self.cur };
-        self.session.as_mut().map(|session| session.bound(grid))
+    /// one the stencil is writing.
+    fn bound(&mut self, next: bool) -> (&mut CommPlan, InPlace<'_>) {
+        self.session.bound(if next { &mut self.nxt } else { &mut self.cur })
     }
 }
 
 impl RankEngine for HeapBricks<'_> {
     fn stats(&self) -> ExchangeStats {
-        self.exchanger.map(|e| e.stats()).unwrap_or_default()
+        self.exchanger.stats()
     }
 
     fn checksum(&self) -> f64 {
@@ -222,14 +187,11 @@ impl RankEngine for HeapBricks<'_> {
     }
 
     fn exchange(&mut self, ctx: &mut RankCtx<'_>) -> Result<(), NetsimError> {
-        match self.session.as_mut() {
-            Some(session) => session.exchange(ctx, &mut self.cur),
-            None => Ok(()),
-        }
+        self.session.exchange(ctx, &mut self.cur)
     }
 
     fn compute(&mut self, ctx: &mut RankCtx<'_>, mask: Option<&[bool]>) {
-        self.kernel.apply(ctx, self.decomp, &self.cur, &mut self.nxt, mask);
+        apply(ctx, &self.kernel, self.decomp, &self.cur, &mut self.nxt, mask);
     }
 
     fn advance(&mut self) {
@@ -245,38 +207,39 @@ impl RankEngine for HeapBricks<'_> {
     }
 
     fn rebuild(&mut self, ctx: &mut RankCtx<'_>) {
-        self.session = self.exchanger.map(|e| e.session(ctx));
+        self.session = self.exchanger.session(ctx);
     }
 
     fn split_graph(&self, recv_ghosts: &[Vec<u32>]) -> (PlanSplit, DepGraph) {
         decomp_split(self.decomp, recv_ghosts)
     }
 
-    /// Without an exchanger (No-Layout) the split is empty: no receive,
-    /// so every boundary brick is ready at `begin`.
     fn arm_split(&mut self, _ctx: &mut RankCtx<'_>, partitioned: bool) -> SplitSetup {
-        let (step, bricks) = (self.decomp.step(), self.decomp.bricks());
-        let Some(session) = self.session.as_mut() else { return (Vec::new(), None) };
+        let step = self.decomp.step();
         if partitioned {
-            session.enable_partitioned(step, bricks);
+            self.session.enable_partitioned(step, self.decomp.bricks());
         }
-        (ghosts_of(session.recv_ranges(), step), session.plan().priority().cloned())
+        (ghosts_of(self.session.recv_ranges(), step), self.session.plan().priority().cloned())
     }
 
     fn begin(&mut self, ctx: &mut RankCtx<'_>, completed: &mut Vec<usize>) -> Result<(), NetsimError> {
-        self.bound(false).map_or(Ok(()), |(plan, mut mem)| plan.begin(ctx, &mut mem, completed))
+        let (plan, mut mem) = self.bound(false);
+        plan.begin(ctx, &mut mem, completed)
     }
 
     fn poll(&mut self, ctx: &mut RankCtx<'_>, completed: &mut Vec<usize>) -> Result<usize, NetsimError> {
-        self.bound(false).map_or(Ok(0), |(plan, mut mem)| plan.poll(ctx, &mut mem, completed))
+        let (plan, mut mem) = self.bound(false);
+        plan.poll(ctx, &mut mem, completed)
     }
 
     fn finish(&mut self, ctx: &mut RankCtx<'_>) -> Result<(), NetsimError> {
-        self.bound(false).map_or(Ok(()), |(plan, mut mem)| plan.finish(ctx, &mut mem))
+        let (plan, mut mem) = self.bound(false);
+        plan.finish(ctx, &mut mem)
     }
 
     fn pready(&mut self, ctx: &mut RankCtx<'_>, bricks: &[u32]) -> Result<(), NetsimError> {
-        self.bound(true).map_or(Ok(()), |(plan, mem)| plan.pready(ctx, &mem, bricks))
+        let (plan, mem) = self.bound(true);
+        plan.pready(ctx, &mem, bricks)
     }
 }
 
@@ -287,7 +250,7 @@ impl RankEngine for HeapBricks<'_> {
 /// the *next* step's partitioned channels.
 pub(crate) struct ViewPair<'a, V> {
     decomp: &'a BrickDecomp<3>,
-    kernel: Kernel,
+    kernel: KernelPlan,
     grids: [MemMapStorage; 2],
     views: [V; 2],
     cur: usize,
@@ -311,7 +274,7 @@ macro_rules! view_pair_engine {
     ($view:ty) => {
         impl<'a> ViewPair<'a, $view> {
             pub(crate) fn new(cfg: &ExperimentConfig, decomp: &'a BrickDecomp<3>) -> Self {
-                let kernel = Kernel::bind(cfg, decomp.brick_info());
+                let kernel = KernelPlan::new(decomp.brick_info(), &cfg.shape, 1, 0);
                 let mut grids = [(); 2].map(|()| MemMapStorage::allocate(decomp).expect("memfd allocation"));
                 let views = [0, 1].map(|i| <$view>::build(decomp, &grids[i]).expect("view construction"));
                 fill_bricks(decomp, &mut grids[0].storage);
@@ -340,7 +303,7 @@ macro_rules! view_pair_engine {
 
             fn compute(&mut self, ctx: &mut RankCtx<'_>, mask: Option<&[bool]>) {
                 let (cur, nxt) = cur_nxt(&mut self.grids, self.cur);
-                self.kernel.apply(ctx, self.decomp, cur, nxt, mask);
+                apply(ctx, &self.kernel, self.decomp, cur, nxt, mask);
             }
 
             fn advance(&mut self) {
@@ -561,12 +524,12 @@ mod tests {
 
     #[test]
     fn heap_bricks_count_retries_across_a_rebuild() {
-        for method in [CpuMethod::Layout, CpuMethod::Basic] {
+        for method in [CpuMethod::Layout, CpuMethod::Basic, CpuMethod::NoLayout] {
             let cfg = ExperimentConfig::k1(method.clone(), 16);
             let decomp = cfg.decomp();
             let exchanger =
                 if method == CpuMethod::Basic { Exchanger::basic(&decomp) } else { Exchanger::layout(&decomp) };
-            let ranks = across_a_rebuild(|ctx| HeapBricks::new(&cfg, &decomp, Some(&exchanger), ctx));
+            let ranks = across_a_rebuild(|ctx| HeapBricks::new(&cfg, &decomp, &exchanger, ctx));
             assert_counted_across_the_rebuild(method.name(), &ranks);
         }
     }

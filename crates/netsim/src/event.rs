@@ -48,7 +48,7 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Condvar, Mutex};
 
 use crate::runtime::env_setting;
-use crate::task::{suspend, Directive, Payload, Tasks};
+use crate::task::{join_all, suspend, Directive, Payload, Tasks};
 
 /// Why [`Sched::park`] returned.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -175,19 +175,20 @@ impl Sched {
     /// Drive all tasks to completion. The calling thread becomes
     /// worker 0; `workers - 1` helper threads, and on the thread
     /// substrate every rank thread, are spawned for the duration of the
-    /// run.
+    /// run, and have exited when it returns.
     pub(crate) fn run(&self) {
         std::thread::scope(|s| {
-            self.tasks.start(s);
+            let mut threads = self.tasks.start(s);
             for w in 1..self.nworkers {
                 // A worker the OS refuses only slows the run down: every
                 // worker steals from every queue.
-                let spawned = std::thread::Builder::new().spawn_scoped(s, move || self.worker_loop(w));
-                if spawned.is_err() {
-                    break;
+                match std::thread::Builder::new().spawn_scoped(s, move || self.worker_loop(w)) {
+                    Ok(worker) => threads.push(worker),
+                    Err(_) => break,
                 }
             }
             self.worker_loop(0);
+            join_all(threads);
         });
     }
 

@@ -29,7 +29,7 @@ use std::any::Any;
 use std::cell::{Cell, UnsafeCell};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::{Condvar, Mutex};
-use std::thread::Scope;
+use std::thread::{Scope, ScopedJoinHandle};
 
 #[cfg(all(target_os = "linux", target_arch = "x86_64"))]
 use coroutine::{Coroutine, StackSlab};
@@ -191,17 +191,38 @@ impl Tasks {
     /// substrate; a coroutine needs none. Call before any resume. Every
     /// task must then finish in the scope: a rank thread that never gets
     /// its token keeps the scope open. So if the OS refuses a thread, the
-    /// ones already spawned are called off before this panics.
-    pub(crate) fn start<'s>(&'s self, scope: &'s Scope<'s, '_>) {
+    /// ones already spawned are called off before this panics. The
+    /// handles are for [`join_all`].
+    pub(crate) fn start<'s>(&'s self, scope: &'s Scope<'s, '_>) -> Vec<ScopedJoinHandle<'s, ()>> {
+        let mut threads = Vec::new();
         for task in &self.tasks {
             let Some(handoff) = task.handoff() else { continue };
             let spawned = std::thread::Builder::new()
                 .stack_size(self.stack_bytes)
                 .spawn_scoped(scope, move || handoff.serve(task));
-            if let Err(e) = spawned {
-                self.tasks.iter().filter_map(Task::handoff).for_each(Handoff::call_off);
-                panic!("spawning a rank thread: {e}");
+            match spawned {
+                Ok(thread) => threads.push(thread),
+                Err(e) => {
+                    self.tasks.iter().filter_map(Task::handoff).for_each(Handoff::call_off);
+                    panic!("spawning a rank thread: {e}");
+                }
             }
+        }
+        threads
+    }
+}
+
+/// Wait until every thread of `threads` has exited, forwarding the first
+/// panic. A scope's own end waits less: only until each thread's closure
+/// has returned, while the OS thread may still be releasing its
+/// allocator arena. The next run's threads would then find that arena
+/// taken and open a fresh one, and what the old arena holds freed stays
+/// resident beside what the new one allocates: a rank's grids counted
+/// twice in peak memory, or not, depending on host timing.
+pub(crate) fn join_all(threads: Vec<ScopedJoinHandle<'_, ()>>) {
+    for thread in threads {
+        if let Err(panic) = thread.join() {
+            std::panic::resume_unwind(panic);
         }
     }
 }

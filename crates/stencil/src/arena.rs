@@ -1,7 +1,8 @@
 //! Reusable thread-local scratch arenas for kernel gather buffers.
 //!
-//! The gather fallback in [`crate::apply_bricks_gather`] and the
-//! grouped-row cube125 kernel need a small dense scratch per worker.
+//! The halo-block kernel of [`crate::KernelPlan`] and the gather
+//! reference [`crate::apply_bricks_gather`] need a small dense scratch
+//! per worker.
 //! Allocating it per dealt run would hit the allocator on every kernel
 //! call. The arena here is a grow-only thread-local buffer: the first
 //! kernel invocation on a thread sizes it, every later one reuses it

@@ -8,6 +8,11 @@
 //! library's generated vector code. It is written once and compiled per
 //! ISA level by [`crate::isa`]'s dispatch macro; no level enables `fma`,
 //! so every level (and every register width) produces the same bits.
+//!
+//! [`apply_bricks`] is the one-shot form of [`crate::KernelPlan`], the
+//! one kernel every run steps through. [`apply_bricks_serial`] and
+//! [`apply_bricks_gather`] are reference kernels: tests hold the plan to
+//! their bits, and `bench_compute` measures the plan against the gather.
 
 use brick::{BrickInfo, BrickStorage, BrickView};
 
@@ -74,13 +79,11 @@ pub fn apply_bricks_serial(
     }
 }
 
-/// Parallel optimized application: bricks are dealt over the kernel
-/// pool's threads and the shape dispatches to the fastest available
-/// kernel — the row-accumulate star7 path (at the detected ISA level), the
-/// grouped-row symmetric cube125 path, or the generic halo-gather
-/// fallback. One-shot convenience wrapper; for
-/// bind-once/execute-many steady-state stepping compile a
-/// [`crate::KernelPlan`] instead.
+/// One-shot application: compile a [`crate::KernelPlan`] for `shape`
+/// and `field` of `output`'s geometry and execute it once, dealing the
+/// selected bricks over the kernel pool's threads. Bit-identical to
+/// [`apply_bricks_serial`]; for bind-once/execute-many stepping keep
+/// the plan instead.
 pub fn apply_bricks(
     shape: &StencilShape,
     info: &BrickInfo<3>,
@@ -89,33 +92,15 @@ pub fn apply_bricks(
     compute: &[bool],
     field: usize,
 ) {
-    assert_eq!(compute.len(), info.bricks());
-    assert!(field < output.fields());
-    let bd = info.brick_dims();
-    let [bx, by, bz] = bd.extents();
-    let r = shape.radius();
-    assert!(
-        r <= bx && r <= by && r <= bz,
-        "stencil radius exceeds brick extent"
-    );
-    // Specialized fast path for the canonical 7-point star.
-    if let Some(c) = crate::shape::star7_coeffs(shape) {
-        let isa = crate::Isa::detect().bind();
-        return star7_bricks(isa, &c, info, input, output, compute, field, selected(compute));
-    }
-    // Specialized fast path for the 10-coefficient symmetric 5³ cube.
-    if let Some(c) = crate::shape::cube125_coeffs(shape) {
-        return apply_cube125_bricks(&c, info, input, output, compute, field);
-    }
-    apply_bricks_gather(shape, info, input, output, compute, field)
+    crate::KernelPlan::new(info, shape, output.fields(), field).execute(input, output, compute)
 }
 
-/// Generic halo-gather kernel: each brick plus an `r`-deep halo is
+/// Halo-gather reference kernel: each brick plus an `r`-deep halo is
 /// gathered into a dense thread-local scratch block, then a dense tap
-/// loop runs branch-free over every output element. This is the
-/// portable fallback for arbitrary shapes and the baseline the
-/// [`crate::KernelPlan`] engine is benchmarked against
-/// (`bench_compute`, `brick-bench --kernel gather`).
+/// loop runs branch-free over every output element, accumulating in tap
+/// order (bit-identical to [`apply_bricks_serial`] for any shape). It is
+/// the baseline the [`crate::KernelPlan`] engine is benchmarked against
+/// (`bench_compute`) and a fast oracle for tests.
 pub fn apply_bricks_gather(
     shape: &StencilShape,
     info: &BrickInfo<3>,
@@ -237,108 +222,6 @@ pub fn apply_bricks_gather(
                                 acc += c * scratch[(idx as isize + d) as usize];
                             }
                             *o = acc;
-                        }
-                    }
-                }
-            });
-        }
-    });
-}
-
-/// Grouped-row 125-point kernel exploiting the paper's 10-coefficient
-/// symmetry: for each output row the 25 source rows `(dy, dz)` collapse
-/// into 6 accumulated group rows keyed by sorted `(|dy|, |dz|)` (padded
-/// two columns into the ±x neighbors), and the x pass combines each
-/// group with its 3 per-|dx| class coefficients — ~18 multiplies per
-/// point instead of 125. Regrouping changes the FP summation order, so
-/// this path is tolerance-equal (not bit-identical) to the reference;
-/// [`crate::KernelPlan`] keeps cube125 on the bit-identical row-segment
-/// engine.
-fn apply_cube125_bricks(
-    c: &[f64; 10],
-    info: &BrickInfo<3>,
-    input: &BrickStorage,
-    output: &mut BrickStorage,
-    compute: &[bool],
-    field: usize,
-) {
-    let bd = info.brick_dims();
-    let [bx, by, bz] = bd.extents();
-    assert!(
-        bx >= 2 && by >= 2 && bz >= 2,
-        "cube125 kernel needs bricks of extent >= 2"
-    );
-    let step = output.step();
-    let elems = output.elements_per_brick();
-    let field_base = field * elems;
-    let in_data = input.as_slice();
-    let pad = bx + 4;
-
-    // Row-group index by (|dy|, |dz|) and the 3 per-|dx| coefficients
-    // of each group's representative (dy, dz).
-    const GMAP: [[usize; 3]; 3] = [[0, 1, 2], [1, 3, 4], [2, 4, 5]];
-    const REPS: [(i8, i8); 6] = [(0, 0), (1, 0), (2, 0), (1, 1), (2, 1), (2, 2)];
-    let tri: [[f64; 3]; 6] = std::array::from_fn(|g| {
-        let (dy, dz) = REPS[g];
-        std::array::from_fn(|a| c[crate::shape::symmetry_class(a as i8, dy, dz)])
-    });
-
-    // Resolve a shifted row coordinate: (trit, wrapped local index).
-    let resolve = |p: isize, e: usize| -> (usize, usize) {
-        if p < 0 {
-            (2, (p + e as isize) as usize)
-        } else if p >= e as isize {
-            (1, (p - e as isize) as usize)
-        } else {
-            (0, p as usize)
-        }
-    };
-
-    pool::for_runs(output.as_mut_slice(), step, selected(compute) * elems, |first, run| {
-        for (b, chunk) in run_bricks(run, step, first, compute) {
-            let out = &mut chunk[field_base..field_base + elems];
-            let adj = info.adjacency_row(b as u32);
-            let bases: [usize; 27] = std::array::from_fn(|code| {
-                let nb = adj[code];
-                assert_ne!(nb, brick::NO_BRICK, "stencil crossed a missing neighbor");
-                nb as usize * step + field_base
-            });
-            crate::arena::with_scratch(6 * pad, |scratch| {
-                for z in 0..bz {
-                    for y in 0..by {
-                        scratch.fill(0.0);
-                        // Accumulate the 25 source rows into 6 groups.
-                        for dz in -2isize..=2 {
-                            let (tz, lz) = resolve(z as isize + dz, bz);
-                            for dy in -2isize..=2 {
-                                let (ty, ly) = resolve(y as isize + dy, by);
-                                let code = 3 * (ty + 3 * tz);
-                                let rb = (lz * by + ly) * bx;
-                                let g = GMAP[dy.unsigned_abs()][dz.unsigned_abs()];
-                                let grow = &mut scratch[g * pad..(g + 1) * pad];
-                                let mid = &in_data[bases[code] + rb..][..bx];
-                                for (d, &s) in grow[2..2 + bx].iter_mut().zip(mid) {
-                                    *d += s;
-                                }
-                                let lsrc = &in_data[bases[code + 2] + rb + bx - 2..][..2];
-                                grow[0] += lsrc[0];
-                                grow[1] += lsrc[1];
-                                let rsrc = &in_data[bases[code + 1] + rb..][..2];
-                                grow[bx + 2] += rsrc[0];
-                                grow[bx + 3] += rsrc[1];
-                            }
-                        }
-                        // x pass: 6 symmetric 5-wide combinations.
-                        let orow = (z * by + y) * bx;
-                        let out_row = &mut out[orow..orow + bx];
-                        out_row.fill(0.0);
-                        for (t, gr) in tri.iter().zip(scratch.chunks_exact(pad)) {
-                            let [t0, t1, t2] = *t;
-                            for (x, o) in out_row.iter_mut().enumerate() {
-                                *o += t0 * gr[x + 2]
-                                    + t1 * (gr[x + 1] + gr[x + 3])
-                                    + t2 * (gr[x] + gr[x + 4]);
-                            }
                         }
                     }
                 }
@@ -625,8 +508,8 @@ mod tests {
         }
     }
 
-    /// The grouped-row symmetric cube125 kernel regroups the summation,
-    /// so compare with a tight tolerance against the serial reference.
+    /// The one-shot cube125 application, at brick extents down to the
+    /// stencil's radius, matches the serial reference bit for bit.
     #[test]
     fn cube125_symmetric_matches_serial() {
         for bdim in [2usize, 4, 8] {
@@ -639,13 +522,7 @@ mod tests {
             let shape = StencilShape::cube125_default();
             apply_bricks(&shape, &info, &input, &mut out_f, &compute, 0);
             apply_bricks_serial(&shape, &info, &input, &mut out_s, &compute, 0);
-            let max_err = out_f
-                .as_slice()
-                .iter()
-                .zip(out_s.as_slice())
-                .map(|(a, b)| (a - b).abs())
-                .fold(0.0f64, f64::max);
-            assert!(max_err < 1e-12, "bdim {bdim}: max_err = {max_err}");
+            assert_eq!(out_f.as_slice(), out_s.as_slice(), "bdim {bdim}");
         }
     }
 

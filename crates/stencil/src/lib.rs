@@ -6,8 +6,10 @@
 //!   125-point cube with 10 symmetric coefficients);
 //! * [`ArrayGrid`], the lexicographic "YASK-like" baseline whose halo
 //!   exchange must pack/unpack 26 strided surface regions;
-//! * brick-side application ([`apply_bricks`]) following the paper's
-//!   Figure 6 (adjacency-resolved accesses, layout-agnostic);
+//! * brick-side application following the paper's Figure 6
+//!   (adjacency-resolved accesses, layout-agnostic): [`apply_bricks`],
+//!   the one-shot form of [`KernelPlan`], and the reference kernels
+//!   [`apply_bricks_serial`] and [`apply_bricks_gather`];
 //! * [`KernelPlan`] / [`VarCoefPlan`], precompiled bind-once /
 //!   execute-many kernel plans that resolve neighbor bases and row
 //!   segments once per `(BrickInfo, StencilShape, field)` binding and

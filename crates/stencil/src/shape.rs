@@ -155,9 +155,9 @@ pub fn star7_coeffs(shape: &StencilShape) -> Option<[f64; 7]> {
 /// Extract the 10 symmetry-class coefficients of a 125-point cube
 /// stencil (see [`StencilShape::cube125`] for the class order), or
 /// `None` if `shape` is not a full 5³ cube whose coefficients respect
-/// the sorted-absolute-offset symmetry. Kernels use this to select the
-/// grouped-row specialized path that performs ~18 multiplies per point
-/// instead of 125.
+/// the sorted-absolute-offset symmetry. No kernel dispatches on it:
+/// [`crate::KernelPlan`] runs all 125 taps in the serial reference's
+/// order, so its bits match the reference.
 pub fn cube125_coeffs(shape: &StencilShape) -> Option<[f64; 10]> {
     if shape.points() != 125 || shape.radius() != 2 {
         return None;

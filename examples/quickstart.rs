@@ -44,12 +44,13 @@ fn main() {
             }
         }
 
-        let shape = StencilShape::star7_default();
+        // Compile the stencil once; every step replays the plan.
+        let plan = KernelPlan::new(info, &StencilShape::star7_default(), 1, 0);
         for _step in 0..10 {
             // Pack-free exchange: every message is a contiguous brick
             // range; ghosts land in place.
             exchanger.exchange(ctx, &mut cur).unwrap();
-            ctx.time_calc(|| apply_bricks(&shape, info, &cur, &mut nxt, decomp.compute_mask(), 0));
+            ctx.time_calc(|| plan.execute(&cur, &mut nxt, decomp.compute_mask()));
             std::mem::swap(&mut cur, &mut nxt);
         }
         ctx.timers()

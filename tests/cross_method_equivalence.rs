@@ -88,10 +88,9 @@ fn agree_minimal_subdomain() {
     assert_agree(cfg(CpuMethod::Layout, 16, StencilShape::star7_default(), vec![1, 1, 1]));
 }
 
-/// Every exchanging brick engine, both MemMap page sizes included, reads
-/// the same checksum bits on one rank and on two. No-Layout wraps its
-/// ghost rim once and never exchanges, so its physics leaves the others'
-/// after the first step: it is held to Layout's bits on one step.
+/// Every brick engine, both MemMap page sizes and No-Layout's
+/// lexicographic order included, reads the same checksum bits on one
+/// rank and on two: block ordering changes what is sent, not the physics.
 #[test]
 fn brick_engines_agree_bit_for_bit() {
     let methods = [
@@ -100,6 +99,7 @@ fn brick_engines_agree_bit_for_bit() {
         CpuMethod::Layout,
         CpuMethod::Basic,
         CpuMethod::Shift { page_size: memview::PAGE_4K },
+        CpuMethod::NoLayout,
     ];
     let bits = |base: &ExperimentConfig, m: &CpuMethod| {
         run_experiment(&ExperimentConfig { method: m.clone(), ..base.clone() }).checksum.to_bits()
@@ -110,12 +110,6 @@ fn brick_engines_agree_bit_for_bit() {
         for m in &methods[1..] {
             assert_eq!(bits(&base, m), want, "{} vs {} on {ranks:?}", m.name(), methods[0].name());
         }
-        let one_step = ExperimentConfig { steps: 1, warmup: 0, ..base };
-        assert_eq!(
-            bits(&one_step, &CpuMethod::NoLayout),
-            bits(&one_step, &CpuMethod::Layout),
-            "No-Layout vs Layout on one step, {ranks:?}"
-        );
     }
 }
 
@@ -185,9 +179,26 @@ fn brick_matches_array_evolution() {
     assert!(max_err < 1e-12, "field divergence: {max_err}");
 }
 
-/// The precompiled plan engine and the per-step gather engine replay the
-/// same FP op sequence, so every brick method must produce *bit-identical*
-/// checksums under either — for the low- and the high-order proxy alike.
+/// Checksum bits of `cfg`'s physics by a loop independent of the
+/// engines: their initial fill over `cfg.decomp()` on one self-periodic
+/// rank, then per step a periodic ghost wrap, the gather reference
+/// kernel and a swap.
+fn reference_bits(cfg: &ExperimentConfig) -> u64 {
+    let decomp = cfg.decomp();
+    let (mut cur, mut nxt) = (decomp.allocate(), decomp.allocate());
+    packfree::fields::fill_interior(&decomp, &mut cur, 0, |c| ((c[0] * 3 + c[1] * 5 + c[2] * 7) % 17) as f64 / 16.0);
+    for _ in 0..cfg.warmup + cfg.steps {
+        packfree::fields::fill_ghosts_periodic(&decomp, &mut cur, 0);
+        stencil::apply_bricks_gather(&cfg.shape, decomp.brick_info(), &cur, &mut nxt, decomp.compute_mask(), 0);
+        std::mem::swap(&mut cur, &mut nxt);
+    }
+    packfree::fields::interior_sum(&decomp, &cur, 0).to_bits()
+}
+
+/// Every brick method steps through its precompiled kernel plan, which
+/// replays the gather reference's FP op sequence, so its checksum is
+/// *bit-identical* to the reference loop's — phased or overlapped, for
+/// the low- and the high-order proxy alike.
 #[test]
 fn plan_engine_bit_identical_to_gather() {
     for shape in [StencilShape::star7_default(), StencilShape::cube125_default()] {
@@ -196,19 +207,20 @@ fn plan_engine_bit_identical_to_gather() {
             CpuMethod::Basic,
             CpuMethod::MemMap { page_size: memview::PAGE_4K },
             CpuMethod::Shift { page_size: memview::PAGE_4K },
+            CpuMethod::NoLayout,
         ] {
-            let mut plan = cfg(method.clone(), 32, shape.clone(), vec![1, 1, 1]);
-            plan.kernel = KernelKind::Plan;
-            let mut gather = cfg(method, 32, shape.clone(), vec![1, 1, 1]);
-            gather.kernel = KernelKind::Gather;
-            let (p, g) = (run_experiment(&plan), run_experiment(&gather));
-            assert_eq!(
-                p.checksum.to_bits(),
-                g.checksum.to_bits(),
-                "kernel engines diverged for {:?} / {} taps",
-                plan.method,
-                shape.points(),
-            );
+            let base = cfg(method.clone(), 32, shape.clone(), vec![1, 1, 1]);
+            let want = reference_bits(&base);
+            for overlap in [false, true] {
+                let r = run_experiment(&ExperimentConfig { overlap, ..base.clone() });
+                assert_eq!(
+                    r.checksum.to_bits(),
+                    want,
+                    "{} overlap={overlap} / {} taps left the reference",
+                    method.name(),
+                    shape.points(),
+                );
+            }
         }
     }
 }

@@ -92,11 +92,12 @@ fn no_netsim_source_file_exceeds_900_lines() {
 
 /// The host clock is not a protocol input: outside their tests, the
 /// transport and the drivers name `Instant` or `Duration` only where they
-/// measure (timers, detection latency, measured kernels). Nothing guards
-/// a wait with a clock either: the scheduler detects a deadlock exactly.
+/// measure (timers, detection latency, the GPU model's measured copies;
+/// brick kernels measure themselves in `stencil`). Nothing guards a wait
+/// with a clock either: the scheduler detects a deadlock exactly.
 #[test]
 fn only_measuring_and_guarding_files_name_the_clock() {
-    const ALLOWED: [&str; 4] = ["netsim/timers.rs", "netsim/procfault.rs", "core/engine.rs", "core/gpu.rs"];
+    const ALLOWED: [&str; 3] = ["netsim/timers.rs", "netsim/procfault.rs", "core/gpu.rs"];
     for krate in ["netsim", "core"] {
         for (name, text) in sources(krate) {
             let path = format!("{krate}/{name}");
@@ -184,13 +185,37 @@ fn every_engine_runs_the_two_schedules() {
         assert!(!engine.contains(word), "crates/core/src/engine.rs names `{word}`");
     }
     let experiment = file("experiment.rs");
-    let body = experiment.split("enum Schedule {").nth(1).expect("experiment.rs defines `enum Schedule`");
-    let body = &body[..body.find("\n}").expect("the enum closes")];
-    let variants: Vec<&str> = body
-        .lines()
-        .map(str::trim)
-        .filter(|l| !l.is_empty() && !l.starts_with("//"))
-        .filter_map(|l| l.split(|c: char| !c.is_alphanumeric()).next().filter(|w| !w.is_empty()))
-        .collect();
+    let variants = enum_variants(&experiment, "Schedule");
     assert_eq!(variants, ["Phased", "Dag"], "Schedule has {variants:?}");
+}
+
+/// The variant names of `enum {name}` in `code`, in declaration order.
+fn enum_variants<'a>(code: &'a str, name: &str) -> Vec<&'a str> {
+    let body = code.split(&format!("enum {name} {{")).nth(1).unwrap_or_else(|| panic!("no `enum {name}`"));
+    let body = &body[..body.find("\n}").expect("the enum closes")];
+    body.lines()
+        .map(str::trim)
+        .filter(|l| !l.is_empty() && !l.starts_with("//") && !l.starts_with("#["))
+        .filter_map(|l| l.split(|c: char| !c.is_alphanumeric()).next().filter(|w| !w.is_empty()))
+        .collect()
+}
+
+/// Every brick engine steps through one kernel, `stencil::KernelPlan`:
+/// outside their tests, `crates/core/src` and `crates/cli/src` name
+/// neither reference kernel (`apply_bricks_gather`, `apply_bricks_serial`
+/// are oracles for tests and `bench_compute`), and `experiment.rs`'s
+/// `KernelKind` has exactly one variant.
+#[test]
+fn engines_step_through_the_one_kernel_plan() {
+    for krate in ["core", "cli"] {
+        for (name, text) in sources(krate) {
+            for oracle in ["apply_bricks_gather", "apply_bricks_serial"] {
+                assert!(!non_test(&text).contains(oracle), "crates/{krate}/src/{name} names the oracle `{oracle}`");
+            }
+        }
+    }
+    let core = sources("core");
+    let experiment = non_test(&core.iter().find(|(name, _)| name == "experiment.rs").expect("experiment.rs").1);
+    let variants = enum_variants(experiment, "KernelKind");
+    assert_eq!(variants, ["Plan"], "KernelKind has {variants:?}");
 }
