@@ -624,10 +624,10 @@ fn ext_message_trace(_: &mut Cells, out: &mut dyn Write) -> io::Result<()> {
     let ex = Exchanger::layout(&d);
     let topo = CartTopo::new(&[1, 1, 1], true);
     let events = run_cluster(&topo, NetworkModel::theta_aries(), |ctx| {
-        ctx.enable_trace();
+        ctx.enable_profiling();
         let mut st = d.allocate();
         ex.exchange(ctx, &mut st).unwrap();
-        ctx.take_trace()
+        ctx.take_timeline().msgs
     });
     let sends: Vec<_> = events[0].iter().filter(|e| e.send).collect();
     let recvs = events[0].len() - sends.len();

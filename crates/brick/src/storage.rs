@@ -133,27 +133,9 @@ impl BrickStorage {
         &mut self.backing.as_mut_slice()[base..base + self.elems]
     }
 
-    /// Element offset (into [`BrickStorage::as_slice`]) of `(brick,
-    /// field, in-field element offset)`.
-    #[inline]
-    pub fn offset_of(&self, b: u32, f: usize, elem: usize) -> usize {
-        debug_assert!(f < self.fields && elem < self.elems);
-        b as usize * self.step() + f * self.elems + elem
-    }
-
     /// Fill all elements with a value (tests / initialization).
     pub fn fill(&mut self, v: f64) {
         self.backing.as_mut_slice().fill(v);
-    }
-
-    /// Copy the full contents from another storage of identical geometry.
-    pub fn copy_from(&mut self, other: &BrickStorage) {
-        assert_eq!(self.nbricks, other.nbricks);
-        assert_eq!(self.fields, other.fields);
-        assert_eq!(self.elems, other.elems);
-        self.backing
-            .as_mut_slice()
-            .copy_from_slice(other.backing.as_slice());
     }
 }
 
@@ -185,14 +167,6 @@ mod tests {
     }
 
     #[test]
-    fn offset_of_matches_slices() {
-        let mut s = BrickStorage::allocate(3, 8, 2);
-        let off = s.offset_of(2, 1, 5);
-        s.as_mut_slice()[off] = 42.0;
-        assert_eq!(s.field(2, 1)[5], 42.0);
-    }
-
-    #[test]
     fn external_backing() {
         let backing = Box::new(HeapBacking::new(64));
         let mut s = BrickStorage::from_backing(backing, 4, 8, 2);
@@ -205,14 +179,5 @@ mod tests {
     fn wrong_backing_size_rejected() {
         let backing = Box::new(HeapBacking::new(63));
         BrickStorage::from_backing(backing, 4, 8, 2);
-    }
-
-    #[test]
-    fn copy_from_roundtrip() {
-        let mut a = BrickStorage::allocate(2, 4, 1);
-        let mut b = BrickStorage::allocate(2, 4, 1);
-        a.fill(3.0);
-        b.copy_from(&a);
-        assert_eq!(b.as_slice(), a.as_slice());
     }
 }

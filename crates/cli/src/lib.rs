@@ -291,7 +291,7 @@ OUTPUT: the artifact's five metrics — calc/pack/call/wait as
 [minimum, average, maximum] seconds per timestep across ranks, and perf
 (GStencil/s per rank).";
 
-/// Parse arguments (excluding argv[0]).
+/// Parse arguments (excluding `argv[0]`).
 pub fn parse(args: &[String]) -> Result<Options, String> {
     let mut o = Options::default();
     let mut page = None;

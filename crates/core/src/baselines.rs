@@ -19,6 +19,7 @@
 //! scatters each receive as it lands.
 
 use layout::{all_regions, Dir};
+use netsim::telemetry::Phase;
 use netsim::{NetsimError, RankCtx};
 use stencil::{ArrayGrid, Datatype};
 
@@ -38,7 +39,7 @@ pub enum Flavor {
 ///
 /// Receive buffers live in one flat arena (per-direction sorted
 /// sub-ranges) so completions land straight in it; the transport
-/// between the pack buffers and the arena is a [`CommPlan`], bound to
+/// between the pack buffers and the arena is a `CommPlan`, bound to
 /// the rank on first use — the steady-state exchange allocates nothing.
 pub struct ArrayExchanger {
     flavor: Flavor,
@@ -225,12 +226,19 @@ impl ArrayExchanger {
     /// Fill every send buffer from the grid's surface regions — the
     /// on-node data movement the paper eliminates.
     fn gather(&mut self, ctx: &mut RankCtx<'_>, grid: &ArrayGrid) {
-        let (dirs, types) = (&self.dirs, &self.send_types);
-        let bufs = self.send_bufs.iter_mut().enumerate();
-        match self.flavor {
-            Flavor::Packed => ctx.time_pack(|| bufs.for_each(|(i, buf)| grid.pack_surface(&dirs[i], buf))),
-            Flavor::Datatypes => ctx.time_call(|| bufs.for_each(|(i, buf)| types[i].pack_into(grid.as_slice(), buf))),
-        }
+        let (dirs, types, flavor) = (&self.dirs, &self.send_types, self.flavor);
+        let phase = match flavor {
+            Flavor::Packed => Phase::Pack,
+            Flavor::Datatypes => Phase::Wire,
+        };
+        ctx.time(phase, |_| {
+            for (i, buf) in self.send_bufs.iter_mut().enumerate() {
+                match flavor {
+                    Flavor::Packed => grid.pack_surface(&dirs[i], buf),
+                    Flavor::Datatypes => types[i].pack_into(grid.as_slice(), buf),
+                }
+            }
+        });
     }
 
     /// Copy the receives of bitmask `landed` that are not in the ghost
@@ -243,10 +251,19 @@ impl ArrayExchanger {
         self.scattered |= todo;
         let (dirs, types, arena, ranges) = (&self.dirs, &self.recv_types, &self.recv_arena, &self.recv_ranges);
         let bufs = (0..dirs.len()).filter(|j| todo >> j & 1 == 1).map(|j| (j, &arena[ranges[j].clone()]));
-        match self.flavor {
-            Flavor::Packed => ctx.time_unpack(|| bufs.for_each(|(j, buf)| grid.unpack_ghost(&dirs[j], buf))),
-            Flavor::Datatypes => ctx.time_call(|| bufs.for_each(|(j, buf)| types[j].unpack(grid.as_mut_slice(), buf))),
-        }
+        let flavor = self.flavor;
+        let phase = match flavor {
+            Flavor::Packed => Phase::Unpack,
+            Flavor::Datatypes => Phase::Wire,
+        };
+        ctx.time(phase, |_| {
+            for (j, buf) in bufs {
+                match flavor {
+                    Flavor::Packed => grid.unpack_ghost(&dirs[j], buf),
+                    Flavor::Datatypes => types[j].unpack(grid.as_mut_slice(), buf),
+                }
+            }
+        });
     }
 }
 

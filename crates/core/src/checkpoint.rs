@@ -23,7 +23,7 @@
 //!    next wait or poll — at the latest the per-step
 //!    [`netsim::RankCtx::fence`] — reports [`NetsimError::RankFailed`]
 //!    instead of hanging.
-//! 3. **Recover** (ULFM-style, see [`recover_epoch`]): `netsim` owns the
+//! 3. **Recover** (ULFM-style, see `recover_epoch`): `netsim` owns the
 //!    bracket ([`netsim::RankCtx::recover`]: a join fence that gathers
 //!    every rank, the respawned victim included, on the revoked
 //!    communicator; the purge of stale data-plane frames — delivery is

@@ -5,6 +5,7 @@
 //! methods; DESIGN.md maps methods to engines and schedules.
 
 use brick::BrickStorage;
+use netsim::telemetry::Phase;
 use netsim::{NetsimError, RankCtx};
 use sched::{DepGraph, SendPriority};
 use stencil::{ArrayGrid, ArrayPlan, KernelPlan, PlanSplit};
@@ -101,7 +102,7 @@ fn apply(
     mask: Option<&[bool]>,
 ) {
     let mask = mask.unwrap_or(decomp.compute_mask());
-    ctx.time_calc_with(|rec| plan.execute_profiled(cur, nxt, mask, rec));
+    ctx.time(Phase::Compute, |rec| plan.execute_profiled(cur, nxt, mask, rec));
 }
 
 fn init_value(x: i64, y: i64, z: i64) -> f64 {
@@ -427,7 +428,7 @@ impl RankEngine for Arrays<'_> {
             m[decomp.brick_at([t % mx + g[0], t / mx % my + g[1], t / (mx * my) + g[2]]) as usize]
         });
         let edge = decomp.brick_dims().extent(0);
-        ctx.scoped("kernel:array", |ctx| ctx.time_calc(|| cur.apply_tiles_into(plan, nxt, edge, tiles)));
+        ctx.scoped("kernel:array", |ctx| ctx.time(Phase::Compute, |_| cur.apply_tiles_into(plan, nxt, edge, tiles)));
     }
 
     fn advance(&mut self) {

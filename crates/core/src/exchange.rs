@@ -224,8 +224,8 @@ impl Exchanger {
     /// packing happens.
     ///
     /// This is the allocating reference path kept for comparison and
-    /// one-shot use; timestep loops should build a [`session`]
-    /// (`Exchanger::session`) and drive that instead.
+    /// one-shot use; timestep loops should build a
+    /// [`session`](Exchanger::session) and drive that instead.
     pub fn exchange(
         &self,
         ctx: &mut RankCtx<'_>,
@@ -268,7 +268,7 @@ impl Exchanger {
     }
 }
 
-/// An [`Exchanger`] schedule bound to one rank: a [`CommPlan`] over
+/// An [`Exchanger`] schedule bound to one rank: a `CommPlan` over
 /// the element ranges its messages occupy in the layout-ordered
 /// storage. Everything per-step is precomputed at build time (the
 /// pattern is Static, per the paper) — `exchange` allocates nothing.

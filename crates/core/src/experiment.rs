@@ -75,12 +75,12 @@ impl CpuMethod {
 }
 
 /// The compute engine of the brick-side methods: every brick grid steps
-/// through one precompiled [`KernelPlan`], bound once per rank and
-/// replayed per step. The one variant is kept so that configurations
-/// written against it keep building.
+/// through one precompiled [`KernelPlan`](stencil::KernelPlan), bound
+/// once per rank and replayed per step. The one variant is kept so that
+/// configurations written against it keep building.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Default)]
 pub enum KernelKind {
-    /// Precompiled [`KernelPlan`] bound once per rank, replayed per step.
+    /// Precompiled [`KernelPlan`](stencil::KernelPlan) bound once per rank, replayed per step.
     #[default]
     Plan,
 }
@@ -428,7 +428,7 @@ fn mapping_stats(
 
 /// Run one experiment and return rank 0's report.
 ///
-/// Each method is one [`RankEngine`]; [`run_steps`] times them all with
+/// Each method is one `RankEngine`; `run_steps` times them all with
 /// the same step loop.
 pub fn run_experiment(cfg: &ExperimentConfig) -> MethodReport {
     validate(cfg);

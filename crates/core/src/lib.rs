@@ -52,7 +52,6 @@ pub mod memmap;
 mod migrating;
 mod plan;
 pub mod rebalance;
-pub mod reliable;
 pub mod shift;
 mod workload;
 
@@ -63,5 +62,4 @@ pub use checkpoint::{DriveOp, FailureRecovery, RecoveryCfg};
 pub use decomp::{pad_bricks_for, BrickDecomp, Chunk, GhostGroup, Ownership};
 pub use exchange::{split_disjoint_mut, ExchangeStats, Exchanger, RecvMsg, SendMsg};
 pub use memmap::{ExchangeView, MemMapStorage};
-pub use reliable::{RelRecv, RelSend, ReliableSession};
 pub use shift::ShiftExchanger;

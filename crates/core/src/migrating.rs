@@ -21,7 +21,7 @@
 use std::ops::Range;
 
 use netsim::telemetry::{BrickCosts, MigrationStats};
-use netsim::{NetsimError, RankCtx};
+use netsim::{NetsimError, RankCtx, RelRecv};
 use sched::DepGraph;
 use stencil::PlanSplit;
 
@@ -32,7 +32,6 @@ use crate::engine::{ghosts_of, RankEngine, SplitSetup};
 use crate::exchange::ExchangeStats;
 use crate::experiment::fail;
 use crate::plan::{discover_plan, CommPlan, ExchangePlan, IntoRanges, SendEdge, REB_NS};
-use crate::reliable::RelRecv;
 use crate::workload::{brick_sum, init_cell, relax, GridCfg};
 
 /// Rank-0 fence tokens opening a migration epoch.

@@ -48,10 +48,10 @@
 use std::ops::Range;
 
 use layout::Dir;
-use netsim::{Lend, NetsimError, PartitionedRecv, PartitionedSend, RankCtx, RecvHandle};
+use netsim::{
+    Lend, NetsimError, PartitionedRecv, PartitionedSend, RankCtx, RecvHandle, RelRecv, RelSend, ReliableSession,
+};
 use sched::SendPriority;
-
-use crate::reliable::{RelRecv, RelSend, ReliableSession};
 
 mod discover;
 pub use discover::{discover_plan, ExchangePlan};

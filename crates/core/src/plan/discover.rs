@@ -41,7 +41,7 @@ const REP_TAG: u64 = REB_NS | 5;
 /// The sparse halo-exchange edges one discovery round produces: per
 /// partner, which global bricks this rank ships and which it receives,
 /// both id-sorted so the per-step halo frames are deterministic. The
-/// migrating engine binds its [`CommPlan`](super::CommPlan) from them
+/// migrating engine binds its `CommPlan` from them
 /// and carries them in its snapshots.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct ExchangePlan {

@@ -49,7 +49,7 @@ impl ShiftPass {
 }
 
 /// A `D`-pass shift exchange bound to one [`MemMapStorage`]: one
-/// two-message [`CommPlan`] per axis, run in order. Passes are
+/// two-message `CommPlan` per axis, run in order. Passes are
 /// serialized data dependencies (corner data is forwarded axis by
 /// axis), so only the last one can be split or ship early.
 pub struct ShiftExchanger {
@@ -179,7 +179,7 @@ impl ShiftExchanger {
     /// Bind one plan per pass to `ctx`'s rank if this exchanger has not
     /// yet been driven on it (idempotent otherwise; a rebind drops all
     /// protocol state with the old plans). [`Self::exchange`] and
-    /// [`Self::begin`] call this themselves.
+    /// its split-phase `begin` call this themselves.
     pub fn ensure_bound(&mut self, ctx: &RankCtx<'_>, storage: &MemMapStorage) {
         assert!(
             std::sync::Arc::ptr_eq(&self.bound_file, storage.file()),

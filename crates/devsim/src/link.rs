@@ -31,17 +31,6 @@ impl LinkModel {
         }
         self.latency + bytes as f64 / self.bandwidth
     }
-
-    /// Time to move `n` separate transfers totalling `bytes` (each pays
-    /// the latency — the cost of shuttling many small regions manually,
-    /// which the paper's methods avoid).
-    #[inline]
-    pub fn transfers_time(&self, n: usize, bytes: usize) -> f64 {
-        if n == 0 {
-            return 0.0;
-        }
-        self.latency * n as f64 + bytes as f64 / self.bandwidth
-    }
 }
 
 #[cfg(test)]
@@ -51,14 +40,13 @@ mod tests {
     #[test]
     fn zero_bytes_free() {
         assert_eq!(LinkModel::nvlink2().transfer_time(0), 0.0);
-        assert_eq!(LinkModel::nvlink2().transfers_time(0, 0), 0.0);
     }
 
     #[test]
     fn many_small_transfers_cost_latency() {
         let l = LinkModel::pcie_gen3();
         let one = l.transfer_time(1 << 20);
-        let many = l.transfers_time(98, 1 << 20);
+        let many = 98.0 * l.transfer_time((1 << 20) / 98);
         assert!(many > one + 90.0 * l.latency);
     }
 

@@ -7,7 +7,7 @@ use std::os::fd::RawFd;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
-use crate::pages::{host_page_size, is_aligned, round_up};
+use crate::pages::{host_page_size, round_up};
 
 /// Process-wide sum of the per-file counts below. The kernel caps a
 /// process at `vm.max_map_count` mappings (default 65530, as the paper
@@ -90,12 +90,7 @@ impl MemFile {
     /// Map the whole file read-write shared. This is the "compute"
     /// pointer of the paper's Figure 5.
     pub fn map_all(&self) -> io::Result<Mapping> {
-        Mapping::new(self, 0, self.len)
-    }
-
-    /// Map a page-aligned byte range of the file.
-    pub fn map_range(&self, offset: usize, len: usize) -> io::Result<Mapping> {
-        Mapping::new(self, offset, len)
+        Mapping::new(self)
     }
 }
 
@@ -106,8 +101,8 @@ impl Drop for MemFile {
     }
 }
 
-/// A shared read-write mapping of (part of) a [`MemFile`]. All mappings
-/// of the same file range alias the same physical pages (`MAP_SHARED`),
+/// A shared read-write mapping of a whole [`MemFile`]. All mappings of
+/// the same file alias the same physical pages (`MAP_SHARED`),
 /// which is the mechanism behind pack-free views.
 pub struct Mapping {
     ptr: *mut u8,
@@ -129,12 +124,10 @@ unsafe impl Send for Mapping {}
 unsafe impl Sync for Mapping {}
 
 impl Mapping {
-    fn new(file: &MemFile, offset: usize, len: usize) -> io::Result<Mapping> {
-        let page = host_page_size();
-        assert!(is_aligned(offset, page), "mapping offset must be page-aligned");
+    fn new(file: &MemFile) -> io::Result<Mapping> {
+        let len = file.len;
         assert!(len > 0, "cannot map zero bytes");
-        assert!(offset + len <= file.len, "mapping exceeds file length");
-        // SAFETY: fd valid; offset/len validated above.
+        // SAFETY: fd valid; the whole file, from offset 0, is mapped.
         let ptr = unsafe {
             libc::mmap(
                 std::ptr::null_mut(),
@@ -142,7 +135,7 @@ impl Mapping {
                 libc::PROT_READ | libc::PROT_WRITE,
                 libc::MAP_SHARED,
                 file.fd,
-                offset as libc::off_t,
+                0,
             )
         };
         if ptr == libc::MAP_FAILED {
@@ -231,13 +224,6 @@ mod tests {
         let b = f.map_all().unwrap();
         a.as_f64_mut()[0] = 42.0;
         assert_eq!(b.as_f64()[0], 42.0);
-        // And a range mapping of the second page.
-        let ps = host_page_size();
-        if f.len() >= 2 * ps {
-            a.as_bytes_mut()[ps] = 7;
-            let c = f.map_range(ps, ps).unwrap();
-            assert_eq!(c.as_bytes()[0], 7);
-        }
     }
 
     /// Counted per file: sibling tests mapping their own files cannot
@@ -254,19 +240,5 @@ mod tests {
         assert_eq!(f.live_mappings(), 1);
         drop(m2);
         assert_eq!(f.live_mappings(), 0);
-    }
-
-    #[test]
-    #[should_panic(expected = "page-aligned")]
-    fn unaligned_offset_rejected() {
-        let f = MemFile::create("t", 8192).unwrap();
-        let _ = f.map_range(7, 4096);
-    }
-
-    #[test]
-    #[should_panic(expected = "exceeds file length")]
-    fn oversized_mapping_rejected() {
-        let f = MemFile::create("t", 4096).unwrap();
-        let _ = f.map_range(0, host_page_size() * 64);
     }
 }

@@ -1,15 +1,14 @@
 //! A rank's clock: the one billing point every charged second flows
 //! through, the really-timed and modeled charges built on it, the send
 //! epoch the LogGP `wait` term is settled per, and the take-outs of what
-//! was recorded along the way (timers, timeline, message and fault trace).
+//! was recorded along the way (timers, timeline, fault log).
 
-use telemetry::{Phase, Recorder, Timeline};
+use telemetry::{MsgEvent, Phase, Recorder, Timeline};
 
 use crate::cluster::RankCtx;
 use crate::fault::FaultEvent;
 use crate::model::NetworkModel;
 use crate::timers::{timed, Timers};
-use crate::trace::MsgEvent;
 
 impl RankCtx<'_> {
     /// The wire model charged for messages between this rank and
@@ -38,65 +37,42 @@ impl RankCtx<'_> {
     /// charges through one spot is what makes the telemetry invariant
     /// (per-phase span sums == timer totals) hold by construction.
     pub(crate) fn bill(&mut self, phase: Phase, secs: f64) {
+        self.bill_timer(phase, secs);
+        self.recorder.charge(phase, secs);
+    }
+
+    fn bill_timer(&mut self, phase: Phase, secs: f64) {
         match phase {
             Phase::Compute => self.timers.calc += secs,
             Phase::Pack | Phase::Unpack | Phase::Copy => self.timers.pack += secs,
             Phase::Wire => self.timers.call += secs,
             Phase::Wait => self.timers.wait += secs,
         }
-        self.recorder.charge(phase, secs);
     }
 
-    /// Run and *really time* a computation phase.
-    pub fn time_calc<R>(&mut self, f: impl FnOnce() -> R) -> R {
-        let (r, t) = timed(f);
-        self.bill(Phase::Compute, t);
-        r
-    }
-
-    /// Like [`RankCtx::time_calc`], but hands the closure the span
-    /// recorder so an instrumented kernel can attribute slices of the
-    /// measured interval itself (per-plan-stage spans). Whatever the
-    /// closure does not account for is billed as plain compute, so the
-    /// total charged always equals the really-measured wall time.
-    pub fn time_calc_with<R>(&mut self, f: impl FnOnce(&mut Recorder) -> R) -> R {
+    /// Run `f` and *really time* it as `phase`: compute, packing or
+    /// unpacking (both land on the paper's one `pack` timer), or work
+    /// inside the MPI library such as a derived-datatype walk (`Wire`,
+    /// charged to `call`). The closure gets the span recorder, so an
+    /// instrumented kernel can attribute slices of the measured interval
+    /// itself (per-plan-stage spans); whatever it does not account for is
+    /// recorded as `phase`, so the total charged always equals the
+    /// measured wall time.
+    pub fn time<R>(&mut self, phase: Phase, f: impl FnOnce(&mut Recorder) -> R) -> R {
         let mut rec = std::mem::take(&mut self.recorder);
         let before = rec.now();
         let (r, t) = timed(|| f(&mut rec));
         let inner = rec.now() - before;
         self.recorder = rec;
-        self.timers.calc += t;
-        self.recorder.charge(Phase::Compute, (t - inner).max(0.0));
+        self.bill_timer(phase, t);
+        self.recorder.charge(phase, (t - inner).max(0.0));
         r
     }
 
-    /// Run and *really time* a packing phase.
-    pub fn time_pack<R>(&mut self, f: impl FnOnce() -> R) -> R {
-        let (r, t) = timed(f);
-        self.bill(Phase::Pack, t);
-        r
-    }
-
-    /// Run and *really time* an unpacking phase. Accumulates into the
-    /// same `pack` timer as [`RankCtx::time_pack`] (the paper reports
-    /// one packing number) but is attributed separately in timelines.
-    pub fn time_unpack<R>(&mut self, f: impl FnOnce() -> R) -> R {
-        let (r, t) = timed(f);
-        self.bill(Phase::Unpack, t);
-        r
-    }
-
-    /// Run and *really time* work that happens inside the MPI library
-    /// (e.g. a derived-datatype pack walk), charged to `call`.
-    pub fn time_call<R>(&mut self, f: impl FnOnce() -> R) -> R {
-        let (r, t) = timed(f);
-        self.bill(Phase::Wire, t);
-        r
-    }
-
-    /// Turn on span/counter recording for this rank. Exchange engines
-    /// then wrap their work in [`RankCtx::scoped`] and every charged
-    /// second lands as a leaf span on the rank's virtual timeline.
+    /// Turn on span/counter/message recording for this rank. Exchange
+    /// engines then wrap their work in [`RankCtx::scoped`], every charged
+    /// second lands as a leaf span on the rank's virtual timeline, and
+    /// every posted send and completed receive as a message event.
     pub fn enable_profiling(&mut self) {
         self.recorder.enable(self.rank);
     }
@@ -134,7 +110,7 @@ impl RankCtx<'_> {
     /// Charge the send-side wire model for one message of `bytes`
     /// payload: `o` seconds of `call`, message/byte counters, epoch
     /// accounting (skipped for deferred sends, whose `wait` the caller
-    /// settles itself), and the trace event.
+    /// settles itself), and the message event.
     pub(crate) fn charge_send(&mut self, peer: usize, tag: u64, bytes: usize, epoch: bool) {
         self.bill(Phase::Wire, self.network_to(peer).call_time(1));
         self.timers.msgs += 1;
@@ -150,7 +126,7 @@ impl RankCtx<'_> {
         }
         self.recorder.count("msgs_sent", 1);
         self.recorder.observe("send_bytes", bytes as f64);
-        self.trace.record(MsgEvent { send: true, peer, tag, bytes });
+        self.recorder.message(MsgEvent { send: true, peer, tag, bytes });
     }
 
     /// Charge the receive-post cost of one message from `peer`: `o`
@@ -169,7 +145,7 @@ impl RankCtx<'_> {
 
     /// Record the completion of a receive of `words` from `peer`.
     pub(crate) fn record_recv(&mut self, peer: usize, tag: u64, words: usize) {
-        self.trace.record(MsgEvent { send: false, peer, tag, bytes: words * 8 });
+        self.recorder.message(MsgEvent { send: false, peer, tag, bytes: words * 8 });
     }
 
     /// Charge the LogGP `wait` term for this epoch's posted sends and
@@ -243,18 +219,8 @@ impl RankCtx<'_> {
         self.recorder.reset();
     }
 
-    /// Start recording a message trace (see [`crate::trace`]).
-    pub fn enable_trace(&mut self) {
-        self.trace.enable();
-    }
-
-    /// Drain the recorded message events.
-    pub fn take_trace(&mut self) -> Vec<MsgEvent> {
-        self.trace.take()
-    }
-
     /// Drain the recorded fault-injection events (always recorded when
-    /// a fault plan is armed, independent of the message trace).
+    /// a fault plan is armed, independent of profiling).
     pub fn take_fault_events(&mut self) -> Vec<FaultEvent> {
         self.trace.take_faults()
     }

@@ -4,10 +4,13 @@
 //!
 //! `impl RankCtx` is spread over the files its facets fall into: this one
 //! keeps the sends, the receive completions and the loopbacks;
-//! `clock.rs` the billing, the send epoch and the recorded timers and
-//! traces; `procfault.rs` the crash-stop machinery, the failure detector
-//! and the recovery bracket; `collective.rs` the fence and the reductions;
-//! `mailbox.rs` the message store underneath and the pooled buffers.
+//! `clock.rs` the billing, the send epoch and the recorded timers,
+//! timeline and fault log; `procfault.rs` the crash-stop machinery, the
+//! failure detector and the recovery bracket; `collective.rs` the fence
+//! and the reductions; `mailbox.rs` the message store underneath and the
+//! pooled buffers. [`crate::reliable`], the retry protocol on top, is the
+//! one caller of the crate-private fault bookkeeping (the mailbox drain,
+//! the fault bypass and the recovery counters).
 //!
 //! **Who blocks where.** Sends never block. A rank blocks in two places:
 //! [`RankCtx::barrier`], and — under `recv_blocking`, `waitall_*` and
@@ -162,7 +165,6 @@ pub struct RankCtx<'a> {
     pub(crate) epoch_msgs_on: usize,
     pub(crate) epoch_bytes_on: usize,
     transport_allocs: u64,
-    direct_sends: u64,
     fault: Option<FaultPlan>,
     fault_bypass: bool,
     // Process-fault machinery (see `ProcState`). `kill`/`stall` are
@@ -221,7 +223,6 @@ impl<'a> RankCtx<'a> {
             epoch_msgs_on: 0,
             epoch_bytes_on: 0,
             transport_allocs: 0,
-            direct_sends: 0,
             fault,
             fault_bypass: false,
             proc: &cluster.proc,
@@ -268,17 +269,11 @@ impl<'a> RankCtx<'a> {
         self.transport_allocs
     }
 
-    /// Messages this rank sent on the direct path so far: copied once,
-    /// into a destination the receiver had lent, with no buffer taken
-    /// from the pool (`msgs_direct` on a profiled timeline).
-    pub fn direct_sends(&self) -> u64 {
-        self.direct_sends
-    }
-
     /// Buffers currently parked in this rank's send pool (bounded by
     /// [`POOL_CAP`]; the fault stress tests assert the bound holds
     /// under duplicate/retry storms).
-    pub fn pool_len(&self) -> usize {
+    #[cfg(test)]
+    pub(crate) fn pool_len(&self) -> usize {
         self.pools[self.rank].len()
     }
 
@@ -308,7 +303,7 @@ impl<'a> RankCtx<'a> {
     /// `duplicates_discarded`, `corrupt_detected` and `degraded_exchanges`
     /// of `counts` — to [`RankCtx::fault_stats`]. No-op without a fault
     /// plan, which the protocol never runs without.
-    pub fn note_recovery(&mut self, counts: FaultStats) {
+    pub(crate) fn note_recovery(&mut self, counts: FaultStats) {
         if let Some(plan) = self.fault.as_mut() {
             plan.stats.merge(&counts);
         }
@@ -318,7 +313,7 @@ impl<'a> RankCtx<'a> {
     /// "mailbox fallback" path of a reliable exchange, and other
     /// control-plane traffic). Returns the previous setting so callers
     /// can restore it.
-    pub fn set_fault_bypass(&mut self, on: bool) -> bool {
+    pub(crate) fn set_fault_bypass(&mut self, on: bool) -> bool {
         std::mem::replace(&mut self.fault_bypass, on)
     }
 
@@ -389,7 +384,6 @@ impl<'a> RankCtx<'a> {
         // path's. Self-sends stay eager — the reference transport.
         if !decision.any() && dest != self.rank {
             if let Ok(asleep) = self.mailboxes[dest].deliver(key, data) {
-                self.direct_sends += 1;
                 self.recorder.count("msgs_direct", 1);
                 self.wake(dest, asleep);
                 return Ok(());
@@ -662,7 +656,7 @@ impl<'a> RankCtx<'a> {
     /// duplicates and late retries left behind by a reliable exchange —
     /// recycling their buffers. Returns how many were evicted. Without
     /// this, duplicate storms grow the mailbox without bound.
-    pub fn drain_mailbox(&mut self, source: usize, tag: u64) -> usize {
+    pub(crate) fn drain_mailbox(&mut self, source: usize, tag: u64) -> usize {
         let stale = self.mailbox().drain((source, tag));
         let n = stale.len();
         stale.into_iter().for_each(|msg| msg.recycle(self.pools));
@@ -913,6 +907,13 @@ mod tests {
         }
     }
 
+    /// Messages `ctx` sent on the direct path since it last enabled
+    /// profiling or took its timeline (`msgs_direct`).
+    fn msgs_direct(ctx: &mut RankCtx<'_>) -> u64 {
+        let tl = ctx.take_timeline();
+        tl.counters.iter().filter(|c| c.0 == "msgs_direct").map(|c| c.1).sum()
+    }
+
     /// Rank 0 warms channel `(0, 7)` with one eager message (sent before
     /// the barrier rank 1 posts its receive behind), waits until rank 1
     /// blocks on the receive of a second and sends it: `second(ctx)` on
@@ -956,8 +957,9 @@ mod tests {
             // its buffer is back in the pool and the send below touches
             // none of it.
             assert_eq!(before.0, 1, "the warm-up message went eager");
+            ctx.enable_profiling();
             ctx.isend(1, 7, &payload).unwrap();
-            assert_eq!(ctx.direct_sends(), 1);
+            assert_eq!(msgs_direct(ctx), 1);
             assert_eq!(
                 (ctx.transport_allocs(), ctx.pool_len(), ctx.pool_bytes()),
                 before
@@ -972,8 +974,9 @@ mod tests {
     #[test]
     fn wrong_length_send_goes_eager_and_reports_the_mismatch() {
         let (buf, done) = second_send_to_a_blocked_owner(FaultConfig::off(), 3, |ctx| {
+            ctx.enable_profiling();
             ctx.isend(1, 7, &[5.0, 6.0]).unwrap();
-            assert_eq!(ctx.direct_sends(), 0);
+            assert_eq!(msgs_direct(ctx), 0);
         });
         assert_eq!(
             done,
@@ -999,8 +1002,9 @@ mod tests {
         };
         let (buf, done) = second_send_to_a_blocked_owner(cfg, 2, |ctx| {
             let wait = ctx.timers().wait;
+            ctx.enable_profiling();
             ctx.isend(1, 7, &[5.0, 6.0]).unwrap();
-            assert_eq!(ctx.direct_sends(), 0);
+            assert_eq!(msgs_direct(ctx), 0);
             assert_eq!(ctx.fault_stats().delays, 2, "the warm-up and this one");
             assert!(ctx.timers().wait > wait, "the delay penalty is billed");
             assert_eq!(
@@ -1028,10 +1032,11 @@ mod tests {
                 ctx.isend(1, 7, &[2.0; 4]).unwrap(); // queued before the lend
                 ctx.barrier();
                 until_blocked(ctx, 1); // on channel 8, having popped channel 7
+                ctx.enable_profiling();
                 ctx.isend(1, 7, &[3.0; 4]).unwrap(); // the next epoch's message
-                assert_eq!(ctx.direct_sends(), 0, "the window of channel 7 is closed");
+                assert_eq!(msgs_direct(ctx), 0, "the window of channel 7 is closed");
                 ctx.isend(1, 8, &[4.0; 4]).unwrap();
-                assert_eq!(ctx.direct_sends(), 1, "the window of channel 8 was open");
+                assert_eq!(msgs_direct(ctx), 1, "the window of channel 8 was open");
                 return ([0.0; 4], [0.0; 4], Vec::new());
             }
             let (mut a, mut b) = ([0.0; 4], [0.0; 4]);
@@ -1203,8 +1208,8 @@ mod tests {
     fn timed_phases_accumulate() {
         let topo = CartTopo::new(&[1], true);
         let out = run_cluster(&topo, NetworkModel::instant(), |ctx| {
-            ctx.time_calc(|| std::hint::black_box((0..10000).sum::<u64>()));
-            ctx.time_pack(|| std::hint::black_box(vec![0u8; 4096]));
+            ctx.time(Phase::Compute, |_| std::hint::black_box((0..10000).sum::<u64>()));
+            ctx.time(Phase::Pack, |_| std::hint::black_box(vec![0u8; 4096]));
             ctx.timers()
         });
         assert!(out[0].calc > 0.0);
@@ -1702,6 +1707,34 @@ mod tests {
         });
     }
 
+    /// Duplicate faults leave orphan frames parked in the mailbox; evicting
+    /// them with `drain_mailbox` must bound growth, and the recycle pool
+    /// must never exceed its cap no matter how much extra traffic the
+    /// fault layer manufactures.
+    #[test]
+    fn mailbox_and_pool_stay_bounded_under_duplication() {
+        let topo = CartTopo::new(&[2], true);
+        let faults = FaultConfig { seed: 1234, dup: 0.5, ..FaultConfig::default() };
+        let drained = run_cluster_faulty(&topo, NetworkModel::instant(), faults, |ctx| {
+            let peer = 1 - ctx.rank();
+            let mut evicted = 0usize;
+            for epoch in 0..200u64 {
+                let h = ctx.irecv(peer, epoch).unwrap();
+                ctx.isend(peer, epoch, &[epoch as f64; 16]).unwrap();
+                let mut buf = [0.0; 16];
+                ctx.waitall_into(&[h], &mut [&mut buf[..]]).unwrap();
+                assert_eq!(buf[0], epoch as f64);
+                // This epoch's tag is never matched again, so any duplicate
+                // still parked under it is dead weight: evict it.
+                evicted += ctx.drain_mailbox(peer, epoch);
+                assert!(ctx.pool_len() <= POOL_CAP, "recycle pool exceeded its cap");
+                ctx.barrier();
+            }
+            evicted
+        });
+        assert!(drained.iter().sum::<usize>() > 0, "duplication injected nothing to evict");
+    }
+
     #[test]
     fn drain_mailbox_evicts_stale_messages() {
         let topo = CartTopo::new(&[1], true);
@@ -1734,7 +1767,7 @@ mod tests {
                 ctx.waitall_into(&[h], &mut [&mut buf[..]]).unwrap();
             });
             ctx.scoped("kernel", |ctx| {
-                ctx.time_calc(|| std::hint::black_box((0..2000).sum::<u64>()));
+                ctx.time(Phase::Compute, |_| std::hint::black_box((0..2000).sum::<u64>()));
             });
             (ctx.take_timeline(), ctx.timers())
         });
@@ -1778,7 +1811,7 @@ mod tests {
         let topo = CartTopo::new(&[1], true);
         run_cluster(&topo, NetworkModel::instant(), |ctx| {
             ctx.enable_profiling();
-            ctx.time_calc_with(|rec| {
+            ctx.time(Phase::Compute, |rec| {
                 rec.open("stage");
                 rec.charge(telemetry::Phase::Compute, 0.0);
                 rec.close();

@@ -245,8 +245,8 @@ pub struct FaultEvent {
 }
 
 /// Per-rank running totals of injected faults (always maintained,
-/// independent of whether the event trace is enabled) and of the retry
-/// protocol's responses to them ([`crate::RankCtx::note_recovery`]). They
+/// independent of profiling) and of the retry protocol's responses to
+/// them ([`crate::reliable`]). They
 /// live on the rank, not in the exchange plans, so a plan rebuilt after a
 /// recovery epoch does not take them with it; a respawned rank starts its
 /// own.

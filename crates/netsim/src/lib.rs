@@ -7,7 +7,7 @@
 //! non-overtaking). Time is hybrid:
 //!
 //! * on-node phases (compute, packing) are **really executed and
-//!   measured** via [`RankCtx::time_calc`] / [`RankCtx::time_pack`];
+//!   measured** via [`RankCtx::time`];
 //! * the fabric is **modeled** by [`NetworkModel`] (LogGP-style `o`, `α`,
 //!   `g`, `β`), charged to the `call`/`wait` timers.
 //!
@@ -54,6 +54,7 @@ pub mod model;
 pub mod nbx;
 pub mod partition;
 mod procfault;
+pub mod reliable;
 mod runtime;
 mod task;
 pub mod timers;
@@ -74,7 +75,8 @@ pub use fault::{
 pub use nbx::Ibarrier;
 pub use procfault::{Failure, RECO_NS};
 pub use partition::{PartitionedRecv, PartitionedSend, DEFAULT_EAGER_BYTES};
-pub use trace::{MsgEvent, Trace};
+pub use reliable::{RelRecv, RelSend, ReliableSession};
+pub use trace::Trace;
 pub use window::Lend;
 pub use hier::{HierarchicalNetworkModel, NodeShape};
 pub use model::NetworkModel;

@@ -135,6 +135,8 @@ impl BufferPool {
         }
     }
 
+    /// Buffers parked in the pool.
+    #[cfg(test)]
     pub(crate) fn len(&self) -> usize {
         self.bins.lock().iter().map(|b| b.free.len()).sum()
     }

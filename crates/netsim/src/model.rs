@@ -101,12 +101,6 @@ impl NetworkModel {
     pub fn exchange_time(&self, messages: usize, bytes: usize) -> f64 {
         self.call_time(messages) + self.wait_time(messages, bytes)
     }
-
-    /// Effective achieved bandwidth for an exchange (Table 2's metric):
-    /// payload bytes divided by total exchange time.
-    pub fn achieved_bandwidth(&self, messages: usize, wire_bytes: usize, payload_bytes: usize) -> f64 {
-        payload_bytes as f64 / self.exchange_time(messages, wire_bytes)
-    }
 }
 
 #[cfg(test)]
@@ -146,17 +140,6 @@ mod tests {
     fn zero_messages_free() {
         let m = NetworkModel::theta_aries();
         assert_eq!(m.exchange_time(0, 0), 0.0);
-    }
-
-    #[test]
-    fn achieved_bandwidth_below_line_rate() {
-        let m = NetworkModel::summit_edr();
-        let bw = m.achieved_bandwidth(26, 64 << 20, 64 << 20);
-        assert!(bw < m.bandwidth);
-        assert!(bw > 0.5 * m.bandwidth);
-        // Padding lowers the *payload* bandwidth.
-        let bw_padded = m.achieved_bandwidth(26, 128 << 20, 64 << 20);
-        assert!(bw_padded < 0.75 * bw);
     }
 
     #[test]

@@ -1,14 +1,14 @@
 //! Self-healing exchange protocol: sequence numbers, checksums,
 //! missing-frame requests and graceful degradation — the recovery layer
 //! every exchange engine drops into when the fabric is armed with a
-//! lossy [`netsim::FaultConfig`].
+//! lossy [`FaultConfig`](crate::FaultConfig).
 //!
 //! # Frame format
 //!
 //! Every data message becomes a *frame*: `payload ++ [seq, checksum]`,
 //! with the two trailer words carrying raw `u64` bits through
 //! [`f64::from_bits`] (bitwise copies through the transport preserve
-//! them exactly). The checksum is [`netsim::frame_checksum`] — a
+//! them exactly). The checksum is [`frame_checksum`] — a
 //! four-lane multiply-rotate hash over the payload words, bound to the
 //! payload length, the message tag and the sequence number, so a
 //! corrupted payload, a stale retransmission, and a frame that slid to
@@ -24,12 +24,12 @@
 //!    is in its receiver's mailbox before its sender's `isend` returns —
 //!    so once the fence completes, every frame posted before it is
 //!    either queued or was dropped (the consensus argument NBX makes
-//!    its final drain exhaustive with; see `netsim::nbx`);
+//!    its final drain exhaustive with; see [`crate::nbx`]);
 //! 2. **data phase** — drain each pending channel's queue without
 //!    blocking, validating each frame and discarding duplicates and
 //!    damage. Nothing is waited for, so no clock decides what is lost;
 //! 3. **control phase** — tell each source which tags are still
-//!    missing (control tags carry [`netsim::CTRL_TAG_BIT`], so the
+//!    missing (control tags carry [`CTRL_TAG_BIT`], so the
 //!    control plane is never fault-injected — the transport-level
 //!    ack/credit channel real NICs keep out of band);
 //! 4. resend exactly the requested frames;
@@ -45,9 +45,8 @@
 //! # Graceful degradation
 //!
 //! From the twelfth resend wave (`BUDGET`) on, resends bypass fault
-//! injection entirely ([`netsim::RankCtx::set_fault_bypass`]) — the
-//! model of falling back from the lossy fast path to a reliable slow
-//! path. The exchange then converges even under 100% drop; the
+//! injection entirely — the model of falling back from the lossy fast
+//! path to a reliable slow path. The exchange then converges even under 100% drop; the
 //! [`FaultStats::degraded_exchanges`] counter reports that the budget
 //! was spent. A hard cap a few waves later turns a non-converging
 //! exchange (a protocol bug, by construction) into
@@ -63,8 +62,8 @@
 //! lossy run replays bit for bit on either backend.
 //!
 //! Stale duplicates left in the mailbox after convergence are evicted
-//! before returning ([`netsim::RankCtx::drain_mailbox`]), so a
-//! duplicate storm cannot grow the mailbox across timesteps.
+//! before returning, so a duplicate storm cannot grow the mailbox across
+//! timesteps.
 //!
 //! A crashed peer needs no check of the session's own: every poll and
 //! wait the rounds make — the data phase's `try_wait`, the control phase's
@@ -75,12 +74,11 @@
 //! # Counters
 //!
 //! Every response — a retry, a discarded duplicate, a rejected frame, a
-//! degraded exchange — is counted on the rank
-//! ([`netsim::RankCtx::note_recovery`]), beside the faults it answers,
-//! not in the session: a session is rebuilt with its plan, the rank's
-//! counters are not.
+//! degraded exchange — is counted on the rank ([`RankCtx::fault_stats`]),
+//! beside the faults it answers, not in the session: a session is
+//! rebuilt with its plan, the rank's counters are not.
 
-use netsim::{frame_checksum, FaultStats, NetsimError, RankCtx, CTRL_TAG_BIT};
+use crate::{frame_checksum, FaultStats, NetsimError, RankCtx, CTRL_TAG_BIT};
 
 /// Control-plane tag for missing-frame requests (fault-exempt).
 pub const CTRL_EXCHANGE_TAG: u64 = CTRL_TAG_BIT | 0x00FE_ED01;
@@ -334,7 +332,7 @@ impl ReliableSession {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use netsim::{run_cluster_faulty, CartTopo, FaultConfig, NetworkModel};
+    use crate::{run_cluster_faulty, CartTopo, FaultConfig, NetworkModel};
 
     fn ring_reliable(cfg: FaultConfig, ranks: usize, steps: usize) -> Vec<Vec<f64>> {
         let topo = CartTopo::new(&[ranks], true);

@@ -1,61 +1,20 @@
-//! Message tracing: record every posted message for schedule
-//! inspection — the tool behind `ext_message_trace`, which verifies the
-//! 42-message structure of the Layout exchange at the wire level.
-//!
-//! The trace also carries the **fault log**: every fault injected by a
-//! [`crate::fault::FaultPlan`] is appended as a [`FaultEvent`],
-//! unconditionally (message events stay opt-in and zero-cost when
-//! disabled, but a chaos run must never lose its injection record —
-//! determinism tests and the CI artifact both replay it).
+//! The fault log: every fault injected by a [`crate::fault::FaultPlan`]
+//! is appended as a [`FaultEvent`], unconditionally — a chaos run must
+//! never lose its injection record (determinism tests and the CI artifact
+//! both replay it). Message events are recorded by the rank's
+//! [`telemetry::Recorder`] when profiling is on.
 
 use crate::fault::FaultEvent;
 
-/// One traced message event.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct MsgEvent {
-    /// `true` for a send, `false` for a completed receive.
-    pub send: bool,
-    /// Peer rank.
-    pub peer: usize,
-    /// Message tag.
-    pub tag: u64,
-    /// Payload bytes.
-    pub bytes: usize,
-}
-
-/// A per-rank event log (enabled explicitly; zero cost otherwise).
+/// A per-rank fault log.
 #[derive(Clone, Debug, Default)]
 pub struct Trace {
-    enabled: bool,
-    events: Vec<MsgEvent>,
     faults: Vec<FaultEvent>,
 }
 
 impl Trace {
-    /// Start recording.
-    pub fn enable(&mut self) {
-        self.enabled = true;
-    }
-
-    /// Record an event if recording.
-    pub fn record(&mut self, e: MsgEvent) {
-        if self.enabled {
-            self.events.push(e);
-        }
-    }
-
-    /// Drain the recorded events.
-    pub fn take(&mut self) -> Vec<MsgEvent> {
-        std::mem::take(&mut self.events)
-    }
-
-    /// Events recorded so far.
-    pub fn events(&self) -> &[MsgEvent] {
-        &self.events
-    }
-
-    /// Record an injected fault (always kept, independent of
-    /// [`Trace::enable`]: the fault log is the chaos run's artifact).
+    /// Record an injected fault (always kept: the fault log is the chaos
+    /// run's artifact).
     pub(crate) fn record_fault(&mut self, e: FaultEvent) {
         self.faults.push(e);
     }
@@ -91,25 +50,33 @@ impl Trace {
         out.push(']');
         out
     }
-
-    /// Summaries: `(sends, recvs, send_bytes)`.
-    pub fn totals(&self) -> (usize, usize, usize) {
-        let sends = self.events.iter().filter(|e| e.send).count();
-        let recvs = self.events.len() - sends;
-        let bytes = self.events.iter().filter(|e| e.send).map(|e| e.bytes).sum();
-        (sends, recvs, bytes)
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
+    /// One rank's self-send through the mailbox: its message events, as
+    /// the rank's timeline hands them out.
+    fn self_send_events(profile: bool) -> Vec<telemetry::MsgEvent> {
+        use crate::{run_cluster, CartTopo, NetworkModel};
+        let topo = CartTopo::new(&[1], true);
+        let mut out = run_cluster(&topo, NetworkModel::instant(), |ctx| {
+            if profile {
+                ctx.enable_profiling();
+            }
+            let h = ctx.irecv(0, 1).unwrap();
+            ctx.isend(0, 1, &[1.0, 2.0]).unwrap();
+            let mut buf = [0.0; 2];
+            ctx.waitall_into(&[h], &mut [&mut buf[..]]).unwrap();
+            ctx.take_timeline().msgs
+        });
+        out.pop().unwrap()
+    }
+
     #[test]
     fn disabled_trace_records_nothing() {
-        let mut t = Trace::default();
-        t.record(MsgEvent { send: true, peer: 0, tag: 1, bytes: 8 });
-        assert!(t.events().is_empty());
+        assert!(self_send_events(false).is_empty(), "message events need profiling");
     }
 
     #[test]
@@ -129,13 +96,10 @@ mod tests {
 
     #[test]
     fn totals() {
-        let mut t = Trace::default();
-        t.enable();
-        t.record(MsgEvent { send: true, peer: 1, tag: 0, bytes: 100 });
-        t.record(MsgEvent { send: true, peer: 2, tag: 0, bytes: 50 });
-        t.record(MsgEvent { send: false, peer: 1, tag: 0, bytes: 100 });
-        assert_eq!(t.totals(), (2, 1, 150));
-        assert_eq!(t.take().len(), 3);
-        assert!(t.events().is_empty());
+        let events = self_send_events(true);
+        let sends: Vec<_> = events.iter().filter(|e| e.send).collect();
+        assert_eq!(sends.len(), 1);
+        assert_eq!(events.len() - sends.len(), 1);
+        assert!(events.iter().all(|e| e.peer == 0 && e.tag == 1 && e.bytes == 16));
     }
 }

@@ -198,11 +198,6 @@ impl DepGraph {
         &self.initially_ready
     }
 
-    /// Total boundary bricks the graph gates (ready-at-begin included).
-    pub fn boundary_count(&self) -> usize {
-        self.initially_ready.len() + self.gated.len()
-    }
-
     /// The gated bricks whose dependencies have not all completed this
     /// step, appended to `out` — the exposed remainder the driver
     /// computes after the engine's blocking `finish()`.
@@ -408,7 +403,6 @@ mod tests {
         // check only that the dependency sets differ.
         let mut g = DepGraph::build(&info, &boundary, &recv_ghosts);
         let first = g.begin_step().to_vec();
-        assert_eq!(g.boundary_count(), 2);
         let mut ready = Vec::new();
         g.complete(0, &mut ready);
         let total = first.len() + ready.len();
@@ -453,7 +447,6 @@ mod tests {
         );
         assert_eq!(g.begin_step(), &[9][..]);
         assert_eq!(g.pending(), 2);
-        assert_eq!(g.boundary_count(), 3);
         let mut ready = Vec::new();
         g.complete(2, &mut ready);
         assert_eq!(ready, vec![3], "brick 7 still waits on receive 0");

@@ -141,7 +141,7 @@ impl ArrayGrid {
 
     /// Apply `plan` to the `edge`³ tiles of the interior that `selected`
     /// accepts (numbered x fastest), or to all of it when `None`, dealing
-    /// slabs of `edge` z-planes over [`crate::pool`]. A point's arithmetic
+    /// slabs of `edge` z-planes over the worker pool. A point's arithmetic
     /// does not depend on the selection, so a selection and then its
     /// complement write exactly the whole-interior result.
     pub fn apply_tiles_into(

@@ -61,5 +61,5 @@ pub use brickstencil::{apply_bricks, apply_bricks_gather, apply_bricks_serial, g
 pub use isa::Isa;
 pub use mpitypes::Datatype;
 pub use plan::{KernelPlan, PlanSplit, VarCoefPlan};
-pub use shape::{cube125_coeffs, star7_coeffs, StencilShape};
+pub use shape::{star7_coeffs, StencilShape};
 pub use varcoef::{apply_varcoef7_bricks, VARCOEF_FIELDS};

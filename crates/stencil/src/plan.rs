@@ -9,7 +9,7 @@
 //! * per brick, the 27 adjacency codes are resolved to direct *element
 //!   base offsets* into the storage slab (`neighbor_brick * step +
 //!   field_base`) at plan time, never per element;
-//! * the padded-halo gather is compiled into a flat list of [`CopySeg`]
+//! * the padded-halo gather is compiled into a flat list of `CopySeg`
 //!   row-segment copies (destination offset in the block, adjacency
 //!   code, source offset, length) — executing a step is `memcpy`s into
 //!   a thread-local arena block followed by a dense kernel, with no
@@ -114,11 +114,6 @@ impl PlanSplit {
             self.stage[b as usize] = true;
             self.staged.push(b);
         }
-        &self.stage
-    }
-
-    /// The current batch's readiness mask.
-    pub fn batch_mask(&self) -> &[bool] {
         &self.stage
     }
 
@@ -865,8 +860,7 @@ mod tests {
         let boundary: Vec<u32> = split.boundary().to_vec();
         assert_eq!(boundary.len() + split.interior_count(), info.bricks());
         for batch in boundary.chunks(5) {
-            split.stage_batch(batch);
-            plan.execute(&input, &mut out_split, split.batch_mask());
+            plan.execute(&input, &mut out_split, split.stage_batch(batch));
             split.clear_batch();
         }
         assert_eq!(out_split.as_slice(), out_full.as_slice());

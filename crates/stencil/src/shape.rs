@@ -152,38 +152,6 @@ pub fn star7_coeffs(shape: &StencilShape) -> Option<[f64; 7]> {
     Some(c)
 }
 
-/// Extract the 10 symmetry-class coefficients of a 125-point cube
-/// stencil (see [`StencilShape::cube125`] for the class order), or
-/// `None` if `shape` is not a full 5³ cube whose coefficients respect
-/// the sorted-absolute-offset symmetry. No kernel dispatches on it:
-/// [`crate::KernelPlan`] runs all 125 taps in the serial reference's
-/// order, so its bits match the reference.
-pub fn cube125_coeffs(shape: &StencilShape) -> Option<[f64; 10]> {
-    if shape.points() != 125 || shape.radius() != 2 {
-        return None;
-    }
-    let mut c = [f64::NAN; 10];
-    let mut seen = [false; 125];
-    for &(o, v) in shape.taps() {
-        let [i, j, k] = o;
-        if i.unsigned_abs() > 2 || j.unsigned_abs() > 2 || k.unsigned_abs() > 2 {
-            return None;
-        }
-        let slot = ((k + 2) as usize * 5 + (j + 2) as usize) * 5 + (i + 2) as usize;
-        if seen[slot] {
-            return None; // duplicate tap: not a plain cube
-        }
-        seen[slot] = true;
-        let class = symmetry_class(i, j, k);
-        if c[class].is_nan() {
-            c[class] = v;
-        } else if c[class] != v {
-            return None; // coefficients break the symmetry
-        }
-    }
-    Some(c)
-}
-
 /// Symmetry class (0..10) of a cube tap by sorted absolute offsets.
 pub(crate) fn symmetry_class(i: i8, j: i8, k: i8) -> usize {
     let mut a = [i.unsigned_abs(), j.unsigned_abs(), k.unsigned_abs()];
@@ -254,20 +222,6 @@ mod tests {
         assert_eq!(coeff(1, 0, 0), coeff(0, 1, 0));
         assert_eq!(coeff(2, 1, 0), coeff(0, -1, -2));
         assert_eq!(coeff(1, 1, 1), coeff(-1, 1, -1));
-    }
-
-    #[test]
-    fn cube125_coeffs_roundtrip() {
-        let raw = [0.1, 0.05, 0.02, 0.03, 0.012, 0.008, 0.02, 0.006, 0.004, 0.002];
-        let s = StencilShape::cube125(raw);
-        assert_eq!(cube125_coeffs(&s), Some(raw));
-        assert!(cube125_coeffs(&StencilShape::cube125_default()).is_some());
-        // Non-cube shapes are rejected.
-        assert_eq!(cube125_coeffs(&StencilShape::star7_default()), None);
-        // Symmetry-breaking coefficients are rejected.
-        let mut taps = s.taps().to_vec();
-        taps[0].1 += 1.0;
-        assert_eq!(cube125_coeffs(&StencilShape::new(taps)), None);
     }
 
     #[test]

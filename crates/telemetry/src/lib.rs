@@ -1,8 +1,8 @@
 //! Zero-overhead-when-disabled instrumentation for the netsim cluster:
-//! hierarchical spans, counters and histograms keyed to the *virtual
-//! clock* — the cumulative seconds a rank has been charged across every
-//! timer category (really-measured on-node work plus modeled wire and
-//! wait terms). Each simulated rank owns a [`Recorder`]; a finished
+//! hierarchical spans, counters, histograms and message events keyed to
+//! the *virtual clock* — the cumulative seconds a rank has been charged
+//! across every timer category (really-measured on-node work plus
+//! modeled wire and wait terms). Each simulated rank owns a [`Recorder`]; a finished
 //! rank yields a [`Timeline`] that attributes its time to the paper's
 //! phases (`pack`, `unpack`, `copy`, `wire`, `wait`, `compute`), can be
 //! exported as Chrome-trace/Perfetto JSON, and feeds the straggler
@@ -109,7 +109,20 @@ impl Span {
     }
 }
 
-/// Per-rank span/counter/histogram recorder. Disabled by default:
+/// One message a rank posted or completed, as a profiled run records it.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub struct MsgEvent {
+    /// `true` for a send, `false` for a completed receive.
+    pub send: bool,
+    /// Peer rank.
+    pub peer: usize,
+    /// Message tag.
+    pub tag: u64,
+    /// Payload bytes.
+    pub bytes: usize,
+}
+
+/// Per-rank span/counter/histogram/message recorder. Disabled by default:
 /// every method early-returns on one branch and nothing is allocated.
 #[derive(Debug, Default)]
 pub struct Recorder {
@@ -126,6 +139,7 @@ pub struct Recorder {
     /// [`Recorder::charge_brick`]. Empty unless a brick-aware engine
     /// attributed its charges.
     brick_costs: Vec<f64>,
+    msgs: Vec<MsgEvent>,
 }
 
 impl Recorder {
@@ -139,12 +153,6 @@ impl Recorder {
         self.reset();
         self.enabled = true;
         self.rank = rank;
-    }
-
-    /// Whether spans are being recorded.
-    #[inline]
-    pub fn is_enabled(&self) -> bool {
-        self.enabled
     }
 
     /// Current virtual time in seconds.
@@ -163,6 +171,7 @@ impl Recorder {
         self.counters.clear();
         self.hists.clear();
         self.brick_costs.clear();
+        self.msgs.clear();
     }
 
     /// Record `secs` of `phase` work ending the current virtual instant
@@ -274,6 +283,14 @@ impl Recorder {
         }
     }
 
+    /// Record one posted or completed message.
+    #[inline]
+    pub fn message(&mut self, e: MsgEvent) {
+        if self.enabled {
+            self.msgs.push(e);
+        }
+    }
+
     /// Finish recording: close any still-open scopes at the current
     /// instant and drain everything into a [`Timeline`]. The recorder
     /// stays enabled with an empty, rewound state.
@@ -288,6 +305,7 @@ impl Recorder {
             counters: std::mem::take(&mut self.counters),
             hists: std::mem::take(&mut self.hists),
             brick_costs: std::mem::take(&mut self.brick_costs),
+            msgs: std::mem::take(&mut self.msgs),
         };
         self.now = 0.0;
         self.last_leaf = -1;

@@ -2,7 +2,7 @@
 //! queries.
 
 use crate::hist::Histogram;
-use crate::{Phase, Span};
+use crate::{MsgEvent, Phase, Span};
 
 /// Everything one rank recorded for a run: a well-nested span forest on
 /// the virtual-time axis plus named counters and histograms.
@@ -22,6 +22,8 @@ pub struct Timeline {
     /// (empty unless the engine attributed charges via
     /// [`crate::Recorder::charge_brick`]).
     pub brick_costs: Vec<f64>,
+    /// Every message the rank posted or completed, in order.
+    pub msgs: Vec<MsgEvent>,
 }
 
 /// Seconds attributed to each phase — the paper's stacked-bar columns.

@@ -6,7 +6,7 @@
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
-use telemetry::{Phase, Recorder};
+use telemetry::{MsgEvent, Phase, Recorder};
 
 struct Counting;
 
@@ -55,9 +55,11 @@ fn disabled_path_never_allocates() {
         r.close();
         r.count("msgs", i);
         r.observe("bytes", i as f64);
+        r.message(MsgEvent { send: true, peer: 1, tag: i, bytes: 8 });
     }
     let t = r.take_timeline();
     assert!(t.spans.is_empty());
+    assert!(t.msgs.is_empty());
     assert_eq!(
         alloc_count(),
         before,

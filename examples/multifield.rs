@@ -60,7 +60,7 @@ fn main() {
             // One exchange refreshes the ghosts of every field.
             ex.exchange(ctx, &mut cur).unwrap();
             for f in 0..fields {
-                ctx.time_calc(|| {
+                ctx.time(Phase::Compute, |_| {
                     apply_bricks(&shape, info, &cur, &mut nxt, decomp.compute_mask(), f)
                 });
             }

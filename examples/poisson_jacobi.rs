@@ -53,7 +53,7 @@ fn main() {
             // Ghost exchange, then the Jacobi update
             // u ← avg6(u) + h²/6 · f.
             ex.exchange(ctx, &mut u).unwrap();
-            ctx.time_calc(|| {
+            ctx.time(Phase::Compute, |_| {
                 apply_bricks(&avg6, info, &u, &mut tmp, mask, 0);
             });
             for b in 0..decomp.bricks() as u32 {

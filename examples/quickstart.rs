@@ -50,7 +50,7 @@ fn main() {
             // Pack-free exchange: every message is a contiguous brick
             // range; ghosts land in place.
             exchanger.exchange(ctx, &mut cur).unwrap();
-            ctx.time_calc(|| plan.execute(&cur, &mut nxt, decomp.compute_mask()));
+            ctx.time(Phase::Compute, |_| plan.execute(&cur, &mut nxt, decomp.compute_mask()));
             std::mem::swap(&mut cur, &mut nxt);
         }
         ctx.timers()

@@ -59,7 +59,7 @@ fn main() {
         let plan = VarCoefPlan::new(info, VARCOEF_FIELDS);
         for _ in 0..20 {
             ex.exchange(ctx, &mut cur).unwrap(); // one exchange, all 8 fields
-            ctx.time_calc(|| plan.execute(&cur, &mut nxt, mask));
+            ctx.time(Phase::Compute, |_| plan.execute(&cur, &mut nxt, mask));
             // Coefficients are static: carry them into the next buffer.
             for b in 0..decomp.bricks() as u32 {
                 for f in 1..VARCOEF_FIELDS {

@@ -46,6 +46,7 @@ pub mod prelude {
     pub use mapping::{recursive_bisection, CommGraph, MappingPolicy};
     pub use memview::{ContiguousView, MemFile, Segment};
     pub use netsim::hier::{HierarchicalNetworkModel, NodeShape};
+    pub use netsim::telemetry::Phase;
     pub use netsim::{
         run_cluster, run_cluster_faulty, run_cluster_on, Backend, CartTopo, FaultConfig,
         FaultStats, NetworkModel, NetsimError, RankCtx, Timers,

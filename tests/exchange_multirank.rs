@@ -183,10 +183,10 @@ fn trace_matches_stats() {
     let ex = Exchanger::layout(&decomp);
     let topo = CartTopo::new(&[1, 1, 1], true);
     let events = run_cluster(&topo, NetworkModel::instant(), |ctx| {
-        ctx.enable_trace();
+        ctx.enable_profiling();
         let mut st = decomp.allocate();
         ex.exchange(ctx, &mut st).unwrap();
-        ctx.take_trace()
+        ctx.take_timeline().msgs
     });
     let sends: Vec<_> = events[0].iter().filter(|e| e.send).collect();
     let recvs: Vec<_> = events[0].iter().filter(|e| !e.send).collect();
