@@ -54,10 +54,10 @@ impl<const D: usize> BrickDims<D> {
     }
 
     /// Inverse of [`BrickDims::flatten`].
-    #[inline]
+    #[cfg(test)]
     // Indexed loops read clearer than zip chains over parallel arrays here.
     #[allow(clippy::needless_range_loop)]
-    pub fn unflatten(&self, mut off: usize) -> [usize; D] {
+    pub(crate) fn unflatten(&self, mut off: usize) -> [usize; D] {
         let mut pos = [0usize; D];
         for a in 0..D {
             pos[a] = off % self.dims[a];

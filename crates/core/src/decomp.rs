@@ -50,7 +50,8 @@ impl Chunk {
     }
 
     /// Padded brick count.
-    pub fn padded_len(&self) -> usize {
+    #[cfg(test)]
+    pub(crate) fn padded_len(&self) -> usize {
         self.padded.end - self.padded.start
     }
 }
@@ -982,6 +983,9 @@ mod tests {
         assert_eq!(pad_bricks_for(4096, 8192), 1); // brick spans 2 pages
         assert_eq!(pad_bricks_for(16 << 10, 4096), 4);
         assert_eq!(pad_bricks_for(64 << 10, 4096), 16);
+        // The paper's example: a 4^3 region of doubles (512 B) fills 1/8
+        // of a 4 KiB page.
+        assert_eq!(pad_bricks_for(4096, 4 * 4 * 4 * 8), 8);
     }
 
     #[test]

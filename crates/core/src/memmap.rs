@@ -15,7 +15,7 @@ use std::sync::Arc;
 
 use brick::BrickStorage;
 use layout::all_regions;
-use memview::{host_page_size, is_aligned, ContiguousView, MappedBacking, MemFile, Segment};
+use memview::{host_page_size, is_aligned, ContiguousView, MemFile, Segment};
 use netsim::{NetsimError, RankCtx};
 
 use crate::decomp::{pad_bricks_for, BrickDecomp};
@@ -32,13 +32,22 @@ pub struct MemMapStorage {
 }
 
 impl MemMapStorage {
-    /// Allocate mmap-backed storage for `decomp`. The decomposition must
-    /// have been built with the page-matching pad unit
-    /// ([`memmap_decomp`] does this for you).
+    /// Allocate mmap-backed storage for `decomp`: a whole-file view of a
+    /// fresh memfd. The decomposition must have been built with the
+    /// page-matching pad unit ([`memmap_decomp`] does this for you);
+    /// storage that is not a whole number of host pages is
+    /// `InvalidInput`.
     pub fn allocate<const D: usize>(decomp: &BrickDecomp<D>) -> io::Result<MemMapStorage> {
         let step = decomp.step();
-        let backing = MappedBacking::create("brick-storage", decomp.bricks() * step)?;
-        let file = Arc::clone(backing.file());
+        let bytes = decomp.bricks() * step * 8;
+        if !is_aligned(bytes, host_page_size()) {
+            return Err(io::Error::new(
+                io::ErrorKind::InvalidInput,
+                format!("{bytes} B of brick storage is not a whole number of host pages"),
+            ));
+        }
+        let file = Arc::new(MemFile::create("brick-storage", bytes)?);
+        let backing = file.map_all()?;
         let storage =
             BrickStorage::from_backing(Box::new(backing), decomp.bricks(), decomp.brick_dims().elements(), decomp.fields());
         Ok(MemMapStorage { storage, file, step })
@@ -476,6 +485,16 @@ mod tests {
             424242.0,
             "view must alias storage with zero copies"
         );
+    }
+
+    /// A whole-file view is page-rounded, so storage that ends inside a
+    /// page cannot back a `BrickStorage` of its exact length.
+    #[test]
+    fn storage_off_the_page_grid_is_invalid_input() {
+        let d = BrickDecomp::<3>::layout_mode([6; 3], 2, BrickDims::cubic(2), 1, surface3d());
+        assert!(!is_aligned(d.bricks() * d.step() * 8, host_page_size()));
+        let e = MemMapStorage::allocate(&d).err().expect("unaligned storage must be refused");
+        assert_eq!(e.kind(), io::ErrorKind::InvalidInput);
     }
 
     #[test]

@@ -19,13 +19,14 @@ impl LinkModel {
     }
 
     /// PCIe gen3 x16 (the staging path on commodity nodes).
-    pub fn pcie_gen3() -> LinkModel {
+    #[cfg(test)]
+    pub(crate) fn pcie_gen3() -> LinkModel {
         LinkModel { name: "PCIe3x16", latency: 10.0e-6, bandwidth: 12.0e9 }
     }
 
     /// Time to move `bytes` in one DMA transfer.
-    #[inline]
-    pub fn transfer_time(&self, bytes: usize) -> f64 {
+    #[cfg(test)]
+    pub(crate) fn transfer_time(&self, bytes: usize) -> f64 {
         if bytes == 0 {
             return 0.0;
         }

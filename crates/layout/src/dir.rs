@@ -154,8 +154,8 @@ impl Dir {
     }
 
     /// True if the two sets share no axes (signs ignored).
-    #[inline]
-    pub fn axes_disjoint(&self, other: &Dir) -> bool {
+    #[cfg(test)]
+    pub(crate) fn axes_disjoint(&self, other: &Dir) -> bool {
         ((self.pos | self.neg) & (other.pos | other.neg)) == 0
     }
 

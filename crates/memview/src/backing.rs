@@ -1,63 +1,36 @@
-//! A `brick::StorageBacking` over a memory-mapped file, so a whole
-//! `BrickStorage` lives in mmap-able pages (the paper's `mmap_alloc`).
-
-use std::io;
-use std::sync::Arc;
+//! A whole-file [`ContiguousView`] as a `brick::StorageBacking`, so a
+//! whole `BrickStorage` lives in mmap-able pages (the paper's
+//! `mmap_alloc`) and send views over any page-aligned subset of its
+//! bricks alias it.
 
 use brick::StorageBacking;
 
-use crate::memfile::{MemFile, Mapping};
+use crate::view::ContiguousView;
 
-/// Brick storage backing that lives inside a [`MemFile`], enabling
-/// [`crate::ContiguousView`]s over any page-aligned subset of the bricks.
-pub struct MappedBacking {
-    file: Arc<MemFile>,
-    map: Mapping,
-    elems: usize,
-}
-
-impl MappedBacking {
-    /// Create a file holding `elems` zeroed `f64`s and map it fully.
-    pub fn create(name: &str, elems: usize) -> io::Result<MappedBacking> {
-        let file = Arc::new(MemFile::create(name, elems * 8)?);
-        let map = file.map_all()?;
-        Ok(MappedBacking { file, map, elems })
-    }
-
-    /// The backing file (for building additional views).
-    pub fn file(&self) -> &Arc<MemFile> {
-        &self.file
-    }
-
-    /// Number of elements.
-    pub fn elements(&self) -> usize {
-        self.elems
-    }
-}
-
-impl StorageBacking for MappedBacking {
+impl StorageBacking for ContiguousView {
     fn as_slice(&self) -> &[f64] {
-        &self.map.as_f64()[..self.elems]
+        self.as_f64()
     }
     fn as_mut_slice(&mut self) -> &mut [f64] {
-        let n = self.elems;
-        &mut self.map.as_f64_mut()[..n]
+        self.as_f64_mut()
     }
 }
 
 #[cfg(test)]
 mod tests {
-    use super::*;
-    use crate::view::{ContiguousView, Segment};
+    use std::sync::Arc;
+
+    use crate::memfile::MemFile;
     use crate::pages::host_page_size;
+    use crate::view::{ContiguousView, Segment};
     use brick::BrickStorage;
 
     #[test]
     fn brick_storage_over_mmap() {
         let ps = host_page_size();
         let elems_per_brick = ps / 8; // one brick = one page
-        let backing = MappedBacking::create("bricks", 4 * elems_per_brick).unwrap();
-        let file = Arc::clone(backing.file());
+        let file = Arc::new(MemFile::create("bricks", 4 * ps).unwrap());
+        let backing = file.map_all().unwrap();
         let mut st = BrickStorage::from_backing(Box::new(backing), 4, elems_per_brick, 1);
 
         // Write distinct values per brick through the storage API.

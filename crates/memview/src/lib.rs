@@ -7,6 +7,11 @@
 //! contiguous, so a single send can cover what would otherwise take
 //! several messages plus packing — with zero on-node data movement.
 //!
+//! A [`ContiguousView`] is the crate's one owner of mapped memory. The
+//! whole-file view ([`MemFile::map_all`]) is the "compute" pointer of the
+//! paper's Figure 5, and as a `brick::StorageBacking` it holds a whole
+//! `BrickStorage`, which every send view of the same file aliases.
+//!
 //! ```
 //! use std::sync::Arc;
 //! use memview::{ContiguousView, MemFile, Segment, host_page_size};
@@ -26,15 +31,11 @@
 #![warn(missing_docs)]
 #![deny(unsafe_op_in_unsafe_fn, clippy::undocumented_unsafe_blocks)]
 
-pub mod backing;
+mod backing;
 pub mod memfile;
 pub mod pages;
 pub mod view;
 
-pub use backing::MappedBacking;
-pub use memfile::{live_mapping_count, MemFile, Mapping};
-pub use pages::{
-    host_page_size, is_aligned, padded_offsets, round_up, PaddingStats, PAGE_16K, PAGE_4K,
-    PAGE_64K,
-};
+pub use memfile::{live_mapping_count, MemFile};
+pub use pages::{host_page_size, is_aligned, round_up, PAGE_16K, PAGE_4K, PAGE_64K};
 pub use view::{ContiguousView, Segment};

@@ -1,10 +1,10 @@
-//! Page-size arithmetic and padding accounting.
+//! Page-size arithmetic.
 //!
 //! MemMap requires every independently-mappable region to start on a page
-//! boundary, so regions are padded up to a multiple of the page size.
-//! The *waste* this introduces is the quantity reported in the paper's
-//! Table 2 ("increased network transfer from padding") and swept in
-//! Figure 18 (4/16/64 KiB pages).
+//! boundary, so regions are padded up to a multiple of the page size
+//! (the decomposition's pad unit). The waste this introduces is the
+//! paper's Table 2 ("increased network transfer from padding"), swept in
+//! Figure 18 over the page sizes below.
 
 /// The paper's page-size sweep points (Figure 18): Linux base page sizes
 /// on x86 (4 KiB), ARM (4/16/64 KiB) and Power (4/64 KiB).
@@ -37,50 +37,6 @@ pub fn is_aligned(off: usize, page: usize) -> bool {
     off & (page - 1) == 0
 }
 
-/// Accounting of padding introduced by aligning a set of regions to page
-/// boundaries.
-#[derive(Clone, Copy, Debug, Default, PartialEq)]
-pub struct PaddingStats {
-    /// Bytes of real data.
-    pub payload_bytes: usize,
-    /// Bytes after padding each region to a page multiple.
-    pub padded_bytes: usize,
-}
-
-impl PaddingStats {
-    /// Accumulate one region of `len` payload bytes padded to `page`.
-    pub fn add_region(&mut self, len: usize, page: usize) {
-        self.payload_bytes += len;
-        self.padded_bytes += round_up(len, page);
-    }
-
-    /// The paper's Table 2 metric: extra transfer as a percentage of the
-    /// payload (`0.0` when nothing is wasted).
-    pub fn overhead_percent(&self) -> f64 {
-        if self.payload_bytes == 0 {
-            return 0.0;
-        }
-        (self.padded_bytes as f64 / self.payload_bytes as f64 - 1.0) * 100.0
-    }
-
-    /// Wasted bytes.
-    pub fn waste_bytes(&self) -> usize {
-        self.padded_bytes - self.payload_bytes
-    }
-}
-
-/// Compute padded chunk offsets: given payload byte lengths, return
-/// `(offsets, total_padded_len)` with every offset aligned to `page`.
-pub fn padded_offsets(lens: &[usize], page: usize) -> (Vec<usize>, usize) {
-    let mut offsets = Vec::with_capacity(lens.len());
-    let mut cur = 0usize;
-    for &len in lens {
-        offsets.push(cur);
-        cur += round_up(len, page);
-    }
-    (offsets, cur)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -98,45 +54,5 @@ mod tests {
         let ps = host_page_size();
         assert!(ps.is_power_of_two());
         assert!(ps >= 4096);
-    }
-
-    /// The paper's example: a 4^3 region of doubles (512 B) wastes 7/8 of
-    /// a 4 KiB page.
-    #[test]
-    fn paper_example_waste() {
-        let mut s = PaddingStats::default();
-        s.add_region(4 * 4 * 4 * 8, PAGE_4K);
-        assert_eq!(s.padded_bytes, PAGE_4K);
-        assert_eq!(s.waste_bytes(), PAGE_4K - 512);
-        assert!((s.overhead_percent() - 700.0).abs() < 1e-9); // 8x = +700%
-    }
-
-    /// An 8^3 brick of doubles is exactly one 4 KiB page: zero waste —
-    /// the reason the paper's default blocking is 8^3.
-    #[test]
-    fn brick_is_exactly_one_4k_page() {
-        let mut s = PaddingStats::default();
-        s.add_region(8 * 8 * 8 * 8, PAGE_4K);
-        assert_eq!(s.overhead_percent(), 0.0);
-        // ...but 1/16 of a 64 KiB page (Summit), as the paper notes.
-        let mut s64 = PaddingStats::default();
-        s64.add_region(8 * 8 * 8 * 8, PAGE_64K);
-        assert_eq!(s64.padded_bytes, PAGE_64K);
-        assert!((s64.overhead_percent() - 1500.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn padded_offsets_aligned() {
-        let (offs, total) = padded_offsets(&[100, PAGE_4K, 5000], PAGE_4K);
-        assert_eq!(offs, vec![0, PAGE_4K, 2 * PAGE_4K]);
-        assert_eq!(total, 2 * PAGE_4K + round_up(5000, PAGE_4K));
-        for o in offs {
-            assert!(is_aligned(o, PAGE_4K));
-        }
-    }
-
-    #[test]
-    fn zero_payload_overhead_is_zero() {
-        assert_eq!(PaddingStats::default().overhead_percent(), 0.0);
     }
 }

@@ -35,8 +35,8 @@ pub struct ContiguousView {
 // moves sole ownership of it; `segments` is plain data and `file` an
 // `Arc<MemFile>`, both `Send` by themselves.
 unsafe impl Send for ContiguousView {}
-// SAFETY: through `&ContiguousView` the pages are only read (`as_bytes`,
-// `as_f64`); writes need `&mut self`. Aliasing between views of the same
+// SAFETY: through `&ContiguousView` the pages are only read (`as_f64`);
+// writes need `&mut self`. Aliasing between views of the same
 // file is the caller's borrow discipline, as with any `&[f64]`/`&mut [f64]`.
 // The other fields are immutable after `build` and `Sync` by themselves.
 unsafe impl Sync for ContiguousView {}
@@ -122,28 +122,17 @@ impl ContiguousView {
         &self.segments
     }
 
-    /// The view as bytes.
-    pub fn as_bytes(&self) -> &[u8] {
-        // SAFETY: live mapping we own.
-        unsafe { std::slice::from_raw_parts(self.base, self.len) }
-    }
-
-    /// The view as mutable bytes. Note that distinct views (or the base
-    /// mapping) may alias the same pages; callers serialize access just
-    /// as the paper's exchange serializes compute and communication
-    /// phases.
-    pub fn as_bytes_mut(&mut self) -> &mut [u8] {
-        // SAFETY: as above.
-        unsafe { std::slice::from_raw_parts_mut(self.base, self.len) }
-    }
-
     /// The view as `f64`s.
     pub fn as_f64(&self) -> &[f64] {
-        // SAFETY: page alignment ≥ 8-byte alignment.
+        // SAFETY: `base`/`len` are our live mapping; page alignment ≥
+        // 8-byte alignment, and any bit pattern is a valid f64.
         unsafe { std::slice::from_raw_parts(self.base.cast::<f64>(), self.len / 8) }
     }
 
-    /// The view as mutable `f64`s.
+    /// The view as mutable `f64`s. Distinct views (a whole-file one
+    /// included) may alias the same pages; callers serialize access just
+    /// as the paper's exchange serializes compute and communication
+    /// phases.
     pub fn as_f64_mut(&mut self) -> &mut [f64] {
         // SAFETY: as above.
         unsafe { std::slice::from_raw_parts_mut(self.base.cast::<f64>(), self.len / 8) }

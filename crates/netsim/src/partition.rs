@@ -115,7 +115,8 @@ impl PartitionedSend {
     /// Override the eager-ship threshold (bytes of contiguous ready
     /// prefix that trigger an immediate fragment; 0 ships on every
     /// frontier advance).
-    pub fn with_eager(mut self, bytes: usize) -> PartitionedSend {
+    #[cfg(test)]
+    pub(crate) fn with_eager(mut self, bytes: usize) -> PartitionedSend {
         self.eager_bytes = bytes;
         self
     }

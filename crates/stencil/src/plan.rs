@@ -97,11 +97,6 @@ impl PlanSplit {
         &self.boundary
     }
 
-    /// Number of interior bricks in the split.
-    pub fn interior_count(&self) -> usize {
-        self.interior.iter().filter(|&&b| b).count()
-    }
-
     /// Mark a batch of boundary bricks ready; returns the readiness
     /// mask to hand to `execute`. Call [`PlanSplit::clear_batch`] after
     /// executing. Staging the same brick twice in one batch is allowed.
@@ -858,7 +853,7 @@ mod tests {
         let mut split = PlanSplit::new(&interior, &compute);
         plan.execute(&input, &mut out_split, split.interior());
         let boundary: Vec<u32> = split.boundary().to_vec();
-        assert_eq!(boundary.len() + split.interior_count(), info.bricks());
+        assert_eq!(boundary.len() + split.interior().iter().filter(|&&b| b).count(), info.bricks());
         for batch in boundary.chunks(5) {
             plan.execute(&input, &mut out_split, split.stage_batch(batch));
             split.clear_batch();

@@ -219,3 +219,38 @@ fn engines_step_through_the_one_kernel_plan() {
     let variants = enum_variants(experiment, "KernelKind");
     assert_eq!(variants, ["Plan"], "KernelKind has {variants:?}");
 }
+
+/// `memview` has one owner of mapped memory: outside their tests, only
+/// `crates/memview/src/view.rs` calls `libc::mmap` or `libc::munmap` in
+/// any crate, and `memview` vouches for thread safety once, with one
+/// `unsafe impl Send` and one `unsafe impl Sync` (both `ContiguousView`'s).
+/// A whole-file mapping is a one-segment view, not a second RAII type.
+#[test]
+fn memview_maps_memory_in_one_place() {
+    let crates = format!("{}/crates", env!("CARGO_MANIFEST_DIR"));
+    let mut krates: Vec<String> = std::fs::read_dir(&crates)
+        .expect("crates directory exists")
+        .map(|e| e.expect("readable directory entry").file_name().to_string_lossy().into_owned())
+        .collect();
+    krates.sort();
+    assert!(krates.iter().any(|k| k == "memview"), "no crates/memview");
+    for krate in &krates {
+        for (name, text) in sources(krate) {
+            let code = non_test(&text);
+            let mut lines = code.lines().filter(|l| !l.trim_start().starts_with("//"));
+            if let Some(line) = lines.find(|l| l.contains("libc::mmap") || l.contains("libc::munmap")) {
+                assert_eq!(
+                    (krate.as_str(), name.as_str()),
+                    ("memview", "view.rs"),
+                    "crates/{krate}/src/{name} maps memory: `{}`",
+                    line.trim()
+                );
+            }
+        }
+    }
+    let memview = sources("memview");
+    for marker in ["unsafe impl Send", "unsafe impl Sync"] {
+        let n: usize = memview.iter().map(|(_, text)| non_test(text).matches(marker).count()).sum();
+        assert_eq!(n, 1, "memview has {n} `{marker}`, not one");
+    }
+}

@@ -4,7 +4,7 @@ mod common;
 
 use bricklib::prelude::*;
 use common::*;
-use memview::{host_page_size, padded_offsets, ContiguousView, PaddingStats};
+use memview::{host_page_size, ContiguousView};
 use std::sync::Arc;
 
 /// A view over any page-aligned segment list shows exactly the file
@@ -57,32 +57,6 @@ fn aliasing_everywhere() {
         .unwrap();
         base.as_f64_mut()[page * ps / 8 + elem] = value;
         assert_eq!(view.as_f64()[elem], value);
-    });
-}
-
-/// Padding accounting: padded offsets are aligned, monotone, and
-/// the stats' overhead matches the raw byte arithmetic.
-#[test]
-fn padding_accounting() {
-    cases("padding_accounting", 16, |rng| {
-        let lens: Vec<usize> =
-            (0..rng.gen_range(1usize..20)).map(|_| rng.gen_range(1usize..100_000)).collect();
-        let page = 1usize << rng.gen_range(12u32..17);
-        let (offsets, total) = padded_offsets(&lens, page);
-        let mut stats = PaddingStats::default();
-        for (i, &len) in lens.iter().enumerate() {
-            assert_eq!(offsets[i] % page, 0);
-            if i > 0 {
-                assert!(offsets[i] >= offsets[i - 1] + lens[i - 1]);
-            }
-            stats.add_region(len, page);
-        }
-        assert_eq!(stats.padded_bytes, total);
-        let payload: usize = lens.iter().sum();
-        assert_eq!(stats.payload_bytes, payload);
-        assert!(stats.overhead_percent() >= 0.0);
-        assert!(stats.padded_bytes >= payload);
-        assert!(stats.padded_bytes < payload + lens.len() * page);
     });
 }
 
