@@ -2,6 +2,22 @@
 //! bricks, optionally multi-field interleaved (array-of-structure-of-array
 //! as in the paper's Section 6), and optionally backed by a memory-mapped
 //! file supplied by an external backing.
+//!
+//! Heap grids ([`HeapBacking`], behind [`BrickStorage::allocate`] and the
+//! array baselines' grids) come from one process-wide spare list, so
+//! where a grid lands does not depend on which thread's malloc arena
+//! allocated it last:
+//! - a dropped grid's buffer goes back to the list, whichever thread
+//!   drops it and without allocating, and the next grid of that length
+//!   takes it, zero-filled;
+//! - the list holds buffers of one length only: asking for another
+//!   length frees every spare first, so after a run it holds at most
+//!   that run's grids;
+//! - every grid starts on a 64-byte cache line, so a brick row of eight
+//!   `f64`s is one line, not two halves.
+
+use std::ops::{Deref, DerefMut};
+use std::sync::{Mutex, PoisonError};
 
 /// Abstract backing memory for a [`BrickStorage`]. The default heap
 /// backing is [`HeapBacking`]; the `memview` crate provides an
@@ -13,24 +29,111 @@ pub trait StorageBacking: Send + Sync {
     fn as_mut_slice(&mut self) -> &mut [f64];
 }
 
-/// Plain heap backing.
+/// Bytes per cache line, where every heap grid starts.
+const LINE: usize = 64;
+/// Elements a buffer carries beyond its grid so that some element of
+/// the first line-sized window starts a line (an allocation is at least
+/// `f64`-aligned).
+const SLACK: usize = LINE / 8 - 1;
+
+/// Freed grid buffers of one grid length, `len + SLACK` elements each.
+/// `bufs` has room for all `made` buffers of that length, so that
+/// handing one back never allocates (steady-state steps are held to
+/// zero allocations, and a rank may drop its grids while another steps).
+struct Spares {
+    len: usize,
+    made: usize,
+    bufs: Vec<Vec<f64>>,
+}
+
+static SPARES: Mutex<Spares> = Mutex::new(Spares { len: 0, made: 0, bufs: Vec::new() });
+
+fn spares() -> std::sync::MutexGuard<'static, Spares> {
+    SPARES.lock().unwrap_or_else(PoisonError::into_inner)
+}
+
+/// Zero-initialized heap grid of a fixed length, starting on a 64-byte
+/// line. Its buffer is a spare from the process-wide list when one of
+/// this length is free (see the module docs) and goes back to the list
+/// when it drops. Dereferences to the grid's elements.
+#[derive(Debug)]
 pub struct HeapBacking {
-    data: Vec<f64>,
+    buf: Vec<f64>,
+    off: usize,
+    len: usize,
 }
 
 impl HeapBacking {
     /// Zero-initialized heap backing of `len` elements.
     pub fn new(len: usize) -> Self {
-        HeapBacking { data: vec![0.0; len] }
+        let (spare, freed) = {
+            let mut s = spares();
+            let freed = if s.len == len {
+                Vec::new()
+            } else {
+                (s.len, s.made) = (len, 0);
+                std::mem::take(&mut s.bufs)
+            };
+            let spare = s.bufs.pop();
+            if spare.is_none() {
+                s.made += 1;
+                let room = s.made - s.bufs.len();
+                s.bufs.reserve(room);
+            }
+            (spare, freed)
+        };
+        drop(freed);
+        let buf = match spare {
+            Some(mut buf) => {
+                buf.fill(0.0);
+                buf
+            }
+            None => vec![0.0; len + SLACK],
+        };
+        let off = (buf.as_ptr() as usize).wrapping_neg() % LINE / 8;
+        HeapBacking { buf, off, len }
+    }
+}
+
+impl Drop for HeapBacking {
+    fn drop(&mut self) {
+        let mut s = spares();
+        // A buffer from before the last length switch may find no room.
+        if s.len == self.len && s.bufs.len() < s.bufs.capacity() {
+            s.bufs.push(std::mem::take(&mut self.buf));
+        }
+    }
+}
+
+impl Deref for HeapBacking {
+    type Target = [f64];
+    #[inline]
+    fn deref(&self) -> &[f64] {
+        &self.buf[self.off..self.off + self.len]
+    }
+}
+
+impl DerefMut for HeapBacking {
+    #[inline]
+    fn deref_mut(&mut self) -> &mut [f64] {
+        &mut self.buf[self.off..self.off + self.len]
+    }
+}
+
+impl Clone for HeapBacking {
+    fn clone(&self) -> Self {
+        let mut copy = HeapBacking::new(self.len);
+        copy.copy_from_slice(self);
+        copy
     }
 }
 
 impl StorageBacking for HeapBacking {
     fn as_slice(&self) -> &[f64] {
-        &self.data
+        self
     }
     fn as_mut_slice(&mut self) -> &mut [f64] {
-        &mut self.data
+        self
     }
 }
 

@@ -58,25 +58,23 @@ impl ContiguousView {
         }
         assert!(total > 0, "view must contain at least one segment");
 
-        // Reserve one contiguous range of addresses...
-        // SAFETY: anonymous reservation with no preconditions.
-        let base = unsafe {
-            libc::mmap(
-                std::ptr::null_mut(),
-                total,
-                libc::PROT_NONE,
-                libc::MAP_PRIVATE | libc::MAP_ANONYMOUS,
-                -1,
-                0,
-            )
+        // One segment is one `MAP_SHARED` mapping of the file. Several
+        // reserve one contiguous range of addresses...
+        let (prot, flags, fd, offset) = match segments {
+            [s] => (libc::PROT_READ | libc::PROT_WRITE, libc::MAP_SHARED, file.raw_fd(), s.file_offset),
+            _ => (libc::PROT_NONE, libc::MAP_PRIVATE | libc::MAP_ANONYMOUS, -1, 0),
         };
+        // SAFETY: a fresh mapping at an address of the kernel's choosing
+        // (of a live fd and an in-file segment when there is one segment).
+        let base = unsafe { libc::mmap(std::ptr::null_mut(), total, prot, flags, fd, offset as libc::off_t) };
         if base == libc::MAP_FAILED {
             return Err(io::Error::last_os_error());
         }
 
         // ...then overlay each segment with MAP_FIXED at its position.
+        let overlays = if segments.len() > 1 { segments } else { &[] };
         let mut off = 0usize;
-        for s in segments {
+        for s in overlays {
             // SAFETY: target range lies within our fresh reservation;
             // MAP_FIXED replaces only pages we own.
             let p = unsafe {

@@ -4,19 +4,22 @@
 
 use std::ops::Range;
 
+use brick::HeapBacking;
 use layout::Dir;
 
 use crate::isa::{per_isa, BoundIsa, Isa};
 use crate::pool;
 use crate::shape::StencilShape;
 
-/// A 3D domain stored as one lexicographic array with a `ghost`-wide rim.
+/// A 3D domain stored as one lexicographic array with a `ghost`-wide rim,
+/// in the same pooled, line-aligned heap buffer as a brick grid
+/// ([`brick::HeapBacking`]), so Fig 10 compares like with like.
 #[derive(Clone, Debug)]
 pub struct ArrayGrid {
     n: [usize; 3],
     ghost: usize,
     ext: [usize; 3],
-    data: Vec<f64>,
+    data: HeapBacking,
 }
 
 impl ArrayGrid {
@@ -24,7 +27,7 @@ impl ArrayGrid {
     pub fn new(n: [usize; 3], ghost: usize) -> ArrayGrid {
         assert!(n.iter().all(|&d| d >= 1));
         let ext = [n[0] + 2 * ghost, n[1] + 2 * ghost, n[2] + 2 * ghost];
-        ArrayGrid { n, ghost, ext, data: vec![0.0; ext[0] * ext[1] * ext[2]] }
+        ArrayGrid { n, ghost, ext, data: HeapBacking::new(ext[0] * ext[1] * ext[2]) }
     }
 
     /// Interior extents.
