@@ -761,7 +761,8 @@ mod tests {
 
     #[test]
     fn a_frame_is_the_owned_prefix_plus_trailer_for_every_engine() {
-        use crate::engine::{Arrays, HeapBricks, ViewPair};
+        use crate::engine::{Arrays, Bricks};
+        use crate::exchange::ExchangeSession;
         use crate::experiment::{CpuMethod, ExperimentConfig};
         use crate::{ExchangeView, Exchanger, ShiftExchanger};
         let topo = CartTopo::new(&[1, 1, 1], true);
@@ -780,10 +781,11 @@ mod tests {
             let (owned, what) = (decomp.owned_elems(), format!("{method:?}"));
             run_cluster_on(Backend::Thread, &topo, NetworkModel::instant(), FaultConfig::off(), |ctx| match &method {
                 CpuMethod::MemMap { .. } => {
-                    frame_roundtrip(&mut ViewPair::<ExchangeView>::new(&cfg, &decomp), ctx, owned, &what)
+                    let schedule = Exchanger::layout(&decomp);
+                    frame_roundtrip(&mut Bricks::<ExchangeView>::new(&cfg, &decomp, &schedule, ctx), ctx, owned, &what)
                 }
                 CpuMethod::Shift { .. } => {
-                    frame_roundtrip(&mut ViewPair::<ShiftExchanger>::new(&cfg, &decomp), ctx, owned, &what)
+                    frame_roundtrip(&mut Bricks::<ShiftExchanger>::new(&cfg, &decomp, &(), ctx), ctx, owned, &what)
                 }
                 CpuMethod::Yask | CpuMethod::MpiTypes => {
                     frame_roundtrip(&mut Arrays::new(&cfg, &decomp), ctx, owned, &what)
@@ -791,7 +793,7 @@ mod tests {
                 _ => {
                     let exchanger =
                         if method == CpuMethod::Basic { Exchanger::basic(&decomp) } else { Exchanger::layout(&decomp) };
-                    frame_roundtrip(&mut HeapBricks::new(&cfg, &decomp, &exchanger, ctx), ctx, owned, &what)
+                    frame_roundtrip(&mut Bricks::<ExchangeSession>::new(&cfg, &decomp, &exchanger, ctx), ctx, owned, &what)
                 }
             });
         }

@@ -541,6 +541,10 @@ impl<const D: usize> BoxOffsets<'_, D> {
 
     /// Visit every coordinate of the box with its storage offset, in the
     /// canonical order: axis 0 outermost, the last axis innermost.
+    /// Inlined so the caller's accumulator stays in a register: called
+    /// out of line, `interior_sum` kept its running sum in memory and a
+    /// 128³ checksum took about 11 instead of 8 ms on a 2-vCPU Xeon VM.
+    #[inline]
     pub fn for_each(&self, mut f: impl FnMut([isize; D], usize)) {
         if self.cell.iter().any(|c| c.is_empty()) {
             return;

@@ -1,8 +1,13 @@
 //! Per-rank step engines: everything that differs between the evaluated
 //! methods — the double-buffered grid and the exchange bound to it —
-//! behind one trait, so [`crate::experiment`] times them all with the
-//! same step loop. The engines delegate to the exchangers' inherent
-//! methods; DESIGN.md maps methods to engines and schedules.
+//! behind one trait, [`RankEngine`], so [`crate::experiment`] times them
+//! all with the same step loop. Every brick method runs one engine,
+//! [`Bricks`], over its [`BrickExchange`]:
+//! [`ExchangeSession`](crate::exchange::ExchangeSession) for Layout,
+//! Basic and No-Layout, [`ExchangeView`](crate::ExchangeView) for MemMap,
+//! [`ShiftExchanger`](crate::ShiftExchanger) for Shift. The array
+//! baselines run [`Arrays`], the dynamic-ownership proxy `Migrating`.
+//! DESIGN.md maps methods to engines and schedules.
 
 use brick::BrickStorage;
 use netsim::telemetry::Phase;
@@ -12,11 +17,9 @@ use stencil::{ArrayGrid, ArrayPlan, KernelPlan, PlanSplit};
 
 use crate::baselines::{ArrayExchanger, Flavor};
 use crate::decomp::BrickDecomp;
-use crate::exchange::{ExchangeSession, ExchangeStats, Exchanger};
+use crate::exchange::ExchangeStats;
 use crate::experiment::{CpuMethod, ExperimentConfig};
-use crate::memmap::{ExchangeView, MemMapStorage};
-use crate::plan::{scoped, CommPlan, InPlace};
-use crate::shift::ShiftExchanger;
+use crate::plan::{Call, CommPlan};
 
 /// What a split-phase engine hands the dependency-graph scheduler when
 /// it is armed: per mailbox receive (in completion-index order) the
@@ -89,22 +92,6 @@ fn decomp_split(decomp: &BrickDecomp<3>, recv_ghosts: &[Vec<u32>]) -> (PlanSplit
     (split, graph)
 }
 
-/// One masked stencil application of a rank's [`KernelPlan`] (compiled
-/// once before the step loop, untimed, like a real code's setup phase),
-/// billed to `calc` through [`KernelPlan::execute_profiled`]: over the
-/// bricks of `mask`, or every owned brick when `None`.
-fn apply(
-    ctx: &mut RankCtx<'_>,
-    plan: &KernelPlan,
-    decomp: &BrickDecomp<3>,
-    cur: &BrickStorage,
-    nxt: &mut BrickStorage,
-    mask: Option<&[bool]>,
-) {
-    let mask = mask.unwrap_or(decomp.compute_mask());
-    ctx.time(Phase::Compute, |rec| plan.execute_profiled(cur, nxt, mask, rec));
-}
-
 fn init_value(x: i64, y: i64, z: i64) -> f64 {
     (((x * 3 + y * 5 + z * 7).rem_euclid(17)) as f64) / 16.0
 }
@@ -114,265 +101,147 @@ fn fill_bricks(decomp: &BrickDecomp<3>, st: &mut BrickStorage) {
     crate::fields::fill_interior(decomp, st, 0, |c| init_value(c[0] as i64, c[1] as i64, c[2] as i64));
 }
 
-/// Append what the rank owns of `cur` — the storage prefix ahead of the
-/// ghost rim — to `buf`.
-fn snapshot_owned(decomp: &BrickDecomp<3>, cur: &BrickStorage, buf: &mut Vec<f64>) {
-    buf.extend_from_slice(&cur.as_slice()[..decomp.owned_elems()]);
+/// What differs between the brick methods' exchanges: where the grids
+/// live, the plans one exchange runs and the memory each moves, the
+/// partition map and the receive → ghost-brick map. Implemented by the
+/// session (Layout, Basic, No-Layout), the MemMap view and the Shift
+/// exchanger; [`Bricks`] does the rest.
+pub(crate) trait BrickExchange: Sized {
+    /// What every rank's exchange is cut from, built once per run.
+    type Schedule;
+    /// Allocate the two grids and bind the exchanges moving them to the
+    /// rank: one for both grids (a session moves ranges of either), or
+    /// one per grid (send views alias the memory of one grid); grid `g`
+    /// is moved by exchange `g % len`.
+    fn open(schedule: &Self::Schedule, decomp: &BrickDecomp<3>, ctx: &RankCtx<'_>) -> ([BrickStorage; 2], Vec<Self>);
+    /// Traffic of one exchange.
+    fn stats(&self) -> ExchangeStats;
+    /// Every plan one exchange runs, in order; a split exchange leaves
+    /// the last one posted.
+    fn plans(&mut self) -> &mut [CommPlan];
+    /// Prepare the split exchange: open the last plan's partitioned
+    /// channels when `partitioned`, and return the ghost bricks each of
+    /// its mailbox receives fills, with the channels' priority classes.
+    fn arm(&mut self, decomp: &BrickDecomp<3>, partitioned: bool) -> SplitSetup;
+    /// Make `call` on the exchange of `grid` (for `Call::Pready`, the
+    /// grid the stencil is writing).
+    fn call(&mut self, ctx: &mut RankCtx<'_>, grid: &mut BrickStorage, call: Call<'_>) -> Result<usize, NetsimError>;
 }
 
-/// Roll `cur` back to `data`, a snapshot of its owned prefix. Every
-/// schedule refills a ghost brick before reading it and writes every
-/// owned brick of `nxt` before the swap, so neither is restored; test
-/// and debug builds poison both, turning a schedule that does read stale
-/// state into a NaN checksum instead of a silent dependency.
-fn restore_owned(decomp: &BrickDecomp<3>, cur: &mut BrickStorage, nxt: &mut BrickStorage, data: &[f64]) {
-    let (owned, ghosts) = cur.as_mut_slice().split_at_mut(decomp.owned_elems());
-    owned.copy_from_slice(data);
-    if cfg!(any(test, debug_assertions)) {
-        ghosts.fill(f64::NAN);
-        nxt.as_mut_slice().fill(f64::NAN);
-    }
-}
-
-/// The ghost bricks each receive range fills.
-pub(crate) fn ghosts_of(ranges: &[std::ops::Range<usize>], step: usize) -> Vec<Vec<u32>> {
-    ranges.iter().map(|r| ((r.start / step) as u32..(r.end / step) as u32).collect()).collect()
-}
-
-/// Heap bricks exchanged through one persistent [`ExchangeSession`]:
-/// neighbor ranks, tags, ghost ranges and loopback pairings resolved
-/// once, reused every step.
-pub(crate) struct HeapBricks<'a> {
+/// Every brick method's engine: the decomposition, its kernel plan and
+/// two grids, `grids[0]` the current one, exchanged through `X`.
+pub(crate) struct Bricks<'a, X> {
     decomp: &'a BrickDecomp<3>,
-    exchanger: &'a Exchanger,
-    session: ExchangeSession,
     kernel: KernelPlan,
-    cur: BrickStorage,
-    nxt: BrickStorage,
+    grids: [BrickStorage; 2],
+    /// Advancing swaps the grids and, one per grid, these with them.
+    ex: Vec<X>,
 }
 
-impl<'a> HeapBricks<'a> {
+impl<'a, X: BrickExchange> Bricks<'a, X> {
     pub(crate) fn new(
         cfg: &ExperimentConfig,
         decomp: &'a BrickDecomp<3>,
-        exchanger: &'a Exchanger,
-        ctx: &mut RankCtx<'_>,
-    ) -> HeapBricks<'a> {
+        schedule: &X::Schedule,
+        ctx: &RankCtx<'_>,
+    ) -> Bricks<'a, X> {
         let kernel = KernelPlan::new(decomp.brick_info(), &cfg.shape, 1, 0);
-        let mut cur = decomp.allocate();
-        let nxt = decomp.allocate();
-        fill_bricks(decomp, &mut cur);
-        let session = exchanger.session(ctx);
-        HeapBricks { decomp, exchanger, session, kernel, cur, nxt }
+        let (mut grids, ex) = X::open(schedule, decomp, ctx);
+        fill_bricks(decomp, &mut grids[0]);
+        Bricks { decomp, kernel, grids, ex }
     }
 
     /// What one exchange of this rank sends: [`CommPlan::edges`].
-    pub(crate) fn edges(&self) -> Vec<(usize, u64)> {
-        self.session.plan().edges().collect()
+    pub(crate) fn edges(mut self) -> Vec<(usize, u64)> {
+        self.ex[0].plans().iter().flat_map(CommPlan::edges).collect()
     }
 
-    /// The plan and the grid it moves — the current one, or the `next`
-    /// one the stencil is writing.
-    fn bound(&mut self, next: bool) -> (&mut CommPlan, InPlace<'_>) {
-        self.session.bound(if next { &mut self.nxt } else { &mut self.cur })
+    /// Make `call` on grid `g` (0 current, 1 next).
+    fn call(&mut self, ctx: &mut RankCtx<'_>, g: usize, call: Call<'_>) -> Result<usize, NetsimError> {
+        let n = self.ex.len();
+        self.ex[g % n].call(ctx, &mut self.grids[g], call)
     }
 }
 
-impl RankEngine for HeapBricks<'_> {
+impl<X: BrickExchange> RankEngine for Bricks<'_, X> {
     fn stats(&self) -> ExchangeStats {
-        self.exchanger.stats()
+        self.ex[0].stats()
     }
 
     fn checksum(&self) -> f64 {
-        crate::fields::interior_sum(self.decomp, &self.cur, 0)
+        crate::fields::interior_sum(self.decomp, &self.grids[0], 0)
     }
 
     fn exchange(&mut self, ctx: &mut RankCtx<'_>) -> Result<(), NetsimError> {
-        self.session.exchange(ctx, &mut self.cur)
+        self.call(ctx, 0, Call::Exchange).map(drop)
     }
 
     fn compute(&mut self, ctx: &mut RankCtx<'_>, mask: Option<&[bool]>) {
-        apply(ctx, &self.kernel, self.decomp, &self.cur, &mut self.nxt, mask);
+        let [cur, nxt] = &mut self.grids;
+        let mask = mask.unwrap_or(self.decomp.compute_mask());
+        ctx.time(Phase::Compute, |rec| self.kernel.execute_profiled(cur, nxt, mask, rec));
     }
 
     fn advance(&mut self) {
-        std::mem::swap(&mut self.cur, &mut self.nxt);
+        self.grids.swap(0, 1);
+        self.ex.reverse();
     }
 
+    /// Appends the current grid's owned prefix, ahead of the ghost rim.
     fn snapshot(&self, buf: &mut Vec<f64>) {
-        snapshot_owned(self.decomp, &self.cur, buf);
+        buf.extend_from_slice(&self.grids[0].as_slice()[..self.decomp.owned_elems()]);
     }
 
+    /// Every schedule refills a ghost brick before reading it and writes
+    /// every owned brick of the next grid before the swap, so neither is
+    /// restored; test and debug builds poison both, turning a schedule
+    /// that does read stale state into a NaN checksum instead of a
+    /// silent dependency.
     fn restore(&mut self, data: &[f64]) {
-        restore_owned(self.decomp, &mut self.cur, &mut self.nxt, data);
+        let [cur, nxt] = &mut self.grids;
+        let (owned, ghosts) = cur.as_mut_slice().split_at_mut(self.decomp.owned_elems());
+        owned.copy_from_slice(data);
+        if cfg!(any(test, debug_assertions)) {
+            ghosts.fill(f64::NAN);
+            nxt.as_mut_slice().fill(f64::NAN);
+        }
     }
 
-    fn rebuild(&mut self, ctx: &mut RankCtx<'_>) {
-        self.session = self.exchanger.session(ctx);
+    /// Only the protocol state was torn: the plans are reset, and the
+    /// grids and any views over them stay as they are.
+    fn rebuild(&mut self, _ctx: &mut RankCtx<'_>) {
+        self.ex.iter_mut().flat_map(|ex| ex.plans()).for_each(CommPlan::reset);
     }
 
     fn split_graph(&self, recv_ghosts: &[Vec<u32>]) -> (PlanSplit, DepGraph) {
         decomp_split(self.decomp, recv_ghosts)
     }
 
+    /// Every exchange is armed up front, so the partitioned channels of
+    /// per-grid exchanges survive the swaps; all carry one schedule.
     fn arm_split(&mut self, _ctx: &mut RankCtx<'_>, partitioned: bool) -> SplitSetup {
-        let step = self.decomp.step();
-        if partitioned {
-            self.session.enable_partitioned(step, self.decomp.bricks());
-        }
-        (ghosts_of(self.session.recv_ranges(), step), self.session.plan().priority().cloned())
+        let mut setups = self.ex.iter_mut().map(|ex| ex.arm(self.decomp, partitioned)).collect::<Vec<_>>();
+        setups.swap_remove(0)
     }
 
     fn begin(&mut self, ctx: &mut RankCtx<'_>, completed: &mut Vec<usize>) -> Result<(), NetsimError> {
-        let (plan, mut mem) = self.bound(false);
-        plan.begin(ctx, &mut mem, completed)
+        self.call(ctx, 0, Call::Begin(completed)).map(drop)
     }
 
     fn poll(&mut self, ctx: &mut RankCtx<'_>, completed: &mut Vec<usize>) -> Result<usize, NetsimError> {
-        let (plan, mut mem) = self.bound(false);
-        plan.poll(ctx, &mut mem, completed)
+        self.call(ctx, 0, Call::Poll(completed))
     }
 
     fn finish(&mut self, ctx: &mut RankCtx<'_>) -> Result<(), NetsimError> {
-        let (plan, mut mem) = self.bound(false);
-        plan.finish(ctx, &mut mem)
+        self.call(ctx, 0, Call::Finish).map(drop)
     }
 
+    /// The next grid is the memory the stencil just wrote, so its
+    /// exchange feeds the *next* step's channels.
     fn pready(&mut self, ctx: &mut RankCtx<'_>, bricks: &[u32]) -> Result<(), NetsimError> {
-        let (plan, mem) = self.bound(true);
-        plan.pready(ctx, &mem, bricks)
+        self.call(ctx, 1, Call::Pready(bricks)).map(drop)
     }
 }
-
-/// Two mmap-backed grids, each with its own views; `cur` indexes the
-/// current buffer, the other one is next, and advancing flips the index.
-/// The current grid's views drive the step's exchange; the next grid's
-/// views alias the memory the stencil writes, so `pready` on them feeds
-/// the *next* step's partitioned channels.
-pub(crate) struct ViewPair<'a, V> {
-    decomp: &'a BrickDecomp<3>,
-    kernel: KernelPlan,
-    grids: [MemMapStorage; 2],
-    views: [V; 2],
-    cur: usize,
-}
-
-/// The current and the next storage of a [`ViewPair`]'s grids.
-fn cur_nxt(grids: &mut [MemMapStorage; 2], cur: usize) -> (&mut BrickStorage, &mut BrickStorage) {
-    let [a, b] = grids;
-    if cur == 0 {
-        (&mut a.storage, &mut b.storage)
-    } else {
-        (&mut b.storage, &mut a.storage)
-    }
-}
-
-/// [`RankEngine`] for a [`ViewPair`] of one mmap-view exchanger:
-/// [`ExchangeView`] and [`ShiftExchanger`] spell every call the pair
-/// makes the same way (neither names a trait for it, so this is a macro
-/// over the type rather than a generic impl).
-macro_rules! view_pair_engine {
-    ($view:ty) => {
-        impl<'a> ViewPair<'a, $view> {
-            pub(crate) fn new(cfg: &ExperimentConfig, decomp: &'a BrickDecomp<3>) -> Self {
-                let kernel = KernelPlan::new(decomp.brick_info(), &cfg.shape, 1, 0);
-                let mut grids = [(); 2].map(|()| MemMapStorage::allocate(decomp).expect("memfd allocation"));
-                let views = [0, 1].map(|i| <$view>::build(decomp, &grids[i]).expect("view construction"));
-                fill_bricks(decomp, &mut grids[0].storage);
-                ViewPair { decomp, kernel, grids, views, cur: 0 }
-            }
-
-            /// What one exchange of this rank sends: [`CommPlan::edges`]
-            /// (both views carry the same schedule).
-            pub(crate) fn edges(&self) -> Vec<(usize, u64)> {
-                self.views[0].plans().flat_map(CommPlan::edges).collect()
-            }
-        }
-
-        impl RankEngine for ViewPair<'_, $view> {
-            fn stats(&self) -> ExchangeStats {
-                self.views[0].stats()
-            }
-
-            fn checksum(&self) -> f64 {
-                crate::fields::interior_sum(self.decomp, &self.grids[self.cur].storage, 0)
-            }
-
-            fn exchange(&mut self, ctx: &mut RankCtx<'_>) -> Result<(), NetsimError> {
-                self.views[self.cur].exchange(ctx, &mut self.grids[self.cur])
-            }
-
-            fn compute(&mut self, ctx: &mut RankCtx<'_>, mask: Option<&[bool]>) {
-                let (cur, nxt) = cur_nxt(&mut self.grids, self.cur);
-                apply(ctx, &self.kernel, self.decomp, cur, nxt, mask);
-            }
-
-            fn advance(&mut self) {
-                self.cur = 1 - self.cur;
-            }
-
-            fn snapshot(&self, buf: &mut Vec<f64>) {
-                snapshot_owned(self.decomp, &self.grids[self.cur].storage, buf);
-            }
-
-            fn restore(&mut self, data: &[f64]) {
-                let (cur, nxt) = cur_nxt(&mut self.grids, self.cur);
-                restore_owned(self.decomp, cur, nxt, data);
-            }
-
-            fn rebuild(&mut self, _ctx: &mut RankCtx<'_>) {
-                for (view, grid) in self.views.iter_mut().zip(&self.grids) {
-                    *view = <$view>::build(self.decomp, grid).expect("view construction");
-                }
-            }
-
-            fn split_graph(&self, recv_ghosts: &[Vec<u32>]) -> (PlanSplit, DepGraph) {
-                decomp_split(self.decomp, recv_ghosts)
-            }
-
-            /// Both views carry the same schedule; both are bound up
-            /// front so the receive ranges exist before the first
-            /// exchange and the partitioned channels survive the flips.
-            fn arm_split(&mut self, ctx: &mut RankCtx<'_>, partitioned: bool) -> SplitSetup {
-                let (step, bricks) = (self.decomp.step(), self.decomp.bricks());
-                for (view, grid) in self.views.iter_mut().zip(&self.grids) {
-                    view.ensure_bound(ctx, grid);
-                    if partitioned {
-                        view.enable_partitioned(step, bricks);
-                    }
-                }
-                (self.views[0].recv_ghosts(step), self.views[0].plan().priority().cloned())
-            }
-
-            fn begin(&mut self, ctx: &mut RankCtx<'_>, completed: &mut Vec<usize>) -> Result<(), NetsimError> {
-                self.views[self.cur].begin(ctx, &mut self.grids[self.cur], completed)
-            }
-
-            fn poll(&mut self, ctx: &mut RankCtx<'_>, completed: &mut Vec<usize>) -> Result<usize, NetsimError> {
-                let (plan, mut mem) = self.views[self.cur].bound(&mut self.grids[self.cur]);
-                plan.poll(ctx, &mut mem, completed)
-            }
-
-            fn finish(&mut self, ctx: &mut RankCtx<'_>) -> Result<(), NetsimError> {
-                let (plan, mut mem) = self.views[self.cur].bound(&mut self.grids[self.cur]);
-                scoped(ctx, <$view>::SPLIT_SCOPE, |ctx| plan.finish(ctx, &mut mem))
-            }
-
-            /// The next grid's views alias the memory the stencil just
-            /// wrote, so they feed the *next* step's channels.
-            fn pready(&mut self, ctx: &mut RankCtx<'_>, bricks: &[u32]) -> Result<(), NetsimError> {
-                let (plan, mem) = self.views[1 - self.cur].bound(&mut self.grids[1 - self.cur]);
-                scoped(ctx, <$view>::SPLIT_SCOPE, |ctx| plan.pready(ctx, &mem, bricks))
-            }
-        }
-    };
-}
-
-view_pair_engine!(ExchangeView);
-// Only the final pass is posted asynchronously — its two slab receives
-// (which land in the slab views, not the grid) are the graph's gating
-// dependencies; earlier axes' ghosts are valid when begin() returns.
-view_pair_engine!(ShiftExchanger);
 
 /// The lexicographic-array baselines: explicit pack/unpack (YASK) or a
 /// library-internal datatype walk (MPI_Types) around the same transport.
@@ -439,7 +308,7 @@ impl RankEngine for Arrays<'_> {
         self.cur.interior_rows().for_each(|r| buf.extend_from_slice(&self.cur.as_slice()[r]));
     }
 
-    /// Poisons the ghost rim and the next grid like [`restore_owned`].
+    /// Poisons the ghost rim and the next grid like the brick engine's.
     fn restore(&mut self, data: &[f64]) {
         if cfg!(any(test, debug_assertions)) {
             self.cur.as_mut_slice().fill(f64::NAN);
@@ -483,6 +352,8 @@ mod tests {
 
     use super::*;
     use crate::driver::RebalanceCfg;
+    use crate::exchange::{ExchangeSession, Exchanger};
+    use crate::{ExchangeView, ShiftExchanger};
     use crate::migrating::Migrating;
     use crate::workload::GridCfg;
 
@@ -530,7 +401,7 @@ mod tests {
             let decomp = cfg.decomp();
             let exchanger =
                 if method == CpuMethod::Basic { Exchanger::basic(&decomp) } else { Exchanger::layout(&decomp) };
-            let ranks = across_a_rebuild(|ctx| HeapBricks::new(&cfg, &decomp, &exchanger, ctx));
+            let ranks = across_a_rebuild(|ctx| Bricks::<ExchangeSession>::new(&cfg, &decomp, &exchanger, ctx));
             assert_counted_across_the_rebuild(method.name(), &ranks);
         }
     }
@@ -539,7 +410,8 @@ mod tests {
     fn memmap_views_count_retries_across_a_rebuild() {
         let cfg = ExperimentConfig::k1(CpuMethod::MemMap { page_size: memview::PAGE_4K }, 16);
         let decomp = cfg.decomp();
-        let ranks = across_a_rebuild(|_| ViewPair::<ExchangeView>::new(&cfg, &decomp));
+        let schedule = Exchanger::layout(&decomp);
+        let ranks = across_a_rebuild(|ctx| Bricks::<ExchangeView>::new(&cfg, &decomp, &schedule, ctx));
         assert_counted_across_the_rebuild("MemMap", &ranks);
     }
 
@@ -547,7 +419,7 @@ mod tests {
     fn shift_views_count_retries_across_a_rebuild() {
         let cfg = ExperimentConfig::k1(CpuMethod::Shift { page_size: memview::PAGE_4K }, 16);
         let decomp = cfg.decomp();
-        let ranks = across_a_rebuild(|_| ViewPair::<ShiftExchanger>::new(&cfg, &decomp));
+        let ranks = across_a_rebuild(|ctx| Bricks::<ShiftExchanger>::new(&cfg, &decomp, &(), ctx));
         assert_counted_across_the_rebuild("Shift", &ranks);
     }
 

@@ -21,7 +21,8 @@ use layout::{all_regions, Dir};
 use netsim::{NetsimError, RankCtx, RecvHandle};
 
 use crate::decomp::BrickDecomp;
-use crate::plan::{CommPlan, InPlace, RecvSpec, SendSpec};
+use crate::engine::{BrickExchange, SplitSetup};
+use crate::plan::{Call, CommPlan, InPlace, RecvSpec, SendSpec};
 
 /// One outgoing message: a contiguous padded brick range sent toward a
 /// neighbor.
@@ -78,7 +79,7 @@ pub struct Exchanger {
     recvs: Vec<RecvMsg>,
     stats: ExchangeStats,
     step: usize,
-    dims: usize,
+    pub(crate) dims: usize,
     /// Timeline scope name ("exchange:layout" / "exchange:basic").
     name: &'static str,
 }
@@ -274,6 +275,7 @@ impl Exchanger {
 /// pattern is Static, per the paper) — `exchange` allocates nothing.
 pub struct ExchangeSession {
     plan: CommPlan,
+    stats: ExchangeStats,
     send_ranges: Vec<std::ops::Range<usize>>,
     /// Every scheduled receive's ghost range; sorted and disjoint.
     ghost_ranges: Vec<std::ops::Range<usize>>,
@@ -307,7 +309,7 @@ impl ExchangeSession {
             .collect();
         let plan = CommPlan::bind(Some(ex.name), ctx, ex.dims, &sends, &recvs, loopback);
         let recv_ranges = plan.mailbox().iter().map(|&j| ghost_ranges[j].clone()).collect();
-        ExchangeSession { plan, send_ranges, ghost_ranges, recv_ranges, pend: Vec::new() }
+        ExchangeSession { plan, stats: ex.stats, send_ranges, ghost_ranges, recv_ranges, pend: Vec::new() }
     }
 
     /// The plan and the memory it moves: `storage` seen through this
@@ -320,22 +322,6 @@ impl ExchangeSession {
             pend: &mut self.pend,
         };
         (&mut self.plan, mem)
-    }
-
-    /// The plan alone, for what needs no memory (statistics, priority).
-    pub(crate) fn plan(&self) -> &CommPlan {
-        &self.plan
-    }
-
-    /// Switch this session into partitioned early-bird mode; the
-    /// partitions of a message are the padded storage bricks composing
-    /// it (`step` elements each). `bricks` is the padded brick count of
-    /// the storage the completion driver indexes.
-    pub(crate) fn enable_partitioned(&mut self, step: usize, bricks: usize) {
-        let ranges = &self.send_ranges;
-        self.plan.enable_partitioned(step, bricks, |i| {
-            (ranges[i].start / step..ranges[i].end / step).collect()
-        });
     }
 
     /// One full ghost-zone exchange with zero per-step allocation.
@@ -358,6 +344,42 @@ impl ExchangeSession {
     /// a dependency graph maps them back to the ghost bricks they fill.
     pub fn recv_ranges(&self) -> &[std::ops::Range<usize>] {
         &self.recv_ranges
+    }
+}
+
+/// Both heap grids are exchanged through one session: its ranges index
+/// either grid, so one plan (and, partitioned, one set of channels)
+/// serves both.
+impl BrickExchange for ExchangeSession {
+    type Schedule = Exchanger;
+
+    fn open(schedule: &Exchanger, decomp: &BrickDecomp<3>, ctx: &RankCtx<'_>) -> ([BrickStorage; 2], Vec<Self>) {
+        ([decomp.allocate(), decomp.allocate()], vec![schedule.session(ctx)])
+    }
+
+    fn stats(&self) -> ExchangeStats {
+        self.stats
+    }
+
+    fn plans(&mut self) -> &mut [CommPlan] {
+        std::slice::from_mut(&mut self.plan)
+    }
+
+    /// A message's partitions are the padded storage bricks composing it.
+    fn arm(&mut self, decomp: &BrickDecomp<3>, partitioned: bool) -> SplitSetup {
+        let step = decomp.step();
+        let bricks = |r: &std::ops::Range<usize>| r.start / step..r.end / step;
+        if partitioned {
+            let ranges = &self.send_ranges;
+            self.plan.enable_partitioned(step, decomp.bricks(), |i| bricks(&ranges[i]).collect());
+        }
+        let ghosts = self.recv_ranges.iter().map(|r| bricks(r).map(|b| b as u32).collect()).collect();
+        (ghosts, self.plan.priority().cloned())
+    }
+
+    fn call(&mut self, ctx: &mut RankCtx<'_>, grid: &mut BrickStorage, call: Call<'_>) -> Result<usize, NetsimError> {
+        let (plan, mut mem) = self.bound(grid);
+        plan.call(ctx, &mut mem, call)
     }
 }
 

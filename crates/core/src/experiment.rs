@@ -19,8 +19,8 @@ use stencil::{PlanSplit, StencilShape};
 
 use crate::checkpoint::{drive, DriveOp, FailureRecovery, RecoveryCfg};
 use crate::decomp::BrickDecomp;
-use crate::engine::{Arrays, HeapBricks, RankEngine, ViewPair};
-use crate::exchange::{ExchangeStats, Exchanger};
+use crate::engine::{Arrays, Bricks, RankEngine};
+use crate::exchange::{ExchangeSession, ExchangeStats, Exchanger};
 use crate::memmap::{memmap_decomp, ExchangeView};
 use crate::shift::ShiftExchanger;
 
@@ -441,12 +441,17 @@ pub fn run_experiment(cfg: &ExperimentConfig) -> MethodReport {
     let decomp = cfg.decomp();
     // Every rank hands back what it bound, for the mapping block.
     let (mut report, sent) = match &cfg.method {
-        CpuMethod::MemMap { .. } => run_steps(&run, &topo, |_| ViewPair::<ExchangeView>::new(cfg, &decomp), |e| e.edges()),
-        CpuMethod::Shift { .. } => run_steps(&run, &topo, |_| ViewPair::<ShiftExchanger>::new(cfg, &decomp), |e| e.edges()),
+        CpuMethod::MemMap { .. } => {
+            let schedule = Exchanger::layout(&decomp);
+            run_steps(&run, &topo, |ctx| Bricks::<ExchangeView>::new(cfg, &decomp, &schedule, ctx), Bricks::edges)
+        }
+        CpuMethod::Shift { .. } => {
+            run_steps(&run, &topo, |ctx| Bricks::<ShiftExchanger>::new(cfg, &decomp, &(), ctx), Bricks::edges)
+        }
         CpuMethod::Layout | CpuMethod::Basic | CpuMethod::NoLayout => {
-            let exchanger =
+            let schedule =
                 if cfg.method == CpuMethod::Basic { Exchanger::basic(&decomp) } else { Exchanger::layout(&decomp) };
-            run_steps(&run, &topo, |ctx| HeapBricks::new(cfg, &decomp, &exchanger, ctx), |e| e.edges())
+            run_steps(&run, &topo, |ctx| Bricks::<ExchangeSession>::new(cfg, &decomp, &schedule, ctx), Bricks::edges)
         }
         CpuMethod::Yask | CpuMethod::MpiTypes => run_steps(&run, &topo, |_| Arrays::new(cfg, &decomp), |e| e.edges()),
     };

@@ -5,7 +5,9 @@
 //! at the price of padding.
 //!
 //! An [`ExchangeView`] holds the views and the 26-message schedule over
-//! them; on first use it binds the crate's communication plan
+//! them, both cut from the Layout schedule ([`Exchanger::layout`]): the
+//! runs Layout sends one neighbor become the segments of that neighbor's
+//! view. On first use it binds the crate's communication plan
 //! (`plan.rs`) to the rank. The plan owns the send/receive/wait
 //! lifecycle; this module only says where the bytes are — each send is
 //! a view, each receive a ghost range of the storage the views alias.
@@ -14,13 +16,13 @@ use std::io;
 use std::sync::Arc;
 
 use brick::BrickStorage;
-use layout::all_regions;
 use memview::{host_page_size, is_aligned, ContiguousView, MemFile, Segment};
 use netsim::{NetsimError, RankCtx};
 
 use crate::decomp::{pad_bricks_for, BrickDecomp};
-use crate::exchange::ExchangeStats;
-use crate::plan::{CommPlan, IntoRanges, RecvSpec, SendSpec};
+use crate::engine::{BrickExchange, SplitSetup};
+use crate::exchange::{ExchangeStats, Exchanger};
+use crate::plan::{Call, CommPlan, IntoRanges, RecvSpec, SendSpec};
 
 /// Brick storage whose backing is an mmap-able in-memory file (the
 /// paper's `bInfo.mmap_alloc(bSize)`).
@@ -124,90 +126,50 @@ pub struct ExchangeView {
 }
 
 impl ExchangeView {
-    /// The scope a split exchange's later calls (`finish`, `pready`) nest
-    /// in: none beyond the plan's own `exchange:memmap`.
-    pub(crate) const SPLIT_SCOPE: Option<&'static str> = None;
-
     /// Build the views for `decomp` over `storage`'s file.
     pub fn build<const D: usize>(
         decomp: &BrickDecomp<D>,
         storage: &MemMapStorage,
     ) -> io::Result<ExchangeView> {
-        let step = decomp.step();
-        let brick_bytes = step * 8;
-        let host = host_page_size();
-        let mut views = Vec::new();
-        let mut sends = Vec::new();
-        let mut recvs = Vec::new();
-        let mut recv_ranges = Vec::new();
-        let mut stats = ExchangeStats::default();
+        ExchangeView::over(&Exchanger::layout(decomp), storage)
+    }
 
-        for s in all_regions(D) {
-            let nplan = decomp.plan().neighbor(&s);
-
-            // One view per neighbor: the padded chunks of every region
-            // run, merged into per-run file segments.
-            let mut segments: Vec<Segment> = Vec::new();
-            let mut payload = 0usize;
-            let mut view_bricks: Vec<usize> = Vec::new();
-            for run in &nplan.send_runs {
-                let chunks: Vec<_> = run.clone().map(|i| &decomp.surface_chunks()[i]).collect();
-                let run_payload: usize = chunks.iter().map(|c| c.len()).sum();
-                if run_payload == 0 {
-                    continue;
-                }
-                payload += run_payload;
-                let range = chunks.first().unwrap().padded.start..chunks.last().unwrap().padded.end;
-                view_bricks.extend(range.clone());
-                let seg = storage.byte_range(&range);
-                assert!(
-                    is_aligned(seg.file_offset, host) && is_aligned(seg.len, host),
-                    "chunk padding does not satisfy the host page size; \
-                     build the decomposition with memmap_decomp"
-                );
-                segments.push(seg);
-            }
-            if segments.is_empty() {
-                continue;
-            }
+    /// The views of a Layout schedule over `storage`'s file (paper §4):
+    /// the runs it sends one neighbor, each a file segment, mapped back
+    /// to back into one view — one message per neighbor. The ghost runs
+    /// it receives from one neighbor are adjacent in storage, so each
+    /// neighbor's message lands in one range.
+    pub(crate) fn over(schedule: &Exchanger, storage: &MemMapStorage) -> io::Result<ExchangeView> {
+        let (host, d, brick_bytes) = (host_page_size(), schedule.dims, storage.step * 8);
+        let (mut views, mut sends) = (Vec::new(), Vec::new());
+        for runs in schedule.sends().chunk_by(|a, b| a.to == b.to) {
+            let segments: Vec<Segment> = runs.iter().map(|m| storage.byte_range(&m.bricks)).collect();
+            assert!(
+                segments.iter().all(|s| is_aligned(s.file_offset, host) && is_aligned(s.len, host)),
+                "chunk padding does not satisfy the host page size; \
+                 build the decomposition with memmap_decomp"
+            );
             let view = ContiguousView::build(storage.file(), &segments)?;
-            stats.messages += 1;
-            stats.payload_bytes += payload * brick_bytes;
-            stats.wire_bytes += view.len();
-            stats.region_instances += nplan
-                .send_regions
-                .iter()
-                .filter(|t| decomp.region_bricks(t) > 0)
-                .count();
-            sends.push(SendSpec {
-                to: s,
-                tag: s.code(D) as u64,
-                elems: view.as_f64().len(),
-                payload_bytes: payload * brick_bytes,
-            });
-            views.push(ViewMsg { view, bricks: view_bricks });
-
-            // Receive side: ghost group g(s) is stored contiguously
-            // (pieces in sender order, padding included), so the single
-            // incoming message lands directly in storage.
-            let group = decomp.ghost_group(&s);
-            let occupied: Vec<_> = group.pieces.iter().filter(|p| !p.is_empty()).collect();
-            if occupied.is_empty() {
-                continue;
-            }
-            let lo = group.pieces.first().unwrap().padded.start;
-            let hi = group.pieces.last().unwrap().padded.end;
-            recvs.push(RecvSpec { from: s, tag: s.mirror().code(D) as u64, elems: (hi - lo) * step });
-            recv_ranges.push(lo * step..hi * step);
+            let to = runs[0].to;
+            let payload_bytes = runs.iter().map(|m| m.payload_bricks * brick_bytes).sum();
+            sends.push(SendSpec { to, tag: to.code(d) as u64, elems: view.as_f64().len(), payload_bytes });
+            views.push(ViewMsg { view, bricks: runs.iter().flat_map(|m| m.bricks.clone()).collect() });
+        }
+        let (mut recvs, mut recv_ranges) = (Vec::new(), Vec::new());
+        for runs in schedule.recvs().chunk_by(|a, b| a.from == b.from) {
+            let (from, step) = (runs[0].from, storage.step);
+            let range = runs[0].bricks.start * step..runs[runs.len() - 1].bricks.end * step;
+            recvs.push(RecvSpec { from, tag: from.mirror().code(d) as u64, elems: range.len() });
+            recv_ranges.push(range);
         }
         assert_eq!(sends.len(), recvs.len());
         Ok(ExchangeView {
+            stats: ExchangeStats { messages: sends.len(), ..schedule.stats() },
             views,
             sends,
             recvs,
             recv_ranges,
-            stats,
-            dims: D,
+            dims: d,
             bound_file: Arc::clone(storage.file()),
             plan: None,
             pend: Vec::new(),
@@ -222,8 +184,9 @@ impl ExchangeView {
     }
 
     /// Total mmap segments across all views — bounded by the kernel's
-    /// `vm.max_map_count`, and minimized by layout optimization (one
-    /// segment per run: 42 with `surface3d`, 98 without merging).
+    /// `vm.max_map_count`, and minimized by layout optimization: one
+    /// segment per Layout run, so 42 with `surface3d` and, in
+    /// lexicographic order, 42 at 16³ and 62 from 32³.
     pub fn mapped_segments(&self) -> usize {
         self.views.iter().map(|m| m.view.segments().len()).sum()
     }
@@ -243,8 +206,7 @@ impl ExchangeView {
         storage: &mut MemMapStorage,
     ) -> Result<(), NetsimError> {
         self.ensure_bound(ctx, storage);
-        let (plan, mut mem) = self.bound(storage);
-        plan.exchange(ctx, &mut mem)
+        self.call(ctx, &mut storage.storage, Call::Exchange).map(drop)
     }
 
     /// Bind the schedule to `ctx`'s rank if this view has not yet been
@@ -263,73 +225,57 @@ impl ExchangeView {
                 Some(CommPlan::bind(Some("exchange:memmap"), ctx, self.dims, &self.sends, &self.recvs, true));
         }
     }
+}
 
-    /// The plan and the memory it moves: the send views and `storage`'s
-    /// ghost ranges. The view aliases surface bricks, the receive ranges
-    /// cover ghost bricks — disjoint file ranges. Requires
-    /// [`Self::ensure_bound`] first.
-    pub(crate) fn bound<'a>(
-        &'a mut self,
-        storage: &'a mut MemMapStorage,
-    ) -> (&'a mut CommPlan, IntoRanges<'a, ViewMsg>) {
-        let mem = IntoRanges {
+/// Each grid has its own view set: the send views alias one grid's file.
+impl BrickExchange for ExchangeView {
+    type Schedule = Exchanger;
+
+    fn open(schedule: &Exchanger, decomp: &BrickDecomp<3>, ctx: &RankCtx<'_>) -> ([BrickStorage; 2], Vec<Self>) {
+        let grids = [(); 2].map(|()| MemMapStorage::allocate(decomp).expect("memfd allocation"));
+        let views = grids.iter().map(|grid| {
+            let mut view = ExchangeView::over(schedule, grid).expect("view construction");
+            view.ensure_bound(ctx, grid);
+            view
+        });
+        let views = views.collect();
+        (grids.map(|grid| grid.storage), views)
+    }
+
+    fn stats(&self) -> ExchangeStats {
+        self.stats
+    }
+
+    fn plans(&mut self) -> &mut [CommPlan] {
+        self.plan.as_mut_slice()
+    }
+
+    /// A view's partitions are its padded storage bricks (`step`
+    /// elements each, page-aligned by construction, so `pready` still
+    /// reads straight out of the mmap view — pack-free).
+    fn arm(&mut self, decomp: &BrickDecomp<3>, partitioned: bool) -> SplitSetup {
+        let (views, step) = (&self.views, decomp.step());
+        let plan = self.plan.as_mut().expect("bound when opened");
+        if partitioned {
+            plan.enable_partitioned(step, decomp.bricks(), |i| views[i].bricks.clone());
+        }
+        let ghosts = plan.mailbox().iter().map(|&j| {
+            let r = &self.recv_ranges[j];
+            ((r.start / step) as u32..(r.end / step) as u32).collect()
+        });
+        (ghosts.collect(), plan.priority().cloned())
+    }
+
+    /// The send views alias the surface bricks of `grid`, the receive
+    /// ranges cover its ghost bricks — disjoint file ranges.
+    fn call(&mut self, ctx: &mut RankCtx<'_>, grid: &mut BrickStorage, call: Call<'_>) -> Result<usize, NetsimError> {
+        let mut mem = IntoRanges {
             sends: &self.views,
-            data: storage.storage.as_mut_slice().into(),
+            data: grid.as_mut_slice().into(),
             recvs: &self.recv_ranges,
             pend: &mut self.pend,
         };
-        (self.plan.as_mut().expect("call ensure_bound first"), mem)
-    }
-
-    /// First half of a split exchange of `storage` (see
-    /// [`CommPlan::begin`]); `poll` and `finish` go to the plan through
-    /// [`Self::bound`].
-    pub(crate) fn begin(
-        &mut self,
-        ctx: &mut RankCtx<'_>,
-        storage: &mut MemMapStorage,
-        completed: &mut Vec<usize>,
-    ) -> Result<(), NetsimError> {
-        self.ensure_bound(ctx, storage);
-        let (plan, mut mem) = self.bound(storage);
-        plan.begin(ctx, &mut mem, completed)
-    }
-
-    /// The plan alone, for what needs no memory (statistics, priority).
-    /// Requires [`Self::ensure_bound`] first.
-    pub(crate) fn plan(&self) -> &CommPlan {
-        self.plan.as_ref().expect("call ensure_bound first")
-    }
-
-    /// Every plan one exchange runs (none before the first binds it).
-    pub(crate) fn plans(&self) -> impl Iterator<Item = &CommPlan> {
-        self.plan.iter()
-    }
-
-    /// Switch this view into partitioned early-bird mode: the partitions
-    /// of a send view are its padded storage bricks (`step` elements
-    /// each, page-aligned by construction, so `pready` still reads
-    /// straight out of the mmap view — pack-free). Requires
-    /// [`Self::ensure_bound`] first.
-    pub(crate) fn enable_partitioned(&mut self, step: usize, bricks: usize) {
-        let views = &self.views;
-        self.plan
-            .as_mut()
-            .expect("call ensure_bound first")
-            .enable_partitioned(step, bricks, |i| views[i].bricks.clone());
-    }
-
-    /// The ghost bricks each mailbox receive fills, in completion-index
-    /// order. Requires [`Self::ensure_bound`] first.
-    pub(crate) fn recv_ghosts(&self, step: usize) -> Vec<Vec<u32>> {
-        self.plan()
-            .mailbox()
-            .iter()
-            .map(|&j| {
-                let r = &self.recv_ranges[j];
-                ((r.start / step) as u32..(r.end / step) as u32).collect()
-            })
-            .collect()
+        self.plan.as_mut().expect("call ensure_bound first").call(ctx, &mut mem, call)
     }
 }
 
@@ -353,6 +299,15 @@ mod tests {
         assert_eq!(ev.stats().messages, 26);
         // Layout optimization keeps mappings at the run count (42).
         assert_eq!(ev.mapped_segments(), 42);
+        // Lexicographic order: still one message per neighbor, and one
+        // segment per run of that order — No-Layout's message count.
+        for (n, segments) in [(16, 42), (32, 62), (64, 62)] {
+            let lex = layout::SurfaceLayout::lexicographic(3);
+            let d = memmap_decomp([n; 3], 8, BrickDims::cubic(8), 1, lex, memview::PAGE_4K);
+            let ev = ExchangeView::build(&d, &MemMapStorage::allocate(&d).unwrap()).unwrap();
+            assert_eq!((ev.stats().messages, ev.mapped_segments()), (26, segments), "lexicographic {n}^3");
+            assert_eq!(ev.mapped_segments(), Exchanger::layout(&d).stats().messages, "lexicographic {n}^3");
+        }
     }
 
     #[test]

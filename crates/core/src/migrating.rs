@@ -28,7 +28,7 @@ use stencil::PlanSplit;
 use crate::balance::propose_moves;
 use crate::decomp::Ownership;
 use crate::driver::RebalanceCfg;
-use crate::engine::{ghosts_of, RankEngine, SplitSetup};
+use crate::engine::{RankEngine, SplitSetup};
 use crate::exchange::ExchangeStats;
 use crate::experiment::fail;
 use crate::plan::{discover_plan, CommPlan, ExchangePlan, IntoRanges, SendEdge, REB_NS};
@@ -386,7 +386,9 @@ impl RankEngine for Migrating<'_> {
     }
 
     fn arm_split(&mut self, _ctx: &mut RankCtx<'_>, _partitioned: bool) -> SplitSetup {
-        (ghosts_of(&self.bound.ranges, self.cfg.grid.cells), None)
+        let cells = self.cfg.grid.cells;
+        let ghosts = self.bound.ranges.iter().map(|r| (r.start / cells) as u32..(r.end / cells) as u32);
+        (ghosts.map(Iterator::collect).collect(), None)
     }
 
     /// Slots are the graph's bricks: interior when every face is owned,

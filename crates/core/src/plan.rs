@@ -310,6 +310,16 @@ pub(crate) fn scoped<'c, R>(ctx: &mut RankCtx<'c>, scope: Option<&'static str>, 
     }
 }
 
+/// One call a step driver makes on a plan: a whole exchange, one part
+/// of a split one, or marking freshly computed bricks ready.
+pub(crate) enum Call<'a> {
+    Exchange,
+    Begin(&'a mut Vec<usize>),
+    Poll(&'a mut Vec<usize>),
+    Finish,
+    Pready(&'a [u32]),
+}
+
 /// Partitioned-channel state: the persistent channels, the storage
 /// brick → `(channel, partition)` map driving `pready`, and the
 /// destination-priority classes.
@@ -438,6 +448,18 @@ impl CommPlan {
         }
     }
 
+    /// Drop every piece of protocol state — the retry session and its
+    /// sequence numbers, partitioned channels, a split exchange in
+    /// flight — leaving the plan as binding its schedule again on this
+    /// rank would: what a recovery epoch needs after a torn step.
+    pub fn reset(&mut self) {
+        self.handles.clear();
+        self.done.fill(false);
+        self.fault_step = false;
+        self.reliable = None;
+        self.partitioned = None;
+    }
+
     /// Post receives before sends.
     pub fn recvs_first(mut self) -> CommPlan {
         self.recvs_first = true;
@@ -540,6 +562,24 @@ impl CommPlan {
             }
             Ok(())
         })
+    }
+
+    /// Make `call` over `mem`. Returns what [`Self::poll`] returns for
+    /// `Call::Poll`, 0 for the others.
+    pub fn call<'c, M: HaloMem<'c>>(
+        &mut self,
+        ctx: &mut RankCtx<'c>,
+        mem: &mut M,
+        call: Call<'_>,
+    ) -> Result<usize, NetsimError> {
+        match call {
+            Call::Exchange => self.exchange(ctx, mem)?,
+            Call::Begin(completed) => self.begin(ctx, mem, completed)?,
+            Call::Poll(completed) => return self.poll(ctx, mem, completed),
+            Call::Finish => self.finish(ctx, mem)?,
+            Call::Pready(bricks) => self.pready(ctx, mem, bricks)?,
+        }
+        Ok(0)
     }
 
     /// One whole exchange: post everything, then block until every

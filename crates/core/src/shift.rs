@@ -18,14 +18,16 @@
 use std::io;
 use std::ops::Range;
 
+use brick::BrickStorage;
 use layout::Dir;
 use memview::{host_page_size, is_aligned, ContiguousView, Segment};
 use netsim::{NetsimError, RankCtx};
 
 use crate::decomp::BrickDecomp;
+use crate::engine::{BrickExchange, SplitSetup};
 use crate::exchange::ExchangeStats;
 use crate::memmap::MemMapStorage;
-use crate::plan::{CommPlan, RecvSpec, SendSpec, Slabs};
+use crate::plan::{Call, CommPlan, RecvSpec, SendSpec, Slabs};
 
 /// One axis pass: the two slab views it sends (`[positive, negative]`
 /// direction of travel) and the two it receives into, with the
@@ -64,7 +66,7 @@ pub struct ShiftExchanger {
     /// loopback-paired.
     plans: Vec<CommPlan>,
     /// Physical brick indices of the final pass's two receive slabs
-    /// (completion order `[positive, negative]`) — the ghost bricks a
+    /// (receive order `[positive, negative]`) — the ghost bricks a
     /// dependency-graph driver gates boundary compute on.
     final_recv_bricks: [Vec<u32>; 2],
     /// Physical brick indices of the final pass's two send slabs, in
@@ -73,12 +75,6 @@ pub struct ShiftExchanger {
 }
 
 impl ShiftExchanger {
-    /// The scope a split exchange's later calls (`finish`, `pready`) nest
-    /// in, so the final pass's `shift:pass-*` spans stay inside
-    /// `exchange:shift` as they are in [`Self::exchange`] and
-    /// [`Self::begin`].
-    pub(crate) const SPLIT_SCOPE: Option<&'static str> = Some(SCOPE);
-
     /// Build the per-axis slab views. Requires page-aligned bricks
     /// (e.g. a [`crate::memmap::memmap_decomp`] decomposition, or 8³
     /// f64 bricks whose 4 KiB exactly tile host pages).
@@ -178,8 +174,8 @@ impl ShiftExchanger {
 
     /// Bind one plan per pass to `ctx`'s rank if this exchanger has not
     /// yet been driven on it (idempotent otherwise; a rebind drops all
-    /// protocol state with the old plans). [`Self::exchange`] and
-    /// its split-phase `begin` call this themselves.
+    /// protocol state with the old plans). [`Self::exchange`] calls this
+    /// itself.
     pub fn ensure_bound(&mut self, ctx: &RankCtx<'_>, storage: &MemMapStorage) {
         assert!(
             std::sync::Arc::ptr_eq(&self.bound_file, storage.file()),
@@ -211,91 +207,71 @@ impl ShiftExchanger {
         storage: &mut MemMapStorage,
     ) -> Result<(), NetsimError> {
         self.ensure_bound(ctx, storage);
-        let n = self.passes.len();
-        ctx.scoped(SCOPE, |ctx| self.run_passes(ctx, n))
+        self.call(ctx, &mut storage.storage, Call::Exchange).map(drop)
     }
 
-    /// Run passes `0..n` to completion, in order.
-    fn run_passes(&mut self, ctx: &mut RankCtx<'_>, n: usize) -> Result<(), NetsimError> {
+    /// Run every pass but the final one to completion, in order.
+    fn pre_passes(&mut self, ctx: &mut RankCtx<'_>) -> Result<(), NetsimError> {
+        let n = self.passes.len() - 1;
         for (plan, pass) in self.plans.iter_mut().zip(&mut self.passes).take(n) {
             plan.exchange(ctx, &mut pass.mem())?;
         }
         Ok(())
     }
+}
 
-    /// The final pass — the one a split exchange posts without waiting —
-    /// as its plan and slab memory. The slab views alias `storage`, which
-    /// stays mutably borrowed while they are written through. Requires
-    /// [`Self::ensure_bound`].
-    pub(crate) fn bound<'a>(&'a mut self, _storage: &'a mut MemMapStorage) -> (&'a mut CommPlan, Slabs<'a>) {
-        let plan = self.plans.last_mut().expect("call ensure_bound first");
-        (plan, self.passes.last_mut().expect("at least one axis").mem())
-    }
+/// Each grid has its own slab views. Earlier passes are serialized data
+/// dependencies (corner data is forwarded axis by axis), so every call
+/// but a whole or begun exchange concerns the final pass alone.
+impl BrickExchange for ShiftExchanger {
+    type Schedule = ();
 
-    /// The final pass's plan alone. Requires [`Self::ensure_bound`].
-    pub(crate) fn plan(&self) -> &CommPlan {
-        self.plans.last().expect("call ensure_bound first")
-    }
-
-    /// Every plan one exchange runs: one per pass.
-    pub(crate) fn plans(&self) -> impl Iterator<Item = &CommPlan> {
-        self.plans.iter()
-    }
-
-    /// Switch the *final* axis pass into partitioned early-bird mode:
-    /// its two slab views become persistent partitioned channels whose
-    /// partitions are padded storage bricks (`step` elements). Earlier
-    /// passes stay serialized — their payloads depend on received
-    /// ghosts, so no brick of theirs is ready before the step's
-    /// exchange anyway. Bricks received by earlier passes interleave
-    /// the final slabs and are never marked ready, so they bound the
-    /// shippable prefix. Requires [`Self::ensure_bound`] first; a local
-    /// (single-rank-axis) final pass has nothing to partition and
-    /// leaves the exchanger on the classic path.
-    pub(crate) fn enable_partitioned(&mut self, step: usize, bricks: usize) {
-        let plan = self.plans.last_mut().expect("call ensure_bound first");
-        if plan.mailbox().is_empty() {
-            return;
-        }
-        let slabs = &self.final_send_bricks;
-        plan.enable_partitioned(step, bricks, |i| {
-            slabs[i].iter().map(|&b| b as usize).collect()
+    fn open(_: &(), decomp: &BrickDecomp<3>, ctx: &RankCtx<'_>) -> ([BrickStorage; 2], Vec<Self>) {
+        let grids = [(); 2].map(|()| MemMapStorage::allocate(decomp).expect("memfd allocation"));
+        let shifts = grids.iter().map(|grid| {
+            let mut shift = ShiftExchanger::build(decomp, grid).expect("view construction");
+            shift.ensure_bound(ctx, grid);
+            shift
         });
+        let shifts = shifts.collect();
+        (grids.map(|grid| grid.storage), shifts)
     }
 
-    /// Physical brick indices of the final pass's two receive slabs, in
-    /// split-exchange completion order (`0` = positive direction, `1` =
-    /// negative). A dependency-graph driver gates boundary compute on
-    /// these; ghosts received by the earlier (serialized) passes are
-    /// already valid when [`Self::begin`] returns.
-    pub(crate) fn recv_ghosts(&self, _step: usize) -> Vec<Vec<u32>> {
-        self.final_recv_bricks.to_vec()
+    fn stats(&self) -> ExchangeStats {
+        self.stats
     }
 
-    /// First half of a split exchange. Passes `0..D-1` are serialized
-    /// data dependencies, so they run to completion exactly as in
-    /// [`Self::exchange`]; only the final pass is posted without
-    /// waiting. Indices (into [`Self::recv_ghosts`]) of final-pass
-    /// receives that completed during this call are appended to
-    /// `completed` — both of them when the final pass is local: its
-    /// ghosts are filled by loopback, though the epoch stays open for
-    /// `finish` to close, so `wait` is billed as in the phased exchange.
-    pub(crate) fn begin(
-        &mut self,
-        ctx: &mut RankCtx<'_>,
-        storage: &mut MemMapStorage,
-        completed: &mut Vec<usize>,
-    ) -> Result<(), NetsimError> {
-        self.ensure_bound(ctx, storage);
-        let last = self.passes.len() - 1;
+    fn plans(&mut self) -> &mut [CommPlan] {
+        &mut self.plans
+    }
+
+    /// Only the final pass is partitioned: earlier passes' payloads
+    /// depend on received ghosts, so no brick of theirs is ready before
+    /// the step's exchange anyway. Bricks received by earlier passes
+    /// interleave the final slabs and are never marked ready, so they
+    /// bound the shippable prefix. A local (single-rank-axis) final pass
+    /// has nothing to partition and stays on the classic path; its
+    /// ghosts are filled by loopback when it begins, so it has no
+    /// receive to wait on either.
+    fn arm(&mut self, decomp: &BrickDecomp<3>, partitioned: bool) -> SplitSetup {
+        let plan = self.plans.last_mut().expect("bound when opened");
+        let slabs = &self.final_send_bricks;
+        if partitioned && !plan.mailbox().is_empty() {
+            plan.enable_partitioned(decomp.step(), decomp.bricks(), |i| slabs[i].iter().map(|&b| b as usize).collect());
+        }
+        let ghosts = plan.mailbox().iter().map(|&j| self.final_recv_bricks[j].clone()).collect();
+        (ghosts, plan.priority().cloned())
+    }
+
+    /// The slab views alias `grid`, which stays mutably borrowed while
+    /// they are written through.
+    fn call(&mut self, ctx: &mut RankCtx<'_>, _grid: &mut BrickStorage, call: Call<'_>) -> Result<usize, NetsimError> {
         ctx.scoped(SCOPE, |ctx| {
-            self.run_passes(ctx, last)?;
-            let (plan, mut mem) = self.bound(storage);
-            plan.begin(ctx, &mut mem, completed)?;
-            if plan.mailbox().is_empty() {
-                completed.extend([0, 1]);
+            if matches!(call, Call::Exchange | Call::Begin(_)) {
+                self.pre_passes(ctx)?;
             }
-            Ok(())
+            let plan = self.plans.last_mut().expect("call ensure_bound first");
+            plan.call(ctx, &mut self.passes.last_mut().expect("at least one axis").mem(), call)
         })
     }
 }

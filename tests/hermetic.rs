@@ -254,3 +254,24 @@ fn memview_maps_memory_in_one_place() {
         assert_eq!(n, 1, "memview has {n} `{marker}`, not one");
     }
 }
+
+/// Every brick grid steps through one engine: outside their tests,
+/// `crates/core/src` holds at most three `RankEngine` impls (the brick
+/// engine, `Arrays` and `Migrating`), `engine.rs` stamps none out with
+/// a macro, and `memmap.rs` walks no regions of its own — MemMap's views
+/// are cut from the Layout schedule (`Exchanger::layout`).
+#[test]
+fn brick_grids_have_one_engine() {
+    let core = sources("core");
+    let impls: Vec<String> = core
+        .iter()
+        .flat_map(|(name, text)| {
+            let lines = non_test(text).lines().filter(|l| l.contains("impl") && l.contains("RankEngine for"));
+            lines.map(move |l| format!("{name}: {}", l.trim()))
+        })
+        .collect();
+    assert!(impls.len() <= 3, "crates/core/src has {} `RankEngine` impls: {impls:#?}", impls.len());
+    let file = |want: &str| non_test(&core.iter().find(|(name, _)| name == want).expect("core source").1).to_string();
+    assert!(!file("engine.rs").contains("macro_rules!"), "crates/core/src/engine.rs defines a macro");
+    assert!(!file("memmap.rs").contains("all_regions"), "crates/core/src/memmap.rs walks the regions itself");
+}
