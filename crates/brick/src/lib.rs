@@ -35,4 +35,4 @@ pub use brickref::{At, BrickView, BrickViewMut};
 pub use dims::{adjacency_size, code_to_trits, trits_to_code, BrickDims};
 pub use grid::BrickGrid;
 pub use info::{BrickInfo, NO_BRICK};
-pub use storage::{BrickStorage, HeapBacking, StorageBacking};
+pub use storage::{BrickStorage, HeapBacking, Spares, StorageBacking};

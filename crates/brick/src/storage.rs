@@ -4,7 +4,8 @@
 //! file supplied by an external backing.
 //!
 //! Heap grids ([`HeapBacking`], behind [`BrickStorage::allocate`] and the
-//! array baselines' grids) come from one process-wide spare list, so
+//! array baselines' grids) come from one process-wide spare list (a
+//! [`Spares`], the policy `memview`'s mapped grids share), so
 //! where a grid lands does not depend on which thread's malloc arena
 //! allocated it last:
 //! - a dropped grid's buffer goes back to the list, whichever thread
@@ -17,7 +18,7 @@
 //!   `f64`s is one line, not two halves.
 
 use std::ops::{Deref, DerefMut};
-use std::sync::{Mutex, PoisonError};
+use std::sync::{Mutex, MutexGuard, PoisonError};
 
 /// Abstract backing memory for a [`BrickStorage`]. The default heap
 /// backing is [`HeapBacking`]; the `memview` crate provides an
@@ -36,38 +37,42 @@ const LINE: usize = 64;
 /// `f64`-aligned).
 const SLACK: usize = LINE / 8 - 1;
 
-/// Freed grid buffers of one grid length, `len + SLACK` elements each.
-/// `bufs` has room for all `made` buffers of that length, so that
-/// handing one back never allocates (steady-state steps are held to
-/// zero allocations, and a rank may drop its grids while another steps).
-struct Spares {
+/// A process-wide list of freed grids of one length, the one pool
+/// policy behind every grid: [`HeapBacking`]'s buffers here, and
+/// `memview`'s mapped grids in a second `static` of this type.
+/// - [`Spares::take`] hands out a spare of the asked length, or counts
+///   one more grid made and reserves room for its return, so that
+///   [`Spares::give`] never allocates (steady-state steps are held to
+///   zero allocations, and a rank may drop its grids while another
+///   steps);
+/// - asking for another length frees every spare first, so after a run
+///   the list holds at most that run's grids;
+/// - it locks one mutex and works on any thread.
+///
+/// Zero-filling a spare is the caller's.
+pub struct Spares<T>(Mutex<List<T>>);
+
+struct List<T> {
     len: usize,
     made: usize,
-    bufs: Vec<Vec<f64>>,
+    bufs: Vec<T>,
 }
 
-static SPARES: Mutex<Spares> = Mutex::new(Spares { len: 0, made: 0, bufs: Vec::new() });
+impl<T> Spares<T> {
+    /// An empty list.
+    pub const fn new() -> Self {
+        Spares(Mutex::new(List { len: 0, made: 0, bufs: Vec::new() }))
+    }
 
-fn spares() -> std::sync::MutexGuard<'static, Spares> {
-    SPARES.lock().unwrap_or_else(PoisonError::into_inner)
-}
+    fn lock(&self) -> MutexGuard<'_, List<T>> {
+        self.0.lock().unwrap_or_else(PoisonError::into_inner)
+    }
 
-/// Zero-initialized heap grid of a fixed length, starting on a 64-byte
-/// line. Its buffer is a spare from the process-wide list when one of
-/// this length is free (see the module docs) and goes back to the list
-/// when it drops. Dereferences to the grid's elements.
-#[derive(Debug)]
-pub struct HeapBacking {
-    buf: Vec<f64>,
-    off: usize,
-    len: usize,
-}
-
-impl HeapBacking {
-    /// Zero-initialized heap backing of `len` elements.
-    pub fn new(len: usize) -> Self {
+    /// A spare grid of length `len`, or `None` when the caller must make
+    /// one, which is then counted as made.
+    pub fn take(&self, len: usize) -> Option<T> {
         let (spare, freed) = {
-            let mut s = spares();
+            let mut s = self.lock();
             let freed = if s.len == len {
                 Vec::new()
             } else {
@@ -83,7 +88,49 @@ impl HeapBacking {
             (spare, freed)
         };
         drop(freed);
-        let buf = match spare {
+        spare
+    }
+
+    /// Hand a dropped grid of length `len` back. A grid from before the
+    /// last length switch may find no room and is dropped instead.
+    pub fn give(&self, len: usize, grid: T) {
+        let left = {
+            let mut s = self.lock();
+            if s.len == len && s.bufs.len() < s.bufs.capacity() {
+                s.bufs.push(grid);
+                None
+            } else {
+                Some(grid)
+            }
+        };
+        drop(left);
+    }
+}
+
+impl<T> Default for Spares<T> {
+    fn default() -> Self {
+        Spares::new()
+    }
+}
+
+/// Spare heap grid buffers, `len + SLACK` elements each.
+static SPARES: Spares<Vec<f64>> = Spares::new();
+
+/// Zero-initialized heap grid of a fixed length, starting on a 64-byte
+/// line. Its buffer is a spare from the process-wide list when one of
+/// this length is free (see the module docs) and goes back to the list
+/// when it drops. Dereferences to the grid's elements.
+#[derive(Debug)]
+pub struct HeapBacking {
+    buf: Vec<f64>,
+    off: usize,
+    len: usize,
+}
+
+impl HeapBacking {
+    /// Zero-initialized heap backing of `len` elements.
+    pub fn new(len: usize) -> Self {
+        let buf = match SPARES.take(len) {
             Some(mut buf) => {
                 buf.fill(0.0);
                 buf
@@ -97,11 +144,7 @@ impl HeapBacking {
 
 impl Drop for HeapBacking {
     fn drop(&mut self) {
-        let mut s = spares();
-        // A buffer from before the last length switch may find no room.
-        if s.len == self.len && s.bufs.len() < s.bufs.capacity() {
-            s.bufs.push(std::mem::take(&mut self.buf));
-        }
+        SPARES.give(self.len, std::mem::take(&mut self.buf));
     }
 }
 

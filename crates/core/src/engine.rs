@@ -133,9 +133,11 @@ pub(crate) trait BrickExchange: Sized {
 pub(crate) struct Bricks<'a, X> {
     decomp: &'a BrickDecomp<3>,
     kernel: KernelPlan,
-    grids: [BrickStorage; 2],
     /// Advancing swaps the grids and, one per grid, these with them.
+    /// They drop before the grids, so a mapped grid finds no view of
+    /// its file left and goes back to the pool of mapped grids.
     ex: Vec<X>,
+    grids: [BrickStorage; 2],
 }
 
 impl<'a, X: BrickExchange> Bricks<'a, X> {

@@ -16,7 +16,7 @@ use std::io;
 use std::sync::Arc;
 
 use brick::BrickStorage;
-use memview::{host_page_size, is_aligned, ContiguousView, MemFile, Segment};
+use memview::{host_page_size, is_aligned, ContiguousView, MappedGrid, MemFile, Segment};
 use netsim::{NetsimError, RankCtx};
 
 use crate::decomp::{pad_bricks_for, BrickDecomp};
@@ -27,15 +27,19 @@ use crate::plan::{Call, CommPlan, IntoRanges, RecvSpec, SendSpec};
 /// Brick storage whose backing is an mmap-able in-memory file (the
 /// paper's `bInfo.mmap_alloc(bSize)`).
 pub struct MemMapStorage {
+    /// The grid's file. It drops before `storage`, so the grid finds its
+    /// file otherwise unheld and goes back to the pool of mapped grids.
+    file: Arc<MemFile>,
     /// The storage (usable exactly like heap storage for computation).
     pub storage: BrickStorage,
-    file: Arc<MemFile>,
     step: usize,
 }
 
 impl MemMapStorage {
-    /// Allocate mmap-backed storage for `decomp`: a whole-file view of a
-    /// fresh memfd. The decomposition must have been built with the
+    /// Allocate mmap-backed storage for `decomp`: a zeroed
+    /// [`MappedGrid`], the whole-file view of a memfd of its own, reused
+    /// from an earlier grid of this length when one was dropped
+    /// unaliased. The decomposition must have been built with the
     /// page-matching pad unit ([`memmap_decomp`] does this for you);
     /// storage that is not a whole number of host pages is
     /// `InvalidInput`.
@@ -48,11 +52,11 @@ impl MemMapStorage {
                 format!("{bytes} B of brick storage is not a whole number of host pages"),
             ));
         }
-        let file = Arc::new(MemFile::create("brick-storage", bytes)?);
-        let backing = file.map_all()?;
+        let grid = MappedGrid::new(bytes)?;
+        let file = Arc::clone(grid.file());
         let storage =
-            BrickStorage::from_backing(Box::new(backing), decomp.bricks(), decomp.brick_dims().elements(), decomp.fields());
-        Ok(MemMapStorage { storage, file, step })
+            BrickStorage::from_backing(Box::new(grid), decomp.bricks(), decomp.brick_dims().elements(), decomp.fields());
+        Ok(MemMapStorage { file, storage, step })
     }
 
     /// The backing file.

@@ -9,8 +9,10 @@
 //!
 //! A [`ContiguousView`] is the crate's one owner of mapped memory. The
 //! whole-file view ([`MemFile::map_all`]) is the "compute" pointer of the
-//! paper's Figure 5, and as a `brick::StorageBacking` it holds a whole
-//! `BrickStorage`, which every send view of the same file aliases.
+//! paper's Figure 5. A [`MappedGrid`] is one such view of a memfd of its
+//! own; as a `brick::StorageBacking` it holds a whole `BrickStorage`,
+//! which every send view of the same file aliases, and like a heap grid
+//! it goes back to a process-wide list of spares when it drops.
 //!
 //! ```
 //! use std::sync::Arc;
@@ -36,6 +38,7 @@ pub mod memfile;
 pub mod pages;
 pub mod view;
 
+pub use backing::MappedGrid;
 pub use memfile::{live_mapping_count, MemFile};
 pub use pages::{host_page_size, is_aligned, round_up, PAGE_16K, PAGE_4K, PAGE_64K};
 pub use view::{ContiguousView, Segment};

@@ -120,6 +120,11 @@ impl ContiguousView {
         &self.segments
     }
 
+    /// The file the view maps.
+    pub fn file(&self) -> &Arc<MemFile> {
+        &self.file
+    }
+
     /// The view as `f64`s.
     pub fn as_f64(&self) -> &[f64] {
         // SAFETY: `base`/`len` are our live mapping; page alignment ≥

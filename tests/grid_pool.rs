@@ -1,13 +1,17 @@
-//! The contract of the process-wide pool behind every heap grid
-//! (`brick::HeapBacking`): a reused grid is zeroed, a grid freed on one
-//! thread is the buffer the next grid of its length gets on another,
-//! and every heap grid starts on a 64-byte line.
+//! The contract of the process-wide pools behind every grid: heap grids
+//! (`brick::HeapBacking`) and MemMap's and Shift's mapped grids
+//! (`memview::MappedGrid`, behind `MemMapStorage`). In each, a reused
+//! grid is zeroed and a grid freed on one thread is the one the next
+//! grid of its length gets on another. Every heap grid starts on a
+//! 64-byte line; a mapped grid whose file another view still maps is
+//! never handed out again, and no send view outlives its run.
 //!
 //! One `#[test]` in its own binary, so no other test allocates grids
-//! from the pool while this one watches it.
+//! from the pools while this one watches them.
 
-use brick::BrickStorage;
-use stencil::ArrayGrid;
+use std::sync::Arc;
+
+use bricklib::prelude::*;
 
 const LINE: usize = 64;
 
@@ -55,4 +59,55 @@ fn grid_pool_contract() {
             assert_eq!(into, 0, "{what} of {} elements starts {into} bytes into a line", bricks * elems);
         }
     }
+
+    // The mapped half, at the grid length of a 16^3 MemMap rank.
+    let memmap = CpuMethod::MemMap { page_size: memview::PAGE_4K };
+    let cfg = ExperimentConfig { ranks: vec![2, 2, 2], ..ExperimentConfig::k1(memmap, 16) };
+    let decomp = cfg.decomp();
+    let grid = || MemMapStorage::allocate(&decomp).unwrap();
+    let at = |st: &MemMapStorage| st.storage.as_slice().as_ptr() as usize;
+    let zeroed = |st: &MemMapStorage| st.storage.as_slice().iter().all(|&x| x == 0.0);
+
+    // A mapped grid dirtied and dropped comes back all zeros.
+    let mut dirty = grid();
+    dirty.storage.fill(7.0);
+    let (dirty_at, dirty_file) = (at(&dirty), Arc::downgrade(dirty.file()));
+    drop(dirty);
+    let reused = grid();
+    let same_file = dirty_file.upgrade().is_some_and(|f| Arc::ptr_eq(&f, reused.file()));
+    assert!(same_file && at(&reused) == dirty_at, "a dropped mapped grid was not reused");
+    assert!(zeroed(&reused), "a reused mapped grid is not zeroed");
+    drop(reused);
+
+    // A mapped grid dropped on another thread is the next grid on this one.
+    let freed = std::thread::scope(|s| {
+        s.spawn(|| {
+            let mut st = grid();
+            st.storage.fill(-1.0);
+            at(&st)
+        })
+        .join()
+        .unwrap()
+    });
+    let next = grid();
+    assert_eq!(at(&next), freed, "the thread's freed mapped grid was not reused");
+    assert!(zeroed(&next));
+
+    // A grid whose file a send view still maps is not taken back: the
+    // next grid is another file, mapped by its own whole-file view only.
+    let view = ExchangeView::build(&decomp, &next).unwrap();
+    let aliased_fd = next.file().raw_fd();
+    drop(next);
+    let fresh = grid();
+    assert_ne!(fresh.file().raw_fd(), aliased_fd, "a grid a view still maps was handed out again");
+    assert_eq!(fresh.file().live_mappings(), 1);
+    drop(view);
+    drop(fresh);
+
+    // After a run, the only mappings left are the pooled grids' own
+    // whole-file views, two per rank: every send view dropped with the
+    // run, before the grid it maps.
+    let ranks: usize = cfg.ranks.iter().product();
+    run_experiment(&cfg);
+    assert_eq!(memview::live_mapping_count(), 2 * ranks, "a view outlived its run, or a grid missed the pool");
 }
