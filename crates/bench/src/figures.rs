@@ -14,7 +14,7 @@ use netsim::{run_cluster, CartTopo, NetworkModel, Timers};
 use packfree::calibrated::estimate_cpu_step;
 use packfree::experiment::{network_floor, run_experiment, CpuMethod, ExperimentConfig};
 use packfree::gpu::{network_floor_ca, GpuMethod, GpuPlatform};
-use packfree::memmap::{memmap_decomp, ExchangeView, MemMapStorage};
+use packfree::memmap::memmap_decomp;
 use packfree::{BrickDecomp, ExchangeStats, Exchanger};
 use stencil::StencilShape;
 
@@ -596,8 +596,7 @@ fn ext_brick_size(_: &mut Cells, out: &mut dyn Write) -> io::Result<()> {
         let d = BrickDecomp::<3>::layout_mode([64; 3], ghost, bricks, 1, layout::surface3d());
         let (msgs, timers) = proxy_exchange(&d, &Exchanger::layout(&d), 6);
         let dm = memmap_decomp([64; 3], ghost, bricks, 1, layout::surface3d(), memview::PAGE_64K);
-        let st = MemMapStorage::allocate(&dm).expect("memfd");
-        let mv = ExchangeView::build(&dm, &st).expect("views").stats();
+        let mv = Exchanger::memmap(&dm).stats();
         t.row(vec![
             format!("{bs}^3"),
             ghost.to_string(),

@@ -6,7 +6,7 @@ use packfree::decomp::BrickDecomp;
 use packfree::exchange::{ExchangeStats, Exchanger};
 use packfree::experiment::{run_experiment, CpuMethod, ExperimentConfig, MethodReport};
 use packfree::gpu::{estimate_gpu_step, GpuMethod, GpuPlatform, GpuWorkload};
-use packfree::memmap::{memmap_decomp, ExchangeView, MemMapStorage};
+use packfree::memmap::memmap_decomp;
 use stencil::StencilShape;
 
 /// What one `reproduce` run sweeps over.
@@ -107,8 +107,7 @@ impl Cells {
         let d = BrickDecomp::<3>::layout_mode([n; 3], 8, BrickDims::cubic(8), 1, layout::surface3d());
         let layout = Exchanger::layout(&d).stats();
         let dm = memmap_decomp([n; 3], 8, BrickDims::cubic(8), 1, layout::surface3d(), memview::PAGE_64K);
-        let st = MemMapStorage::allocate(&dm).expect("memfd");
-        let memmap = ExchangeView::build(&dm, &st).expect("views").stats();
+        let memmap = Exchanger::memmap(&dm).stats();
         let grid = stencil::ArrayGrid::new([n; 3], 8);
         let types = ExchangeStats {
             messages: 26,

@@ -762,9 +762,7 @@ mod tests {
     #[test]
     fn a_frame_is_the_owned_prefix_plus_trailer_for_every_engine() {
         use crate::engine::{Arrays, Bricks};
-        use crate::exchange::ExchangeSession;
         use crate::experiment::{CpuMethod, ExperimentConfig};
-        use crate::{ExchangeView, Exchanger, ShiftExchanger};
         let topo = CartTopo::new(&[1, 1, 1], true);
         for method in [
             CpuMethod::Layout,
@@ -779,22 +777,10 @@ mod tests {
             let cfg = ExperimentConfig::k1(method.clone(), 16);
             let decomp = cfg.decomp();
             let (owned, what) = (decomp.owned_elems(), format!("{method:?}"));
-            run_cluster_on(Backend::Thread, &topo, NetworkModel::instant(), FaultConfig::off(), |ctx| match &method {
-                CpuMethod::MemMap { .. } => {
-                    let schedule = Exchanger::layout(&decomp);
-                    frame_roundtrip(&mut Bricks::<ExchangeView>::new(&cfg, &decomp, &schedule, ctx), ctx, owned, &what)
-                }
-                CpuMethod::Shift { .. } => {
-                    frame_roundtrip(&mut Bricks::<ShiftExchanger>::new(&cfg, &decomp, &(), ctx), ctx, owned, &what)
-                }
-                CpuMethod::Yask | CpuMethod::MpiTypes => {
-                    frame_roundtrip(&mut Arrays::new(&cfg, &decomp), ctx, owned, &what)
-                }
-                _ => {
-                    let exchanger =
-                        if method == CpuMethod::Basic { Exchanger::basic(&decomp) } else { Exchanger::layout(&decomp) };
-                    frame_roundtrip(&mut Bricks::<ExchangeSession>::new(&cfg, &decomp, &exchanger, ctx), ctx, owned, &what)
-                }
+            let schedule = method.schedule(&decomp);
+            run_cluster_on(Backend::Thread, &topo, NetworkModel::instant(), FaultConfig::off(), |ctx| match &schedule {
+                Some(schedule) => frame_roundtrip(&mut Bricks::new(&cfg, &decomp, schedule, ctx), ctx, owned, &what),
+                None => frame_roundtrip(&mut Arrays::new(&cfg, &decomp), ctx, owned, &what),
             });
         }
     }

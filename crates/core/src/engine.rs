@@ -2,12 +2,11 @@
 //! methods — the double-buffered grid and the exchange bound to it —
 //! behind one trait, [`RankEngine`], so [`crate::experiment`] times them
 //! all with the same step loop. Every brick method runs one engine,
-//! [`Bricks`], over its [`BrickExchange`]:
-//! [`ExchangeSession`](crate::exchange::ExchangeSession) for Layout,
-//! Basic and No-Layout, [`ExchangeView`](crate::ExchangeView) for MemMap,
-//! [`ShiftExchanger`](crate::ShiftExchanger) for Shift. The array
-//! baselines run [`Arrays`], the dynamic-ownership proxy `Migrating`.
-//! DESIGN.md maps methods to engines and schedules.
+//! [`Bricks`], over the one brick exchange
+//! ([`ExchangeSession`]) cut from its [`Exchanger`]; the methods
+//! differ only in that schedule. The array baselines run [`Arrays`], the
+//! dynamic-ownership proxy `Migrating`. DESIGN.md maps methods to
+//! engines and schedules.
 
 use brick::BrickStorage;
 use netsim::telemetry::Phase;
@@ -17,8 +16,9 @@ use stencil::{ArrayGrid, ArrayPlan, KernelPlan, PlanSplit};
 
 use crate::baselines::{ArrayExchanger, Flavor};
 use crate::decomp::BrickDecomp;
-use crate::exchange::ExchangeStats;
+use crate::exchange::{Exchanger, ExchangeSession, ExchangeStats};
 use crate::experiment::{CpuMethod, ExperimentConfig};
+use crate::memmap::MemMapStorage;
 use crate::plan::{Call, CommPlan};
 
 /// What a split-phase engine hands the dependency-graph scheduler when
@@ -101,54 +101,44 @@ fn fill_bricks(decomp: &BrickDecomp<3>, st: &mut BrickStorage) {
     crate::fields::fill_interior(decomp, st, 0, |c| init_value(c[0] as i64, c[1] as i64, c[2] as i64));
 }
 
-/// What differs between the brick methods' exchanges: where the grids
-/// live, the plans one exchange runs and the memory each moves, the
-/// partition map and the receive → ghost-brick map. Implemented by the
-/// session (Layout, Basic, No-Layout), the MemMap view and the Shift
-/// exchanger; [`Bricks`] does the rest.
-pub(crate) trait BrickExchange: Sized {
-    /// What every rank's exchange is cut from, built once per run.
-    type Schedule;
-    /// Allocate the two grids and bind the exchanges moving them to the
-    /// rank: one for both grids (a session moves ranges of either), or
-    /// one per grid (send views alias the memory of one grid); grid `g`
-    /// is moved by exchange `g % len`.
-    fn open(schedule: &Self::Schedule, decomp: &BrickDecomp<3>, ctx: &RankCtx<'_>) -> ([BrickStorage; 2], Vec<Self>);
-    /// Traffic of one exchange.
-    fn stats(&self) -> ExchangeStats;
-    /// Every plan one exchange runs, in order; a split exchange leaves
-    /// the last one posted.
-    fn plans(&mut self) -> &mut [CommPlan];
-    /// Prepare the split exchange: open the last plan's partitioned
-    /// channels when `partitioned`, and return the ghost bricks each of
-    /// its mailbox receives fills, with the channels' priority classes.
-    fn arm(&mut self, decomp: &BrickDecomp<3>, partitioned: bool) -> SplitSetup;
-    /// Make `call` on the exchange of `grid` (for `Call::Pready`, the
-    /// grid the stencil is writing).
-    fn call(&mut self, ctx: &mut RankCtx<'_>, grid: &mut BrickStorage, call: Call<'_>) -> Result<usize, NetsimError>;
-}
-
 /// Every brick method's engine: the decomposition, its kernel plan and
-/// two grids, `grids[0]` the current one, exchanged through `X`.
-pub(crate) struct Bricks<'a, X> {
+/// two grids, `grids[0]` the current one, exchanged as the method's
+/// [`Exchanger`] says.
+pub(crate) struct Bricks<'a> {
     decomp: &'a BrickDecomp<3>,
     kernel: KernelPlan,
-    /// Advancing swaps the grids and, one per grid, these with them.
-    /// They drop before the grids, so a mapped grid finds no view of
-    /// its file left and goes back to the pool of mapped grids.
-    ex: Vec<X>,
+    /// One exchange for both heap grids (ranges index either), or one
+    /// per mapped grid (views alias the memory of one grid): grid `g` is
+    /// moved by exchange `g % len`. Advancing swaps the grids and, one
+    /// per grid, these with them. They drop before the grids, so a
+    /// mapped grid finds no view of its file left and goes back to the
+    /// pool of mapped grids.
+    ex: Vec<ExchangeSession>,
     grids: [BrickStorage; 2],
 }
 
-impl<'a, X: BrickExchange> Bricks<'a, X> {
+impl<'a> Bricks<'a> {
+    /// Allocate the two grids — mapped when the schedule has views —
+    /// and cut and bind the exchanges moving them.
     pub(crate) fn new(
         cfg: &ExperimentConfig,
         decomp: &'a BrickDecomp<3>,
-        schedule: &X::Schedule,
+        schedule: &Exchanger,
         ctx: &RankCtx<'_>,
-    ) -> Bricks<'a, X> {
+    ) -> Bricks<'a> {
         let kernel = KernelPlan::new(decomp.brick_info(), &cfg.shape, 1, 0);
-        let (mut grids, ex) = X::open(schedule, decomp, ctx);
+        let (mut grids, mut ex) = if schedule.has_views() {
+            let grids = [(); 2].map(|()| MemMapStorage::allocate(decomp).expect("memfd allocation"));
+            let ex = grids.iter().map(|g| ExchangeSession::new(schedule, Some(g)).expect("view construction"));
+            let ex = ex.collect();
+            (grids.map(|g| g.storage), ex)
+        } else {
+            let ex = ExchangeSession::new(schedule, None).expect("ranges map nothing");
+            ([decomp.allocate(), decomp.allocate()], vec![ex])
+        };
+        for (g, ex) in ex.iter_mut().enumerate() {
+            ex.ensure_bound(ctx, &grids[g]);
+        }
         fill_bricks(decomp, &mut grids[0]);
         Bricks { decomp, kernel, grids, ex }
     }
@@ -165,7 +155,7 @@ impl<'a, X: BrickExchange> Bricks<'a, X> {
     }
 }
 
-impl<X: BrickExchange> RankEngine for Bricks<'_, X> {
+impl RankEngine for Bricks<'_> {
     fn stats(&self) -> ExchangeStats {
         self.ex[0].stats()
     }
@@ -354,8 +344,6 @@ mod tests {
 
     use super::*;
     use crate::driver::RebalanceCfg;
-    use crate::exchange::{ExchangeSession, Exchanger};
-    use crate::{ExchangeView, ShiftExchanger};
     use crate::migrating::Migrating;
     use crate::workload::GridCfg;
 
@@ -396,33 +384,30 @@ mod tests {
         assert_eq!(total.degraded_exchanges, 0, "{what}: {total:?}");
     }
 
-    #[test]
-    fn heap_bricks_count_retries_across_a_rebuild() {
-        for method in [CpuMethod::Layout, CpuMethod::Basic, CpuMethod::NoLayout] {
+    /// [`across_a_rebuild`] of the brick engine over each method's schedule.
+    fn brick_engines_across_a_rebuild(methods: &[CpuMethod]) {
+        for method in methods {
             let cfg = ExperimentConfig::k1(method.clone(), 16);
             let decomp = cfg.decomp();
-            let exchanger =
-                if method == CpuMethod::Basic { Exchanger::basic(&decomp) } else { Exchanger::layout(&decomp) };
-            let ranks = across_a_rebuild(|ctx| Bricks::<ExchangeSession>::new(&cfg, &decomp, &exchanger, ctx));
+            let schedule = method.schedule(&decomp).expect("a brick method");
+            let ranks = across_a_rebuild(|ctx| Bricks::new(&cfg, &decomp, &schedule, ctx));
             assert_counted_across_the_rebuild(method.name(), &ranks);
         }
     }
 
     #[test]
+    fn heap_bricks_count_retries_across_a_rebuild() {
+        brick_engines_across_a_rebuild(&[CpuMethod::Layout, CpuMethod::Basic, CpuMethod::NoLayout]);
+    }
+
+    #[test]
     fn memmap_views_count_retries_across_a_rebuild() {
-        let cfg = ExperimentConfig::k1(CpuMethod::MemMap { page_size: memview::PAGE_4K }, 16);
-        let decomp = cfg.decomp();
-        let schedule = Exchanger::layout(&decomp);
-        let ranks = across_a_rebuild(|ctx| Bricks::<ExchangeView>::new(&cfg, &decomp, &schedule, ctx));
-        assert_counted_across_the_rebuild("MemMap", &ranks);
+        brick_engines_across_a_rebuild(&[CpuMethod::MemMap { page_size: memview::PAGE_4K }]);
     }
 
     #[test]
     fn shift_views_count_retries_across_a_rebuild() {
-        let cfg = ExperimentConfig::k1(CpuMethod::Shift { page_size: memview::PAGE_4K }, 16);
-        let decomp = cfg.decomp();
-        let ranks = across_a_rebuild(|ctx| Bricks::<ShiftExchanger>::new(&cfg, &decomp, &(), ctx));
-        assert_counted_across_the_rebuild("Shift", &ranks);
+        brick_engines_across_a_rebuild(&[CpuMethod::Shift { page_size: memview::PAGE_4K }]);
     }
 
     #[test]

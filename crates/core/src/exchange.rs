@@ -1,4 +1,5 @@
-//! Pack-free ghost-zone exchange engines (paper Section 3).
+//! Pack-free ghost-zone exchange (paper Section 3) and the one brick
+//! exchange every brick method runs.
 //!
 //! With the decomposition's layout-ordered storage, every message is a
 //! contiguous range of bricks: sends are sub-slices of the storage and
@@ -9,44 +10,74 @@
 //! * [`Exchanger::basic`] sends every region instance separately (98
 //!   messages in 3D) — the paper's unoptimized Basic reference.
 //!
-//! An [`Exchanger`] is the rank-independent schedule. Timestep loops
-//! bind it to a rank as an [`ExchangeSession`]: the crate's one
-//! communication plan (`plan.rs`) over the element ranges the messages
-//! occupy in the storage, which owns the whole send/receive/wait
-//! lifecycle. [`Exchanger::exchange`] is the allocating reference path
-//! the sessions are tested against; it is the only transport code here.
+//! An [`Exchanger`] is a rank-independent direction schedule, and
+//! [`Exchanger::exchange`] the allocating reference path the sessions
+//! are tested against. The brick methods differ only in where their
+//! halo bytes live, which a [`Exchanger`] says: passes whose messages
+//! are ranges of the grid's storage or views over its file (`memmap.rs`
+//! cuts the views, `shift.rs` builds Shift's passes). Each rank cuts and
+//! binds an [`ExchangeSession`] from it: one communication plan
+//! (`plan.rs`) per pass, which owns the whole send/receive/wait
+//! lifecycle.
+
+use std::borrow::{Borrow, BorrowMut};
+use std::io;
+use std::ops::Range;
 
 use brick::BrickStorage;
 use layout::{all_regions, Dir};
 use netsim::{NetsimError, RankCtx, RecvHandle};
 
 use crate::decomp::BrickDecomp;
-use crate::engine::{BrickExchange, SplitSetup};
-use crate::plan::{Call, CommPlan, InPlace, RecvSpec, SendSpec};
+use crate::engine::SplitSetup;
+use crate::memmap::{cut_view, MemMapStorage};
+use crate::plan::{self, Call, CommPlan, GridMem, Places, RecvSpec, SendSpec};
 
-/// One outgoing message: a contiguous padded brick range sent toward a
-/// neighbor.
+/// One message of a schedule pass: the neighbor direction it travels
+/// toward (a send) or arrives from (a receive), its tag, and the padded
+/// storage bricks composing it, as runs in wire order (padded, so byte
+/// ranges are alignment-faithful).
 #[derive(Clone, Debug)]
-pub struct SendMsg {
-    /// Neighbor direction the message travels toward.
-    pub to: Dir,
-    /// Matching tag (shared convention with the receiver).
+pub struct Msg {
+    /// Neighbor direction: toward it for a send, from it for a receive
+    /// (ghost group `g(S)`).
+    pub dir: Dir,
+    /// Matching tag (shared convention with the peer).
     pub tag: u64,
-    /// Brick range (padded, so byte ranges are alignment-faithful).
-    pub bricks: std::ops::Range<usize>,
-    /// Payload bricks inside the range (excludes filler).
-    pub payload_bricks: usize,
+    /// Brick runs composing the message, in wire order.
+    pub runs: Vec<Range<usize>>,
+    /// Payload bytes, padding excluded (0 for a receive).
+    pub payload_bytes: usize,
 }
 
-/// One incoming message: the ghost brick range it fills.
+impl Msg {
+    /// The message's bricks in wire order: its partitions on a
+    /// partitioned channel, or the ghost bricks a receive fills.
+    fn bricks(&self) -> impl Iterator<Item = usize> + '_ {
+        self.runs.iter().flat_map(Range::clone)
+    }
+
+    /// The element range of a one-run message in the storage.
+    fn range(&self, step: usize) -> Range<usize> {
+        let [run] = &self.runs[..] else { panic!("a message of several runs is a view") };
+        run.start * step..run.end * step
+    }
+}
+
+/// One communication plan's worth of an [`Exchanger`] schedule.
 #[derive(Clone, Debug)]
-pub struct RecvMsg {
-    /// Direction of the source neighbor (ghost group `g(S)`).
-    pub from: Dir,
-    /// Matching tag.
-    pub tag: u64,
-    /// Ghost brick range (padded).
-    pub bricks: std::ops::Range<usize>,
+pub(crate) struct Pass {
+    /// Timeline scope of the pass.
+    pub scope: &'static str,
+    pub sends: Vec<Msg>,
+    pub recvs: Vec<Msg>,
+    /// Each send (receive) is a view gluing its runs together; otherwise
+    /// it is one run, a range of the grid's storage.
+    pub send_views: bool,
+    pub recv_views: bool,
+    /// Post receives before sends: `irecv` bills `o`, so the order moves
+    /// `call` when peers sit on different tiers.
+    pub recvs_first: bool,
 }
 
 /// Traffic accounting for one full exchange.
@@ -72,16 +103,27 @@ impl ExchangeStats {
     }
 }
 
-/// A reusable exchange schedule for one rank (the pattern is Static, so
-/// it is built once and reused every timestep).
+/// A brick method's exchange schedule: passes run in order, each message
+/// a range of the grid's storage or a view gluing runs of its file
+/// together. The pattern is Static, so it is built once per run and
+/// rank-independent; each rank cuts and binds an [`ExchangeSession`]
+/// from it. The brick methods differ only here:
+///
+/// * Layout, Basic and No-Layout: [`Exchanger::layout`] and
+///   [`Exchanger::basic`], one pass of ranges (No-Layout is Layout over
+///   a lexicographic decomposition);
+/// * MemMap: [`Exchanger::memmap`], one pass of per-neighbor view sends
+///   into receive ranges;
+/// * Shift: [`Exchanger::shift`], one pass of slab views per axis.
+#[derive(Clone, Debug)]
 pub struct Exchanger {
-    sends: Vec<SendMsg>,
-    recvs: Vec<RecvMsg>,
-    stats: ExchangeStats,
-    step: usize,
+    /// Timeline scope of a whole exchange; the passes' scopes nest in it.
+    pub(crate) scope: Option<&'static str>,
+    pub(crate) passes: Vec<Pass>,
+    pub(crate) stats: ExchangeStats,
+    /// Elements per padded brick.
+    pub(crate) step: usize,
     pub(crate) dims: usize,
-    /// Timeline scope name ("exchange:layout" / "exchange:basic").
-    name: &'static str,
 }
 
 impl Exchanger {
@@ -96,7 +138,7 @@ impl Exchanger {
     }
 
     fn build<const D: usize>(decomp: &BrickDecomp<D>, per_region: bool) -> Exchanger {
-        let name = if per_region { "exchange:basic" } else { "exchange:layout" };
+        let scope = if per_region { "exchange:basic" } else { "exchange:layout" };
         let step = decomp.step();
         let brick_bytes = step * 8;
         let mut sends = Vec::new();
@@ -108,43 +150,26 @@ impl Exchanger {
             let nplan = decomp.plan().neighbor(&s);
             let mut run_tag = 0u64;
             for run in &nplan.send_runs {
-                let chunks: Vec<_> = run
-                    .clone()
-                    .map(|i| &decomp.surface_chunks()[i])
-                    .collect();
-                let pieces: Vec<(std::ops::Range<usize>, usize)> = if per_region {
-                    chunks
-                        .iter()
-                        .map(|c| (c.padded.clone(), c.len()))
-                        .collect()
+                let chunks: Vec<_> = run.clone().map(|i| &decomp.surface_chunks()[i]).collect();
+                let pieces: Vec<(Range<usize>, usize)> = if per_region {
+                    chunks.iter().map(|c| (c.padded.clone(), c.len())).collect()
                 } else {
-                    let payload: usize = chunks.iter().map(|c| c.len()).sum();
-                    vec![(
-                        chunks.first().unwrap().padded.start..chunks.last().unwrap().padded.end,
-                        payload,
-                    )]
+                    let payload = chunks.iter().map(|c| c.len()).sum();
+                    vec![(chunks[0].padded.start..chunks[chunks.len() - 1].padded.end, payload)]
                 };
                 for (range, payload) in pieces {
                     if payload == 0 {
                         continue;
                     }
-                    sends.push(SendMsg {
-                        to: s,
-                        tag: tag_for(&s, run_tag, D),
-                        bricks: range.clone(),
-                        payload_bricks: payload,
-                    });
                     stats.messages += 1;
                     stats.payload_bytes += payload * brick_bytes;
-                    stats.wire_bytes += (range.end - range.start) * brick_bytes;
+                    stats.wire_bytes += range.len() * brick_bytes;
+                    let (tag, payload_bytes) = (tag_for(&s, run_tag, D), payload * brick_bytes);
+                    sends.push(Msg { dir: s, tag, runs: vec![range], payload_bytes });
                     run_tag += 1;
                 }
             }
-            stats.region_instances += nplan
-                .send_regions
-                .iter()
-                .filter(|t| decomp.region_bricks(t) > 0)
-                .count();
+            stats.region_instances += nplan.send_regions.iter().filter(|t| decomp.region_bricks(t) > 0).count();
 
             // --- Receives from N(s): the sender's runs toward -s map
             // onto my ghost pieces of g(s), which are stored in exactly
@@ -158,24 +183,18 @@ impl Exchanger {
                 let n = run.end - run.start;
                 let pieces = &group.pieces[piece_idx..piece_idx + n];
                 piece_idx += n;
-                let recv_pieces: Vec<(std::ops::Range<usize>, usize)> = if per_region {
+                let recv_pieces: Vec<(Range<usize>, usize)> = if per_region {
                     pieces.iter().map(|p| (p.padded.clone(), p.len())).collect()
                 } else {
-                    let payload: usize = pieces.iter().map(|p| p.len()).sum();
-                    vec![(
-                        pieces.first().unwrap().padded.start..pieces.last().unwrap().padded.end,
-                        payload,
-                    )]
+                    let payload = pieces.iter().map(|p| p.len()).sum();
+                    vec![(pieces[0].padded.start..pieces[n - 1].padded.end, payload)]
                 };
                 for (range, payload) in recv_pieces {
                     if payload == 0 {
                         continue;
                     }
-                    recvs.push(RecvMsg {
-                        from: s,
-                        tag: tag_for(&from_tag_dir, run_tag, D),
-                        bricks: range,
-                    });
+                    let tag = tag_for(&from_tag_dir, run_tag, D);
+                    recvs.push(Msg { dir: s, tag, runs: vec![range], payload_bytes: 0 });
                     run_tag += 1;
                 }
             }
@@ -183,7 +202,8 @@ impl Exchanger {
         }
 
         assert_eq!(sends.len(), recvs.len(), "exchange must be symmetric");
-        Exchanger { sends, recvs, stats, step, dims: D, name }
+        let pass = Pass { scope, sends, recvs, send_views: false, recv_views: false, recvs_first: false };
+        Exchanger { scope: None, passes: vec![pass], stats, step, dims: D }
     }
 
     /// Traffic statistics.
@@ -191,23 +211,29 @@ impl Exchanger {
         self.stats
     }
 
-    /// The outgoing message schedule.
-    pub fn sends(&self) -> &[SendMsg] {
-        &self.sends
+    /// The outgoing messages of the first pass (a Put schedule's only one).
+    pub fn sends(&self) -> &[Msg] {
+        &self.passes[0].sends
     }
 
-    /// The incoming message schedule.
-    pub fn recvs(&self) -> &[RecvMsg] {
-        &self.recvs
+    /// The incoming messages of the first pass.
+    pub fn recvs(&self) -> &[Msg] {
+        &self.passes[0].recvs
     }
 
-    /// Bind this schedule to one rank as a persistent session: neighbor
-    /// ranks, tags, element ranges and loopback pairings are resolved
-    /// once, so [`ExchangeSession::exchange`] does zero per-step heap
-    /// allocation. Self-sends (the single-rank proxy mode) take the
+    /// Whether some message is a view: each grid then needs an exchange
+    /// of its own, cut over its file.
+    pub fn has_views(&self) -> bool {
+        self.passes.iter().any(|p| p.send_views || p.recv_views)
+    }
+
+    /// Bind a schedule of ranges to one rank as a persistent session:
+    /// neighbor ranks, tags, element ranges and loopback pairings are
+    /// resolved once, so [`ExchangeSession::exchange`] does zero per-step
+    /// heap allocation. Self-sends (the single-rank proxy mode) take the
     /// loopback fast path: one copy, identical wire-model charges.
     pub fn session(&self, ctx: &RankCtx<'_>) -> ExchangeSession {
-        ExchangeSession::build(self, ctx, true)
+        self.bound(ctx, true)
     }
 
     /// Like [`Exchanger::session`] but self-sends still travel through
@@ -216,170 +242,247 @@ impl Exchanger {
     /// benches and equivalence tests can compare the fast path against the
     /// reference transport.
     pub fn session_mailbox(&self, ctx: &RankCtx<'_>) -> ExchangeSession {
-        ExchangeSession::build(self, ctx, false)
+        self.bound(ctx, false)
     }
 
-    /// Perform one full ghost-zone exchange: post every send as a
-    /// zero-copy storage sub-slice, then receive every message directly
-    /// into its ghost bricks. No pack time is ever charged because no
-    /// packing happens.
+    fn bound(&self, ctx: &RankCtx<'_>, loopback: bool) -> ExchangeSession {
+        let mut session = ExchangeSession::new(self, None).expect("ranges map nothing");
+        session.loopback = loopback;
+        session.bind(ctx);
+        session
+    }
+
+    /// Perform one full ghost-zone exchange of a schedule of ranges: post
+    /// every send as a zero-copy storage sub-slice, then receive every
+    /// message directly into its ghost bricks, pass by pass. No pack time
+    /// is ever charged because no packing happens.
     ///
     /// This is the allocating reference path kept for comparison and
     /// one-shot use; timestep loops should build a
     /// [`session`](Exchanger::session) and drive that instead.
-    pub fn exchange(
-        &self,
-        ctx: &mut RankCtx<'_>,
-        storage: &mut BrickStorage,
-    ) -> Result<(), NetsimError> {
-        ctx.scoped(self.name, |ctx| self.exchange_inner(ctx, storage))
+    pub fn exchange(&self, ctx: &mut RankCtx<'_>, storage: &mut BrickStorage) -> Result<(), NetsimError> {
+        assert!(!self.has_views(), "the reference exchange moves storage ranges only");
+        plan::scoped(ctx, self.scope, |ctx| {
+            self.passes.iter().try_for_each(|p| ctx.scoped(p.scope, |ctx| self.exchange_pass(ctx, p, storage)))
+        })
     }
 
-    fn exchange_inner(
-        &self,
-        ctx: &mut RankCtx<'_>,
-        storage: &mut BrickStorage,
-    ) -> Result<(), NetsimError> {
+    fn exchange_pass(&self, ctx: &mut RankCtx<'_>, pass: &Pass, storage: &mut BrickStorage) -> Result<(), NetsimError> {
         let rank = ctx.rank();
+        let peer = |ctx: &RankCtx<'_>, dir: &Dir| {
+            ctx.topo()
+                .neighbor(rank, &dir.offsets(self.dims))
+                .expect("exchange requires a periodic (or interior) neighbor")
+        };
         // Sends: contiguous sub-slices of the storage.
-        for m in &self.sends {
-            let dest = ctx
-                .topo()
-                .neighbor(rank, &m.to.offsets(self.dims))
-                .expect("exchange requires a periodic (or interior) neighbor");
-            let lo = m.bricks.start * self.step;
-            let hi = m.bricks.end * self.step;
-            let data = &storage.as_slice()[lo..hi];
-            ctx.note_payload(m.payload_bricks * self.step * 8);
-            ctx.isend(dest, m.tag, data)?;
+        for m in &pass.sends {
+            let dest = peer(ctx, &m.dir);
+            ctx.note_payload(m.payload_bytes);
+            ctx.isend(dest, m.tag, &storage.as_slice()[m.range(self.step)])?;
         }
         // Receives: directly into ghost brick ranges.
-        let mut handles: Vec<RecvHandle> = Vec::with_capacity(self.recvs.len());
-        let mut ranges: Vec<std::ops::Range<usize>> = Vec::with_capacity(self.recvs.len());
-        for m in &self.recvs {
-            let src = ctx
-                .topo()
-                .neighbor(rank, &m.from.offsets(self.dims))
-                .expect("exchange requires a periodic (or interior) neighbor");
-            handles.push(ctx.irecv(src, m.tag)?);
-            ranges.push(m.bricks.start * self.step..m.bricks.end * self.step);
+        let mut handles: Vec<RecvHandle> = Vec::with_capacity(pass.recvs.len());
+        for m in &pass.recvs {
+            handles.push(ctx.irecv(peer(ctx, &m.dir), m.tag)?);
         }
+        let ranges: Vec<Range<usize>> = pass.recvs.iter().map(|m| m.range(self.step)).collect();
         let mut bufs = split_disjoint_mut(storage.as_mut_slice(), &ranges);
         ctx.waitall_into(&handles, &mut bufs)
     }
 }
 
-/// An [`Exchanger`] schedule bound to one rank: a `CommPlan` over
-/// the element ranges its messages occupy in the layout-ordered
-/// storage. Everything per-step is precomputed at build time (the
-/// pattern is Static, per the paper) — `exchange` allocates nothing.
+/// One grid's brick exchange, bound to one rank: a [`Exchanger`] cut
+/// over the grid — each message a range of its storage or a view over
+/// its file — and one `CommPlan` per pass, which owns the
+/// send/receive/wait lifecycle. Ranges index any grid of the
+/// decomposition, so heap grids share one exchange; a grid that views
+/// alias gets its own. Everything per step is resolved when the exchange
+/// is cut and bound (the pattern is Static, per the paper), so the
+/// steady state allocates nothing. Self-sends take the loopback fast
+/// path: one copy, billed as the `isend` + `irecv` pair it replaces.
+/// Under lossy faults each plan's retry protocol converges to the exact
+/// bits of the fault-free exchange.
 pub struct ExchangeSession {
-    plan: CommPlan,
-    stats: ExchangeStats,
-    send_ranges: Vec<std::ops::Range<usize>>,
-    /// Every scheduled receive's ghost range; sorted and disjoint.
-    ghost_ranges: Vec<std::ops::Range<usize>>,
-    /// Those of the receives that cross the mailbox, in schedule order.
-    recv_ranges: Vec<std::ops::Range<usize>>,
-    pend: Vec<std::ops::Range<usize>>,
+    schedule: Exchanger,
+    /// Per pass: where its sends and its receives live in the grid.
+    places: Vec<[Places; 2]>,
+    /// Start of the grid the views alias, the only grid this exchange
+    /// may move (`None`: ranges only, any grid of the decomposition).
+    grid: Option<usize>,
+    /// One plan per pass, bound to a rank on first use (empty until then).
+    plans: Vec<CommPlan>,
+    /// Pair self-sends with the receives they satisfy (off for
+    /// [`Exchanger::session_mailbox`]).
+    loopback: bool,
+    pend: Vec<Range<usize>>,
+    /// Reused by the completions of view receives; empty between calls.
+    bufs: Vec<&'static mut [f64]>,
 }
 
 impl ExchangeSession {
-    fn build(ex: &Exchanger, ctx: &RankCtx<'_>, loopback: bool) -> ExchangeSession {
-        let step = ex.step;
-        let elems = |b: &std::ops::Range<usize>| b.start * step..b.end * step;
-        let send_ranges: Vec<_> = ex.sends.iter().map(|m| elems(&m.bricks)).collect();
-        let ghost_ranges: Vec<_> = ex.recvs.iter().map(|m| elems(&m.bricks)).collect();
-        let sends: Vec<SendSpec> = ex
-            .sends
-            .iter()
-            .zip(&send_ranges)
-            .map(|(m, r)| SendSpec {
-                to: m.to,
-                tag: m.tag,
-                elems: r.len(),
-                payload_bytes: m.payload_bricks * step * 8,
-            })
-            .collect();
-        let recvs: Vec<RecvSpec> = ex
-            .recvs
-            .iter()
-            .zip(&ghost_ranges)
-            .map(|(m, r)| RecvSpec { from: m.from, tag: m.tag, elems: r.len() })
-            .collect();
-        let plan = CommPlan::bind(Some(ex.name), ctx, ex.dims, &sends, &recvs, loopback);
-        let recv_ranges = plan.mailbox().iter().map(|&j| ghost_ranges[j].clone()).collect();
-        ExchangeSession { plan, stats: ex.stats, send_ranges, ghost_ranges, recv_ranges, pend: Vec::new() }
-    }
-
-    /// The plan and the memory it moves: `storage` seen through this
-    /// session's send and receive ranges.
-    pub(crate) fn bound<'a>(&'a mut self, storage: &'a mut BrickStorage) -> (&'a mut CommPlan, InPlace<'a>) {
-        let mem = InPlace {
-            data: storage.as_mut_slice().into(),
-            sends: &self.send_ranges,
-            recvs: &self.ghost_ranges,
-            pend: &mut self.pend,
+    /// The one constructor: `schedule` cut over a grid. Ranges need no
+    /// grid; views are cut over `grid`'s file, and the exchange then
+    /// moves that grid alone. [`Self::ensure_bound`] or the first
+    /// exchange binds it to a rank.
+    pub fn new(schedule: &Exchanger, grid: Option<&MemMapStorage>) -> io::Result<ExchangeSession> {
+        let step = schedule.step;
+        let cut = |msgs: &[Msg], views: bool| -> io::Result<Places> {
+            if !views {
+                return Ok(Places::Ranges(msgs.iter().map(|m| m.range(step)).collect()));
+            }
+            let file = grid.expect("a schedule with views is cut over a mapped grid").file();
+            msgs.iter().map(|m| cut_view(file, &m.runs, step * 8)).collect::<io::Result<_>>().map(Places::Views)
         };
-        (&mut self.plan, mem)
+        let places = schedule.passes.iter().map(|p| Ok([cut(&p.sends, p.send_views)?, cut(&p.recvs, p.recv_views)?]));
+        Ok(ExchangeSession {
+            places: places.collect::<io::Result<_>>()?,
+            grid: grid.filter(|_| schedule.has_views()).map(|g| g.storage.as_slice().as_ptr() as usize),
+            schedule: schedule.clone(),
+            plans: Vec::new(),
+            loopback: true,
+            pend: Vec::new(),
+            bufs: Vec::new(),
+        })
     }
 
-    /// One full ghost-zone exchange with zero per-step allocation.
-    /// Self-sends copy once, straight from the send sub-slice into the
-    /// posted ghost range; everything else goes through the mailbox.
-    /// Wire-model charges are identical to [`Exchanger::exchange`].
-    /// Under lossy faults the plan's retry protocol converges to the
-    /// exact same storage bits as the fault-free path.
+    /// MemMap's exchange over `storage`: [`Exchanger::memmap`] cut
+    /// over its file.
+    // Kept for the `ExchangeView::build` callers until ROADMAP item 3
+    // moves them onto `ExchangeSession::new`.
+    pub fn build<const D: usize>(decomp: &BrickDecomp<D>, storage: &MemMapStorage) -> io::Result<ExchangeSession> {
+        ExchangeSession::new(&Exchanger::memmap(decomp), Some(storage))
+    }
+
+    /// Traffic of one exchange.
+    pub fn stats(&self) -> ExchangeStats {
+        self.schedule.stats
+    }
+
+    /// `mmap` segments across this exchange's views — bounded by the
+    /// kernel's `vm.max_map_count`. File-contiguous bricks share one
+    /// segment, so MemMap maps one per Layout run: 42 under `surface3d`
+    /// and, in lexicographic order, 42 at 16³ and 62 from 32³.
+    pub fn mapped_segments(&self) -> usize {
+        let views = self.places.iter().flatten().filter_map(|p| match p {
+            Places::Views(views) => Some(views),
+            Places::Ranges(_) => None,
+        });
+        views.flatten().map(|v| v.segments().len()).sum()
+    }
+
+    /// Bind the schedule to `ctx`'s rank if this exchange has not yet
+    /// been driven on it (idempotent otherwise; a rebind drops all
+    /// protocol state with the old plans). [`Self::exchange`] calls this
+    /// itself; a dependency-graph driver calls it up front so the
+    /// mailbox receives are known before the first exchange.
+    pub fn ensure_bound(&mut self, ctx: &RankCtx<'_>, grid: &impl Borrow<BrickStorage>) {
+        self.check(grid.borrow());
+        if self.plans.first().is_none_or(|p| p.rank() != ctx.rank()) {
+            self.bind(ctx);
+        }
+    }
+
+    fn bind(&mut self, ctx: &RankCtx<'_>) {
+        let Exchanger { passes, step, dims, .. } = &self.schedule;
+        let elems = |m: &Msg| m.runs.iter().map(|r| r.len() * step).sum();
+        let plan = |p: &Pass| {
+            let sends: Vec<SendSpec> = p
+                .sends
+                .iter()
+                .map(|m| SendSpec { to: m.dir, tag: m.tag, elems: elems(m), payload_bytes: m.payload_bytes })
+                .collect();
+            let recvs: Vec<RecvSpec> =
+                p.recvs.iter().map(|m| RecvSpec { from: m.dir, tag: m.tag, elems: elems(m) }).collect();
+            let plan = CommPlan::bind(Some(p.scope), ctx, *dims, &sends, &recvs, self.loopback);
+            if p.recvs_first {
+                plan.recvs_first()
+            } else {
+                plan
+            }
+        };
+        self.plans = passes.iter().map(plan).collect();
+    }
+
+    /// An exchange whose views alias one grid refuses any other: its
+    /// views would move the original grid's memory.
+    fn check(&self, grid: &BrickStorage) {
+        assert!(
+            self.grid.is_none_or(|at| at == grid.as_slice().as_ptr() as usize),
+            "exchange driven with a different storage than it was cut over \
+             (its views alias the original storage's memory)"
+        );
+    }
+
+    /// One full ghost-zone exchange of `grid` (heap bricks, or the
+    /// [`MemMapStorage`] this exchange was cut over), binding the
+    /// schedule to the rank on the first call.
     pub fn exchange(
         &mut self,
         ctx: &mut RankCtx<'_>,
-        storage: &mut BrickStorage,
+        grid: &mut impl BorrowMut<BrickStorage>,
     ) -> Result<(), NetsimError> {
-        let (plan, mut mem) = self.bound(storage);
-        plan.exchange(ctx, &mut mem)
+        let grid: &mut BrickStorage = grid.borrow_mut();
+        self.ensure_bound(ctx, grid);
+        self.call(ctx, grid, Call::Exchange).map(drop)
     }
 
-    /// Element ranges of the unpaired (mailbox) receives, in schedule
-    /// order. Split-exchange completion indices index into this slice;
-    /// a dependency graph maps them back to the ghost bricks they fill.
-    pub fn recv_ranges(&self) -> &[std::ops::Range<usize>] {
-        &self.recv_ranges
-    }
-}
-
-/// Both heap grids are exchanged through one session: its ranges index
-/// either grid, so one plan (and, partitioned, one set of channels)
-/// serves both.
-impl BrickExchange for ExchangeSession {
-    type Schedule = Exchanger;
-
-    fn open(schedule: &Exchanger, decomp: &BrickDecomp<3>, ctx: &RankCtx<'_>) -> ([BrickStorage; 2], Vec<Self>) {
-        ([decomp.allocate(), decomp.allocate()], vec![schedule.session(ctx)])
+    /// Element ranges of the last pass's unpaired (mailbox) receives, in
+    /// schedule order, when its receives are ranges. Split-exchange
+    /// completion indices index into this list; a dependency graph maps
+    /// them back to the ghost bricks they fill.
+    pub fn recv_ranges(&self) -> Vec<Range<usize>> {
+        let (Some([_, Places::Ranges(ranges)]), Some(plan)) = (self.places.last(), self.plans.last()) else {
+            panic!("recv_ranges needs a bound exchange whose receives are ranges");
+        };
+        plan.mailbox().iter().map(|&j| ranges[j].clone()).collect()
     }
 
-    fn stats(&self) -> ExchangeStats {
-        self.stats
+    /// The plans one exchange runs, in order; a split exchange leaves the
+    /// last one posted.
+    pub(crate) fn plans(&mut self) -> &mut [CommPlan] {
+        &mut self.plans
     }
 
-    fn plans(&mut self) -> &mut [CommPlan] {
-        std::slice::from_mut(&mut self.plan)
-    }
-
-    /// A message's partitions are the padded storage bricks composing it.
-    fn arm(&mut self, decomp: &BrickDecomp<3>, partitioned: bool) -> SplitSetup {
-        let step = decomp.step();
-        let bricks = |r: &std::ops::Range<usize>| r.start / step..r.end / step;
-        if partitioned {
-            let ranges = &self.send_ranges;
-            self.plan.enable_partitioned(step, decomp.bricks(), |i| bricks(&ranges[i]).collect());
+    /// Prepare the split exchange: open the last pass's partitioned
+    /// channels when `partitioned` and it has mailbox traffic, and
+    /// return the ghost bricks each of its mailbox receives fills, with
+    /// the channels' priority classes. Earlier passes send what they
+    /// received, so none of their bricks is ready before the step's
+    /// exchange; a last pass with no mailbox traffic fills its ghosts by
+    /// loopback when it begins.
+    pub(crate) fn arm(&mut self, decomp: &BrickDecomp<3>, partitioned: bool) -> SplitSetup {
+        let pass = self.schedule.passes.last().expect("a schedule has a pass");
+        let plan = self.plans.last_mut().expect("bound before it is armed");
+        if partitioned && !plan.mailbox().is_empty() {
+            plan.enable_partitioned(decomp.step(), decomp.bricks(), |i| pass.sends[i].bricks().collect());
         }
-        let ghosts = self.recv_ranges.iter().map(|r| bricks(r).map(|b| b as u32).collect()).collect();
-        (ghosts, self.plan.priority().cloned())
+        let ghosts = plan.mailbox().iter().map(|&j| pass.recvs[j].bricks().map(|b| b as u32).collect());
+        (ghosts.collect(), plan.priority().cloned())
     }
 
-    fn call(&mut self, ctx: &mut RankCtx<'_>, grid: &mut BrickStorage, call: Call<'_>) -> Result<usize, NetsimError> {
-        let (plan, mut mem) = self.bound(grid);
-        plan.call(ctx, &mut mem, call)
+    /// Make `call` on `grid`: a whole or begun exchange runs every pass
+    /// but the last to completion first (each forwards what the one
+    /// before it received); every other call concerns the last pass.
+    pub(crate) fn call(
+        &mut self,
+        ctx: &mut RankCtx<'_>,
+        grid: &mut BrickStorage,
+        call: Call<'_>,
+    ) -> Result<usize, NetsimError> {
+        self.check(grid);
+        let ExchangeSession { schedule, places, plans, pend, bufs, .. } = self;
+        let last = plans.len().checked_sub(1).expect("call ensure_bound first");
+        let mut run = |ctx: &mut RankCtx<'_>, p: usize, call: Call<'_>| {
+            let [sends, recvs] = &mut places[p];
+            let mut mem = GridMem { data: grid.as_mut_slice().into(), sends, recvs, pend, bufs };
+            plans[p].call(ctx, &mut mem, call)
+        };
+        plan::scoped(ctx, schedule.scope, |ctx| {
+            if matches!(call, Call::Exchange | Call::Begin(_)) {
+                (0..last).try_for_each(|p| run(ctx, p, Call::Exchange).map(drop))?;
+            }
+            run(ctx, last, call)
+        })
     }
 }
 
@@ -755,6 +858,32 @@ mod tests {
             injected += damage;
         }
         assert!(injected > 0, "seed 42 at these rates must inject something");
+    }
+
+    /// A grid that views alias gets its own exchange, and what it maps is
+    /// fixed by the schedule: MemMap sends through 26 views over one
+    /// segment per Layout run and receives into storage ranges; Shift
+    /// sends and receives through 12 slab views. Ranges alone need no
+    /// grid at all.
+    #[test]
+    fn views_are_cut_per_grid_where_the_schedule_glues_runs() {
+        use crate::memmap::memmap_decomp;
+        let views = |ex: &ExchangeSession| {
+            let count = |p: &Places| if let Places::Views(v) = p { v.len() } else { 0 };
+            let per_pass = ex.places.iter().map(|[s, r]| (count(s), count(r)));
+            per_pass.fold((0, 0), |(s, r), (ps, pr)| (s + ps, r + pr))
+        };
+        for (n, order, segments) in [(48, surface3d(), 42), (16, SurfaceLayout::lexicographic(3), 42), (32, SurfaceLayout::lexicographic(3), 62)] {
+            let d = memmap_decomp([n; 3], 8, BrickDims::cubic(8), 1, order, memview::PAGE_4K);
+            let grid = MemMapStorage::allocate(&d).unwrap();
+            let memmap = ExchangeSession::new(&Exchanger::memmap(&d), Some(&grid)).unwrap();
+            assert_eq!((views(&memmap), memmap.mapped_segments()), ((26, 0), segments), "MemMap {n}^3");
+            let shift = ExchangeSession::new(&Exchanger::shift(&d), Some(&grid)).unwrap();
+            assert_eq!(views(&shift), (6, 6), "Shift {n}^3");
+            assert_eq!(shift.stats().messages, 6);
+        }
+        let ranges = ExchangeSession::new(&Exchanger::layout(&decomp(32)), None).unwrap();
+        assert_eq!((views(&ranges), ranges.grid), ((0, 0), None));
     }
 
     /// Smallest legal subdomain (16^3): empty middle regions are skipped

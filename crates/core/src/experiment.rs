@@ -20,9 +20,8 @@ use stencil::{PlanSplit, StencilShape};
 use crate::checkpoint::{drive, DriveOp, FailureRecovery, RecoveryCfg};
 use crate::decomp::BrickDecomp;
 use crate::engine::{Arrays, Bricks, RankEngine};
-use crate::exchange::{ExchangeSession, ExchangeStats, Exchanger};
-use crate::memmap::{memmap_decomp, ExchangeView};
-use crate::shift::ShiftExchanger;
+use crate::exchange::{Exchanger, ExchangeStats};
+use crate::memmap::memmap_decomp;
 
 /// The CPU implementations compared in the paper's evaluation.
 #[derive(Clone, Debug, PartialEq)]
@@ -64,6 +63,19 @@ impl CpuMethod {
             CpuMethod::Yask => "YASK",
             CpuMethod::MpiTypes => "MPI_Types",
             CpuMethod::Shift { .. } => "Shift",
+        }
+    }
+
+    /// The schedule a brick method's exchange is cut from, over its
+    /// decomposition ([`ExperimentConfig::decomp`]); `None` for the array
+    /// baselines.
+    pub fn schedule(&self, decomp: &BrickDecomp<3>) -> Option<Exchanger> {
+        match self {
+            CpuMethod::Layout | CpuMethod::NoLayout => Some(Exchanger::layout(decomp)),
+            CpuMethod::Basic => Some(Exchanger::basic(decomp)),
+            CpuMethod::MemMap { .. } => Some(Exchanger::memmap(decomp)),
+            CpuMethod::Shift { .. } => Some(Exchanger::shift(decomp)),
+            CpuMethod::Yask | CpuMethod::MpiTypes => None,
         }
     }
 
@@ -440,20 +452,9 @@ pub fn run_experiment(cfg: &ExperimentConfig) -> MethodReport {
     let run = cfg.run_params();
     let decomp = cfg.decomp();
     // Every rank hands back what it bound, for the mapping block.
-    let (mut report, sent) = match &cfg.method {
-        CpuMethod::MemMap { .. } => {
-            let schedule = Exchanger::layout(&decomp);
-            run_steps(&run, &topo, |ctx| Bricks::<ExchangeView>::new(cfg, &decomp, &schedule, ctx), Bricks::edges)
-        }
-        CpuMethod::Shift { .. } => {
-            run_steps(&run, &topo, |ctx| Bricks::<ShiftExchanger>::new(cfg, &decomp, &(), ctx), Bricks::edges)
-        }
-        CpuMethod::Layout | CpuMethod::Basic | CpuMethod::NoLayout => {
-            let schedule =
-                if cfg.method == CpuMethod::Basic { Exchanger::basic(&decomp) } else { Exchanger::layout(&decomp) };
-            run_steps(&run, &topo, |ctx| Bricks::<ExchangeSession>::new(cfg, &decomp, &schedule, ctx), Bricks::edges)
-        }
-        CpuMethod::Yask | CpuMethod::MpiTypes => run_steps(&run, &topo, |_| Arrays::new(cfg, &decomp), |e| e.edges()),
+    let (mut report, sent) = match cfg.method.schedule(&decomp) {
+        Some(schedule) => run_steps(&run, &topo, |ctx| Bricks::new(cfg, &decomp, &schedule, ctx), Bricks::edges),
+        None => run_steps(&run, &topo, |_| Arrays::new(cfg, &decomp), |e| e.edges()),
     };
     report.mapping = cfg.topology.zip(perm).map(|(hier, perm)| mapping_stats(cfg, &hier, &perm, &sent));
     report

@@ -271,13 +271,12 @@ mod tests {
     fn stats_for(n: usize) -> (ExchangeStats, ExchangeStats) {
         use crate::decomp::BrickDecomp;
         use crate::exchange::Exchanger;
-        use crate::memmap::{memmap_decomp, ExchangeView, MemMapStorage};
+        use crate::memmap::memmap_decomp;
         use brick::BrickDims;
         let d = BrickDecomp::<3>::layout_mode([n; 3], 8, BrickDims::cubic(8), 1, layout::surface3d());
         let layout_stats = Exchanger::layout(&d).stats();
         let dm = memmap_decomp([n; 3], 8, BrickDims::cubic(8), 1, layout::surface3d(), 64 << 10);
-        let st = MemMapStorage::allocate(&dm).unwrap();
-        let memmap_stats = ExchangeView::build(&dm, &st).unwrap().stats();
+        let memmap_stats = Exchanger::memmap(&dm).stats();
         (layout_stats, memmap_stats)
     }
 

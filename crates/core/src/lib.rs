@@ -10,9 +10,12 @@
 //!   `BrickDecomp<3, BDIM>`),
 //! * [`Exchanger`] — the Layout exchange: every message is a contiguous
 //!   brick range, zero packing, 42 messages in 3D (Section 3),
-//! * [`MemMapStorage`] / [`ExchangeView`] — the MemMap exchange: mmap
-//!   views make each neighbor's regions virtually contiguous, one
-//!   message per neighbor (Section 4),
+//! * [`MemMapStorage`] / [`Exchanger::memmap`] — the MemMap
+//!   exchange: mmap views make each neighbor's regions virtually
+//!   contiguous, one message per neighbor (Section 4),
+//! * [`Exchanger`] / [`ExchangeSession`] — the one brick exchange
+//!   every brick method runs: a schedule of passes whose messages are
+//!   storage ranges or mmap views, cut and bound per rank,
 //! * [`baselines`] — the YASK-like packed array exchange and the
 //!   `MPI_Types` derived-datatype exchange the paper compares against,
 //! * [`gpu`] — CUDA-Aware / Unified-Memory data-movement policies over
@@ -60,6 +63,5 @@ mod alloc_count;
 
 pub use checkpoint::{DriveOp, FailureRecovery, RecoveryCfg};
 pub use decomp::{pad_bricks_for, BrickDecomp, Chunk, GhostGroup, Ownership};
-pub use exchange::{split_disjoint_mut, ExchangeStats, Exchanger, RecvMsg, SendMsg};
+pub use exchange::{split_disjoint_mut, ExchangeSession, ExchangeStats, Exchanger, Msg};
 pub use memmap::{ExchangeView, MemMapStorage};
-pub use shift::ShiftExchanger;

@@ -4,25 +4,24 @@
 //! message per neighbor suffices — no packing, minimal message count,
 //! at the price of padding.
 //!
-//! An [`ExchangeView`] holds the views and the 26-message schedule over
-//! them, both cut from the Layout schedule ([`Exchanger::layout`]): the
-//! runs Layout sends one neighbor become the segments of that neighbor's
-//! view. On first use it binds the crate's communication plan
-//! (`plan.rs`) to the rank. The plan owns the send/receive/wait
-//! lifecycle; this module only says where the bytes are — each send is
-//! a view, each receive a ghost range of the storage the views alias.
+//! [`Exchanger::memmap`] is the 26-message schedule, cut from the
+//! Layout schedule ([`Exchanger::layout`]): the runs Layout sends one
+//! neighbor become the segments of that neighbor's view. This module
+//! holds the mapped grids and the one view cutter every view-sending
+//! schedule (MemMap's and Shift's) is cut with; the exchange itself is
+//! the one [`ExchangeSession`] — each send a view, each receive a ghost
+//! range of the storage the views alias.
 
+use std::borrow::{Borrow, BorrowMut};
 use std::io;
+use std::ops::Range;
 use std::sync::Arc;
 
 use brick::BrickStorage;
 use memview::{host_page_size, is_aligned, ContiguousView, MappedGrid, MemFile, Segment};
-use netsim::{NetsimError, RankCtx};
 
 use crate::decomp::{pad_bricks_for, BrickDecomp};
-use crate::engine::{BrickExchange, SplitSetup};
-use crate::exchange::{ExchangeStats, Exchanger};
-use crate::plan::{Call, CommPlan, IntoRanges, RecvSpec, SendSpec};
+use crate::exchange::{ExchangeSession, Exchanger, Msg, Pass};
 
 /// Brick storage whose backing is an mmap-able in-memory file (the
 /// paper's `bInfo.mmap_alloc(bSize)`).
@@ -32,7 +31,6 @@ pub struct MemMapStorage {
     file: Arc<MemFile>,
     /// The storage (usable exactly like heap storage for computation).
     pub storage: BrickStorage,
-    step: usize,
 }
 
 impl MemMapStorage {
@@ -56,20 +54,12 @@ impl MemMapStorage {
         let file = Arc::clone(grid.file());
         let storage =
             BrickStorage::from_backing(Box::new(grid), decomp.bricks(), decomp.brick_dims().elements(), decomp.fields());
-        Ok(MemMapStorage { file, storage, step })
+        Ok(MemMapStorage { file, storage })
     }
 
     /// The backing file.
     pub fn file(&self) -> &Arc<MemFile> {
         &self.file
-    }
-
-    /// Byte range in the file of a padded brick range.
-    fn byte_range(&self, bricks: &std::ops::Range<usize>) -> Segment {
-        Segment {
-            file_offset: bricks.start * self.step * 8,
-            len: (bricks.end - bricks.start) * self.step * 8,
-        }
     }
 }
 
@@ -93,194 +83,81 @@ pub fn memmap_decomp<const D: usize>(
     BrickDecomp::new(domain, ghost, bdims, fields, layout, pad)
 }
 
-/// One neighbor's send view.
-pub(crate) struct ViewMsg {
-    view: ContiguousView,
-    /// Padded storage bricks composing the view, in view order (pad
-    /// bricks included — the view ships them, so partitions stay
-    /// page-aligned brick-sized sub-ranges).
-    bricks: Vec<usize>,
-}
-
-impl AsRef<[f64]> for ViewMsg {
-    fn as_ref(&self) -> &[f64] {
-        self.view.as_f64()
+impl Borrow<BrickStorage> for MemMapStorage {
+    fn borrow(&self) -> &BrickStorage {
+        &self.storage
     }
 }
 
-/// Per-neighbor contiguous send views plus direct ghost receives — the
-/// paper's `ExchangeView` (Fig. 7, right column). Built once, reused
-/// every timestep ("views can be reused throughout the application
-/// until the communication pattern changes").
-pub struct ExchangeView {
-    views: Vec<ViewMsg>,
-    sends: Vec<SendSpec>,
-    recvs: Vec<RecvSpec>,
-    /// Per receive: the ghost group's element range in the storage.
-    recv_ranges: Vec<std::ops::Range<usize>>,
-    stats: ExchangeStats,
-    dims: usize,
-    /// The storage file the send views alias; exchanges verify they are
-    /// driven with the same storage they were built on.
-    bound_file: Arc<MemFile>,
-    /// The schedule bound to a rank, lazily on first exchange so the
-    /// steady-state loop resolves no neighbors and allocates nothing.
-    plan: Option<CommPlan>,
-    pend: Vec<std::ops::Range<usize>>,
+impl BorrowMut<BrickStorage> for MemMapStorage {
+    fn borrow_mut(&mut self) -> &mut BrickStorage {
+        &mut self.storage
+    }
 }
 
-impl ExchangeView {
-    /// Build the views for `decomp` over `storage`'s file.
-    pub fn build<const D: usize>(
-        decomp: &BrickDecomp<D>,
-        storage: &MemMapStorage,
-    ) -> io::Result<ExchangeView> {
-        ExchangeView::over(&Exchanger::layout(decomp), storage)
-    }
+/// The MemMap exchange (the paper's `ExchangeView`, Fig. 7, right
+/// column): [`Exchanger::memmap`] cut over one [`MemMapStorage`].
+// Kept for its callers until ROADMAP item 3 moves them onto
+// `ExchangeSession::new`.
+pub type ExchangeView = ExchangeSession;
 
-    /// The views of a Layout schedule over `storage`'s file (paper §4):
-    /// the runs it sends one neighbor, each a file segment, mapped back
-    /// to back into one view — one message per neighbor. The ghost runs
-    /// it receives from one neighbor are adjacent in storage, so each
-    /// neighbor's message lands in one range.
-    pub(crate) fn over(schedule: &Exchanger, storage: &MemMapStorage) -> io::Result<ExchangeView> {
-        let (host, d, brick_bytes) = (host_page_size(), schedule.dims, storage.step * 8);
-        let (mut views, mut sends) = (Vec::new(), Vec::new());
-        for runs in schedule.sends().chunk_by(|a, b| a.to == b.to) {
-            let segments: Vec<Segment> = runs.iter().map(|m| storage.byte_range(&m.bricks)).collect();
-            assert!(
-                segments.iter().all(|s| is_aligned(s.file_offset, host) && is_aligned(s.len, host)),
-                "chunk padding does not satisfy the host page size; \
-                 build the decomposition with memmap_decomp"
-            );
-            let view = ContiguousView::build(storage.file(), &segments)?;
-            let to = runs[0].to;
-            let payload_bytes = runs.iter().map(|m| m.payload_bricks * brick_bytes).sum();
-            sends.push(SendSpec { to, tag: to.code(d) as u64, elems: view.as_f64().len(), payload_bytes });
-            views.push(ViewMsg { view, bricks: runs.iter().flat_map(|m| m.bricks.clone()).collect() });
-        }
-        let (mut recvs, mut recv_ranges) = (Vec::new(), Vec::new());
-        for runs in schedule.recvs().chunk_by(|a, b| a.from == b.from) {
-            let (from, step) = (runs[0].from, storage.step);
-            let range = runs[0].bricks.start * step..runs[runs.len() - 1].bricks.end * step;
-            recvs.push(RecvSpec { from, tag: from.mirror().code(d) as u64, elems: range.len() });
-            recv_ranges.push(range);
-        }
+impl Exchanger {
+    /// MemMap's schedule (paper §4), cut from Layout's
+    /// ([`Exchanger::layout`]): the runs Layout sends one neighbor become
+    /// the segments of one view — one message per neighbor — and the
+    /// ghost runs it receives from one neighbor, adjacent in storage, one
+    /// range. Views are reused every timestep ("until the communication
+    /// pattern changes"); the decomposition must be page-padded
+    /// ([`memmap_decomp`]).
+    pub fn memmap<const D: usize>(decomp: &BrickDecomp<D>) -> Exchanger {
+        let mut schedule = Exchanger::layout(decomp);
+        let d = schedule.dims;
+        let layout = schedule.passes.pop().expect("one pass");
+        let sends: Vec<Msg> = layout
+            .sends
+            .chunk_by(|a, b| a.dir == b.dir)
+            .map(|runs| Msg {
+                dir: runs[0].dir,
+                tag: runs[0].dir.code(d) as u64,
+                runs: runs.iter().flat_map(|m| m.runs.clone()).collect(),
+                payload_bytes: runs.iter().map(|m| m.payload_bytes).sum(),
+            })
+            .collect();
+        let recvs: Vec<Msg> = layout
+            .recvs
+            .chunk_by(|a, b| a.dir == b.dir)
+            .map(|runs| {
+                let (dir, span) = (runs[0].dir, runs[0].runs[0].start..runs[runs.len() - 1].runs[0].end);
+                Msg { dir, tag: dir.mirror().code(d) as u64, runs: vec![span], payload_bytes: 0 }
+            })
+            .collect();
         assert_eq!(sends.len(), recvs.len());
-        Ok(ExchangeView {
-            stats: ExchangeStats { messages: sends.len(), ..schedule.stats() },
-            views,
-            sends,
-            recvs,
-            recv_ranges,
-            dims: d,
-            bound_file: Arc::clone(storage.file()),
-            plan: None,
-            pend: Vec::new(),
-        })
-    }
-
-    /// Traffic statistics (includes padding in `wire_bytes`; the number
-    /// of `mmap` segments is `stats().messages`-independent and can be
-    /// read via [`ExchangeView::mapped_segments`]).
-    pub fn stats(&self) -> ExchangeStats {
-        self.stats
-    }
-
-    /// Total mmap segments across all views — bounded by the kernel's
-    /// `vm.max_map_count`, and minimized by layout optimization: one
-    /// segment per Layout run, so 42 with `surface3d` and, in
-    /// lexicographic order, 42 at 16³ and 62 from 32³.
-    pub fn mapped_segments(&self) -> usize {
-        self.views.iter().map(|m| m.view.segments().len()).sum()
-    }
-
-    /// One full exchange: each neighbor gets exactly one message sent
-    /// straight out of its contiguous view; each ghost group receives
-    /// one message straight into storage. Zero on-node copies on the
-    /// send side; self-sends (proxy mode) take the loopback fast path —
-    /// one copy from the mmap view straight into the ghost range, with
-    /// identical wire-model charges. The schedule is bound to the rank
-    /// on the first call, so steady-state exchanges allocate nothing.
-    /// Under lossy faults the plan's retry protocol stages its frames
-    /// from the views and converges to the fault-free storage bits.
-    pub fn exchange(
-        &mut self,
-        ctx: &mut RankCtx<'_>,
-        storage: &mut MemMapStorage,
-    ) -> Result<(), NetsimError> {
-        self.ensure_bound(ctx, storage);
-        self.call(ctx, &mut storage.storage, Call::Exchange).map(drop)
-    }
-
-    /// Bind the schedule to `ctx`'s rank if this view has not yet been
-    /// driven on it (idempotent otherwise; a rebind drops all protocol
-    /// state with the old plan). [`Self::exchange`] calls this itself; a
-    /// dependency-graph driver calls it up front so the mailbox receives
-    /// are known before the first exchange.
-    pub fn ensure_bound(&mut self, ctx: &RankCtx<'_>, storage: &MemMapStorage) {
-        assert!(
-            Arc::ptr_eq(&self.bound_file, storage.file()),
-            "ExchangeView driven with a different storage than it was built on \
-             (send views would alias the original storage's memory)"
-        );
-        if self.plan.as_ref().is_none_or(|p| p.rank() != ctx.rank()) {
-            self.plan =
-                Some(CommPlan::bind(Some("exchange:memmap"), ctx, self.dims, &self.sends, &self.recvs, true));
-        }
+        schedule.stats.messages = sends.len();
+        let pass = Pass { scope: "exchange:memmap", sends, recvs, send_views: true, recv_views: false, recvs_first: false };
+        schedule.passes.push(pass);
+        schedule
     }
 }
 
-/// Each grid has its own view set: the send views alias one grid's file.
-impl BrickExchange for ExchangeView {
-    type Schedule = Exchanger;
-
-    fn open(schedule: &Exchanger, decomp: &BrickDecomp<3>, ctx: &RankCtx<'_>) -> ([BrickStorage; 2], Vec<Self>) {
-        let grids = [(); 2].map(|()| MemMapStorage::allocate(decomp).expect("memfd allocation"));
-        let views = grids.iter().map(|grid| {
-            let mut view = ExchangeView::over(schedule, grid).expect("view construction");
-            view.ensure_bound(ctx, grid);
-            view
-        });
-        let views = views.collect();
-        (grids.map(|grid| grid.storage), views)
-    }
-
-    fn stats(&self) -> ExchangeStats {
-        self.stats
-    }
-
-    fn plans(&mut self) -> &mut [CommPlan] {
-        self.plan.as_mut_slice()
-    }
-
-    /// A view's partitions are its padded storage bricks (`step`
-    /// elements each, page-aligned by construction, so `pready` still
-    /// reads straight out of the mmap view — pack-free).
-    fn arm(&mut self, decomp: &BrickDecomp<3>, partitioned: bool) -> SplitSetup {
-        let (views, step) = (&self.views, decomp.step());
-        let plan = self.plan.as_mut().expect("bound when opened");
-        if partitioned {
-            plan.enable_partitioned(step, decomp.bricks(), |i| views[i].bricks.clone());
+/// The one place views are cut: the view of one message, its `runs` of
+/// `brick_bytes` bricks in `file` mapped back to back, file-contiguous
+/// runs sharing one segment.
+pub(crate) fn cut_view(file: &Arc<MemFile>, runs: &[Range<usize>], brick_bytes: usize) -> io::Result<ContiguousView> {
+    let host = host_page_size();
+    let mut segments: Vec<Segment> = Vec::with_capacity(runs.len());
+    for run in runs {
+        let (file_offset, len) = (run.start * brick_bytes, run.len() * brick_bytes);
+        assert!(
+            is_aligned(file_offset, host) && is_aligned(len, host),
+            "chunk padding does not satisfy the host page size; \
+             build the decomposition with memmap_decomp"
+        );
+        match segments.last_mut() {
+            Some(s) if s.file_offset + s.len == file_offset => s.len += len,
+            _ => segments.push(Segment { file_offset, len }),
         }
-        let ghosts = plan.mailbox().iter().map(|&j| {
-            let r = &self.recv_ranges[j];
-            ((r.start / step) as u32..(r.end / step) as u32).collect()
-        });
-        (ghosts.collect(), plan.priority().cloned())
     }
-
-    /// The send views alias the surface bricks of `grid`, the receive
-    /// ranges cover its ghost bricks — disjoint file ranges.
-    fn call(&mut self, ctx: &mut RankCtx<'_>, grid: &mut BrickStorage, call: Call<'_>) -> Result<usize, NetsimError> {
-        let mut mem = IntoRanges {
-            sends: &self.views,
-            data: grid.as_mut_slice().into(),
-            recvs: &self.recv_ranges,
-            pend: &mut self.pend,
-        };
-        self.plan.as_mut().expect("call ensure_bound first").call(ctx, &mut mem, call)
-    }
+    ContiguousView::build(file, &segments)
 }
 
 #[cfg(test)]
@@ -296,10 +173,15 @@ mod tests {
         (d, st)
     }
 
+    /// MemMap's exchange of one grid.
+    fn cut(d: &BrickDecomp<3>, st: &MemMapStorage) -> ExchangeSession {
+        ExchangeSession::new(&Exchanger::memmap(d), Some(st)).unwrap()
+    }
+
     #[test]
     fn one_message_per_neighbor() {
         let (d, st) = mk(48, memview::PAGE_4K);
-        let ev = ExchangeView::build(&d, &st).unwrap();
+        let ev = cut(&d, &st);
         assert_eq!(ev.stats().messages, 26);
         // Layout optimization keeps mappings at the run count (42).
         assert_eq!(ev.mapped_segments(), 42);
@@ -308,7 +190,7 @@ mod tests {
         for (n, segments) in [(16, 42), (32, 62), (64, 62)] {
             let lex = layout::SurfaceLayout::lexicographic(3);
             let d = memmap_decomp([n; 3], 8, BrickDims::cubic(8), 1, lex, memview::PAGE_4K);
-            let ev = ExchangeView::build(&d, &MemMapStorage::allocate(&d).unwrap()).unwrap();
+            let ev = cut(&d, &MemMapStorage::allocate(&d).unwrap());
             assert_eq!((ev.stats().messages, ev.mapped_segments()), (26, segments), "lexicographic {n}^3");
             assert_eq!(ev.mapped_segments(), Exchanger::layout(&d).stats().messages, "lexicographic {n}^3");
         }
@@ -317,20 +199,18 @@ mod tests {
     #[test]
     fn padding_overhead_zero_for_4k_pages_and_8cubed_bricks() {
         // One 8^3 f64 brick = exactly one 4 KiB page: no waste.
-        let (d, st) = mk(48, memview::PAGE_4K);
-        let ev = ExchangeView::build(&d, &st).unwrap();
-        assert_eq!(ev.stats().padding_overhead_percent(), 0.0);
+        let (d, _) = mk(48, memview::PAGE_4K);
+        assert_eq!(Exchanger::memmap(&d).stats().padding_overhead_percent(), 0.0);
     }
 
     #[test]
     fn padding_overhead_grows_with_page_size() {
-        let (d4, s4) = mk(32, memview::PAGE_4K);
-        let (d64, s64) = mk(32, memview::PAGE_64K);
-        let e4 = ExchangeView::build(&d4, &s4).unwrap();
-        let e64 = ExchangeView::build(&d64, &s64).unwrap();
-        assert_eq!(e4.stats().payload_bytes, e64.stats().payload_bytes);
-        assert!(e64.stats().wire_bytes > e4.stats().wire_bytes);
-        assert!(e64.stats().padding_overhead_percent() > 100.0);
+        let (d4, _) = mk(32, memview::PAGE_4K);
+        let (d64, _) = mk(32, memview::PAGE_64K);
+        let (e4, e64) = (Exchanger::memmap(&d4).stats(), Exchanger::memmap(&d64).stats());
+        assert_eq!(e4.payload_bytes, e64.payload_bytes);
+        assert!(e64.wire_bytes > e4.wire_bytes);
+        assert!(e64.padding_overhead_percent() > 100.0);
     }
 
     /// MemMap self-periodic exchange must fill the full ghost rim
@@ -342,7 +222,7 @@ mod tests {
             let topo = CartTopo::new(&[1, 1, 1], true);
             let errors = run_cluster(&topo, NetworkModel::instant(), |ctx| {
                 let mut st = MemMapStorage::allocate(&d).unwrap();
-                let mut ev = ExchangeView::build(&d, &st).unwrap();
+                let mut ev = cut(&d, &st);
                 let f = |x: i64, y: i64, z: i64| (x + 100 * y + 10_000 * z) as f64;
                 for z in 0..32 {
                     for y in 0..32 {
@@ -390,7 +270,7 @@ mod tests {
         let run = |cfg: FaultConfig| {
             run_cluster_faulty(&topo, NetworkModel::instant(), cfg, |ctx| {
                 let mut st = MemMapStorage::allocate(&d).unwrap();
-                let mut ev = ExchangeView::build(&d, &st).unwrap();
+                let mut ev = cut(&d, &st);
                 let rank = ctx.rank() as i64;
                 for z in 0..32i64 {
                     for y in 0..32i64 {
@@ -424,13 +304,14 @@ mod tests {
     #[test]
     fn views_alias_storage() {
         let (d, mut st) = mk(32, memview::PAGE_4K);
-        let ev = ExchangeView::build(&d, &st).unwrap();
+        let schedule = Exchanger::memmap(&d);
+        let first_send = &schedule.passes[0].sends[0];
+        let first_view = cut_view(st.file(), &first_send.runs, d.step() * 8).unwrap();
         // Pick the first surface brick of the first send view's first
         // region and write a sentinel through storage.
-        let (first_send, first_view) = (&ev.sends[0], &ev.views[0]);
         let region0 = d
             .plan()
-            .neighbor(&first_send.to)
+            .neighbor(&first_send.dir)
             .send_regions
             .iter()
             .find(|t| d.region_bricks(t) > 0)
@@ -440,7 +321,7 @@ mod tests {
         let brick = chunk.bricks.start as u32;
         st.storage.field_mut(brick, 0)[0] = 424242.0;
         assert_eq!(
-            first_view.view.as_f64()[0],
+            first_view.as_f64()[0],
             424242.0,
             "view must alias storage with zero copies"
         );
@@ -463,6 +344,6 @@ mod tests {
         // pages; view construction must refuse.
         let d = BrickDecomp::<3>::layout_mode([16; 3], 4, BrickDims::cubic(4), 1, surface3d());
         let st = MemMapStorage::allocate(&d).unwrap();
-        let _ = ExchangeView::build(&d, &st);
+        let _ = cut(&d, &st);
     }
 }

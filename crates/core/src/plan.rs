@@ -10,8 +10,9 @@
 //! `begin`/`poll`/`finish` form the overlap schedules drive. A
 //! [`CommPlan`] owns all of it: flat per-edge arrays and every piece of
 //! protocol state. A method supplies a [`HaloMem`] answering where send
-//! `i` and receive `j` live; the three shapes in use are [`InPlace`],
-//! [`IntoRanges`] and [`Slabs`]. There are two constructors:
+//! `i` and receive `j` live: [`GridMem`] for every brick method (ranges
+//! of the grid or views over its file), [`IntoRanges`] for the packed
+//! buffers of the array and migrating engines. There are two constructors:
 //! [`CommPlan::bind`] for a static direction schedule every rank shares,
 //! [`CommPlan::from_edges`] for rank-level edges — what [`discover_plan`]
 //! finds when ownership moves.
@@ -48,6 +49,7 @@
 use std::ops::Range;
 
 use layout::Dir;
+use memview::ContiguousView;
 use netsim::{
     Lend, NetsimError, PartitionedRecv, PartitionedSend, RankCtx, RecvHandle, RelRecv, RelSend, ReliableSession,
 };
@@ -157,49 +159,8 @@ impl<'a> Store<'a> {
     }
 }
 
-/// Sends and receives are ranges of one slice: layout-ordered heap
-/// bricks, where a message is a run of surface bricks and lands in a
-/// run of ghost bricks.
-pub(crate) struct InPlace<'a> {
-    pub data: Store<'a>,
-    pub sends: &'a [Range<usize>],
-    pub recvs: &'a [Range<usize>],
-    /// Scratch for the ranges of one completion call.
-    pub pend: &'a mut Vec<Range<usize>>,
-}
-
-impl<'c: 'a, 'a> HaloMem<'c> for InPlace<'a> {
-    fn send(&self, i: usize) -> &[f64] {
-        self.data.get(self.sends[i].clone())
-    }
-
-    fn recv(&mut self, j: usize) -> &mut [f64] {
-        self.data.get_mut(self.recvs[j].clone())
-    }
-
-    fn loopback(&mut self, ctx: &mut RankCtx<'_>, tag: u64, i: usize, j: usize) -> Result<(), NetsimError> {
-        let (src, dst) = (self.sends[i].clone(), self.recvs[j].clone());
-        match &mut self.data {
-            Store::Here(data) => ctx.loopback_within(tag, data, src, dst.start),
-            Store::Lent(lend) => {
-                let (src, dst) = lend.outside_pair(src, dst);
-                ctx.loopback_into(tag, src, dst)
-            }
-        }
-    }
-
-    fn lend(&mut self, ctx: &RankCtx<'c>, from: &[RelRecv], recvs: &[usize]) {
-        self.data.lend(ctx, from, self.recvs, recvs, self.pend);
-    }
-
-    fn complete(&mut self, ctx: &mut RankCtx<'_>, handles: &[RecvHandle], recvs: &[usize]) -> Result<(), NetsimError> {
-        self.data.complete(ctx, handles, self.recvs, recvs, self.pend)
-    }
-}
-
-/// Sends are separate slices, receives are ranges of one slice: mmap
-/// views over the storage they land in, or pack buffers and a receive
-/// arena.
+/// Sends are separate slices, receives are ranges of one slice: pack
+/// buffers and a receive arena, or staging buffers and a ghost arena.
 pub(crate) struct IntoRanges<'a, S> {
     pub sends: &'a [S],
     pub data: Store<'a>,
@@ -230,34 +191,83 @@ impl<'c: 'a, 'a, S: AsRef<[f64]>> HaloMem<'c> for IntoRanges<'a, S> {
     }
 }
 
-/// Sends and receives are separate slices, two of each: the slab views
-/// of one Shift axis pass. Nothing is pre-posted; the views are lent
-/// while `complete` blocks.
-pub(crate) struct Slabs<'a> {
-    pub sends: [&'a [f64]; 2],
-    pub recvs: [&'a mut [f64]; 2],
+/// Where the sends, or the receives, of one brick-exchange pass live in
+/// a grid: element ranges of its storage, or one view per message over
+/// its file.
+pub(crate) enum Places {
+    Ranges(Vec<Range<usize>>),
+    Views(Vec<ContiguousView>),
 }
 
-impl<'c> HaloMem<'c> for Slabs<'_> {
+/// Sends and receives are ranges of a brick grid or views over its file
+/// — the one adapter of every brick method. Ranges are pre-posted; view
+/// receives are lent while `complete` blocks. Views alias the grid, so
+/// the grid stays mutably borrowed while they are written through.
+pub(crate) struct GridMem<'a> {
+    pub data: Store<'a>,
+    pub sends: &'a Places,
+    pub recvs: &'a mut Places,
+    /// Scratch for the ranges of one completion call.
+    pub pend: &'a mut Vec<Range<usize>>,
+    /// Scratch for the views of one completion call, empty between calls.
+    pub bufs: &'a mut Vec<&'static mut [f64]>,
+}
+
+/// An emptied list of slices, its allocation kept for slices of another
+/// lifetime (same layout, so the collect reuses it in place).
+fn recycle<'y>(mut v: Vec<&mut [f64]>) -> Vec<&'y mut [f64]> {
+    v.clear();
+    v.into_iter().map(|_| unreachable!("emptied")).collect()
+}
+
+impl<'c: 'a, 'a> HaloMem<'c> for GridMem<'a> {
     fn send(&self, i: usize) -> &[f64] {
-        self.sends[i]
+        match self.sends {
+            Places::Ranges(r) => self.data.get(r[i].clone()),
+            Places::Views(v) => v[i].as_f64(),
+        }
     }
 
     fn recv(&mut self, j: usize) -> &mut [f64] {
-        self.recvs[j]
+        match self.recvs {
+            Places::Ranges(r) => self.data.get_mut(r[j].clone()),
+            Places::Views(v) => v[j].as_f64_mut(),
+        }
     }
 
     fn loopback(&mut self, ctx: &mut RankCtx<'_>, tag: u64, i: usize, j: usize) -> Result<(), NetsimError> {
-        ctx.loopback_into(tag, self.sends[i], self.recvs[j])
+        match (self.sends, &mut *self.recvs, &mut self.data) {
+            (Places::Ranges(s), Places::Ranges(r), Store::Here(data)) => {
+                ctx.loopback_within(tag, data, s[i].clone(), r[j].start)
+            }
+            (Places::Ranges(s), Places::Ranges(r), Store::Lent(lend)) => {
+                let (src, dst) = lend.outside_pair(s[i].clone(), r[j].clone());
+                ctx.loopback_into(tag, src, dst)
+            }
+            (Places::Views(s), Places::Ranges(r), data) => ctx.loopback_into(tag, s[i].as_f64(), data.get_mut(r[j].clone())),
+            (Places::Ranges(s), Places::Views(r), data) => ctx.loopback_into(tag, data.get(s[i].clone()), r[j].as_f64_mut()),
+            (Places::Views(s), Places::Views(r), _) => ctx.loopback_into(tag, s[i].as_f64(), r[j].as_f64_mut()),
+        }
+    }
+
+    fn lend(&mut self, ctx: &RankCtx<'c>, from: &[RelRecv], recvs: &[usize]) {
+        if let Places::Ranges(r) = self.recvs {
+            self.data.lend(ctx, from, r, recvs, self.pend);
+        }
     }
 
     fn complete(&mut self, ctx: &mut RankCtx<'_>, handles: &[RecvHandle], recvs: &[usize]) -> Result<(), NetsimError> {
-        let [a, b] = &mut self.recvs;
-        match recvs {
-            [] => ctx.waitall_into(handles, &mut []),
-            [0] => ctx.waitall_into(handles, &mut [a]),
-            [1] => ctx.waitall_into(handles, &mut [b]),
-            _ => ctx.waitall_into(handles, &mut [a, b]),
+        match self.recvs {
+            Places::Ranges(r) => self.data.complete(ctx, handles, r, recvs, self.pend),
+            Places::Views(views) => {
+                // `recvs` ascends, as the views do.
+                let mut bufs = recycle(std::mem::take(self.bufs));
+                let pending = views.iter_mut().enumerate().filter(|(j, _)| recvs.contains(j));
+                bufs.extend(pending.map(|(_, v)| v.as_f64_mut()));
+                let done = ctx.waitall_into(handles, &mut bufs);
+                *self.bufs = recycle(bufs);
+                done
+            }
         }
     }
 }

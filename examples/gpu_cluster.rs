@@ -24,8 +24,7 @@ fn main() {
     let decomp = BrickDecomp::<3>::layout_mode([n; 3], 8, BrickDims::cubic(8), 1, surface3d());
     let layout_stats = Exchanger::layout(&decomp).stats();
     let dm = memmap_decomp([n; 3], 8, BrickDims::cubic(8), 1, surface3d(), memview::PAGE_64K);
-    let st = MemMapStorage::allocate(&dm).expect("memfd");
-    let memmap_stats = ExchangeView::build(&dm, &st).expect("views").stats();
+    let memmap_stats = Exchanger::memmap(&dm).stats();
     let grid = ArrayGrid::new([n; 3], 8);
     let types_stats = ExchangeStats {
         messages: 26,

@@ -57,7 +57,7 @@ pub mod prelude {
     };
     pub use packfree::gpu::{estimate_gpu_step, GpuMethod, GpuPlatform, GpuWorkload};
     pub use packfree::memmap::{memmap_decomp, ExchangeView, MemMapStorage};
-    pub use packfree::{BrickDecomp, ExchangeStats, Exchanger};
+    pub use packfree::{BrickDecomp, ExchangeSession, ExchangeStats, Exchanger};
     pub use packfree::rebalance::{run_rebalance, GridCfg, RebalanceCfg};
     pub use stencil::{apply_bricks, ArrayGrid, Datatype, KernelPlan, StencilShape};
 }

@@ -123,7 +123,7 @@ fn kill_inside_a_lent_wait_and_inside_a_send_loop_recovers() {
     let clean_cfg = cfg(CpuMethod::Layout, FaultConfig::off(), 0, Backend::Thread);
     // Mailbox sends per step on 2x1x1: everything with an x component.
     let sends = Exchanger::layout(&clean_cfg.decomp()).sends().to_vec();
-    let mailbox = sends.iter().filter(|m| m.to.offsets(3)[0] != 0).count() as u64;
+    let mailbox = sends.iter().filter(|m| m.dir.offsets(3)[0] != 0).count() as u64;
     assert!(mailbox >= 2, "the schedule crosses ranks");
     for backend in [Backend::Thread, Backend::Event] {
         let clean = run_experiment(&cfg(CpuMethod::Layout, FaultConfig::off(), 0, backend));

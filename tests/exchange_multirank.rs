@@ -124,7 +124,7 @@ fn memmap_2x2x1() {
             (coords[2] * sub) as i64,
         ];
         let mut st = MemMapStorage::allocate(&decomp).expect("memfd");
-        let mut ev = ExchangeView::build(&decomp, &st).expect("views");
+        let mut ev = ExchangeSession::new(&Exchanger::memmap(&decomp), Some(&st)).expect("views");
         fill_rank(&decomp, &mut st.storage, origin);
         ev.exchange(ctx, &mut st).unwrap();
         check_rank(&decomp, &st.storage, origin, global)

@@ -255,11 +255,12 @@ fn memview_maps_memory_in_one_place() {
     }
 }
 
-/// Every brick grid steps through one engine: outside their tests,
-/// `crates/core/src` holds at most three `RankEngine` impls (the brick
-/// engine, `Arrays` and `Migrating`), `engine.rs` stamps none out with
-/// a macro, and `memmap.rs` walks no regions of its own — MemMap's views
-/// are cut from the Layout schedule (`Exchanger::layout`).
+/// Every brick grid steps through one engine over one exchange: outside
+/// their tests, `crates/core/src` holds at most three `RankEngine` impls
+/// (the brick engine, `Arrays` and `Migrating`), `engine.rs` stamps none
+/// out with a macro, no file declares a per-method `BrickExchange` trait
+/// again, and one file alone cuts views (`ContiguousView::build`), for
+/// MemMap's and Shift's schedules alike.
 #[test]
 fn brick_grids_have_one_engine() {
     let core = sources("core");
@@ -273,5 +274,11 @@ fn brick_grids_have_one_engine() {
     assert!(impls.len() <= 3, "crates/core/src has {} `RankEngine` impls: {impls:#?}", impls.len());
     let file = |want: &str| non_test(&core.iter().find(|(name, _)| name == want).expect("core source").1).to_string();
     assert!(!file("engine.rs").contains("macro_rules!"), "crates/core/src/engine.rs defines a macro");
-    assert!(!file("memmap.rs").contains("all_regions"), "crates/core/src/memmap.rs walks the regions itself");
+    let naming = |needle: &str| -> Vec<&str> {
+        core.iter().filter(|(_, text)| non_test(text).contains(needle)).map(|(name, _)| name.as_str()).collect()
+    };
+    let traits = naming("trait BrickExchange");
+    assert!(traits.is_empty(), "crates/core/src declares a `BrickExchange` trait in {traits:?}");
+    let cutters = naming("ContiguousView::build");
+    assert_eq!(cutters.len(), 1, "crates/core/src cuts views in {cutters:?}, not in one file");
 }

@@ -5,7 +5,11 @@
 
 use bricklib::prelude::*;
 use packfree::memmap::memmap_decomp;
-use packfree::shift::ShiftExchanger;
+
+/// `schedule`'s exchange of the grid `st`.
+fn cut(schedule: Exchanger, st: &MemMapStorage) -> ExchangeSession {
+    ExchangeSession::new(&schedule, Some(st)).unwrap()
+}
 
 fn f(x: i64, y: i64, z: i64) -> f64 {
     (x + 1_000 * y + 1_000_000 * z) as f64
@@ -55,7 +59,7 @@ fn ghost_errors(
 fn shift_uses_six_messages() {
     let d = memmap_decomp([32; 3], 8, BrickDims::cubic(8), 1, surface3d(), memview::PAGE_4K);
     let st = MemMapStorage::allocate(&d).unwrap();
-    let sh = ShiftExchanger::build(&d, &st).unwrap();
+    let sh = cut(Exchanger::shift(&d), &st);
     assert_eq!(sh.stats().messages, 6, "2 messages per axis pass");
     // Every ghost brick arrives exactly once under either scheme, so
     // the payloads are identical — Shift trades 42 messages for 6 at
@@ -76,7 +80,7 @@ fn shift_self_periodic_fills_rim() {
     let topo = CartTopo::new(&[1, 1, 1], true);
     let errors = run_cluster(&topo, NetworkModel::instant(), |ctx| {
         let mut st = MemMapStorage::allocate(&d).unwrap();
-        let mut sh = ShiftExchanger::build(&d, &st).unwrap();
+        let mut sh = cut(Exchanger::shift(&d), &st);
         fill(&d, &mut st, [0, 0, 0]);
         sh.exchange(ctx, &mut st).unwrap();
         ghost_errors(&d, &st, [0, 0, 0], [32, 32, 32])
@@ -99,7 +103,7 @@ fn shift_multirank_matches_put() {
         let c = ctx.topo().coords(ctx.rank());
         let origin = [(c[0] * sub) as i64, (c[1] * sub) as i64, (c[2] * sub) as i64];
         let mut st = MemMapStorage::allocate(&d).unwrap();
-        let mut sh = ShiftExchanger::build(&d, &st).unwrap();
+        let mut sh = cut(Exchanger::shift(&d), &st);
         fill(&d, &mut st, origin);
         sh.exchange(ctx, &mut st).unwrap();
         ghost_errors(&d, &st, origin, global)
@@ -122,10 +126,10 @@ fn shift_supports_full_stencil_loop() {
         run_cluster(&topo, NetworkModel::instant(), |ctx| {
             let mut a = MemMapStorage::allocate(&d).unwrap();
             let mut b = MemMapStorage::allocate(&d).unwrap();
-            let mut sh_a = ShiftExchanger::build(&d, &a).unwrap();
-            let mut sh_b = ShiftExchanger::build(&d, &b).unwrap();
-            let mut ev_a = ExchangeView::build(&d, &a).unwrap();
-            let mut ev_b = ExchangeView::build(&d, &b).unwrap();
+            let mut sh_a = cut(Exchanger::shift(&d), &a);
+            let mut sh_b = cut(Exchanger::shift(&d), &b);
+            let mut ev_a = cut(Exchanger::memmap(&d), &a);
+            let mut ev_b = cut(Exchanger::memmap(&d), &b);
             fill(&d, &mut a, [0, 0, 0]);
             let mut flip = false;
             for _ in 0..steps {
@@ -180,7 +184,7 @@ fn view_exchange_rejects_foreign_storage() {
     let caught = run_cluster(&topo, NetworkModel::instant(), |ctx| {
         let a = MemMapStorage::allocate(&d).unwrap();
         let mut b = MemMapStorage::allocate(&d).unwrap();
-        let mut ev = ExchangeView::build(&d, &a).unwrap();
+        let mut ev = cut(Exchanger::memmap(&d), &a);
         std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
             ev.exchange(ctx, &mut b).unwrap();
         }))
